@@ -311,6 +311,8 @@ where
     /// dispatchable.  The serial engine passes `u64::MAX`.
     fn try_dispatch(&mut self, watermark: u64) -> Option<StepOutcome> {
         let strict = self.scheduler.strict_key_order();
+        // The one heap peek of this dispatch: it decides the due rule here
+        // and the watermark gate below.
         let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
         let due = self
             .invocations
@@ -329,12 +331,7 @@ where
             self.dispatch_invocation(inv.tx, inv.client, inv.spec);
             return Some(StepOutcome::Invoked(inv.tx));
         }
-        let deliverable = self
-            .pool
-            .peek_earliest()
-            .map(|(key, _)| key < watermark)
-            .unwrap_or(false);
-        if !deliverable {
+        if earliest_key.is_none_or(|key| key >= watermark) {
             return None;
         }
         match self.scheduler.next(&mut self.pool, self.now) {

@@ -17,9 +17,10 @@
 //!   eventually deliverable, but the order and timing of deliveries are under
 //!   the control of a [`Scheduler`] (seeded-random, FIFO, latency-modelled, or
 //!   fully manual/adversarial).  In-flight messages live in an indexed
-//!   [`MessagePool`] (delivery heap + Fenwick rank index + O(1) slot
-//!   removal), so every scheduler decides in O(log n) — see [`pool`] and
-//!   [`scheduler`] for the complexity contract;
+//!   [`MessagePool`] (delivery heap + O(1) slot removal, plus a Fenwick
+//!   rank index built when a scheduler first selects by rank), so every
+//!   scheduler decides in O(log n) — see [`pool`] and [`scheduler`] for
+//!   the complexity contract;
 //! * every external action (INV, RESP, send, recv) is recorded in a
 //!   [`Trace`], with causal parent links from a delivered message to the
 //!   messages its handler sent.  The trace is what lets `snow-checker`

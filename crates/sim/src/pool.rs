@@ -4,36 +4,40 @@
 //! three access patterns the engine needs, each with its own index:
 //!
 //! * **Earliest-delivery pop** — a [`BinaryHeap`] keyed by
-//!   `(delivery_time, MsgId)` gives `FifoScheduler`/`LatencyScheduler` an
-//!   O(log n) [`MessagePool::pop_earliest`] instead of the old O(n) scan +
-//!   O(n) `Vec::remove`.  Entries are removed lazily: an entry whose id is
-//!   no longer live (delivered adversarially via
-//!   [`crate::Simulation::deliver_where`]) is skipped on pop.
+//!   `(delivery_time, MsgId)` gives every heap scheduler an O(log n)
+//!   [`MessagePool::pop_earliest`], or [`MessagePool::pop_earliest_by`]
+//!   where equal-key ties are re-broken by a rank (the tied entries sit
+//!   together at the heap top: no pool scan).  Entries are removed lazily:
+//!   one whose id is no longer live (delivered adversarially via
+//!   [`crate::Simulation::deliver_where`]) or no longer keyed as the entry
+//!   says (re-queued by a crash window) is skipped on pop.
 //! * **Removal by id** — messages live in a slot vector with O(1)
 //!   swap-remove; a dense `MsgId → slot` table keeps slots addressable.
 //! * **Rank selection in send order** — a Fenwick (binary indexed) tree over
 //!   the id space marks live ids, giving O(log n)
-//!   [`MessagePool::nth_live`] rank selection and an ascending
-//!   id-order iterator.  `RandomScheduler` uses rank selection so a uniform
-//!   draw over the pool picks *the k-th message in send order* — exactly
-//!   the semantics of indexing the old send-ordered `Vec`, which keeps
-//!   seeded schedules (and therefore golden histories) bit-identical across
-//!   the engine refactor.
+//!   [`MessagePool::nth_live`] rank selection.  `RandomScheduler` uses it
+//!   so a uniform draw over the pool picks *the k-th message in send order*
+//!   — exactly the semantics of indexing the old send-ordered `Vec`, which
+//!   keeps seeded schedules (and therefore golden histories) bit-identical
+//!   across the engine refactor.  The tree is **built by `nth_live`**:
+//!   FIFO, latency and topology runs never select by rank and pay for the
+//!   heap and the slot table only (the id-order iterator needs no tree).
 //!
 //! Memory: the id-indexed tables are a **sliding window** over the id
 //! space.  Delivered ids at the front of the window are trimmed (and the
-//! Fenwick tree rebuilt) once the dead prefix reaches half the window, so a
-//! long run's index footprint is O(in-flight), not O(messages-ever-sent) —
-//! the property that keeps open-loop saturation runs flat in memory.  Live
-//! ids below the window base (cross-shard imports racing a trim) fall back
-//! to a `BTreeMap` side-table; it is empty on the serial path.  `MsgId`s
-//! themselves stay monotone — only the *index* is windowed — so rank
-//! selection still means "k-th live message in send order" and seeded
-//! schedules (golden histories) are unchanged.  The delivery heap holds at
-//! most one entry per sent message; heap-popping schedulers drain it as the
-//! run progresses, while schedulers that never pop (e.g. the random
-//! adversary) leave one stale entry per send until the pool is dropped —
-//! the same order of growth as the trace's action log.
+//! Fenwick tree dropped, for `nth_live` to rebuild) once the dead prefix
+//! reaches half the window, so a long run's index footprint is
+//! O(in-flight), not O(messages-ever-sent) — the property that keeps
+//! open-loop saturation runs flat in memory.  Live ids below the window
+//! base (cross-shard imports racing a trim) fall back to a `BTreeMap`
+//! side-table; it is empty on the serial path.  `MsgId`s themselves stay
+//! monotone — only the *index* is windowed — so rank selection still means
+//! "k-th live message in send order" and seeded schedules (golden
+//! histories) are unchanged.  The delivery heap holds at most one entry
+//! per insert; heap-popping schedulers drain it as the run progresses,
+//! while schedulers that never pop (e.g. the random adversary) leave one
+//! stale entry per send until the pool is dropped — the same order of
+//! growth as the trace's action log.
 
 use crate::message::{MsgId, PendingMessage};
 use std::cmp::Reverse;
@@ -164,16 +168,20 @@ pub struct MessagePool<M> {
     /// Always empty on the serial path; iterated before the window by
     /// rank selection (every old id precedes every windowed id).
     old: BTreeMap<u64, usize>,
-    /// Live-id marks over the window's offsets, for rank selection.
-    live: Fenwick,
-    /// Delivery queue keyed by `(delivery_time, id)`; entries for dead ids
-    /// are skipped lazily on pop.
+    /// Live-id marks over the window's offsets, for rank selection: built
+    /// by [`MessagePool::nth_live`], dropped at trims, else kept current.
+    live: Option<Fenwick>,
+    /// Delivery queue keyed by `(delivery_time, id)`; entries whose id is
+    /// dead or re-keyed are skipped lazily on pop.
     queue: BinaryHeap<Reverse<(u64, u64)>>,
+    /// [`MessagePool::pop_earliest_by`]'s scratch (the ids it pushes back);
+    /// empty between calls, a field only to reuse the allocation.
+    ties: Vec<u64>,
 }
 
 const DEAD: usize = usize::MAX;
 
-/// Minimum dead prefix before a trim is worth a Fenwick rebuild.
+/// Minimum dead prefix before a trim is worth shifting the window.
 const TRIM_MIN: usize = 64;
 
 impl<M> Default for MessagePool<M> {
@@ -184,8 +192,9 @@ impl<M> Default for MessagePool<M> {
             base: 0,
             dead_prefix: 0,
             old: BTreeMap::new(),
-            live: Fenwick::new(),
+            live: None,
             queue: BinaryHeap::new(),
+            ties: Vec::new(),
         }
     }
 }
@@ -238,7 +247,7 @@ impl<M> MessagePool<M> {
             self.window.drain(..self.dead_prefix);
             self.base += self.dead_prefix as u64;
             self.dead_prefix = 0;
-            self.live = Fenwick::from_bits(self.window.iter().map(|&slot| slot != DEAD));
+            self.live = None;
         }
     }
 
@@ -261,10 +270,10 @@ impl<M> MessagePool<M> {
             let offset = (id - self.base) as usize;
             while self.window.len() <= offset {
                 self.window.push(DEAD);
-                self.live.append_zero();
+                self.live.iter_mut().for_each(Fenwick::append_zero);
             }
             self.window[offset] = slot;
-            self.live.set(offset);
+            self.live.iter_mut().for_each(|live| live.set(offset));
             // An import landing inside the verified dead prefix reopens it.
             if offset < self.dead_prefix {
                 self.dead_prefix = offset;
@@ -289,14 +298,14 @@ impl<M> MessagePool<M> {
     }
 
     /// Removes and returns message `id` in O(1) (swap-remove) plus an
-    /// O(log n) live-index update.  Any delivery-queue entry for `id`
-    /// becomes stale and is skipped lazily.
+    /// O(log n) update of the rank index, if built.  Any delivery-queue
+    /// entry for `id` becomes stale and is skipped lazily.
     pub fn remove(&mut self, id: MsgId) -> Option<PendingMessage<M>> {
         let slot = self.slot_index(id.0)?;
         if id.0 >= self.base {
             let offset = (id.0 - self.base) as usize;
             self.window[offset] = DEAD;
-            self.live.clear(offset);
+            self.live.iter_mut().for_each(|live| live.clear(offset));
         } else {
             self.old.remove(&id.0);
         }
@@ -314,24 +323,50 @@ impl<M> MessagePool<M> {
     /// the pool (callers deliver it via [`MessagePool::remove`]); its queue
     /// entry is consumed, so each call yields a distinct message.
     pub fn pop_earliest(&mut self) -> Option<MsgId> {
-        while let Some(Reverse((_, id))) = self.queue.pop() {
-            if self.contains(MsgId(id)) {
-                return Some(MsgId(id));
+        let (_, id) = self.peek_earliest()?;
+        self.queue.pop();
+        Some(id)
+    }
+
+    /// [`MessagePool::pop_earliest`] with equal-key ties broken by the
+    /// smallest `rank`, not the smallest id.  The tied entries are the top
+    /// of the heap: pop that run, keep the winner, push the others back —
+    /// O(log n) without a tie (no `rank` call, no allocation), O(t log n)
+    /// for a run of t.
+    pub fn pop_earliest_by<R: Ord>(
+        &mut self,
+        rank: impl Fn(&PendingMessage<M>) -> R,
+    ) -> Option<MsgId> {
+        let (key, mut best) = self.peek_earliest()?;
+        self.queue.pop();
+        while let Some((_, mut loser)) = self.peek_earliest().filter(|&(k, _)| k == key) {
+            self.queue.pop();
+            let rank_of = |id| rank(self.get(id).expect("peeked entries are live"));
+            if rank_of(loser) < rank_of(best) {
+                std::mem::swap(&mut best, &mut loser);
             }
+            self.ties.push(loser.0);
         }
-        None
+        for id in self.ties.drain(..) {
+            self.queue.push(Reverse((key, id)));
+        }
+        Some(best)
     }
 
     /// The `(delivery_time, id)` key of the live message
     /// [`MessagePool::pop_earliest`] would yield, without consuming its
-    /// queue entry — amortized O(log n) (stale entries for dead ids are
-    /// discarded on the way).  The dispatch core uses this to decide
-    /// whether the next delivery falls inside the current watermark
-    /// (`u64::MAX` on the serial path, the epoch's virtual-time watermark
-    /// on the sharded path).
+    /// queue entry — amortized O(log n) (stale entries are discarded on the
+    /// way).  The dispatch core uses this to decide whether the next
+    /// delivery falls inside the current watermark (`u64::MAX` on the
+    /// serial path, the epoch's virtual-time watermark on the sharded
+    /// path).
     pub fn peek_earliest(&mut self) -> Option<(u64, MsgId)> {
-        while let Some(Reverse((key, id))) = self.queue.peek().copied() {
-            if self.contains(MsgId(id)) {
+        while let Some(&Reverse((key, id))) = self.queue.peek() {
+            // Live *and keyed as the entry says*: a crash window's
+            // `QueueInFlight` re-inserts the same id under a later key, and
+            // its old entry must not resurface it under the old one.
+            let msg = self.get(MsgId(id));
+            if msg.is_some_and(|msg| msg.delivery_key() == key) {
                 return Some((key, MsgId(id)));
             }
             self.queue.pop();
@@ -342,12 +377,16 @@ impl<M> MessagePool<M> {
     /// The `k`-th live message in ascending id (send) order — O(log n)
     /// (plus O(|old|) when pre-window imports exist; every old id precedes
     /// every windowed id, so the global order is old-ids-then-window).
-    pub fn nth_live(&self, k: usize) -> Option<MsgId> {
+    /// Builds the rank index in O(window) if it is absent (first use, or
+    /// first use after a trim); inserts and removes then keep it current.
+    pub fn nth_live(&mut self, k: usize) -> Option<MsgId> {
         if k < self.old.len() {
             return self.old.keys().nth(k).map(|&id| MsgId(id));
         }
-        self.live
-            .kth(k - self.old.len())
+        let live = self.live.get_or_insert_with(|| {
+            Fenwick::from_bits(self.window.iter().map(|&slot| slot != DEAD))
+        });
+        live.kth(k - self.old.len())
             .map(|offset| MsgId(self.base + offset as u64))
     }
 
@@ -364,11 +403,14 @@ impl<M> MessagePool<M> {
         self.base
     }
 
-    /// Iterates over in-flight messages in ascending id (send) order.
-    /// Each step costs O(log n); adversarial drivers that scan for a
-    /// matching message pay O(matches-scanned · log n) in total.
+    /// Iterates over in-flight messages in ascending id (send) order: one
+    /// pass over the pre-window side-table and the index window.
     pub fn iter(&self) -> impl Iterator<Item = &PendingMessage<M>> + '_ {
-        (0..self.len()).map_while(move |k| self.nth_live(k).and_then(|id| self.get(id)))
+        let windowed = self.window.iter().filter(|&&slot| slot != DEAD);
+        self.old
+            .values()
+            .chain(windowed)
+            .map(|&slot| &self.slots[slot])
     }
 }
 
@@ -463,6 +505,168 @@ mod tests {
         pool.remove(MsgId(1)).unwrap();
         assert_eq!(pool.pop_earliest(), None);
         assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn requeued_id_is_not_resurfaced_by_its_stale_entry() {
+        // A crash window's `QueueInFlight` re-inserts the *same* id under a
+        // later key.  If the old entry was never consumed (a
+        // `deliver_where` delivery), it must not resurface the message
+        // ahead of everything keyed in between.
+        let mut pool: MessagePool<M> = MessagePool::new();
+        pool.insert(pending(0, 0, Some(5)));
+        pool.insert(pending(1, 0, Some(8)));
+        let held = pool.remove(MsgId(0)).unwrap();
+        pool.insert(PendingMessage {
+            deliver_at: Some(20),
+            ..held
+        });
+        assert_eq!(pool.peek_earliest(), Some((8, MsgId(1))));
+        assert_eq!(pool.pop_earliest(), Some(MsgId(1)));
+        pool.remove(MsgId(1)).unwrap();
+        assert_eq!(pool.peek_earliest(), Some((20, MsgId(0))));
+        assert_eq!(pool.pop_earliest_by(|m| m.sent_at), Some(MsgId(0)));
+    }
+
+    #[test]
+    fn pop_earliest_by_breaks_ties_by_rank_and_keeps_the_losers() {
+        let mut pool: MessagePool<M> = MessagePool::new();
+        // Three messages tie at key 10; rank is `sent_at`, so id 2 wins,
+        // then id 0 (sent_at 4), then id 1 (sent_at 7), then key 11.
+        pool.insert(pending(0, 4, Some(10)));
+        pool.insert(pending(1, 7, Some(10)));
+        pool.insert(pending(2, 3, Some(10)));
+        pool.insert(pending(3, 0, Some(11)));
+        let mut order = Vec::new();
+        while let Some(id) = pool.pop_earliest_by(|m| m.sent_at) {
+            pool.remove(id).unwrap();
+            order.push(id.0);
+        }
+        assert_eq!(order, vec![2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn heap_drains_are_logarithmic_and_never_build_the_rank_index() {
+        // Complexity guard without a wall clock: 10 000 messages, distinct
+        // keys except that every 100th shares its predecessor's.  The
+        // rank-taking pop may evaluate `rank` only inside a tie run — the
+        // whole-pool scan it replaced evaluated n²/2 candidates.
+        const N: u64 = 10_000;
+        let fill = || {
+            let mut pool: MessagePool<M> = MessagePool::new();
+            for id in 0..N {
+                let key = if id % 100 == 99 { id - 1 } else { id };
+                pool.insert(pending(id, 0, Some(1_000 + key)));
+            }
+            pool
+        };
+        let ties = N / 100;
+        let evaluations = std::cell::Cell::new(0u64);
+        let mut pool = fill();
+        let mut drained = 0;
+        while let Some(id) = pool.pop_earliest_by(|m| {
+            evaluations.set(evaluations.get() + 1);
+            std::cmp::Reverse(m.id)
+        }) {
+            // Reverse-id rank: the later id of each tied pair goes first.
+            let expected = match drained % 100 {
+                98 => drained + 1,
+                99 => drained - 1,
+                _ => drained,
+            };
+            assert_eq!(id, MsgId(expected));
+            pool.remove(id).unwrap();
+            drained += 1;
+        }
+        assert_eq!(drained, N);
+        assert_eq!(
+            evaluations.get(),
+            2 * ties,
+            "rank is evaluated inside tie runs only (the bound is n + ties)"
+        );
+        assert!(
+            pool.live.is_none(),
+            "a rank-taking heap drain built the Fenwick tree"
+        );
+
+        let mut fifo = fill();
+        while let Some(id) = fifo.pop_earliest() {
+            fifo.remove(id).unwrap();
+        }
+        assert!(fifo.is_empty());
+        assert!(fifo.live.is_none(), "a FIFO drain built the Fenwick tree");
+        assert!(fifo.nth_live(0).is_none());
+        assert!(fifo.live.is_some(), "rank selection builds it on first use");
+    }
+
+    #[test]
+    fn lazy_rank_index_matches_sorted_live_ids_under_churn() {
+        // The same insert/remove churn (long enough to trim the window
+        // several times) on two pools: `eager` selects by rank from the
+        // first step, so its tree is maintained incrementally throughout;
+        // `lazy` builds its tree only after the churn.  Both must agree
+        // with the sorted live ids.
+        for seed in 0..8u64 {
+            // A 64-bit LCG (Knuth's MMIX constants), top bits: stateful
+            // RNG draws in this crate are confined to scheduler.rs.
+            let mut state = seed;
+            let mut below = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let mut eager: MessagePool<M> = MessagePool::new();
+            let mut lazy: MessagePool<M> = MessagePool::new();
+            assert_eq!(eager.nth_live(0), None);
+            let mut live: Vec<u64> = Vec::new();
+            let mut next_id = 0u64;
+            for _ in 0..3_000 {
+                if live.is_empty() || below(100) < 52 {
+                    // Strided ids, as on a shard; occasionally an import
+                    // below the trimmed base.
+                    let base = lazy.window_base();
+                    let import = base > 0 && below(20) == 0;
+                    let id = match import.then(|| below(base)) {
+                        Some(id) if !live.contains(&id) => id,
+                        _ => {
+                            next_id += 1 + below(3);
+                            next_id
+                        }
+                    };
+                    eager.insert(pending(id, 0, None));
+                    lazy.insert(pending(id, 0, None));
+                    live.push(id);
+                } else {
+                    // Mostly retire the oldest (so the window trims),
+                    // sometimes a random one.
+                    let at = if below(4) == 0 {
+                        below(live.len() as u64) as usize
+                    } else {
+                        0
+                    };
+                    let id = live.remove(at);
+                    eager.remove(MsgId(id)).unwrap();
+                    lazy.remove(MsgId(id)).unwrap();
+                }
+                let k = below(live.len() as u64 + 1) as usize;
+                let mut sorted = live.clone();
+                sorted.sort_unstable();
+                assert_eq!(eager.nth_live(k).map(|id| id.0), sorted.get(k).copied());
+            }
+            assert!(lazy.window_base() > 0, "churn never trimmed the window");
+            assert!(lazy.live.is_none());
+            live.sort_unstable();
+            let by_rank = |pool: &mut MessagePool<M>| -> Vec<u64> {
+                (0..pool.len())
+                    .map(|k| pool.nth_live(k).unwrap().0)
+                    .collect()
+            };
+            assert_eq!(by_rank(&mut lazy), live);
+            assert_eq!(by_rank(&mut eager), live);
+            assert_eq!(lazy.nth_live(live.len()), None);
+            assert_eq!(lazy.iter().map(|m| m.id.0).collect::<Vec<_>>(), live);
+        }
     }
 
     #[test]

@@ -31,14 +31,20 @@
 //!   `(sent_at, id)` key order *is* send order, so FIFO needs no scan — the
 //!   old "defensive" O(n) minimum scan is gone by construction (the heap
 //!   tie-breaks equal keys by id, which is exactly the minimum the scan
-//!   computed).  The random adversary draws a uniform rank and selects the
-//!   k-th live message in send order via the pool's Fenwick index
-//!   ([`MessagePool::nth_live`], O(log n)) — the same distribution *and the
-//!   same per-seed choices* as indexing the old send-ordered `Vec`.
+//!   computed).  Topology scheduling is the same pop with equal-key ties
+//!   re-broken by a shard-invariant rank ([`MessagePool::pop_earliest_by`]:
+//!   the tied entries are the heap's top, so O(log n) plus the tie run).
+//!   The random adversary draws a uniform rank and selects the k-th live
+//!   message in send order via the pool's Fenwick index
+//!   ([`MessagePool::nth_live`], O(log n); only its runs build the index)
+//!   — the same distribution *and the same per-seed choices* as indexing
+//!   the old send-ordered `Vec`.
 //!
-//! Every scheduler is therefore O(log n) per step; the engine's removal of
-//! the chosen message is O(1) (slot swap-remove).  A custom scheduler must
-//! return a live id and must not remove messages itself.
+//! Every scheduler is therefore O(log n) per step (plus the tie run, where
+//! ties are re-broken), and all three heap schedulers share one contract:
+//! `next` consumes the chosen message's heap entry.  The engine's removal
+//! of the chosen message is O(1) (slot swap-remove).  A custom scheduler
+//! must return a live id and must not remove messages itself.
 
 use crate::message::MsgId;
 use crate::pool::MessagePool;

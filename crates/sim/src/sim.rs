@@ -8,8 +8,9 @@
 //!
 //! * in-flight messages live in a [`MessagePool`](crate::MessagePool) — a
 //!   slot vector with O(1) swap-remove, a `(delivery_time, MsgId)` binary
-//!   heap for O(log n) earliest-delivery pops, and a Fenwick live-index for
-//!   O(log n) rank selection in send order (see [`crate::pool`]);
+//!   heap for O(log n) earliest-delivery pops, and — once a scheduler
+//!   selects by rank — a Fenwick live-index for O(log n) rank selection in
+//!   send order (see [`crate::pool`]);
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total (the old sorted-`Vec`
 //!   insert was O(n² log n)) and the next due invocation is an O(1) peek;
@@ -21,11 +22,11 @@
 //! Per step the engine therefore does O(log n) work plus the process
 //! handler's own cost, for any scheduler.  Adversarial driving
 //! ([`Simulation::deliver_where`], [`Simulation::force_invoke`]) trades this
-//! for expressiveness: it scans in send order (O(matches · log n)) exactly
-//! like the historical `Vec`-based engine, which keeps the
-//! `snow-impossibility` constructions unchanged.  Adversaries control
-//! *order*, never *time*: the dispatch core clamps the clock so no event is
-//! dispatched before its own timestamp (see the `engine` module).
+//! for expressiveness: it scans in send order (one pass over the pool's
+//! index window) exactly like the historical `Vec`-based engine, which
+//! keeps the `snow-impossibility` constructions unchanged.  Adversaries
+//! control *order*, never *time*: the dispatch core clamps the clock so no
+//! event is dispatched before its own timestamp (see the `engine` module).
 //!
 //! # One dispatch core
 //!
@@ -720,5 +721,74 @@ mod tests {
             times.windows(2).all(|w| w[0] <= w[1]),
             "trace timestamps regressed: {times:?}"
         );
+    }
+
+    /// Regression: a crash window's `QueueInFlight` re-inserts the held
+    /// message under the *same id* with `deliver_at = recover_at`.  When the
+    /// pool judged heap entries by liveness alone, any unconsumed entry for
+    /// that id (the topology scheduler used to peek, never pop) resurfaced
+    /// the message under its old key: it was re-picked at once and the
+    /// clock clamp leapt to `recover_at`, past every message keyed in
+    /// between.
+    #[test]
+    fn queued_in_flight_messages_wait_their_turn_under_the_topology_scheduler() {
+        use crate::fault::{Crash, CrashPolicy, FaultSchedule};
+        use crate::topology::{Topology, TopologyScheduler, TICK};
+        use std::collections::BTreeMap;
+
+        const CLIENTS: u32 = 4;
+        let config = snow_core::SystemConfig::mwmr(2, 2, 2);
+        let topology = std::sync::Arc::new(Topology::single_dc(&config));
+        let recover_at = 20 * TICK;
+        let crashed = ProcessId::Server(ServerId(0));
+        let schedule = FaultSchedule::new(3).with_crash(Crash {
+            server: ServerId(0),
+            at: 0,
+            recover_at,
+            policy: CrashPolicy::QueueInFlight,
+        });
+        let restart = |pid| match pid {
+            ProcessId::Server(id) => ToyNode::Server { id },
+            ProcessId::Client(_) => unreachable!("clients never crash"),
+        };
+        let mut sim = Simulation::new(TopologyScheduler::new(topology, 11))
+            .with_faults(schedule, Some(Box::new(restart)));
+        for c in 0..CLIENTS {
+            sim.add_process(ToyNode::Client { id: ClientId(c), outstanding: None });
+        }
+        sim.add_process(ToyNode::Server { id: ServerId(0) });
+        sim.add_process(ToyNode::Server { id: ServerId(1) });
+        let txs: Vec<TxId> = (0..CLIENTS)
+            .map(|c| sim.invoke_at(0, ClientId(c), TxSpec::read(vec![ObjectId(0), ObjectId(1)])))
+            .collect();
+
+        let (mut last_key, mut held) = (0, 0);
+        loop {
+            let before: BTreeMap<_, (u64, ProcessId)> =
+                sim.pending().map(|p| (p.id, (p.delivery_key(), p.dst))).collect();
+            let StepOutcome::Delivered(id) = sim.step() else {
+                if sim.is_quiescent() {
+                    break;
+                }
+                continue;
+            };
+            let (key, dst) = before[&id];
+            assert!(key >= last_key, "message {id} keyed {key} delivered after key {last_key}");
+            last_key = key;
+            match sim.pending().find(|p| p.id == id) {
+                Some(requeued) => {
+                    assert_eq!(requeued.deliver_at, Some(recover_at));
+                    held += 1;
+                }
+                None if dst == crashed => assert!(
+                    sim.now() > recover_at,
+                    "held message {id} reached the crashed server at {}",
+                    sim.now()
+                ),
+                None => {}
+            }
+        }
+        assert_eq!(held, CLIENTS, "every first request to the crashed server is held");
+        assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
     }
 }

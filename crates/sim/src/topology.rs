@@ -46,7 +46,9 @@
 //!    sharded engine does.)
 //! 3. **Shard-invariant tie-breaks.**  Same-destination equal keys are
 //!    resolved by `(sent_at, source, emission order)` instead of the
-//!    shard-strided message id.
+//!    shard-strided message id — from the top of the delivery heap, where
+//!    the tied entries sit together
+//!    ([`MessagePool::pop_earliest_by`]): O(log n + ties) per delivery.
 //! 4. **Strict key order** ([`crate::Scheduler::strict_key_order`]).  An
 //!    invocation keyed before every pending delivery dispatches first, so
 //!    a kickoff wave planned at quiescence (strictly increasing times
@@ -402,7 +404,6 @@ impl TopologyScheduler {
 
 impl<M> Scheduler<M> for TopologyScheduler {
     fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
-        let (key, candidate) = pool.peek_earliest()?;
         // Equal keys are same-destination by construction (disjoint
         // per-destination jitter bands), so the tie lives on one core at
         // every shard count — but the heap's `MsgId` tie-break is
@@ -411,19 +412,7 @@ impl<M> Scheduler<M> for TopologyScheduler {
         // one handler execution (same `sent_at`, same `src`) the relative
         // id order *is* emission order on both engines, so it is safe as
         // the final component.
-        let mut best = candidate;
-        let mut best_rank: Option<(u64, u64, u64)> = None;
-        for p in pool.iter() {
-            if p.delivery_key() != key {
-                continue;
-            }
-            let rank = (p.sent_at, pid_bits(p.src), p.id.0);
-            if best_rank.is_none_or(|r| rank < r) {
-                best_rank = Some(rank);
-                best = p.id;
-            }
-        }
-        Some(best)
+        pool.pop_earliest_by(|p| (p.sent_at, pid_bits(p.src), p.id.0))
     }
 
     fn strict_key_order(&self) -> bool {

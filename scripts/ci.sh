@@ -47,6 +47,11 @@
 #      run does not overwrite BENCH_simcore.json; regenerate that
 #      separately with `cargo run -p snow-bench --release --bin
 #      bench_json` on quiet hardware;
+#   6b. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
+#      BENCHMARK.json workload through both passes (plain + traced) in
+#      about a second and exits non-zero if any fails its correctness gate
+#      (verdict, protocol claims, history digest stable across reps); it
+#      never writes a file (benchmark/README.md);
 #   7. checker-throughput regression guard: the smoke run's graph-checker
 #      rate at 1k transactions must be within 5x of the tracked artifact
 #      (a smoke row on busy CI hardware is noisy; 5x only catches
@@ -212,6 +217,10 @@ if ! grep -q '"faults"' "$smoke_json" \
     exit 1
 fi
 echo "bench smoke ok (serial + parallel flood + runtime + open loop + checker + stream + faults + obs)"
+
+echo "== repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
+cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke > /dev/null
+echo "e2e_bench smoke ok"
 
 echo "== checker_throughput regression guard =="
 rate_at() { # <file> <transactions>: the graph checker's tx_per_sec row
