@@ -5,9 +5,7 @@
 //! not rely on the protocol's own claims.
 
 use crate::strict::{check_auto, Verdict};
-use snow_core::{
-    History, PropertyReport, SnowProperty, SnowPropertySet, TxKind,
-};
+use snow_core::{History, PropertyReport, SnowProperty, SnowPropertySet, TxKind, TxRecord};
 
 /// Checks all four SNOW properties of a history.
 #[derive(Debug, Clone, Default)]
@@ -132,16 +130,35 @@ impl SnowChecker {
 
     /// Counts READ/WRITE pairs that overlap in time and touch a common
     /// object — the "conflicting writes" the W property is about.
+    ///
+    /// A sweep over both kinds in invocation order: each READ is compared
+    /// only with the WRITEs whose interval meets its own, so the cost is
+    /// O(n log n + overlapping pairs), not reads × writes.
     pub fn concurrent_read_write_pairs(&self, history: &History) -> usize {
+        let end = |t: &TxRecord| t.responded_at.unwrap_or(u64::MAX);
+        let mut reads: Vec<&TxRecord> = history.reads().collect();
+        reads.sort_by_key(|r| r.invoked_at);
+        let mut writes: Vec<&TxRecord> = history.writes().collect();
+        writes.sort_by_key(|w| w.invoked_at);
+        // WRITEs invoked by the current READ's invocation that had not
+        // responded before it; `writes[started..]` are invoked after it.
+        let mut active: Vec<&TxRecord> = Vec::new();
+        let mut started = 0;
         let mut count = 0;
-        for r in history.reads() {
-            for w in history.writes() {
-                let overlap = !r.precedes(w) && !w.precedes(r);
-                let conflict = w.spec.objects().iter().any(|o| r.spec.objects().contains(o));
-                if overlap && conflict {
-                    count += 1;
-                }
+        for r in reads {
+            while started < writes.len() && writes[started].invoked_at <= r.invoked_at {
+                active.push(writes[started]);
+                started += 1;
             }
+            // A WRITE that responded before this READ was invoked also
+            // precedes every later READ.
+            active.retain(|w| end(w) >= r.invoked_at);
+            let during = writes[started..].iter().take_while(|w| w.invoked_at <= end(r));
+            count += active
+                .iter()
+                .chain(during)
+                .filter(|w| overlaps(r, w) && conflicts(r, w))
+                .count();
         }
         count
     }
@@ -161,6 +178,16 @@ impl SnowChecker {
         };
         (vec![s, n, o, w], set)
     }
+}
+
+/// Neither transaction responded before the other was invoked.
+fn overlaps(a: &TxRecord, b: &TxRecord) -> bool {
+    !a.precedes(b) && !b.precedes(a)
+}
+
+/// The two transactions name a common object.
+fn conflicts(a: &TxRecord, b: &TxRecord) -> bool {
+    a.spec.objects_iter().any(|o| b.spec.objects_iter().any(|p| p == o))
 }
 
 #[cfg(test)]
@@ -255,6 +282,56 @@ mod tests {
         h.push(snow_read(2, 20, 30, true, 1, 1));
         let checker = SnowChecker::new();
         assert!(!checker.check_writes_complete(&h).holds);
+    }
+
+    /// The definition: every READ against every WRITE.
+    fn pairwise_oracle(history: &History) -> usize {
+        let pairs = history.reads().flat_map(|r| history.writes().map(move |w| (r, w)));
+        pairs.filter(|(r, w)| overlaps(r, w) && conflicts(r, w)).count()
+    }
+
+    #[test]
+    fn sweep_counts_what_the_pairwise_definition_counts() {
+        let mut state = 7u64;
+        let mut below = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut overlapping = 0;
+        for _ in 0..300 {
+            let (n, n_objects) = (1 + below(200), 4 + below(8));
+            let (span, dur) = (1 + below(400), 1 + below(60));
+            let mut h = History::new();
+            for id in 0..n {
+                let inv = below(span);
+                let mut objects: Vec<ObjectId> = Vec::new();
+                while objects.len() < 1 + below(4) as usize {
+                    let o = ObjectId(below(n_objects) as u32);
+                    if !objects.contains(&o) {
+                        objects.push(o);
+                    }
+                }
+                let mut rec = if below(2) == 0 {
+                    snow_read(id, inv, 0, true, 1, 1)
+                } else {
+                    snow_write(id, inv, Some(0))
+                };
+                rec.spec = match rec.kind() {
+                    TxKind::Read => TxSpec::read(objects),
+                    TxKind::Write => {
+                        TxSpec::write(objects.into_iter().map(|o| (o, Value(1))).collect())
+                    }
+                };
+                // Zero-length intervals, shared endpoints and a few
+                // transactions that never respond.
+                rec.responded_at = (below(20) != 0).then(|| inv + below(dur));
+                h.push(rec);
+            }
+            let expected = pairwise_oracle(&h);
+            assert_eq!(SnowChecker::new().concurrent_read_write_pairs(&h), expected);
+            overlapping += expected;
+        }
+        assert!(overlapping > 10_000, "the histories must overlap: {overlapping} pairs");
     }
 
     #[test]

@@ -41,6 +41,17 @@
 //! object closes, at which point the seal expires and the segment is
 //! replayed into the witness.
 //!
+//! **Cost contract.**  Per commit: O(log window) to find the real-time
+//! edges, O(live versions of the object) to place a version, O(affected
+//! region) for an order-violating edge, O(objects in the segment) for an
+//! observation of a sealed version — and no heap allocation in steady
+//! state: searches and retire passes run in buffers kept on the checker,
+//! retired transactions and expired seals hand their vectors to the next
+//! ones.  A sealed segment answers observations from a per-object summary
+//! (its last version and the latest response among the earlier ones),
+//! rebuilt whenever the segment's record order changes.  [`StreamReport`]
+//! counts the work exactly; `tests/stream_hot_path.rs` pins it.
+//!
 //! ```
 //! use snow_checker::stream::StreamChecker;
 //! use snow_core::{
@@ -139,6 +150,9 @@ impl LiveTx {
     }
 }
 
+/// A [`LiveTx`]'s `out`, `preds`, `obs` and `readers`.
+type SpareVecs = (Vec<u32>, Vec<u32>, Vec<ReaderObs>, Vec<(ObjectId, u32)>);
+
 /// Per-object streaming state.
 #[derive(Debug, Default)]
 struct ObjectState {
@@ -172,18 +186,132 @@ enum KeyState {
 /// still be re-linearised if a future stale read forces a member to be the
 /// group's last version, until the seal expires (a later version of every
 /// flip object closes).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Seal {
     /// Segment records, in current internal order.
     recs: Vec<TxRecord>,
     /// Per-object projections of live reads that observed a sealed
     /// version: the constraints every re-linearisation must satisfy.
-    ghosts: Vec<TxRecord>,
+    ghosts: Vec<Ghost>,
     /// Version keys installed by the segment, per object.
     members: Vec<(ObjectId, Key)>,
     /// Objects whose internal order is still revisable (no later version
     /// of the object has closed yet).
     open_objects: Vec<ObjectId>,
+    /// Per object the segment writes: the key and response of its last
+    /// write in `recs` order, and the latest response among its earlier
+    /// ones (version keys are unique per object: a duplicate is a sticky
+    /// `Unknown` at ingest).  **Invariant:** rebuilt by [`Seal::summarize`]
+    /// whenever `recs` changes order, so a sealed observation is a lookup.
+    summary: Vec<(ObjectId, Key, u64, u64)>,
+}
+
+/// A live read's observation of one sealed version, kept as scalars and
+/// turned into a single-object READ record only for a re-linearisation.
+#[derive(Debug, Clone, Copy)]
+struct Ghost {
+    tx_id: snow_core::TxId,
+    client: snow_core::ClientId,
+    read: snow_core::ObjectRead,
+    inv: u64,
+    resp: Option<u64>,
+}
+
+impl Ghost {
+    fn record(&self) -> TxRecord {
+        let spec = snow_core::TxSpec::read(vec![self.read.object]);
+        let mut rec = TxRecord::invoked(self.tx_id, self.client, spec, self.inv);
+        rec.responded_at = self.resp;
+        rec.outcome =
+            Some(TxOutcome::Read(snow_core::ReadOutcome { reads: vec![self.read], tag: None }));
+        rec
+    }
+}
+
+impl Seal {
+    fn summarize(&mut self) {
+        self.summary.clear();
+        for rec in &self.recs {
+            let Some(TxOutcome::Write(wo)) = rec.outcome.as_ref() else { continue };
+            let resp = rec.responded_at.unwrap_or(u64::MAX);
+            for object in rec.spec.objects_iter() {
+                match self.summary.iter_mut().find(|s| s.0 == object) {
+                    Some(s) => *s = (object, wo.key, resp, s.3.max(s.2)),
+                    None => self.summary.push((object, wo.key, resp, 0)),
+                }
+            }
+        }
+    }
+
+    /// True when the current order already satisfies a read of `object`
+    /// invoked at `inv` that observed `key`: `key` is the object's last
+    /// version in the segment and every sibling version responded by `inv`.
+    fn satisfies(&self, object: ObjectId, key: Key, inv: u64) -> bool {
+        let hit = |&(o, last, _, earlier): &(ObjectId, Key, u64, u64)| {
+            o == object && last == key && earlier <= inv
+        };
+        self.summary.iter().any(hit)
+    }
+
+    /// [`Self::satisfies`] by scanning the segment: the definition, which
+    /// debug builds assert the summary against.
+    fn scan_satisfies(&self, object: ObjectId, key: Key, inv: u64) -> bool {
+        let (mut last, mut all_before) = (None, true);
+        for rec in &self.recs {
+            if let Some(TxOutcome::Write(wo)) = rec.outcome.as_ref() {
+                if rec.spec.objects_iter().any(|o| o == object) {
+                    last = Some(wo.key);
+                    all_before &= wo.key == key || rec.responded_at.unwrap_or(u64::MAX) <= inv;
+                }
+            }
+        }
+        last == Some(key) && all_before
+    }
+}
+
+/// Reusable Pearce–Kelly buffers: a reorder allocates nothing once they
+/// have grown to the largest region seen.
+#[derive(Debug, Default)]
+struct PkScratch {
+    /// Per slot, the epoch of the search that last visited it.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The two regions as `(ord, discovery index, slot)`.
+    fwd: Vec<ByOrd>,
+    bwd: Vec<ByOrd>,
+    stack: Vec<u32>,
+    pool: Vec<u64>,
+}
+
+/// `(ord, position before the sort, slot)`: sorting these tuples is the
+/// stable sort by `ord` without its merge buffer.  The tie order matters:
+/// `ord`s can repeat (a retired predecessor's slot id stays in `preds` and
+/// may be reused), and the witness depends on how ties fall.
+type ByOrd = (u64, u32, u32);
+
+/// Reusable buffers of a retire pass, all O(live window): a pass allocates
+/// only for the seals it creates.
+#[derive(Debug, Default)]
+struct RetireScratch {
+    /// Per slot: still retiring this pass.
+    retiring: Vec<bool>,
+    /// Objects a candidate writes or boundary-reads, ascending.
+    touched: Vec<ObjectId>,
+    /// Overlap components as `(object, from, to)` ranges of `comp_slots`,
+    /// grouped by object in `touched` order.
+    comps: Vec<(ObjectId, usize, usize)>,
+    comp_slots: Vec<u32>,
+    /// Input of [`StreamChecker::components`]: writes as `(invoked, tx id,
+    /// position in the candidate order, slot)`, so that sorting the tuples
+    /// is the stable sort by `(invoked, tx id)`.
+    sorted: Vec<(u64, u64, u32, u32)>,
+    /// Retiring slots in `ord` order; `pos_of[slot]` is a slot's position
+    /// (valid for emitted slots only), `seal_of_pos[position]` the seal it
+    /// is routed into (`usize::MAX` = none).
+    emission: Vec<ByOrd>,
+    pos_of: Vec<usize>,
+    seal_of_pos: Vec<usize>,
+    intervals: Vec<(usize, usize, ObjectId)>,
 }
 
 /// An entry awaiting replay into the final witness.
@@ -213,6 +341,17 @@ pub struct StreamReport {
     /// Largest gap (in response-time units) between a transaction's
     /// response and the watermark that finally retired it.
     pub max_retirement_lag: u64,
+    /// Accepted edges that violated the current Pearce–Kelly order and
+    /// forced a local reorder (the others cost O(1)).
+    pub pk_reorders: u64,
+    /// Nodes in the affected regions of those reorders, summed:
+    /// `pk_region_nodes / pk_reorders` is the mean reorder size.
+    pub pk_region_nodes: u64,
+    /// Read observations that resolved to a sealed version.
+    pub sealed_observations: u64,
+    /// Sealed observations the segment's current order did not already
+    /// satisfy, so the segment was re-solved.
+    pub seal_relinearizations: u64,
 }
 
 /// Incremental strict-serializability checker over a commit stream.
@@ -229,6 +368,12 @@ pub struct StreamChecker {
 
     slots: Vec<Option<LiveTx>>,
     free: Vec<u32>,
+    /// The emptied edge/observation vectors of retired transactions, handed
+    /// to the next [`Self::alloc`].
+    spare: Vec<SpareVecs>,
+    spare_seals: Vec<Seal>,
+    pk: PkScratch,
+    retire: RetireScratch,
     /// Live slots in commit (RESP) order.
     by_resp: Vec<u32>,
     /// Aligned with `by_resp`: the two largest invocation times over each
@@ -260,6 +405,10 @@ pub struct StreamChecker {
     edges_added: u64,
     window_resolves: u64,
     max_retirement_lag: u64,
+    pk_reorders: u64,
+    pk_region_nodes: u64,
+    sealed_observations: u64,
+    seal_relinearizations: u64,
     /// When observed (see [`Self::with_obs`]), a [`CheckerRetired`]
     /// event is recorded at every retirement pass that frees slots.
     ///
@@ -275,6 +424,10 @@ impl Default for StreamChecker {
             max_ambiguous_group: g.max_ambiguous_group,
             slots: Vec::new(),
             free: Vec::new(),
+            spare: Vec::new(),
+            spare_seals: Vec::new(),
+            pk: PkScratch::default(),
+            retire: RetireScratch::default(),
             by_resp: Vec::new(),
             pref_top: Vec::new(),
             objects: BTreeMap::new(),
@@ -300,6 +453,10 @@ impl Default for StreamChecker {
             edges_added: 0,
             window_resolves: 0,
             max_retirement_lag: 0,
+            pk_reorders: 0,
+            pk_region_nodes: 0,
+            sealed_observations: 0,
+            seal_relinearizations: 0,
             obs: None,
         }
     }
@@ -371,6 +528,10 @@ impl StreamChecker {
             edges_added: self.edges_added,
             window_resolves: self.window_resolves,
             max_retirement_lag: self.max_retirement_lag,
+            pk_reorders: self.pk_reorders,
+            pk_region_nodes: self.pk_region_nodes,
+            sealed_observations: self.sealed_observations,
+            seal_relinearizations: self.seal_relinearizations,
         }
     }
 
@@ -394,16 +555,8 @@ impl StreamChecker {
         let ord = self.next_ord;
         self.next_ord += 1;
         let inv = rec.invoked_at;
-        let tx = LiveTx {
-            rec,
-            index,
-            ord,
-            out: Vec::new(),
-            preds: Vec::new(),
-            obs: Vec::new(),
-            readers: Vec::new(),
-            pending_obs: 0,
-        };
+        let (out, preds, obs, readers) = self.spare.pop().unwrap_or_default();
+        let tx = LiveTx { rec, index, ord, out, preds, obs, readers, pending_obs: 0 };
         self.live_count += 1;
         let slot = match self.free.pop() {
             Some(s) => {
@@ -453,6 +606,14 @@ impl StreamChecker {
         self.slots[slot as usize].as_mut().expect("live slot")
     }
 
+    /// The version key live `slot` installs, if it is a write that has one.
+    fn written_key(&self, slot: u32) -> Option<Key> {
+        match self.tx(slot).rec.outcome.as_ref() {
+            Some(TxOutcome::Write(wo)) => Some(wo.key),
+            _ => None,
+        }
+    }
+
     /// Pearce–Kelly edge insertion.  Returns `false` when the edge closes a
     /// cycle (the graph is left without the edge; callers fall back to a
     /// window re-solve which rebuilds everything).
@@ -461,56 +622,74 @@ impl StreamChecker {
             return false;
         }
         let (oa, ob) = (self.tx(a).ord, self.tx(b).ord);
-        if oa < ob {
-            self.tx_mut(a).out.push(b);
-            self.tx_mut(b).preds.push(a);
-            self.edges_added += 1;
-            return true;
+        if oa >= ob {
+            let mut pk = std::mem::take(&mut self.pk);
+            let acyclic = self.reorder(&mut pk, a, b, oa, ob);
+            self.pk = pk;
+            if !acyclic {
+                return false;
+            }
         }
-        // Affected region: forward from b within ord ≤ ord(a), backward
-        // from a within ord ≥ ord(b).
-        let mut fwd: Vec<u32> = Vec::new();
-        let mut seen_f: FxHashMap<u32, ()> = FxHashMap::default();
-        let mut stack = vec![b];
-        seen_f.insert(b, ());
-        while let Some(v) = stack.pop() {
-            fwd.push(v);
+        self.tx_mut(a).out.push(b);
+        self.tx_mut(b).preds.push(a);
+        self.edges_added += 1;
+        true
+    }
+
+    /// The order-violating half of [`Self::add_edge`]: discovers the
+    /// affected region (forward from `b` within ord ≤ `oa`, backward from
+    /// `a` within ord ≥ `ob`) and reassigns its ord values.  Returns `false`
+    /// when `a` is reachable from `b` (the edge would close a cycle).
+    fn reorder(&mut self, pk: &mut PkScratch, a: u32, b: u32, oa: u64, ob: u64) -> bool {
+        // Two fresh visit stamps per call; on wrap-around every stale stamp
+        // is forgotten so none can collide with a reused epoch.
+        if pk.epoch >= u32::MAX - 1 {
+            pk.stamp.fill(0);
+            pk.epoch = 0;
+        }
+        pk.stamp.resize(self.slots.len(), 0);
+        let (seen_f, seen_b) = (pk.epoch + 1, pk.epoch + 2);
+        pk.epoch = seen_b;
+        pk.fwd.clear();
+        pk.bwd.clear();
+        pk.stack.clear();
+        pk.stack.push(b);
+        pk.stamp[b as usize] = seen_f;
+        while let Some(v) = pk.stack.pop() {
+            pk.fwd.push((self.tx(v).ord, pk.fwd.len() as u32, v));
             if v == a {
                 return false; // cycle: a →* ... b →* a with the new edge
             }
             for &w in &self.tx(v).out {
-                if self.tx(w).ord <= oa && !seen_f.contains_key(&w) {
-                    seen_f.insert(w, ());
-                    stack.push(w);
+                if self.tx(w).ord <= oa && pk.stamp[w as usize] != seen_f {
+                    pk.stamp[w as usize] = seen_f;
+                    pk.stack.push(w);
                 }
             }
         }
-        let mut bwd: Vec<u32> = Vec::new();
-        let mut seen_b: FxHashMap<u32, ()> = FxHashMap::default();
-        stack.push(a);
-        seen_b.insert(a, ());
-        while let Some(v) = stack.pop() {
-            bwd.push(v);
+        pk.stack.push(a);
+        pk.stamp[a as usize] = seen_b;
+        while let Some(v) = pk.stack.pop() {
+            pk.bwd.push((self.tx(v).ord, pk.bwd.len() as u32, v));
             for &w in &self.tx(v).preds {
-                if self.tx(w).ord >= ob && !seen_b.contains_key(&w) {
-                    seen_b.insert(w, ());
-                    stack.push(w);
+                if self.tx(w).ord >= ob && pk.stamp[w as usize] != seen_b {
+                    pk.stamp[w as usize] = seen_b;
+                    pk.stack.push(w);
                 }
             }
         }
         // Reassign: backward region first, then forward, onto the sorted
         // pool of their existing ord values.
-        bwd.sort_by_key(|&v| self.tx(v).ord);
-        fwd.sort_by_key(|&v| self.tx(v).ord);
-        let mut pool: Vec<u64> =
-            bwd.iter().chain(fwd.iter()).map(|&v| self.tx(v).ord).collect();
-        pool.sort_unstable();
-        for (&v, &o) in bwd.iter().chain(fwd.iter()).zip(pool.iter()) {
+        pk.bwd.sort_unstable();
+        pk.fwd.sort_unstable();
+        pk.pool.clear();
+        pk.pool.extend(pk.bwd.iter().chain(pk.fwd.iter()).map(|&(ord, _, _)| ord));
+        pk.pool.sort_unstable();
+        for (&(_, _, v), &o) in pk.bwd.iter().chain(pk.fwd.iter()).zip(pk.pool.iter()) {
             self.tx_mut(v).ord = o;
         }
-        self.tx_mut(a).out.push(b);
-        self.tx_mut(b).preds.push(a);
-        self.edges_added += 1;
+        self.pk_reorders += 1;
+        self.pk_region_nodes += pk.pool.len() as u64;
         true
     }
 
@@ -583,28 +762,26 @@ impl StreamChecker {
 
     /// Returns `false` when the window needs a re-solve.
     fn ingest_write(&mut self, slot: u32) -> bool {
-        let key = match self.tx(slot).rec.outcome.as_ref() {
-            Some(TxOutcome::Write(w)) => w.key,
-            _ => return true, // write without a known outcome: node only
-        };
-        let objects = self.tx(slot).rec.spec.objects();
+        // A write without a known outcome is a node only.
+        let Some(key) = self.written_key(slot) else { return true };
         let index = self.tx(slot).index;
         // Duplicate version keys break the (object, key) → write map, same
         // as the post-hoc builder.
-        for &object in &objects {
-            if self.keys.contains_key(&(object, key)) {
-                self.sticky_unknown(
-                    index,
-                    format!(
-                        "two writes install version {key} on {object}; the version \
-                         order cannot be keyed"
-                    ),
-                );
-                return true;
-            }
+        let spec = &self.tx(slot).rec.spec;
+        let duplicate = spec.objects_iter().find(|&o| self.keys.contains_key(&(o, key)));
+        if let Some(object) = duplicate {
+            self.sticky_unknown(
+                index,
+                format!(
+                    "two writes install version {key} on {object}; the version \
+                     order cannot be keyed"
+                ),
+            );
+            return true;
         }
         let mut clean = true;
-        for &object in &objects {
+        for i in 0.. {
+            let Some(object) = self.tx(slot).rec.spec.objects_iter().nth(i) else { break };
             clean &= self.place_version(slot, object, key);
             if self.fatal.is_some() {
                 return true;
@@ -618,65 +795,71 @@ impl StreamChecker {
     /// ambiguous (untagged overlap / out-of-order tie) and the window must
     /// be re-solved.
     fn place_version(&mut self, slot: u32, object: ObjectId, key: Key) -> bool {
+        // The object's lists are worked on in place: taken here, restored
+        // below; nothing in between looks at the object's state.
         let state = self.objects.entry(object).or_default();
-        let live = state.live.clone();
+        let mut live = std::mem::take(&mut state.live);
+        let boundary = std::mem::take(&mut state.boundary_readers);
+        let inv = self.tx(slot).inv();
         let mut clean = true;
-        let pos = if live.is_empty() {
-            0
-        } else {
+        let mut pos = live.len();
+        if !live.is_empty() {
             // Tagged fast path: all live versions and the new one carry
-            // distinct tags — the tie order is the candidate.
+            // pairwise distinct tags — the tie order is the candidate.  One
+            // pass decides it when the live order is already tie-sorted
+            // (strictly ascending tags, so only the new tag can collide).
             let new_tie = self.tx(slot).tie();
-            let mut ties: Vec<(u64, u64, u64)> =
-                live.iter().map(|&w| self.tx(w).tie()).collect();
-            let tagged = new_tie.0 != 0 && ties.iter().all(|t| t.0 != 0);
-            ties.push(new_tie);
-            ties.sort_unstable();
-            let distinct = ties.windows(2).all(|w| w[0].0 != w[1].0);
-            if tagged && distinct {
-                live.iter().position(|&w| self.tx(w).tie() > new_tie).unwrap_or(live.len())
-            } else {
-                // Untagged (or colliding tags): does the new write overlap
-                // any live version?  Commit order means only `inv(new) ≤
-                // resp(u)` can hold.
-                let inv = self.tx(slot).inv();
-                let overlaps = live.iter().any(|&u| inv <= self.tx(u).resp());
-                if overlaps {
-                    clean = false;
+            let (mut tagged, mut ascending, mut clash) = (new_tie.0 != 0, true, false);
+            let (mut prev_tag, mut after) = (0, None);
+            for (i, &w) in live.iter().enumerate() {
+                let tie = self.tx(w).tie();
+                tagged &= tie.0 != 0;
+                ascending &= prev_tag < tie.0;
+                clash |= tie.0 == new_tie.0;
+                prev_tag = tie.0;
+                if after.is_none() && tie > new_tie {
+                    after = Some(i);
                 }
-                live.len()
             }
-        };
+            let distinct = tagged
+                && if ascending {
+                    !clash
+                } else {
+                    let mut tags: Vec<u64> = live.iter().map(|&w| self.tx(w).tie().0).collect();
+                    tags.push(new_tie.0);
+                    tags.sort_unstable();
+                    tags.windows(2).all(|w| w[0] != w[1])
+                };
+            if distinct {
+                pos = after.unwrap_or(live.len());
+            } else if live.iter().any(|&u| inv <= self.tx(u).resp()) {
+                // Untagged (or colliding tags) and the new write overlaps a
+                // live version (commit order means only `inv(new) ≤
+                // resp(u)` can hold): the order is ambiguous.
+                clean = false;
+            }
+        }
         // Inserting below an already-read suffix contradicts a forced
         // observation inference (the reader finished before this write was
         // invoked, so the observed version precedes it): re-solve.
-        if clean && pos < live.len() {
-            let inv = self.tx(slot).inv();
-            for &u in &live[pos..] {
-                let readers = self.tx(u).readers.clone();
-                for (o, r) in readers {
-                    if o == object
-                        && self.slots[r as usize].is_some()
-                        && self.tx(r).resp() < inv
-                    {
-                        clean = false;
-                    }
-                }
-            }
+        let read_before = |&(o, r): &(ObjectId, u32)| {
+            o == object && self.slots[r as usize].as_ref().is_some_and(|t| t.resp() < inv)
+        };
+        if clean && live[pos..].iter().any(|&u| self.tx(u).readers.iter().any(read_before)) {
+            clean = false;
         }
         if clean {
             if pos > 0 {
                 let prev = live[pos - 1];
                 clean &= self.add_edge(prev, slot);
-                let readers = self.tx(prev).readers.clone();
-                for (o, r) in readers {
+                for i in 0..self.tx(prev).readers.len() {
+                    let (o, r) = self.tx(prev).readers[i];
                     if o == object && self.slots[r as usize].is_some() {
                         clean &= self.add_edge(r, slot);
                     }
                 }
             } else {
-                let boundary = self.objects.get(&object).map(|s| s.boundary_readers.clone());
-                for r in boundary.unwrap_or_default() {
+                for &r in &boundary {
                     if self.slots[r as usize].is_some() {
                         clean &= self.add_edge(r, slot);
                     }
@@ -686,16 +869,14 @@ impl StreamChecker {
                 clean &= self.add_edge(slot, live[pos]);
             }
         }
-        let state = self.objects.entry(object).or_default();
-        state.live.insert(pos.min(state.live.len()), slot);
+        live.insert(pos, slot);
+        let succ = live.get(pos + 1).copied();
+        let state = self.objects.get_mut(&object).expect("entry created above");
+        state.live = live;
+        state.boundary_readers = boundary;
         self.keys.insert((object, key), KeyState::Live(slot));
         // Resolve reads that observed this version while it was in flight.
         if let Some(waiters) = self.pending.remove(&(object, key)) {
-            let succ = {
-                let state = self.objects.get(&object).expect("state exists");
-                let p = state.live.iter().position(|&w| w == slot).expect("just inserted");
-                state.live.get(p + 1).copied()
-            };
             for r in waiters {
                 if self.slots[r as usize].is_none() {
                     continue;
@@ -724,16 +905,14 @@ impl StreamChecker {
 
     /// Returns `false` when the window needs a re-solve.
     fn ingest_read(&mut self, slot: u32) -> bool {
-        let reads = match self.tx(slot).rec.outcome.as_ref() {
-            Some(TxOutcome::Read(r)) => r.reads.clone(),
-            _ => return true,
-        };
         let index = self.tx(slot).index;
         let tx_id = self.tx(slot).rec.tx_id;
         let inv = self.tx(slot).inv();
         let mut clean = true;
-        for or in reads {
-            let (object, key) = (or.object, or.key);
+        let mut i = 0;
+        while let Some(TxOutcome::Read(r)) = self.tx(slot).rec.outcome.as_ref() {
+            let Some(&snow_core::ObjectRead { object, key, .. }) = r.reads.get(i) else { break };
+            i += 1;
             if key.is_initial() {
                 let retired = self
                     .objects
@@ -872,7 +1051,7 @@ impl StreamChecker {
                 let t = self.slots[slot as usize].as_ref().expect("live slot");
                 txs.push(&t.rec);
                 if matches!(t.rec.outcome, Some(TxOutcome::Write(_))) {
-                    for o in t.rec.spec.objects() {
+                    for o in t.rec.spec.objects_iter() {
                         writes_of.entry(o).or_default().push(n);
                     }
                 }
@@ -1000,56 +1179,43 @@ impl StreamChecker {
         self.peak_live = self.peak_live.max(self.live_window());
     }
 
-    /// Overlap components of `live` (time-overlapping runs of writes, the
-    /// unit of version-order ambiguity — matches the post-hoc grouping).
-    fn components(&self, live: &[u32]) -> Vec<Vec<u32>> {
-        let mut sorted: Vec<u32> = live.to_vec();
-        sorted.sort_by_key(|&w| (self.tx(w).inv(), self.tx(w).rec.tx_id.0));
-        let mut comps: Vec<Vec<u32>> = Vec::new();
-        let mut cur: Vec<u32> = Vec::new();
-        let mut max_resp = 0u64;
-        for &w in &sorted {
-            if !cur.is_empty() && self.tx(w).inv() > max_resp {
-                comps.push(std::mem::take(&mut cur));
-            }
-            max_resp = max_resp.max(self.tx(w).resp());
-            cur.push(w);
-        }
-        if !cur.is_empty() {
-            comps.push(cur);
-        }
-        comps
-    }
-
-    /// [`Self::components`], truncated after the first component that
-    /// contains a still-open member: every later component starts past that
-    /// member's response time, so none of its members can be closed (let
-    /// alone retiring) this pass, and the retire rules on them are no-ops.
-    fn components_closed_prefix(&self, live: &[u32]) -> Vec<Vec<u32>> {
-        if self.finishing {
-            return self.components(live);
-        }
-        let mut sorted: Vec<u32> = live.to_vec();
-        sorted.sort_by_key(|&w| (self.tx(w).inv(), self.tx(w).rec.tx_id.0));
-        let mut comps: Vec<Vec<u32>> = Vec::new();
-        let mut cur: Vec<u32> = Vec::new();
+    /// Appends the overlap components of `writes` (time-overlapping runs,
+    /// the unit of version-order ambiguity — matches the post-hoc grouping)
+    /// to `sc.comps` as ranges of `sc.comp_slots`.
+    ///
+    /// With `closed_prefix`, stops after the first component that contains
+    /// a still-open member: every later component starts past that member's
+    /// response time, so none of its members can be closed (let alone
+    /// retiring) this pass, and the retire rules on them are no-ops.
+    fn components(
+        &self,
+        sc: &mut RetireScratch,
+        object: ObjectId,
+        writes: impl Iterator<Item = u32>,
+        closed_prefix: bool,
+    ) {
+        sc.sorted.clear();
+        let key = |(w, i)| (self.tx(w).inv(), self.tx(w).rec.tx_id.0, i, w);
+        sc.sorted.extend(writes.zip(0u32..).map(key));
+        sc.sorted.sort_unstable();
+        let mut start = sc.comp_slots.len();
         let mut max_resp = 0u64;
         let mut open = false;
-        for &w in &sorted {
-            if !cur.is_empty() && self.tx(w).inv() > max_resp {
-                comps.push(std::mem::take(&mut cur));
+        for &(inv, _, _, w) in &sc.sorted {
+            if sc.comp_slots.len() > start && inv > max_resp {
+                sc.comps.push((object, start, sc.comp_slots.len()));
+                start = sc.comp_slots.len();
                 if open {
-                    return comps;
+                    return;
                 }
             }
             max_resp = max_resp.max(self.tx(w).resp());
-            open |= self.tx(w).resp() >= self.watermark;
-            cur.push(w);
+            open |= closed_prefix && self.tx(w).resp() >= self.watermark;
+            sc.comp_slots.push(w);
         }
-        if !cur.is_empty() {
-            comps.push(cur);
+        if sc.comp_slots.len() > start {
+            sc.comps.push((object, start, sc.comp_slots.len()));
         }
-        comps
     }
 
     /// Retires every certifiable prefix of the live window: transactions
@@ -1063,6 +1229,12 @@ impl StreamChecker {
         if self.fatal.is_some() {
             return;
         }
+        let mut sc = std::mem::take(&mut self.retire);
+        self.retire_with(&mut sc);
+        self.retire = sc;
+    }
+
+    fn retire_with(&mut self, sc: &mut RetireScratch) {
         // `by_resp` holds exactly the live slots (compacted on every
         // retirement) in nondecreasing response order, so candidates —
         // which must have responded before the watermark — form a prefix.
@@ -1071,211 +1243,174 @@ impl StreamChecker {
         } else {
             self.by_resp.partition_point(|&u| self.tx(u).resp() < self.watermark)
         };
-        if close_end == 0 {
-            return;
-        }
-        // Objects with unresolved observations, hoisted out of the scan:
-        // an in-flight read pins every live write of the objects it names.
-        let read_pinned: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .filter(|(_, s)| s.pending_reads > 0)
-            .map(|(&o, _)| o)
-            .collect();
         let n = self.slots.len();
-        let mut retiring = vec![false; n];
-        let mut any = false;
-        for idx in 0..close_end {
-            let i = self.by_resp[idx] as usize;
-            let Some(t) = self.slots[i].as_ref() else { continue };
+        sc.retiring.clear();
+        sc.retiring.resize(n, false);
+        // Objects a candidate writes or boundary-reads, ascending: the only
+        // ones whose state this pass can change.
+        sc.touched.clear();
+        for &slot in &self.by_resp[..close_end] {
+            let t = self.tx(slot);
             // Unresolved observations pin the reader and every write of
             // the objects involved: an in-flight write may still land
             // anywhere in those orders.
-            let pinned = t.pending_obs > 0
-                || (t.rec.kind() == TxKind::Write
-                    && t.rec.spec.objects_iter().any(|o| read_pinned.contains(&o)));
-            if !pinned {
-                retiring[i] = true;
-                any = true;
+            let read_pinned =
+                |o| self.objects.get(&o).is_some_and(|s: &ObjectState| s.pending_reads > 0);
+            let is_write = t.rec.kind() == TxKind::Write;
+            if t.pending_obs > 0 || (is_write && t.rec.spec.objects_iter().any(read_pinned)) {
+                continue;
+            }
+            sc.retiring[slot as usize] = true;
+            if is_write {
+                sc.touched.extend(t.rec.spec.objects_iter());
+            } else {
+                let boundary = t.obs.iter().filter(|o| o.target == ObsTarget::Boundary);
+                sc.touched.extend(boundary.map(|o| o.object));
             }
         }
-        if !any {
-            return;
-        }
+        sc.touched.sort_unstable();
+        sc.touched.dedup();
         // Overlap components, computed once per pass: the candidate orders
         // do not change until the drain below, and the retiring set only
         // shrinks — objects with no retiring member never need their rules
         // applied.
-        let comps_by_obj: Vec<(ObjectId, Vec<Vec<u32>>)> = self
-            .objects
-            .iter()
-            .filter(|(_, s)| s.live.iter().any(|&w| retiring[w as usize]))
-            .map(|(&o, s)| (o, self.components_closed_prefix(&s.live)))
-            .collect();
+        sc.comps.clear();
+        sc.comp_slots.clear();
+        for i in 0..sc.touched.len() {
+            let object = sc.touched[i];
+            let Some(state) = self.objects.get(&object) else { continue };
+            if state.live.iter().any(|&w| sc.retiring[w as usize]) {
+                self.components(sc, object, state.live.iter().copied(), !self.finishing);
+            }
+        }
         loop {
             let mut changed = false;
-            for idx in 0..close_end {
-                let i = self.by_resp[idx] as usize;
-                if !retiring[i] {
+            for &slot in &self.by_resp[..close_end] {
+                if !sc.retiring[slot as usize] {
                     continue;
                 }
-                let t = self.slots[i].as_ref().expect("flagged slot is live");
-                let blocked = t
-                    .preds
-                    .iter()
-                    .any(|&p| self.slots[p as usize].is_some() && !retiring[p as usize])
-                    || t.readers.iter().any(|&(_, r)| {
-                        self.slots[r as usize].is_some() && !retiring[r as usize]
-                    });
-                if blocked {
-                    retiring[i] = false;
+                let t = self.tx(slot);
+                let stays = |s: u32| self.slots[s as usize].is_some() && !sc.retiring[s as usize];
+                if t.preds.iter().any(|&p| stays(p)) || t.readers.iter().any(|&(_, r)| stays(r)) {
+                    sc.retiring[slot as usize] = false;
                     changed = true;
                 }
             }
-            for (object, comps) in &comps_by_obj {
-                let state = &self.objects[object];
+            let mut c = 0;
+            while c < sc.comps.len() {
+                let object = sc.comps[c].0;
                 // Retiring versions must be a candidate-order prefix...
-                let mut cut = state.live.len();
-                for (k, &w) in state.live.iter().enumerate() {
-                    if !retiring[w as usize] {
-                        cut = k;
-                        break;
-                    }
-                }
-                for &w in &state.live[cut..] {
-                    if retiring[w as usize] {
-                        retiring[w as usize] = false;
-                        changed = true;
-                    }
+                let live = &self.objects[&object].live;
+                let cut = live.iter().position(|&w| !sc.retiring[w as usize]).unwrap_or(live.len());
+                for &w in &live[cut..] {
+                    changed |= std::mem::replace(&mut sc.retiring[w as usize], false);
                 }
                 // ...and overlap components retire whole or not at all.
-                for comp in comps {
-                    if comp.iter().any(|&w| !retiring[w as usize]) {
+                while c < sc.comps.len() && sc.comps[c].0 == object {
+                    let comp = &sc.comp_slots[sc.comps[c].1..sc.comps[c].2];
+                    if comp.iter().any(|&w| !sc.retiring[w as usize]) {
                         for &w in comp {
-                            if retiring[w as usize] {
-                                retiring[w as usize] = false;
-                                changed = true;
-                            }
+                            changed |= std::mem::replace(&mut sc.retiring[w as usize], false);
                         }
                     }
+                    c += 1;
                 }
             }
             if !changed {
                 break;
             }
         }
-        let mut emission: Vec<u32> = self
-            .by_resp
-            .iter()
-            .copied()
-            .filter(|&s| retiring[s as usize])
-            .collect();
-        if emission.is_empty() {
+        // Emission order: by `ord`, ties in commit order.
+        sc.emission.clear();
+        let retiring = self.by_resp.iter().filter(|&&s| sc.retiring[s as usize]);
+        sc.emission.extend(retiring.zip(0u32..).map(|(&s, i)| (self.tx(s).ord, i, s)));
+        if sc.emission.is_empty() {
             return;
         }
-        emission.sort_by_key(|&s| self.tx(s).ord);
+        sc.emission.sort_unstable();
         self.retired_any = true;
-        let mut pos_of: FxHashMap<u32, usize> = FxHashMap::default();
-        for (p, &s) in emission.iter().enumerate() {
-            pos_of.insert(s, p);
+        sc.pos_of.resize(n, 0);
+        for (p, &(_, _, s)) in sc.emission.iter().enumerate() {
+            sc.pos_of[s as usize] = p;
         }
         // Plan sealed segments: every fully-retiring multi-write overlap
         // component spans an interval of the emission (its members plus
         // their observers); overlapping intervals merge into one seal.
-        let mut intervals: Vec<(usize, usize, ObjectId)> = Vec::new();
-        let objects: Vec<ObjectId> = self.objects.keys().copied().collect();
-        for (object, comps) in &comps_by_obj {
-            let object = *object;
-            for comp in comps {
-                if comp.len() < 2 || comp.iter().any(|&w| !retiring[w as usize]) {
-                    continue;
-                }
-                let mut lo = usize::MAX;
-                let mut hi = 0usize;
-                for &w in comp {
-                    let p = pos_of[&w];
-                    lo = lo.min(p);
-                    hi = hi.max(p);
-                    for &(o, r) in &self.tx(w).readers {
-                        if o == object && self.slots[r as usize].is_some() {
-                            let rp = pos_of[&r];
-                            lo = lo.min(rp);
-                            hi = hi.max(rp);
-                        }
-                    }
-                }
-                intervals.push((lo, hi, object));
+        sc.intervals.clear();
+        for &(object, from, to) in &sc.comps {
+            let comp = &sc.comp_slots[from..to];
+            if comp.len() < 2 || comp.iter().any(|&w| !sc.retiring[w as usize]) {
+                continue;
             }
-        }
-        intervals.sort_unstable_by_key(|&(lo, _, _)| lo);
-        let mut merged: Vec<(usize, usize, Vec<ObjectId>)> = Vec::new();
-        for (lo, hi, object) in intervals {
-            match merged.last_mut() {
-                Some(m) if lo <= m.1 => {
-                    m.1 = m.1.max(hi);
-                    if !m.2.contains(&object) {
-                        m.2.push(object);
-                    }
+            let (mut lo, mut hi) = (usize::MAX, 0usize);
+            for &w in comp {
+                let live_readers = self.tx(w).readers.iter().filter_map(|&(o, r)| {
+                    (o == object && self.slots[r as usize].is_some()).then_some(r)
+                });
+                for s in live_readers.chain([w]) {
+                    lo = lo.min(sc.pos_of[s as usize]);
+                    hi = hi.max(sc.pos_of[s as usize]);
                 }
-                _ => merged.push((lo, hi, vec![object])),
             }
+            sc.intervals.push((lo, hi, object));
         }
+        sc.intervals.sort_unstable_by_key(|&(lo, _, _)| lo);
         // Materialise the seals up front so per-object state can reference
         // them; records are routed in below.
-        let mut seal_of_pos: FxHashMap<usize, usize> = FxHashMap::default();
-        let next_seal = self.seals.len();
-        for (mi, (lo, hi, objs)) in merged.iter().enumerate() {
-            for p in *lo..=*hi {
-                seal_of_pos.insert(p, next_seal + mi);
+        let first_seal = self.seals.len();
+        let mut merged_hi = 0usize;
+        sc.seal_of_pos.clear();
+        sc.seal_of_pos.resize(sc.emission.len(), usize::MAX);
+        for &(lo, hi, object) in &sc.intervals {
+            if self.seals.len() > first_seal && lo <= merged_hi {
+                merged_hi = merged_hi.max(hi);
+                let open = &mut self.seals.last_mut().expect("a seal of this pass").open_objects;
+                if !open.contains(&object) {
+                    open.push(object);
+                }
+            } else {
+                merged_hi = hi;
+                let mut seal = self.spare_seals.pop().unwrap_or_default();
+                seal.open_objects.push(object);
+                self.seals.push(seal);
             }
-            self.seals.push(Seal {
-                recs: Vec::new(),
-                ghosts: Vec::new(),
-                members: Vec::new(),
-                open_objects: objs.clone(),
-            });
+            sc.seal_of_pos[lo..=hi].fill(self.seals.len() - 1);
         }
         // Per-object state updates: walk each object's retiring prefix in
         // candidate order; each new unit expires the previous latest
         // version (and the previous seal's claim on the object).
-        for &object in &objects {
-            let state = self.objects.get_mut(&object).expect("listed object");
+        for i in 0..sc.touched.len() {
+            let object = sc.touched[i];
+            let Some(state) = self.objects.get_mut(&object) else { continue };
+            state.boundary_readers.retain(|&r| !sc.retiring[r as usize]);
             let cut = state
                 .live
                 .iter()
-                .position(|&w| !retiring[w as usize])
+                .position(|&w| !sc.retiring[w as usize])
                 .unwrap_or(state.live.len());
-            if cut == 0 {
-                state.boundary_readers.retain(|&r| !retiring[r as usize]);
-                continue;
-            }
-            let prefix: Vec<u32> = state.live.drain(..cut).collect();
-            state.boundary_readers.retain(|&r| !retiring[r as usize]);
-            for comp in self.components(&prefix) {
+            sc.comps.clear();
+            sc.comp_slots.clear();
+            let prefix = self.objects[&object].live[..cut].iter().copied();
+            self.components(sc, object, prefix, false);
+            self.objects.get_mut(&object).expect("touched object exists").live.drain(..cut);
+            for c in 0..sc.comps.len() {
+                let comp = &sc.comp_slots[sc.comps[c].1..sc.comps[c].2];
                 self.expire_object(object);
-                let state = self.objects.get_mut(&object).expect("listed object");
+                let state = self.objects.get_mut(&object).expect("touched object exists");
                 state.retired_versions += comp.len() as u64;
-                if comp.len() == 1 {
-                    let w = comp[0];
-                    let key = match self.tx(w).rec.outcome.as_ref() {
-                        Some(TxOutcome::Write(wo)) => Some(wo.key),
-                        _ => None,
-                    };
-                    let state = self.objects.get_mut(&object).expect("listed object");
+                if let [w] = *comp {
+                    let key = self.written_key(w);
+                    let state = self.objects.get_mut(&object).expect("touched object exists");
                     state.latest_retired = key;
                     if let Some(key) = key {
                         self.keys.insert((object, key), KeyState::RetiredLatest);
                     }
                 } else {
-                    let seal = seal_of_pos[&pos_of[&comp[0]]];
-                    let state = self.objects.get_mut(&object).expect("listed object");
+                    let seal = sc.seal_of_pos[sc.pos_of[comp[0] as usize]];
                     state.latest_retired = None;
                     state.open_seal = Some(seal);
-                    for &w in &comp {
-                        let key = match self.tx(w).rec.outcome.as_ref() {
-                            Some(TxOutcome::Write(wo)) => wo.key,
-                            _ => continue,
-                        };
+                    for &w in comp {
+                        let Some(key) = self.written_key(w) else { continue };
                         self.keys.insert((object, key), KeyState::Sealed { seal });
                         self.seals[seal].members.push((object, key));
                     }
@@ -1288,27 +1423,33 @@ impl StreamChecker {
         // drain advances it to u64::MAX, which says nothing about how far
         // certification actually trailed the commit stream.
         let oldest_resp =
-            emission.iter().map(|&s| self.tx(s).resp()).min().expect("emission is non-empty");
+            sc.emission.iter().map(|e| self.tx(e.2).resp()).min().expect("emission is non-empty");
         let retire_mark = self.watermark.min(self.last_resp);
         let lag = retire_mark.saturating_sub(oldest_resp);
         self.max_retirement_lag = self.max_retirement_lag.max(lag);
         // Emit: free the slots, route records into seals / the replay queue.
-        for (p, &slot) in emission.iter().enumerate() {
+        for (p, &(_, _, slot)) in sc.emission.iter().enumerate() {
             let t = self.slots[slot as usize].take().expect("retiring slot is live");
             self.live_count -= 1;
             self.free.push(slot);
             self.tail_records += 1;
-            match seal_of_pos.get(&p) {
-                Some(&sid) => {
-                    let local = &mut self.seals[sid];
-                    if local.recs.is_empty() {
+            let LiveTx { rec, mut out, mut preds, mut obs, mut readers, .. } = t;
+            out.clear();
+            preds.clear();
+            obs.clear();
+            readers.clear();
+            self.spare.push((out, preds, obs, readers));
+            match sc.seal_of_pos[p] {
+                usize::MAX => self.replay_tail.push_back(ReplayEntry::Tx(rec)),
+                sid => {
+                    if self.seals[sid].recs.is_empty() {
                         self.replay_tail.push_back(ReplayEntry::Seal(sid));
                     }
-                    local.recs.push(t.rec);
+                    self.seals[sid].recs.push(rec);
                 }
-                None => self.replay_tail.push_back(ReplayEntry::Tx(t.rec)),
             }
         }
+        self.seals[first_seal..].iter_mut().for_each(Seal::summarize);
         self.by_resp.retain(|&s| self.slots[s as usize].is_some());
         self.rebuild_pref_top();
         if self.obs.is_some() {
@@ -1371,15 +1512,21 @@ impl StreamChecker {
                         return;
                     }
                     self.replay_tail.pop_front();
-                    let recs = std::mem::take(&mut self.seals[sid].recs);
-                    self.seals[sid].ghosts.clear();
-                    for rec in recs {
+                    // The emptied vectors go to the next seal created —
+                    // except `members`: an object with two components in
+                    // this seal still names it as its `open_seal`, and
+                    // expires those keys through it later.
+                    let mut seal = std::mem::take(&mut self.seals[sid]);
+                    self.seals[sid].members = std::mem::take(&mut seal.members);
+                    for rec in seal.recs.drain(..) {
                         self.tail_records -= 1;
                         self.replay_one(&rec);
                         if self.fatal.is_some() {
                             return;
                         }
                     }
+                    seal.ghosts.clear();
+                    self.spare_seals.push(seal);
                 }
             }
         }
@@ -1418,6 +1565,7 @@ impl StreamChecker {
         key: Key,
         seal: usize,
     ) -> bool {
+        self.sealed_observations += 1;
         let tx_id = self.tx(slot).rec.tx_id;
         let inv = self.tx(slot).inv();
         // A newer live version completed before this read was invoked: the
@@ -1435,45 +1583,22 @@ impl StreamChecker {
         // Ghost read: this reader's observation of `object`, projected out
         // of its full record so the segment solver sees exactly the
         // constraints the post-hoc graph would.
-        let value = match self.tx(slot).rec.outcome.as_ref() {
-            Some(TxOutcome::Read(r)) => {
-                r.reads.iter().find(|or| or.object == object).map(|or| or.value)
-            }
+        let t = self.tx(slot);
+        let read = match t.rec.outcome.as_ref() {
+            Some(TxOutcome::Read(r)) => r.reads.iter().find(|or| or.object == object),
             _ => None,
         };
-        let Some(value) = value else { return true };
-        let mut ghost = TxRecord::invoked(
-            tx_id,
-            self.tx(slot).rec.client,
-            snow_core::TxSpec::read(vec![object]),
-            inv,
-        );
-        ghost.responded_at = self.tx(slot).rec.responded_at;
-        ghost.outcome = Some(TxOutcome::Read(snow_core::ReadOutcome {
-            reads: vec![snow_core::ObjectRead { object, key, value }],
-            tag: None,
-        }));
-        self.seals[seal].ghosts.push(ghost);
+        let Some(&observed) = read else { return true };
+        let read = snow_core::ObjectRead { key, ..observed };
+        let ghost = Ghost { tx_id, client: t.rec.client, read, inv, resp: t.rec.responded_at };
+        let s = &mut self.seals[seal];
+        s.ghosts.push(ghost);
         // Fast path: the observed version is already the last of its
         // object in the segment and every sibling version responded before
         // this read was invoked — the current order satisfies the new
         // constraint as-is.
-        let consistent = {
-            let s = &self.seals[seal];
-            let mut last_of_object = None;
-            let mut all_before = true;
-            for rec in &s.recs {
-                if let Some(TxOutcome::Write(wo)) = rec.outcome.as_ref() {
-                    if rec.spec.objects().contains(&object) {
-                        last_of_object = Some(wo.key);
-                        if wo.key != key && rec.responded_at.unwrap_or(u64::MAX) > inv {
-                            all_before = false;
-                        }
-                    }
-                }
-            }
-            last_of_object == Some(key) && all_before
-        };
+        let consistent = s.satisfies(object, key, inv);
+        debug_assert_eq!(consistent, s.scan_satisfies(object, key, inv), "stale seal summary");
         if consistent {
             return true;
         }
@@ -1483,6 +1608,8 @@ impl StreamChecker {
     /// Re-solves a sealed segment under its accumulated ghost reads and
     /// adopts the new internal order.  Returns `false` on conviction.
     fn relinearize_seal(&mut self, seal: usize, index: usize, at_tx: snow_core::TxId) -> bool {
+        self.seal_relinearizations += 1;
+        let ghosts: Vec<TxRecord> = self.seals[seal].ghosts.iter().map(Ghost::record).collect();
         let solved = {
             let s = &self.seals[seal];
             let mut txs: Vec<&TxRecord> = Vec::new();
@@ -1491,18 +1618,16 @@ impl StreamChecker {
             for (n, rec) in s.recs.iter().enumerate() {
                 txs.push(rec);
                 if let Some(TxOutcome::Write(wo)) = rec.outcome.as_ref() {
-                    for o in rec.spec.objects() {
+                    for o in rec.spec.objects_iter() {
                         writes_of.entry(o).or_default().push(n);
                         installs.insert((o, wo.key), n);
                     }
                 }
             }
-            for g in &s.ghosts {
-                txs.push(g);
-            }
+            txs.extend(ghosts.iter());
             let mut obs: Vec<Obs> = Vec::new();
             let mut obs_of: BTreeMap<ObjectId, Vec<usize>> = BTreeMap::new();
-            for (n, rec) in s.recs.iter().chain(s.ghosts.iter()).enumerate() {
+            for (n, rec) in txs.iter().enumerate() {
                 if let Some(TxOutcome::Read(ro)) = rec.outcome.as_ref() {
                     for or in &ro.reads {
                         // Versions installed outside the segment precede
@@ -1532,6 +1657,7 @@ impl StreamChecker {
                     }
                 }
                 debug_assert_eq!(s.recs.len(), n_recs);
+                s.summarize();
                 true
             }
             Err(Verdict::NotSerializable(why)) => {
@@ -1565,7 +1691,7 @@ impl StreamChecker {
             Some(TxOutcome::Write(w)) => w.key,
             _ => return,
         };
-        if !rec.spec.objects().iter().any(|&o| self.pending.contains_key(&(o, key))) {
+        if !rec.spec.objects_iter().any(|o| self.pending.contains_key(&(o, key))) {
             return;
         }
         if self.early.len() < SEARCH_FALLBACK_KEEP {
@@ -1672,5 +1798,68 @@ impl StreamChecker {
         let mut checker = StreamChecker::new();
         checker.feed_history(history);
         checker.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snow_core::{ClientId, TxId, TxSpec};
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Pearce–Kelly against a from-scratch reachability check: 256 random
+    /// edge sequences over at most 40 nodes, cycle-closing edges included.
+    #[test]
+    fn add_edge_agrees_with_reachability_and_keeps_a_topological_order() {
+        let (mut rng, mut reorders, mut refused) = (1u64, 0, 0);
+        for case in 0..256u32 {
+            let n = 2 + (splitmix(&mut rng) % 39) as u32;
+            let mut checker = StreamChecker::new();
+            // Every case crosses the visit-stamp wrap-around within its
+            // first few reorders.
+            checker.pk.epoch = u32::MAX - 2 - 2 * (case % 3);
+            for i in 0..n {
+                let spec = TxSpec::read(vec![ObjectId(0)]);
+                let rec = TxRecord::invoked(TxId(i as u64), ClientId(0), spec, 0);
+                assert_eq!(checker.alloc(rec, i as usize), i);
+            }
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..3 * n {
+                let a = (splitmix(&mut rng) % n as u64) as u32;
+                let b = (splitmix(&mut rng) % n as u64) as u32;
+                // `a` reachable from `b` over the accepted edges?
+                let mut seen = vec![false; n as usize];
+                let mut stack = vec![b];
+                while let Some(v) = stack.pop() {
+                    if !std::mem::replace(&mut seen[v as usize], true) {
+                        stack.extend(edges.iter().filter(|e| e.0 == v).map(|e| e.1));
+                    }
+                }
+                let accepted = checker.add_edge(a, b);
+                assert_eq!(accepted, !seen[a as usize], "case {case}: edge {a} -> {b}");
+                if accepted {
+                    edges.push((a, b));
+                } else {
+                    refused += 1;
+                }
+                for &(u, v) in &edges {
+                    assert!(checker.tx(u).ord < checker.tx(v).ord, "case {case}: {u} -> {v}");
+                }
+                let mut ords: Vec<u64> = (0..n).map(|s| checker.tx(s).ord).collect();
+                ords.sort_unstable();
+                assert!(ords.windows(2).all(|w| w[0] != w[1]), "case {case}: duplicate ord");
+            }
+            assert_eq!(checker.edges_added, edges.len() as u64);
+            assert!(checker.pk.epoch < u32::MAX / 2 || checker.pk_reorders < 3);
+            reorders += checker.pk_reorders;
+        }
+        assert!(reorders > 1_000 && refused > 1_000, "{reorders} reorders, {refused} refused");
     }
 }

@@ -90,9 +90,15 @@
 #      end (isolate a whole topology site mid-workload under the Queue
 #      policy, heal, per-phase p99, SNOW verdict over the scarred
 #      history);
-#  11. observability neutrality: the NullSink path must stay free — the
-#      unobserved 100k flood must be within 5% of the tracked artifact
-#      (cargo run -p snow-bench --release --bin obs_neutrality);
+#  11. stream-checker hot path (tests/stream_hot_path.rs, release build):
+#      an exact allocation budget inside `ingest` + `advance_watermark`
+#      and the pinned witness digests and work counters of two pipeline
+#      runs — both pure functions of the commit stream, so a hot-path
+#      regression or a changed edge/ord/retirement fails on any host.
+#      (That the NullSink path is free is held exactly by
+#      tests/observability.rs — goldens byte-identical observed vs
+#      unobserved — and measured by the repo benchmark's
+#      `obs.overhead_ratio`; the wall-clock pin that stood here is gone);
 #  12. virtual-time purity guard: crates/sim must never read the wall
 #      clock (`std::time` / `Instant`) — simulator event streams are a
 #      pure function of (config, seeds, shards), which is what makes the
@@ -372,8 +378,8 @@ if ! cargo run -q --release --example partition_drill | grep -q '^partition_dril
 fi
 echo "partition_drill ok"
 
-echo "== observability neutrality (NullSink flood within 5% of tracked) =="
-cargo run -q -p snow-bench --release --bin obs_neutrality
+echo "== stream-checker hot path (allocation budget + pinned counters) =="
+cargo test -q --release --test stream_hot_path
 
 echo "== virtual-time purity (no wall clock in crates/sim) =="
 wall_clock="$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/src || true)"
