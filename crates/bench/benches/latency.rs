@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snow_bench::comparison_config;
 use snow_core::{ObjectId, TxSpec, Value};
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
 fn bench_read_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("read_transaction");
@@ -17,9 +17,10 @@ fn bench_read_latency(c: &mut Criterion) {
             |b, &protocol| {
                 b.iter(|| {
                     let config = comparison_config(protocol, 4, 1, 1);
-                    let mut cluster =
-                        build_cluster(protocol, &config, SchedulerKind::Latency { seed: 1, min: 1, max: 10 })
-                            .unwrap();
+                    let mut cluster = ClusterSpec::new(protocol, &config)
+                        .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 10 })
+                        .build()
+                        .unwrap();
                     let writer = config.writers().next().unwrap();
                     let reader = config.readers().next().unwrap();
                     let objects: Vec<ObjectId> = config.objects().collect();

@@ -1,6 +1,6 @@
 //! Machine-readable engine benchmark: writes `BENCH_simcore.json` at the
 //! workspace root (and prints it) so the perf trajectory of *both*
-//! executors is tracked across PRs:
+//! simulators is tracked across PRs:
 //!
 //! * `sim_core` flood — raw simulator step-loop throughput at a controlled
 //!   number of in-flight messages (bounded-trace mode, so the large rows
@@ -12,9 +12,6 @@
 //!   against `host_threads`: on a single-hardware-thread host the best
 //!   possible speedup is ~1× (the engine's scaling shows only on
 //!   multi-core hosts);
-//! * `runtime_read_latency` — wall-clock READ latency per protocol on the
-//!   tokio cluster, through the same erased deployment path the simulator
-//!   uses;
 //! * `open_loop` — deterministic virtual-time latency-vs-offered-load
 //!   curves per protocol and executor (p50/p99 in ticks at each offered
 //!   rate, plus the saturation knee) and Zipf hot-key contention sweeps,
@@ -52,7 +49,7 @@
 //!
 //! Run with `cargo run -p snow-bench --release --bin bench_json`.
 //! Pass `--no-write` to print without touching the file, `--smoke` for a
-//! fast CI-sized run (small floods, few reads; numbers are then only a
+//! fast CI-sized run (small floods, short histories; numbers are then only a
 //! liveness check, not a trajectory point), or `--section <names>`
 //! (comma-separated, repeatable) to regenerate only the named sections —
 //! every other section is spliced **verbatim** out of the tracked
@@ -61,24 +58,32 @@
 
 use snow_bench::artifact::extract_section;
 use snow_bench::simcore::{run_flood, run_flood_paired, run_flood_parallel, FloodStats};
-use snow_checker::{check_auto, GraphChecker, LatencyStats, StreamChecker, Verdict};
+use snow_checker::{check_auto, GraphChecker, StreamChecker, Verdict};
 use snow_core::{History, SystemConfig};
 use snow_obs::fold_events;
-use snow_protocols::{
-    build_cluster_bounded, build_cluster_faulty, ExecutorKind, ProtocolKind, SchedulerKind,
-};
+use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
-use snow_runtime::cluster::measure_read_latencies;
 use snow_workload::{
-    rate_sweep, run_open_loop_observed, scenario_matrix, slo_report, zipf_sweep, OpenLoopReport,
+    drive_open_loop, rate_sweep, scenario_matrix, slo_report, zipf_sweep, OpenLoopReport,
     OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec, SCENARIO_MATRIX_VERSION,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Scheduler for the open-loop sweeps: the same latency distribution the
-/// golden fixtures and checker benches use.
-const OPEN_LOOP_SCHED: SchedulerKind = SchedulerKind::Latency { seed: 11, min: 1, max: 16 };
+/// The cluster every open-loop run is driven against: the latency
+/// distribution the golden fixtures and checker benches use, no step cap
+/// and a bounded trace, so long saturation runs stay O(in-flight) in memory.
+fn open_loop_cluster(
+    protocol: ProtocolKind,
+    config: &SystemConfig,
+    executor: ExecutorKind,
+) -> ClusterSpec {
+    ClusterSpec::new(protocol, config)
+        .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+        .executor(executor)
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+}
 
 fn open_loop_point(label: &str, report: &OpenLoopReport) -> String {
     format!(
@@ -119,7 +124,7 @@ fn open_loop_curve(
     rates: &[u64],
     executor: ExecutorKind,
 ) -> String {
-    let sweep = rate_sweep(protocol, config, base, rates, OPEN_LOOP_SCHED, executor)
+    let sweep = rate_sweep(&open_loop_cluster(protocol, config, executor), base, rates)
         .expect("open-loop sweep");
     let knee = sweep.knee().map_or("null".to_string(), |k| k.to_string());
     let label = executor_label(executor);
@@ -153,8 +158,9 @@ fn open_loop_zipf(protocol: ProtocolKind, config: &SystemConfig, executor: Execu
         arrivals: 200,
         arrival_seed: 3,
     };
-    let points = zipf_sweep(protocol, config, &base, &[0.0, 0.8, 1.2], OPEN_LOOP_SCHED, executor)
-        .expect("zipf sweep");
+    let points =
+        zipf_sweep(&open_loop_cluster(protocol, config, executor), &base, &[0.0, 0.8, 1.2])
+            .expect("zipf sweep");
     let executor = executor_label(executor);
     points
         .iter()
@@ -176,14 +182,12 @@ fn open_loop_zipf(protocol: ProtocolKind, config: &SystemConfig, executor: Execu
 /// `checker_stream`) measure over this same history shape.
 fn checker_bench_history(transactions: usize) -> History {
     let config = SystemConfig::mwmr(8, 4, 4);
-    let mut cluster = build_cluster_bounded(
-        ProtocolKind::AlgB,
-        &config,
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-        u64::MAX,
-        4096,
-    )
-    .expect("valid bench config");
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .build()
+        .expect("valid bench config");
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
     let (history, report) =
         WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, transactions);
@@ -395,45 +399,6 @@ fn parallel_flood_value(smoke: bool, reps: usize) -> String {
     format!("[\n{rows}\n  ]")
 }
 
-/// The `runtime_read_latency` section value: wall-clock READ latency per
-/// protocol on the tokio cluster (seeded with a few writes first), so
-/// regressions in the async executor path are visible in the same
-/// artifact as the simulator's.
-fn runtime_value(smoke: bool) -> String {
-    let (writes, warmup, reads) = if smoke { (2, 2, 10) } else { (10, 50, 200) };
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    let mut runtime_results = String::new();
-    for (i, protocol) in ProtocolKind::all().into_iter().enumerate() {
-        let config = if protocol.needs_c2c() {
-            SystemConfig::mwsr(4, 1, true)
-        } else {
-            SystemConfig::mwmr(4, 1, 1)
-        };
-        let latencies = rt
-            .block_on(measure_read_latencies(protocol, &config, writes, warmup, reads))
-            .expect("runtime read latencies");
-        let stats = LatencyStats::from_samples(&latencies);
-        eprintln!(
-            "runtime {:?}: reads={} p50={}ns p99={}ns",
-            protocol, reads, stats.p50, stats.p99
-        );
-        if i > 0 {
-            runtime_results.push_str(",\n");
-        }
-        write!(
-            runtime_results,
-            "    {{\"protocol\": \"{protocol:?}\", \"warmup\": {warmup}, \"reads\": {reads}, \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {:.1}}}",
-            stats.p50, stats.p99, stats.mean
-        )
-        .expect("string write");
-    }
-    format!("[\n{runtime_results}\n  ]")
-}
-
 /// The shared open-loop sweep configuration (also used by the `obs`
 /// section's observed run, so its event stream describes the same
 /// schedules the latency curves measure).
@@ -518,14 +483,13 @@ fn checker_stream_value(checker_sizes: &[usize], reps: usize) -> String {
 fn obs_value() -> String {
     let (ol_config, ol_base) = ol_setup();
     let spec = OpenLoopSpec { rate: 100, ..ol_base };
-    let (_, report, events) = run_open_loop_observed(
-        ProtocolKind::AlgB,
-        &ol_config,
-        &spec,
-        OPEN_LOOP_SCHED,
-        ExecutorKind::ParallelSim { shards: 4 },
-    )
-    .expect("observed open-loop run");
+    let executor = ExecutorKind::ParallelSim { shards: 4 };
+    let mut cluster = open_loop_cluster(ProtocolKind::AlgB, &ol_config, executor)
+        .observed(true)
+        .build()
+        .expect("valid observed open-loop config");
+    let (_, report) = drive_open_loop(cluster.as_mut(), &ol_config, &spec);
+    let events = cluster.drain_obs_events();
     let metrics = fold_events(&events);
     eprintln!(
         "obs open_loop AlgB [parallel4]: {} events, {} epochs, completed={}",
@@ -581,14 +545,11 @@ fn fault_run(
     let mut completed = 0usize;
     let mut aborted = 0usize;
     for _ in 0..reps.max(1) {
-        let mut cluster = build_cluster_faulty(
-            ProtocolKind::AlgB,
-            &config,
-            SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-            ExecutorKind::SerialSim,
-            schedule.clone(),
-        )
-        .expect("valid fault bench config");
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+            .faults(schedule.clone())
+            .build()
+            .expect("valid fault bench config");
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
         let start = Instant::now();
         let (history, report) =
@@ -690,7 +651,6 @@ const SECTION_ORDER: &[&str] = &[
     "provenance",
     "results",
     "parallel_flood",
-    "runtime_read_latency",
     "open_loop",
     "checker_throughput",
     "checker_stream",
@@ -704,7 +664,6 @@ const SECTION_ORDER: &[&str] = &[
 const SELECTABLE: &[&str] = &[
     "results",
     "parallel_flood",
-    "runtime_read_latency",
     "open_loop",
     "checker_throughput",
     "checker_stream",
@@ -790,7 +749,6 @@ fn main() {
             _ if !regen(name) => splice(name),
             "results" => results_value(sizes, reps),
             "parallel_flood" => parallel_flood_value(smoke, reps),
-            "runtime_read_latency" => runtime_value(smoke),
             "open_loop" => open_loop_value(),
             "checker_throughput" => checker_value(checker_sizes, reps),
             "checker_stream" => checker_stream_value(checker_sizes, reps),

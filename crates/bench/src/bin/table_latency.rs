@@ -1,34 +1,22 @@
 //! Extended study E8: read latency per protocol.
 //!
-//! Simulator columns (ticks, latency-model scheduler) show the *shape* the
+//! The columns (virtual ticks, latency-model scheduler) show the *shape* the
 //! paper argues: SNOW-optimal reads match simple reads; B pays one extra
-//! round; blocking 2PL pays for locks.  Runtime columns are wall-clock
-//! nanoseconds on the tokio cluster.
+//! round; blocking 2PL pays for locks.
 
 use snow_bench::{comparison_config, header, row, run_protocol_workload};
-use snow_checker::LatencyStats;
-use snow_core::SystemConfig;
 use snow_protocols::ProtocolKind;
-use snow_runtime::cluster::measure_read_latencies;
 use snow_workload::WorkloadSpec;
 
 fn main() {
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .unwrap();
-
     println!("# E8 — READ transaction latency by protocol\n");
     println!(
         "{}",
         header(&[
             "Protocol",
-            "sim p50 (ticks)",
-            "sim p99 (ticks)",
+            "p50 (ticks)",
+            "p99 (ticks)",
             "mean rounds",
-            "runtime p50 (µs)",
-            "runtime p99 (µs)",
             "S?",
         ])
     );
@@ -36,15 +24,6 @@ fn main() {
         let config = comparison_config(protocol, 4, 2, 2);
         let (_h, metrics, report) =
             run_protocol_workload(protocol, &config, WorkloadSpec::tao_like(), 400, 3);
-        let rt_config = if protocol.needs_c2c() {
-            SystemConfig::mwsr(4, 1, true)
-        } else {
-            SystemConfig::mwmr(4, 1, 1)
-        };
-        let latencies = rt
-            .block_on(measure_read_latencies(protocol, &rt_config, 10, 50, 200))
-            .unwrap();
-        let rt_stats = LatencyStats::from_samples(&latencies);
         println!(
             "{}",
             row(&[
@@ -52,8 +31,6 @@ fn main() {
                 metrics.read_latency.p50.to_string(),
                 metrics.read_latency.p99.to_string(),
                 format!("{:.2}", metrics.mean_rounds),
-                format!("{:.1}", rt_stats.p50 as f64 / 1000.0),
-                format!("{:.1}", rt_stats.p99 as f64 / 1000.0),
                 if report.observed.s { "✓" } else { "✗" }.into(),
             ])
         );

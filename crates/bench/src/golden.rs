@@ -16,17 +16,16 @@
 //! (only legitimate when the schedule semantics intentionally change, e.g.
 //! a different `rand` backend — see `vendor/README.md`).
 
-//! Beyond the fingerprints, this module also defines the **cross-executor
-//! parity fixtures**: a deterministic serial transaction plan per protocol
-//! ([`parity_plan`]), a serial simulator runner ([`run_plan_on_simulator`])
-//! and a timing-free canonical rendering of a history's semantics
-//! ([`semantic_digest`]) that the `runtime_parity` integration test uses to
-//! hold the tokio runtime to the simulator's golden combos.
+//! Beyond the fingerprints, this module also defines the **parity
+//! fixtures**: a deterministic serial transaction plan per protocol
+//! ([`parity_plan`]), its runner ([`run_plan_on`]) and a timing-free
+//! canonical rendering of a history's semantics ([`semantic_digest`]) that
+//! the `parallel_determinism` and `protocol_properties` integration tests
+//! use to hold every scheduler and both executors to one set of semantics.
 
 use snow_core::{ClientId, History, SystemConfig, TxSpec};
 use snow_protocols::{
-    build_cluster_faulty, build_cluster_observed, build_cluster_on, fault_scenarios,
-    ExecutorKind, ProtocolKind, SchedulerKind, ShardEvent,
+    fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind, ShardEvent,
 };
 use snow_sim::FaultSchedule;
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
@@ -102,16 +101,27 @@ pub fn run_combo(combo: &Combo) -> String {
 /// committed fixtures) is the parallel engine's golden parity proof,
 /// pinned by the `parallel_determinism` integration test.
 pub fn run_combo_on(combo: &Combo, executor: ExecutorKind) -> String {
+    drive_combo(combo, executor, false).0
+}
+
+/// [`run_combo_on`] with observability enabled: the identical workload on
+/// an event-recording cluster, returning the canonical history text
+/// *plus* the drained virtual-time event stream.  The text must equal
+/// [`run_combo_on`]'s byte for byte — observation must never perturb the
+/// schedule — which is exactly what `tests/observability.rs` pins against
+/// the golden fixtures for all 30 combos.
+pub fn run_combo_observed(combo: &Combo, executor: ExecutorKind) -> (String, Vec<ShardEvent>) {
+    drive_combo(combo, executor, true)
+}
+
+fn drive_combo(combo: &Combo, executor: ExecutorKind, observed: bool) -> (String, Vec<ShardEvent>) {
     let config = combo_config(combo.protocol);
-    let mut cluster = build_cluster_on(
-        combo.protocol,
-        &config,
-        combo.scheduler,
-        executor,
-        snow_protocols::DEFAULT_MAX_STEPS,
-        None,
-    )
-    .expect("valid combo config");
+    let mut cluster = ClusterSpec::new(combo.protocol, &config)
+        .scheduler(combo.scheduler)
+        .executor(executor)
+        .observed(observed)
+        .build()
+        .expect("valid combo config");
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
     let (history, report) =
         WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
@@ -125,47 +135,11 @@ pub fn run_combo_on(combo: &Combo, executor: ExecutorKind) -> String {
         writeln!(canon, "{record:?}").expect("string write");
     }
     writeln!(canon, "now={}", cluster.now()).expect("string write");
-    canon
+    (canon, cluster.drain_obs_events())
 }
 
-/// [`run_combo_on`] with observability enabled: the identical workload on
-/// an event-recording cluster, returning the canonical history text
-/// *plus* the drained virtual-time event stream.  The text must equal
-/// [`run_combo_on`]'s byte for byte — observation must never perturb the
-/// schedule — which is exactly what `tests/observability.rs` pins against
-/// the golden fixtures for all 30 combos.
-pub fn run_combo_observed(combo: &Combo, executor: ExecutorKind) -> (String, Vec<ShardEvent>) {
-    let config = combo_config(combo.protocol);
-    let mut cluster = build_cluster_observed(
-        combo.protocol,
-        &config,
-        combo.scheduler,
-        executor,
-        snow_protocols::DEFAULT_MAX_STEPS,
-        None,
-    )
-    .expect("valid combo config");
-    let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
-    let (history, report, events) = WorkloadDriver::new(4).run_observed(
-        cluster.as_mut(),
-        &mut generator,
-        COMBO_TXNS,
-    );
-    assert_eq!(
-        report.completed, report.issued,
-        "{}: combo workload must fully complete",
-        combo.label
-    );
-    let mut canon = String::new();
-    for record in &history.records {
-        writeln!(canon, "{record:?}").expect("string write");
-    }
-    writeln!(canon, "now={}", cluster.now()).expect("string write");
-    (canon, events)
-}
-
-/// The deterministic serial transaction plan the cross-executor parity
-/// harness drives through *both* executors: the same generator draw
+/// The deterministic serial transaction plan the parity harness drives
+/// through both executors under every scheduler: the same generator draw
 /// (distribution, seed) as the golden combos, executed one transaction at a
 /// time so that per-transaction semantics (values read, keys, tags, rounds,
 /// versions, non-blocking verdicts) are schedule-independent and therefore
@@ -184,10 +158,10 @@ pub fn parity_plan(protocol: ProtocolKind) -> (SystemConfig, Vec<(ClientId, TxSp
 
 /// A deterministic *concurrent* plan: rounds of transactions from distinct
 /// clients that are dispatched together and drained together, so the
-/// transactions within a round genuinely overlap on both executors.  Unlike
-/// [`parity_plan`], per-transaction outcomes are schedule-dependent here —
-/// the cross-executor comparison is *serializability-equivalence* (both
-/// histories satisfy strict serializability, checked by the graph engine),
+/// transactions within a round genuinely overlap.  Unlike [`parity_plan`],
+/// per-transaction outcomes are schedule-dependent here — the comparison
+/// across schedulers and executors is *serializability-equivalence* (every
+/// history satisfies strict serializability, checked by the graph engine),
 /// not digest equality.
 pub fn concurrent_parity_plan(
     protocol: ProtocolKind,
@@ -211,20 +185,8 @@ pub fn concurrent_parity_plan(
     (config, batches)
 }
 
-/// Runs a concurrent plan on the serial simulator: each round is dispatched
-/// as one batch at the same instant, then the network drains to quiescence.
-pub fn run_concurrent_plan_on_simulator(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    batches: &[Vec<(ClientId, TxSpec)>],
-) -> History {
-    run_concurrent_plan_on(protocol, config, scheduler, ExecutorKind::SerialSim, batches)
-}
-
-/// [`run_concurrent_plan_on_simulator`] on an explicit simulator substrate
-/// — how the parity harness drives genuinely overlapping batches through
-/// the sharded parallel engine.
+/// Runs a concurrent plan on `executor`: each round is dispatched as one
+/// batch at the same instant, then the network drains to quiescence.
 pub fn run_concurrent_plan_on(
     protocol: ProtocolKind,
     config: &SystemConfig,
@@ -232,7 +194,10 @@ pub fn run_concurrent_plan_on(
     executor: ExecutorKind,
     batches: &[Vec<(ClientId, TxSpec)>],
 ) -> History {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, snow_protocols::DEFAULT_MAX_STEPS, None)
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .build()
         .expect("valid parity config");
     for batch in batches {
         let now = cluster.now();
@@ -245,20 +210,10 @@ pub fn run_concurrent_plan_on(
     cluster.history()
 }
 
-/// Runs `plan` serially on the serial simulator under `scheduler`: each
-/// transaction is invoked alone and the network drains to quiescence before
-/// the next, so only the *semantics* of the protocol — not the schedule —
-/// determine the history.  Panics if any transaction fails to complete.
-pub fn run_plan_on_simulator(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    plan: &[(ClientId, TxSpec)],
-) -> History {
-    run_plan_on(protocol, config, scheduler, ExecutorKind::SerialSim, plan)
-}
-
-/// [`run_plan_on_simulator`] on an explicit simulator substrate.
+/// Runs `plan` serially on `executor` under `scheduler`: each transaction is
+/// invoked alone and the network drains to quiescence before the next, so
+/// only the *semantics* of the protocol — not the schedule — determine the
+/// history.  Panics if any transaction fails to complete.
 pub fn run_plan_on(
     protocol: ProtocolKind,
     config: &SystemConfig,
@@ -266,7 +221,10 @@ pub fn run_plan_on(
     executor: ExecutorKind,
     plan: &[(ClientId, TxSpec)],
 ) -> History {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, snow_protocols::DEFAULT_MAX_STEPS, None)
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .build()
         .expect("valid parity config");
     for (client, spec) in plan {
         let tx = cluster.invoke_at(cluster.now(), *client, spec.clone());
@@ -442,7 +400,11 @@ pub fn run_fault_schedule_on(
     executor: ExecutorKind,
 ) -> String {
     let config = combo_config(protocol);
-    let mut cluster = build_cluster_faulty(protocol, &config, scheduler, executor, schedule)
+    let mut cluster = ClusterSpec::new(protocol, &config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .faults(schedule)
+        .build()
         .expect("valid fault combo config");
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
     let (history, report) =

@@ -8,7 +8,7 @@ use std::fmt;
 /// Convenience result alias used throughout `snow-rs`.
 pub type Result<T> = std::result::Result<T, SnowError>;
 
-/// Errors raised by the protocol, simulation and runtime layers.
+/// Errors raised by the protocol and simulation layers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SnowError {
     /// A message referenced an object the receiving server does not host.
@@ -38,8 +38,6 @@ pub enum SnowError {
     UnknownTransaction(TxId),
     /// The configuration failed validation.
     InvalidConfig(String),
-    /// The runtime transport failed (channel closed, peer gone).
-    Transport(String),
     /// A run was cut off before the transaction completed.
     Incomplete(TxId),
 }
@@ -59,7 +57,6 @@ impl fmt::Display for SnowError {
             }
             SnowError::UnknownTransaction(tx) => write!(f, "unknown transaction {tx}"),
             SnowError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            SnowError::Transport(msg) => write!(f, "transport failure: {msg}"),
             SnowError::Incomplete(tx) => write!(f, "transaction {tx} did not complete"),
         }
     }
@@ -90,7 +87,6 @@ mod tests {
         assert!(SnowError::C2cDisallowed.to_string().contains("client-to-client"));
         assert!(SnowError::UnknownTransaction(TxId(7)).to_string().contains("tx7"));
         assert!(SnowError::Incomplete(TxId(9)).to_string().contains("tx9"));
-        assert!(SnowError::Transport("closed".into()).to_string().contains("closed"));
         assert!(SnowError::InvalidConfig("bad".into()).to_string().contains("bad"));
         assert!(SnowError::NotWellFormed {
             reason: "overlapping".into()

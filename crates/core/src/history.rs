@@ -7,8 +7,8 @@
 //! number of versions returned per read, and whether any server had to block
 //! — that the SNOW properties of §2.1 are stated in terms of.
 //!
-//! Histories are produced by both execution substrates (`snow-sim` and
-//! `snow-runtime`) and consumed by `snow-checker`.
+//! Histories are produced by both execution substrates (the serial and the
+//! sharded simulator of `snow-sim`) and consumed by `snow-checker`.
 
 use crate::ids::{ClientId, ObjectId, ServerId, TxId};
 use crate::txn::{TxKind, TxOutcome, TxSpec};
@@ -41,7 +41,7 @@ pub struct TxRecord {
     pub spec: TxSpec,
     /// What came back (`None` while still in flight / if the run ended first).
     pub outcome: Option<TxOutcome>,
-    /// Time of the INV event (simulator ticks or runtime nanoseconds).
+    /// Time of the INV event (simulator ticks).
     pub invoked_at: u64,
     /// Time of the RESP event, if the transaction completed.
     pub responded_at: Option<u64>,
@@ -163,13 +163,6 @@ impl History {
     pub fn get_mut(&mut self, tx_id: TxId) -> Option<&mut TxRecord> {
         self.records.iter_mut().find(|r| r.tx_id == tx_id)
     }
-
-    /// Merges another history into this one (used when per-client histories
-    /// are collected independently, e.g. by the tokio runtime).
-    pub fn merge(&mut self, other: History) {
-        self.records.extend(other.records);
-        self.records.sort_by_key(|r| (r.invoked_at, r.tx_id));
-    }
 }
 
 #[cfg(test)]
@@ -281,16 +274,5 @@ mod tests {
         assert!(h.get(TxId(99)).is_none());
         h.get_mut(TxId(3)).unwrap().responded_at = Some(20);
         assert_eq!(h.get(TxId(3)).unwrap().responded_at, Some(20));
-    }
-
-    #[test]
-    fn merge_sorts_by_invocation() {
-        let mut a = History::new();
-        a.push(read_record(1, 10, Some(20)));
-        let mut b = History::new();
-        b.push(read_record(2, 5, Some(8)));
-        a.merge(b);
-        assert_eq!(a.records[0].tx_id, TxId(2));
-        assert_eq!(a.records[1].tx_id, TxId(1));
     }
 }

@@ -75,9 +75,9 @@ impl ProcessId {
 
 /// Globally unique identifier of a transaction instance.
 ///
-/// Transaction ids are allocated by the harness driving the system (simulator
-/// or runtime), not by the protocol; they exist so that histories can refer
-/// to transactions unambiguously.
+/// Transaction ids are allocated by the simulator driving the system, not by
+/// the protocol; they exist so that histories can refer to transactions
+/// unambiguously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TxId(pub u64);
 

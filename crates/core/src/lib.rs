@@ -26,11 +26,10 @@
 //!   [`ProtocolMessage`] so any substrate can derive round counts and
 //!   non-blocking verdicts without understanding payloads.
 //!
-//! `snow-core` has no opinion on *how* messages are delivered; all three
+//! `snow-core` has no opinion on *how* messages are delivered; both
 //! execution substrates — the serial deterministic simulator and the
-//! sharded parallel simulator (`snow-sim`), and the tokio runtime
-//! (`snow-runtime`) — execute the same [`Process`] machines over these
-//! types.
+//! sharded parallel simulator (`snow-sim`) — execute the same [`Process`]
+//! machines over these types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

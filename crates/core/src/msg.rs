@@ -1,12 +1,11 @@
 //! Protocol message classification, shared by every execution substrate.
 //!
-//! Neither the simulator nor the tokio runtime understands protocol
-//! payloads, but both need to know, for each message, whether it is a read
-//! request, a read response (and how many versions it carries), a write, a
-//! control message or a client-to-client message: that classification is
-//! what the SNOW property verifiers and the round/C2C instrumentation are
-//! built on.  Protocol message enums implement [`ProtocolMessage::info`] to
-//! expose it.
+//! Neither simulator understands protocol payloads, but both need to know,
+//! for each message, whether it is a read request, a read response (and how
+//! many versions it carries), a write, a control message or a
+//! client-to-client message: that classification is what the SNOW property
+//! verifiers and the round/C2C instrumentation are built on.  Protocol
+//! message enums implement [`ProtocolMessage::info`] to expose it.
 
 use crate::ids::{ObjectId, TxId};
 use std::fmt;

@@ -5,10 +5,9 @@
 //! set of [`Process`] state machines that react to invocations and message
 //! deliveries by emitting output actions into an [`Effects`] buffer.  *How*
 //! those sends are carried — the serial deterministic event-queue simulator
-//! (`snow_sim::Simulation`), the sharded parallel simulator
-//! (`snow_sim::ParallelSimulation`), or one tokio task per process
-//! (`snow-runtime`) — is the substrate's business; the protocol logic is
-//! written once.
+//! (`snow_sim::Simulation`) or the sharded parallel simulator
+//! (`snow_sim::ParallelSimulation`) — is the substrate's business; the
+//! protocol logic is written once.
 
 use crate::ids::ProcessId;
 use crate::msg::ProtocolMessage;

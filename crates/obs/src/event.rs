@@ -1,18 +1,16 @@
 //! Typed trace events and the sinks they are emitted into.
 //!
-//! Every event is emitted from exactly one definition site per substrate:
-//! the simulators' `engine::DispatchCore` (virtual-time stamps), the tokio
-//! runtime's striped instrumentation (wall-clock nanoseconds since cluster
-//! start) and the streaming checker's certification frontier.  Sinks are
-//! selected by monomorphization: a substrate generic over `O: TraceSink`
-//! guards every emission with `if O::ENABLED { … }`, so the default
-//! [`NullSink`] (`ENABLED = false`) compiles the whole path away.
+//! Every event is emitted from exactly one definition site: the
+//! simulators' `engine::DispatchCore` (virtual-time stamps) or the
+//! streaming checker's certification frontier.  Sinks are selected by
+//! monomorphization: a substrate generic over `O: TraceSink` guards every
+//! emission with `if O::ENABLED { … }`, so the default [`NullSink`]
+//! (`ENABLED = false`) compiles the whole path away.
 
 use snow_core::{ClientId, MsgKind, ProcessId, ServerId, TxId};
 
-/// One observability event.  `at` is the substrate's clock at emission:
-/// virtual ticks for the simulators, wall-clock nanoseconds for the
-/// runtime, the certification watermark for the checker.
+/// One observability event.  `at` is the emitter's clock: virtual ticks
+/// for the simulators, the certification watermark for the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
     /// A transaction invocation was dispatched to its client process.
@@ -41,7 +39,7 @@ pub enum ObsEvent {
         /// Pending messages on the emitting substrate after this send.
         queue_depth: u32,
         /// The destination lives on another shard (always `false` on the
-        /// serial engine and the runtime).
+        /// serial engine).
         cross_shard: bool,
     },
     /// A protocol message was delivered to its destination.
@@ -186,11 +184,11 @@ impl ObsEvent {
     }
 }
 
-/// An event tagged with the shard (or stripe) that emitted it — the unit
-/// the exporters consume.  Serial substrates use shard 0.
+/// An event tagged with the shard that emitted it — the unit the exporters
+/// consume.  The serial simulator uses shard 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardEvent {
-    /// Emitting shard (simulators), stripe (runtime) or 0 (checker).
+    /// Emitting shard (simulators) or 0 (checker).
     pub shard: u32,
     /// The event.
     pub event: ObsEvent,

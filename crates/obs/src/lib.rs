@@ -8,22 +8,18 @@
 //!   every emission site compile away under monomorphization: an unobserved
 //!   simulation is *bit-identical* (goldens included) and *cost-identical*
 //!   to one built before this crate existed.
-//! * [`metrics`] — a stripe-locked [`MetricsRegistry`] (counters, gauges,
-//!   log2-bucket histograms) following the runtime's `TxId`-striping rule:
-//!   no global mutex on any per-event path.  [`fold_events`] derives the
-//!   simulator's metrics from a recorded event stream on demand, so the
-//!   deterministic substrates never pay for live aggregation.
+//! * [`metrics`] — [`fold_events`] derives the simulator's metrics
+//!   (counters, gauges, log2-bucket histograms) from a recorded event
+//!   stream on demand, so the substrates never pay for live aggregation.
 //! * [`perfetto`] — a Chrome-trace-event/Perfetto JSON writer (shards
 //!   become threads, transactions become async spans) plus [`json`], a
 //!   small JSON parser used to schema-check exported traces in tests.
 //!
-//! # Virtual time vs wall time
+//! # Virtual time only
 //!
-//! Simulator-emitted events are stamped with **virtual ticks only** — they
-//! are pure functions of `(config, seeds, shards)` and reproduce byte for
-//! byte across runs (`scripts/ci.sh` greps `crates/sim` to keep wall clocks
-//! out).  Runtime-emitted events are stamped with wall-clock nanoseconds
-//! since cluster start.  The two never mix in one stream.
+//! Events are stamped with **virtual ticks only** — they are pure functions
+//! of `(config, seeds, shards)` and reproduce byte for byte across runs
+//! (`scripts/ci.sh` greps `crates/sim` to keep wall clocks out).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +30,5 @@ pub mod metrics;
 pub mod perfetto;
 
 pub use event::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
-pub use metrics::{fold_events, HistogramSnapshot, Log2Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{fold_events, HistogramSnapshot, Log2Histogram, MetricsSnapshot};
 pub use perfetto::perfetto_json;

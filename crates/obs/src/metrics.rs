@@ -1,23 +1,12 @@
-//! Stripe-locked metrics registry and on-demand aggregation.
+//! Metrics derived from a recorded event stream.
 //!
-//! Live substrates (the tokio runtime) record into a [`MetricsRegistry`]
-//! whose state is split across [`METRIC_STRIPES`] independently locked
-//! stripes — the same `TxId`-striping rule the runtime's instrumentation
-//! uses, so no per-event path ever takes a global mutex.  Deterministic
-//! substrates skip live aggregation entirely: [`fold_events`] derives the
-//! same counters and histograms from a recorded event stream after the run.
+//! The simulators do no live aggregation: [`fold_events`] derives counters,
+//! gauges and log2 histograms from the events a run recorded, after the run,
+//! into a deterministically ordered [`MetricsSnapshot`].
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
-use snow_core::FxHashMap;
-
 use crate::event::{ObsEvent, ShardEvent};
-
-/// Number of independently locked stripes in a [`MetricsRegistry`].
-/// Matches the runtime's `TX_SHARDS` so `tx.0 & (METRIC_STRIPES - 1)`
-/// lands on the same stripe as the runtime's own instrumentation.
-pub const METRIC_STRIPES: usize = 16;
 
 /// A power-of-two-bucket histogram: observation `v` lands in bucket
 /// `⌊log2(v)⌋ + 1` (bucket 0 holds `v == 0`), covering the full `u64`
@@ -81,17 +70,6 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Freezes the histogram into a snapshot row.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -132,98 +110,16 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Default)]
-struct Stripe {
-    counters: FxHashMap<&'static str, u64>,
-    gauges: FxHashMap<&'static str, i64>,
-    histograms: FxHashMap<&'static str, Log2Histogram>,
-}
-
-/// Stripe-locked counters, gauges and log2 histograms.
-///
-/// Recording paths lock exactly one stripe (chosen by the caller, usually
-/// `tx.0 as usize & (METRIC_STRIPES - 1)`); [`MetricsRegistry::snapshot`]
-/// walks all stripes and folds them into one deterministic-ordered
-/// [`MetricsSnapshot`].
-pub struct MetricsRegistry {
-    stripes: [Mutex<Stripe>; METRIC_STRIPES],
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry { stripes: std::array::from_fn(|_| Mutex::new(Stripe::default())) }
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    fn stripe(&self, stripe: usize) -> &Mutex<Stripe> {
-        &self.stripes[stripe & (METRIC_STRIPES - 1)]
-    }
-
-    /// Adds `by` to counter `name` on `stripe` (wrapped into range).
-    pub fn add(&self, stripe: usize, name: &'static str, by: u64) {
-        *self.stripe(stripe).lock().counters.entry(name).or_insert(0) += by;
-    }
-
-    /// Raises gauge `name` on `stripe` to at least `value`; the snapshot
-    /// reports the maximum across stripes.
-    pub fn gauge_max(&self, stripe: usize, name: &'static str, value: i64) {
-        let mut guard = self.stripe(stripe).lock();
-        let g = guard.gauges.entry(name).or_insert(i64::MIN);
-        *g = (*g).max(value);
-    }
-
-    /// Records `value` into histogram `name` on `stripe`.
-    pub fn observe(&self, stripe: usize, name: &'static str, value: u64) {
-        self.stripe(stripe).lock().histograms.entry(name).or_default().observe(value);
-    }
-
-    /// Folds every stripe into one snapshot: counters summed, gauges
-    /// maxed, histograms merged.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        let mut merged: BTreeMap<&'static str, Log2Histogram> = BTreeMap::new();
-        for stripe in &self.stripes {
-            let guard = stripe.lock();
-            for (&name, &v) in &guard.counters {
-                *snap.counters.entry(name.to_string()).or_insert(0) += v;
-            }
-            for (&name, &v) in &guard.gauges {
-                let g = snap.gauges.entry(name.to_string()).or_insert(i64::MIN);
-                *g = (*g).max(v);
-            }
-            for (&name, h) in &guard.histograms {
-                merged.entry(name).or_default().merge(h);
-            }
-        }
-        for (name, h) in merged {
-            snap.histograms.insert(name.to_string(), h.snapshot());
-        }
-        snap
-    }
-}
-
-/// A frozen, deterministically ordered view of a registry (or of a folded
-/// event stream): `BTreeMap`s so iteration — and [`MetricsSnapshot::to_json`]
-/// output — is stable across runs.
+/// A frozen, deterministically ordered view of a folded event stream:
+/// `BTreeMap`s so iteration — and [`MetricsSnapshot::to_json`] output — is
+/// stable across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Summed counters by name.
     pub counters: BTreeMap<String, u64>,
     /// Max-folded gauges by name.
     pub gauges: BTreeMap<String, i64>,
-    /// Merged histograms by name.
+    /// Histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -325,30 +221,6 @@ mod tests {
         assert_eq!(s.sum, 1110);
         assert!(s.p50 >= 3 && s.p50 <= 7, "p50 = {}", s.p50);
         assert_eq!(s.p99, 1000);
-        // Merge doubles the counts and keeps the extremes.
-        let mut m = Log2Histogram::new();
-        m.merge(&h);
-        m.merge(&h);
-        assert_eq!(m.count(), 14);
-        assert_eq!(m.snapshot().max, 1000);
-    }
-
-    #[test]
-    fn registry_folds_stripes_deterministically() {
-        let reg = MetricsRegistry::new();
-        for stripe in 0..METRIC_STRIPES * 2 {
-            reg.add(stripe, "txs", 1);
-            reg.gauge_max(stripe, "depth", stripe as i64);
-            reg.observe(stripe, "lat", stripe as u64);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["txs"], METRIC_STRIPES as u64 * 2);
-        assert_eq!(snap.gauges["depth"], METRIC_STRIPES as i64 * 2 - 1);
-        assert_eq!(snap.histograms["lat"].count, METRIC_STRIPES as u64 * 2);
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"counters\": {"));
-        assert!(json.contains("\"txs\": 32"));
-        assert_eq!(json, reg.snapshot().to_json());
     }
 
     #[test]

@@ -37,8 +37,8 @@ fn escape(s: &str) -> String {
 /// `process_name` labels the single process (pid 0) all shards hang off;
 /// each distinct `shard` becomes a named thread (tid = shard).  Timestamps
 /// are the events' `at` stamps divided by `ts_divisor` and reported in the
-/// format's microsecond unit — pass `1` for the simulators (1 virtual tick
-/// renders as 1 µs) and `1_000` for the runtime's nanosecond stamps.
+/// format's microsecond unit — pass `1` for the simulators' stamps (1
+/// virtual tick renders as 1 µs).
 pub fn perfetto_json(events: &[ShardEvent], process_name: &str, ts_divisor: u64) -> String {
     let div = ts_divisor.max(1);
     let mut rows: Vec<String> = Vec::with_capacity(events.len() + 8);

@@ -2,13 +2,12 @@
 //!
 //! Each protocol module defines its own node and message types, which is
 //! what lets the simulator type-check protocol invariants — but it also used
-//! to force every executor to repeat a six-way `match` (the simulator's
-//! `build_cluster`, the runtime's `typed::` constructors, the latency
-//! harness's `run!` macro).  [`AnyNode`] and [`AnyMsg`] erase the
-//! per-protocol types behind enum dispatch, so a deployment is described
-//! once — by a [`ProtocolKind`] and a [`SystemConfig`] — and executed
-//! anywhere a [`Process`] can run: `snow_sim::Simulation`,
-//! `snow_runtime::AsyncCluster`, or any future substrate.
+//! to force every executor to repeat a six-way `match`.  [`AnyNode`] and
+//! [`AnyMsg`] erase the per-protocol types behind enum dispatch, so a
+//! deployment is described once — by a [`ProtocolKind`] and a
+//! [`SystemConfig`] — and executed anywhere a [`Process`] can run:
+//! `snow_sim::Simulation`, `snow_sim::ParallelSimulation`, or any future
+//! substrate.
 //!
 //! Enum dispatch (rather than `Box<dyn Any>` downcasting) keeps dispatch
 //! static, keeps messages `Clone + Debug`, and — crucially for the golden
@@ -206,10 +205,9 @@ impl AnyDeployment {
 }
 
 /// Builds the protocol-erased node set of `protocol` over `config` — the
-/// single `ProtocolKind`-dispatched deployment path shared by all three
-/// execution substrates: `snow_sim::Simulation` (via
-/// [`crate::build_cluster`]), `snow_sim::ParallelSimulation` (via
-/// [`crate::build_cluster_parallel`]) and `snow_runtime::AsyncCluster`.
+/// single `ProtocolKind`-dispatched deployment path shared by both
+/// execution substrates, `snow_sim::Simulation` and
+/// `snow_sim::ParallelSimulation` (via [`crate::ClusterSpec::build`]).
 ///
 /// ```
 /// use snow_core::SystemConfig;

@@ -3,9 +3,10 @@
 //! Benchmarks, workloads and the comparison tables need to treat "an
 //! Algorithm A cluster" and "an Eiger cluster" the same way: invoke
 //! transactions, run the simulation, collect the [`History`].  The
-//! [`Cluster`] trait is that interface, and [`build_cluster`] constructs a
-//! boxed cluster from a [`ProtocolKind`], a [`SystemConfig`] and a
-//! [`SchedulerKind`].
+//! [`Cluster`] trait is that interface, and [`ClusterSpec`] is the one way
+//! to construct a boxed cluster: a [`ProtocolKind`] and a [`SystemConfig`],
+//! plus whichever of scheduler/topology, executor, step cap, trace bound,
+//! observability and fault schedule differ from the defaults.
 
 use crate::any::{deploy_any, AnyNode};
 use snow_core::{ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxSpec};
@@ -92,7 +93,7 @@ pub enum SchedulerKind {
 
 /// Which execution substrate carries a deployment's messages.
 ///
-/// The workspace has three substrates, all fed by the same
+/// The workspace has two substrates, both fed by the same
 /// protocol-erased deployment path ([`crate::any::deploy_any`]):
 ///
 /// * [`ExecutorKind::SerialSim`] — the deterministic single-threaded
@@ -102,11 +103,7 @@ pub enum SchedulerKind {
 ///   deterministic epoch-barrier message exchange.  Both simulators run
 ///   the same dispatch core (`snow-sim`'s `engine` module) — the serial
 ///   engine *is* the 1-shard instantiation, so `shards: 1` reproduces it
-///   bit-for-bit;
-/// * the tokio runtime (`snow_runtime::AsyncCluster`) — real threads and
-///   channels, wall-clock timing.  It is asynchronous, so it lives behind
-///   its own async API rather than the synchronous [`Cluster`] trait;
-///   `AsyncCluster::deploy` consumes the same `deploy_any` node set.
+///   bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// The serial deterministic simulator.
@@ -160,8 +157,8 @@ pub trait Cluster {
     /// watermark a streaming checker may advance to after ingesting it.
     fn drain_commits(&mut self) -> CommitDrain;
     /// Yields and clears the observability events collected so far,
-    /// tagged with the emitting shard.  Clusters built without a recording
-    /// sink (every non-`observed` front door) return nothing.
+    /// tagged with the emitting shard.  Clusters built without
+    /// [`ClusterSpec::observed`] record nothing and return nothing.
     fn drain_obs_events(&mut self) -> Vec<ShardEvent> {
         Vec::new()
     }
@@ -239,6 +236,7 @@ where
 }
 
 use snow_sim::parallel::shard_seed;
+use snow_sim::topology::TICK;
 
 /// The scheduler half of a [`ClusterSpec`]: a classic [`SchedulerKind`], or
 /// a topology whose link distributions drive a
@@ -251,19 +249,7 @@ enum SchedChoice {
 
 /// The single cluster-construction path: a builder crossing protocol ×
 /// scheduler/topology × executor × step cap × trace bound × observability ×
-/// fault schedule, replacing the old `build_cluster_*` constructor family
-/// (each of which survives as a one-line wrapper over this type).
-///
-/// | old front door | [`ClusterSpec`] equivalent |
-/// |---|---|
-/// | `build_cluster(p, c, s)` | `ClusterSpec::new(p, c).scheduler(s).build()` |
-/// | `build_cluster_with_max_steps(p, c, s, m)` | `….scheduler(s).max_steps(m).build()` |
-/// | `build_cluster_bounded(p, c, s, m, t)` | `….max_steps(m).trace_capacity(Some(t)).build()` |
-/// | `build_cluster_on(p, c, s, e, m, t)` | `….scheduler(s).executor(e).max_steps(m).trace_capacity(t).build()` |
-/// | `build_cluster_observed(…)` | `….observed(true).build()` |
-/// | `build_cluster_faulty(p, c, s, e, f)` | `….scheduler(s).executor(e).faults(f).build()` |
-/// | `build_cluster_faulty_observed(…)` | `….faults(f).observed(true).build()` |
-/// | `build_cluster_parallel(p, c, s, n)` | `….executor(ExecutorKind::ParallelSim { shards: n }).build()` |
+/// fault schedule.
 ///
 /// Defaults: FIFO scheduler, [`ExecutorKind::SerialSim`],
 /// [`DEFAULT_MAX_STEPS`], unbounded trace, no observability recording, no
@@ -310,6 +296,11 @@ impl ClusterSpec {
         }
     }
 
+    /// The system configuration the cluster deploys over.
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
+    }
+
     /// Delivers messages per `scheduler` (FIFO / seeded-random / uniform
     /// latency).  Mutually exclusive with [`ClusterSpec::topology`]; the
     /// last call wins.
@@ -344,8 +335,34 @@ impl ClusterSpec {
     }
 
     /// Bounds the raw action trace to a sliding window of `capacity`
-    /// actions (`None` = unbounded).  Histories are byte-identical either
-    /// way; the bound keeps memory O(window + in-flight) on long runs.
+    /// actions (`None` = unbounded) and prunes the per-message causality
+    /// table per transaction at RESP.  Histories are byte-identical either
+    /// way; the bound keeps memory O(window + in-flight) on 100k+
+    /// transaction runs.
+    ///
+    /// ```
+    /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
+    /// use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
+    ///
+    /// let config = SystemConfig::mwmr(2, 1, 1);
+    /// let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+    ///     .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
+    ///     .max_steps(u64::MAX) // no step cap
+    ///     .trace_capacity(Some(4096)) // sliding action window; aggregates stay exact
+    ///     .build()
+    ///     .unwrap();
+    ///
+    /// let writer = config.writers().next().unwrap();
+    /// let reader = config.readers().next().unwrap();
+    /// let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(9))]));
+    /// assert!(cluster.run_until_complete(w));
+    /// let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
+    /// assert!(cluster.run_until_complete(r));
+    ///
+    /// let history = cluster.history();
+    /// let read = history.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap().clone();
+    /// assert_eq!(read.value_for(ObjectId(0)), Some(Value(9)));
+    /// ```
     pub fn trace_capacity(mut self, capacity: Option<usize>) -> Self {
         self.trace_capacity = capacity;
         self
@@ -363,20 +380,92 @@ impl ClusterSpec {
     /// Executes under `faults` (drop/duplicate/delay regions, partitions,
     /// server crash+recovery).  Crashed processes restart from fresh
     /// protocol state (the deployment re-run for their id); an empty
-    /// schedule reproduces the fault-free histories byte for byte.
+    /// schedule reproduces the fault-free histories byte for byte, and a
+    /// faulty history is a pure function of `(protocol, config, scheduler,
+    /// executor, fault schedule)`.
+    ///
+    /// Transactions the schedule orphans (server crashed with the request
+    /// in flight, partition swallowed a message) are retired as
+    /// [`snow_core::TxOutcome::Aborted`] at quiescence, so
+    /// [`Cluster::history`] stays complete and the checkers can certify or
+    /// convict the run.  With [`ClusterSpec::observed`] the event stream
+    /// also carries the fault vocabulary — `MessageDropped`,
+    /// `MessageDuplicated`, `ServerCrashed`, `ServerRecovered`,
+    /// `PartitionStarted`, `PartitionHealed` — stamped with virtual ticks.
+    ///
+    /// The crash-recovery walkthrough the README points at:
+    ///
+    /// ```
+    /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
+    /// use snow_protocols::{
+    ///     scenario_crash_mid_read, ClusterSpec, ObsEvent, ProtocolKind, SchedulerKind,
+    /// };
+    ///
+    /// let config = SystemConfig::mwmr(4, 4, 4);
+    /// let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+    ///     .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+    ///     .faults(scenario_crash_mid_read()) // server 0 dies at tick 30, back at 120
+    ///     .observed(true)
+    ///     .build()
+    ///     .unwrap();
+    ///
+    /// // Drive traffic across the crash window.  Every transaction retires —
+    /// // committed, or Aborted when the crash orphaned it — so the closed
+    /// // loop never wedges on a dead server.
+    /// let writer = config.writers().next().unwrap();
+    /// let reader = config.readers().next().unwrap();
+    /// for round in 0..20 {
+    ///     let w = cluster.invoke_at(cluster.now(), writer, TxSpec::write(vec![(ObjectId(0), Value(round))]));
+    ///     assert!(cluster.run_until_complete(w));
+    ///     let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
+    ///     assert!(cluster.run_until_complete(r));
+    /// }
+    ///
+    /// let events = cluster.drain_obs_events();
+    /// let crashed = events.iter().any(|e| matches!(e.event, ObsEvent::ServerCrashed { .. }));
+    /// let recovered = events.iter().any(|e| matches!(e.event, ObsEvent::ServerRecovered { .. }));
+    /// assert!(crashed && recovered, "the trace shows the crash and the recovery");
+    /// // Export with `snow_obs::perfetto_json(&events, "crash drill", 1)` and
+    /// // load the file at https://ui.perfetto.dev — the crash/recovery pair
+    /// // shows up as instant markers on the emitting shard's track.
+    /// ```
     pub fn faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Some(faults);
         self
     }
 
     /// Deploys the protocol and assembles the cluster.  Errors if the
-    /// protocol rejects the configuration (e.g. Algorithm A without C2C)
-    /// or the executor is a zero-shard parallel simulator.
+    /// protocol rejects the configuration (e.g. Algorithm A without C2C),
+    /// the executor is a zero-shard parallel simulator, the latency range
+    /// is empty, or the topology does not place every process of the
+    /// configuration.
     pub fn build(&self) -> Result<Box<dyn Cluster>> {
+        let invalid = |msg: String| Err(snow_core::SnowError::InvalidConfig(msg));
         if let ExecutorKind::ParallelSim { shards: 0 } = self.executor {
-            return Err(snow_core::SnowError::InvalidConfig(
-                "a parallel cluster needs at least one shard".to_string(),
-            ));
+            return invalid("a parallel cluster needs at least one shard".to_string());
+        }
+        match &self.sched {
+            SchedChoice::Kind(SchedulerKind::Latency { min, max, .. }) if min > max => {
+                return invalid(format!("latency range is empty: min {min} > max {max}"));
+            }
+            SchedChoice::Topology { topology, .. } => {
+                let (servers, clients) = (topology.num_servers(), topology.num_clients());
+                let (need_servers, need_clients) =
+                    (self.config.num_servers as usize, self.config.num_clients() as usize);
+                if servers < need_servers || clients < need_clients {
+                    return invalid(format!(
+                        "topology places {servers} servers and {clients} clients, the \
+                         configuration has {need_servers} and {need_clients}"
+                    ));
+                }
+                let processes = topology.num_processes() as u64;
+                if !(1..=TICK).contains(&processes) {
+                    return invalid(format!(
+                        "a topology schedule supports 1..={TICK} processes, got {processes}"
+                    ));
+                }
+            }
+            SchedChoice::Kind(_) => {}
         }
         let nodes = deploy_any(self.protocol, &self.config)?;
         Ok(match self.executor {
@@ -501,128 +590,10 @@ impl ClusterSpec {
     }
 }
 
-/// The step cap every convenience constructor applies (override with
-/// [`build_cluster_with_max_steps`] / [`build_cluster_on`] for larger
-/// workloads).  The golden/parity harnesses in `snow-bench` reference this
-/// same constant, so the fixtures and the front doors always run under one
-/// cap.
+/// The step cap a [`ClusterSpec`] applies unless [`ClusterSpec::max_steps`]
+/// overrides it.  The golden/parity harnesses in `snow-bench` run under
+/// this default, so the fixtures and every other cluster share one cap.
 pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
-
-/// Builds a boxed cluster running `protocol` over `config`, with messages
-/// delivered by `scheduler`.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`]: `ClusterSpec::new(protocol, config).scheduler(s).build()`.
-pub fn build_cluster(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).build()
-}
-
-/// [`build_cluster`] with an explicit step cap (large workloads need more).
-///
-/// This is the simulator instantiation of the shared deployment layer: the
-/// per-protocol dispatch happens once, in [`crate::any::deploy_any`], which
-/// the tokio runtime's `AsyncCluster::deploy` uses too.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::max_steps`].
-pub fn build_cluster_with_max_steps(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    max_steps: u64,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).max_steps(max_steps).build()
-}
-
-/// [`build_cluster_with_max_steps`] with a bounded simulator trace
-/// (`Simulation::with_trace_capacity`): the raw action log is a sliding
-/// window of `trace_capacity` actions and the per-message causality table
-/// is pruned per transaction at RESP, so memory stays O(window +
-/// in-flight) regardless of run length.  Histories are byte-for-byte
-/// identical to the unbounded cluster's; this is what the workload driver
-/// and the bench binaries use for 100k+/million-transaction runs.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::trace_capacity`].
-///
-/// ```
-/// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-/// use snow_protocols::{build_cluster_bounded, ProtocolKind, SchedulerKind};
-///
-/// let config = SystemConfig::mwmr(2, 1, 1);
-/// let mut cluster = build_cluster_bounded(
-///     ProtocolKind::AlgC,
-///     &config,
-///     SchedulerKind::Latency { seed: 7, min: 1, max: 20 },
-///     u64::MAX, // no step cap
-///     4096,     // sliding action window; aggregates stay exact
-/// )
-/// .unwrap();
-///
-/// let writer = config.writers().next().unwrap();
-/// let reader = config.readers().next().unwrap();
-/// let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(9))]));
-/// assert!(cluster.run_until_complete(w));
-/// let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
-/// assert!(cluster.run_until_complete(r));
-///
-/// let history = cluster.history();
-/// let read = history.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap().clone();
-/// assert_eq!(read.value_for(ObjectId(0)), Some(Value(9)));
-/// ```
-pub fn build_cluster_bounded(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    max_steps: u64,
-    trace_capacity: usize,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).max_steps(max_steps).trace_capacity(Some(trace_capacity)).build()
-}
-
-/// Builds a boxed cluster of `protocol` on an explicit execution substrate
-/// — the [`ExecutorKind`]-dispatched front door over the same
-/// [`deploy_any`] node set that [`build_cluster`] (serial) and
-/// `snow_runtime::AsyncCluster::deploy` (tokio) use.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::executor`].
-pub fn build_cluster_on(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-    max_steps: u64,
-    trace_capacity: Option<usize>,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).executor(executor).max_steps(max_steps).trace_capacity(trace_capacity).build()
-}
-
-/// [`build_cluster_on`] with observability **recording** enabled: every
-/// shard's dispatch core emits virtual-time [`snow_sim::ObsEvent`]s into a
-/// [`RecordingSink`], drained via [`Cluster::drain_obs_events`].
-///
-/// The event stream is deterministic — a pure function of `(protocol,
-/// config, scheduler, executor, plan)` — and recording provably does not
-/// perturb the run: the `observability` integration test pins every golden
-/// protocol × scheduler fixture bit-identical with and without it.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::observed`].
-pub fn build_cluster_observed(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-    max_steps: u64,
-    trace_capacity: Option<usize>,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).executor(executor).max_steps(max_steps).trace_capacity(trace_capacity).observed(true).build()
-}
 
 /// The restart factory [`ClusterSpec::faults`] hands the fault engine: a
 /// crashed process is rebuilt **from fresh protocol state** by re-running
@@ -637,92 +608,6 @@ fn faulty_restart(protocol: ProtocolKind, config: &SystemConfig) -> RestartFn<An
             .find(|n| n.id() == pid)
             .unwrap_or_else(|| panic!("restart factory: no process {pid} in the deployment"))
     })
-}
-
-/// [`build_cluster_on`] with a [`FaultSchedule`]: the same protocol-erased
-/// deployment, executed under drop/duplicate/delay regions, partitions and
-/// server crash+recovery.  Crashed processes restart from fresh protocol
-/// state (deployment re-run for their id).  The faulty history is a pure
-/// function of `(protocol, config, scheduler, executor, fault schedule)`,
-/// and an empty schedule reproduces [`build_cluster_on`]'s histories byte
-/// for byte on both substrates.
-///
-/// Transactions the schedule orphans (server crashed with the request in
-/// flight, partition swallowed a message) are retired as
-/// [`snow_core::TxOutcome::Aborted`] at quiescence, so
-/// [`Cluster::history`] stays complete and the checkers can certify or
-/// convict the run.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::faults`].
-pub fn build_cluster_faulty(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-    faults: FaultSchedule,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).executor(executor).faults(faults).build()
-}
-
-/// [`build_cluster_faulty`] with observability recording enabled, the
-/// fault-engine counterpart of [`build_cluster_observed`]: alongside the
-/// usual dispatch events the stream carries the fault vocabulary —
-/// `MessageDropped`, `MessageDuplicated`, `ServerCrashed`,
-/// `ServerRecovered`, `PartitionStarted`, `PartitionHealed` — all stamped
-/// with virtual ticks, so a crash-recovery trace is bit-reproducible and
-/// exportable to Perfetto like any other.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ClusterSpec::faults`] + [`ClusterSpec::observed`].
-///
-/// The crash-recovery walkthrough the README points at:
-///
-/// ```
-/// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-/// use snow_protocols::{
-///     build_cluster_faulty_observed, scenario_crash_mid_read, ExecutorKind, ObsEvent,
-///     ProtocolKind, SchedulerKind,
-/// };
-///
-/// let config = SystemConfig::mwmr(4, 4, 4);
-/// let mut cluster = build_cluster_faulty_observed(
-///     ProtocolKind::AlgB,
-///     &config,
-///     SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-///     ExecutorKind::SerialSim,
-///     scenario_crash_mid_read(), // server 0 dies at tick 30, back at 120
-/// )
-/// .unwrap();
-///
-/// // Drive traffic across the crash window.  Every transaction retires —
-/// // committed, or Aborted when the crash orphaned it — so the closed
-/// // loop never wedges on a dead server.
-/// let writer = config.writers().next().unwrap();
-/// let reader = config.readers().next().unwrap();
-/// for round in 0..20 {
-///     let w = cluster.invoke_at(cluster.now(), writer, TxSpec::write(vec![(ObjectId(0), Value(round))]));
-///     assert!(cluster.run_until_complete(w));
-///     let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
-///     assert!(cluster.run_until_complete(r));
-/// }
-///
-/// let events = cluster.drain_obs_events();
-/// let crashed = events.iter().any(|e| matches!(e.event, ObsEvent::ServerCrashed { .. }));
-/// let recovered = events.iter().any(|e| matches!(e.event, ObsEvent::ServerRecovered { .. }));
-/// assert!(crashed && recovered, "the trace shows the crash and the recovery");
-/// // Export with `snow_obs::perfetto_json(&events, "crash drill", 1)` and
-/// // load the file at https://ui.perfetto.dev — the crash/recovery pair
-/// // shows up as instant markers on the emitting shard's track.
-/// ```
-pub fn build_cluster_faulty_observed(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-    faults: FaultSchedule,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).executor(executor).faults(faults).observed(true).build()
 }
 
 /// The "crash mid-read" scenario: server 0 crashes in the middle of a
@@ -771,26 +656,6 @@ pub fn fault_scenarios() -> Vec<(&'static str, FaultSchedule)> {
     ]
 }
 
-/// Builds a boxed cluster on the sharded parallel simulator
-/// (`snow_sim::ParallelSimulation`): processes are partitioned into
-/// `shards` shards, each driven by its own worker thread and its own
-/// scheduler instance (shard 0 keeps `scheduler`'s base seed, the rest are
-/// derived), with cross-shard messages exchanged at deterministic epoch
-/// barriers.  With `shards == 1` the cluster reproduces
-/// [`build_cluster`]'s histories bit-for-bit; with more shards histories
-/// stay deterministic per seed but interleave differently.
-///
-/// **Deprecated front door** — kept as a one-line wrapper; prefer
-/// [`ClusterSpec`] with [`ExecutorKind::ParallelSim`].
-pub fn build_cluster_parallel(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    shards: usize,
-) -> Result<Box<dyn Cluster>> {
-    ClusterSpec::new(protocol, config).scheduler(scheduler).executor(ExecutorKind::ParallelSim { shards }).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,8 +681,10 @@ mod tests {
             } else {
                 SystemConfig::mwmr(2, 1, 1)
             };
-            let mut cluster =
-                build_cluster(protocol, &config, SchedulerKind::Random(9)).unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Random(9))
+                .build()
+                .unwrap();
             let writer = config.writers().next().unwrap();
             let reader = config.readers().next().unwrap();
             let w = cluster.invoke_at(
@@ -850,11 +717,13 @@ mod tests {
             .map(|(i, w)| (*w, TxSpec::write(vec![(ObjectId(0), Value(i as u64 + 1))])))
             .collect();
 
-        let mut a = build_cluster(ProtocolKind::AlgB, &config, SchedulerKind::Random(3)).unwrap();
+        let spec =
+            ClusterSpec::new(ProtocolKind::AlgB, &config).scheduler(SchedulerKind::Random(3));
+        let mut a = spec.build().unwrap();
         let ids_batch = a.invoke_batch(0, batch.clone());
         a.run_until_quiescent();
 
-        let mut b = build_cluster(ProtocolKind::AlgB, &config, SchedulerKind::Random(3)).unwrap();
+        let mut b = spec.build().unwrap();
         let ids_seq: Vec<_> = batch
             .into_iter()
             .map(|(client, spec)| b.invoke_at(0, client, spec))
@@ -873,7 +742,8 @@ mod tests {
             SchedulerKind::Random(1),
             SchedulerKind::Latency { seed: 1, min: 1, max: 20 },
         ] {
-            let mut cluster = build_cluster(ProtocolKind::AlgB, &config, sched).unwrap();
+            let mut cluster =
+                ClusterSpec::new(ProtocolKind::AlgB, &config).scheduler(sched).build().unwrap();
             let writer = config.writers().next().unwrap();
             let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(3))]));
             assert!(cluster.run_until_complete(w));
@@ -884,12 +754,44 @@ mod tests {
     fn invalid_combinations_are_rejected() {
         // Algorithm A in a no-C2C config is refused.
         let cfg = SystemConfig::mwsr(2, 1, false);
-        assert!(build_cluster(ProtocolKind::AlgA, &cfg, SchedulerKind::Fifo).is_err());
+        let spec = ClusterSpec::new(ProtocolKind::AlgA, &cfg);
+        assert!(spec.build().is_err());
         // …on the parallel substrate too (same validation path).
-        assert!(build_cluster_parallel(ProtocolKind::AlgA, &cfg, SchedulerKind::Fifo, 2).is_err());
+        assert!(spec.executor(ExecutorKind::ParallelSim { shards: 2 }).build().is_err());
         // Zero shards is a configuration error, not a panic.
         let ok_cfg = SystemConfig::mwmr(2, 1, 1);
-        assert!(build_cluster_parallel(ProtocolKind::AlgB, &ok_cfg, SchedulerKind::Fifo, 0).is_err());
+        assert!(ClusterSpec::new(ProtocolKind::AlgB, &ok_cfg)
+            .executor(ExecutorKind::ParallelSim { shards: 0 })
+            .build()
+            .is_err());
+    }
+
+    /// `build` is the only constructor: input it can reject comes back as
+    /// `InvalidConfig` on both executors instead of panicking in a
+    /// scheduler's constructor or on an unchecked index mid-run.
+    #[test]
+    fn build_rejects_schedules_that_cannot_run() {
+        use snow_core::SnowError;
+        use snow_sim::Topology;
+        let config = SystemConfig::mwmr(4, 2, 2);
+        let empty_range = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 1, min: 5, max: 1 });
+        // A topology built for a smaller deployment than the spec's.
+        let small = Arc::new(Topology::wan3(&SystemConfig::mwmr(2, 1, 1)));
+        let too_small = ClusterSpec::new(ProtocolKind::AlgB, &config).topology(small, 3);
+        // More processes than a site-tick has jitter bands for.
+        let huge_config = SystemConfig::mwmr(4, TICK as u32, 2);
+        let too_many = ClusterSpec::new(ProtocolKind::AlgB, &huge_config)
+            .topology(Arc::new(Topology::single_dc(&huge_config)), 3);
+        for spec in [empty_range, too_small, too_many] {
+            for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 2 }] {
+                let built = spec.clone().executor(executor).build();
+                assert!(
+                    matches!(built, Err(SnowError::InvalidConfig(_))),
+                    "{spec:?} on {executor:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -919,29 +821,12 @@ mod tests {
                 }
                 format!("{:?} now={}", cluster.history(), cluster.now())
             };
-            let mut serial = build_cluster(ProtocolKind::AlgB, &config, sched).unwrap();
+            let spec = ClusterSpec::new(ProtocolKind::AlgB, &config).scheduler(sched);
+            let mut serial = spec.build().unwrap();
             let mut parallel =
-                build_cluster_parallel(ProtocolKind::AlgB, &config, sched, 1).unwrap();
+                spec.executor(ExecutorKind::ParallelSim { shards: 1 }).build().unwrap();
             assert_eq!(drive(&mut serial), drive(&mut parallel), "{sched:?}");
         }
-    }
-
-    #[test]
-    fn cluster_spec_defaults_match_the_wrapped_front_door() {
-        let config = SystemConfig::mwmr(2, 1, 1);
-        let drive = |cluster: &mut Box<dyn Cluster>| {
-            let writer = config.writers().next().unwrap();
-            let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(5))]));
-            assert!(cluster.run_until_complete(w));
-            format!("{:?}", cluster.history())
-        };
-        let sched = SchedulerKind::Latency { seed: 21, min: 1, max: 9 };
-        let mut via_wrapper = build_cluster(ProtocolKind::AlgC, &config, sched).unwrap();
-        let mut via_spec = ClusterSpec::new(ProtocolKind::AlgC, &config)
-            .scheduler(sched)
-            .build()
-            .unwrap();
-        assert_eq!(drive(&mut via_wrapper), drive(&mut via_spec));
     }
 
     #[test]
@@ -996,13 +881,11 @@ mod tests {
             } else {
                 SystemConfig::mwmr(4, 2, 2)
             };
-            let mut cluster = build_cluster_parallel(
-                protocol,
-                &config,
-                SchedulerKind::Latency { seed: 3, min: 1, max: 12 },
-                4,
-            )
-            .unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 3, min: 1, max: 12 })
+                .executor(ExecutorKind::ParallelSim { shards: 4 })
+                .build()
+                .unwrap();
             let writer = config.writers().next().unwrap();
             let reader = config.readers().next().unwrap();
             let w = cluster.invoke_at(

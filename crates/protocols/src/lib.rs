@@ -3,8 +3,8 @@
 //! Executable implementations of every READ/WRITE transaction protocol the
 //! paper discusses, written once as transport-agnostic state machines
 //! (`snow_core::Process` implementations) and executed unchanged on both
-//! substrates — the deterministic simulator (`snow-sim`) and the tokio
-//! runtime (`snow-runtime`):
+//! substrates — the serial and the sharded deterministic simulator
+//! (`snow-sim`):
 //!
 //! * [`alg_a`] — **Algorithm A** (§5.2, Pseudocode 4): all four SNOW
 //!   properties in the multi-writer single-reader setting, using
@@ -28,20 +28,15 @@
 //! Deployment is described once and executed anywhere.  [`any`] erases the
 //! per-protocol node/message types behind enum dispatch ([`AnyNode`],
 //! [`AnyMsg`]), so [`deploy_any`] is the *single* `ProtocolKind`-dispatched
-//! construction path in the workspace, feeding all three execution
-//! substrates (select one with [`ExecutorKind`]):
+//! construction path in the workspace, and [`ClusterSpec`] the single way
+//! to put its node set on a substrate: pick a [`SchedulerKind`] or a
+//! topology, select the serial or the sharded simulator with
+//! [`ExecutorKind`], and drive the result through the [`deploy::Cluster`]
+//! trait.
 //!
-//! * the serial simulator wraps it in [`deploy::build_cluster`] (pick a
-//!   [`SchedulerKind`], drive through the [`deploy::Cluster`] trait);
-//! * the sharded parallel simulator wraps it in
-//!   [`deploy::build_cluster_parallel`] (same [`deploy::Cluster`] trait,
-//!   one worker thread per shard);
-//! * the tokio runtime wraps it in `snow_runtime::AsyncCluster::deploy`.
-//!
-//! A new protocol therefore lands on both executors — and under the
-//! runtime/simulator parity harness (`tests/runtime_parity.rs`) — by adding
-//! one module and one [`AnyDeployment`] arm; no executor grows
-//! protocol-specific wiring.
+//! A new protocol therefore lands on both executors — and under the golden,
+//! parity and fault suites — by adding one module and one
+//! [`AnyDeployment`] arm; no executor grows protocol-specific wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,10 +54,7 @@ pub mod simple;
 pub use any::{deploy_any, AnyDeployment, AnyMsg, AnyNode};
 pub use common::{PendingRead, PendingWrite, WriteLog};
 pub use deploy::{
-    build_cluster, build_cluster_bounded, build_cluster_faulty, build_cluster_faulty_observed,
-    build_cluster_observed,
-    build_cluster_on, build_cluster_parallel, build_cluster_with_max_steps, fault_scenarios,
-    scenario_crash_mid_read, scenario_dup_storm, scenario_partition_during_write, Cluster,
-    ClusterSpec, CommitDrain, ExecutorKind, ObsEvent, ProtocolKind, SchedulerKind, ShardEvent,
-    DEFAULT_MAX_STEPS,
+    fault_scenarios, scenario_crash_mid_read, scenario_dup_storm,
+    scenario_partition_during_write, Cluster, ClusterSpec, CommitDrain, ExecutorKind, ObsEvent,
+    ProtocolKind, SchedulerKind, ShardEvent, DEFAULT_MAX_STEPS,
 };

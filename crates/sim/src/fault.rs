@@ -27,6 +27,7 @@
 //! `tests/fault_determinism.rs`).
 
 use crate::message::MsgId;
+use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId};
 
 /// What a matched [`FaultRegion`] does to a message.
@@ -386,14 +387,6 @@ impl FaultSchedule {
         );
         (h % 100) < chance_pct as u64
     }
-}
-
-/// SplitMix64: the statelessly seedable mixer the probabilistic gates use.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The factory a fault-enabled engine uses to rebuild a crashed process

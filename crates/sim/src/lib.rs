@@ -9,10 +9,9 @@
 //!   through an [`Effects`] buffer — exactly the "actions at one automaton"
 //!   granularity the paper's fragment arguments rely on.  The
 //!   [`Process`]/[`Effects`] contract itself lives in `snow-core`
-//!   (transport-agnostic); this crate provides two of its three execution
+//!   (transport-agnostic); this crate provides both of its execution
 //!   substrates — the serial [`Simulation`] and the sharded
-//!   [`ParallelSimulation`] (see [`parallel`]) — the third being the tokio
-//!   runtime in `snow-runtime`;
+//!   [`ParallelSimulation`] (see [`parallel`]);
 //! * the network is **reliable but asynchronous**: every sent message is
 //!   eventually deliverable, but the order and timing of deliveries are under
 //!   the control of a [`Scheduler`] (seeded-random, FIFO, latency-modelled, or

@@ -57,7 +57,7 @@
 //! observed versions) legitimately differs from the serial engine's, but
 //! it is still deterministic, still strictly serializable, and still
 //! semantically equal on serial plans — pinned by the multi-shard cases in
-//! `runtime_parity`.
+//! `parallel_determinism`.
 
 use crate::engine::{DispatchCore, QueuedInvocation, Transit};
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
@@ -88,7 +88,7 @@ pub fn shard_of(id: ProcessId, shards: usize) -> usize {
 /// The scheduler seed shard `shard` should derive from a deployment's base
 /// seed — the one rule every parallel harness must share: **shard 0 keeps
 /// the base seed** (the 1-shard golden-parity proof depends on it), the
-/// rest mix their index in.  Used by `snow_protocols::build_cluster_parallel`
+/// rest mix their index in.  Used by `snow_protocols::ClusterSpec::build`
 /// and the paired-flood bench.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {

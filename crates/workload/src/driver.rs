@@ -93,7 +93,9 @@ impl WorkloadDriver {
     }
 
     /// Runs `total` transactions from `generator` against `cluster` and
-    /// returns the history plus a summary.
+    /// returns the history plus a summary.  On a cluster built with
+    /// `ClusterSpec::observed`, drain the recorded events afterwards with
+    /// [`Cluster::drain_obs_events`].
     pub fn run(
         &self,
         cluster: &mut dyn Cluster,
@@ -101,22 +103,6 @@ impl WorkloadDriver {
         total: usize,
     ) -> (History, DriverReport) {
         self.run_tapped(cluster, generator, total, &mut |_| {})
-    }
-
-    /// [`WorkloadDriver::run`] plus the cluster's recorded observability
-    /// events, drained after the run settles.  Meaningful on clusters
-    /// built with `snow_protocols::build_cluster_observed` — on any other
-    /// cluster the event stream is empty (the default sink records
-    /// nothing).
-    pub fn run_observed(
-        &self,
-        cluster: &mut dyn Cluster,
-        generator: &mut WorkloadGenerator,
-        total: usize,
-    ) -> (History, DriverReport, Vec<snow_protocols::ShardEvent>) {
-        let (history, report) = self.run(cluster, generator, total);
-        let events = cluster.drain_obs_events();
-        (history, report, events)
     }
 
     /// [`WorkloadDriver::run`] with an observation tap invoked after each
@@ -244,50 +230,42 @@ impl WorkloadDriver {
         (history, report)
     }
 
-    /// [`WorkloadDriver::run`] followed by a full-history
-    /// strict-serializability check ([`snow_checker::check_auto`]): the
-    /// whole driven history — not a sample — is handed to the checker, so
-    /// every workload run is verifiable end to end.  The engine is chosen
-    /// by history shape (tag order for tagged protocols, the graph engine
-    /// otherwise), so this scales to 100k+ transaction runs.
+    /// [`WorkloadDriver::run`] plus a strict-serializability verdict over
+    /// the whole driven history — not a sample — so every workload run is
+    /// verifiable end to end.
+    ///
+    /// [`CheckMode::PostHoc`] hands the assembled history to
+    /// [`snow_checker::check_auto`], which picks the engine by history
+    /// shape (tag order for tagged protocols, the graph engine otherwise)
+    /// and scales to 100k+ transaction runs.  [`CheckMode::Streaming`]
+    /// certifies incrementally instead: after every round the cluster's
+    /// commit drain is fed to a [`StreamChecker`], whose sliding frontier
+    /// retires certified prefixes as the run progresses — bounded checker
+    /// memory, and violations attributed to the offending commit.  Both
+    /// modes produce the same verdict category on the same run.
     ///
     /// ```
     /// use snow_core::SystemConfig;
-    /// use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
-    /// use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
+    /// use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
+    /// use snow_workload::{CheckMode, WorkloadDriver, WorkloadGenerator, WorkloadSpec};
     ///
     /// let config = SystemConfig::mwmr(4, 2, 2);
-    /// let mut cluster = build_cluster(
-    ///     ProtocolKind::AlgB,
-    ///     &config,
-    ///     SchedulerKind::Latency { seed: 5, min: 1, max: 15 },
-    /// )
-    /// .unwrap();
+    /// let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+    ///     .scheduler(SchedulerKind::Latency { seed: 5, min: 1, max: 15 })
+    ///     .build()
+    ///     .unwrap();
     /// let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
     ///
-    /// let (history, report, verdict) =
-    ///     WorkloadDriver::new(4).run_checked(cluster.as_mut(), &mut generator, 40);
+    /// let (history, report, verdict) = WorkloadDriver::new(4).run_checked_mode(
+    ///     cluster.as_mut(),
+    ///     &mut generator,
+    ///     40,
+    ///     CheckMode::PostHoc,
+    /// );
     /// assert_eq!(report.completed, 40);
     /// assert_eq!(history.len(), 40);
     /// assert!(verdict.is_serializable(), "Algorithm B guarantees S: {verdict:?}");
     /// ```
-    pub fn run_checked(
-        &self,
-        cluster: &mut dyn Cluster,
-        generator: &mut WorkloadGenerator,
-        total: usize,
-    ) -> (History, DriverReport, Verdict) {
-        self.run_checked_mode(cluster, generator, total, CheckMode::PostHoc)
-    }
-
-    /// [`WorkloadDriver::run_checked`] with an explicit [`CheckMode`].
-    /// [`CheckMode::PostHoc`] is the historical behaviour;
-    /// [`CheckMode::Streaming`] certifies incrementally instead: after
-    /// every round the cluster's commit drain is fed to a
-    /// [`StreamChecker`], whose sliding frontier retires certified
-    /// prefixes as the run progresses — bounded checker memory, and
-    /// violations attributed to the offending commit.  Both modes produce
-    /// the same verdict category on the same run.
     pub fn run_checked_mode(
         &self,
         cluster: &mut dyn Cluster,
@@ -362,17 +340,18 @@ mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
     use snow_core::SystemConfig;
-    use snow_protocols::{
-        build_cluster, build_cluster_bounded, build_cluster_parallel, ProtocolKind, SchedulerKind,
-    };
+    use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+
+    const FOUR_SHARDS: ExecutorKind = ExecutorKind::ParallelSim { shards: 4 };
 
     #[test]
     fn driver_completes_everything_it_issues() {
         let config = SystemConfig::mwmr(4, 2, 2);
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Eiger] {
-            let mut cluster =
-                build_cluster(protocol, &config, SchedulerKind::Latency { seed: 1, min: 1, max: 20 })
-                    .unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 20 })
+                .build()
+                .unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (history, report) =
                 WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 60);
@@ -387,12 +366,10 @@ mod tests {
     #[test]
     fn read_probe_issues_reads_under_concurrent_writes() {
         let config = SystemConfig::mwmr(4, 3, 1);
-        let mut cluster = build_cluster(
-            ProtocolKind::AlgC,
-            &config,
-            SchedulerKind::Latency { seed: 3, min: 1, max: 10 },
-        )
-        .unwrap();
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+            .scheduler(SchedulerKind::Latency { seed: 3, min: 1, max: 10 })
+            .build()
+            .unwrap();
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
         let (history, report) =
             WorkloadDriver::default().run_read_probe(cluster.as_mut(), &mut generator, 10, 3);
@@ -405,15 +382,17 @@ mod tests {
     fn run_checked_verifies_the_full_history() {
         let config = SystemConfig::mwmr(4, 2, 2);
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
-            let mut cluster = build_cluster(
-                protocol,
-                &config,
-                SchedulerKind::Latency { seed: 5, min: 1, max: 15 },
-            )
-            .unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 5, min: 1, max: 15 })
+                .build()
+                .unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (history, report, verdict) =
-                WorkloadDriver::new(4).run_checked(cluster.as_mut(), &mut generator, 40);
+            let (history, report, verdict) = WorkloadDriver::new(4).run_checked_mode(
+                cluster.as_mut(),
+                &mut generator,
+                40,
+                CheckMode::PostHoc,
+            );
             assert_eq!(report.completed, 40, "{protocol:?}");
             assert!(
                 verdict.is_serializable(),
@@ -445,13 +424,13 @@ mod tests {
             } else {
                 config.clone()
             };
-            let sched = SchedulerKind::Latency { seed: 9, min: 1, max: 20 };
-            let mut unbounded = build_cluster(protocol, &config, sched).unwrap();
+            let spec = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 9, min: 1, max: 20 });
+            let mut unbounded = spec.build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (full, _) = WorkloadDriver::new(4).run(unbounded.as_mut(), &mut generator, 60);
 
-            let mut bounded =
-                build_cluster_bounded(protocol, &config, sched, 10_000_000, 256).unwrap();
+            let mut bounded = spec.trace_capacity(Some(256)).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (windowed, _) = WorkloadDriver::new(4).run(bounded.as_mut(), &mut generator, 60);
             assert_eq!(
@@ -471,12 +450,14 @@ mod tests {
         let config = SystemConfig::mwmr(4, 2, 2);
         let sched = SchedulerKind::Latency { seed: 21, min: 1, max: 18 };
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
-            let mut serial = build_cluster(protocol, &config, sched).unwrap();
+            let spec = ClusterSpec::new(protocol, &config).scheduler(sched);
+            let mut serial = spec.build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (serial_history, _) =
                 WorkloadDriver::new(4).run(serial.as_mut(), &mut generator, 40);
 
-            let mut one_shard = build_cluster_parallel(protocol, &config, sched, 1).unwrap();
+            let mut one_shard =
+                spec.clone().executor(ExecutorKind::ParallelSim { shards: 1 }).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (one_shard_history, _) =
                 WorkloadDriver::new(4).run(one_shard.as_mut(), &mut generator, 40);
@@ -486,10 +467,14 @@ mod tests {
                 "{protocol:?}: 1-shard parallel cluster diverged from serial"
             );
 
-            let mut sharded = build_cluster_parallel(protocol, &config, sched, 4).unwrap();
+            let mut sharded = spec.executor(FOUR_SHARDS).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (history, report, verdict) =
-                WorkloadDriver::new(4).run_checked(sharded.as_mut(), &mut generator, 40);
+            let (history, report, verdict) = WorkloadDriver::new(4).run_checked_mode(
+                sharded.as_mut(),
+                &mut generator,
+                40,
+                CheckMode::PostHoc,
+            );
             assert_eq!(report.completed, 40, "{protocol:?}");
             assert!(
                 verdict.is_serializable(),
@@ -508,23 +493,19 @@ mod tests {
         // scheduler, shard count and workload — byte-identical histories.
         // Blocking (lock convoys), AlgA (C2C) and AlgB (two-round reads)
         // exercise every causal-chain shape that pruning could break.
-        use snow_protocols::{build_cluster_on, ExecutorKind};
         let sched = SchedulerKind::Latency { seed: 13, min: 1, max: 20 };
-        let executor = ExecutorKind::ParallelSim { shards: 4 };
         for protocol in [ProtocolKind::AlgA, ProtocolKind::AlgB, ProtocolKind::Blocking] {
             let config = if protocol.needs_c2c() {
                 SystemConfig::mwsr(4, 2, true)
             } else {
                 SystemConfig::mwmr(4, 2, 2)
             };
-            let mut unbounded =
-                build_cluster_on(protocol, &config, sched, executor, 10_000_000, None).unwrap();
+            let spec = ClusterSpec::new(protocol, &config).scheduler(sched).executor(FOUR_SHARDS);
+            let mut unbounded = spec.build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (full, _) = WorkloadDriver::new(4).run(unbounded.as_mut(), &mut generator, 60);
 
-            let mut bounded =
-                build_cluster_on(protocol, &config, sched, executor, 10_000_000, Some(256))
-                    .unwrap();
+            let mut bounded = spec.trace_capacity(Some(256)).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (windowed, _) = WorkloadDriver::new(4).run(bounded.as_mut(), &mut generator, 60);
             assert_eq!(
@@ -539,12 +520,10 @@ mod tests {
     fn paced_driver_completes_everything_with_one_outstanding_per_client() {
         let config = SystemConfig::mwmr(4, 2, 2);
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Eiger] {
-            let mut cluster = build_cluster(
-                protocol,
-                &config,
-                SchedulerKind::Latency { seed: 1, min: 1, max: 20 },
-            )
-            .unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 20 })
+                .build()
+                .unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (history, report) =
                 WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, 60);
@@ -577,9 +556,10 @@ mod tests {
     #[test]
     fn paced_driver_is_deterministic() {
         let config = SystemConfig::mwmr(4, 2, 2);
-        let sched = SchedulerKind::Latency { seed: 17, min: 1, max: 18 };
+        let spec = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 17, min: 1, max: 18 });
         let run_serial = || {
-            let mut cluster = build_cluster(ProtocolKind::AlgB, &config, sched).unwrap();
+            let mut cluster = spec.build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (history, report) =
                 WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, 50);
@@ -592,8 +572,7 @@ mod tests {
         assert!(waves > 13, "only {waves} waves — still running in lockstep rounds?");
 
         let run_sharded = || {
-            let mut cluster =
-                build_cluster_parallel(ProtocolKind::AlgB, &config, sched, 4).unwrap();
+            let mut cluster = spec.clone().executor(FOUR_SHARDS).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (history, _) =
                 WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, 50);
@@ -608,21 +587,16 @@ mod tests {
     /// the assembled history.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
-        use snow_protocols::{build_cluster_on, ExecutorKind};
         let config = SystemConfig::mwmr(4, 2, 2);
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
-        for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
+        for executor in [ExecutorKind::SerialSim, FOUR_SHARDS] {
             for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
                 let run = |mode: CheckMode| {
-                    let mut cluster = build_cluster_on(
-                        protocol,
-                        &config,
-                        sched,
-                        executor,
-                        snow_protocols::DEFAULT_MAX_STEPS,
-                        None,
-                    )
-                    .unwrap();
+                    let mut cluster = ClusterSpec::new(protocol, &config)
+                        .scheduler(sched)
+                        .executor(executor)
+                        .build()
+                        .unwrap();
                     let mut generator =
                         WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
                     WorkloadDriver::new(4).run_checked_mode(
@@ -651,8 +625,10 @@ mod tests {
     #[test]
     fn driver_works_for_algorithm_a_mwsr() {
         let config = SystemConfig::mwsr(3, 3, true);
-        let mut cluster =
-            build_cluster(ProtocolKind::AlgA, &config, SchedulerKind::Random(5)).unwrap();
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgA, &config)
+            .scheduler(SchedulerKind::Random(5))
+            .build()
+            .unwrap();
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::uniform_read_mostly());
         let (history, report) = WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 40);
         assert_eq!(report.completed, 40);

@@ -9,7 +9,9 @@
 //!   objects-per-WRITE;
 //! * [`driver`] — drives a generated workload against any
 //!   [`snow_protocols::Cluster`] in rounds of concurrent transactions,
-//!   returning the merged history for the checker and the metrics tables;
+//!   returning the history for the checker and the metrics tables;
+//! * [`open_loop`] — drives any cluster at a fixed offered rate instead:
+//!   latency-vs-load curves and saturation knees;
 //! * [`scenario`] — the scenario matrix: protocols × geo-topologies ×
 //!   workload shapes, each cell running on a topology-scheduled cluster and
 //!   condensed into an [`SloReport`] (SNOW verdict, p50/p99 read latency,
@@ -26,9 +28,8 @@ pub mod zipf;
 
 pub use driver::{CheckMode, DriverReport, WorkloadDriver};
 pub use open_loop::{
-    arrival_schedule, drive_open_loop, rate_sweep, run_open_loop, run_open_loop_checked,
-    run_open_loop_checked_mode, run_open_loop_observed, zipf_sweep, Arrival, OpenLoopReport,
-    OpenLoopSpec, RateSweep,
+    arrival_schedule, drive_open_loop, drive_open_loop_checked, rate_sweep, zipf_sweep, Arrival,
+    OpenLoopReport, OpenLoopSpec, RateSweep,
 };
 pub use generator::{GeneratedTx, WorkloadGenerator, WorkloadSpec};
 pub use scenario::{

@@ -46,9 +46,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use snow_checker::{check_auto, LatencyStats, Verdict};
 use snow_core::{ClientId, History, Result, SystemConfig, TxId, TxKind, TxSpec};
-use snow_protocols::{
-    build_cluster_observed, build_cluster_on, Cluster, ExecutorKind, ProtocolKind, SchedulerKind,
-};
+use snow_protocols::{Cluster, ClusterSpec};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Parameters of one open-loop run.
@@ -147,7 +145,12 @@ pub struct OpenLoopReport {
 /// history (checker-ready) and the report.
 ///
 /// The cluster must be freshly built (no prior transactions) and deployed
-/// over the same `config` the schedule was generated for.
+/// over the same `config` the schedule was generated for.  Saturation runs
+/// are long: build it with `ClusterSpec::max_steps(u64::MAX)` and a
+/// `ClusterSpec::trace_capacity` window so memory stays O(in-flight).  On
+/// a cluster built with `ClusterSpec::observed`, drain the recorded events
+/// afterwards with [`Cluster::drain_obs_events`] and feed them to
+/// `snow_obs::perfetto_json` or `snow_obs::fold_events`.
 pub fn drive_open_loop(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
@@ -252,100 +255,49 @@ fn drive_open_loop_tapped(
     (history, report)
 }
 
-/// Builds a cluster of `protocol` on `executor` and drives `spec` open
-/// loop.  The trace is bounded (window 4096) and the step cap removed, so
-/// long saturation runs stay O(in-flight) in memory.
-pub fn run_open_loop(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    spec: &OpenLoopSpec,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-) -> Result<(History, OpenLoopReport)> {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
-    Ok(drive_open_loop(cluster.as_mut(), config, spec))
-}
-
-/// [`run_open_loop`] with observability recording: the cluster is built
-/// via [`snow_protocols::build_cluster_observed`], so every shard's
-/// dispatch core records its virtual-time event stream
-/// (`InvocationDispatched`, `MessageSent`, `MessageDelivered`,
-/// `EpochBarrierCrossed`, `TxCommitted`), returned alongside the report.
-/// Feed the events to `snow_obs::perfetto_json` for a Perfetto trace or
-/// `snow_obs::fold_events` for a metrics snapshot.
-pub fn run_open_loop_observed(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    spec: &OpenLoopSpec,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-) -> Result<(History, OpenLoopReport, Vec<snow_protocols::deploy::ShardEvent>)> {
-    let mut cluster =
-        build_cluster_observed(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
-    let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);
-    let events = cluster.drain_obs_events();
-    Ok((history, report, events))
-}
-
-/// [`run_open_loop`] followed by a full-history strict-serializability
-/// check ([`snow_checker::check_auto`]), mirroring
-/// [`crate::driver::WorkloadDriver::run_checked`].
-pub fn run_open_loop_checked(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    spec: &OpenLoopSpec,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-) -> Result<(History, OpenLoopReport, Verdict)> {
-    run_open_loop_checked_mode(protocol, config, spec, scheduler, executor, CheckMode::PostHoc)
-}
-
-/// [`run_open_loop_checked`] with an explicit [`CheckMode`].
+/// [`drive_open_loop`] plus a strict-serializability verdict, mirroring
+/// [`crate::driver::WorkloadDriver::run_checked_mode`].
 ///
-/// In [`CheckMode::Streaming`] a [`snow_checker::StreamChecker`] rides
-/// along with the run: after every completion wave the cluster's commit
-/// log is drained into the checker ([`Cluster::drain_commits`]) and the
-/// certification frontier advances past everything the simulator can no
-/// longer invoke before — so the verdict is produced incrementally, in
-/// RESP order, with memory bounded by the live window instead of the full
-/// history.  Works unchanged on both substrates (serial and sharded); on
-/// the sharded one the drain itself holds back commits until they are
-/// globally final.  The verdicts of the two modes always agree.
-pub fn run_open_loop_checked_mode(
-    protocol: ProtocolKind,
+/// [`CheckMode::PostHoc`] hands the finished history to
+/// [`snow_checker::check_auto`].  In [`CheckMode::Streaming`] a
+/// [`snow_checker::StreamChecker`] rides along with the run: after every
+/// completion wave the cluster's commit log is drained into the checker
+/// ([`Cluster::drain_commits`]) and the certification frontier advances
+/// past everything the simulator can no longer invoke before — so the
+/// verdict is produced incrementally, in RESP order, with memory bounded
+/// by the live window instead of the full history.  Works unchanged on
+/// both substrates (serial and sharded); on the sharded one the drain
+/// itself holds back commits until they are globally final.  The verdicts
+/// of the two modes always agree.
+pub fn drive_open_loop_checked(
+    cluster: &mut dyn Cluster,
     config: &SystemConfig,
     spec: &OpenLoopSpec,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
     mode: CheckMode,
-) -> Result<(History, OpenLoopReport, Verdict)> {
+) -> (History, OpenLoopReport, Verdict) {
     match mode {
         CheckMode::PostHoc => {
-            let (history, report) = run_open_loop(protocol, config, spec, scheduler, executor)?;
+            let (history, report) = drive_open_loop(cluster, config, spec);
             let verdict = check_auto(&history);
-            Ok((history, report, verdict))
+            (history, report, verdict)
         }
         CheckMode::Streaming => {
-            let mut cluster =
-                build_cluster_on(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
             let mut checker = snow_checker::StreamChecker::new();
             let (history, report) =
-                drive_open_loop_tapped(cluster.as_mut(), config, spec, &mut |cluster| {
+                drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
                     drain_into(&mut checker, cluster);
                 });
-            let verdict = finish_stream(checker, cluster.as_mut(), &history);
-            Ok((history, report, verdict))
+            let verdict = finish_stream(checker, cluster, &history);
+            (history, report, verdict)
         }
     }
 }
 
-/// One latency-vs-throughput curve: the per-rate reports of one protocol,
-/// in offered-rate order, with the saturation knee (the first saturated
-/// rate, if the sweep reached one).
+/// One latency-vs-throughput curve: the per-rate reports of one cluster
+/// spec, in offered-rate order, with the saturation knee (the first
+/// saturated rate, if the sweep reached one).
 #[derive(Debug, Clone)]
 pub struct RateSweep {
-    /// The swept protocol.
-    pub protocol: ProtocolKind,
     /// One report per offered rate, in sweep order.
     pub points: Vec<OpenLoopReport>,
 }
@@ -357,26 +309,24 @@ impl RateSweep {
     }
 }
 
-/// Sweeps `protocol` across `rates` (arrivals per kilotick), driving the
+/// Sweeps `cluster` across `rates` (arrivals per kilotick), driving the
 /// same `(workload, arrival_seed, arrivals)` schedule shape at each rate
-/// against a fresh cluster — the latency-vs-throughput curve of the
-/// protocol.  `BENCH_simcore.json`'s `open_loop` section is generated from
-/// these sweeps.
+/// against a fresh build of the spec — the latency-vs-throughput curve of
+/// its protocol on its network (scheduler or topology, faults included).
+/// `BENCH_simcore.json`'s `open_loop` section is generated from these
+/// sweeps.
 pub fn rate_sweep(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
+    cluster: &ClusterSpec,
     base: &OpenLoopSpec,
     rates: &[u64],
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
 ) -> Result<RateSweep> {
     let mut points = Vec::with_capacity(rates.len());
     for &rate in rates {
         let spec = OpenLoopSpec { rate, ..base.clone() };
-        let (_, report) = run_open_loop(protocol, config, &spec, scheduler, executor)?;
+        let (_, report) = drive_open_loop(cluster.build()?.as_mut(), cluster.config(), &spec);
         points.push(report);
     }
-    Ok(RateSweep { protocol, points })
+    Ok(RateSweep { points })
 }
 
 /// Sweeps Zipf skew at a fixed offered rate: hot-key contention curves.
@@ -384,12 +334,9 @@ pub fn rate_sweep(
 /// protocols (AlgB/AlgC reads) barely move; the blocking baseline's p99
 /// degrades as the hot key serializes its lock queue.
 pub fn zipf_sweep(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
+    cluster: &ClusterSpec,
     base: &OpenLoopSpec,
     exponents: &[f64],
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
 ) -> Result<Vec<(f64, OpenLoopReport)>> {
     let mut points = Vec::with_capacity(exponents.len());
     for &exponent in exponents {
@@ -397,7 +344,7 @@ pub fn zipf_sweep(
             workload: WorkloadSpec { zipf_exponent: exponent, ..base.workload.clone() },
             ..base.clone()
         };
-        let (_, report) = run_open_loop(protocol, config, &spec, scheduler, executor)?;
+        let (_, report) = drive_open_loop(cluster.build()?.as_mut(), cluster.config(), &spec);
         points.push((exponent, report));
     }
     Ok(points)
@@ -406,13 +353,18 @@ pub fn zipf_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snow_core::ServerId;
+    use snow_protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
+    use snow_sim::topology::TICK;
+    use snow_sim::{FaultSchedule, Partition, PartitionPolicy, Topology};
+    use std::sync::Arc;
 
-    fn serial() -> ExecutorKind {
-        ExecutorKind::SerialSim
-    }
-
-    fn latency_sched() -> SchedulerKind {
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 }
+    /// Saturation runs are long: no step cap, bounded trace.
+    fn cluster_spec(protocol: ProtocolKind, config: &SystemConfig) -> ClusterSpec {
+        ClusterSpec::new(protocol, config)
+            .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+            .max_steps(u64::MAX)
+            .trace_capacity(Some(4096))
     }
 
     #[test]
@@ -450,16 +402,15 @@ mod tests {
         let base = OpenLoopSpec { arrivals: 300, ..OpenLoopSpec::tao_like(0).clone() };
         // Far below the ~1000/E knee: the system keeps up.
         let spec = OpenLoopSpec { rate: 20, ..base.clone() };
-        let (history, low) =
-            run_open_loop(ProtocolKind::AlgB, &config, &spec, latency_sched(), serial()).unwrap();
+        let cluster = cluster_spec(ProtocolKind::AlgB, &config);
+        let (history, low) = drive_open_loop(cluster.build().unwrap().as_mut(), &config, &spec);
         assert_eq!(low.completed, 300);
         assert_eq!(history.incomplete_count(), 0);
         assert!(!low.saturated, "rate 20: achieved {:.1}", low.achieved_rate);
         // Far above it: arrivals outpace the 1-event/tick service capacity,
         // queueing delay accumulates, achieved rate caps out.
         let spec = OpenLoopSpec { rate: 400, ..base };
-        let (_, high) =
-            run_open_loop(ProtocolKind::AlgB, &config, &spec, latency_sched(), serial()).unwrap();
+        let (_, high) = drive_open_loop(cluster.build().unwrap().as_mut(), &config, &spec);
         assert!(high.saturated, "rate 400: achieved {:.1}", high.achieved_rate);
         assert!(
             high.latency.p99 > low.latency.p99,
@@ -473,25 +424,16 @@ mod tests {
     fn sweep_finds_a_knee_and_is_checkable() {
         let config = SystemConfig::mwmr(4, 4, 4);
         let base = OpenLoopSpec { arrivals: 200, ..OpenLoopSpec::tao_like(0) };
-        let sweep = rate_sweep(
-            ProtocolKind::AlgC,
-            &config,
-            &base,
-            &[20, 400],
-            latency_sched(),
-            serial(),
-        )
-        .unwrap();
+        let cluster = cluster_spec(ProtocolKind::AlgC, &config);
+        let sweep = rate_sweep(&cluster, &base, &[20, 400]).unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.knee(), Some(400));
-        let (_, report, verdict) = run_open_loop_checked(
-            ProtocolKind::AlgC,
+        let (_, report, verdict) = drive_open_loop_checked(
+            cluster.build().unwrap().as_mut(),
             &config,
             &OpenLoopSpec { rate: 100, ..base },
-            latency_sched(),
-            serial(),
-        )
-        .unwrap();
+            CheckMode::PostHoc,
+        );
         assert_eq!(report.completed, 200);
         assert!(verdict.is_serializable(), "{verdict:?}");
     }
@@ -505,15 +447,8 @@ mod tests {
             arrivals: 80,
             arrival_seed: 3,
         };
-        let points = zipf_sweep(
-            ProtocolKind::Blocking,
-            &config,
-            &base,
-            &[0.0, 1.2],
-            latency_sched(),
-            serial(),
-        )
-        .unwrap();
+        let points =
+            zipf_sweep(&cluster_spec(ProtocolKind::Blocking, &config), &base, &[0.0, 1.2]).unwrap();
         assert_eq!(points.len(), 2);
         for (exp, report) in &points {
             assert_eq!(report.issued, 80, "exponent {exp}");
@@ -526,26 +461,14 @@ mod tests {
         let config = SystemConfig::mwmr(4, 4, 4);
         let base = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(0) };
         for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
+            let cluster = cluster_spec(ProtocolKind::AlgB, &config).executor(executor);
             for rate in [30, 300] {
                 let spec = OpenLoopSpec { rate, ..base.clone() };
-                let (history, _, posthoc) = run_open_loop_checked_mode(
-                    ProtocolKind::AlgB,
-                    &config,
-                    &spec,
-                    latency_sched(),
-                    executor,
-                    CheckMode::PostHoc,
-                )
-                .unwrap();
-                let (stream_history, report, stream) = run_open_loop_checked_mode(
-                    ProtocolKind::AlgB,
-                    &config,
-                    &spec,
-                    latency_sched(),
-                    executor,
-                    CheckMode::Streaming,
-                )
-                .unwrap();
+                let run = |mode| {
+                    drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
+                };
+                let (history, _, posthoc) = run(CheckMode::PostHoc);
+                let (stream_history, report, stream) = run(CheckMode::Streaming);
                 assert_eq!(
                     format!("{history:?}"),
                     format!("{stream_history:?}"),
@@ -558,6 +481,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What the deleted `run_open_loop*` family could not express: the
+    /// checked open loop on a topology, and under a fault schedule.
+    #[test]
+    fn streaming_check_runs_on_a_topology_and_under_faults() {
+        let config = SystemConfig::mwmr(4, 4, 4);
+        let spec = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(100) };
+        let wan3 = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .topology(Arc::new(Topology::wan3(&config)), 0x3A)
+            .max_steps(u64::MAX)
+            .trace_capacity(Some(4096));
+        let run = |cluster: &ClusterSpec| {
+            let mut cluster = cluster.build().unwrap();
+            drive_open_loop_checked(cluster.as_mut(), &config, &spec, CheckMode::Streaming)
+        };
+
+        let (history, report, stream) = run(&wan3);
+        assert_eq!(report.completed, 150);
+        assert_eq!(
+            std::mem::discriminant(&stream),
+            std::mem::discriminant(&check_auto(&history)),
+            "stream {stream:?} vs check_auto on the same history"
+        );
+        assert!(stream.is_serializable(), "{stream:?}");
+
+        // `scenario_partition_during_write`'s cut, in site-ticks: its own
+        // window (µticks 20–90) heals before the first WAN delivery.  Only
+        // the accounting is asserted here (verdict agreement under faults is
+        // `tests/fault_checker.rs`'s job): every issued transaction retires,
+        // committed or aborted.
+        let partition = FaultSchedule::new(0xBEEF).with_partition(Partition::isolate_server(
+            ServerId(0),
+            20 * TICK,
+            90 * TICK,
+            PartitionPolicy::Queue,
+        ));
+        let (faulty, report, _) = run(&wan3.clone().faults(partition));
+        assert_eq!(report.issued, 150);
+        assert_eq!(faulty.len(), 150);
+        assert_eq!(faulty.incomplete_count(), 0);
+        assert!(faulty.records.iter().all(|r| r.outcome.is_some()));
+        assert_ne!(
+            format!("{history:?}"),
+            format!("{faulty:?}"),
+            "the partition must actually cut traffic"
+        );
     }
 
     #[test]

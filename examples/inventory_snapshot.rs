@@ -10,12 +10,15 @@
 use snow::impossibility::run_fig5;
 use snow::checker::SnowReport;
 use snow::core::{ObjectId, SystemConfig, TxSpec, Value};
-use snow::protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
 fn main() {
     // 1. Algorithm C: transfers are never observed half-done.
     let config = SystemConfig::mwmr(2, 1, 1);
-    let mut cluster = build_cluster(ProtocolKind::AlgC, &config, SchedulerKind::Random(7)).unwrap();
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+        .scheduler(SchedulerKind::Random(7))
+        .build()
+        .unwrap();
     let writer = config.writers().next().unwrap();
     let reader = config.readers().next().unwrap();
     // Stock starts implicit at the initial value; each transfer writes both

@@ -19,23 +19,25 @@
 use snow::checker::StreamChecker;
 use snow::core::SystemConfig;
 use snow::obs::{fold_events, perfetto_json};
-use snow::protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
-use snow::workload::{run_open_loop_observed, OpenLoopSpec};
+use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow::workload::{drive_open_loop, OpenLoopSpec};
 
 fn main() {
-    // An observed sharded run: same driver as `run_open_loop`, but the
-    // cluster records every dispatch, send, delivery, commit and epoch
+    // An observed sharded run: the same driver as any open-loop run, but
+    // the cluster records every dispatch, send, delivery, commit and epoch
     // barrier into per-shard sinks.
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 400, ..OpenLoopSpec::tao_like(0) };
-    let (history, report, events) = run_open_loop_observed(
-        ProtocolKind::AlgB,
-        &config,
-        &spec,
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-        ExecutorKind::ParallelSim { shards: 4 },
-    )
-    .expect("observed open-loop run");
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+        .executor(ExecutorKind::ParallelSim { shards: 4 })
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .observed(true)
+        .build()
+        .expect("valid observed config");
+    let (history, report) = drive_open_loop(cluster.as_mut(), &config, &spec);
+    let events = cluster.drain_obs_events();
     println!(
         "observed open-loop AlgB [parallel4]: {} arrivals, {} completed, {} events",
         spec.arrivals,

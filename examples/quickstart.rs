@@ -7,13 +7,15 @@
 
 use snow::checker::SnowReport;
 use snow::core::{ObjectId, SystemConfig, TxSpec, Value};
-use snow::protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
 fn main() {
     // 4 shards, 2 writer front-ends, 2 reader front-ends.
     let config = SystemConfig::mwmr(4, 2, 2);
-    let mut cluster =
-        build_cluster(ProtocolKind::AlgB, &config, SchedulerKind::Random(1)).unwrap();
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Random(1))
+        .build()
+        .unwrap();
 
     let writer = config.writers().next().unwrap();
     let reader = config.readers().next().unwrap();

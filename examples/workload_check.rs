@@ -13,19 +13,17 @@
 
 use snow::checker::{check_auto, SnowReport, Verdict};
 use snow::core::SystemConfig;
-use snow::protocols::{build_cluster_bounded, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn main() {
     let config = SystemConfig::mwmr(8, 4, 4);
-    let mut cluster = build_cluster_bounded(
-        ProtocolKind::AlgC,
-        &config,
-        SchedulerKind::Latency { seed: 7, min: 1, max: 25 },
-        u64::MAX,
-        4096, // sliding action window; aggregates stay exact
-    )
-    .unwrap();
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+        .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 25 })
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096)) // sliding action window; aggregates stay exact
+        .build()
+        .unwrap();
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
 
     let total = 5_000;

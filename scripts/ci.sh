@@ -41,9 +41,9 @@
 #      checker behaviour on fault-laden histories (graph/stream agreement,
 #      bounded frontier under aborts, conviction at the offending commit,
 #      orphan retirement — tests/fault_checker.rs);
-#   6. bench_json smoke run: all three executors (serial flood, sharded
-#      parallel flood, tokio runtime read path) and the
-#      checker-throughput section must stay alive end to end.  The smoke
+#   6. bench_json smoke run: both executors (serial flood, sharded
+#      parallel flood) and the checker-throughput section must stay alive
+#      end to end.  The smoke
 #      run does not overwrite BENCH_simcore.json; regenerate that
 #      separately with `cargo run -p snow-bench --release --bin
 #      bench_json` on quiet hardware;
@@ -77,10 +77,6 @@
 #      tracked artifact.  Scenario latencies are virtual site-ticks from
 #      pure per-message hashes — deterministic per seed — so a moved p99
 #      is a topology/protocol behaviour change, never host noise;
-#   9. striped-instrumentation guard: the tokio runtime's per-send
-#      transaction bookkeeping must stay striped by TxId — no global
-#      `Mutex<HashMap<TxId, …>>` field may reappear in
-#      crates/runtime/src/cluster.rs;
 #  10. observability smoke: the bench artifact's `obs` section must come
 #      out of the smoke run (event-folded sim.* metrics + the streaming
 #      checker's frontier counters), and examples/observe_run.rs must run
@@ -105,11 +101,13 @@
 #      observability goldens and the determinism proptests meaningful;
 #  12b. latency-draw confinement: in crates/sim, stateful RNG draws
 #      (`random_range`) may only appear in scheduler.rs, and the
-#      `splitmix64` hash may only be defined in topology.rs (pure
-#      per-message latency draws) and fault.rs (per-message fault gates).
-#      A draw site anywhere else means some engine path started minting
-#      latencies of its own, which silently breaks the shard-count
-#      independence the scenario matrix is pinned on.
+#      `splitmix64` hash behind topology.rs's per-message latency draws
+#      and fault.rs's per-message fault gates has one definition,
+#      `snow_core::hash::splitmix64` — crates/sim may not define its own.
+#      A stateful draw anywhere else means some engine path started
+#      minting latencies of its own, which silently breaks the
+#      shard-count independence the scenario matrix is pinned on; a
+#      second mixer lets the two hash users drift apart.
 #
 # Usage: scripts/ci.sh
 
@@ -222,7 +220,7 @@ if ! grep -q '"faults"' "$smoke_json" \
     echo "smoke run produced no faults section (clean vs 1% drop)" >&2
     exit 1
 fi
-echo "bench smoke ok (serial + parallel flood + runtime + open loop + checker + stream + faults + obs)"
+echo "bench smoke ok (serial + parallel flood + open loop + checker + stream + faults + obs)"
 
 echo "== repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
 cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke > /dev/null
@@ -348,22 +346,6 @@ done <<< "$current_cells"
 echo "scenario matrix ok (${cell_count} cells, per-cell p99 within 5x of tracked)"
 rm -f "$smoke_json"
 
-echo "== striped tx instrumentation (no global per-send mutex) =="
-if ! grep -q 'TX_SHARDS' crates/runtime/src/cluster.rs; then
-    echo "runtime lost its TxId-striped instrumentation (TX_SHARDS)" >&2
-    exit 1
-fi
-global_tx_maps="$(grep -nE '^\s*(waiters|instruments|history):\s*Mutex<' \
-    crates/runtime/src/cluster.rs || true)"
-if [ -n "$global_tx_maps" ]; then
-    echo "global per-transaction mutex field reappeared in the runtime:" >&2
-    echo "$global_tx_maps" >&2
-    echo "Per-send instrumentation must stay striped by TxId (stripe_of);" >&2
-    echo "a single map turns every send into a serialization point." >&2
-    exit 1
-fi
-echo "instrumentation striped"
-
 echo "== observability example (observe_run) =="
 if ! cargo run -q --release --example observe_run | grep -q '^observe_run ok$'; then
     echo "examples/observe_run.rs did not complete" >&2
@@ -386,13 +368,13 @@ wall_clock="$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/sr
 if [ -n "$wall_clock" ]; then
     echo "the simulator read the wall clock:" >&2
     echo "$wall_clock" >&2
-    echo "Simulator events are stamped with virtual ticks only; wall time" >&2
-    echo "belongs to the runtime substrate (crates/runtime)." >&2
+    echo "Simulator events are stamped with virtual ticks only; wall-clock" >&2
+    echo "timing belongs outside crates/sim (crates/bench, the repo benchmark)." >&2
     exit 1
 fi
 echo "sim is wall-clock free"
 
-echo "== latency-draw confinement (scheduler.rs / topology.rs only) =="
+echo "== latency-draw confinement (stateful draws in scheduler.rs, one splitmix64) =="
 rng_strays="$(grep -rn --include='*.rs' '\brandom_range\b' crates/sim/src \
     | grep -v '^crates/sim/src/scheduler.rs:' || true)"
 if [ -n "$rng_strays" ]; then
@@ -402,13 +384,12 @@ if [ -n "$rng_strays" ]; then
     echo "new latency models belong in topology.rs as pure per-message hashes." >&2
     exit 1
 fi
-hash_strays="$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim/src \
-    | grep -v -e '^crates/sim/src/topology.rs:' -e '^crates/sim/src/fault.rs:' || true)"
+hash_strays="$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim || true)"
 if [ -n "$hash_strays" ]; then
-    echo "splitmix64 defined outside topology.rs (latency draws) / fault.rs (fault gates):" >&2
+    echo "splitmix64 defined under crates/sim:" >&2
     echo "$hash_strays" >&2
-    echo "Per-message hashing has exactly two homes; a third definition site" >&2
-    echo "means an engine path started minting its own draws." >&2
+    echo "The mixer has one definition, snow_core::hash::splitmix64; a private" >&2
+    echo "copy lets latency draws and fault gates drift apart." >&2
     exit 1
 fi
 echo "latency draws confined"

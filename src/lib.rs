@@ -6,7 +6,7 @@
 //!
 //! Re-exports every workspace crate under a short module name; see
 //! `README.md` for the quickstart and `ARCHITECTURE.md` for the crate map,
-//! the `Process`/`Effects` contract and the three execution substrates.
+//! the `Process`/`Effects` contract and the two execution substrates.
 
 #![forbid(unsafe_code)]
 
@@ -15,6 +15,5 @@ pub use snow_core as core;
 pub use snow_impossibility as impossibility;
 pub use snow_obs as obs;
 pub use snow_protocols as protocols;
-pub use snow_runtime as runtime;
 pub use snow_sim as sim;
 pub use snow_workload as workload;

@@ -4,14 +4,16 @@
 use snow::checker::SnowReport;
 use snow::core::{ObjectId, SystemConfig, TxSpec, Value};
 use snow::impossibility::{run_three_client_chain, run_two_client_chain};
-use snow::protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
 fn alg_a_is_snow(config: &SystemConfig, seeds: std::ops::Range<u64>) {
     let reader = config.readers().next().unwrap();
     let writers: Vec<_> = config.writers().collect();
     for seed in seeds {
-        let mut cluster =
-            build_cluster(ProtocolKind::AlgA, config, SchedulerKind::Random(seed)).unwrap();
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgA, config)
+            .scheduler(SchedulerKind::Random(seed))
+            .build()
+            .unwrap();
         for round in 0..3u64 {
             let t = round * 10;
             for (i, w) in writers.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Observability-layer guarantees, end to end across all three substrates:
+//! Observability-layer guarantees, end to end across both substrates:
 //!
 //! 1. **Schedule neutrality** — running every golden combo (all 30
 //!    protocol × scheduler fixtures) on an *observed* cluster produces the
@@ -15,19 +15,41 @@
 //! 4. **Checker frontier counters** — the streaming checker's
 //!    `CheckerRetired` events and `StreamReport` counters are populated,
 //!    monotone and internally consistent.
-//! 5. **Runtime observed mode** — a tokio cluster deployed observed
-//!    yields wall-clock events and `runtime.*` metrics; an unobserved one
-//!    yields neither.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow::checker::StreamChecker;
-use snow::core::SystemConfig;
+use snow::core::{History, SystemConfig};
 use snow::obs::json::Json;
-use snow::obs::{fold_events, perfetto_json, ObsEvent};
-use snow::protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
-use snow::workload::{run_open_loop, run_open_loop_observed, OpenLoopSpec, WorkloadSpec};
+use snow::obs::{fold_events, perfetto_json, ObsEvent, ShardEvent};
+use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow::workload::{drive_open_loop, OpenLoopReport, OpenLoopSpec, WorkloadSpec};
 use snow_bench::golden::{combos, run_combo_observed, run_combo_on};
+
+const SCHED: SchedulerKind = SchedulerKind::Latency { seed: 11, min: 1, max: 16 };
+const FOUR_SHARDS: ExecutorKind = ExecutorKind::ParallelSim { shards: 4 };
+
+/// Drives `spec` open loop against an Algorithm B cluster (no step cap,
+/// bounded trace) and returns the history, the report and whatever the
+/// cluster recorded — nothing unless `observed`.
+fn open_loop_run(
+    config: &SystemConfig,
+    spec: &OpenLoopSpec,
+    scheduler: SchedulerKind,
+    executor: ExecutorKind,
+    observed: bool,
+) -> (History, OpenLoopReport, Vec<ShardEvent>) {
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .observed(observed)
+        .build()
+        .expect("valid open-loop config");
+    let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);
+    (history, report, cluster.drain_obs_events())
+}
 
 // ---- 1. schedule neutrality over the golden fixtures ----------------------
 
@@ -79,14 +101,8 @@ fn observed_events(
     } else {
         ExecutorKind::ParallelSim { shards: shards as usize }
     };
-    let (_, report, events) = run_open_loop_observed(
-        ProtocolKind::AlgB,
-        &config,
-        &spec,
-        SchedulerKind::Latency { seed: sched_seed, min: 1, max: 16 },
-        executor,
-    )
-    .expect("observed run");
+    let scheduler = SchedulerKind::Latency { seed: sched_seed, min: 1, max: 16 };
+    let (_, report, events) = open_loop_run(&config, &spec, scheduler, executor, true);
     assert_eq!(report.completed, 40, "open-loop run must complete");
     events
 }
@@ -120,17 +136,14 @@ proptest! {
 
 #[test]
 fn observation_does_not_change_open_loop_reports() {
-    // The observed entry point must drive the identical workload: same
+    // An observed cluster must drive the identical workload: same
     // completion count, same latency percentiles as the plain one.
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 200, ..OpenLoopSpec::tao_like(0) };
-    let sched = SchedulerKind::Latency { seed: 11, min: 1, max: 16 };
-    let executor = ExecutorKind::ParallelSim { shards: 4 };
-    let (history, report) =
-        run_open_loop(ProtocolKind::AlgB, &config, &spec, sched, executor).expect("plain");
+    let (history, report, silent) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, false);
+    assert!(silent.is_empty(), "an unobserved cluster records nothing");
     let (obs_history, obs_report, events) =
-        run_open_loop_observed(ProtocolKind::AlgB, &config, &spec, sched, executor)
-            .expect("observed");
+        open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
     assert_eq!(report.completed, obs_report.completed);
     assert_eq!(report.latency.p99, obs_report.latency.p99);
     assert_eq!(history.records.len(), obs_history.records.len());
@@ -155,14 +168,7 @@ fn observation_does_not_change_open_loop_reports() {
 fn perfetto_export_of_sharded_run_is_schema_valid() {
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 120, ..OpenLoopSpec::tao_like(0) };
-    let (_, _, events) = run_open_loop_observed(
-        ProtocolKind::AlgB,
-        &config,
-        &spec,
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-        ExecutorKind::ParallelSim { shards: 4 },
-    )
-    .expect("observed run");
+    let (_, _, events) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
     let text = perfetto_json(&events, "schema test", 1);
     let doc = Json::parse(&text).expect("exported trace must parse");
     let rows = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
@@ -200,14 +206,7 @@ fn perfetto_export_of_sharded_run_is_schema_valid() {
 fn stream_checker_frontier_counters_are_consistent() {
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 300, ..OpenLoopSpec::tao_like(0) };
-    let (history, _, _) = run_open_loop_observed(
-        ProtocolKind::AlgB,
-        &config,
-        &spec,
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-        ExecutorKind::ParallelSim { shards: 4 },
-    )
-    .expect("observed run");
+    let (history, _, _) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
     let mut checker = StreamChecker::new().with_obs();
     checker.feed_history(&history);
     let verdict = checker.finish();
@@ -253,55 +252,4 @@ fn stream_checker_frontier_counters_are_consistent() {
     assert!(plain.drain_obs_events().is_empty());
     assert_eq!(plain.report().edges_added, report.edges_added);
     assert_eq!(plain.report().max_retirement_lag, report.max_retirement_lag);
-}
-
-// ---- 5. runtime observed mode ---------------------------------------------
-
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn runtime_observed_cluster_records_events_and_metrics() {
-    use snow::core::{ObjectId, TxSpec, Value};
-    use snow::runtime::AsyncCluster;
-    let config = SystemConfig::mwmr(2, 1, 1);
-    let cluster = AsyncCluster::deploy_observed(ProtocolKind::AlgB, &config).unwrap();
-    let writer = config.writers().next().unwrap();
-    let reader = config.readers().next().unwrap();
-    cluster
-        .execute(writer, TxSpec::write(vec![(ObjectId(0), Value(7))]))
-        .await
-        .unwrap();
-    cluster.execute(reader, TxSpec::read(vec![ObjectId(0), ObjectId(1)])).await.unwrap();
-    let metrics = cluster.metrics_snapshot().expect("observed cluster has metrics");
-    assert_eq!(metrics.counters["runtime.invocations"], 2);
-    assert_eq!(metrics.counters["runtime.commits"], 2);
-    assert!(metrics.counters["runtime.sends"] > 0);
-    assert_eq!(metrics.histograms["runtime.tx_latency_ns"].count, 2);
-    let events = cluster.obs_events();
-    let dispatched = events
-        .iter()
-        .filter(|e| matches!(e.event, ObsEvent::InvocationDispatched { .. }))
-        .count();
-    let committed =
-        events.iter().filter(|e| matches!(e.event, ObsEvent::TxCommitted { .. })).count();
-    assert_eq!(dispatched, 2);
-    assert_eq!(committed, 2);
-    // Wall-clock rule: commit follows dispatch on every transaction's stripe.
-    for e in &events {
-        if let ObsEvent::TxCommitted { at, invoked_at, .. } = e.event {
-            assert!(at >= invoked_at, "commit cannot precede its own dispatch");
-        }
-    }
-    // The export path works for wall-clock streams too (ns → µs divisor).
-    let trace = perfetto_json(&events, "runtime", 1_000);
-    assert!(Json::parse(&trace).is_ok());
-    cluster.shutdown().await;
-
-    // Unobserved clusters stay silent.
-    let plain = AsyncCluster::deploy(ProtocolKind::AlgB, &config).unwrap();
-    plain
-        .execute(writer, TxSpec::write(vec![(ObjectId(0), Value(1))]))
-        .await
-        .unwrap();
-    assert!(plain.obs_events().is_empty());
-    assert!(plain.metrics_snapshot().is_none());
-    plain.shutdown().await;
 }

@@ -25,8 +25,8 @@ use proptest::proptest;
 use proptest::ProptestConfig;
 use snow::checker::GraphChecker;
 use snow::core::{History, SystemConfig};
-use snow::protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
-use snow::workload::{run_open_loop, OpenLoopSpec, WorkloadSpec};
+use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow::workload::{drive_open_loop, OpenLoopSpec, WorkloadSpec};
 
 /// Canonical rendering of a history for bit-identity comparison: the full
 /// `Debug` form covers specs, outcomes, timings, rounds, C2C counts and
@@ -44,10 +44,6 @@ fn spec(body_seed: u64, arrival_seed: u64, rate: u64, arrivals: usize) -> OpenLo
     }
 }
 
-fn sched(seed: u64) -> SchedulerKind {
-    SchedulerKind::Latency { seed, min: 1, max: 16 }
-}
-
 fn run(
     protocol: ProtocolKind,
     config: &SystemConfig,
@@ -55,8 +51,15 @@ fn run(
     seed: u64,
     executor: ExecutorKind,
 ) -> History {
-    let (history, report) =
-        run_open_loop(protocol, config, spec, sched(seed), executor).expect("open-loop run");
+    // Saturation runs are long: no step cap, bounded trace.
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(SchedulerKind::Latency { seed, min: 1, max: 16 })
+        .executor(executor)
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .build()
+        .expect("valid open-loop config");
+    let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);
     assert_eq!(report.completed, report.issued, "open-loop arrivals must all complete");
     history
 }

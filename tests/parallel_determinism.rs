@@ -1,7 +1,7 @@
 //! Determinism regression for the sharded parallel engine
 //! (`snow_sim::ParallelSimulation`).
 //!
-//! Two pins:
+//! Four pins:
 //!
 //! * **Golden bit-parity at one shard.**  A 1-shard parallel cluster takes
 //!   the engine's inline fast path, whose step loop replicates the serial
@@ -15,8 +15,15 @@
 //!   observable history must be a pure function of `(seeds, shard count)`
 //!   — independent of how the OS schedules the worker threads.  Two fresh
 //!   runs of every combo at 4 shards must agree byte for byte.
+//! * **Schedule-independent semantics at many shards.**  The serial parity
+//!   plan yields the serial engine's semantic digest at 4 shards under every
+//!   golden scheduler.
+//! * **Serializability under overlap at many shards.**  The concurrent
+//!   parity plan is certified strictly serializable at 2 and 4 shards.
 
-use snow::protocols::ExecutorKind;
+use snow::checker::{GraphChecker, Verdict};
+use snow::core::History;
+use snow::protocols::{ExecutorKind, ProtocolKind};
 use snow_bench::golden;
 use std::collections::BTreeMap;
 
@@ -74,5 +81,80 @@ fn multi_shard_runs_are_reproducible_for_every_combo() {
             "{} not reproducible at 4 shards",
             combo.label
         );
+    }
+}
+
+/// Requires a serialization witness; panics (with the checker's
+/// explanation) otherwise.
+fn assert_strictly_serializable(label: &str, history: &History) {
+    match GraphChecker::new().check(history) {
+        Verdict::Serializable(_) => {}
+        verdict => panic!("{label}: history is not strictly serializable: {verdict:?}"),
+    }
+}
+
+/// The sharded parallel simulator under the parity harness.  For a
+/// *serial* plan the protocol's semantics are schedule-independent, so a
+/// multi-shard run — whose interleaving differs from the serial engine's
+/// by design — must still produce the serial engine's semantic digest.
+#[test]
+fn multi_shard_parallel_engine_agrees_semantically_on_serial_plans() {
+    for protocol in ProtocolKind::all() {
+        let (config, plan) = golden::parity_plan(protocol);
+        let digest_of: fn(&History) -> String = if protocol == ProtocolKind::Eiger {
+            golden::semantic_digest
+        } else {
+            golden::instrumented_digest
+        };
+        for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
+            let serial = golden::run_plan_on(
+                protocol,
+                &config,
+                combo.scheduler,
+                ExecutorKind::SerialSim,
+                &plan,
+            );
+            let parallel = golden::run_plan_on(
+                protocol,
+                &config,
+                combo.scheduler,
+                ExecutorKind::ParallelSim { shards: 4 },
+                &plan,
+            );
+            assert_eq!(parallel.incomplete_count(), 0, "{}", combo.label);
+            assert_eq!(
+                digest_of(&serial),
+                digest_of(&parallel),
+                "{}: serial and 4-shard parallel engines disagree on history semantics",
+                combo.label
+            );
+        }
+    }
+}
+
+/// Concurrent batches on the sharded engine: outcomes are
+/// schedule-dependent, so the contract is serializability-equivalence —
+/// every history the parallel engine produces, at every shard count, must
+/// be certified strictly serializable by the graph checker.
+#[test]
+fn multi_shard_concurrent_batches_are_strictly_serializable() {
+    for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
+        let (config, batches) = golden::concurrent_parity_plan(protocol);
+        for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
+            for shards in [2usize, 4] {
+                let history = golden::run_concurrent_plan_on(
+                    protocol,
+                    &config,
+                    combo.scheduler,
+                    ExecutorKind::ParallelSim { shards },
+                    &batches,
+                );
+                assert_eq!(history.incomplete_count(), 0, "{}/{shards}", combo.label);
+                assert_strictly_serializable(
+                    &format!("{}/parallel{shards}", combo.label),
+                    &history,
+                );
+            }
+        }
     }
 }
