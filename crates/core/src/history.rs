@@ -22,7 +22,9 @@ pub struct ReadResult {
     /// The server that answered.
     pub server: ServerId,
     /// How many versions of the object the server's response carried
-    /// (1 for Algorithms A and B; up to |W|+1 for Algorithm C).
+    /// (1 for Algorithms A and B; for Algorithm C the paper's bound is
+    /// |W|+1, but the implementation never collects versions, so it is
+    /// every version ever written to the object).
     pub versions_in_response: usize,
     /// Whether the server answered without waiting for any other input
     /// action (the N property).  `false` means the server parked the request

@@ -12,9 +12,10 @@ use crate::key::Key;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The multi-version state of a single object: the paper's `Vals` set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectVersions {
     /// All versions ever written, keyed by the WRITE transaction's key.
     vals: BTreeMap<Key, Value>,
@@ -22,7 +23,22 @@ pub struct ObjectVersions {
     /// this server.  Only used by baselines (Eiger-style / simple reads);
     /// Algorithms A, B and C always read by explicit key.
     latest: Key,
+    /// `vals` in key order as one shared slice — what Algorithm C's
+    /// `read-vals` answers with.  Built by the first
+    /// [`ObjectVersions::snapshot`] after an install and dropped by the
+    /// next install, so a READ costs a reference count, not a copy of every
+    /// version stored, and a store nobody snapshots (every other protocol)
+    /// pays one `None` store per install.  A cache: never part of equality.
+    #[serde(skip)]
+    snapshot: Option<Arc<[(Key, Value)]>>,
 }
+
+impl PartialEq for ObjectVersions {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.vals, self.latest) == (&other.vals, other.latest)
+    }
+}
+impl Eq for ObjectVersions {}
 
 impl ObjectVersions {
     /// Creates the initial state `{(κ₀, v⁰)}`.
@@ -32,6 +48,7 @@ impl ObjectVersions {
         ObjectVersions {
             vals,
             latest: Key::initial(),
+            snapshot: None,
         }
     }
 
@@ -40,6 +57,8 @@ impl ObjectVersions {
     pub fn install(&mut self, key: Key, value: Value) -> bool {
         let fresh = self.vals.insert(key, value).is_none();
         self.latest = key;
+        // Snapshots already handed out keep the `Vals` of their request.
+        self.snapshot = None;
         fresh
     }
 
@@ -58,12 +77,27 @@ impl ObjectVersions {
         self.vals[&self.latest]
     }
 
-    /// All `(key, value)` pairs — the full `Vals` set, as returned by
-    /// Algorithm C's `read-vals` handler.  Borrowing iterator in key order;
-    /// callers that need ownership collect at the use site, so hot paths
-    /// that only inspect or count versions allocate nothing.
+    /// All `(key, value)` pairs — the full `Vals` set.  Borrowing iterator
+    /// in key order, for callers that only inspect or count versions;
+    /// Algorithm C's `read-vals` handler, which must hand the set to a
+    /// message, takes [`ObjectVersions::snapshot`] instead.
     pub fn all_versions(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
         self.vals.iter().map(|(k, v)| (*k, *v))
+    }
+
+    /// The full `Vals` set as of this call, in key order (so a reader can
+    /// binary-search it), shared: every snapshot taken between two installs
+    /// is the same allocation, and a later [`ObjectVersions::install`]
+    /// never shows through one taken before it.
+    pub fn snapshot(&mut self) -> Arc<[(Key, Value)]> {
+        match &self.snapshot {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<[(Key, Value)]> = self.all_versions().collect();
+                self.snapshot = Some(Arc::clone(&shared));
+                shared
+            }
+        }
     }
 
     /// Number of versions currently stored (≥ 1: the initial version never
@@ -180,6 +214,57 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert!(all.contains(&(Key::initial(), Value::INITIAL)));
         assert!(all.contains(&(Key::new(2, ClientId(0)), Value(2))));
+    }
+
+    #[test]
+    fn snapshot_is_the_vals_set_in_key_order() {
+        let mut ov = ObjectVersions::new();
+        // Installed out of key order, by two writers whose sequence numbers
+        // interleave: the snapshot sorts by `(seq, writer)` like the map.
+        for (seq, writer) in [(3, 0), (1, 1), (2, 0), (1, 0)] {
+            ov.install(Key::new(seq, ClientId(writer)), Value(seq * 10 + writer as u64));
+        }
+        let snapshot = ov.snapshot();
+        assert_eq!(snapshot.to_vec(), ov.all_versions().collect::<Vec<_>>());
+        assert_eq!(snapshot.len(), ov.version_count());
+        assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
+        // Between installs every snapshot is the same allocation.
+        assert!(Arc::ptr_eq(&snapshot, &ov.snapshot()));
+    }
+
+    #[test]
+    fn a_snapshot_never_sees_a_later_install() {
+        let mut ov = ObjectVersions::new();
+        let (k1, k2) = (Key::new(1, ClientId(0)), Key::new(2, ClientId(0)));
+        ov.install(k1, Value(10));
+        let before = ov.snapshot();
+        ov.install(k2, Value(20));
+        assert_eq!(before.to_vec(), vec![(Key::initial(), Value::INITIAL), (k1, Value(10))]);
+        assert_eq!(ov.snapshot().last(), Some(&(k2, Value(20))));
+        // Re-installing an existing key refreshes the value the next
+        // snapshot carries, and still not the ones already handed out.
+        let stale = ov.snapshot();
+        assert!(!ov.install(k1, Value(11)));
+        assert_eq!(stale[1], (k1, Value(10)));
+        assert_eq!(ov.snapshot()[1], (k1, Value(11)));
+    }
+
+    #[test]
+    fn installs_build_no_snapshot_until_someone_asks() {
+        // Every protocol but Algorithm C installs and never snapshots: the
+        // cache must stay empty, whatever the number of installs.
+        let mut ov = ObjectVersions::new();
+        for seq in 1..=50 {
+            ov.install(Key::new(seq, ClientId(0)), Value(seq));
+            assert!(ov.snapshot.is_none());
+        }
+        assert_eq!(ov.snapshot().len(), 51);
+        // The cache is not part of the value.
+        let mut twin = ObjectVersions::new();
+        for seq in 1..=50 {
+            twin.install(Key::new(seq, ClientId(0)), Value(seq));
+        }
+        assert_eq!(ov, twin);
     }
 
     #[test]

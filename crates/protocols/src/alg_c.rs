@@ -1,13 +1,25 @@
 //! **Algorithm C** (§9, Pseudocodes 5, 7): SNW + *one-round* READ
-//! transactions in the multi-writer multi-reader (MWMR) setting; servers may
-//! return up to |W| + 1 versions (one per concurrent WRITE transaction plus
-//! the stable one).
+//! transactions in the multi-writer multi-reader (MWMR) setting; the paper
+//! bounds a response at |W| + 1 versions (one per concurrent WRITE
+//! transaction plus the stable one).  **This implementation never collects
+//! a version**, so a response carries every version ever written to the
+//! object — 118 on average at 10 000 open-loop arrivals, linear in run
+//! length (`protocols.versions_per_read`).  Reaching the paper's bound
+//! needs version garbage collection, an open question in ROADMAP.md.
 //!
 //! WRITEs are identical to Algorithm B.  A READ is a single parallel round:
 //! the reader simultaneously sends `get-tag-arr` to the coordinator `s*` and
 //! `read-vals` to every server it reads; each server returns its entire
 //! `Vals` set; the reader keeps, per object, the version named by the
 //! coordinator's key array.
+//!
+//! The `Vals` set travels as a copy-on-write snapshot
+//! ([`snow_core::ObjectVersions::snapshot`]): the server keeps one shared,
+//! key-ordered slice per object, rebuilt by the first `read-vals` after an
+//! install, and every response until the next install is a pointer to it.
+//! A snapshot taken before an install never shows it — the paper's "returns
+//! `Vals` as of the request" — and its length is what the instrumentation
+//! counts, so sharing changes no observable quantity.
 //!
 //! ## A liveness edge case the paper glosses over
 //!
@@ -23,8 +35,11 @@
 //! snapshot stays consistent at the coordinator-chosen cut) at the cost of
 //! an extra round in that rare race.  `fallback_rounds()` counts how often
 //! this happened; the adversarial test below shows the race is real, and the
-//! benchmarks show it essentially never fires under realistic schedules.
-//! This is recorded as a reproduction finding in `EXPERIMENTS.md`.
+//! benchmarks show it essentially never fires under realistic schedules
+//! (once in 20 000 open-loop arrivals; `snow-workload` pins that every READ
+//! the history instruments with two rounds is one of these).  ARCHITECTURE.md
+//! ("Closed-loop vs open-loop benchmarking") records it as a reproduction
+//! finding.
 
 use crate::common::{KeyAllocator, PendingWrite, WriteLog};
 use snow_core::{
@@ -33,6 +48,7 @@ use snow_core::{
 };
 use snow_core::{Effects, MsgInfo, Process, ProtocolMessage};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Messages exchanged by Algorithm C.
 #[derive(Debug, Clone)]
@@ -101,8 +117,11 @@ pub enum AlgCMsg {
         tx: TxId,
         /// Object.
         object: ObjectId,
-        /// Every `(key, value)` pair the server currently stores for it.
-        versions: Vec<(Key, Value)>,
+        /// Every `(key, value)` pair the server stored for it when the
+        /// request arrived, in key order: a shared
+        /// [`snow_core::ObjectVersions::snapshot`], so the response (and a
+        /// fault-engine duplicate of it) carries a pointer, not a copy.
+        versions: Arc<[(Key, Value)]>,
     },
     /// Targeted fallback read (our safety extension for the race documented
     /// in the module docs): reader → server.
@@ -155,7 +174,7 @@ struct PendingReadC {
     objects: Vec<ObjectId>,
     tag: Option<Tag>,
     keys: Vec<(ObjectId, Key)>,
-    vals: BTreeMap<ObjectId, Vec<(Key, Value)>>,
+    vals: BTreeMap<ObjectId, Arc<[(Key, Value)]>>,
     resolved: Vec<ObjectRead>,
     awaiting_fallback: Vec<ObjectId>,
     used_fallback: bool,
@@ -221,16 +240,16 @@ impl AlgCReader {
         }
         if pending.resolved.is_empty() {
             // First resolution pass.
-            let keys = pending.keys.clone();
-            for (object, key) in keys {
+            for &(object, key) in &pending.keys {
                 let versions = pending.vals.get(&object).expect("all responses present");
-                match versions.iter().find(|(k, _)| *k == key) {
-                    Some((k, v)) => pending.resolved.push(ObjectRead {
+                // Snapshots are in key order.
+                match versions.binary_search_by_key(&key, |&(k, _)| k) {
+                    Ok(i) => pending.resolved.push(ObjectRead {
                         object,
-                        key: *k,
-                        value: *v,
+                        key,
+                        value: versions[i].1,
                     }),
-                    None => {
+                    Err(_) => {
                         pending.awaiting_fallback.push(object);
                         pending.used_fallback = true;
                         let server = self.config.server_for(object);
@@ -433,8 +452,8 @@ impl Process for AlgCNode {
                 AlgCMsg::ReadVals { tx, object } => {
                     let versions = server
                         .store
-                        .object(object)
-                        .map(|o| o.all_versions().collect())
+                        .object_mut(object)
+                        .map(|o| o.snapshot())
                         .unwrap_or_default();
                     effects.send(
                         from,

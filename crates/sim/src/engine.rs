@@ -363,17 +363,39 @@ where
         }
     }
 
+    /// The commit gate of every completion wait: the first member of
+    /// `watch` (in `watch` order) among the commits the trace logged since
+    /// commit number `*seen`, which is advanced to the current count.  A
+    /// transaction completes only when its `Respond` is recorded, so a wait
+    /// loop that scanned `watch` once on entry needs nothing else after a
+    /// step — O(1) when the step committed nothing, and a slice compare (no
+    /// `records` probe) against the new ids when it did.
+    pub(crate) fn watched_commit(&self, seen: &mut u64, watch: &[TxId]) -> Option<TxId> {
+        let count = self.trace.commit_count();
+        if count == *seen {
+            return None;
+        }
+        let from = std::mem::replace(seen, count);
+        let done = watch
+            .iter()
+            .copied()
+            .find(|&tx| self.trace.commits_since(from).any(|committed| committed == tx));
+        debug_assert!(done.is_none_or(|tx| self.is_complete(tx)), "logged commit without a record");
+        done
+    }
+
     /// Drains local events by the dispatch rules until neither a due
     /// invocation nor the earliest pending delivery falls below
     /// `watermark`, the core has nothing left, or (if watching) **any**
     /// watched transaction completes.  Returns steps executed.
     pub(crate) fn run_epoch(&mut self, watermark: u64, watch: &[TxId]) -> u64 {
         let start = self.steps;
-        loop {
-            if watch.iter().any(|&tx| self.is_complete(tx)) {
-                break;
-            }
-            if self.try_dispatch(watermark).is_none() {
+        if watch.iter().any(|&tx| self.is_complete(tx)) {
+            return 0;
+        }
+        let mut seen = self.trace.commit_count();
+        while self.try_dispatch(watermark).is_some() {
+            if self.watched_commit(&mut seen, watch).is_some() {
                 break;
             }
         }

@@ -411,10 +411,16 @@ where
     /// goes quiescent).  Returns the first completed transaction in `watch`
     /// order.  The open-loop driver's primitive (see
     /// [`crate::Simulation::run_until_any_complete`]); an empty `watch`
-    /// returns `None` without running.
+    /// returns `None` without running, and an already-complete member is
+    /// returned without running — an epoch usually retires several watched
+    /// transactions, and a driver that refills one client per call collects
+    /// the rest here instead of paying a thread spawn per completion.
     pub fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId> {
         if watch.is_empty() {
             return None;
+        }
+        if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
+            return Some(tx);
         }
         self.run(watch);
         self.retire_faulted();
@@ -868,6 +874,23 @@ mod tests {
         let mut expected: Vec<_> = sim.history().records;
         expected.sort_by_key(|r| (r.responded_at, r.tx_id));
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
+    }
+
+    /// The commit gate in `run_epoch` stops an epoch only for a *watched*
+    /// commit: on two shards an unwatched transaction commits first and the
+    /// run keeps going, epoch after epoch, until the watched one does.
+    #[test]
+    fn run_until_any_complete_runs_past_unwatched_commits_across_shards() {
+        let mut sim = deploy(2, 2, 4, |_| FifoScheduler::new());
+        // Clients 0 and 1 sit on different shards; both reads cross shards.
+        let unwatched = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
+        let watched = sim.invoke_at(50_000, ClientId(1), TxSpec::read(vec![ObjectId(0)]));
+        assert_eq!(sim.run_until_any_complete(&[watched]), Some(watched));
+        assert!(sim.is_complete(unwatched));
+        // Already complete: handed back without running another epoch.
+        let now = sim.now();
+        assert_eq!(sim.run_until_any_complete(&[unwatched, watched]), Some(unwatched));
+        assert_eq!(sim.now(), now);
     }
 
     #[test]

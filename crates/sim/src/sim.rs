@@ -268,15 +268,24 @@ where
     /// transaction per client it needs "wake me when any client frees", not
     /// [`Simulation::run_until_complete`]'s single-target wait (which would
     /// stall every other client's next arrival behind one slow
-    /// transaction).  An empty `watch` returns `None` without stepping.
+    /// transaction).  An empty `watch` returns `None` without stepping, and
+    /// a `watch` with an already-complete member returns it without
+    /// stepping — a driver that refills one client per call gets every
+    /// transaction a single step or quiescence retired handed back in
+    /// `watch` order before the clock moves again.
+    ///
+    /// Only the entry scan probes the transaction records; after that a
+    /// step is followed by the commit gate (`DispatchCore::watched_commit`),
+    /// so the wait costs O(1) per step that commits nothing.
     pub fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId> {
         if watch.is_empty() {
             return None;
         }
+        if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
+            return Some(tx);
+        }
+        let mut seen = self.core.trace.commit_count();
         loop {
-            if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
-                return Some(tx);
-            }
             if self.is_quiescent() || self.step() == StepOutcome::Quiescent {
                 // Quiescent with watched transactions still in flight: under
                 // a fault schedule those can never complete — retire them as
@@ -284,6 +293,9 @@ where
                 // livelocked waiting on a transaction whose server died.
                 self.core.abort_orphans();
                 return watch.iter().copied().find(|&tx| self.is_complete(tx));
+            }
+            if let Some(tx) = self.core.watched_commit(&mut seen, watch) {
+                return Some(tx);
             }
         }
     }
@@ -522,6 +534,71 @@ mod tests {
         assert_eq!(sim.now(), before);
         // Nothing left to complete a never-scheduled transaction.
         assert_eq!(sim.run_until_any_complete(&[TxId(99)]), None);
+    }
+
+    /// [`toy_sim`] with a second client, so two transactions can be in
+    /// flight at once.
+    fn two_client_sim<S: Scheduler<ToyMsg>>(scheduler: S) -> Simulation<ToyNode, S> {
+        let mut sim = toy_sim(scheduler);
+        sim.add_process(ToyNode::Client { id: ClientId(1), outstanding: None });
+        sim
+    }
+
+    #[test]
+    fn run_until_any_complete_hands_back_a_finished_member_without_stepping() {
+        let mut sim = toy_sim(FifoScheduler::new());
+        let done = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
+        let later = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
+        assert!(sim.run_until_complete(done));
+        let (now, recorded) = (sim.now(), sim.trace().actions().len());
+        // Already complete on entry: returned even from the back of the
+        // list, and the clock and the trace stay where they were.
+        assert_eq!(sim.run_until_any_complete(&[later, done]), Some(done));
+        assert_eq!((sim.now(), sim.trace().actions().len()), (now, recorded));
+        assert!(!sim.is_complete(later));
+    }
+
+    #[test]
+    fn run_until_any_complete_steps_past_commits_nobody_watches() {
+        let mut sim = two_client_sim(FifoScheduler::new());
+        let unwatched = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
+        let watched = sim.invoke_at(1_000, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
+        // `unwatched` commits first; the commit gate sees it is not in the
+        // watch list and the run goes on to the watched one.
+        assert_eq!(sim.run_until_any_complete(&[watched]), Some(watched));
+        assert!(sim.is_complete(unwatched));
+        assert!(sim.now() > 1_000);
+    }
+
+    /// A quiescence that retires several watched transactions at once (the
+    /// fault engine's orphan rule) hands them back one per call, in `watch`
+    /// order, the later calls without moving the clock — what lets a driver
+    /// refill one client per call and still inject in sweep order.
+    #[test]
+    fn orphans_retired_at_one_quiescence_come_back_in_watch_order() {
+        use crate::fault::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
+
+        let drop_everything = FaultSchedule::new(5).with_region(FaultRegion::always(
+            FaultAction::Drop,
+            EndpointSel::Any,
+            EndpointSel::Any,
+            0,
+            u64::MAX,
+        ));
+        let mut sim = two_client_sim(FifoScheduler::new()).with_faults(drop_everything, None);
+        let a = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
+        let b = sim.invoke_at(0, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
+        // Both requests are dropped, the system goes quiescent and both
+        // orphans abort at the same tick; `b` leads the watch list.
+        assert_eq!(sim.run_until_any_complete(&[b, a]), Some(b));
+        assert!(sim.is_complete(a), "one quiescence retires every orphan");
+        let now = sim.now();
+        assert_eq!(sim.run_until_any_complete(&[a]), Some(a));
+        assert_eq!(sim.now(), now);
+        let history = sim.history();
+        assert!([a, b].iter().all(|&tx| {
+            history.get(tx).unwrap().outcome.as_ref().is_some_and(|o| o.is_aborted())
+        }));
     }
 
     #[test]

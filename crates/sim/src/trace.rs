@@ -710,9 +710,11 @@ impl Trace {
     /// alternative to re-assembling a full history per checker poll.
     /// Already-retired entries are omitted (a `cursor` below
     /// [`Trace::retired_commits`] starts at the oldest live entry).
+    /// O(entries yielded): the run loops' commit gate asks for the last
+    /// one or two entries of an arbitrarily long log after every step.
     pub fn commits_since(&self, cursor: u64) -> impl Iterator<Item = TxId> + '_ {
         let skip = cursor.saturating_sub(self.commits_retired) as usize;
-        self.commits.iter().skip(skip).copied()
+        self.commits.range(skip.min(self.commits.len())..).copied()
     }
 
     /// Retires every commit-log entry before commit number `up_to`,

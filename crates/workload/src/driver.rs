@@ -179,8 +179,10 @@ impl WorkloadDriver {
             queues.entry(tx.client).or_default().push_back(tx.spec);
         }
         let mut rotation: VecDeque<ClientId> = queues.keys().copied().collect();
+        // `owner[i]` is the client whose transaction is `active[i]`.
         let mut active: Vec<TxId> = Vec::new();
-        let mut owner: Vec<(TxId, ClientId)> = Vec::new();
+        let mut owner: Vec<ClientId> = Vec::new();
+        let mut rest: Vec<TxId> = Vec::new();
         let mut all_tx: Vec<TxId> = Vec::with_capacity(total);
         let mut issued = 0usize;
         let mut waves = 0usize;
@@ -194,28 +196,40 @@ impl WorkloadDriver {
                 let tx = cluster.invoke_at(cluster.now(), client, spec);
                 issued += 1;
                 active.push(tx);
-                owner.push((tx, client));
+                owner.push(client);
                 all_tx.push(tx);
             }
-            if cluster.run_until_any_complete(&active).is_none() {
+            // The open-loop driver's handshake: the cluster names the
+            // transaction that completed (the first complete one in
+            // `active` order) and the driver frees that client.
+            let Some(mut done) = cluster.run_until_any_complete(&active) else {
                 break; // nothing outstanding, or the cluster stalled
-            }
+            };
             waves += 1;
-            // Free every client whose transaction completed; clients with
-            // remaining work rejoin the rotation immediately.
-            let mut i = 0;
-            while i < active.len() {
-                let tx = active[i];
-                if cluster.is_complete(tx) {
-                    active.swap_remove(i);
-                    if let Some(pos) = owner.iter().position(|&(t, _)| t == tx) {
-                        let (_, client) = owner.swap_remove(pos);
-                        if queues.get(&client).is_some_and(|q| !q.is_empty()) {
-                            rotation.push_back(client);
-                        }
-                    }
-                } else {
-                    i += 1;
+            loop {
+                let slot = active
+                    .iter()
+                    .position(|&tx| tx == done)
+                    .expect("the cluster returns a member of the watch list");
+                active.swap_remove(slot);
+                let client = owner.swap_remove(slot);
+                // A client with remaining work rejoins the rotation
+                // immediately.
+                if queues.get(&client).is_some_and(|q| !q.is_empty()) {
+                    rotation.push_back(client);
+                }
+                // A sharded epoch or a fault quiescence retires several at
+                // once, and all of them are freed before anything is
+                // refilled.  Everything ahead of `slot` was passed over as
+                // incomplete; ask about the rest with `done` — complete — as
+                // the last entry, so the cluster answers from its entry scan
+                // and cannot step.
+                rest.clear();
+                rest.extend_from_slice(&active[slot..]);
+                rest.push(done);
+                match cluster.run_until_any_complete(&rest) {
+                    Some(next) if next != done => done = next,
+                    _ => break,
                 }
             }
         }
@@ -579,6 +593,86 @@ mod tests {
             format!("{history:?}")
         };
         assert_eq!(run_sharded(), run_sharded(), "sharded paced run not reproducible");
+    }
+
+    /// `run_paced` as it was before the completion handshake: after every
+    /// wait, sweep `active` with `is_complete` and free every client whose
+    /// transaction finished.  Kept as the reference the handshake must equal.
+    fn paced_by_sweep(
+        window: usize,
+        cluster: &mut dyn Cluster,
+        generator: &mut WorkloadGenerator,
+        total: usize,
+    ) -> (History, usize) {
+        let mut queues: BTreeMap<ClientId, VecDeque<TxSpec>> = BTreeMap::new();
+        for _ in 0..total {
+            let tx = generator.next_tx();
+            queues.entry(tx.client).or_default().push_back(tx.spec);
+        }
+        let mut rotation: VecDeque<ClientId> = queues.keys().copied().collect();
+        let mut active: Vec<(TxId, ClientId)> = Vec::new();
+        let mut waves = 0usize;
+        loop {
+            while active.len() < window {
+                let Some(client) = rotation.pop_front() else { break };
+                let Some(spec) = queues.get_mut(&client).and_then(|q| q.pop_front()) else {
+                    continue;
+                };
+                active.push((cluster.invoke_at(cluster.now(), client, spec), client));
+            }
+            let watch: Vec<TxId> = active.iter().map(|&(tx, _)| tx).collect();
+            if cluster.run_until_any_complete(&watch).is_none() {
+                break;
+            }
+            waves += 1;
+            let mut i = 0;
+            while i < active.len() {
+                if cluster.is_complete(active[i].0) {
+                    let (_, client) = active.swap_remove(i);
+                    if queues.get(&client).is_some_and(|q| !q.is_empty()) {
+                        rotation.push_back(client);
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        (cluster.history(), waves)
+    }
+
+    /// Where one wait retires several watched transactions — a fault
+    /// quiescence aborting every orphan, a sharded epoch — the handshake
+    /// frees them in sweep order before refilling anything, so histories
+    /// and the wave count equal the sweep's.  (Freeing one per wait and
+    /// refilling in between reorders `active` and moves `TxId`s.)
+    #[test]
+    fn paced_handshake_equals_the_sweep_when_completions_coincide() {
+        use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
+
+        let config = SystemConfig::mwmr(4, 2, 2);
+        let (any, forever) = (EndpointSel::Any, u64::MAX);
+        let lossy = FaultSchedule::new(0xABCC).with_region(FaultRegion {
+            chance_pct: 5,
+            ..FaultRegion::always(FaultAction::Drop, any, any, 0, forever)
+        });
+        let base = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 16 });
+        let cells = [
+            ("serial, 5% drop", base.clone().faults(lossy.clone())),
+            ("4 shards", base.clone().executor(FOUR_SHARDS)),
+            ("4 shards, 5% drop", base.executor(FOUR_SHARDS).faults(lossy)),
+        ];
+        for (name, spec) in cells {
+            let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+            let (expected, expected_waves) =
+                paced_by_sweep(4, spec.build().unwrap().as_mut(), &mut generator(), 300);
+            let (history, report) =
+                WorkloadDriver::new(4).run_paced(spec.build().unwrap().as_mut(), &mut generator(), 300);
+            assert_eq!(report.issued, 300, "{name}");
+            assert!(report.rounds < 300, "{name}: no wait retired two transactions");
+            assert_eq!(report.rounds, expected_waves, "{name}");
+            assert_eq!(format!("{history:?}"), format!("{expected:?}"), "{name}");
+        }
     }
 
     /// The streaming check mode certifies the same runs the post-hoc mode

@@ -95,6 +95,14 @@
 #      tests/observability.rs — goldens byte-identical observed vs
 #      unobserved — and measured by the repo benchmark's
 #      `obs.overhead_ratio`; the wall-clock pin that stood here is gone);
+#  11b. open-loop driver cost is linear: a pure count, fails on any host.
+#      `the_driver_waits_once_per_transaction_and_probes_nothing`
+#      (crates/workload, release build) wraps a cluster and counts what
+#      `drive_open_loop` asks of it on a 2 000-arrival run — exactly one
+#      completion wait per transaction and zero `is_complete` probes (the
+#      per-wave sweep it replaced made 8 per transaction).  The engine
+#      half — the commit gate in engine.rs — is held by the unit tests of
+#      step 2 and measured by the repo benchmark's `sim.run_ns_per_tx`;
 #  12. virtual-time purity guard: crates/sim must never read the wall
 #      clock (`std::time` / `Instant`) — simulator event streams are a
 #      pure function of (config, seeds, shards), which is what makes the
@@ -362,6 +370,9 @@ echo "partition_drill ok"
 
 echo "== stream-checker hot path (allocation budget + pinned counters) =="
 cargo test -q --release --test stream_hot_path
+
+echo "== open-loop driver cost is linear (exact probe count) =="
+cargo test -q --release -p snow-workload the_driver_waits_once_per_transaction_and_probes_nothing
 
 echo "== virtual-time purity (no wall clock in crates/sim) =="
 wall_clock="$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/src || true)"
