@@ -101,18 +101,9 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}}}",
-            self.count, self.sum, self.min, self.max, self.p50, self.p99
-        )
-    }
-}
-
 /// A frozen, deterministically ordered view of a folded event stream:
-/// `BTreeMap`s so iteration — and [`MetricsSnapshot::to_json`] output — is
-/// stable across runs.
+/// `BTreeMap`s so iteration — and the `Debug` rendering — is stable across
+/// runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Summed counters by name.
@@ -121,25 +112,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot as a stable JSON object with `counters`,
-    /// `gauges` and `histograms` keys, names sorted.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        let gauges: Vec<String> =
-            self.gauges.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        let histograms: Vec<String> =
-            self.histograms.iter().map(|(k, h)| format!("\"{k}\": {}", h.to_json())).collect();
-        format!(
-            "{{\"counters\": {{{}}}, \"gauges\": {{{}}}, \"histograms\": {{{}}}}}",
-            counters.join(", "),
-            gauges.join(", "),
-            histograms.join(", ")
-        )
-    }
 }
 
 /// Derives the simulator's metrics from a recorded event stream.

@@ -41,129 +41,106 @@ fn escape(s: &str) -> String {
 /// virtual tick renders as 1 µs).
 pub fn perfetto_json(events: &[ShardEvent], process_name: &str, ts_divisor: u64) -> String {
     let div = ts_divisor.max(1);
-    let mut rows: Vec<String> = Vec::with_capacity(events.len() + 8);
-    rows.push(format!(
-        "{{\"ph\": \"M\", \"pid\": 0, \"name\": \"process_name\", \
+    // Rows are written straight into the one output buffer (≈ 155 bytes
+    // per event on a sharded run), every row but the first behind a `",\n"`.
+    let mut out = String::with_capacity(events.len() * 160 + 256);
+    let _ = write!(
+        out,
+        "{{\"traceEvents\": [\n  {{\"ph\": \"M\", \"pid\": 0, \"name\": \"process_name\", \
          \"args\": {{\"name\": \"{}\"}}}}",
         escape(process_name)
-    ));
+    );
+    macro_rules! row {
+        ($($fmt:tt)*) => {{
+            out.push_str(",\n  ");
+            let _ = write!(out, $($fmt)*);
+        }};
+    }
     let mut shards: Vec<u32> = events.iter().map(|e| e.shard).collect();
     shards.sort_unstable();
     shards.dedup();
     for shard in &shards {
-        rows.push(format!(
+        row!(
             "{{\"ph\": \"M\", \"pid\": 0, \"tid\": {shard}, \"name\": \"thread_name\", \
              \"args\": {{\"name\": \"shard {shard}\"}}}}"
-        ));
+        );
     }
     for se in events {
         let tid = se.shard;
         let ts = se.event.at() / div;
         match se.event {
-            ObsEvent::InvocationDispatched { tx, client, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"b\", \"cat\": \"tx\", \"id\": {id}, \"pid\": 0, \"tid\": {tid}, \
-                     \"ts\": {ts}, \"name\": \"tx{id}\", \"args\": {{\"client\": {client}}}}}",
-                    id = tx.0,
-                    client = client.0,
-                ));
-            }
-            ObsEvent::TxCommitted { tx, invoked_at, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"e\", \"cat\": \"tx\", \"id\": {id}, \"pid\": 0, \"tid\": {tid}, \
-                     \"ts\": {ts}, \"name\": \"tx{id}\", \"args\": {{\"latency\": {lat}}}}}",
-                    id = tx.0,
-                    lat = se.event.at().saturating_sub(invoked_at) / div,
-                ));
-            }
-            ObsEvent::MessageSent { msg, kind, queue_depth, cross_shard, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"send {kind:?}\", \"args\": {{\"msg\": {msg}, \
-                     \"queue_depth\": {queue_depth}, \"cross_shard\": {cross_shard}}}}}"
-                ));
-            }
-            ObsEvent::MessageDelivered { msg, kind, queue_depth, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"recv {kind:?}\", \"args\": {{\"msg\": {msg}, \
-                     \"queue_depth\": {queue_depth}}}}}"
-                ));
-            }
+            ObsEvent::InvocationDispatched { tx, client, .. } => row!(
+                "{{\"ph\": \"b\", \"cat\": \"tx\", \"id\": {id}, \"pid\": 0, \"tid\": {tid}, \
+                 \"ts\": {ts}, \"name\": \"tx{id}\", \"args\": {{\"client\": {client}}}}}",
+                id = tx.0,
+                client = client.0,
+            ),
+            ObsEvent::TxCommitted { tx, invoked_at, .. } => row!(
+                "{{\"ph\": \"e\", \"cat\": \"tx\", \"id\": {id}, \"pid\": 0, \"tid\": {tid}, \
+                 \"ts\": {ts}, \"name\": \"tx{id}\", \"args\": {{\"latency\": {lat}}}}}",
+                id = tx.0,
+                lat = se.event.at().saturating_sub(invoked_at) / div,
+            ),
+            ObsEvent::MessageSent { msg, kind, queue_depth, cross_shard, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"send {kind:?}\", \"args\": {{\"msg\": {msg}, \
+                 \"queue_depth\": {queue_depth}, \"cross_shard\": {cross_shard}}}}}"
+            ),
+            ObsEvent::MessageDelivered { msg, kind, queue_depth, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"recv {kind:?}\", \"args\": {{\"msg\": {msg}, \
+                 \"queue_depth\": {queue_depth}}}}}"
+            ),
             ObsEvent::EpochBarrierCrossed { epoch, watermark, steps, .. } => {
-                rows.push(format!(
+                row!(
                     "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
                      \"name\": \"epoch steps (shard {tid})\", \"args\": {{\"steps\": {steps}}}}}"
-                ));
-                rows.push(format!(
+                );
+                row!(
                     "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
                      \"name\": \"watermark (shard {tid})\", \
                      \"args\": {{\"watermark\": {watermark}, \"epoch\": {epoch}}}}}"
-                ));
+                );
             }
-            ObsEvent::MessageDropped { msg, src, dst, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"fault drop\", \"args\": {{\"msg\": {msg}, \
-                     \"src\": \"{src}\", \"dst\": \"{dst}\"}}}}"
-                ));
-            }
-            ObsEvent::MessageDuplicated { original, duplicate, src, dst, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"fault dup\", \"args\": {{\"original\": {original}, \
-                     \"duplicate\": {duplicate}, \"src\": \"{src}\", \"dst\": \"{dst}\"}}}}"
-                ));
-            }
-            ObsEvent::ServerCrashed { server, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"server {id} crashed\", \"args\": {{\"server\": {id}}}}}",
-                    id = server.0,
-                ));
-            }
-            ObsEvent::ServerRecovered { server, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"server {id} recovered\", \"args\": {{\"server\": {id}}}}}",
-                    id = server.0,
-                ));
-            }
-            ObsEvent::PartitionStarted { partition, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"partition {partition} started\", \
-                     \"args\": {{\"partition\": {partition}}}}}"
-                ));
-            }
-            ObsEvent::PartitionHealed { partition, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"partition {partition} healed\", \
-                     \"args\": {{\"partition\": {partition}}}}}"
-                ));
-            }
-            ObsEvent::CheckerRetired { certified, live_window, frontier, retirement_lag, .. } => {
-                rows.push(format!(
-                    "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"checker\", \"args\": {{\"certified\": {certified}, \
-                     \"live_window\": {live_window}, \"frontier\": {frontier}, \
-                     \"retirement_lag\": {retirement_lag}}}}}"
-                ));
-            }
+            ObsEvent::MessageDropped { msg, src, dst, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"fault drop\", \"args\": {{\"msg\": {msg}, \
+                 \"src\": \"{src}\", \"dst\": \"{dst}\"}}}}"
+            ),
+            ObsEvent::MessageDuplicated { original, duplicate, src, dst, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"fault dup\", \"args\": {{\"original\": {original}, \
+                 \"duplicate\": {duplicate}, \"src\": \"{src}\", \"dst\": \"{dst}\"}}}}"
+            ),
+            ObsEvent::ServerCrashed { server, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"server {id} crashed\", \"args\": {{\"server\": {id}}}}}",
+                id = server.0,
+            ),
+            ObsEvent::ServerRecovered { server, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"server {id} recovered\", \"args\": {{\"server\": {id}}}}}",
+                id = server.0,
+            ),
+            ObsEvent::PartitionStarted { partition, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"partition {partition} started\", \
+                 \"args\": {{\"partition\": {partition}}}}}"
+            ),
+            ObsEvent::PartitionHealed { partition, .. } => row!(
+                "{{\"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"partition {partition} healed\", \
+                 \"args\": {{\"partition\": {partition}}}}}"
+            ),
+            ObsEvent::CheckerRetired { certified, live_window, frontier, retirement_lag, .. } => row!(
+                "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
+                 \"name\": \"checker\", \"args\": {{\"certified\": {certified}, \
+                 \"live_window\": {live_window}, \"frontier\": {frontier}, \
+                 \"retirement_lag\": {retirement_lag}}}}}"
+            ),
         }
     }
-    let mut out = String::with_capacity(rows.iter().map(|r| r.len() + 4).sum::<usize>() + 32);
-    out.push_str("{\"traceEvents\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(row);
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    out.push_str("\n]}\n");
     out
 }
 
@@ -196,6 +173,20 @@ mod tests {
             },
         ];
         let text = perfetto_json(&events, "sim", 1);
+        // Byte for byte: rows separated by ",\n", none after the last.
+        assert_eq!(
+            text,
+            r#"{"traceEvents": [
+  {"ph": "M", "pid": 0, "name": "process_name", "args": {"name": "sim"}},
+  {"ph": "M", "pid": 0, "tid": 0, "name": "thread_name", "args": {"name": "shard 0"}},
+  {"ph": "M", "pid": 0, "tid": 1, "name": "thread_name", "args": {"name": "shard 1"}},
+  {"ph": "b", "cat": "tx", "id": 7, "pid": 0, "tid": 1, "ts": 3, "name": "tx7", "args": {"client": 2}},
+  {"ph": "e", "cat": "tx", "id": 7, "pid": 0, "tid": 1, "ts": 11, "name": "tx7", "args": {"latency": 8}},
+  {"ph": "C", "pid": 0, "tid": 0, "ts": 12, "name": "epoch steps (shard 0)", "args": {"steps": 0}},
+  {"ph": "C", "pid": 0, "tid": 0, "ts": 12, "name": "watermark (shard 0)", "args": {"watermark": 20, "epoch": 1}}
+]}
+"#
+        );
         let doc = Json::parse(&text).expect("valid JSON");
         let rows = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
         // 1 process meta + 2 thread metas + b + e + 2 counters.

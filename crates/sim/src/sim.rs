@@ -151,8 +151,8 @@ where
     /// retrospective action inspection loses evicted entries.  The
     /// per-message causality table is pruned per transaction at RESP, so a
     /// bounded run's trace memory is O(window + in-flight), which is what
-    /// the workload driver and the flood benches use for the
-    /// 100k+/million-transaction rows.
+    /// the workload driver and the repo benchmark's flood use for their
+    /// 100k+/million-transaction runs.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         assert!(
             self.core.trace.is_empty(),

@@ -15,7 +15,7 @@
 //! * [`scenario`] — the scenario matrix: protocols × geo-topologies ×
 //!   workload shapes, each cell running on a topology-scheduled cluster and
 //!   condensed into an [`SloReport`] (SNOW verdict, p50/p99 read latency,
-//!   rounds, C2C counts) for the `scenarios` section of the bench artifact.
+//!   rounds, C2C counts) — one row of `snow-bench`'s `table_scenarios`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +34,6 @@ pub use open_loop::{
 pub use generator::{GeneratedTx, WorkloadGenerator, WorkloadSpec};
 pub use scenario::{
     run_scenario, scenario_matrix, slo_report, Scenario, ScenarioRun, SloReport, TopologyKind,
-    WorkloadShape, SCENARIO_MATRIX_VERSION,
+    WorkloadShape,
 };
 pub use zipf::Zipf;

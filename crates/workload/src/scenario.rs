@@ -2,14 +2,14 @@
 //! emitting an SLO report.
 //!
 //! The paper's Fig. 1 is a fixed table: protocol rows, a handful of latency
-//! columns.  This module turns it into a continuously-regenerated artifact —
-//! every cell of [`scenario_matrix`] deploys a protocol over a geo-topology
-//! ([`TopologyKind`]), drives a named workload shape ([`WorkloadShape`] —
-//! the `examples/` seeds promoted to first-class mixes), and reports the
-//! observed SNOW verdict alongside p50/p99 read latency, round counts and
-//! client-to-client message counts ([`SloReport`]).  The `scenarios` section
-//! of `BENCH_simcore.json` is exactly this matrix, regenerated by
-//! `bench_json` and regression-guarded in CI.
+//! columns.  This module turns it into a table re-derived on every test
+//! run — every cell of [`scenario_matrix`] deploys a protocol over a
+//! geo-topology ([`TopologyKind`]), drives a named workload shape
+//! ([`WorkloadShape`] — the `examples/` seeds promoted to first-class
+//! mixes), and reports the observed SNOW verdict alongside p50/p99 read
+//! latency, round counts and client-to-client message counts
+//! ([`SloReport`]).  `snow-bench`'s `table_scenarios` prints the matrix and
+//! `tests/topology_scenarios.rs` pins every row of it exactly.
 //!
 //! # Determinism
 //!
@@ -40,12 +40,6 @@ use std::sync::Arc;
 
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 
-/// Version of the scenario matrix definition.  Bumped whenever the cells,
-/// shapes, topologies or the runner change meaning — `bench_json` stamps it
-/// into the artifact's provenance so a stale `scenarios` section is caught
-/// by the CI freshness check exactly like a stale golden fingerprint.
-pub const SCENARIO_MATRIX_VERSION: u32 = 1;
-
 /// The geo-topologies the matrix crosses (presets from
 /// [`snow_sim::topology`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,8 +60,7 @@ impl TopologyKind {
         [TopologyKind::SingleDc, TopologyKind::Wan3, TopologyKind::ClientRemote]
     }
 
-    /// Stable snake_case name used in scenario labels and the bench
-    /// artifact.
+    /// Stable snake_case name used in scenario labels.
     pub fn name(&self) -> &'static str {
         match self {
             TopologyKind::SingleDc => "single_dc",
@@ -108,8 +101,7 @@ impl WorkloadShape {
         [WorkloadShape::SocialGraph, WorkloadShape::FlashSale, WorkloadShape::Snapshot]
     }
 
-    /// Stable snake_case name used in scenario labels and the bench
-    /// artifact.
+    /// Stable snake_case name used in scenario labels.
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadShape::SocialGraph => "social_graph",
@@ -171,8 +163,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Stable label, e.g. `algb/wan3/social_graph` — the cell key in the
-    /// bench artifact.
+    /// Stable label, e.g. `algb/wan3/social_graph` — the cell's key in the
+    /// pinned table.
     pub fn name(&self) -> String {
         format!("{}/{}/{}", protocol_slug(self.protocol), self.topology.name(), self.shape.name())
     }
@@ -215,8 +207,7 @@ pub struct ScenarioRun {
     pub duration_ticks: u64,
 }
 
-/// The per-cell SLO report the bench artifact carries: the paper's Fig. 1
-/// row, plus tail latency.
+/// The per-cell SLO report: the paper's Fig. 1 row, plus tail latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
     /// Cell label ([`Scenario::name`]).
@@ -279,7 +270,7 @@ pub fn run_scenario(
 }
 
 /// Runs a cell on the serial simulator and condenses it into its
-/// [`SloReport`] — the unit `bench_json` emits per matrix cell.
+/// [`SloReport`] — one row of `table_scenarios`.
 pub fn slo_report(scenario: &Scenario, seed: u64, rounds: usize) -> Result<SloReport> {
     let run = run_scenario(scenario, seed, rounds, ExecutorKind::SerialSim)?;
     let report = SnowReport::evaluate(scenario.name(), &run.history);

@@ -48,7 +48,7 @@ fn main() {
     // Metrics are *derived* from the event stream after the run — the
     // deterministic substrates never aggregate live.
     let metrics = fold_events(&events);
-    println!("metrics = {}", metrics.to_json());
+    println!("metrics = {metrics:#?}");
 
     // Perfetto export: shards → threads, transactions → async spans.
     let trace = perfetto_json(&events, "snow observed open-loop (AlgB, 4 shards)", 1);

@@ -1,8 +1,12 @@
 //! Open-loop driver determinism and certification
 //! (`snow_workload::open_loop`).
 //!
-//! Three pins:
+//! Four pins:
 //!
+//! * **The open-loop table, exactly.**  The latency-vs-load curves, knees
+//!   and Zipf points `table_open_loop` prints (`snow_bench::open_loop_rows`
+//!   / `zipf_rows`) are virtual ticks — pure functions of the seeds — so
+//!   they are compared for equality, on the serial engine and on 4 shards.
 //! * **Pure-function histories.**  An open-loop history must be a pure
 //!   function of `(workload seed, arrival seed, rate, shard count)`: two
 //!   fresh runs of the same spec — including on the sharded parallel
@@ -27,6 +31,7 @@ use snow::checker::GraphChecker;
 use snow::core::{History, SystemConfig};
 use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use snow::workload::{drive_open_loop, OpenLoopSpec, WorkloadSpec};
+use snow_bench::{open_loop_rows, row, zipf_rows};
 
 /// Canonical rendering of a history for bit-identity comparison: the full
 /// `Debug` form covers specs, outcomes, timings, rounds, C2C counts and
@@ -72,8 +77,9 @@ fn certify(history: &History, label: &str) {
 #[test]
 fn open_loop_history_is_bit_identical_across_runs_and_certified_at_2_and_4_shards() {
     let config = SystemConfig::mwmr(4, 4, 4);
-    // Past the serial knee (~100/kilotick for AlgB on this config), so the
-    // determinism claim covers the queueing-heavy regime too.
+    // Past AlgB's knee on this config (100/kilotick on both executors, see
+    // the pinned tables below), so the determinism claim covers the
+    // queueing-heavy regime too.
     let spec = spec(5, 7, 150, 120);
     for shards in [2usize, 4] {
         let executor = ExecutorKind::ParallelSim { shards };
@@ -112,6 +118,55 @@ fn wide_fanout_spilling_inline_buffers_keeps_histories_deterministic() {
     let b = run(ProtocolKind::AlgB, &config, &spec, 17, ExecutorKind::SerialSim);
     assert_eq!(canon(&a), canon(&b), "spilled Effects buffers must not perturb emission order");
     certify(&a, "wide-fanout spill run");
+}
+
+/// `table_open_loop`'s rows on `executor` against their pinned rendering:
+/// `| protocol | knee | p50/p99 at 25, 50, 100, 200, 400 per kilotick |` and
+/// `| protocol | Zipf exponent | achieved/offered | saturated | p99 | READ p99 |`.
+fn assert_open_loop_table(executor: ExecutorKind, curves: [&str; 3], zipf: [&str; 6]) {
+    let render = |rows: Vec<Vec<String>>| rows.iter().map(|cells| row(cells)).collect::<Vec<_>>();
+    assert_eq!(render(open_loop_rows(executor)), curves, "{executor:?}: curves");
+    assert_eq!(render(zipf_rows(executor)), zipf, "{executor:?}: Zipf points");
+}
+
+#[test]
+fn serial_open_loop_table_is_pinned() {
+    assert_open_loop_table(
+        ExecutorKind::SerialSim,
+        [
+            "| AlgB | 100 | 50/74 | 55/110 | 468/1302 | 1501/3158 | 2029/4125 |",
+            "| AlgC | 100 | 30/46 | 35/74 | 141/496 | 1095/2343 | 1627/3315 |",
+            "| Blocking | 50 | 83/143 | 190/758 | 1907/4121 | 2978/6047 | 3505/7005 |",
+        ],
+        [
+            "| AlgC | 0.0 | 31.6/31.7 | false | 88 | 42 |",
+            "| AlgC | 0.8 | 31.5/31.7 | false | 70 | 44 |",
+            "| AlgC | 1.2 | 31.6/31.7 | false | 84 | 49 |",
+            "| Blocking | 0.0 | 22.0/31.7 | true | 3234 | 3237 |",
+            "| Blocking | 0.8 | 24.4/31.7 | true | 1812 | 1645 |",
+            "| Blocking | 1.2 | 23.5/31.7 | true | 2247 | 1693 |",
+        ],
+    );
+}
+
+#[test]
+fn four_shard_open_loop_table_is_pinned() {
+    assert_open_loop_table(
+        ExecutorKind::ParallelSim { shards: 4 },
+        [
+            "| AlgB | 100 | 64/127 | 108/295 | 720/2182 | 1786/4005 | 2306/5053 |",
+            "| AlgC | 200 | 34/79 | 38/78 | 64/124 | 377/922 | 895/1866 |",
+            "| Blocking | 50 | 99/188 | 411/1736 | 2530/5718 | 3592/7614 | 4129/8552 |",
+        ],
+        [
+            "| AlgC | 0.0 | 31.4/31.7 | false | 144 | 78 |",
+            "| AlgC | 0.8 | 31.4/31.7 | false | 149 | 80 |",
+            "| AlgC | 1.2 | 31.5/31.7 | false | 142 | 94 |",
+            "| Blocking | 0.0 | 21.3/31.7 | true | 3481 | 3496 |",
+            "| Blocking | 0.8 | 24.3/31.7 | true | 1890 | 1896 |",
+            "| Blocking | 1.2 | 19.9/31.7 | true | 3778 | 3167 |",
+        ],
+    );
 }
 
 proptest! {

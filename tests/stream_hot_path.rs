@@ -8,17 +8,22 @@
 //!   the happy path, pinned to the values the checker produced before its
 //!   bookkeeping was optimised (ISSUE 14), so a later hot-path change that
 //!   moves an edge, an `ord` or a retirement decision fails here;
+//! * **the live window on a real driver history** — the round driver's
+//!   1 000- and 10 000-transaction AlgB histories, every engine's verdict and
+//!   every `StreamReport` counter (peak live window 62 and 86);
 //! * **seal-summary invalidation** — a stale read that re-linearises a
 //!   sealed segment, followed by further reads of the same segment.
 
-use snow::checker::{check_auto, SequentialOt, StreamChecker, StreamReport, Verdict};
+use snow::checker::{
+    check_auto, GraphChecker, SequentialOt, StreamChecker, StreamReport, Verdict,
+};
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, SystemConfig, TxId, TxOutcome,
     TxRecord, TxSpec, Value, WriteOutcome,
 };
-use snow::protocols::{ClusterSpec, ProtocolKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::sim::Topology;
-use snow::workload::{WorkloadGenerator, WorkloadSpec};
+use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -237,6 +242,42 @@ fn steady_state_ingest_stays_inside_its_allocation_budget() {
         w.allocs,
         w.counted_txs
     );
+}
+
+// ---- the live window on a driver history ------------------------------------
+
+#[test]
+fn live_window_on_the_round_driver_history_is_pinned() {
+    // AlgB on `mwmr(8,4,4)`, write-heavy, closed loop in rounds of 8 under
+    // the golden fixtures' latency distribution.  The window is O(in-flight +
+    // frontier), not O(history): 62 at 1 000 transactions, 86 at 10 000 (and
+    // 114 at 100 000, too slow for a debug build, so not run here).  No
+    // engine may answer `Unknown` on it.
+    let config = SystemConfig::mwmr(8, 4, 4);
+    for (transactions, retirements, pinned) in [
+        (1_000, 125, [1077, 0, 62, 43, 371, 926, 466, 0]),
+        (10_000, 1250, [11207, 0, 86, 45, 4168, 10757, 4467, 0]),
+    ] {
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+            .max_steps(u64::MAX)
+            .trace_capacity(Some(4096))
+            .build()
+            .expect("AlgB runs on MWMR configurations");
+        let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+        let (history, driven) =
+            WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, transactions);
+        assert_eq!((driven.issued, driven.completed), (transactions, transactions));
+        let mut stream = StreamChecker::new().with_obs();
+        stream.feed_history(&history);
+        for verdict in [GraphChecker::new().check(&history), check_auto(&history), stream.finish()] {
+            assert!(matches!(verdict, Verdict::Serializable(_)), "{transactions}: {verdict:?}");
+        }
+        let r = stream.report();
+        assert_eq!((r.ingested, r.certified), (transactions, transactions));
+        assert_eq!(counters(&r), pinned, "{transactions} transactions");
+        assert_eq!(stream.drain_obs_events().len(), retirements, "`CheckerRetired` events");
+    }
 }
 
 // ---- same computation off the happy path -----------------------------------

@@ -1,6 +1,6 @@
 //! The scenario matrix's correctness and determinism contract.
 //!
-//! Three pinned properties:
+//! Five pinned properties:
 //!
 //! 1. **Shard-count independence** — a scenario history is a pure function
 //!    of `(scenario, seed)`: the serial simulator and the parallel
@@ -14,13 +14,16 @@
 //!    serializable history under `GraphChecker`, on every topology.  A WAN
 //!    doesn't just stretch latencies; reorderings across heavy-tailed links
 //!    are exactly where serializability bugs would surface.
-//! 3. **Report sanity** — the SLO reports the bench artifact carries are
-//!    internally consistent (p50 ≤ p99, verdict matches the checker, WAN
-//!    floors respected).
+//! 3. **Report sanity** — the SLO reports are internally consistent
+//!    (p50 ≤ p99, verdict matches the checker, WAN floors respected).
 //! 4. **The tie-break is the whole-pool minimum** — `TopologyScheduler`
 //!    picks from the top of the delivery heap; on any pool, however stale
 //!    its heap, that pick is the minimum of `(key, sent_at, source, id)`
 //!    over the live messages — the order property 1 rests on.
+//! 5. **The SLO table, exactly** — the 18 rows `table_scenarios` prints
+//!    (`snow_bench::scenario_rows`: seed 42, 256 rounds, over 1 000
+//!    committed transactions per cell) are virtual site-ticks and checker
+//!    verdicts, pure functions of `(cell, seed)`, compared for equality.
 
 use snow_checker::{GraphChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
@@ -160,6 +163,36 @@ fn every_matrix_cell_is_certified_serializable() {
         assert!(report.read_p50 <= report.read_p99, "{}", cell.name());
         assert_eq!(report.snow.len(), 4, "{}: SNOW verdict shape", cell.name());
     }
+}
+
+/// `| scenario | SNOW | committed | aborted | READ p50 | READ p99 | mean
+/// rounds | C2C messages | duration |`, latencies and duration in site-ticks.
+/// Algorithm C's 1.01 is its counted targeted-fallback round, visible once a
+/// cell commits enough READs.
+#[test]
+fn scenario_slo_table_is_pinned() {
+    let rows: Vec<String> = snow_bench::scenario_rows().iter().map(|c| snow_bench::row(c)).collect();
+    let pinned = [
+        "| algb/single_dc/social_graph | SN-W | 1096 | 0 | 13 | 16 | 2.00 | 0 | 3770 |",
+        "| algb/single_dc/flash_sale | SN-W | 1307 | 0 | 11 | 15 | 2.00 | 0 | 3543 |",
+        "| algb/single_dc/snapshot | SN-W | 1164 | 0 | 13 | 16 | 2.00 | 0 | 3804 |",
+        "| algb/wan3/social_graph | SN-W | 1096 | 0 | 151 | 474 | 2.00 | 0 | 77827 |",
+        "| algb/wan3/flash_sale | SN-W | 1307 | 0 | 101 | 417 | 2.00 | 0 | 68036 |",
+        "| algb/wan3/snapshot | SN-W | 1164 | 0 | 179 | 475 | 2.00 | 0 | 81696 |",
+        "| algb/client_remote/social_graph | SN-W | 1096 | 0 | 199 | 455 | 2.00 | 0 | 77828 |",
+        "| algb/client_remote/flash_sale | SN-W | 1307 | 0 | 155 | 376 | 2.00 | 0 | 65903 |",
+        "| algb/client_remote/snapshot | SN-W | 1164 | 0 | 213 | 449 | 2.00 | 0 | 81202 |",
+        "| algc/single_dc/social_graph | SN-W | 1096 | 0 | 7 | 8 | 1.00 | 0 | 2339 |",
+        "| algc/single_dc/flash_sale | SN-W | 1307 | 0 | 6 | 7 | 1.00 | 0 | 3086 |",
+        "| algc/single_dc/snapshot | SN-W | 1164 | 0 | 7 | 8 | 1.00 | 0 | 2621 |",
+        "| algc/wan3/social_graph | SN-W | 1096 | 0 | 117 | 326 | 1.00 | 0 | 52781 |",
+        "| algc/wan3/flash_sale | SN-W | 1307 | 0 | 62 | 300 | 1.00 | 0 | 55886 |",
+        "| algc/wan3/snapshot | SN-W | 1164 | 0 | 127 | 332 | 1.01 | 0 | 61829 |",
+        "| algc/client_remote/social_graph | SN-W | 1096 | 0 | 120 | 269 | 1.01 | 0 | 54399 |",
+        "| algc/client_remote/flash_sale | SN-W | 1307 | 0 | 88 | 259 | 1.01 | 0 | 54726 |",
+        "| algc/client_remote/snapshot | SN-W | 1164 | 0 | 143 | 371 | 1.01 | 0 | 62252 |",
+    ];
+    assert_eq!(rows, pinned);
 }
 
 /// WAN topologies must actually cost more than the single-DC floor — the
