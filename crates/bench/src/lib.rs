@@ -83,8 +83,7 @@ pub fn comparison_config(protocol: ProtocolKind, servers: u32, writers: u32, rea
 pub const OPEN_LOOP_RATES: [u64; 5] = [25, 50, 100, 200, 400];
 
 /// The cluster every open-loop table run is driven against: the latency
-/// distribution the golden fixtures use, no step cap and a bounded trace, so
-/// long saturation runs stay O(in-flight) in memory.
+/// distribution the golden fixtures use and no step cap.
 fn open_loop_cluster(
     protocol: ProtocolKind,
     config: &SystemConfig,
@@ -94,7 +93,6 @@ fn open_loop_cluster(
         .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
         .executor(executor)
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
 }
 
 /// `table_open_loop`'s curves on `executor`: per protocol, the saturation

@@ -5,8 +5,8 @@
 //! transactions, run the simulation, collect the [`History`].  The
 //! [`Cluster`] trait is that interface, and [`ClusterSpec`] is the one way
 //! to construct a boxed cluster: a [`ProtocolKind`] and a [`SystemConfig`],
-//! plus whichever of scheduler/topology, executor, step cap, trace bound,
-//! observability and fault schedule differ from the defaults.
+//! plus whichever of scheduler/topology, executor, step cap, observability
+//! and fault schedule differ from the defaults.
 
 use crate::any::{deploy_any, AnyNode};
 use snow_core::{ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxSpec};
@@ -248,13 +248,13 @@ enum SchedChoice {
 }
 
 /// The single cluster-construction path: a builder crossing protocol ×
-/// scheduler/topology × executor × step cap × trace bound × observability ×
-/// fault schedule.
+/// scheduler/topology × executor × step cap × observability × fault
+/// schedule.
 ///
 /// Defaults: FIFO scheduler, [`ExecutorKind::SerialSim`],
-/// [`DEFAULT_MAX_STEPS`], unbounded trace, no observability recording, no
-/// faults.  [`ClusterSpec::build`] borrows the spec, so one spec can stamp
-/// out many clusters (e.g. a serial run and its 4-shard parity twin).
+/// [`DEFAULT_MAX_STEPS`], no observability recording, no faults.
+/// [`ClusterSpec::build`] borrows the spec, so one spec can stamp out many
+/// clusters (e.g. a serial run and its 4-shard parity twin).
 ///
 /// ```
 /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
@@ -276,7 +276,6 @@ pub struct ClusterSpec {
     sched: SchedChoice,
     executor: ExecutorKind,
     max_steps: u64,
-    trace_capacity: Option<usize>,
     observed: bool,
     faults: Option<FaultSchedule>,
 }
@@ -290,7 +289,6 @@ impl ClusterSpec {
             sched: SchedChoice::Kind(SchedulerKind::Fifo),
             executor: ExecutorKind::SerialSim,
             max_steps: DEFAULT_MAX_STEPS,
-            trace_capacity: None,
             observed: false,
             faults: None,
         }
@@ -334,37 +332,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Bounds the raw action trace to a sliding window of `capacity`
-    /// actions (`None` = unbounded) and prunes the per-message causality
-    /// table per transaction at RESP.  Histories are byte-identical either
-    /// way; the bound keeps memory O(window + in-flight) on 100k+
-    /// transaction runs.
-    ///
-    /// ```
-    /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-    /// use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
-    ///
-    /// let config = SystemConfig::mwmr(2, 1, 1);
-    /// let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
-    ///     .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
-    ///     .max_steps(u64::MAX) // no step cap
-    ///     .trace_capacity(Some(4096)) // sliding action window; aggregates stay exact
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// let writer = config.writers().next().unwrap();
-    /// let reader = config.readers().next().unwrap();
-    /// let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(9))]));
-    /// assert!(cluster.run_until_complete(w));
-    /// let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
-    /// assert!(cluster.run_until_complete(r));
-    ///
-    /// let history = cluster.history();
-    /// let read = history.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap().clone();
-    /// assert_eq!(read.value_for(ObjectId(0)), Some(Value(9)));
-    /// ```
-    pub fn trace_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.trace_capacity = capacity;
+    /// Identity, kept for `examples/e2e_bench` (frozen benchmark path): there is one trace regime.
+    pub fn trace_capacity(self, _capacity: Option<usize>) -> Self {
         self
     }
 
@@ -529,9 +498,6 @@ impl ClusterSpec {
             let mut sim = Simulation::new(scheduler)
                 .with_max_steps(spec.max_steps)
                 .with_sink(sink);
-            if let Some(capacity) = spec.trace_capacity {
-                sim = sim.with_trace_capacity(capacity);
-            }
             if let Some(faults) = spec.faults.clone() {
                 sim = sim.with_faults(faults, Some(faulty_restart(spec.protocol, &spec.config)));
             }
@@ -570,9 +536,6 @@ impl ClusterSpec {
             let mut sim = ParallelSimulation::new(shards, make_sched)
                 .with_sinks(&mut make_sink)
                 .with_max_steps(spec.max_steps);
-            if let Some(capacity) = spec.trace_capacity {
-                sim = sim.with_trace_capacity(capacity);
-            }
             if let Some(faults) = spec.faults.clone() {
                 let (protocol, config) = (spec.protocol, spec.config.clone());
                 sim = sim.with_faults(faults, move |_i| Some(faulty_restart(protocol, &config)));

@@ -499,10 +499,9 @@ where
             .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
         process.on_message(msg.src, msg.msg, &mut effects);
         self.apply_effects(msg.dst, Some(msg.id), effects);
-        // Bounded mode: this core only needs a delivered message's causal
-        // metadata for aggregates of transactions *invoked here* (the
-        // records map is exactly that set) — RESP-time pruning covers
-        // those.  Anything else would leak until the run ends, since no
+        // This core only needs a delivered message's causal metadata for
+        // aggregates of transactions *invoked here* (the records map is
+        // exactly that set) — RESP-time pruning covers those.  Anything else would leak until the run ends, since no
         // local RESP will ever drop it; prune it now that the handler's
         // sends have folded its chain.  (At stride 1 every transaction is
         // invoked here, so this never fires on the serial engine.)
@@ -539,9 +538,9 @@ where
                 self.note_partitions();
             }
             if verdict.dropped {
-                // Sent, never inserted: the trace keeps the Send record (a
-                // drop is an event of the run), but the causal meta can
-                // never be walked again.
+                // Sent, never inserted: the trace counts the Send (a drop is
+                // an event of the run), but the causal meta can never be
+                // walked again.
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::MessageSent {
                         at: self.now,
@@ -584,9 +583,8 @@ where
                 self.pool.insert(pending);
             } else {
                 let causality = self.trace.export_envelope(id);
-                // Bounded mode: the local meta of a departed message can
-                // never be walked again on this core — only its envelope
-                // travels on.
+                // The local meta of a departed message can never be walked
+                // again on this core — only its envelope travels on.
                 self.trace.prune_meta(id);
                 self.outbox.push(Transit { msg: pending, causality });
             }

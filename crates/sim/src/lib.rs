@@ -20,11 +20,13 @@
 //!   rank index built when a scheduler first selects by rank), so every
 //!   scheduler decides in O(log n) — see [`pool`] and [`scheduler`] for
 //!   the complexity contract;
-//! * every external action (INV, RESP, send, recv) is recorded in a
-//!   [`Trace`], with causal parent links from a delivered message to the
-//!   messages its handler sent.  The trace is what lets `snow-checker`
-//!   verify the N (non-blocking) and O (one-response) properties without
-//!   trusting the protocol's self-reporting;
+//! * every external action (INV, RESP, send, recv) is folded into a
+//!   [`Trace`] — a causal ledger, not a log: round depths and non-blocking
+//!   verdicts derived from the causal parent links between a delivered
+//!   message and the messages its handler sent.  That is what lets
+//!   `snow-checker` verify the N (non-blocking) and O (one-response)
+//!   properties without trusting the protocol's self-reporting; the
+//!   per-action log of a run is the [`TraceSink`] event stream;
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
 //! The serial simulator is single-threaded and fully deterministic given
@@ -71,4 +73,4 @@ pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
 pub use sim::{CommitDrain, InvocationPlan, Simulation, StepOutcome};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};
-pub use trace::{Action, ActionKind, CausalEnvelope, Trace};
+pub use trace::{ActionKind, CausalEnvelope, Trace};

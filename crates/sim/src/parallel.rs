@@ -19,7 +19,7 @@
 //!    into its pool and reports its *next processable virtual time* (the
 //!    earliest delivery key, or the next due invocation's time);
 //! 2. one leader computes the global watermark `min(reports) +
-//!    epoch_width`; if no shard has work and nothing is in transit, the
+//!    EPOCH_WIDTH`; if no shard has work and nothing is in transit, the
 //!    system is quiescent;
 //! 3. every worker drains its sub-queues by the dispatch core's rules
 //!    (`DispatchCore::run_epoch`), buffering cross-shard sends.  The
@@ -69,9 +69,9 @@ use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
 use std::sync::{Barrier, Mutex};
 
-/// Default virtual-time width of one epoch: how far past the globally
-/// earliest event each epoch may drain before the next barrier.
-pub const DEFAULT_EPOCH_WIDTH: u64 = 64;
+/// Virtual-time width of one epoch: how far past the globally earliest
+/// event each epoch may drain before the next barrier.
+pub const EPOCH_WIDTH: u64 = 64;
 
 /// The shard hosting process `id` when partitioning into `shards` shards:
 /// servers by `ServerId`, clients by `ClientId`, both round-robin.  The
@@ -140,7 +140,6 @@ struct ExchangeState<M> {
 pub struct ParallelSimulation<P: Process, S, O: TraceSink = NullSink> {
     shards: Vec<DispatchCore<P, S, O>>,
     next_tx: u64,
-    epoch_width: u64,
     /// Commits drained from their shard but not yet released globally:
     /// shard clocks advance independently, so a record waits here until
     /// every shard's clock has passed its RESP time (see
@@ -168,7 +167,6 @@ where
                 .map(|i| DispatchCore::new(i, shards as u64, make_scheduler(i)))
                 .collect(),
             next_tx: 0,
-            epoch_width: DEFAULT_EPOCH_WIDTH,
             holdback: Vec::new(),
         }
     }
@@ -195,7 +193,6 @@ where
                 .map(|(i, shard)| shard.with_sink(make_sink(i)))
                 .collect(),
             next_tx: self.next_tx,
-            epoch_width: self.epoch_width,
             holdback: self.holdback,
         }
     }
@@ -245,38 +242,6 @@ where
         for shard in &mut self.shards {
             shard.max_steps = max_steps;
         }
-        self
-    }
-
-    /// Bounds every shard's trace to a sliding window of `capacity` recent
-    /// actions (see [`Trace::with_action_capacity`]); aggregates — and
-    /// therefore [`ParallelSimulation::history`] — are unaffected.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        for shard in &mut self.shards {
-            assert!(
-                shard.trace.is_empty(),
-                "set the trace capacity before running the simulation"
-            );
-            shard.trace = Trace::with_action_capacity(capacity);
-        }
-        self
-    }
-
-    /// Overrides the epoch's virtual-time width ([`DEFAULT_EPOCH_WIDTH`]):
-    /// larger epochs mean fewer barriers but coarser cross-shard
-    /// interleaving.  Any width ≥ 1 is deterministic.  The width paces a
-    /// shard by its *earliest pending* event, not by which events the
-    /// scheduler chooses: time-keyed schedulers (FIFO, latency) therefore
-    /// drain ≈ one width of virtual time per epoch, while a random
-    /// scheduler — an unconstrained adversary, as on the serial engine —
-    /// may deliver arbitrarily late-keyed messages within an epoch as
-    /// long as earlier ones remain pending.
-    ///
-    /// # Panics
-    /// Panics if `width` is 0.
-    pub fn with_epoch_width(mut self, width: u64) -> Self {
-        assert!(width > 0, "epoch width must be at least 1 tick");
-        self.epoch_width = width;
         self
     }
 
@@ -453,7 +418,6 @@ where
             return self.total_steps() - start;
         }
         let shard_count = self.shards.len();
-        let width = self.epoch_width;
         let state = Mutex::new(ExchangeState {
             outbound: Vec::new(),
             inbound: (0..shard_count).map(|_| Vec::new()).collect(),
@@ -466,7 +430,7 @@ where
         let barrier = Barrier::new(shard_count);
         std::thread::scope(|scope| {
             for shard in &mut self.shards {
-                scope.spawn(|| worker(shard, &state, &barrier, shard_count, width, watch));
+                scope.spawn(|| worker(shard, &state, &barrier, shard_count, watch));
             }
         });
         // Re-raise the first panic any shard's epoch produced (e.g. the
@@ -510,7 +474,6 @@ fn worker<P, S, O>(
     state: &Mutex<ExchangeState<P::Msg>>,
     barrier: &Barrier,
     shard_count: usize,
-    width: u64,
     watch: &[TxId],
 ) where
     P: Process,
@@ -548,7 +511,7 @@ fn worker<P, S, O>(
             let global = st.reports.iter().filter_map(|t| *t).min();
             st.done = global.is_none() || st.watch_done || st.poisoned.is_some();
             if let Some(earliest) = global {
-                st.watermark = earliest.saturating_add(width);
+                st.watermark = earliest.saturating_add(EPOCH_WIDTH);
             }
         }
         barrier.wait();
@@ -594,8 +557,8 @@ fn worker<P, S, O>(
 mod tests {
     use super::*;
     use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
-    use crate::trace::ActionKind;
     use crate::Simulation;
+    use snow_obs::{ObsEvent, RecordingSink};
     use std::collections::BTreeMap;
     use snow_core::{
         Effects, Key, MsgInfo, ObjectId, ObjectRead, ProtocolMessage, ReadOutcome, ServerId,
@@ -799,27 +762,16 @@ mod tests {
 
     #[test]
     fn bounded_multi_shard_traces_preserve_histories_and_stay_small() {
-        let run = |capacity: Option<usize>| {
-            let mut sim = deploy(4, 4, 4, |i| LatencyScheduler::new(shard_seed(9, i), 1, 16));
-            if let Some(cap) = capacity {
-                sim = sim.with_trace_capacity(cap);
-            }
-            plan(&mut sim, 4);
-            sim.run_until_quiescent();
-            let metas: Vec<usize> =
-                (0..sim.num_shards()).map(|s| sim.trace(s).causal_meta_len()).collect();
-            (format!("{:?}", sim.history()), metas)
-        };
-        let (unbounded_history, unbounded_metas) = run(None);
-        let (bounded_history, bounded_metas) = run(Some(32));
-        // Same seeds, same schedule, same derived history — aggregates do
-        // not depend on the retained window or the pruned metadata.
-        assert_eq!(bounded_history, unbounded_history);
+        let mut sim = deploy(4, 4, 4, |i| LatencyScheduler::new(shard_seed(9, i), 1, 16));
+        let txs = plan(&mut sim, 4);
+        sim.run_until_quiescent();
+        assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
         // Every transaction responded and every cross-shard/foreign meta
-        // was pruned (at export, delivery, or RESP): nothing remains.
-        assert_eq!(bounded_metas, vec![0; 4], "bounded shards must drain their meta tables");
-        // The unbounded engine keeps one meta per send per shard.
-        assert!(unbounded_metas.iter().sum::<usize>() > 100);
+        // was pruned (at export, delivery, or RESP): nothing remains of the
+        // run's 144 sends.
+        let metas: Vec<usize> =
+            (0..sim.num_shards()).map(|s| sim.trace(s).causal_meta_len()).collect();
+        assert_eq!(metas, vec![0; 4], "every shard must drain its meta table");
     }
 
     #[test]
@@ -897,16 +849,18 @@ mod tests {
     fn message_ids_are_strided_per_shard() {
         let mut sim = deploy(4, 4, 4, |_| FifoScheduler::new());
         plan(&mut sim, 4);
+        let mut sim = sim.with_sinks(|_| RecordingSink::new());
         sim.run_until_quiescent();
-        // Shard i only ever assigns ids ≡ i (mod 4): every send recorded in
-        // its trace carries such an id.
-        for (i, shard) in sim.shards.iter().enumerate() {
-            for action in shard.trace.actions() {
-                if let ActionKind::Send { msg, .. } = &action.kind {
-                    assert_eq!(msg.0 as usize % 4, i, "shard {i} id {msg}");
-                }
+        // Shard i only ever assigns ids ≡ i (mod 4): every send in its obs
+        // stream carries such an id.
+        let mut sends = 0;
+        for e in sim.drain_obs_events() {
+            if let ObsEvent::MessageSent { msg, .. } = e.event {
+                assert_eq!(msg % 4, e.shard as u64, "shard {} id {msg}", e.shard);
+                sends += 1;
             }
         }
+        assert_eq!(sends, 144, "24 reads × 3 requests, each answered");
     }
 
     #[test]

@@ -36,8 +36,7 @@
 //! histories) are unchanged.  The delivery heap holds at most one entry
 //! per insert; heap-popping schedulers drain it as the run progresses,
 //! while schedulers that never pop (e.g. the random adversary) leave one
-//! stale entry per send until the pool is dropped — the same order of
-//! growth as the trace's action log.
+//! stale entry per send until the pool is dropped.
 
 use crate::message::{MsgId, PendingMessage};
 use std::cmp::Reverse;

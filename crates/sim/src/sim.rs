@@ -144,21 +144,8 @@ where
         self
     }
 
-    /// Bounds the trace's raw action log to a sliding window of roughly
-    /// `capacity` recent actions (see [`Trace::with_action_capacity`]).
-    /// The per-transaction aggregates — and therefore
-    /// [`Simulation::history`] — are byte-for-byte unaffected; only
-    /// retrospective action inspection loses evicted entries.  The
-    /// per-message causality table is pruned per transaction at RESP, so a
-    /// bounded run's trace memory is O(window + in-flight), which is what
-    /// the workload driver and the repo benchmark's flood use for their
-    /// 100k+/million-transaction runs.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        assert!(
-            self.core.trace.is_empty(),
-            "set the trace capacity before running the simulation"
-        );
-        self.core.trace = Trace::with_action_capacity(capacity);
+    /// Identity, kept for `examples/e2e_bench` (frozen benchmark path): there is one trace regime.
+    pub fn with_trace_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -332,6 +319,7 @@ mod tests {
     use super::*;
     use crate::message::{MsgInfo, SimMessage};
     use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
+    use snow_obs::RecordingSink;
     use snow_core::{
         Effects, Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, TxSpec, Value,
     };
@@ -550,11 +538,11 @@ mod tests {
         let done = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let later = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert!(sim.run_until_complete(done));
-        let (now, recorded) = (sim.now(), sim.trace().actions().len());
+        let (now, recorded) = (sim.now(), sim.trace().len());
         // Already complete on entry: returned even from the back of the
         // list, and the clock and the trace stay where they were.
         assert_eq!(sim.run_until_any_complete(&[later, done]), Some(done));
-        assert_eq!((sim.now(), sim.trace().actions().len()), (now, recorded));
+        assert_eq!((sim.now(), sim.trace().len()), (now, recorded));
         assert!(!sim.is_complete(later));
     }
 
@@ -637,37 +625,6 @@ mod tests {
         sim.add_process(ToyNode::Server { id: ServerId(0) });
     }
 
-    #[test]
-    fn bounded_trace_mode_preserves_histories() {
-        let run = |capacity: Option<usize>| {
-            let mut sim = toy_sim(RandomScheduler::new(11));
-            if let Some(cap) = capacity {
-                sim = sim.with_trace_capacity(cap);
-            }
-            for i in 0..50u64 {
-                sim.invoke_at(i * 3, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
-            }
-            sim.run_until_quiescent();
-            (format!("{:?}", sim.history()), sim.trace().actions().len())
-        };
-        let (unbounded_history, unbounded_actions) = run(None);
-        let (bounded_history, bounded_actions) = run(Some(16));
-        // Same seed, same schedule, same derived history — the aggregates
-        // do not depend on the retained window.
-        assert_eq!(bounded_history, unbounded_history);
-        assert!(bounded_actions <= 32, "window bounded at 2×capacity");
-        assert!(unbounded_actions > 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "before running")]
-    fn trace_capacity_cannot_be_set_mid_run() {
-        let mut sim = toy_sim(FifoScheduler::new());
-        sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
-        sim.run_until_quiescent();
-        let _ = sim.with_trace_capacity(4);
-    }
-
     /// Regression for the adversarial-delivery clock-skew bug: before the
     /// dispatch-core unification, `deliver_where` advanced `now += 1`
     /// without clamping to the delivered message's `deliver_at`, so a
@@ -731,7 +688,7 @@ mod tests {
     fn drain_commits_streams_the_history_in_resp_order() {
         // The toy client supports one outstanding transaction, so space the
         // invocations; the drain contract concerns completed records only.
-        let mut sim = toy_sim(RandomScheduler::new(7)).with_trace_capacity(16);
+        let mut sim = toy_sim(RandomScheduler::new(7));
         for i in 0..40u64 {
             sim.invoke_at(i * 40, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         }
@@ -767,12 +724,12 @@ mod tests {
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
     }
 
-    /// The recorded trace of an adversarially driven run has monotone
-    /// (non-decreasing) action timestamps — the invariant the checkers'
+    /// The action log (the obs stream) of an adversarially driven run has
+    /// monotone (non-decreasing) timestamps — the invariant the checkers'
     /// real-time precedence edges rely on.
     #[test]
     fn adversarially_driven_trace_timestamps_are_monotone() {
-        let mut sim = toy_sim(LatencyScheduler::new(9, 1, 40));
+        let mut sim = toy_sim(LatencyScheduler::new(9, 1, 40)).with_sink(RecordingSink::new());
         for i in 0..6u64 {
             sim.invoke_at(i * 7, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         }
@@ -793,7 +750,11 @@ mod tests {
                 break;
             }
         }
-        let times: Vec<u64> = sim.trace().actions().iter().map(|a| a.time).collect();
+        let times: Vec<u64> = sim.drain_obs_events().iter().map(|e| e.event.at()).collect();
+        // 6 INVs, 24 sends, 24 deliveries and the one RESP the toy client
+        // (one outstanding read, overwritten by each forced INV) gets to.
+        assert_eq!(times.len(), 55);
+        assert_eq!(times.len(), sim.trace().len(), "one event per external action");
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
             "trace timestamps regressed: {times:?}"

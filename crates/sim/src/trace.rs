@@ -1,58 +1,41 @@
-//! Action traces: the external actions of an execution, in order.
+//! The causal ledger: what the substrate derives from an execution's
+//! external actions.
 //!
-//! A [`Trace`] is the executable analogue of the paper's executions
-//! `σ₀, a₁, σ₁, …`: we record only the actions (the paper does the same to
-//! "simplify notation"), each tagged with the automaton at which it occurs,
-//! the simulation time, and — for sends — the causal parent message.
+//! The paper's executions `σ₀, a₁, σ₁, …` are sequences of four external
+//! actions — INV, RESP, send, recv ([`ActionKind`]).  The engine reports
+//! each one to [`Trace::record`], which keeps **no log of them** — the
+//! per-action log of a run is the `snow_obs` event stream (attach a
+//! [`snow_obs::RecordingSink`]) — and folds them into what a
+//! [`snow_core::History`] needs, so [`crate::Simulation::history`] is one
+//! pass over the transaction records:
 //!
-//! # Incremental indexes
+//! * per transaction, C2C sends, the causal round depth per sender, and the
+//!   [`ReadResult`] instrumentation of the read responses its invoking
+//!   client received (so the `Invoke` must be recorded before the
+//!   transaction's messages — always true for engine-driven traces);
+//! * the commit log, transactions in RESP order;
+//! * one compact `SendMeta` per message still able to matter: its
+//!   destination, classification and causal parent.
 //!
-//! Derived quantities are maintained *as actions are recorded*, so the
-//! per-transaction queries the history assembly needs are O(1)/O(answer)
-//! instead of O(actions) rescans:
+//! # Instrumentation is final at RESP
 //!
-//! * `MsgId → send/recv action` lookup tables make [`Trace::send_of`],
-//!   [`Trace::recv_of`] and [`Trace::parent_of`] O(1);
-//! * per-transaction counters accumulate C2C sends, round depths (the causal
-//!   parent-chain walk runs at record time, each hop now O(1)), and the
-//!   [`ReadResult`] instrumentation of read responses received by the
-//!   invoking client;
-//! * per-transaction and per-process action lists back [`Trace::of_tx`] and
-//!   [`Trace::at`] without scanning.
-//!
-//! With these indexes, [`crate::Simulation::history`] is a single pass over
-//! the recorded transactions rather than O(transactions × actions).
-//!
-//! Read-response instrumentation requires the transaction's `Invoke` action
-//! to be recorded before its message actions (always true for engine-driven
-//! traces; hand-built traces must follow the same order).
-//!
-//! # Bounded action logs
-//!
-//! For million-transaction workloads the raw action log dominates memory.
-//! [`Trace::with_action_capacity`] bounds it: only a sliding window of
-//! recent actions is retained (at least `capacity`, at most `2 × capacity`
-//! so eviction amortizes to O(1)), while every incremental aggregate —
-//! round depths, C2C counts, read instrumentation — is maintained from a
-//! compact per-message side table (`SendMeta`) and therefore stays
-//! *exactly* equal to the unbounded trace's.  In bounded mode that side
-//! table is itself pruned per transaction at RESP, so total memory is
-//! O(window + in-flight) rather than O(messages): by the time a
-//! transaction responds, every aggregate its invoker contributes to a
-//! [`snow_core::History`] is final — a client's causal parent chains never
-//! leave its own transaction, and the non-blocking verdict of a read
-//! response only inspects the response's immediate parent, which is
-//! recorded before the RESP.  Queries over evicted actions
-//! ([`Trace::send_of`], [`Trace::recv_of`], [`Trace::at`],
-//! [`Trace::of_tx`]) simply omit them, and [`Trace::parent_of`] forgets
-//! links of completed transactions.
+//! A client's causal parent chains never leave its own transaction, and a
+//! read response's non-blocking verdict inspects only its immediate parent,
+//! recorded before the RESP.  So at RESP a transaction's aggregates are
+//! final: its `SendMeta` entries are dropped, a straggler delivered later
+//! (a duplicate, a slow replica) is not instrumentation, and the table
+//! stays O(in-flight).  What no RESP will prune is dropped where it stops
+//! mattering: unattributable and post-RESP traffic at delivery, and — on
+//! the sharded engine, via [`Trace::prune_meta`] — a message that left for
+//! another shard or belongs to a transaction invoked on one.
 
 use crate::message::{MsgId, MsgInfo, MsgKind};
 use snow_core::{ProcessId, ReadResult, TxId, TxKind};
 use snow_core::FxHashMap;
 use std::collections::VecDeque;
 
-/// The kind of an externally visible action.
+/// The kind of an externally visible action: [`Trace::record`]'s input
+/// vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionKind {
     /// INV(T): a transaction was invoked at a client.
@@ -90,35 +73,9 @@ pub enum ActionKind {
     },
 }
 
-/// One externally visible action of an execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Action {
-    /// Position of the action in the execution (0-based).
-    pub seq: u64,
-    /// Simulation time at which the action occurred.
-    pub time: u64,
-    /// The automaton at which the action occurred.
-    pub at: ProcessId,
-    /// What happened.
-    pub kind: ActionKind,
-}
-
-impl Action {
-    /// The transaction this action belongs to, if it can be attributed.
-    pub fn tx(&self) -> Option<TxId> {
-        match &self.kind {
-            ActionKind::Invoke { tx, .. } | ActionKind::Respond { tx } => Some(*tx),
-            ActionKind::Send { info, .. } | ActionKind::Recv { info, .. } => info.tx,
-        }
-    }
-}
-
 /// Per-transaction incrementally maintained statistics.
 #[derive(Debug, Clone, Default)]
 struct TxIndex {
-    /// Sequence numbers of this transaction's actions, in order (front
-    /// entries are dropped as the ring evicts them).
-    actions: VecDeque<u64>,
     /// The process at which the transaction's INV occurred.
     invoker: Option<ProcessId>,
     /// Client-to-client sends attributed to this transaction.
@@ -128,17 +85,15 @@ struct TxIndex {
     rounds_by_sender: Vec<(ProcessId, u32)>,
     /// Read-response instrumentation, in receive order at the invoker.
     reads: Vec<ReadResult>,
-    /// Message ids sent on behalf of this transaction — tracked only in
-    /// bounded mode, so their [`SendMeta`] entries can be pruned at RESP.
+    /// Message ids sent on behalf of this transaction, so their
+    /// [`SendMeta`] entries can be dropped at RESP.
     msgs: Vec<MsgId>,
-    /// True once the transaction's RESP was recorded (bounded mode prunes
-    /// the causal metadata of its post-RESP straggler traffic on delivery).
+    /// True once the transaction's RESP was recorded.
     responded: bool,
 }
 
 /// Compact record-time metadata of one send: everything the causal
-/// derivations (round depth, non-blocking verdict, parent links) need,
-/// independent of whether the full `Send` action is still retained.
+/// derivations (round depth, non-blocking verdict) need.
 #[derive(Debug, Clone)]
 struct SendMeta {
     to: ProcessId,
@@ -196,29 +151,17 @@ pub struct CausalEnvelope {
     pub parent_tx: Option<TxId>,
 }
 
-/// The ordered list of external actions of one execution, with incremental
-/// per-transaction indexes (see the module docs).
+/// The causal ledger of one execution (see the module docs): per-transaction
+/// aggregates, the commit log, and the causality table of in-flight
+/// messages.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Retained actions; a sliding window of the full log when a capacity
-    /// is set, the full log otherwise.
-    actions: Vec<Action>,
-    /// Sequence number of `actions[0]` (> 0 once evictions happened).
-    base_seq: u64,
     /// Total number of actions ever recorded.
     recorded: u64,
-    /// Retained-action cap (`None` = unbounded).
-    capacity: Option<usize>,
-    /// `MsgId → seq of its Send action`.
-    send_seq: FxHashMap<MsgId, u64>,
-    /// `MsgId → seq of its Recv action`.
-    recv_seq: FxHashMap<MsgId, u64>,
-    /// `MsgId → send metadata` (kept across evictions; see [`SendMeta`]).
+    /// `MsgId → send metadata`, for messages that can still matter.
     send_meta: FxHashMap<MsgId, SendMeta>,
     /// Per-transaction statistics.
     by_tx: FxHashMap<TxId, TxIndex>,
-    /// Per-process action seqs (the projection `trace(α)|p`).
-    by_proc: FxHashMap<ProcessId, VecDeque<u64>>,
     /// Commit log: transactions in RESP order, minus the prefix already
     /// retired by [`Trace::retire_commits`].  `commits[0]` is commit
     /// number `commits_retired`.
@@ -231,39 +174,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace retaining every action.
+    /// Creates an empty ledger.
     pub fn new() -> Self {
         Trace::default()
     }
 
-    /// Creates an empty trace that retains a bounded sliding window of
-    /// recent actions: always the most recent `capacity`, never more than
-    /// `2 × capacity` (eviction is batched so recording stays amortized
-    /// O(1)).  All incremental aggregates — round depths, C2C counts, read
-    /// instrumentation — are unaffected by eviction and match the
-    /// unbounded trace exactly; only the raw-action queries forget evicted
-    /// history.
-    ///
-    /// The compact per-message causality table backing those aggregates
-    /// (~40 B per send) is pruned per transaction at its RESP, so total
-    /// memory is O(window + in-flight messages) rather than O(messages).
-    /// Consequently [`Trace::parent_of`] only answers for messages of
-    /// still-in-flight transactions (and for unattributable control
-    /// traffic, which is never pruned).
-    pub fn with_action_capacity(capacity: usize) -> Self {
-        Trace {
-            capacity: Some(capacity),
-            ..Trace::default()
-        }
-    }
-
-    /// The retained-action cap, if one was set.
-    pub fn action_capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Appends an action, assigning it the next sequence number and folding
-    /// it into the derived indexes.
+    /// Folds one external action, occurring at automaton `at` at simulation
+    /// time `time`, into the ledger.
     pub fn record(&mut self, time: u64, at: ProcessId, kind: ActionKind) {
         // The real-time precedence edges the checkers derive are only
         // trustworthy if recorded action times never regress — the engine's
@@ -274,143 +191,64 @@ impl Trace {
             self.last_time
         );
         self.last_time = time;
-        let seq = self.recorded;
         self.recorded += 1;
-        let action = Action { seq, time, at, kind };
-        self.index_action(seq, &action);
-        self.actions.push(action);
-        if let Some(cap) = self.capacity {
-            // Amortized O(1): let the buffer grow to 2× the cap, then slide
-            // the window in one drain.
-            if self.actions.len() > cap.saturating_mul(2).max(1) {
-                let excess = self.actions.len() - cap;
-                self.evict(excess);
-            }
-        }
-    }
-
-    /// Drops the `count` oldest retained actions and their index entries.
-    fn evict(&mut self, count: usize) {
-        for action in self.actions.drain(..count) {
-            match &action.kind {
-                ActionKind::Send { msg, .. } => {
-                    self.send_seq.remove(msg);
-                }
-                ActionKind::Recv { msg, .. } => {
-                    self.recv_seq.remove(msg);
-                }
-                _ => {}
-            }
-            if let Some(list) = self.by_proc.get_mut(&action.at) {
-                if list.front() == Some(&action.seq) {
-                    list.pop_front();
-                }
-            }
-            if let Some(tx) = action.tx() {
-                if let Some(index) = self.by_tx.get_mut(&tx) {
-                    if index.actions.front() == Some(&action.seq) {
-                        index.actions.pop_front();
-                    }
-                }
-            }
-        }
-        self.base_seq += count as u64;
-    }
-
-    /// The retained action with sequence number `seq`, if not evicted.
-    fn action_at(&self, seq: u64) -> Option<&Action> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.actions.get(i as usize))
-    }
-
-    fn index_action(&mut self, seq: u64, action: &Action) {
-        self.by_proc.entry(action.at).or_default().push_back(seq);
-        if let Some(tx) = action.tx() {
-            self.by_tx.entry(tx).or_default().actions.push_back(seq);
-        }
-        match &action.kind {
+        match kind {
             ActionKind::Invoke { tx, .. } => {
-                self.by_tx.entry(*tx).or_default().invoker = Some(action.at);
+                self.by_tx.entry(tx).or_default().invoker = Some(at);
             }
             ActionKind::Respond { tx } => {
-                self.commits.push_back(*tx);
-                // Bounded mode: the transaction is over, so its causal
-                // metadata can no longer influence any aggregate its
-                // invoker cares about — drop it, keeping the side table
-                // O(in-flight) instead of O(messages).  Straggler traffic
-                // attributed to this transaction after its RESP is pruned
-                // on delivery (see the `Recv` arm).
-                if let Some(index) = self.by_tx.get_mut(tx) {
+                self.commits.push_back(tx);
+                // The transaction is over: its causal metadata can no
+                // longer influence any aggregate its invoker cares about.
+                if let Some(index) = self.by_tx.get_mut(&tx) {
                     index.responded = true;
-                    if self.capacity.is_some() {
-                        for msg in index.msgs.drain(..) {
-                            self.send_meta.remove(&msg);
-                        }
+                    for msg in std::mem::take(&mut index.msgs) {
+                        self.send_meta.remove(&msg);
                     }
                 }
             }
-            ActionKind::Send { msg, parent, info, to } => {
-                self.send_seq.insert(*msg, seq);
+            ActionKind::Send { msg, to, parent, info } => {
                 self.send_meta.insert(
-                    *msg,
+                    msg,
                     SendMeta {
-                        to: *to,
+                        to,
                         kind: info.kind,
                         tx: info.tx,
-                        origin: MetaOrigin::Local { parent: *parent },
+                        origin: MetaOrigin::Local { parent },
                     },
                 );
-                if self.capacity.is_some() {
-                    if let Some(tx) = info.tx {
-                        self.by_tx.entry(tx).or_default().msgs.push(*msg);
-                    }
-                }
                 let Some(tx) = info.tx else { return };
-                if info.kind == MsgKind::ClientToClient {
-                    self.by_tx.entry(tx).or_default().c2c_sends += 1;
-                    return;
-                }
                 // Round depth of this send relative to its sender: 1 plus
                 // the number of parent-chain hops that were sends *to* the
                 // sender (i.e. responses it was handling).  Parents are
                 // always recorded before children, so each hop is an O(1)
                 // table lookup and chains are as short as the round count.
-                let depth = self.chain_depth(action.at, *parent);
+                let depth = self.chain_depth(at, parent);
                 let entry = self.by_tx.entry(tx).or_default();
-                match entry
-                    .rounds_by_sender
-                    .iter_mut()
-                    .find(|(sender, _)| *sender == action.at)
-                {
+                entry.msgs.push(msg);
+                if info.kind == MsgKind::ClientToClient {
+                    entry.c2c_sends += 1;
+                    return;
+                }
+                match entry.rounds_by_sender.iter_mut().find(|(sender, _)| *sender == at) {
                     Some((_, max)) => *max = (*max).max(depth),
-                    None => entry.rounds_by_sender.push((action.at, depth)),
+                    None => entry.rounds_by_sender.push((at, depth)),
                 }
             }
             ActionKind::Recv { msg, from, info } => {
-                self.recv_seq.insert(*msg, seq);
-                self.index_read_response(action.at, *msg, *from, info);
-                // Bounded mode: a delivered message no future RESP will
-                // prune — unattributable control traffic, or a straggler of
-                // an already-responded transaction — would leak its causal
-                // metadata forever; drop it at delivery instead.  (Current
-                // protocols address control messages only to servers and
-                // emit no post-RESP traffic on hot paths, so the consumed
-                // aggregates are unaffected — guarded by the bounded-vs-
-                // unbounded workload tests across every protocol.)  The
-                // sharded engine prunes one more class — deliveries of
-                // transactions invoked on another shard — via
-                // [`Trace::prune_meta`] *after* the delivery's handler
-                // runs, so the handler's own sends still fold the chain.
-                if self.capacity.is_some() {
-                    let prunable = match info.tx {
-                        None => true,
-                        Some(tx) => {
-                            self.by_tx.get(&tx).map(|t| t.responded).unwrap_or(false)
-                        }
-                    };
-                    if prunable {
-                        self.send_meta.remove(msg);
-                    }
+                self.index_read_response(at, msg, from, &info);
+                // A delivered message no future RESP will prune —
+                // unattributable control traffic, or a straggler of an
+                // already-responded transaction — would leak its causal
+                // metadata forever; drop it at delivery instead.  (Control
+                // messages are addressed only to servers, so no consumed
+                // aggregate walks through them.)
+                let settled = match info.tx {
+                    None => true,
+                    Some(tx) => self.by_tx.get(&tx).is_some_and(|t| t.responded),
+                };
+                if settled {
+                    self.send_meta.remove(&msg);
                 }
             }
         }
@@ -422,10 +260,11 @@ impl Trace {
         if info.kind != MsgKind::ReadResponse {
             return;
         }
-        // Only responses received by the invoking client count as
-        // read instrumentation.
-        if self.by_tx.get(&tx).and_then(|t| t.invoker) != Some(at) {
-            return;
+        // Only responses the invoking client receives before its RESP are
+        // read instrumentation: the record is final at RESP.
+        match self.by_tx.get(&tx) {
+            Some(t) if t.invoker == Some(at) && !t.responded => {}
+            _ => return,
         }
         let Some(object) = info.object else {
             return; // metadata response (e.g. get-tag-arr)
@@ -517,9 +356,8 @@ impl Trace {
 
     /// Exports the causal metadata of a send this trace recorded, for
     /// shipping alongside a cross-shard message.  Returns `None` if the
-    /// send's metadata is unknown (never recorded, or already pruned in
-    /// bounded mode — the importing side then treats the message as
-    /// causally opaque, exactly as a bounded trace's broken chain does).
+    /// send's metadata is unknown (never recorded, or already pruned — the
+    /// importing side then treats the message as causally opaque).
     pub fn export_envelope(&self, msg: MsgId) -> Option<CausalEnvelope> {
         let meta = self.send_meta.get(&msg)?;
         let mut dests = Vec::new();
@@ -541,40 +379,30 @@ impl Trace {
         })
     }
 
-    /// Bounded mode only: drops the causal metadata of one message — the
-    /// sharded engine's two extra pruning points, keeping a bounded
-    /// shard's table O(in-flight) even though RESP-time pruning only ever
-    /// fires on the invoking client's shard:
+    /// Drops the causal metadata of one message — the engine's pruning
+    /// points for messages no RESP recorded here will ever cover:
     ///
-    /// * a send whose message **departed** to another shard (its envelope
-    ///   was exported): it can never be the causal parent of a local send
-    ///   — parents are assigned while handling a delivery, and this
-    ///   message will be delivered (envelope re-imported) elsewhere;
+    /// * a send that was **dropped** by a fault, or whose message
+    ///   **departed** to another shard (its envelope was exported): it can
+    ///   never be the causal parent of a local send — parents are assigned
+    ///   while handling a delivery, and this message will be delivered
+    ///   (envelope re-imported) elsewhere, if at all;
     /// * a delivered message of a transaction **invoked on another
     ///   shard**, pruned *after* its handler's effects were applied (the
-    ///   handler's own sends fold the chain first); no local RESP will
-    ///   ever prune it, and only the invoker's shard derives read/round
-    ///   aggregates from it.
-    ///
-    /// No-op on unbounded traces, which keep every meta for retrospective
-    /// [`Trace::parent_of`] queries.
+    ///   handler's own sends fold the chain first); only the invoker's
+    ///   shard derives read/round aggregates from it.
     pub fn prune_meta(&mut self, msg: MsgId) {
-        if self.capacity.is_some() {
-            self.send_meta.remove(&msg);
-        }
+        self.send_meta.remove(&msg);
     }
 
     /// Imports the causal metadata of a message sent by another trace, so
     /// that this trace can derive round depths and non-blocking verdicts
-    /// for deliveries of (and sends caused by) `msg`.  In bounded mode the
-    /// imported entry joins the same pruning regime as local sends: dropped
-    /// at the attributed transaction's RESP, or at delivery for
-    /// control/straggler traffic.
+    /// for deliveries of (and sends caused by) `msg`.  The imported entry
+    /// is pruned like a local send's: at the attributed transaction's
+    /// RESP, or at delivery for control/straggler traffic.
     pub fn import_envelope(&mut self, msg: MsgId, envelope: CausalEnvelope) {
-        if self.capacity.is_some() {
-            if let Some(tx) = envelope.tx {
-                self.by_tx.entry(tx).or_default().msgs.push(msg);
-            }
+        if let Some(tx) = envelope.tx {
+            self.by_tx.entry(tx).or_default().msgs.push(msg);
         }
         self.send_meta.insert(
             msg,
@@ -591,26 +419,14 @@ impl Trace {
         );
     }
 
-    /// The retained actions in order: the full log for an unbounded trace,
-    /// the most recent window for a bounded one.
-    pub fn actions(&self) -> &[Action] {
-        &self.actions
-    }
-
-    /// Number of actions recorded (including any evicted from a bounded
-    /// trace's window).
+    /// Number of actions recorded.
     pub fn len(&self) -> usize {
         self.recorded as usize
     }
 
-    /// Number of actions evicted from a bounded trace's window.
-    pub fn evicted_len(&self) -> usize {
-        self.base_seq as usize
-    }
-
-    /// Number of per-message causality entries currently held.  Unbounded
-    /// traces keep one per send; bounded traces prune a transaction's
-    /// entries at its RESP, so this tracks the in-flight population.
+    /// Number of per-message causality entries currently held: a
+    /// transaction's are dropped at its RESP, so this tracks the in-flight
+    /// population and is 0 once a run is quiescent.
     pub fn causal_meta_len(&self) -> usize {
         self.send_meta.len()
     }
@@ -620,42 +436,10 @@ impl Trace {
         self.recorded == 0
     }
 
-    /// The retained actions occurring at one automaton, in order — the
-    /// projection `trace(α)|p` the indistinguishability arguments use.
-    pub fn at(&self, p: ProcessId) -> Vec<&Action> {
-        self.by_proc
-            .get(&p)
-            .map(|seqs| seqs.iter().filter_map(|&s| self.action_at(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// The retained actions attributable to one transaction, in order.
-    pub fn of_tx(&self, tx: TxId) -> Vec<&Action> {
-        self.by_tx
-            .get(&tx)
-            .map(|t| t.actions.iter().filter_map(|&s| self.action_at(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Finds the send action for a given message id — O(1).  `None` if the
-    /// message is unknown or its send action was evicted.
-    pub fn send_of(&self, msg: MsgId) -> Option<&Action> {
-        self.send_seq.get(&msg).and_then(|&s| self.action_at(s))
-    }
-
-    /// Finds the receive action for a given message id — O(1).  `None` if
-    /// the message is unknown or its receive action was evicted.
-    pub fn recv_of(&self, msg: MsgId) -> Option<&Action> {
-        self.recv_seq.get(&msg).and_then(|&s| self.action_at(s))
-    }
-
-    /// The causal parent of a message: the message whose handler sent it —
-    /// O(1).  Parent links survive action eviction in unbounded traces;
-    /// bounded traces forget them for completed transactions (pruned at
-    /// RESP) and for delivered control/straggler messages (pruned at
-    /// delivery).  Messages whose metadata was imported from another shard
-    /// report no parent (the parent lives in the sending shard's trace).
-    pub fn parent_of(&self, msg: MsgId) -> Option<MsgId> {
+    /// The causal parent of a message still in the table: the message whose
+    /// handler sent it.  Messages whose metadata was imported from another
+    /// shard report no parent (it lives in the sending shard's trace).
+    fn parent_of(&self, msg: MsgId) -> Option<MsgId> {
         match self.send_meta.get(&msg).map(|m| &m.origin) {
             Some(MetaOrigin::Local { parent }) => *parent,
             _ => None,
@@ -684,8 +468,8 @@ impl Trace {
     }
 
     /// Read-response instrumentation for `tx`: one [`ReadResult`] per
-    /// response received by the invoking client, in receive order —
-    /// O(answer).
+    /// response the invoking client received before its RESP, in receive
+    /// order — O(answer).
     pub fn read_results(&self, tx: TxId) -> &[ReadResult] {
         self.by_tx
             .get(&tx)
@@ -834,30 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn projections_and_lookup() {
-        let t = two_round_trace();
-        assert_eq!(t.len(), 10);
-        assert!(!t.is_empty());
-        assert_eq!(t.at(client(0)).len(), 6);
-        assert_eq!(t.at(server(0)).len(), 2);
-        assert_eq!(t.of_tx(TxId(1)).len(), 10);
-        assert_eq!(t.of_tx(TxId(9)).len(), 0);
-        assert!(t.send_of(MsgId(2)).is_some());
-        assert!(t.recv_of(MsgId(3)).is_some());
-        assert_eq!(t.parent_of(MsgId(2)), Some(MsgId(1)));
-        assert_eq!(t.parent_of(MsgId(0)), None);
-    }
-
-    #[test]
-    fn projections_preserve_action_order() {
-        let t = two_round_trace();
-        let seqs: Vec<u64> = t.at(client(0)).iter().map(|a| a.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 4, 5, 8, 9]);
-        let tx_seqs: Vec<u64> = t.of_tx(TxId(1)).iter().map(|a| a.seq).collect();
-        assert_eq!(tx_seqs, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn round_counting_follows_causality() {
         let t = two_round_trace();
         // m0 is round 1; m2's parent chain passes through m1 (a response to
@@ -899,13 +659,6 @@ mod tests {
         assert_eq!(reads[1].server, ServerId(1));
         assert_eq!(reads[1].versions_in_response, 1);
         assert!(t.read_results(TxId(9)).is_empty());
-    }
-
-    #[test]
-    fn action_tx_attribution() {
-        let t = two_round_trace();
-        assert_eq!(t.actions()[0].tx(), Some(TxId(1)));
-        assert_eq!(t.actions()[9].tx(), Some(TxId(1)));
     }
 
     /// Replays `n` copies of the two-round transaction pattern into `t`,
@@ -998,48 +751,26 @@ mod tests {
 
     #[test]
     fn bounded_trace_aggregates_match_unbounded() {
-        let mut full = Trace::new();
-        let mut bounded = Trace::with_action_capacity(8);
-        replay_pattern(&mut full, 20);
-        replay_pattern(&mut bounded, 20);
-
-        assert_eq!(bounded.action_capacity(), Some(8));
-        assert_eq!(full.action_capacity(), None);
-        assert_eq!(full.len(), 200);
-        assert_eq!(bounded.len(), 200, "len counts recorded, not retained");
-        assert!(bounded.actions().len() <= 16, "window is at most 2×capacity");
-        assert!(bounded.actions().len() >= 8, "window keeps the newest capacity");
-        assert!(bounded.evicted_len() >= 184);
-        assert_eq!(full.evicted_len(), 0);
-
-        // Every per-transaction aggregate is identical, including for
-        // transactions whose actions were all evicted long ago.
+        let mut t = Trace::new();
+        replay_pattern(&mut t, 20);
+        assert_eq!(t.len(), 200);
+        let read = |object, versions_in_response| ReadResult {
+            object: ObjectId(object),
+            server: ServerId(object),
+            versions_in_response,
+            nonblocking: true,
+        };
         for i in 0..20u64 {
             let tx = TxId(i);
-            assert_eq!(full.rounds_of(tx, client(0)), 2);
-            assert_eq!(
-                bounded.rounds_of(tx, client(0)),
-                full.rounds_of(tx, client(0)),
-                "tx {i}"
-            );
-            assert_eq!(bounded.c2c_count(tx), full.c2c_count(tx), "tx {i}");
-            assert_eq!(bounded.read_results(tx), full.read_results(tx), "tx {i}");
-            assert_eq!(bounded.read_results(tx).len(), 2);
-            assert!(bounded.read_results(tx).iter().all(|r| r.nonblocking));
+            assert_eq!(t.rounds_of(tx, client(0)), 2, "tx {i}");
+            assert_eq!(t.c2c_count(tx), 0, "tx {i}");
+            assert_eq!(t.read_results(tx), [read(0, 1), read(1, 2)], "tx {i}");
         }
-        // The causality side table is pruned at RESP in bounded mode: every
-        // transaction in this trace completed, so nothing remains, while
-        // the unbounded trace keeps one entry per send.
-        assert_eq!(bounded.causal_meta_len(), 0, "all transactions responded");
-        assert_eq!(full.causal_meta_len(), 80, "4 sends per transaction");
-        assert_eq!(full.parent_of(MsgId(2)), Some(MsgId(1)));
-        assert_eq!(bounded.parent_of(MsgId(2)), None, "pruned at RESP");
-        assert!(bounded.send_of(MsgId(0)).is_none(), "evicted send forgotten");
-        assert!(full.send_of(MsgId(0)).is_some());
-        // Retained projections only contain window actions.
-        let retained_seqs: Vec<u64> = bounded.at(client(0)).iter().map(|a| a.seq).collect();
-        assert!(retained_seqs.iter().all(|s| *s >= bounded.evicted_len() as u64));
-        assert!(!retained_seqs.is_empty());
+        // The causality table is pruned at RESP: every transaction in this
+        // trace completed, so nothing remains of its 4 sends per
+        // transaction.
+        assert_eq!(t.causal_meta_len(), 0, "all transactions responded");
+        assert_eq!(t.parent_of(MsgId(2)), None, "pruned at RESP");
     }
 
     #[test]
@@ -1115,7 +846,7 @@ mod tests {
     #[test]
     fn bounded_trace_keeps_causality_until_resp() {
         let tx = TxId(1);
-        let mut t = Trace::with_action_capacity(64);
+        let mut t = Trace::new();
         t.record(0, client(0), ActionKind::Invoke { tx, kind: TxKind::Read });
         t.record(
             1,
@@ -1145,16 +876,19 @@ mod tests {
         assert_eq!(t.causal_meta_len(), 0);
         assert_eq!(t.parent_of(MsgId(1)), None);
         assert_eq!(t.rounds_of(tx, client(0)), 1);
+        // The response arriving after the RESP is a straggler, not
+        // instrumentation: the record was final at RESP.
+        let info = MsgInfo::read_response(tx, Some(ObjectId(0)), 1);
+        t.record(4, client(0), ActionKind::Recv { msg: MsgId(1), from: server(0), info });
+        assert!(t.read_results(tx).is_empty());
     }
 
     #[test]
     fn commit_log_iterates_and_retires_in_resp_order() {
-        let mut t = Trace::with_action_capacity(8);
+        let mut t = Trace::new();
         replay_pattern(&mut t, 20);
         assert_eq!(t.commit_count(), 20);
         assert_eq!(t.retired_commits(), 0);
-        // The log is in RESP order even though the action window evicted
-        // almost everything.
         let all: Vec<TxId> = t.commits_since(0).collect();
         assert_eq!(all, (0..20).map(TxId).collect::<Vec<_>>());
         // A cursor resumes mid-log without re-yielding drained entries.

@@ -148,8 +148,7 @@ pub struct OpenLoopReport {
 ///
 /// The cluster must be freshly built (no prior transactions) and deployed
 /// over the same `config` the schedule was generated for.  Saturation runs
-/// are long: build it with `ClusterSpec::max_steps(u64::MAX)` and a
-/// `ClusterSpec::trace_capacity` window so memory stays O(in-flight).  On
+/// are long: build it with `ClusterSpec::max_steps(u64::MAX)`.  On
 /// a cluster built with `ClusterSpec::observed`, drain the recorded events
 /// afterwards with [`Cluster::drain_obs_events`] and feed them to
 /// `snow_obs::perfetto_json` or `snow_obs::fold_events`.
@@ -386,12 +385,11 @@ mod tests {
     };
     use std::sync::Arc;
 
-    /// Saturation runs are long: no step cap, bounded trace.
+    /// Saturation runs are long: no step cap.
     fn cluster_spec(protocol: ProtocolKind, config: &SystemConfig) -> ClusterSpec {
         ClusterSpec::new(protocol, config)
             .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
             .max_steps(u64::MAX)
-            .trace_capacity(Some(4096))
     }
 
     #[test]
@@ -528,8 +526,7 @@ mod tests {
         let spec = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(100) };
         let wan3 = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .topology(Arc::new(Topology::wan3(&config)), 0x3A)
-            .max_steps(u64::MAX)
-            .trace_capacity(Some(4096));
+            .max_steps(u64::MAX);
         let run = |cluster: &ClusterSpec| {
             let mut cluster = cluster.build().unwrap();
             drive_open_loop_checked(cluster.as_mut(), &config, &spec, CheckMode::Streaming)
@@ -652,6 +649,43 @@ mod tests {
         assert_eq!(cluster.waits, 2_000 + 1);
     }
 
+    /// Instrumentation is final at RESP: the record `drain_commits` streams
+    /// when a transaction completes is the record `history()` returns once
+    /// the run has quiesced — also when duplicated requests keep answering
+    /// READs that already responded.
+    #[test]
+    fn drained_records_equal_the_final_history() {
+        let spec = OpenLoopSpec { arrivals: 200, ..OpenLoopSpec::tao_like(100) };
+        for protocol in ProtocolKind::all() {
+            let config = if protocol.needs_c2c() {
+                SystemConfig::mwsr(4, 2, true)
+            } else {
+                SystemConfig::mwmr(4, 2, 2)
+            };
+            let clean = cluster_spec(protocol, &config);
+            let mut cases = vec![("clean", clean.clone())];
+            if [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple].contains(&protocol) {
+                cases.push(("dup storm", clean.faults(snow_protocols::scenario_dup_storm())));
+            }
+            for (name, cluster) in cases {
+                for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
+                    let mut cluster = cluster.clone().executor(executor).build().unwrap();
+                    let mut drained = Vec::new();
+                    drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
+                        drained.extend(cluster.drain_commits().records);
+                    });
+                    cluster.run_until_quiescent();
+                    drained.extend(cluster.drain_commits().records);
+                    let history = cluster.history();
+                    let differing =
+                        drained.iter().filter(|&r| history.get(r.tx_id) != Some(r)).count();
+                    let label = format!("{protocol:?}/{name}/{executor:?}");
+                    assert_eq!((drained.len(), differing), (200, 0), "{label}");
+                }
+            }
+        }
+    }
+
     /// The one-pass report equals the per-transaction one it replaced
     /// (`History::get` per injected id), fault-free and with aborts in the
     /// history.
@@ -700,8 +734,7 @@ mod tests {
 
         let (config, spec, net) = open_c_read(20_000, 8);
         let mut sim = Simulation::new(LatencyScheduler::new(net, 1, 16))
-            .with_max_steps(u64::MAX)
-            .with_trace_capacity(4096);
+            .with_max_steps(u64::MAX);
         for node in deploy_any(ProtocolKind::AlgC, &config).unwrap() {
             sim.add_process(node);
         }

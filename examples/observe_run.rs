@@ -32,7 +32,6 @@ fn main() {
         .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
         .executor(ExecutorKind::ParallelSim { shards: 4 })
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
         .observed(true)
         .build()
         .expect("valid observed config");

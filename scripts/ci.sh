@@ -33,14 +33,19 @@
 #      stream differential suites (graph vs complete search, stream vs
 #      `check_auto`, conviction at the right commit, bounded live window),
 #      the fault suites (determinism, 1-shard ≡ serial under faults,
-#      checker agreement on scarred histories, orphan retirement) and the
+#      checker agreement on scarred histories, orphan retirement, and the
+#      N verdict surviving the dup storm — no READ of AlgB / AlgC / Simple
+#      is flagged blocking because a duplicate answered it late) and the
 #      stream checker's hot path (tests/stream_hot_path.rs: an exact
 #      allocation budget inside `ingest` + `advance_watermark`, pinned
 #      witness digests and work counters, the live window on a 1 000- and a
 #      10 000-transaction driver history).  Then the open-loop driver's
 #      linear cost as a pure count (crates/workload,
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
-#      completion wait per transaction, zero `is_complete` probes);
+#      completion wait per transaction, zero `is_complete` probes) and
+#      "final at RESP" (`drained_records_equal_the_final_history`: every
+#      record `drain_commits` streamed equals `history()`'s, dup storm
+#      included, serial and 4 shards);
 #   6. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
 #      BENCHMARK.json workload through both passes (plain + traced) in about
 #      a second and exits non-zero if any fails its correctness gate
@@ -124,7 +129,8 @@ echo "== 5. release suites: parity, differentials, faults, stream hot path, prob
 cargo test -q --release --test parallel_determinism --test checker_differential \
     --test stream_differential --test fault_determinism --test fault_checker \
     --test stream_hot_path
-cargo test -q --release -p snow-workload the_driver_waits_once_per_transaction_and_probes_nothing
+cargo test -q --release -p snow-workload -- \
+    the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 
 echo "== 6. repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
 cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke > /dev/null

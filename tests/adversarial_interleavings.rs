@@ -5,11 +5,12 @@
 //! invariants the SNOW arguments and the strict-serializability checkers
 //! lean on:
 //!
-//! * **(a) monotone time** — the recorded trace's action timestamps never
-//!   regress, and no transaction's RESP precedes its INV.  This is the
-//!   regression property of the adversarial-delivery clock-skew fix: the
-//!   dispatch core clamps the clock to `max(now, event_time) + 1` on every
-//!   dispatch, so adversaries control *order*, never *time*;
+//! * **(a) monotone time** — the timestamps of the run's action log (the
+//!   obs stream) never regress, and no transaction's RESP precedes its
+//!   INV.  This is the regression property of the adversarial-delivery
+//!   clock-skew fix: the dispatch core clamps the clock to
+//!   `max(now, event_time) + 1` on every dispatch, so adversaries control
+//!   *order*, never *time*;
 //! * **(b) checker agreement across substrates** — on identical seeds, a
 //!   scheduler-driven plan produces byte-identical histories on the serial
 //!   `Simulation` and the 1-shard `ParallelSimulation` (both are the same
@@ -22,7 +23,9 @@ use proptest::ProptestConfig;
 use snow::checker::{GraphChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
-use snow::sim::{LatencyScheduler, ParallelSimulation, Simulation, StepOutcome};
+use snow::sim::{
+    LatencyScheduler, ParallelSimulation, RecordingSink, Simulation, StepOutcome,
+};
 use snow_bench::golden;
 
 /// SplitMix64: deterministic per-seed stream driving plan and adversary.
@@ -85,7 +88,7 @@ fn random_round(
 /// scheduler steps, adversarial rank-targeted deliveries and forced
 /// invocations.
 fn drain_adversarially(
-    sim: &mut Simulation<AnyNode, LatencyScheduler>,
+    sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
     rng: &mut Rng,
     clients: &[ClientId],
 ) {
@@ -125,8 +128,13 @@ fn verdict_kind(verdict: &Verdict) -> &'static str {
     }
 }
 
-fn assert_monotone_invariants(label: &str, sim: &Simulation<AnyNode, LatencyScheduler>) {
-    let times: Vec<u64> = sim.trace().actions().iter().map(|a| a.time).collect();
+fn assert_monotone_invariants(
+    label: &str,
+    sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
+) {
+    let times: Vec<u64> = sim.drain_obs_events().iter().map(|e| e.event.at()).collect();
+    assert!(!times.is_empty(), "{label}: nothing was logged");
+    assert_eq!(times.len(), sim.trace().len(), "{label}: one event per external action");
     assert!(
         times.windows(2).all(|w| w[0] <= w[1]),
         "{label}: trace timestamps regressed"
@@ -160,8 +168,8 @@ proptest! {
             let clients: Vec<ClientId> = writers.iter().chain(readers.iter()).copied().collect();
             let mut rng = Rng(seed ^ (protocol as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
 
-            let mut sim: Simulation<AnyNode, _> =
-                Simulation::new(LatencyScheduler::new(seed, 1, 25));
+            let mut sim: Simulation<AnyNode, _, _> =
+                Simulation::new(LatencyScheduler::new(seed, 1, 25)).with_sink(RecordingSink::new());
             for node in deploy_any(protocol, &config).expect("valid config") {
                 sim.add_process(node);
             }
@@ -183,7 +191,7 @@ proptest! {
             }
 
             // (a) adversarial moves may reorder, never rewind.
-            assert_monotone_invariants(&label, &sim);
+            assert_monotone_invariants(&label, &mut sim);
             let history = sim.history();
             assert_history_well_timed(&label, &history);
 

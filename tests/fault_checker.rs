@@ -5,20 +5,24 @@
 //! false `Serializable`; and a genuinely violating injection on a
 //! fault-laden history must still be convicted at the offending commit.
 //!
-//! Also hosts the regression test for the "every INV gets a RESP"
+//! Also hosts the regression tests for the N verdict under duplication
+//! and for the "every INV gets a RESP"
 //! assumption: before the fault engine retired orphans as
 //! `TxOutcome::Aborted`, a transaction whose messages all died would leave
 //! `run_until_complete` reporting failure forever and the paced driver
 //! stalling mid-workload.
 
-use snow::checker::{check_auto, GraphChecker, SequentialOt, StreamChecker, Verdict};
+use snow::checker::{
+    check_auto, GraphChecker, SequentialOt, SnowChecker, StreamChecker, Verdict,
+};
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, SystemConfig, TxId, TxOutcome,
     TxRecord, TxSpec, Value, WriteOutcome,
 };
 use snow_bench::golden;
 use snow_protocols::{
-    scenario_crash_mid_read, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind,
+    scenario_crash_mid_read, scenario_dup_storm, ClusterSpec, ExecutorKind, ProtocolKind,
+    SchedulerKind,
 };
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
@@ -140,6 +144,37 @@ fn one_percent_drop_everywhere_aborts_twelve_of_300_and_the_engines_agree() {
     assert_eq!((report.issued, report.completed), (300, 300));
     assert_eq!((history.incomplete_count(), aborted_count(&history)), (0, 12));
     assert_stream_agrees(&history, GraphChecker::new().check(&history), "1% drop");
+}
+
+/// The paper proves Algorithms B and C non-blocking, and a duplicated
+/// request does not change that: its second answer reaches a READ that has
+/// already responded, and a response delivered after the RESP is not
+/// instrumentation.  The spec is built the way the repo benchmark builds
+/// its fault phase, the identity `trace_capacity` included.
+#[test]
+fn duplicated_requests_never_cost_a_read_its_n_verdict() {
+    let config = SystemConfig::mwmr(8, 2, 2);
+    for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple] {
+        for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
+            let mut cluster = ClusterSpec::new(protocol, &config)
+                .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
+                .executor(executor)
+                .max_steps(u64::MAX)
+                .trace_capacity(Some(4096))
+                .faults(scenario_dup_storm())
+                .build()
+                .expect("valid dup-storm spec");
+            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
+            let (history, report) =
+                WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
+            let label = format!("{protocol:?}/{executor:?}");
+            assert_eq!(report.completed, 200, "{label}");
+            assert!(history.reads().count() > 100, "{label}: tao_like is read-dominated");
+            let flagged = history.reads().filter(|r| !r.all_reads_nonblocking()).count();
+            assert_eq!(flagged, 0, "{label}: READs with a blocking ReadResult");
+            assert!(SnowChecker::new().check_non_blocking(&history).holds, "{label}");
+        }
+    }
 }
 
 #[test]

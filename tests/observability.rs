@@ -43,7 +43,6 @@ fn open_loop_run(
         .scheduler(scheduler)
         .executor(executor)
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
         .observed(observed)
         .build()
         .expect("valid open-loop config");

@@ -61,7 +61,6 @@ fn run(
         .scheduler(SchedulerKind::Latency { seed, min: 1, max: 16 })
         .executor(executor)
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
         .build()
         .expect("valid open-loop config");
     let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);

@@ -124,7 +124,6 @@ fn pipeline(
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
         .topology(Arc::new(topology), 7)
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
         .build()
         .expect("AlgB runs on MWMR configurations");
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
@@ -261,7 +260,6 @@ fn live_window_on_the_round_driver_history_is_pinned() {
         let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
             .max_steps(u64::MAX)
-            .trace_capacity(Some(4096))
             .build()
             .expect("AlgB runs on MWMR configurations");
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
