@@ -3,11 +3,10 @@
 //! benchmark tables print.
 
 use snow_core::History;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Summary statistics over a set of latency samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: usize,
@@ -58,7 +57,7 @@ pub fn percentile(sorted: &[u64], pct: f64) -> u64 {
 }
 
 /// Metrics extracted from one history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistoryMetrics {
     /// Number of completed READ transactions.
     pub reads: usize,

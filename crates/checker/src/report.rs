@@ -4,11 +4,10 @@
 use crate::metrics::HistoryMetrics;
 use crate::snow::SnowChecker;
 use snow_core::{History, PropertyReport, SnowPropertySet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The full verdict over one execution history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnowReport {
     /// A label for the protocol / configuration that produced the history.
     pub label: String,

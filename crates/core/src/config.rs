@@ -6,10 +6,9 @@
 //! whether clients may exchange messages directly (C2C).
 
 use crate::ids::{ClientId, ClientRole, ObjectId, ServerId};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a transaction processing system instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of storage servers (shards).
     pub num_servers: u32,

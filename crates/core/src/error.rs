@@ -2,14 +2,13 @@
 
 use crate::ids::{ObjectId, ProcessId, TxId};
 use crate::key::Key;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Convenience result alias used throughout `snow-rs`.
 pub type Result<T> = std::result::Result<T, SnowError>;
 
 /// Errors raised by the protocol and simulation layers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnowError {
     /// A message referenced an object the receiving server does not host.
     UnknownObject {

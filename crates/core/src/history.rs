@@ -12,10 +12,9 @@
 
 use crate::ids::{ClientId, ObjectId, ServerId, TxId};
 use crate::txn::{TxKind, TxOutcome, TxSpec};
-use serde::{Deserialize, Serialize};
 
 /// Instrumentation of one single-object read inside a READ transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadResult {
     /// The object that was read.
     pub object: ObjectId,
@@ -33,7 +32,7 @@ pub struct ReadResult {
 }
 
 /// The record of one transaction in a history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxRecord {
     /// Unique id of the transaction instance.
     pub tx_id: TxId,
@@ -109,7 +108,7 @@ impl TxRecord {
 }
 
 /// A complete execution history.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct History {
     /// All transaction records, in invocation order.
     pub records: Vec<TxRecord>,

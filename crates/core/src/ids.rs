@@ -8,27 +8,26 @@
 //! transactions — the split matters because the SNOW results are stated in
 //! terms of the number of readers and writers (SWMR, MWSR, MWMR, ...).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a stored object `o ∈ O`.
 ///
 /// Every object is maintained by exactly one server (its shard); the mapping
 /// is part of [`crate::config::SystemConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 /// Identifier of a server process (a shard of the storage tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 /// Identifier of a client process (a front-end machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 /// The role a client plays.  The paper's model forbids a single client from
 /// issuing both READ and WRITE transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientRole {
     /// Issues only READ transactions.
     Reader,
@@ -37,7 +36,7 @@ pub enum ClientRole {
 }
 
 /// A process in the system: either a client or a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProcessId {
     /// A front-end client.
     Client(ClientId),
@@ -78,7 +77,7 @@ impl ProcessId {
 /// Transaction ids are allocated by the simulator driving the system, not by
 /// the protocol; they exist so that histories can refer to transactions
 /// unambiguously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 impl fmt::Display for ObjectId {

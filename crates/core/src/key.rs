@@ -9,14 +9,13 @@
 //!   strict-serializability argument (Lemma 20, P3).
 
 use crate::ids::ClientId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A version key `κ = (z, w)`: the `z`-th WRITE transaction of writer `w`.
 ///
 /// The distinguished initial key [`Key::initial`] plays the role of `κ₀`
 /// in the paper: it names the initial value `v⁰` of every object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key {
     /// Per-writer sequence number `z` (1-based for real writes; 0 for `κ₀`).
     pub seq: u64,
@@ -70,9 +69,7 @@ impl fmt::Display for Key {
 /// appended as the `n`-th element of `List` obtains tag `n`.  READ
 /// transactions adopt the tag of the latest WRITE visible to them, which is
 /// how Lemma 20's partial order `≺` is realized.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tag(pub u64);
 
 impl Tag {
@@ -131,9 +128,6 @@ mod tests {
 
     #[test]
     fn display_round_trip_identifies_keys_and_tags() {
-        // The offline vendor/serde shim has no real serialization (see
-        // vendor/README.md), so round-trip identity is checked through the
-        // rendered forms instead of serde_json.
         let k = Key::new(7, ClientId(2));
         assert_eq!(k.to_string(), "κ(7,c2)");
         assert_eq!(k, Key::new(7, ClientId(2)));

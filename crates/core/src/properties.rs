@@ -14,11 +14,10 @@
 //!   trip, any number of versions — Algorithm C) and *one-version* (a single
 //!   version per response, any bounded number of rounds — Algorithm B).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the four SNOW properties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnowProperty {
     /// Strict serializability.
     StrictSerializability,
@@ -59,7 +58,7 @@ impl fmt::Display for SnowProperty {
 }
 
 /// A set of SNOW properties an algorithm claims (or an execution exhibits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SnowPropertySet {
     /// Strict serializability.
     pub s: bool,
@@ -124,7 +123,7 @@ impl fmt::Display for SnowPropertySet {
 }
 
 /// The verdict a checker reaches about one property over one execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropertyReport {
     /// The property checked.
     pub property: SnowProperty,

@@ -10,12 +10,11 @@
 use crate::ids::ObjectId;
 use crate::key::Key;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The multi-version state of a single object: the paper's `Vals` set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObjectVersions {
     /// All versions ever written, keyed by the WRITE transaction's key.
     vals: BTreeMap<Key, Value>,
@@ -29,7 +28,6 @@ pub struct ObjectVersions {
     /// next install, so a READ costs a reference count, not a copy of every
     /// version stored, and a store nobody snapshots (every other protocol)
     /// pays one `None` store per install.  A cache: never part of equality.
-    #[serde(skip)]
     snapshot: Option<Arc<[(Key, Value)]>>,
 }
 
@@ -120,7 +118,7 @@ impl Default for ObjectVersions {
 
 /// The state of one storage server: the versioned stores of every object it
 /// hosts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStore {
     objects: BTreeMap<ObjectId, ObjectVersions>,
 }

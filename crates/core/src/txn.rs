@@ -14,11 +14,10 @@
 use crate::ids::ObjectId;
 use crate::key::{Key, Tag};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The kind of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxKind {
     /// A READ transaction (a group of single-object reads).
     Read,
@@ -27,7 +26,7 @@ pub enum TxKind {
 }
 
 /// Specification of a READ transaction: the distinct objects to read.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSpec {
     /// Objects to read, in the order the caller wants them reported.
     pub objects: Vec<ObjectId>,
@@ -63,7 +62,7 @@ impl ReadSpec {
 
 /// Specification of a WRITE transaction: distinct objects and the values to
 /// write to them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteSpec {
     /// `(object, value)` pairs, one per distinct object.
     pub writes: Vec<(ObjectId, Value)>,
@@ -107,7 +106,7 @@ impl WriteSpec {
 }
 
 /// A transaction specification: what a client asks the system to do.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxSpec {
     /// A READ transaction.
     Read(ReadSpec),
@@ -154,7 +153,7 @@ impl TxSpec {
 }
 
 /// The outcome of one single-object read inside a READ transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRead {
     /// The object that was read.
     pub object: ObjectId,
@@ -165,7 +164,7 @@ pub struct ObjectRead {
 }
 
 /// The outcome of a completed READ transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
     /// One entry per object read, in the order of the [`ReadSpec`].
     pub reads: Vec<ObjectRead>,
@@ -187,7 +186,7 @@ impl ReadOutcome {
 }
 
 /// The outcome of a completed WRITE transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// The key the writer generated for this WRITE.
     pub key: Key,
@@ -197,7 +196,7 @@ pub struct WriteOutcome {
 }
 
 /// The outcome of a completed transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxOutcome {
     /// A READ transaction's returned snapshot.
     Read(ReadOutcome),

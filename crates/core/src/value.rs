@@ -5,16 +5,13 @@
 //! the checker cares only about *which write produced* a value, which is
 //! carried separately as a [`crate::key::Key`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The value stored in an object.
 ///
 /// The `u64` payload is opaque to every protocol.  The distinguished value
 /// [`Value::INITIAL`] plays the role of the initial value `v⁰ᵢ`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(pub u64);
 
 impl Value {

@@ -11,14 +11,13 @@
 //! contains `w₃` must also contain `w₂` (which finished before `w₃` started),
 //! so no strict serialization exists.  The search checker proves it.
 
-use serde::{Deserialize, Serialize};
 use snow_checker::{SearchChecker, Verdict};
 use snow_core::{ClientId, History, ObjectId, SystemConfig, TxSpec, Value};
 use snow_protocols::eiger::{deploy, EigerMsg};
 use snow_sim::{FifoScheduler, Simulation, StepOutcome};
 
 /// The outcome of the Fig. 5 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Report {
     /// Value the READ returned for `o₀` (server `s_A`): must be w₃'s.
     pub read_o0: Value,

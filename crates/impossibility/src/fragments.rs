@@ -18,11 +18,10 @@
 //! semantic content of that requirement and has the advantage of being
 //! mechanically checkable fragment by fragment.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five automata of the impossibility arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Automaton {
     /// Reader r₁.
     Reader1,
@@ -50,7 +49,7 @@ impl fmt::Display for Automaton {
 }
 
 /// A symbolic message label, e.g. `m_x^{r1}` or `x1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MsgLabel(pub String);
 
 impl MsgLabel {
@@ -67,7 +66,7 @@ impl fmt::Display for MsgLabel {
 }
 
 /// A fragment: a run of consecutive actions all occurring at one automaton.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fragment {
     /// Human-readable name, e.g. `"I1"`, `"F1x(x1)"`, `"a_{k+1}"`.
     pub label: String,
@@ -160,7 +159,7 @@ impl fmt::Display for CommuteError {
 impl std::error::Error for CommuteError {}
 
 /// A symbolic execution: an ordered sequence of fragments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Execution {
     /// The fragments, in execution order.
     pub fragments: Vec<Fragment>,

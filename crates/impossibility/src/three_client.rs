@@ -13,7 +13,6 @@
 //! confirms mechanically.
 
 use crate::fragments::{Automaton, Execution, Fragment, MsgLabel};
-use serde::{Deserialize, Serialize};
 use snow_checker::{SearchChecker, Verdict};
 use snow_core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, TxId, TxOutcome, TxRecord, TxSpec,
@@ -21,7 +20,7 @@ use snow_core::{
 };
 
 /// One step of the chain: which execution it produced and how.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainStep {
     /// Name of the produced execution (e.g. "α3").
     pub name: String,
@@ -34,7 +33,7 @@ pub struct ChainStep {
 }
 
 /// The full report of the mechanized Theorem 1 argument.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreeClientReport {
     /// Every execution in the chain, in order.
     pub steps: Vec<ChainStep>,

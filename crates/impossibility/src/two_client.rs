@@ -21,7 +21,6 @@
 //! as the search checker confirms.
 
 use crate::fragments::{Automaton, Execution, Fragment, MsgLabel};
-use serde::{Deserialize, Serialize};
 use snow_checker::{SearchChecker, Verdict};
 use snow_core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, TxId, TxOutcome, TxRecord, TxSpec,
@@ -29,7 +28,7 @@ use snow_core::{
 };
 
 /// One move of the δ-chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeltaMove {
     /// The fragment that was moved earlier.
     pub fragment: String,
@@ -41,7 +40,7 @@ pub struct DeltaMove {
 }
 
 /// The report of the mechanized Theorem 2 argument.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoClientReport {
     /// The fragment order of the starting execution η.
     pub initial_order: Vec<String>,

@@ -258,6 +258,14 @@ mod tests {
         }
     }
 
+    /// `PendingMessage<AnyMsg>` is the message pool's working set — what
+    /// the benchmark's `sim.flood_100k_ns_per_step` walks.  It may shrink
+    /// (ROADMAP item 5 wants it to); it must not silently widen.
+    #[test]
+    fn the_pools_working_set_cannot_silently_widen() {
+        assert!(std::mem::size_of::<snow_sim::PendingMessage<AnyMsg>>() <= 112);
+    }
+
     #[test]
     fn invalid_configs_are_rejected_through_the_erased_path() {
         let no_c2c = SystemConfig::mwsr(2, 1, false);

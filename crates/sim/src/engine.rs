@@ -2,12 +2,16 @@
 //!
 //! [`DispatchCore`] owns one partition of a deployment's processes plus the
 //! indexed structures the step loop needs — a [`MessagePool`] delivery heap,
-//! a `(at, TxId)`-keyed invocation heap, a [`Scheduler`] instance, a
-//! [`Trace`] and the per-transaction records — and makes **every dispatch
+//! a `(at, TxId)`-keyed invocation heap, a [`Scheduler`] instance, the
+//! per-transaction records and the commit log — and makes **every dispatch
 //! decision in the workspace**: invocation-vs-delivery choice, clock
 //! advance, handler execution, effect application, step accounting, and the
 //! adversarial driving entry points ([`Simulation::deliver_where`],
-//! [`Simulation::force_invoke`]).
+//! [`Simulation::force_invoke`]).  It also derives the instrumentation a
+//! [`History`] carries — rounds, C2C counts, read results — from the
+//! [`Causal`] stamp of the message being handled, straight into the
+//! [`TxRecord`] it describes (`DispatchCore::stamp`; there is no ledger
+//! beside the records).
 //!
 //! The serial [`Simulation`] wraps exactly one core (`index 0, stride 1`,
 //! so every process is local and the cross-shard outbox stays empty); the
@@ -34,22 +38,22 @@
 //! Figs. 3–5 style constructions) record a RESP *before* the delivery
 //! that caused it; the clamp fixes that, and debug assertions downstream
 //! of it — the delivery-timestamp check in `DispatchCore::deliver` and
-//! the monotonicity check in [`Trace::record`] — keep the invariant
-//! audited.
+//! the monotonicity check in `DispatchCore::audit_clock` — keep the
+//! invariant audited.
 
 use crate::fault::{CrashPolicy, FaultState, SendVerdict};
-use crate::message::{MsgId, PendingMessage, SimMessage as _};
+use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
 use crate::pool::MessagePool;
 use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
 use crate::sim::Simulation;
-use crate::trace::{ActionKind, CausalEnvelope, Trace};
 use snow_core::{
-    ClientId, Effects, History, Process, ProcessId, TxId, TxKind, TxOutcome, TxRecord, TxSpec,
+    ClientId, Effects, FxHashMap, History, Process, ProcessId, ReadResult, TxId, TxKind,
+    TxOutcome, TxRecord, TxSpec,
 };
 use snow_obs::{NullSink, ObsEvent, TraceSink};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// What a single simulation step did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,18 +94,36 @@ impl Ord for QueuedInvocation {
     }
 }
 
-/// A cross-shard message in transit, carrying its causal metadata.
-pub(crate) struct Transit<M> {
-    pub(crate) msg: PendingMessage<M>,
-    pub(crate) causality: Option<CausalEnvelope>,
+/// The commit log: transactions in RESP order, minus the prefix already
+/// retired.  `live[0]` is commit number `retired`.
+#[derive(Debug, Default)]
+pub(crate) struct CommitLog {
+    live: VecDeque<TxId>,
+    retired: u64,
 }
 
-impl<M> Transit<M> {
-    /// The delivery-queue key the destination pool will use
-    /// ([`PendingMessage::delivery_key`] — one rule, shared with
-    /// [`MessagePool`]'s heap, so routing order and pool order agree).
-    pub(crate) fn key(&self) -> u64 {
-        self.msg.delivery_key()
+impl CommitLog {
+    /// Total number of commits (RESP actions) ever logged, retired entries
+    /// included.
+    pub(crate) fn count(&self) -> u64 {
+        self.retired + self.live.len() as u64
+    }
+
+    /// The live entries from commit number `cursor` on, in RESP order
+    /// (a `cursor` below the retired prefix starts at the oldest live
+    /// entry).  O(entries yielded): the run loops' commit gate asks for the
+    /// last one or two entries of an arbitrarily long log after every step.
+    fn since(&self, cursor: u64) -> impl Iterator<Item = TxId> + '_ {
+        let skip = cursor.saturating_sub(self.retired) as usize;
+        self.live.range(skip.min(self.live.len())..).copied()
+    }
+
+    /// Retires every entry before commit number `up_to`, so a drained log
+    /// stays O(drain window) instead of O(transactions).
+    fn retire(&mut self, up_to: u64) {
+        while self.retired < up_to && self.live.pop_front().is_some() {
+            self.retired += 1;
+        }
     }
 }
 
@@ -125,14 +147,21 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     pub(crate) pool: MessagePool<P::Msg>,
     pub(crate) invocations: BinaryHeap<QueuedInvocation>,
     pub(crate) scheduler: S,
-    pub(crate) trace: Trace,
+    /// One record per transaction **invoked on this core**, instrumentation
+    /// (rounds, read results) folded in as the actions happen.
     pub(crate) records: BTreeMap<TxId, TxRecord>,
+    pub(crate) commits: CommitLog,
+    /// C2C sends per transaction, counted on the sending core (which need
+    /// not hold the record); only Algorithm A's traffic touches it.
+    c2c_sends: FxHashMap<TxId, u32>,
+    /// Time of the last external action ([`DispatchCore::audit_clock`]).
+    last_action_at: u64,
     pub(crate) now: u64,
     pub(crate) next_msg: u64,
     pub(crate) steps: u64,
     pub(crate) max_steps: u64,
     /// Commit-log position of the last [`DispatchCore::new_commits`] drain.
-    pub(crate) commit_cursor: u64,
+    commit_cursor: u64,
     /// `(invoked_at, tx)` of every invoked-but-not-responded transaction —
     /// the first entry is the earliest in-flight invocation, which bounds
     /// [`DispatchCore::inv_floor`] in O(log n) per update instead of an
@@ -140,7 +169,7 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     pub(crate) in_flight: BTreeSet<(u64, TxId)>,
     /// Sends addressed to processes of another core, buffered for the
     /// epoch exchange.  Always empty at stride 1 (everything is local).
-    pub(crate) outbox: Vec<Transit<P::Msg>>,
+    pub(crate) outbox: Vec<PendingMessage<P::Msg>>,
     /// Observability sink (virtual-time events only; `NullSink` by
     /// default, which compiles the emission sites away).
     pub(crate) sink: O,
@@ -167,8 +196,10 @@ where
             pool: MessagePool::new(),
             invocations: BinaryHeap::new(),
             scheduler,
-            trace: Trace::new(),
             records: BTreeMap::new(),
+            commits: CommitLog::default(),
+            c2c_sends: FxHashMap::default(),
+            last_action_at: 0,
             now: 0,
             next_msg: index as u64,
             steps: 0,
@@ -191,8 +222,10 @@ where
             pool: self.pool,
             invocations: self.invocations,
             scheduler: self.scheduler,
-            trace: self.trace,
             records: self.records,
+            commits: self.commits,
+            c2c_sends: self.c2c_sends,
+            last_action_at: self.last_action_at,
             now: self.now,
             next_msg: self.next_msg,
             steps: self.steps,
@@ -247,14 +280,6 @@ where
         self.pool.is_empty() && self.invocations.is_empty() && self.outbox.is_empty()
     }
 
-    /// Folds a routed cross-shard message into the local pool and trace.
-    pub(crate) fn accept(&mut self, transit: Transit<P::Msg>) {
-        if let Some(causality) = transit.causality {
-            self.trace.import_envelope(transit.msg.id, causality);
-        }
-        self.pool.insert(transit.msg);
-    }
-
     /// The earliest virtual time at which this core could take a step
     /// under the dispatch rules, or `None` if it has no work.  Exactly two
     /// dispatch cases exist: a due invocation (planned time reached, or
@@ -295,10 +320,23 @@ where
     /// never dispatched at a clock earlier than its own timestamp* holds
     /// by construction.  A path that bypassed the clamp would trip the
     /// debug assertions downstream of it: the timestamp check in
-    /// [`DispatchCore::deliver`] and the monotonicity check in
-    /// [`Trace::record`].
+    /// [`DispatchCore::deliver`] and [`DispatchCore::audit_clock`].
     fn advance_past(&mut self, event_at: u64) {
         self.now = self.now.max(event_at) + 1;
+    }
+
+    /// Called at every external action (INV, send, recv, RESP).  The
+    /// real-time precedence edges the checkers derive are only trustworthy
+    /// if action times never regress — the clock clamp guarantees it; this
+    /// assertion keeps it audited.
+    fn audit_clock(&mut self) {
+        debug_assert!(
+            self.now >= self.last_action_at,
+            "non-monotone action timestamp: {} after {}",
+            self.now,
+            self.last_action_at
+        );
+        self.last_action_at = self.now;
     }
 
     /// One dispatch decision under `watermark`: a due invocation (planned
@@ -364,14 +402,14 @@ where
     }
 
     /// The commit gate of every completion wait: the first member of
-    /// `watch` (in `watch` order) among the commits the trace logged since
+    /// `watch` (in `watch` order) among the commits logged since
     /// commit number `*seen`, which is advanced to the current count.  A
-    /// transaction completes only when its `Respond` is recorded, so a wait
+    /// transaction completes only when its RESP is logged, so a wait
     /// loop that scanned `watch` once on entry needs nothing else after a
     /// step — O(1) when the step committed nothing, and a slice compare (no
     /// `records` probe) against the new ids when it did.
     pub(crate) fn watched_commit(&self, seen: &mut u64, watch: &[TxId]) -> Option<TxId> {
-        let count = self.trace.commit_count();
+        let count = self.commits.count();
         if count == *seen {
             return None;
         }
@@ -379,7 +417,7 @@ where
         let done = watch
             .iter()
             .copied()
-            .find(|&tx| self.trace.commits_since(from).any(|committed| committed == tx));
+            .find(|&tx| self.commits.since(from).any(|committed| committed == tx));
         debug_assert!(done.is_none_or(|tx| self.is_complete(tx)), "logged commit without a record");
         done
     }
@@ -393,7 +431,7 @@ where
         if watch.iter().any(|&tx| self.is_complete(tx)) {
             return 0;
         }
-        let mut seen = self.trace.commit_count();
+        let mut seen = self.commits.count();
         while self.try_dispatch(watermark).is_some() {
             if self.watched_commit(&mut seen, watch).is_some() {
                 break;
@@ -442,11 +480,7 @@ where
 
     fn dispatch_invocation(&mut self, tx: TxId, client: ClientId, spec: TxSpec) {
         let pid = ProcessId::Client(client);
-        self.trace.record(
-            self.now,
-            pid,
-            ActionKind::Invoke { tx, kind: spec.kind() },
-        );
+        self.audit_clock();
         self.records
             .insert(tx, TxRecord::invoked(tx, client, spec.clone(), self.now));
         self.in_flight.insert((self.now, tx));
@@ -475,12 +509,9 @@ where
             msg.deliver_at,
             self.now
         );
-        let info = msg.msg.info();
-        self.trace.record(
-            self.now,
-            msg.dst,
-            ActionKind::Recv { msg: msg.id, from: msg.src, info },
-        );
+        let (info, causal) = (msg.msg.info(), msg.causal);
+        self.audit_clock();
+        self.note_read_response(&msg, &info);
         if O::ENABLED {
             self.sink.emit(ObsEvent::MessageDelivered {
                 at: self.now,
@@ -498,38 +529,136 @@ where
             .get_mut(&msg.dst)
             .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
         process.on_message(msg.src, msg.msg, &mut effects);
-        self.apply_effects(msg.dst, Some(msg.id), effects);
-        // This core only needs a delivered message's causal metadata for
-        // aggregates of transactions *invoked here* (the records map is
-        // exactly that set) — RESP-time pruning covers those.  Anything else would leak until the run ends, since no
-        // local RESP will ever drop it; prune it now that the handler's
-        // sends have folded its chain.  (At stride 1 every transaction is
-        // invoked here, so this never fires on the serial engine.)
-        if self.stride > 1
-            && info.tx.map(|tx| !self.records.contains_key(&tx)).unwrap_or(false)
-        {
-            self.trace.prune_meta(msg.id);
+        self.apply_effects(msg.dst, Some((info, causal)), effects);
+    }
+
+    /// Folds a read response into the instrumentation of its READ, before
+    /// the handler runs: one [`ReadResult`] per response carrying an object
+    /// that a server sent the **invoking client** — and only until the RESP,
+    /// at which the record is final (a duplicate or a slow replica's answer
+    /// delivered later is a straggler, not instrumentation).  On a sharded
+    /// run only the invoker's core holds the record.
+    fn note_read_response(&mut self, msg: &PendingMessage<P::Msg>, info: &MsgInfo) {
+        if info.kind != MsgKind::ReadResponse {
+            return;
+        }
+        let (Some(tx), Some(object), Some(server), ProcessId::Client(client)) =
+            (info.tx, info.object, msg.src.as_server(), msg.dst)
+        else {
+            return; // e.g. a metadata response (get-tag-arr) names no object
+        };
+        let Some(rec) = self.records.get_mut(&tx) else { return };
+        if rec.client == client && rec.responded_at.is_none() && rec.kind() == TxKind::Read {
+            rec.reads.push(ReadResult {
+                object,
+                server,
+                versions_in_response: info.versions.max(1),
+                nonblocking: msg.causal.direct,
+            });
         }
     }
 
-    fn apply_effects(&mut self, at: ProcessId, parent: Option<MsgId>, effects: Effects<P::Msg>) {
+    /// **The one definition of the causal stamp** (see [`Causal`]) of a send
+    /// by `at`, classified `info`, made while handling `handled` (`None` in
+    /// an INV handler) — folded, at the same site, into the record it
+    /// describes: the invoker's round count, or this core's C2C count.
+    fn stamp(
+        &mut self,
+        at: ProcessId,
+        info: &MsgInfo,
+        handled: Option<(MsgInfo, Causal)>,
+    ) -> Causal {
+        let Some(tx) = info.tx else { return Causal::ROOT };
+        // A server never invokes, and only the invoker's core holds the
+        // record — which is exactly the core on which the answer is "yes".
+        let invoker = match at {
+            ProcessId::Client(client) => {
+                self.records.get_mut(&tx).filter(|rec| rec.client == client)
+            }
+            ProcessId::Server(_) => None,
+        };
+        let causal = match handled {
+            Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
+                round: stamp.round + u32::from(invoker.is_some()),
+                direct: parent.kind == MsgKind::ReadRequest,
+            },
+            _ => Causal::ROOT,
+        };
+        if info.kind == MsgKind::ClientToClient {
+            *self.c2c_sends.entry(tx).or_insert(0) += 1;
+        } else if let Some(rec) = invoker {
+            rec.rounds = rec.rounds.max(causal.round);
+        }
+        causal
+    }
+
+    /// C2C sends attributed to `tx` by processes of this core.
+    pub(crate) fn c2c_count(&self, tx: TxId) -> u32 {
+        self.c2c_sends.get(&tx).copied().unwrap_or(0)
+    }
+
+    /// The one enqueue path of a send and of its fault-engine duplicate:
+    /// the scheduler's draw, pool or outbox, the `MessageSent` event.  The
+    /// scheduler always sees the send — its latency/RNG draw sequence is
+    /// part of the determinism contract — then `verdict` has the last word
+    /// on whether and when the message travels.
+    fn enqueue(&mut self, mut msg: PendingMessage<P::Msg>, info: &MsgInfo, verdict: &SendVerdict) {
+        self.audit_clock();
+        msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, msg.id, self.now);
+        if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
+            let base = msg.deliver_at.unwrap_or(self.now).saturating_add(verdict.extra_delay);
+            msg.deliver_at = Some(base.max(verdict.hold_until.unwrap_or(0)));
+        }
+        let (id, src, dst) = (msg.id, msg.src, msg.dst);
+        let local = self.is_local(dst);
+        match (verdict.dropped, local) {
+            (true, _) => {} // sent, never inserted: a drop is an event of the run
+            (false, true) => self.pool.insert(msg),
+            (false, false) => self.outbox.push(msg),
+        }
+        if O::ENABLED {
+            self.sink.emit(ObsEvent::MessageSent {
+                at: self.now,
+                msg: id.0,
+                kind: info.kind,
+                tx: info.tx,
+                src,
+                dst,
+                queue_depth: self.pool.len() as u32,
+                cross_shard: !local,
+            });
+        }
+    }
+
+    fn next_msg_id(&mut self) -> MsgId {
+        let id = MsgId(self.next_msg);
+        self.next_msg += self.stride;
+        id
+    }
+
+    fn apply_effects(
+        &mut self,
+        at: ProcessId,
+        handled: Option<(MsgInfo, Causal)>,
+        effects: Effects<P::Msg>,
+    ) {
         let (sends, responses) = effects.into_parts();
         for (to, m) in sends {
-            let id = MsgId(self.next_msg);
-            self.next_msg += self.stride;
             let info = m.info();
-            self.trace.record(
-                self.now,
-                at,
-                ActionKind::Send { msg: id, to, parent, info },
-            );
-            // The scheduler always sees the send (its latency/RNG draw
-            // sequence is part of the determinism contract), then the fault
-            // schedule gets the last word on whether and when the message
-            // travels.  `send_verdict` is a pure function of
-            // `(schedule, src, dst, sent_at, id)`, so verdicts are
-            // independent of decision order across shards.
-            let deliver_at = self.scheduler.on_send_to(at, to, id, self.now);
+            let causal = self.stamp(at, &info, handled);
+            let id = self.next_msg_id();
+            let msg = PendingMessage {
+                id,
+                src: at,
+                dst: to,
+                msg: m,
+                sent_at: self.now,
+                causal,
+                deliver_at: None, // the scheduler's, stamped by `enqueue`
+            };
+            // `send_verdict` is a pure function of `(schedule, src, dst,
+            // sent_at, id)`, so verdicts are independent of decision order
+            // across shards.
             let verdict = match self.faults.as_ref() {
                 Some(f) => f.schedule.send_verdict(at, to, self.now, id),
                 None => SendVerdict::default(),
@@ -537,109 +666,27 @@ where
             if self.faults.is_some() {
                 self.note_partitions();
             }
-            if verdict.dropped {
-                // Sent, never inserted: the trace counts the Send (a drop is
-                // an event of the run), but the causal meta can never be
-                // walked again.
-                if O::ENABLED {
-                    self.sink.emit(ObsEvent::MessageSent {
-                        at: self.now,
-                        msg: id.0,
-                        kind: info.kind,
-                        tx: info.tx,
-                        src: at,
-                        dst: to,
-                        queue_depth: self.pool.len() as u32,
-                        cross_shard: !self.is_local(to),
-                    });
-                    self.sink.emit(ObsEvent::MessageDropped {
-                        at: self.now,
-                        msg: id.0,
-                        src: at,
-                        dst: to,
-                    });
-                }
-                self.trace.prune_meta(id);
-                continue;
-            }
-            let deliver_at = if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
-                let base = deliver_at.unwrap_or(self.now).saturating_add(verdict.extra_delay);
-                Some(base.max(verdict.hold_until.unwrap_or(0)))
-            } else {
-                deliver_at
-            };
-            let dup = verdict.duplicate.then(|| m.clone());
-            let pending = PendingMessage {
-                id,
-                src: at,
-                dst: to,
-                msg: m,
-                sent_at: self.now,
-                parent,
-                deliver_at,
-            };
-            let local = self.is_local(to);
-            if local {
-                self.pool.insert(pending);
-            } else {
-                let causality = self.trace.export_envelope(id);
-                // The local meta of a departed message can never be walked
-                // again on this core — only its envelope travels on.
-                self.trace.prune_meta(id);
-                self.outbox.push(Transit { msg: pending, causality });
-            }
-            if O::ENABLED {
-                self.sink.emit(ObsEvent::MessageSent {
+            let dup = (verdict.duplicate && !verdict.dropped).then(|| msg.clone());
+            self.enqueue(msg, &info, &verdict);
+            if verdict.dropped && O::ENABLED {
+                self.sink.emit(ObsEvent::MessageDropped {
                     at: self.now,
                     msg: id.0,
-                    kind: info.kind,
-                    tx: info.tx,
                     src: at,
                     dst: to,
-                    queue_depth: self.pool.len() as u32,
-                    cross_shard: !local,
                 });
             }
             if let Some(copy) = dup {
-                // The duplicate is a first-class message: its own
-                // (shard-strided) id, its own Send record, its own
-                // scheduler draw.  It is not re-evaluated against the fault
-                // schedule (no duplicate storms of duplicates).
-                let dup_id = MsgId(self.next_msg);
-                self.next_msg += self.stride;
-                self.trace.record(
-                    self.now,
-                    at,
-                    ActionKind::Send { msg: dup_id, to, parent, info },
-                );
-                let dup_deliver = self.scheduler.on_send_to(at, to, dup_id, self.now);
-                let dup_pending = PendingMessage {
-                    id: dup_id,
-                    src: at,
-                    dst: to,
-                    msg: copy,
-                    sent_at: self.now,
-                    parent,
-                    deliver_at: dup_deliver,
-                };
-                if local {
-                    self.pool.insert(dup_pending);
-                } else {
-                    let causality = self.trace.export_envelope(dup_id);
-                    self.trace.prune_meta(dup_id);
-                    self.outbox.push(Transit { msg: dup_pending, causality });
-                }
+                // The duplicate is a first-class send: its own
+                // (shard-strided) id, its own scheduler draw, its own stamp
+                // from the same inputs (so a duplicated C2C send counts
+                // twice).  It is not re-evaluated against the fault schedule
+                // (no duplicate storms of duplicates).
+                let causal = self.stamp(at, &info, handled);
+                let dup_id = self.next_msg_id();
+                let copy = PendingMessage { id: dup_id, causal, ..copy };
+                self.enqueue(copy, &info, &SendVerdict::default());
                 if O::ENABLED {
-                    self.sink.emit(ObsEvent::MessageSent {
-                        at: self.now,
-                        msg: dup_id.0,
-                        kind: info.kind,
-                        tx: info.tx,
-                        src: at,
-                        dst: to,
-                        queue_depth: self.pool.len() as u32,
-                        cross_shard: !local,
-                    });
                     self.sink.emit(ObsEvent::MessageDuplicated {
                         at: self.now,
                         original: id.0,
@@ -651,7 +698,7 @@ where
             }
         }
         for (tx, outcome) in responses {
-            self.trace.record(self.now, at, ActionKind::Respond { tx });
+            self.log_commit(tx);
             if let Some(rec) = self.records.get_mut(&tx) {
                 let invoked_at = rec.invoked_at;
                 rec.responded_at = Some(self.now);
@@ -669,50 +716,49 @@ where
         }
     }
 
-    /// Clones one record enriched with the core's trace aggregates (rounds,
-    /// read instrumentation) and a caller-supplied C2C count (the sharded
-    /// engine sums across cores).
-    fn enriched_record(&self, rec: &TxRecord, c2c_of: &impl Fn(TxId) -> u32) -> TxRecord {
-        let tx = rec.tx_id;
+    /// RESP(`tx`): appends it to the commit log.
+    fn log_commit(&mut self, tx: TxId) {
+        self.audit_clock();
+        self.commits.live.push_back(tx);
+    }
+
+    /// Clones one record — rounds and read instrumentation are already in
+    /// it — with the C2C count the caller supplies (C2C sends are counted
+    /// on the sender's core, so the sharded engine sums across cores).
+    fn exported_record(rec: &TxRecord, c2c_of: &impl Fn(TxId) -> u32) -> TxRecord {
         let mut rec = rec.clone();
-        let client = ProcessId::Client(rec.client);
-        rec.rounds = self.trace.rounds_of(tx, client);
-        rec.c2c_messages = c2c_of(tx);
-        if rec.kind() == TxKind::Read {
-            rec.reads = self.trace.read_results(tx).to_vec();
-        }
+        rec.c2c_messages = c2c_of(rec.tx_id);
         rec
     }
 
-    /// Appends this core's transaction records to `history`, enriched with
-    /// the core's trace aggregates.  Callers sort the assembled history by
-    /// `(invoked_at, tx_id)` once all cores have contributed.
+    /// Appends this core's transaction records to `history`.  Callers sort
+    /// the assembled history by `(invoked_at, tx_id)` once all cores have
+    /// contributed.
     pub(crate) fn collect_records(&self, history: &mut History, c2c_of: impl Fn(TxId) -> u32) {
         for rec in self.records.values() {
-            history.push(self.enriched_record(rec, &c2c_of));
+            history.push(Self::exported_record(rec, &c2c_of));
         }
     }
 
-    /// The enriched records of every commit the trace logged since the
-    /// last [`DispatchCore::retire_drained_commits`], in local RESP order —
+    /// The records of every commit logged since the last
+    /// [`DispatchCore::retire_drained_commits`], in local RESP order —
     /// the streaming checker's incremental alternative to re-assembling
     /// the whole history per poll.  Immutable so a caller can pass a
-    /// `c2c_of` closure that reads sibling cores' traces; pair with
+    /// `c2c_of` closure that reads sibling cores; pair with
     /// `retire_drained_commits` once the batch is consumed.
     pub(crate) fn new_commits(&self, c2c_of: impl Fn(TxId) -> u32) -> Vec<TxRecord> {
-        self.trace
-            .commits_since(self.commit_cursor)
+        self.commits
+            .since(self.commit_cursor)
             .filter_map(|tx| self.records.get(&tx))
-            .map(|rec| self.enriched_record(rec, &c2c_of))
+            .map(|rec| Self::exported_record(rec, &c2c_of))
             .collect()
     }
 
     /// Marks everything returned by the last [`DispatchCore::new_commits`]
-    /// as consumed and retires the trace's commit-log prefix, keeping the
-    /// log O(drain window) instead of O(transactions).
+    /// as consumed and retires that prefix of the commit log.
     pub(crate) fn retire_drained_commits(&mut self) {
-        self.commit_cursor = self.trace.commit_count();
-        self.trace.retire_commits(self.commit_cursor);
+        self.commit_cursor = self.commits.count();
+        self.commits.retire(self.commit_cursor);
     }
 
     /// A lower bound on the `invoked_at` of every commit this core will
@@ -787,7 +833,6 @@ where
                             dst: msg.dst,
                         });
                     }
-                    self.trace.prune_meta(msg.id);
                 }
                 CrashPolicy::QueueInFlight => {
                     // Held for the restarted process: re-queued with its
@@ -846,7 +891,7 @@ where
             rec.responded_at = Some(self.now);
             rec.outcome = Some(TxOutcome::Aborted);
             let client = rec.client;
-            self.trace.record(self.now, ProcessId::Client(client), ActionKind::Respond { tx });
+            self.log_commit(tx);
             // Let the client automaton drop its in-flight state for the
             // orphan, so the next invocation finds it idle.
             if let Some(p) = self.processes.get_mut(&ProcessId::Client(client)) {
@@ -902,5 +947,240 @@ where
     /// work, it does not rewind time).
     pub fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
         self.core.force_invoke(client)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::LatencyScheduler;
+    use crate::ParallelSimulation;
+    use snow_core::{ObjectId, ReadOutcome, ServerId};
+
+    /// One hop of a scripted route: the next process, and how the message
+    /// sent to it is classified.
+    type Hop = (ProcessId, MsgInfo);
+
+    /// A scripted toy protocol: a message carries the rest of its route,
+    /// every handler forwards it to the next hop, and the handler that
+    /// finds the route empty responds.
+    #[derive(Debug, Clone)]
+    struct Routed {
+        tx: TxId,
+        info: MsgInfo,
+        rest: VecDeque<Hop>,
+    }
+
+    impl crate::message::SimMessage for Routed {
+        fn info(&self) -> MsgInfo {
+            self.info
+        }
+    }
+
+    struct Router {
+        id: ProcessId,
+        /// The route of each invocation, in invocation order.
+        scripts: VecDeque<Vec<Hop>>,
+    }
+
+    fn forward(tx: TxId, mut route: VecDeque<Hop>, effects: &mut Effects<Routed>) {
+        match route.pop_front() {
+            Some((to, info)) => {
+                // Scripts attribute to the placeholder `T`.
+                let info = MsgInfo { tx: info.tx.and(Some(tx)), ..info };
+                effects.send(to, Routed { tx, info, rest: route })
+            }
+            None => {
+                effects.respond(tx, TxOutcome::Read(ReadOutcome { reads: Vec::new(), tag: None }))
+            }
+        }
+    }
+
+    impl Process for Router {
+        type Msg = Routed;
+
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn on_invoke(&mut self, tx: TxId, _spec: TxSpec, effects: &mut Effects<Routed>) {
+            let route = self.scripts.pop_front().expect("one script per invocation");
+            forward(tx, route.into(), effects);
+        }
+
+        fn on_message(&mut self, _from: ProcessId, msg: Routed, effects: &mut Effects<Routed>) {
+            forward(msg.tx, msg.rest, effects);
+        }
+    }
+
+    /// The transaction scripts are written against; a message is
+    /// re-attributed to the transaction it actually travels for.
+    const T: TxId = TxId(0);
+
+    fn c(i: u32) -> ProcessId {
+        ProcessId::Client(ClientId(i))
+    }
+    fn s(i: u32) -> ProcessId {
+        ProcessId::Server(ServerId(i))
+    }
+    fn req(to: ProcessId, object: u32) -> Hop {
+        (to, MsgInfo::read_request(T, Some(ObjectId(object))))
+    }
+    fn resp(to: ProcessId, object: u32, versions: usize) -> Hop {
+        (to, MsgInfo::read_response(T, Some(ObjectId(object)), versions))
+    }
+    fn c2c(to: ProcessId) -> Hop {
+        (to, MsgInfo::client_to_client(Some(T)))
+    }
+
+    /// Two clients and four servers; client 0 holds the scripts.
+    fn routers(routes: Vec<Vec<Hop>>) -> impl Iterator<Item = Router> {
+        let invoker = Router { id: c(0), scripts: routes.into() };
+        let others = [c(1), s(0), s(1), s(2), s(3)];
+        std::iter::once(invoker)
+            .chain(others.into_iter().map(|id| Router { id, scripts: VecDeque::new() }))
+    }
+
+    // A fixed latency: a lone chain is then stamped identically on the
+    // serial clock and on per-shard clocks.
+    fn scheduler() -> LatencyScheduler {
+        LatencyScheduler::new(0, 5, 5)
+    }
+
+    fn read_spec() -> TxSpec {
+        TxSpec::read(vec![ObjectId(0)])
+    }
+
+    /// The records of one READ by client 0 per route, one after the other,
+    /// on the serial engine.
+    fn run(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
+        let mut sim = Simulation::new(scheduler());
+        let count = routes.len() as u64;
+        routers(routes).for_each(|p| sim.add_process(p));
+        for i in 0..count {
+            sim.invoke_at(i * 1_000, ClientId(0), read_spec());
+        }
+        sim.run_until_quiescent();
+        sim.history().records
+    }
+
+    /// [`run`] on four shards: client `i` and server `i` live on shard `i`.
+    fn run_sharded(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
+        let mut sim = ParallelSimulation::new(4, |_| scheduler());
+        let count = routes.len() as u64;
+        routers(routes).for_each(|p| sim.add_process(p));
+        for i in 0..count {
+            sim.invoke_at(i * 1_000, ClientId(0), read_spec());
+        }
+        sim.run_until_quiescent();
+        sim.history().records
+    }
+
+    fn read(object: u32, server: u32, versions: usize, nonblocking: bool) -> ReadResult {
+        ReadResult {
+            object: ObjectId(object),
+            server: ServerId(server),
+            versions_in_response: versions,
+            nonblocking,
+        }
+    }
+
+    #[test]
+    fn round_counting_follows_causality() {
+        // A send by the invoker belongs to round 1 + the responses of the
+        // chain it had handled.  Three transactions of one client, of 1, 2
+        // and 3 round trips: each record counts its own.
+        let chain = |rounds: u32| -> Vec<Hop> {
+            (1..=rounds).flat_map(|i| [req(s(i), i), resp(c(0), i, 1)]).collect()
+        };
+        let records = run(vec![chain(1), chain(2), chain(3)]);
+        for (rec, rounds) in records.iter().zip(1u32..) {
+            assert!(rec.is_complete());
+            assert_eq!(rec.rounds, rounds);
+            assert_eq!(rec.reads.len(), rounds as usize);
+            assert!(rec.all_reads_nonblocking());
+        }
+    }
+
+    /// A chain is one transaction's own contiguous ancestry: a hop through
+    /// an unattributed message starts it over, and the read response sent
+    /// from that message's handler — not from the request's — is blocking.
+    #[test]
+    fn a_chain_restarted_by_a_control_message_counts_from_one() {
+        let rec = &run(vec![vec![
+            req(s(0), 0),
+            resp(c(0), 0, 1),
+            req(s(1), 1), // round 2; s1 parks it …
+            (s(2), MsgInfo::control()),
+            resp(c(0), 2, 1), // … and s2 answers, from the control handler
+            req(s(3), 3), // 1 + the one response of the restarted chain
+            resp(c(0), 3, 1),
+        ]])[0];
+        assert_eq!(rec.rounds, 2, "three requests, but the chain restarted");
+        assert_eq!(rec.reads, [read(0, 0, 1, true), read(2, 2, 1, false), read(3, 3, 1, true)]);
+    }
+
+    #[test]
+    fn c2c_sends_are_counted_and_never_add_a_round() {
+        let route = vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0))];
+        let rec = &run(vec![route.clone()])[0];
+        assert_eq!((rec.rounds, rec.c2c_messages), (1, 2));
+        // On four shards the relay's send is counted by another core.
+        assert_eq!(run_sharded(vec![route])[0].c2c_messages, 2);
+    }
+
+    #[test]
+    fn read_results_accumulate_at_the_invoker_in_receive_order() {
+        let rec = &run(vec![vec![
+            req(s(0), 0),
+            resp(c(1), 9, 4), // to a client that did not invoke T
+            req(s(3), 3),
+            resp(c(0), 3, 0), // a response carries at least one version
+            req(s(1), 1),
+            (c(0), MsgInfo::read_response(T, None, 2)), // metadata: no object
+            req(s(2), 2),
+            resp(c(0), 2, 5),
+        ]])[0];
+        assert_eq!(rec.reads, [read(3, 3, 1, true), read(2, 2, 5, true)]);
+        assert_eq!(rec.rounds, 3);
+    }
+
+    /// The derivation needs nothing but the message: with every hop of the
+    /// chain crossing a shard boundary, the sharded engine assembles the
+    /// record the serial engine does, byte for byte.
+    #[test]
+    fn serial_and_sharded_engines_derive_the_same_record() {
+        // invoke → request → response → C2C relay and back → second
+        // request → response; shards 0→2→0→1→0→3→0.
+        let route =
+            vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0)), req(s(3), 1), resp(c(0), 1, 2)];
+        let serial = &run(vec![route.clone()])[0];
+        assert!(serial.is_complete());
+        // The C2C messages the invoker sends are no round of its own, but
+        // the one it handles is a response of the chain like any other.
+        assert_eq!((serial.rounds, serial.c2c_messages), (3, 2));
+        assert_eq!(serial.reads, [read(0, 2, 1, true), read(1, 3, 2, true)]);
+        assert_eq!(format!("{:?}", run_sharded(vec![route])[0]), format!("{serial:?}"));
+    }
+
+    #[test]
+    fn commit_log_iterates_and_retires_in_resp_order() {
+        let mut log = CommitLog::default();
+        log.live.extend((0..20).map(TxId));
+        assert_eq!((log.count(), log.retired), (20, 0));
+        assert_eq!(log.since(0).collect::<Vec<_>>(), (0..20).map(TxId).collect::<Vec<_>>());
+        // A cursor resumes mid-log without re-yielding drained entries.
+        let tail = vec![TxId(17), TxId(18), TxId(19)];
+        assert_eq!(log.since(17).collect::<Vec<_>>(), tail);
+        // Retiring a prefix drops its storage but not the numbering.
+        log.retire(17);
+        assert_eq!((log.count(), log.retired), (20, 17));
+        assert_eq!(log.since(17).collect::<Vec<_>>(), tail);
+        // A stale cursor starts at the oldest live entry; retiring past
+        // the end is clamped.
+        assert_eq!(log.since(0).count(), 3);
+        log.retire(100);
+        assert_eq!((log.count(), log.retired), (20, 20));
+        assert_eq!(log.since(0).count(), 0);
     }
 }

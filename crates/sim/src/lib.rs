@@ -20,13 +20,13 @@
 //!   rank index built when a scheduler first selects by rank), so every
 //!   scheduler decides in O(log n) — see [`pool`] and [`scheduler`] for
 //!   the complexity contract;
-//! * every external action (INV, RESP, send, recv) is folded into a
-//!   [`Trace`] — a causal ledger, not a log: round depths and non-blocking
-//!   verdicts derived from the causal parent links between a delivered
-//!   message and the messages its handler sent.  That is what lets
-//!   `snow-checker` verify the N (non-blocking) and O (one-response)
-//!   properties without trusting the protocol's self-reporting; the
-//!   per-action log of a run is the [`TraceSink`] event stream;
+//! * causality rides on the message: every send is stamped ([`Causal`])
+//!   from the stamp of the message whose handler made it, and the round
+//!   counts and non-blocking verdicts of a transaction are that stamp
+//!   folded into its record.  That is what lets `snow-checker` verify the
+//!   N (non-blocking) and O (one-response) properties without trusting
+//!   the protocol's self-reporting; the per-action log of a run is the
+//!   [`TraceSink`] event stream;
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
 //! The serial simulator is single-threaded and fully deterministic given
@@ -59,13 +59,12 @@ pub mod pool;
 pub mod scheduler;
 pub mod sim;
 pub mod topology;
-pub mod trace;
 
 pub use fault::{
     Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, Partition,
     PartitionPolicy, RestartFn,
 };
-pub use message::{MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
+pub use message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
 pub use parallel::ParallelSimulation;
 pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
@@ -73,4 +72,3 @@ pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
 pub use sim::{CommitDrain, InvocationPlan, Simulation, StepOutcome};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};
-pub use trace::{ActionKind, CausalEnvelope, Trace};

@@ -7,8 +7,8 @@
 //! (`engine::DispatchCore` — **the same type** the serial
 //! [`crate::Simulation`] wraps) per shard, each on its own worker thread.
 //! Every core owns its delivery pool, `(at, TxId)`-keyed invocation heap,
-//! [`Scheduler`] instance and [`Trace`], so shard-disjoint deliveries
-//! proceed with no synchronization at all.
+//! [`Scheduler`] instance and transaction records, so shard-disjoint
+//! deliveries proceed with no synchronization at all.
 //!
 //! # The deterministic epoch barrier
 //!
@@ -30,9 +30,10 @@
 //!    serial engine (a random scheduler may well deliver a message keyed
 //!    past the watermark while earlier ones are pending);
 //! 4. the leader routes the union of the outboxes in `(deliver_at,
-//!    MsgId)` order to the destination shards, together with each
-//!    message's [`crate::CausalEnvelope`] so the receiving shard's trace keeps
-//!    deriving exact round counts and non-blocking verdicts.
+//!    MsgId)` order to the destination shards.  A cross-shard message is
+//!    the same [`crate::PendingMessage`], [`crate::Causal`] stamp included,
+//!    so the receiving shard derives exactly the round counts and
+//!    non-blocking verdicts the serial engine would.
 //!
 //! Every decision in this cycle — watermark, routing order, per-shard
 //! scheduling — is a pure function of per-shard state, so **the observable
@@ -59,11 +60,11 @@
 //! semantically equal on serial plans — pinned by the multi-shard cases in
 //! `parallel_determinism`.
 
-use crate::engine::{DispatchCore, QueuedInvocation, Transit};
+use crate::engine::{DispatchCore, QueuedInvocation};
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
+use crate::message::PendingMessage;
 use crate::scheduler::Scheduler;
 use crate::sim::CommitDrain;
-use crate::trace::Trace;
 use snow_core::TxRecord;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
@@ -101,9 +102,9 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// Shared barrier state of one parallel run.
 struct ExchangeState<M> {
     /// Cross-shard messages buffered by the epoch that just ran.
-    outbound: Vec<Transit<M>>,
+    outbound: Vec<PendingMessage<M>>,
     /// Messages routed to each shard, applied at the top of the next epoch.
-    inbound: Vec<Vec<Transit<M>>>,
+    inbound: Vec<Vec<PendingMessage<M>>>,
     /// Per-shard next-processable virtual times.
     reports: Vec<Option<u64>>,
     /// Set by the shard owning a watched transaction once it completes.
@@ -288,14 +289,12 @@ where
 
     /// True if no shard has anything left to do.
     pub fn is_quiescent(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.pool.is_empty() && s.invocations.is_empty() && s.outbox.is_empty())
+        self.shards.iter().all(|s| s.is_quiescent())
     }
 
-    /// A shard's trace (for assertions in tests/harnesses).
-    pub fn trace(&self, shard: usize) -> &Trace {
-        &self.shards[shard].trace
+    /// C2C sends attributed to `tx`, summed over the shards that made them.
+    fn c2c_count(&self, tx: TxId) -> u32 {
+        self.shards.iter().map(|s| s.c2c_count(tx)).sum()
     }
 
     /// Drains the transactions committed since the previous drain across
@@ -314,12 +313,7 @@ where
     /// not-yet-dispatched invocations on every shard.
     pub fn drain_commits(&mut self) -> CommitDrain {
         for i in 0..self.shards.len() {
-            let records = {
-                let shard = &self.shards[i];
-                shard.new_commits(|tx| {
-                    self.shards.iter().map(|s| s.trace.c2c_count(tx)).sum()
-                })
-            };
+            let records = self.shards[i].new_commits(|tx| self.c2c_count(tx));
             self.shards[i].retire_drained_commits();
             self.holdback.extend(records);
         }
@@ -443,16 +437,14 @@ where
     }
 
     /// Assembles the [`History`] of the run so far: per-transaction records
-    /// from the invoking client's shard, enriched with that shard's trace
-    /// aggregates (rounds, read instrumentation) and the cross-shard sum of
-    /// C2C sends.  With one shard this is byte-for-byte the serial
-    /// engine's [`crate::Simulation::history`].
+    /// from the invoking client's shard (rounds and read instrumentation
+    /// included) with the cross-shard sum of C2C sends.  With one shard
+    /// this is byte-for-byte the serial engine's
+    /// [`crate::Simulation::history`].
     pub fn history(&self) -> History {
         let mut history = History::new();
         for shard in &self.shards {
-            shard.collect_records(&mut history, |tx| {
-                self.shards.iter().map(|s| s.trace.c2c_count(tx)).sum()
-            });
+            shard.collect_records(&mut history, |tx| self.c2c_count(tx));
         }
         history.records.sort_by_key(|r| (r.invoked_at, r.tx_id));
         history
@@ -495,8 +487,8 @@ fn worker<P, S, O>(
             std::mem::take(&mut st.inbound[shard.index])
         };
         if !dead {
-            for transit in inbound {
-                shard.accept(transit);
+            for msg in inbound {
+                shard.pool.insert(msg);
             }
         }
         {
@@ -543,10 +535,10 @@ fn worker<P, S, O>(
         if barrier.wait().is_leader() {
             let mut st = state.lock().expect("exchange lock");
             let mut outbound = std::mem::take(&mut st.outbound);
-            outbound.sort_by_key(|t| (t.key(), t.msg.id.0));
-            for transit in outbound {
-                let dest = shard_of(transit.msg.dst, shard_count);
-                st.inbound[dest].push(transit);
+            outbound.sort_by_key(|m| (m.delivery_key(), m.id.0));
+            for msg in outbound {
+                let dest = shard_of(msg.dst, shard_count);
+                st.inbound[dest].push(msg);
             }
         }
         barrier.wait();
@@ -758,20 +750,6 @@ mod tests {
                 assert_eq!(rec.c2c_messages, 0);
             }
         }
-    }
-
-    #[test]
-    fn bounded_multi_shard_traces_preserve_histories_and_stay_small() {
-        let mut sim = deploy(4, 4, 4, |i| LatencyScheduler::new(shard_seed(9, i), 1, 16));
-        let txs = plan(&mut sim, 4);
-        sim.run_until_quiescent();
-        assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
-        // Every transaction responded and every cross-shard/foreign meta
-        // was pruned (at export, delivery, or RESP): nothing remains of the
-        // run's 144 sends.
-        let metas: Vec<usize> =
-            (0..sim.num_shards()).map(|s| sim.trace(s).causal_meta_len()).collect();
-        assert_eq!(metas, vec![0; 4], "every shard must drain its meta table");
     }
 
     #[test]

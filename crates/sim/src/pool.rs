@@ -416,6 +416,7 @@ impl<M> MessagePool<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Causal;
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -429,7 +430,7 @@ mod tests {
             dst: ProcessId::Server(ServerId(0)),
             msg: M,
             sent_at,
-            parent: None,
+            causal: Causal::ROOT,
             deliver_at,
         }
     }

@@ -63,21 +63,12 @@ pub trait Scheduler<M> {
     fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<MsgId>;
 
     /// Hook called when a message is sent, letting latency-model schedulers
-    /// stamp a delivery time.  Returns the delivery time, if the scheduler
-    /// assigns one; `None` keys the message by its send time (FIFO order).
-    fn on_send(&mut self, sent_at: u64) -> Option<u64> {
-        let _ = sent_at;
+    /// stamp a delivery time from the send's endpoints, id and time.
+    /// Returns the delivery time, if the scheduler assigns one; `None` (the
+    /// default) keys the message by its send time (FIFO order).
+    fn on_send(&mut self, src: ProcessId, dst: ProcessId, id: MsgId, sent_at: u64) -> Option<u64> {
+        let _ = (src, dst, id, sent_at);
         None
-    }
-
-    /// Like [`Scheduler::on_send`], but with the message's endpoints and id —
-    /// what a topology-aware latency model keys its draw on.  The engine
-    /// calls this (never `on_send` directly); the default delegates to
-    /// [`Scheduler::on_send`], so schedulers that don't care about endpoints
-    /// are unchanged and existing schedules stay bit-identical.
-    fn on_send_to(&mut self, src: ProcessId, dst: ProcessId, id: MsgId, sent_at: u64) -> Option<u64> {
-        let _ = (src, dst, id);
-        self.on_send(sent_at)
     }
 
     /// Whether the engine should dispatch a planned invocation as soon as it
@@ -194,7 +185,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
         pool.pop_earliest()
     }
 
-    fn on_send(&mut self, sent_at: u64) -> Option<u64> {
+    fn on_send(&mut self, _src: ProcessId, _dst: ProcessId, _id: MsgId, sent_at: u64) -> Option<u64> {
         let lat = if self.min_latency == self.max_latency {
             self.min_latency
         } else {
@@ -207,7 +198,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgId, PendingMessage};
+    use crate::message::{Causal, MsgId, PendingMessage};
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -221,7 +212,7 @@ mod tests {
             dst: ProcessId::Server(ServerId(0)),
             msg: M,
             sent_at,
-            parent: None,
+            causal: Causal::ROOT,
             deliver_at,
         }
     }
@@ -282,8 +273,9 @@ mod tests {
     #[test]
     fn latency_orders_by_delivery_time() {
         let mut s = LatencyScheduler::new(1, 5, 5);
-        // on_send stamps sent_at + 5.
-        assert_eq!(Scheduler::<M>::on_send(&mut s, 10), Some(15));
+        // on_send stamps sent_at + 5, whatever the endpoints.
+        let (src, dst) = (ProcessId::Client(ClientId(0)), ProcessId::Server(ServerId(0)));
+        assert_eq!(Scheduler::<M>::on_send(&mut s, src, dst, MsgId(0), 10), Some(15));
         let mut pool = pool_of(vec![
             pending(0, 0, Some(30)),
             pending(1, 0, Some(10)),

@@ -14,8 +14,9 @@
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total (the old sorted-`Vec`
 //!   insert was O(n² log n)) and the next due invocation is an O(1) peek;
-//! * the [`Trace`] folds every recorded action into per-transaction indexes
-//!   (rounds, C2C counts, read instrumentation, parent links), so
+//! * every message carries its causal stamp ([`crate::Causal`]) and the
+//!   core folds it into the transaction records as the actions happen
+//!   (rounds, read instrumentation; C2C counts beside them), so
 //!   [`Simulation::history`] is a single pass over the transaction records
 //!   instead of O(transactions × actions).
 //!
@@ -47,7 +48,6 @@ use crate::engine::{DispatchCore, QueuedInvocation};
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
 use crate::message::PendingMessage;
 use crate::scheduler::Scheduler;
-use crate::trace::Trace;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
 
@@ -72,7 +72,7 @@ pub struct InvocationPlan {
 ///
 /// `records` are the completed transactions committed since the previous
 /// drain, in global RESP order (`(responded_at, tx_id)`), each already
-/// enriched with its trace aggregates.  `inv_floor` is a lower bound on the
+/// carrying its instrumentation.  `inv_floor` is a lower bound on the
 /// `invoked_at` of every record any *future* drain can return — the
 /// watermark an incremental checker may advance its certification frontier
 /// to after ingesting the batch.
@@ -201,11 +201,6 @@ where
         self.core.pool.iter()
     }
 
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
     /// Access to a registered process (for assertions in tests/harnesses).
     pub fn process(&self, id: ProcessId) -> Option<&P> {
         self.core.processes.get(&id)
@@ -271,7 +266,7 @@ where
         if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
             return Some(tx);
         }
-        let mut seen = self.core.trace.commit_count();
+        let mut seen = self.core.commits.count();
         loop {
             if self.is_quiescent() || self.step() == StepOutcome::Quiescent {
                 // Quiescent with watched transactions still in flight: under
@@ -288,14 +283,12 @@ where
     }
 
     /// Assembles the [`History`] of the run so far.  Rounds,
-    /// versions-per-read, non-blocking flags and C2C counts come from the
-    /// trace's per-transaction indexes, so this is a single pass over the
-    /// transaction records (plus the final sort), not a trace rescan per
-    /// transaction.
+    /// versions-per-read and non-blocking flags are already in the
+    /// transaction records, so this is a single pass over them (plus the
+    /// final sort).
     pub fn history(&self) -> History {
         let mut history = History::new();
-        self.core
-            .collect_records(&mut history, |tx| self.core.trace.c2c_count(tx));
+        self.core.collect_records(&mut history, |tx| self.core.c2c_count(tx));
         history.records.sort_by_key(|r| (r.invoked_at, r.tx_id));
         history
     }
@@ -306,9 +299,7 @@ where
     /// core's clock is the global clock, so its local RESP order *is* the
     /// global commit order and nothing is ever held back.
     pub fn drain_commits(&mut self) -> CommitDrain {
-        let records = self
-            .core
-            .new_commits(|tx| self.core.trace.c2c_count(tx));
+        let records = self.core.new_commits(|tx| self.core.c2c_count(tx));
         self.core.retire_drained_commits();
         CommitDrain { records, inv_floor: self.core.inv_floor() }
     }
@@ -538,11 +529,11 @@ mod tests {
         let done = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let later = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert!(sim.run_until_complete(done));
-        let (now, recorded) = (sim.now(), sim.trace().len());
+        let (now, pending) = (sim.now(), sim.pending_count());
         // Already complete on entry: returned even from the back of the
-        // list, and the clock and the trace stay where they were.
+        // list, and the clock and the network stay where they were.
         assert_eq!(sim.run_until_any_complete(&[later, done]), Some(done));
-        assert_eq!((sim.now(), sim.trace().len()), (now, recorded));
+        assert_eq!((sim.now(), sim.pending_count()), (now, pending));
         assert!(!sim.is_complete(later));
     }
 
@@ -587,6 +578,29 @@ mod tests {
         assert!([a, b].iter().all(|&tx| {
             history.get(tx).unwrap().outcome.as_ref().is_some_and(|o| o.is_aborted())
         }));
+    }
+
+    /// Instrumentation is final at RESP: the toy client responds after any
+    /// two responses, so with every response duplicated it responds on
+    /// server 0's pair, and server 1's — delivered later — are stragglers.
+    #[test]
+    fn a_response_delivered_after_its_resp_is_not_instrumentation() {
+        use crate::fault::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
+
+        let duplicate_responses = FaultSchedule::new(1).with_region(FaultRegion::always(
+            FaultAction::Duplicate,
+            EndpointSel::AnyServer,
+            EndpointSel::Any,
+            0,
+            u64::MAX,
+        ));
+        let mut sim = toy_sim(FifoScheduler::new()).with_faults(duplicate_responses, None);
+        let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
+        assert_eq!(sim.run_until_quiescent(), 7, "INV, 2 requests, 4 responses");
+        let history = sim.history();
+        let servers: Vec<ServerId> = history.get(tx).unwrap().reads.iter().map(|r| r.server).collect();
+        assert_eq!(servers, [ServerId(0), ServerId(0)]);
+        assert_eq!(sim.drain_commits().records[0].reads.len(), 2, "drained ≡ final");
     }
 
     #[test]
@@ -753,8 +767,7 @@ mod tests {
         let times: Vec<u64> = sim.drain_obs_events().iter().map(|e| e.event.at()).collect();
         // 6 INVs, 24 sends, 24 deliveries and the one RESP the toy client
         // (one outstanding read, overwritten by each forced INV) gets to.
-        assert_eq!(times.len(), 55);
-        assert_eq!(times.len(), sim.trace().len(), "one event per external action");
+        assert_eq!(times.len(), 55, "one event per external action");
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
             "trace timestamps regressed: {times:?}"

@@ -337,7 +337,7 @@ pub struct TopologyScheduler {
     /// collisions land on one core and resolve by the tie-break in
     /// [`Scheduler::next`]).
     class_width: u64,
-    /// `(src, send tick)` of the most recent `on_send_to`, with the next
+    /// `(src, send tick)` of the most recent `on_send`, with the next
     /// ordinal: sends inside one handler execution share `(src, tick)` and
     /// are numbered in emission order — a shard-invariant coordinate,
     /// unlike the shard-strided `MsgId`.
@@ -420,7 +420,7 @@ impl<M> Scheduler<M> for TopologyScheduler {
         true
     }
 
-    fn on_send_to(&mut self, src: ProcessId, dst: ProcessId, _id: MsgId, sent_at: u64) -> Option<u64> {
+    fn on_send(&mut self, src: ProcessId, dst: ProcessId, _id: MsgId, sent_at: u64) -> Option<u64> {
         // Number this send within its handler execution.  A process
         // dispatches at most once per tick (the engine clock strictly
         // increases per dispatch), so `(src, sent_at)` identifies the
@@ -446,7 +446,7 @@ fn pid_bits(id: ProcessId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::PendingMessage;
+    use crate::message::{Causal, PendingMessage};
 
     #[derive(Debug, Clone)]
     struct M;
@@ -540,13 +540,13 @@ mod tests {
         // schedulers (as different shard counts would): per-message stamps
         // are identical because the draw is keyed on shard-invariant
         // coordinates, not on call order.
-        let x0 = Scheduler::<M>::on_send_to(&mut a, C0, S0, MsgId(0), 100);
-        let x1 = Scheduler::<M>::on_send_to(&mut a, C0, S1, MsgId(1), 100);
-        let y0 = Scheduler::<M>::on_send_to(&mut a, S0, C0, MsgId(2), 5000);
+        let x0 = Scheduler::<M>::on_send(&mut a, C0, S0, MsgId(0), 100);
+        let x1 = Scheduler::<M>::on_send(&mut a, C0, S1, MsgId(1), 100);
+        let y0 = Scheduler::<M>::on_send(&mut a, S0, C0, MsgId(2), 5000);
 
-        let y0b = Scheduler::<M>::on_send_to(&mut b, S0, C0, MsgId(7), 5000);
-        let x0b = Scheduler::<M>::on_send_to(&mut b, C0, S0, MsgId(11), 100);
-        let x1b = Scheduler::<M>::on_send_to(&mut b, C0, S1, MsgId(12), 100);
+        let y0b = Scheduler::<M>::on_send(&mut b, S0, C0, MsgId(7), 5000);
+        let x0b = Scheduler::<M>::on_send(&mut b, C0, S0, MsgId(11), 100);
+        let x1b = Scheduler::<M>::on_send(&mut b, C0, S1, MsgId(12), 100);
         assert_eq!(x0, x0b);
         assert_eq!(x1, x1b);
         assert_eq!(y0, y0b);
@@ -560,12 +560,12 @@ mod tests {
         let mut s = TopologyScheduler::new(topo, 4);
         // Client → server crosses the WAN link: > base (24) site-ticks
         // nominal, at most base + jitter (8) + tail (10·2^4) + 2 slots.
-        let wan = Scheduler::<M>::on_send_to(&mut s, C0, S0, MsgId(0), 0).unwrap();
+        let wan = Scheduler::<M>::on_send(&mut s, C0, S0, MsgId(0), 0).unwrap();
         assert!(wan > 24 * TICK, "wan latency {wan}");
         assert!(wan < (24 + 8 + 160 + 2) * TICK, "wan latency {wan}");
         // Server → server stays inside the DC: 1..=3 site-ticks nominal,
         // plus the slot round-up and sub-tick band offset.
-        let lan = Scheduler::<M>::on_send_to(&mut s, S0, S1, MsgId(1), 0).unwrap();
+        let lan = Scheduler::<M>::on_send(&mut s, S0, S1, MsgId(1), 0).unwrap();
         assert!((TICK..5 * TICK).contains(&lan), "lan latency {lan}");
         // Every latency strictly clears one full site-tick — above the
         // epoch width, which keeps in-transit messages ahead of every
@@ -590,7 +590,7 @@ mod tests {
                 for dst in 0..4u32 {
                     let dst = ProcessId::Server(ServerId(dst));
                     let key =
-                        Scheduler::<M>::on_send_to(&mut s, src, dst, MsgId(id), sent_at).unwrap();
+                        Scheduler::<M>::on_send(&mut s, src, dst, MsgId(id), sent_at).unwrap();
                     id += 1;
                     if let Some(prev) = seen.insert(key, dst) {
                         assert_eq!(prev, dst, "cross-destination key collision at {key}");
@@ -626,7 +626,7 @@ mod tests {
                 dst: C0,
                 msg: M,
                 sent_at,
-                parent: None,
+                causal: Causal::ROOT,
                 deliver_at: Some(7000),
             });
         }
@@ -659,7 +659,7 @@ mod tests {
                 dst: S0,
                 msg: M,
                 sent_at: 0,
-                parent: None,
+                causal: Causal::ROOT,
                 deliver_at: Some(key),
             });
         }

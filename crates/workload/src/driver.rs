@@ -15,14 +15,13 @@
 //! configured rate.
 
 use crate::generator::WorkloadGenerator;
-use serde::{Deserialize, Serialize};
 use snow_checker::{check_auto, StreamChecker, Verdict};
 use snow_core::{ClientId, History, TxId, TxSpec};
 use snow_protocols::Cluster;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Summary of a driven workload run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Number of transactions issued.
     pub issued: usize,
@@ -415,25 +414,6 @@ mod tests {
                 history.len()
             );
         }
-    }
-
-    /// Memory stays O(in-flight) without being asked: on a default-built
-    /// simulation the causality table is empty once a 10 000-transaction
-    /// run has quiesced.
-    #[test]
-    fn causality_table_is_empty_after_a_long_default_built_run() {
-        use snow_sim::{LatencyScheduler, Simulation};
-
-        let config = SystemConfig::mwmr(4, 2, 2);
-        let mut sim = Simulation::new(LatencyScheduler::new(9, 1, 20));
-        for node in snow_protocols::deploy_any(ProtocolKind::AlgB, &config).unwrap() {
-            sim.add_process(node);
-        }
-        let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-        let (_, report) = WorkloadDriver::new(4).run(&mut sim, &mut generator, 10_000);
-        assert_eq!(report.completed, 10_000);
-        assert!(sim.is_quiescent() && sim.trace().len() > 100_000);
-        assert_eq!(sim.trace().causal_meta_len(), 0);
     }
 
     #[test]

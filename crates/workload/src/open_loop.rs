@@ -43,7 +43,6 @@ use crate::driver::{drain_into, finish_stream, CheckMode};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use snow_checker::{check_auto, LatencyStats, Verdict};
 use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxId, TxKind, TxSpec};
 use snow_protocols::{Cluster, ClusterSpec};
@@ -114,7 +113,7 @@ pub fn arrival_schedule(config: &SystemConfig, spec: &OpenLoopSpec) -> Vec<Arriv
 }
 
 /// Summary of one open-loop run at a fixed offered rate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopReport {
     /// Offered load (nominal arrivals per kilotick, from the spec).
     pub offered_rate: u64,
@@ -724,7 +723,7 @@ mod tests {
 
     /// ROADMAP 1(d): the benchmark saw one AlgC READ with `rounds == 2` at
     /// 20 000 arrivals.  It is the protocol's documented targeted second
-    /// round (`alg_c` module docs), not a `Trace` artifact: on a concrete
+    /// round (`alg_c` module docs), not an instrumentation artifact: on a concrete
     /// simulation the READs the history instruments with two rounds are
     /// exactly the ones the readers count as fallbacks.
     #[test]

@@ -39,8 +39,10 @@
 #      stream checker's hot path (tests/stream_hot_path.rs: an exact
 #      allocation budget inside `ingest` + `advance_watermark`, pinned
 #      witness digests and work counters, the live window on a 1 000- and a
-#      10 000-transaction driver history).  Then the open-loop driver's
-#      linear cost as a pure count (crates/workload,
+#      10 000-transaction driver history) and the instrumentation sweep
+#      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
+#      and read results under faults × shards × contention).  Then the
+#      open-loop driver's linear cost as a pure count (crates/workload,
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
 #      completion wait per transaction, zero `is_complete` probes) and
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
@@ -128,7 +130,7 @@ echo "fixtures fresh"
 echo "== 5. release suites: parity, differentials, faults, stream hot path, probe count =="
 cargo test -q --release --test parallel_determinism --test checker_differential \
     --test stream_differential --test fault_determinism --test fault_checker \
-    --test stream_hot_path
+    --test stream_hot_path --test instrumentation_sweep
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 

@@ -24,7 +24,7 @@ use snow::checker::{GraphChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
 use snow::sim::{
-    LatencyScheduler, ParallelSimulation, RecordingSink, Simulation, StepOutcome,
+    LatencyScheduler, ObsEvent, ParallelSimulation, RecordingSink, Simulation, StepOutcome,
 };
 use snow_bench::golden;
 
@@ -131,12 +131,16 @@ fn verdict_kind(verdict: &Verdict) -> &'static str {
 fn assert_monotone_invariants(
     label: &str,
     sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
+    txs: usize,
 ) {
-    let times: Vec<u64> = sim.drain_obs_events().iter().map(|e| e.event.at()).collect();
-    assert!(!times.is_empty(), "{label}: nothing was logged");
-    assert_eq!(times.len(), sim.trace().len(), "{label}: one event per external action");
+    let events = sim.drain_obs_events();
+    let sends = events.iter().filter(|e| matches!(e.event, ObsEvent::MessageSent { .. })).count();
+    // The run is complete, quiescent and fault-free: an INV and a RESP per
+    // transaction, a send and a receive per message, nothing else.
+    assert!(sends > 0, "{label}: nothing was logged");
+    assert_eq!(events.len(), 2 * txs + 2 * sends, "{label}: one event per external action");
     assert!(
-        times.windows(2).all(|w| w[0] <= w[1]),
+        events.windows(2).all(|w| w[0].event.at() <= w[1].event.at()),
         "{label}: trace timestamps regressed"
     );
 }
@@ -191,7 +195,7 @@ proptest! {
             }
 
             // (a) adversarial moves may reorder, never rewind.
-            assert_monotone_invariants(&label, &mut sim);
+            assert_monotone_invariants(&label, &mut sim, all_txs.len());
             let history = sim.history();
             assert_history_well_timed(&label, &history);
 

@@ -28,7 +28,9 @@
 use snow_checker::{GraphChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind};
-use snow_sim::{MessagePool, MsgId, PendingMessage, Scheduler, Topology, TopologyScheduler, TICK};
+use snow_sim::{
+    Causal, MessagePool, MsgId, PendingMessage, Scheduler, Topology, TopologyScheduler, TICK,
+};
 use snow_workload::scenario::{
     run_scenario, scenario_matrix, slo_report, Scenario, TopologyKind, WorkloadShape,
 };
@@ -310,7 +312,7 @@ proptest! {
                 dst: ProcessId::Client(ClientId(0)),
                 msg: (),
                 sent_at: draw.below(3),
-                parent: None,
+                causal: Causal::ROOT,
                 deliver_at: Some(2 * TICK + draw.below(distinct_keys)),
             }
         };
