@@ -13,8 +13,9 @@
 //! the indexed engine reproduces them bit-for-bit, which is the refactor's
 //! equivalence proof.  Regenerate with
 //! `cargo run -p snow-bench --release --bin golden_histories -- --write`
-//! (only legitimate when the schedule semantics intentionally change, e.g.
-//! a different `rand` backend — see `vendor/README.md`).
+//! (only legitimate when the schedule semantics intentionally change, or
+//! the workload bodies do — e.g. a different `rand` backend, see
+//! `vendor/README.md`).
 
 //! Beyond the fingerprints, this module also defines the **parity
 //! fixtures**: a deterministic serial transaction plan per protocol

@@ -1,13 +1,12 @@
 //! A fast, non-cryptographic hasher for the simulator's hot-path maps, and
 //! the stateless [`splitmix64`] mixer its seeded decisions hash with.
 //!
-//! The engine's per-event bookkeeping (trace indexes, instrumentation
-//! side-tables) keys hash maps by small integer ids — `MsgId`, `TxId`,
-//! `ProcessId`.  `std`'s default SipHash is DoS-resistant but costs a
-//! large fraction of the step loop on such keys; none of these maps hold
-//! attacker-controlled keys, so the resistance buys nothing.  [`FxHasher`]
-//! is the multiply-xor scheme used by rustc's `FxHashMap`: one rotate, one
-//! xor and one multiply per word.
+//! The engine's and the checkers' side tables key hash maps by small
+//! integer ids — `TxId`, `(ObjectId, Key)`.  `std`'s default SipHash is
+//! DoS-resistant but costs a large fraction of the step loop on such keys;
+//! none of these maps hold attacker-controlled keys, so the resistance buys
+//! nothing.  [`FxHasher`] is the multiply-xor scheme used by rustc's
+//! `FxHashMap`: one rotate, one xor and one multiply per word.
 //!
 //! Determinism note: swapping the hasher never changes observable
 //! behaviour here — the hot-path maps are only ever accessed by key, never

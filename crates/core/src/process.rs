@@ -77,10 +77,11 @@ pub type Responses = SmallVec<[(TxId, TxOutcome); 2]>;
 
 /// The output-action buffer a handler writes into.
 ///
-/// All sends and responses emitted during one handler call are tagged by the
-/// execution substrate with the same causal parent (the message or
-/// invocation being handled), which is what produces the causality links in
-/// the trace and the round/non-blocking instrumentation.
+/// Every send emitted during one handler call is stamped by the execution
+/// substrate from the message (or invocation) being handled, which is what
+/// produces the round/non-blocking instrumentation, and numbered in
+/// emission order — with the sender and the handler's tick, the send's
+/// substrate-independent coordinates.
 #[derive(Debug)]
 pub struct Effects<M> {
     /// Current logical time (read-only for handlers; 0 on substrates without

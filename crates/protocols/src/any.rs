@@ -157,53 +157,6 @@ impl Process for AnyNode {
     }
 }
 
-/// A protocol-erased deployment: the one description both executors build
-/// from.
-#[derive(Debug)]
-pub struct AnyDeployment {
-    protocol: ProtocolKind,
-    nodes: Vec<AnyNode>,
-}
-
-impl AnyDeployment {
-    /// Builds the deployment of `protocol` over `config`, validating the
-    /// protocol's configuration requirements (e.g. Algorithm A needs MWSR
-    /// and client-to-client communication).
-    pub fn new(protocol: ProtocolKind, config: &SystemConfig) -> Result<Self> {
-        let nodes = match protocol {
-            ProtocolKind::AlgA => {
-                alg_a::deploy(config)?.into_iter().map(AnyNode::AlgA).collect()
-            }
-            ProtocolKind::AlgB => {
-                alg_b::deploy(config)?.into_iter().map(AnyNode::AlgB).collect()
-            }
-            ProtocolKind::AlgC => {
-                alg_c::deploy(config)?.into_iter().map(AnyNode::AlgC).collect()
-            }
-            ProtocolKind::Eiger => {
-                eiger::deploy(config)?.into_iter().map(AnyNode::Eiger).collect()
-            }
-            ProtocolKind::Blocking => {
-                blocking::deploy(config)?.into_iter().map(AnyNode::Blocking).collect()
-            }
-            ProtocolKind::Simple => {
-                simple::deploy(config)?.into_iter().map(AnyNode::Simple).collect()
-            }
-        };
-        Ok(AnyDeployment { protocol, nodes })
-    }
-
-    /// The protocol this deployment runs.
-    pub fn protocol(&self) -> ProtocolKind {
-        self.protocol
-    }
-
-    /// Consumes the deployment, yielding its processes.
-    pub fn into_nodes(self) -> Vec<AnyNode> {
-        self.nodes
-    }
-}
-
 /// Builds the protocol-erased node set of `protocol` over `config` — the
 /// single `ProtocolKind`-dispatched deployment path shared by both
 /// execution substrates, `snow_sim::Simulation` and
@@ -228,7 +181,16 @@ impl AnyDeployment {
 /// assert!(deploy_any(ProtocolKind::AlgA, &no_c2c).is_err());
 /// ```
 pub fn deploy_any(protocol: ProtocolKind, config: &SystemConfig) -> Result<Vec<AnyNode>> {
-    AnyDeployment::new(protocol, config).map(AnyDeployment::into_nodes)
+    Ok(match protocol {
+        ProtocolKind::AlgA => alg_a::deploy(config)?.into_iter().map(AnyNode::AlgA).collect(),
+        ProtocolKind::AlgB => alg_b::deploy(config)?.into_iter().map(AnyNode::AlgB).collect(),
+        ProtocolKind::AlgC => alg_c::deploy(config)?.into_iter().map(AnyNode::AlgC).collect(),
+        ProtocolKind::Eiger => eiger::deploy(config)?.into_iter().map(AnyNode::Eiger).collect(),
+        ProtocolKind::Blocking => {
+            blocking::deploy(config)?.into_iter().map(AnyNode::Blocking).collect()
+        }
+        ProtocolKind::Simple => simple::deploy(config)?.into_iter().map(AnyNode::Simple).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -244,9 +206,7 @@ mod tests {
             } else {
                 SystemConfig::mwmr(2, 2, 2)
             };
-            let deployment = AnyDeployment::new(protocol, &config).unwrap();
-            assert_eq!(deployment.protocol(), protocol);
-            let nodes = deployment.into_nodes();
+            let nodes = deploy_any(protocol, &config).unwrap();
             assert_eq!(
                 nodes.len() as u32,
                 config.num_servers + config.num_readers + config.num_writers,

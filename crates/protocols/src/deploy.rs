@@ -82,7 +82,7 @@ pub enum SchedulerKind {
     Random(u64),
     /// Random per-message latency in `[min, max]` ticks, seeded.
     Latency {
-        /// RNG seed.
+        /// Seed of the per-message latency hash.
         seed: u64,
         /// Minimum latency in ticks.
         min: u64,
@@ -109,7 +109,7 @@ pub enum ExecutorKind {
     /// The serial deterministic simulator.
     SerialSim,
     /// The sharded parallel simulator with this many shards (worker
-    /// threads).  Shard 0 uses the base scheduler seed, so one shard is a
+    /// threads), each running a clone of the one scheduler; one shard is a
     /// drop-in replacement for [`ExecutorKind::SerialSim`].
     ParallelSim {
         /// Number of shards (must be ≥ 1).
@@ -235,7 +235,6 @@ where
     }
 }
 
-use snow_sim::parallel::shard_seed;
 use snow_sim::topology::TICK;
 
 /// The scheduler half of a [`ClusterSpec`]: a classic [`SchedulerKind`], or
@@ -308,11 +307,8 @@ impl ClusterSpec {
     }
 
     /// Delivers messages with per-link latencies drawn from `topology` —
-    /// a [`TopologyScheduler`] seeded with
-    /// `seed`.  On the sharded executor **every shard shares this seed**:
-    /// the draw is a pure per-message function, which is what makes
-    /// topology-scheduled histories bit-identical across shard counts
-    /// (deriving per-shard seeds would break that — see the
+    /// a [`TopologyScheduler`] seeded with `seed`.  Topology-scheduled
+    /// histories are bit-identical across shard counts (see the
     /// `snow_sim::topology` module docs).
     pub fn topology(mut self, topology: Arc<Topology>, seed: u64) -> Self {
         self.sched = SchedChoice::Topology { topology, seed };
@@ -437,48 +433,30 @@ impl ClusterSpec {
             SchedChoice::Kind(_) => {}
         }
         let nodes = deploy_any(self.protocol, &self.config)?;
-        Ok(match self.executor {
-            ExecutorKind::SerialSim => match &self.sched {
-                SchedChoice::Kind(SchedulerKind::Fifo) => {
-                    self.build_serial(nodes, FifoScheduler::new())
-                }
-                SchedChoice::Kind(SchedulerKind::Random(seed)) => {
-                    self.build_serial(nodes, RandomScheduler::new(*seed))
-                }
-                SchedChoice::Kind(SchedulerKind::Latency { seed, min, max }) => {
-                    self.build_serial(nodes, LatencyScheduler::new(*seed, *min, *max))
-                }
-                SchedChoice::Topology { topology, seed } => {
-                    self.build_serial(nodes, TopologyScheduler::new(topology.clone(), *seed))
-                }
-            },
-            ExecutorKind::ParallelSim { shards } => match &self.sched {
-                SchedChoice::Kind(SchedulerKind::Fifo) => {
-                    self.build_parallel(nodes, shards, |_| FifoScheduler::new())
-                }
-                SchedChoice::Kind(SchedulerKind::Random(seed)) => {
-                    let seed = *seed;
-                    self.build_parallel(nodes, shards, move |i| {
-                        RandomScheduler::new(shard_seed(seed, i))
-                    })
-                }
-                SchedChoice::Kind(SchedulerKind::Latency { seed, min, max }) => {
-                    let (seed, min, max) = (*seed, *min, *max);
-                    self.build_parallel(nodes, shards, move |i| {
-                        LatencyScheduler::new(shard_seed(seed, i), min, max)
-                    })
-                }
-                SchedChoice::Topology { topology, seed } => {
-                    // Every shard gets the SAME seed — the topology draw is
-                    // a pure per-message function, so sharing the seed is
-                    // what makes the schedule shard-count-independent.
-                    let (topology, seed) = (topology.clone(), *seed);
-                    self.build_parallel(nodes, shards, move |_| {
-                        TopologyScheduler::new(topology.clone(), seed)
-                    })
-                }
-            },
+        Ok(match &self.sched {
+            SchedChoice::Kind(SchedulerKind::Fifo) => self.assemble(nodes, FifoScheduler::new()),
+            SchedChoice::Kind(SchedulerKind::Random(seed)) => {
+                self.assemble(nodes, RandomScheduler::new(*seed))
+            }
+            SchedChoice::Kind(SchedulerKind::Latency { seed, min, max }) => {
+                self.assemble(nodes, LatencyScheduler::new(*seed, *min, *max))
+            }
+            SchedChoice::Topology { topology, seed } => {
+                self.assemble(nodes, TopologyScheduler::new(topology.clone(), *seed))
+            }
         })
+    }
+
+    /// One seed policy: the serial engine runs `scheduler`, and every shard
+    /// of the sharded one a clone of it.
+    fn assemble<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
+    where
+        S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
+    {
+        match self.executor {
+            ExecutorKind::SerialSim => self.build_serial(nodes, scheduler),
+            ExecutorKind::ParallelSim { shards } => self.build_parallel(nodes, shards, scheduler),
+        }
     }
 
     fn build_serial<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
@@ -517,23 +495,23 @@ impl ClusterSpec {
         &self,
         nodes: Vec<AnyNode>,
         shards: usize,
-        make_sched: impl FnMut(usize) -> S,
+        scheduler: S,
     ) -> Box<dyn Cluster>
     where
-        S: Scheduler<<AnyNode as Process>::Msg> + Send + 'static,
+        S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
     {
         fn finish<S, O>(
             spec: &ClusterSpec,
             nodes: Vec<AnyNode>,
             shards: usize,
-            make_sched: impl FnMut(usize) -> S,
+            scheduler: S,
             mut make_sink: impl FnMut(usize) -> O,
         ) -> Box<dyn Cluster>
         where
-            S: Scheduler<<AnyNode as Process>::Msg> + Send + 'static,
+            S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
             O: TraceSink + Send + 'static,
         {
-            let mut sim = ParallelSimulation::new(shards, make_sched)
+            let mut sim = ParallelSimulation::new(shards, scheduler)
                 .with_sinks(&mut make_sink)
                 .with_max_steps(spec.max_steps);
             if let Some(faults) = spec.faults.clone() {
@@ -546,9 +524,9 @@ impl ClusterSpec {
             Box::new(sim)
         }
         if self.observed {
-            finish(self, nodes, shards, make_sched, |_| RecordingSink::new())
+            finish(self, nodes, shards, scheduler, |_| RecordingSink::new())
         } else {
-            finish(self, nodes, shards, make_sched, |_| NullSink)
+            finish(self, nodes, shards, scheduler, |_| NullSink)
         }
     }
 }
@@ -795,9 +773,10 @@ mod tests {
     #[test]
     fn topology_clusters_are_shard_count_independent() {
         use snow_sim::Topology;
-        // Unlike Random/Latency (whose draw-order RNGs legitimately diverge
-        // across shard counts), a topology schedule is a pure per-message
-        // function: serial, 1-shard and 4-shard runs must be bit-identical.
+        // A topology schedule's latencies and a fault schedule's gates are
+        // pure functions of each send's coordinates, and its keys never tie
+        // across cores: serial, 1-shard and 4-shard runs must be
+        // bit-identical, clean and under the dup storm.
         let config = SystemConfig::mwmr(4, 2, 2);
         let topo = Arc::new(Topology::wan3(&config));
         let drive = |cluster: &mut Box<dyn Cluster>| {
@@ -823,16 +802,19 @@ mod tests {
             }
             format!("{:?} now={}", cluster.history(), cluster.now())
         };
-        let spec = ClusterSpec::new(ProtocolKind::AlgB, &config).topology(topo, 0x70);
-        let mut serial = spec.build().unwrap();
-        let reference = drive(&mut serial);
-        for shards in [1usize, 4] {
-            let mut sharded = spec
-                .clone()
-                .executor(ExecutorKind::ParallelSim { shards })
-                .build()
-                .unwrap();
-            assert_eq!(reference, drive(&mut sharded), "{shards} shards");
+        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple] {
+            let clean = ClusterSpec::new(protocol, &config).topology(topo.clone(), 0x70);
+            for spec in [clean.clone(), clean.faults(scenario_dup_storm())] {
+                let reference = drive(&mut spec.build().unwrap());
+                for shards in [1usize, 4] {
+                    let mut sharded = spec
+                        .clone()
+                        .executor(ExecutorKind::ParallelSim { shards })
+                        .build()
+                        .unwrap();
+                    assert_eq!(reference, drive(&mut sharded), "{protocol:?}, {shards} shards");
+                }
+            }
         }
     }
 

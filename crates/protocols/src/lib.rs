@@ -36,7 +36,7 @@
 //!
 //! A new protocol therefore lands on both executors — and under the golden,
 //! parity and fault suites — by adding one module and one
-//! [`AnyDeployment`] arm; no executor grows protocol-specific wiring.
+//! [`deploy_any`] arm; no executor grows protocol-specific wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub mod deploy;
 pub mod eiger;
 pub mod simple;
 
-pub use any::{deploy_any, AnyDeployment, AnyMsg, AnyNode};
+pub use any::{deploy_any, AnyMsg, AnyNode};
 pub use common::{PendingRead, PendingWrite, WriteLog};
 pub use deploy::{
     fault_scenarios, scenario_crash_mid_read, scenario_dup_storm,

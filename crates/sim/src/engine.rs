@@ -280,28 +280,27 @@ where
         self.pool.is_empty() && self.invocations.is_empty() && self.outbox.is_empty()
     }
 
+    /// **The one dispatch rule**: the earliest planned invocation is the
+    /// next event iff its planned time has been reached or no pending
+    /// delivery is keyed at or before it; otherwise the scheduler picks a
+    /// delivery.  Every core therefore dispatches in ascending key order, so
+    /// an invocation planned at quiescence is stamped `planned + 1` on the
+    /// serial engine and on every shard alike, and no invocation waits
+    /// behind a delivery keyed after it.  Returns the planned time of the
+    /// invocation when it is the next event; `earliest_key` is the pool's
+    /// [`MessagePool::peek_earliest`] key.
+    fn due_invocation(&self, earliest_key: Option<u64>) -> Option<u64> {
+        let at = self.invocations.peek()?.at;
+        (at <= self.now || earliest_key.is_none_or(|key| at < key)).then_some(at)
+    }
+
     /// The earliest virtual time at which this core could take a step
-    /// under the dispatch rules, or `None` if it has no work.  Exactly two
-    /// dispatch cases exist: a due invocation (planned time reached, or
-    /// nothing pending to deliver), else the earliest pending delivery (a
-    /// non-empty pool always has a live queue entry).
+    /// under the dispatch rule, or `None` if it has no work: the due
+    /// invocation's planned time, else the earliest pending delivery's key
+    /// (a non-empty pool always has a live queue entry).
     pub(crate) fn next_processable(&mut self) -> Option<u64> {
-        if let Some(inv) = self.invocations.peek() {
-            if inv.at <= self.now || self.pool.is_empty() {
-                return Some(inv.at);
-            }
-        }
-        let earliest = self.pool.peek_earliest().map(|(key, _)| key);
-        // Strict-key-order schedulers dispatch an invocation ahead of any
-        // later-keyed delivery (see [`Scheduler::strict_key_order`]).
-        if self.scheduler.strict_key_order() {
-            if let (Some(inv), Some(key)) = (self.invocations.peek(), earliest) {
-                if inv.at < key {
-                    return Some(inv.at);
-                }
-            }
-        }
-        earliest
+        let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
+        self.due_invocation(earliest_key).or(earliest_key)
     }
 
     fn count_step(&mut self) {
@@ -339,8 +338,8 @@ where
         self.last_action_at = self.now;
     }
 
-    /// One dispatch decision under `watermark`: a due invocation (planned
-    /// time reached, or nothing pending to deliver) wins over a delivery;
+    /// One dispatch decision under `watermark`: a due invocation
+    /// ([`DispatchCore::due_invocation`]) wins over a delivery;
     /// deliveries are chosen by the scheduler, which may pick *any* live
     /// message, not just ones keyed inside the watermark — the watermark
     /// only gates *whether* a dispatch happens (the due invocation or the
@@ -348,21 +347,10 @@ where
     /// without counting a step if nothing below the watermark is
     /// dispatchable.  The serial engine passes `u64::MAX`.
     fn try_dispatch(&mut self, watermark: u64) -> Option<StepOutcome> {
-        let strict = self.scheduler.strict_key_order();
         // The one heap peek of this dispatch: it decides the due rule here
         // and the watermark gate below.
         let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
-        let due = self
-            .invocations
-            .peek()
-            .map(|inv| {
-                let reached = inv.at <= self.now
-                    || earliest_key.is_none()
-                    || (strict && earliest_key.is_some_and(|key| inv.at < key));
-                reached && inv.at < watermark
-            })
-            .unwrap_or(false);
-        if due {
+        if self.due_invocation(earliest_key).is_some_and(|at| at < watermark) {
             let inv = self.invocations.pop().expect("peeked invocation");
             self.count_step();
             self.advance_past(inv.at);
@@ -598,13 +586,20 @@ where
     }
 
     /// The one enqueue path of a send and of its fault-engine duplicate:
-    /// the scheduler's draw, pool or outbox, the `MessageSent` event.  The
-    /// scheduler always sees the send — its latency/RNG draw sequence is
-    /// part of the determinism contract — then `verdict` has the last word
-    /// on whether and when the message travels.
-    fn enqueue(&mut self, mut msg: PendingMessage<P::Msg>, info: &MsgInfo, verdict: &SendVerdict) {
+    /// the scheduler's draw, pool or outbox, the `MessageSent` event.
+    /// `ordinal` counts the `enqueue` calls of the current `apply_effects`
+    /// before this one — with `(src, dst, now)`, the send's shard-invariant
+    /// coordinates.  `verdict` has the last word on whether and when the
+    /// message travels.
+    fn enqueue(
+        &mut self,
+        mut msg: PendingMessage<P::Msg>,
+        info: &MsgInfo,
+        verdict: &SendVerdict,
+        ordinal: u64,
+    ) {
         self.audit_clock();
-        msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, msg.id, self.now);
+        msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, self.now, ordinal);
         if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
             let base = msg.deliver_at.unwrap_or(self.now).saturating_add(verdict.extra_delay);
             msg.deliver_at = Some(base.max(verdict.hold_until.unwrap_or(0)));
@@ -643,6 +638,7 @@ where
         effects: Effects<P::Msg>,
     ) {
         let (sends, responses) = effects.into_parts();
+        let mut ordinal = 0; // of the next `enqueue` within this handler execution
         for (to, m) in sends {
             let info = m.info();
             let causal = self.stamp(at, &info, handled);
@@ -657,17 +653,18 @@ where
                 deliver_at: None, // the scheduler's, stamped by `enqueue`
             };
             // `send_verdict` is a pure function of `(schedule, src, dst,
-            // sent_at, id)`, so verdicts are independent of decision order
-            // across shards.
+            // sent_at, ordinal)`, so verdicts are independent of decision
+            // order and of the shard count.
             let verdict = match self.faults.as_ref() {
-                Some(f) => f.schedule.send_verdict(at, to, self.now, id),
+                Some(f) => f.schedule.send_verdict(at, to, self.now, ordinal),
                 None => SendVerdict::default(),
             };
             if self.faults.is_some() {
                 self.note_partitions();
             }
             let dup = (verdict.duplicate && !verdict.dropped).then(|| msg.clone());
-            self.enqueue(msg, &info, &verdict);
+            self.enqueue(msg, &info, &verdict, ordinal);
+            ordinal += 1;
             if verdict.dropped && O::ENABLED {
                 self.sink.emit(ObsEvent::MessageDropped {
                     at: self.now,
@@ -685,7 +682,8 @@ where
                 let causal = self.stamp(at, &info, handled);
                 let dup_id = self.next_msg_id();
                 let copy = PendingMessage { id: dup_id, causal, ..copy };
-                self.enqueue(copy, &info, &SendVerdict::default());
+                self.enqueue(copy, &info, &SendVerdict::default(), ordinal);
+                ordinal += 1;
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::MessageDuplicated {
                         at: self.now,
@@ -1066,7 +1064,7 @@ mod tests {
 
     /// [`run`] on four shards: client `i` and server `i` live on shard `i`.
     fn run_sharded(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
-        let mut sim = ParallelSimulation::new(4, |_| scheduler());
+        let mut sim = ParallelSimulation::new(4, scheduler());
         let count = routes.len() as u64;
         routers(routes).for_each(|p| sim.add_process(p));
         for i in 0..count {

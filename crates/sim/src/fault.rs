@@ -10,11 +10,12 @@
 //! function of `(configuration, seeds, shard count, fault schedule)`.  Two
 //! properties make that hold on the sharded engine without coordination:
 //!
-//! * **per-message decisions** — a region's probabilistic gate hashes
-//!   `(schedule seed, MsgId)` (`splitmix64`), never a draw-order RNG, so
-//!   the verdict for a message does not depend on which other messages were
-//!   decided first (message ids are shard-strided and identical between a
-//!   serial run and a 1-shard parallel run);
+//! * **per-message decisions** — a region's probabilistic gate hashes the
+//!   schedule seed with the send's shard-invariant coordinates (source,
+//!   destination, send tick, ordinal within its handler: the key latency
+//!   draws use, `scheduler::send_hash`), never a draw-order RNG or the
+//!   shard-strided `MsgId`, so the verdict for a message depends neither on
+//!   which other messages were decided first nor on the shard count;
 //! * **single decision sites** — send-side faults (regions, partitions) are
 //!   decided on the *sending* core inside `apply_effects`, delivery-side
 //!   faults (crash windows) on the *destination* core inside the dispatch
@@ -26,7 +27,7 @@
 //! perturbed, and the 30 golden histories stay byte-identical (pinned by
 //! `tests/fault_determinism.rs`).
 
-use crate::message::MsgId;
+use crate::scheduler::send_hash;
 use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId};
 
@@ -311,17 +312,19 @@ impl FaultSchedule {
     /// The pure send-side verdict for a message: regions first (a matched
     /// `Drop` wins; `Duplicate` and `Delay` accumulate), then partitions
     /// (`Drop` policy loses the message, `Queue` holds it to the heal
-    /// time).  A function of `(schedule, src, dst, sent_at, id)` only.
+    /// time).  A function of `(schedule, src, dst, sent_at, ordinal)` only —
+    /// the send's coordinates, as [`crate::Scheduler::on_send`] gets them.
     pub(crate) fn send_verdict(
         &self,
         src: ProcessId,
         dst: ProcessId,
         sent_at: u64,
-        id: MsgId,
+        ordinal: u64,
     ) -> SendVerdict {
         let mut verdict = SendVerdict::default();
+        let key = || send_hash(self.seed, src, dst, sent_at, ordinal);
         for (i, region) in self.regions.iter().enumerate() {
-            if !region.covers(src, dst, sent_at) || !self.gate(id, i as u64, region.chance_pct) {
+            if !region.covers(src, dst, sent_at) || !gate(key, i as u64, region.chance_pct) {
                 continue;
             }
             match region.action {
@@ -370,23 +373,18 @@ impl FaultSchedule {
             .map(|(i, _)| i)
             .collect()
     }
+}
 
-    /// The deterministic per-message probabilistic gate: affects the
-    /// message iff `hash(seed, id, region) % 100 < chance_pct`.  Hashing
-    /// the message id (not a draw sequence) keeps verdicts independent of
-    /// decision order, which is what makes 1-shard parallel runs
-    /// byte-identical to serial ones.
-    fn gate(&self, id: MsgId, salt: u64, chance_pct: u8) -> bool {
-        if chance_pct >= 100 {
-            return true;
-        }
-        let h = splitmix64(
-            self.seed
-                ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ salt.wrapping_mul(0xD1B5_4A32_D192_ED03),
-        );
-        (h % 100) < chance_pct as u64
-    }
+/// The deterministic per-message probabilistic gate of region `region`:
+/// affects the message iff `hash(key, region + 1) % 100 < chance_pct`, where
+/// `key` is the send's `send_hash` (asked for only by a gate that is
+/// probabilistic).  The `+ 1` keeps region 0 off `splitmix64(key)`, which
+/// `TopologyScheduler` spends on the sub-tick offset of the same send when
+/// both share a seed.
+fn gate(key: impl Fn() -> u64, region: u64, chance_pct: u8) -> bool {
+    chance_pct >= 100
+        || splitmix64(key() ^ (region + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)) % 100
+            < chance_pct as u64
 }
 
 /// The factory a fault-enabled engine uses to rebuild a crashed process
@@ -507,18 +505,18 @@ mod tests {
             .with_region(FaultRegion::always(FaultAction::Delay(5), EndpointSel::Any, EndpointSel::Any, 0, u64::MAX))
             .with_region(FaultRegion::always(FaultAction::Delay(3), EndpointSel::Any, EndpointSel::Server(ServerId(0)), 0, u64::MAX))
             .with_region(FaultRegion::always(FaultAction::Duplicate, EndpointSel::Any, EndpointSel::Server(ServerId(1)), 0, u64::MAX));
-        let v0 = s.send_verdict(C0, S0, 4, MsgId(9));
+        let v0 = s.send_verdict(C0, S0, 4, 9);
         assert_eq!(v0.extra_delay, 8);
         assert!(!v0.duplicate && !v0.dropped && v0.hold_until.is_none());
-        let v1 = s.send_verdict(C0, S1, 4, MsgId(9));
+        let v1 = s.send_verdict(C0, S1, 4, 9);
         assert_eq!(v1.extra_delay, 5);
         assert!(v1.duplicate);
         // Purity: identical inputs, identical verdicts.
-        assert_eq!(v0, s.send_verdict(C0, S0, 4, MsgId(9)));
+        assert_eq!(v0, s.send_verdict(C0, S0, 4, 9));
     }
 
     #[test]
-    fn probabilistic_gate_is_a_function_of_the_message_id() {
+    fn probabilistic_gate_is_a_function_of_the_sends_coordinates() {
         let s = FaultSchedule::new(42).with_region(FaultRegion {
             action: FaultAction::Drop,
             src: EndpointSel::Any,
@@ -528,18 +526,21 @@ mod tests {
             chance_pct: 30,
         });
         let dropped: Vec<bool> =
-            (0..200u64).map(|i| s.send_verdict(C0, S0, 1, MsgId(i)).dropped).collect();
+            (0..200u64).map(|at| s.send_verdict(C0, S0, at, 0).dropped).collect();
         let again: Vec<bool> =
-            (0..200u64).map(|i| s.send_verdict(C0, S0, 1, MsgId(i)).dropped).collect();
-        assert_eq!(dropped, again, "gate must be a pure function of the id");
+            (0..200u64).map(|at| s.send_verdict(C0, S0, at, 0).dropped).collect();
+        assert_eq!(dropped, again, "gate must be a pure function of the coordinates");
         let hits = dropped.iter().filter(|&&d| d).count();
         assert!(hits > 20 && hits < 100, "~30% of 200 expected, got {hits}");
-        // A different seed decides differently somewhere.
+        // A different seed, endpoint or ordinal decides differently somewhere.
         let other = FaultSchedule { seed: 43, ..s.clone() };
-        assert_ne!(
-            dropped,
-            (0..200u64).map(|i| other.send_verdict(C0, S0, 1, MsgId(i)).dropped).collect::<Vec<_>>()
-        );
+        for moved in [
+            (0..200u64).map(|at| other.send_verdict(C0, S0, at, 0).dropped).collect::<Vec<_>>(),
+            (0..200u64).map(|at| s.send_verdict(C0, S1, at, 0).dropped).collect(),
+            (0..200u64).map(|at| s.send_verdict(C0, S0, at, 1).dropped).collect(),
+        ] {
+            assert_ne!(dropped, moved);
+        }
     }
 
     #[test]
@@ -560,7 +561,7 @@ mod tests {
         assert!(!sym.cuts(C0, C0, 15), "within one side");
         let v = FaultSchedule::new(0)
             .with_partition(Partition::isolate_server(ServerId(0), 5, 9, PartitionPolicy::Queue))
-            .send_verdict(C0, S0, 6, MsgId(1));
+            .send_verdict(C0, S0, 6, 1);
         assert_eq!(v.hold_until, Some(9));
         assert!(!v.dropped);
     }
@@ -587,7 +588,7 @@ mod tests {
     fn empty_schedule_is_empty_and_clean() {
         let s = FaultSchedule::new(9);
         assert!(s.is_empty());
-        assert!(s.send_verdict(C0, S0, 0, MsgId(0)).is_clean());
+        assert!(s.send_verdict(C0, S0, 0, 0).is_clean());
         let non_empty = s.with_crash(Crash {
             server: ServerId(0),
             at: 0,

@@ -44,9 +44,13 @@
 //!
 //! Both simulators execute on **one dispatch core** (the private `engine`
 //! module): [`Simulation`] wraps a single core, [`ParallelSimulation`]
-//! one per shard.  Every dispatch decision — including the clock
+//! one per shard.  Every dispatch decision — the one rule for what is
+//! dispatched next (a planned invocation as soon as it is keyed before
+//! every pending delivery, else the scheduler's pick) and the clock
 //! invariant that no event is dispatched before its own timestamp — is
-//! defined exactly once there.
+//! defined exactly once there.  Every per-message draw (a latency, a
+//! fault gate) is one hash of the send's shard-invariant coordinates,
+//! which the core hands to [`Scheduler::on_send`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,5 +74,5 @@ pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
 pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
-pub use sim::{CommitDrain, InvocationPlan, Simulation, StepOutcome};
+pub use sim::{CommitDrain, Simulation, StepOutcome};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};

@@ -1,4 +1,4 @@
-//! The sharded parallel step loop: the workspace's third execution
+//! The sharded parallel step loop: the workspace's second execution
 //! substrate.
 //!
 //! [`ParallelSimulation`] partitions the processes of a deployment into
@@ -86,19 +86,6 @@ pub fn shard_of(id: ProcessId, shards: usize) -> usize {
     }
 }
 
-/// The scheduler seed shard `shard` should derive from a deployment's base
-/// seed — the one rule every parallel harness must share: **shard 0 keeps
-/// the base seed** (the 1-shard golden-parity proof depends on it), the
-/// rest mix their index in.  Used by `snow_protocols::ClusterSpec::build`
-/// and the paired-flood bench.
-pub fn shard_seed(seed: u64, shard: usize) -> u64 {
-    if shard == 0 {
-        seed
-    } else {
-        seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
 /// Shared barrier state of one parallel run.
 struct ExchangeState<M> {
     /// Cross-shard messages buffered by the epoch that just ran.
@@ -127,8 +114,8 @@ struct ExchangeState<M> {
 /// one worker thread per shard with cross-shard messages exchanged at
 /// deterministic epoch barriers.
 ///
-/// Construction mirrors the serial engine: create with a per-shard
-/// scheduler factory, [`ParallelSimulation::add_process`] every process,
+/// Construction mirrors the serial engine: create with a scheduler (every
+/// shard runs a clone), [`ParallelSimulation::add_process`] every process,
 /// [`ParallelSimulation::invoke_at`] the plan, then run.  Use shard count 1
 /// for a drop-in (bit-identical) replacement of the serial engine, and
 /// shard count ≈ the number of physical cores for throughput.
@@ -151,21 +138,21 @@ pub struct ParallelSimulation<P: Process, S, O: TraceSink = NullSink> {
 impl<P, S> ParallelSimulation<P, S>
 where
     P: Process,
-    S: Scheduler<P::Msg>,
+    S: Scheduler<P::Msg> + Clone,
 {
     /// Creates an empty simulation over `shards` shards (unobserved: the
-    /// default [`NullSink`]).  `make_scheduler` builds each shard's
-    /// scheduler from its index; give shard 0 the base seed (and derive
-    /// the rest) so a 1-shard run reproduces the serial engine's schedules
-    /// exactly.
+    /// default [`NullSink`]).  Every shard runs a clone of `scheduler`, seed
+    /// included: per-message draws are pure functions of the send, so one
+    /// seed gives every logical message the latency it has on the serial
+    /// engine, and a 1-shard run *is* the serial run.
     ///
     /// # Panics
     /// Panics if `shards` is 0.
-    pub fn new(shards: usize, mut make_scheduler: impl FnMut(usize) -> S) -> Self {
+    pub fn new(shards: usize, scheduler: S) -> Self {
         assert!(shards > 0, "a simulation needs at least one shard");
         ParallelSimulation {
             shards: (0..shards)
-                .map(|i| DispatchCore::new(i, shards as u64, make_scheduler(i)))
+                .map(|i| DispatchCore::new(i, shards as u64, scheduler.clone()))
                 .collect(),
             next_tx: 0,
             holdback: Vec::new(),
@@ -638,13 +625,13 @@ mod tests {
         }
     }
 
-    fn deploy<S: Scheduler<ToyMsg>>(
+    fn deploy<S: Scheduler<ToyMsg> + Clone>(
         shards: usize,
         clients: u32,
         servers: u32,
-        make: impl FnMut(usize) -> S,
+        scheduler: S,
     ) -> ParallelSimulation<ToyNode, S> {
-        let mut sim = ParallelSimulation::new(shards, make);
+        let mut sim = ParallelSimulation::new(shards, scheduler);
         for c in 0..clients {
             sim.add_process(ToyNode::Client { id: ClientId(c), outstanding: BTreeMap::new() });
         }
@@ -697,7 +684,7 @@ mod tests {
             (format!("{:?}", sim.history()), sim.now(), steps)
         };
         for seed in [3u64, 17, 99] {
-            let mut par = deploy(1, 4, 4, |_| RandomScheduler::new(seed));
+            let mut par = deploy(1, 4, 4, RandomScheduler::new(seed));
             plan(&mut par, 4);
             let steps = par.run_until_quiescent();
             let (serial_history, serial_now, serial_steps) = run_serial(seed);
@@ -710,9 +697,7 @@ mod tests {
     #[test]
     fn multi_shard_runs_are_deterministic_per_seed_and_shard_count() {
         let run = |shards: usize, seed: u64| {
-            let mut sim = deploy(shards, 4, 4, |i| {
-                RandomScheduler::new(shard_seed(seed, i))
-            });
+            let mut sim = deploy(shards, 4, 4, RandomScheduler::new(seed));
             let txs = plan(&mut sim, 4);
             sim.run_until_quiescent();
             for tx in &txs {
@@ -733,7 +718,7 @@ mod tests {
         // Every transaction is one causal round and three non-blocking
         // single-version reads, no matter how the processes are sharded.
         for shards in [1usize, 2, 4] {
-            let mut sim = deploy(shards, 4, 4, |i| LatencyScheduler::new(5 + i as u64, 1, 16));
+            let mut sim = deploy(shards, 4, 4, LatencyScheduler::new(5, 1, 16));
             let txs = plan(&mut sim, 4);
             sim.run_until_quiescent();
             let history = sim.history();
@@ -754,7 +739,7 @@ mod tests {
 
     #[test]
     fn run_until_complete_stops_at_the_watched_transaction() {
-        let mut sim = deploy(2, 2, 4, |_| FifoScheduler::new());
+        let mut sim = deploy(2, 2, 4, FifoScheduler::new());
         let first = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         let later = sim.invoke_at(50_000, ClientId(1), TxSpec::read(vec![ObjectId(0)]));
         assert!(sim.run_until_complete(first));
@@ -768,7 +753,7 @@ mod tests {
     /// `inv_floor` watermarks that no later-released record undercuts.
     #[test]
     fn drain_commits_releases_in_global_resp_order_across_shards() {
-        let mut sim = deploy(4, 4, 4, |i| LatencyScheduler::new(shard_seed(21, i), 1, 16));
+        let mut sim = deploy(4, 4, 4, LatencyScheduler::new(21, 1, 16));
         let txs = plan(&mut sim, 4);
         let mut drained = Vec::new();
         let mut floor = 0u64;
@@ -811,7 +796,7 @@ mod tests {
     /// run keeps going, epoch after epoch, until the watched one does.
     #[test]
     fn run_until_any_complete_runs_past_unwatched_commits_across_shards() {
-        let mut sim = deploy(2, 2, 4, |_| FifoScheduler::new());
+        let mut sim = deploy(2, 2, 4, FifoScheduler::new());
         // Clients 0 and 1 sit on different shards; both reads cross shards.
         let unwatched = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         let watched = sim.invoke_at(50_000, ClientId(1), TxSpec::read(vec![ObjectId(0)]));
@@ -825,7 +810,7 @@ mod tests {
 
     #[test]
     fn message_ids_are_strided_per_shard() {
-        let mut sim = deploy(4, 4, 4, |_| FifoScheduler::new());
+        let mut sim = deploy(4, 4, 4, FifoScheduler::new());
         plan(&mut sim, 4);
         let mut sim = sim.with_sinks(|_| RecordingSink::new());
         sim.run_until_quiescent();
@@ -848,8 +833,7 @@ mod tests {
         // idle at the barrier.  The panic must surface from
         // run_until_quiescent (via the poison protocol), not strand the
         // other worker in Barrier::wait forever.
-        let mut sim =
-            deploy(2, 2, 2, |_| FifoScheduler::new()).with_max_steps(50);
+        let mut sim = deploy(2, 2, 2, FifoScheduler::new()).with_max_steps(50);
         for _ in 0..40 {
             sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         }
@@ -860,13 +844,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = ParallelSimulation::<ToyNode, FifoScheduler>::new(0, |_| FifoScheduler::new());
+        let _ = ParallelSimulation::<ToyNode, FifoScheduler>::new(0, FifoScheduler::new());
     }
 
     #[test]
     #[should_panic]
     fn duplicate_process_ids_are_rejected() {
-        let mut sim = deploy(2, 1, 1, |_| FifoScheduler::new());
+        let mut sim = deploy(2, 1, 1, FifoScheduler::new());
         sim.add_process(ToyNode::Server { id: ServerId(0) });
     }
 }

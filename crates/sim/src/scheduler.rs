@@ -11,7 +11,9 @@
 //!   property-based tests to explore many interleavings reproducibly;
 //! * [`LatencyScheduler`] — assigns each message a pseudo-random latency and
 //!   delivers in delivery-time order, which is what the performance-oriented
-//!   simulations use.
+//!   simulations use;
+//! * [`TopologyScheduler`](crate::topology::TopologyScheduler) — the same,
+//!   with per-link latency distributions (see [`crate::topology`]).
 //!
 //! Fully adversarial (scripted) schedules are expressed by driving the
 //! simulation manually via [`crate::Simulation::deliver_where`], which is how
@@ -23,7 +25,9 @@
 //! from the engine's indexed [`MessagePool`]:
 //!
 //! * [`Scheduler::on_send`] optionally stamps a delivery time when a message
-//!   is sent.  The pool keys its delivery queue by
+//!   is sent — a pure function of the send's coordinates (`send_hash`), so
+//!   a message's latency does not depend on which other sends the engine
+//!   (or shard) decided first.  The pool keys its delivery queue by
 //!   `(deliver_at | sent_at, MsgId)`.
 //! * [`Scheduler::next`] returns the id of the message to deliver.  FIFO and
 //!   latency scheduling are a single O(log n) heap pop
@@ -48,8 +52,8 @@
 
 use crate::message::MsgId;
 use crate::pool::MessagePool;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::topology::LinkDist;
+use snow_core::hash::splitmix64;
 use snow_core::ProcessId;
 
 /// A policy choosing which pending message to deliver next.
@@ -63,34 +67,47 @@ pub trait Scheduler<M> {
     fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<MsgId>;
 
     /// Hook called when a message is sent, letting latency-model schedulers
-    /// stamp a delivery time from the send's endpoints, id and time.
-    /// Returns the delivery time, if the scheduler assigns one; `None` (the
-    /// default) keys the message by its send time (FIFO order).
-    fn on_send(&mut self, src: ProcessId, dst: ProcessId, id: MsgId, sent_at: u64) -> Option<u64> {
-        let _ = (src, dst, id, sent_at);
+    /// stamp a delivery time from the send's **shard-invariant
+    /// coordinates**: its endpoints, its send time, and its `ordinal` among
+    /// the sends of the handler execution that made it (fault-engine
+    /// duplicates and dropped sends included).  Returns the delivery time,
+    /// if the scheduler assigns one; `None` (the default) keys the message
+    /// by its send time (FIFO order).
+    ///
+    /// `&self`: a draw is a function of the send, never of the draws before
+    /// it (the crate's `send_hash`).
+    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
+        let _ = (src, dst, sent_at, ordinal);
         None
     }
+}
 
-    /// Whether the engine should dispatch a planned invocation as soon as it
-    /// is keyed **before every pending delivery** (strict ascending-key
-    /// dispatch), instead of only when its planned time has been reached or
-    /// nothing is pending.
-    ///
-    /// The default (`false`) preserves the historical rule — a future
-    /// invocation waits while deliveries advance the clock — which every
-    /// golden fixture is pinned against.  A scheduler whose latencies are
-    /// *pure per-message functions* (see
-    /// [`TopologyScheduler`](crate::topology::TopologyScheduler)) opts in:
-    /// under strict key order every core dispatches its events in ascending
-    /// key order, so an invocation planned at quiescence is stamped
-    /// `planned + 1` on the serial engine and on every shard alike — the
-    /// missing half of shard-count-independent histories.  (With the
-    /// historical rule, a shard hosting two clients whose planned times
-    /// straddle another shard's invocation sees the second invocation as
-    /// "not due" once the first one's sends hit the local pool, and
-    /// deliveries drag the clock past it.)
-    fn strict_key_order(&self) -> bool {
-        false
+/// **The one key of every per-message draw** — latencies (both latency
+/// schedulers) and fault gates: `seed` mixed with the send's
+/// shard-invariant coordinates.  A process dispatches at most once per
+/// tick, so `(src, sent_at)` names the handler execution and `ordinal` the
+/// send within it.  Never the `MsgId`: ids are shard-strided, so the same
+/// logical message carries different ids at different shard counts.
+pub(crate) fn send_hash(
+    seed: u64,
+    src: ProcessId,
+    dst: ProcessId,
+    sent_at: u64,
+    ordinal: u64,
+) -> u64 {
+    splitmix64(
+        seed ^ pid_bits(src).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ pid_bits(dst).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ sent_at.wrapping_mul(0xD1B5_4A32_D192_ED03)
+            ^ ordinal.wrapping_mul(0xFF51_AFD7_ED55_8CCD),
+    )
+}
+
+/// Encodes a process id into disjoint 64-bit ranges for hashing.
+pub(crate) fn pid_bits(id: ProcessId) -> u64 {
+    match id {
+        ProcessId::Server(s) => (1 << 32) | s.0 as u64,
+        ProcessId::Client(c) => (2 << 32) | c.0 as u64,
     }
 }
 
@@ -115,29 +132,30 @@ impl<M> Scheduler<M> for FifoScheduler {
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
 /// The draw selects a uniform *rank* in send order (Fenwick selection,
-/// O(log n)), so the choice sequence for a given seed is identical to the
-/// historical behaviour of indexing the send-ordered pending `Vec`.
+/// O(log n)).  The n-th draw is `splitmix64(seed + n·γ)` — the SplitMix64
+/// stream, which is what the vendored `rand` shim's generator produced when
+/// this scheduler drew from it, so no seeded Random schedule moved when the
+/// dependency went.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    rng: StdRng,
+    state: u64,
 }
 
 impl RandomScheduler {
     /// Creates a random scheduler from a seed.
     pub fn new(seed: u64) -> Self {
-        RandomScheduler {
-            rng: StdRng::seed_from_u64(seed),
-        }
+        RandomScheduler { state: seed }
     }
 }
 
 impl<M> Scheduler<M> for RandomScheduler {
     fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
         if pool.is_empty() {
-            None
-        } else {
-            pool.nth_live(self.rng.random_range(0..pool.len()))
+            return None;
         }
+        let rank = splitmix64(self.state) % pool.len() as u64;
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15); // SplitMix64's γ
+        pool.nth_live(rank as usize)
     }
 }
 
@@ -145,24 +163,18 @@ impl<M> Scheduler<M> for RandomScheduler {
 /// ticks and delivers the message with the earliest delivery time first —
 /// one O(log n) pop of the `(deliver_at, id)`-keyed queue per step.
 ///
-/// # Latency schedules are shard-count-dependent
-///
-/// Each latency comes from a stateful **draw-order RNG**: the n-th draw
-/// latches onto whichever send happens to be the n-th `on_send` *on that
-/// engine*.  On the sharded engine every shard owns its own RNG
-/// (`shard_seed`) and sees only its own sends, so the latency assigned to a
-/// logical message changes with the shard count — 1-shard runs match serial
-/// bit-for-bit, but 4-shard runs are a different (equally deterministic)
-/// schedule.  The golden fixtures pin this behaviour; do not change it.
-/// When a schedule must be *identical across shard counts* — e.g. the
-/// scenario matrix — use
-/// [`TopologyScheduler`](crate::topology::TopologyScheduler), whose draws
-/// are pure per-message functions instead of draw-order state.
+/// A message's latency is `send_hash` of its coordinates and nothing
+/// else, so it is the same on the serial engine and at every shard count
+/// (every shard holds a clone of the one scheduler).  Latency-scheduled
+/// *histories* still depend on the shard count: keys tie across
+/// destinations and latencies sit below the epoch width, so shards
+/// interleave differently — use
+/// [`TopologyScheduler`](crate::topology::TopologyScheduler) when the
+/// history must be identical across shard counts.
 #[derive(Debug, Clone)]
 pub struct LatencyScheduler {
-    rng: StdRng,
-    min_latency: u64,
-    max_latency: u64,
+    seed: u64,
+    latency: LinkDist,
 }
 
 impl LatencyScheduler {
@@ -172,11 +184,7 @@ impl LatencyScheduler {
     /// Panics if `min_latency > max_latency`.
     pub fn new(seed: u64, min_latency: u64, max_latency: u64) -> Self {
         assert!(min_latency <= max_latency, "min_latency must be <= max_latency");
-        LatencyScheduler {
-            rng: StdRng::seed_from_u64(seed),
-            min_latency,
-            max_latency,
-        }
+        LatencyScheduler { seed, latency: LinkDist::Uniform { min: min_latency, max: max_latency } }
     }
 }
 
@@ -185,13 +193,8 @@ impl<M> Scheduler<M> for LatencyScheduler {
         pool.pop_earliest()
     }
 
-    fn on_send(&mut self, _src: ProcessId, _dst: ProcessId, _id: MsgId, sent_at: u64) -> Option<u64> {
-        let lat = if self.min_latency == self.max_latency {
-            self.min_latency
-        } else {
-            self.rng.random_range(self.min_latency..=self.max_latency)
-        };
-        Some(sent_at + lat)
+    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
+        Some(sent_at + self.latency.draw(send_hash(self.seed, src, dst, sent_at, ordinal)))
     }
 }
 
@@ -275,7 +278,7 @@ mod tests {
         let mut s = LatencyScheduler::new(1, 5, 5);
         // on_send stamps sent_at + 5, whatever the endpoints.
         let (src, dst) = (ProcessId::Client(ClientId(0)), ProcessId::Server(ServerId(0)));
-        assert_eq!(Scheduler::<M>::on_send(&mut s, src, dst, MsgId(0), 10), Some(15));
+        assert_eq!(Scheduler::<M>::on_send(&s, src, dst, 10, 0), Some(15));
         let mut pool = pool_of(vec![
             pending(0, 0, Some(30)),
             pending(1, 0, Some(10)),

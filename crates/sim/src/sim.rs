@@ -53,19 +53,6 @@ use snow_obs::{NullSink, ShardEvent, TraceSink};
 
 pub use crate::engine::StepOutcome;
 
-/// A planned invocation: at simulation time `at`, client `client` invokes
-/// `spec` (well-formedness — one outstanding transaction per client — is the
-/// harness's responsibility, checked by `snow-checker`).
-#[derive(Debug, Clone)]
-pub struct InvocationPlan {
-    /// Simulation time at which the INV event occurs.
-    pub at: u64,
-    /// The invoking client.
-    pub client: ClientId,
-    /// The transaction body.
-    pub spec: TxSpec,
-}
-
 /// One batch of newly committed transactions drained from a simulator for
 /// streaming certification (see `Simulation::drain_commits` and
 /// `ParallelSimulation::drain_commits`).
@@ -521,6 +508,28 @@ mod tests {
         let mut sim = toy_sim(scheduler);
         sim.add_process(ToyNode::Client { id: ClientId(1), outstanding: None });
         sim
+    }
+
+    /// The one dispatch rule: an invocation keyed before every pending
+    /// delivery is the next event.  (Under the historical "due" rule the
+    /// fixed-latency run stamped it 53 — behind the request keyed 51, lag no
+    /// client or server caused.)
+    #[test]
+    fn an_invocation_keyed_before_every_pending_delivery_dispatches_first() {
+        use crate::topology::{Topology, TopologyScheduler};
+
+        fn check<S: Scheduler<ToyMsg>>(scheduler: S) {
+            let mut sim = two_client_sim(scheduler);
+            let first = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
+            let second = sim.invoke_at(10, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
+            assert_eq!(sim.step(), StepOutcome::Invoked(first));
+            assert!(sim.pending().all(|p| p.delivery_key() >= 51), "the request is in flight");
+            assert_eq!(sim.step(), StepOutcome::Invoked(second));
+            assert_eq!(sim.history().get(second).unwrap().invoked_at, 11);
+        }
+        check(LatencyScheduler::new(1, 50, 50));
+        let topology = Topology::single_dc(&snow_core::SystemConfig::mwmr(2, 1, 1));
+        check(TopologyScheduler::new(std::sync::Arc::new(topology), 1));
     }
 
     #[test]

@@ -21,21 +21,22 @@
 //!
 //! # Determinism contract: shard-count independence
 //!
-//! [`LatencyScheduler`](crate::LatencyScheduler) draws from a draw-order
-//! RNG: its n-th draw latches onto whichever send happens to be n-th on
-//! that shard, so its latency schedule changes with the shard count.  The
-//! [`TopologyScheduler`] is built so a history is a pure function of
+//! The [`TopologyScheduler`] is built so a history is a pure function of
 //! `(deployment, topology, seed, invocation plan)` — the shard count
-//! contributes nothing.  Four ingredients:
+//! contributes nothing.  Three ingredients, on top of the engine's one
+//! dispatch rule (an invocation keyed before every pending delivery
+//! dispatches first, so a kickoff wave planned at quiescence stamps
+//! `planned + 1` on every core):
 //!
-//! 1. **Pure latencies.**  Each latency is derived with `splitmix64` —
-//!    the same stateless-hash trick the fault engine's probabilistic
-//!    gates use — keyed on the message's **shard-invariant coordinates**:
-//!    source, destination, send tick, and the send's ordinal within its
-//!    handler execution.  (Hashing the raw `MsgId` would only give
-//!    decision-order independence: message ids are shard-strided, so the
-//!    *same logical message* carries different ids at different shard
-//!    counts.)  Every shard uses the **same seed**.
+//! 1. **Pure latencies.**  Each latency is the crate's one per-message
+//!    hash (`scheduler::send_hash` — the key the fault engine's
+//!    probabilistic gates use too) of the message's **shard-invariant
+//!    coordinates**: source, destination, send tick, and the send's ordinal
+//!    within its handler execution, which the engine supplies.  (Hashing
+//!    the raw `MsgId` would only give decision-order independence: message
+//!    ids are shard-strided, so the *same logical message* carries
+//!    different ids at different shard counts.)  Every shard holds a clone
+//!    of the one scheduler, seed included.
 //! 2. **Collision-free keys across destinations.**  Delivery keys are
 //!    aligned to site-tick slots, and the sub-tick offset lives in a
 //!    jitter band private to the destination — so two messages can share
@@ -49,21 +50,18 @@
 //!    shard-strided message id — from the top of the delivery heap, where
 //!    the tied entries sit together
 //!    ([`MessagePool::pop_earliest_by`]): O(log n + ties) per delivery.
-//! 4. **Strict key order** ([`crate::Scheduler::strict_key_order`]).  An
-//!    invocation keyed before every pending delivery dispatches first, so
-//!    a kickoff wave planned at quiescence (strictly increasing times
-//!    within one site-tick of `now`) stamps `planned + 1` on every core —
-//!    without this, a shard hosting two clients re-stamps the second
-//!    invocation after whatever deliveries its pool accumulated.
 //!
 //! WAN-scale minimum latencies (> [`TICK`] µticks, far above the epoch
 //! width) keep in-transit messages ahead of every shard's clock.  The
 //! result — topology-scheduled histories bit-identical at any shard
-//! count — is pinned by `tests/topology_scenarios.rs`.
+//! count — is pinned by `tests/topology_scenarios.rs`.  A
+//! [`LatencyScheduler`](crate::LatencyScheduler) draws from the same hash
+//! but has neither 2 nor that margin, so only its per-message latencies,
+//! not its histories, are shard-count-independent.
 
 use crate::message::MsgId;
 use crate::pool::MessagePool;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{pid_bits, send_hash, Scheduler};
 use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use std::sync::Arc;
@@ -337,19 +335,10 @@ pub struct TopologyScheduler {
     /// collisions land on one core and resolve by the tie-break in
     /// [`Scheduler::next`]).
     class_width: u64,
-    /// `(src, send tick)` of the most recent `on_send`, with the next
-    /// ordinal: sends inside one handler execution share `(src, tick)` and
-    /// are numbered in emission order — a shard-invariant coordinate,
-    /// unlike the shard-strided `MsgId`.
-    handler: Option<(ProcessId, u64)>,
-    ordinal: u64,
 }
 
 impl TopologyScheduler {
     /// Creates a scheduler over `topology` with the given latency seed.
-    /// On the sharded engine every shard must receive the **same** seed —
-    /// the draw is a pure per-message function, and sharing the seed is
-    /// what makes the schedule shard-count-independent.
     ///
     /// # Panics
     /// Panics if the topology places more than [`TICK`] processes (each
@@ -361,7 +350,7 @@ impl TopologyScheduler {
             "TopologyScheduler supports 1..={TICK} processes, got {processes}"
         );
         let class_width = TICK / processes;
-        TopologyScheduler { topology, seed, class_width, handler: None, ordinal: 0 }
+        TopologyScheduler { topology, seed, class_width }
     }
 
     /// The topology this scheduler draws from.
@@ -389,13 +378,7 @@ impl TopologyScheduler {
     /// above the parallel engine's epoch width, so no shard can outrun a
     /// message in transit, and far above any invocation-kickoff window.
     fn latency_microticks(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
-        let h = splitmix64(
-            self.seed
-                ^ pid_bits(src).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ pid_bits(dst).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-                ^ sent_at.wrapping_mul(0xD1B5_4A32_D192_ED03)
-                ^ ordinal.wrapping_mul(0xFF51_AFD7_ED55_8CCD),
-        );
+        let h = send_hash(self.seed, src, dst, sent_at, ordinal);
         let ticks = self.topology.link(src, dst).draw(h).max(1);
         let slot = (sent_at / TICK + ticks + 1) * TICK;
         let offset = self.class_of(dst) * self.class_width + splitmix64(h) % self.class_width;
@@ -416,30 +399,8 @@ impl<M> Scheduler<M> for TopologyScheduler {
         pool.pop_earliest_by(|p| (p.sent_at, pid_bits(p.src), p.id.0))
     }
 
-    fn strict_key_order(&self) -> bool {
-        true
-    }
-
-    fn on_send(&mut self, src: ProcessId, dst: ProcessId, _id: MsgId, sent_at: u64) -> Option<u64> {
-        // Number this send within its handler execution.  A process
-        // dispatches at most once per tick (the engine clock strictly
-        // increases per dispatch), so `(src, sent_at)` identifies the
-        // handler, and `apply_effects` emits its sends contiguously.
-        let ordinal = match self.handler {
-            Some((p, t)) if p == src && t == sent_at => self.ordinal + 1,
-            _ => 0,
-        };
-        self.handler = Some((src, sent_at));
-        self.ordinal = ordinal;
+    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
         Some(sent_at + self.latency_microticks(src, dst, sent_at, ordinal))
-    }
-}
-
-/// Encodes a process id into disjoint 64-bit ranges for hashing.
-fn pid_bits(id: ProcessId) -> u64 {
-    match id {
-        ProcessId::Server(s) => (1 << 32) | s.0 as u64,
-        ProcessId::Client(c) => (2 << 32) | c.0 as u64,
     }
 }
 
@@ -533,39 +494,37 @@ mod tests {
 
     #[test]
     fn latency_draws_are_pure_and_order_independent() {
+        // Two handler executions, fed to two instances in different orders
+        // (as different shard counts would): per-message stamps are
+        // identical because the draw is keyed on the send's coordinates,
+        // not on call order.
+        fn check(a: impl Scheduler<M>, b: impl Scheduler<M>) {
+            let x0 = a.on_send(C0, S0, 100, 0);
+            let x1 = a.on_send(C0, S1, 100, 1);
+            let y0 = a.on_send(S0, C0, 5000, 0);
+            assert_eq!(y0, b.on_send(S0, C0, 5000, 0));
+            assert_eq!(x1, b.on_send(C0, S1, 100, 1));
+            assert_eq!(x0, b.on_send(C0, S0, 100, 0));
+            // Distinct sends from one handler draw distinct latencies.
+            assert_ne!(x0, x1);
+        }
         let topo = Arc::new(Topology::client_remote(&config()));
-        let mut a = TopologyScheduler::new(topo.clone(), 9);
-        let mut b = TopologyScheduler::new(topo, 9);
-        // Two handler executions, interleaved differently across the two
-        // schedulers (as different shard counts would): per-message stamps
-        // are identical because the draw is keyed on shard-invariant
-        // coordinates, not on call order.
-        let x0 = Scheduler::<M>::on_send(&mut a, C0, S0, MsgId(0), 100);
-        let x1 = Scheduler::<M>::on_send(&mut a, C0, S1, MsgId(1), 100);
-        let y0 = Scheduler::<M>::on_send(&mut a, S0, C0, MsgId(2), 5000);
-
-        let y0b = Scheduler::<M>::on_send(&mut b, S0, C0, MsgId(7), 5000);
-        let x0b = Scheduler::<M>::on_send(&mut b, C0, S0, MsgId(11), 100);
-        let x1b = Scheduler::<M>::on_send(&mut b, C0, S1, MsgId(12), 100);
-        assert_eq!(x0, x0b);
-        assert_eq!(x1, x1b);
-        assert_eq!(y0, y0b);
-        // Distinct sends from one handler draw distinct latencies.
-        assert_ne!(x0, x1);
+        check(TopologyScheduler::new(topo.clone(), 9), TopologyScheduler::new(topo, 9));
+        check(crate::LatencyScheduler::new(9, 1, 1000), crate::LatencyScheduler::new(9, 1, 1000));
     }
 
     #[test]
     fn latencies_scale_with_the_link_and_clear_the_minimum() {
         let topo = Arc::new(Topology::client_remote(&config()));
-        let mut s = TopologyScheduler::new(topo, 4);
+        let s = TopologyScheduler::new(topo, 4);
         // Client → server crosses the WAN link: > base (24) site-ticks
         // nominal, at most base + jitter (8) + tail (10·2^4) + 2 slots.
-        let wan = Scheduler::<M>::on_send(&mut s, C0, S0, MsgId(0), 0).unwrap();
+        let wan = Scheduler::<M>::on_send(&s, C0, S0, 0, 0).unwrap();
         assert!(wan > 24 * TICK, "wan latency {wan}");
         assert!(wan < (24 + 8 + 160 + 2) * TICK, "wan latency {wan}");
         // Server → server stays inside the DC: 1..=3 site-ticks nominal,
         // plus the slot round-up and sub-tick band offset.
-        let lan = Scheduler::<M>::on_send(&mut s, S0, S1, MsgId(1), 0).unwrap();
+        let lan = Scheduler::<M>::on_send(&s, S0, S1, 0, 1).unwrap();
         assert!((TICK..5 * TICK).contains(&lan), "lan latency {lan}");
         // Every latency strictly clears one full site-tick — above the
         // epoch width, which keeps in-transit messages ahead of every
@@ -577,21 +536,19 @@ mod tests {
     fn delivery_keys_never_collide_across_destinations() {
         let config = SystemConfig::mwmr(4, 2, 4);
         let topo = Arc::new(Topology::wan3(&config));
-        let mut s = TopologyScheduler::new(topo, 0xC0FFEE);
+        let s = TopologyScheduler::new(topo, 0xC0FFEE);
         // Many senders, many send times, every destination: keys for
         // different destinations must differ even when slots coincide,
         // because each destination's sub-tick offset lives in its own
         // band.
         let mut seen: std::collections::BTreeMap<u64, ProcessId> = std::collections::BTreeMap::new();
-        let mut id = 0u64;
         for sent_at in [0u64, 7, 1024, 4096, 4100] {
             for src in 0..6u32 {
                 let src = ProcessId::Client(ClientId(src));
-                for dst in 0..4u32 {
-                    let dst = ProcessId::Server(ServerId(dst));
-                    let key =
-                        Scheduler::<M>::on_send(&mut s, src, dst, MsgId(id), sent_at).unwrap();
-                    id += 1;
+                // One fan-out per handler: its n-th send goes to server n.
+                for n in 0..4u32 {
+                    let dst = ProcessId::Server(ServerId(n));
+                    let key = Scheduler::<M>::on_send(&s, src, dst, sent_at, n as u64).unwrap();
                     if let Some(prev) = seen.insert(key, dst) {
                         assert_eq!(prev, dst, "cross-destination key collision at {key}");
                     }
@@ -637,14 +594,6 @@ mod tests {
         }
         // sent_at 40 before 50; at 40, server 0 before server 1.
         assert_eq!(order, vec![5, 9, 2]);
-    }
-
-    #[test]
-    fn strict_key_order_is_declared() {
-        let topo = Arc::new(Topology::single_dc(&config()));
-        let s = TopologyScheduler::new(topo, 0);
-        assert!(Scheduler::<M>::strict_key_order(&s));
-        assert!(!Scheduler::<M>::strict_key_order(&crate::FifoScheduler::new()));
     }
 
     #[test]

@@ -61,13 +61,11 @@
 #      (`std::time` / `Instant`) — simulator event streams are a pure
 #      function of (config, seeds, shards), which is what makes every pin
 #      above meaningful;
-#   9. latency-draw confinement: in crates/sim, stateful RNG draws
-#      (`random_range`) may only appear in scheduler.rs, and the `splitmix64`
-#      hash behind topology.rs's per-message latency draws and fault.rs's
-#      per-message fault gates has one definition,
-#      `snow_core::hash::splitmix64`.  A stateful draw anywhere else silently
-#      breaks the shard-count independence the scenario table is pinned on;
-#      a second mixer lets the two hash users drift apart.
+#   9. one mixer: the `splitmix64` behind every per-message draw (latencies,
+#      fault gates, the random scheduler's stream) has one definition,
+#      `snow_core::hash::splitmix64`; a second one lets its users drift
+#      apart.  (Stateful RNG draws need no grep: crates/sim does not depend
+#      on `rand`.)
 #
 # Usage: scripts/ci.sh
 
@@ -148,14 +146,10 @@ forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/src ||
     "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark."
 echo "sim is wall-clock free"
 
-echo "== 9. latency-draw confinement (stateful draws in scheduler.rs, one splitmix64) =="
-forbid "$(grep -rn --include='*.rs' '\brandom_range\b' crates/sim/src \
-    | grep -v '^crates/sim/src/scheduler.rs:' || true)" \
-    "stateful RNG draws outside crates/sim/src/scheduler.rs" \
-    "Draw-order RNG state is shard-count-dependent by construction; new latency models belong in topology.rs as pure per-message hashes."
+echo "== 9. one mixer (a single splitmix64 definition) =="
 forbid "$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim || true)" \
     "splitmix64 defined under crates/sim" \
     "The mixer has one definition, snow_core::hash::splitmix64; a private copy lets latency draws and fault gates drift apart."
-echo "latency draws confined"
+echo "one splitmix64"
 
 echo "CI green"

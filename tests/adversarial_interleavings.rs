@@ -235,7 +235,7 @@ proptest! {
             let mut serial: Simulation<AnyNode, _> =
                 Simulation::new(LatencyScheduler::new(seed, 1, 25));
             let mut parallel: ParallelSimulation<AnyNode, _> =
-                ParallelSimulation::new(1, |_| LatencyScheduler::new(seed, 1, 25));
+                ParallelSimulation::new(1, LatencyScheduler::new(seed, 1, 25));
             for node in deploy_any(protocol, &config).expect("valid config") {
                 serial.add_process(node);
             }

@@ -27,9 +27,13 @@ use std::sync::Arc;
 /// Transactions per run.
 const TXNS: usize = 60;
 
-/// The digest of the whole sweep, taken at commit `2e52181` (before the
-/// causal ledger was dissolved into the message stamp).
-const SWEEP_DIGEST: u64 = 0x0804_6ea9_c8db_f4b3;
+/// The digest of the whole sweep, re-taken when latency draws and fault
+/// gates moved onto the send's coordinates and the engine onto one dispatch
+/// rule: the 120 cells `{fifo, random, wan3} × {clean, crash_mid_read}` kept
+/// the fingerprint they had at `2e52181` (`0x0804_6ea9_c8db_f4b3`, before
+/// the causal ledger was dissolved into the message stamp); the `latency`
+/// schedule and the probabilistic fault columns moved.
+const SWEEP_DIGEST: u64 = 0x3c6e_3bf1_0723_3131;
 
 fn config(protocol: ProtocolKind) -> SystemConfig {
     if protocol.needs_c2c() {
@@ -63,8 +67,7 @@ fn fault_columns() -> [(&'static str, Option<FaultSchedule>); 4] {
     ]
 }
 
-/// The four delivery schedules; `wan3` is the three-site topology (pure
-/// per-message latency draws), the rest are the draw-order schedulers.
+/// The four delivery schedules; `wan3` is the three-site topology.
 const SCHEDULES: [&str; 4] = ["fifo", "random", "latency", "wan3"];
 
 fn scheduled(spec: ClusterSpec, schedule: &str) -> ClusterSpec {

@@ -151,7 +151,7 @@ fn observation_does_not_change_open_loop_reports() {
     // per transaction, three in four of them across shards, and the epoch
     // barriers with the share that stalled (`examples/observe_run.rs` prints
     // this run).
-    assert_eq!(events.len(), 11_396);
+    assert_eq!(events.len(), 11_700);
     let metrics = fold_events(&events);
     let counters: Vec<(&str, u64)> =
         metrics.counters.iter().map(|(name, n)| (name.as_str(), *n)).collect();
@@ -161,15 +161,15 @@ fn observation_does_not_change_open_loop_reports() {
             ("sim.commits", 400),
             ("sim.cross_shard_sends", 3_000),
             ("sim.deliveries", 4_000),
-            ("sim.epoch_stalls", 847),
-            ("sim.epochs", 2_596),
+            ("sim.epoch_stalls", 1_078),
+            ("sim.epochs", 2_900),
             ("sim.invocations", 400),
             ("sim.sends", 4_000),
         ]
     );
     assert_eq!(metrics.gauges["sim.queue_depth_peak"], 5);
     let latency = metrics.histograms["sim.tx_latency_ticks"];
-    assert_eq!((latency.count, latency.p50, latency.p99), (400, 63, 97));
+    assert_eq!((latency.count, latency.p50, latency.p99), (400, 63, 103));
     // Virtual-time rule: every event timestamp is a tick, and the stream's
     // shards cover exactly the 4 configured shards.
     let mut shards: Vec<u32> = events.iter().map(|e| e.shard).collect();

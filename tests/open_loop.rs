@@ -133,17 +133,17 @@ fn serial_open_loop_table_is_pinned() {
     assert_open_loop_table(
         ExecutorKind::SerialSim,
         [
-            "| AlgB | 100 | 50/74 | 55/110 | 468/1302 | 1501/3158 | 2029/4125 |",
-            "| AlgC | 100 | 30/46 | 35/74 | 141/496 | 1095/2343 | 1627/3315 |",
-            "| Blocking | 50 | 83/143 | 190/758 | 1907/4121 | 2978/6047 | 3505/7005 |",
+            "| AlgB | 100 | 48/77 | 54/108 | 430/1209 | 1509/3152 | 2045/4109 |",
+            "| AlgC | 100 | 30/44 | 34/71 | 143/491 | 1089/2341 | 1629/3317 |",
+            "| Blocking | 50 | 81/148 | 225/809 | 1944/4183 | 2992/6048 | 3486/7019 |",
         ],
         [
-            "| AlgC | 0.0 | 31.6/31.7 | false | 88 | 42 |",
-            "| AlgC | 0.8 | 31.5/31.7 | false | 70 | 44 |",
-            "| AlgC | 1.2 | 31.6/31.7 | false | 84 | 49 |",
-            "| Blocking | 0.0 | 22.0/31.7 | true | 3234 | 3237 |",
-            "| Blocking | 0.8 | 24.4/31.7 | true | 1812 | 1645 |",
-            "| Blocking | 1.2 | 23.5/31.7 | true | 2247 | 1693 |",
+            "| AlgC | 0.0 | 31.6/31.7 | false | 83 | 35 |",
+            "| AlgC | 0.8 | 31.5/31.7 | false | 82 | 45 |",
+            "| AlgC | 1.2 | 31.5/31.7 | false | 90 | 46 |",
+            "| Blocking | 0.0 | 26.4/31.7 | true | 1954 | 1955 |",
+            "| Blocking | 0.8 | 24.0/31.7 | true | 2038 | 2059 |",
+            "| Blocking | 1.2 | 19.6/31.7 | true | 3911 | 3336 |",
         ],
     );
 }
@@ -153,17 +153,17 @@ fn four_shard_open_loop_table_is_pinned() {
     assert_open_loop_table(
         ExecutorKind::ParallelSim { shards: 4 },
         [
-            "| AlgB | 100 | 64/127 | 108/295 | 720/2182 | 1786/4005 | 2306/5053 |",
-            "| AlgC | 200 | 34/79 | 38/78 | 64/124 | 377/922 | 895/1866 |",
-            "| Blocking | 50 | 99/188 | 411/1736 | 2530/5718 | 3592/7614 | 4129/8552 |",
+            "| AlgB | 100 | 63/130 | 103/232 | 838/2185 | 1863/4093 | 2504/5112 |",
+            "| AlgC | 200 | 35/79 | 37/77 | 63/130 | 419/974 | 962/1972 |",
+            "| Blocking | 50 | 97/185 | 445/1734 | 2552/5672 | 3651/7587 | 4062/8381 |",
         ],
         [
-            "| AlgC | 0.0 | 31.4/31.7 | false | 144 | 78 |",
-            "| AlgC | 0.8 | 31.4/31.7 | false | 149 | 80 |",
-            "| AlgC | 1.2 | 31.5/31.7 | false | 142 | 94 |",
-            "| Blocking | 0.0 | 21.3/31.7 | true | 3481 | 3496 |",
-            "| Blocking | 0.8 | 24.3/31.7 | true | 1890 | 1896 |",
-            "| Blocking | 1.2 | 19.9/31.7 | true | 3778 | 3167 |",
+            "| AlgC | 0.0 | 31.4/31.7 | false | 136 | 80 |",
+            "| AlgC | 0.8 | 31.3/31.7 | false | 145 | 75 |",
+            "| AlgC | 1.2 | 31.5/31.7 | false | 137 | 72 |",
+            "| Blocking | 0.0 | 25.7/31.7 | true | 1935 | 1935 |",
+            "| Blocking | 0.8 | 20.0/31.7 | true | 3675 | 3692 |",
+            "| Blocking | 1.2 | 19.3/31.7 | true | 4061 | 3386 |",
         ],
     );
 }

@@ -249,13 +249,13 @@ fn steady_state_ingest_stays_inside_its_allocation_budget() {
 fn live_window_on_the_round_driver_history_is_pinned() {
     // AlgB on `mwmr(8,4,4)`, write-heavy, closed loop in rounds of 8 under
     // the golden fixtures' latency distribution.  The window is O(in-flight +
-    // frontier), not O(history): 62 at 1 000 transactions, 86 at 10 000 (and
-    // 114 at 100 000, too slow for a debug build, so not run here).  No
+    // frontier), not O(history): 61 at 1 000 transactions, 86 at 10 000 (and
+    // 118 at 100 000, too slow for a debug build, so not run here).  No
     // engine may answer `Unknown` on it.
     let config = SystemConfig::mwmr(8, 4, 4);
     for (transactions, retirements, pinned) in [
-        (1_000, 125, [1077, 0, 62, 43, 371, 926, 466, 0]),
-        (10_000, 1250, [11207, 0, 86, 45, 4168, 10757, 4467, 0]),
+        (1_000, 125, [1084, 0, 61, 37, 381, 950, 468, 0]),
+        (10_000, 1250, [11248, 0, 86, 42, 4108, 10576, 4463, 0]),
     ] {
         let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })

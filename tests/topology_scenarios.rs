@@ -5,11 +5,10 @@
 //! 1. **Shard-count independence** — a scenario history is a pure function
 //!    of `(scenario, seed)`: the serial simulator and the parallel
 //!    simulator at any shard count produce bit-identical histories.  This
-//!    is the `TopologyScheduler` contract (stateless per-message latency
-//!    hashes) combined with the runner's consecutive-µtick invocation rule;
-//!    contrast with `LatencyScheduler`, whose draw-order RNG makes
-//!    latencies shard-count-*dependent* by design (see the rustdoc on
-//!    `snow_sim::scheduler::LatencyScheduler`).
+//!    is the `TopologyScheduler` contract (keys that never tie across
+//!    destinations, shard-invariant tie-breaks, latencies hashed from each
+//!    send's coordinates) combined with the runner's consecutive-µtick
+//!    invocation rule.
 //! 2. **Certification** — every cell of the matrix produces a strictly
 //!    serializable history under `GraphChecker`, on every topology.  A WAN
 //!    doesn't just stretch latencies; reorderings across heavy-tailed links
