@@ -133,6 +133,21 @@ impl<M> Effects<M> {
     pub fn into_parts(self) -> (Sends<M>, Responses) {
         (self.sends, self.responses)
     }
+
+    /// Yields the buffered sends in emission order, leaving none behind.
+    ///
+    /// What a substrate consumes a handler's output through: each message
+    /// moves once, out of its slot, where [`Effects::into_parts`] first
+    /// moves both buffers whole.
+    pub fn drain_sends(&mut self) -> impl ExactSizeIterator<Item = (ProcessId, M)> + '_ {
+        self.sends.drain(..)
+    }
+
+    /// Yields the buffered RESP events in emission order, leaving none
+    /// behind.
+    pub fn drain_responses(&mut self) -> impl ExactSizeIterator<Item = (TxId, TxOutcome)> + '_ {
+        self.responses.drain(..)
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +216,21 @@ mod tests {
             })
             .collect();
         assert_eq!(order, (0..9).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn effects_drain_in_emission_order_and_can_be_refilled() {
+        let mut e: Effects<Ping> = Effects::new(7);
+        for i in 0..6 {
+            e.send(ProcessId::Client(ClientId(i)), Ping);
+        }
+        e.respond(TxId(1), TxOutcome::Aborted);
+        let order: Vec<ProcessId> = e.drain_sends().map(|(to, _)| to).collect();
+        assert_eq!(order, (0..6).map(|i| ProcessId::Client(ClientId(i))).collect::<Vec<_>>());
+        assert_eq!((e.send_count(), e.response_count()), (0, 1));
+        assert_eq!(e.drain_responses().map(|(tx, _)| tx).collect::<Vec<_>>(), [TxId(1)]);
+        e.send(ProcessId::Client(ClientId(9)), Ping);
+        assert_eq!((e.send_count(), e.response_count(), e.now()), (1, 0, 7));
     }
 
     #[test]

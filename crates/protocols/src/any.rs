@@ -74,11 +74,10 @@ where
 {
     let mut inner = Effects::new(effects.now());
     handler(&mut inner);
-    let (sends, responses) = inner.into_parts();
-    for (to, msg) in sends {
+    for (to, msg) in inner.drain_sends() {
         effects.send(to, wrap(msg));
     }
-    for (tx, outcome) in responses {
+    for (tx, outcome) in inner.drain_responses() {
         effects.respond(tx, outcome);
     }
 }
@@ -115,7 +114,7 @@ impl Process for AnyNode {
     }
 
     fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<AnyMsg>) {
-        dispatch!(self, effects, |node, inner| node.on_invoke(tx_id, spec.clone(), inner));
+        dispatch!(self, effects, |node, inner| node.on_invoke(tx_id, spec, inner));
     }
 
     fn on_abort(&mut self, tx_id: TxId) {
@@ -224,6 +223,13 @@ mod tests {
     #[test]
     fn the_pools_working_set_cannot_silently_widen() {
         assert!(std::mem::size_of::<snow_sim::PendingMessage<AnyMsg>>() <= 112);
+    }
+
+    /// `Effects<AnyMsg>` is built and drained once per handler call, on the
+    /// dispatch core's stack.
+    #[test]
+    fn the_effects_buffer_cannot_silently_widen() {
+        assert!(std::mem::size_of::<Effects<AnyMsg>>() <= 424);
     }
 
     #[test]

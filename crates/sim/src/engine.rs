@@ -1,9 +1,13 @@
 //! The **single dispatch core** every simulator substrate runs on.
 //!
-//! [`DispatchCore`] owns one partition of a deployment's processes plus the
-//! indexed structures the step loop needs — a [`MessagePool`] delivery heap,
-//! a `(at, TxId)`-keyed invocation heap, a [`Scheduler`] instance, the
-//! per-transaction records and the commit log — and makes **every dispatch
+//! [`DispatchCore`] owns one partition of a deployment's processes (a
+//! `ProcessTable`: one slot vector per role) plus the structures the step
+//! loop needs — a [`MessagePool`] delivery heap, a `(at, TxId)`-keyed
+//! invocation heap, a [`Scheduler`] instance, the transaction records (a
+//! `RecordLog`: a vector in INV order, a dense `TxId → slot` index and a
+//! forward-only cursor at the earliest transaction in flight) and the
+//! commit log.  The two heaps order events; every other per-step lookup is
+//! an index (see `crate::tables`).  The core makes **every dispatch
 //! decision in the workspace**: invocation-vs-delivery choice, clock
 //! advance, handler execution, effect application, step accounting, and the
 //! adversarial driving entry points ([`Simulation::deliver_where`],
@@ -47,13 +51,14 @@ use crate::pool::MessagePool;
 use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
 use crate::sim::Simulation;
+use crate::tables::{ProcessTable, RecordLog};
 use snow_core::{
     ClientId, Effects, FxHashMap, History, Process, ProcessId, ReadResult, TxId, TxKind,
-    TxOutcome, TxRecord, TxSpec,
+    TxRecord, TxSpec,
 };
 use snow_obs::{NullSink, ObsEvent, TraceSink};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a single simulation step did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,13 +148,14 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     /// Total number of shards; message ids are strided by it (the serial
     /// engine's stride of 1 assigns densely, exactly as it always did).
     pub(crate) stride: u64,
-    pub(crate) processes: BTreeMap<ProcessId, P>,
+    pub(crate) processes: ProcessTable<P>,
     pub(crate) pool: MessagePool<P::Msg>,
     pub(crate) invocations: BinaryHeap<QueuedInvocation>,
     pub(crate) scheduler: S,
-    /// One record per transaction **invoked on this core**, instrumentation
-    /// (rounds, read results) folded in as the actions happen.
-    pub(crate) records: BTreeMap<TxId, TxRecord>,
+    /// One record per transaction **invoked on this core**, in INV order,
+    /// instrumentation (rounds, read results) folded in as the actions
+    /// happen.
+    pub(crate) records: RecordLog,
     pub(crate) commits: CommitLog,
     /// C2C sends per transaction, counted on the sending core (which need
     /// not hold the record); only Algorithm A's traffic touches it.
@@ -162,11 +168,6 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     pub(crate) max_steps: u64,
     /// Commit-log position of the last [`DispatchCore::new_commits`] drain.
     commit_cursor: u64,
-    /// `(invoked_at, tx)` of every invoked-but-not-responded transaction —
-    /// the first entry is the earliest in-flight invocation, which bounds
-    /// [`DispatchCore::inv_floor`] in O(log n) per update instead of an
-    /// O(records) scan per drain.
-    pub(crate) in_flight: BTreeSet<(u64, TxId)>,
     /// Sends addressed to processes of another core, buffered for the
     /// epoch exchange.  Always empty at stride 1 (everything is local).
     pub(crate) outbox: Vec<PendingMessage<P::Msg>>,
@@ -192,11 +193,11 @@ where
         DispatchCore {
             index,
             stride,
-            processes: BTreeMap::new(),
+            processes: ProcessTable::new(),
             pool: MessagePool::new(),
             invocations: BinaryHeap::new(),
             scheduler,
-            records: BTreeMap::new(),
+            records: RecordLog::default(),
             commits: CommitLog::default(),
             c2c_sends: FxHashMap::default(),
             last_action_at: 0,
@@ -205,7 +206,6 @@ where
             steps: 0,
             max_steps: 1_000_000,
             commit_cursor: 0,
-            in_flight: BTreeSet::new(),
             outbox: Vec::new(),
             sink: O::default(),
             faults: None,
@@ -231,7 +231,6 @@ where
             steps: self.steps,
             max_steps: self.max_steps,
             commit_cursor: self.commit_cursor,
-            in_flight: self.in_flight,
             outbox: self.outbox,
             sink,
             faults: self.faults,
@@ -271,7 +270,7 @@ where
     }
 
     pub(crate) fn is_complete(&self, tx: TxId) -> bool {
-        self.records.get(&tx).map(|r| r.is_complete()).unwrap_or(false)
+        self.records.is_complete(tx)
     }
 
     /// True if this core has nothing left to do (nothing pending, nothing
@@ -469,19 +468,20 @@ where
     fn dispatch_invocation(&mut self, tx: TxId, client: ClientId, spec: TxSpec) {
         let pid = ProcessId::Client(client);
         self.audit_clock();
-        self.records
-            .insert(tx, TxRecord::invoked(tx, client, spec.clone(), self.now));
-        self.in_flight.insert((self.now, tx));
+        // Everything planned so far will be logged: one growth, not a
+        // doubling per batch.
+        self.records.reserve(1 + self.invocations.len());
+        self.records.invoke(TxRecord::invoked(tx, client, spec.clone(), self.now));
         if O::ENABLED {
             self.sink.emit(ObsEvent::InvocationDispatched { at: self.now, tx, client });
         }
         let mut effects = Effects::new(self.now);
         let process = self
             .processes
-            .get_mut(&pid)
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("invocation for unknown process {pid}"));
         process.on_invoke(tx, spec, &mut effects);
-        self.apply_effects(pid, None, effects);
+        self.apply_effects(pid, None, &mut effects);
     }
 
     fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
@@ -514,10 +514,10 @@ where
         let mut effects = Effects::new(self.now);
         let process = self
             .processes
-            .get_mut(&msg.dst)
+            .get_mut(msg.dst)
             .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
         process.on_message(msg.src, msg.msg, &mut effects);
-        self.apply_effects(msg.dst, Some((info, causal)), effects);
+        self.apply_effects(msg.dst, Some((info, causal)), &mut effects);
     }
 
     /// Folds a read response into the instrumentation of its READ, before
@@ -535,7 +535,7 @@ where
         else {
             return; // e.g. a metadata response (get-tag-arr) names no object
         };
-        let Some(rec) = self.records.get_mut(&tx) else { return };
+        let Some(rec) = self.records.get_mut(tx) else { return };
         if rec.client == client && rec.responded_at.is_none() && rec.kind() == TxKind::Read {
             rec.reads.push(ReadResult {
                 object,
@@ -561,7 +561,7 @@ where
         // record — which is exactly the core on which the answer is "yes".
         let invoker = match at {
             ProcessId::Client(client) => {
-                self.records.get_mut(&tx).filter(|rec| rec.client == client)
+                self.records.get_mut(tx).filter(|rec| rec.client == client)
             }
             ProcessId::Server(_) => None,
         };
@@ -635,11 +635,10 @@ where
         &mut self,
         at: ProcessId,
         handled: Option<(MsgInfo, Causal)>,
-        effects: Effects<P::Msg>,
+        effects: &mut Effects<P::Msg>,
     ) {
-        let (sends, responses) = effects.into_parts();
         let mut ordinal = 0; // of the next `enqueue` within this handler execution
-        for (to, m) in sends {
+        for (to, m) in effects.drain_sends() {
             let info = m.info();
             let causal = self.stamp(at, &info, handled);
             let id = self.next_msg_id();
@@ -695,19 +694,15 @@ where
                 }
             }
         }
-        for (tx, outcome) in responses {
+        for (tx, outcome) in effects.drain_responses() {
             self.log_commit(tx);
-            if let Some(rec) = self.records.get_mut(&tx) {
-                let invoked_at = rec.invoked_at;
-                rec.responded_at = Some(self.now);
-                rec.outcome = Some(outcome);
-                self.in_flight.remove(&(invoked_at, tx));
+            if let Some(rec) = self.records.respond(tx, self.now, outcome) {
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::TxCommitted {
                         at: self.now,
                         tx,
                         client: rec.client,
-                        invoked_at,
+                        invoked_at: rec.invoked_at,
                     });
                 }
             }
@@ -729,13 +724,17 @@ where
         rec
     }
 
-    /// Appends this core's transaction records to `history`.  Callers sort
-    /// the assembled history by `(invoked_at, tx_id)` once all cores have
-    /// contributed.
+    /// Number of transactions invoked on this core so far.
+    pub(crate) fn record_count(&self) -> usize {
+        self.records.as_slice().len()
+    }
+
+    /// Appends this core's transaction records to `history`, in this
+    /// core's `(invoked_at, tx_id)` order — the history's own order when
+    /// there is one core; the sharded engine merges.
     pub(crate) fn collect_records(&self, history: &mut History, c2c_of: impl Fn(TxId) -> u32) {
-        for rec in self.records.values() {
-            history.push(Self::exported_record(rec, &c2c_of));
-        }
+        let records = self.records.as_slice().iter();
+        history.records.extend(records.map(|rec| Self::exported_record(rec, &c2c_of)));
     }
 
     /// The records of every commit logged since the last
@@ -747,7 +746,7 @@ where
     pub(crate) fn new_commits(&self, c2c_of: impl Fn(TxId) -> u32) -> Vec<TxRecord> {
         self.commits
             .since(self.commit_cursor)
-            .filter_map(|tx| self.records.get(&tx))
+            .filter_map(|tx| self.records.get(tx))
             .map(|rec| Self::exported_record(rec, &c2c_of))
             .collect()
     }
@@ -760,18 +759,11 @@ where
     }
 
     /// A lower bound on the `invoked_at` of every commit this core will
-    /// log *after* the current drain point: in-flight transactions keep
-    /// their invocation time, and any not-yet-dispatched invocation will
-    /// be stamped `max(now, at) + 1 > now` by the clock clamp.  This is
-    /// the watermark a streaming checker may advance its certification
+    /// log *after* the current drain point ([`RecordLog::inv_floor`]): the
+    /// watermark a streaming checker may advance its certification
     /// frontier to.
     pub(crate) fn inv_floor(&self) -> u64 {
-        let in_flight = self
-            .in_flight
-            .first()
-            .map(|&(at, _)| at)
-            .unwrap_or(u64::MAX);
-        in_flight.min(self.now + 1)
+        self.records.inv_floor(self.now)
     }
 
     /// Delivery-side fault gate, called after the clock clamp and before
@@ -873,7 +865,7 @@ where
     /// Fault-engine retirement rule: once the core is quiescent, any
     /// transaction still in flight can never complete — its server crashed
     /// with the request in flight, or a partition swallowed a message of
-    /// its protocol exchange.  Retires each as [`TxOutcome::Aborted`]
+    /// its protocol exchange.  Retires each as [`snow_core::TxOutcome::Aborted`]
     /// (recorded as a Respond, so it flows into the commit log and the
     /// streaming checker's certification frontier advances instead of
     /// wedging).  A no-op without a fault schedule: on a fault-free run an
@@ -883,16 +875,11 @@ where
         if self.faults.is_none() || !self.is_quiescent() {
             return;
         }
-        let orphans: Vec<(u64, TxId)> = std::mem::take(&mut self.in_flight).into_iter().collect();
-        for (_, tx) in orphans {
-            let rec = self.records.get_mut(&tx).expect("in-flight transaction has a record");
-            rec.responded_at = Some(self.now);
-            rec.outcome = Some(TxOutcome::Aborted);
-            let client = rec.client;
+        for (tx, client) in self.records.abort_open(self.now) {
             self.log_commit(tx);
             // Let the client automaton drop its in-flight state for the
             // orphan, so the next invocation finds it idle.
-            if let Some(p) = self.processes.get_mut(&ProcessId::Client(client)) {
+            if let Some(p) = self.processes.get_mut(ProcessId::Client(client)) {
                 p.on_abort(tx);
             }
         }
@@ -953,7 +940,7 @@ mod tests {
     use super::*;
     use crate::scheduler::LatencyScheduler;
     use crate::ParallelSimulation;
-    use snow_core::{ObjectId, ReadOutcome, ServerId};
+    use snow_core::{ObjectId, ReadOutcome, ServerId, TxOutcome};
 
     /// One hop of a scripted route: the next process, and how the message
     /// sent to it is classified.

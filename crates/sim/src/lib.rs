@@ -62,6 +62,7 @@ pub mod parallel;
 pub mod pool;
 pub mod scheduler;
 pub mod sim;
+mod tables;
 pub mod topology;
 
 pub use fault::{

@@ -429,7 +429,8 @@ where
     /// this is byte-for-byte the serial engine's
     /// [`crate::Simulation::history`].
     pub fn history(&self) -> History {
-        let mut history = History::new();
+        let invoked = self.shards.iter().map(|s| s.record_count()).sum();
+        let mut history = History { records: Vec::with_capacity(invoked) };
         for shard in &self.shards {
             shard.collect_records(&mut history, |tx| self.c2c_count(tx));
         }

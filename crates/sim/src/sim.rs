@@ -3,8 +3,8 @@
 //!
 //! # Event-queue architecture and complexity contract
 //!
-//! The engine keeps three indexed structures so the step loop does no
-//! linear scanning:
+//! The engine orders events with two heaps and looks everything else up by
+//! index, so the step loop neither scans nor walks a tree:
 //!
 //! * in-flight messages live in a [`MessagePool`](crate::MessagePool) — a
 //!   slot vector with O(1) swap-remove, a `(delivery_time, MsgId)` binary
@@ -12,16 +12,25 @@
 //!   selects by rank — a Fenwick live-index for O(log n) rank selection in
 //!   send order (see [`crate::pool`]);
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
-//!   scheduling n invocations is O(n log n) total (the old sorted-`Vec`
-//!   insert was O(n² log n)) and the next due invocation is an O(1) peek;
-//! * every message carries its causal stamp ([`crate::Causal`]) and the
-//!   core folds it into the transaction records as the actions happen
-//!   (rounds, read instrumentation; C2C counts beside them), so
-//!   [`Simulation::history`] is a single pass over the transaction records
-//!   instead of O(transactions × actions).
+//!   scheduling n invocations is O(n log n) total and the next due
+//!   invocation is an O(1) peek;
+//! * transaction records live in a **record log**: a `Vec` in INV order —
+//!   the clock clamp stamps every INV of a core after the previous one, so
+//!   the log is sorted by `(invoked_at, tx_id)` as it is written — beside a
+//!   dense `TxId → slot` vector.  Every message carries its causal stamp
+//!   ([`crate::Causal`]) and the core folds it into the record it indexes
+//!   to as the actions happen (rounds, read instrumentation; C2C counts
+//!   beside them), so [`Simulation::history`] is one copy of the log, in
+//!   order, into a vector of exactly its length.  The earliest transaction
+//!   still in flight — what bounds `CommitDrain::inv_floor` — is a cursor
+//!   into the log that only moves forward;
+//! * processes live in a **process table**: one slot vector per role,
+//!   indexed by `ClientId` / `ServerId`.
 //!
-//! Per step the engine therefore does O(log n) work plus the process
-//! handler's own cost, for any scheduler.  Adversarial driving
+//! Per step the engine therefore does O(log n) heap work, O(1) lookups and
+//! the process handler's own cost, for any scheduler; a handler's output is
+//! drained from its [`snow_core::Effects`] buffer in place, each message
+//! moving once into the pool.  Adversarial driving
 //! ([`Simulation::deliver_where`], [`Simulation::force_invoke`]) trades this
 //! for expressiveness: it scans in send order (one pass over the pool's
 //! index window) exactly like the historical `Vec`-based engine, which
@@ -190,7 +199,7 @@ where
 
     /// Access to a registered process (for assertions in tests/harnesses).
     pub fn process(&self, id: ProcessId) -> Option<&P> {
-        self.core.processes.get(&id)
+        self.core.processes.get(id)
     }
 
     /// True if transaction `tx` has completed.
@@ -271,12 +280,13 @@ where
 
     /// Assembles the [`History`] of the run so far.  Rounds,
     /// versions-per-read and non-blocking flags are already in the
-    /// transaction records, so this is a single pass over them (plus the
-    /// final sort).
+    /// transaction records, and the one core logs them in INV order — the
+    /// history's `(invoked_at, tx_id)` order — so this is a single pass
+    /// into a vector of exactly their number.
     pub fn history(&self) -> History {
-        let mut history = History::new();
+        let mut history = History { records: Vec::with_capacity(self.core.record_count()) };
         self.core.collect_records(&mut history, |tx| self.core.c2c_count(tx));
-        history.records.sort_by_key(|r| (r.invoked_at, r.tx_id));
+        debug_assert!(history.records.is_sorted_by_key(|r| (r.invoked_at, r.tx_id)));
         history
     }
 

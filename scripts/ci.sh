@@ -41,7 +41,10 @@
 #      witness digests and work counters, the live window on a 1 000- and a
 #      10 000-transaction driver history) and the instrumentation sweep
 #      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
-#      and read results under faults × shards × contention).  Then the
+#      and read results under faults × shards × contention) and the
+#      dispatch path's cost counter (tests/dispatch_hot_path.rs: the exact
+#      allocations per committed transaction of a 1 000-transaction AlgB
+#      closed loop on the WAN and of a 1 000-arrival AlgC open loop).  Then the
 #      open-loop driver's linear cost as a pure count (crates/workload,
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
 #      completion wait per transaction, zero `is_complete` probes) and
@@ -125,10 +128,10 @@ fresh tests/golden_histories.txt
 fresh tests/golden_fault_histories.txt --faults
 echo "fixtures fresh"
 
-echo "== 5. release suites: parity, differentials, faults, stream hot path, probe count =="
+echo "== 5. release suites: parity, differentials, faults, hot paths, probe count =="
 cargo test -q --release --test parallel_determinism --test checker_differential \
     --test stream_differential --test fault_determinism --test fault_checker \
-    --test stream_hot_path --test instrumentation_sweep
+    --test stream_hot_path --test instrumentation_sweep --test dispatch_hot_path
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 

@@ -1,0 +1,125 @@
+//! The dispatch path's deterministic cost counter (ROADMAP aim 1): heap
+//! allocations per committed transaction of one driver call, counted by a
+//! `#[global_allocator]` local to this test binary and pinned **exactly** —
+//! the count is a pure function of the seeds, the same in debug and release
+//! builds.  Two runs shaped like the repo benchmark's serial workloads:
+//!
+//! * 1 000 AlgB transactions on the three-site WAN, closed loop in rounds
+//!   of 8 (`closed-b-wan3`'s shape): the round driver, the topology
+//!   scheduler, two-round reads;
+//! * 1 000 AlgC arrivals, open loop under the latency scheduler
+//!   (`open-c-read`'s shape): the commit-gated wait, one-round reads with
+//!   multi-version responses.
+//!
+//! The counted region is the driver call: generator, engine, protocol
+//! handlers, `history()`.  A change that adds a clone of a `TxSpec`, a
+//! second effects buffer that spills, or a record container that regrows
+//! moves a pin here, whatever the host's speed that day.
+
+use snow::core::{SystemConfig, TxRecord};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
+use snow::sim::Topology;
+use snow::workload::{
+    drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+// ---- counting allocator (the pattern of tests/stream_hot_path.rs) ----------
+
+thread_local! {
+    /// `Some(n)` while the current thread is counting.  Per thread, so the
+    /// tests of this binary can run in parallel without seeing each other.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.  The cell has no destructor and its access never allocates.
+    let _ = ALLOCS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches one thread-local
+// `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning its result and how many heap allocations
+/// (reallocations included) this thread made inside it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|c| c.set(Some(0)));
+    let result = f();
+    (result, ALLOCS.with(|c| c.replace(None)).expect("counting was on"))
+}
+
+const TRANSACTIONS: usize = 1_000;
+
+#[test]
+fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(8, 4, 4);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .topology(Arc::new(Topology::wan3(&config)), 7)
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgB runs on MWMR configurations");
+    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+    let ((history, report), allocs) =
+        counted(|| WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
+    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert!(history.records.iter().all(TxRecord::is_complete));
+    assert_eq!(allocs, 14_138, "{:.3} per committed transaction", allocs as f64 / 1e3);
+}
+
+#[test]
+fn open_loop_algc_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(8, 2, 6);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+        .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 16 })
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgC runs on MWMR configurations");
+    let spec = OpenLoopSpec {
+        workload: WorkloadSpec { read_fraction: 0.96, ..WorkloadSpec::tao_like() },
+        rate: 50,
+        arrivals: TRANSACTIONS,
+        arrival_seed: 7,
+    };
+    let ((history, report), allocs) =
+        counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
+    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert!(history.records.iter().all(TxRecord::is_complete));
+    assert_eq!(allocs, 17_930, "{:.3} per committed transaction", allocs as f64 / 1e3);
+}
