@@ -2,7 +2,7 @@
 //!
 //! Each protocol module defines its own node and message types, which is
 //! what lets the simulator type-check protocol invariants — but it also used
-//! to force every executor to repeat a six-way `match`.  [`AnyNode`] and
+//! to force every executor to repeat a per-protocol `match`.  [`AnyNode`] and
 //! [`AnyMsg`] erase the per-protocol types behind enum dispatch, so a
 //! deployment is described once — by a [`ProtocolKind`] and a
 //! [`SystemConfig`] — and executed anywhere a [`Process`] can run:
@@ -14,7 +14,8 @@
 //! fixtures — adds no sends, no reordering and no scheduler interaction:
 //! a wrapped deployment produces bit-identical schedules to the typed one.
 
-use crate::{alg_a, alg_b, alg_c, blocking, eiger, simple, ProtocolKind};
+use crate::list::{self, Algorithm};
+use crate::{blocking, eiger, simple, ProtocolKind};
 use snow_core::{
     Effects, MsgInfo, Process, ProcessId, ProtocolMessage, Result, SystemConfig, TxId, TxSpec,
 };
@@ -22,12 +23,8 @@ use snow_core::{
 /// A message of any protocol: the per-protocol message type, tagged.
 #[derive(Debug, Clone)]
 pub enum AnyMsg {
-    /// Algorithm A traffic.
-    AlgA(alg_a::AlgAMsg),
-    /// Algorithm B traffic.
-    AlgB(alg_b::AlgBMsg),
-    /// Algorithm C traffic.
-    AlgC(alg_c::AlgCMsg),
+    /// Algorithm A, B or C traffic.
+    List(list::ListMsg),
     /// Eiger-style traffic.
     Eiger(eiger::EigerMsg),
     /// Blocking-2PL traffic.
@@ -39,9 +36,7 @@ pub enum AnyMsg {
 impl ProtocolMessage for AnyMsg {
     fn info(&self) -> MsgInfo {
         match self {
-            AnyMsg::AlgA(m) => m.info(),
-            AnyMsg::AlgB(m) => m.info(),
-            AnyMsg::AlgC(m) => m.info(),
+            AnyMsg::List(m) => m.info(),
             AnyMsg::Eiger(m) => m.info(),
             AnyMsg::Blocking(m) => m.info(),
             AnyMsg::Simple(m) => m.info(),
@@ -52,12 +47,8 @@ impl ProtocolMessage for AnyMsg {
 /// A process of any protocol deployment.
 #[derive(Debug)]
 pub enum AnyNode {
-    /// An Algorithm A process.
-    AlgA(alg_a::AlgANode),
-    /// An Algorithm B process.
-    AlgB(alg_b::AlgBNode),
-    /// An Algorithm C process.
-    AlgC(alg_c::AlgCNode),
+    /// An Algorithm A, B or C process.
+    List(list::ListNode),
     /// An Eiger-style process.
     Eiger(eiger::EigerNode),
     /// A blocking-2PL process.
@@ -89,9 +80,7 @@ where
 macro_rules! dispatch {
     ($self:expr, $effects:expr, |$node:ident, $inner:ident| $body:expr) => {
         match $self {
-            AnyNode::AlgA($node) => rewrap($effects, AnyMsg::AlgA, |$inner| $body),
-            AnyNode::AlgB($node) => rewrap($effects, AnyMsg::AlgB, |$inner| $body),
-            AnyNode::AlgC($node) => rewrap($effects, AnyMsg::AlgC, |$inner| $body),
+            AnyNode::List($node) => rewrap($effects, AnyMsg::List, |$inner| $body),
             AnyNode::Eiger($node) => rewrap($effects, AnyMsg::Eiger, |$inner| $body),
             AnyNode::Blocking($node) => rewrap($effects, AnyMsg::Blocking, |$inner| $body),
             AnyNode::Simple($node) => rewrap($effects, AnyMsg::Simple, |$inner| $body),
@@ -104,9 +93,7 @@ impl Process for AnyNode {
 
     fn id(&self) -> ProcessId {
         match self {
-            AnyNode::AlgA(n) => n.id(),
-            AnyNode::AlgB(n) => n.id(),
-            AnyNode::AlgC(n) => n.id(),
+            AnyNode::List(n) => n.id(),
             AnyNode::Eiger(n) => n.id(),
             AnyNode::Blocking(n) => n.id(),
             AnyNode::Simple(n) => n.id(),
@@ -119,9 +106,7 @@ impl Process for AnyNode {
 
     fn on_abort(&mut self, tx_id: TxId) {
         match self {
-            AnyNode::AlgA(n) => n.on_abort(tx_id),
-            AnyNode::AlgB(n) => n.on_abort(tx_id),
-            AnyNode::AlgC(n) => n.on_abort(tx_id),
+            AnyNode::List(n) => n.on_abort(tx_id),
             AnyNode::Eiger(n) => n.on_abort(tx_id),
             AnyNode::Blocking(n) => n.on_abort(tx_id),
             AnyNode::Simple(n) => n.on_abort(tx_id),
@@ -130,14 +115,8 @@ impl Process for AnyNode {
 
     fn on_message(&mut self, from: ProcessId, msg: AnyMsg, effects: &mut Effects<AnyMsg>) {
         match (self, msg) {
-            (AnyNode::AlgA(node), AnyMsg::AlgA(m)) => {
-                rewrap(effects, AnyMsg::AlgA, |inner| node.on_message(from, m, inner))
-            }
-            (AnyNode::AlgB(node), AnyMsg::AlgB(m)) => {
-                rewrap(effects, AnyMsg::AlgB, |inner| node.on_message(from, m, inner))
-            }
-            (AnyNode::AlgC(node), AnyMsg::AlgC(m)) => {
-                rewrap(effects, AnyMsg::AlgC, |inner| node.on_message(from, m, inner))
+            (AnyNode::List(node), AnyMsg::List(m)) => {
+                rewrap(effects, AnyMsg::List, |inner| node.on_message(from, m, inner))
             }
             (AnyNode::Eiger(node), AnyMsg::Eiger(m)) => {
                 rewrap(effects, AnyMsg::Eiger, |inner| node.on_message(from, m, inner))
@@ -180,10 +159,11 @@ impl Process for AnyNode {
 /// assert!(deploy_any(ProtocolKind::AlgA, &no_c2c).is_err());
 /// ```
 pub fn deploy_any(protocol: ProtocolKind, config: &SystemConfig) -> Result<Vec<AnyNode>> {
+    let family = |algorithm| list::deploy(algorithm, config);
     Ok(match protocol {
-        ProtocolKind::AlgA => alg_a::deploy(config)?.into_iter().map(AnyNode::AlgA).collect(),
-        ProtocolKind::AlgB => alg_b::deploy(config)?.into_iter().map(AnyNode::AlgB).collect(),
-        ProtocolKind::AlgC => alg_c::deploy(config)?.into_iter().map(AnyNode::AlgC).collect(),
+        ProtocolKind::AlgA => family(Algorithm::A)?.into_iter().map(AnyNode::List).collect(),
+        ProtocolKind::AlgB => family(Algorithm::B)?.into_iter().map(AnyNode::List).collect(),
+        ProtocolKind::AlgC => family(Algorithm::C)?.into_iter().map(AnyNode::List).collect(),
         ProtocolKind::Eiger => eiger::deploy(config)?.into_iter().map(AnyNode::Eiger).collect(),
         ProtocolKind::Blocking => {
             blocking::deploy(config)?.into_iter().map(AnyNode::Blocking).collect()

@@ -724,13 +724,13 @@ mod tests {
     /// ROADMAP 1(d): the benchmark's `open-c-read --seed 1` (10 000
     /// arrivals) has one AlgC READ with `rounds == 2`
     /// (`protocols.rounds_per_read` 1.000104 = 9 599 / 9 598).  It is the
-    /// protocol's documented targeted second round (`alg_c` module docs),
+    /// protocol's documented targeted second round (`list` module docs),
     /// not an instrumentation artifact: on a concrete simulation the READs
     /// the history instruments with two rounds are exactly the ones the
     /// readers count as fallbacks.
     #[test]
     fn every_two_round_algc_read_is_a_counted_fallback() {
-        use snow_protocols::{alg_c::AlgCNode, deploy_any, AnyNode};
+        use snow_protocols::{deploy_any, list::ListNode, AnyNode};
         use snow_sim::{LatencyScheduler, Simulation};
 
         let (config, spec, net) = open_c_read(10_000, 1);
@@ -746,7 +746,7 @@ mod tests {
         let fallbacks: u64 = config
             .readers()
             .map(|r| match sim.process(snow_core::ProcessId::Client(r)) {
-                Some(AnyNode::AlgC(AlgCNode::Reader(reader))) => reader.fallback_rounds(),
+                Some(AnyNode::List(ListNode::Reader(reader))) => reader.fallback_rounds(),
                 other => panic!("reader {r:?} is {other:?}"),
             })
             .sum();
