@@ -399,12 +399,6 @@ pub fn check_auto(history: &History) -> Verdict {
     }
 }
 
-/// Convenience alias kept for older call sites; identical to
-/// [`check_auto`].
-pub fn check_strict_serializability(history: &History) -> Verdict {
-    check_auto(history)
-}
-
 /// Returns the first object on which two completed transactions conflict
 /// (one writes it, the other reads or writes it); used by diagnostics.
 pub fn first_conflict(a: &TxRecord, b: &TxRecord) -> Option<ObjectId> {
@@ -601,10 +595,10 @@ mod tests {
     fn dispatcher_picks_the_right_engine() {
         let mut tagged = History::new();
         tagged.push(write(1, 1, 1, &[0], 0, 10, Some(2)));
-        assert!(check_strict_serializability(&tagged).is_serializable());
+        assert!(check_auto(&tagged).is_serializable());
         let mut untagged = History::new();
         untagged.push(write(1, 1, 1, &[0], 0, 10, None));
-        assert!(check_strict_serializability(&untagged).is_serializable());
+        assert!(check_auto(&untagged).is_serializable());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! State shared by several protocols: the ordered WRITE log (`List`), and
 //! the client-side bookkeeping for in-flight READ and WRITE transactions.
 
-use snow_core::{ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, Value};
+use snow_core::{ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome};
 use std::collections::BTreeSet;
 
 /// The ordered list of completed WRITE transactions — the paper's `List`
@@ -32,14 +32,10 @@ impl WriteLog {
         Tag(self.entries.len() as u64)
     }
 
-    /// Number of entries (`|List|`).
+    /// Number of entries (`|List|`); never 0, the initial entry stays.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if only the initial entry is present.
-    pub fn is_empty(&self) -> bool {
-        self.entries.len() <= 1
     }
 
     /// The key of the latest entry that updated `object`
@@ -69,11 +65,6 @@ impl WriteLog {
         let keys = objects.iter().map(|&o| (o, self.latest_for(o).0)).collect();
         (Tag(self.entries.len() as u64), keys)
     }
-
-    /// Raw access to the entries (used by tests and the impossibility crate).
-    pub fn entries(&self) -> &[(Key, Vec<ObjectId>)] {
-        &self.entries
-    }
 }
 
 /// Client-side bookkeeping for one in-flight READ transaction.
@@ -87,8 +78,6 @@ pub struct PendingRead {
     pub collected: Vec<ObjectRead>,
     /// The tag this READ serializes at (filled in when known).
     pub tag: Option<Tag>,
-    /// The per-object keys this READ was told to fetch (Algorithms A/B).
-    pub keys: Vec<(ObjectId, Key)>,
 }
 
 impl PendingRead {
@@ -99,7 +88,6 @@ impl PendingRead {
             objects,
             collected: Vec::new(),
             tag: None,
-            keys: Vec::new(),
         }
     }
 
@@ -130,11 +118,6 @@ impl PendingRead {
             reads,
             tag: self.tag,
         })
-    }
-
-    /// The key this READ was told to fetch for `object`, if recorded.
-    pub fn key_for(&self, object: ObjectId) -> Option<Key> {
-        self.keys.iter().find(|(o, _)| *o == object).map(|(_, k)| *k)
     }
 }
 
@@ -192,22 +175,12 @@ impl KeyAllocator {
         self.z += 1;
         Key::new(self.z, self.writer)
     }
-
-    /// Number of keys allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.z
-    }
-}
-
-/// Derives a deterministic value to write for (writer, seq, object) — used by
-/// tests and examples so outcomes are recognisable.
-pub fn derived_value(writer: ClientId, seq: u64, object: ObjectId) -> Value {
-    Value::derived(writer.0, seq, object.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snow_core::Value;
 
     fn objs(ids: &[u32]) -> Vec<ObjectId> {
         ids.iter().map(|i| ObjectId(*i)).collect()
@@ -217,7 +190,6 @@ mod tests {
     fn write_log_initial_covers_all_objects() {
         let log = WriteLog::new(objs(&[0, 1, 2]));
         assert_eq!(log.len(), 1);
-        assert!(log.is_empty());
         for o in objs(&[0, 1, 2]) {
             let (k, t) = log.latest_for(o);
             assert!(k.is_initial());
@@ -238,8 +210,7 @@ mod tests {
         assert_eq!(log.latest_for(ObjectId(1)), (k2, Tag(3)));
         // Object never written keeps κ0.
         assert_eq!(log.latest_for(ObjectId(9)).0, Key::initial());
-        assert!(!log.is_empty());
-        assert_eq!(log.entries().len(), 3);
+        assert_eq!(log.len(), 3);
     }
 
     #[test]
@@ -289,14 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_read_key_lookup() {
-        let mut pr = PendingRead::new(TxId(1), objs(&[0]));
-        pr.keys.push((ObjectId(0), Key::new(3, ClientId(1))));
-        assert_eq!(pr.key_for(ObjectId(0)), Some(Key::new(3, ClientId(1))));
-        assert_eq!(pr.key_for(ObjectId(5)), None);
-    }
-
-    #[test]
     fn pending_write_tracks_acks() {
         let mut pw = PendingWrite::new(TxId(2), Key::new(1, ClientId(3)), objs(&[0, 1]));
         assert!(!pw.ack(ObjectId(0)));
@@ -312,13 +275,6 @@ mod tests {
         let k2 = a.allocate();
         assert_eq!(k1, Key::new(1, ClientId(2)));
         assert_eq!(k2, Key::new(2, ClientId(2)));
-        assert_eq!(a.allocated(), 2);
         assert!(k1 < k2);
-    }
-
-    #[test]
-    fn derived_values_are_traceable() {
-        let v = derived_value(ClientId(1), 2, ObjectId(3));
-        assert_eq!(v, Value::derived(1, 2, 3));
     }
 }

@@ -297,7 +297,6 @@ impl Reader {
                 let log = self.log.as_ref().expect("Algorithm A's reader holds List");
                 let (tag, keys) = log.tag_array(&objects);
                 collect.tag = Some(tag);
-                collect.keys = keys.clone();
                 for (object, key) in keys {
                     read_val(&self.config, tx, object, key, effects);
                 }
@@ -305,7 +304,6 @@ impl Reader {
             Algorithm::B => effects.send(self.list_at, ListMsg::GetTagArr { tx, objects }),
             Algorithm::C => {
                 // One round: tag array and version sets requested in parallel.
-                let objects = objects.clone();
                 effects.send(
                     self.list_at,
                     ListMsg::GetTagArr {
@@ -591,7 +589,6 @@ impl Process for ListNode {
                     read.keys = keys;
                     reader.resolve_from_vals(effects);
                 } else {
-                    read.collect.keys = keys.clone();
                     for (object, key) in keys {
                         read_val(&reader.config, tx, object, key, effects);
                     }

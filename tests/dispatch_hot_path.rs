@@ -100,7 +100,7 @@ fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
         counted(|| WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 14_138, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 13_638, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
 
 #[test]
@@ -121,5 +121,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 17_930, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 16_971, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
