@@ -27,9 +27,26 @@ impl WriteLog {
 
     /// Appends a completed WRITE `(key, objects)` and returns its tag
     /// (`|List|` after the append, as in the paper).
+    ///
+    /// Idempotent: a key already in `List` keeps the tag it was given.
+    /// Under at-least-once delivery a late duplicate of an old WRITE's
+    /// registration would otherwise become the latest entry of its objects
+    /// again — a WRITE with two tags, and READs ordered after it twice.
+    ///
+    /// A writer runs one WRITE at a time, so its entries are in key order
+    /// and the search stops at its newest entry no newer than `key`: the
+    /// cost is the registrations since that writer's previous one, not
+    /// `|List|`.
     pub fn append(&mut self, key: Key, objects: Vec<ObjectId>) -> Tag {
-        self.entries.push((key, objects));
-        Tag(self.entries.len() as u64)
+        let same_writer_no_newer = |(k, _): &(Key, _)| k.writer == key.writer && k.seq <= key.seq;
+        let index = match self.entries.iter().rposition(same_writer_no_newer) {
+            Some(registered) if self.entries[registered].0 == key => registered,
+            _ => {
+                self.entries.push((key, objects));
+                self.entries.len() - 1
+            }
+        };
+        Tag(index as u64 + 1)
     }
 
     /// Number of entries (`|List|`); never 0, the initial entry stays.
@@ -206,6 +223,9 @@ mod tests {
         let k2 = Key::new(1, ClientId(6));
         let t2 = log.append(k2, objs(&[0, 1]));
         assert_eq!(t2, Tag(3));
+        assert_eq!(log.latest_for(ObjectId(0)), (k2, Tag(3)));
+        // A duplicate of the first registration changes nothing.
+        assert_eq!(log.append(k1, objs(&[0])), Tag(2));
         assert_eq!(log.latest_for(ObjectId(0)), (k2, Tag(3)));
         assert_eq!(log.latest_for(ObjectId(1)), (k2, Tag(3)));
         // Object never written keeps κ0.

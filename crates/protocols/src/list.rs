@@ -245,8 +245,6 @@ struct Read {
     keys: Vec<(ObjectId, Key)>,
     /// Algorithm C: the `Vals` snapshots received so far.
     vals: BTreeMap<ObjectId, Arc<[(Key, Value)]>>,
-    /// Algorithm C: the keys have been looked up in the `Vals` sets.
-    resolved: bool,
 }
 
 /// A reader client.
@@ -321,7 +319,6 @@ impl Reader {
             collect,
             keys: Vec::new(),
             vals: BTreeMap::new(),
-            resolved: false,
         });
     }
 
@@ -334,12 +331,12 @@ impl Reader {
         };
         let all_in = read.collect.tag.is_some()
             && read.collect.objects.iter().all(|o| read.vals.contains_key(o));
-        if read.resolved || !all_in {
+        if !all_in {
             return;
         }
-        read.resolved = true;
         let mut fell_back = false;
-        for &(object, key) in &read.keys {
+        // Taken, so a late duplicate of a `Vals` response looks up nothing.
+        for (object, key) in std::mem::take(&mut read.keys) {
             // Snapshots are in key order.
             let versions = &read.vals[&object];
             match versions.binary_search_by_key(&key, |&(k, _)| k) {
@@ -581,7 +578,9 @@ impl Process for ListNode {
             }
             (ListNode::Reader(reader), ListMsg::TagArr { tx, tag, keys }) => {
                 let algorithm = reader.algorithm;
-                let Some(read) = reader.current(tx) else {
+                // The first tag array is the READ's cut; a duplicate of
+                // `get-tag-arr` answered later names another one.
+                let Some(read) = reader.current(tx).filter(|r| r.collect.tag.is_none()) else {
                     return;
                 };
                 read.collect.tag = Some(tag);
@@ -920,5 +919,56 @@ pub(crate) mod tests {
             assert!(sim.run_until_complete(r));
         }
         assert_eq!(fallbacks(&sim, reader), 0);
+    }
+
+    /// Drives one reader by hand: a 2-object READ is answered by two tag
+    /// arrays — `get-tag-arr` was duplicated and a WRITE of both objects
+    /// registered between the copies — and every `read-val` it sends is
+    /// answered with the key it names.  Whatever the READ returns must be
+    /// one of the two cuts, never a mix.
+    #[test]
+    fn a_duplicated_tag_array_cannot_mix_two_cuts() {
+        let config = SystemConfig::mwmr(2, 1, 1);
+        let (reader, coordinator) = (ClientId(0), ProcessId::Server(COORDINATOR));
+        let (tx, objects) = (TxId(1), vec![ObjectId(0), ObjectId(1)]);
+        let (old, new) = (Key::initial(), Key::new(1, ClientId(1)));
+        let cut = |tag, key| ListMsg::TagArr {
+            tx,
+            tag,
+            keys: objects.iter().map(|&o| (o, key)).collect(),
+        };
+
+        let mut node = ListNode::Reader(Reader::new(reader, Algorithm::B, coordinator, config));
+        let mut effects = Effects::new(0);
+        node.on_invoke(tx, TxSpec::read(objects.clone()), &mut effects);
+        node.on_message(coordinator, cut(Tag(1), old), &mut effects);
+        node.on_message(coordinator, cut(Tag(2), new), &mut effects);
+        let (sends, _) = effects.into_parts();
+        let requests = sends.into_iter().filter_map(|(to, msg)| match msg {
+            ListMsg::ReadVal { object, key, .. } => Some((to, object, key)),
+            _ => None,
+        });
+        // Object 0's newest request is answered first, object 1's oldest.
+        let (mut o0, o1): (Vec<_>, Vec<_>) = requests.partition(|r| r.1 == ObjectId(0));
+        o0.reverse();
+
+        let mut effects = Effects::new(1);
+        for (server, object, key) in o0.into_iter().chain(o1) {
+            let resp = ListMsg::ReadResp {
+                tx,
+                object,
+                key,
+                value: Value(key.seq),
+            };
+            node.on_message(server, resp, &mut effects);
+        }
+        let responses: Vec<_> = effects.drain_responses().collect();
+        let [(_, TxOutcome::Read(outcome))] = responses.as_slice() else {
+            panic!("the READ responds once, found {responses:?}");
+        };
+        let keys: Vec<Key> = outcome.reads.iter().map(|r| r.key).collect();
+        let returned = (outcome.tag, keys);
+        let cuts = [(Some(Tag(1)), vec![old; 2]), (Some(Tag(2)), vec![new; 2])];
+        assert!(cuts.contains(&returned), "RESP {returned:?} mixes two cuts");
     }
 }

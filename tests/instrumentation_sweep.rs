@@ -32,8 +32,12 @@ const TXNS: usize = 60;
 /// rule: the 120 cells `{fifo, random, wan3} × {clean, crash_mid_read}` kept
 /// the fingerprint they had at `2e52181` (`0x0804_6ea9_c8db_f4b3`, before
 /// the causal ledger was dissolved into the message stamp); the `latency`
-/// schedule and the probabilistic fault columns moved.
-const SWEEP_DIGEST: u64 = 0x3c6e_3bf1_0723_3131;
+/// schedule and the probabilistic fault columns moved.  Re-taken once more
+/// (from `0x3c6e_3bf1_0723_3131`) when registration became idempotent and a
+/// READ kept its first tag array: 62 cells moved, all of them Algorithm A,
+/// B or C under `dup_storm` or `lossy` — the two columns that duplicate
+/// messages; no fault-free or crash cell did.
+const SWEEP_DIGEST: u64 = 0x5b6f_e0b5_59bf_8944;
 
 fn config(protocol: ProtocolKind) -> SystemConfig {
     if protocol.needs_c2c() {
