@@ -33,9 +33,13 @@
 #      stream differential suites (graph vs complete search, stream vs
 #      `check_auto`, conviction at the right commit, bounded live window),
 #      the fault suites (determinism, 1-shard ≡ serial under faults,
-#      checker agreement on scarred histories, orphan retirement, and the
+#      checker agreement on scarred histories, orphan retirement, the
 #      N verdict surviving the dup storm — no READ of AlgB / AlgC / Simple
-#      is flagged blocking because a duplicate answered it late) and the
+#      is flagged blocking because a duplicate answered it late — and the
+#      expected verdicts under duplication: Algorithms A / B / C certified
+#      `Serializable`, never `Unknown`, on the tiny-history sweep, under the
+#      dup storm and at 1 % duplication on the WAN, plus the twin of the
+#      benchmark's `sim.fault.checkers_agree`) and the
 #      stream checker's hot path (tests/stream_hot_path.rs: an exact
 #      allocation budget inside `ingest` + `advance_watermark`, pinned
 #      witness digests and work counters, the live window on a 1 000- and a
