@@ -263,7 +263,12 @@ pub struct Reader {
 impl Reader {
     /// Creates a reader running `algorithm`'s READ against the `List` held
     /// by `list_at` — itself in Algorithm A, `s*` in B and C.
-    pub fn new(id: ClientId, algorithm: Algorithm, list_at: ProcessId, config: SystemConfig) -> Self {
+    pub fn new(
+        id: ClientId,
+        algorithm: Algorithm,
+        list_at: ProcessId,
+        config: SystemConfig,
+    ) -> Self {
         let holds_list = list_at == ProcessId::Client(id);
         Reader {
             id,
@@ -330,7 +335,11 @@ impl Reader {
             return;
         };
         let all_in = read.collect.tag.is_some()
-            && read.collect.objects.iter().all(|o| read.vals.contains_key(o));
+            && read
+                .collect
+                .objects
+                .iter()
+                .all(|o| read.vals.contains_key(o));
         if !all_in {
             return;
         }
@@ -444,11 +453,17 @@ impl Process for ListNode {
     fn on_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<ListMsg>) {
         match (self, spec) {
             (ListNode::Reader(r), TxSpec::Read(read)) => {
-                assert!(r.pending.is_none(), "reader invoked while a READ is outstanding");
+                assert!(
+                    r.pending.is_none(),
+                    "reader invoked while a READ is outstanding"
+                );
                 r.start_read(tx, read.objects, effects);
             }
             (ListNode::Writer(w), TxSpec::Write(write)) => {
-                assert!(w.pending.is_none(), "writer invoked while a WRITE is outstanding");
+                assert!(
+                    w.pending.is_none(),
+                    "writer invoked while a WRITE is outstanding"
+                );
                 let key = w.keys.allocate();
                 let objects = write.writes.iter().map(|(o, _)| *o).collect();
                 w.pending = Some(PendingWrite::new(tx, key, objects));
@@ -701,7 +716,12 @@ pub(crate) mod tests {
     }
 
     fn write(writes: &[(u32, u64)]) -> TxSpec {
-        TxSpec::write(writes.iter().map(|&(o, v)| (ObjectId(o), Value(v))).collect())
+        TxSpec::write(
+            writes
+                .iter()
+                .map(|&(o, v)| (ObjectId(o), Value(v)))
+                .collect(),
+        )
     }
 
     fn read(objects: &[u32]) -> TxSpec {
@@ -770,7 +790,14 @@ pub(crate) mod tests {
         let r = sim.invoke_at(0, reader, read(&[1, 3]));
         assert!(sim.run_until_complete(r));
         let h = sim.history();
-        let outcome = h.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap();
+        let outcome = h
+            .get(r)
+            .unwrap()
+            .outcome
+            .as_ref()
+            .unwrap()
+            .as_read()
+            .unwrap();
         assert_eq!(outcome.value_for(ObjectId(1)), Some(Value::INITIAL));
         assert_eq!(outcome.value_for(ObjectId(3)), Some(Value::INITIAL));
         assert_eq!(outcome.tag, Some(Tag::INITIAL));
@@ -793,7 +820,11 @@ pub(crate) mod tests {
                 assert!(sim.is_complete(tx), "seed {seed}: {tx} incomplete");
             }
             for r in sim.history().reads() {
-                assert!(shape.rounds.contains(&r.rounds), "seed {seed}: rounds {}", r.rounds);
+                assert!(
+                    shape.rounds.contains(&r.rounds),
+                    "seed {seed}: rounds {}",
+                    r.rounds
+                );
                 if shape.versions == 1 {
                     assert_eq!(r.max_versions_per_read(), 1, "seed {seed}");
                 }
@@ -810,7 +841,15 @@ pub(crate) mod tests {
         for i in 1..=4u64 {
             let w = sim.invoke_now(writer, write(&[(0, i)]));
             assert!(sim.run_until_complete(w));
-            let tag = sim.history().get(w).unwrap().outcome.as_ref().unwrap().tag().unwrap();
+            let tag = sim
+                .history()
+                .get(w)
+                .unwrap()
+                .outcome
+                .as_ref()
+                .unwrap()
+                .tag()
+                .unwrap();
             assert!(tag > last_tag);
             last_tag = tag;
         }
