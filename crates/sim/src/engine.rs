@@ -10,22 +10,24 @@
 //! an index (see `crate::tables`).  The core makes **every dispatch
 //! decision in the workspace**: invocation-vs-delivery choice, clock
 //! advance, handler execution, effect application, step accounting, and the
-//! adversarial driving entry points ([`Simulation::deliver_where`],
-//! [`Simulation::force_invoke`]).  It also derives the instrumentation a
+//! adversarial driving entry points ([`crate::Simulation::deliver_where`],
+//! [`crate::Simulation::force_invoke`]).  It also derives the instrumentation a
 //! [`History`] carries — rounds, C2C counts, read results — from the
 //! [`Causal`] stamp of the message being handled, straight into the
 //! [`TxRecord`] it describes (`DispatchCore::stamp`; there is no ledger
 //! beside the records).
 //!
-//! The serial [`Simulation`] wraps exactly one core (`index 0, stride 1`,
-//! so every process is local and the cross-shard outbox stays empty); the
-//! sharded [`crate::ParallelSimulation`] instantiates one core per shard
-//! and exchanges the cores' outboxes at its epoch barrier.  Historically
-//! the two engines carried hand-mirrored copies of this logic ("change
-//! dispatch semantics in both places"); the mirror is gone — `scripts/
-//! ci.sh` enforces that this module remains the only definition site of
-//! the dispatch primitives (`fn step`, `fn run_epoch`,
-//! `fn dispatch_invocation`, `fn deliver`, `fn apply_effects`, …).
+//! The serial [`crate::Simulation`] wraps exactly one core (`index 0,
+//! stride 1`, so every process is local and the cross-shard outbox stays
+//! empty); the sharded [`crate::ParallelSimulation`] instantiates one core
+//! per shard and exchanges the cores' outboxes at its epoch barrier.
+//! Historically the two engines carried hand-mirrored copies of this logic
+//! ("change dispatch semantics in both places"); the mirror is gone, and
+//! module privacy keeps it gone: every field of `DispatchCore` — the pool,
+//! the clock, the process table, the fault state — is private to this
+//! module, and the wrappers get a handful of narrow methods (plan an
+//! invocation, import a routed message, take the outbox, read the clock and
+//! the counters), so a second dispatch loop elsewhere cannot compile.
 //!
 //! # The clock invariant
 //!
@@ -45,12 +47,11 @@
 //! the monotonicity check in `DispatchCore::audit_clock` — keep the
 //! invariant audited.
 
-use crate::fault::{CrashPolicy, FaultState, SendVerdict};
+use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict};
 use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
 use crate::pool::MessagePool;
 use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
-use crate::sim::Simulation;
 use crate::tables::{ProcessTable, RecordLog};
 use snow_core::{
     ClientId, Effects, FxHashMap, History, Process, ProcessId, ReadResult, TxId, TxKind,
@@ -73,11 +74,11 @@ pub enum StepOutcome {
 
 /// A scheduled invocation, ordered by `(at, tx)` for the invocation queue.
 #[derive(Debug, Clone)]
-pub(crate) struct QueuedInvocation {
-    pub(crate) at: u64,
-    pub(crate) tx: TxId,
-    pub(crate) client: ClientId,
-    pub(crate) spec: TxSpec,
+struct QueuedInvocation {
+    at: u64,
+    tx: TxId,
+    client: ClientId,
+    spec: TxSpec,
 }
 
 impl PartialEq for QueuedInvocation {
@@ -102,7 +103,7 @@ impl Ord for QueuedInvocation {
 /// The commit log: transactions in RESP order, minus the prefix already
 /// retired.  `live[0]` is commit number `retired`.
 #[derive(Debug, Default)]
-pub(crate) struct CommitLog {
+struct CommitLog {
     live: VecDeque<TxId>,
     retired: u64,
 }
@@ -110,7 +111,7 @@ pub(crate) struct CommitLog {
 impl CommitLog {
     /// Total number of commits (RESP actions) ever logged, retired entries
     /// included.
-    pub(crate) fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.retired + self.live.len() as u64
     }
 
@@ -134,7 +135,7 @@ impl CommitLog {
 
 /// One dispatch core: a self-contained engine over a subset (possibly all)
 /// of a deployment's processes.  See the module docs for how the serial
-/// and sharded substrates wrap it.
+/// and sharded substrates wrap it; its fields are private to this module.
 ///
 /// `O` is the observability sink the core emits [`ObsEvent`]s into.  The
 /// default [`NullSink`] has `ENABLED = false`, so every emission site —
@@ -144,40 +145,40 @@ impl CommitLog {
 /// never reads a wall clock.
 pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     /// Which shard this core is (0 for the serial engine).
-    pub(crate) index: usize,
+    index: usize,
     /// Total number of shards; message ids are strided by it (the serial
     /// engine's stride of 1 assigns densely, exactly as it always did).
-    pub(crate) stride: u64,
-    pub(crate) processes: ProcessTable<P>,
-    pub(crate) pool: MessagePool<P::Msg>,
-    pub(crate) invocations: BinaryHeap<QueuedInvocation>,
-    pub(crate) scheduler: S,
+    stride: u64,
+    processes: ProcessTable<P>,
+    pool: MessagePool<P::Msg>,
+    invocations: BinaryHeap<QueuedInvocation>,
+    scheduler: S,
     /// One record per transaction **invoked on this core**, in INV order,
     /// instrumentation (rounds, read results) folded in as the actions
     /// happen.
-    pub(crate) records: RecordLog,
-    pub(crate) commits: CommitLog,
+    records: RecordLog,
+    commits: CommitLog,
     /// C2C sends per transaction, counted on the sending core (which need
     /// not hold the record); only Algorithm A's traffic touches it.
     c2c_sends: FxHashMap<TxId, u32>,
     /// Time of the last external action ([`DispatchCore::audit_clock`]).
     last_action_at: u64,
-    pub(crate) now: u64,
-    pub(crate) next_msg: u64,
-    pub(crate) steps: u64,
-    pub(crate) max_steps: u64,
+    now: u64,
+    next_msg: u64,
+    steps: u64,
+    max_steps: u64,
     /// Commit-log position of the last [`DispatchCore::new_commits`] drain.
     commit_cursor: u64,
     /// Sends addressed to processes of another core, buffered for the
     /// epoch exchange.  Always empty at stride 1 (everything is local).
-    pub(crate) outbox: Vec<PendingMessage<P::Msg>>,
+    outbox: Vec<PendingMessage<P::Msg>>,
     /// Observability sink (virtual-time events only; `NullSink` by
     /// default, which compiles the emission sites away).
-    pub(crate) sink: O,
+    sink: O,
     /// Fault engine state (`None` = fault-free: every fault check is
     /// guarded by `is_some()`, so an unfaulted core executes the exact
     /// pre-fault-engine path and histories stay byte-identical).
-    pub(crate) faults: Option<FaultState<P>>,
+    faults: Option<FaultState<P>>,
 }
 
 impl<P, S, O> DispatchCore<P, S, O>
@@ -265,7 +266,67 @@ where
         assert!(prev.is_none(), "duplicate process id {id}");
     }
 
-    pub(crate) fn is_local(&self, id: ProcessId) -> bool {
+    /// Which shard this core is.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The core's virtual clock.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Steps taken so far.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Overrides the safety cap on steps.
+    pub(crate) fn set_max_steps(&mut self, max_steps: u64) {
+        self.max_steps = max_steps;
+    }
+
+    /// Attaches a fault schedule (see `Simulation::with_faults`).
+    pub(crate) fn set_faults(&mut self, schedule: FaultSchedule, restart: Option<RestartFn<P>>) {
+        self.faults = Some(FaultState::new(schedule, restart));
+    }
+
+    /// Plans `client`'s invocation of `spec` as transaction `tx` at `at`.
+    pub(crate) fn plan(&mut self, at: u64, tx: TxId, client: ClientId, spec: TxSpec) {
+        self.invocations.push(QueuedInvocation { at, tx, client, spec });
+    }
+
+    /// A registered process of this core.
+    pub(crate) fn process(&self, id: ProcessId) -> Option<&P> {
+        self.processes.get(id)
+    }
+
+    /// Number of messages in flight on this core.
+    pub(crate) fn pending_count(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// The messages in flight on this core, in send (id) order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &PendingMessage<P::Msg>> + '_ {
+        self.pool.iter()
+    }
+
+    /// Takes in a message another core routed here at the epoch exchange.
+    pub(crate) fn import(&mut self, msg: PendingMessage<P::Msg>) {
+        self.pool.insert(msg);
+    }
+
+    /// Moves this core's buffered cross-shard sends onto the end of `to`.
+    pub(crate) fn take_outbox(&mut self, to: &mut Vec<PendingMessage<P::Msg>>) {
+        to.append(&mut self.outbox);
+    }
+
+    /// Number of commits logged so far (the cursor of `watched_commit`).
+    pub(crate) fn commit_count(&self) -> u64 {
+        self.commits.count()
+    }
+
+    fn is_local(&self, id: ProcessId) -> bool {
         shard_of(id, self.stride as usize) == self.index
     }
 
@@ -359,24 +420,23 @@ where
         if earliest_key.is_none_or(|key| key >= watermark) {
             return None;
         }
-        match self.scheduler.next(&mut self.pool, self.now) {
-            Some(id) => {
-                self.count_step();
-                let msg = self
-                    .pool
-                    .remove(id)
-                    .expect("scheduler must choose a live message");
-                self.advance_past(msg.deliver_at.unwrap_or(self.now));
-                if let Some(msg) = self.crash_intercept(msg) {
-                    self.deliver(msg);
-                }
-                Some(StepOutcome::Delivered(id))
-            }
-            None => None,
-        }
+        let msg = self.scheduler.next(&mut self.pool, self.now)?;
+        self.count_step();
+        Some(StepOutcome::Delivered(self.dispatch_delivery(msg)))
     }
 
-    /// One serial step (the historical [`Simulation::step`] contract): an
+    /// Dispatches a message taken out of the pool: the clock clamp, the
+    /// crash-window gate, the handler.  Returns its id.
+    fn dispatch_delivery(&mut self, msg: PendingMessage<P::Msg>) -> MsgId {
+        let id = msg.id;
+        self.advance_past(msg.deliver_at.unwrap_or(self.now));
+        if let Some(msg) = self.crash_intercept(msg) {
+            self.deliver(msg);
+        }
+        id
+    }
+
+    /// One serial step (the historical [`crate::Simulation::step`] contract): an
     /// idle probe — nothing dispatchable — still counts a step.
     pub(crate) fn step(&mut self) -> StepOutcome {
         match self.try_dispatch(u64::MAX) {
@@ -429,24 +489,19 @@ where
 
     /// Manual (adversarial) delivery of the first pending message (in send
     /// order) matching `pred`, bypassing the scheduler — see
-    /// [`Simulation::deliver_where`].  The clock clamp is the same as a
-    /// scheduled delivery's: adversarial order, not adversarial time
+    /// [`crate::Simulation::deliver_where`].  The clock clamp is the same
+    /// as a scheduled delivery's: adversarial order, not adversarial time
     /// travel.
     pub(crate) fn deliver_where<F>(&mut self, pred: F) -> Option<MsgId>
     where
         F: Fn(&PendingMessage<P::Msg>) -> bool,
     {
-        let id = self.pool.iter().find(|p| pred(p)).map(|p| p.id)?;
-        let msg = self.pool.remove(id).expect("matched message is live");
-        self.advance_past(msg.deliver_at.unwrap_or(self.now));
-        if let Some(msg) = self.crash_intercept(msg) {
-            self.deliver(msg);
-        }
-        Some(id)
+        let msg = self.pool.take_first(pred)?;
+        Some(self.dispatch_delivery(msg))
     }
 
     /// Manual (adversarial) dispatch of `client`'s next planned invocation
-    /// — see [`Simulation::force_invoke`].  The clock clamp matches the
+    /// — see [`crate::Simulation::force_invoke`].  The clock clamp matches the
     /// scheduled invocation rule: the INV is recorded no earlier than its
     /// planned time.
     pub(crate) fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
@@ -886,60 +941,11 @@ where
     }
 }
 
-// The serial façade's dispatch entry points are defined here, next to the
-// core, so that this module remains the single definition site of dispatch
-// semantics (`scripts/ci.sh` greps for strays).  Everything else about
-// `Simulation` — construction, planning, accessors, run loops, history
-// assembly — lives in `crate::sim`.
-impl<P, S, O> Simulation<P, S, O>
-where
-    P: Process,
-    S: Scheduler<P::Msg>,
-    O: TraceSink,
-{
-    /// Executes one step: dispatches the earliest due invocation if any,
-    /// otherwise delivers the message chosen by the scheduler.  O(log n).
-    pub fn step(&mut self) -> StepOutcome {
-        self.core.step()
-    }
-
-    /// Manual (adversarial) driving: delivers the first pending message (in
-    /// send order) matching `pred`, bypassing the scheduler.  Returns the
-    /// delivered message id, or `None` if nothing matched.
-    ///
-    /// The adversary controls *order*, not *time*: the clock advances to
-    /// `max(now, deliver_at) + 1` exactly as for a scheduled delivery, so a
-    /// latency-stamped message delivered adversarially can never produce
-    /// actions (e.g. a RESP) timestamped before its own delivery time.
-    /// Under schedulers that stamp no delivery time (FIFO, random) the
-    /// clamp is a no-op and the historical `now + 1` behaviour is
-    /// unchanged — the Figs. 3–5 constructions drive those.
-    pub fn deliver_where<F>(&mut self, pred: F) -> Option<MsgId>
-    where
-        F: Fn(&PendingMessage<P::Msg>) -> bool,
-    {
-        self.core.deliver_where(pred)
-    }
-
-    /// Manual driving: dispatches the next scheduled invocation for
-    /// `client` without waiting for the engine to reach it.  Returns the
-    /// transaction id, or `None` if no invocation is queued for that
-    /// client.
-    ///
-    /// The clock clamp matches the engine's own invocation rule: the INV
-    /// is recorded at `max(now, at) + 1`, never before the invocation's
-    /// planned time (forcing controls *order* relative to other queued
-    /// work, it does not rewind time).
-    pub fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
-        self.core.force_invoke(client)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheduler::LatencyScheduler;
-    use crate::ParallelSimulation;
+    use crate::{ParallelSimulation, Simulation};
     use snow_core::{ObjectId, ReadOutcome, ServerId, TxOutcome};
 
     /// One hop of a scripted route: the next process, and how the message

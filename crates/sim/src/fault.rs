@@ -19,8 +19,8 @@
 //! * **single decision sites** — send-side faults (regions, partitions) are
 //!   decided on the *sending* core inside `apply_effects`, delivery-side
 //!   faults (crash windows) on the *destination* core inside the dispatch
-//!   step; both live in `engine.rs`, the workspace's one dispatch
-//!   definition site (`scripts/ci.sh` greps for strays).
+//!   step; both live in `engine.rs`, the workspace's one dispatch core,
+//!   whose fault state no other module can reach.
 //!
 //! An **empty schedule is structurally inert**: the engine guards every
 //! fault check with `faults.is_some()`, message-id assignment is never

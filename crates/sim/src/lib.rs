@@ -15,11 +15,11 @@
 //! * the network is **reliable but asynchronous**: every sent message is
 //!   eventually deliverable, but the order and timing of deliveries are under
 //!   the control of a [`Scheduler`] (seeded-random, FIFO, latency-modelled, or
-//!   fully manual/adversarial).  In-flight messages live in an indexed
-//!   [`MessagePool`] (delivery heap + O(1) slot removal, plus a Fenwick
-//!   rank index built when a scheduler first selects by rank), so every
-//!   scheduler decides in O(log n) — see [`pool`] and [`scheduler`] for
-//!   the complexity contract;
+//!   fully manual/adversarial).  In-flight messages live in a
+//!   [`MessagePool`] — a slab and one delivery heap — from which the
+//!   scheduler takes the message it picks: O(log n) for the heap
+//!   schedulers, O(live) for the random adversary — see [`pool`] and
+//!   [`scheduler`] for the complexity contract;
 //! * causality rides on the message: every send is stamped ([`Causal`])
 //!   from the stamp of the message whose handler made it, and the round
 //!   counts and non-blocking verdicts of a transaction are that stamp

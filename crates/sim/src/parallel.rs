@@ -47,21 +47,20 @@
 //! There is exactly one step-loop implementation in this workspace:
 //! `DispatchCore` makes every invocation-vs-delivery choice, clock
 //! advance and effect application for both substrates (see the private
-//! `engine` module; `scripts/ci.sh` rejects any second definition of
-//! the dispatch primitives).  With one shard there is nothing to
-//! exchange: the engine takes an inline fast path (no threads, watermark
-//! `u64::MAX`) that *is* the serial engine — a 1-shard
-//! `ParallelSimulation` therefore reproduces the serial golden histories
-//! **bit-identically**, pinned by the `parallel_determinism` integration
-//! test over all 30 golden (protocol × scheduler) combos.  With more
+//! `engine` module, whose fields no other module can reach).  With one
+//! shard there is nothing to exchange: the engine takes an inline fast
+//! path (no threads, watermark `u64::MAX`) that *is* the serial engine — a
+//! 1-shard `ParallelSimulation` therefore reproduces the serial golden
+//! histories **bit-identically**, pinned by the `parallel_determinism`
+//! integration test over all 30 golden (protocol × scheduler) combos.  With more
 //! shards the interleaving (and therefore each history's timings and
 //! observed versions) legitimately differs from the serial engine's, but
 //! it is still deterministic, still strictly serializable, and still
 //! semantically equal on serial plans — pinned by the multi-shard cases in
 //! `parallel_determinism`.
 
-use crate::engine::{DispatchCore, QueuedInvocation};
-use crate::fault::{FaultSchedule, FaultState, RestartFn};
+use crate::engine::DispatchCore;
+use crate::fault::{FaultSchedule, RestartFn};
 use crate::message::PendingMessage;
 use crate::scheduler::Scheduler;
 use crate::sim::CommitDrain;
@@ -219,7 +218,7 @@ where
         mut make_restart: impl FnMut(usize) -> Option<RestartFn<P>>,
     ) -> Self {
         for i in 0..self.shards.len() {
-            self.shards[i].faults = Some(FaultState::new(schedule.clone(), make_restart(i)));
+            self.shards[i].set_faults(schedule.clone(), make_restart(i));
         }
         self
     }
@@ -228,7 +227,7 @@ where
     /// `with_max_steps`, applied to each shard independently).
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
         for shard in &mut self.shards {
-            shard.max_steps = max_steps;
+            shard.set_max_steps(max_steps);
         }
         self
     }
@@ -253,20 +252,18 @@ where
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
         let shard = shard_of(ProcessId::Client(client), self.shards.len());
-        self.shards[shard]
-            .invocations
-            .push(QueuedInvocation { at, tx, client, spec });
+        self.shards[shard].plan(at, tx, client, spec);
         tx
     }
 
     /// The maximum virtual time reached by any shard.
     pub fn now(&self) -> u64 {
-        self.shards.iter().map(|s| s.now).max().unwrap_or(0)
+        self.shards.iter().map(|s| s.now()).max().unwrap_or(0)
     }
 
     /// Number of messages currently in flight across all shards.
     pub fn pending_count(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.len()).sum()
+        self.shards.iter().map(|s| s.pending_count()).sum()
     }
 
     /// True if transaction `tx` has completed.
@@ -309,7 +306,7 @@ where
         let released = if self.is_quiescent() {
             self.holdback.len()
         } else {
-            let horizon = self.shards.iter().map(|s| s.now).min().unwrap_or(0);
+            let horizon = self.shards.iter().map(|s| s.now()).min().unwrap_or(0);
             self.holdback
                 .partition_point(|r| r.responded_at.unwrap_or(u64::MAX) <= horizon)
         };
@@ -325,7 +322,7 @@ where
     }
 
     fn total_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.steps).sum()
+        self.shards.iter().map(|s| s.steps()).sum()
     }
 }
 
@@ -472,16 +469,16 @@ fn worker<P, S, O>(
         // Apply the messages routed to this shard, then report.
         let inbound = {
             let mut st = state.lock().expect("exchange lock");
-            std::mem::take(&mut st.inbound[shard.index])
+            std::mem::take(&mut st.inbound[shard.index()])
         };
         if !dead {
             for msg in inbound {
-                shard.pool.insert(msg);
+                shard.import(msg);
             }
         }
         {
             let mut st = state.lock().expect("exchange lock");
-            st.reports[shard.index] = if dead { None } else { shard.next_processable() };
+            st.reports[shard.index()] = if dead { None } else { shard.next_processable() };
             if !dead && watch.iter().any(|&tx| shard.is_complete(tx)) {
                 st.watch_done = true;
             }
@@ -511,7 +508,7 @@ fn worker<P, S, O>(
                     shard.note_epoch(epoch, watermark, steps);
                     epoch += 1;
                     let mut st = state.lock().expect("exchange lock");
-                    st.outbound.append(&mut shard.outbox);
+                    shard.take_outbox(&mut st.outbound);
                 }
                 Err(payload) => {
                     dead = true;

@@ -21,36 +21,34 @@
 //!
 //! # Event-queue architecture and complexity contract
 //!
-//! Schedulers no longer scan a `&[PendingMessage]` slice; they pick directly
-//! from the engine's indexed [`MessagePool`]:
+//! Schedulers pick directly from the engine's [`MessagePool`] (a slab and
+//! one delivery heap) and hand back the message they took:
 //!
 //! * [`Scheduler::on_send`] optionally stamps a delivery time when a message
 //!   is sent — a pure function of the send's coordinates (`send_hash`), so
 //!   a message's latency does not depend on which other sends the engine
-//!   (or shard) decided first.  The pool keys its delivery queue by
+//!   (or shard) decided first.  The pool keys its delivery heap by
 //!   `(deliver_at | sent_at, MsgId)`.
-//! * [`Scheduler::next`] returns the id of the message to deliver.  FIFO and
-//!   latency scheduling are a single O(log n) heap pop
+//! * [`Scheduler::next`] takes the message to deliver out of the pool.
+//!   FIFO and latency scheduling are a single O(log n) heap pop
 //!   ([`MessagePool::pop_earliest`]): under the engine's monotone clock, the
-//!   `(sent_at, id)` key order *is* send order, so FIFO needs no scan — the
-//!   old "defensive" O(n) minimum scan is gone by construction (the heap
-//!   tie-breaks equal keys by id, which is exactly the minimum the scan
-//!   computed).  Topology scheduling is the same pop with equal-key ties
+//!   `(sent_at, id)` key order *is* send order, so FIFO needs no scan (the
+//!   heap tie-breaks equal keys by id, exactly the minimum a scan would
+//!   compute).  Topology scheduling is the same pop with equal-key ties
 //!   re-broken by a shard-invariant rank ([`MessagePool::pop_earliest_by`]:
 //!   the tied entries are the heap's top, so O(log n) plus the tie run).
-//!   The random adversary draws a uniform rank and selects the k-th live
-//!   message in send order via the pool's Fenwick index
-//!   ([`MessagePool::nth_live`], O(log n); only its runs build the index)
-//!   — the same distribution *and the same per-seed choices* as indexing
-//!   the old send-ordered `Vec`.
+//!   The random adversary draws a uniform rank and takes the k-th live
+//!   message in send order ([`MessagePool::take_nth_live`]) — the same
+//!   distribution *and the same per-seed choices* as indexing the first
+//!   engine's send-ordered `Vec`.
 //!
-//! Every scheduler is therefore O(log n) per step (plus the tie run, where
-//! ties are re-broken), and all three heap schedulers share one contract:
-//! `next` consumes the chosen message's heap entry.  The engine's removal
-//! of the chosen message is O(1) (slot swap-remove).  A custom scheduler
-//! must return a live id and must not remove messages itself.
+//! The heap schedulers are therefore O(log n) per step (plus the tie run,
+//! where ties are re-broken); the random adversary is **O(live) per pick**
+//! — a linear selection over the live ids, in a scratch buffer the pool
+//! reuses, so it allocates nothing per step.  Either way the chosen message
+//! moves out of its slot once, straight to the engine.
 
-use crate::message::MsgId;
+use crate::message::PendingMessage;
 use crate::pool::MessagePool;
 use crate::topology::LinkDist;
 use snow_core::hash::splitmix64;
@@ -58,13 +56,11 @@ use snow_core::ProcessId;
 
 /// A policy choosing which pending message to deliver next.
 pub trait Scheduler<M> {
-    /// Chooses the next message to deliver from the live pool, or `None` if
-    /// the pool is empty (reliable channels require eventual delivery, which
-    /// the simulation enforces by only stopping when nothing is pending).
-    ///
-    /// Implementations must return the id of a live message and must not
-    /// remove it themselves — the engine performs the removal/delivery.
-    fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<MsgId>;
+    /// Takes the next message to deliver out of the pool: returns the
+    /// message it took, `None` iff the pool is empty (reliable channels
+    /// require eventual delivery, which the simulation enforces by only
+    /// stopping when nothing is pending).  The engine delivers it.
+    fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>>;
 
     /// Hook called when a message is sent, letting latency-model schedulers
     /// stamp a delivery time from the send's **shard-invariant
@@ -124,18 +120,18 @@ impl FifoScheduler {
 }
 
 impl<M> Scheduler<M> for FifoScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
+    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
         pool.pop_earliest()
     }
 }
 
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
-/// The draw selects a uniform *rank* in send order (Fenwick selection,
-/// O(log n)).  The n-th draw is `splitmix64(seed + n·γ)` — the SplitMix64
-/// stream, which is what the vendored `rand` shim's generator produced when
-/// this scheduler drew from it, so no seeded Random schedule moved when the
-/// dependency went.
+/// The draw selects a uniform *rank* in send order
+/// ([`MessagePool::take_nth_live`], O(live)).  The n-th draw is
+/// `splitmix64(seed + n·γ)` — the SplitMix64 stream, which is what the
+/// vendored `rand` shim's generator produced when this scheduler drew from
+/// it, so no seeded Random schedule moved when the dependency went.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     state: u64,
@@ -149,13 +145,13 @@ impl RandomScheduler {
 }
 
 impl<M> Scheduler<M> for RandomScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
+    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
         if pool.is_empty() {
             return None;
         }
         let rank = splitmix64(self.state) % pool.len() as u64;
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15); // SplitMix64's γ
-        pool.nth_live(rank as usize)
+        pool.take_nth_live(rank as usize)
     }
 }
 
@@ -189,7 +185,7 @@ impl LatencyScheduler {
 }
 
 impl<M> Scheduler<M> for LatencyScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
+    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
         pool.pop_earliest()
     }
 
@@ -201,7 +197,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Causal, MsgId, PendingMessage};
+    use crate::message::{Causal, MsgId};
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -231,9 +227,8 @@ mod tests {
     /// Drains the pool through a scheduler, returning delivery order.
     fn drain<S: Scheduler<M>>(s: &mut S, pool: &mut MessagePool<M>) -> Vec<u64> {
         let mut order = Vec::new();
-        while let Some(id) = s.next(pool, 0) {
-            pool.remove(id).expect("scheduler returns live ids");
-            order.push(id.0);
+        while let Some(m) = s.next(pool, 0) {
+            order.push(m.id.0);
         }
         order
     }
@@ -243,7 +238,7 @@ mod tests {
         let mut s = FifoScheduler::new();
         let mut pool = pool_of(vec![pending(0, 0, None), pending(1, 1, None), pending(2, 2, None)]);
         assert_eq!(drain(&mut s, &mut pool), vec![0, 1, 2]);
-        assert_eq!(Scheduler::<M>::next(&mut s, &mut pool, 5), None);
+        assert!(Scheduler::<M>::next(&mut s, &mut pool, 5).is_none());
     }
 
     #[test]
@@ -270,7 +265,7 @@ mod tests {
             drain(&mut RandomScheduler::new(8), &mut big_pool()),
         );
         let mut empty: MessagePool<M> = MessagePool::new();
-        assert_eq!(RandomScheduler::new(1).next(&mut empty, 0), None);
+        assert!(RandomScheduler::new(1).next(&mut empty, 0).is_none());
     }
 
     #[test]

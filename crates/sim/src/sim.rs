@@ -7,10 +7,10 @@
 //! index, so the step loop neither scans nor walks a tree:
 //!
 //! * in-flight messages live in a [`MessagePool`](crate::MessagePool) — a
-//!   slot vector with O(1) swap-remove, a `(delivery_time, MsgId)` binary
-//!   heap for O(log n) earliest-delivery pops, and — once a scheduler
-//!   selects by rank — a Fenwick live-index for O(log n) rank selection in
-//!   send order (see [`crate::pool`]);
+//!   slab whose freed slots are reused, and a `(delivery_time, MsgId,
+//!   slot)` binary heap for O(log n) earliest-delivery pops; the random
+//!   adversary's rank selection in send order is an O(live) pass over the
+//!   slab instead (see [`crate::pool`]);
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total and the next due
 //!   invocation is an O(1) peek;
@@ -28,13 +28,14 @@
 //!   indexed by `ClientId` / `ServerId`.
 //!
 //! Per step the engine therefore does O(log n) heap work, O(1) lookups and
-//! the process handler's own cost, for any scheduler; a handler's output is
-//! drained from its [`snow_core::Effects`] buffer in place, each message
-//! moving once into the pool.  Adversarial driving
-//! ([`Simulation::deliver_where`], [`Simulation::force_invoke`]) trades this
-//! for expressiveness: it scans in send order (one pass over the pool's
-//! index window) exactly like the historical `Vec`-based engine, which
-//! keeps the `snow-impossibility` constructions unchanged.  Adversaries
+//! the process handler's own cost under every heap scheduler (FIFO,
+//! latency, topology; the random adversary's pick is O(live)); a handler's
+//! output is drained from its [`snow_core::Effects`] buffer in place, each
+//! message moving once into the pool and once out of it.  Adversarial
+//! driving ([`Simulation::deliver_where`], [`Simulation::force_invoke`])
+//! trades this for expressiveness: it takes the first match in send order
+//! (one pass over the slab) exactly like the historical `Vec`-based engine,
+//! which keeps the `snow-impossibility` constructions unchanged.  Adversaries
 //! control *order*, never *time*: the dispatch core clamps the clock so no
 //! event is dispatched before its own timestamp (see the `engine` module).
 //!
@@ -53,9 +54,9 @@
 //! engine's schedules bit-for-bit — verified by the `determinism`
 //! integration test against committed golden histories.
 
-use crate::engine::{DispatchCore, QueuedInvocation};
-use crate::fault::{FaultSchedule, FaultState, RestartFn};
-use crate::message::PendingMessage;
+use crate::engine::DispatchCore;
+use crate::fault::{FaultSchedule, RestartFn};
+use crate::message::{MsgId, PendingMessage};
 use crate::scheduler::Scheduler;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
@@ -90,7 +91,7 @@ pub struct CommitDrain {
 /// sink with [`Simulation::with_sink`] and drain virtual-time events with
 /// [`Simulation::drain_obs_events`].
 pub struct Simulation<P: Process, S, O: TraceSink = NullSink> {
-    pub(crate) core: DispatchCore<P, S, O>,
+    core: DispatchCore<P, S, O>,
     next_tx: u64,
 }
 
@@ -136,7 +137,7 @@ where
 
     /// Overrides the safety cap on the number of steps a run may take.
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.core.max_steps = max_steps;
+        self.core.set_max_steps(max_steps);
         self
     }
 
@@ -157,7 +158,7 @@ where
     /// lost) as [`snow_core::TxOutcome::Aborted`] once the system goes
     /// quiescent, so histories stay complete under faults.
     pub fn with_faults(mut self, schedule: FaultSchedule, restart: Option<RestartFn<P>>) -> Self {
-        self.core.faults = Some(FaultState::new(schedule, restart));
+        self.core.set_faults(schedule, restart);
         self
     }
 
@@ -173,33 +174,33 @@ where
     pub fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
-        self.core.invocations.push(QueuedInvocation { at, tx, client, spec });
+        self.core.plan(at, tx, client, spec);
         tx
     }
 
     /// Schedules `spec` to be invoked immediately (at the current time).
     pub fn invoke_now(&mut self, client: ClientId, spec: TxSpec) -> TxId {
-        self.invoke_at(self.core.now, client, spec)
+        self.invoke_at(self.core.now(), client, spec)
     }
 
     /// Current simulation time.
     pub fn now(&self) -> u64 {
-        self.core.now
+        self.core.now()
     }
 
     /// Number of messages currently in flight.
     pub fn pending_count(&self) -> usize {
-        self.core.pool.len()
+        self.core.pending_count()
     }
 
     /// The in-flight messages, in send (id) order.
     pub fn pending(&self) -> impl Iterator<Item = &PendingMessage<P::Msg>> + '_ {
-        self.core.pool.iter()
+        self.core.pending()
     }
 
     /// Access to a registered process (for assertions in tests/harnesses).
     pub fn process(&self, id: ProcessId) -> Option<&P> {
-        self.core.processes.get(id)
+        self.core.process(id)
     }
 
     /// True if transaction `tx` has completed.
@@ -212,17 +213,55 @@ where
         self.core.is_quiescent()
     }
 
+    /// Executes one step: dispatches the earliest due invocation if any,
+    /// otherwise delivers the message chosen by the scheduler — O(log n)
+    /// under the heap schedulers, O(live) under the random adversary.
+    pub fn step(&mut self) -> StepOutcome {
+        self.core.step()
+    }
+
+    /// Manual (adversarial) driving: delivers the first pending message (in
+    /// send order) matching `pred`, bypassing the scheduler.  Returns the
+    /// delivered message id, or `None` if nothing matched.
+    ///
+    /// The adversary controls *order*, not *time*: the clock advances to
+    /// `max(now, deliver_at) + 1` exactly as for a scheduled delivery, so a
+    /// latency-stamped message delivered adversarially can never produce
+    /// actions (e.g. a RESP) timestamped before its own delivery time.
+    /// Under schedulers that stamp no delivery time (FIFO, random) the
+    /// clamp is a no-op and the historical `now + 1` behaviour is
+    /// unchanged — the Figs. 3–5 constructions drive those.
+    pub fn deliver_where<F>(&mut self, pred: F) -> Option<MsgId>
+    where
+        F: Fn(&PendingMessage<P::Msg>) -> bool,
+    {
+        self.core.deliver_where(pred)
+    }
+
+    /// Manual driving: dispatches the next scheduled invocation for
+    /// `client` without waiting for the engine to reach it.  Returns the
+    /// transaction id, or `None` if no invocation is queued for that
+    /// client.
+    ///
+    /// The clock clamp matches the engine's own invocation rule: the INV
+    /// is recorded at `max(now, at) + 1`, never before the invocation's
+    /// planned time (forcing controls *order* relative to other queued
+    /// work, it does not rewind time).
+    pub fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
+        self.core.force_invoke(client)
+    }
+
     /// Runs until no work remains (or the step cap is hit).  Returns the
     /// number of steps executed.
     pub fn run_until_quiescent(&mut self) -> u64 {
-        let start = self.core.steps;
+        let start = self.core.steps();
         while !self.is_quiescent() {
             if self.step() == StepOutcome::Quiescent {
                 break;
             }
         }
         self.core.abort_orphans();
-        self.core.steps - start
+        self.core.steps() - start
     }
 
     /// Runs until transaction `tx` completes (or the system goes quiescent).
@@ -262,7 +301,7 @@ where
         if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
             return Some(tx);
         }
-        let mut seen = self.core.commits.count();
+        let mut seen = self.core.commit_count();
         loop {
             if self.is_quiescent() || self.step() == StepOutcome::Quiescent {
                 // Quiescent with watched transactions still in flight: under

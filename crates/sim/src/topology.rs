@@ -59,7 +59,7 @@
 //! but has neither 2 nor that margin, so only its per-message latencies,
 //! not its histories, are shard-count-independent.
 
-use crate::message::MsgId;
+use crate::message::PendingMessage;
 use crate::pool::MessagePool;
 use crate::scheduler::{pid_bits, send_hash, Scheduler};
 use snow_core::hash::splitmix64;
@@ -387,7 +387,7 @@ impl TopologyScheduler {
 }
 
 impl<M> Scheduler<M> for TopologyScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<MsgId> {
+    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
         // Equal keys are same-destination by construction (disjoint
         // per-destination jitter bands), so the tie lives on one core at
         // every shard count — but the heap's `MsgId` tie-break is
@@ -407,7 +407,7 @@ impl<M> Scheduler<M> for TopologyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Causal, PendingMessage};
+    use crate::message::{Causal, MsgId};
 
     #[derive(Debug, Clone)]
     struct M;
@@ -588,9 +588,8 @@ mod tests {
             });
         }
         let mut order = Vec::new();
-        while let Some(id) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
-            pool.remove(id).unwrap();
-            order.push(id.0);
+        while let Some(m) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
+            order.push(m.id.0);
         }
         // sent_at 40 before 50; at 40, server 0 before server 1.
         assert_eq!(order, vec![5, 9, 2]);
@@ -613,9 +612,8 @@ mod tests {
             });
         }
         let mut order = Vec::new();
-        while let Some(id) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
-            pool.remove(id).unwrap();
-            order.push(id.0);
+        while let Some(m) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
+            order.push(m.id.0);
         }
         assert_eq!(order, vec![1, 2, 0]);
     }

@@ -14,21 +14,12 @@
 #   2. lints + documentation: `cargo clippy --workspace --all-targets` and
 #      `cargo doc --no-deps`, both with warnings denied (a broken intra-doc
 #      link fails the build);
-#   3. single-dispatch-core guard: crates/sim/src/engine.rs is the only file
-#      in the sim crate allowed to define the dispatch primitives (fn step /
-#      run_epoch / dispatch_invocation / deliver / apply_effects /
-#      deliver_where / force_invoke / try_dispatch) — the serial and sharded
-#      engines once carried hand-mirrored copies, and a second definition
-#      site means the mirror is back.  Same rule for the fault decision
-#      primitives (send_verdict / crash_window / elapsed_crashes / gate /
-#      crash_intercept / note_partitions / abort_orphans): engine.rs or
-#      fault.rs only, never mirrored per executor;
-#   4. golden-fingerprint freshness: the committed seeded-history fixtures
+#   3. golden-fingerprint freshness: the committed seeded-history fixtures
 #      (tests/golden_histories.txt, and tests/golden_fault_histories.txt for
 #      the crash / partition / dup-storm matrix) must match what the current
 #      engine produces — catching accidental schedule changes *and* fixture
 #      files regenerated without justification;
-#   5. the release-build suites, one command: parallel-engine parity (every
+#   4. the release-build suites, one command: parallel-engine parity (every
 #      golden bit-for-bit at 1 shard, reproducible at 4), the checker and
 #      stream differential suites (graph vs complete search, stream vs
 #      `check_auto`, conviction at the right commit, bounded live window),
@@ -55,20 +46,20 @@
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
 #      record `drain_commits` streamed equals `history()`'s, dup storm
 #      included, serial and 4 shards);
-#   6. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
+#   5. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
 #      BENCHMARK.json workload through both passes (plain + traced) in about
 #      a second and exits non-zero if any fails its correctness gate
 #      (verdict, protocol claims, history digest stable across reps); it
 #      never writes a file;
-#   7. examples end to end: observe_run (observed open loop → metrics fold →
+#   6. examples end to end: observe_run (observed open loop → metrics fold →
 #      Perfetto export → checker frontier) and partition_drill (isolate a
 #      topology site mid-workload under the Queue policy, heal, per-phase
 #      p99, SNOW verdict over the scarred history);
-#   8. virtual-time purity guard: crates/sim must never read the wall clock
+#   7. virtual-time purity guard: crates/sim must never read the wall clock
 #      (`std::time` / `Instant`) — simulator event streams are a pure
 #      function of (config, seeds, shards), which is what makes every pin
 #      above meaningful;
-#   9. one mixer: the `splitmix64` behind every per-message draw (latencies,
+#   8. one mixer: the `splitmix64` behind every per-message draw (latencies,
 #      fault gates, the random scheduler's stream) has one definition,
 #      `snow_core::hash::splitmix64`; a second one lets its users drift
 #      apart.  (Stateful RNG draws need no grep: crates/sim does not depend
@@ -114,46 +105,33 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "clippy clean, docs ok"
 
-echo "== 3. single dispatch core (one step-loop definition site) =="
-forbid "$(grep -rn --include='*.rs' -E \
-    'fn (step|try_dispatch|run_epoch|dispatch_invocation|deliver|apply_effects|deliver_where|force_invoke)\(' \
-    crates/sim/src | grep -v '^crates/sim/src/engine.rs:' || true)" \
-    "dispatch primitives defined outside crates/sim/src/engine.rs" \
-    "The dispatch core was unified to end the Simulation/Shard mirror; route new dispatch logic through engine::DispatchCore."
-forbid "$(grep -rn --include='*.rs' -E \
-    'fn (send_verdict|crash_window|elapsed_crashes|gate|crash_intercept|note_partitions|abort_orphans)\(' \
-    crates/sim/src | grep -v -e '^crates/sim/src/engine.rs:' -e '^crates/sim/src/fault.rs:' || true)" \
-    "fault decision primitives defined outside engine.rs/fault.rs" \
-    "Fault injection is wired through the one dispatch core; a second decision site would let executors drift apart under faults."
-echo "dispatch core unified (incl. fault primitives)"
-
-echo "== 4. golden fingerprint freshness (clean + fault matrix) =="
+echo "== 3. golden fingerprint freshness (clean + fault matrix) =="
 fresh tests/golden_histories.txt
 fresh tests/golden_fault_histories.txt --faults
 echo "fixtures fresh"
 
-echo "== 5. release suites: parity, differentials, faults, hot paths, probe count =="
+echo "== 4. release suites: parity, differentials, faults, hot paths, probe count =="
 cargo test -q --release --test parallel_determinism --test checker_differential \
     --test stream_differential --test fault_determinism --test fault_checker \
     --test stream_hot_path --test instrumentation_sweep --test dispatch_hot_path
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 
-echo "== 6. repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
+echo "== 5. repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
 cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke > /dev/null
 echo "e2e_bench smoke ok"
 
-echo "== 7. examples (observe_run, partition_drill) =="
+echo "== 6. examples (observe_run, partition_drill) =="
 example_ok observe_run
 example_ok partition_drill
 
-echo "== 8. virtual-time purity (no wall clock in crates/sim) =="
+echo "== 7. virtual-time purity (no wall clock in crates/sim) =="
 forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/src || true)" \
     "the simulator read the wall clock" \
     "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark."
 echo "sim is wall-clock free"
 
-echo "== 9. one mixer (a single splitmix64 definition) =="
+echo "== 8. one mixer (a single splitmix64 definition) =="
 forbid "$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim || true)" \
     "splitmix64 defined under crates/sim" \
     "The mixer has one definition, snow_core::hash::splitmix64; a private copy lets latency draws and fault gates drift apart."

@@ -14,7 +14,10 @@
 //! The counted region is the driver call: generator, engine, protocol
 //! handlers, `history()`.  A change that adds a clone of a `TxSpec`, a
 //! second effects buffer that spills, or a record container that regrows
-//! moves a pin here, whatever the host's speed that day.
+//! moves a pin here, whatever the host's speed that day.  (PR 25's slab
+//! pool moved both by a per-run constant — 13 638 → 13 635 and
+//! 16 971 → 16 969, the same −3 / −2 at 2 000 and 4 000 transactions: the
+//! windowed index's reallocations it deleted, net of the free list's.)
 
 use snow::core::{SystemConfig, TxRecord};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
@@ -100,7 +103,7 @@ fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
         counted(|| WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 13_638, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 13_635, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
 
 #[test]
@@ -121,5 +124,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 16_971, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 16_969, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }

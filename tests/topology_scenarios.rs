@@ -18,7 +18,9 @@
 //! 4. **The tie-break is the whole-pool minimum** — `TopologyScheduler`
 //!    picks from the top of the delivery heap; on any pool, however stale
 //!    its heap, that pick is the minimum of `(key, sent_at, source, id)`
-//!    over the live messages — the order property 1 rests on.
+//!    over the live messages — the order property 1 rests on.  The same
+//!    walk holds FIFO to the minimum `(key, id)` and Random to the k-th
+//!    live message by id.
 //! 5. **The SLO table, exactly** — the 18 rows `table_scenarios` prints
 //!    (`snow_bench::scenario_rows`: seed 42, 256 rounds, over 1 000
 //!    committed transactions per cell) are virtual site-ticks and checker
@@ -28,7 +30,8 @@ use snow_checker::{GraphChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind};
 use snow_sim::{
-    Causal, MessagePool, MsgId, PendingMessage, Scheduler, Topology, TopologyScheduler, TICK,
+    Causal, FifoScheduler, MessagePool, MsgId, PendingMessage, RandomScheduler, Scheduler,
+    Topology, TopologyScheduler, TICK,
 };
 use snow_workload::scenario::{
     run_scenario, scenario_matrix, slo_report, Scenario, TopologyKind, WorkloadShape,
@@ -275,16 +278,90 @@ fn source_rank(src: ProcessId) -> u64 {
     }
 }
 
+/// One walk over a pool: random inserts, adversarial takes
+/// (`deliver_where`'s first match in send order), same-id re-queues
+/// (`QueueInFlight`) and picks through `scheduler`, each checked against
+/// `reference` — the pick computed from a plain `Vec` of the live messages.
+/// The pools are hard on a pick that only looks at the heap top: a handful
+/// of distinct keys (long tie runs), ids assigned in an order unrelated to
+/// the rank (as shard striding does), takes that leave stale entries
+/// behind, and re-queues that land in the slot they just left, their old
+/// entry unconsumed.
+fn walk(
+    draw: &mut Draw,
+    size: u64,
+    distinct_keys: u64,
+    sources: u64,
+    scheduler: &mut impl Scheduler<()>,
+    mut reference: impl FnMut(&[PendingMessage<()>]) -> MsgId,
+) {
+    let mut pool: MessagePool<()> = MessagePool::new();
+    let mut live: Vec<PendingMessage<()>> = Vec::new();
+    let mut next_id = 0u64;
+    let mut fresh = |draw: &mut Draw| {
+        // Ids grow by a random stride and say nothing about the rank.
+        next_id += 1 + draw.below(4);
+        let src = match draw.below(sources) {
+            0 => ProcessId::Client(ClientId(1)),
+            s => ProcessId::Server(ServerId(s as u32 - 1)),
+        };
+        PendingMessage {
+            id: MsgId(next_id),
+            src,
+            dst: ProcessId::Client(ClientId(0)),
+            msg: (),
+            sent_at: draw.below(3),
+            causal: Causal::ROOT,
+            deliver_at: Some(2 * TICK + draw.below(distinct_keys)),
+        }
+    };
+    for _ in 0..size {
+        let msg = fresh(draw);
+        live.push(msg.clone());
+        pool.insert(msg);
+    }
+    while !live.is_empty() {
+        match draw.below(8) {
+            0 => {
+                let src = live[draw.below(live.len() as u64) as usize].src;
+                let first = live.iter().filter(|m| m.src == src).map(|m| m.id).min();
+                let taken = pool.take_first(|m| m.src == src).map(|m| m.id);
+                assert_eq!(taken, first, "take_first is the first match in send order");
+                live.retain(|m| Some(m.id) != taken);
+            }
+            1 => {
+                let at = draw.below(live.len() as u64) as usize;
+                let id = live[at].id;
+                let mut held = pool.take_first(|m| m.id == id).unwrap();
+                held.deliver_at = Some(held.delivery_key() + draw.below(3));
+                live[at] = held.clone();
+                pool.insert(held);
+            }
+            2 => {
+                let msg = fresh(draw);
+                live.push(msg.clone());
+                pool.insert(msg);
+            }
+            _ => {
+                let expected = reference(&live);
+                let picked = scheduler.next(&mut pool, 0).expect("pool is not empty").id;
+                assert_eq!(picked, expected, "pick differs from the reference");
+                live.retain(|m| m.id != picked);
+            }
+        }
+        assert_eq!(pool.len(), live.len());
+    }
+    assert!(scheduler.next(&mut pool, 0).is_none());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-    /// Draining a pool through `TopologyScheduler::next` yields exactly the
-    /// reference order: at every step, the whole-pool minimum of
-    /// `(key, sent_at, source, id)`.  The pools are built to be hard on a
-    /// pick that only looks at the heap top: a handful of distinct keys
-    /// (long tie runs), ids assigned in an order unrelated to the rank (as
-    /// shard striding does), adversarial removals that leave stale entries
-    /// behind, re-queues of a live id under a later key, and inserts
-    /// between picks.
+    /// Every pick discipline on the same kind of walk, against its `Vec`
+    /// reference: FIFO (and latency, the same pop) is the minimum
+    /// `(key, id)`; topology the minimum `(key, sent_at, source, id)` —
+    /// the order property 1 rests on; Random the k-th live message by id,
+    /// k drawn from the scheduler's own SplitMix64 stream (`Draw(seed)`
+    /// yields exactly `RandomScheduler::new(seed)`'s draws).
     #[test]
     fn topology_pick_is_the_whole_pool_minimum(
         seed in 0u64..u64::MAX,
@@ -292,66 +369,24 @@ proptest! {
         distinct_keys in 1u64..6,
         sources in 1u64..5,
     ) {
-        let mut draw = Draw(seed);
-        let config = SystemConfig::mwmr(4, 2, 2);
-        let mut scheduler = TopologyScheduler::new(Arc::new(Topology::single_dc(&config)), seed);
-        let mut pool: MessagePool<()> = MessagePool::new();
-        let mut live: Vec<PendingMessage<()>> = Vec::new();
-        let mut next_id = 0u64;
-        let mut fresh = |draw: &mut Draw| {
-            // Ids grow by a random stride and say nothing about the rank.
-            next_id += 1 + draw.below(4);
-            let src = match draw.below(sources) {
-                0 => ProcessId::Client(ClientId(1)),
-                s => ProcessId::Server(ServerId(s as u32 - 1)),
-            };
-            PendingMessage {
-                id: MsgId(next_id),
-                src,
-                dst: ProcessId::Client(ClientId(0)),
-                msg: (),
-                sent_at: draw.below(3),
-                causal: Causal::ROOT,
-                deliver_at: Some(2 * TICK + draw.below(distinct_keys)),
-            }
+        let min_by = |rank: fn(&PendingMessage<()>) -> (u64, u64, u64, u64)| {
+            move |live: &[PendingMessage<()>]| live.iter().min_by_key(|&m| rank(m)).unwrap().id
         };
-        for _ in 0..size {
-            let msg = fresh(&mut draw);
-            live.push(msg.clone());
-            pool.insert(msg);
-        }
-        let rank = |m: &PendingMessage<()>| (m.delivery_key(), m.sent_at, source_rank(m.src), m.id.0);
-        while !live.is_empty() {
-            match draw.below(8) {
-                // Adversarial delivery (`deliver_where`): the heap entry
-                // stays behind, stale.
-                0 => {
-                    let gone = live.swap_remove(draw.below(live.len() as u64) as usize);
-                    pool.remove(gone.id).unwrap();
-                }
-                // `QueueInFlight`: the same id comes back under a later
-                // key, its old entry unconsumed.
-                1 => {
-                    let at = draw.below(live.len() as u64) as usize;
-                    let mut held = pool.remove(live[at].id).unwrap();
-                    held.deliver_at = Some(held.delivery_key() + 1 + draw.below(3));
-                    live[at] = held.clone();
-                    pool.insert(held);
-                }
-                2 => {
-                    let msg = fresh(&mut draw);
-                    live.push(msg.clone());
-                    pool.insert(msg);
-                }
-                _ => {
-                    let expected = live.iter().map(rank).min().unwrap();
-                    let picked = scheduler.next(&mut pool, 0).expect("pool is not empty");
-                    assert_eq!(picked.0, expected.3, "pick differs from the pool minimum {expected:?}");
-                    pool.remove(picked).unwrap();
-                    live.retain(|m| m.id != picked);
-                }
-            }
-        }
-        assert_eq!(scheduler.next(&mut pool, 0), None);
+        let config = SystemConfig::mwmr(4, 2, 2);
+        let mut topology = TopologyScheduler::new(Arc::new(Topology::single_dc(&config)), seed);
+        let by_topology = min_by(|m| (m.delivery_key(), m.sent_at, source_rank(m.src), m.id.0));
+        walk(&mut Draw(seed), size, distinct_keys, sources, &mut topology, by_topology);
+
+        let by_key = min_by(|m| (m.delivery_key(), m.id.0, 0, 0));
+        walk(&mut Draw(!seed), size, distinct_keys, sources, &mut FifoScheduler::new(), by_key);
+
+        let mut stream = Draw(seed);
+        let kth_by_id = move |live: &[PendingMessage<()>]| {
+            let mut ids: Vec<MsgId> = live.iter().map(|m| m.id).collect();
+            ids.sort_unstable();
+            ids[stream.below(ids.len() as u64) as usize]
+        };
+        let mut random = RandomScheduler::new(seed);
+        walk(&mut Draw(seed.rotate_left(32)), size, distinct_keys, sources, &mut random, kth_by_id);
     }
 }
