@@ -8,12 +8,16 @@
 //! (`snow_sim::Simulation`) or the sharded parallel simulator
 //! (`snow_sim::ParallelSimulation`) — is the substrate's business; the
 //! protocol logic is written once.
+//!
+//! A substrate owns one [`Effects`] buffer and lends it to every handler
+//! call: the handler pushes its sends and RESPs, the substrate drains them
+//! in emission order, and the emptied buffer keeps its capacity for the
+//! next call.
 
 use crate::ids::ProcessId;
 use crate::msg::ProtocolMessage;
 use crate::txn::{TxOutcome, TxSpec};
 use crate::ids::TxId;
-use smallvec::SmallVec;
 
 /// A process (I/O automaton) participating in an execution.
 ///
@@ -60,22 +64,9 @@ pub trait Process {
     }
 }
 
-/// The buffered sends of one handler call: `(destination, message)` pairs,
-/// in emission order.
-///
-/// Inline capacity 4: most handler calls emit 0–1 sends (server echoes,
-/// client RESPs) and the common fan-out burst is one message per server in a
-/// small quorum, so the hot delivery path never heap-allocates.
-pub type Sends<M> = SmallVec<[(ProcessId, M); 4]>;
-
-/// The buffered RESP events of one handler call: `(transaction, outcome)`
-/// pairs, in emission order.
-///
-/// Inline capacity 2: a handler responds to at most its own transaction in
-/// every protocol in this workspace; 2 leaves headroom for batched RESPs.
-pub type Responses = SmallVec<[(TxId, TxOutcome); 2]>;
-
-/// The output-action buffer a handler writes into.
+/// The output-action buffer a handler writes into: its sends, as
+/// `(destination, message)` pairs, and its RESP events, as `(transaction,
+/// outcome)` pairs, each in emission order.
 ///
 /// Every send emitted during one handler call is stamped by the execution
 /// substrate from the message (or invocation) being handled, which is what
@@ -84,40 +75,27 @@ pub type Responses = SmallVec<[(TxId, TxOutcome); 2]>;
 /// substrate-independent coordinates.
 #[derive(Debug)]
 pub struct Effects<M> {
-    /// Current logical time (read-only for handlers; 0 on substrates without
-    /// a logical clock).
-    now: u64,
-    sends: Sends<M>,
-    responses: Responses,
+    sends: Vec<(ProcessId, M)>,
+    responses: Vec<(TxId, TxOutcome)>,
 }
 
 impl<M> Effects<M> {
-    /// Creates an empty buffer at logical time `now`.
+    /// Creates an empty buffer; allocation-free until the first push.
     ///
-    /// Allocation-free: both buffers start inline (see [`Sends`] /
-    /// [`Responses`]) and only spill to the heap past their inline capacity.
-    ///
-    /// Never inlined, so the buffer is built in the caller's return slot: an
-    /// inlined copy has been seen to build the sends buffer in a temporary
-    /// and `memcpy` its 200–300 bytes into place on every handler call
-    /// (3–6 % of the repo benchmark's `norm_tx_per_s`).
-    #[inline(never)]
-    pub fn new(now: u64) -> Self {
+    /// The argument is ignored.  It is kept because the repo benchmark's
+    /// adapter (`examples/e2e_bench/sut.rs`) passes one.
+    pub fn new(_now: u64) -> Self {
         Effects {
-            now,
-            sends: SmallVec::new(),
-            responses: SmallVec::new(),
+            sends: Vec::new(),
+            responses: Vec::new(),
         }
     }
 
-    /// The current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Emit a message to `to`.
-    pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.sends.push((to, msg));
+    /// Emit a message to `to`.  A protocol whose handlers also run inside
+    /// a protocol-erased deployment passes its own message type, converted
+    /// on the way in.
+    pub fn send(&mut self, to: ProcessId, msg: impl Into<M>) {
+        self.sends.push((to, msg.into()));
     }
 
     /// Emit the RESP event of transaction `tx` with `outcome`.
@@ -125,26 +103,14 @@ impl<M> Effects<M> {
         self.responses.push((tx, outcome));
     }
 
-    /// Number of sends buffered so far.
-    pub fn send_count(&self) -> usize {
-        self.sends.len()
-    }
-
-    /// Number of responses buffered so far.
-    pub fn response_count(&self) -> usize {
-        self.responses.len()
-    }
-
-    /// Drains the buffered output actions: `(sends, responses)`.
-    pub fn into_parts(self) -> (Sends<M>, Responses) {
+    /// The buffered output actions: `(sends, responses)`.
+    #[allow(clippy::type_complexity)]
+    pub fn into_parts(self) -> (Vec<(ProcessId, M)>, Vec<(TxId, TxOutcome)>) {
         (self.sends, self.responses)
     }
 
-    /// Yields the buffered sends in emission order, leaving none behind.
-    ///
-    /// What a substrate consumes a handler's output through: each message
-    /// moves once, out of its slot, where [`Effects::into_parts`] first
-    /// moves both buffers whole.
+    /// Yields the buffered sends in emission order, leaving none behind and
+    /// the buffer's capacity in place for the next handler call.
     pub fn drain_sends(&mut self) -> impl ExactSizeIterator<Item = (ProcessId, M)> + '_ {
         self.sends.drain(..)
     }
@@ -184,7 +150,6 @@ mod tests {
     #[test]
     fn effects_buffer_sends_and_responses() {
         let mut e: Effects<Ping> = Effects::new(42);
-        assert_eq!(e.now(), 42);
         e.send(ProcessId::Client(ClientId(1)), Ping);
         e.respond(
             TxId(3),
@@ -193,50 +158,29 @@ mod tests {
                 tag: Some(Tag(2)),
             }),
         );
-        assert_eq!(e.send_count(), 1);
-        assert_eq!(e.response_count(), 1);
         let (sends, resps) = e.into_parts();
         assert_eq!(sends.len(), 1);
         assert_eq!(resps[0].0, TxId(3));
     }
 
-    #[test]
-    fn effects_buffers_stay_inline_then_spill_in_order() {
-        let mut e: Effects<Ping> = Effects::new(0);
-        // Typical handler fan-out (≤ 4 sends) must not spill to the heap…
-        for i in 0..4 {
-            e.send(ProcessId::Client(ClientId(i)), Ping);
-        }
-        assert!(!e.sends.spilled());
-        // …and a larger burst spills while preserving emission order exactly.
-        for i in 4..9 {
-            e.send(ProcessId::Client(ClientId(i)), Ping);
-        }
-        assert!(e.sends.spilled());
-        let (sends, _) = e.into_parts();
-        let order: Vec<u32> = sends
-            .into_iter()
-            .map(|(to, _)| match to {
-                ProcessId::Client(c) => c.0,
-                other => panic!("unexpected destination {other}"),
-            })
-            .collect();
-        assert_eq!(order, (0..9).collect::<Vec<u32>>());
-    }
-
+    /// The substrate's reuse pattern: one buffer, drained after every
+    /// handler call and refilled by the next.  Bursts wider than any
+    /// handler's usual fan-out keep their emission order on every cycle,
+    /// and a drain leaves nothing behind for the next one to yield.
     #[test]
     fn effects_drain_in_emission_order_and_can_be_refilled() {
-        let mut e: Effects<Ping> = Effects::new(7);
-        for i in 0..6 {
-            e.send(ProcessId::Client(ClientId(i)), Ping);
+        let mut e: Effects<Ping> = Effects::new(0);
+        for burst in [9, 6] {
+            for i in 0..burst {
+                e.send(ProcessId::Client(ClientId(i)), Ping);
+            }
+            e.respond(TxId(u64::from(burst)), TxOutcome::Aborted);
+            let order: Vec<ProcessId> = e.drain_sends().map(|(to, _)| to).collect();
+            let emitted: Vec<_> = (0..burst).map(|i| ProcessId::Client(ClientId(i))).collect();
+            assert_eq!(order, emitted);
+            let responses: Vec<TxId> = e.drain_responses().map(|(tx, _)| tx).collect();
+            assert_eq!(responses, [TxId(u64::from(burst))]);
         }
-        e.respond(TxId(1), TxOutcome::Aborted);
-        let order: Vec<ProcessId> = e.drain_sends().map(|(to, _)| to).collect();
-        assert_eq!(order, (0..6).map(|i| ProcessId::Client(ClientId(i))).collect::<Vec<_>>());
-        assert_eq!((e.send_count(), e.response_count()), (0, 1));
-        assert_eq!(e.drain_responses().map(|(tx, _)| tx).collect::<Vec<_>>(), [TxId(1)]);
-        e.send(ProcessId::Client(ClientId(9)), Ping);
-        assert_eq!((e.send_count(), e.response_count(), e.now()), (1, 0, 7));
     }
 
     #[test]

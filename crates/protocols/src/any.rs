@@ -13,6 +13,10 @@
 //! static, keeps messages `Clone + Debug`, and — crucially for the golden
 //! fixtures — adds no sends, no reordering and no scheduler interaction:
 //! a wrapped deployment produces bit-identical schedules to the typed one.
+//! Each protocol's handlers are generic over the message type of the
+//! [`Effects`] buffer they write into, so an [`AnyNode`] runs them directly
+//! on the substrate's `Effects<AnyMsg>`: every send is wrapped once, by a
+//! `From<XMsg> for AnyMsg` conversion, as the handler emits it.
 
 use crate::list::{self, Algorithm};
 use crate::{blocking, eiger, simple, ProtocolKind};
@@ -31,6 +35,30 @@ pub enum AnyMsg {
     Blocking(blocking::BlockingMsg),
     /// Simple-operation traffic.
     Simple(simple::SimpleMsg),
+}
+
+impl From<list::ListMsg> for AnyMsg {
+    fn from(m: list::ListMsg) -> Self {
+        AnyMsg::List(m)
+    }
+}
+
+impl From<eiger::EigerMsg> for AnyMsg {
+    fn from(m: eiger::EigerMsg) -> Self {
+        AnyMsg::Eiger(m)
+    }
+}
+
+impl From<blocking::BlockingMsg> for AnyMsg {
+    fn from(m: blocking::BlockingMsg) -> Self {
+        AnyMsg::Blocking(m)
+    }
+}
+
+impl From<simple::SimpleMsg> for AnyMsg {
+    fn from(m: simple::SimpleMsg) -> Self {
+        AnyMsg::Simple(m)
+    }
 }
 
 impl ProtocolMessage for AnyMsg {
@@ -57,37 +85,6 @@ pub enum AnyNode {
     Simple(simple::SimpleNode),
 }
 
-/// Runs an inner handler with a typed [`Effects`] buffer and re-wraps its
-/// sends into [`AnyMsg`]; responses pass through unchanged.
-fn rewrap<M, F>(effects: &mut Effects<AnyMsg>, wrap: fn(M) -> AnyMsg, handler: F)
-where
-    F: FnOnce(&mut Effects<M>),
-{
-    let mut inner = Effects::new(effects.now());
-    handler(&mut inner);
-    for (to, msg) in inner.drain_sends() {
-        effects.send(to, wrap(msg));
-    }
-    for (tx, outcome) in inner.drain_responses() {
-        effects.respond(tx, outcome);
-    }
-}
-
-/// Dispatches an input to the wrapped node, unwrapping/wrapping messages.
-/// A message of the wrong protocol reaching a node is a harness bug (it
-/// cannot happen through [`deploy`], which builds homogeneous deployments)
-/// and panics loudly.
-macro_rules! dispatch {
-    ($self:expr, $effects:expr, |$node:ident, $inner:ident| $body:expr) => {
-        match $self {
-            AnyNode::List($node) => rewrap($effects, AnyMsg::List, |$inner| $body),
-            AnyNode::Eiger($node) => rewrap($effects, AnyMsg::Eiger, |$inner| $body),
-            AnyNode::Blocking($node) => rewrap($effects, AnyMsg::Blocking, |$inner| $body),
-            AnyNode::Simple($node) => rewrap($effects, AnyMsg::Simple, |$inner| $body),
-        }
-    };
-}
-
 impl Process for AnyNode {
     type Msg = AnyMsg;
 
@@ -101,7 +98,12 @@ impl Process for AnyNode {
     }
 
     fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<AnyMsg>) {
-        dispatch!(self, effects, |node, inner| node.on_invoke(tx_id, spec, inner));
+        match self {
+            AnyNode::List(n) => n.handle_invoke(tx_id, spec, effects),
+            AnyNode::Eiger(n) => n.handle_invoke(tx_id, spec, effects),
+            AnyNode::Blocking(n) => n.handle_invoke(tx_id, spec, effects),
+            AnyNode::Simple(n) => n.handle_invoke(tx_id, spec, effects),
+        }
     }
 
     fn on_abort(&mut self, tx_id: TxId) {
@@ -113,20 +115,15 @@ impl Process for AnyNode {
         }
     }
 
+    /// A message of the wrong protocol reaching a node is a harness bug (it
+    /// cannot happen through [`deploy_any`], which builds homogeneous
+    /// deployments) and panics loudly.
     fn on_message(&mut self, from: ProcessId, msg: AnyMsg, effects: &mut Effects<AnyMsg>) {
         match (self, msg) {
-            (AnyNode::List(node), AnyMsg::List(m)) => {
-                rewrap(effects, AnyMsg::List, |inner| node.on_message(from, m, inner))
-            }
-            (AnyNode::Eiger(node), AnyMsg::Eiger(m)) => {
-                rewrap(effects, AnyMsg::Eiger, |inner| node.on_message(from, m, inner))
-            }
-            (AnyNode::Blocking(node), AnyMsg::Blocking(m)) => {
-                rewrap(effects, AnyMsg::Blocking, |inner| node.on_message(from, m, inner))
-            }
-            (AnyNode::Simple(node), AnyMsg::Simple(m)) => {
-                rewrap(effects, AnyMsg::Simple, |inner| node.on_message(from, m, inner))
-            }
+            (AnyNode::List(n), AnyMsg::List(m)) => n.handle_message(from, m, effects),
+            (AnyNode::Eiger(n), AnyMsg::Eiger(m)) => n.handle_message(from, m, effects),
+            (AnyNode::Blocking(n), AnyMsg::Blocking(m)) => n.handle_message(from, m, effects),
+            (AnyNode::Simple(n), AnyMsg::Simple(m)) => n.handle_message(from, m, effects),
             (node, m) => panic!(
                 "protocol mismatch: {} received a message of another deployment: {m:?}",
                 node.id()
@@ -206,13 +203,6 @@ mod tests {
     #[test]
     fn the_pools_working_set_cannot_silently_widen() {
         assert!(std::mem::size_of::<Option<snow_sim::PendingMessage<AnyMsg>>>() <= 112);
-    }
-
-    /// `Effects<AnyMsg>` is built and drained once per handler call, on the
-    /// dispatch core's stack.
-    #[test]
-    fn the_effects_buffer_cannot_silently_widen() {
-        assert!(std::mem::size_of::<Effects<AnyMsg>>() <= 424);
     }
 
     #[test]

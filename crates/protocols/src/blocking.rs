@@ -153,7 +153,7 @@ impl BlockingClient {
         }
     }
 
-    fn lock_next(&mut self, effects: &mut Effects<BlockingMsg>) {
+    fn lock_next(&mut self, effects: &mut Effects<impl From<BlockingMsg>>) {
         let Some(p) = self.pending.as_mut() else {
             return;
         };
@@ -170,7 +170,7 @@ impl BlockingClient {
         }
     }
 
-    fn release_all(&self, p: &PendingBlocking, effects: &mut Effects<BlockingMsg>) {
+    fn release_all(&self, p: &PendingBlocking, effects: &mut Effects<impl From<BlockingMsg>>) {
         for object in &p.locked {
             let server = self.config.server_for(*object);
             effects.send(
@@ -203,7 +203,14 @@ impl BlockingServer {
         }
     }
 
-    fn grant(&mut self, to: ProcessId, tx: TxId, object: ObjectId, write: bool, effects: &mut Effects<BlockingMsg>) {
+    fn grant(
+        &mut self,
+        to: ProcessId,
+        tx: TxId,
+        object: ObjectId,
+        write: bool,
+        effects: &mut Effects<impl From<BlockingMsg>>,
+    ) {
         let state = self.locks.entry(object).or_default();
         if write {
             state.write_holder = Some((to, tx));
@@ -227,7 +234,12 @@ impl BlockingServer {
         );
     }
 
-    fn release_and_grant_waiters(&mut self, tx: TxId, object: ObjectId, effects: &mut Effects<BlockingMsg>) {
+    fn release_and_grant_waiters(
+        &mut self,
+        tx: TxId,
+        object: ObjectId,
+        effects: &mut Effects<impl From<BlockingMsg>>,
+    ) {
         {
             let state = self.locks.entry(object).or_default();
             state.read_holders.retain(|(_, t)| *t != tx);
@@ -269,17 +281,16 @@ pub enum BlockingNode {
     Server(BlockingServer),
 }
 
-impl Process for BlockingNode {
-    type Msg = BlockingMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            BlockingNode::Client(c) => ProcessId::Client(c.id),
-            BlockingNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<BlockingMsg>) {
+impl BlockingNode {
+    /// The INV handler.  Generic over the buffer's message type, so the
+    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
+    /// writing straight into its own buffer.
+    pub(crate) fn handle_invoke(
+        &mut self,
+        tx_id: TxId,
+        spec: TxSpec,
+        effects: &mut Effects<impl From<BlockingMsg>>,
+    ) {
         let BlockingNode::Client(client) = self else {
             panic!("servers do not accept invocations");
         };
@@ -303,19 +314,13 @@ impl Process for BlockingNode {
         client.lock_next(effects);
     }
 
-    fn on_abort(&mut self, tx_id: TxId) {
-        // Locks the aborted transaction already holds at live servers are
-        // deliberately *not* released: the client cannot send from this
-        // hook, and leaked locks are exactly the blocking-protocol failure
-        // mode the fault scenarios are meant to surface.
-        if let BlockingNode::Client(client) = self {
-            if client.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
-                client.pending = None;
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: BlockingMsg, effects: &mut Effects<BlockingMsg>) {
+    /// The delivery handler, written once like `handle_invoke`.
+    pub(crate) fn handle_message(
+        &mut self,
+        from: ProcessId,
+        msg: BlockingMsg,
+        effects: &mut Effects<impl From<BlockingMsg>>,
+    ) {
         match self {
             BlockingNode::Server(server) => match msg {
                 BlockingMsg::LockReq { tx, object, write } => {
@@ -415,6 +420,42 @@ impl Process for BlockingNode {
                 other => panic!("client received unexpected message {other:?}"),
             },
         }
+    }
+}
+
+impl Process for BlockingNode {
+    type Msg = BlockingMsg;
+
+    fn id(&self) -> ProcessId {
+        match self {
+            BlockingNode::Client(c) => ProcessId::Client(c.id),
+            BlockingNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<BlockingMsg>) {
+        self.handle_invoke(tx_id, spec, effects);
+    }
+
+    fn on_abort(&mut self, tx_id: TxId) {
+        // Locks the aborted transaction already holds at live servers are
+        // deliberately *not* released: the client cannot send from this
+        // hook, and leaked locks are exactly the blocking-protocol failure
+        // mode the fault scenarios are meant to surface.
+        if let BlockingNode::Client(client) = self {
+            if client.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
+                client.pending = None;
+            }
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: BlockingMsg,
+        effects: &mut Effects<BlockingMsg>,
+    ) {
+        self.handle_message(from, msg, effects);
     }
 }
 

@@ -161,7 +161,7 @@ impl EigerReader {
         self.second_round_reads
     }
 
-    fn try_finish(&mut self, effects: &mut Effects<EigerMsg>) {
+    fn try_finish(&mut self, effects: &mut Effects<impl From<EigerMsg>>) {
         let Some(p) = self.pending.as_mut() else {
             return;
         };
@@ -334,18 +334,16 @@ pub enum EigerNode {
     Server(EigerServer),
 }
 
-impl Process for EigerNode {
-    type Msg = EigerMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            EigerNode::Reader(r) => ProcessId::Client(r.id),
-            EigerNode::Writer(w) => ProcessId::Client(w.id),
-            EigerNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<EigerMsg>) {
+impl EigerNode {
+    /// The INV handler.  Generic over the buffer's message type, so the
+    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
+    /// writing straight into its own buffer.
+    pub(crate) fn handle_invoke(
+        &mut self,
+        tx_id: TxId,
+        spec: TxSpec,
+        effects: &mut Effects<impl From<EigerMsg>>,
+    ) {
         match (self, spec) {
             (EigerNode::Reader(r), TxSpec::Read(read)) => {
                 assert!(r.pending.is_none(), "reader invoked while a READ is outstanding");
@@ -399,23 +397,13 @@ impl Process for EigerNode {
         }
     }
 
-    fn on_abort(&mut self, tx_id: TxId) {
-        match self {
-            EigerNode::Reader(r) => {
-                if r.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
-                    r.pending = None;
-                }
-            }
-            EigerNode::Writer(w) => {
-                if w.pending.as_ref().is_some_and(|(tx, ..)| *tx == tx_id) {
-                    w.pending = None;
-                }
-            }
-            EigerNode::Server(_) => {}
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: EigerMsg, effects: &mut Effects<EigerMsg>) {
+    /// The delivery handler, written once like `handle_invoke`.
+    pub(crate) fn handle_message(
+        &mut self,
+        from: ProcessId,
+        msg: EigerMsg,
+        effects: &mut Effects<impl From<EigerMsg>>,
+    ) {
         match self {
             EigerNode::Server(server) => match msg {
                 EigerMsg::WriteReq {
@@ -523,6 +511,42 @@ impl Process for EigerNode {
                 other => panic!("writer received unexpected message {other:?}"),
             },
         }
+    }
+}
+
+impl Process for EigerNode {
+    type Msg = EigerMsg;
+
+    fn id(&self) -> ProcessId {
+        match self {
+            EigerNode::Reader(r) => ProcessId::Client(r.id),
+            EigerNode::Writer(w) => ProcessId::Client(w.id),
+            EigerNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<EigerMsg>) {
+        self.handle_invoke(tx_id, spec, effects);
+    }
+
+    fn on_abort(&mut self, tx_id: TxId) {
+        match self {
+            EigerNode::Reader(r) => {
+                if r.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
+                    r.pending = None;
+                }
+            }
+            EigerNode::Writer(w) => {
+                if w.pending.as_ref().is_some_and(|(tx, ..)| *tx == tx_id) {
+                    w.pending = None;
+                }
+            }
+            EigerNode::Server(_) => {}
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: EigerMsg, effects: &mut Effects<EigerMsg>) {
+        self.handle_message(from, msg, effects);
     }
 }
 

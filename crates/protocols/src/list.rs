@@ -230,7 +230,7 @@ fn read_val(
     tx: TxId,
     object: ObjectId,
     key: Key,
-    effects: &mut Effects<ListMsg>,
+    effects: &mut Effects<impl From<ListMsg>>,
 ) {
     let server = ProcessId::Server(config.server_for(object));
     effects.send(server, ListMsg::ReadVal { tx, object, key });
@@ -293,7 +293,12 @@ impl Reader {
         self.pending.as_mut().filter(|p| p.collect.tx == tx)
     }
 
-    fn start_read(&mut self, tx: TxId, objects: Vec<ObjectId>, effects: &mut Effects<ListMsg>) {
+    fn start_read(
+        &mut self,
+        tx: TxId,
+        objects: Vec<ObjectId>,
+        effects: &mut Effects<impl From<ListMsg>>,
+    ) {
         let mut collect = PendingRead::new(tx, objects.clone());
         match self.algorithm {
             Algorithm::A => {
@@ -330,7 +335,7 @@ impl Reader {
     /// Algorithm C: once the tag array and every `Vals` set are in, picks
     /// each named version out of its snapshot; a version the snapshot
     /// predates is fetched by a targeted `read-val` (module docs).
-    fn resolve_from_vals(&mut self, effects: &mut Effects<ListMsg>) {
+    fn resolve_from_vals(&mut self, effects: &mut Effects<impl From<ListMsg>>) {
         let Some(read) = self.pending.as_mut() else {
             return;
         };
@@ -365,7 +370,7 @@ impl Reader {
     }
 
     /// RESPs once a value is in for every requested object.
-    fn respond_if_complete(&mut self, effects: &mut Effects<ListMsg>) {
+    fn respond_if_complete(&mut self, effects: &mut Effects<impl From<ListMsg>>) {
         if let Some(read) = self.pending.take_if(|p| p.collect.is_complete()) {
             effects.respond(read.collect.tx, read.collect.into_outcome());
         }
@@ -437,20 +442,16 @@ impl ListNode {
             ListNode::Writer(_) => None,
         }
     }
-}
 
-impl Process for ListNode {
-    type Msg = ListMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            ListNode::Reader(r) => ProcessId::Client(r.id),
-            ListNode::Writer(w) => ProcessId::Client(w.id),
-            ListNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<ListMsg>) {
+    /// The INV handler.  Generic over the buffer's message type, so the
+    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
+    /// writing straight into its own buffer.
+    pub(crate) fn handle_invoke(
+        &mut self,
+        tx: TxId,
+        spec: TxSpec,
+        effects: &mut Effects<impl From<ListMsg>>,
+    ) {
         match (self, spec) {
             (ListNode::Reader(r), TxSpec::Read(read)) => {
                 assert!(
@@ -490,15 +491,13 @@ impl Process for ListNode {
         }
     }
 
-    fn on_abort(&mut self, tx: TxId) {
-        match self {
-            ListNode::Reader(r) => drop(r.pending.take_if(|p| p.collect.tx == tx)),
-            ListNode::Writer(w) => drop(w.pending.take_if(|p| p.tx == tx)),
-            ListNode::Server(_) => {}
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: ListMsg, effects: &mut Effects<ListMsg>) {
+    /// The delivery handler, written once like `handle_invoke`.
+    pub(crate) fn handle_message(
+        &mut self,
+        from: ProcessId,
+        msg: ListMsg,
+        effects: &mut Effects<impl From<ListMsg>>,
+    ) {
         match (self, msg) {
             // ---- the WRITE, the same in all three algorithms ----------------
             (
@@ -637,6 +636,34 @@ impl Process for ListNode {
             }
             (node, other) => panic!("{} received unexpected message {other:?}", node.id()),
         }
+    }
+}
+
+impl Process for ListNode {
+    type Msg = ListMsg;
+
+    fn id(&self) -> ProcessId {
+        match self {
+            ListNode::Reader(r) => ProcessId::Client(r.id),
+            ListNode::Writer(w) => ProcessId::Client(w.id),
+            ListNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    fn on_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<ListMsg>) {
+        self.handle_invoke(tx, spec, effects);
+    }
+
+    fn on_abort(&mut self, tx: TxId) {
+        match self {
+            ListNode::Reader(r) => drop(r.pending.take_if(|p| p.collect.tx == tx)),
+            ListNode::Writer(w) => drop(w.pending.take_if(|p| p.tx == tx)),
+            ListNode::Server(_) => {}
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: ListMsg, effects: &mut Effects<ListMsg>) {
+        self.handle_message(from, msg, effects);
     }
 }
 

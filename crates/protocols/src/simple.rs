@@ -119,17 +119,16 @@ pub enum SimpleNode {
     Server(SimpleServer),
 }
 
-impl Process for SimpleNode {
-    type Msg = SimpleMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            SimpleNode::Client(c) => ProcessId::Client(c.id),
-            SimpleNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<SimpleMsg>) {
+impl SimpleNode {
+    /// The INV handler.  Generic over the buffer's message type, so the
+    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
+    /// writing straight into its own buffer.
+    pub(crate) fn handle_invoke(
+        &mut self,
+        tx_id: TxId,
+        spec: TxSpec,
+        effects: &mut Effects<impl From<SimpleMsg>>,
+    ) {
         let SimpleNode::Client(client) = self else {
             panic!("servers do not accept invocations");
         };
@@ -162,18 +161,13 @@ impl Process for SimpleNode {
         }
     }
 
-    fn on_abort(&mut self, tx_id: TxId) {
-        if let SimpleNode::Client(client) = self {
-            if client.pending_read.as_ref().is_some_and(|p| p.tx == tx_id) {
-                client.pending_read = None;
-            }
-            if client.pending_write.as_ref().is_some_and(|(tx, _, _)| *tx == tx_id) {
-                client.pending_write = None;
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SimpleMsg, effects: &mut Effects<SimpleMsg>) {
+    /// The delivery handler, written once like `handle_invoke`.
+    pub(crate) fn handle_message(
+        &mut self,
+        from: ProcessId,
+        msg: SimpleMsg,
+        effects: &mut Effects<impl From<SimpleMsg>>,
+    ) {
         match self {
             SimpleNode::Server(server) => match msg {
                 SimpleMsg::ReadReq { tx, object } => {
@@ -235,6 +229,36 @@ impl Process for SimpleNode {
                 other => panic!("client received unexpected message {other:?}"),
             },
         }
+    }
+}
+
+impl Process for SimpleNode {
+    type Msg = SimpleMsg;
+
+    fn id(&self) -> ProcessId {
+        match self {
+            SimpleNode::Client(c) => ProcessId::Client(c.id),
+            SimpleNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<SimpleMsg>) {
+        self.handle_invoke(tx_id, spec, effects);
+    }
+
+    fn on_abort(&mut self, tx_id: TxId) {
+        if let SimpleNode::Client(client) = self {
+            if client.pending_read.as_ref().is_some_and(|p| p.tx == tx_id) {
+                client.pending_read = None;
+            }
+            if client.pending_write.as_ref().is_some_and(|(tx, _, _)| *tx == tx_id) {
+                client.pending_write = None;
+            }
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: SimpleMsg, effects: &mut Effects<SimpleMsg>) {
+        self.handle_message(from, msg, effects);
     }
 }
 

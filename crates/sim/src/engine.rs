@@ -172,6 +172,9 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     /// Sends addressed to processes of another core, buffered for the
     /// epoch exchange.  Always empty at stride 1 (everything is local).
     outbox: Vec<PendingMessage<P::Msg>>,
+    /// The one output buffer every handler of this core writes into;
+    /// [`DispatchCore::apply_effects`] drains it and keeps its capacity.
+    effects: Effects<P::Msg>,
     /// Observability sink (virtual-time events only; `NullSink` by
     /// default, which compiles the emission sites away).
     sink: O,
@@ -208,6 +211,7 @@ where
             max_steps: 1_000_000,
             commit_cursor: 0,
             outbox: Vec::new(),
+            effects: Effects::new(0),
             sink: O::default(),
             faults: None,
         }
@@ -233,6 +237,7 @@ where
             max_steps: self.max_steps,
             commit_cursor: self.commit_cursor,
             outbox: self.outbox,
+            effects: self.effects,
             sink,
             faults: self.faults,
         }
@@ -530,13 +535,12 @@ where
         if O::ENABLED {
             self.sink.emit(ObsEvent::InvocationDispatched { at: self.now, tx, client });
         }
-        let mut effects = Effects::new(self.now);
         let process = self
             .processes
             .get_mut(pid)
             .unwrap_or_else(|| panic!("invocation for unknown process {pid}"));
-        process.on_invoke(tx, spec, &mut effects);
-        self.apply_effects(pid, None, &mut effects);
+        process.on_invoke(tx, spec, &mut self.effects);
+        self.apply_effects(pid, None);
     }
 
     fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
@@ -566,13 +570,12 @@ where
                 queue_depth: self.pool.len() as u32,
             });
         }
-        let mut effects = Effects::new(self.now);
         let process = self
             .processes
             .get_mut(msg.dst)
             .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
-        process.on_message(msg.src, msg.msg, &mut effects);
-        self.apply_effects(msg.dst, Some((info, causal)), &mut effects);
+        process.on_message(msg.src, msg.msg, &mut self.effects);
+        self.apply_effects(msg.dst, Some((info, causal)));
     }
 
     /// Folds a read response into the instrumentation of its READ, before
@@ -686,12 +689,12 @@ where
         id
     }
 
-    fn apply_effects(
-        &mut self,
-        at: ProcessId,
-        handled: Option<(MsgInfo, Causal)>,
-        effects: &mut Effects<P::Msg>,
-    ) {
+    /// Applies what the handler just run at `at` left in the core's
+    /// [`Effects`] buffer: its sends in emission order, then its RESPs.  The
+    /// buffer is taken out for the drain and put back emptied, its
+    /// capacity kept for the next handler call.
+    fn apply_effects(&mut self, at: ProcessId, handled: Option<(MsgInfo, Causal)>) {
+        let mut effects = std::mem::replace(&mut self.effects, Effects::new(0));
         let mut ordinal = 0; // of the next `enqueue` within this handler execution
         for (to, m) in effects.drain_sends() {
             let info = m.info();
@@ -762,6 +765,7 @@ where
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// RESP(`tx`): appends it to the commit log.

@@ -29,9 +29,10 @@
 //!
 //! Per step the engine therefore does O(log n) heap work, O(1) lookups and
 //! the process handler's own cost under every heap scheduler (FIFO,
-//! latency, topology; the random adversary's pick is O(live)); a handler's
-//! output is drained from its [`snow_core::Effects`] buffer in place, each
-//! message moving once into the pool and once out of it.  Adversarial
+//! latency, topology; the random adversary's pick is O(live)); a handler
+//! writes its output into the core's one [`snow_core::Effects`] buffer,
+//! which is drained in place and keeps its capacity for the next handler,
+//! each message moving once into the pool and once out of it.  Adversarial
 //! driving ([`Simulation::deliver_where`], [`Simulation::force_invoke`])
 //! trades this for expressiveness: it takes the first match in send order
 //! (one pass over the slab) exactly like the historical `Vec`-based engine,

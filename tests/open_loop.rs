@@ -17,13 +17,13 @@
 //!   pile up, must be certified by the graph checker.  Saturation stresses
 //!   the protocols (deep message backlogs, long reorder windows); the
 //!   checker must still find a serialization.
-//! * **Inline Effects buffers are invisible.**  `Effects` sends/responses
-//!   now live in `SmallVec` inline buffers that spill to the heap past
-//!   their capacity; a wide-quorum config that forces the spill on every
-//!   fan-out must still produce deterministic, certified histories
-//!   (emission order unchanged).  The 30 golden protocol × scheduler
-//!   fixtures (tests/determinism.rs) pin the same property bit-for-bit
-//!   against the pre-SmallVec engine.
+//! * **Wide fan-out through the one reused effects buffer.**  Each
+//!   dispatch core lends one `Effects` buffer to every handler and drains
+//!   it in place; a wide config — 8 servers, each READ's objects fanned
+//!   out from one handler — must still produce deterministic, certified
+//!   histories (emission order unchanged).  The 30 golden
+//!   protocol × scheduler fixtures (tests/determinism.rs) pin the same
+//!   property bit-for-bit.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
@@ -108,15 +108,15 @@ fn serial_and_one_shard_parallel_open_loop_agree() {
 }
 
 #[test]
-fn wide_fanout_spilling_inline_buffers_keeps_histories_deterministic() {
-    // 8 servers: every quorum fan-out emits 8 sends from one handler,
-    // spilling the 4-slot inline Effects buffer on every transaction.
+fn wide_fanout_through_the_reused_effects_buffer_keeps_histories_deterministic() {
+    // 8 servers: a READ's fan-out emits one send per object from one
+    // handler, into the buffer the previous handler call left drained.
     let config = SystemConfig::mwmr(8, 2, 2);
     let spec = spec(2, 13, 40, 60);
     let a = run(ProtocolKind::AlgB, &config, &spec, 17, ExecutorKind::SerialSim);
     let b = run(ProtocolKind::AlgB, &config, &spec, 17, ExecutorKind::SerialSim);
-    assert_eq!(canon(&a), canon(&b), "spilled Effects buffers must not perturb emission order");
-    certify(&a, "wide-fanout spill run");
+    assert_eq!(canon(&a), canon(&b), "a reused Effects buffer must not perturb emission order");
+    certify(&a, "wide-fanout run");
 }
 
 /// `table_open_loop`'s rows on `executor` against their pinned rendering:
