@@ -13,8 +13,9 @@
 
 use snow_checker::{SearchChecker, Verdict};
 use snow_core::{ClientId, History, ObjectId, SystemConfig, TxSpec, Value};
-use snow_protocols::eiger::{deploy, EigerMsg};
-use snow_sim::{FifoScheduler, Simulation, StepOutcome};
+use snow_protocols::eiger::EigerMsg;
+use snow_protocols::{deploy_any, AnyMsg, AnyNode, ProtocolKind};
+use snow_sim::{FifoScheduler, PendingMessage, Simulation, StepOutcome};
 
 /// The outcome of the Fig. 5 reproduction.
 #[derive(Debug, Clone)]
@@ -41,10 +42,9 @@ pub const W2_VALUE: Value = Value(200);
 /// Value written by w₃.
 pub const W3_VALUE: Value = Value(300);
 
-/// Drives the Eiger deployment through the Fig. 5 schedule and returns the
-/// raw history plus the READ's transaction id — the input any
-/// strict-serializability engine must convict.
-pub fn fig5_history() -> (History, snow_core::TxId) {
+/// The Fig. 5 deployment — Eiger on two servers, one reader and two
+/// writers, FIFO — with its reader and writers.
+fn fig5_deployment() -> (Simulation<AnyNode, FifoScheduler>, ClientId, Vec<ClientId>) {
     let config = SystemConfig {
         num_servers: 2,
         num_objects: 2,
@@ -53,11 +53,23 @@ pub fn fig5_history() -> (History, snow_core::TxId) {
         c2c_allowed: false,
     };
     let mut sim = Simulation::new(FifoScheduler::new());
-    for node in deploy(&config).expect("valid config") {
+    for node in deploy_any(ProtocolKind::Eiger, &config).expect("valid config") {
         sim.add_process(node);
     }
     let reader = config.readers().next().unwrap();
-    let writers: Vec<ClientId> = config.writers().collect();
+    (sim, reader, config.writers().collect())
+}
+
+/// True for the READ's first-round request for object `of`.
+fn read_first(p: &PendingMessage<AnyMsg>, of: ObjectId) -> bool {
+    matches!(p.msg, AnyMsg::Eiger(EigerMsg::ReadFirst { object, .. }) if object == of)
+}
+
+/// Drives the Eiger deployment through the Fig. 5 schedule and returns the
+/// raw history plus the READ's transaction id — the input any
+/// strict-serializability engine must convict.
+pub fn fig5_history() -> (History, snow_core::TxId) {
+    let (mut sim, reader, writers) = fig5_deployment();
 
     // w1: writes o1 = 100; runs to completion.
     let w1 = sim.invoke_at(0, writers[0], TxSpec::write(vec![(ObjectId(1), W1_VALUE)]));
@@ -67,13 +79,11 @@ pub fn fig5_history() -> (History, snow_core::TxId) {
     let r = sim.invoke_now(reader, TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
     assert!(matches!(sim.step(), StepOutcome::Invoked(_)));
     // Deliver r_B (the read of o1) to s1 now, before w2 reaches s1.
-    sim.deliver_where(|p| matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(1)))
+    sim.deliver_where(|p| read_first(p, ObjectId(1)))
         .expect("read of o1 is in flight");
 
     // Hold the read of o0 back while w2 and then w3 run to completion.
-    let hold = |p: &snow_sim::PendingMessage<EigerMsg>| {
-        !matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(0))
-    };
+    let hold = |p: &PendingMessage<AnyMsg>| !read_first(p, ObjectId(0));
     let w2 = sim.invoke_now(writers[0], TxSpec::write(vec![(ObjectId(1), W2_VALUE)]));
     sim.force_invoke(writers[0]);
     while !sim.is_complete(w2) {
@@ -86,7 +96,7 @@ pub fn fig5_history() -> (History, snow_core::TxId) {
     }
 
     // Now deliver r_A (the read of o0): it observes w3.
-    sim.deliver_where(|p| matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(0)))
+    sim.deliver_where(|p| read_first(p, ObjectId(0)))
         .expect("read of o0 is in flight");
     assert!(sim.run_until_complete(r));
     (sim.history(), r)
@@ -122,19 +132,7 @@ pub fn run_fig5() -> Fig5Report {
 /// sequentially (no adversarial schedule) are strictly serializable, showing
 /// the violation comes from the schedule, not from the workload.
 pub fn run_fig5_sequential_control() -> bool {
-    let config = SystemConfig {
-        num_servers: 2,
-        num_objects: 2,
-        num_readers: 1,
-        num_writers: 2,
-        c2c_allowed: false,
-    };
-    let mut sim = Simulation::new(FifoScheduler::new());
-    for node in deploy(&config).expect("valid config") {
-        sim.add_process(node);
-    }
-    let reader = config.readers().next().unwrap();
-    let writers: Vec<ClientId> = config.writers().collect();
+    let (mut sim, reader, writers) = fig5_deployment();
     for (writer, spec) in [
         (writers[0], TxSpec::write(vec![(ObjectId(1), W1_VALUE)])),
         (writers[0], TxSpec::write(vec![(ObjectId(1), W2_VALUE)])),
@@ -148,11 +146,6 @@ pub fn run_fig5_sequential_control() -> bool {
     SearchChecker::new().check(&sim.history()).is_serializable()
 }
 
-/// Internal: exported for the Fig. 5 harness binary.
-pub fn tx_count_hint() -> usize {
-    4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +156,7 @@ mod tests {
         assert_eq!(report.read_o0, W3_VALUE, "r_A returns w3's value");
         assert_eq!(report.read_o1, W1_VALUE, "r_B returns w1's value, missing w2");
         assert!(report.accepted_first_round, "Eiger accepted the overlapping intervals");
-        assert_eq!(report.transactions, tx_count_hint());
+        assert_eq!(report.transactions, 4, "the report counts w1, w2, w3 and R");
     }
 
     #[test]
@@ -175,12 +168,5 @@ mod tests {
     #[test]
     fn sequential_control_is_serializable() {
         assert!(run_fig5_sequential_control());
-    }
-
-    #[test]
-    fn tx_id_sanity() {
-        // Regression guard: the report counts w1, w2, w3 and R.
-        let report = run_fig5();
-        assert_eq!(report.transactions, 4);
     }
 }

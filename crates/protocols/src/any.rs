@@ -1,22 +1,19 @@
-//! Protocol-erased deployments: one code path for every executor.
+//! Protocol-erased deployments: the one [`Process`] of the crate.
 //!
-//! Each protocol module defines its own node and message types, which is
-//! what lets the simulator type-check protocol invariants — but it also used
-//! to force every executor to repeat a per-protocol `match`.  [`AnyNode`] and
-//! [`AnyMsg`] erase the per-protocol types behind enum dispatch, so a
-//! deployment is described once — by a [`ProtocolKind`] and a
-//! [`SystemConfig`] — and executed anywhere a [`Process`] can run:
-//! `snow_sim::Simulation`, `snow_sim::ParallelSimulation`, or any future
-//! substrate.
+//! Each protocol module defines its own node and message types, so a
+//! handler only ever matches on its own protocol's messages.  [`AnyNode`]
+//! and [`AnyMsg`] put them behind enum dispatch, so a deployment is
+//! described once — by a [`ProtocolKind`] and a [`SystemConfig`] — and
+//! executed anywhere a [`Process`] can run: `snow_sim::Simulation`,
+//! `snow_sim::ParallelSimulation`, or any future substrate.
 //!
-//! Enum dispatch (rather than `Box<dyn Any>` downcasting) keeps dispatch
-//! static, keeps messages `Clone + Debug`, and — crucially for the golden
-//! fixtures — adds no sends, no reordering and no scheduler interaction:
-//! a wrapped deployment produces bit-identical schedules to the typed one.
-//! Each protocol's handlers are generic over the message type of the
-//! [`Effects`] buffer they write into, so an [`AnyNode`] runs them directly
-//! on the substrate's `Effects<AnyMsg>`: every send is wrapped once, by a
-//! `From<XMsg> for AnyMsg` conversion, as the handler emits it.
+//! `AnyNode` is the only `Process` implementation in this crate.  Each
+//! protocol node exposes its handlers as inherent methods (`id`,
+//! `handle_invoke`, `handle_message`, `abort`) that write into the
+//! substrate's `Effects<AnyMsg>` directly: every send is wrapped once, by a
+//! `From<XMsg> for AnyMsg` conversion, as the handler emits it.  Enum
+//! dispatch (rather than `Box<dyn Any>` downcasting) keeps dispatch static
+//! and messages `Clone + Debug`.
 
 use crate::list::{self, Algorithm};
 use crate::{blocking, eiger, simple, ProtocolKind};
@@ -108,10 +105,10 @@ impl Process for AnyNode {
 
     fn on_abort(&mut self, tx_id: TxId) {
         match self {
-            AnyNode::List(n) => n.on_abort(tx_id),
-            AnyNode::Eiger(n) => n.on_abort(tx_id),
-            AnyNode::Blocking(n) => n.on_abort(tx_id),
-            AnyNode::Simple(n) => n.on_abort(tx_id),
+            AnyNode::List(n) => n.abort(tx_id),
+            AnyNode::Eiger(n) => n.abort(tx_id),
+            AnyNode::Blocking(n) => n.abort(tx_id),
+            AnyNode::Simple(n) => n.abort(tx_id),
         }
     }
 
@@ -170,9 +167,25 @@ pub fn deploy_any(protocol: ProtocolKind, config: &SystemConfig) -> Result<Vec<A
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use snow_core::{ClientId, ObjectId, ServerId};
+    use snow_core::{ClientId, ObjectId, ServerId, Value};
+    use snow_sim::{Scheduler, Simulation};
+    use std::collections::VecDeque;
+
+    /// The protocol modules' unit tests run `protocol` on this: its
+    /// [`deploy_any`] node set on a serial simulation driven by `scheduler`.
+    pub(crate) fn simulation<S: Scheduler<AnyMsg>>(
+        protocol: ProtocolKind,
+        config: &SystemConfig,
+        scheduler: S,
+    ) -> Simulation<AnyNode, S> {
+        let mut sim = Simulation::new(scheduler);
+        for node in deploy_any(protocol, config).unwrap() {
+            sim.add_process(node);
+        }
+        sim
+    }
 
     #[test]
     fn deployments_are_homogeneous_and_cover_every_process() {
@@ -222,5 +235,77 @@ mod tests {
             object: ObjectId(0),
         });
         nodes[0].on_message(ProcessId::Client(ClientId(0)), foreign, &mut effects);
+    }
+
+    /// The object a write-value ack names, in any protocol.
+    fn write_ack(msg: &AnyMsg) -> Option<ObjectId> {
+        match msg {
+            AnyMsg::List(list::ListMsg::WriteAck { object, .. })
+            | AnyMsg::Eiger(eiger::EigerMsg::WriteAck { object, .. })
+            | AnyMsg::Blocking(blocking::BlockingMsg::WriteAck { object, .. })
+            | AnyMsg::Simple(simple::SimpleMsg::WriteAck { object, .. }) => Some(*object),
+            _ => None,
+        }
+    }
+
+    /// The node of `nodes` whose id is `id`.
+    fn at(nodes: &mut [AnyNode], id: ProcessId) -> &mut AnyNode {
+        nodes.iter_mut().find(|n| n.id() == id).unwrap()
+    }
+
+    /// Counts the RESPs a handler at `from` left in `effects`, then
+    /// delivers its sends, and every send they cause, in FIFO order until
+    /// none is left, counting RESPs on the way.  Write-value acks are set
+    /// aside in `held` instead of delivered.
+    fn run(
+        nodes: &mut [AnyNode],
+        from: ProcessId,
+        effects: &mut Effects<AnyMsg>,
+        held: &mut Vec<(ProcessId, AnyMsg)>,
+    ) -> usize {
+        let mut responses = effects.drain_responses().len();
+        let mut queue: VecDeque<_> = effects.drain_sends().map(|(to, m)| (from, to, m)).collect();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            if write_ack(&msg).is_some() {
+                held.push((from, msg));
+                continue;
+            }
+            at(nodes, to).on_message(from, msg, effects);
+            queue.extend(effects.drain_sends().map(|(next, m)| (to, next, m)));
+            responses += effects.drain_responses().len();
+        }
+        responses
+    }
+
+    /// Every protocol, driven by hand: a 2-object WRITE runs to its ack
+    /// phase with both acks held back, then object 0's ack arrives twice.
+    /// Neither copy may emit anything — no RESP and, for A/B/C, no
+    /// registration; object 1's ack then completes the WRITE exactly once.
+    #[test]
+    fn a_duplicated_write_ack_cannot_complete_a_write() {
+        for protocol in ProtocolKind::all() {
+            let config = if protocol.needs_c2c() {
+                SystemConfig::mwsr(2, 1, true)
+            } else {
+                SystemConfig::mwmr(2, 1, 1)
+            };
+            let writer = ProcessId::Client(config.writers().next().unwrap());
+            let mut nodes = deploy_any(protocol, &config).unwrap();
+            let (mut effects, mut held) = (Effects::new(0), Vec::new());
+            let spec = TxSpec::write(vec![(ObjectId(0), Value(1)), (ObjectId(1), Value(2))]);
+            at(&mut nodes, writer).on_invoke(TxId(1), spec, &mut effects);
+            assert_eq!(run(&mut nodes, writer, &mut effects, &mut held), 0);
+            held.sort_by_key(|(_, ack)| write_ack(ack));
+            let [(s0, ack0), (s1, ack1)] = <[_; 2]>::try_from(held).expect("an ack per object");
+
+            for _ in 0..2 {
+                at(&mut nodes, writer).on_message(s0, ack0.clone(), &mut effects);
+                let sends = effects.drain_sends().len();
+                assert_eq!(sends + effects.drain_responses().len(), 0, "{protocol:?}");
+            }
+            at(&mut nodes, writer).on_message(s1, ack1, &mut effects);
+            let responses = run(&mut nodes, writer, &mut effects, &mut Vec::new());
+            assert_eq!(responses, 1, "{protocol:?}");
+        }
     }
 }

@@ -8,12 +8,13 @@
 //! as objects they touch (violating O).  The benchmarks use it to show the
 //! latency gap the SNOW algorithms close.
 
-use crate::common::KeyAllocator;
+use crate::common::{KeyAllocator, PendingWrite};
+use crate::AnyMsg;
 use snow_core::{
     ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadOutcome, Result, ServerId, ShardStore,
     SnowError, SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
-use snow_core::{Effects, MsgInfo, Process, ProtocolMessage};
+use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Messages exchanged by the blocking 2PL protocol.
@@ -125,11 +126,8 @@ struct PendingBlocking {
     reads: Vec<ObjectRead>,
     /// For writes: the values to install once all locks are held.
     writes: Vec<(ObjectId, Value)>,
-    /// For writes: servers whose install ack is still outstanding.
-    pending_acks: usize,
-    /// The version key (writes only).
-    key: Key,
-    is_write: bool,
+    /// For writes: the version key and the install acks still outstanding.
+    write: Option<PendingWrite>,
 }
 
 /// A client of the blocking protocol (plays reader or writer depending on the
@@ -153,7 +151,7 @@ impl BlockingClient {
         }
     }
 
-    fn lock_next(&mut self, effects: &mut Effects<impl From<BlockingMsg>>) {
+    fn lock_next(&mut self, effects: &mut Effects<AnyMsg>) {
         let Some(p) = self.pending.as_mut() else {
             return;
         };
@@ -164,13 +162,13 @@ impl BlockingClient {
                 BlockingMsg::LockReq {
                     tx: p.tx,
                     object,
-                    write: p.is_write,
+                    write: p.write.is_some(),
                 },
             );
         }
     }
 
-    fn release_all(&self, p: &PendingBlocking, effects: &mut Effects<impl From<BlockingMsg>>) {
+    fn release_all(&self, p: &PendingBlocking, effects: &mut Effects<AnyMsg>) {
         for object in &p.locked {
             let server = self.config.server_for(*object);
             effects.send(
@@ -209,7 +207,7 @@ impl BlockingServer {
         tx: TxId,
         object: ObjectId,
         write: bool,
-        effects: &mut Effects<impl From<BlockingMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         let state = self.locks.entry(object).or_default();
         if write {
@@ -217,11 +215,7 @@ impl BlockingServer {
         } else {
             state.read_holders.push((to, tx));
         }
-        let latest = self
-            .store
-            .object(object)
-            .expect("object hosted")
-            .clone();
+        let latest = self.store.object(object).expect("object hosted");
         effects.send(
             to,
             BlockingMsg::LockGranted {
@@ -238,7 +232,7 @@ impl BlockingServer {
         &mut self,
         tx: TxId,
         object: ObjectId,
-        effects: &mut Effects<impl From<BlockingMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         {
             let state = self.locks.entry(object).or_default();
@@ -282,44 +276,50 @@ pub enum BlockingNode {
 }
 
 impl BlockingNode {
-    /// The INV handler.  Generic over the buffer's message type, so the
-    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
-    /// writing straight into its own buffer.
+    /// The identity of this process.
+    pub(crate) fn id(&self) -> ProcessId {
+        match self {
+            BlockingNode::Client(c) => ProcessId::Client(c.id),
+            BlockingNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    /// The INV handler, run by `AnyNode`.
     pub(crate) fn handle_invoke(
         &mut self,
         tx_id: TxId,
         spec: TxSpec,
-        effects: &mut Effects<impl From<BlockingMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         let BlockingNode::Client(client) = self else {
             panic!("servers do not accept invocations");
         };
         assert!(client.pending.is_none(), "client invoked while a transaction is outstanding");
-        let (mut objects, writes, is_write) = match spec {
-            TxSpec::Read(r) => (r.objects, Vec::new(), false),
-            TxSpec::Write(w) => (w.objects(), w.writes, true),
+        let (mut objects, writes, write) = match spec {
+            TxSpec::Read(r) => (r.objects, Vec::new(), None),
+            TxSpec::Write(w) => {
+                let acks = PendingWrite::new(tx_id, client.keys.allocate(), w.objects());
+                (w.objects(), w.writes, Some(acks))
+            }
         };
         objects.sort();
-        let key = if is_write { client.keys.allocate() } else { Key::initial() };
         client.pending = Some(PendingBlocking {
             tx: tx_id,
             to_lock: objects.into_iter().collect(),
             locked: Vec::new(),
             reads: Vec::new(),
             writes,
-            pending_acks: 0,
-            key,
-            is_write,
+            write,
         });
         client.lock_next(effects);
     }
 
-    /// The delivery handler, written once like `handle_invoke`.
+    /// The delivery handler, run by `AnyNode`.
     pub(crate) fn handle_message(
         &mut self,
         from: ProcessId,
         msg: BlockingMsg,
-        effects: &mut Effects<impl From<BlockingMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         match self {
             BlockingNode::Server(server) => match msg {
@@ -361,7 +361,7 @@ impl BlockingNode {
                     }
                     p.to_lock.retain(|o| *o != object);
                     p.locked.push(object);
-                    if !p.is_write {
+                    if p.write.is_none() {
                         p.reads.push(ObjectRead { object, key, value });
                     }
                     if !p.to_lock.is_empty() {
@@ -369,12 +369,9 @@ impl BlockingNode {
                         return;
                     }
                     // All locks held.
-                    if p.is_write {
-                        p.pending_acks = p.writes.len();
-                        let tx = p.tx;
-                        let key = p.key;
-                        let writes = p.writes.clone();
-                        for (object, value) in writes {
+                    if let Some(write) = &p.write {
+                        let key = write.key;
+                        for &(object, value) in &p.writes {
                             let server = client.config.server_for(object);
                             effects.send(
                                 ProcessId::Server(server),
@@ -397,65 +394,31 @@ impl BlockingNode {
                         );
                     }
                 }
-                BlockingMsg::WriteAck { tx, .. } => {
-                    let Some(p) = client.pending.as_mut() else {
-                        return;
+                BlockingMsg::WriteAck { tx, object } => {
+                    let acked = |p: &mut PendingBlocking| {
+                        p.tx == tx && p.write.as_mut().is_some_and(|w| w.ack(object))
                     };
-                    if p.tx != tx {
-                        return;
-                    }
-                    p.pending_acks -= 1;
-                    if p.pending_acks == 0 {
-                        let p = client.pending.take().expect("pending transaction");
+                    if let Some(p) = client.pending.take_if(acked) {
                         client.release_all(&p, effects);
-                        effects.respond(
-                            p.tx,
-                            TxOutcome::Write(WriteOutcome {
-                                key: p.key,
-                                tag: None,
-                            }),
-                        );
+                        let key = p.write.expect("an acked WRITE").key;
+                        effects.respond(tx, TxOutcome::Write(WriteOutcome { key, tag: None }));
                     }
                 }
                 other => panic!("client received unexpected message {other:?}"),
             },
         }
     }
-}
 
-impl Process for BlockingNode {
-    type Msg = BlockingMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            BlockingNode::Client(c) => ProcessId::Client(c.id),
-            BlockingNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<BlockingMsg>) {
-        self.handle_invoke(tx_id, spec, effects);
-    }
-
-    fn on_abort(&mut self, tx_id: TxId) {
-        // Locks the aborted transaction already holds at live servers are
-        // deliberately *not* released: the client cannot send from this
-        // hook, and leaked locks are exactly the blocking-protocol failure
-        // mode the fault scenarios are meant to surface.
+    /// Drops a client's in-flight state for the aborted `tx_id`.
+    ///
+    /// Locks the aborted transaction already holds at live servers are
+    /// deliberately *not* released: the client cannot send from this hook,
+    /// and leaked locks are exactly the blocking-protocol failure mode the
+    /// fault scenarios are meant to surface.
+    pub(crate) fn abort(&mut self, tx_id: TxId) {
         if let BlockingNode::Client(client) = self {
-            if client.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
-                client.pending = None;
-            }
+            drop(client.pending.take_if(|p| p.tx == tx_id));
         }
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: BlockingMsg,
-        effects: &mut Effects<BlockingMsg>,
-    ) {
-        self.handle_message(from, msg, effects);
     }
 }
 
@@ -477,16 +440,14 @@ pub fn deploy(config: &SystemConfig) -> Result<Vec<BlockingNode>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::Value;
-    use snow_sim::{FifoScheduler, RandomScheduler, Simulation, StepOutcome};
+    use crate::any::tests::simulation;
+    use crate::ProtocolKind;
+    use snow_sim::{FifoScheduler, RandomScheduler, StepOutcome};
 
     #[test]
     fn read_after_write_sees_values_and_uses_many_rounds() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Blocking, &config, FifoScheduler::new());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(
@@ -509,10 +470,7 @@ mod tests {
     #[test]
     fn read_blocks_behind_an_uncommitted_write() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Blocking, &config, FifoScheduler::new());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
 
@@ -522,12 +480,12 @@ mod tests {
         assert!(matches!(sim.step(), StepOutcome::Invoked(_)));
         assert!(matches!(sim.step(), StepOutcome::Invoked(_)));
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, BlockingMsg::LockReq { write: true, .. }))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::Blocking(BlockingMsg::LockReq { write: true, .. })))
             .is_some());
         // Now the reader's lock request arrives while the write lock is held:
         // the server parks it.
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, BlockingMsg::LockReq { write: false, .. }))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::Blocking(BlockingMsg::LockReq { write: false, .. })))
             .is_some());
         sim.run_until_quiescent();
         assert!(sim.is_complete(w));
@@ -548,10 +506,7 @@ mod tests {
         let readers: Vec<_> = config.readers().collect();
         let writers: Vec<_> = config.writers().collect();
         for seed in 0..10u64 {
-            let mut sim = Simulation::new(RandomScheduler::new(seed));
-            for node in deploy(&config).unwrap() {
-                sim.add_process(node);
-            }
+            let mut sim = simulation(ProtocolKind::Blocking, &config, RandomScheduler::new(seed));
             let txs = vec![
                 sim.invoke_at(
                     0,
@@ -576,10 +531,7 @@ mod tests {
     #[test]
     fn sequential_writes_are_visible_in_order() {
         let config = SystemConfig::mwmr(1, 1, 1);
-        let mut sim = Simulation::new(RandomScheduler::new(3));
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Blocking, &config, RandomScheduler::new(3));
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         for i in 1..=3u64 {

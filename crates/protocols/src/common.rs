@@ -108,9 +108,8 @@ impl PendingRead {
         }
     }
 
-    /// Records one returned object read.  Duplicate responses for the same
-    /// object are ignored (reliable channels do not duplicate, but a robust
-    /// client guards anyway).
+    /// Records one returned object read.  A second response for the same
+    /// object — a duplicate under at-least-once delivery — is ignored.
     pub fn record(&mut self, read: ObjectRead) {
         if self.collected.iter().any(|r| r.object == read.object) {
             return;
@@ -167,7 +166,8 @@ impl PendingWrite {
     }
 
     /// Records an ack from the server hosting `object`.  Returns `true` when
-    /// all acks have arrived.
+    /// every object has acked — how every writer in the crate decides its
+    /// `write-val` phase is over.  A duplicated ack changes nothing.
     pub fn ack(&mut self, object: ObjectId) -> bool {
         self.awaiting_acks.remove(&object);
         self.awaiting_acks.is_empty()

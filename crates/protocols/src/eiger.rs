@@ -15,12 +15,13 @@
 //! second round at the effective time (the maximum first-round write
 //! timestamp).
 
-use crate::common::KeyAllocator;
+use crate::common::{KeyAllocator, PendingWrite};
+use crate::AnyMsg;
 use snow_core::{
     ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadOutcome, Result, ServerId, SnowError,
     SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
-use snow_core::{Effects, MsgInfo, Process, ProtocolMessage};
+use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::collections::BTreeMap;
 
 /// A logical (Lamport) timestamp.
@@ -161,7 +162,7 @@ impl EigerReader {
         self.second_round_reads
     }
 
-    fn try_finish(&mut self, effects: &mut Effects<impl From<EigerMsg>>) {
+    fn try_finish(&mut self, effects: &mut Effects<AnyMsg>) {
         let Some(p) = self.pending.as_mut() else {
             return;
         };
@@ -251,7 +252,7 @@ pub struct EigerWriter {
     config: SystemConfig,
     clock: LogicalTime,
     keys: KeyAllocator,
-    pending: Option<(TxId, Key, usize, usize, LogicalTime)>,
+    pending: Option<PendingWrite>,
 }
 
 impl EigerWriter {
@@ -335,14 +336,21 @@ pub enum EigerNode {
 }
 
 impl EigerNode {
-    /// The INV handler.  Generic over the buffer's message type, so the
-    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
-    /// writing straight into its own buffer.
+    /// The identity of this process.
+    pub(crate) fn id(&self) -> ProcessId {
+        match self {
+            EigerNode::Reader(r) => ProcessId::Client(r.id),
+            EigerNode::Writer(w) => ProcessId::Client(w.id),
+            EigerNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    /// The INV handler, run by `AnyNode`.
     pub(crate) fn handle_invoke(
         &mut self,
         tx_id: TxId,
         spec: TxSpec,
-        effects: &mut Effects<impl From<EigerMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         match (self, spec) {
             (EigerNode::Reader(r), TxSpec::Read(read)) => {
@@ -372,7 +380,7 @@ impl EigerNode {
                 assert!(w.pending.is_none(), "writer invoked while a WRITE is outstanding");
                 w.clock += 1;
                 let key = w.keys.allocate();
-                w.pending = Some((tx_id, key, write.writes.len(), 0, 0));
+                w.pending = Some(PendingWrite::new(tx_id, key, write.objects()));
                 for (object, value) in write.writes {
                     let server = w.config.server_for(object);
                     effects.send(
@@ -397,12 +405,12 @@ impl EigerNode {
         }
     }
 
-    /// The delivery handler, written once like `handle_invoke`.
+    /// The delivery handler, run by `AnyNode`.
     pub(crate) fn handle_message(
         &mut self,
         from: ProcessId,
         msg: EigerMsg,
-        effects: &mut Effects<impl From<EigerMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         match self {
             EigerNode::Server(server) => match msg {
@@ -492,61 +500,26 @@ impl EigerNode {
                 reader.try_finish(effects);
             }
             EigerNode::Writer(writer) => match msg {
-                EigerMsg::WriteAck { tx, object: _, ts } => {
+                EigerMsg::WriteAck { tx, object, ts } => {
                     writer.clock = writer.clock.max(ts) + 1;
-                    let Some((cur, key, want, got, max_ts)) = writer.pending.as_mut() else {
-                        return;
-                    };
-                    if *cur != tx {
-                        return;
-                    }
-                    *got += 1;
-                    *max_ts = (*max_ts).max(ts);
-                    if got == want {
-                        let key = *key;
-                        writer.pending = None;
-                        effects.respond(tx, TxOutcome::Write(WriteOutcome { key, tag: None }));
+                    let acked = |p: &mut PendingWrite| p.tx == tx && p.ack(object);
+                    if let Some(p) = writer.pending.take_if(acked) {
+                        let outcome = WriteOutcome { key: p.key, tag: None };
+                        effects.respond(tx, TxOutcome::Write(outcome));
                     }
                 }
                 other => panic!("writer received unexpected message {other:?}"),
             },
         }
     }
-}
 
-impl Process for EigerNode {
-    type Msg = EigerMsg;
-
-    fn id(&self) -> ProcessId {
+    /// Drops a client's in-flight state for the aborted `tx_id`.
+    pub(crate) fn abort(&mut self, tx_id: TxId) {
         match self {
-            EigerNode::Reader(r) => ProcessId::Client(r.id),
-            EigerNode::Writer(w) => ProcessId::Client(w.id),
-            EigerNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<EigerMsg>) {
-        self.handle_invoke(tx_id, spec, effects);
-    }
-
-    fn on_abort(&mut self, tx_id: TxId) {
-        match self {
-            EigerNode::Reader(r) => {
-                if r.pending.as_ref().is_some_and(|p| p.tx == tx_id) {
-                    r.pending = None;
-                }
-            }
-            EigerNode::Writer(w) => {
-                if w.pending.as_ref().is_some_and(|(tx, ..)| *tx == tx_id) {
-                    w.pending = None;
-                }
-            }
+            EigerNode::Reader(r) => drop(r.pending.take_if(|p| p.tx == tx_id)),
+            EigerNode::Writer(w) => drop(w.pending.take_if(|p| p.tx == tx_id)),
             EigerNode::Server(_) => {}
         }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: EigerMsg, effects: &mut Effects<EigerMsg>) {
-        self.handle_message(from, msg, effects);
     }
 }
 
@@ -569,16 +542,14 @@ pub fn deploy(config: &SystemConfig) -> Result<Vec<EigerNode>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::Value;
-    use snow_sim::{FifoScheduler, RandomScheduler, Simulation, StepOutcome};
+    use crate::any::tests::simulation;
+    use crate::{AnyNode, ProtocolKind};
+    use snow_sim::{FifoScheduler, RandomScheduler};
 
     #[test]
     fn quiescent_read_after_write_sees_the_write_in_one_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Eiger, &config, FifoScheduler::new());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(
@@ -604,10 +575,7 @@ mod tests {
         let reader = config.readers().next().unwrap();
         let writers: Vec<_> = config.writers().collect();
         for seed in 0..10u64 {
-            let mut sim = Simulation::new(RandomScheduler::new(seed));
-            for node in deploy(&config).unwrap() {
-                sim.add_process(node);
-            }
+            let mut sim = simulation(ProtocolKind::Eiger, &config, RandomScheduler::new(seed));
             let mut txs = vec![
                 sim.invoke_at(0, writers[0], TxSpec::write(vec![(ObjectId(0), Value(1))])),
                 sim.invoke_at(1, writers[1], TxSpec::write(vec![(ObjectId(1), Value(2))])),
@@ -620,89 +588,10 @@ mod tests {
         }
     }
 
-    /// The Fig. 5 execution: three writes w1 (to o1), w2 (to o1), w3 (to o0),
-    /// with w3 issued after w2 completes, and a READ concurrent with all
-    /// three whose request to server s1 arrives *before* w2 but whose request
-    /// to s0 arrives *after* w3.  Eiger's interval check accepts the
-    /// combination {w3's value for o0, w1's value for o1}, which is not
-    /// strictly serializable (the checker crate asserts that part).
-    #[test]
-    fn fig5_schedule_returns_w3_and_w1() {
-        let config = SystemConfig {
-            num_servers: 2,
-            num_objects: 2,
-            num_readers: 1,
-            num_writers: 2,
-            c2c_allowed: false,
-        };
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
-        let reader = config.readers().next().unwrap();
-        let writers: Vec<_> = config.writers().collect();
-
-        // w1: writer 0 writes o1 = 100. Let it complete.
-        let w1 = sim.invoke_at(0, writers[0], TxSpec::write(vec![(ObjectId(1), Value(100))]));
-        assert!(sim.run_until_complete(w1));
-
-        // The READ transaction starts now (concurrent with w2 and w3).
-        let r = sim.invoke_now(reader, TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
-        assert!(matches!(sim.step(), StepOutcome::Invoked(_)));
-        // Deliver the read of o1 to s1 *now* (before w2 reaches s1): it
-        // returns w1's value.
-        assert!(sim
-            .deliver_where(
-                |p| matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(1))
-            )
-            .is_some());
-        // ... but hold back the read of o0.
-
-        // w2: writer 0 writes o1 = 200; let it complete while continuing to
-        // hold back the READ's request to s0.
-        let hold = |p: &snow_sim::PendingMessage<EigerMsg>| {
-            !matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(0))
-        };
-        let w2 = sim.invoke_now(writers[0], TxSpec::write(vec![(ObjectId(1), Value(200))]));
-        sim.force_invoke(writers[0]);
-        while !sim.is_complete(w2) {
-            assert!(sim.deliver_where(hold).is_some());
-        }
-        // w3: writer 1 writes o0 = 300 strictly after w2 completed.
-        let w3 = sim.invoke_now(writers[1], TxSpec::write(vec![(ObjectId(0), Value(300))]));
-        sim.force_invoke(writers[1]);
-        while !sim.is_complete(w3) {
-            assert!(sim.deliver_where(hold).is_some());
-        }
-
-        // Now deliver the read of o0: it sees w3's value.
-        assert!(sim
-            .deliver_where(
-                |p| matches!(p.msg, EigerMsg::ReadFirst { object, .. } if object == ObjectId(0))
-            )
-            .is_some());
-        assert!(sim.run_until_complete(r));
-
-        let h = sim.history();
-        let outcome = h.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap().clone();
-        // The READ observes w3 (o0 = 300) but misses w2 (still sees o1 = 100),
-        // even though w2 completed before w3 was invoked.
-        assert_eq!(outcome.value_for(ObjectId(0)), Some(Value(300)));
-        assert_eq!(outcome.value_for(ObjectId(1)), Some(Value(100)));
-        // And Eiger accepted it in the first round (intervals overlapped).
-        match sim.process(ProcessId::Client(reader)).unwrap() {
-            EigerNode::Reader(rd) => assert_eq!(rd.second_round_reads(), 0),
-            _ => panic!("expected reader"),
-        }
-    }
-
     #[test]
     fn interval_mismatch_triggers_second_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Eiger, &config, FifoScheduler::new());
         let reader = config.readers().next().unwrap();
         let writer = config.writers().next().unwrap();
 
@@ -717,7 +606,7 @@ mod tests {
         let r = sim.invoke_now(reader, TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         assert!(sim.run_until_complete(r));
         match sim.process(ProcessId::Client(reader)).unwrap() {
-            EigerNode::Reader(rd) => assert_eq!(rd.second_round_reads(), 1),
+            AnyNode::Eiger(EigerNode::Reader(rd)) => assert_eq!(rd.second_round_reads(), 1),
             _ => panic!("expected reader"),
         }
         let h = sim.history();

@@ -1,10 +1,10 @@
 //! # snow-protocols
 //!
 //! Executable implementations of every READ/WRITE transaction protocol the
-//! paper discusses, written once as transport-agnostic state machines
-//! (`snow_core::Process` implementations) and executed unchanged on both
-//! substrates — the serial and the sharded deterministic simulator
-//! (`snow-sim`):
+//! paper discusses, written once as transport-agnostic state machines and
+//! executed unchanged on both substrates — the serial and the sharded
+//! deterministic simulator (`snow-sim`) — through [`AnyNode`], the crate's
+//! one `snow_core::Process` implementation:
 //!
 //! * [`list`] — **Algorithms A, B and C** (§5.2, §8, §9; Pseudocodes 4–7),
 //!   one family: the same WRITE, wire format, writer and server, and one

@@ -62,11 +62,12 @@
 //! finding.
 
 use crate::common::{KeyAllocator, PendingRead, PendingWrite, WriteLog};
+use crate::AnyMsg;
 use snow_core::{
     ClientId, Key, ObjectId, ObjectRead, ProcessId, Result, ServerId, ShardStore, SnowError,
     SystemConfig, Tag, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
-use snow_core::{Effects, MsgInfo, Process, ProtocolMessage};
+use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -230,7 +231,7 @@ fn read_val(
     tx: TxId,
     object: ObjectId,
     key: Key,
-    effects: &mut Effects<impl From<ListMsg>>,
+    effects: &mut Effects<AnyMsg>,
 ) {
     let server = ProcessId::Server(config.server_for(object));
     effects.send(server, ListMsg::ReadVal { tx, object, key });
@@ -293,12 +294,7 @@ impl Reader {
         self.pending.as_mut().filter(|p| p.collect.tx == tx)
     }
 
-    fn start_read(
-        &mut self,
-        tx: TxId,
-        objects: Vec<ObjectId>,
-        effects: &mut Effects<impl From<ListMsg>>,
-    ) {
+    fn start_read(&mut self, tx: TxId, objects: Vec<ObjectId>, effects: &mut Effects<AnyMsg>) {
         let mut collect = PendingRead::new(tx, objects.clone());
         match self.algorithm {
             Algorithm::A => {
@@ -335,7 +331,7 @@ impl Reader {
     /// Algorithm C: once the tag array and every `Vals` set are in, picks
     /// each named version out of its snapshot; a version the snapshot
     /// predates is fetched by a targeted `read-val` (module docs).
-    fn resolve_from_vals(&mut self, effects: &mut Effects<impl From<ListMsg>>) {
+    fn resolve_from_vals(&mut self, effects: &mut Effects<AnyMsg>) {
         let Some(read) = self.pending.as_mut() else {
             return;
         };
@@ -370,7 +366,7 @@ impl Reader {
     }
 
     /// RESPs once a value is in for every requested object.
-    fn respond_if_complete(&mut self, effects: &mut Effects<impl From<ListMsg>>) {
+    fn respond_if_complete(&mut self, effects: &mut Effects<AnyMsg>) {
         if let Some(read) = self.pending.take_if(|p| p.collect.is_complete()) {
             effects.respond(read.collect.tx, read.collect.into_outcome());
         }
@@ -443,15 +439,17 @@ impl ListNode {
         }
     }
 
-    /// The INV handler.  Generic over the buffer's message type, so the
-    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
-    /// writing straight into its own buffer.
-    pub(crate) fn handle_invoke(
-        &mut self,
-        tx: TxId,
-        spec: TxSpec,
-        effects: &mut Effects<impl From<ListMsg>>,
-    ) {
+    /// The identity of this process.
+    pub(crate) fn id(&self) -> ProcessId {
+        match self {
+            ListNode::Reader(r) => ProcessId::Client(r.id),
+            ListNode::Writer(w) => ProcessId::Client(w.id),
+            ListNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    /// The INV handler, run by `AnyNode`.
+    pub(crate) fn handle_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<AnyMsg>) {
         match (self, spec) {
             (ListNode::Reader(r), TxSpec::Read(read)) => {
                 assert!(
@@ -491,12 +489,12 @@ impl ListNode {
         }
     }
 
-    /// The delivery handler, written once like `handle_invoke`.
+    /// The delivery handler, run by `AnyNode`.
     pub(crate) fn handle_message(
         &mut self,
         from: ProcessId,
         msg: ListMsg,
-        effects: &mut Effects<impl From<ListMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         match (self, msg) {
             // ---- the WRITE, the same in all three algorithms ----------------
@@ -637,33 +635,14 @@ impl ListNode {
             (node, other) => panic!("{} received unexpected message {other:?}", node.id()),
         }
     }
-}
 
-impl Process for ListNode {
-    type Msg = ListMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            ListNode::Reader(r) => ProcessId::Client(r.id),
-            ListNode::Writer(w) => ProcessId::Client(w.id),
-            ListNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<ListMsg>) {
-        self.handle_invoke(tx, spec, effects);
-    }
-
-    fn on_abort(&mut self, tx: TxId) {
+    /// Drops a client's in-flight state for the aborted `tx`.
+    pub(crate) fn abort(&mut self, tx: TxId) {
         match self {
             ListNode::Reader(r) => drop(r.pending.take_if(|p| p.collect.tx == tx)),
             ListNode::Writer(w) => drop(w.pending.take_if(|p| p.tx == tx)),
             ListNode::Server(_) => {}
         }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: ListMsg, effects: &mut Effects<ListMsg>) {
-        self.handle_message(from, msg, effects);
     }
 }
 
@@ -709,6 +688,8 @@ pub fn deploy(algorithm: Algorithm, config: &SystemConfig) -> Result<Vec<ListNod
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::{AnyNode, ProtocolKind};
+    use snow_core::Process;
     use snow_sim::{FifoScheduler, RandomScheduler, Scheduler, Simulation, StepOutcome};
     use std::ops::RangeInclusive;
 
@@ -730,16 +711,17 @@ pub(crate) mod tests {
         }
     }
 
-    fn build<S: Scheduler<ListMsg>>(
+    fn build<S: Scheduler<AnyMsg>>(
         algorithm: Algorithm,
         config: &SystemConfig,
         scheduler: S,
-    ) -> Simulation<ListNode, S> {
-        let mut sim = Simulation::new(scheduler);
-        for node in deploy(algorithm, config).unwrap() {
-            sim.add_process(node);
-        }
-        sim
+    ) -> Simulation<AnyNode, S> {
+        let protocol = match algorithm {
+            Algorithm::A => ProtocolKind::AlgA,
+            Algorithm::B => ProtocolKind::AlgB,
+            Algorithm::C => ProtocolKind::AlgC,
+        };
+        crate::any::tests::simulation(protocol, config, scheduler)
     }
 
     fn write(writes: &[(u32, u64)]) -> TxSpec {
@@ -899,7 +881,9 @@ pub(crate) mod tests {
             .collect();
         tags.sort();
         assert_eq!(tags, [Tag(2), Tag(3), Tag(4)], "one tag per WRITE, no gaps");
-        let holder = sim.process(list_holder(algorithm, &config)).unwrap();
+        let Some(AnyNode::List(holder)) = sim.process(list_holder(algorithm, &config)) else {
+            panic!("{algorithm:?}: no List holder");
+        };
         assert_eq!(holder.list_len(), Some(4));
     }
 
@@ -922,9 +906,9 @@ pub(crate) mod tests {
         assert_eq!(outcome.value_for(ObjectId(0)), Some(Value(5)));
     }
 
-    fn fallbacks(sim: &Simulation<ListNode, impl Scheduler<ListMsg>>, reader: ClientId) -> u64 {
+    fn fallbacks(sim: &Simulation<AnyNode, impl Scheduler<AnyMsg>>, reader: ClientId) -> u64 {
         match sim.process(ProcessId::Client(reader)).unwrap() {
-            ListNode::Reader(r) => r.fallback_rounds(),
+            AnyNode::List(ListNode::Reader(r)) => r.fallback_rounds(),
             other => panic!("expected a reader, found {other:?}"),
         }
     }
@@ -949,19 +933,19 @@ pub(crate) mod tests {
         // 1. Deliver the reader's read-vals to s1 *before* the write-val:
         //    the Vals snapshot misses the new version.
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, ListMsg::ReadVals { .. }))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::List(ListMsg::ReadVals { .. })))
             .is_some());
         // 2. Let the WRITE finish completely (write-val, ack, update-coor,
         //    ack) while continuing to hold back the reader's get-tag-arr.
         while !sim.is_complete(w) {
             assert!(sim
-                .deliver_where(|p| !matches!(p.msg, ListMsg::GetTagArr { .. }))
+                .deliver_where(|p| !matches!(p.msg, AnyMsg::List(ListMsg::GetTagArr { .. })))
                 .is_some());
         }
         // 3. Only now deliver the reader's get-tag-arr: the coordinator names
         //    the new key, which the Vals snapshot lacks.
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, ListMsg::GetTagArr { .. }))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::List(ListMsg::GetTagArr { .. })))
             .is_some());
         // Finish the run: the reader must fall back and still return the new value.
         assert!(sim.run_until_complete(r));
@@ -998,20 +982,20 @@ pub(crate) mod tests {
         let (reader, coordinator) = (ClientId(0), ProcessId::Server(COORDINATOR));
         let (tx, objects) = (TxId(1), vec![ObjectId(0), ObjectId(1)]);
         let (old, new) = (Key::initial(), Key::new(1, ClientId(1)));
-        let cut = |tag, key| ListMsg::TagArr {
-            tx,
-            tag,
-            keys: objects.iter().map(|&o| (o, key)).collect(),
+        let cut = |tag, key| {
+            let keys = objects.iter().map(|&o| (o, key)).collect();
+            AnyMsg::List(ListMsg::TagArr { tx, tag, keys })
         };
 
-        let mut node = ListNode::Reader(Reader::new(reader, Algorithm::B, coordinator, config));
+        let reader = Reader::new(reader, Algorithm::B, coordinator, config);
+        let mut node = AnyNode::List(ListNode::Reader(reader));
         let mut effects = Effects::new(0);
         node.on_invoke(tx, TxSpec::read(objects.clone()), &mut effects);
         node.on_message(coordinator, cut(Tag(1), old), &mut effects);
         node.on_message(coordinator, cut(Tag(2), new), &mut effects);
         let (sends, _) = effects.into_parts();
         let requests = sends.into_iter().filter_map(|(to, msg)| match msg {
-            ListMsg::ReadVal { object, key, .. } => Some((to, object, key)),
+            AnyMsg::List(ListMsg::ReadVal { object, key, .. }) => Some((to, object, key)),
             _ => None,
         });
         // Object 0's newest request is answered first, object 1's oldest.
@@ -1026,7 +1010,7 @@ pub(crate) mod tests {
                 key,
                 value: Value(key.seq),
             };
-            node.on_message(server, resp, &mut effects);
+            node.on_message(server, resp.into(), &mut effects);
         }
         let responses: Vec<_> = effects.drain_responses().collect();
         let [(_, TxOutcome::Read(outcome))] = responses.as_slice() else {

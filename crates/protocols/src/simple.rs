@@ -9,14 +9,13 @@
 //! floor to compare Algorithms A/B/C and the baselines against.  Grouped
 //! simple reads give **no** cross-shard consistency guarantee.
 
-use crate::common::KeyAllocator;
+use crate::common::{KeyAllocator, PendingRead, PendingWrite};
+use crate::AnyMsg;
 use snow_core::{
     ClientId, Key, ObjectId, ObjectRead, ProcessId, Result, ServerId, ShardStore, SnowError,
     SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
-use snow_core::{Effects, MsgInfo, Process, ProtocolMessage};
-
-use crate::common::PendingRead;
+use snow_core::{Effects, MsgInfo, ProtocolMessage};
 
 /// Messages exchanged by the simple (non-transactional) protocol.
 #[derive(Debug, Clone)]
@@ -77,7 +76,7 @@ pub struct SimpleClient {
     config: SystemConfig,
     keys: KeyAllocator,
     pending_read: Option<PendingRead>,
-    pending_write: Option<(TxId, Key, usize)>,
+    pending_write: Option<PendingWrite>,
 }
 
 impl SimpleClient {
@@ -120,14 +119,20 @@ pub enum SimpleNode {
 }
 
 impl SimpleNode {
-    /// The INV handler.  Generic over the buffer's message type, so the
-    /// typed [`Process::on_invoke`] and `AnyNode` run this one body, each
-    /// writing straight into its own buffer.
+    /// The identity of this process.
+    pub(crate) fn id(&self) -> ProcessId {
+        match self {
+            SimpleNode::Client(c) => ProcessId::Client(c.id),
+            SimpleNode::Server(s) => ProcessId::Server(s.id),
+        }
+    }
+
+    /// The INV handler, run by `AnyNode`.
     pub(crate) fn handle_invoke(
         &mut self,
         tx_id: TxId,
         spec: TxSpec,
-        effects: &mut Effects<impl From<SimpleMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         let SimpleNode::Client(client) = self else {
             panic!("servers do not accept invocations");
@@ -144,7 +149,7 @@ impl SimpleNode {
             TxSpec::Write(write) => {
                 assert!(client.pending_write.is_none(), "client write invoked while one is outstanding");
                 let key = client.keys.allocate();
-                client.pending_write = Some((tx_id, key, write.writes.len()));
+                client.pending_write = Some(PendingWrite::new(tx_id, key, write.objects()));
                 for (object, value) in write.writes {
                     let server = client.config.server_for(object);
                     effects.send(
@@ -161,12 +166,12 @@ impl SimpleNode {
         }
     }
 
-    /// The delivery handler, written once like `handle_invoke`.
+    /// The delivery handler, run by `AnyNode`.
     pub(crate) fn handle_message(
         &mut self,
         from: ProcessId,
         msg: SimpleMsg,
-        effects: &mut Effects<impl From<SimpleMsg>>,
+        effects: &mut Effects<AnyMsg>,
     ) {
         match self {
             SimpleNode::Server(server) => match msg {
@@ -212,53 +217,24 @@ impl SimpleNode {
                         effects.respond(tx, p.into_outcome());
                     }
                 }
-                SimpleMsg::WriteAck { tx, .. } => {
-                    let Some((cur, key, remaining)) = client.pending_write.as_mut() else {
-                        return;
-                    };
-                    if *cur != tx {
-                        return;
-                    }
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        let key = *key;
-                        client.pending_write = None;
-                        effects.respond(tx, TxOutcome::Write(WriteOutcome { key, tag: None }));
+                SimpleMsg::WriteAck { tx, object } => {
+                    let acked = |p: &mut PendingWrite| p.tx == tx && p.ack(object);
+                    if let Some(p) = client.pending_write.take_if(acked) {
+                        let outcome = WriteOutcome { key: p.key, tag: None };
+                        effects.respond(tx, TxOutcome::Write(outcome));
                     }
                 }
                 other => panic!("client received unexpected message {other:?}"),
             },
         }
     }
-}
 
-impl Process for SimpleNode {
-    type Msg = SimpleMsg;
-
-    fn id(&self) -> ProcessId {
-        match self {
-            SimpleNode::Client(c) => ProcessId::Client(c.id),
-            SimpleNode::Server(s) => ProcessId::Server(s.id),
-        }
-    }
-
-    fn on_invoke(&mut self, tx_id: TxId, spec: TxSpec, effects: &mut Effects<SimpleMsg>) {
-        self.handle_invoke(tx_id, spec, effects);
-    }
-
-    fn on_abort(&mut self, tx_id: TxId) {
+    /// Drops a client's in-flight state for the aborted `tx_id`.
+    pub(crate) fn abort(&mut self, tx_id: TxId) {
         if let SimpleNode::Client(client) = self {
-            if client.pending_read.as_ref().is_some_and(|p| p.tx == tx_id) {
-                client.pending_read = None;
-            }
-            if client.pending_write.as_ref().is_some_and(|(tx, _, _)| *tx == tx_id) {
-                client.pending_write = None;
-            }
+            drop(client.pending_read.take_if(|p| p.tx == tx_id));
+            drop(client.pending_write.take_if(|p| p.tx == tx_id));
         }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SimpleMsg, effects: &mut Effects<SimpleMsg>) {
-        self.handle_message(from, msg, effects);
     }
 }
 
@@ -278,16 +254,14 @@ pub fn deploy(config: &SystemConfig) -> Result<Vec<SimpleNode>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::Value;
-    use snow_sim::{FifoScheduler, RandomScheduler, Simulation, StepOutcome};
+    use crate::any::tests::simulation;
+    use crate::ProtocolKind;
+    use snow_sim::{FifoScheduler, RandomScheduler, StepOutcome};
 
     #[test]
     fn simple_reads_are_one_nonblocking_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Simple, &config, FifoScheduler::new());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(4))]));
@@ -309,10 +283,7 @@ mod tests {
         // The reason simple reads are not a READ transaction: a multi-object
         // write can be observed half-applied.
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = Simulation::new(FifoScheduler::new());
-        for node in deploy(&config).unwrap() {
-            sim.add_process(node);
-        }
+        let mut sim = simulation(ProtocolKind::Simple, &config, FifoScheduler::new());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(
@@ -325,13 +296,13 @@ mod tests {
         assert!(matches!(sim.step(), StepOutcome::Invoked(_)));
         // Deliver the write to object 0 only, then both reads, then the rest.
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, SimpleMsg::WriteReq { object, .. } if object == ObjectId(0)))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::Simple(SimpleMsg::WriteReq { object, .. }) if object == ObjectId(0)))
             .is_some());
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, SimpleMsg::ReadReq { object, .. } if object == ObjectId(0)))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::Simple(SimpleMsg::ReadReq { object, .. }) if object == ObjectId(0)))
             .is_some());
         assert!(sim
-            .deliver_where(|p| matches!(p.msg, SimpleMsg::ReadReq { object, .. } if object == ObjectId(1)))
+            .deliver_where(|p| matches!(p.msg, AnyMsg::Simple(SimpleMsg::ReadReq { object, .. }) if object == ObjectId(1)))
             .is_some());
         sim.run_until_quiescent();
         assert!(sim.is_complete(w) && sim.is_complete(r));
@@ -348,10 +319,7 @@ mod tests {
         let readers: Vec<_> = config.readers().collect();
         let writers: Vec<_> = config.writers().collect();
         for seed in 0..5u64 {
-            let mut sim = Simulation::new(RandomScheduler::new(seed));
-            for node in deploy(&config).unwrap() {
-                sim.add_process(node);
-            }
+            let mut sim = simulation(ProtocolKind::Simple, &config, RandomScheduler::new(seed));
             let txs = vec![
                 sim.invoke_at(0, writers[0], TxSpec::write(vec![(ObjectId(0), Value(1))])),
                 sim.invoke_at(0, writers[1], TxSpec::write(vec![(ObjectId(1), Value(2))])),

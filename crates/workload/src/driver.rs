@@ -490,11 +490,11 @@ mod tests {
                 );
             }
             // The protocols that claim S are certified like any other driven
-            // history.  Eiger is not S (paper §7, Fig. 5;
-            // `tests/fig5_eiger.rs`): whether these 60 transactions happen to
-            // show it depends on the latency stream — one stream passes,
-            // another is convicted on a precedence cycle — so neither outcome
-            // is asserted for it.
+            // history.  Eiger is not S (paper §6, Fig. 5;
+            // `snow_impossibility::eiger_fig5`): whether these 60
+            // transactions happen to show it depends on the latency stream —
+            // one stream passes, another is convicted on a precedence cycle —
+            // so neither outcome is asserted for it.
             if protocol != ProtocolKind::Eiger {
                 assert!(check_auto(&history).is_serializable(), "{protocol:?}");
             }

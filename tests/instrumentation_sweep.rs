@@ -36,8 +36,12 @@ const TXNS: usize = 60;
 /// (from `0x3c6e_3bf1_0723_3131`) when registration became idempotent and a
 /// READ kept its first tag array: 62 cells moved, all of them Algorithm A,
 /// B or C under `dup_storm` or `lossy` — the two columns that duplicate
-/// messages; no fault-free or crash cell did.
-const SWEEP_DIGEST: u64 = 0x5b6f_e0b5_59bf_8944;
+/// messages; no fault-free or crash cell did.  Re-taken again (from
+/// `0x5b6f_e0b5_59bf_8944`) when Simple, Eiger and Blocking writers began
+/// to count acks per object, so a duplicated ack no longer completes a
+/// WRITE: 63 cells moved, all of them Simple, Eiger or Blocking under
+/// `dup_storm` or `lossy`.
+const SWEEP_DIGEST: u64 = 0xbe84_b7ac_21a0_621a;
 
 fn config(protocol: ProtocolKind) -> SystemConfig {
     if protocol.needs_c2c() {
