@@ -399,22 +399,6 @@ pub fn check_auto(history: &History) -> Verdict {
     }
 }
 
-/// Returns the first object on which two completed transactions conflict
-/// (one writes it, the other reads or writes it); used by diagnostics.
-pub fn first_conflict(a: &TxRecord, b: &TxRecord) -> Option<ObjectId> {
-    let wa: BTreeSet<ObjectId> = match a.kind() {
-        TxKind::Write => a.spec.objects().into_iter().collect(),
-        TxKind::Read => BTreeSet::new(),
-    };
-    let wb: BTreeSet<ObjectId> = match b.kind() {
-        TxKind::Write => b.spec.objects().into_iter().collect(),
-        TxKind::Read => BTreeSet::new(),
-    };
-    let ra: BTreeSet<ObjectId> = a.spec.objects().into_iter().collect();
-    let rb: BTreeSet<ObjectId> = b.spec.objects().into_iter().collect();
-    wa.intersection(&rb).next().copied().or_else(|| wb.intersection(&ra).next().copied())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,15 +726,5 @@ mod tests {
                 "case {case}: sweep and pairwise P2 disagree: {verdict:?}"
             );
         }
-    }
-
-    #[test]
-    fn conflict_detection() {
-        let w = write(1, 1, 1, &[0, 1], 0, 10, None);
-        let r = read(2, vec![(1, Key::initial())], 0, 10, None);
-        assert_eq!(first_conflict(&w, &r), Some(ObjectId(1)));
-        let r2 = read(3, vec![(5, Key::initial())], 0, 10, None);
-        assert_eq!(first_conflict(&w, &r2), None);
-        assert_eq!(first_conflict(&r, &w), Some(ObjectId(1)));
     }
 }

@@ -47,30 +47,6 @@ impl SystemConfig {
         }
     }
 
-    /// The two-server, one-writer, two-reader system used by the Theorem 1
-    /// impossibility argument.
-    pub fn three_clients_two_servers() -> Self {
-        SystemConfig {
-            num_servers: 2,
-            num_objects: 2,
-            num_readers: 2,
-            num_writers: 1,
-            c2c_allowed: true,
-        }
-    }
-
-    /// The two-server, one-writer, one-reader system used by the Theorem 2
-    /// impossibility argument (no C2C).
-    pub fn two_clients_two_servers() -> Self {
-        SystemConfig {
-            num_servers: 2,
-            num_objects: 2,
-            num_readers: 1,
-            num_writers: 1,
-            c2c_allowed: false,
-        }
-    }
-
     /// Total number of clients.
     pub fn num_clients(&self) -> u32 {
         self.num_readers + self.num_writers
@@ -153,16 +129,6 @@ mod tests {
 
     #[test]
     fn presets_match_paper_settings() {
-        let three = SystemConfig::three_clients_two_servers();
-        assert_eq!(three.num_clients(), 3);
-        assert_eq!(three.num_servers, 2);
-        assert!(three.c2c_allowed);
-
-        let two = SystemConfig::two_clients_two_servers();
-        assert_eq!(two.num_clients(), 2);
-        assert!(!two.c2c_allowed);
-        assert!(two.is_mwsr());
-
         let mwsr = SystemConfig::mwsr(4, 3, true);
         assert!(mwsr.is_mwsr());
         assert_eq!(mwsr.num_writers, 3);

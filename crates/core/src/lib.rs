@@ -28,7 +28,7 @@
 //!
 //! `snow-core` has no opinion on *how* messages are delivered; both
 //! execution substrates — the serial deterministic simulator and the
-//! sharded parallel simulator (`snow-sim`) — execute the same [`Process`]
+//! sharded simulator (`snow-sim`) — execute the same [`Process`]
 //! machines over these types.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,7 @@
 //! set of [`Process`] state machines that react to invocations and message
 //! deliveries by emitting output actions into an [`Effects`] buffer.  *How*
 //! those sends are carried — the serial deterministic event-queue simulator
-//! (`snow_sim::Simulation`) or the sharded parallel simulator
+//! (`snow_sim::Simulation`) or the sharded simulator
 //! (`snow_sim::ParallelSimulation`) — is the substrate's business; the
 //! protocol logic is written once.
 //!

@@ -155,20 +155,9 @@ impl ShardStore {
         self.objects.get(&object).and_then(|o| o.get(key))
     }
 
-    /// The objects hosted by this shard, in id order (borrowing iterator —
-    /// no per-call allocation).
-    pub fn hosted_objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
-    }
-
     /// True if `object` is hosted by this shard.
     pub fn hosts(&self, object: ObjectId) -> bool {
         self.objects.contains_key(&object)
-    }
-
-    /// Total number of versions across all hosted objects.
-    pub fn total_versions(&self) -> usize {
-        self.objects.values().map(|o| o.version_count()).sum()
     }
 }
 
@@ -270,17 +259,11 @@ mod tests {
         let mut s = ShardStore::new(vec![ObjectId(0), ObjectId(1)]);
         assert!(s.hosts(ObjectId(0)));
         assert!(!s.hosts(ObjectId(9)));
-        assert_eq!(
-            s.hosted_objects().collect::<Vec<_>>(),
-            vec![ObjectId(0), ObjectId(1)]
-        );
-        assert_eq!(s.total_versions(), 2);
 
         let k = Key::new(1, ClientId(7));
         s.install(ObjectId(0), k, Value(99));
         assert_eq!(s.get(ObjectId(0), &k), Some(Value(99)));
         assert_eq!(s.get(ObjectId(1), &k), None);
-        assert_eq!(s.total_versions(), 3);
 
         // Lazily created object.
         s.install(ObjectId(5), k, Value(5));

@@ -59,18 +59,19 @@ pub enum ObsEvent {
         /// Pending messages remaining after this delivery.
         queue_depth: u32,
     },
-    /// A sharded-engine worker crossed its epoch barrier.  Never emitted by
-    /// the serial engine or the 1-shard inline fast path, so 1-shard
-    /// parallel event streams stay byte-identical to serial ones.
+    /// A sharded-engine shard finished its turn in an epoch (the name
+    /// predates the single-threaded epoch loop; no barrier is involved).
+    /// Never emitted by the serial engine or the 1-shard inline fast path,
+    /// so 1-shard sharded event streams stay byte-identical to serial ones.
     EpochBarrierCrossed {
         /// The shard's virtual clock after the epoch.
         at: u64,
-        /// Epoch ordinal on this shard (0-based).
+        /// Epoch ordinal (0-based, shared by every shard of the run).
         epoch: u64,
-        /// The leader-computed delivery watermark the epoch ran under.
+        /// The delivery watermark the epoch ran under.
         watermark: u64,
         /// Steps this shard executed inside the epoch (0 = a stall: the
-        /// shard crossed the barrier without dispatching anything).
+        /// shard had its turn without dispatching anything).
         steps: u64,
     },
     /// A transaction responded at its invoking client.

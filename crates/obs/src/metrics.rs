@@ -118,7 +118,7 @@ pub struct MetricsSnapshot {
 ///
 /// Counters: `sim.invocations`, `sim.sends`, `sim.cross_shard_sends`,
 /// `sim.deliveries`, `sim.commits`, `sim.epochs`, `sim.epoch_stalls`
-/// (epochs that crossed the barrier without executing a step).  Gauge:
+/// (a shard's epoch turns that executed no step).  Gauge:
 /// `sim.queue_depth_peak`.  Histograms: `sim.queue_depth` (observed at
 /// every send and delivery) and `sim.tx_latency_ticks` (RESP − INV per
 /// committed transaction).

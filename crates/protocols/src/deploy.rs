@@ -66,11 +66,6 @@ impl ProtocolKind {
     pub fn needs_c2c(&self) -> bool {
         matches!(self, ProtocolKind::AlgA)
     }
-
-    /// True if the protocol supports more than one reader.
-    pub fn supports_multiple_readers(&self) -> bool {
-        !matches!(self, ProtocolKind::AlgA)
-    }
 }
 
 /// How message delivery is scheduled.
@@ -96,21 +91,22 @@ pub enum SchedulerKind {
 /// The workspace has two substrates, both fed by the same
 /// protocol-erased deployment path ([`crate::any::deploy_any`]):
 ///
-/// * [`ExecutorKind::SerialSim`] — the deterministic single-threaded
-///   event-queue simulator (`snow_sim::Simulation`);
-/// * [`ExecutorKind::ParallelSim`] — the sharded parallel simulator
-///   (`snow_sim::ParallelSimulation`): one worker thread per shard,
-///   deterministic epoch-barrier message exchange.  Both simulators run
-///   the same dispatch core (`snow-sim`'s `engine` module) — the serial
-///   engine *is* the 1-shard instantiation, so `shards: 1` reproduces it
-///   bit-for-bit.
+/// * [`ExecutorKind::SerialSim`] — the deterministic event-queue
+///   simulator (`snow_sim::Simulation`);
+/// * [`ExecutorKind::ParallelSim`] — the sharded simulator
+///   (`snow_sim::ParallelSimulation`): one dispatch core per shard, the
+///   shards run in turn on the caller's thread, with a deterministic
+///   message exchange between epochs.  Both simulators run the same
+///   dispatch core (`snow-sim`'s `engine` module) and both are
+///   single-threaded — the serial engine *is* the 1-shard instantiation,
+///   so `shards: 1` reproduces it bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// The serial deterministic simulator.
     SerialSim,
-    /// The sharded parallel simulator with this many shards (worker
-    /// threads), each running a clone of the one scheduler; one shard is a
-    /// drop-in replacement for [`ExecutorKind::SerialSim`].
+    /// The sharded simulator with this many shards, each running a clone
+    /// of the one scheduler; one shard is a drop-in replacement for
+    /// [`ExecutorKind::SerialSim`].
     ParallelSim {
         /// Number of shards (must be ≥ 1).
         shards: usize,
@@ -201,10 +197,9 @@ where
 
 impl<P, S, O> Cluster for ParallelSimulation<P, S, O>
 where
-    P: Process + Send,
-    P::Msg: Send,
-    S: Scheduler<P::Msg> + Send,
-    O: TraceSink + Send,
+    P: Process,
+    S: Scheduler<P::Msg>,
+    O: TraceSink,
 {
     fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
         ParallelSimulation::invoke_at(self, at, client, spec)
@@ -401,7 +396,7 @@ impl ClusterSpec {
 
     /// Deploys the protocol and assembles the cluster.  Errors if the
     /// protocol rejects the configuration (e.g. Algorithm A without C2C),
-    /// the executor is a zero-shard parallel simulator, the latency range
+    /// the executor is a sharded simulator with no shards, the latency range
     /// is empty, or the topology does not place every process of the
     /// configuration.
     pub fn build(&self) -> Result<Box<dyn Cluster>> {
@@ -451,7 +446,7 @@ impl ClusterSpec {
     /// of the sharded one a clone of it.
     fn assemble<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
     where
-        S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
+        S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
     {
         match self.executor {
             ExecutorKind::SerialSim => self.build_serial(nodes, scheduler),
@@ -498,7 +493,7 @@ impl ClusterSpec {
         scheduler: S,
     ) -> Box<dyn Cluster>
     where
-        S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
+        S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
     {
         fn finish<S, O>(
             spec: &ClusterSpec,
@@ -508,8 +503,8 @@ impl ClusterSpec {
             mut make_sink: impl FnMut(usize) -> O,
         ) -> Box<dyn Cluster>
         where
-            S: Scheduler<<AnyNode as Process>::Msg> + Clone + Send + 'static,
-            O: TraceSink + Send + 'static,
+            S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
+            O: TraceSink + 'static,
         {
             let mut sim = ParallelSimulation::new(shards, scheduler)
                 .with_sinks(&mut make_sink)
@@ -609,8 +604,6 @@ mod tests {
         assert_eq!(ProtocolKind::all().map(|k| format!("{k:?}")), names);
         assert!(ProtocolKind::AlgA.needs_c2c());
         assert!(!ProtocolKind::AlgB.needs_c2c());
-        assert!(!ProtocolKind::AlgA.supports_multiple_readers());
-        assert!(ProtocolKind::AlgC.supports_multiple_readers());
         for k in ProtocolKind::all() {
             assert!(!k.name().is_empty());
         }

@@ -20,8 +20,8 @@
 //! The serial [`crate::Simulation`] wraps exactly one core (`index 0,
 //! stride 1`, so every process is local and the cross-shard outbox stays
 //! empty); the sharded [`crate::ParallelSimulation`] instantiates one core
-//! per shard and exchanges the cores' outboxes at its epoch barrier.
-//! Historically the two engines carried hand-mirrored copies of this logic
+//! per shard, runs them in turn, and exchanges the cores' outboxes between
+//! epochs.  Historically the two engines carried hand-mirrored copies of this logic
 //! ("change dispatch semantics in both places"); the mirror is gone, and
 //! module privacy keeps it gone: every field of `DispatchCore` — the pool,
 //! the clock, the process table, the fault state — is private to this
@@ -248,11 +248,11 @@ where
         self.sink.drain()
     }
 
-    /// Observability note from the sharded engine's worker loop: this core
-    /// just crossed its epoch barrier, having executed `steps` steps under
-    /// `watermark`.  Called only on the multi-shard path (never by the
-    /// serial engine or the 1-shard inline fast path), so 1-shard event
-    /// streams stay byte-identical to serial ones.
+    /// Observability note from the sharded engine's epoch loop: this core
+    /// just finished its turn in epoch `epoch`, having executed `steps`
+    /// steps under `watermark`.  Called only on the multi-shard path
+    /// (never by the serial engine or the 1-shard inline fast path), so
+    /// 1-shard event streams stay byte-identical to serial ones.
     pub(crate) fn note_epoch(&mut self, epoch: u64, watermark: u64, steps: u64) {
         if O::ENABLED {
             self.sink.emit(ObsEvent::EpochBarrierCrossed {
@@ -269,11 +269,6 @@ where
         let id = process.id();
         let prev = self.processes.insert(id, process);
         assert!(prev.is_none(), "duplicate process id {id}");
-    }
-
-    /// Which shard this core is.
-    pub(crate) fn index(&self) -> usize {
-        self.index
     }
 
     /// The core's virtual clock.

@@ -389,7 +389,7 @@ fn gate(key: impl Fn() -> u64, region: u64, chance_pct: u8) -> bool {
 
 /// The factory a fault-enabled engine uses to rebuild a crashed process
 /// from fresh state at recovery.
-pub type RestartFn<P> = Box<dyn FnMut(ProcessId) -> P + Send>;
+pub type RestartFn<P> = Box<dyn FnMut(ProcessId) -> P>;
 
 /// Runtime fault state attached to one dispatch core: the schedule, the
 /// restart factory, and the lazy-emission bookkeeping for the

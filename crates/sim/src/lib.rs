@@ -29,18 +29,18 @@
 //!   [`TraceSink`] event stream;
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
-//! The serial simulator is single-threaded and fully deterministic given
-//! `(configuration, scheduler seed, invocation plan)`, which is what makes
-//! the impossibility constructions of `snow-impossibility` replayable.
-//! The sharded [`ParallelSimulation`] keeps that determinism — histories
-//! are a pure function of `(configuration, seeds, shard count)` — while
-//! running one worker thread per shard, exchanging cross-shard messages at
-//! deterministic epoch barriers; with one shard it reproduces the serial
-//! engine bit for bit.  A seeded [`FaultSchedule`] (see [`fault`]) extends
-//! the contract to failures: drop/duplicate/delay regions, partitions and
-//! server crash+recovery are pure per-message decisions, so a faulty
-//! history is a pure function of `(configuration, seeds, shard count,
-//! fault schedule)` on both substrates.
+//! Both simulators are single-threaded.  The serial one is fully
+//! deterministic given `(configuration, scheduler seed, invocation plan)`,
+//! which is what makes the impossibility constructions of
+//! `snow-impossibility` replayable.  The sharded [`ParallelSimulation`]
+//! keeps that determinism — histories are a pure function of
+//! `(configuration, seeds, shard count)` — while running its shards in
+//! turn, exchanging cross-shard messages between epochs; with one shard it
+//! reproduces the serial engine bit for bit.  A seeded [`FaultSchedule`]
+//! (see [`fault`]) extends the contract to failures: drop/duplicate/delay
+//! regions, partitions and server crash+recovery are pure per-message
+//! decisions, so a faulty history is a pure function of `(configuration,
+//! seeds, shard count, fault schedule)` on both substrates.
 //!
 //! Both simulators execute on **one dispatch core** (the private `engine`
 //! module): [`Simulation`] wraps a single core, [`ParallelSimulation`]

@@ -1,46 +1,49 @@
-//! The sharded parallel step loop: the workspace's second execution
-//! substrate.
+//! The sharded step loop: the workspace's second execution substrate.
 //!
 //! [`ParallelSimulation`] partitions the processes of a deployment into
 //! **shards** ([`shard_of`]: servers by `ServerId`, clients by `ClientId`)
-//! and runs one instance of the workspace's single dispatch core
-//! (`engine::DispatchCore` — **the same type** the serial
-//! [`crate::Simulation`] wraps) per shard, each on its own worker thread.
-//! Every core owns its delivery pool, `(at, TxId)`-keyed invocation heap,
-//! [`Scheduler`] instance and transaction records, so shard-disjoint
-//! deliveries proceed with no synchronization at all.
+//! and gives each shard its own instance of the workspace's single
+//! dispatch core (`engine::DispatchCore` — **the same type** the serial
+//! [`crate::Simulation`] wraps).  Every core owns its delivery pool,
+//! `(at, TxId)`-keyed invocation heap, [`Scheduler`] instance and
+//! transaction records.  Despite the name, the shards run **in turn on the
+//! caller's thread**: an epoch carries only a few dispatch steps across
+//! all shards, too few for worker threads and a barrier to pay for
+//! themselves (the regime in which conservative windowed synchronization
+//! cannot win — Fujimoto, *Parallel Discrete Event Simulation*, CACM
+//! 1990).  What sharding buys is a second, differently interleaved but
+//! still deterministic execution of every deployment.
 //!
-//! # The deterministic epoch barrier
+//! # The epoch cycle
 //!
 //! Cross-shard sends never touch another shard's pool directly.  They are
-//! buffered in a per-shard outbox and exchanged at an **epoch barrier**:
+//! buffered in a per-shard outbox and exchanged between **epochs**.  Each
+//! epoch visits the shards in shard order:
 //!
-//! 1. every worker folds the messages routed to it in the previous epoch
-//!    into its pool and reports its *next processable virtual time* (the
+//! 1. every shard reports its *next processable virtual time* (the
 //!    earliest delivery key, or the next due invocation's time);
-//! 2. one leader computes the global watermark `min(reports) +
-//!    EPOCH_WIDTH`; if no shard has work and nothing is in transit, the
-//!    system is quiescent;
-//! 3. every worker drains its sub-queues by the dispatch core's rules
+//! 2. the run stops if no shard has work or a watched transaction has
+//!    completed; otherwise the watermark is `min(reports) + EPOCH_WIDTH`;
+//! 3. every shard drains its sub-queues by the dispatch core's rules
 //!    (`DispatchCore::run_epoch`), buffering cross-shard sends.  The
-//!    watermark gates *whether
-//!    the shard keeps stepping* — it steps while a due invocation or its
-//!    earliest pending delivery falls below the watermark — while the
-//!    scheduler stays the same unconstrained adversary it is on the
-//!    serial engine (a random scheduler may well deliver a message keyed
-//!    past the watermark while earlier ones are pending);
-//! 4. the leader routes the union of the outboxes in `(deliver_at,
-//!    MsgId)` order to the destination shards.  A cross-shard message is
-//!    the same [`crate::PendingMessage`], [`crate::Causal`] stamp included,
-//!    so the receiving shard derives exactly the round counts and
-//!    non-blocking verdicts the serial engine would.
+//!    watermark gates *whether the shard keeps stepping* — it steps while
+//!    a due invocation or its earliest pending delivery falls below the
+//!    watermark — while the scheduler stays the same unconstrained
+//!    adversary it is on the serial engine (a random scheduler may well
+//!    deliver a message keyed past the watermark while earlier ones are
+//!    pending);
+//! 4. the union of the outboxes is sorted by `(deliver_at, MsgId)` and
+//!    each message imported into its destination shard's pool.  A
+//!    cross-shard message is the same [`crate::PendingMessage`],
+//!    [`crate::Causal`] stamp included, so the receiving shard derives
+//!    exactly the round counts and non-blocking verdicts the serial engine
+//!    would.
 //!
 //! Every decision in this cycle — watermark, routing order, per-shard
 //! scheduling — is a pure function of per-shard state, so **the observable
 //! history is a deterministic function of `(configuration, seeds, shard
-//! count)` regardless of how the OS schedules the worker threads**.
-//! Message ids are strided (`shard, shard + n, shard + 2n, …`), so id
-//! assignment never races either.
+//! count)`**.  Message ids are strided (`shard, shard + n, shard + 2n,
+//! …`), so each shard assigns its own.
 //!
 //! # Relation to the serial engine
 //!
@@ -49,28 +52,27 @@
 //! advance and effect application for both substrates (see the private
 //! `engine` module, whose fields no other module can reach).  With one
 //! shard there is nothing to exchange: the engine takes an inline fast
-//! path (no threads, watermark `u64::MAX`) that *is* the serial engine — a
+//! path (no epochs, watermark `u64::MAX`) that *is* the serial engine — a
 //! 1-shard `ParallelSimulation` therefore reproduces the serial golden
 //! histories **bit-identically**, pinned by the `parallel_determinism`
-//! integration test over all 30 golden (protocol × scheduler) combos.  With more
-//! shards the interleaving (and therefore each history's timings and
-//! observed versions) legitimately differs from the serial engine's, but
-//! it is still deterministic, still strictly serializable, and still
-//! semantically equal on serial plans — pinned by the multi-shard cases in
+//! integration test over all 30 golden (protocol × scheduler) combos.
+//! With more shards the interleaving (and therefore each history's timings
+//! and observed versions) legitimately differs from the serial engine's,
+//! but it is still deterministic, still strictly serializable, and still
+//! semantically equal on serial plans — pinned, with every multi-shard
+//! history and event stream, by the multi-shard cases in
 //! `parallel_determinism`.
 
 use crate::engine::DispatchCore;
 use crate::fault::{FaultSchedule, RestartFn};
-use crate::message::PendingMessage;
 use crate::scheduler::Scheduler;
 use crate::sim::CommitDrain;
 use snow_core::TxRecord;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
-use std::sync::{Barrier, Mutex};
 
 /// Virtual-time width of one epoch: how far past the globally earliest
-/// event each epoch may drain before the next barrier.
+/// event each epoch may drain before the next exchange.
 pub const EPOCH_WIDTH: u64 = 64;
 
 /// The shard hosting process `id` when partitioning into `shards` shards:
@@ -85,39 +87,17 @@ pub fn shard_of(id: ProcessId, shards: usize) -> usize {
     }
 }
 
-/// Shared barrier state of one parallel run.
-struct ExchangeState<M> {
-    /// Cross-shard messages buffered by the epoch that just ran.
-    outbound: Vec<PendingMessage<M>>,
-    /// Messages routed to each shard, applied at the top of the next epoch.
-    inbound: Vec<Vec<PendingMessage<M>>>,
-    /// Per-shard next-processable virtual times.
-    reports: Vec<Option<u64>>,
-    /// Set by the shard owning a watched transaction once it completes.
-    watch_done: bool,
-    /// The watermark every worker drains to in the current epoch.
-    watermark: u64,
-    /// Set by the leader when the run is over.
-    done: bool,
-    /// The first panic payload caught in any shard's epoch.  A panicking
-    /// worker cannot simply unwind out of the loop — the others would
-    /// block forever in `Barrier::wait` — so it keeps pacing the barrier
-    /// protocol as an idle shard until the leader observes the poison,
-    /// declares the run done, and every worker exits together; the driver
-    /// then re-raises the payload.
-    poisoned: Option<Box<dyn std::any::Any + Send>>,
-}
-
 /// A deterministic sharded simulation: the same
-/// [`Process`]/[`crate::Effects`] contract as [`crate::Simulation`], executed by
-/// one worker thread per shard with cross-shard messages exchanged at
-/// deterministic epoch barriers.
+/// [`Process`]/[`crate::Effects`] contract as [`crate::Simulation`],
+/// executed by one dispatch core per shard, the shards running in turn on
+/// the caller's thread with cross-shard messages exchanged between
+/// epochs.
 ///
 /// Construction mirrors the serial engine: create with a scheduler (every
 /// shard runs a clone), [`ParallelSimulation::add_process`] every process,
-/// [`ParallelSimulation::invoke_at`] the plan, then run.  Use shard count 1
-/// for a drop-in (bit-identical) replacement of the serial engine, and
-/// shard count ≈ the number of physical cores for throughput.
+/// [`ParallelSimulation::invoke_at`] the plan, then run.  Shard count 1 is
+/// a drop-in (bit-identical) replacement of the serial engine; more shards
+/// give a differently interleaved, equally deterministic execution.
 ///
 /// `O` is the observability sink each shard's core emits virtual-time
 /// [`snow_obs::ObsEvent`]s into; the default [`NullSink`] compiles the
@@ -208,7 +188,7 @@ where
     /// for any shard when the schedule contains crash windows).  Fault
     /// decisions are pure per-message functions — send-side faults decided
     /// on the sending shard, crash windows on the destination shard — so
-    /// the shards need no coordination, the epoch barrier is unaffected,
+    /// the shards need no coordination, the epoch exchange is unaffected,
     /// and a faulty history stays a pure function of `(configuration,
     /// seeds, shard count, fault schedule)`; with one shard it is
     /// byte-identical to the serial engine's.
@@ -230,11 +210,6 @@ where
             shard.set_max_steps(max_steps);
         }
         self
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Registers a process on its [`shard_of`] shard.  Panics if a process
@@ -324,15 +299,7 @@ where
     fn total_steps(&self) -> u64 {
         self.shards.iter().map(|s| s.steps()).sum()
     }
-}
 
-impl<P, S, O> ParallelSimulation<P, S, O>
-where
-    P: Process + Send,
-    P::Msg: Send,
-    S: Scheduler<P::Msg> + Send,
-    O: TraceSink + Send,
-{
     /// Runs until no work remains anywhere (or a shard hits its step cap).
     /// Returns the number of steps executed across all shards.
     pub fn run_until_quiescent(&mut self) -> u64 {
@@ -357,7 +324,7 @@ where
     /// returns `None` without running, and an already-complete member is
     /// returned without running — an epoch usually retires several watched
     /// transactions, and a driver that refills one client per call collects
-    /// the rest here instead of paying a thread spawn per completion.
+    /// the rest here instead of re-entering the epoch loop per completion.
     pub fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId> {
         if watch.is_empty() {
             return None;
@@ -384,38 +351,37 @@ where
         }
     }
 
-    /// The epoch-barrier driver (see the module docs for the cycle).  An
-    /// empty `watch` means "run to quiescence"; otherwise the run stops at
-    /// the epoch boundary after any watched transaction completes.
+    /// The epoch driver (see the module docs for the cycle).  An empty
+    /// `watch` means "run to quiescence"; otherwise the run stops at the
+    /// epoch boundary after any watched transaction completes.  A shard's
+    /// panic (e.g. the `max_steps` livelock assert) unwinds to the caller,
+    /// as on the serial engine.
     fn run(&mut self, watch: &[TxId]) -> u64 {
         let start = self.total_steps();
         if self.shards.len() == 1 {
             // Inline fast path: one shard is the serial engine — no
-            // threads, no exchange, watermark wide open.
+            // exchange, watermark wide open.
             self.shards[0].run_epoch(u64::MAX, watch);
             return self.total_steps() - start;
         }
-        let shard_count = self.shards.len();
-        let state = Mutex::new(ExchangeState {
-            outbound: Vec::new(),
-            inbound: (0..shard_count).map(|_| Vec::new()).collect(),
-            reports: vec![None; shard_count],
-            watch_done: false,
-            watermark: 0,
-            done: false,
-            poisoned: None,
-        });
-        let barrier = Barrier::new(shard_count);
-        std::thread::scope(|scope| {
-            for shard in &mut self.shards {
-                scope.spawn(|| worker(shard, &state, &barrier, shard_count, watch));
+        let mut exchange = Vec::new();
+        for epoch in 0u64.. {
+            if watch.iter().any(|&tx| self.is_complete(tx)) {
+                break;
             }
-        });
-        // Re-raise the first panic any shard's epoch produced (e.g. the
-        // max_steps livelock assert), now that every worker has exited the
-        // barrier protocol cleanly.
-        if let Some(payload) = state.into_inner().expect("exchange lock").poisoned {
-            std::panic::resume_unwind(payload);
+            let reports = self.shards.iter_mut().filter_map(|s| s.next_processable());
+            let Some(earliest) = reports.min() else { break };
+            let watermark = earliest.saturating_add(EPOCH_WIDTH);
+            for shard in &mut self.shards {
+                let steps = shard.run_epoch(watermark, watch);
+                shard.note_epoch(epoch, watermark, steps);
+                shard.take_outbox(&mut exchange);
+            }
+            exchange.sort_by_key(|m| (m.delivery_key(), m.id.0));
+            for msg in exchange.drain(..) {
+                let dest = shard_of(msg.dst, self.shards.len());
+                self.shards[dest].import(msg);
+            }
         }
         self.total_steps() - start
     }
@@ -433,100 +399,6 @@ where
         }
         history.records.sort_by_key(|r| (r.invoked_at, r.tx_id));
         history
-    }
-}
-
-/// One worker's epoch cycle.  Four `Barrier::wait`s per epoch, bracketing
-/// the two leader-only phases:
-///
-/// 1. every worker applies its inbound messages and reports its next
-///    processable time; *wait*; the leader computes the watermark or
-///    declares the run over; *wait*;
-/// 2. every worker reads the watermark (or breaks) and drains its epoch;
-/// 3. every worker pushes its outbox; *wait*; the leader routes the union
-///    in `(deliver_at, MsgId)` order to the destination shards; *wait*
-///    (so no worker starts the next epoch's inbound take mid-routing).
-fn worker<P, S, O>(
-    shard: &mut DispatchCore<P, S, O>,
-    state: &Mutex<ExchangeState<P::Msg>>,
-    barrier: &Barrier,
-    shard_count: usize,
-    watch: &[TxId],
-) where
-    P: Process,
-    S: Scheduler<P::Msg>,
-    O: TraceSink,
-{
-    // Epoch ordinal on this shard, for the observability sink only.
-    let mut epoch = 0u64;
-    // True once this shard's epoch panicked: the shard may be mid-mutation,
-    // so the worker stops touching it and paces the barrier protocol as an
-    // idle shard (reporting no work) until the leader declares the run
-    // done — unwinding out of the loop instead would strand the other
-    // workers in `Barrier::wait` forever.
-    let mut dead = false;
-    loop {
-        // Apply the messages routed to this shard, then report.
-        let inbound = {
-            let mut st = state.lock().expect("exchange lock");
-            std::mem::take(&mut st.inbound[shard.index()])
-        };
-        if !dead {
-            for msg in inbound {
-                shard.import(msg);
-            }
-        }
-        {
-            let mut st = state.lock().expect("exchange lock");
-            st.reports[shard.index()] = if dead { None } else { shard.next_processable() };
-            if !dead && watch.iter().any(|&tx| shard.is_complete(tx)) {
-                st.watch_done = true;
-            }
-        }
-        if barrier.wait().is_leader() {
-            let mut st = state.lock().expect("exchange lock");
-            let global = st.reports.iter().filter_map(|t| *t).min();
-            st.done = global.is_none() || st.watch_done || st.poisoned.is_some();
-            if let Some(earliest) = global {
-                st.watermark = earliest.saturating_add(EPOCH_WIDTH);
-            }
-        }
-        barrier.wait();
-        let watermark = {
-            let st = state.lock().expect("exchange lock");
-            if st.done {
-                break;
-            }
-            st.watermark
-        };
-        // Drain this epoch, then hand the outbox to the router.
-        if !dead {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shard.run_epoch(watermark, watch)
-            })) {
-                Ok(steps) => {
-                    shard.note_epoch(epoch, watermark, steps);
-                    epoch += 1;
-                    let mut st = state.lock().expect("exchange lock");
-                    shard.take_outbox(&mut st.outbound);
-                }
-                Err(payload) => {
-                    dead = true;
-                    let mut st = state.lock().expect("exchange lock");
-                    st.poisoned.get_or_insert(payload);
-                }
-            }
-        }
-        if barrier.wait().is_leader() {
-            let mut st = state.lock().expect("exchange lock");
-            let mut outbound = std::mem::take(&mut st.outbound);
-            outbound.sort_by_key(|m| (m.delivery_key(), m.id.0));
-            for msg in outbound {
-                let dest = shard_of(msg.dst, shard_count);
-                st.inbound[dest].push(msg);
-            }
-        }
-        barrier.wait();
     }
 }
 
@@ -826,11 +698,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "exceeded 50 steps")]
-    fn one_shard_panicking_propagates_instead_of_deadlocking_the_barrier() {
-        // Shard 0 blows its step cap mid-epoch while shard 1 is already
-        // idle at the barrier.  The panic must surface from
-        // run_until_quiescent (via the poison protocol), not strand the
-        // other worker in Barrier::wait forever.
+    fn a_shard_step_cap_panic_reaches_the_caller() {
+        // Shard 0 blows its step cap mid-epoch while shard 1 has already
+        // gone idle: the livelock assert must surface from
+        // run_until_quiescent, exactly as on the serial engine.
         let mut sim = deploy(2, 2, 2, FifoScheduler::new()).with_max_steps(50);
         for _ in 0..40 {
             sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));

@@ -58,7 +58,8 @@
 #   7. virtual-time purity guard: crates/sim must never read the wall clock
 #      (`std::time` / `Instant`) — simulator event streams are a pure
 #      function of (config, seeds, shards), which is what makes every pin
-#      above meaningful;
+#      above meaningful — nor start or synchronize threads (`std::thread`,
+#      `Barrier`, `Mutex`): both simulators are single-threaded;
 #   8. one mixer: the `splitmix64` behind every per-message draw (latencies,
 #      fault gates, the random scheduler's stream) has one definition,
 #      `snow_core::hash::splitmix64`; a second one lets its users drift
@@ -125,11 +126,11 @@ echo "== 6. examples (observe_run, partition_drill) =="
 example_ok observe_run
 example_ok partition_drill
 
-echo "== 7. virtual-time purity (no wall clock in crates/sim) =="
-forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b' crates/sim/src || true)" \
-    "the simulator read the wall clock" \
-    "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark."
-echo "sim is wall-clock free"
+echo "== 7. virtual-time purity (no wall clock, no threads in crates/sim) =="
+forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b|std::thread|\bBarrier\b|\bMutex\b' crates/sim/src || true)" \
+    "the simulator read the wall clock or used threads" \
+    "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark.  Both simulators are single-threaded: threads come back only with a sharded engine that clears sim.par.speedup >= 1.3 on the 2-vCPU benchmark host (ROADMAP item 9)."
+echo "sim is wall-clock and thread free"
 
 echo "== 8. one mixer (a single splitmix64 definition) =="
 forbid "$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim || true)" \

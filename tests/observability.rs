@@ -148,9 +148,9 @@ fn observation_does_not_change_open_loop_reports() {
     assert_eq!(history.records.len(), obs_history.records.len());
     // The stream is a pure function of (seeds, shards), so what it folds to
     // is pinned exactly: every arrival invoked and committed, ten messages
-    // per transaction, three in four of them across shards, and the epoch
-    // barriers with the share that stalled (`examples/observe_run.rs` prints
-    // this run).
+    // per transaction, three in four of them across shards, and the shards'
+    // epoch turns with the share that stalled (`examples/observe_run.rs`
+    // prints this run).
     assert_eq!(events.len(), 11_700);
     let metrics = fold_events(&events);
     let counters: Vec<(&str, u64)> =

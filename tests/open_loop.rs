@@ -9,9 +9,8 @@
 //!   they are compared for equality, on the serial engine and on 4 shards.
 //! * **Pure-function histories.**  An open-loop history must be a pure
 //!   function of `(workload seed, arrival seed, rate, shard count)`: two
-//!   fresh runs of the same spec — including on the sharded parallel
-//!   engine, where worker threads race the OS scheduler — must agree byte
-//!   for byte.
+//!   fresh runs of the same spec — on the serial engine and at every
+//!   shard count of the sharded one — must agree byte for byte.
 //! * **Strict serializability under saturation.**  Every generated
 //!   history, including past-knee runs where client-side queueing delays
 //!   pile up, must be certified by the graph checker.  Saturation stresses

@@ -1,20 +1,24 @@
-//! Determinism regression for the sharded parallel engine
-//! (`snow_sim::ParallelSimulation`).
+//! Determinism regression for the sharded engine
+//! (`snow_sim::ParallelSimulation`, whose shards run in turn on the
+//! caller's thread).
 //!
-//! Four pins:
+//! Five pins:
 //!
-//! * **Golden bit-parity at one shard.**  A 1-shard parallel cluster takes
-//!   the engine's inline fast path, whose step loop replicates the serial
+//! * **Golden bit-parity at one shard.**  A 1-shard cluster takes the
+//!   engine's inline fast path, whose step loop replicates the serial
 //!   engine decision for decision — so for every golden (protocol ×
 //!   scheduler) combo it must reproduce the exact fingerprint committed in
-//!   `tests/golden_histories.txt`.  This is the parallel engine's
+//!   `tests/golden_histories.txt`.  This is the sharded engine's
 //!   equivalence proof, the same way the fixtures proved the event-queue
 //!   refactor equivalent to the linear-scan engine.
 //! * **Seeded determinism at many shards.**  With N shards the
 //!   interleaving legitimately differs from the serial engine's, but the
-//!   observable history must be a pure function of `(seeds, shard count)`
-//!   — independent of how the OS schedules the worker threads.  Two fresh
-//!   runs of every combo at 4 shards must agree byte for byte.
+//!   observable history must be a pure function of `(seeds, shard count)`.
+//!   Two fresh runs of every combo at 4 shards must agree byte for byte.
+//! * **Exact multi-shard histories and event streams.**  Every 2- and
+//!   4-shard history (clean and faulty combos) and every 2- and 4-shard
+//!   event stream is pinned by one digest each, so a change to the epoch
+//!   loop that keeps runs reproducible but moves them still fails.
 //! * **Schedule-independent semantics at many shards.**  The serial parity
 //!   plan yields the serial engine's semantic digest at 4 shards under every
 //!   golden scheduler.
@@ -26,6 +30,7 @@ use snow::core::History;
 use snow::protocols::{ExecutorKind, ProtocolKind};
 use snow_bench::golden;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 const FIXTURE: &str = include_str!("golden_histories.txt");
 
@@ -82,6 +87,45 @@ fn multi_shard_runs_are_reproducible_for_every_combo() {
             combo.label
         );
     }
+}
+
+/// Every multi-shard history, clean then faulty, at 2 then 4 shards, as one
+/// digest over `label shards fingerprint` lines (90 of them).
+/// Reproducibility alone would let a deterministic change to the epoch
+/// loop pass unnoticed; this pins the histories themselves.  On a mismatch
+/// the message lists every line: diff it against the parent commit's.
+#[test]
+fn multi_shard_histories_are_pinned() {
+    let mut lines = String::new();
+    for shards in [2usize, 4] {
+        let executor = ExecutorKind::ParallelSim { shards };
+        for combo in golden::combos() {
+            let fp = golden::fingerprint(&golden::run_combo_on(&combo, executor));
+            writeln!(lines, "{} {shards} {fp:016x}", combo.label).unwrap();
+        }
+        for combo in golden::fault_combos() {
+            let fp = golden::fingerprint(&golden::run_fault_combo_on(&combo, executor));
+            writeln!(lines, "{} {shards} {fp:016x}", combo.label).unwrap();
+        }
+    }
+    assert_eq!(golden::fingerprint(&lines), 0xd6d5_986b_efc5_00d0, "{lines}");
+}
+
+/// Every multi-shard event stream at 2 then 4 shards — epoch notes, sends
+/// and deliveries, all virtual-time — as one digest: the sharded engine's
+/// schedule, action by action.
+#[test]
+fn multi_shard_event_streams_are_pinned() {
+    let mut lines = String::new();
+    for shards in [2usize, 4] {
+        for combo in golden::combos() {
+            let (_, events) =
+                golden::run_combo_observed(&combo, ExecutorKind::ParallelSim { shards });
+            writeln!(lines, "{} {shards} {events:?}", combo.label).unwrap();
+        }
+    }
+    assert_eq!(lines.len(), 3_261_941);
+    assert_eq!(golden::fingerprint(&lines), 0x0e22_026a_0de8_e418);
 }
 
 /// Requires a serialization witness; panics (with the checker's
