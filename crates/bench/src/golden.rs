@@ -19,15 +19,13 @@
 
 //! Beyond the fingerprints, this module also defines the **parity
 //! fixtures**: a deterministic serial transaction plan per protocol
-//! ([`parity_plan`]), its runner ([`run_plan_on`]) and a timing-free
+//! ([`parity_plan`]), its runner ([`run_plan`]) and a timing-free
 //! canonical rendering of a history's semantics ([`semantic_digest`]) that
-//! the `parallel_determinism` and `protocol_properties` integration tests
-//! use to hold every scheduler and both executors to one set of semantics.
+//! the `protocol_properties` integration test uses to hold every scheduler
+//! to one set of semantics.
 
 use snow_core::{ClientId, History, SystemConfig, TxSpec};
-use snow_protocols::{
-    fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind, ShardEvent,
-};
+use snow_protocols::{fault_scenarios, ClusterSpec, ProtocolKind, SchedulerKind, ShardEvent};
 use snow_sim::FaultSchedule;
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::fmt::Write as _;
@@ -93,33 +91,23 @@ fn combo_workload_spec() -> WorkloadSpec {
 /// of every record (spec, outcome, timings, rounds, C2C, read
 /// instrumentation) plus the final simulation clock.
 pub fn run_combo(combo: &Combo) -> String {
-    run_combo_on(combo, ExecutorKind::SerialSim)
+    drive_combo(combo, false).0
 }
 
-/// [`run_combo`] on an explicit simulator substrate.  A 1-shard
-/// [`ExecutorKind::ParallelSim`] must render byte-for-byte what
-/// [`ExecutorKind::SerialSim`] renders — that equality (against the
-/// committed fixtures) is the parallel engine's golden parity proof,
-/// pinned by the `parallel_determinism` integration test.
-pub fn run_combo_on(combo: &Combo, executor: ExecutorKind) -> String {
-    drive_combo(combo, executor, false).0
-}
-
-/// [`run_combo_on`] with observability enabled: the identical workload on
-/// an event-recording cluster, returning the canonical history text
-/// *plus* the drained virtual-time event stream.  The text must equal
-/// [`run_combo_on`]'s byte for byte — observation must never perturb the
+/// [`run_combo`] with observability enabled: the identical workload on an
+/// event-recording cluster, returning the canonical history text *plus*
+/// the drained virtual-time event stream.  The text must equal
+/// [`run_combo`]'s byte for byte — observation must never perturb the
 /// schedule — which is exactly what `tests/observability.rs` pins against
 /// the golden fixtures for all 30 combos.
-pub fn run_combo_observed(combo: &Combo, executor: ExecutorKind) -> (String, Vec<ShardEvent>) {
-    drive_combo(combo, executor, true)
+pub fn run_combo_observed(combo: &Combo) -> (String, Vec<ShardEvent>) {
+    drive_combo(combo, true)
 }
 
-fn drive_combo(combo: &Combo, executor: ExecutorKind, observed: bool) -> (String, Vec<ShardEvent>) {
+fn drive_combo(combo: &Combo, observed: bool) -> (String, Vec<ShardEvent>) {
     let config = combo_config(combo.protocol);
     let mut cluster = ClusterSpec::new(combo.protocol, &config)
         .scheduler(combo.scheduler)
-        .executor(executor)
         .observed(observed)
         .build()
         .expect("valid combo config");
@@ -140,11 +128,11 @@ fn drive_combo(combo: &Combo, executor: ExecutorKind, observed: bool) -> (String
 }
 
 /// The deterministic serial transaction plan the parity harness drives
-/// through both executors under every scheduler: the same generator draw
-/// (distribution, seed) as the golden combos, executed one transaction at a
-/// time so that per-transaction semantics (values read, keys, tags, rounds,
-/// versions, non-blocking verdicts) are schedule-independent and therefore
-/// comparable across schedulers *and* across executors.
+/// under every scheduler: the same generator draw (distribution, seed) as
+/// the golden combos, executed one transaction at a time so that
+/// per-transaction semantics (values read, keys, tags, rounds, versions,
+/// non-blocking verdicts) are schedule-independent and therefore
+/// comparable across schedulers.
 pub fn parity_plan(protocol: ProtocolKind) -> (SystemConfig, Vec<(ClientId, TxSpec)>) {
     let config = combo_config(protocol);
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
@@ -161,7 +149,7 @@ pub fn parity_plan(protocol: ProtocolKind) -> (SystemConfig, Vec<(ClientId, TxSp
 /// clients that are dispatched together and drained together, so the
 /// transactions within a round genuinely overlap.  Unlike [`parity_plan`],
 /// per-transaction outcomes are schedule-dependent here — the comparison
-/// across schedulers and executors is *serializability-equivalence* (every
+/// across schedulers is *serializability-equivalence* (every
 /// history satisfies strict serializability, checked by the graph engine),
 /// not digest equality.
 pub fn concurrent_parity_plan(
@@ -186,18 +174,16 @@ pub fn concurrent_parity_plan(
     (config, batches)
 }
 
-/// Runs a concurrent plan on `executor`: each round is dispatched as one
-/// batch at the same instant, then the network drains to quiescence.
-pub fn run_concurrent_plan_on(
+/// Runs a concurrent plan: each round is dispatched as one batch at the
+/// same instant, then the network drains to quiescence.
+pub fn run_concurrent_plan(
     protocol: ProtocolKind,
     config: &SystemConfig,
     scheduler: SchedulerKind,
-    executor: ExecutorKind,
     batches: &[Vec<(ClientId, TxSpec)>],
 ) -> History {
     let mut cluster = ClusterSpec::new(protocol, config)
         .scheduler(scheduler)
-        .executor(executor)
         .build()
         .expect("valid parity config");
     for batch in batches {
@@ -211,20 +197,18 @@ pub fn run_concurrent_plan_on(
     cluster.history()
 }
 
-/// Runs `plan` serially on `executor` under `scheduler`: each transaction is
-/// invoked alone and the network drains to quiescence before the next, so
-/// only the *semantics* of the protocol — not the schedule — determine the
-/// history.  Panics if any transaction fails to complete.
-pub fn run_plan_on(
+/// Runs `plan` serially under `scheduler`: each transaction is invoked
+/// alone and the network drains to quiescence before the next, so only the
+/// *semantics* of the protocol — not the schedule — determine the history.
+/// Panics if any transaction fails to complete.
+pub fn run_plan(
     protocol: ProtocolKind,
     config: &SystemConfig,
     scheduler: SchedulerKind,
-    executor: ExecutorKind,
     plan: &[(ClientId, TxSpec)],
 ) -> History {
     let mut cluster = ClusterSpec::new(protocol, config)
         .scheduler(scheduler)
-        .executor(executor)
         .build()
         .expect("valid parity config");
     for (client, spec) in plan {
@@ -284,9 +268,9 @@ fn digest(history: &History, rounds: bool) -> String {
 /// sorted by object, the C2C count and the deduplicated per-read
 /// measurement set (object, server, versions, non-blocking).  Two histories
 /// with equal digests executed the same transactions to the same values,
-/// keys, tags and measurements — regardless of executor, scheduler or
-/// clock.  Round counts are deliberately omitted: for logical-clock
-/// protocols (Eiger) the *number* of rounds a READ needs depends on clock
+/// keys, tags and measurements — regardless of scheduler or clock.  Round
+/// counts are deliberately omitted: for logical-clock protocols (Eiger) the
+/// *number* of rounds a READ needs depends on clock
 /// values and therefore on delivery order, even for a serial plan.
 pub fn semantic_digest(history: &History) -> String {
     digest(history, false)
@@ -391,19 +375,17 @@ pub fn scenario_by_name(name: &str) -> FaultSchedule {
 
 /// Runs the pinned 20-transaction workload under an arbitrary fault
 /// schedule and renders the history canonically, exactly like
-/// [`run_combo_on`] — full `Debug` of every record plus the final clock —
+/// [`run_combo`] — full `Debug` of every record plus the final clock —
 /// with one extra trailer line counting aborted transactions.  No
 /// completion assert beyond retirement: aborts are the point.
-pub fn run_fault_schedule_on(
+pub fn run_fault_schedule(
     protocol: ProtocolKind,
     scheduler: SchedulerKind,
     schedule: FaultSchedule,
-    executor: ExecutorKind,
 ) -> String {
     let config = combo_config(protocol);
     let mut cluster = ClusterSpec::new(protocol, &config)
         .scheduler(scheduler)
-        .executor(executor)
         .faults(schedule)
         .build()
         .expect("valid fault combo config");
@@ -427,19 +409,9 @@ pub fn run_fault_schedule_on(
     canon
 }
 
-/// [`run_fault_schedule_on`] for one pinned fault combo.
-pub fn run_fault_combo_on(combo: &FaultCombo, executor: ExecutorKind) -> String {
-    run_fault_schedule_on(
-        combo.protocol,
-        combo.scheduler,
-        scenario_by_name(combo.scenario),
-        executor,
-    )
-}
-
-/// [`run_fault_combo_on`] on the serial simulator.
+/// [`run_fault_schedule`] for one pinned fault combo.
 pub fn run_fault_combo(combo: &FaultCombo) -> String {
-    run_fault_combo_on(combo, ExecutorKind::SerialSim)
+    run_fault_schedule(combo.protocol, combo.scheduler, scenario_by_name(combo.scenario))
 }
 
 /// Renders the fault fixture file: one `label ntx=<n> hash=<hex>` line per

@@ -30,7 +30,7 @@ pub mod golden;
 
 use snow_checker::{HistoryMetrics, SnowReport};
 use snow_core::{History, SystemConfig};
-use snow_protocols::{Cluster, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow_protocols::{Cluster, ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{
     rate_sweep, scenario_matrix, slo_report, zipf_sweep, OpenLoopSpec, WorkloadDriver,
     WorkloadGenerator, WorkloadSpec,
@@ -84,28 +84,23 @@ pub const OPEN_LOOP_RATES: [u64; 5] = [25, 50, 100, 200, 400];
 
 /// The cluster every open-loop table run is driven against: the latency
 /// distribution the golden fixtures use and no step cap.
-fn open_loop_cluster(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    executor: ExecutorKind,
-) -> ClusterSpec {
+fn open_loop_cluster(protocol: ProtocolKind, config: &SystemConfig) -> ClusterSpec {
     ClusterSpec::new(protocol, config)
         .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
-        .executor(executor)
         .max_steps(u64::MAX)
 }
 
-/// `table_open_loop`'s curves on `executor`: per protocol, the saturation
+/// `table_open_loop`'s curves: per protocol, the saturation
 /// knee and `p50/p99` latency (virtual ticks from the scheduled arrival) at
 /// each of [`OPEN_LOOP_RATES`], for 400 TAO-like arrivals on `mwmr(4,4,4)`.
 /// Cells: protocol, knee, one `p50/p99` per rate.
-pub fn open_loop_rows(executor: ExecutorKind) -> Vec<Vec<String>> {
+pub fn open_loop_rows() -> Vec<Vec<String>> {
     let config = SystemConfig::mwmr(4, 4, 4);
     let base = OpenLoopSpec { arrivals: 400, ..OpenLoopSpec::tao_like(0) };
     [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking]
         .into_iter()
         .map(|protocol| {
-            let cluster = open_loop_cluster(protocol, &config, executor);
+            let cluster = open_loop_cluster(protocol, &config);
             let sweep = rate_sweep(&cluster, &base, &OPEN_LOOP_RATES).expect("open-loop sweep");
             let knee = sweep.knee().map_or("-".to_string(), |k| k.to_string());
             let points = sweep.points.iter().map(|p| format!("{}/{}", p.latency.p50, p.latency.p99));
@@ -114,11 +109,11 @@ pub fn open_loop_rows(executor: ExecutorKind) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// `table_open_loop`'s hot-key points on `executor`: Zipf exponent swept at
+/// `table_open_loop`'s hot-key points: Zipf exponent swept at
 /// 30 arrivals per kilotick, 200 write-heavy arrivals on `mwmr(2,2,2)`.
 /// Cells: protocol, exponent, achieved/realized-offered rate, saturated,
 /// all-transaction p99, READ p99.
-pub fn zipf_rows(executor: ExecutorKind) -> Vec<Vec<String>> {
+pub fn zipf_rows() -> Vec<Vec<String>> {
     let config = SystemConfig::mwmr(2, 2, 2);
     let base = OpenLoopSpec {
         workload: WorkloadSpec::write_heavy(),
@@ -128,7 +123,7 @@ pub fn zipf_rows(executor: ExecutorKind) -> Vec<Vec<String>> {
     };
     let mut rows = Vec::new();
     for protocol in [ProtocolKind::AlgC, ProtocolKind::Blocking] {
-        let cluster = open_loop_cluster(protocol, &config, executor);
+        let cluster = open_loop_cluster(protocol, &config);
         for (exponent, r) in zipf_sweep(&cluster, &base, &[0.0, 0.8, 1.2]).expect("zipf sweep") {
             rows.push(vec![
                 format!("{protocol:?}"),

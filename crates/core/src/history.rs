@@ -7,8 +7,8 @@
 //! number of versions returned per read, and whether any server had to block
 //! — that the SNOW properties of §2.1 are stated in terms of.
 //!
-//! Histories are produced by both execution substrates (the serial and the
-//! sharded simulator of `snow-sim`) and consumed by `snow-checker`.
+//! Histories are produced by the simulator of `snow-sim` and consumed by
+//! `snow-checker`.
 
 use crate::ids::{ClientId, ObjectId, ServerId, TxId};
 use crate::txn::{TxKind, TxOutcome, TxSpec};

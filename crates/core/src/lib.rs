@@ -26,10 +26,9 @@
 //!   [`ProtocolMessage`] so any substrate can derive round counts and
 //!   non-blocking verdicts without understanding payloads.
 //!
-//! `snow-core` has no opinion on *how* messages are delivered; both
-//! execution substrates — the serial deterministic simulator and the
-//! sharded simulator (`snow-sim`) — execute the same [`Process`]
-//! machines over these types.
+//! `snow-core` has no opinion on *how* messages are delivered; the
+//! deterministic simulator (`snow-sim`) executes [`Process`] machines over
+//! these types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

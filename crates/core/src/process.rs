@@ -4,9 +4,8 @@
 //! This is the transport-agnostic protocol engine contract: a protocol is a
 //! set of [`Process`] state machines that react to invocations and message
 //! deliveries by emitting output actions into an [`Effects`] buffer.  *How*
-//! those sends are carried — the serial deterministic event-queue simulator
-//! (`snow_sim::Simulation`) or the sharded simulator
-//! (`snow_sim::ParallelSimulation`) — is the substrate's business; the
+//! those sends are carried — today by the deterministic event-queue
+//! simulator (`snow_sim::Simulation`) — is the substrate's business; the
 //! protocol logic is written once.
 //!
 //! A substrate owns one [`Effects`] buffer and lends it to every handler

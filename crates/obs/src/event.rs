@@ -1,7 +1,7 @@
 //! Typed trace events and the sinks they are emitted into.
 //!
 //! Every event is emitted from exactly one definition site: the
-//! simulators' `engine::DispatchCore` (virtual-time stamps) or the
+//! simulator's `engine::DispatchCore` (virtual-time stamps) or the
 //! streaming checker's certification frontier.  Sinks are selected by
 //! monomorphization: a substrate generic over `O: TraceSink` guards every
 //! emission with `if O::ENABLED { … }`, so the default [`NullSink`]
@@ -10,7 +10,7 @@
 use snow_core::{ClientId, MsgKind, ProcessId, ServerId, TxId};
 
 /// One observability event.  `at` is the emitter's clock: virtual ticks
-/// for the simulators, the certification watermark for the checker.
+/// for the simulator, the certification watermark for the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
     /// A transaction invocation was dispatched to its client process.
@@ -26,7 +26,7 @@ pub enum ObsEvent {
     MessageSent {
         /// Clock at the send.
         at: u64,
-        /// Raw message id (`MsgId.0`; shard-strided on the parallel engine).
+        /// Raw message id (`MsgId.0`).
         msg: u64,
         /// Protocol-agnostic classification.
         kind: MsgKind,
@@ -38,9 +38,6 @@ pub enum ObsEvent {
         dst: ProcessId,
         /// Pending messages on the emitting substrate after this send.
         queue_depth: u32,
-        /// The destination lives on another shard (always `false` on the
-        /// serial engine).
-        cross_shard: bool,
     },
     /// A protocol message was delivered to its destination.
     MessageDelivered {
@@ -58,21 +55,6 @@ pub enum ObsEvent {
         dst: ProcessId,
         /// Pending messages remaining after this delivery.
         queue_depth: u32,
-    },
-    /// A sharded-engine shard finished its turn in an epoch (the name
-    /// predates the single-threaded epoch loop; no barrier is involved).
-    /// Never emitted by the serial engine or the 1-shard inline fast path,
-    /// so 1-shard sharded event streams stay byte-identical to serial ones.
-    EpochBarrierCrossed {
-        /// The shard's virtual clock after the epoch.
-        at: u64,
-        /// Epoch ordinal (0-based, shared by every shard of the run).
-        epoch: u64,
-        /// The delivery watermark the epoch ran under.
-        watermark: u64,
-        /// Steps this shard executed inside the epoch (0 = a stall: the
-        /// shard had its turn without dispatching anything).
-        steps: u64,
     },
     /// A transaction responded at its invoking client.
     TxCommitted {
@@ -172,7 +154,6 @@ impl ObsEvent {
             ObsEvent::InvocationDispatched { at, .. }
             | ObsEvent::MessageSent { at, .. }
             | ObsEvent::MessageDelivered { at, .. }
-            | ObsEvent::EpochBarrierCrossed { at, .. }
             | ObsEvent::TxCommitted { at, .. }
             | ObsEvent::MessageDropped { at, .. }
             | ObsEvent::MessageDuplicated { at, .. }
@@ -185,11 +166,12 @@ impl ObsEvent {
     }
 }
 
-/// An event tagged with the shard that emitted it — the unit the exporters
-/// consume.  The serial simulator uses shard 0.
+/// An event tagged with the track it is exported on (a Perfetto thread) —
+/// the unit the exporters consume.  The simulator and the checker both
+/// emit on track 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardEvent {
-    /// Emitting shard (simulators) or 0 (checker).
+    /// Exporting track (0 for the simulator and the checker).
     pub shard: u32,
     /// The event.
     pub event: ObsEvent,

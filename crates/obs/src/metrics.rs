@@ -116,9 +116,8 @@ pub struct MetricsSnapshot {
 
 /// Derives the simulator's metrics from a recorded event stream.
 ///
-/// Counters: `sim.invocations`, `sim.sends`, `sim.cross_shard_sends`,
-/// `sim.deliveries`, `sim.commits`, `sim.epochs`, `sim.epoch_stalls`
-/// (a shard's epoch turns that executed no step).  Gauge:
+/// Counters: `sim.invocations`, `sim.sends`, `sim.deliveries`,
+/// `sim.commits`, and one per fault event kind.  Gauge:
 /// `sim.queue_depth_peak`.  Histograms: `sim.queue_depth` (observed at
 /// every send and delivery) and `sim.tx_latency_ticks` (RESP − INV per
 /// committed transaction).
@@ -133,11 +132,8 @@ pub fn fold_events(events: &[ShardEvent]) -> MetricsSnapshot {
     for se in events {
         match se.event {
             ObsEvent::InvocationDispatched { .. } => bump(&mut snap, "sim.invocations"),
-            ObsEvent::MessageSent { queue_depth: d, cross_shard, .. } => {
+            ObsEvent::MessageSent { queue_depth: d, .. } => {
                 bump(&mut snap, "sim.sends");
-                if cross_shard {
-                    bump(&mut snap, "sim.cross_shard_sends");
-                }
                 queue_depth.observe(u64::from(d));
                 peak_depth = peak_depth.max(i64::from(d));
             }
@@ -145,12 +141,6 @@ pub fn fold_events(events: &[ShardEvent]) -> MetricsSnapshot {
                 bump(&mut snap, "sim.deliveries");
                 queue_depth.observe(u64::from(d));
                 peak_depth = peak_depth.max(i64::from(d));
-            }
-            ObsEvent::EpochBarrierCrossed { steps, .. } => {
-                bump(&mut snap, "sim.epochs");
-                if steps == 0 {
-                    bump(&mut snap, "sim.epoch_stalls");
-                }
             }
             ObsEvent::TxCommitted { at, invoked_at, .. } => {
                 bump(&mut snap, "sim.commits");
@@ -178,7 +168,7 @@ pub fn fold_events(events: &[ShardEvent]) -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::{ClientId, TxId};
+    use snow_core::{ClientId, ProcessId, ServerId, TxId};
 
     #[test]
     fn log2_histogram_buckets_and_quantiles() {
@@ -203,8 +193,13 @@ mod tests {
                 event: ObsEvent::InvocationDispatched { at: 0, tx: TxId(0), client: ClientId(0) },
             },
             ShardEvent {
-                shard: 1,
-                event: ObsEvent::EpochBarrierCrossed { at: 5, epoch: 0, watermark: 9, steps: 0 },
+                shard: 0,
+                event: ObsEvent::MessageDropped {
+                    at: 5,
+                    msg: 0,
+                    src: ProcessId::Client(ClientId(0)),
+                    dst: ProcessId::Server(ServerId(0)),
+                },
             },
             ShardEvent {
                 shard: 0,
@@ -213,8 +208,7 @@ mod tests {
         ];
         let snap = fold_events(&events);
         assert_eq!(snap.counters["sim.invocations"], 1);
-        assert_eq!(snap.counters["sim.epochs"], 1);
-        assert_eq!(snap.counters["sim.epoch_stalls"], 1);
+        assert_eq!(snap.counters["sim.fault_drops"], 1);
         assert_eq!(snap.counters["sim.commits"], 1);
         assert_eq!(snap.histograms["sim.tx_latency_ticks"].max, 12);
     }

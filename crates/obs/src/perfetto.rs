@@ -1,11 +1,11 @@
 //! Chrome-trace-event / Perfetto JSON export.
 //!
 //! The exported object is `{"traceEvents": [...]}` in the [trace-event
-//! format] Perfetto's UI (ui.perfetto.dev) loads directly: each shard is
-//! rendered as a thread of one process, transactions become async spans
-//! (`ph: "b"` / `ph: "e"`, keyed by transaction id), message sends and
-//! deliveries become thread-scoped instants, and epoch/checker progress
-//! becomes counter tracks.
+//! format] Perfetto's UI (ui.perfetto.dev) loads directly: each track
+//! ([`ShardEvent::shard`]) is rendered as a thread of one process,
+//! transactions become async spans (`ph: "b"` / `ph: "e"`, keyed by
+//! transaction id), message sends and deliveries become thread-scoped
+//! instants, and checker progress becomes a counter track.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -34,7 +34,7 @@ fn escape(s: &str) -> String {
 
 /// Renders an event stream as Chrome-trace-event JSON.
 ///
-/// `process_name` labels the single process (pid 0) all shards hang off;
+/// `process_name` labels the single process (pid 0) all tracks hang off;
 /// each distinct `shard` becomes a named thread (tid = shard).  Timestamps
 /// are the events' `at` stamps divided by `ts_divisor` and reported in the
 /// format's microsecond unit — pass `1` for the simulators' stamps (1
@@ -42,7 +42,7 @@ fn escape(s: &str) -> String {
 pub fn perfetto_json(events: &[ShardEvent], process_name: &str, ts_divisor: u64) -> String {
     let div = ts_divisor.max(1);
     // Rows are written straight into the one output buffer (≈ 155 bytes
-    // per event on a sharded run), every row but the first behind a `",\n"`.
+    // per event), every row but the first behind a `",\n"`.
     let mut out = String::with_capacity(events.len() * 160 + 256);
     let _ = write!(
         out,
@@ -81,27 +81,16 @@ pub fn perfetto_json(events: &[ShardEvent], process_name: &str, ts_divisor: u64)
                 id = tx.0,
                 lat = se.event.at().saturating_sub(invoked_at) / div,
             ),
-            ObsEvent::MessageSent { msg, kind, queue_depth, cross_shard, .. } => row!(
+            ObsEvent::MessageSent { msg, kind, queue_depth, .. } => row!(
                 "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
                  \"name\": \"send {kind:?}\", \"args\": {{\"msg\": {msg}, \
-                 \"queue_depth\": {queue_depth}, \"cross_shard\": {cross_shard}}}}}"
+                 \"queue_depth\": {queue_depth}}}}}"
             ),
             ObsEvent::MessageDelivered { msg, kind, queue_depth, .. } => row!(
                 "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
                  \"name\": \"recv {kind:?}\", \"args\": {{\"msg\": {msg}, \
                  \"queue_depth\": {queue_depth}}}}}"
             ),
-            ObsEvent::EpochBarrierCrossed { epoch, watermark, steps, .. } => {
-                row!(
-                    "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"epoch steps (shard {tid})\", \"args\": {{\"steps\": {steps}}}}}"
-                );
-                row!(
-                    "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                     \"name\": \"watermark (shard {tid})\", \
-                     \"args\": {{\"watermark\": {watermark}, \"epoch\": {epoch}}}}}"
-                );
-            }
             ObsEvent::MessageDropped { msg, src, dst, .. } => row!(
                 "{{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
                  \"name\": \"fault drop\", \"args\": {{\"msg\": {msg}, \
@@ -169,7 +158,15 @@ mod tests {
             },
             ShardEvent {
                 shard: 0,
-                event: ObsEvent::EpochBarrierCrossed { at: 12, epoch: 1, watermark: 20, steps: 0 },
+                event: ObsEvent::CheckerRetired {
+                    at: 12,
+                    certified: 1,
+                    live_window: 0,
+                    frontier: 0,
+                    edges_added: 0,
+                    window_resolves: 0,
+                    retirement_lag: 1,
+                },
             },
         ];
         let text = perfetto_json(&events, "sim", 1);
@@ -182,18 +179,17 @@ mod tests {
   {"ph": "M", "pid": 0, "tid": 1, "name": "thread_name", "args": {"name": "shard 1"}},
   {"ph": "b", "cat": "tx", "id": 7, "pid": 0, "tid": 1, "ts": 3, "name": "tx7", "args": {"client": 2}},
   {"ph": "e", "cat": "tx", "id": 7, "pid": 0, "tid": 1, "ts": 11, "name": "tx7", "args": {"latency": 8}},
-  {"ph": "C", "pid": 0, "tid": 0, "ts": 12, "name": "epoch steps (shard 0)", "args": {"steps": 0}},
-  {"ph": "C", "pid": 0, "tid": 0, "ts": 12, "name": "watermark (shard 0)", "args": {"watermark": 20, "epoch": 1}}
+  {"ph": "C", "pid": 0, "tid": 0, "ts": 12, "name": "checker", "args": {"certified": 1, "live_window": 0, "frontier": 0, "retirement_lag": 1}}
 ]}
 "#
         );
         let doc = Json::parse(&text).expect("valid JSON");
         let rows = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
-        // 1 process meta + 2 thread metas + b + e + 2 counters.
-        assert_eq!(rows.len(), 7);
+        // 1 process meta + 2 thread metas + b + e + 1 counter.
+        assert_eq!(rows.len(), 6);
         let phases: Vec<&str> =
             rows.iter().filter_map(|r| r.get("ph").and_then(Json::as_str)).collect();
-        assert_eq!(phases, ["M", "M", "M", "b", "e", "C", "C"]);
+        assert_eq!(phases, ["M", "M", "M", "b", "e", "C"]);
         for row in rows {
             if row.get("ts").is_some() {
                 assert!(row.get("ts").and_then(Json::as_num).is_some());

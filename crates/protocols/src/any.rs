@@ -4,8 +4,8 @@
 //! handler only ever matches on its own protocol's messages.  [`AnyNode`]
 //! and [`AnyMsg`] put them behind enum dispatch, so a deployment is
 //! described once — by a [`ProtocolKind`] and a [`SystemConfig`] — and
-//! executed anywhere a [`Process`] can run: `snow_sim::Simulation`,
-//! `snow_sim::ParallelSimulation`, or any future substrate.
+//! executed anywhere a [`Process`] can run: `snow_sim::Simulation`, or any
+//! future substrate.
 //!
 //! `AnyNode` is the only `Process` implementation in this crate.  Each
 //! protocol node exposes its handlers as inherent methods (`id`,
@@ -130,9 +130,8 @@ impl Process for AnyNode {
 }
 
 /// Builds the protocol-erased node set of `protocol` over `config` — the
-/// single `ProtocolKind`-dispatched deployment path shared by both
-/// execution substrates, `snow_sim::Simulation` and
-/// `snow_sim::ParallelSimulation` (via [`crate::ClusterSpec::build`]).
+/// single `ProtocolKind`-dispatched deployment path, which
+/// [`crate::ClusterSpec::build`] puts on `snow_sim::Simulation`.
 ///
 /// ```
 /// use snow_core::SystemConfig;

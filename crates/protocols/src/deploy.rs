@@ -5,14 +5,14 @@
 //! transactions, run the simulation, collect the [`History`].  The
 //! [`Cluster`] trait is that interface, and [`ClusterSpec`] is the one way
 //! to construct a boxed cluster: a [`ProtocolKind`] and a [`SystemConfig`],
-//! plus whichever of scheduler/topology, executor, step cap, observability
-//! and fault schedule differ from the defaults.
+//! plus whichever of scheduler/topology, step cap, observability and fault
+//! schedule differ from the defaults.
 
 use crate::any::{deploy_any, AnyNode};
 use snow_core::{ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxSpec};
 use snow_sim::{
     Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, FifoScheduler,
-    LatencyScheduler, NullSink, ParallelSimulation, Partition, PartitionPolicy, RandomScheduler,
+    LatencyScheduler, NullSink, Partition, PartitionPolicy, RandomScheduler,
     RecordingSink, RestartFn, Scheduler, Simulation, Topology, TopologyScheduler, TraceSink,
 };
 use std::sync::Arc;
@@ -86,29 +86,17 @@ pub enum SchedulerKind {
     },
 }
 
-/// Which execution substrate carries a deployment's messages.
-///
-/// The workspace has two substrates, both fed by the same
-/// protocol-erased deployment path ([`crate::any::deploy_any`]):
-///
-/// * [`ExecutorKind::SerialSim`] — the deterministic event-queue
-///   simulator (`snow_sim::Simulation`);
-/// * [`ExecutorKind::ParallelSim`] — the sharded simulator
-///   (`snow_sim::ParallelSimulation`): one dispatch core per shard, the
-///   shards run in turn on the caller's thread, with a deterministic
-///   message exchange between epochs.  Both simulators run the same
-///   dispatch core (`snow-sim`'s `engine` module) and both are
-///   single-threaded — the serial engine *is* the 1-shard instantiation,
-///   so `shards: 1` reproduces it bit-for-bit.
+/// Identity, kept for `examples/e2e_bench` (frozen benchmark path): the
+/// argument of [`ClusterSpec::executor`], which ignores it.  Every cluster
+/// runs on the one simulator, `snow_sim::Simulation`, whichever variant a
+/// spec names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// The serial deterministic simulator.
+    /// The simulator.
     SerialSim,
-    /// The sharded simulator with this many shards, each running a clone
-    /// of the one scheduler; one shard is a drop-in replacement for
-    /// [`ExecutorKind::SerialSim`].
+    /// Also the simulator: the benchmark's "sharded twin" names it.
     ParallelSim {
-        /// Number of shards (must be ≥ 1).
+        /// Ignored.
         shards: usize,
     },
 }
@@ -152,9 +140,9 @@ pub trait Cluster {
     /// [`snow_sim::CommitDrain`]).  The batch's `inv_floor` is the
     /// watermark a streaming checker may advance to after ingesting it.
     fn drain_commits(&mut self) -> CommitDrain;
-    /// Yields and clears the observability events collected so far,
-    /// tagged with the emitting shard.  Clusters built without
-    /// [`ClusterSpec::observed`] record nothing and return nothing.
+    /// Yields and clears the observability events collected so far.
+    /// Clusters built without [`ClusterSpec::observed`] record nothing and
+    /// return nothing.
     fn drain_obs_events(&mut self) -> Vec<ShardEvent> {
         Vec::new()
     }
@@ -195,41 +183,6 @@ where
     }
 }
 
-impl<P, S, O> Cluster for ParallelSimulation<P, S, O>
-where
-    P: Process,
-    S: Scheduler<P::Msg>,
-    O: TraceSink,
-{
-    fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
-        ParallelSimulation::invoke_at(self, at, client, spec)
-    }
-    fn run_until_quiescent(&mut self) -> u64 {
-        ParallelSimulation::run_until_quiescent(self)
-    }
-    fn run_until_complete(&mut self, tx: TxId) -> bool {
-        ParallelSimulation::run_until_complete(self, tx)
-    }
-    fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId> {
-        ParallelSimulation::run_until_any_complete(self, watch)
-    }
-    fn is_complete(&self, tx: TxId) -> bool {
-        ParallelSimulation::is_complete(self, tx)
-    }
-    fn history(&self) -> History {
-        ParallelSimulation::history(self)
-    }
-    fn now(&self) -> u64 {
-        ParallelSimulation::now(self)
-    }
-    fn drain_commits(&mut self) -> CommitDrain {
-        ParallelSimulation::drain_commits(self)
-    }
-    fn drain_obs_events(&mut self) -> Vec<ShardEvent> {
-        ParallelSimulation::drain_obs_events(self)
-    }
-}
-
 use snow_sim::topology::TICK;
 
 /// The scheduler half of a [`ClusterSpec`]: a classic [`SchedulerKind`], or
@@ -242,22 +195,20 @@ enum SchedChoice {
 }
 
 /// The single cluster-construction path: a builder crossing protocol ×
-/// scheduler/topology × executor × step cap × observability × fault
-/// schedule.
+/// scheduler/topology × step cap × observability × fault schedule.
 ///
-/// Defaults: FIFO scheduler, [`ExecutorKind::SerialSim`],
-/// [`DEFAULT_MAX_STEPS`], no observability recording, no faults.
-/// [`ClusterSpec::build`] borrows the spec, so one spec can stamp out many
-/// clusters (e.g. a serial run and its 4-shard parity twin).
+/// Defaults: FIFO scheduler, [`DEFAULT_MAX_STEPS`], no observability
+/// recording, no faults.  [`ClusterSpec::build`] borrows the spec, so one
+/// spec can stamp out many clusters (e.g. a plain run and its observed
+/// twin).
 ///
 /// ```
 /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-/// use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+/// use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 ///
 /// let config = SystemConfig::mwmr(2, 1, 1);
 /// let spec = ClusterSpec::new(ProtocolKind::AlgC, &config)
-///     .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
-///     .executor(ExecutorKind::ParallelSim { shards: 2 });
+///     .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 });
 /// let mut cluster = spec.build().unwrap();
 /// let writer = config.writers().next().unwrap();
 /// let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(9))]));
@@ -268,7 +219,6 @@ pub struct ClusterSpec {
     protocol: ProtocolKind,
     config: SystemConfig,
     sched: SchedChoice,
-    executor: ExecutorKind,
     max_steps: u64,
     observed: bool,
     faults: Option<FaultSchedule>,
@@ -281,7 +231,6 @@ impl ClusterSpec {
             protocol,
             config: config.clone(),
             sched: SchedChoice::Kind(SchedulerKind::Fifo),
-            executor: ExecutorKind::SerialSim,
             max_steps: DEFAULT_MAX_STEPS,
             observed: false,
             faults: None,
@@ -302,17 +251,16 @@ impl ClusterSpec {
     }
 
     /// Delivers messages with per-link latencies drawn from `topology` —
-    /// a [`TopologyScheduler`] seeded with `seed`.  Topology-scheduled
-    /// histories are bit-identical across shard counts (see the
+    /// a [`TopologyScheduler`] seeded with `seed` (see the
     /// `snow_sim::topology` module docs).
     pub fn topology(mut self, topology: Arc<Topology>, seed: u64) -> Self {
         self.sched = SchedChoice::Topology { topology, seed };
         self
     }
 
-    /// Runs on `executor` (serial or sharded simulator).
-    pub fn executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
+    /// Identity, kept for `examples/e2e_bench` (frozen benchmark path): every
+    /// spec builds the one simulator, whichever [`ExecutorKind`] it names.
+    pub fn executor(self, _executor: ExecutorKind) -> Self {
         self
     }
 
@@ -328,8 +276,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Records observability events ([`ObsEvent`]) into per-shard
-    /// [`RecordingSink`]s, drained via [`Cluster::drain_obs_events`].
+    /// Records observability events ([`ObsEvent`]) into a
+    /// [`RecordingSink`], drained via [`Cluster::drain_obs_events`].
     /// Recording provably does not perturb the run (the `observability`
     /// integration test pins every golden fixture with and without it).
     pub fn observed(mut self, observed: bool) -> Self {
@@ -342,7 +290,7 @@ impl ClusterSpec {
     /// protocol state (the deployment re-run for their id); an empty
     /// schedule reproduces the fault-free histories byte for byte, and a
     /// faulty history is a pure function of `(protocol, config, scheduler,
-    /// executor, fault schedule)`.
+    /// fault schedule)`.
     ///
     /// Transactions the schedule orphans (server crashed with the request
     /// in flight, partition swallowed a message) are retired as
@@ -387,7 +335,7 @@ impl ClusterSpec {
     /// assert!(crashed && recovered, "the trace shows the crash and the recovery");
     /// // Export with `snow_obs::perfetto_json(&events, "crash drill", 1)` and
     /// // load the file at https://ui.perfetto.dev — the crash/recovery pair
-    /// // shows up as instant markers on the emitting shard's track.
+    /// // shows up as instant markers on the simulator's track.
     /// ```
     pub fn faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Some(faults);
@@ -396,14 +344,10 @@ impl ClusterSpec {
 
     /// Deploys the protocol and assembles the cluster.  Errors if the
     /// protocol rejects the configuration (e.g. Algorithm A without C2C),
-    /// the executor is a sharded simulator with no shards, the latency range
-    /// is empty, or the topology does not place every process of the
-    /// configuration.
+    /// the latency range is empty, or the topology does not place every
+    /// process of the configuration.
     pub fn build(&self) -> Result<Box<dyn Cluster>> {
         let invalid = |msg: String| Err(snow_core::SnowError::InvalidConfig(msg));
-        if let ExecutorKind::ParallelSim { shards: 0 } = self.executor {
-            return invalid("a parallel cluster needs at least one shard".to_string());
-        }
         match &self.sched {
             SchedChoice::Kind(SchedulerKind::Latency { min, max, .. }) if min > max => {
                 return invalid(format!("latency range is empty: min {min} > max {max}"));
@@ -429,32 +373,22 @@ impl ClusterSpec {
         }
         let nodes = deploy_any(self.protocol, &self.config)?;
         Ok(match &self.sched {
-            SchedChoice::Kind(SchedulerKind::Fifo) => self.assemble(nodes, FifoScheduler::new()),
+            SchedChoice::Kind(SchedulerKind::Fifo) => self.simulation(nodes, FifoScheduler::new()),
             SchedChoice::Kind(SchedulerKind::Random(seed)) => {
-                self.assemble(nodes, RandomScheduler::new(*seed))
+                self.simulation(nodes, RandomScheduler::new(*seed))
             }
             SchedChoice::Kind(SchedulerKind::Latency { seed, min, max }) => {
-                self.assemble(nodes, LatencyScheduler::new(*seed, *min, *max))
+                self.simulation(nodes, LatencyScheduler::new(*seed, *min, *max))
             }
             SchedChoice::Topology { topology, seed } => {
-                self.assemble(nodes, TopologyScheduler::new(topology.clone(), *seed))
+                self.simulation(nodes, TopologyScheduler::new(topology.clone(), *seed))
             }
         })
     }
 
-    /// One seed policy: the serial engine runs `scheduler`, and every shard
-    /// of the sharded one a clone of it.
-    fn assemble<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
-    where
-        S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
-    {
-        match self.executor {
-            ExecutorKind::SerialSim => self.build_serial(nodes, scheduler),
-            ExecutorKind::ParallelSim { shards } => self.build_parallel(nodes, shards, scheduler),
-        }
-    }
-
-    fn build_serial<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
+    /// The [`Simulation`] of `nodes` under `scheduler`, with the spec's step
+    /// cap, sink and fault schedule.
+    fn simulation<S>(&self, nodes: Vec<AnyNode>, scheduler: S) -> Box<dyn Cluster>
     where
         S: Scheduler<<AnyNode as Process>::Msg> + 'static,
     {
@@ -483,45 +417,6 @@ impl ClusterSpec {
             finish(self, nodes, scheduler, RecordingSink::new())
         } else {
             finish(self, nodes, scheduler, NullSink)
-        }
-    }
-
-    fn build_parallel<S>(
-        &self,
-        nodes: Vec<AnyNode>,
-        shards: usize,
-        scheduler: S,
-    ) -> Box<dyn Cluster>
-    where
-        S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
-    {
-        fn finish<S, O>(
-            spec: &ClusterSpec,
-            nodes: Vec<AnyNode>,
-            shards: usize,
-            scheduler: S,
-            mut make_sink: impl FnMut(usize) -> O,
-        ) -> Box<dyn Cluster>
-        where
-            S: Scheduler<<AnyNode as Process>::Msg> + Clone + 'static,
-            O: TraceSink + 'static,
-        {
-            let mut sim = ParallelSimulation::new(shards, scheduler)
-                .with_sinks(&mut make_sink)
-                .with_max_steps(spec.max_steps);
-            if let Some(faults) = spec.faults.clone() {
-                let (protocol, config) = (spec.protocol, spec.config.clone());
-                sim = sim.with_faults(faults, move |_i| Some(faulty_restart(protocol, &config)));
-            }
-            for n in nodes {
-                sim.add_process(n);
-            }
-            Box::new(sim)
-        }
-        if self.observed {
-            finish(self, nodes, shards, scheduler, |_| RecordingSink::new())
-        } else {
-            finish(self, nodes, shards, scheduler, |_| NullSink)
         }
     }
 }
@@ -690,21 +585,12 @@ mod tests {
     fn invalid_combinations_are_rejected() {
         // Algorithm A in a no-C2C config is refused.
         let cfg = SystemConfig::mwsr(2, 1, false);
-        let spec = ClusterSpec::new(ProtocolKind::AlgA, &cfg);
-        assert!(spec.build().is_err());
-        // …on the parallel substrate too (same validation path).
-        assert!(spec.executor(ExecutorKind::ParallelSim { shards: 2 }).build().is_err());
-        // Zero shards is a configuration error, not a panic.
-        let ok_cfg = SystemConfig::mwmr(2, 1, 1);
-        assert!(ClusterSpec::new(ProtocolKind::AlgB, &ok_cfg)
-            .executor(ExecutorKind::ParallelSim { shards: 0 })
-            .build()
-            .is_err());
+        assert!(ClusterSpec::new(ProtocolKind::AlgA, &cfg).build().is_err());
     }
 
     /// `build` is the only constructor: input it can reject comes back as
-    /// `InvalidConfig` on both executors instead of panicking in a
-    /// scheduler's constructor or on an unchecked index mid-run.
+    /// `InvalidConfig` instead of panicking in a scheduler's constructor or
+    /// on an unchecked index mid-run.
     #[test]
     fn build_rejects_schedules_that_cannot_run() {
         use snow_core::SnowError;
@@ -720,94 +606,68 @@ mod tests {
         let too_many = ClusterSpec::new(ProtocolKind::AlgB, &huge_config)
             .topology(Arc::new(Topology::single_dc(&huge_config)), 3);
         for spec in [empty_range, too_small, too_many] {
-            for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 2 }] {
-                let built = spec.clone().executor(executor).build();
-                assert!(
-                    matches!(built, Err(SnowError::InvalidConfig(_))),
-                    "{spec:?} on {executor:?}"
-                );
-            }
+            assert!(matches!(spec.build(), Err(SnowError::InvalidConfig(_))), "{spec:?}");
         }
     }
 
+    /// The cluster a spec builds, driven through five rounds of concurrent
+    /// writes and a read: history, clock and observed event stream.
+    fn drive_rounds(spec: ClusterSpec, config: &SystemConfig) -> String {
+        let mut cluster = spec.observed(true).build().unwrap();
+        let writers: Vec<_> = config.writers().collect();
+        let readers: Vec<_> = config.readers().collect();
+        for round in 0..5u64 {
+            let mut batch: Vec<_> = writers
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (*w, TxSpec::write(vec![(ObjectId(i as u32), Value(round + 1))])))
+                .collect();
+            batch.push((readers[0], TxSpec::read(vec![ObjectId(0), ObjectId(1)])));
+            cluster.invoke_batch(cluster.now(), batch);
+            cluster.run_until_quiescent();
+        }
+        let history = cluster.history();
+        assert_eq!(history.len(), 5 * (writers.len() + 1));
+        format!("{history:?} now={} {:?}", cluster.now(), cluster.drain_obs_events())
+    }
+
+    /// `ClusterSpec::executor` is an identity the frozen benchmark adapter
+    /// relies on (it builds its "sharded twin" through it): a spec naming
+    /// one shard — or none, or two — builds the default spec's cluster,
+    /// byte for byte, under every classic scheduler.
     #[test]
     fn one_shard_parallel_cluster_matches_the_serial_cluster() {
-        // Same protocol, scheduler and plan: a 1-shard parallel cluster
-        // must produce the serial cluster's history byte for byte.
+        let config = SystemConfig::mwmr(3, 2, 2);
         for sched in [
             SchedulerKind::Fifo,
             SchedulerKind::Random(13),
             SchedulerKind::Latency { seed: 13, min: 1, max: 20 },
         ] {
-            let config = SystemConfig::mwmr(3, 2, 2);
-            let drive = |cluster: &mut Box<dyn Cluster>| {
-                let writers: Vec<_> = config.writers().collect();
-                let readers: Vec<_> = config.readers().collect();
-                for round in 0..5u64 {
-                    let mut batch = vec![];
-                    for (i, w) in writers.iter().enumerate() {
-                        batch.push((
-                            *w,
-                            TxSpec::write(vec![(ObjectId(i as u32), Value(round + 1))]),
-                        ));
-                    }
-                    batch.push((readers[0], TxSpec::read(vec![ObjectId(0), ObjectId(1)])));
-                    cluster.invoke_batch(cluster.now(), batch);
-                    cluster.run_until_quiescent();
-                }
-                format!("{:?} now={}", cluster.history(), cluster.now())
-            };
             let spec = ClusterSpec::new(ProtocolKind::AlgB, &config).scheduler(sched);
-            let mut serial = spec.build().unwrap();
-            let mut parallel =
-                spec.executor(ExecutorKind::ParallelSim { shards: 1 }).build().unwrap();
-            assert_eq!(drive(&mut serial), drive(&mut parallel), "{sched:?}");
+            let reference = drive_rounds(spec.clone(), &config);
+            for shards in [0usize, 1, 2] {
+                let named = spec.clone().executor(ExecutorKind::ParallelSim { shards });
+                let got = drive_rounds(named, &config);
+                assert_eq!(got, reference, "{sched:?}, {shards} shards");
+            }
         }
     }
 
+    /// The same identity under topology scheduling, clean and under the dup
+    /// storm: the shard count a spec names never reaches the history.
     #[test]
     fn topology_clusters_are_shard_count_independent() {
         use snow_sim::Topology;
-        // A topology schedule's latencies and a fault schedule's gates are
-        // pure functions of each send's coordinates, and its keys never tie
-        // across cores: serial, 1-shard and 4-shard runs must be
-        // bit-identical, clean and under the dup storm.
         let config = SystemConfig::mwmr(4, 2, 2);
         let topo = Arc::new(Topology::wan3(&config));
-        let drive = |cluster: &mut Box<dyn Cluster>| {
-            let writers: Vec<_> = config.writers().collect();
-            let readers: Vec<_> = config.readers().collect();
-            for round in 0..4u64 {
-                // Invoke at consecutive µticks right at quiescence: every
-                // core (serial or any sharding) dispatches the INVs before
-                // the round's first delivery can exist (min link latency is
-                // a full site-tick), so they are stamped identically.
-                let mut at = cluster.now();
-                for (i, w) in writers.iter().enumerate() {
-                    at += 1;
-                    cluster.invoke_at(
-                        at,
-                        *w,
-                        TxSpec::write(vec![(ObjectId(i as u32), Value(round + 1))]),
-                    );
-                }
-                at += 1;
-                cluster.invoke_at(at, readers[0], TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
-                cluster.run_until_quiescent();
-            }
-            format!("{:?} now={}", cluster.history(), cluster.now())
-        };
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple] {
             let clean = ClusterSpec::new(protocol, &config).topology(topo.clone(), 0x70);
             for spec in [clean.clone(), clean.faults(scenario_dup_storm())] {
-                let reference = drive(&mut spec.build().unwrap());
+                let reference = drive_rounds(spec.clone(), &config);
                 for shards in [1usize, 4] {
-                    let mut sharded = spec
-                        .clone()
-                        .executor(ExecutorKind::ParallelSim { shards })
-                        .build()
-                        .unwrap();
-                    assert_eq!(reference, drive(&mut sharded), "{protocol:?}, {shards} shards");
+                    let named = spec.clone().executor(ExecutorKind::ParallelSim { shards });
+                    let got = drive_rounds(named, &config);
+                    assert_eq!(got, reference, "{protocol:?}, {shards} shards");
                 }
             }
         }

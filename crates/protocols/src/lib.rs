@@ -2,9 +2,8 @@
 //!
 //! Executable implementations of every READ/WRITE transaction protocol the
 //! paper discusses, written once as transport-agnostic state machines and
-//! executed unchanged on both substrates — the serial and the sharded
-//! deterministic simulator (`snow-sim`) — through [`AnyNode`], the crate's
-//! one `snow_core::Process` implementation:
+//! executed on the deterministic simulator (`snow-sim`) through
+//! [`AnyNode`], the crate's one `snow_core::Process` implementation:
 //!
 //! * [`list`] — **Algorithms A, B and C** (§5.2, §8, §9; Pseudocodes 4–7),
 //!   one family: the same WRITE, wire format, writer and server, and one
@@ -30,14 +29,12 @@
 //! per-protocol node/message types behind enum dispatch ([`AnyNode`],
 //! [`AnyMsg`]), so [`deploy_any`] is the *single* `ProtocolKind`-dispatched
 //! construction path in the workspace, and [`ClusterSpec`] the single way
-//! to put its node set on a substrate: pick a [`SchedulerKind`] or a
-//! topology, select the serial or the sharded simulator with
-//! [`ExecutorKind`], and drive the result through the [`deploy::Cluster`]
-//! trait.
+//! to put its node set on the simulator: pick a [`SchedulerKind`] or a
+//! topology, and drive the result through the [`deploy::Cluster`] trait.
 //!
-//! A new protocol therefore lands on both executors — and under the golden,
+//! A new protocol therefore lands on the simulator — and under the golden,
 //! parity and fault suites — by adding one module and one
-//! [`deploy_any`] arm; no executor grows protocol-specific wiring.
+//! [`deploy_any`] arm; the simulator grows no protocol-specific wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,33 +1,28 @@
-//! The **single dispatch core** every simulator substrate runs on.
+//! The **single dispatch core** the simulator runs on.
 //!
-//! [`DispatchCore`] owns one partition of a deployment's processes (a
-//! `ProcessTable`: one slot vector per role) plus the structures the step
-//! loop needs — a [`MessagePool`] delivery heap, a `(at, TxId)`-keyed
-//! invocation heap, a [`Scheduler`] instance, the transaction records (a
-//! `RecordLog`: a vector in INV order, a dense `TxId → slot` index and a
-//! forward-only cursor at the earliest transaction in flight) and the
-//! commit log.  The two heaps order events; every other per-step lookup is
-//! an index (see `crate::tables`).  The core makes **every dispatch
-//! decision in the workspace**: invocation-vs-delivery choice, clock
-//! advance, handler execution, effect application, step accounting, and the
-//! adversarial driving entry points ([`crate::Simulation::deliver_where`],
-//! [`crate::Simulation::force_invoke`]).  It also derives the instrumentation a
-//! [`History`] carries — rounds, C2C counts, read results — from the
-//! [`Causal`] stamp of the message being handled, straight into the
-//! [`TxRecord`] it describes (`DispatchCore::stamp`; there is no ledger
-//! beside the records).
+//! [`DispatchCore`] owns a deployment's processes (a `ProcessTable`: one
+//! slot vector per role) plus the structures the step loop needs — a
+//! [`MessagePool`] delivery heap, a `(at, TxId)`-keyed invocation heap, a
+//! [`Scheduler`] instance, the transaction records (a `RecordLog`: a vector
+//! in INV order, a dense `TxId → slot` index and a forward-only cursor at
+//! the earliest transaction in flight) and the commit log.  The two heaps
+//! order events; every other per-step lookup is an index (see
+//! `crate::tables`).  The core makes **every dispatch decision in the
+//! workspace**: invocation-vs-delivery choice, clock advance, handler
+//! execution, effect application, step accounting, the one wait loop
+//! (`DispatchCore::run`), and the adversarial driving entry points
+//! ([`crate::Simulation::deliver_where`], [`crate::Simulation::force_invoke`]).
+//! It also derives the instrumentation a [`snow_core::History`] carries —
+//! rounds, C2C counts, read results — from the [`Causal`] stamp of the
+//! message being handled, straight into the [`TxRecord`] it describes
+//! (`DispatchCore::stamp`; there is no ledger beside the records).
 //!
-//! The serial [`crate::Simulation`] wraps exactly one core (`index 0,
-//! stride 1`, so every process is local and the cross-shard outbox stays
-//! empty); the sharded [`crate::ParallelSimulation`] instantiates one core
-//! per shard, runs them in turn, and exchanges the cores' outboxes between
-//! epochs.  Historically the two engines carried hand-mirrored copies of this logic
-//! ("change dispatch semantics in both places"); the mirror is gone, and
-//! module privacy keeps it gone: every field of `DispatchCore` — the pool,
-//! the clock, the process table, the fault state — is private to this
-//! module, and the wrappers get a handful of narrow methods (plan an
-//! invocation, import a routed message, take the outbox, read the clock and
-//! the counters), so a second dispatch loop elsewhere cannot compile.
+//! [`crate::Simulation`] wraps exactly one core.  Module privacy keeps the
+//! core single: every field of `DispatchCore` — the pool, the clock, the
+//! process table, the fault state — is private to this module, and the
+//! wrapper gets a handful of narrow methods (plan an invocation, run, read
+//! the clock and the counters), so a second dispatch loop elsewhere cannot
+//! compile.
 //!
 //! # The clock invariant
 //!
@@ -50,13 +45,9 @@
 use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict};
 use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
 use crate::pool::MessagePool;
-use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
 use crate::tables::{ProcessTable, RecordLog};
-use snow_core::{
-    ClientId, Effects, FxHashMap, History, Process, ProcessId, ReadResult, TxId, TxKind,
-    TxRecord, TxSpec,
-};
+use snow_core::{ClientId, Effects, Process, ProcessId, ReadResult, TxId, TxKind, TxRecord, TxSpec};
 use snow_obs::{NullSink, ObsEvent, TraceSink};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -133,9 +124,8 @@ impl CommitLog {
     }
 }
 
-/// One dispatch core: a self-contained engine over a subset (possibly all)
-/// of a deployment's processes.  See the module docs for how the serial
-/// and sharded substrates wrap it; its fields are private to this module.
+/// One dispatch core: a self-contained engine over a deployment's
+/// processes.  See the module docs; its fields are private to this module.
 ///
 /// `O` is the observability sink the core emits [`ObsEvent`]s into.  The
 /// default [`NullSink`] has `ENABLED = false`, so every emission site —
@@ -144,34 +134,22 @@ impl CommitLog {
 /// instruction.  All stamps are **virtual ticks** (`self.now`); the core
 /// never reads a wall clock.
 pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
-    /// Which shard this core is (0 for the serial engine).
-    index: usize,
-    /// Total number of shards; message ids are strided by it (the serial
-    /// engine's stride of 1 assigns densely, exactly as it always did).
-    stride: u64,
     processes: ProcessTable<P>,
     pool: MessagePool<P::Msg>,
     invocations: BinaryHeap<QueuedInvocation>,
     scheduler: S,
-    /// One record per transaction **invoked on this core**, in INV order,
-    /// instrumentation (rounds, read results) folded in as the actions
-    /// happen.
+    /// One record per invoked transaction, in INV order, instrumentation
+    /// (rounds, C2C counts, read results) folded in as the actions happen.
     records: RecordLog,
     commits: CommitLog,
-    /// C2C sends per transaction, counted on the sending core (which need
-    /// not hold the record); only Algorithm A's traffic touches it.
-    c2c_sends: FxHashMap<TxId, u32>,
     /// Time of the last external action ([`DispatchCore::audit_clock`]).
     last_action_at: u64,
     now: u64,
     next_msg: u64,
     steps: u64,
     max_steps: u64,
-    /// Commit-log position of the last [`DispatchCore::new_commits`] drain.
+    /// Commit-log position of the last [`DispatchCore::drain_commits`].
     commit_cursor: u64,
-    /// Sends addressed to processes of another core, buffered for the
-    /// epoch exchange.  Always empty at stride 1 (everything is local).
-    outbox: Vec<PendingMessage<P::Msg>>,
     /// The one output buffer every handler of this core writes into;
     /// [`DispatchCore::apply_effects`] drains it and keeps its capacity.
     effects: Effects<P::Msg>,
@@ -190,27 +168,23 @@ where
     S: Scheduler<P::Msg>,
     O: TraceSink,
 {
-    pub(crate) fn new(index: usize, stride: u64, scheduler: S) -> Self
+    pub(crate) fn new(scheduler: S) -> Self
     where
         O: Default,
     {
         DispatchCore {
-            index,
-            stride,
             processes: ProcessTable::new(),
             pool: MessagePool::new(),
             invocations: BinaryHeap::new(),
             scheduler,
             records: RecordLog::default(),
             commits: CommitLog::default(),
-            c2c_sends: FxHashMap::default(),
             last_action_at: 0,
             now: 0,
-            next_msg: index as u64,
+            next_msg: 0,
             steps: 0,
             max_steps: 1_000_000,
             commit_cursor: 0,
-            outbox: Vec::new(),
             effects: Effects::new(0),
             sink: O::default(),
             faults: None,
@@ -221,22 +195,18 @@ where
     /// changing, so the emission sites re-monomorphize for `O2`).
     pub(crate) fn with_sink<O2: TraceSink>(self, sink: O2) -> DispatchCore<P, S, O2> {
         DispatchCore {
-            index: self.index,
-            stride: self.stride,
             processes: self.processes,
             pool: self.pool,
             invocations: self.invocations,
             scheduler: self.scheduler,
             records: self.records,
             commits: self.commits,
-            c2c_sends: self.c2c_sends,
             last_action_at: self.last_action_at,
             now: self.now,
             next_msg: self.next_msg,
             steps: self.steps,
             max_steps: self.max_steps,
             commit_cursor: self.commit_cursor,
-            outbox: self.outbox,
             effects: self.effects,
             sink,
             faults: self.faults,
@@ -246,22 +216,6 @@ where
     /// Yields and clears the sink's collected events.
     pub(crate) fn drain_events(&mut self) -> Vec<ObsEvent> {
         self.sink.drain()
-    }
-
-    /// Observability note from the sharded engine's epoch loop: this core
-    /// just finished its turn in epoch `epoch`, having executed `steps`
-    /// steps under `watermark`.  Called only on the multi-shard path
-    /// (never by the serial engine or the 1-shard inline fast path), so
-    /// 1-shard event streams stay byte-identical to serial ones.
-    pub(crate) fn note_epoch(&mut self, epoch: u64, watermark: u64, steps: u64) {
-        if O::ENABLED {
-            self.sink.emit(ObsEvent::EpochBarrierCrossed {
-                at: self.now,
-                epoch,
-                watermark,
-                steps,
-            });
-        }
     }
 
     /// Registers a process.  Panics if a process with the same id exists.
@@ -274,11 +228,6 @@ where
     /// The core's virtual clock.
     pub(crate) fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Steps taken so far.
-    pub(crate) fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// Overrides the safety cap on steps.
@@ -301,33 +250,14 @@ where
         self.processes.get(id)
     }
 
-    /// Number of messages in flight on this core.
+    /// Number of messages in flight.
     pub(crate) fn pending_count(&self) -> usize {
         self.pool.len()
     }
 
-    /// The messages in flight on this core, in send (id) order.
+    /// The messages in flight, in send (id) order.
     pub(crate) fn pending(&self) -> impl Iterator<Item = &PendingMessage<P::Msg>> + '_ {
         self.pool.iter()
-    }
-
-    /// Takes in a message another core routed here at the epoch exchange.
-    pub(crate) fn import(&mut self, msg: PendingMessage<P::Msg>) {
-        self.pool.insert(msg);
-    }
-
-    /// Moves this core's buffered cross-shard sends onto the end of `to`.
-    pub(crate) fn take_outbox(&mut self, to: &mut Vec<PendingMessage<P::Msg>>) {
-        to.append(&mut self.outbox);
-    }
-
-    /// Number of commits logged so far (the cursor of `watched_commit`).
-    pub(crate) fn commit_count(&self) -> u64 {
-        self.commits.count()
-    }
-
-    fn is_local(&self, id: ProcessId) -> bool {
-        shard_of(id, self.stride as usize) == self.index
     }
 
     pub(crate) fn is_complete(&self, tx: TxId) -> bool {
@@ -335,40 +265,29 @@ where
     }
 
     /// True if this core has nothing left to do (nothing pending, nothing
-    /// planned, nothing awaiting the exchange).
+    /// planned).
     pub(crate) fn is_quiescent(&self) -> bool {
-        self.pool.is_empty() && self.invocations.is_empty() && self.outbox.is_empty()
+        self.pool.is_empty() && self.invocations.is_empty()
     }
 
     /// **The one dispatch rule**: the earliest planned invocation is the
     /// next event iff its planned time has been reached or no pending
     /// delivery is keyed at or before it; otherwise the scheduler picks a
-    /// delivery.  Every core therefore dispatches in ascending key order, so
-    /// an invocation planned at quiescence is stamped `planned + 1` on the
-    /// serial engine and on every shard alike, and no invocation waits
-    /// behind a delivery keyed after it.  Returns the planned time of the
-    /// invocation when it is the next event; `earliest_key` is the pool's
-    /// [`MessagePool::peek_earliest`] key.
+    /// delivery.  The core therefore dispatches in ascending key order, so
+    /// an invocation planned at quiescence is stamped `planned + 1`, and no
+    /// invocation waits behind a delivery keyed after it.  Returns the
+    /// planned time of the invocation when it is the next event;
+    /// `earliest_key` is the pool's [`MessagePool::peek_earliest`] key.
     fn due_invocation(&self, earliest_key: Option<u64>) -> Option<u64> {
         let at = self.invocations.peek()?.at;
         (at <= self.now || earliest_key.is_none_or(|key| at < key)).then_some(at)
-    }
-
-    /// The earliest virtual time at which this core could take a step
-    /// under the dispatch rule, or `None` if it has no work: the due
-    /// invocation's planned time, else the earliest pending delivery's key
-    /// (a non-empty pool always has a live queue entry).
-    pub(crate) fn next_processable(&mut self) -> Option<u64> {
-        let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
-        self.due_invocation(earliest_key).or(earliest_key)
     }
 
     fn count_step(&mut self) {
         self.steps += 1;
         assert!(
             self.steps <= self.max_steps,
-            "engine (shard {}) exceeded {} steps; likely livelock",
-            self.index,
+            "engine exceeded {} steps; likely livelock",
             self.max_steps
         );
     }
@@ -398,27 +317,19 @@ where
         self.last_action_at = self.now;
     }
 
-    /// One dispatch decision under `watermark`: a due invocation
-    /// ([`DispatchCore::due_invocation`]) wins over a delivery;
-    /// deliveries are chosen by the scheduler, which may pick *any* live
-    /// message, not just ones keyed inside the watermark — the watermark
-    /// only gates *whether* a dispatch happens (the due invocation or the
-    /// earliest pending delivery must fall below it).  Returns `None`
-    /// without counting a step if nothing below the watermark is
-    /// dispatchable.  The serial engine passes `u64::MAX`.
-    fn try_dispatch(&mut self, watermark: u64) -> Option<StepOutcome> {
-        // The one heap peek of this dispatch: it decides the due rule here
-        // and the watermark gate below.
+    /// One dispatch decision: a due invocation
+    /// ([`DispatchCore::due_invocation`]) wins over a delivery; deliveries
+    /// are chosen by the scheduler, which may pick *any* live message.
+    /// Returns `None` without counting a step if nothing is dispatchable.
+    fn try_dispatch(&mut self) -> Option<StepOutcome> {
+        // The one heap peek of this dispatch: it decides the due rule.
         let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
-        if self.due_invocation(earliest_key).is_some_and(|at| at < watermark) {
+        if self.due_invocation(earliest_key).is_some() {
             let inv = self.invocations.pop().expect("peeked invocation");
             self.count_step();
             self.advance_past(inv.at);
             self.dispatch_invocation(inv.tx, inv.client, inv.spec);
             return Some(StepOutcome::Invoked(inv.tx));
-        }
-        if earliest_key.is_none_or(|key| key >= watermark) {
-            return None;
         }
         let msg = self.scheduler.next(&mut self.pool, self.now)?;
         self.count_step();
@@ -439,7 +350,7 @@ where
     /// One serial step (the historical [`crate::Simulation::step`] contract): an
     /// idle probe — nothing dispatchable — still counts a step.
     pub(crate) fn step(&mut self) -> StepOutcome {
-        match self.try_dispatch(u64::MAX) {
+        match self.try_dispatch() {
             Some(outcome) => outcome,
             None => {
                 self.count_step();
@@ -448,42 +359,46 @@ where
         }
     }
 
-    /// The commit gate of every completion wait: the first member of
-    /// `watch` (in `watch` order) among the commits logged since
-    /// commit number `*seen`, which is advanced to the current count.  A
-    /// transaction completes only when its RESP is logged, so a wait
-    /// loop that scanned `watch` once on entry needs nothing else after a
-    /// step — O(1) when the step committed nothing, and a slice compare (no
-    /// `records` probe) against the new ids when it did.
-    pub(crate) fn watched_commit(&self, seen: &mut u64, watch: &[TxId]) -> Option<TxId> {
+    /// The commit gate of every completion wait: whether a member of
+    /// `watch` is among the commits logged since commit number `*seen`,
+    /// which is advanced to the current count.  A transaction completes
+    /// only when its RESP is logged, so a wait loop that scanned `watch`
+    /// once on entry needs nothing else after a step — O(1) when the step
+    /// committed nothing, and a slice compare (no `records` probe) against
+    /// the new ids when it did.
+    fn watched_commit(&self, seen: &mut u64, watch: &[TxId]) -> bool {
         let count = self.commits.count();
         if count == *seen {
-            return None;
+            return false;
         }
         let from = std::mem::replace(seen, count);
-        let done = watch
-            .iter()
-            .copied()
-            .find(|&tx| self.commits.since(from).any(|committed| committed == tx));
-        debug_assert!(done.is_none_or(|tx| self.is_complete(tx)), "logged commit without a record");
+        let done = self.commits.since(from).any(|committed| watch.contains(&committed));
+        debug_assert!(
+            !done || watch.iter().any(|&tx| self.is_complete(tx)),
+            "logged commit without a record"
+        );
         done
     }
 
-    /// Drains local events by the dispatch rules until neither a due
-    /// invocation nor the earliest pending delivery falls below
-    /// `watermark`, the core has nothing left, or (if watching) **any**
-    /// watched transaction completes.  Returns steps executed.
-    pub(crate) fn run_epoch(&mut self, watermark: u64, watch: &[TxId]) -> u64 {
+    /// **The one wait loop** behind every `run_until_*`: dispatches by the
+    /// dispatch rule until a member of `watch` commits (never, for an empty
+    /// `watch`) or nothing is left to dispatch, and only in the latter case
+    /// retires what a fault schedule orphaned
+    /// ([`DispatchCore::abort_orphans`]).  A `watch` with an
+    /// already-complete member returns at once.  Returns the steps
+    /// executed.
+    pub(crate) fn run(&mut self, watch: &[TxId]) -> u64 {
         let start = self.steps;
         if watch.iter().any(|&tx| self.is_complete(tx)) {
             return 0;
         }
         let mut seen = self.commits.count();
-        while self.try_dispatch(watermark).is_some() {
-            if self.watched_commit(&mut seen, watch).is_some() {
-                break;
+        while self.try_dispatch().is_some() {
+            if self.watched_commit(&mut seen, watch) {
+                return self.steps - start;
             }
         }
+        self.abort_orphans();
         self.steps - start
     }
 
@@ -540,11 +455,8 @@ where
 
     fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
         // Delivery must happen strictly after the message's own timestamp.
-        // `sent_at` is only comparable to `now` on a single-core clock
-        // (shards advance their virtual clocks independently).
         debug_assert!(
-            msg.deliver_at.is_none_or(|at| at < self.now)
-                && (self.stride > 1 || msg.sent_at < self.now),
+            msg.deliver_at.is_none_or(|at| at < self.now) && msg.sent_at < self.now,
             "message {} delivered before its own timestamp (sent_at {}, deliver_at {:?}, now {})",
             msg.id,
             msg.sent_at,
@@ -577,8 +489,7 @@ where
     /// the handler runs: one [`ReadResult`] per response carrying an object
     /// that a server sent the **invoking client** — and only until the RESP,
     /// at which the record is final (a duplicate or a slow replica's answer
-    /// delivered later is a straggler, not instrumentation).  On a sharded
-    /// run only the invoker's core holds the record.
+    /// delivered later is a straggler, not instrumentation).
     fn note_read_response(&mut self, msg: &PendingMessage<P::Msg>, info: &MsgInfo) {
         if info.kind != MsgKind::ReadResponse {
             return;
@@ -602,7 +513,8 @@ where
     /// **The one definition of the causal stamp** (see [`Causal`]) of a send
     /// by `at`, classified `info`, made while handling `handled` (`None` in
     /// an INV handler) — folded, at the same site, into the record it
-    /// describes: the invoker's round count, or this core's C2C count.
+    /// describes: a C2C send into its transaction's C2C count, whoever
+    /// sends it; any other send by the invoker into its round count.
     fn stamp(
         &mut self,
         at: ProcessId,
@@ -610,40 +522,31 @@ where
         handled: Option<(MsgInfo, Causal)>,
     ) -> Causal {
         let Some(tx) = info.tx else { return Causal::ROOT };
-        // A server never invokes, and only the invoker's core holds the
-        // record — which is exactly the core on which the answer is "yes".
-        let invoker = match at {
-            ProcessId::Client(client) => {
-                self.records.get_mut(tx).filter(|rec| rec.client == client)
-            }
-            ProcessId::Server(_) => None,
-        };
+        let rec = self.records.get_mut(tx);
+        // A server never invokes.
+        let by_invoker = matches!((at, &rec), (ProcessId::Client(c), Some(rec)) if rec.client == c);
         let causal = match handled {
             Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
-                round: stamp.round + u32::from(invoker.is_some()),
+                round: stamp.round + u32::from(by_invoker),
                 direct: parent.kind == MsgKind::ReadRequest,
             },
             _ => Causal::ROOT,
         };
-        if info.kind == MsgKind::ClientToClient {
-            *self.c2c_sends.entry(tx).or_insert(0) += 1;
-        } else if let Some(rec) = invoker {
-            rec.rounds = rec.rounds.max(causal.round);
+        if let Some(rec) = rec {
+            if info.kind == MsgKind::ClientToClient {
+                rec.c2c_messages += 1;
+            } else if by_invoker {
+                rec.rounds = rec.rounds.max(causal.round);
+            }
         }
         causal
     }
 
-    /// C2C sends attributed to `tx` by processes of this core.
-    pub(crate) fn c2c_count(&self, tx: TxId) -> u32 {
-        self.c2c_sends.get(&tx).copied().unwrap_or(0)
-    }
-
     /// The one enqueue path of a send and of its fault-engine duplicate:
-    /// the scheduler's draw, pool or outbox, the `MessageSent` event.
-    /// `ordinal` counts the `enqueue` calls of the current `apply_effects`
-    /// before this one — with `(src, dst, now)`, the send's shard-invariant
-    /// coordinates.  `verdict` has the last word on whether and when the
-    /// message travels.
+    /// the scheduler's draw, the pool, the `MessageSent` event.  `ordinal`
+    /// counts the `enqueue` calls of the current `apply_effects` before
+    /// this one — with `(src, dst, now)`, the send's coordinates.
+    /// `verdict` has the last word on whether and when the message travels.
     fn enqueue(
         &mut self,
         mut msg: PendingMessage<P::Msg>,
@@ -658,11 +561,9 @@ where
             msg.deliver_at = Some(base.max(verdict.hold_until.unwrap_or(0)));
         }
         let (id, src, dst) = (msg.id, msg.src, msg.dst);
-        let local = self.is_local(dst);
-        match (verdict.dropped, local) {
-            (true, _) => {} // sent, never inserted: a drop is an event of the run
-            (false, true) => self.pool.insert(msg),
-            (false, false) => self.outbox.push(msg),
+        // A dropped send is never inserted: the drop is an event of the run.
+        if !verdict.dropped {
+            self.pool.insert(msg);
         }
         if O::ENABLED {
             self.sink.emit(ObsEvent::MessageSent {
@@ -673,14 +574,13 @@ where
                 src,
                 dst,
                 queue_depth: self.pool.len() as u32,
-                cross_shard: !local,
             });
         }
     }
 
     fn next_msg_id(&mut self) -> MsgId {
         let id = MsgId(self.next_msg);
-        self.next_msg += self.stride;
+        self.next_msg += 1;
         id
     }
 
@@ -706,7 +606,7 @@ where
             };
             // `send_verdict` is a pure function of `(schedule, src, dst,
             // sent_at, ordinal)`, so verdicts are independent of decision
-            // order and of the shard count.
+            // order.
             let verdict = match self.faults.as_ref() {
                 Some(f) => f.schedule.send_verdict(at, to, self.now, ordinal),
                 None => SendVerdict::default(),
@@ -726,11 +626,11 @@ where
                 });
             }
             if let Some(copy) = dup {
-                // The duplicate is a first-class send: its own
-                // (shard-strided) id, its own scheduler draw, its own stamp
-                // from the same inputs (so a duplicated C2C send counts
-                // twice).  It is not re-evaluated against the fault schedule
-                // (no duplicate storms of duplicates).
+                // The duplicate is a first-class send: its own id, its own
+                // scheduler draw, its own stamp from the same inputs (so a
+                // duplicated C2C send counts twice).  It is not re-evaluated
+                // against the fault schedule (no duplicate storms of
+                // duplicates).
                 let causal = self.stamp(at, &info, handled);
                 let dup_id = self.next_msg_id();
                 let copy = PendingMessage { id: dup_id, causal, ..copy };
@@ -769,50 +669,30 @@ where
         self.commits.live.push_back(tx);
     }
 
-    /// Clones one record — rounds and read instrumentation are already in
-    /// it — with the C2C count the caller supplies (C2C sends are counted
-    /// on the sender's core, so the sharded engine sums across cores).
-    fn exported_record(rec: &TxRecord, c2c_of: &impl Fn(TxId) -> u32) -> TxRecord {
-        let mut rec = rec.clone();
-        rec.c2c_messages = c2c_of(rec.tx_id);
-        rec
+    /// The transaction records — every instrumentation count already in
+    /// them — in `(invoked_at, tx_id)` order, a [`snow_core::History`]'s
+    /// own.
+    pub(crate) fn records(&self) -> &[TxRecord] {
+        self.records.as_slice()
     }
 
-    /// Number of transactions invoked on this core so far.
-    pub(crate) fn record_count(&self) -> usize {
-        self.records.as_slice().len()
-    }
-
-    /// Appends this core's transaction records to `history`, in this
-    /// core's `(invoked_at, tx_id)` order — the history's own order when
-    /// there is one core; the sharded engine merges.
-    pub(crate) fn collect_records(&self, history: &mut History, c2c_of: impl Fn(TxId) -> u32) {
-        let records = self.records.as_slice().iter();
-        history.records.extend(records.map(|rec| Self::exported_record(rec, &c2c_of)));
-    }
-
-    /// The records of every commit logged since the last
-    /// [`DispatchCore::retire_drained_commits`], in local RESP order —
-    /// the streaming checker's incremental alternative to re-assembling
-    /// the whole history per poll.  Immutable so a caller can pass a
-    /// `c2c_of` closure that reads sibling cores; pair with
-    /// `retire_drained_commits` once the batch is consumed.
-    pub(crate) fn new_commits(&self, c2c_of: impl Fn(TxId) -> u32) -> Vec<TxRecord> {
-        self.commits
+    /// The records of every commit logged since the last drain, in RESP
+    /// order — the streaming checker's incremental alternative to
+    /// re-assembling the whole history per poll — retiring that prefix of
+    /// the commit log.
+    pub(crate) fn drain_commits(&mut self) -> Vec<TxRecord> {
+        let records = self
+            .commits
             .since(self.commit_cursor)
             .filter_map(|tx| self.records.get(tx))
-            .map(|rec| Self::exported_record(rec, &c2c_of))
-            .collect()
-    }
-
-    /// Marks everything returned by the last [`DispatchCore::new_commits`]
-    /// as consumed and retires that prefix of the commit log.
-    pub(crate) fn retire_drained_commits(&mut self) {
+            .cloned()
+            .collect();
         self.commit_cursor = self.commits.count();
         self.commits.retire(self.commit_cursor);
+        records
     }
 
-    /// A lower bound on the `invoked_at` of every commit this core will
+    /// A lower bound on the `invoked_at` of every commit the core will
     /// log *after* the current drain point ([`RecordLog::inv_floor`]): the
     /// watermark a streaming checker may advance its certification
     /// frontier to.
@@ -925,7 +805,7 @@ where
     /// wedging).  A no-op without a fault schedule: on a fault-free run an
     /// in-flight transaction at quiescence is a protocol bug, and the
     /// existing completeness assertions should keep catching it.
-    pub(crate) fn abort_orphans(&mut self) {
+    fn abort_orphans(&mut self) {
         if self.faults.is_none() || !self.is_quiescent() {
             return;
         }
@@ -944,7 +824,7 @@ where
 mod tests {
     use super::*;
     use crate::scheduler::LatencyScheduler;
-    use crate::{ParallelSimulation, Simulation};
+    use crate::Simulation;
     use snow_core::{ObjectId, ReadOutcome, ServerId, TxOutcome};
 
     /// One hop of a scripted route: the next process, and how the message
@@ -1031,8 +911,6 @@ mod tests {
             .chain(others.into_iter().map(|id| Router { id, scripts: VecDeque::new() }))
     }
 
-    // A fixed latency: a lone chain is then stamped identically on the
-    // serial clock and on per-shard clocks.
     fn scheduler() -> LatencyScheduler {
         LatencyScheduler::new(0, 5, 5)
     }
@@ -1045,18 +923,6 @@ mod tests {
     /// on the serial engine.
     fn run(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
         let mut sim = Simulation::new(scheduler());
-        let count = routes.len() as u64;
-        routers(routes).for_each(|p| sim.add_process(p));
-        for i in 0..count {
-            sim.invoke_at(i * 1_000, ClientId(0), read_spec());
-        }
-        sim.run_until_quiescent();
-        sim.history().records
-    }
-
-    /// [`run`] on four shards: client `i` and server `i` live on shard `i`.
-    fn run_sharded(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
-        let mut sim = ParallelSimulation::new(4, scheduler());
         let count = routes.len() as u64;
         routers(routes).for_each(|p| sim.add_process(p));
         for i in 0..count {
@@ -1113,10 +979,10 @@ mod tests {
     #[test]
     fn c2c_sends_are_counted_and_never_add_a_round() {
         let route = vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0))];
-        let rec = &run(vec![route.clone()])[0];
+        // The relay's send counts for the transaction it travels for,
+        // though the relay did not invoke it.
+        let rec = &run(vec![route])[0];
         assert_eq!((rec.rounds, rec.c2c_messages), (1, 2));
-        // On four shards the relay's send is counted by another core.
-        assert_eq!(run_sharded(vec![route])[0].c2c_messages, 2);
     }
 
     #[test]
@@ -1135,22 +1001,20 @@ mod tests {
         assert_eq!(rec.rounds, 3);
     }
 
-    /// The derivation needs nothing but the message: with every hop of the
-    /// chain crossing a shard boundary, the sharded engine assembles the
-    /// record the serial engine does, byte for byte.
+    /// The derivation needs nothing but the messages: a chain through
+    /// two servers and a C2C relay folds into one record.
     #[test]
-    fn serial_and_sharded_engines_derive_the_same_record() {
+    fn a_relayed_chain_derives_its_whole_record() {
         // invoke → request → response → C2C relay and back → second
-        // request → response; shards 0→2→0→1→0→3→0.
+        // request → response.
         let route =
             vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0)), req(s(3), 1), resp(c(0), 1, 2)];
-        let serial = &run(vec![route.clone()])[0];
-        assert!(serial.is_complete());
+        let rec = &run(vec![route])[0];
+        assert!(rec.is_complete());
         // The C2C messages the invoker sends are no round of its own, but
         // the one it handles is a response of the chain like any other.
-        assert_eq!((serial.rounds, serial.c2c_messages), (3, 2));
-        assert_eq!(serial.reads, [read(0, 2, 1, true), read(1, 3, 2, true)]);
-        assert_eq!(format!("{:?}", run_sharded(vec![route])[0]), format!("{serial:?}"));
+        assert_eq!((rec.rounds, rec.c2c_messages), (3, 2));
+        assert_eq!(rec.reads, [read(0, 2, 1, true), read(1, 3, 2, true)]);
     }
 
     #[test]

@@ -7,20 +7,20 @@
 //! times, and server [`Crash`]es with recovery and state loss — as plain
 //! data, evaluated by pure functions of the message being decided.  The
 //! determinism contract matches the schedulers': a faulty history is a pure
-//! function of `(configuration, seeds, shard count, fault schedule)`.  Two
-//! properties make that hold on the sharded engine without coordination:
+//! function of `(configuration, seeds, fault schedule)`.  Two properties
+//! make that hold:
 //!
 //! * **per-message decisions** — a region's probabilistic gate hashes the
-//!   schedule seed with the send's shard-invariant coordinates (source,
-//!   destination, send tick, ordinal within its handler: the key latency
-//!   draws use, `scheduler::send_hash`), never a draw-order RNG or the
-//!   shard-strided `MsgId`, so the verdict for a message depends neither on
-//!   which other messages were decided first nor on the shard count;
+//!   schedule seed with the send's coordinates (source, destination, send
+//!   tick, ordinal within its handler: the key latency draws use,
+//!   `scheduler::send_hash`), never a draw-order RNG or the `MsgId`, so the
+//!   verdict for a message does not depend on which other messages were
+//!   decided first, and a recorded schedule that names its sends by those
+//!   coordinates replays the same verdicts;
 //! * **single decision sites** — send-side faults (regions, partitions) are
-//!   decided on the *sending* core inside `apply_effects`, delivery-side
-//!   faults (crash windows) on the *destination* core inside the dispatch
-//!   step; both live in `engine.rs`, the workspace's one dispatch core,
-//!   whose fault state no other module can reach.
+//!   decided inside `apply_effects`, delivery-side faults (crash windows)
+//!   inside the dispatch step; both live in `engine.rs`, the workspace's
+//!   one dispatch core, whose fault state no other module can reach.
 //!
 //! An **empty schedule is structurally inert**: the engine guards every
 //! fault check with `faults.is_some()`, message-id assignment is never
@@ -36,8 +36,8 @@ use snow_core::{ClientId, ProcessId, ServerId};
 pub enum FaultAction {
     /// The message is silently lost in flight (sent, never delivered).
     Drop,
-    /// The message is delivered twice: a second copy with its own
-    /// (shard-strided) id is sent alongside the original.
+    /// The message is delivered twice: a second copy with its own id is
+    /// sent alongside the original.
     Duplicate,
     /// The message's delivery key is pushed back by this many extra ticks —
     /// reordering beyond the scheduler's own latitude.
@@ -242,8 +242,8 @@ pub struct Crash {
     pub policy: CrashPolicy,
 }
 
-/// A complete fault plan for a run: seeded, pure data, cloned per shard on
-/// the parallel engine.  See the module docs for the determinism contract.
+/// A complete fault plan for a run: seeded, pure data.  See the module docs
+/// for the determinism contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Seed of the per-message probabilistic gates.

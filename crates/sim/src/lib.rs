@@ -9,9 +9,8 @@
 //!   through an [`Effects`] buffer — exactly the "actions at one automaton"
 //!   granularity the paper's fragment arguments rely on.  The
 //!   [`Process`]/[`Effects`] contract itself lives in `snow-core`
-//!   (transport-agnostic); this crate provides both of its execution
-//!   substrates — the serial [`Simulation`] and the sharded
-//!   [`ParallelSimulation`] (see [`parallel`]);
+//!   (transport-agnostic); this crate provides its execution substrate,
+//!   [`Simulation`];
 //! * the network is **reliable but asynchronous**: every sent message is
 //!   eventually deliverable, but the order and timing of deliveries are under
 //!   the control of a [`Scheduler`] (seeded-random, FIFO, latency-modelled, or
@@ -29,28 +28,21 @@
 //!   [`TraceSink`] event stream;
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
-//! Both simulators are single-threaded.  The serial one is fully
-//! deterministic given `(configuration, scheduler seed, invocation plan)`,
-//! which is what makes the impossibility constructions of
-//! `snow-impossibility` replayable.  The sharded [`ParallelSimulation`]
-//! keeps that determinism — histories are a pure function of
-//! `(configuration, seeds, shard count)` — while running its shards in
-//! turn, exchanging cross-shard messages between epochs; with one shard it
-//! reproduces the serial engine bit for bit.  A seeded [`FaultSchedule`]
-//! (see [`fault`]) extends the contract to failures: drop/duplicate/delay
-//! regions, partitions and server crash+recovery are pure per-message
-//! decisions, so a faulty history is a pure function of `(configuration,
-//! seeds, shard count, fault schedule)` on both substrates.
+//! The simulator is single-threaded and fully deterministic given
+//! `(configuration, scheduler seed, invocation plan)`, which is what makes
+//! the impossibility constructions of `snow-impossibility` replayable.  A
+//! seeded [`FaultSchedule`] (see [`fault`]) extends the contract to
+//! failures: drop/duplicate/delay regions, partitions and server
+//! crash+recovery are pure per-message decisions, so a faulty history is a
+//! pure function of `(configuration, seeds, fault schedule)`.
 //!
-//! Both simulators execute on **one dispatch core** (the private `engine`
-//! module): [`Simulation`] wraps a single core, [`ParallelSimulation`]
-//! one per shard.  Every dispatch decision — the one rule for what is
-//! dispatched next (a planned invocation as soon as it is keyed before
-//! every pending delivery, else the scheduler's pick) and the clock
-//! invariant that no event is dispatched before its own timestamp — is
-//! defined exactly once there.  Every per-message draw (a latency, a
-//! fault gate) is one hash of the send's shard-invariant coordinates,
-//! which the core hands to [`Scheduler::on_send`].
+//! [`Simulation`] executes on **one dispatch core** (the private `engine`
+//! module).  Every dispatch decision — the one rule for what is dispatched
+//! next (a planned invocation as soon as it is keyed before every pending
+//! delivery, else the scheduler's pick) and the clock invariant that no
+//! event is dispatched before its own timestamp — is defined exactly once
+//! there.  Every per-message draw (a latency, a fault gate) is one hash of
+//! the send's coordinates, which the core hands to [`Scheduler::on_send`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +50,6 @@
 mod engine;
 pub mod fault;
 pub mod message;
-pub mod parallel;
 pub mod pool;
 pub mod scheduler;
 pub mod sim;
@@ -70,7 +61,6 @@ pub use fault::{
     PartitionPolicy, RestartFn,
 };
 pub use message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
-pub use parallel::ParallelSimulation;
 pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
 pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};

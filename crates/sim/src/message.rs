@@ -74,8 +74,7 @@ impl<M> PendingMessage<M> {
     /// The delivery-queue key this message is ordered by: the scheduler's
     /// stamped delivery time, else the send time (under a monotone clock
     /// both orders FIFO delivery by send order).  The single source of
-    /// the rule shared by [`crate::MessagePool`]'s heap and the parallel
-    /// engine's cross-shard routing order.
+    /// the rule [`crate::MessagePool`]'s heap orders by.
     pub fn delivery_key(&self) -> u64 {
         self.deliver_at.unwrap_or(self.sent_at)
     }

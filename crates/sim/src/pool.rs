@@ -129,9 +129,8 @@ impl<M> MessagePool<M> {
 
     /// The `(delivery_key, id)` of the message [`MessagePool::pop_earliest`]
     /// would take, without taking it — amortized O(log n).  The dispatch
-    /// core uses the key to decide whether the next delivery falls inside
-    /// the current watermark (`u64::MAX` on the serial path, the epoch's
-    /// virtual-time watermark on the sharded path).
+    /// core compares the key with the earliest planned invocation (the one
+    /// dispatch rule).
     pub fn peek_earliest(&mut self) -> Option<(u64, MsgId)> {
         self.peek_live().map(|(key, id, _)| (key, MsgId(id)))
     }

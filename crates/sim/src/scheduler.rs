@@ -27,7 +27,7 @@
 //! * [`Scheduler::on_send`] optionally stamps a delivery time when a message
 //!   is sent — a pure function of the send's coordinates (`send_hash`), so
 //!   a message's latency does not depend on which other sends the engine
-//!   (or shard) decided first.  The pool keys its delivery heap by
+//!   decided first.  The pool keys its delivery heap by
 //!   `(deliver_at | sent_at, MsgId)`.
 //! * [`Scheduler::next`] takes the message to deliver out of the pool.
 //!   FIFO and latency scheduling are a single O(log n) heap pop
@@ -35,7 +35,7 @@
 //!   `(sent_at, id)` key order *is* send order, so FIFO needs no scan (the
 //!   heap tie-breaks equal keys by id, exactly the minimum a scan would
 //!   compute).  Topology scheduling is the same pop with equal-key ties
-//!   re-broken by a shard-invariant rank ([`MessagePool::pop_earliest_by`]:
+//!   re-broken by a send-coordinate rank ([`MessagePool::pop_earliest_by`]:
 //!   the tied entries are the heap's top, so O(log n) plus the tie run).
 //!   The random adversary draws a uniform rank and takes the k-th live
 //!   message in send order ([`MessagePool::take_nth_live`]) — the same
@@ -63,8 +63,8 @@ pub trait Scheduler<M> {
     fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>>;
 
     /// Hook called when a message is sent, letting latency-model schedulers
-    /// stamp a delivery time from the send's **shard-invariant
-    /// coordinates**: its endpoints, its send time, and its `ordinal` among
+    /// stamp a delivery time from the send's **coordinates**: its
+    /// endpoints, its send time, and its `ordinal` among
     /// the sends of the handler execution that made it (fault-engine
     /// duplicates and dropped sends included).  Returns the delivery time,
     /// if the scheduler assigns one; `None` (the default) keys the message
@@ -79,11 +79,12 @@ pub trait Scheduler<M> {
 }
 
 /// **The one key of every per-message draw** — latencies (both latency
-/// schedulers) and fault gates: `seed` mixed with the send's
-/// shard-invariant coordinates.  A process dispatches at most once per
-/// tick, so `(src, sent_at)` names the handler execution and `ordinal` the
-/// send within it.  Never the `MsgId`: ids are shard-strided, so the same
-/// logical message carries different ids at different shard counts.
+/// schedulers) and fault gates: `seed` mixed with the send's coordinates.
+/// A process dispatches at most once per tick, so `(src, sent_at)` names
+/// the handler execution and `ordinal` the send within it.  Never the
+/// `MsgId`: the coordinates name a send by what happened, which is what a
+/// recorded schedule replays by (ROADMAP item 2), and a draw keyed by them
+/// does not depend on how many ids were handed out before it.
 pub(crate) fn send_hash(
     seed: u64,
     src: ProcessId,
@@ -160,13 +161,8 @@ impl<M> Scheduler<M> for RandomScheduler {
 /// one O(log n) pop of the `(deliver_at, id)`-keyed queue per step.
 ///
 /// A message's latency is `send_hash` of its coordinates and nothing
-/// else, so it is the same on the serial engine and at every shard count
-/// (every shard holds a clone of the one scheduler).  Latency-scheduled
-/// *histories* still depend on the shard count: keys tie across
-/// destinations and latencies sit below the epoch width, so shards
-/// interleave differently — use
-/// [`TopologyScheduler`](crate::topology::TopologyScheduler) when the
-/// history must be identical across shard counts.
+/// else, so it does not depend on dispatch order.  Keys may tie across
+/// destinations; ties go to the smaller id.
 #[derive(Debug, Clone)]
 pub struct LatencyScheduler {
     seed: u64,

@@ -1,5 +1,5 @@
-//! The serial simulation façade: one dispatch core (the private
-//! `engine` module) driving all processes.
+//! The simulation façade: one dispatch core (the private `engine` module)
+//! driving all processes.
 //!
 //! # Event-queue architecture and complexity contract
 //!
@@ -15,13 +15,13 @@
 //!   scheduling n invocations is O(n log n) total and the next due
 //!   invocation is an O(1) peek;
 //! * transaction records live in a **record log**: a `Vec` in INV order —
-//!   the clock clamp stamps every INV of a core after the previous one, so
-//!   the log is sorted by `(invoked_at, tx_id)` as it is written — beside a
-//!   dense `TxId → slot` vector.  Every message carries its causal stamp
+//!   the clock clamp stamps every INV after the previous one, so the log is
+//!   sorted by `(invoked_at, tx_id)` as it is written — beside a dense
+//!   `TxId → slot` vector.  Every message carries its causal stamp
 //!   ([`crate::Causal`]) and the core folds it into the record it indexes
-//!   to as the actions happen (rounds, read instrumentation; C2C counts
-//!   beside them), so [`Simulation::history`] is one copy of the log, in
-//!   order, into a vector of exactly its length.  The earliest transaction
+//!   to as the actions happen (rounds, C2C counts, read instrumentation),
+//!   so [`Simulation::history`] is one copy of the log, in order, into a
+//!   vector of exactly its length.  The earliest transaction
 //!   still in flight — what bounds `CommitDrain::inv_floor` — is a cursor
 //!   into the log that only moves forward;
 //! * processes live in a **process table**: one slot vector per role,
@@ -44,11 +44,9 @@
 //!
 //! Every dispatch decision — invocation-vs-delivery choice, clock advance,
 //! handler execution, effect application, step accounting — is made by
-//! `engine::DispatchCore`, the same type the sharded
-//! [`crate::ParallelSimulation`] instantiates once per shard.  `Simulation`
-//! is the 1-shard wrapper (`index 0, stride 1`): it owns exactly one core,
-//! every process is local to it, and its cross-shard outbox is vestigial.
-//! There is no second step-loop implementation to keep in lockstep.
+//! `engine::DispatchCore`, and every `run_until_*` wait is its one loop
+//! (`DispatchCore::run`).  `Simulation` owns exactly one core; there is no
+//! second step-loop implementation to keep in lockstep.
 //!
 //! Determinism: a run is a pure function of `(configuration, scheduler
 //! seed, invocation plan)`.  The indexed engine reproduces the linear-scan
@@ -64,12 +62,11 @@ use snow_obs::{NullSink, ShardEvent, TraceSink};
 
 pub use crate::engine::StepOutcome;
 
-/// One batch of newly committed transactions drained from a simulator for
-/// streaming certification (see `Simulation::drain_commits` and
-/// `ParallelSimulation::drain_commits`).
+/// One batch of newly committed transactions drained from the simulator for
+/// streaming certification (see [`Simulation::drain_commits`]).
 ///
 /// `records` are the completed transactions committed since the previous
-/// drain, in global RESP order (`(responded_at, tx_id)`), each already
+/// drain, in RESP order (`(responded_at, tx_id)`), each already
 /// carrying its instrumentation.  `inv_floor` is a lower bound on the
 /// `invoked_at` of every record any *future* drain can return — the
 /// watermark an incremental checker may advance its certification frontier
@@ -83,8 +80,8 @@ pub struct CommitDrain {
 }
 
 /// A deterministic simulation of a set of processes exchanging messages over
-/// reliable asynchronous channels: the 1-shard instantiation of the
-/// workspace's single dispatch core (the private `engine` module).
+/// reliable asynchronous channels, run by the workspace's single dispatch
+/// core (the private `engine` module).
 ///
 /// `O` is the observability sink ([`snow_obs::TraceSink`]); the default
 /// [`NullSink`] compiles every emission site away, so an unobserved
@@ -105,7 +102,7 @@ where
     /// default [`NullSink`]).
     pub fn new(scheduler: S) -> Self {
         Simulation {
-            core: DispatchCore::new(0, 1, scheduler),
+            core: DispatchCore::new(scheduler),
             next_tx: 0,
         }
     }
@@ -126,8 +123,8 @@ where
     }
 
     /// Yields and clears the observability events collected so far, all
-    /// tagged shard 0 (the serial engine is one shard) and stamped with
-    /// virtual ticks.  Empty for non-recording sinks such as [`NullSink`].
+    /// tagged shard 0 and stamped with virtual ticks.  Empty for
+    /// non-recording sinks such as [`NullSink`].
     pub fn drain_obs_events(&mut self) -> Vec<ShardEvent> {
         self.core
             .drain_events()
@@ -255,26 +252,14 @@ where
     /// Runs until no work remains (or the step cap is hit).  Returns the
     /// number of steps executed.
     pub fn run_until_quiescent(&mut self) -> u64 {
-        let start = self.core.steps();
-        while !self.is_quiescent() {
-            if self.step() == StepOutcome::Quiescent {
-                break;
-            }
-        }
-        self.core.abort_orphans();
-        self.core.steps() - start
+        self.core.run(&[])
     }
 
     /// Runs until transaction `tx` completes (or the system goes quiescent).
     /// Returns `true` if the transaction completed — which under a fault
     /// schedule includes completing as `Aborted`.
     pub fn run_until_complete(&mut self, tx: TxId) -> bool {
-        while !self.is_complete(tx) {
-            if self.is_quiescent() || self.step() == StepOutcome::Quiescent {
-                break;
-            }
-        }
-        self.core.abort_orphans();
+        self.core.run(&[tx]);
         self.is_complete(tx)
     }
 
@@ -294,51 +279,34 @@ where
     ///
     /// Only the entry scan probes the transaction records; after that a
     /// step is followed by the commit gate (`DispatchCore::watched_commit`),
-    /// so the wait costs O(1) per step that commits nothing.
+    /// so the wait costs O(1) per step that commits nothing.  Quiescent
+    /// with watched transactions still in flight, a fault schedule's
+    /// orphans are retired as aborted before the final scan, so the caller
+    /// is never livelocked waiting on a transaction whose server died.
     pub fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId> {
         if watch.is_empty() {
             return None;
         }
-        if let Some(&tx) = watch.iter().find(|&&tx| self.is_complete(tx)) {
-            return Some(tx);
-        }
-        let mut seen = self.core.commit_count();
-        loop {
-            if self.is_quiescent() || self.step() == StepOutcome::Quiescent {
-                // Quiescent with watched transactions still in flight: under
-                // a fault schedule those can never complete — retire them as
-                // aborted before the final scan so the caller is never
-                // livelocked waiting on a transaction whose server died.
-                self.core.abort_orphans();
-                return watch.iter().copied().find(|&tx| self.is_complete(tx));
-            }
-            if let Some(tx) = self.core.watched_commit(&mut seen, watch) {
-                return Some(tx);
-            }
-        }
+        self.core.run(watch);
+        watch.iter().copied().find(|&tx| self.is_complete(tx))
     }
 
-    /// Assembles the [`History`] of the run so far.  Rounds,
+    /// Assembles the [`History`] of the run so far.  Rounds, C2C counts,
     /// versions-per-read and non-blocking flags are already in the
-    /// transaction records, and the one core logs them in INV order — the
-    /// history's `(invoked_at, tx_id)` order — so this is a single pass
-    /// into a vector of exactly their number.
+    /// transaction records, and the core logs them in INV order — the
+    /// history's `(invoked_at, tx_id)` order — so this is one copy into a
+    /// vector of exactly their number.
     pub fn history(&self) -> History {
-        let mut history = History { records: Vec::with_capacity(self.core.record_count()) };
-        self.core.collect_records(&mut history, |tx| self.core.c2c_count(tx));
+        let history = History { records: self.core.records().to_vec() };
         debug_assert!(history.records.is_sorted_by_key(|r| (r.invoked_at, r.tx_id)));
         history
     }
 
     /// Drains the transactions committed since the previous drain, in RESP
     /// order, retiring the consumed commit-log prefix — the incremental
-    /// feed for streaming certification.  On the serial engine the single
-    /// core's clock is the global clock, so its local RESP order *is* the
-    /// global commit order and nothing is ever held back.
+    /// feed for streaming certification.
     pub fn drain_commits(&mut self) -> CommitDrain {
-        let records = self.core.new_commits(|tx| self.core.c2c_count(tx));
-        self.core.retire_drained_commits();
-        CommitDrain { records, inv_floor: self.core.inv_floor() }
+        CommitDrain { records: self.core.drain_commits(), inv_floor: self.core.inv_floor() }
     }
 }
 

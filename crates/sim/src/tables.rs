@@ -1,14 +1,14 @@
-//! The dispatch core's two dense tables: the per-core **record log** and the
+//! The dispatch core's two dense tables: the **record log** and the
 //! **process table**.  Ids are small integers handed out densely, so every
 //! per-step lookup the core makes — the record a send is stamped into, the
 //! process a message is delivered to — is a `Vec` index, not a tree walk.
 
 use snow_core::{ClientId, ProcessId, TxId, TxOutcome, TxRecord};
 
-/// The transaction records of one core, in INV order.
+/// The transaction records, in INV order.
 ///
-/// The clock clamp (`DispatchCore::advance_past`) stamps every INV of a
-/// core strictly after the previous one, so the order of appending *is* the
+/// The clock clamp (`DispatchCore::advance_past`) stamps every INV
+/// strictly after the previous one, so the order of appending *is* the
 /// `(invoked_at, tx_id)` order of a [`snow_core::History`], and "the
 /// earliest transaction still in flight" is a cursor that only moves
 /// forward.  Invariants: `log` is strictly increasing in `invoked_at`;
@@ -17,14 +17,13 @@ use snow_core::{ClientId, ProcessId, TxId, TxOutcome, TxRecord};
 #[derive(Debug, Default)]
 pub(crate) struct RecordLog {
     log: Vec<TxRecord>,
-    /// `TxId → index into log`.  Indexed by the id itself: a shard of the
-    /// sharded engine sees a sparse subset of the global ids and leaves the
-    /// others [`ABSENT`].
+    /// `TxId → index into log`, indexed by the id itself; an id not (yet)
+    /// invoked is [`ABSENT`].
     slot_of: Vec<u32>,
     first_open: usize,
 }
 
-/// `slot_of` entry of a transaction that was not invoked on this core.
+/// `slot_of` entry of a transaction that was not invoked.
 const ABSENT: u32 = u32::MAX;
 
 impl RecordLog {
@@ -71,7 +70,7 @@ impl RecordLog {
         self.get(tx).is_some_and(TxRecord::is_complete)
     }
 
-    /// RESP: completes `tx`'s record, if this core holds one, and returns it.
+    /// RESP: completes `tx`'s record, if it was invoked, and returns it.
     pub(crate) fn respond(&mut self, tx: TxId, at: u64, outcome: TxOutcome) -> Option<&TxRecord> {
         let slot = self.slot(tx)?;
         let rec = &mut self.log[slot];
@@ -84,7 +83,7 @@ impl RecordLog {
     }
 
     /// A lower bound on the `invoked_at` of every record that completes
-    /// from here on, on a core whose clock reads `now`: in-flight
+    /// from here on, on a clock that reads `now`: in-flight
     /// transactions keep their invocation time, and any not-yet-dispatched
     /// invocation will be stamped `max(now, at) + 1 > now` by the clock
     /// clamp.  Never regresses as the run proceeds.
@@ -114,9 +113,7 @@ impl RecordLog {
     }
 }
 
-/// The processes of one core: one slot vector per role, indexed by the
-/// role's id.  (A shard of the sharded engine leaves the other shards'
-/// slots empty.)
+/// The processes: one slot vector per role, indexed by the role's id.
 #[derive(Debug)]
 pub(crate) struct ProcessTable<P> {
     clients: Vec<Option<P>>,
@@ -201,10 +198,9 @@ mod tests {
         }
     }
 
-    /// Random invoke / respond / abort interleavings over ids `first,
-    /// first + stride, …` (what shard `first` of `stride` sees), checking
-    /// the log against the reference after every step.
-    fn model_run(seed: u64, first: u64, stride: u64) {
+    /// Random invoke / respond / abort interleavings over dense ids,
+    /// checking the log against the reference after every step.
+    fn model_run(seed: u64) {
         let mut state = seed;
         let mut draw = |below: u64| {
             state = splitmix64(state);
@@ -212,25 +208,25 @@ mod tests {
         };
         let read = || TxOutcome::Read(ReadOutcome { reads: Vec::new(), tag: None });
         let (mut log, mut reference) = (RecordLog::default(), Reference::default());
-        let (mut now, mut floor, mut next_id) = (0u64, 0u64, first);
+        let (mut now, mut floor, mut next_id) = (0u64, 0u64, 0u64);
         let mut ids: Vec<TxId> = Vec::new();
         for _ in 0..600 {
             now += 1 + draw(3);
             match draw(16) {
                 0..=6 => {
                     let tx = TxId(next_id);
-                    next_id += stride;
+                    next_id += 1;
                     let client = ClientId(draw(5) as u32);
                     let rec = TxRecord::invoked(tx, client, TxSpec::read(vec![ObjectId(0)]), now);
                     reference.invoke(rec.clone());
                     log.invoke(rec);
                     ids.push(tx);
                 }
-                // A RESP of any id: invoked here (perhaps responded before —
-                // a duplicate answer), another shard's, or never planned.
+                // A RESP of any id: invoked (perhaps responded before — a
+                // duplicate answer), or never planned.
                 7..=14 => {
                     let tx = match draw(8) {
-                        0 => TxId(draw(next_id + 2 * stride)),
+                        0 => TxId(draw(next_id + 2)),
                         _ if ids.is_empty() => continue,
                         _ => ids[draw(ids.len() as u64) as usize],
                     };
@@ -241,7 +237,7 @@ mod tests {
                 }
                 _ => assert_eq!(log.abort_open(now), reference.abort_open(now), "seed {seed}"),
             }
-            for id in 0..next_id + stride {
+            for id in 0..=next_id {
                 let tx = TxId(id);
                 assert_eq!(log.get(tx), reference.records.get(&tx), "seed {seed}: {tx}");
                 let complete = reference.records.get(&tx).is_some_and(TxRecord::is_complete);
@@ -260,8 +256,7 @@ mod tests {
     #[test]
     fn the_record_log_agrees_with_the_ordered_maps_it_replaced() {
         for seed in 0..24 {
-            model_run(seed, 0, 1); // the serial engine's dense ids
-            model_run(seed, seed % 4, 4); // shard `seed % 4` of 4
+            model_run(seed);
         }
     }
 

@@ -1,5 +1,5 @@
 //! Geo-topology: named sites, per-link latency distributions, and the
-//! shard-count-independent [`TopologyScheduler`].
+//! [`TopologyScheduler`].
 //!
 //! The paper's read-latency results (and the geo-replicated Eiger lineage
 //! it evaluates against) assume clients and replicas separated by
@@ -14,50 +14,40 @@
 //! delivery times in **µticks** ([`TICK`] µticks = 1 site-tick).  The
 //! sub-tick bits carry a per-message jitter hash confined to a
 //! **per-destination band** (see below), so delivery keys for different
-//! destinations can never collide — which is what lets every core
-//! dispatch every event at exactly `key + 1`, the same timestamp the
-//! serial run assigns (see the determinism contract).  Reports divide by
-//! [`TICK`] to present site-tick latencies.
+//! destinations can never collide.  Reports divide by [`TICK`] to present
+//! site-tick latencies.
 //!
-//! # Determinism contract: shard-count independence
+//! # Determinism contract
 //!
 //! The [`TopologyScheduler`] is built so a history is a pure function of
-//! `(deployment, topology, seed, invocation plan)` — the shard count
-//! contributes nothing.  Three ingredients, on top of the engine's one
+//! `(deployment, topology, seed, invocation plan)`, and so that every
+//! delivery is named by coordinates a recorded schedule can replay by
+//! (ROADMAP item 2).  Three ingredients, on top of the engine's one
 //! dispatch rule (an invocation keyed before every pending delivery
 //! dispatches first, so a kickoff wave planned at quiescence stamps
-//! `planned + 1` on every core):
+//! `planned + 1`):
 //!
 //! 1. **Pure latencies.**  Each latency is the crate's one per-message
 //!    hash (`scheduler::send_hash` — the key the fault engine's
-//!    probabilistic gates use too) of the message's **shard-invariant
-//!    coordinates**: source, destination, send tick, and the send's ordinal
-//!    within its handler execution, which the engine supplies.  (Hashing
-//!    the raw `MsgId` would only give decision-order independence: message
-//!    ids are shard-strided, so the *same logical message* carries
-//!    different ids at different shard counts.)  Every shard holds a clone
-//!    of the one scheduler, seed included.
+//!    probabilistic gates use too) of the message's **coordinates**:
+//!    source, destination, send tick, and the send's ordinal within its
+//!    handler execution, which the engine supplies — never the `MsgId`, so
+//!    a draw does not depend on dispatch order.
 //! 2. **Collision-free keys across destinations.**  Delivery keys are
 //!    aligned to site-tick slots, and the sub-tick offset lives in a
 //!    jitter band private to the destination — so two messages can share
-//!    a key only if they target the *same* process, which pins the tie to
-//!    one core at every shard count.  (Equal keys at *different* cores
-//!    would be unfixable: the serial engine's clock chains past the first
-//!    dispatch, re-stamping the second handler one µtick later than the
-//!    sharded engine does.)
-//! 3. **Shard-invariant tie-breaks.**  Same-destination equal keys are
-//!    resolved by `(sent_at, source, emission order)` instead of the
-//!    shard-strided message id — from the top of the delivery heap, where
-//!    the tied entries sit together
+//!    a key only if they target the *same* process.  The bands are part of
+//!    the schedule's definition: every WAN and DC history in the repo is
+//!    pinned on them.
+//! 3. **Coordinate tie-breaks.**  Same-destination equal keys are
+//!    resolved by `(sent_at, source, emission order)` — from the top of
+//!    the delivery heap, where the tied entries sit together
 //!    ([`MessagePool::pop_earliest_by`]): O(log n + ties) per delivery.
 //!
-//! WAN-scale minimum latencies (> [`TICK`] µticks, far above the epoch
-//! width) keep in-transit messages ahead of every shard's clock.  The
-//! result — topology-scheduled histories bit-identical at any shard
-//! count — is pinned by `tests/topology_scenarios.rs`.  A
-//! [`LatencyScheduler`](crate::LatencyScheduler) draws from the same hash
-//! but has neither 2 nor that margin, so only its per-message latencies,
-//! not its histories, are shard-count-independent.
+//! Every latency clears one full site-tick ([`TICK`] µticks), far above
+//! any invocation-kickoff window.  The result — topology-scheduled
+//! histories that replay bit for bit — is pinned by
+//! `tests/topology_scenarios.rs`.
 
 use crate::message::PendingMessage;
 use crate::pool::MessagePool;
@@ -322,7 +312,7 @@ impl Topology {
 /// A [`Scheduler`] delivering messages in delivery-time order with
 /// latencies drawn from a [`Topology`]'s link distributions — stamped in
 /// µticks, hashed statelessly per message so the schedule is independent
-/// of decision order *and shard count* (see the module docs).
+/// of decision order (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TopologyScheduler {
     topology: Arc<Topology>,
@@ -330,9 +320,8 @@ pub struct TopologyScheduler {
     /// Sub-tick jitter span per destination class: `TICK /
     /// num_processes`.  Each destination's delivery keys live in a
     /// disjoint residue band of the site-tick slot, so **two messages to
-    /// different destinations can never share a delivery key** — the
-    /// cross-core half of the collision-freedom argument (same-destination
-    /// collisions land on one core and resolve by the tie-break in
+    /// different destinations can never share a delivery key**
+    /// (same-destination collisions resolve by the tie-break in
     /// [`Scheduler::next`]).
     class_width: u64,
 }
@@ -375,8 +364,7 @@ impl TopologyScheduler {
     /// modulo [`TICK`] is exactly `class·width + h % width`, so keys for
     /// different destinations differ in their residue and can never
     /// collide.  Every latency strictly clears one full site-tick — far
-    /// above the parallel engine's epoch width, so no shard can outrun a
-    /// message in transit, and far above any invocation-kickoff window.
+    /// above any invocation-kickoff window.
     fn latency_microticks(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
         let h = send_hash(self.seed, src, dst, sent_at, ordinal);
         let ticks = self.topology.link(src, dst).draw(h).max(1);
@@ -389,13 +377,11 @@ impl TopologyScheduler {
 impl<M> Scheduler<M> for TopologyScheduler {
     fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
         // Equal keys are same-destination by construction (disjoint
-        // per-destination jitter bands), so the tie lives on one core at
-        // every shard count — but the heap's `MsgId` tie-break is
-        // shard-strided.  Re-break the tie on shard-invariant coordinates:
-        // `(sent_at, src)` orders distinct handler executions, and within
-        // one handler execution (same `sent_at`, same `src`) the relative
-        // id order *is* emission order on both engines, so it is safe as
-        // the final component.
+        // per-destination jitter bands).  Break the tie on the sends'
+        // coordinates: `(sent_at, src)` orders distinct handler executions,
+        // and within one handler execution (same `sent_at`, same `src`) the
+        // relative id order *is* emission order, so it is safe as the final
+        // component.
         pool.pop_earliest_by(|p| (p.sent_at, pid_bits(p.src), p.id.0))
     }
 
@@ -494,10 +480,9 @@ mod tests {
 
     #[test]
     fn latency_draws_are_pure_and_order_independent() {
-        // Two handler executions, fed to two instances in different orders
-        // (as different shard counts would): per-message stamps are
-        // identical because the draw is keyed on the send's coordinates,
-        // not on call order.
+        // Two handler executions, fed to two instances in different orders:
+        // per-message stamps are identical because the draw is keyed on the
+        // send's coordinates, not on call order.
         fn check(a: impl Scheduler<M>, b: impl Scheduler<M>) {
             let x0 = a.on_send(C0, S0, 100, 0);
             let x1 = a.on_send(C0, S1, 100, 1);
@@ -526,9 +511,8 @@ mod tests {
         // plus the slot round-up and sub-tick band offset.
         let lan = Scheduler::<M>::on_send(&s, S0, S1, 0, 1).unwrap();
         assert!((TICK..5 * TICK).contains(&lan), "lan latency {lan}");
-        // Every latency strictly clears one full site-tick — above the
-        // epoch width, which keeps in-transit messages ahead of every
-        // shard, and above any invocation-kickoff window.
+        // Every latency strictly clears one full site-tick — above any
+        // invocation-kickoff window.
         assert!(lan > TICK && wan > TICK);
     }
 
@@ -573,8 +557,7 @@ mod tests {
         let mut s = TopologyScheduler::new(topo, 1);
         let mut pool = MessagePool::new();
         // Three same-destination messages stamped with the same delivery
-        // key, inserted with ids in the "wrong" order (as a shard-strided
-        // id assignment could produce): the pick must follow
+        // key, inserted with ids in the "wrong" order: the pick must follow
         // `(sent_at, src, id)`, not id alone.
         for (id, src, sent_at) in [(9u64, S1, 40u64), (2, S0, 50), (5, S0, 40)] {
             pool.insert(PendingMessage {

@@ -217,8 +217,8 @@ impl WorkloadDriver {
                 if queues.get(&client).is_some_and(|q| !q.is_empty()) {
                     rotation.push_back(client);
                 }
-                // A sharded epoch or a fault quiescence retires several at
-                // once, and all of them are freed before anything is
+                // A fault quiescence retires several at once, and all of
+                // them are freed before anything is
                 // refilled.  Everything ahead of `slot` was passed over as
                 // incomplete; ask about the rest with `done` — complete — as
                 // the last entry, so the cluster answers from its entry scan
@@ -353,9 +353,7 @@ mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
     use snow_core::SystemConfig;
-    use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
-
-    const FOUR_SHARDS: ExecutorKind = ExecutorKind::ParallelSim { shards: 4 };
+    use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
     #[test]
     fn driver_completes_everything_it_issues() {
@@ -417,50 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn driver_runs_checked_on_the_parallel_substrate() {
-        // The sharded engine is a drop-in Cluster: the driver issues the
-        // same workload, everything completes, and the full history is
-        // certified strictly serializable — at one shard byte-identically
-        // to the serial cluster, at four shards by the checker.
-        let config = SystemConfig::mwmr(4, 2, 2);
-        let sched = SchedulerKind::Latency { seed: 21, min: 1, max: 18 };
-        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
-            let spec = ClusterSpec::new(protocol, &config).scheduler(sched);
-            let mut serial = spec.build().unwrap();
-            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (serial_history, _) =
-                WorkloadDriver::new(4).run(serial.as_mut(), &mut generator, 40);
-
-            let mut one_shard =
-                spec.clone().executor(ExecutorKind::ParallelSim { shards: 1 }).build().unwrap();
-            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (one_shard_history, _) =
-                WorkloadDriver::new(4).run(one_shard.as_mut(), &mut generator, 40);
-            assert_eq!(
-                format!("{serial_history:?}"),
-                format!("{one_shard_history:?}"),
-                "{protocol:?}: 1-shard parallel cluster diverged from serial"
-            );
-
-            let mut sharded = spec.executor(FOUR_SHARDS).build().unwrap();
-            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (history, report, verdict) = WorkloadDriver::new(4).run_checked_mode(
-                sharded.as_mut(),
-                &mut generator,
-                40,
-                CheckMode::PostHoc,
-            );
-            assert_eq!(report.completed, 40, "{protocol:?}");
-            assert!(
-                verdict.is_serializable(),
-                "{protocol:?} on 4 shards produced a non-serializable history: {verdict:?} \
-                 over {} transactions",
-                history.len()
-            );
-        }
-    }
-
-    #[test]
     fn paced_driver_completes_everything_with_one_outstanding_per_client() {
         let config = SystemConfig::mwmr(4, 2, 2);
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Eiger] {
@@ -502,34 +456,24 @@ mod tests {
     }
 
     /// Determinism regression for the paced driver: identical seeds must
-    /// produce byte-identical histories, on the serial and on the sharded
-    /// substrate.
+    /// produce byte-identical histories.
     #[test]
     fn paced_driver_is_deterministic() {
         let config = SystemConfig::mwmr(4, 2, 2);
         let spec = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .scheduler(SchedulerKind::Latency { seed: 17, min: 1, max: 18 });
-        let run_serial = || {
+        let run = || {
             let mut cluster = spec.build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
             let (history, report) =
                 WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, 50);
             (format!("{history:?}"), report.rounds)
         };
-        let (first, waves) = run_serial();
-        assert_eq!(first, run_serial().0, "serial paced run not reproducible");
+        let (first, waves) = run();
+        assert_eq!(first, run().0, "paced run not reproducible");
         // Pacing genuinely decouples clients from the round barrier: more
         // completion waves than the 13 global rounds `run` would take.
         assert!(waves > 13, "only {waves} waves — still running in lockstep rounds?");
-
-        let run_sharded = || {
-            let mut cluster = spec.clone().executor(FOUR_SHARDS).build().unwrap();
-            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (history, _) =
-                WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, 50);
-            format!("{history:?}")
-        };
-        assert_eq!(run_sharded(), run_sharded(), "sharded paced run not reproducible");
     }
 
     /// `run_paced` as it was before the completion handshake: after every
@@ -578,7 +522,7 @@ mod tests {
     }
 
     /// Where one wait retires several watched transactions — a fault
-    /// quiescence aborting every orphan, a sharded epoch — the handshake
+    /// quiescence aborting every orphan — the handshake
     /// frees them in sweep order before refilling anything, so histories
     /// and the wave count equal the sweep's.  (Freeing one per wait and
     /// refilling in between reorders `active` and moves `TxId`s.)
@@ -594,62 +538,44 @@ mod tests {
         });
         let base = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 16 });
-        let cells = [
-            ("serial, 5% drop", base.clone().faults(lossy.clone())),
-            ("4 shards", base.clone().executor(FOUR_SHARDS)),
-            ("4 shards, 5% drop", base.executor(FOUR_SHARDS).faults(lossy)),
-        ];
-        for (name, spec) in cells {
-            let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let (expected, expected_waves) =
-                paced_by_sweep(4, spec.build().unwrap().as_mut(), &mut generator(), 300);
-            let (history, report) =
-                WorkloadDriver::new(4).run_paced(spec.build().unwrap().as_mut(), &mut generator(), 300);
-            assert_eq!(report.issued, 300, "{name}");
-            assert!(report.rounds < 300, "{name}: no wait retired two transactions");
-            assert_eq!(report.rounds, expected_waves, "{name}");
-            assert_eq!(format!("{history:?}"), format!("{expected:?}"), "{name}");
-        }
+        let spec = base.faults(lossy);
+        let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+        let (expected, expected_waves) =
+            paced_by_sweep(4, spec.build().unwrap().as_mut(), &mut generator(), 300);
+        let (history, report) =
+            WorkloadDriver::new(4).run_paced(spec.build().unwrap().as_mut(), &mut generator(), 300);
+        assert_eq!(report.issued, 300);
+        assert!(report.rounds < 300, "no wait retired two transactions");
+        assert_eq!(report.rounds, expected_waves);
+        assert_eq!(format!("{history:?}"), format!("{expected:?}"));
     }
 
     /// The streaming check mode certifies the same runs the post-hoc mode
-    /// does, on the serial and the sharded substrate — same verdict
-    /// category from the incremental frontier as from `check_auto` over
-    /// the assembled history.
+    /// does — same verdict category from the incremental frontier as from
+    /// `check_auto` over the assembled history.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
         let config = SystemConfig::mwmr(4, 2, 2);
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
-        for executor in [ExecutorKind::SerialSim, FOUR_SHARDS] {
-            for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
-                let run = |mode: CheckMode| {
-                    let mut cluster = ClusterSpec::new(protocol, &config)
-                        .scheduler(sched)
-                        .executor(executor)
-                        .build()
-                        .unwrap();
-                    let mut generator =
-                        WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-                    WorkloadDriver::new(4).run_checked_mode(
-                        cluster.as_mut(),
-                        &mut generator,
-                        40,
-                        mode,
-                    )
-                };
-                let (history, _, posthoc) = run(CheckMode::PostHoc);
-                let (stream_history, report, stream) = run(CheckMode::Streaming);
-                assert_eq!(
-                    format!("{history:?}"),
-                    format!("{stream_history:?}"),
-                    "{protocol:?}/{executor:?}: the check mode changed the run"
-                );
-                assert_eq!(report.completed, 40);
-                assert!(
-                    posthoc.is_serializable() && stream.is_serializable(),
-                    "{protocol:?}/{executor:?}: post-hoc {posthoc:?} vs stream {stream:?}"
-                );
-            }
+        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
+            let run = |mode: CheckMode| {
+                let mut cluster =
+                    ClusterSpec::new(protocol, &config).scheduler(sched).build().unwrap();
+                let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+                WorkloadDriver::new(4).run_checked_mode(cluster.as_mut(), &mut generator, 40, mode)
+            };
+            let (history, _, posthoc) = run(CheckMode::PostHoc);
+            let (stream_history, report, stream) = run(CheckMode::Streaming);
+            assert_eq!(
+                format!("{history:?}"),
+                format!("{stream_history:?}"),
+                "{protocol:?}: the check mode changed the run"
+            );
+            assert_eq!(report.completed, 40);
+            assert!(
+                posthoc.is_serializable() && stream.is_serializable(),
+                "{protocol:?}: post-hoc {posthoc:?} vs stream {stream:?}"
+            );
         }
     }
 

@@ -35,9 +35,9 @@
 //! # Determinism
 //!
 //! The schedule is a pure function of `(workload spec, rate, arrival
-//! seed)`; the execution is a pure function of the schedule, the scheduler
-//! seed and the shard count — so open-loop histories are bit-identical
-//! across runs (pinned by `tests/open_loop.rs`).
+//! seed)`; the execution is a pure function of the schedule and the
+//! scheduler seed — so open-loop histories are bit-identical across runs
+//! (pinned by `tests/open_loop.rs`).
 
 use crate::driver::{drain_into, finish_stream, CheckMode};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
@@ -203,7 +203,7 @@ fn drive_open_loop_tapped(
     // arrival, then refill a client's slot whenever it frees.  The cluster
     // names the transaction that freed (first complete in `active` order),
     // so the driver probes nothing: it refills that slot in place, and when
-    // an epoch or a quiescence retired several at once the next call hands
+    // a quiescence retired several at once the next call hands
     // the rest back, in the same order, before the clock moves — injection
     // order, and with it `TxId` assignment, is that of a full sweep.
     let clients: Vec<ClientId> = queues.keys().copied().collect();
@@ -269,10 +269,8 @@ fn drive_open_loop_tapped(
 /// ([`Cluster::drain_commits`]) and the certification frontier advances
 /// past everything the simulator can no longer invoke before — so the
 /// verdict is produced incrementally, in RESP order, with memory bounded
-/// by the live window instead of the full history.  Works unchanged on
-/// both substrates (serial and sharded); on the sharded one the drain
-/// itself holds back commits until they are globally final.  The verdicts
-/// of the two modes always agree.
+/// by the live window instead of the full history.  The verdicts of the
+/// two modes always agree.
 pub fn drive_open_loop_checked(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
@@ -377,7 +375,7 @@ pub fn zipf_sweep(
 mod tests {
     use super::*;
     use snow_core::ServerId;
-    use snow_protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
+    use snow_protocols::{ProtocolKind, SchedulerKind};
     use snow_sim::topology::TICK;
     use snow_sim::{
         EndpointSel, FaultAction, FaultRegion, FaultSchedule, Partition, PartitionPolicy, Topology,
@@ -491,29 +489,27 @@ mod tests {
     }
 
     #[test]
-    fn streaming_open_loop_agrees_with_post_hoc_on_both_substrates() {
+    fn streaming_open_loop_agrees_with_post_hoc() {
         let config = SystemConfig::mwmr(4, 4, 4);
         let base = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(0) };
-        for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
-            let cluster = cluster_spec(ProtocolKind::AlgB, &config).executor(executor);
-            for rate in [30, 300] {
-                let spec = OpenLoopSpec { rate, ..base.clone() };
-                let run = |mode| {
-                    drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
-                };
-                let (history, _, posthoc) = run(CheckMode::PostHoc);
-                let (stream_history, report, stream) = run(CheckMode::Streaming);
-                assert_eq!(
-                    format!("{history:?}"),
-                    format!("{stream_history:?}"),
-                    "{executor:?}/rate {rate}: the check mode changed the run"
-                );
-                assert_eq!(report.issued, 150);
-                assert!(
-                    posthoc.is_serializable() && stream.is_serializable(),
-                    "{executor:?}/rate {rate}: post-hoc {posthoc:?} vs stream {stream:?}"
-                );
-            }
+        let cluster = cluster_spec(ProtocolKind::AlgB, &config);
+        for rate in [30, 300] {
+            let spec = OpenLoopSpec { rate, ..base.clone() };
+            let run = |mode| {
+                drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
+            };
+            let (history, _, posthoc) = run(CheckMode::PostHoc);
+            let (stream_history, report, stream) = run(CheckMode::Streaming);
+            assert_eq!(
+                format!("{history:?}"),
+                format!("{stream_history:?}"),
+                "rate {rate}: the check mode changed the run"
+            );
+            assert_eq!(report.issued, 150);
+            assert!(
+                posthoc.is_serializable() && stream.is_serializable(),
+                "rate {rate}: post-hoc {posthoc:?} vs stream {stream:?}"
+            );
         }
     }
 
@@ -667,20 +663,16 @@ mod tests {
                 cases.push(("dup storm", clean.faults(snow_protocols::scenario_dup_storm())));
             }
             for (name, cluster) in cases {
-                for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
-                    let mut cluster = cluster.clone().executor(executor).build().unwrap();
-                    let mut drained = Vec::new();
-                    drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
-                        drained.extend(cluster.drain_commits().records);
-                    });
-                    cluster.run_until_quiescent();
+                let mut cluster = cluster.build().unwrap();
+                let mut drained = Vec::new();
+                drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
                     drained.extend(cluster.drain_commits().records);
-                    let history = cluster.history();
-                    let differing =
-                        drained.iter().filter(|&r| history.get(r.tx_id) != Some(r)).count();
-                    let label = format!("{protocol:?}/{name}/{executor:?}");
-                    assert_eq!((drained.len(), differing), (200, 0), "{label}");
-                }
+                });
+                cluster.run_until_quiescent();
+                drained.extend(cluster.drain_commits().records);
+                let history = cluster.history();
+                let differing = drained.iter().filter(|&r| history.get(r.tx_id) != Some(r)).count();
+                assert_eq!((drained.len(), differing), (200, 0), "{protocol:?}/{name}");
             }
         }
     }

@@ -13,26 +13,26 @@
 //!
 //! # Determinism
 //!
-//! A scenario history is a **pure function of `(scenario, seed)`**,
-//! independent of the executor's shard count.  Two ingredients:
+//! A scenario history is a **pure function of `(scenario, seed)`**.  Two
+//! ingredients:
 //!
 //! * the cluster uses a topology scheduler (via [`ClusterSpec::topology`]),
 //!   whose per-message latency draws are stateless hashes with
 //!   collision-free delivery keys and strict ascending-key dispatch — see
-//!   `snow_sim::topology` for the four-part contract;
+//!   `snow_sim::topology` for the contract;
 //! * the runner invokes each round's transactions at **consecutive µticks
 //!   right at quiescence** (`t0+1, t0+2, …`).  Every link latency exceeds
 //!   one site-tick ([`TICK`] µticks), so the whole kickoff wave is keyed
-//!   before the earliest possible delivery; under strict key order every
-//!   core — serial or any shard — therefore dispatches the wave first and
-//!   stamps each invocation at exactly `planned + 1`.
+//!   before the earliest possible delivery; under strict key order the
+//!   engine therefore dispatches the wave first and stamps each invocation
+//!   at exactly `planned + 1`.
 //!
-//! `tests/topology_scenarios.rs` pins both properties (proptest over
-//! seeds/shards + GraphChecker certification of every cell).
+//! `tests/topology_scenarios.rs` pins both properties (replay proptest over
+//! cells and seeds + GraphChecker certification of every cell).
 
 use snow_checker::SnowReport;
 use snow_core::{History, Result, SystemConfig};
-use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind};
+use snow_protocols::{ClusterSpec, ProtocolKind};
 use snow_sim::topology::TICK;
 use snow_sim::Topology;
 use std::collections::BTreeSet;
@@ -232,21 +232,13 @@ pub struct SloReport {
     pub duration_ticks: u64,
 }
 
-/// Runs one scenario cell for `rounds` closed-loop rounds on `executor`.
-/// The returned history is a pure function of `(scenario, seed)` — the
-/// executor's shard count does not change a byte (see the module docs).
-pub fn run_scenario(
-    scenario: &Scenario,
-    seed: u64,
-    rounds: usize,
-    executor: ExecutorKind,
-) -> Result<ScenarioRun> {
+/// Runs one scenario cell for `rounds` closed-loop rounds.  The returned
+/// history is a pure function of `(scenario, seed)` (see the module docs).
+pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<ScenarioRun> {
     let config = scenario.shape.config();
     let topology = Arc::new(scenario.topology.build(&config));
-    let mut cluster = ClusterSpec::new(scenario.protocol, &config)
-        .topology(topology, seed)
-        .executor(executor)
-        .build()?;
+    let mut cluster =
+        ClusterSpec::new(scenario.protocol, &config).topology(topology, seed).build()?;
     let mut generator = WorkloadGenerator::new(&config, scenario.shape.spec(seed));
     let per_round = config.num_clients() as usize;
     for _ in 0..rounds {
@@ -269,10 +261,10 @@ pub fn run_scenario(
     })
 }
 
-/// Runs a cell on the serial simulator and condenses it into its
-/// [`SloReport`] — one row of `table_scenarios`.
+/// Runs a cell and condenses it into its [`SloReport`] — one row of
+/// `table_scenarios`.
 pub fn slo_report(scenario: &Scenario, seed: u64, rounds: usize) -> Result<SloReport> {
-    let run = run_scenario(scenario, seed, rounds, ExecutorKind::SerialSim)?;
+    let run = run_scenario(scenario, seed, rounds)?;
     let report = SnowReport::evaluate(scenario.name(), &run.history);
     let committed = run
         .history
@@ -345,22 +337,5 @@ mod tests {
         // Client-remote WAN reads cannot beat the link's base latency.
         assert!(report.read_p50 >= 24, "p50 {} site-ticks", report.read_p50);
         assert!(report.duration_ticks > 0);
-    }
-
-    #[test]
-    fn histories_do_not_depend_on_the_shard_count() {
-        let cell = Scenario {
-            protocol: ProtocolKind::AlgC,
-            topology: TopologyKind::Wan3,
-            shape: WorkloadShape::SocialGraph,
-        };
-        let serial = run_scenario(&cell, 11, 3, ExecutorKind::SerialSim).unwrap();
-        let sharded =
-            run_scenario(&cell, 11, 3, ExecutorKind::ParallelSim { shards: 4 }).unwrap();
-        assert_eq!(
-            format!("{:?}", serial.history),
-            format!("{:?}", sharded.history)
-        );
-        assert_eq!(serial.duration_ticks, sharded.duration_ticks);
     }
 }

@@ -7,7 +7,7 @@
 #
 #   1. release build + the full workspace test suite, doc-examples
 #      included.  Every seed-pure figure is an equality here: the open-loop
-#      curves, knees and Zipf points on both executors (tests/open_loop.rs),
+#      curves, knees and Zipf points (tests/open_loop.rs),
 #      the 18-cell scenario SLO table (tests/topology_scenarios.rs), the
 #      observed run's event counters (tests/observability.rs), the 1 %-drop
 #      run's abort count (tests/fault_checker.rs);
@@ -19,11 +19,10 @@
 #      the crash / partition / dup-storm matrix) must match what the current
 #      engine produces — catching accidental schedule changes *and* fixture
 #      files regenerated without justification;
-#   4. the release-build suites, one command: parallel-engine parity (every
-#      golden bit-for-bit at 1 shard, reproducible at 4), the checker and
-#      stream differential suites (graph vs complete search, stream vs
+#   4. the release-build suites, one command: the checker and stream
+#      differential suites (graph vs complete search, stream vs
 #      `check_auto`, conviction at the right commit, bounded live window),
-#      the fault suites (determinism, 1-shard ≡ serial under faults,
+#      the fault suites (determinism, an empty schedule is inert,
 #      checker agreement on scarred histories, orphan retirement, the
 #      N verdict surviving the dup storm — no READ of AlgB / AlgC / Simple
 #      is flagged blocking because a duplicate answered it late — and the
@@ -36,7 +35,7 @@
 #      witness digests and work counters, the live window on a 1 000- and a
 #      10 000-transaction driver history) and the instrumentation sweep
 #      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
-#      and read results under faults × shards × contention) and the
+#      and read results under faults × schedules × contention) and the
 #      dispatch path's cost counter (tests/dispatch_hot_path.rs: the exact
 #      allocations per committed transaction of a 1 000-transaction AlgB
 #      closed loop on the WAN and of a 1 000-arrival AlgC open loop).  Then the
@@ -45,7 +44,7 @@
 #      completion wait per transaction, zero `is_complete` probes) and
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
 #      record `drain_commits` streamed equals `history()`'s, dup storm
-#      included, serial and 4 shards);
+#      included);
 #   5. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
 #      BENCHMARK.json workload through both passes (plain + traced) in about
 #      a second and exits non-zero if any fails its correctness gate
@@ -57,9 +56,9 @@
 #      p99, SNOW verdict over the scarred history);
 #   7. virtual-time purity guard: crates/sim must never read the wall clock
 #      (`std::time` / `Instant`) — simulator event streams are a pure
-#      function of (config, seeds, shards), which is what makes every pin
-#      above meaningful — nor start or synchronize threads (`std::thread`,
-#      `Barrier`, `Mutex`): both simulators are single-threaded;
+#      function of (config, seeds), which is what makes every pin above
+#      meaningful — nor start or synchronize threads (`std::thread`,
+#      `Barrier`, `Mutex`): the simulator is single-threaded;
 #   8. one mixer: the `splitmix64` behind every per-message draw (latencies,
 #      fault gates, the random scheduler's stream) has one definition,
 #      `snow_core::hash::splitmix64`; a second one lets its users drift
@@ -111,10 +110,10 @@ fresh tests/golden_histories.txt
 fresh tests/golden_fault_histories.txt --faults
 echo "fixtures fresh"
 
-echo "== 4. release suites: parity, differentials, faults, hot paths, probe count =="
-cargo test -q --release --test parallel_determinism --test checker_differential \
-    --test stream_differential --test fault_determinism --test fault_checker \
-    --test stream_hot_path --test instrumentation_sweep --test dispatch_hot_path
+echo "== 4. release suites: differentials, faults, hot paths, probe count =="
+cargo test -q --release --test checker_differential --test stream_differential \
+    --test fault_determinism --test fault_checker --test stream_hot_path \
+    --test instrumentation_sweep --test dispatch_hot_path
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 
@@ -129,7 +128,7 @@ example_ok partition_drill
 echo "== 7. virtual-time purity (no wall clock, no threads in crates/sim) =="
 forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b|std::thread|\bBarrier\b|\bMutex\b' crates/sim/src || true)" \
     "the simulator read the wall clock or used threads" \
-    "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark.  Both simulators are single-threaded: threads come back only with a sharded engine that clears sim.par.speedup >= 1.3 on the 2-vCPU benchmark host (ROADMAP item 9)."
+    "Simulator events are stamped with virtual ticks only; wall-clock timing belongs to the repo benchmark.  The simulator is single-threaded and deterministic; every pin in this script relies on it."
 echo "sim is wall-clock and thread free"
 
 echo "== 8. one mixer (a single splitmix64 definition) =="

@@ -11,21 +11,17 @@
 //!   clock-skew fix: the dispatch core clamps the clock to
 //!   `max(now, event_time) + 1` on every dispatch, so adversaries control
 //!   *order*, never *time*;
-//! * **(b) checker agreement across substrates** — on identical seeds, a
-//!   scheduler-driven plan produces byte-identical histories on the serial
-//!   `Simulation` and the 1-shard `ParallelSimulation` (both are the same
-//!   `DispatchCore` since the unification), and `GraphChecker` returns the
-//!   same verdict for both; the adversarially perturbed serial history
-//!   must itself be certified strictly serializable.
+//! * **(b) replay and certification** — on identical seeds, a
+//!   scheduler-driven plan produces byte-identical histories on two fresh
+//!   `Simulation`s, certified strictly serializable by `GraphChecker`; the
+//!   adversarially perturbed history must itself be certified too.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow::checker::{GraphChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
-use snow::sim::{
-    LatencyScheduler, ObsEvent, ParallelSimulation, RecordingSink, Simulation, StepOutcome,
-};
+use snow::sim::{LatencyScheduler, ObsEvent, RecordingSink, Simulation, StepOutcome};
 use snow_bench::golden;
 
 /// SplitMix64: deterministic per-seed stream driving plan and adversary.
@@ -120,14 +116,6 @@ fn drain_adversarially(
     }
 }
 
-fn verdict_kind(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::Serializable(_) => "serializable",
-        Verdict::NotSerializable(_) => "not-serializable",
-        Verdict::Unknown(_) => "unknown",
-    }
-}
-
 fn assert_monotone_invariants(
     label: &str,
     sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
@@ -211,12 +199,11 @@ proptest! {
     }
 
     #[test]
-    fn scheduler_driven_runs_agree_across_substrates_with_equal_verdicts(
+    fn scheduler_driven_runs_replay_identically_and_are_certified(
         seed in 0u64..1_000_000,
     ) {
-        // (b) identical seeds, no adversarial moves: the serial engine and
-        // the 1-shard parallel engine run the same DispatchCore and must
-        // produce byte-identical histories with equal checker verdicts.
+        // (b) identical seeds, no adversarial moves: two fresh simulations
+        // must produce byte-identical, certified histories.
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {
             let config = golden::combo_config(protocol);
             let writers: Vec<ClientId> = config.writers().collect();
@@ -232,46 +219,28 @@ proptest! {
                 .map(|r| r.iter().map(|_| plan_rng.below(20)).collect())
                 .collect();
 
-            let mut serial: Simulation<AnyNode, _> =
-                Simulation::new(LatencyScheduler::new(seed, 1, 25));
-            let mut parallel: ParallelSimulation<AnyNode, _> =
-                ParallelSimulation::new(1, LatencyScheduler::new(seed, 1, 25));
-            for node in deploy_any(protocol, &config).expect("valid config") {
-                serial.add_process(node);
-            }
-            for node in deploy_any(protocol, &config).expect("valid config") {
-                parallel.add_process(node);
-            }
-            for (round, offs) in rounds.iter().zip(&offsets) {
-                let base = serial.now();
-                for ((client, spec), off) in round.iter().zip(offs) {
-                    serial.invoke_at(base + off, *client, spec.clone());
+            let run = || {
+                let mut sim: Simulation<AnyNode, _> =
+                    Simulation::new(LatencyScheduler::new(seed, 1, 25));
+                for node in deploy_any(protocol, &config).expect("valid config") {
+                    sim.add_process(node);
                 }
-                serial.run_until_quiescent();
-                let base = parallel.now();
-                for ((client, spec), off) in round.iter().zip(offs) {
-                    parallel.invoke_at(base + off, *client, spec.clone());
+                for (round, offs) in rounds.iter().zip(&offsets) {
+                    let base = sim.now();
+                    for ((client, spec), off) in round.iter().zip(offs) {
+                        sim.invoke_at(base + off, *client, spec.clone());
+                    }
+                    sim.run_until_quiescent();
                 }
-                parallel.run_until_quiescent();
-            }
-            let serial_history = serial.history();
-            let parallel_history = parallel.history();
+                sim.history()
+            };
+            let history = run();
             let label = format!("{protocol:?}/seed{seed}");
-            assert_eq!(
-                format!("{serial_history:?}"),
-                format!("{parallel_history:?}"),
-                "{label}: serial and 1-shard histories diverge"
-            );
-            let serial_verdict = GraphChecker::new().check(&serial_history);
-            let parallel_verdict = GraphChecker::new().check(&parallel_history);
-            assert_eq!(
-                verdict_kind(&serial_verdict),
-                verdict_kind(&parallel_verdict),
-                "{label}: checker verdicts diverge across substrates"
-            );
+            assert_eq!(format!("{history:?}"), format!("{:?}", run()), "{label}: replay diverged");
+            let verdict = GraphChecker::new().check(&history);
             assert!(
-                matches!(serial_verdict, Verdict::Serializable(_)),
-                "{label}: scheduler-driven history not certified: {serial_verdict:?}"
+                matches!(verdict, Verdict::Serializable(_)),
+                "{label}: scheduler-driven history not certified: {verdict:?}"
             );
         }
     }

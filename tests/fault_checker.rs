@@ -22,8 +22,7 @@ use snow::core::{
 };
 use snow_bench::golden;
 use snow_protocols::{
-    scenario_crash_mid_read, scenario_dup_storm, ClusterSpec, ExecutorKind, ProtocolKind,
-    SchedulerKind,
+    scenario_crash_mid_read, scenario_dup_storm, ClusterSpec, ProtocolKind, SchedulerKind,
 };
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
@@ -39,11 +38,10 @@ fn fault_workload_spec() -> WorkloadSpec {
     }
 }
 
-fn run_fault_combo_history(combo: &golden::FaultCombo, executor: ExecutorKind) -> History {
+fn run_fault_combo_history(combo: &golden::FaultCombo) -> History {
     let config = golden::combo_config(combo.protocol);
     let mut cluster = ClusterSpec::new(combo.protocol, &config)
         .scheduler(combo.scheduler)
-        .executor(executor)
         .faults(golden::scenario_by_name(combo.scenario))
         .build()
         .expect("valid fault combo");
@@ -111,7 +109,7 @@ fn aborted_count(history: &History) -> usize {
 fn graph_and_stream_agree_on_every_fault_combo() {
     let mut total_aborted = 0usize;
     for combo in golden::fault_combos() {
-        let history = run_fault_combo_history(&combo, ExecutorKind::SerialSim);
+        let history = run_fault_combo_history(&combo);
         total_aborted += aborted_count(&history);
         assert_stream_agrees(&history, check_auto(&history), &combo.label);
     }
@@ -155,25 +153,20 @@ fn one_percent_drop_everywhere_aborts_fourteen_of_300_and_the_engines_agree() {
 fn duplicated_requests_never_cost_a_read_its_n_verdict() {
     let config = SystemConfig::mwmr(8, 2, 2);
     for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple] {
-        for executor in [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 4 }] {
-            let mut cluster = ClusterSpec::new(protocol, &config)
-                .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
-                .executor(executor)
-                .max_steps(u64::MAX)
-                .trace_capacity(Some(4096))
-                .faults(scenario_dup_storm())
-                .build()
-                .expect("valid dup-storm spec");
-            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
-            let (history, report) =
-                WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
-            let label = format!("{protocol:?}/{executor:?}");
-            assert_eq!(report.completed, 200, "{label}");
-            assert!(history.reads().count() > 100, "{label}: tao_like is read-dominated");
-            let flagged = history.reads().filter(|r| !r.all_reads_nonblocking()).count();
-            assert_eq!(flagged, 0, "{label}: READs with a blocking ReadResult");
-            assert!(SnowChecker::new().check_non_blocking(&history).holds, "{label}");
-        }
+        let mut cluster = ClusterSpec::new(protocol, &config)
+            .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
+            .max_steps(u64::MAX)
+            .trace_capacity(Some(4096))
+            .faults(scenario_dup_storm())
+            .build()
+            .expect("valid dup-storm spec");
+        let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
+        let (history, report) = WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
+        assert_eq!(report.completed, 200, "{protocol:?}");
+        assert!(history.reads().count() > 100, "{protocol:?}: tao_like is read-dominated");
+        let flagged = history.reads().filter(|r| !r.all_reads_nonblocking()).count();
+        assert_eq!(flagged, 0, "{protocol:?}: READs with a blocking ReadResult");
+        assert!(SnowChecker::new().check_non_blocking(&history).holds, "{protocol:?}");
     }
 }
 

@@ -3,27 +3,24 @@
 //! clean engine pins in `tests/determinism.rs`, extended over crashes,
 //! partitions and message-level faults.
 //!
-//! Four angles:
+//! Two angles:
 //!
 //! * the pinned fault matrix reproduces `tests/golden_fault_histories.txt`
 //!   fingerprint-for-fingerprint (regenerate with
 //!   `cargo run -p snow-bench --release --bin golden_histories -- --faults
 //!   --write` only on an intentional semantics change);
-//! * a 1-shard parallel cluster renders every fault combo byte-for-byte
-//!   what the serial cluster renders;
-//! * a 4-shard cluster is deterministic per seed (rerun-identical);
 //! * an *empty* `FaultSchedule` is structurally inert: a faulty cluster
 //!   with nothing scheduled reproduces the clean cluster's history
 //!   byte-for-byte for all 30 golden combos.
 //!
 //! A proptest sweeps randomized schedules (drop/dup/delay regions, a
-//! queueing crash) through the same three executors to catch fault-path
-//! nondeterminism the pinned matrix misses.
+//! queueing crash) through reruns to catch fault-path nondeterminism the
+//! pinned matrix misses.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow_bench::golden;
-use snow_protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
+use snow_protocols::{ProtocolKind, SchedulerKind};
 use snow_core::ServerId;
 use snow_sim::{Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule};
 use std::collections::BTreeMap;
@@ -87,33 +84,6 @@ fn fault_histories_match_golden_fixtures() {
 }
 
 #[test]
-fn one_shard_parallel_reproduces_serial_fault_histories() {
-    for combo in golden::fault_combos() {
-        let serial = golden::run_fault_combo_on(&combo, ExecutorKind::SerialSim);
-        let sharded =
-            golden::run_fault_combo_on(&combo, ExecutorKind::ParallelSim { shards: 1 });
-        assert_eq!(
-            serial, sharded,
-            "{}: 1-shard parallel diverged from serial under faults",
-            combo.label
-        );
-    }
-}
-
-#[test]
-fn four_shard_fault_histories_are_deterministic() {
-    for combo in golden::fault_combos().iter().step_by(4) {
-        let four = ExecutorKind::ParallelSim { shards: 4 };
-        assert_eq!(
-            golden::run_fault_combo_on(combo, four),
-            golden::run_fault_combo_on(combo, four),
-            "{}: 4-shard fault run not reproducible",
-            combo.label
-        );
-    }
-}
-
-#[test]
 fn empty_fault_schedule_is_inert() {
     // The faulty builder with nothing scheduled must reproduce the clean
     // builder byte-for-byte (modulo the `aborted=0` trailer the faulty
@@ -123,12 +93,8 @@ fn empty_fault_schedule_is_inert() {
     // valid under an empty schedule.
     for combo in golden::combos() {
         let clean = golden::run_combo(&combo);
-        let faulty = golden::run_fault_schedule_on(
-            combo.protocol,
-            combo.scheduler,
-            FaultSchedule::new(0),
-            ExecutorKind::SerialSim,
-        );
+        let faulty =
+            golden::run_fault_schedule(combo.protocol, combo.scheduler, FaultSchedule::new(0));
         let want = format!("{} aborted=0\n", clean.trim_end_matches('\n'));
         assert_eq!(
             faulty, want,
@@ -188,19 +154,14 @@ proptest! {
         let crash = crash_raw == 1;
         let scheduler = SchedulerKind::Latency { seed: seed ^ 0xA5A5, min: 1, max: 15 };
         for protocol in ProtocolKind::all() {
-            let run = |executor| {
-                golden::run_fault_schedule_on(
+            let run = || {
+                golden::run_fault_schedule(
                     protocol,
                     scheduler,
                     random_schedule(seed, pct, delay, crash),
-                    executor,
                 )
             };
-            let serial = run(ExecutorKind::SerialSim);
-            let again = run(ExecutorKind::SerialSim);
-            assert_eq!(serial, again, "{protocol:?}: serial fault rerun diverged");
-            let one_shard = run(ExecutorKind::ParallelSim { shards: 1 });
-            assert_eq!(serial, one_shard, "{protocol:?}: 1-shard diverged under faults");
+            assert_eq!(run(), run(), "{protocol:?}: fault rerun diverged");
         }
     }
 }

@@ -1,17 +1,14 @@
-//! Observability-layer guarantees, end to end across both substrates:
+//! Observability-layer guarantees, end to end:
 //!
 //! 1. **Schedule neutrality** — running every golden combo (all 30
 //!    protocol × scheduler fixtures) on an *observed* cluster produces the
-//!    byte-identical canonical history the unobserved cluster produces, on
-//!    both the serial and the sharded executor.  Observation must never
-//!    perturb a schedule.
+//!    byte-identical canonical history the unobserved cluster produces.
+//!    Observation must never perturb a schedule.
 //! 2. **Event-stream determinism** — the virtual-time event stream of an
-//!    observed run is a pure function of `(seeds, shard count)`, and a
-//!    1-shard parallel run's stream is byte-identical to the serial
-//!    engine's (property-tested over seeds and shard counts).
-//! 3. **Perfetto export** — the Chrome-trace JSON of a 4-shard open-loop
-//!    run parses and is schema-valid: metadata rows name every shard,
-//!    every async span opened is closed, phases are from the known set.
+//!    observed run is a pure function of the seeds (property-tested).
+//! 3. **Perfetto export** — the Chrome-trace JSON of an observed open-loop
+//!    run parses and is schema-valid: metadata rows name the track, every
+//!    async span opened is closed, phases are from the known set.
 //! 4. **Checker frontier counters** — the streaming checker's
 //!    `CheckerRetired` events and `StreamReport` counters are populated,
 //!    monotone and internally consistent.
@@ -22,26 +19,23 @@ use snow::checker::StreamChecker;
 use snow::core::{History, SystemConfig};
 use snow::obs::json::Json;
 use snow::obs::{fold_events, perfetto_json, ObsEvent, ShardEvent};
-use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{drive_open_loop, OpenLoopReport, OpenLoopSpec, WorkloadSpec};
-use snow_bench::golden::{combos, run_combo_observed, run_combo_on};
+use snow_bench::golden::{combos, run_combo, run_combo_observed};
 
 const SCHED: SchedulerKind = SchedulerKind::Latency { seed: 11, min: 1, max: 16 };
-const FOUR_SHARDS: ExecutorKind = ExecutorKind::ParallelSim { shards: 4 };
 
-/// Drives `spec` open loop against an Algorithm B cluster (no step cap,
-/// bounded trace) and returns the history, the report and whatever the
-/// cluster recorded — nothing unless `observed`.
+/// Drives `spec` open loop against an Algorithm B cluster (no step cap)
+/// and returns the history, the report and whatever the cluster recorded
+/// — nothing unless `observed`.
 fn open_loop_run(
     config: &SystemConfig,
     spec: &OpenLoopSpec,
     scheduler: SchedulerKind,
-    executor: ExecutorKind,
     observed: bool,
 ) -> (History, OpenLoopReport, Vec<ShardEvent>) {
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, config)
         .scheduler(scheduler)
-        .executor(executor)
         .max_steps(u64::MAX)
         .observed(observed)
         .build()
@@ -55,27 +49,13 @@ fn open_loop_run(
 #[test]
 fn observed_combos_reproduce_all_golden_histories_serially() {
     for combo in combos() {
-        let plain = run_combo_on(&combo, ExecutorKind::SerialSim);
-        let (observed, events) = run_combo_observed(&combo, ExecutorKind::SerialSim);
+        let plain = run_combo(&combo);
+        let (observed, events) = run_combo_observed(&combo);
         assert_eq!(plain, observed, "{}: observation perturbed the schedule", combo.label);
         assert!(!events.is_empty(), "{}: observed run recorded no events", combo.label);
         assert!(
             events.iter().all(|e| e.shard == 0),
-            "{}: serial events must all be on shard 0",
-            combo.label
-        );
-    }
-}
-
-#[test]
-fn observed_combos_reproduce_all_golden_histories_sharded() {
-    for combo in combos() {
-        let executor = ExecutorKind::ParallelSim { shards: 2 };
-        let plain = run_combo_on(&combo, executor);
-        let (observed, _) = run_combo_observed(&combo, executor);
-        assert_eq!(
-            plain, observed,
-            "{}: observation perturbed the sharded schedule",
+            "{}: simulator events must all be on track 0",
             combo.label
         );
     }
@@ -83,11 +63,7 @@ fn observed_combos_reproduce_all_golden_histories_sharded() {
 
 // ---- 2. event-stream determinism ------------------------------------------
 
-fn observed_events(
-    shards: u32,
-    body_seed: u64,
-    sched_seed: u64,
-) -> Vec<snow::protocols::ShardEvent> {
+fn observed_events(body_seed: u64, sched_seed: u64) -> Vec<ShardEvent> {
     let config = SystemConfig::mwmr(4, 2, 2);
     let spec = OpenLoopSpec {
         workload: WorkloadSpec { seed: body_seed, ..WorkloadSpec::tao_like() },
@@ -95,13 +71,8 @@ fn observed_events(
         arrivals: 40,
         arrival_seed: body_seed ^ 0x9E37,
     };
-    let executor = if shards == 0 {
-        ExecutorKind::SerialSim
-    } else {
-        ExecutorKind::ParallelSim { shards: shards as usize }
-    };
     let scheduler = SchedulerKind::Latency { seed: sched_seed, min: 1, max: 16 };
-    let (_, report, events) = open_loop_run(&config, &spec, scheduler, executor, true);
+    let (_, report, events) = open_loop_run(&config, &spec, scheduler, true);
     assert_eq!(report.completed, 40, "open-loop run must complete");
     events
 }
@@ -109,27 +80,13 @@ fn observed_events(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn event_stream_is_a_pure_function_of_seeds_and_shards(
-        body_seed in 0u64..1_000,
-        sched_seed in 0u64..1_000,
-        shards in 1u32..5,
-    ) {
-        let a = observed_events(shards, body_seed, sched_seed);
-        let b = observed_events(shards, body_seed, sched_seed);
-        assert_eq!(a, b, "same (seeds, shards) must replay the same event stream");
-    }
-
-    #[test]
-    fn one_shard_parallel_stream_is_byte_identical_to_serial(
+    fn event_stream_is_a_pure_function_of_seeds(
         body_seed in 0u64..1_000,
         sched_seed in 0u64..1_000,
     ) {
-        let serial = observed_events(0, body_seed, sched_seed);
-        let parallel1 = observed_events(1, body_seed, sched_seed);
-        assert_eq!(
-            serial, parallel1,
-            "1-shard parallel must reproduce the serial event stream bit for bit"
-        );
+        let a = observed_events(body_seed, sched_seed);
+        let b = observed_events(body_seed, sched_seed);
+        assert_eq!(a, b, "the same seeds must replay the same event stream");
     }
 }
 
@@ -139,19 +96,17 @@ fn observation_does_not_change_open_loop_reports() {
     // completion count, same latency percentiles as the plain one.
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 400, ..OpenLoopSpec::tao_like(0) };
-    let (history, report, silent) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, false);
+    let (history, report, silent) = open_loop_run(&config, &spec, SCHED, false);
     assert!(silent.is_empty(), "an unobserved cluster records nothing");
-    let (obs_history, obs_report, events) =
-        open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
+    let (obs_history, obs_report, events) = open_loop_run(&config, &spec, SCHED, true);
     assert_eq!(report.completed, obs_report.completed);
     assert_eq!(report.latency.p99, obs_report.latency.p99);
     assert_eq!(history.records.len(), obs_history.records.len());
-    // The stream is a pure function of (seeds, shards), so what it folds to
-    // is pinned exactly: every arrival invoked and committed, ten messages
-    // per transaction, three in four of them across shards, and the shards'
-    // epoch turns with the share that stalled (`examples/observe_run.rs`
+    // The stream is a pure function of the seeds, so what it folds to is
+    // pinned exactly: every arrival invoked and committed, ten messages per
+    // transaction, one event per external action (`examples/observe_run.rs`
     // prints this run).
-    assert_eq!(events.len(), 11_700);
+    assert_eq!(events.len(), 8_800);
     let metrics = fold_events(&events);
     let counters: Vec<(&str, u64)> =
         metrics.counters.iter().map(|(name, n)| (name.as_str(), *n)).collect();
@@ -159,32 +114,24 @@ fn observation_does_not_change_open_loop_reports() {
         counters,
         [
             ("sim.commits", 400),
-            ("sim.cross_shard_sends", 3_000),
             ("sim.deliveries", 4_000),
-            ("sim.epoch_stalls", 1_078),
-            ("sim.epochs", 2_900),
             ("sim.invocations", 400),
             ("sim.sends", 4_000),
         ]
     );
-    assert_eq!(metrics.gauges["sim.queue_depth_peak"], 5);
+    assert_eq!(metrics.gauges["sim.queue_depth_peak"], 16);
     let latency = metrics.histograms["sim.tx_latency_ticks"];
-    assert_eq!((latency.count, latency.p50, latency.p99), (400, 63, 103));
-    // Virtual-time rule: every event timestamp is a tick, and the stream's
-    // shards cover exactly the 4 configured shards.
-    let mut shards: Vec<u32> = events.iter().map(|e| e.shard).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    assert_eq!(shards, vec![0, 1, 2, 3]);
+    assert_eq!((latency.count, latency.p50, latency.p99), (400, 63, 74));
+    assert!(events.iter().all(|e| e.shard == 0), "one track");
 }
 
 // ---- 3. Perfetto export schema --------------------------------------------
 
 #[test]
-fn perfetto_export_of_sharded_run_is_schema_valid() {
+fn perfetto_export_of_an_observed_run_is_schema_valid() {
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 120, ..OpenLoopSpec::tao_like(0) };
-    let (_, _, events) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
+    let (_, _, events) = open_loop_run(&config, &spec, SCHED, true);
     let text = perfetto_json(&events, "schema test", 1);
     let doc = Json::parse(&text).expect("exported trace must parse");
     let rows = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
@@ -211,7 +158,7 @@ fn perfetto_export_of_sharded_run_is_schema_valid() {
             assert!(row.get("pid").and_then(Json::as_num).is_some(), "{ph}: pid required");
         }
     }
-    assert_eq!(thread_names, 4, "one thread meta per shard");
+    assert_eq!(thread_names, 1, "one thread meta for the simulator's track");
     assert_eq!(opens, closes, "every tx span opened must close");
     assert_eq!(opens, 120, "one async span per arrival");
 }
@@ -222,7 +169,7 @@ fn perfetto_export_of_sharded_run_is_schema_valid() {
 fn stream_checker_frontier_counters_are_consistent() {
     let config = SystemConfig::mwmr(4, 4, 4);
     let spec = OpenLoopSpec { rate: 100, arrivals: 300, ..OpenLoopSpec::tao_like(0) };
-    let (history, _, _) = open_loop_run(&config, &spec, SCHED, FOUR_SHARDS, true);
+    let (history, _, _) = open_loop_run(&config, &spec, SCHED, true);
     let mut checker = StreamChecker::new().with_obs();
     checker.feed_history(&history);
     let verdict = checker.finish();

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use snow::checker::{GraphChecker, HistoryMetrics, SnowChecker, SnowReport, Verdict};
 use snow::core::{History, SystemConfig};
-use snow::protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use snow_bench::golden;
 
@@ -141,13 +141,7 @@ fn semantics_do_not_depend_on_the_schedule() {
         };
         let mut reference: Option<(String, String)> = None;
         for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
-            let history = golden::run_plan_on(
-                protocol,
-                &config,
-                combo.scheduler,
-                ExecutorKind::SerialSim,
-                &plan,
-            );
+            let history = golden::run_plan(protocol, &config, combo.scheduler, &plan);
             assert_eq!(history.incomplete_count(), 0, "{}", combo.label);
             let digest = digest_of(&history);
             let (first_label, first_digest) =
@@ -167,13 +161,8 @@ fn semantics_do_not_depend_on_the_schedule() {
         let issued: usize = batches.iter().map(|b| b.len()).sum();
         assert!(issued >= 24, "{protocol:?}: plan too small to overlap");
         for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
-            let history = golden::run_concurrent_plan_on(
-                protocol,
-                &config,
-                combo.scheduler,
-                ExecutorKind::SerialSim,
-                &batches,
-            );
+            let history =
+                golden::run_concurrent_plan(protocol, &config, combo.scheduler, &batches);
             assert_eq!(history.incomplete_count(), 0, "{}", combo.label);
             assert_eq!(history.len(), issued, "{}", combo.label);
             let verdict = GraphChecker::new().check(&history);
@@ -204,13 +193,7 @@ fn semantics_do_not_depend_on_the_schedule() {
 fn eiger_round_counts_are_pinned_under_deterministic_schedules() {
     let (config, plan) = golden::parity_plan(ProtocolKind::Eiger);
     let rounds_under = |sched: SchedulerKind| -> Vec<u32> {
-        let history = golden::run_plan_on(
-            ProtocolKind::Eiger,
-            &config,
-            sched,
-            ExecutorKind::SerialSim,
-            &plan,
-        );
+        let history = golden::run_plan(ProtocolKind::Eiger, &config, sched, &plan);
         let mut records: Vec<_> = history.records.iter().collect();
         records.sort_by_key(|r| r.tx_id);
         records.iter().map(|r| r.rounds).collect()

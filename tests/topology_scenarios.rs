@@ -2,13 +2,12 @@
 //!
 //! Five pinned properties:
 //!
-//! 1. **Shard-count independence** — a scenario history is a pure function
-//!    of `(scenario, seed)`: the serial simulator and the parallel
-//!    simulator at any shard count produce bit-identical histories.  This
-//!    is the `TopologyScheduler` contract (keys that never tie across
-//!    destinations, shard-invariant tie-breaks, latencies hashed from each
-//!    send's coordinates) combined with the runner's consecutive-µtick
-//!    invocation rule.
+//! 1. **Replay** — a scenario history is a pure function of
+//!    `(scenario, seed)`: two runs produce bit-identical histories,
+//!    virtual timestamps included.  This is the `TopologyScheduler`
+//!    contract (keys that never tie across destinations, coordinate
+//!    tie-breaks, latencies hashed from each send's coordinates) combined
+//!    with the runner's consecutive-µtick invocation rule.
 //! 2. **Certification** — every cell of the matrix produces a strictly
 //!    serializable history under `GraphChecker`, on every topology.  A WAN
 //!    doesn't just stretch latencies; reorderings across heavy-tailed links
@@ -28,7 +27,6 @@
 
 use snow_checker::{GraphChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
-use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind};
 use snow_sim::{
     Causal, FifoScheduler, MessagePool, MsgId, PendingMessage, RandomScheduler, Scheduler,
     Topology, TopologyScheduler, TICK,
@@ -36,109 +34,10 @@ use snow_sim::{
 use snow_workload::scenario::{
     run_scenario, scenario_matrix, slo_report, Scenario, TopologyKind, WorkloadShape,
 };
-use snow_workload::{WorkloadGenerator, WorkloadSpec};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::proptest;
 use proptest::ProptestConfig;
-
-/// Serial vs 1-shard vs 4-shard: the same bytes, including virtual time.
-#[test]
-fn scenario_histories_are_identical_across_executors() {
-    for cell in [
-        Scenario {
-            protocol: snow_protocols::ProtocolKind::AlgB,
-            topology: TopologyKind::Wan3,
-            shape: WorkloadShape::SocialGraph,
-        },
-        Scenario {
-            protocol: snow_protocols::ProtocolKind::AlgC,
-            topology: TopologyKind::ClientRemote,
-            shape: WorkloadShape::FlashSale,
-        },
-    ] {
-        let serial = run_scenario(&cell, 0xBEEF, 4, ExecutorKind::SerialSim).unwrap();
-        let one = run_scenario(&cell, 0xBEEF, 4, ExecutorKind::ParallelSim { shards: 1 }).unwrap();
-        let four = run_scenario(&cell, 0xBEEF, 4, ExecutorKind::ParallelSim { shards: 4 }).unwrap();
-        assert_eq!(
-            serial.history,
-            one.history,
-            "{}: serial vs 1-shard diverged",
-            cell.name()
-        );
-        assert_eq!(
-            serial.history,
-            four.history,
-            "{}: serial vs 4-shard diverged",
-            cell.name()
-        );
-        assert_eq!(serial.duration_ticks, four.duration_ticks, "{}", cell.name());
-        assert!(
-            !serial.history.records.is_empty(),
-            "{}: vacuous parity",
-            cell.name()
-        );
-    }
-}
-
-/// The cell where equal-key ties are dense: 144 processes leave each
-/// destination a 7-µtick jitter band, and a round of 128 AlgB clients opens
-/// with 128 messages to the coordinator inside two site-ticks — tie runs of
-/// 7 at one destination, resolved by the scheduler's `(sent_at, source,
-/// id)` rank out of the delivery heap's top.
-///
-/// What holds here, and is pinned: the sharded engine's core reproduces the
-/// serial history byte for byte at 1 shard, and at 2 and 4 shards the run
-/// completes, replays identically and is certified serializable.
-///
-/// What does **not** hold here (nor did it before the heap-top tie-break:
-/// the assertion fails the same way on the whole-pool scan) is property 1.
-/// A tie run of t at key k dispatches at k+1 … k+t; once t exceeds what is
-/// left of the 7-µtick band, the serial clock has chained past the *next*
-/// destination's keys and stamps them late, while that destination's own
-/// shard stamps them on time.  Sparse cells never get there (the matrix
-/// cells have six clients and bands of ≥ 73 µticks); closing the hole means
-/// re-keying — a schedule change, so not something a pick-order change may
-/// do.
-#[test]
-fn dense_tie_cell_is_deterministic_and_certified_at_every_shard_count() {
-    let config = SystemConfig::mwmr(16, 64, 64);
-    let run = |executor| {
-        let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
-            .topology(Arc::new(Topology::single_dc(&config)), 0xD1CE)
-            .executor(executor)
-            .build()
-            .unwrap();
-        let mut generator =
-            WorkloadGenerator::new(&config, WorkloadSpec { seed: 7, ..WorkloadSpec::write_heavy() });
-        for _ in 0..3 {
-            // `run_scenario`'s round: one transaction per client, invoked
-            // at consecutive µticks.
-            let mut used = BTreeSet::new();
-            let mut at = cluster.now();
-            for tx in generator.batch(128) {
-                if used.insert(tx.client) {
-                    at += 1;
-                    cluster.invoke_at(at, tx.client, tx.spec);
-                }
-            }
-            cluster.run_until_quiescent();
-        }
-        cluster.history()
-    };
-    let serial = run(ExecutorKind::SerialSim);
-    assert!(serial.records.len() >= 300, "only {} transactions", serial.records.len());
-    assert_eq!(serial, run(ExecutorKind::ParallelSim { shards: 1 }), "1-shard diverged from serial");
-    for shards in [2, 4] {
-        let sharded = run(ExecutorKind::ParallelSim { shards });
-        assert_eq!(sharded.records.len(), serial.records.len());
-        assert!(sharded.records.iter().all(|r| r.is_complete()), "{shards} shards: in flight");
-        assert_eq!(sharded, run(ExecutorKind::ParallelSim { shards }), "{shards}-shard replay diverged");
-        let verdict = GraphChecker::new().check(&sharded);
-        assert!(matches!(verdict, Verdict::Serializable(_)), "{shards} shards: {verdict:?}");
-    }
-}
 
 /// Every cell of the matrix — all protocols × topologies × shapes — yields
 /// a strictly serializable history, and its SLO report is internally
@@ -148,7 +47,7 @@ fn every_matrix_cell_is_certified_serializable() {
     let cells = scenario_matrix();
     assert!(cells.len() >= 12, "matrix shrank below the acceptance floor");
     for cell in &cells {
-        let run = run_scenario(cell, 42, 3, ExecutorKind::SerialSim).unwrap();
+        let run = run_scenario(cell, 42, 3).unwrap();
         assert!(
             run.history.records.iter().all(|r| r.outcome.is_some()),
             "{}: transaction left in flight",
@@ -232,28 +131,20 @@ fn wan_reads_are_slower_than_single_dc_reads() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// A scenario history is a pure function of `(scenario, seed)` — the
-    /// executor and its shard count contribute nothing.  Randomized over
-    /// cells, seeds and shard counts.
+    /// A scenario history is a pure function of `(scenario, seed)`.
+    /// Randomized over cells and seeds.
     #[test]
     fn scenario_histories_are_pure_functions_of_scenario_and_seed(
         seed in 0u64..1_000_000,
         cell_index in 0usize..18,
-        shards in 1usize..5,
     ) {
         let cells = scenario_matrix();
         let cell = &cells[cell_index % cells.len()];
-        let serial = run_scenario(cell, seed, 2, ExecutorKind::SerialSim).unwrap();
-        let again = run_scenario(cell, seed, 2, ExecutorKind::SerialSim).unwrap();
-        assert_eq!(serial.history, again.history, "{}: serial replay diverged", cell.name());
-        let sharded =
-            run_scenario(cell, seed, 2, ExecutorKind::ParallelSim { shards }).unwrap();
-        assert_eq!(
-            serial.history,
-            sharded.history,
-            "{}: {shards}-shard run diverged from serial",
-            cell.name()
-        );
+        let first = run_scenario(cell, seed, 2).unwrap();
+        let again = run_scenario(cell, seed, 2).unwrap();
+        assert_eq!(first.history, again.history, "{}: replay diverged", cell.name());
+        assert_eq!(first.duration_ticks, again.duration_ticks, "{}", cell.name());
+        assert!(!first.history.records.is_empty(), "{}: vacuous replay", cell.name());
     }
 }
 
@@ -284,9 +175,8 @@ fn source_rank(src: ProcessId) -> u64 {
 /// `reference` — the pick computed from a plain `Vec` of the live messages.
 /// The pools are hard on a pick that only looks at the heap top: a handful
 /// of distinct keys (long tie runs), ids assigned in an order unrelated to
-/// the rank (as shard striding does), takes that leave stale entries
-/// behind, and re-queues that land in the slot they just left, their old
-/// entry unconsumed.
+/// the rank, takes that leave stale entries behind, and re-queues that land
+/// in the slot they just left, their old entry unconsumed.
 fn walk(
     draw: &mut Draw,
     size: u64,
@@ -299,7 +189,7 @@ fn walk(
     let mut live: Vec<PendingMessage<()>> = Vec::new();
     let mut next_id = 0u64;
     let mut fresh = |draw: &mut Draw| {
-        // Ids grow by a random stride and say nothing about the rank.
+        // Ids grow by random steps and say nothing about the rank.
         next_id += 1 + draw.below(4);
         let src = match draw.below(sources) {
             0 => ProcessId::Client(ClientId(1)),
