@@ -14,7 +14,6 @@
 use crate::ids::ObjectId;
 use crate::key::{Key, Tag};
 use crate::value::Value;
-use std::collections::BTreeSet;
 
 /// The kind of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +22,16 @@ pub enum TxKind {
     Read,
     /// A WRITE transaction (a group of single-object writes).
     Write,
+}
+
+/// True if no two of `items` name the same object — a pairwise scan that
+/// allocates nothing (a transaction names a handful of objects, and the
+/// check runs once per transaction built).
+fn all_distinct<T>(items: &[T], object: impl Fn(&T) -> ObjectId) -> bool {
+    items
+        .iter()
+        .enumerate()
+        .all(|(i, a)| items[..i].iter().all(|b| object(a) != object(b)))
 }
 
 /// Specification of a READ transaction: the distinct objects to read.
@@ -40,12 +49,7 @@ impl ReadSpec {
     /// malformed under the `OT` data type.
     pub fn new(objects: Vec<ObjectId>) -> Self {
         assert!(!objects.is_empty(), "READ transaction must name at least one object");
-        let distinct: BTreeSet<_> = objects.iter().collect();
-        assert_eq!(
-            distinct.len(),
-            objects.len(),
-            "READ transaction must name distinct objects"
-        );
+        assert!(all_distinct(&objects, |&o| o), "READ transaction must name distinct objects");
         ReadSpec { objects }
     }
 
@@ -75,10 +79,8 @@ impl WriteSpec {
     /// Panics if `writes` is empty or targets the same object twice.
     pub fn new(writes: Vec<(ObjectId, Value)>) -> Self {
         assert!(!writes.is_empty(), "WRITE transaction must name at least one object");
-        let distinct: BTreeSet<_> = writes.iter().map(|(o, _)| o).collect();
-        assert_eq!(
-            distinct.len(),
-            writes.len(),
+        assert!(
+            all_distinct(&writes, |&(o, _)| o),
             "WRITE transaction must name distinct objects"
         );
         WriteSpec { writes }

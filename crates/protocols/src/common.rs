@@ -2,7 +2,6 @@
 //! the client-side bookkeeping for in-flight READ and WRITE transactions.
 
 use snow_core::{ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome};
-use std::collections::BTreeSet;
 
 /// The ordered list of completed WRITE transactions — the paper's `List`
 /// variable, kept by the reader in Algorithm A and by the coordinator `s*`
@@ -98,12 +97,14 @@ pub struct PendingRead {
 }
 
 impl PendingRead {
-    /// Starts tracking a READ over `objects`.
+    /// Starts tracking a READ over `objects`.  `collected` is sized for one
+    /// read per object: it becomes the outcome's reads, which the record
+    /// keeps for the rest of the run.
     pub fn new(tx: TxId, objects: Vec<ObjectId>) -> Self {
         PendingRead {
             tx,
+            collected: Vec::with_capacity(objects.len()),
             objects,
-            collected: Vec::new(),
             tag: None,
         }
     }
@@ -122,16 +123,19 @@ impl PendingRead {
         self.collected.len() == self.objects.len()
     }
 
-    /// Assembles the final outcome, ordering reads as the caller requested.
+    /// Assembles the final outcome, ordering reads as the caller requested:
+    /// `collected` is reordered in place and becomes the outcome's reads.
     pub fn into_outcome(mut self) -> TxOutcome {
-        let mut reads = Vec::with_capacity(self.objects.len());
+        let mut placed = 0;
         for o in &self.objects {
-            if let Some(pos) = self.collected.iter().position(|r| r.object == *o) {
-                reads.push(self.collected.remove(pos));
+            if let Some(pos) = self.collected[placed..].iter().position(|r| r.object == *o) {
+                self.collected.swap(placed, placed + pos);
+                placed += 1;
             }
         }
+        self.collected.truncate(placed);
         TxOutcome::Read(ReadOutcome {
-            reads,
+            reads: self.collected,
             tag: self.tag,
         })
     }
@@ -144,10 +148,11 @@ pub struct PendingWrite {
     pub tx: TxId,
     /// The key generated for this WRITE.
     pub key: Key,
-    /// The objects being written.
+    /// The objects being written, the acked ones first (in ack order):
+    /// `objects[acked..]` still await their `write-val` ack.
     pub objects: Vec<ObjectId>,
-    /// Servers whose `write-val` ack is still outstanding.
-    pub awaiting_acks: BTreeSet<ObjectId>,
+    /// How many objects have acked.
+    pub acked: usize,
     /// Whether the second phase (`info-reader` / `update-coor`) has started.
     pub registering: bool,
 }
@@ -155,22 +160,25 @@ pub struct PendingWrite {
 impl PendingWrite {
     /// Starts tracking a WRITE of `objects` under `key`.
     pub fn new(tx: TxId, key: Key, objects: Vec<ObjectId>) -> Self {
-        let awaiting_acks = objects.iter().copied().collect();
         PendingWrite {
             tx,
             key,
             objects,
-            awaiting_acks,
+            acked: 0,
             registering: false,
         }
     }
 
-    /// Records an ack from the server hosting `object`.  Returns `true` when
-    /// every object has acked — how every writer in the crate decides its
+    /// Records an ack from the server hosting `object`: an outstanding
+    /// object moves into the acked prefix.  Returns `true` when every
+    /// object has acked — how every writer in the crate decides its
     /// `write-val` phase is over.  A duplicated ack changes nothing.
     pub fn ack(&mut self, object: ObjectId) -> bool {
-        self.awaiting_acks.remove(&object);
-        self.awaiting_acks.is_empty()
+        if let Some(pos) = self.objects[self.acked..].iter().position(|&o| o == object) {
+            self.objects.swap(self.acked, self.acked + pos);
+            self.acked += 1;
+        }
+        self.acked == self.objects.len()
     }
 }
 
@@ -285,7 +293,8 @@ mod tests {
         assert!(!pw.ack(ObjectId(0)));
         assert!(!pw.ack(ObjectId(0))); // duplicate ack changes nothing
         assert!(pw.ack(ObjectId(1)));
-        assert!(pw.awaiting_acks.is_empty());
+        assert!(pw.ack(ObjectId(1))); // so does a late one
+        assert_eq!(pw.acked, 2);
     }
 
     #[test]

@@ -146,6 +146,9 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     last_action_at: u64,
     now: u64,
     next_msg: u64,
+    /// `(sent_at, src)` of the last id issued, kept in debug builds for
+    /// [`DispatchCore::next_msg_id`]'s send-order assertion.
+    last_send: Option<(u64, ProcessId)>,
     steps: u64,
     max_steps: u64,
     /// Commit-log position of the last [`DispatchCore::drain_commits`].
@@ -182,6 +185,7 @@ where
             last_action_at: 0,
             now: 0,
             next_msg: 0,
+            last_send: None,
             steps: 0,
             max_steps: 1_000_000,
             commit_cursor: 0,
@@ -204,6 +208,7 @@ where
             last_action_at: self.last_action_at,
             now: self.now,
             next_msg: self.next_msg,
+            last_send: self.last_send,
             steps: self.steps,
             max_steps: self.max_steps,
             commit_cursor: self.commit_cursor,
@@ -578,7 +583,22 @@ where
         }
     }
 
-    fn next_msg_id(&mut self) -> MsgId {
+    /// The id of the next send, by `src` at `now`.  Ids are issued in send
+    /// order and every tick runs one handler, so id order is `(sent_at,
+    /// src, emission order)` order — which is why the pool's `(key, id)`
+    /// pop breaks equal-key ties by the sends' coordinates.
+    fn next_msg_id(&mut self, src: ProcessId) -> MsgId {
+        if cfg!(debug_assertions) {
+            assert!(
+                self.last_send
+                    .is_none_or(|(at, by)| at < self.now || (at, by) == (self.now, src)),
+                "id {} issued to {src} at {} after an id issued at {:?}",
+                self.next_msg,
+                self.now,
+                self.last_send
+            );
+            self.last_send = Some((self.now, src));
+        }
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
         id
@@ -594,7 +614,7 @@ where
         for (to, m) in effects.drain_sends() {
             let info = m.info();
             let causal = self.stamp(at, &info, handled);
-            let id = self.next_msg_id();
+            let id = self.next_msg_id(at);
             let msg = PendingMessage {
                 id,
                 src: at,
@@ -632,7 +652,7 @@ where
                 // against the fault schedule (no duplicate storms of
                 // duplicates).
                 let causal = self.stamp(at, &info, handled);
-                let dup_id = self.next_msg_id();
+                let dup_id = self.next_msg_id(at);
                 let copy = PendingMessage { id: dup_id, causal, ..copy };
                 self.enqueue(copy, &info, &SendVerdict::default(), ordinal);
                 ordinal += 1;

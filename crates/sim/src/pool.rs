@@ -16,9 +16,9 @@
 //! The picks, each of which moves its message out of its slot once:
 //!
 //! * [`MessagePool::pop_earliest`] — the smallest `(delivery_key, id)`,
-//!   amortized O(log n); [`MessagePool::pop_earliest_by`] re-breaks
-//!   equal-key ties by a rank — the tied entries are the heap's top, so
-//!   O(log n + ties), no pool scan.  FIFO, latency and topology scheduling.
+//!   amortized O(log n): FIFO, latency and topology scheduling.  This is
+//!   the classic discrete-event core, a `BinaryHeap` popped by `(time,
+//!   id)`; equal times go to the smaller id, which is send order.
 //! * [`MessagePool::take_first`] — the first message in send (id) order
 //!   matching a predicate, one pass over the slab: adversarial driving
 //!   ([`crate::Simulation::deliver_where`]).
@@ -48,10 +48,6 @@ pub struct MessagePool<M> {
     free: Vec<usize>,
     /// The delivery heap (see the module docs for which entries are live).
     queue: BinaryHeap<Entry>,
-    /// [`MessagePool::pop_earliest_by`]'s scratch: the tied `(id, slot)`s
-    /// it pushes back.  Empty between calls; a field to reuse the
-    /// allocation.
-    ties: Vec<(u64, usize)>,
     /// [`MessagePool::take_nth_live`]'s scratch: the live `(id, slot)`s it
     /// selects from.  Empty between calls; a field so a Random pick
     /// allocates nothing per step.
@@ -64,7 +60,6 @@ impl<M> Default for MessagePool<M> {
             slots: Vec::new(),
             free: Vec::new(),
             queue: BinaryHeap::new(),
-            ties: Vec::new(),
             ranked: Vec::new(),
         }
     }
@@ -141,33 +136,6 @@ impl<M> MessagePool<M> {
         let (_, _, slot) = self.peek_live()?;
         self.queue.pop();
         Some(self.take(slot))
-    }
-
-    /// [`MessagePool::pop_earliest`] with equal-key ties broken by the
-    /// smallest `rank`, not the smallest id.  The tied entries are the top
-    /// of the heap: pop that run, keep the winner, push the others back —
-    /// O(log n) without a tie (no `rank` call, no allocation), O(t log n)
-    /// for a run of t.
-    pub fn pop_earliest_by<R: Ord>(
-        &mut self,
-        rank: impl Fn(&PendingMessage<M>) -> R,
-    ) -> Option<PendingMessage<M>> {
-        let (key, id, slot) = self.peek_live()?;
-        self.queue.pop();
-        let mut best = (id, slot);
-        while let Some((_, id, slot)) = self.peek_live().filter(|&(k, _, _)| k == key) {
-            self.queue.pop();
-            let mut loser = (id, slot);
-            let rank_of = |slot: usize| rank(self.slots[slot].as_ref().expect("live"));
-            if rank_of(loser.1) < rank_of(best.1) {
-                std::mem::swap(&mut best, &mut loser);
-            }
-            self.ties.push(loser);
-        }
-        for (id, slot) in self.ties.drain(..) {
-            self.queue.push(Reverse((key, id, slot)));
-        }
-        Some(self.take(best.1))
     }
 
     /// Takes the first message in send (id) order matching `pred` — one
@@ -316,91 +284,42 @@ mod tests {
         assert_eq!(pool.peek_earliest(), Some((8, MsgId(1))));
         assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(1)));
         assert_eq!(pool.peek_earliest(), Some((20, MsgId(0))));
-        assert_eq!(
-            pool.pop_earliest_by(|m| m.sent_at).map(|m| m.id),
-            Some(MsgId(0))
-        );
+        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(0)));
         // Re-queued under its *own* key, a message has two live entries;
         // it is still taken once.
         pool.insert(pending(2, 0, Some(30)));
         let held = pool.take_first(|_| true).unwrap();
         pool.insert(held);
-        assert_eq!(
-            pool.pop_earliest_by(|m| m.sent_at).map(|m| m.id),
-            Some(MsgId(2))
-        );
+        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(2)));
         assert!(pool.pop_earliest().is_none());
-    }
-
-    #[test]
-    fn pop_earliest_by_breaks_ties_by_rank_and_keeps_the_losers() {
-        let mut pool: MessagePool<M> = MessagePool::new();
-        // Three messages tie at key 10; rank is `sent_at`, so id 2 wins,
-        // then id 0 (sent_at 4), then id 1 (sent_at 7), then key 11.
-        pool.insert(pending(0, 4, Some(10)));
-        pool.insert(pending(1, 7, Some(10)));
-        pool.insert(pending(2, 3, Some(10)));
-        pool.insert(pending(3, 0, Some(11)));
-        let mut order = Vec::new();
-        while let Some(m) = pool.pop_earliest_by(|m| m.sent_at) {
-            order.push(m.id.0);
-        }
-        assert_eq!(order, vec![2, 0, 1, 3]);
     }
 
     #[test]
     fn heap_drains_are_logarithmic_and_never_build_the_rank_index() {
         // Complexity guard without a wall clock: 10 000 messages, distinct
-        // keys except that every 100th shares its predecessor's.  The
-        // rank-taking pop may evaluate `rank` only inside a tie run — the
-        // whole-pool scan it replaced evaluated n²/2 candidates.
+        // keys except that every 100th shares its predecessor's.  A pop
+        // takes the heap top and pushes nothing back, so the heap holds
+        // exactly one entry per live message all the way down, and an
+        // equal-key run drains in id order.
         const N: u64 = 10_000;
-        let fill = || {
-            let mut pool: MessagePool<M> = MessagePool::new();
-            for id in 0..N {
-                let key = if id % 100 == 99 { id - 1 } else { id };
-                pool.insert(pending(id, 0, Some(1_000 + key)));
-            }
-            pool
-        };
-        let ties = N / 100;
-        let evaluations = std::cell::Cell::new(0u64);
-        let mut pool = fill();
+        let mut pool: MessagePool<M> = MessagePool::new();
+        for id in 0..N {
+            let key = if id % 100 == 99 { id - 1 } else { id };
+            pool.insert(pending(id, 0, Some(1_000 + key)));
+        }
         let mut drained = 0;
-        while let Some(m) = pool.pop_earliest_by(|m| {
-            evaluations.set(evaluations.get() + 1);
-            std::cmp::Reverse(m.id)
-        }) {
-            // Reverse-id rank: the later id of each tied pair goes first.
-            let expected = match drained % 100 {
-                98 => drained + 1,
-                99 => drained - 1,
-                _ => drained,
-            };
-            assert_eq!(m.id, MsgId(expected));
+        while let Some(m) = pool.pop_earliest() {
+            assert_eq!(m.id, MsgId(drained), "(key, id) order");
             drained += 1;
+            assert_eq!(pool.queue.len(), pool.len(), "a pop re-pushed an entry");
         }
         assert_eq!(drained, N);
-        assert_eq!(
-            evaluations.get(),
-            2 * ties,
-            "rank is evaluated inside tie runs only (the bound is n + ties)"
-        );
         // Only rank selection gathers the live ids; a heap drain never does.
-        assert_eq!(
-            pool.ranked.capacity(),
-            0,
-            "a rank-taking heap drain ranked the pool"
-        );
-
-        let mut fifo = fill();
-        while fifo.pop_earliest().is_some() {}
-        assert!(fifo.is_empty());
-        assert_eq!(fifo.ranked.capacity(), 0, "a FIFO drain ranked the pool");
-        fifo.insert(pending(N, 0, None));
-        assert_eq!(fifo.take_nth_live(0).map(|m| m.id), Some(MsgId(N)));
+        assert_eq!(pool.ranked.capacity(), 0, "a heap drain ranked the pool");
+        pool.insert(pending(N, 0, None));
+        assert_eq!(pool.take_nth_live(0).map(|m| m.id), Some(MsgId(N)));
         assert!(
-            fifo.ranked.is_empty() && fifo.ranked.capacity() > 0,
+            pool.ranked.is_empty() && pool.ranked.capacity() > 0,
             "rank selection reuses its scratch"
         );
     }

@@ -30,23 +30,23 @@
 //!   decided first.  The pool keys its delivery heap by
 //!   `(deliver_at | sent_at, MsgId)`.
 //! * [`Scheduler::next`] takes the message to deliver out of the pool.
-//!   FIFO and latency scheduling are a single O(log n) heap pop
-//!   ([`MessagePool::pop_earliest`]): under the engine's monotone clock, the
-//!   `(sent_at, id)` key order *is* send order, so FIFO needs no scan (the
-//!   heap tie-breaks equal keys by id, exactly the minimum a scan would
-//!   compute).  Topology scheduling is the same pop with equal-key ties
-//!   re-broken by a send-coordinate rank ([`MessagePool::pop_earliest_by`]:
-//!   the tied entries are the heap's top, so O(log n) plus the tie run).
-//!   The random adversary draws a uniform rank and takes the k-th live
-//!   message in send order ([`MessagePool::take_nth_live`]) — the same
-//!   distribution *and the same per-seed choices* as indexing the first
-//!   engine's send-ordered `Vec`.
+//!   Its provided body — what FIFO, latency and topology scheduling use —
+//!   is one O(log n) heap pop of the smallest `(key, id)`
+//!   ([`MessagePool::pop_earliest`]).  Under the engine's monotone clock
+//!   the `(sent_at, id)` key order *is* send order, so FIFO needs no scan;
+//!   and because the engine issues ids in send order, one handler per
+//!   tick, the id that breaks an equal-key tie is also the send's
+//!   `(sent_at, source, emission order)`.  The random adversary overrides
+//!   it: it draws a uniform rank and takes the k-th live message in send
+//!   order ([`MessagePool::take_nth_live`]) — the same distribution *and
+//!   the same per-seed choices* as indexing the first engine's send-ordered
+//!   `Vec`.
 //!
-//! The heap schedulers are therefore O(log n) per step (plus the tie run,
-//! where ties are re-broken); the random adversary is **O(live) per pick**
-//! — a linear selection over the live ids, in a scratch buffer the pool
-//! reuses, so it allocates nothing per step.  Either way the chosen message
-//! moves out of its slot once, straight to the engine.
+//! The heap schedulers are therefore O(log n) per step; the random
+//! adversary is **O(live) per pick** — a linear selection over the live
+//! ids, in a scratch buffer the pool reuses, so it allocates nothing per
+//! step.  Either way the chosen message moves out of its slot once,
+//! straight to the engine.
 
 use crate::message::PendingMessage;
 use crate::pool::MessagePool;
@@ -60,7 +60,13 @@ pub trait Scheduler<M> {
     /// message it took, `None` iff the pool is empty (reliable channels
     /// require eventual delivery, which the simulation enforces by only
     /// stopping when nothing is pending).  The engine delivers it.
-    fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>>;
+    ///
+    /// The provided body takes the smallest `(delivery_key, id)` — one heap
+    /// pop ([`MessagePool::pop_earliest`]).
+    fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>> {
+        let _ = now;
+        pool.pop_earliest()
+    }
 
     /// Hook called when a message is sent, letting latency-model schedulers
     /// stamp a delivery time from the send's **coordinates**: its
@@ -120,11 +126,7 @@ impl FifoScheduler {
     }
 }
 
-impl<M> Scheduler<M> for FifoScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
-        pool.pop_earliest()
-    }
-}
+impl<M> Scheduler<M> for FifoScheduler {}
 
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
@@ -181,10 +183,6 @@ impl LatencyScheduler {
 }
 
 impl<M> Scheduler<M> for LatencyScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
-        pool.pop_earliest()
-    }
-
     fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
         Some(sent_at + self.latency.draw(send_hash(self.seed, src, dst, sent_at, ordinal)))
     }

@@ -39,19 +39,20 @@
 //!    a key only if they target the *same* process.  The bands are part of
 //!    the schedule's definition: every WAN and DC history in the repo is
 //!    pinned on them.
-//! 3. **Coordinate tie-breaks.**  Same-destination equal keys are
-//!    resolved by `(sent_at, source, emission order)` — from the top of
-//!    the delivery heap, where the tied entries sit together
-//!    ([`MessagePool::pop_earliest_by`]): O(log n + ties) per delivery.
+//! 3. **Send-order tie-breaks.**  Same-destination equal keys go to the
+//!    smaller `MsgId` — one pop of the `(key, id)` delivery heap
+//!    ([`MessagePool::pop_earliest`](crate::MessagePool::pop_earliest)),
+//!    O(log n) per delivery.  The engine issues ids in send order and runs
+//!    one handler per tick, so id order *is* the send's `(sent_at, source,
+//!    emission order)`: the tie-break is a pure function of coordinates
+//!    without ranking them.
 //!
 //! Every latency clears one full site-tick ([`TICK`] µticks), far above
 //! any invocation-kickoff window.  The result — topology-scheduled
 //! histories that replay bit for bit — is pinned by
 //! `tests/topology_scenarios.rs`.
 
-use crate::message::PendingMessage;
-use crate::pool::MessagePool;
-use crate::scheduler::{pid_bits, send_hash, Scheduler};
+use crate::scheduler::{send_hash, Scheduler};
 use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use std::sync::Arc;
@@ -321,8 +322,8 @@ pub struct TopologyScheduler {
     /// num_processes`.  Each destination's delivery keys live in a
     /// disjoint residue band of the site-tick slot, so **two messages to
     /// different destinations can never share a delivery key**
-    /// (same-destination collisions resolve by the tie-break in
-    /// [`Scheduler::next`]).
+    /// (same-destination collisions go to the smaller id, which is send
+    /// order).
     class_width: u64,
 }
 
@@ -375,16 +376,6 @@ impl TopologyScheduler {
 }
 
 impl<M> Scheduler<M> for TopologyScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
-        // Equal keys are same-destination by construction (disjoint
-        // per-destination jitter bands).  Break the tie on the sends'
-        // coordinates: `(sent_at, src)` orders distinct handler executions,
-        // and within one handler execution (same `sent_at`, same `src`) the
-        // relative id order *is* emission order, so it is safe as the final
-        // component.
-        pool.pop_earliest_by(|p| (p.sent_at, pid_bits(p.src), p.id.0))
-    }
-
     fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
         Some(sent_at + self.latency_microticks(src, dst, sent_at, ordinal))
     }
@@ -393,7 +384,8 @@ impl<M> Scheduler<M> for TopologyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Causal, MsgId};
+    use crate::message::{Causal, MsgId, PendingMessage};
+    use crate::pool::MessagePool;
 
     #[derive(Debug, Clone)]
     struct M;
@@ -549,33 +541,6 @@ mod tests {
                 ProcessId::Client(c) => 4 + c.0 as u64,
             });
         }
-    }
-
-    #[test]
-    fn equal_key_ties_break_on_shard_invariant_coordinates() {
-        let topo = Arc::new(Topology::single_dc(&config()));
-        let mut s = TopologyScheduler::new(topo, 1);
-        let mut pool = MessagePool::new();
-        // Three same-destination messages stamped with the same delivery
-        // key, inserted with ids in the "wrong" order: the pick must follow
-        // `(sent_at, src, id)`, not id alone.
-        for (id, src, sent_at) in [(9u64, S1, 40u64), (2, S0, 50), (5, S0, 40)] {
-            pool.insert(PendingMessage {
-                id: MsgId(id),
-                src,
-                dst: C0,
-                msg: M,
-                sent_at,
-                causal: Causal::ROOT,
-                deliver_at: Some(7000),
-            });
-        }
-        let mut order = Vec::new();
-        while let Some(m) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
-            order.push(m.id.0);
-        }
-        // sent_at 40 before 50; at 40, server 0 before server 1.
-        assert_eq!(order, vec![5, 9, 2]);
     }
 
     #[test]

@@ -118,10 +118,12 @@ impl WorkloadDriver {
         let mut rounds = 0usize;
         let start = cluster.now();
         let mut all_tx: Vec<TxId> = Vec::with_capacity(total);
+        // This round's clients, sorted; cleared per round, reused across.
+        let mut seen_clients: Vec<ClientId> = Vec::with_capacity(self.per_round);
         while issued < total {
             let this_round = self.per_round.min(total - issued);
             rounds += 1;
-            let mut seen_clients = std::collections::BTreeSet::new();
+            seen_clients.clear();
             let now = cluster.now();
             // Draw until we have `this_round` transactions from distinct
             // clients (a client gets at most one per round to stay
@@ -131,9 +133,10 @@ impl WorkloadDriver {
             while batch.len() < this_round && guard < this_round * 50 {
                 guard += 1;
                 let tx = generator.next_tx();
-                if !seen_clients.insert(tx.client) {
+                let Err(at) = seen_clients.binary_search(&tx.client) else {
                     continue;
-                }
+                };
+                seen_clients.insert(at, tx.client);
                 batch.push((tx.client, tx.spec));
             }
             issued += batch.len();

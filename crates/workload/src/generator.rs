@@ -4,7 +4,6 @@ use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snow_core::{ClientId, ClientRole, ObjectId, SystemConfig, TxKind, TxSpec, Value};
-use std::collections::BTreeSet;
 
 /// Parameters of a workload mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,13 +114,17 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Draws `count` distinct objects, Zipf-weighted.
+    /// Draws `count` distinct objects, Zipf-weighted, in ascending order:
+    /// a repeat draw is discarded and drawn again.
     fn draw_objects(&mut self, count: usize) -> Vec<ObjectId> {
-        let mut picked = BTreeSet::new();
+        let mut picked = Vec::with_capacity(count);
         while picked.len() < count {
-            picked.insert(ObjectId(self.zipf.sample(&mut self.rng) as u32));
+            let object = ObjectId(self.zipf.sample(&mut self.rng) as u32);
+            if let Err(at) = picked.binary_search(&object) {
+                picked.insert(at, object);
+            }
         }
-        picked.into_iter().collect()
+        picked
     }
 
     /// Generates the next transaction.

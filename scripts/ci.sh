@@ -38,7 +38,9 @@
 #      and read results under faults × schedules × contention) and the
 #      dispatch path's cost counter (tests/dispatch_hot_path.rs: the exact
 #      allocations per committed transaction of a 1 000-transaction AlgB
-#      closed loop on the WAN and of a 1 000-arrival AlgC open loop).  Then the
+#      closed loop on the WAN, of one in a single DC with 128-client rounds
+#      — `wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much` —
+#      and of a 1 000-arrival AlgC open loop).  Then the
 #      open-loop driver's linear cost as a pure count (crates/workload,
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
 #      completion wait per transaction, zero `is_complete` probes) and

@@ -2,11 +2,14 @@
 //! allocations per committed transaction of one driver call, counted by a
 //! `#[global_allocator]` local to this test binary and pinned **exactly** —
 //! the count is a pure function of the seeds, the same in debug and release
-//! builds.  Two runs shaped like the repo benchmark's serial workloads:
+//! builds.  Three runs shaped like the repo benchmark's workloads:
 //!
 //! * 1 000 AlgB transactions on the three-site WAN, closed loop in rounds
 //!   of 8 (`closed-b-wan3`'s shape): the round driver, the topology
 //!   scheduler, two-round reads;
+//! * 1 000 AlgB transactions in one DC, 64 writers and 64 readers, closed
+//!   loop in rounds of 128 (`wide-b-dc`'s shape): deep delivery queues and
+//!   wide rounds;
 //! * 1 000 AlgC arrivals, open loop under the latency scheduler
 //!   (`open-c-read`'s shape): the commit-gated wait, one-round reads with
 //!   multi-version responses.
@@ -28,6 +31,16 @@
 //! one-time growth: sends 4 → 8 plus responses for AlgC, and the first
 //! allocation of each for AlgB, whose handler calls send at most 2
 //! messages and respond at most once.
+//!
+//! Then the transaction path stopped building throw-away collections, and
+//! the pins moved once more: 13 637 → 8 217 (AlgB, WAN), 15 054 → 11 013
+//! (AlgC), and the wide AlgB run, pinned from then on, would have read
+//! 12 588 before it and reads 7 780.  Gone per generated transaction: the
+//! generator's `BTreeSet` draw and the spec constructor's `BTreeSet`
+//! distinctness check (the round driver draws more transactions than it
+//! issues, discarding a draw whose client already has one this round); per
+//! WRITE, the writer's set of outstanding acks; per READ, the outcome's
+//! second `Vec`; per round, the round driver's set of seen clients.
 
 use snow::core::{SystemConfig, TxRecord};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
@@ -113,7 +126,23 @@ fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
         counted(|| WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 13_637, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 8_217, "{:.3} per committed transaction", allocs as f64 / 1e3);
+}
+
+#[test]
+fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(16, 64, 64);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .topology(Arc::new(Topology::single_dc(&config)), 7)
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgB runs on MWMR configurations");
+    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+    let ((history, report), allocs) =
+        counted(|| WorkloadDriver::new(128).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
+    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert!(history.records.iter().all(TxRecord::is_complete));
+    assert_eq!(allocs, 7_780, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
 
 #[test]
@@ -134,5 +163,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 15_054, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 11_013, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }

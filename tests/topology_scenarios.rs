@@ -5,21 +5,24 @@
 //! 1. **Replay** — a scenario history is a pure function of
 //!    `(scenario, seed)`: two runs produce bit-identical histories,
 //!    virtual timestamps included.  This is the `TopologyScheduler`
-//!    contract (keys that never tie across destinations, coordinate
-//!    tie-breaks, latencies hashed from each send's coordinates) combined
-//!    with the runner's consecutive-µtick invocation rule.
+//!    contract (keys that never tie across destinations, equal keys in send
+//!    order, latencies hashed from each send's coordinates) combined with
+//!    the runner's consecutive-µtick invocation rule.
 //! 2. **Certification** — every cell of the matrix produces a strictly
 //!    serializable history under `GraphChecker`, on every topology.  A WAN
 //!    doesn't just stretch latencies; reorderings across heavy-tailed links
 //!    are exactly where serializability bugs would surface.
 //! 3. **Report sanity** — the SLO reports are internally consistent
 //!    (p50 ≤ p99, verdict matches the checker, WAN floors respected).
-//! 4. **The tie-break is the whole-pool minimum** — `TopologyScheduler`
-//!    picks from the top of the delivery heap; on any pool, however stale
-//!    its heap, that pick is the minimum of `(key, sent_at, source, id)`
-//!    over the live messages — the order property 1 rests on.  The same
-//!    walk holds FIFO to the minimum `(key, id)` and Random to the k-th
-//!    live message by id.
+//! 4. **One `(key, id)` pop is the coordinate order** — `TopologyScheduler`
+//!    takes the top of the delivery heap; on any pool, however stale its
+//!    heap, that pick is the minimum `(key, id)` over the live messages (the
+//!    same walk holds Random to the k-th live message by id).  On the
+//!    engine's own runs — clean, under the dup storm, across a crash that
+//!    re-queues in-flight messages — every delivery is also the minimum of
+//!    `(key, sent_at, source, id)`: ids are issued in send order, one
+//!    handler per tick, so breaking an equal-key tie by id *is* breaking it
+//!    by the send's coordinates, the order property 1 rests on.
 //! 5. **The SLO table, exactly** — the 18 rows `table_scenarios` prints
 //!    (`snow_bench::scenario_rows`: seed 42, 256 rounds, over 1 000
 //!    committed transactions per cell) are virtual site-ticks and checker
@@ -27,13 +30,16 @@
 
 use snow_checker::{GraphChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
+use snow_protocols::{deploy_any, scenario_dup_storm, AnyMsg, AnyNode, ProtocolKind};
 use snow_sim::{
-    Causal, FifoScheduler, MessagePool, MsgId, PendingMessage, RandomScheduler, Scheduler,
-    Topology, TopologyScheduler, TICK,
+    Causal, Crash, CrashPolicy, FaultSchedule, FifoScheduler, MessagePool, MsgId,
+    PendingMessage, Process, RandomScheduler, Scheduler, Simulation, StepOutcome, Topology,
+    TopologyScheduler, TICK,
 };
 use snow_workload::scenario::{
     run_scenario, scenario_matrix, slo_report, Scenario, TopologyKind, WorkloadShape,
 };
+use snow_workload::{WorkloadGenerator, WorkloadSpec};
 use std::sync::Arc;
 
 use proptest::proptest;
@@ -161,7 +167,8 @@ impl Draw {
     }
 }
 
-/// The source component of the scheduler's tie-break rank.
+/// The source component of the coordinate rank `(key, sent_at, source,
+/// id)` (the simulator's `pid_bits`).
 fn source_rank(src: ProcessId) -> u64 {
     match src {
         ProcessId::Server(s) => (1 << 32) | s.0 as u64,
@@ -247,9 +254,8 @@ fn walk(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// Every pick discipline on the same kind of walk, against its `Vec`
-    /// reference: FIFO (and latency, the same pop) is the minimum
-    /// `(key, id)`; topology the minimum `(key, sent_at, source, id)` —
-    /// the order property 1 rests on; Random the k-th live message by id,
+    /// reference: topology and FIFO (and latency, the same provided pop)
+    /// take the minimum `(key, id)`; Random the k-th live message by id,
     /// k drawn from the scheduler's own SplitMix64 stream (`Draw(seed)`
     /// yields exactly `RandomScheduler::new(seed)`'s draws).
     #[test]
@@ -259,15 +265,12 @@ proptest! {
         distinct_keys in 1u64..6,
         sources in 1u64..5,
     ) {
-        let min_by = |rank: fn(&PendingMessage<()>) -> (u64, u64, u64, u64)| {
-            move |live: &[PendingMessage<()>]| live.iter().min_by_key(|&m| rank(m)).unwrap().id
+        let by_key = |live: &[PendingMessage<()>]| {
+            live.iter().min_by_key(|m| (m.delivery_key(), m.id)).unwrap().id
         };
         let config = SystemConfig::mwmr(4, 2, 2);
         let mut topology = TopologyScheduler::new(Arc::new(Topology::single_dc(&config)), seed);
-        let by_topology = min_by(|m| (m.delivery_key(), m.sent_at, source_rank(m.src), m.id.0));
-        walk(&mut Draw(seed), size, distinct_keys, sources, &mut topology, by_topology);
-
-        let by_key = min_by(|m| (m.delivery_key(), m.id.0, 0, 0));
+        walk(&mut Draw(seed), size, distinct_keys, sources, &mut topology, by_key);
         walk(&mut Draw(!seed), size, distinct_keys, sources, &mut FifoScheduler::new(), by_key);
 
         let mut stream = Draw(seed);
@@ -279,4 +282,83 @@ proptest! {
         let mut random = RandomScheduler::new(seed);
         walk(&mut Draw(seed.rotate_left(32)), size, distinct_keys, sources, &mut random, kth_by_id);
     }
+}
+
+/// Steps `sim` to quiescence, checking that every message the topology
+/// scheduler delivers is the minimum of `(key, sent_at, source, id)` over
+/// the messages pending before the step.  Returns `(deliveries, ties)`:
+/// the deliveries checked, and how many of them had an equal-key rival
+/// still pending — so a run without ties shows.
+fn deliver_in_coordinate_order(sim: &mut Simulation<AnyNode, TopologyScheduler>) -> (u64, u64) {
+    let rank = |m: &PendingMessage<AnyMsg>| (m.delivery_key(), m.sent_at, source_rank(m.src), m.id);
+    let (mut deliveries, mut ties) = (0, 0);
+    loop {
+        let expected = sim.pending().map(rank).min();
+        match sim.step() {
+            StepOutcome::Delivered(id) => {
+                let (key, .., min_id) = expected.expect("a delivery needs a pending message");
+                assert_eq!(id, min_id, "delivery is not the coordinate minimum");
+                deliveries += 1;
+                ties += u64::from(sim.pending().any(|m| m.delivery_key() == key));
+            }
+            StepOutcome::Invoked(_) => {}
+            StepOutcome::Quiescent => return (deliveries, ties),
+        }
+    }
+}
+
+/// The engine half of property 4: AlgB and AlgC on `wan3` and `single_dc`,
+/// each clean, under `scenario_dup_storm()` and across a `QueueInFlight`
+/// crash, deliver every message in coordinate order through the one
+/// `(key, id)` pop.
+#[test]
+fn engine_deliveries_are_the_coordinate_minimum() {
+    const ROUNDS: usize = 30;
+    let config = SystemConfig::mwmr(4, 3, 3);
+    let crash = FaultSchedule::new(5).with_crash(Crash {
+        server: ServerId(1),
+        at: 10 * TICK,
+        recover_at: 60 * TICK,
+        policy: CrashPolicy::QueueInFlight,
+    });
+    let (mut deliveries, mut ties) = (0, 0);
+    for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {
+        for topology in [Topology::wan3(&config), Topology::single_dc(&config)] {
+            for faults in [None, Some(scenario_dup_storm()), Some(crash.clone())] {
+                let scheduler = TopologyScheduler::new(Arc::new(topology.clone()), 3);
+                let mut sim = Simulation::new(scheduler);
+                if let Some(faults) = faults {
+                    let config = config.clone();
+                    let restart = move |pid| {
+                        let nodes = deploy_any(protocol, &config).unwrap();
+                        nodes.into_iter().find(|n| n.id() == pid).unwrap()
+                    };
+                    sim = sim.with_faults(faults, Some(Box::new(restart)));
+                }
+                for node in deploy_any(protocol, &config).unwrap() {
+                    sim.add_process(node);
+                }
+                let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+                for _ in 0..ROUNDS {
+                    let now = sim.now();
+                    for _ in 0..config.num_writers {
+                        let tx = generator.next_write();
+                        sim.invoke_at(now, tx.client, tx.spec);
+                    }
+                    for _ in 0..config.num_readers {
+                        let tx = generator.next_read();
+                        sim.invoke_at(now, tx.client, tx.spec);
+                    }
+                    let (d, t) = deliver_in_coordinate_order(&mut sim);
+                    deliveries += d;
+                    ties += t;
+                    // Retires what a fault orphaned, so every client is
+                    // idle for the next round.
+                    sim.run_until_quiescent();
+                }
+            }
+        }
+    }
+    assert!(deliveries > 10_000, "{deliveries} deliveries checked");
+    assert!(ties > 0, "no equal-key tie among {deliveries} deliveries");
 }
