@@ -1,7 +1,7 @@
 //! Typed trace events and the sinks they are emitted into.
 //!
 //! Every event is emitted from exactly one definition site: the
-//! simulator's `engine::DispatchCore` (virtual-time stamps) or the
+//! simulator, `snow_sim::Simulation` (virtual-time stamps), or the
 //! streaming checker's certification frontier.  Sinks are selected by
 //! monomorphization: a substrate generic over `O: TraceSink` guards every
 //! emission with `if O::ENABLED { … }`, so the default [`NullSink`]

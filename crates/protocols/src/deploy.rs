@@ -17,7 +17,7 @@ use snow_sim::{
 };
 use std::sync::Arc;
 
-pub use snow_sim::CommitDrain;
+pub use snow_sim::{CommitDrain, DEFAULT_MAX_STEPS};
 pub use snow_sim::{ObsEvent, ShardEvent};
 
 /// Which protocol a cluster runs.
@@ -420,11 +420,6 @@ impl ClusterSpec {
         }
     }
 }
-
-/// The step cap a [`ClusterSpec`] applies unless [`ClusterSpec::max_steps`]
-/// overrides it.  The golden/parity harnesses in `snow-bench` run under
-/// this default, so the fixtures and every other cluster share one cap.
-pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
 
 /// The restart factory [`ClusterSpec::faults`] hands the fault engine: a
 /// crashed process is rebuilt **from fresh protocol state** by re-running

@@ -19,10 +19,10 @@
 //!   coordinates replays the same verdicts;
 //! * **single decision sites** — send-side faults (regions, partitions) are
 //!   decided inside `apply_effects`, delivery-side faults (crash windows)
-//!   inside the dispatch step; both live in `engine.rs`, the workspace's
-//!   one dispatch core, whose fault state no other module can reach.
+//!   inside the dispatch step; both are private methods of
+//!   [`crate::Simulation`], whose fault state no other module can reach.
 //!
-//! An **empty schedule is structurally inert**: the engine guards every
+//! An **empty schedule is structurally inert**: the simulator guards every
 //! fault check with `faults.is_some()`, message-id assignment is never
 //! perturbed, and the 30 golden histories stay byte-identical (pinned by
 //! `tests/fault_determinism.rs`).
@@ -391,7 +391,7 @@ fn gate(key: impl Fn() -> u64, region: u64, chance_pct: u8) -> bool {
 /// from fresh state at recovery.
 pub type RestartFn<P> = Box<dyn FnMut(ProcessId) -> P>;
 
-/// Runtime fault state attached to one dispatch core: the schedule, the
+/// Runtime fault state attached to one simulation: the schedule, the
 /// restart factory, and the lazy-emission bookkeeping for the
 /// crash/partition observability events (each is announced once, on the
 /// first dispatch decision that observes it).

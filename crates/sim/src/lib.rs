@@ -36,18 +36,18 @@
 //! crash+recovery are pure per-message decisions, so a faulty history is a
 //! pure function of `(configuration, seeds, fault schedule)`.
 //!
-//! [`Simulation`] executes on **one dispatch core** (the private `engine`
-//! module).  Every dispatch decision — the one rule for what is dispatched
-//! next (a planned invocation as soon as it is keyed before every pending
-//! delivery, else the scheduler's pick) and the clock invariant that no
-//! event is dispatched before its own timestamp — is defined exactly once
-//! there.  Every per-message draw (a latency, a fault gate) is one hash of
-//! the send's coordinates, which the core hands to [`Scheduler::on_send`].
+//! There is **one simulator type**, [`Simulation`], whose fields are
+//! private to its module ([`sim`]).  Every dispatch decision — the one rule
+//! for what is dispatched next (a planned invocation as soon as it is keyed
+//! before every pending delivery, else the scheduler's pick) and the clock
+//! invariant that no event is dispatched before its own timestamp — is
+//! defined exactly once there.  Every per-message draw (a latency, a fault
+//! gate) is one hash of the send's coordinates, which the simulator hands
+//! to [`Scheduler::on_send`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 pub mod fault;
 pub mod message;
 pub mod pool;
@@ -65,5 +65,5 @@ pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
 pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
-pub use sim::{CommitDrain, Simulation, StepOutcome};
+pub use sim::{CommitDrain, Simulation, StepOutcome, DEFAULT_MAX_STEPS};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};

@@ -15,7 +15,7 @@ pub use snow_core::ProtocolMessage as SimMessage;
 use snow_core::ProcessId;
 
 /// The causal stamp every in-flight message carries: all the substrate
-/// keeps of a message's ancestry, computed by the dispatch core at the send
+/// keeps of a message's ancestry, computed by the simulator at the send
 /// from the stamp of the message being handled.  There is no side table —
 /// the round count (O) and the non-blocking verdict (N) of a transaction
 /// are this stamp, folded into its [`snow_core::TxRecord`].

@@ -1,16 +1,23 @@
-//! The simulation façade: one dispatch core (the private `engine` module)
-//! driving all processes.
+//! The simulator: one [`Simulation`] type that owns a deployment's
+//! processes and every structure its step loop needs, and makes **every
+//! dispatch decision in the workspace** — invocation-vs-delivery choice,
+//! clock advance, handler execution, effect application, step accounting,
+//! the one wait loop behind every `run_until_*` (`Simulation::run`) and the
+//! adversarial driving entry points ([`Simulation::deliver_where`],
+//! [`Simulation::force_invoke`]).  Its fields — the pool, the clock, the
+//! process table, the fault state — are private to this module, so a
+//! second dispatch loop elsewhere cannot compile.
 //!
-//! # Event-queue architecture and complexity contract
+//! # Event queue and complexity contract
 //!
-//! The engine orders events with two heaps and looks everything else up by
-//! index, so the step loop neither scans nor walks a tree:
+//! The simulator orders events with two heaps and looks everything else up
+//! by index, so the step loop neither scans nor walks a tree:
 //!
-//! * in-flight messages live in a [`MessagePool`](crate::MessagePool) — a
-//!   slab whose freed slots are reused, and a `(delivery_time, MsgId,
-//!   slot)` binary heap for O(log n) earliest-delivery pops; the random
-//!   adversary's rank selection in send order is an O(live) pass over the
-//!   slab instead (see [`crate::pool`]);
+//! * in-flight messages live in a [`MessagePool`] — a slab whose freed
+//!   slots are reused, and a `(delivery_time, MsgId, slot)` binary heap for
+//!   O(log n) earliest-delivery pops; the random adversary's rank selection
+//!   in send order is an O(live) pass over the slab instead (see
+//!   [`crate::pool`]);
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total and the next due
 //!   invocation is an O(1) peek;
@@ -18,49 +25,73 @@
 //!   the clock clamp stamps every INV after the previous one, so the log is
 //!   sorted by `(invoked_at, tx_id)` as it is written — beside a dense
 //!   `TxId → slot` vector.  Every message carries its causal stamp
-//!   ([`crate::Causal`]) and the core folds it into the record it indexes
-//!   to as the actions happen (rounds, C2C counts, read instrumentation),
-//!   so [`Simulation::history`] is one copy of the log, in order, into a
-//!   vector of exactly its length.  The earliest transaction
-//!   still in flight — what bounds `CommitDrain::inv_floor` — is a cursor
-//!   into the log that only moves forward;
+//!   ([`Causal`]), and `Simulation::stamp` folds it into the record it
+//!   indexes to as the actions happen (rounds, C2C counts, read
+//!   instrumentation), so [`Simulation::history`] is one copy of the log,
+//!   in order, into a vector of exactly its length.  The earliest
+//!   transaction still in flight — what bounds [`CommitDrain::inv_floor`] —
+//!   is a cursor into the log that only moves forward;
+//! * commits live in a **commit log** in RESP order, which
+//!   [`Simulation::drain_commits`] empties;
 //! * processes live in a **process table**: one slot vector per role,
 //!   indexed by `ClientId` / `ServerId`.
 //!
-//! Per step the engine therefore does O(log n) heap work, O(1) lookups and
-//! the process handler's own cost under every heap scheduler (FIFO,
-//! latency, topology; the random adversary's pick is O(live)); a handler
-//! writes its output into the core's one [`snow_core::Effects`] buffer,
-//! which is drained in place and keeps its capacity for the next handler,
-//! each message moving once into the pool and once out of it.  Adversarial
-//! driving ([`Simulation::deliver_where`], [`Simulation::force_invoke`])
-//! trades this for expressiveness: it takes the first match in send order
-//! (one pass over the slab) exactly like the historical `Vec`-based engine,
-//! which keeps the `snow-impossibility` constructions unchanged.  Adversaries
-//! control *order*, never *time*: the dispatch core clamps the clock so no
-//! event is dispatched before its own timestamp (see the `engine` module).
+//! Per step the simulator therefore does O(log n) heap work, O(1) lookups
+//! and the process handler's own cost under every heap scheduler (FIFO,
+//! latency, topology; the random adversary's pick is O(live)).  A handler
+//! writes its output into the simulator's one [`Effects`] buffer, which is
+//! drained in place and keeps its capacity for the next handler, each
+//! message moving once into the pool and once out of it.  Adversarial
+//! driving trades this for expressiveness: it takes the first match in
+//! send order, one pass over the slab.
 //!
-//! # One dispatch core
+//! # The clock invariant
 //!
-//! Every dispatch decision — invocation-vs-delivery choice, clock advance,
-//! handler execution, effect application, step accounting — is made by
-//! `engine::DispatchCore`, and every `run_until_*` wait is its one loop
-//! (`DispatchCore::run`).  `Simulation` owns exactly one core; there is no
-//! second step-loop implementation to keep in lockstep.
+//! All clock movement funnels through `Simulation::advance_past`:
+//! dispatching an event advances `now` to `max(now, event_time) + 1`, so
+//! **no event is ever dispatched at a clock earlier than its own
+//! timestamp** — a delivery never happens before its scheduler-stamped
+//! `deliver_at`, a (possibly forced) invocation never before its planned
+//! `at`.  Adversaries control *order*, never *time*.  The paper's SNOW
+//! arguments and the strict-serializability checkers derive real-time
+//! precedence edges from these timestamps, so a violation would silently
+//! widen or invert the intervals they reason about; debug assertions
+//! downstream of the clamp — the delivery-timestamp check in
+//! `Simulation::deliver` and the monotonicity check in
+//! `Simulation::audit_clock` — keep the invariant audited.
 //!
 //! Determinism: a run is a pure function of `(configuration, scheduler
-//! seed, invocation plan)`.  The indexed engine reproduces the linear-scan
-//! engine's schedules bit-for-bit — verified by the `determinism`
-//! integration test against committed golden histories.
+//! seed, invocation plan)` — verified by the `determinism` integration test
+//! against committed golden histories.
 
-use crate::engine::DispatchCore;
-use crate::fault::{FaultSchedule, RestartFn};
-use crate::message::{MsgId, PendingMessage};
+use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict};
+use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
+use crate::pool::MessagePool;
 use crate::scheduler::Scheduler;
-use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
-use snow_obs::{NullSink, ShardEvent, TraceSink};
+use crate::tables::{ProcessTable, RecordLog};
+use snow_core::{
+    ClientId, Effects, History, Process, ProcessId, ReadResult, TxId, TxKind, TxRecord, TxSpec,
+};
+use snow_obs::{NullSink, ObsEvent, ShardEvent, TraceSink};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
-pub use crate::engine::StepOutcome;
+/// The step cap every [`Simulation`] applies unless
+/// [`Simulation::with_max_steps`] overrides it.  The golden/parity
+/// harnesses run under this default, so the fixtures and every other run
+/// share one cap.
+pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
+
+/// What a single simulation step did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StepOutcome {
+    /// An invocation was dispatched to a client.
+    Invoked(TxId),
+    /// A message was delivered.
+    Delivered(MsgId),
+    /// Nothing left to do: no pending messages and no future invocations.
+    Quiescent,
+}
 
 /// One batch of newly committed transactions drained from the simulator for
 /// streaming certification (see [`Simulation::drain_commits`]).
@@ -74,23 +105,110 @@ pub use crate::engine::StepOutcome;
 #[derive(Debug, Clone, Default)]
 pub struct CommitDrain {
     /// Newly committed transactions, in RESP order.
-    pub records: Vec<snow_core::TxRecord>,
+    pub records: Vec<TxRecord>,
     /// Lower bound on every future drain's `invoked_at` values.
     pub inv_floor: u64,
 }
 
+/// A scheduled invocation, ordered by `(at, tx)` for the invocation queue.
+#[derive(Debug, Clone)]
+struct QueuedInvocation {
+    at: u64,
+    tx: TxId,
+    client: ClientId,
+    spec: TxSpec,
+}
+
+impl PartialEq for QueuedInvocation {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.tx) == (other.at, other.tx)
+    }
+}
+impl Eq for QueuedInvocation {}
+impl PartialOrd for QueuedInvocation {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for QueuedInvocation {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the earliest
+        // (at, tx) on top.
+        (other.at, other.tx).cmp(&(self.at, self.tx))
+    }
+}
+
+/// The commit log: transactions in RESP order, minus the prefix already
+/// drained.  `live[0]` is commit number `retired`.
+#[derive(Debug, Default)]
+struct CommitLog {
+    live: VecDeque<TxId>,
+    retired: u64,
+}
+
+impl CommitLog {
+    /// Total number of commits (RESP actions) ever logged, drained entries
+    /// included.
+    fn count(&self) -> u64 {
+        self.retired + self.live.len() as u64
+    }
+
+    /// The live entries from commit number `cursor` (at least `retired`)
+    /// on, in RESP order.  O(entries yielded): the wait loop's commit gate
+    /// asks for the last one or two entries of an arbitrarily long log
+    /// after every step.
+    fn since(&self, cursor: u64) -> impl Iterator<Item = TxId> + '_ {
+        self.live.range((cursor - self.retired) as usize..).copied()
+    }
+
+    /// Takes every live entry, in RESP order, so a drained log stays
+    /// O(drain window) instead of O(transactions).
+    fn drain(&mut self) -> impl Iterator<Item = TxId> + '_ {
+        self.retired += self.live.len() as u64;
+        self.live.drain(..)
+    }
+}
+
 /// A deterministic simulation of a set of processes exchanging messages over
-/// reliable asynchronous channels, run by the workspace's single dispatch
-/// core (the private `engine` module).
+/// reliable asynchronous channels.  See the module docs.
 ///
-/// `O` is the observability sink ([`snow_obs::TraceSink`]); the default
-/// [`NullSink`] compiles every emission site away, so an unobserved
-/// `Simulation<P, S>` is exactly the pre-observability simulator.  Swap the
-/// sink with [`Simulation::with_sink`] and drain virtual-time events with
-/// [`Simulation::drain_obs_events`].
+/// `O` is the observability sink ([`snow_obs::TraceSink`]) the simulator
+/// emits [`ObsEvent`]s into.  The default [`NullSink`] has `ENABLED =
+/// false`, so every emission site — written `if O::ENABLED { … }` —
+/// monomorphizes away entirely.  Swap the sink with
+/// [`Simulation::with_sink`] and drain events with
+/// [`Simulation::drain_obs_events`].  All stamps are **virtual ticks**
+/// (`self.now`); the simulator never reads a wall clock.
 pub struct Simulation<P: Process, S, O: TraceSink = NullSink> {
-    core: DispatchCore<P, S, O>,
+    processes: ProcessTable<P>,
+    pool: MessagePool<P::Msg>,
+    invocations: BinaryHeap<QueuedInvocation>,
+    scheduler: S,
+    /// One record per invoked transaction, in INV order, instrumentation
+    /// (rounds, C2C counts, read results) folded in as the actions happen.
+    records: RecordLog,
+    commits: CommitLog,
+    /// Time of the last external action (`Simulation::audit_clock`).
+    last_action_at: u64,
+    now: u64,
+    next_msg: u64,
     next_tx: u64,
+    /// `(sent_at, src)` of the last id issued, kept in debug builds for
+    /// `Simulation::next_msg_id`'s send-order assertion.
+    last_send: Option<(u64, ProcessId)>,
+    steps: u64,
+    max_steps: u64,
+    /// The one output buffer every handler writes into;
+    /// `Simulation::apply_effects` drains it and keeps its capacity.
+    effects: Effects<P::Msg>,
+    /// Observability sink (virtual-time events only; `NullSink` by
+    /// default, which compiles the emission sites away).
+    sink: O,
+    /// Fault engine state (`None` = fault-free: every fault check is
+    /// guarded by `is_some()`, so an unfaulted run takes no fault path and
+    /// its history is byte-identical to the same run with an empty
+    /// schedule).
+    faults: Option<FaultState<P>>,
 }
 
 impl<P, S> Simulation<P, S>
@@ -99,11 +217,25 @@ where
     S: Scheduler<P::Msg>,
 {
     /// Creates an empty simulation driven by `scheduler` (unobserved: the
-    /// default [`NullSink`]).
+    /// default [`NullSink`]; capped at [`DEFAULT_MAX_STEPS`]).
     pub fn new(scheduler: S) -> Self {
         Simulation {
-            core: DispatchCore::new(scheduler),
+            processes: ProcessTable::new(),
+            pool: MessagePool::new(),
+            invocations: BinaryHeap::new(),
+            scheduler,
+            records: RecordLog::default(),
+            commits: CommitLog::default(),
+            last_action_at: 0,
+            now: 0,
+            next_msg: 0,
             next_tx: 0,
+            last_send: None,
+            steps: 0,
+            max_steps: DEFAULT_MAX_STEPS,
+            effects: Effects::new(0),
+            sink: NullSink,
+            faults: None,
         }
     }
 }
@@ -115,27 +247,40 @@ where
     O: TraceSink,
 {
     /// Rebuilds the simulation around a different observability sink (type
-    /// changing: the dispatch core re-monomorphizes its emission sites for
-    /// `O2`).  Set the sink before running; events emitted into a previous
-    /// sink do not carry over.
+    /// changing: the emission sites re-monomorphize for `O2`).  Set the
+    /// sink before running; events emitted into a previous sink do not
+    /// carry over.
     pub fn with_sink<O2: TraceSink>(self, sink: O2) -> Simulation<P, S, O2> {
-        Simulation { core: self.core.with_sink(sink), next_tx: self.next_tx }
+        Simulation {
+            processes: self.processes,
+            pool: self.pool,
+            invocations: self.invocations,
+            scheduler: self.scheduler,
+            records: self.records,
+            commits: self.commits,
+            last_action_at: self.last_action_at,
+            now: self.now,
+            next_msg: self.next_msg,
+            next_tx: self.next_tx,
+            last_send: self.last_send,
+            steps: self.steps,
+            max_steps: self.max_steps,
+            effects: self.effects,
+            sink,
+            faults: self.faults,
+        }
     }
 
     /// Yields and clears the observability events collected so far, all
     /// tagged shard 0 and stamped with virtual ticks.  Empty for
     /// non-recording sinks such as [`NullSink`].
     pub fn drain_obs_events(&mut self) -> Vec<ShardEvent> {
-        self.core
-            .drain_events()
-            .into_iter()
-            .map(|event| ShardEvent { shard: 0, event })
-            .collect()
+        self.sink.drain().into_iter().map(|event| ShardEvent { shard: 0, event }).collect()
     }
 
     /// Overrides the safety cap on the number of steps a run may take.
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.core.set_max_steps(max_steps);
+        self.max_steps = max_steps;
         self
     }
 
@@ -148,21 +293,23 @@ where
     /// before running).  `restart` is the factory that rebuilds a crashed
     /// process from fresh state at recovery — required iff the schedule
     /// contains crash windows.  An empty schedule is structurally inert:
-    /// the engine's fault checks are guarded by the state's presence, and
-    /// histories stay byte-identical to an unfaulted run.
+    /// the fault checks are guarded by the state's presence, and histories
+    /// stay byte-identical to an unfaulted run.
     ///
     /// With a schedule attached, the run loops retire transactions that can
     /// no longer complete (their messages dropped, their server's state
     /// lost) as [`snow_core::TxOutcome::Aborted`] once the system goes
     /// quiescent, so histories stay complete under faults.
     pub fn with_faults(mut self, schedule: FaultSchedule, restart: Option<RestartFn<P>>) -> Self {
-        self.core.set_faults(schedule, restart);
+        self.faults = Some(FaultState::new(schedule, restart));
         self
     }
 
     /// Registers a process.  Panics if a process with the same id exists.
     pub fn add_process(&mut self, process: P) {
-        self.core.add_process(process);
+        let id = process.id();
+        let prev = self.processes.insert(id, process);
+        assert!(prev.is_none(), "duplicate process id {id}");
     }
 
     /// Schedules `spec` to be invoked by `client` at simulation time `at` —
@@ -172,50 +319,53 @@ where
     pub fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
-        self.core.plan(at, tx, client, spec);
+        self.invocations.push(QueuedInvocation { at, tx, client, spec });
         tx
     }
 
     /// Schedules `spec` to be invoked immediately (at the current time).
     pub fn invoke_now(&mut self, client: ClientId, spec: TxSpec) -> TxId {
-        self.invoke_at(self.core.now(), client, spec)
+        self.invoke_at(self.now, client, spec)
     }
 
     /// Current simulation time.
     pub fn now(&self) -> u64 {
-        self.core.now()
-    }
-
-    /// Number of messages currently in flight.
-    pub fn pending_count(&self) -> usize {
-        self.core.pending_count()
+        self.now
     }
 
     /// The in-flight messages, in send (id) order.
     pub fn pending(&self) -> impl Iterator<Item = &PendingMessage<P::Msg>> + '_ {
-        self.core.pending()
+        self.pool.iter()
     }
 
     /// Access to a registered process (for assertions in tests/harnesses).
     pub fn process(&self, id: ProcessId) -> Option<&P> {
-        self.core.process(id)
+        self.processes.get(id)
     }
 
     /// True if transaction `tx` has completed.
     pub fn is_complete(&self, tx: TxId) -> bool {
-        self.core.is_complete(tx)
+        self.records.is_complete(tx)
     }
 
-    /// True if there is nothing left to do.
+    /// True if there is nothing left to do (nothing pending, nothing
+    /// planned).
     pub fn is_quiescent(&self) -> bool {
-        self.core.is_quiescent()
+        self.pool.is_empty() && self.invocations.is_empty()
     }
 
     /// Executes one step: dispatches the earliest due invocation if any,
     /// otherwise delivers the message chosen by the scheduler — O(log n)
-    /// under the heap schedulers, O(live) under the random adversary.
+    /// under the heap schedulers, O(live) under the random adversary.  An
+    /// idle probe — nothing dispatchable — still counts a step.
     pub fn step(&mut self) -> StepOutcome {
-        self.core.step()
+        match self.try_dispatch() {
+            Some(outcome) => outcome,
+            None => {
+                self.count_step();
+                StepOutcome::Quiescent
+            }
+        }
     }
 
     /// Manual (adversarial) driving: delivers the first pending message (in
@@ -227,39 +377,51 @@ where
     /// latency-stamped message delivered adversarially can never produce
     /// actions (e.g. a RESP) timestamped before its own delivery time.
     /// Under schedulers that stamp no delivery time (FIFO, random) the
-    /// clamp is a no-op and the historical `now + 1` behaviour is
-    /// unchanged — the Figs. 3–5 constructions drive those.
+    /// clamp is `now + 1` — the Figs. 3–5 constructions drive those.
     pub fn deliver_where<F>(&mut self, pred: F) -> Option<MsgId>
     where
         F: Fn(&PendingMessage<P::Msg>) -> bool,
     {
-        self.core.deliver_where(pred)
+        let msg = self.pool.take_first(pred)?;
+        Some(self.dispatch_delivery(msg))
     }
 
     /// Manual driving: dispatches the next scheduled invocation for
-    /// `client` without waiting for the engine to reach it.  Returns the
+    /// `client` without waiting for the simulator to reach it.  Returns the
     /// transaction id, or `None` if no invocation is queued for that
     /// client.
     ///
-    /// The clock clamp matches the engine's own invocation rule: the INV
-    /// is recorded at `max(now, at) + 1`, never before the invocation's
+    /// The clock clamp matches the scheduled invocation rule: the INV is
+    /// recorded at `max(now, at) + 1`, never before the invocation's
     /// planned time (forcing controls *order* relative to other queued
     /// work, it does not rewind time).
     pub fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
-        self.core.force_invoke(client)
+        // "Next" = smallest (at, tx) among that client's plans, matching the
+        // dispatch order.  Heap iteration is unordered, so take the minimum
+        // explicitly; this adversarial path may be O(n).
+        let target = self
+            .invocations
+            .iter()
+            .filter(|inv| inv.client == client)
+            .max() // QueuedInvocation's Ord is reversed: max = earliest
+            .cloned()?;
+        self.invocations.retain(|inv| inv.tx != target.tx);
+        self.advance_past(target.at);
+        self.dispatch_invocation(target.tx, target.client, target.spec);
+        Some(target.tx)
     }
 
     /// Runs until no work remains (or the step cap is hit).  Returns the
     /// number of steps executed.
     pub fn run_until_quiescent(&mut self) -> u64 {
-        self.core.run(&[])
+        self.run(&[])
     }
 
     /// Runs until transaction `tx` completes (or the system goes quiescent).
     /// Returns `true` if the transaction completed — which under a fault
     /// schedule includes completing as `Aborted`.
     pub fn run_until_complete(&mut self, tx: TxId) -> bool {
-        self.core.run(&[tx]);
+        self.run(&[tx]);
         self.is_complete(tx)
     }
 
@@ -278,7 +440,7 @@ where
     /// `watch` order before the clock moves again.
     ///
     /// Only the entry scan probes the transaction records; after that a
-    /// step is followed by the commit gate (`DispatchCore::watched_commit`),
+    /// step is followed by the commit gate (`Simulation::watched_commit`),
     /// so the wait costs O(1) per step that commits nothing.  Quiescent
     /// with watched transactions still in flight, a fault schedule's
     /// orphans are retired as aborted before the final scan, so the caller
@@ -287,38 +449,526 @@ where
         if watch.is_empty() {
             return None;
         }
-        self.core.run(watch);
+        self.run(watch);
         watch.iter().copied().find(|&tx| self.is_complete(tx))
     }
 
     /// Assembles the [`History`] of the run so far.  Rounds, C2C counts,
     /// versions-per-read and non-blocking flags are already in the
-    /// transaction records, and the core logs them in INV order — the
-    /// history's `(invoked_at, tx_id)` order — so this is one copy into a
-    /// vector of exactly their number.
+    /// transaction records, logged in INV order — the history's
+    /// `(invoked_at, tx_id)` order — so this is one copy into a vector of
+    /// exactly their number.
     pub fn history(&self) -> History {
-        let history = History { records: self.core.records().to_vec() };
+        let history = History { records: self.records.as_slice().to_vec() };
         debug_assert!(history.records.is_sorted_by_key(|r| (r.invoked_at, r.tx_id)));
         history
     }
 
     /// Drains the transactions committed since the previous drain, in RESP
-    /// order, retiring the consumed commit-log prefix — the incremental
-    /// feed for streaming certification.
+    /// order, emptying the commit log — the incremental feed for streaming
+    /// certification.  The batch's `inv_floor` is the record log's
+    /// `RecordLog::inv_floor`.
     pub fn drain_commits(&mut self) -> CommitDrain {
-        CommitDrain { records: self.core.drain_commits(), inv_floor: self.core.inv_floor() }
+        let records = self.commits.drain().filter_map(|tx| self.records.get(tx)).cloned().collect();
+        CommitDrain { records, inv_floor: self.records.inv_floor(self.now) }
+    }
+
+    /// **The one dispatch rule**: the earliest planned invocation is the
+    /// next event iff its planned time has been reached or no pending
+    /// delivery is keyed at or before it; otherwise the scheduler picks a
+    /// delivery.  The simulator therefore dispatches in ascending key
+    /// order, so an invocation planned at quiescence is stamped `planned +
+    /// 1`, and no invocation waits behind a delivery keyed after it.
+    /// Returns the planned time of the invocation when it is the next
+    /// event; `earliest_key` is the pool's [`MessagePool::peek_earliest`]
+    /// key.
+    fn due_invocation(&self, earliest_key: Option<u64>) -> Option<u64> {
+        let at = self.invocations.peek()?.at;
+        (at <= self.now || earliest_key.is_none_or(|key| at < key)).then_some(at)
+    }
+
+    fn count_step(&mut self) {
+        self.steps += 1;
+        assert!(
+            self.steps <= self.max_steps,
+            "simulation exceeded {} steps; likely livelock",
+            self.max_steps
+        );
+    }
+
+    /// The one clock rule: dispatching an event stamped `event_at`
+    /// advances `now` to `max(now, event_at) + 1`.  Every `now` mutation
+    /// in the workspace goes through here, so the invariant *an event is
+    /// never dispatched at a clock earlier than its own timestamp* holds
+    /// by construction.  A path that bypassed the clamp would trip the
+    /// debug assertions downstream of it: the timestamp check in
+    /// `Simulation::deliver` and `Simulation::audit_clock`.
+    fn advance_past(&mut self, event_at: u64) {
+        self.now = self.now.max(event_at) + 1;
+    }
+
+    /// Called at every external action (INV, send, recv, RESP).  The
+    /// real-time precedence edges the checkers derive are only trustworthy
+    /// if action times never regress — the clock clamp guarantees it; this
+    /// assertion keeps it audited.
+    fn audit_clock(&mut self) {
+        debug_assert!(
+            self.now >= self.last_action_at,
+            "non-monotone action timestamp: {} after {}",
+            self.now,
+            self.last_action_at
+        );
+        self.last_action_at = self.now;
+    }
+
+    /// One dispatch decision: a due invocation
+    /// (`Simulation::due_invocation`) wins over a delivery; deliveries are
+    /// chosen by the scheduler, which may pick *any* live message.
+    /// Returns `None` without counting a step if nothing is dispatchable.
+    fn try_dispatch(&mut self) -> Option<StepOutcome> {
+        // The one heap peek of this dispatch: it decides the due rule.
+        let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
+        if self.due_invocation(earliest_key).is_some() {
+            let inv = self.invocations.pop().expect("peeked invocation");
+            self.count_step();
+            self.advance_past(inv.at);
+            self.dispatch_invocation(inv.tx, inv.client, inv.spec);
+            return Some(StepOutcome::Invoked(inv.tx));
+        }
+        let msg = self.scheduler.next(&mut self.pool, self.now)?;
+        self.count_step();
+        Some(StepOutcome::Delivered(self.dispatch_delivery(msg)))
+    }
+
+    /// Dispatches a message taken out of the pool: the clock clamp, the
+    /// crash-window gate, the handler.  Returns its id.
+    fn dispatch_delivery(&mut self, msg: PendingMessage<P::Msg>) -> MsgId {
+        let id = msg.id;
+        self.advance_past(msg.deliver_at.unwrap_or(self.now));
+        if let Some(msg) = self.crash_intercept(msg) {
+            self.deliver(msg);
+        }
+        id
+    }
+
+    /// The commit gate of every completion wait: whether a member of
+    /// `watch` is among the commits logged since commit number `*seen`,
+    /// which is advanced to the current count.  A transaction completes
+    /// only when its RESP is logged, so a wait loop that scanned `watch`
+    /// once on entry needs nothing else after a step — O(1) when the step
+    /// committed nothing, and a slice compare (no `records` probe) against
+    /// the new ids when it did.
+    fn watched_commit(&self, seen: &mut u64, watch: &[TxId]) -> bool {
+        let count = self.commits.count();
+        if count == *seen {
+            return false;
+        }
+        let from = std::mem::replace(seen, count);
+        let done = self.commits.since(from).any(|committed| watch.contains(&committed));
+        debug_assert!(
+            !done || watch.iter().any(|&tx| self.is_complete(tx)),
+            "logged commit without a record"
+        );
+        done
+    }
+
+    /// **The one wait loop** behind every `run_until_*`: dispatches by the
+    /// dispatch rule until a member of `watch` commits (never, for an empty
+    /// `watch`) or nothing is left to dispatch, and only in the latter case
+    /// retires what a fault schedule orphaned (`Simulation::abort_orphans`).
+    /// A `watch` with an already-complete member returns at once.  Returns
+    /// the steps executed.
+    fn run(&mut self, watch: &[TxId]) -> u64 {
+        let start = self.steps;
+        if watch.iter().any(|&tx| self.is_complete(tx)) {
+            return 0;
+        }
+        let mut seen = self.commits.count();
+        while self.try_dispatch().is_some() {
+            if self.watched_commit(&mut seen, watch) {
+                return self.steps - start;
+            }
+        }
+        self.abort_orphans();
+        self.steps - start
+    }
+
+    fn dispatch_invocation(&mut self, tx: TxId, client: ClientId, spec: TxSpec) {
+        let pid = ProcessId::Client(client);
+        self.audit_clock();
+        // Everything planned so far will be logged: one growth, not a
+        // doubling per batch.
+        self.records.reserve(1 + self.invocations.len());
+        self.records.invoke(TxRecord::invoked(tx, client, spec.clone(), self.now));
+        if O::ENABLED {
+            self.sink.emit(ObsEvent::InvocationDispatched { at: self.now, tx, client });
+        }
+        let process = self
+            .processes
+            .get_mut(pid)
+            .unwrap_or_else(|| panic!("invocation for unknown process {pid}"));
+        process.on_invoke(tx, spec, &mut self.effects);
+        self.apply_effects(pid, None);
+    }
+
+    fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
+        // Delivery must happen strictly after the message's own timestamp.
+        debug_assert!(
+            msg.deliver_at.is_none_or(|at| at < self.now) && msg.sent_at < self.now,
+            "message {} delivered before its own timestamp (sent_at {}, deliver_at {:?}, now {})",
+            msg.id,
+            msg.sent_at,
+            msg.deliver_at,
+            self.now
+        );
+        let (info, causal) = (msg.msg.info(), msg.causal);
+        self.audit_clock();
+        self.note_read_response(&msg, &info);
+        if O::ENABLED {
+            self.sink.emit(ObsEvent::MessageDelivered {
+                at: self.now,
+                msg: msg.id.0,
+                kind: info.kind,
+                tx: info.tx,
+                src: msg.src,
+                dst: msg.dst,
+                queue_depth: self.pool.len() as u32,
+            });
+        }
+        let process = self
+            .processes
+            .get_mut(msg.dst)
+            .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
+        process.on_message(msg.src, msg.msg, &mut self.effects);
+        self.apply_effects(msg.dst, Some((info, causal)));
+    }
+
+    /// Folds a read response into the instrumentation of its READ, before
+    /// the handler runs: one [`ReadResult`] per response carrying an object
+    /// that a server sent the **invoking client** — and only until the RESP,
+    /// at which the record is final (a duplicate or a slow replica's answer
+    /// delivered later is a straggler, not instrumentation).
+    fn note_read_response(&mut self, msg: &PendingMessage<P::Msg>, info: &MsgInfo) {
+        if info.kind != MsgKind::ReadResponse {
+            return;
+        }
+        let (Some(tx), Some(object), Some(server), ProcessId::Client(client)) =
+            (info.tx, info.object, msg.src.as_server(), msg.dst)
+        else {
+            return; // e.g. a metadata response (get-tag-arr) names no object
+        };
+        let Some(rec) = self.records.get_mut(tx) else { return };
+        if rec.client == client && rec.responded_at.is_none() && rec.kind() == TxKind::Read {
+            rec.reads.push(ReadResult {
+                object,
+                server,
+                versions_in_response: info.versions.max(1),
+                nonblocking: msg.causal.direct,
+            });
+        }
+    }
+
+    /// **The one definition of the causal stamp** (see [`Causal`]) of a send
+    /// by `at`, classified `info`, made while handling `handled` (`None` in
+    /// an INV handler) — folded, at the same site, into the record it
+    /// describes: a C2C send into its transaction's C2C count, whoever
+    /// sends it; any other send by the invoker into its round count.
+    fn stamp(
+        &mut self,
+        at: ProcessId,
+        info: &MsgInfo,
+        handled: Option<(MsgInfo, Causal)>,
+    ) -> Causal {
+        let Some(tx) = info.tx else { return Causal::ROOT };
+        let rec = self.records.get_mut(tx);
+        // A server never invokes.
+        let by_invoker = matches!((at, &rec), (ProcessId::Client(c), Some(rec)) if rec.client == c);
+        let causal = match handled {
+            Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
+                round: stamp.round + u32::from(by_invoker),
+                direct: parent.kind == MsgKind::ReadRequest,
+            },
+            _ => Causal::ROOT,
+        };
+        if let Some(rec) = rec {
+            if info.kind == MsgKind::ClientToClient {
+                rec.c2c_messages += 1;
+            } else if by_invoker {
+                rec.rounds = rec.rounds.max(causal.round);
+            }
+        }
+        causal
+    }
+
+    /// The one enqueue path of a send and of its fault-engine duplicate:
+    /// the scheduler's draw, the pool, the `MessageSent` event.  `ordinal`
+    /// counts the `enqueue` calls of the current `apply_effects` before
+    /// this one — with `(src, dst, now)`, the send's coordinates.
+    /// `verdict` has the last word on whether and when the message travels.
+    fn enqueue(
+        &mut self,
+        mut msg: PendingMessage<P::Msg>,
+        info: &MsgInfo,
+        verdict: &SendVerdict,
+        ordinal: u64,
+    ) {
+        self.audit_clock();
+        msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, self.now, ordinal);
+        if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
+            let base = msg.deliver_at.unwrap_or(self.now).saturating_add(verdict.extra_delay);
+            msg.deliver_at = Some(base.max(verdict.hold_until.unwrap_or(0)));
+        }
+        let (id, src, dst) = (msg.id, msg.src, msg.dst);
+        // A dropped send is never inserted: the drop is an event of the run.
+        if !verdict.dropped {
+            self.pool.insert(msg);
+        }
+        if O::ENABLED {
+            self.sink.emit(ObsEvent::MessageSent {
+                at: self.now,
+                msg: id.0,
+                kind: info.kind,
+                tx: info.tx,
+                src,
+                dst,
+                queue_depth: self.pool.len() as u32,
+            });
+        }
+    }
+
+    /// The id of the next send, by `src` at `now`.  Ids are issued in send
+    /// order and every tick runs one handler, so id order is `(sent_at,
+    /// src, emission order)` order — which is why the pool's `(key, id)`
+    /// pop breaks equal-key ties by the sends' coordinates.
+    fn next_msg_id(&mut self, src: ProcessId) -> MsgId {
+        if cfg!(debug_assertions) {
+            assert!(
+                self.last_send
+                    .is_none_or(|(at, by)| at < self.now || (at, by) == (self.now, src)),
+                "id {} issued to {src} at {} after an id issued at {:?}",
+                self.next_msg,
+                self.now,
+                self.last_send
+            );
+            self.last_send = Some((self.now, src));
+        }
+        let id = MsgId(self.next_msg);
+        self.next_msg += 1;
+        id
+    }
+
+    /// Applies what the handler just run at `at` left in the simulator's
+    /// [`Effects`] buffer: its sends in emission order, then its RESPs.  The
+    /// buffer is taken out for the drain and put back emptied, its
+    /// capacity kept for the next handler call.
+    fn apply_effects(&mut self, at: ProcessId, handled: Option<(MsgInfo, Causal)>) {
+        let mut effects = std::mem::replace(&mut self.effects, Effects::new(0));
+        let mut ordinal = 0; // of the next `enqueue` within this handler execution
+        for (to, m) in effects.drain_sends() {
+            let info = m.info();
+            let causal = self.stamp(at, &info, handled);
+            let id = self.next_msg_id(at);
+            let msg = PendingMessage {
+                id,
+                src: at,
+                dst: to,
+                msg: m,
+                sent_at: self.now,
+                causal,
+                deliver_at: None, // the scheduler's, stamped by `enqueue`
+            };
+            // `send_verdict` is a pure function of `(schedule, src, dst,
+            // sent_at, ordinal)`, so verdicts are independent of decision
+            // order.
+            let verdict = match self.faults.as_ref() {
+                Some(f) => f.schedule.send_verdict(at, to, self.now, ordinal),
+                None => SendVerdict::default(),
+            };
+            if self.faults.is_some() {
+                self.note_partitions();
+            }
+            let dup = (verdict.duplicate && !verdict.dropped).then(|| msg.clone());
+            self.enqueue(msg, &info, &verdict, ordinal);
+            ordinal += 1;
+            if verdict.dropped && O::ENABLED {
+                self.sink.emit(ObsEvent::MessageDropped {
+                    at: self.now,
+                    msg: id.0,
+                    src: at,
+                    dst: to,
+                });
+            }
+            if let Some(copy) = dup {
+                // The duplicate is a first-class send: its own id, its own
+                // scheduler draw, its own stamp from the same inputs (so a
+                // duplicated C2C send counts twice).  It is not re-evaluated
+                // against the fault schedule (no duplicate storms of
+                // duplicates).
+                let causal = self.stamp(at, &info, handled);
+                let dup_id = self.next_msg_id(at);
+                let copy = PendingMessage { id: dup_id, causal, ..copy };
+                self.enqueue(copy, &info, &SendVerdict::default(), ordinal);
+                ordinal += 1;
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::MessageDuplicated {
+                        at: self.now,
+                        original: id.0,
+                        duplicate: dup_id.0,
+                        src: at,
+                        dst: to,
+                    });
+                }
+            }
+        }
+        for (tx, outcome) in effects.drain_responses() {
+            self.log_commit(tx);
+            if let Some(rec) = self.records.respond(tx, self.now, outcome) {
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::TxCommitted {
+                        at: self.now,
+                        tx,
+                        client: rec.client,
+                        invoked_at: rec.invoked_at,
+                    });
+                }
+            }
+        }
+        self.effects = effects;
+    }
+
+    /// RESP(`tx`): appends it to the commit log.
+    fn log_commit(&mut self, tx: TxId) {
+        self.audit_clock();
+        self.commits.live.push_back(tx);
+    }
+
+    /// Delivery-side fault gate, called after the clock clamp and before
+    /// the handler runs.  Applies any crash recoveries for the destination
+    /// that have elapsed by `now` (the process is rebuilt **from fresh
+    /// state** by the restart factory), then intercepts the delivery if the
+    /// attempt lands inside an active crash window: `DropInFlight` loses
+    /// the message, `QueueInFlight` re-queues it to deliver no earlier than
+    /// the recovery tick.  Returns the message iff delivery proceeds.
+    /// A no-op (`Some(msg)`) without a fault schedule.
+    fn crash_intercept(&mut self, msg: PendingMessage<P::Msg>) -> Option<PendingMessage<P::Msg>> {
+        let Some(mut faults) = self.faults.take() else { return Some(msg) };
+        let dst = msg.dst;
+        // Recoveries first: every window of `dst` that fully elapsed must
+        // have restarted the process before this delivery observes it —
+        // even if no delivery was attempted inside the window itself (the
+        // state loss happened regardless).
+        for i in faults.schedule.elapsed_crashes(dst, self.now) {
+            if faults.crash_recovered[i] {
+                continue;
+            }
+            let crash = faults.schedule.crashes[i];
+            if !faults.crash_announced[i] {
+                faults.crash_announced[i] = true;
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::ServerCrashed { at: self.now, server: crash.server });
+                }
+            }
+            faults.crash_recovered[i] = true;
+            let restart = faults
+                .restart
+                .as_mut()
+                .expect("crash schedules carry a restart factory (FaultState::new)");
+            let fresh = restart(dst);
+            assert_eq!(fresh.id(), dst, "restart factory rebuilt the wrong process");
+            self.processes.insert(dst, fresh);
+            if O::ENABLED {
+                self.sink.emit(ObsEvent::ServerRecovered { at: self.now, server: crash.server });
+            }
+        }
+        let mut verdict = Some(msg);
+        if let Some((i, crash)) = faults.schedule.crash_window(dst, self.now) {
+            if !faults.crash_announced[i] {
+                faults.crash_announced[i] = true;
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::ServerCrashed { at: self.now, server: crash.server });
+                }
+            }
+            let msg = verdict.take().expect("set above");
+            match crash.policy {
+                CrashPolicy::DropInFlight => {
+                    if O::ENABLED {
+                        self.sink.emit(ObsEvent::MessageDropped {
+                            at: self.now,
+                            msg: msg.id.0,
+                            src: msg.src,
+                            dst: msg.dst,
+                        });
+                    }
+                }
+                CrashPolicy::QueueInFlight => {
+                    // Held for the restarted process: re-queued with its
+                    // delivery pushed to the recovery tick (the clock
+                    // already advanced past the attempt, so the next pick
+                    // lands at or past `recover_at` and takes the recovery
+                    // path above).
+                    let mut held = msg;
+                    held.deliver_at = Some(crash.recover_at);
+                    self.pool.insert(held);
+                }
+            }
+        }
+        self.faults = Some(faults);
+        verdict
+    }
+
+    /// Lazily announces partition starts and heals: each transition is
+    /// emitted once, on the first send decision whose clock observes it.
+    /// Pure bookkeeping — the actual cut is decided per message by
+    /// [`FaultSchedule::send_verdict`].
+    fn note_partitions(&mut self) {
+        let Some(faults) = self.faults.as_mut() else { return };
+        for (i, p) in faults.schedule.partitions.iter().enumerate() {
+            if !faults.partition_started[i] && self.now >= p.from && self.now < p.until {
+                faults.partition_started[i] = true;
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::PartitionStarted { at: self.now, partition: i as u32 });
+                }
+            }
+            if faults.partition_started[i] && !faults.partition_healed[i] && self.now >= p.until {
+                faults.partition_healed[i] = true;
+                if O::ENABLED {
+                    self.sink.emit(ObsEvent::PartitionHealed { at: self.now, partition: i as u32 });
+                }
+            }
+        }
+    }
+
+    /// Fault-engine retirement rule: once the simulation is quiescent, any
+    /// transaction still in flight can never complete — its server crashed
+    /// with the request in flight, or a partition swallowed a message of
+    /// its protocol exchange.  Retires each as [`snow_core::TxOutcome::Aborted`]
+    /// (recorded as a Respond, so it flows into the commit log and the
+    /// streaming checker's certification frontier advances instead of
+    /// wedging).  A no-op without a fault schedule: on a fault-free run an
+    /// in-flight transaction at quiescence is a protocol bug, and the
+    /// existing completeness assertions should keep catching it.
+    fn abort_orphans(&mut self) {
+        if self.faults.is_none() || !self.is_quiescent() {
+            return;
+        }
+        for (tx, client) in self.records.abort_open(self.now) {
+            self.log_commit(tx);
+            // Let the client automaton drop its in-flight state for the
+            // orphan, so the next invocation finds it idle.
+            if let Some(p) = self.processes.get_mut(ProcessId::Client(client)) {
+                p.on_abort(tx);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgInfo, SimMessage};
+    use crate::message::SimMessage;
     use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
     use snow_obs::RecordingSink;
-    use snow_core::{
-        Effects, Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, TxSpec, Value,
-    };
+    use snow_core::{Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, Value};
 
     /// A toy read protocol: the client sends one request per object, each
     /// server replies with the initial value, the client responds when all
@@ -456,7 +1106,7 @@ mod tests {
         let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         // Dispatch the invocation only.
         assert_eq!(sim.step(), StepOutcome::Invoked(tx));
-        assert_eq!(sim.pending_count(), 2);
+        assert_eq!(sim.pending().count(), 2);
         // The pending view iterates in send order.
         let dsts: Vec<ProcessId> = sim.pending().map(|p| p.dst).collect();
         assert_eq!(
@@ -529,9 +1179,8 @@ mod tests {
     }
 
     /// The one dispatch rule: an invocation keyed before every pending
-    /// delivery is the next event.  (Under the historical "due" rule the
-    /// fixed-latency run stamped it 53 — behind the request keyed 51, lag no
-    /// client or server caused.)
+    /// delivery is the next event: stamped 11, not behind the request keyed
+    /// 51.
     #[test]
     fn an_invocation_keyed_before_every_pending_delivery_dispatches_first() {
         use crate::topology::{Topology, TopologyScheduler};
@@ -556,11 +1205,11 @@ mod tests {
         let done = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let later = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert!(sim.run_until_complete(done));
-        let (now, pending) = (sim.now(), sim.pending_count());
+        let (now, pending) = (sim.now(), sim.pending().count());
         // Already complete on entry: returned even from the back of the
         // list, and the clock and the network stay where they were.
         assert_eq!(sim.run_until_any_complete(&[later, done]), Some(done));
-        assert_eq!((sim.now(), sim.pending_count()), (now, pending));
+        assert_eq!((sim.now(), sim.pending().count()), (now, pending));
         assert!(!sim.is_complete(later));
     }
 
@@ -666,14 +1315,13 @@ mod tests {
         sim.add_process(ToyNode::Server { id: ServerId(0) });
     }
 
-    /// Regression for the adversarial-delivery clock-skew bug: before the
-    /// dispatch-core unification, `deliver_where` advanced `now += 1`
-    /// without clamping to the delivered message's `deliver_at`, so a
-    /// latency-stamped message delivered adversarially could enable a RESP
-    /// timestamped *before* the delivery that caused it — silently
-    /// widening/inverting the real-time intervals the checkers turn into
-    /// precedence edges.  Post-fix, the clock clamps exactly like a
-    /// scheduled delivery's.
+    /// Regression for the adversarial-delivery clock-skew bug: a
+    /// `deliver_where` that advanced `now += 1` without clamping to the
+    /// delivered message's `deliver_at` let a latency-stamped message
+    /// delivered adversarially enable a RESP timestamped *before* the
+    /// delivery that caused it — silently widening/inverting the real-time
+    /// intervals the checkers turn into precedence edges.  The clock clamps
+    /// exactly like a scheduled delivery's.
     #[test]
     fn adversarial_delivery_cannot_rewind_time_before_deliver_at() {
         // Fixed 50-tick latency: the request sent at the INV (time 1) is
@@ -868,5 +1516,239 @@ mod tests {
         }
         assert_eq!(held, CLIENTS, "every first request to the crashed server is held");
         assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
+    }
+
+    /// One hop of a scripted route: the next process, and how the message
+    /// sent to it is classified.
+    type Hop = (ProcessId, MsgInfo);
+
+    /// A scripted toy protocol: a message carries the rest of its route,
+    /// every handler forwards it to the next hop, and the handler that
+    /// finds the route empty responds.
+    #[derive(Debug, Clone)]
+    struct Routed {
+        tx: TxId,
+        info: MsgInfo,
+        rest: VecDeque<Hop>,
+    }
+
+    impl SimMessage for Routed {
+        fn info(&self) -> MsgInfo {
+            self.info
+        }
+    }
+
+    struct Router {
+        id: ProcessId,
+        /// The route of each invocation, in invocation order.
+        scripts: VecDeque<Vec<Hop>>,
+    }
+
+    fn forward(tx: TxId, mut route: VecDeque<Hop>, effects: &mut Effects<Routed>) {
+        match route.pop_front() {
+            Some((to, info)) => {
+                // Scripts attribute to the placeholder `T`.
+                let info = MsgInfo { tx: info.tx.and(Some(tx)), ..info };
+                effects.send(to, Routed { tx, info, rest: route })
+            }
+            None => {
+                effects.respond(tx, TxOutcome::Read(ReadOutcome { reads: Vec::new(), tag: None }))
+            }
+        }
+    }
+
+    impl Process for Router {
+        type Msg = Routed;
+
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn on_invoke(&mut self, tx: TxId, _spec: TxSpec, effects: &mut Effects<Routed>) {
+            let route = self.scripts.pop_front().expect("one script per invocation");
+            forward(tx, route.into(), effects);
+        }
+
+        fn on_message(&mut self, _from: ProcessId, msg: Routed, effects: &mut Effects<Routed>) {
+            forward(msg.tx, msg.rest, effects);
+        }
+    }
+
+    /// The transaction scripts are written against; a message is
+    /// re-attributed to the transaction it actually travels for.
+    const T: TxId = TxId(0);
+
+    fn c(i: u32) -> ProcessId {
+        ProcessId::Client(ClientId(i))
+    }
+    fn s(i: u32) -> ProcessId {
+        ProcessId::Server(ServerId(i))
+    }
+    fn req(to: ProcessId, object: u32) -> Hop {
+        (to, MsgInfo::read_request(T, Some(ObjectId(object))))
+    }
+    fn resp(to: ProcessId, object: u32, versions: usize) -> Hop {
+        (to, MsgInfo::read_response(T, Some(ObjectId(object)), versions))
+    }
+    fn c2c(to: ProcessId) -> Hop {
+        (to, MsgInfo::client_to_client(Some(T)))
+    }
+
+    /// Two clients and four servers; client 0 holds the scripts.
+    fn routers(routes: Vec<Vec<Hop>>) -> impl Iterator<Item = Router> {
+        let invoker = Router { id: c(0), scripts: routes.into() };
+        let others = [c(1), s(0), s(1), s(2), s(3)];
+        std::iter::once(invoker)
+            .chain(others.into_iter().map(|id| Router { id, scripts: VecDeque::new() }))
+    }
+
+    fn scheduler() -> LatencyScheduler {
+        LatencyScheduler::new(0, 5, 5)
+    }
+
+    fn read_spec() -> TxSpec {
+        TxSpec::read(vec![ObjectId(0)])
+    }
+
+    /// The records of one READ by client 0 per route, one after the other.
+    fn run(routes: Vec<Vec<Hop>>) -> Vec<TxRecord> {
+        let mut sim = Simulation::new(scheduler());
+        let count = routes.len() as u64;
+        routers(routes).for_each(|p| sim.add_process(p));
+        for i in 0..count {
+            sim.invoke_at(i * 1_000, ClientId(0), read_spec());
+        }
+        sim.run_until_quiescent();
+        sim.history().records
+    }
+
+    fn read(object: u32, server: u32, versions: usize, nonblocking: bool) -> ReadResult {
+        ReadResult {
+            object: ObjectId(object),
+            server: ServerId(server),
+            versions_in_response: versions,
+            nonblocking,
+        }
+    }
+
+    #[test]
+    fn round_counting_follows_causality() {
+        // A send by the invoker belongs to round 1 + the responses of the
+        // chain it had handled.  Three transactions of one client, of 1, 2
+        // and 3 round trips: each record counts its own.
+        let chain = |rounds: u32| -> Vec<Hop> {
+            (1..=rounds).flat_map(|i| [req(s(i), i), resp(c(0), i, 1)]).collect()
+        };
+        let records = run(vec![chain(1), chain(2), chain(3)]);
+        for (rec, rounds) in records.iter().zip(1u32..) {
+            assert!(rec.is_complete());
+            assert_eq!(rec.rounds, rounds);
+            assert_eq!(rec.reads.len(), rounds as usize);
+            assert!(rec.all_reads_nonblocking());
+        }
+    }
+
+    /// A chain is one transaction's own contiguous ancestry: a hop through
+    /// an unattributed message starts it over, and the read response sent
+    /// from that message's handler — not from the request's — is blocking.
+    #[test]
+    fn a_chain_restarted_by_a_control_message_counts_from_one() {
+        let rec = &run(vec![vec![
+            req(s(0), 0),
+            resp(c(0), 0, 1),
+            req(s(1), 1), // round 2; s1 parks it …
+            (s(2), MsgInfo::control()),
+            resp(c(0), 2, 1), // … and s2 answers, from the control handler
+            req(s(3), 3), // 1 + the one response of the restarted chain
+            resp(c(0), 3, 1),
+        ]])[0];
+        assert_eq!(rec.rounds, 2, "three requests, but the chain restarted");
+        assert_eq!(rec.reads, [read(0, 0, 1, true), read(2, 2, 1, false), read(3, 3, 1, true)]);
+    }
+
+    #[test]
+    fn c2c_sends_are_counted_and_never_add_a_round() {
+        let route = vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0))];
+        // The relay's send counts for the transaction it travels for,
+        // though the relay did not invoke it.
+        let rec = &run(vec![route])[0];
+        assert_eq!((rec.rounds, rec.c2c_messages), (1, 2));
+    }
+
+    #[test]
+    fn read_results_accumulate_at_the_invoker_in_receive_order() {
+        let rec = &run(vec![vec![
+            req(s(0), 0),
+            resp(c(1), 9, 4), // to a client that did not invoke T
+            req(s(3), 3),
+            resp(c(0), 3, 0), // a response carries at least one version
+            req(s(1), 1),
+            (c(0), MsgInfo::read_response(T, None, 2)), // metadata: no object
+            req(s(2), 2),
+            resp(c(0), 2, 5),
+        ]])[0];
+        assert_eq!(rec.reads, [read(3, 3, 1, true), read(2, 2, 5, true)]);
+        assert_eq!(rec.rounds, 3);
+    }
+
+    /// The derivation needs nothing but the messages: a chain through
+    /// two servers and a C2C relay folds into one record.
+    #[test]
+    fn a_relayed_chain_derives_its_whole_record() {
+        // invoke → request → response → C2C relay and back → second
+        // request → response.
+        let route =
+            vec![req(s(2), 0), resp(c(0), 0, 1), c2c(c(1)), c2c(c(0)), req(s(3), 1), resp(c(0), 1, 2)];
+        let rec = &run(vec![route])[0];
+        assert!(rec.is_complete());
+        // The C2C messages the invoker sends are no round of its own, but
+        // the one it handles is a response of the chain like any other.
+        assert_eq!((rec.rounds, rec.c2c_messages), (3, 2));
+        assert_eq!(rec.reads, [read(0, 2, 1, true), read(1, 3, 2, true)]);
+    }
+
+    #[test]
+    fn commit_log_iterates_and_retires_in_resp_order() {
+        let mut log = CommitLog::default();
+        log.live.extend((0..20).map(TxId));
+        assert_eq!((log.count(), log.retired), (20, 0));
+        assert_eq!(log.since(0).collect::<Vec<_>>(), (0..20).map(TxId).collect::<Vec<_>>());
+        // A cursor resumes mid-log.
+        assert_eq!(log.since(17).collect::<Vec<_>>(), [TxId(17), TxId(18), TxId(19)]);
+        // A drain takes every live entry: its storage goes, the numbering
+        // stays.
+        assert_eq!(log.drain().collect::<Vec<_>>(), (0..20).map(TxId).collect::<Vec<_>>());
+        assert_eq!((log.count(), log.retired), (20, 20));
+        assert_eq!(log.since(20).count(), 0);
+        // Commits logged after a drain number on from it.
+        log.live.push_back(TxId(20));
+        assert_eq!(log.since(20).collect::<Vec<_>>(), [TxId(20)]);
+        assert_eq!(log.drain().collect::<Vec<_>>(), [TxId(20)]);
+        assert_eq!((log.count(), log.retired), (21, 21));
+    }
+
+    /// The completion wait's commit gate and the drain read one commit
+    /// log: waiting on each transaction in turn and draining after every
+    /// wait hands back each completed record exactly once, in RESP order.
+    #[test]
+    fn completion_waits_and_drains_share_one_commit_log() {
+        let mut sim = two_client_sim(LatencyScheduler::new(5, 1, 30));
+        let txs: Vec<TxId> = (0..20u64)
+            .map(|i| {
+                let spec = TxSpec::read(vec![ObjectId(0), ObjectId(1)]);
+                sim.invoke_at(i * 40, ClientId(i as u32 % 2), spec)
+            })
+            .collect();
+        let mut drained = Vec::new();
+        for &tx in &txs {
+            assert_eq!(sim.run_until_any_complete(&[tx]), Some(tx));
+            drained.extend(sim.drain_commits().records);
+        }
+        assert!(sim.is_quiescent());
+        assert!(sim.drain_commits().records.is_empty(), "every commit was drained once");
+        let mut expected = sim.history().records;
+        expected.sort_by_key(|r| (r.responded_at, r.tx_id));
+        assert_eq!(expected.len(), txs.len());
+        assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
     }
 }

@@ -1,13 +1,13 @@
-//! The dispatch core's two dense tables: the **record log** and the
+//! The simulator's two dense tables: the **record log** and the
 //! **process table**.  Ids are small integers handed out densely, so every
-//! per-step lookup the core makes — the record a send is stamped into, the
+//! per-step lookup [`crate::Simulation`] makes — the record a send is stamped into, the
 //! process a message is delivered to — is a `Vec` index, not a tree walk.
 
 use snow_core::{ClientId, ProcessId, TxId, TxOutcome, TxRecord};
 
 /// The transaction records, in INV order.
 ///
-/// The clock clamp (`DispatchCore::advance_past`) stamps every INV
+/// The clock clamp (`Simulation::advance_past`) stamps every INV
 /// strictly after the previous one, so the order of appending *is* the
 /// `(invoked_at, tx_id)` order of a [`snow_core::History`], and "the
 /// earliest transaction still in flight" is a cursor that only moves

@@ -47,11 +47,13 @@
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
 #      record `drain_commits` streamed equals `history()`'s, dup storm
 #      included);
-#   5. repo-benchmark smoke: `examples/e2e_bench -- --smoke` runs every
-#      BENCHMARK.json workload through both passes (plain + traced) in about
-#      a second and exits non-zero if any fails its correctness gate
-#      (verdict, protocol claims, history digest stable across reps); it
-#      never writes a file;
+#   5. repo-benchmark smoke and digests: `examples/e2e_bench -- --smoke`
+#      runs every BENCHMARK.json workload through both passes (plain +
+#      traced) in about a second and exits non-zero if any fails its
+#      correctness gate (verdict, protocol claims, history digest stable
+#      across reps); then each workload runs once at `--seed 1 --seconds
+#      0.01 --trace 0` (about 2.5 s for the three) and its printed history
+#      `digest` must equal the pinned one.  Neither writes a file;
 #   6. examples end to end: observe_run (observed open loop → metrics fold →
 #      Perfetto export → checker frontier) and partition_drill (isolate a
 #      topology site mid-workload under the Queue policy, heal, per-phase
@@ -90,6 +92,10 @@ fresh() { # <fixture> <golden_histories args...>: regenerate and diff
     fi
 }
 
+bench() { # <e2e_bench args...>: run the repo benchmark (its own package and target dir)
+    cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- "$@"
+}
+
 example_ok() { # <example>: must run to its closing "<example> ok" line
     if ! cargo run -q --release --example "$1" | grep -q "^$1 ok\$"; then
         echo "examples/$1.rs did not complete" >&2
@@ -119,9 +125,19 @@ cargo test -q --release --test checker_differential --test stream_differential \
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
 
-echo "== 5. repo benchmark smoke (BENCHMARK.json workloads, correctness gate) =="
-cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke > /dev/null
+echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
+bench --smoke > /dev/null
 echo "e2e_bench smoke ok"
+for pin in closed-b-wan3:0xa2263afafa1b7071 wide-b-dc:0x0bcfe60a4357a19d open-c-read:0x677e494036bdc32b; do
+    workload="${pin%%:*}" want="${pin#*:}"
+    got="$(bench --workload "$workload" --seed 1 --seconds 0.01 --trace 0 | grep -o 'digest 0x[0-9a-f]*' || true)"
+    if [ "${got#digest }" != "$want" ]; then
+        echo "e2e_bench $workload --seed 1: ${got:-no digest printed}, pinned $want" >&2
+        echo "The benchmark's histories moved; a change that keeps schedules must keep them." >&2
+        exit 1
+    fi
+    echo "$workload digest $want"
+done
 
 echo "== 6. examples (observe_run, partition_drill) =="
 example_ok observe_run

@@ -1,4 +1,4 @@
-//! Property tests for the unified dispatch core under adversarial driving.
+//! Property tests for the simulator under adversarial driving.
 //!
 //! Random schedules (seeded latency model) interleaved with random
 //! `deliver_where` / `force_invoke` adversarial moves must preserve the
@@ -8,7 +8,7 @@
 //! * **(a) monotone time** — the timestamps of the run's action log (the
 //!   obs stream) never regress, and no transaction's RESP precedes its
 //!   INV.  This is the regression property of the adversarial-delivery
-//!   clock-skew fix: the dispatch core clamps the clock to
+//!   clock-skew fix: `Simulation` clamps the clock to
 //!   `max(now, event_time) + 1` on every dispatch, so adversaries control
 //!   *order*, never *time*;
 //! * **(b) replay and certification** — on identical seeds, a

@@ -16,7 +16,7 @@
 //!   the protocols (deep message backlogs, long reorder windows); the
 //!   checker must still find a serialization.
 //! * **Wide fan-out through the one reused effects buffer.**  The
-//!   dispatch core lends one `Effects` buffer to every handler and drains
+//!   simulator lends one `Effects` buffer to every handler and drains
 //!   it in place; a wide config — 8 servers, each READ's objects fanned
 //!   out from one handler — must still produce deterministic, certified
 //!   histories (emission order unchanged).  The 30 golden
