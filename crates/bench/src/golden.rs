@@ -12,7 +12,7 @@
 //! The fixtures were captured from the pre-event-queue (linear-scan) engine;
 //! the indexed engine reproduces them bit-for-bit, which is the refactor's
 //! equivalence proof.  Regenerate with
-//! `cargo run -p snow-bench --release --bin golden_histories -- --write`
+//! `cargo run -p snow-bench --release -- golden --write`
 //! (only legitimate when the schedule semantics intentionally change, or
 //! the workload bodies do — e.g. a different `rand` backend, see
 //! `vendor/README.md`).
@@ -311,7 +311,7 @@ pub fn fixture_file() -> String {
     lines.sort();
     let mut out = String::from(
         "# Golden history fingerprints per (protocol, scheduler, seed).\n\
-         # Regenerate: cargo run -p snow-bench --release --bin golden_histories -- --write\n",
+         # Regenerate: cargo run -p snow-bench --release -- golden --write\n",
     );
     for line in lines {
         out.push_str(&line);
@@ -433,7 +433,7 @@ pub fn fault_fixture_file() -> String {
     lines.sort();
     let mut out = String::from(
         "# Golden fault-schedule history fingerprints per (protocol, scheduler, scenario).\n\
-         # Regenerate: cargo run -p snow-bench --release --bin golden_histories -- --faults --write\n",
+         # Regenerate: cargo run -p snow-bench --release -- golden --faults --write\n",
     );
     for line in lines {
         out.push_str(&line);

@@ -1,35 +1,55 @@
 //! # snow-bench
 //!
-//! The experiment harness: one binary per paper table or figure plus the
-//! golden-fixture machinery (see `ARCHITECTURE.md` at the workspace root for
-//! how the pieces fit).  Every number printed here is exact in virtual time;
-//! wall-clock figures come from the repo benchmark (`BENCHMARK.json`) only.
+//! The experiment harness: the functions behind the paper's figures and the
+//! extended-study tables, plus the golden-fixture machinery (see
+//! `ARCHITECTURE.md` at the workspace root for how the pieces fit).  Every
+//! number printed here is exact in virtual time; wall-clock figures come
+//! from the repo benchmark (`BENCHMARK.json`) only.
 //!
-//! Binaries (run with `cargo run -p snow-bench --release --bin <name>`):
+//! One binary, `snow` (`src/bin/snow.rs`), prints them all: `cargo run -p
+//! snow-bench --release -- <command>`, where `<command>` is one of
 //!
-//! * `fig1a_snow_matrix` — Fig. 1(a): is SNOW possible per (setting × C2C)?
-//! * `fig1b_rounds_versions` — Fig. 1(b): bounded SNW algorithms
-//!   (rounds × versions) measured for Algorithms B and C.
-//! * `fig3_alpha_chain` — Fig. 3: the mechanized α₂ → α₁₀ chain.
-//! * `fig4_two_client_chain` — Fig. 4: the mechanized two-client δ-chain.
-//! * `fig5_eiger_violation` — Fig. 5: the Eiger counterexample.
-//! * `table_latency` — extended study: read latency and rounds per
+//! * `fig 1a` — Fig. 1(a): is SNOW possible per (setting × C2C)?  ✓ cells
+//!   are Algorithm A verified SNOW under 40 random schedules
+//!   ([`verify_alg_a_snow`]); × cells are the chains of Figs. 3 and 4.
+//! * `fig 1b` — Fig. 1(b): bounded SNW algorithms (rounds × versions)
+//!   measured for Algorithms A, B and C, with the SNW letters of each run.
+//! * `fig 3` — Fig. 3: the mechanized α₂ → α₁₀ chain of Theorem 1.
+//! * `fig 4` — Fig. 4: the mechanized two-client δ-chain of Theorem 2.
+//! * `fig 5` — Fig. 5: the Eiger counterexample.
+//! * `table latency` — extended study: read latency and rounds per
 //!   protocol on the simulator.
-//! * `table_versions_vs_writers` — extended study: Algorithm C's versions
-//!   per response as the number of concurrent writers grows.
-//! * `table_open_loop` — latency-vs-offered-load curves, saturation knees
+//! * `table versions` — extended study: Algorithm C's versions per
+//!   response as the number of concurrent writers grows, against
+//!   Algorithm B's constant 1.
+//! * `table open-loop` — latency-vs-offered-load curves, saturation knees
 //!   and Zipf hot-key points ([`open_loop_rows`], [`zipf_rows`]; pinned
 //!   by `tests/open_loop.rs`).
-//! * `table_scenarios` — the 18-cell protocol × topology × workload SLO
+//! * `table scenarios` — the 18-cell protocol × topology × workload SLO
 //!   matrix ([`scenario_rows`]; pinned by `tests/topology_scenarios.rs`).
+//! * `golden [--faults] [--write]` — print the golden fingerprint fixture
+//!   ([`golden`]; `--faults`: the fault-schedule one); `--write` also
+//!   overwrites it under `tests/`, which is only right when schedule
+//!   semantics change on purpose.
+//! * `run workload-check` — 5 000 transactions against Algorithm C under a
+//!   random-latency schedule, the *entire* history handed to `check_auto`.
+//! * `run observe` — an observed open loop: event stream → `sim.*` metrics
+//!   fold → Perfetto trace (`target/observe_run.trace.json` at the
+//!   workspace root; load it at <https://ui.perfetto.dev>) → the stream
+//!   checker's frontier counters.
+//! * `run partition-drill` — Algorithm B on the `wan3` topology while the
+//!   whole `us-east` site is cut off and healed; per-phase p99 and the SNOW
+//!   verdict over the scarred history.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod golden;
 
+use std::ops::Range;
+
 use snow_checker::{HistoryMetrics, SnowReport};
-use snow_core::{History, SystemConfig};
+use snow_core::{History, ObjectId, SystemConfig, TxSpec, Value};
 use snow_protocols::{Cluster, ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{
     rate_sweep, scenario_matrix, slo_report, zipf_sweep, OpenLoopSpec, WorkloadDriver,
@@ -79,6 +99,41 @@ pub fn comparison_config(protocol: ProtocolKind, servers: u32, writers: u32, rea
     }
 }
 
+/// Fig. 1(a)'s ✓-cell sampler: for every seed in `seeds`, runs Algorithm A
+/// on `config` under the random scheduler — four rounds, each one
+/// two-object WRITE per writer and one two-object READ, run to quiescence —
+/// and checks every SNOW property of the history.  `Err` names the first
+/// seed whose history is not SNOW, with its report.
+pub fn verify_alg_a_snow(config: &SystemConfig, seeds: Range<u64>) -> Result<(), String> {
+    let reader = config.readers().next().expect("a reader");
+    let writers: Vec<_> = config.writers().collect();
+    for seed in seeds {
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgA, config)
+            .scheduler(SchedulerKind::Random(seed))
+            .build()
+            .expect("valid Algorithm A deployment");
+        let mut t = 0u64;
+        for round in 0..4u64 {
+            for (i, w) in writers.iter().enumerate() {
+                let value = Value(round * 10 + i as u64 + 1);
+                cluster.invoke_at(
+                    t + i as u64,
+                    *w,
+                    TxSpec::write(vec![(ObjectId(0), value), (ObjectId(1), value)]),
+                );
+            }
+            cluster.invoke_at(t + 1, reader, TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
+            t += 10;
+            cluster.run_until_quiescent();
+        }
+        let report = SnowReport::evaluate("alg A", &cluster.history());
+        if !report.is_snow() {
+            return Err(format!("seed {seed}: {report}"));
+        }
+    }
+    Ok(())
+}
+
 /// Offered rates of the open-loop table, in arrivals per kilotick.
 pub const OPEN_LOOP_RATES: [u64; 5] = [25, 50, 100, 200, 400];
 
@@ -90,7 +145,7 @@ fn open_loop_cluster(protocol: ProtocolKind, config: &SystemConfig) -> ClusterSp
         .max_steps(u64::MAX)
 }
 
-/// `table_open_loop`'s curves: per protocol, the saturation
+/// `snow table open-loop`'s curves: per protocol, the saturation
 /// knee and `p50/p99` latency (virtual ticks from the scheduled arrival) at
 /// each of [`OPEN_LOOP_RATES`], for 400 TAO-like arrivals on `mwmr(4,4,4)`.
 /// Cells: protocol, knee, one `p50/p99` per rate.
@@ -109,7 +164,7 @@ pub fn open_loop_rows() -> Vec<Vec<String>> {
         .collect()
 }
 
-/// `table_open_loop`'s hot-key points: Zipf exponent swept at
+/// `snow table open-loop`'s hot-key points: Zipf exponent swept at
 /// 30 arrivals per kilotick, 200 write-heavy arrivals on `mwmr(2,2,2)`.
 /// Cells: protocol, exponent, achieved/realized-offered rate, saturated,
 /// all-transaction p99, READ p99.
@@ -138,7 +193,7 @@ pub fn zipf_rows() -> Vec<Vec<String>> {
     rows
 }
 
-/// `table_scenarios`' rows: every cell of [`scenario_matrix`] at seed 42 for
+/// `snow table scenarios`' rows: every cell of [`scenario_matrix`] at seed 42 for
 /// 256 closed-loop rounds (over 1 000 committed transactions per cell, so the
 /// p99 is a percentile).  Cells: scenario, observed SNOW letters, committed,
 /// aborted, READ p50 and p99 (site-ticks), mean rounds per READ,

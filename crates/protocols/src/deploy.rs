@@ -471,8 +471,7 @@ pub fn scenario_dup_storm() -> FaultSchedule {
     })
 }
 
-/// The scenario matrix the fault suites and `examples/partition_drill.rs`
-/// run: named fault schedules re-asking the paper's Fig. 1 questions under
+/// The scenario matrix the fault suites run: named fault schedules re-asking the paper's Fig. 1 questions under
 /// failures.
 pub fn fault_scenarios() -> Vec<(&'static str, FaultSchedule)> {
     vec![

@@ -15,7 +15,7 @@
 //! * [`scenario`] — the scenario matrix: protocols × geo-topologies ×
 //!   workload shapes, each cell running on a topology-scheduled cluster and
 //!   condensed into an [`SloReport`] (SNOW verdict, p50/p99 read latency,
-//!   rounds, C2C counts) — one row of `snow-bench`'s `table_scenarios`.
+//!   rounds, C2C counts) — one row of `snow table scenarios` (in `snow-bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

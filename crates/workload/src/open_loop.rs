@@ -315,7 +315,7 @@ impl RateSweep {
 /// same `(workload, arrival_seed, arrivals)` schedule shape at each rate
 /// against a fresh build of the spec — the latency-vs-throughput curve of
 /// its protocol on its network (scheduler or topology, faults included).
-/// `snow-bench`'s `table_open_loop` prints these sweeps.
+/// `snow table open-loop` (in `snow-bench`) prints these sweeps.
 ///
 /// Returns `InvalidConfig`, before building anything, if a rate is 0.
 pub fn rate_sweep(

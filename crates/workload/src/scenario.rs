@@ -5,10 +5,10 @@
 //! columns.  This module turns it into a table re-derived on every test
 //! run — every cell of [`scenario_matrix`] deploys a protocol over a
 //! geo-topology ([`TopologyKind`]), drives a named workload shape
-//! ([`WorkloadShape`] — the `examples/` seeds promoted to first-class
-//! mixes), and reports the observed SNOW verdict alongside p50/p99 read
-//! latency, round counts and client-to-client message counts
-//! ([`SloReport`]).  `snow-bench`'s `table_scenarios` prints the matrix and
+//! ([`WorkloadShape`] — read-heavy, hot-key or multi-key snapshot), and
+//! reports the observed SNOW verdict alongside p50/p99 read latency, round
+//! counts and client-to-client message counts ([`SloReport`]).
+//! `snow table scenarios` (in `snow-bench`) prints the matrix and
 //! `tests/topology_scenarios.rs` pins every row of it exactly.
 //!
 //! # Determinism
@@ -79,19 +79,17 @@ impl TopologyKind {
     }
 }
 
-/// The named workload shapes — the `examples/` seeds promoted into the
-/// matrix.
+/// The named workload shapes of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadShape {
     /// Read-heavy social-graph traffic: TAO-like read:write ratio,
-    /// multi-object READs, mild skew (`examples/social_graph_reads.rs`).
+    /// multi-object READs, mild skew.
     SocialGraph,
     /// Hot-key flash sale: single-object transactions, strong Zipf skew,
-    /// a substantial write share contending on the hot keys
-    /// (`examples/partition_drill.rs`' stress mix).
+    /// a substantial write share contending on the hot keys.
     FlashSale,
     /// Large multi-key snapshot reads over a wider keyspace, uniform
-    /// popularity (`examples/inventory_snapshot.rs`).
+    /// popularity.
     Snapshot,
 }
 
@@ -262,7 +260,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
 }
 
 /// Runs a cell and condenses it into its [`SloReport`] — one row of
-/// `table_scenarios`.
+/// `snow table scenarios`.
 pub fn slo_report(scenario: &Scenario, seed: u64, rounds: usize) -> Result<SloReport> {
     let run = run_scenario(scenario, seed, rounds)?;
     let report = SnowReport::evaluate(scenario.name(), &run.history);

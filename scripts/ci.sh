@@ -16,8 +16,8 @@
 #      link fails the build);
 #   3. golden-fingerprint freshness: the committed seeded-history fixtures
 #      (tests/golden_histories.txt, and tests/golden_fault_histories.txt for
-#      the crash / partition / dup-storm matrix) must match what the current
-#      engine produces — catching accidental schedule changes *and* fixture
+#      the crash / partition / dup-storm matrix) must match what
+#      `snow golden [--faults]` prints from the current engine — catching accidental schedule changes *and* fixture
 #      files regenerated without justification;
 #   4. the release-build suites, one command: the checker and stream
 #      differential suites (graph vs complete search, stream vs
@@ -54,10 +54,11 @@
 #      across reps); then each workload runs once at `--seed 1 --seconds
 #      0.01 --trace 0` (about 2.5 s for the three) and its printed history
 #      `digest` must equal the pinned one.  Neither writes a file;
-#   6. examples end to end: observe_run (observed open loop → metrics fold →
-#      Perfetto export → checker frontier) and partition_drill (isolate a
-#      topology site mid-workload under the Queue policy, heal, per-phase
-#      p99, SNOW verdict over the scarred history);
+#   6. end-to-end runs through the `snow` binary: `run observe` (observed
+#      open loop → metrics fold → Perfetto export → checker frontier) and
+#      `run partition-drill` (isolate a topology site mid-workload under the
+#      Queue policy, heal, per-phase p99, SNOW verdict over the scarred
+#      history), each to its closing "… ok" line;
 #   7. virtual-time purity guard: crates/sim must never read the wall clock
 #      (`std::time` / `Instant`) — simulator event streams are a pure
 #      function of (config, seeds), which is what makes every pin above
@@ -81,13 +82,17 @@ forbid() { # <grep hits> <what they are> <why not>: fail unless <hits> is empty
     fi
 }
 
-fresh() { # <fixture> <golden_histories args...>: regenerate and diff
+snow() { # <command...>: the snow binary (crates/bench/src/bin/snow.rs)
+    cargo run -q -p snow-bench --release -- "$@"
+}
+
+fresh() { # <fixture> <golden flags...>: regenerate and diff
     local fixture="$1"
     shift
-    if ! diff <(cargo run -q -p snow-bench --release --bin golden_histories -- "$@") "$fixture"; then
+    if ! diff <(snow golden "$@") "$fixture"; then
         echo "$fixture is stale or the engine's schedules changed.  If (and only if)" >&2
         echo "the semantics changed intentionally, regenerate with:" >&2
-        echo "  cargo run -p snow-bench --release --bin golden_histories -- $* --write" >&2
+        echo "  cargo run -p snow-bench --release -- golden $* --write" >&2
         exit 1
     fi
 }
@@ -96,12 +101,12 @@ bench() { # <e2e_bench args...>: run the repo benchmark (its own package and tar
     cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- "$@"
 }
 
-example_ok() { # <example>: must run to its closing "<example> ok" line
-    if ! cargo run -q --release --example "$1" | grep -q "^$1 ok\$"; then
-        echo "examples/$1.rs did not complete" >&2
+run_ok() { # <run> <closing line>: `snow run <run>` must print <closing line>
+    if ! snow run "$1" | grep -qx "$2"; then
+        echo "snow run $1 did not complete" >&2
         exit 1
     fi
-    echo "$1 ok"
+    echo "$2"
 }
 
 echo "== 1. build (release) + test (workspace) =="
@@ -139,9 +144,9 @@ for pin in closed-b-wan3:0xa2263afafa1b7071 wide-b-dc:0x0bcfe60a4357a19d open-c-
     echo "$workload digest $want"
 done
 
-echo "== 6. examples (observe_run, partition_drill) =="
-example_ok observe_run
-example_ok partition_drill
+echo "== 6. end-to-end runs (snow run observe, snow run partition-drill) =="
+run_ok observe "observe_run ok"
+run_ok partition-drill "partition_drill ok"
 
 echo "== 7. virtual-time purity (no wall clock, no threads in crates/sim) =="
 forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b|std::thread|\bBarrier\b|\bMutex\b' crates/sim/src || true)" \

@@ -6,7 +6,7 @@
 //!
 //! Re-exports every workspace crate under a short module name; see
 //! `README.md` for the quickstart and `ARCHITECTURE.md` for the crate map,
-//! the `Process`/`Effects` contract and the two execution substrates.
+//! the `Process`/`Effects` contract and the one simulator type.
 
 #![forbid(unsafe_code)]
 

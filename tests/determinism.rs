@@ -6,7 +6,7 @@
 //! this test is the equivalence proof for the indexed event-queue engine:
 //! same seeds, bit-identical histories.  If it fails after an intentional
 //! schedule-semantics change, regenerate with
-//! `cargo run -p snow-bench --release --bin golden_histories -- --write`
+//! `cargo run -p snow-bench --release -- golden --write`
 //! and justify the change in the PR.
 
 use snow_bench::golden;

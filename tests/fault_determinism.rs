@@ -7,8 +7,7 @@
 //!
 //! * the pinned fault matrix reproduces `tests/golden_fault_histories.txt`
 //!   fingerprint-for-fingerprint (regenerate with
-//!   `cargo run -p snow-bench --release --bin golden_histories -- --faults
-//!   --write` only on an intentional semantics change);
+//!   `cargo run -p snow-bench --release -- golden --faults --write` only on an intentional semantics change);
 //! * an *empty* `FaultSchedule` is structurally inert: a faulty cluster
 //!   with nothing scheduled reproduces the clean cluster's history
 //!   byte-for-byte for all 30 golden combos.

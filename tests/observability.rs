@@ -104,7 +104,7 @@ fn observation_does_not_change_open_loop_reports() {
     assert_eq!(history.records.len(), obs_history.records.len());
     // The stream is a pure function of the seeds, so what it folds to is
     // pinned exactly: every arrival invoked and committed, ten messages per
-    // transaction, one event per external action (`examples/observe_run.rs`
+    // transaction, one event per external action (`snow run observe`
     // prints this run).
     assert_eq!(events.len(), 8_800);
     let metrics = fold_events(&events);

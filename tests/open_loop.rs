@@ -4,7 +4,7 @@
 //! Four pins:
 //!
 //! * **The open-loop table, exactly.**  The latency-vs-load curves, knees
-//!   and Zipf points `table_open_loop` prints (`snow_bench::open_loop_rows`
+//!   and Zipf points `snow table open-loop` prints (`snow_bench::open_loop_rows`
 //!   / `zipf_rows`) are virtual ticks — pure functions of the seeds — so
 //!   they are compared for equality.
 //! * **Pure-function histories.**  An open-loop history must be a pure
@@ -88,7 +88,7 @@ fn wide_fanout_through_the_reused_effects_buffer_keeps_histories_deterministic()
     certify(&a, "wide-fanout run");
 }
 
-/// `table_open_loop`'s rows against their pinned rendering:
+/// `snow table open-loop`'s rows against their pinned rendering:
 /// `| protocol | knee | p50/p99 at 25, 50, 100, 200, 400 per kilotick |` and
 /// `| protocol | Zipf exponent | achieved/offered | saturated | p99 | READ p99 |`.
 #[test]

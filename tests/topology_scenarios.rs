@@ -23,7 +23,7 @@
 //!    `(key, sent_at, source, id)`: ids are issued in send order, one
 //!    handler per tick, so breaking an equal-key tie by id *is* breaking it
 //!    by the send's coordinates, the order property 1 rests on.
-//! 5. **The SLO table, exactly** — the 18 rows `table_scenarios` prints
+//! 5. **The SLO table, exactly** — the 18 rows `snow table scenarios` prints
 //!    (`snow_bench::scenario_rows`: seed 42, 256 rounds, over 1 000
 //!    committed transactions per cell) are virtual site-ticks and checker
 //!    verdicts, pure functions of `(cell, seed)`, compared for equality.
