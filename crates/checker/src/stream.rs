@@ -14,9 +14,12 @@
 //!   node chain, which is equivalent over a window whose retired prefix
 //!   wholly precedes it), write→read observation edges, write→write edges
 //!   between consecutive versions and read→successor anti-dependency edges —
-//!   with **Pearce–Kelly online topological ordering**: a new edge that
-//!   respects the current order costs O(1), and only an order-violating edge
-//!   triggers a local reorder of the affected region.
+//!   with **Pearce–Kelly online topological ordering** over unique, gapped
+//!   labels: a new edge that respects the current order costs O(1); the
+//!   first out-edge of a node that has none, when it violates the order,
+//!   moves the node into the label gap above its predecessors; only the
+//!   other order-violating edges trigger a local reorder of the affected
+//!   region.
 //! * **A sliding certification frontier.**  `advance_watermark(t)` promises
 //!   that every transaction ingested later was invoked at or after `t`.
 //!   Once a prefix of the window is closed (responded before the watermark),
@@ -42,8 +45,9 @@
 //! replayed into the witness.
 //!
 //! **Cost contract.**  Per commit: O(log window) to find the real-time
-//! edges, O(live versions of the object) to place a version, O(affected
-//! region) for an order-violating edge, O(objects in the segment) for an
+//! edges, O(live versions of the object) to place a version, O(in-degree)
+//! for the first out-edge of a node that has none, O(affected region) for
+//! other order-violating edges, O(objects in the segment) for an
 //! observation of a sealed version — and no heap allocation in steady
 //! state: searches and retire passes run in buffers kept on the checker,
 //! retired transactions and expired seals hand their vectors to the next
@@ -124,7 +128,7 @@ struct LiveTx {
     /// reporting.
     index: usize,
     /// Pearce–Kelly topological key: every edge goes from lower to higher.
-    ord: u64,
+    ord: Label,
     out: Vec<u32>,
     preds: Vec<u32>,
     /// Reads: resolved/pending observations.
@@ -148,6 +152,21 @@ impl LiveTx {
         let tag = self.rec.outcome.as_ref().and_then(|o| o.tag()).map(|t| t.0).unwrap_or(0);
         (tag, self.rec.invoked_at, self.rec.tx_id.0)
     }
+}
+
+/// Room left between the `major`s of consecutive fresh nodes, for
+/// [`StreamChecker::place_sink`] to bisect.
+const ORD_GAP: u64 = 1 << 20;
+
+/// A live node's Pearce–Kelly key, compared as `(major, seq)`.  `seq` comes
+/// from a counter that is never reused, so no two labels are equal — the
+/// reorder's pool of labels is a set, and every sort by label has one
+/// answer.  `major` is where the room is: fresh nodes are [`ORD_GAP`]
+/// apart, so a node can later take a fresh label between two others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Label {
+    major: u64,
+    seq: u64,
 }
 
 /// A [`LiveTx`]'s `out`, `preds`, `obs` and `readers`.
@@ -276,18 +295,16 @@ struct PkScratch {
     /// Per slot, the epoch of the search that last visited it.
     stamp: Vec<u32>,
     epoch: u32,
-    /// The two regions as `(ord, discovery index, slot)`.
+    /// The two regions as `(ord, slot)`.
     fwd: Vec<ByOrd>,
     bwd: Vec<ByOrd>,
     stack: Vec<u32>,
-    pool: Vec<u64>,
+    pool: Vec<Label>,
 }
 
-/// `(ord, position before the sort, slot)`: sorting these tuples is the
-/// stable sort by `ord` without its merge buffer.  The tie order matters:
-/// `ord`s can repeat (a retired predecessor's slot id stays in `preds` and
-/// may be reused), and the witness depends on how ties fall.
-type ByOrd = (u64, u32, u32);
+/// `(ord, slot)`: labels are unique, so sorting these tuples sorts by `ord`
+/// alone and no tie is left for the witness to depend on.
+type ByOrd = (Label, u32);
 
 /// Reusable buffers of a retire pass, all O(live window): a pass allocates
 /// only for the seals it creates.
@@ -342,7 +359,8 @@ pub struct StreamReport {
     /// response and the watermark that finally retired it.
     pub max_retirement_lag: u64,
     /// Accepted edges that violated the current Pearce–Kelly order and
-    /// forced a local reorder (the others cost O(1)).
+    /// forced a local reorder.  The others cost O(1), or O(in-degree) when
+    /// the edge's source had no out-edges and took a label in a gap.
     pub pk_reorders: u64,
     /// Nodes in the affected regions of those reorders, summed:
     /// `pk_region_nodes / pk_reorders` is the mean reorder size.
@@ -391,7 +409,10 @@ pub struct StreamChecker {
 
     watermark: u64,
     last_resp: u64,
-    next_ord: u64,
+    /// The `major` of the next fresh node's label.
+    next_major: u64,
+    /// The `seq` of the next label handed out.
+    next_seq: u64,
     ingested: usize,
     optional_included: usize,
     live_count: usize,
@@ -440,7 +461,8 @@ impl Default for StreamChecker {
             replay: SequentialOt::new(),
             watermark: 0,
             last_resp: 0,
-            next_ord: 0,
+            next_major: 0,
+            next_seq: 0,
             ingested: 0,
             optional_included: 0,
             live_count: 0,
@@ -551,9 +573,16 @@ impl StreamChecker {
 
     // ---- slot / PK plumbing ------------------------------------------------
 
+    /// A label no node has had before, at `major`.
+    fn fresh_label(&mut self, major: u64) -> Label {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Label { major, seq }
+    }
+
     fn alloc(&mut self, rec: TxRecord, index: usize) -> u32 {
-        let ord = self.next_ord;
-        self.next_ord += 1;
+        let ord = self.fresh_label(self.next_major);
+        self.next_major += ORD_GAP;
         let inv = rec.invoked_at;
         let (out, preds, obs, readers) = self.spare.pop().unwrap_or_default();
         let tx = LiveTx { rec, index, ord, out, preds, obs, readers, pending_obs: 0 };
@@ -622,7 +651,7 @@ impl StreamChecker {
             return false;
         }
         let (oa, ob) = (self.tx(a).ord, self.tx(b).ord);
-        if oa >= ob {
+        if oa > ob && !(self.tx(a).out.is_empty() && self.place_sink(a, ob)) {
             let mut pk = std::mem::take(&mut self.pk);
             let acyclic = self.reorder(&mut pk, a, b, oa, ob);
             self.pk = pk;
@@ -636,11 +665,29 @@ impl StreamChecker {
         true
     }
 
+    /// The O(in-degree) way to take an order-violating edge out of `a`,
+    /// which has no successors yet: `a` only has to sit above its
+    /// predecessors and below `ob`, so when the `major`s leave room between
+    /// the highest predecessor and `ob`, `a` takes a fresh label at the
+    /// midpoint.  Returns `false` when there is no room.  The edge cannot
+    /// close a cycle here: that needs a predecessor reachable from `b`,
+    /// whose label is above `ob`, which leaves no room.
+    fn place_sink(&mut self, a: u32, ob: Label) -> bool {
+        let floor = self.tx(a).preds.iter().map(|&p| self.tx(p).ord.major).max().unwrap_or(0);
+        match ob.major.checked_sub(floor) {
+            Some(room) if room > 1 => {
+                self.tx_mut(a).ord = self.fresh_label(floor + room / 2);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// The order-violating half of [`Self::add_edge`]: discovers the
     /// affected region (forward from `b` within ord ≤ `oa`, backward from
     /// `a` within ord ≥ `ob`) and reassigns its ord values.  Returns `false`
     /// when `a` is reachable from `b` (the edge would close a cycle).
-    fn reorder(&mut self, pk: &mut PkScratch, a: u32, b: u32, oa: u64, ob: u64) -> bool {
+    fn reorder(&mut self, pk: &mut PkScratch, a: u32, b: u32, oa: Label, ob: Label) -> bool {
         // Two fresh visit stamps per call; on wrap-around every stale stamp
         // is forgotten so none can collide with a reused epoch.
         if pk.epoch >= u32::MAX - 1 {
@@ -656,7 +703,7 @@ impl StreamChecker {
         pk.stack.push(b);
         pk.stamp[b as usize] = seen_f;
         while let Some(v) = pk.stack.pop() {
-            pk.fwd.push((self.tx(v).ord, pk.fwd.len() as u32, v));
+            pk.fwd.push((self.tx(v).ord, v));
             if v == a {
                 return false; // cycle: a →* ... b →* a with the new edge
             }
@@ -670,7 +717,7 @@ impl StreamChecker {
         pk.stack.push(a);
         pk.stamp[a as usize] = seen_b;
         while let Some(v) = pk.stack.pop() {
-            pk.bwd.push((self.tx(v).ord, pk.bwd.len() as u32, v));
+            pk.bwd.push((self.tx(v).ord, v));
             for &w in &self.tx(v).preds {
                 if self.tx(w).ord >= ob && pk.stamp[w as usize] != seen_b {
                     pk.stamp[w as usize] = seen_b;
@@ -683,9 +730,9 @@ impl StreamChecker {
         pk.bwd.sort_unstable();
         pk.fwd.sort_unstable();
         pk.pool.clear();
-        pk.pool.extend(pk.bwd.iter().chain(pk.fwd.iter()).map(|&(ord, _, _)| ord));
+        pk.pool.extend(pk.bwd.iter().chain(pk.fwd.iter()).map(|&(ord, _)| ord));
         pk.pool.sort_unstable();
-        for (&(_, _, v), &o) in pk.bwd.iter().chain(pk.fwd.iter()).zip(pk.pool.iter()) {
+        for (&(_, v), &o) in pk.bwd.iter().chain(pk.fwd.iter()).zip(pk.pool.iter()) {
             self.tx_mut(v).ord = o;
         }
         self.pk_reorders += 1;
@@ -1095,9 +1142,10 @@ impl StreamChecker {
         orders: &BTreeMap<ObjectId, ObjectOrder>,
     ) {
         for (i, &n) in witness.iter().enumerate() {
-            self.tx_mut(nodes[n]).ord = i as u64;
+            let ord = self.fresh_label(i as u64 * ORD_GAP);
+            self.tx_mut(nodes[n]).ord = ord;
         }
-        self.next_ord = witness.len() as u64;
+        self.next_major = witness.len() as u64 * ORD_GAP;
         for &slot in nodes {
             let t = self.tx_mut(slot);
             t.out.clear();
@@ -1320,17 +1368,21 @@ impl StreamChecker {
                 break;
             }
         }
-        // Emission order: by `ord`, ties in commit order.
+        // Emission order: by `ord`.
         sc.emission.clear();
         let retiring = self.by_resp.iter().filter(|&&s| sc.retiring[s as usize]);
-        sc.emission.extend(retiring.zip(0u32..).map(|(&s, i)| (self.tx(s).ord, i, s)));
+        sc.emission.extend(retiring.map(|&s| (self.tx(s).ord, s)));
         if sc.emission.is_empty() {
             return;
         }
         sc.emission.sort_unstable();
+        debug_assert!(
+            sc.emission.windows(2).all(|e| e[0].0 < e[1].0),
+            "two retiring transactions share an `ord` label"
+        );
         self.retired_any = true;
         sc.pos_of.resize(n, 0);
-        for (p, &(_, _, s)) in sc.emission.iter().enumerate() {
+        for (p, &(_, s)) in sc.emission.iter().enumerate() {
             sc.pos_of[s as usize] = p;
         }
         // Plan sealed segments: every fully-retiring multi-write overlap
@@ -1423,17 +1475,24 @@ impl StreamChecker {
         // drain advances it to u64::MAX, which says nothing about how far
         // certification actually trailed the commit stream.
         let oldest_resp =
-            sc.emission.iter().map(|e| self.tx(e.2).resp()).min().expect("emission is non-empty");
+            sc.emission.iter().map(|e| self.tx(e.1).resp()).min().expect("emission is non-empty");
         let retire_mark = self.watermark.min(self.last_resp);
         let lag = retire_mark.saturating_sub(oldest_resp);
         self.max_retirement_lag = self.max_retirement_lag.max(lag);
         // Emit: free the slots, route records into seals / the replay queue.
-        for (p, &(_, _, slot)) in sc.emission.iter().enumerate() {
+        for (p, &(_, slot)) in sc.emission.iter().enumerate() {
             let t = self.slots[slot as usize].take().expect("retiring slot is live");
             self.live_count -= 1;
             self.free.push(slot);
             self.tail_records += 1;
             let LiveTx { rec, mut out, mut preds, mut obs, mut readers, .. } = t;
+            // The slot is about to be reused: no successor that stays may
+            // keep its id among its predecessors.
+            for &w in &out {
+                if let Some(succ) = self.slots[w as usize].as_mut() {
+                    succ.preds.retain(|&u| u != slot);
+                }
+            }
             out.clear();
             preds.clear();
             obs.clear();
@@ -1814,22 +1873,29 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Pearce–Kelly against a from-scratch reachability check: 256 random
-    /// edge sequences over at most 40 nodes, cycle-closing edges included.
+    /// A checker holding `n` fresh nodes, slots `0..n` in label order.
+    fn nodes(n: u32) -> StreamChecker {
+        let mut checker = StreamChecker::new();
+        for i in 0..n {
+            let spec = TxSpec::read(vec![ObjectId(0)]);
+            let rec = TxRecord::invoked(TxId(i as u64), ClientId(0), spec, 0);
+            assert_eq!(checker.alloc(rec, i as usize), i);
+        }
+        checker
+    }
+
+    /// Pearce–Kelly and the gap placement against a from-scratch
+    /// reachability check: 256 random edge sequences over at most 40 nodes,
+    /// cycle-closing edges included.
     #[test]
     fn add_edge_agrees_with_reachability_and_keeps_a_topological_order() {
-        let (mut rng, mut reorders, mut refused) = (1u64, 0, 0);
+        let (mut rng, mut reorders, mut refused, mut placed) = (1u64, 0, 0, 0);
         for case in 0..256u32 {
             let n = 2 + (splitmix(&mut rng) % 39) as u32;
-            let mut checker = StreamChecker::new();
+            let mut checker = nodes(n);
             // Every case crosses the visit-stamp wrap-around within its
             // first few reorders.
             checker.pk.epoch = u32::MAX - 2 - 2 * (case % 3);
-            for i in 0..n {
-                let spec = TxSpec::read(vec![ObjectId(0)]);
-                let rec = TxRecord::invoked(TxId(i as u64), ClientId(0), spec, 0);
-                assert_eq!(checker.alloc(rec, i as usize), i);
-            }
             let mut edges: Vec<(u32, u32)> = Vec::new();
             for _ in 0..3 * n {
                 let a = (splitmix(&mut rng) % n as u64) as u32;
@@ -1842,17 +1908,22 @@ mod tests {
                         stack.extend(edges.iter().filter(|e| e.0 == v).map(|e| e.1));
                     }
                 }
+                let violates = a != b && checker.tx(a).ord > checker.tx(b).ord;
+                let before = checker.pk_reorders;
                 let accepted = checker.add_edge(a, b);
                 assert_eq!(accepted, !seen[a as usize], "case {case}: edge {a} -> {b}");
                 if accepted {
                     edges.push((a, b));
+                    // An order-violating edge taken without a reorder was
+                    // placed in a gap.
+                    placed += u32::from(violates && checker.pk_reorders == before);
                 } else {
                     refused += 1;
                 }
                 for &(u, v) in &edges {
                     assert!(checker.tx(u).ord < checker.tx(v).ord, "case {case}: {u} -> {v}");
                 }
-                let mut ords: Vec<u64> = (0..n).map(|s| checker.tx(s).ord).collect();
+                let mut ords: Vec<Label> = (0..n).map(|s| checker.tx(s).ord).collect();
                 ords.sort_unstable();
                 assert!(ords.windows(2).all(|w| w[0] != w[1]), "case {case}: duplicate ord");
             }
@@ -1860,6 +1931,22 @@ mod tests {
             assert!(checker.pk.epoch < u32::MAX / 2 || checker.pk_reorders < 3);
             reorders += checker.pk_reorders;
         }
-        assert!(reorders > 1_000 && refused > 1_000, "{reorders} reorders, {refused} refused");
+        assert!(
+            reorders > 1_000 && refused > 1_000 && placed > 1_000,
+            "{reorders} reorders, {refused} refused, {placed} placed in a gap"
+        );
+
+        // A fresh sink whose predecessor is reachable from `b`: the edge
+        // closes a cycle, finds no gap (the predecessor sits above `b`),
+        // and goes to the reorder, which refuses it.
+        let (b, p, a) = (0, 1, 2);
+        let mut checker = nodes(3);
+        assert!(checker.add_edge(b, p) && checker.add_edge(p, a));
+        assert!(checker.tx(a).out.is_empty());
+        let epoch = checker.pk.epoch;
+        assert!(!checker.add_edge(a, b), "a -> b closes b -> p -> a");
+        assert_ne!(checker.pk.epoch, epoch, "the cycle went through the reorder");
+        assert_eq!((checker.edges_added, checker.pk_reorders), (2, 0));
+        assert!(checker.tx(a).out.is_empty() && checker.tx(b).preds.is_empty());
     }
 }

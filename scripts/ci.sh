@@ -33,7 +33,10 @@
 #      stream checker's hot path (tests/stream_hot_path.rs: an exact
 #      allocation budget inside `ingest` + `advance_watermark`, pinned
 #      witness digests and work counters, the live window on a 1 000- and a
-#      10 000-transaction driver history) and the instrumentation sweep
+#      10 000-transaction driver history, and
+#      `stream_agrees_with_check_auto_on_an_open_loop_algc_history`: a
+#      5 000-arrival AlgC open loop on which the stream checker once
+#      panicked with "live slot") and the instrumentation sweep
 #      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
 #      and read results under faults × schedules × contention) and the
 #      dispatch path's cost counter (tests/dispatch_hot_path.rs: the exact

@@ -5,12 +5,13 @@
 //!   `#[global_allocator]` local to this test binary;
 //! * **same computation** — the witness digest and every `StreamReport`
 //!   counter of two pipeline runs and of 247 generated histories that leave
-//!   the happy path, pinned to the values the checker produced before its
-//!   bookkeeping was optimised (ISSUE 14), so a later hot-path change that
-//!   moves an edge, an `ord` or a retirement decision fails here;
+//!   the happy path, pinned exactly, so a later hot-path change that moves
+//!   an edge, an `ord` or a retirement decision fails here;
 //! * **the live window on a real driver history** — the round driver's
 //!   1 000- and 10 000-transaction AlgB histories, every engine's verdict and
-//!   every `StreamReport` counter (peak live window 62 and 86);
+//!   every `StreamReport` counter (peak live window 61 and 84);
+//! * **an open-loop AlgC history** on which the checker once panicked, now
+//!   agreeing with `check_auto`;
 //! * **seal-summary invalidation** — a stale read that re-linearises a
 //!   sealed segment, followed by further reads of the same segment.
 
@@ -23,7 +24,9 @@ use snow::core::{
 };
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::sim::Topology;
-use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
+use snow::workload::{
+    drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -205,23 +208,28 @@ fn counters(r: &StreamReport) -> [u64; 8] {
 fn same_computation_as_before_the_hot_path_pass() {
     // [edges_added, window_resolves, peak_live_window, max_retirement_lag,
     //  pk_reorders, pk_region_nodes, sealed_observations,
-    //  seal_relinearizations].  The digest and the first four are the
-    // parent commit's (16fd4fb); the last four come from the commit that
-    // added the counters, before any optimisation.
+    //  seal_relinearizations].  Re-pinned once for gap-labelled `ord`s: a
+    // fresh READ whose first out-edge points below it now takes a label in
+    // the gap under its successor instead of forcing a reorder.  Wide:
+    // pk_reorders 1 499 → 152, pk_region_nodes 18 855 → 617.  The new
+    // labels order the retire pass's emission differently, so seal
+    // intervals merge differently: the digest moves and the peak live window
+    // goes 200 → 219.  Narrow: pk_reorders 641 → 19, pk_region_nodes
+    // 1 557 → 47, the digest moves, the other counters hold.
     let w = wide();
     assert_eq!(
         (w.witness_digest, counters(&w.report)),
         (
-            0x357a_a95b_f6f7_c1f5,
-            [3784, 0, 200, 8995, 1499, 18855, 1403, 0]
+            0x2544_acaf_9e06_ebb9,
+            [3784, 0, 219, 8995, 152, 617, 1403, 0]
         )
     );
     let n = narrow();
     assert_eq!(
         (n.witness_digest, counters(&n.report)),
         (
-            0xaf84_90d5_626b_29c9,
-            [2247, 0, 62, 577_691, 641, 1557, 864, 0]
+            0xd7fa_f8a3_0bd7_5275,
+            [2247, 0, 62, 577_691, 19, 47, 864, 0]
         )
     );
 }
@@ -249,13 +257,16 @@ fn steady_state_ingest_stays_inside_its_allocation_budget() {
 fn live_window_on_the_round_driver_history_is_pinned() {
     // AlgB on `mwmr(8,4,4)`, write-heavy, closed loop in rounds of 8 under
     // the golden fixtures' latency distribution.  The window is O(in-flight +
-    // frontier), not O(history): 61 at 1 000 transactions, 86 at 10 000 (and
-    // 118 at 100 000, too slow for a debug build, so not run here).  No
-    // engine may answer `Unknown` on it.
+    // frontier), not O(history): 61 at 1 000 transactions, 84 at 10 000.  No
+    // engine may answer `Unknown` on it.  Gap-labelled `ord`s moved the
+    // Pearce–Kelly counters: at 1 000, pk_reorders 381 → 10 and
+    // pk_region_nodes 950 → 29; at 10 000, 4 108 → 97 and 10 576 → 244, and
+    // the window 86 → 84 (the emission order changed).  The other counters
+    // held.
     let config = SystemConfig::mwmr(8, 4, 4);
     for (transactions, retirements, pinned) in [
-        (1_000, 125, [1084, 0, 61, 37, 381, 950, 468, 0]),
-        (10_000, 1250, [11248, 0, 86, 42, 4108, 10576, 4463, 0]),
+        (1_000, 125, [1084, 0, 61, 37, 10, 29, 468, 0]),
+        (10_000, 1250, [11248, 0, 84, 42, 97, 244, 4463, 0]),
     ] {
         let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
             .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
@@ -276,6 +287,36 @@ fn live_window_on_the_round_driver_history_is_pinned() {
         assert_eq!(counters(&r), pinned, "{transactions} transactions");
         assert_eq!(stream.drain_obs_events().len(), retirements, "`CheckerRetired` events");
     }
+}
+
+// ---- an open-loop history that once panicked --------------------------------
+
+#[test]
+fn stream_agrees_with_check_auto_on_an_open_loop_algc_history() {
+    // AlgC, `open-c-read`'s shape at 5 000 arrivals.  A retired slot's id
+    // used to linger in its successors' `preds`; once the slot was reused,
+    // the backward Pearce–Kelly search met a free slot and panicked with
+    // "live slot" where `check_auto` says `Serializable`.
+    let config = SystemConfig::mwmr(8, 2, 6);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+        .scheduler(SchedulerKind::Latency { seed: 32, min: 1, max: 16 })
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgC runs on MWMR configurations");
+    let workload = WorkloadSpec {
+        read_fraction: 0.96,
+        objects_per_read: 4,
+        objects_per_write: 2,
+        zipf_exponent: 0.99,
+        seed: 224,
+    };
+    let spec = OpenLoopSpec { workload, rate: 50, arrivals: 5_000, arrival_seed: 416 };
+    let (history, report) = drive_open_loop(cluster.as_mut(), &config, &spec);
+    assert_eq!(report.completed, 5_000);
+    let stream = StreamChecker::check(&history);
+    let auto = check_auto(&history);
+    assert!(auto.is_serializable(), "{auto:?}");
+    assert!(stream.is_serializable(), "{stream:?}");
 }
 
 // ---- same computation off the happy path -----------------------------------
@@ -299,7 +340,7 @@ impl Rng {
 /// few READs per hundred then made to return an older version.  This is the
 /// regime the pipeline runs never enter: window re-solves, segments
 /// re-linearised by stale reads, reads of expired versions that stay
-/// pending, slots reused while their ids linger in `preds`.
+/// pending, slots retired and reused.
 fn scarred_history(seed: u64) -> History {
     let mut rng = Rng(seed);
     let (n_objects, n_writers) = (1 + rng.below(4), 1 + rng.below(6));
@@ -414,6 +455,12 @@ fn same_computation_on_scarred_histories() {
             Verdict::NotSerializable(_) => (1, 0),
             Verdict::Unknown(_) => (2, 0),
         };
+        if [107, 132, 14322, 22444].contains(&seed) {
+            let auto = check_auto(&history);
+            let same = (verdict.is_serializable(), verdict.is_violation())
+                == (auto.is_serializable(), auto.is_violation());
+            assert!(same, "seed {seed}: stream {verdict:?}, check_auto {auto:?}");
+        }
         categories[category] += 1;
         let offending = checker.offending_index().map_or(0, |i| i as u64 + 1);
         facts.extend([category as u64, witness, offending, r.certified as u64]);
@@ -422,19 +469,24 @@ fn same_computation_on_scarred_histories() {
             *sum += c;
         }
     }
-    // The digest and the categories are the parent commit's (16fd4fb), the
-    // work counters [pk_reorders, pk_region_nodes, sealed_observations,
-    // seal_relinearizations] come from the commit that added them, before
-    // any optimisation.  Four histories end in the fourth category on the
-    // parent too: a retired predecessor's slot id stays in `preds`, is
-    // reused, and corrupts the order (ROADMAP item 4(g)).
+    // The work counters are [pk_reorders, pk_region_nodes,
+    // sealed_observations, seal_relinearizations].  Re-pinned once, when
+    // retiring a slot began to drop its id from its successors' `preds` and
+    // `ord`s became unique, gap-bisectable labels.  Categories [45, 119, 79,
+    // 4] → [48, 120, 79, 0]: the four histories on which the checker used to
+    // contradict itself — seeds 107 and 132 panicked with "live slot" after
+    // a retired predecessor's reused slot corrupted the order, 14322 and
+    // 22444 failed witness replay on tied `ord`s — now agree with
+    // `check_auto` (asserted above); every other history keeps its
+    // category.  Work [5 385, 14 884, 352, 46] → [695, 1 941, 382, 50], and
+    // the digest moves with the witnesses.
     let facts: Vec<TxId> = facts.into_iter().map(TxId).collect();
     assert_eq!(
         (fnv(&facts), work, categories),
         (
-            0xf81c_97e3_b86c_dd16,
-            [5385, 14884, 352, 46],
-            [45, 119, 79, 4]
+            0x9a38_ca3a_b852_7de5,
+            [695, 1941, 382, 50],
+            [48, 120, 79, 0]
         )
     );
 }
