@@ -461,7 +461,8 @@ const PARTITION_HEAL_TICKS: u64 = 9_000;
 /// dying — a latency cliff, not an availability hole — while operations
 /// confined to the cut site keep committing at LAN speed.  Anything the
 /// schedule still orphans retires as `Aborted` at quiescence, which the
-/// checkers tolerate.  Latencies are site-ticks (`TICK` µticks each).
+/// checkers tolerate.  Latencies are reported in site-ticks (`TICK` engine
+/// ticks each).
 fn run_partition_drill() {
     let config = SystemConfig::mwmr(4, 4, 4);
     let topology = Arc::new(Topology::wan3(&config));

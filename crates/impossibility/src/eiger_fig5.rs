@@ -15,7 +15,7 @@ use snow_checker::{SearchChecker, Verdict};
 use snow_core::{ClientId, History, ObjectId, SystemConfig, TxSpec, Value};
 use snow_protocols::eiger::EigerMsg;
 use snow_protocols::{deploy_any, AnyMsg, AnyNode, ProtocolKind};
-use snow_sim::{FifoScheduler, PendingMessage, Simulation, StepOutcome};
+use snow_sim::{LatencyScheduler, PendingMessage, Simulation, StepOutcome};
 
 /// The outcome of the Fig. 5 reproduction.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub const W3_VALUE: Value = Value(300);
 
 /// The Fig. 5 deployment — Eiger on two servers, one reader and two
 /// writers, FIFO — with its reader and writers.
-fn fig5_deployment() -> (Simulation<AnyNode, FifoScheduler>, ClientId, Vec<ClientId>) {
+fn fig5_deployment() -> (Simulation<AnyNode, LatencyScheduler>, ClientId, Vec<ClientId>) {
     let config = SystemConfig {
         num_servers: 2,
         num_objects: 2,
@@ -52,7 +52,7 @@ fn fig5_deployment() -> (Simulation<AnyNode, FifoScheduler>, ClientId, Vec<Clien
         num_writers: 2,
         c2c_allowed: false,
     };
-    let mut sim = Simulation::new(FifoScheduler::new());
+    let mut sim = Simulation::new(LatencyScheduler::fifo());
     for node in deploy_any(ProtocolKind::Eiger, &config).expect("valid config") {
         sim.add_process(node);
     }

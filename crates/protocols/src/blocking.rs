@@ -442,12 +442,12 @@ mod tests {
     use super::*;
     use crate::any::tests::simulation;
     use crate::ProtocolKind;
-    use snow_sim::{FifoScheduler, RandomScheduler, StepOutcome};
+    use snow_sim::{LatencyScheduler, RandomScheduler, StepOutcome};
 
     #[test]
     fn read_after_write_sees_values_and_uses_many_rounds() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Blocking, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Blocking, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn read_blocks_behind_an_uncommitted_write() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Blocking, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Blocking, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
 

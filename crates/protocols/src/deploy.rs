@@ -11,9 +11,9 @@
 use crate::any::{deploy_any, AnyNode};
 use snow_core::{ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxSpec};
 use snow_sim::{
-    Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, FifoScheduler,
-    LatencyScheduler, NullSink, Partition, PartitionPolicy, RandomScheduler,
-    RecordingSink, RestartFn, Scheduler, Simulation, Topology, TopologyScheduler, TraceSink,
+    Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, LatencyScheduler,
+    LinkDist, NullSink, Partition, PartitionPolicy, RandomScheduler, RecordingSink, RestartFn,
+    Scheduler, Simulation, Topology, TraceSink,
 };
 use std::sync::Arc;
 
@@ -183,15 +183,26 @@ where
     }
 }
 
-use snow_sim::topology::TICK;
-
-/// The scheduler half of a [`ClusterSpec`]: a classic [`SchedulerKind`], or
-/// a topology whose link distributions drive a
-/// [`TopologyScheduler`].
+/// The scheduler half of a [`ClusterSpec`]: the random adversary, or a
+/// [`LatencyScheduler`] over a topology's links.
 #[derive(Debug, Clone)]
 enum SchedChoice {
-    Kind(SchedulerKind),
-    Topology { topology: Arc<Topology>, seed: u64 },
+    Random(u64),
+    Links { topology: Arc<Topology>, seed: u64 },
+}
+
+impl From<SchedulerKind> for SchedChoice {
+    /// FIFO and uniform latency are one-site topologies; FIFO's one link
+    /// has zero latency.
+    fn from(kind: SchedulerKind) -> Self {
+        let (seed, min, max) = match kind {
+            SchedulerKind::Random(seed) => return SchedChoice::Random(seed),
+            SchedulerKind::Fifo => (0, 0, 0),
+            SchedulerKind::Latency { seed, min, max } => (seed, min, max),
+        };
+        let topology = Arc::new(Topology::one_site(LinkDist::Uniform { min, max }));
+        SchedChoice::Links { topology, seed }
+    }
 }
 
 /// The single cluster-construction path: a builder crossing protocol ×
@@ -230,7 +241,7 @@ impl ClusterSpec {
         ClusterSpec {
             protocol,
             config: config.clone(),
-            sched: SchedChoice::Kind(SchedulerKind::Fifo),
+            sched: SchedulerKind::Fifo.into(),
             max_steps: DEFAULT_MAX_STEPS,
             observed: false,
             faults: None,
@@ -246,15 +257,15 @@ impl ClusterSpec {
     /// latency).  Mutually exclusive with [`ClusterSpec::topology`]; the
     /// last call wins.
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.sched = SchedChoice::Kind(scheduler);
+        self.sched = scheduler.into();
         self
     }
 
     /// Delivers messages with per-link latencies drawn from `topology` —
-    /// a [`TopologyScheduler`] seeded with `seed` (see the
+    /// a [`LatencyScheduler`] seeded with `seed` (see the
     /// `snow_sim::topology` module docs).
     pub fn topology(mut self, topology: Arc<Topology>, seed: u64) -> Self {
-        self.sched = SchedChoice::Topology { topology, seed };
+        self.sched = SchedChoice::Links { topology, seed };
         self
     }
 
@@ -344,44 +355,33 @@ impl ClusterSpec {
 
     /// Deploys the protocol and assembles the cluster.  Errors if the
     /// protocol rejects the configuration (e.g. Algorithm A without C2C),
-    /// the latency range is empty, or the topology does not place every
-    /// process of the configuration.
+    /// a latency range is empty, or a topology of several sites does not
+    /// place every process of the configuration.
     pub fn build(&self) -> Result<Box<dyn Cluster>> {
         let invalid = |msg: String| Err(snow_core::SnowError::InvalidConfig(msg));
-        match &self.sched {
-            SchedChoice::Kind(SchedulerKind::Latency { min, max, .. }) if min > max => {
-                return invalid(format!("latency range is empty: min {min} > max {max}"));
-            }
-            SchedChoice::Topology { topology, .. } => {
-                let (servers, clients) = (topology.num_servers(), topology.num_clients());
-                let (need_servers, need_clients) =
-                    (self.config.num_servers as usize, self.config.num_clients() as usize);
-                if servers < need_servers || clients < need_clients {
-                    return invalid(format!(
-                        "topology places {servers} servers and {clients} clients, the \
-                         configuration has {need_servers} and {need_clients}"
-                    ));
-                }
-                let processes = topology.num_processes() as u64;
-                if !(1..=TICK).contains(&processes) {
-                    return invalid(format!(
-                        "a topology schedule supports 1..={TICK} processes, got {processes}"
-                    ));
+        if let SchedChoice::Links { topology, .. } = &self.sched {
+            for link in topology.links() {
+                if let LinkDist::Uniform { min, max } = link {
+                    if min > max {
+                        return invalid(format!("latency range is empty: min {min} > max {max}"));
+                    }
                 }
             }
-            SchedChoice::Kind(_) => {}
+            let (servers, clients) = (topology.num_servers(), topology.num_clients());
+            let (need_servers, need_clients) =
+                (self.config.num_servers as usize, self.config.num_clients() as usize);
+            if topology.num_sites() > 1 && (servers < need_servers || clients < need_clients) {
+                return invalid(format!(
+                    "topology places {servers} servers and {clients} clients, the \
+                     configuration has {need_servers} and {need_clients}"
+                ));
+            }
         }
         let nodes = deploy_any(self.protocol, &self.config)?;
         Ok(match &self.sched {
-            SchedChoice::Kind(SchedulerKind::Fifo) => self.simulation(nodes, FifoScheduler::new()),
-            SchedChoice::Kind(SchedulerKind::Random(seed)) => {
-                self.simulation(nodes, RandomScheduler::new(*seed))
-            }
-            SchedChoice::Kind(SchedulerKind::Latency { seed, min, max }) => {
-                self.simulation(nodes, LatencyScheduler::new(*seed, *min, *max))
-            }
-            SchedChoice::Topology { topology, seed } => {
-                self.simulation(nodes, TopologyScheduler::new(topology.clone(), *seed))
+            SchedChoice::Random(seed) => self.simulation(nodes, RandomScheduler::new(*seed)),
+            SchedChoice::Links { topology, seed } => {
+                self.simulation(nodes, LatencyScheduler::over(topology.clone(), *seed))
             }
         })
     }
@@ -595,11 +595,7 @@ mod tests {
         // A topology built for a smaller deployment than the spec's.
         let small = Arc::new(Topology::wan3(&SystemConfig::mwmr(2, 1, 1)));
         let too_small = ClusterSpec::new(ProtocolKind::AlgB, &config).topology(small, 3);
-        // More processes than a site-tick has jitter bands for.
-        let huge_config = SystemConfig::mwmr(4, TICK as u32, 2);
-        let too_many = ClusterSpec::new(ProtocolKind::AlgB, &huge_config)
-            .topology(Arc::new(Topology::single_dc(&huge_config)), 3);
-        for spec in [empty_range, too_small, too_many] {
+        for spec in [empty_range, too_small] {
             assert!(matches!(spec.build(), Err(SnowError::InvalidConfig(_))), "{spec:?}");
         }
     }

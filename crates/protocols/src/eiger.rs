@@ -544,12 +544,12 @@ mod tests {
     use super::*;
     use crate::any::tests::simulation;
     use crate::{AnyNode, ProtocolKind};
-    use snow_sim::{FifoScheduler, RandomScheduler};
+    use snow_sim::{LatencyScheduler, RandomScheduler};
 
     #[test]
     fn quiescent_read_after_write_sees_the_write_in_one_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Eiger, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Eiger, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(
@@ -591,7 +591,7 @@ mod tests {
     #[test]
     fn interval_mismatch_triggers_second_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Eiger, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Eiger, &config, LatencyScheduler::fifo());
         let reader = config.readers().next().unwrap();
         let writer = config.writers().next().unwrap();
 

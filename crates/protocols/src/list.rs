@@ -690,7 +690,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::{AnyNode, ProtocolKind};
     use snow_core::Process;
-    use snow_sim::{FifoScheduler, RandomScheduler, Scheduler, Simulation, StepOutcome};
+    use snow_sim::{LatencyScheduler, RandomScheduler, Scheduler, Simulation, StepOutcome};
     use std::ops::RangeInclusive;
 
     /// What a READ of `algorithm` must look like to the instrumentation.
@@ -766,7 +766,7 @@ pub(crate) mod tests {
 
     pub(crate) fn read_after_write(algorithm: Algorithm, shape: Shape) {
         let config = config(algorithm, 2, 1, 1);
-        let mut sim = build(algorithm, &config, FifoScheduler::new());
+        let mut sim = build(algorithm, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(0, writer, write(&[(0, 10), (1, 20)]));
@@ -918,7 +918,7 @@ pub(crate) mod tests {
     /// snapshots does, forcing the reader into the targeted fallback round.
     pub(crate) fn c_adversarial_schedule_triggers_the_fallback() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = build(Algorithm::C, &config, FifoScheduler::new());
+        let mut sim = build(Algorithm::C, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
 

@@ -256,12 +256,12 @@ mod tests {
     use super::*;
     use crate::any::tests::simulation;
     use crate::ProtocolKind;
-    use snow_sim::{FifoScheduler, RandomScheduler, StepOutcome};
+    use snow_sim::{LatencyScheduler, RandomScheduler, StepOutcome};
 
     #[test]
     fn simple_reads_are_one_nonblocking_round() {
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Simple, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Simple, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(4))]));
@@ -283,7 +283,7 @@ mod tests {
         // The reason simple reads are not a READ transaction: a multi-object
         // write can be observed half-applied.
         let config = SystemConfig::mwmr(2, 1, 1);
-        let mut sim = simulation(ProtocolKind::Simple, &config, FifoScheduler::new());
+        let mut sim = simulation(ProtocolKind::Simple, &config, LatencyScheduler::fifo());
         let writer = config.writers().next().unwrap();
         let reader = config.readers().next().unwrap();
         let w = sim.invoke_at(

@@ -378,9 +378,9 @@ impl FaultSchedule {
 /// The deterministic per-message probabilistic gate of region `region`:
 /// affects the message iff `hash(key, region + 1) % 100 < chance_pct`, where
 /// `key` is the send's `send_hash` (asked for only by a gate that is
-/// probabilistic).  The `+ 1` keeps region 0 off `splitmix64(key)`, which
-/// `TopologyScheduler` spends on the sub-tick offset of the same send when
-/// both share a seed.
+/// probabilistic).  The `+ 1` is part of the gate's definition: every
+/// fault golden's gate outcomes were drawn with it, so dropping it would
+/// move them.
 fn gate(key: impl Fn() -> u64, region: u64, chance_pct: u8) -> bool {
     chance_pct >= 100
         || splitmix64(key() ^ (region + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)) % 100

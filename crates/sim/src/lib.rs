@@ -13,11 +13,12 @@
 //!   [`Simulation`];
 //! * the network is **reliable but asynchronous**: every sent message is
 //!   eventually deliverable, but the order and timing of deliveries are under
-//!   the control of a [`Scheduler`] (seeded-random, FIFO, latency-modelled, or
-//!   fully manual/adversarial).  In-flight messages live in a
+//!   the control of a [`Scheduler`] (seeded-random, per-link latencies —
+//!   [`LatencyScheduler`], of which send order is the zero-latency case —
+//!   or fully manual/adversarial).  In-flight messages live in a
 //!   [`MessagePool`] — a slab and one delivery heap — from which the
-//!   scheduler takes the message it picks: O(log n) for the heap
-//!   schedulers, O(live) for the random adversary — see [`pool`] and
+//!   scheduler takes the message it picks: O(log n) for the latency
+//!   scheduler, O(live) for the random adversary — see [`pool`] and
 //!   [`scheduler`] for the complexity contract;
 //! * causality rides on the message: every send is stamped ([`Causal`])
 //!   from the stamp of the message whose handler made it, and the round
@@ -64,6 +65,6 @@ pub use message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
 pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
 pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
-pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
+pub use scheduler::{LatencyScheduler, RandomScheduler, Scheduler};
 pub use sim::{CommitDrain, Simulation, StepOutcome, DEFAULT_MAX_STEPS};
-pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};
+pub use topology::{LinkDist, Topology, TICK};

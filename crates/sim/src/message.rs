@@ -66,18 +66,9 @@ pub struct PendingMessage<M> {
     pub sent_at: u64,
     /// What the send inherited from the message whose handler produced it.
     pub causal: Causal,
-    /// Delivery time assigned by a latency-modelling scheduler, if any.
-    pub deliver_at: Option<u64>,
-}
-
-impl<M> PendingMessage<M> {
-    /// The delivery-queue key this message is ordered by: the scheduler's
-    /// stamped delivery time, else the send time (under a monotone clock
-    /// both orders FIFO delivery by send order).  The single source of
-    /// the rule [`crate::MessagePool`]'s heap orders by.
-    pub fn delivery_key(&self) -> u64 {
-        self.deliver_at.unwrap_or(self.sent_at)
-    }
+    /// Delivery time stamped by the scheduler ([`crate::Scheduler::on_send`]):
+    /// the key [`crate::MessagePool`]'s heap orders by.
+    pub deliver_at: u64,
 }
 
 #[cfg(test)]
@@ -98,7 +89,7 @@ mod tests {
             msg: Dummy,
             sent_at: 10,
             causal: Causal { round: 2, direct: true },
-            deliver_at: None,
+            deliver_at: 10,
         };
         assert_eq!(p.id.to_string(), "m5");
         assert_eq!(p.causal, Causal { round: 2, direct: true });

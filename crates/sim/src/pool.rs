@@ -4,7 +4,7 @@
 //! Every sent-but-undelivered message sits in a slot of the slab (a
 //! `Vec<Option<PendingMessage>>`; the next insert reuses the slot freed
 //! last, so the slab never holds more slots than were ever in flight at
-//! once), and the delivery heap holds one `(delivery_key, MsgId, slot)`
+//! once), and the delivery heap holds one `(deliver_at, MsgId, slot)`
 //! entry per insert.  An entry is **live iff its slot still holds that id
 //! under that key**; anything else is discarded on its way to the top.
 //! That one rule covers both ways an entry goes stale: its message was
@@ -15,8 +15,8 @@
 //!
 //! The picks, each of which moves its message out of its slot once:
 //!
-//! * [`MessagePool::pop_earliest`] — the smallest `(delivery_key, id)`,
-//!   amortized O(log n): FIFO, latency and topology scheduling.  This is
+//! * [`MessagePool::pop_earliest`] — the smallest `(deliver_at, id)`,
+//!   amortized O(log n): [`crate::LatencyScheduler`]'s pick.  This is
 //!   the classic discrete-event core, a `BinaryHeap` popped by `(time,
 //!   id)`; equal times go to the smaller id, which is send order.
 //! * [`MessagePool::take_first`] — the first message in send (id) order
@@ -36,7 +36,7 @@ use crate::message::{MsgId, PendingMessage};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A delivery-heap entry, `(delivery_key, id, slot)`, smallest on top.
+/// A delivery-heap entry, `(deliver_at, id, slot)`, smallest on top.
 type Entry = Reverse<(u64, u64, usize)>;
 
 /// The set of in-flight messages: a slab and one delivery heap.
@@ -82,13 +82,11 @@ impl<M> MessagePool<M> {
     }
 
     /// Inserts a sent message into the slot freed last (else a new one) and
-    /// pushes its heap entry, keyed by `deliver_at` when the scheduler
-    /// stamped one, else by the send time (under a monotone clock both
-    /// orders FIFO delivery by send order).  Its id must not be live: the
-    /// engine assigns each send a fresh one, and a crash window re-queues a
-    /// message only after taking it out.
+    /// pushes its heap entry, keyed by its `deliver_at`.  Its id must not be
+    /// live: the engine assigns each send a fresh one, and a crash window
+    /// re-queues a message only after taking it out.
     pub fn insert(&mut self, msg: PendingMessage<M>) {
-        let (key, id) = (msg.delivery_key(), msg.id.0);
+        let (key, id) = (msg.deliver_at, msg.id.0);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(msg);
@@ -114,7 +112,7 @@ impl<M> MessagePool<M> {
     fn peek_live(&mut self) -> Option<(u64, u64, usize)> {
         while let Some(&Reverse((key, id, slot))) = self.queue.peek() {
             let msg = self.slots[slot].as_ref();
-            if msg.is_some_and(|msg| msg.id.0 == id && msg.delivery_key() == key) {
+            if msg.is_some_and(|msg| msg.id.0 == id && msg.deliver_at == key) {
                 return Some((key, id, slot));
             }
             self.queue.pop();
@@ -122,7 +120,7 @@ impl<M> MessagePool<M> {
         None
     }
 
-    /// The `(delivery_key, id)` of the message [`MessagePool::pop_earliest`]
+    /// The `(deliver_at, id)` of the message [`MessagePool::pop_earliest`]
     /// would take, without taking it — amortized O(log n).  The dispatch
     /// core compares the key with the earliest planned invocation (the one
     /// dispatch rule).
@@ -130,7 +128,7 @@ impl<M> MessagePool<M> {
         self.peek_live().map(|(key, id, _)| (key, MsgId(id)))
     }
 
-    /// Takes the message with the smallest `(delivery_key, id)` — amortized
+    /// Takes the message with the smallest `(deliver_at, id)` — amortized
     /// O(log n).
     pub fn pop_earliest(&mut self) -> Option<PendingMessage<M>> {
         let (_, _, slot) = self.peek_live()?;
@@ -193,7 +191,7 @@ mod tests {
     struct M;
     impl crate::message::SimMessage for M {}
 
-    fn pending(id: u64, sent_at: u64, deliver_at: Option<u64>) -> PendingMessage<M> {
+    fn pending(id: u64, sent_at: u64, deliver_at: u64) -> PendingMessage<M> {
         PendingMessage {
             id: MsgId(id),
             src: ProcessId::Client(ClientId(0)),
@@ -220,7 +218,7 @@ mod tests {
     fn insert_remove_and_rank_selection() {
         let mut pool: MessagePool<M> = MessagePool::new();
         for id in 0..5 {
-            pool.insert(pending(id, id, None));
+            pool.insert(pending(id, id, id));
         }
         assert_eq!(pool.len(), 5);
         let taken = pool.take_first(|m| m.id == MsgId(1)).unwrap();
@@ -232,7 +230,7 @@ mod tests {
         assert_eq!(pool.take_nth_live(1).unwrap().id, MsgId(2));
         // Id 5 reuses the slot id 2 left (last freed), ahead of id 3's:
         // slot order is no longer send order, and nothing looks at it.
-        pool.insert(pending(5, 5, None));
+        pool.insert(pending(5, 5, 5));
         assert_eq!(pool.slots.len(), 5);
         assert_eq!(ids(&pool), vec![0, 3, 4, 5]);
         assert_eq!(pool.take_first(|m| m.id.0 >= 3).unwrap().id, MsgId(3));
@@ -243,10 +241,10 @@ mod tests {
     #[test]
     fn pop_earliest_orders_by_delivery_time_then_id() {
         let mut pool: MessagePool<M> = MessagePool::new();
-        pool.insert(pending(0, 0, Some(30)));
-        pool.insert(pending(1, 0, Some(10)));
-        pool.insert(pending(2, 0, Some(10)));
-        pool.insert(pending(3, 0, Some(20)));
+        pool.insert(pending(0, 0, 30));
+        pool.insert(pending(1, 0, 10));
+        pool.insert(pending(2, 0, 10));
+        pool.insert(pending(3, 0, 20));
         let order: Vec<u64> = (0..3).map(|_| pool.pop_earliest().unwrap().id.0).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -254,8 +252,8 @@ mod tests {
     #[test]
     fn pop_earliest_skips_adversarially_removed_messages() {
         let mut pool: MessagePool<M> = MessagePool::new();
-        pool.insert(pending(0, 0, Some(5)));
-        pool.insert(pending(1, 0, Some(6)));
+        pool.insert(pending(0, 0, 5));
+        pool.insert(pending(1, 0, 6));
         pool.take_first(|m| m.id == MsgId(0)).unwrap(); // delivered via deliver_where
         assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(1)));
         assert!(pool.pop_earliest().is_none());
@@ -270,16 +268,16 @@ mod tests {
         // ahead of everything keyed in between — even though the message
         // lands back in the very slot its old entry names.
         let mut pool: MessagePool<M> = MessagePool::new();
-        pool.insert(pending(0, 0, Some(5)));
-        pool.insert(pending(1, 0, Some(8)));
+        pool.insert(pending(0, 0, 5));
+        pool.insert(pending(1, 0, 8));
         let held = pool.take_first(|m| m.id == MsgId(0)).unwrap();
         pool.insert(PendingMessage {
-            deliver_at: Some(20),
+            deliver_at: 20,
             ..held
         });
         assert_eq!(
             pool.slots[0].as_ref().map(|m| (m.id, m.deliver_at)),
-            Some((MsgId(0), Some(20)))
+            Some((MsgId(0), 20))
         );
         assert_eq!(pool.peek_earliest(), Some((8, MsgId(1))));
         assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(1)));
@@ -287,7 +285,7 @@ mod tests {
         assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(0)));
         // Re-queued under its *own* key, a message has two live entries;
         // it is still taken once.
-        pool.insert(pending(2, 0, Some(30)));
+        pool.insert(pending(2, 0, 30));
         let held = pool.take_first(|_| true).unwrap();
         pool.insert(held);
         assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(2)));
@@ -305,7 +303,7 @@ mod tests {
         let mut pool: MessagePool<M> = MessagePool::new();
         for id in 0..N {
             let key = if id % 100 == 99 { id - 1 } else { id };
-            pool.insert(pending(id, 0, Some(1_000 + key)));
+            pool.insert(pending(id, 0, 1_000 + key));
         }
         let mut drained = 0;
         while let Some(m) = pool.pop_earliest() {
@@ -316,7 +314,7 @@ mod tests {
         assert_eq!(drained, N);
         // Only rank selection gathers the live ids; a heap drain never does.
         assert_eq!(pool.ranked.capacity(), 0, "a heap drain ranked the pool");
-        pool.insert(pending(N, 0, None));
+        pool.insert(pending(N, 0, 0));
         assert_eq!(pool.take_nth_live(0).map(|m| m.id), Some(MsgId(N)));
         assert!(
             pool.ranked.is_empty() && pool.ranked.capacity() > 0,
@@ -333,7 +331,7 @@ mod tests {
         const TOTAL: u64 = 200_000;
         const IN_FLIGHT: u64 = 128;
         for id in 0..TOTAL {
-            pool.insert(pending(id, id, Some(id + 5)));
+            pool.insert(pending(id, id, id + 5));
             if id >= IN_FLIGHT {
                 assert_eq!(
                     pool.pop_earliest().map(|m| m.id),

@@ -2,18 +2,16 @@
 //! next.
 //!
 //! The paper's adversary is the asynchronous network: it may delay any
-//! message arbitrarily (but not forever).  Schedulers model different
-//! adversaries:
+//! message arbitrarily (but not forever).  Two schedulers model it:
 //!
-//! * [`FifoScheduler`] — delivers messages in send order (a well-behaved
-//!   network; useful as a baseline and for making examples readable);
+//! * [`LatencyScheduler`] — stamps each message with its delivery time,
+//!   `sent_at` plus a latency drawn from the link it crosses (a
+//!   [`Topology`]'s link distributions; one link for every pair in
+//!   [`LatencyScheduler::new`]), all in engine ticks, and delivers in
+//!   delivery-time order.  A zero-latency link
+//!   ([`LatencyScheduler::fifo`]) delivers in send order;
 //! * [`RandomScheduler`] — a seeded uniformly random adversary, used by the
-//!   property-based tests to explore many interleavings reproducibly;
-//! * [`LatencyScheduler`] — assigns each message a pseudo-random latency and
-//!   delivers in delivery-time order, which is what the performance-oriented
-//!   simulations use;
-//! * [`TopologyScheduler`](crate::topology::TopologyScheduler) — the same,
-//!   with per-link latency distributions (see [`crate::topology`]).
+//!   property-based tests to explore many interleavings reproducibly.
 //!
 //! Fully adversarial (scripted) schedules are expressed by driving the
 //! simulation manually via [`crate::Simulation::deliver_where`], which is how
@@ -24,25 +22,23 @@
 //! Schedulers pick directly from the engine's [`MessagePool`] (a slab and
 //! one delivery heap) and hand back the message they took:
 //!
-//! * [`Scheduler::on_send`] optionally stamps a delivery time when a message
-//!   is sent — a pure function of the send's coordinates (`send_hash`), so
-//!   a message's latency does not depend on which other sends the engine
+//! * [`Scheduler::on_send`] stamps a delivery time when a message is sent
+//!   — a pure function of the send's coordinates (`send_hash`), so a
+//!   message's latency does not depend on which other sends the engine
 //!   decided first.  The pool keys its delivery heap by
-//!   `(deliver_at | sent_at, MsgId)`.
+//!   `(deliver_at, MsgId)`.
 //! * [`Scheduler::next`] takes the message to deliver out of the pool.
-//!   Its provided body — what FIFO, latency and topology scheduling use —
-//!   is one O(log n) heap pop of the smallest `(key, id)`
-//!   ([`MessagePool::pop_earliest`]).  Under the engine's monotone clock
-//!   the `(sent_at, id)` key order *is* send order, so FIFO needs no scan;
-//!   and because the engine issues ids in send order, one handler per
-//!   tick, the id that breaks an equal-key tie is also the send's
-//!   `(sent_at, source, emission order)`.  The random adversary overrides
-//!   it: it draws a uniform rank and takes the k-th live message in send
-//!   order ([`MessagePool::take_nth_live`]) — the same distribution *and
-//!   the same per-seed choices* as indexing the first engine's send-ordered
-//!   `Vec`.
+//!   Its provided body — what [`LatencyScheduler`] uses — is one O(log n)
+//!   heap pop of the smallest `(deliver_at, id)`
+//!   ([`MessagePool::pop_earliest`]).  Because the engine issues ids in
+//!   send order, one handler per tick, the id that breaks an equal-key tie
+//!   is also the send's `(sent_at, source, emission order)`.  The random
+//!   adversary overrides it: it draws a uniform rank and takes the k-th
+//!   live message in send order ([`MessagePool::take_nth_live`]) — the
+//!   same distribution *and the same per-seed choices* as indexing the
+//!   first engine's send-ordered `Vec`.
 //!
-//! The heap schedulers are therefore O(log n) per step; the random
+//! The heap scheduler is therefore O(log n) per step; the random
 //! adversary is **O(live) per pick** — a linear selection over the live
 //! ids, in a scratch buffer the pool reuses, so it allocates nothing per
 //! step.  Either way the chosen message moves out of its slot once,
@@ -50,9 +46,10 @@
 
 use crate::message::PendingMessage;
 use crate::pool::MessagePool;
-use crate::topology::LinkDist;
+use crate::topology::{LinkDist, Topology};
 use snow_core::hash::splitmix64;
 use snow_core::ProcessId;
+use std::sync::Arc;
 
 /// A policy choosing which pending message to deliver next.
 pub trait Scheduler<M> {
@@ -61,31 +58,30 @@ pub trait Scheduler<M> {
     /// require eventual delivery, which the simulation enforces by only
     /// stopping when nothing is pending).  The engine delivers it.
     ///
-    /// The provided body takes the smallest `(delivery_key, id)` — one heap
+    /// The provided body takes the smallest `(deliver_at, id)` — one heap
     /// pop ([`MessagePool::pop_earliest`]).
     fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>> {
         let _ = now;
         pool.pop_earliest()
     }
 
-    /// Hook called when a message is sent, letting latency-model schedulers
-    /// stamp a delivery time from the send's **coordinates**: its
-    /// endpoints, its send time, and its `ordinal` among
-    /// the sends of the handler execution that made it (fault-engine
-    /// duplicates and dropped sends included).  Returns the delivery time,
-    /// if the scheduler assigns one; `None` (the default) keys the message
-    /// by its send time (FIFO order).
+    /// Hook called when a message is sent: returns its delivery time, a
+    /// function of the send's **coordinates** — its endpoints, its send
+    /// time, and its `ordinal` among the sends of the handler execution
+    /// that made it (fault-engine duplicates and dropped sends included).
+    /// The provided body returns `sent_at`, keying the message in send
+    /// order; [`RandomScheduler`] keeps it.
     ///
     /// `&self`: a draw is a function of the send, never of the draws before
     /// it (the crate's `send_hash`).
-    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
-        let _ = (src, dst, sent_at, ordinal);
-        None
+    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
+        let _ = (src, dst, ordinal);
+        sent_at
     }
 }
 
-/// **The one key of every per-message draw** — latencies (both latency
-/// schedulers) and fault gates: `seed` mixed with the send's coordinates.
+/// **The one key of every per-message draw** — latencies and fault gates:
+/// `seed` mixed with the send's coordinates.
 /// A process dispatches at most once per tick, so `(src, sent_at)` names
 /// the handler execution and `ordinal` the send within it.  Never the
 /// `MsgId`: the coordinates name a send by what happened, which is what a
@@ -113,20 +109,6 @@ pub(crate) fn pid_bits(id: ProcessId) -> u64 {
         ProcessId::Client(c) => (2 << 32) | c.0 as u64,
     }
 }
-
-/// Delivers messages in the order they were sent: one O(log n) pop of the
-/// `(sent_at, id)`-keyed delivery queue per step.
-#[derive(Debug, Default, Clone)]
-pub struct FifoScheduler;
-
-impl FifoScheduler {
-    /// Creates a FIFO scheduler.
-    pub fn new() -> Self {
-        FifoScheduler
-    }
-}
-
-impl<M> Scheduler<M> for FifoScheduler {}
 
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
@@ -158,33 +140,48 @@ impl<M> Scheduler<M> for RandomScheduler {
     }
 }
 
-/// Assigns each message a pseudo-random latency in `[min_latency, max_latency]`
-/// ticks and delivers the message with the earliest delivery time first —
-/// one O(log n) pop of the `(deliver_at, id)`-keyed queue per step.
+/// Stamps each send at `sent_at + topology.link(src, dst).draw(h)`, `h`
+/// the `send_hash` of its coordinates, and delivers the earliest stamp
+/// first — one O(log n) pop of the `(deliver_at, id)`-keyed queue per step.
 ///
-/// A message's latency is `send_hash` of its coordinates and nothing
-/// else, so it does not depend on dispatch order.  Keys may tie across
-/// destinations; ties go to the smaller id.
+/// A message's latency is a function of its coordinates and nothing else,
+/// so it does not depend on dispatch order.  Keys may tie; ties go to the
+/// smaller id, which is send order.
 #[derive(Debug, Clone)]
 pub struct LatencyScheduler {
+    topology: Arc<Topology>,
     seed: u64,
-    latency: LinkDist,
 }
 
 impl LatencyScheduler {
-    /// Creates a latency-model scheduler.
+    /// Latencies drawn uniformly from `[min_latency, max_latency]` ticks on
+    /// every link: a scheduler over [`Topology::one_site`].
     ///
     /// # Panics
     /// Panics if `min_latency > max_latency`.
     pub fn new(seed: u64, min_latency: u64, max_latency: u64) -> Self {
         assert!(min_latency <= max_latency, "min_latency must be <= max_latency");
-        LatencyScheduler { seed, latency: LinkDist::Uniform { min: min_latency, max: max_latency } }
+        let link = LinkDist::Uniform { min: min_latency, max: max_latency };
+        LatencyScheduler::over(Arc::new(Topology::one_site(link)), seed)
+    }
+
+    /// Zero latency on every link: each message is keyed by its send time,
+    /// so messages are delivered in send order.
+    pub fn fifo() -> Self {
+        LatencyScheduler::new(0, 0, 0)
+    }
+
+    /// Latencies drawn from `topology`'s link distributions, keyed by
+    /// `seed` (see the [`crate::topology`] module docs).
+    pub fn over(topology: Arc<Topology>, seed: u64) -> Self {
+        LatencyScheduler { topology, seed }
     }
 }
 
 impl<M> Scheduler<M> for LatencyScheduler {
-    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
-        Some(sent_at + self.latency.draw(send_hash(self.seed, src, dst, sent_at, ordinal)))
+    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
+        let h = send_hash(self.seed, src, dst, sent_at, ordinal);
+        sent_at + self.topology.link(src, dst).draw(h)
     }
 }
 
@@ -198,7 +195,7 @@ mod tests {
     struct M;
     impl crate::message::SimMessage for M {}
 
-    fn pending(id: u64, sent_at: u64, deliver_at: Option<u64>) -> PendingMessage<M> {
+    fn pending(id: u64, sent_at: u64, deliver_at: u64) -> PendingMessage<M> {
         PendingMessage {
             id: MsgId(id),
             src: ProcessId::Client(ClientId(0)),
@@ -229,8 +226,10 @@ mod tests {
 
     #[test]
     fn fifo_delivers_in_send_order() {
-        let mut s = FifoScheduler::new();
-        let mut pool = pool_of(vec![pending(0, 0, None), pending(1, 1, None), pending(2, 2, None)]);
+        let mut s = LatencyScheduler::fifo();
+        let (src, dst) = (ProcessId::Client(ClientId(0)), ProcessId::Server(ServerId(0)));
+        assert_eq!(Scheduler::<M>::on_send(&s, src, dst, 10, 3), 10);
+        let mut pool = pool_of(vec![pending(0, 0, 0), pending(1, 1, 1), pending(2, 2, 2)]);
         assert_eq!(drain(&mut s, &mut pool), vec![0, 1, 2]);
         assert!(Scheduler::<M>::next(&mut s, &mut pool, 5).is_none());
     }
@@ -239,10 +238,10 @@ mod tests {
     fn random_is_deterministic_per_seed_and_in_range() {
         let make_pool = || {
             pool_of(vec![
-                pending(0, 0, None),
-                pending(1, 0, None),
-                pending(2, 0, None),
-                pending(3, 0, None),
+                pending(0, 0, 0),
+                pending(1, 0, 0),
+                pending(2, 0, 0),
+                pending(3, 0, 0),
             ])
         };
         let order_a = drain(&mut RandomScheduler::new(7), &mut make_pool());
@@ -253,7 +252,7 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2, 3], "every message delivered once");
         // Different seed should (almost surely) give a different sequence
         // over enough draws.
-        let big_pool = || pool_of((0..16).map(|i| pending(i, 0, None)).collect());
+        let big_pool = || pool_of((0..16).map(|i| pending(i, 0, 0)).collect());
         assert_ne!(
             drain(&mut RandomScheduler::new(7), &mut big_pool()),
             drain(&mut RandomScheduler::new(8), &mut big_pool()),
@@ -267,12 +266,8 @@ mod tests {
         let mut s = LatencyScheduler::new(1, 5, 5);
         // on_send stamps sent_at + 5, whatever the endpoints.
         let (src, dst) = (ProcessId::Client(ClientId(0)), ProcessId::Server(ServerId(0)));
-        assert_eq!(Scheduler::<M>::on_send(&s, src, dst, 10, 0), Some(15));
-        let mut pool = pool_of(vec![
-            pending(0, 0, Some(30)),
-            pending(1, 0, Some(10)),
-            pending(2, 0, Some(20)),
-        ]);
+        assert_eq!(Scheduler::<M>::on_send(&s, src, dst, 10, 0), 15);
+        let mut pool = pool_of(vec![pending(0, 0, 30), pending(1, 0, 10), pending(2, 0, 20)]);
         assert_eq!(drain(&mut s, &mut pool), vec![1, 2, 0]);
     }
 

@@ -37,8 +37,8 @@
 //!   indexed by `ClientId` / `ServerId`.
 //!
 //! Per step the simulator therefore does O(log n) heap work, O(1) lookups
-//! and the process handler's own cost under every heap scheduler (FIFO,
-//! latency, topology; the random adversary's pick is O(live)).  A handler
+//! and the process handler's own cost under [`crate::LatencyScheduler`]
+//! (the random adversary's pick is O(live)).  A handler
 //! writes its output into the simulator's one [`Effects`] buffer, which is
 //! drained in place and keeps its capacity for the next handler, each
 //! message moving once into the pool and once out of it.  Adversarial
@@ -376,7 +376,7 @@ where
     /// `max(now, deliver_at) + 1` exactly as for a scheduled delivery, so a
     /// latency-stamped message delivered adversarially can never produce
     /// actions (e.g. a RESP) timestamped before its own delivery time.
-    /// Under schedulers that stamp no delivery time (FIFO, random) the
+    /// Under schedulers that stamp the send time (zero latency, random) the
     /// clamp is `now + 1` — the Figs. 3–5 constructions drive those.
     pub fn deliver_where<F>(&mut self, pred: F) -> Option<MsgId>
     where
@@ -544,7 +544,7 @@ where
     /// crash-window gate, the handler.  Returns its id.
     fn dispatch_delivery(&mut self, msg: PendingMessage<P::Msg>) -> MsgId {
         let id = msg.id;
-        self.advance_past(msg.deliver_at.unwrap_or(self.now));
+        self.advance_past(msg.deliver_at);
         if let Some(msg) = self.crash_intercept(msg) {
             self.deliver(msg);
         }
@@ -614,8 +614,8 @@ where
     fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
         // Delivery must happen strictly after the message's own timestamp.
         debug_assert!(
-            msg.deliver_at.is_none_or(|at| at < self.now) && msg.sent_at < self.now,
-            "message {} delivered before its own timestamp (sent_at {}, deliver_at {:?}, now {})",
+            msg.deliver_at < self.now && msg.sent_at < self.now,
+            "message {} delivered before its own timestamp (sent_at {}, deliver_at {}, now {})",
             msg.id,
             msg.sent_at,
             msg.deliver_at,
@@ -715,8 +715,8 @@ where
         self.audit_clock();
         msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, self.now, ordinal);
         if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
-            let base = msg.deliver_at.unwrap_or(self.now).saturating_add(verdict.extra_delay);
-            msg.deliver_at = Some(base.max(verdict.hold_until.unwrap_or(0)));
+            let base = msg.deliver_at.saturating_add(verdict.extra_delay);
+            msg.deliver_at = base.max(verdict.hold_until.unwrap_or(0));
         }
         let (id, src, dst) = (msg.id, msg.src, msg.dst);
         // A dropped send is never inserted: the drop is an event of the run.
@@ -775,7 +775,7 @@ where
                 msg: m,
                 sent_at: self.now,
                 causal,
-                deliver_at: None, // the scheduler's, stamped by `enqueue`
+                deliver_at: 0, // the scheduler's, stamped by `enqueue`
             };
             // `send_verdict` is a pure function of `(schedule, src, dst,
             // sent_at, ordinal)`, so verdicts are independent of decision
@@ -907,7 +907,7 @@ where
                     // lands at or past `recover_at` and takes the recovery
                     // path above).
                     let mut held = msg;
-                    held.deliver_at = Some(crash.recover_at);
+                    held.deliver_at = crash.recover_at;
                     self.pool.insert(held);
                 }
             }
@@ -966,7 +966,7 @@ where
 mod tests {
     use super::*;
     use crate::message::SimMessage;
-    use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
+    use crate::scheduler::{LatencyScheduler, RandomScheduler};
     use snow_obs::RecordingSink;
     use snow_core::{Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, Value};
 
@@ -1066,7 +1066,7 @@ mod tests {
 
     #[test]
     fn toy_read_completes_under_fifo() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         assert!(!sim.is_complete(tx));
         sim.run_until_quiescent();
@@ -1102,7 +1102,7 @@ mod tests {
 
     #[test]
     fn manual_delivery_allows_adversarial_ordering() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         // Dispatch the invocation only.
         assert_eq!(sim.step(), StepOutcome::Invoked(tx));
@@ -1126,7 +1126,7 @@ mod tests {
 
     #[test]
     fn force_invoke_dispatches_early() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let tx = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         assert_eq!(sim.force_invoke(ClientId(0)), Some(tx));
         assert_eq!(sim.force_invoke(ClientId(0)), None);
@@ -1136,7 +1136,7 @@ mod tests {
 
     #[test]
     fn force_invoke_takes_the_earliest_plan_for_the_client() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let late = sim.invoke_at(500, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let early = sim.invoke_at(100, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert_eq!(sim.force_invoke(ClientId(0)), Some(early));
@@ -1145,7 +1145,7 @@ mod tests {
 
     #[test]
     fn run_until_complete_stops_at_target() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let tx1 = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let tx2 = sim.invoke_at(50, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert!(sim.run_until_complete(tx1));
@@ -1155,7 +1155,7 @@ mod tests {
 
     #[test]
     fn run_until_any_complete_returns_the_first_finisher() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let slow = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let fast = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         // `fast` completes first even though `slow` leads the watch list.
@@ -1183,25 +1183,25 @@ mod tests {
     /// 51.
     #[test]
     fn an_invocation_keyed_before_every_pending_delivery_dispatches_first() {
-        use crate::topology::{Topology, TopologyScheduler};
+        use crate::topology::Topology;
 
         fn check<S: Scheduler<ToyMsg>>(scheduler: S) {
             let mut sim = two_client_sim(scheduler);
             let first = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
             let second = sim.invoke_at(10, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
             assert_eq!(sim.step(), StepOutcome::Invoked(first));
-            assert!(sim.pending().all(|p| p.delivery_key() >= 51), "the request is in flight");
+            assert!(sim.pending().all(|p| p.deliver_at >= 51), "the request is in flight");
             assert_eq!(sim.step(), StepOutcome::Invoked(second));
             assert_eq!(sim.history().get(second).unwrap().invoked_at, 11);
         }
         check(LatencyScheduler::new(1, 50, 50));
         let topology = Topology::single_dc(&snow_core::SystemConfig::mwmr(2, 1, 1));
-        check(TopologyScheduler::new(std::sync::Arc::new(topology), 1));
+        check(LatencyScheduler::over(std::sync::Arc::new(topology), 1));
     }
 
     #[test]
     fn run_until_any_complete_hands_back_a_finished_member_without_stepping() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let done = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let later = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert!(sim.run_until_complete(done));
@@ -1215,7 +1215,7 @@ mod tests {
 
     #[test]
     fn run_until_any_complete_steps_past_commits_nobody_watches() {
-        let mut sim = two_client_sim(FifoScheduler::new());
+        let mut sim = two_client_sim(LatencyScheduler::fifo());
         let unwatched = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let watched = sim.invoke_at(1_000, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
         // `unwatched` commits first; the commit gate sees it is not in the
@@ -1240,7 +1240,7 @@ mod tests {
             0,
             u64::MAX,
         ));
-        let mut sim = two_client_sim(FifoScheduler::new()).with_faults(drop_everything, None);
+        let mut sim = two_client_sim(LatencyScheduler::fifo()).with_faults(drop_everything, None);
         let a = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         let b = sim.invoke_at(0, ClientId(1), TxSpec::read(vec![ObjectId(1)]));
         // Both requests are dropped, the system goes quiescent and both
@@ -1270,7 +1270,7 @@ mod tests {
             0,
             u64::MAX,
         ));
-        let mut sim = toy_sim(FifoScheduler::new()).with_faults(duplicate_responses, None);
+        let mut sim = toy_sim(LatencyScheduler::fifo()).with_faults(duplicate_responses, None);
         let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         assert_eq!(sim.run_until_quiescent(), 7, "INV, 2 requests, 4 responses");
         let history = sim.history();
@@ -1281,7 +1281,7 @@ mod tests {
 
     #[test]
     fn history_sorted_by_invocation_time() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let _t2 = sim.invoke_at(10, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         let t1 = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         sim.run_until_quiescent();
@@ -1291,7 +1291,7 @@ mod tests {
 
     #[test]
     fn bulk_invocation_scheduling_dispatches_in_time_order() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         // Schedule in reverse time order; dispatch must be (at, tx) order.
         let txs: Vec<TxId> = (0..10u64)
             .rev()
@@ -1311,7 +1311,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn duplicate_process_ids_are_rejected() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         sim.add_process(ToyNode::Server { id: ServerId(0) });
     }
 
@@ -1329,7 +1329,7 @@ mod tests {
         let mut sim = toy_sim(LatencyScheduler::new(1, 50, 50));
         let tx = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         assert_eq!(sim.step(), StepOutcome::Invoked(tx));
-        let request_deliver_at = sim.pending().next().unwrap().deliver_at.unwrap();
+        let request_deliver_at = sim.pending().next().unwrap().deliver_at;
         assert_eq!(request_deliver_at, 51);
 
         // Adversarial delivery of the late-scheduled request must advance
@@ -1357,7 +1357,7 @@ mod tests {
     /// never regress below the invocation's planned time.
     #[test]
     fn forced_invocation_cannot_regress_below_its_planned_time() {
-        let mut sim = toy_sim(FifoScheduler::new());
+        let mut sim = toy_sim(LatencyScheduler::fifo());
         let tx = sim.invoke_at(1_000, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
         assert_eq!(sim.force_invoke(ClientId(0)), Some(tx));
         let invoked_at = sim.history().get(tx).unwrap().invoked_at;
@@ -1452,14 +1452,14 @@ mod tests {
     /// Regression: a crash window's `QueueInFlight` re-inserts the held
     /// message under the *same id* with `deliver_at = recover_at`.  When the
     /// pool judged heap entries by liveness alone, any unconsumed entry for
-    /// that id (the topology scheduler used to peek, never pop) resurfaced
+    /// that id (a scheduler that peeked without popping left one) resurfaced
     /// the message under its old key: it was re-picked at once and the
     /// clock clamp leapt to `recover_at`, past every message keyed in
     /// between.
     #[test]
     fn queued_in_flight_messages_wait_their_turn_under_the_topology_scheduler() {
         use crate::fault::{Crash, CrashPolicy, FaultSchedule};
-        use crate::topology::{Topology, TopologyScheduler, TICK};
+        use crate::topology::{Topology, TICK};
         use std::collections::BTreeMap;
 
         const CLIENTS: u32 = 4;
@@ -1477,7 +1477,7 @@ mod tests {
             ProcessId::Server(id) => ToyNode::Server { id },
             ProcessId::Client(_) => unreachable!("clients never crash"),
         };
-        let mut sim = Simulation::new(TopologyScheduler::new(topology, 11))
+        let mut sim = Simulation::new(LatencyScheduler::over(topology, 11))
             .with_faults(schedule, Some(Box::new(restart)));
         for c in 0..CLIENTS {
             sim.add_process(ToyNode::Client { id: ClientId(c), outstanding: None });
@@ -1491,7 +1491,7 @@ mod tests {
         let (mut last_key, mut held) = (0, 0);
         loop {
             let before: BTreeMap<_, (u64, ProcessId)> =
-                sim.pending().map(|p| (p.id, (p.delivery_key(), p.dst))).collect();
+                sim.pending().map(|p| (p.id, (p.deliver_at, p.dst))).collect();
             let StepOutcome::Delivered(id) = sim.step() else {
                 if sim.is_quiescent() {
                     break;
@@ -1503,7 +1503,7 @@ mod tests {
             last_key = key;
             match sim.pending().find(|p| p.id == id) {
                 Some(requeued) => {
-                    assert_eq!(requeued.deliver_at, Some(recover_at));
+                    assert_eq!(requeued.deliver_at, recover_at);
                     held += 1;
                 }
                 None if dst == crashed => assert!(

@@ -1,5 +1,4 @@
-//! Geo-topology: named sites, per-link latency distributions, and the
-//! [`TopologyScheduler`].
+//! Geo-topology: named sites and per-link latency distributions.
 //!
 //! The paper's read-latency results (and the geo-replicated Eiger lineage
 //! it evaluates against) assume clients and replicas separated by
@@ -7,69 +6,59 @@
 //! processes are placed at named sites, and each ordered site pair has a
 //! [`LinkDist`] — a uniform range for well-behaved links, or a discretized
 //! heavy tail for congested WAN paths.
+//! [`LatencyScheduler::over`](crate::LatencyScheduler::over) turns a
+//! topology into the scheduler that delivers by it.
 //!
-//! # Time units: µticks
+//! # Time unit: engine ticks
 //!
-//! The topology layer measures latency in **site-ticks** and stamps
-//! delivery times in **µticks** ([`TICK`] µticks = 1 site-tick).  The
-//! sub-tick bits carry a per-message jitter hash confined to a
-//! **per-destination band** (see below), so delivery keys for different
-//! destinations can never collide.  Reports divide by [`TICK`] to present
-//! site-tick latencies.
+//! A link's draw is in engine ticks, the clock's one unit, and it *is* the
+//! message's latency: a send at `t` over a `Uniform { min, max }` link is
+//! keyed for delivery in `[t + min, t + max]`.  The presets state every
+//! parameter as `n * TICK`: a [`TICK`] is a *site-tick*, the unit the
+//! scenario SLO rows and the partition drill report in by dividing by it.
 //!
 //! # Determinism contract
 //!
-//! The [`TopologyScheduler`] is built so a history is a pure function of
-//! `(deployment, topology, seed, invocation plan)`, and so that every
-//! delivery is named by coordinates a recorded schedule can replay by
-//! (ROADMAP item 2).  Three ingredients, on top of the engine's one
-//! dispatch rule (an invocation keyed before every pending delivery
-//! dispatches first, so a kickoff wave planned at quiescence stamps
-//! `planned + 1`):
+//! A topology-scheduled history is a pure function of `(deployment,
+//! topology, seed, invocation plan)`, and every delivery is named by
+//! coordinates a recorded schedule can replay by (ROADMAP item 2).  Two
+//! ingredients, on top of the engine's one dispatch rule (an invocation
+//! keyed before every pending delivery dispatches first, so a kickoff wave
+//! planned at quiescence stamps `planned + 1`):
 //!
-//! 1. **Pure latencies.**  Each latency is the crate's one per-message
-//!    hash (`scheduler::send_hash` — the key the fault engine's
-//!    probabilistic gates use too) of the message's **coordinates**:
-//!    source, destination, send tick, and the send's ordinal within its
-//!    handler execution, which the engine supplies — never the `MsgId`, so
-//!    a draw does not depend on dispatch order.
-//! 2. **Collision-free keys across destinations.**  Delivery keys are
-//!    aligned to site-tick slots, and the sub-tick offset lives in a
-//!    jitter band private to the destination — so two messages can share
-//!    a key only if they target the *same* process.  The bands are part of
-//!    the schedule's definition: every WAN and DC history in the repo is
-//!    pinned on them.
-//! 3. **Send-order tie-breaks.**  Same-destination equal keys go to the
-//!    smaller `MsgId` — one pop of the `(key, id)` delivery heap
+//! 1. **Pure draws.**  Each latency is the crate's one per-message hash
+//!    (`scheduler::send_hash` — the key the fault engine's probabilistic
+//!    gates use too) of the message's **coordinates**: source,
+//!    destination, send tick, and the send's ordinal within its handler
+//!    execution, which the engine supplies — never the `MsgId`, so a draw
+//!    does not depend on dispatch order.
+//! 2. **Send-order tie-breaks.**  Equal keys go to the smaller `MsgId` —
+//!    one pop of the `(key, id)` delivery heap
 //!    ([`MessagePool::pop_earliest`](crate::MessagePool::pop_earliest)),
 //!    O(log n) per delivery.  The engine issues ids in send order and runs
 //!    one handler per tick, so id order *is* the send's `(sent_at, source,
 //!    emission order)`: the tie-break is a pure function of coordinates
 //!    without ranking them.
 //!
-//! Every latency clears one full site-tick ([`TICK`] µticks), far above
-//! any invocation-kickoff window.  The result — topology-scheduled
-//! histories that replay bit for bit — is pinned by
-//! `tests/topology_scenarios.rs`.
+//! Every preset link's minimum is one site-tick, far above any
+//! invocation-kickoff window.  The result — topology-scheduled histories
+//! that replay bit for bit — is pinned by `tests/topology_scenarios.rs`.
 
-use crate::scheduler::{send_hash, Scheduler};
-use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
-use std::sync::Arc;
 
-/// µticks per site-tick: the scale factor between the topology layer's
-/// human-readable latency unit and the engine's clock.
+/// Engine ticks per site-tick: the unit the presets state their links in,
+/// and the divisor of reports in site-ticks.
 pub const TICK: u64 = 1024;
 
-/// A per-link latency distribution, in site-ticks.  Draws are pure
+/// A per-link latency distribution, in engine ticks.  Draws are pure
 /// functions of a 64-bit hash — no RNG state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkDist {
-    /// Uniform latency in `[min, max]` site-ticks.
+    /// Uniform latency in `[min, max]`.
     Uniform {
-        /// Minimum latency (site-ticks; clamped to ≥ 1 at draw time).
+        /// Minimum latency; a draw may be exactly `min`, 0 included.
         min: u64,
-        /// Maximum latency (site-ticks).
+        /// Maximum latency.
         max: u64,
     },
     /// A discretized heavy tail: `base + U[0, jitter]` plus, with
@@ -77,9 +66,9 @@ pub enum LinkDist {
     /// log2-bucketed Pareto(α≈1) tail in integer arithmetic.  Models
     /// congested WAN paths where p99 ≫ p50.
     HeavyTail {
-        /// Body latency floor (site-ticks).
+        /// Body latency floor.
         base: u64,
-        /// Uniform body spread above the floor (site-ticks).
+        /// Uniform body spread above the floor.
         jitter: u64,
         /// First tail bucket's extra latency; bucket k adds `step·2^(k-1)`.
         step: u64,
@@ -89,7 +78,7 @@ pub enum LinkDist {
 }
 
 impl LinkDist {
-    /// Draws a latency in site-ticks from hash `h`.  Pure.
+    /// Draws a latency from hash `h`.  Pure.
     pub fn draw(self, h: u64) -> u64 {
         match self {
             LinkDist::Uniform { min, max } => {
@@ -107,12 +96,22 @@ impl LinkDist {
     }
 }
 
+/// The presets' LAN link: `Uniform[1, 3]` site-ticks.
+const LAN: LinkDist = LinkDist::Uniform { min: TICK, max: 3 * TICK };
+
+/// A preset WAN link, its parameters in site-ticks: `base + U[0, jitter]`
+/// plus a tail of up to `step·2^4`.
+const fn wan(base: u64, jitter: u64, step: u64) -> LinkDist {
+    LinkDist::HeavyTail { base: base * TICK, jitter: jitter * TICK, step: step * TICK, cap: 5 }
+}
+
 /// Named sites, per-link latency distributions, and process→site
 /// placement.  Construct with [`Topology::for_config`] (every process
 /// starts at site 0), then [`Topology::place_server`] /
 /// [`Topology::place_client`] / [`Topology::set_link`] — or use a preset
 /// ([`Topology::single_dc`], [`Topology::wan3`],
-/// [`Topology::client_remote`]).
+/// [`Topology::client_remote`]), or [`Topology::one_site`] for one link
+/// between every pair of processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     sites: Vec<String>,
@@ -137,43 +136,41 @@ impl Topology {
     ) -> Self {
         assert!(!site_names.is_empty(), "a topology needs at least one site");
         let n = site_names.len();
-        let mut links = Vec::with_capacity(n * n);
-        for from in 0..n {
-            for to in 0..n {
-                links.push(if from == to { intra } else { inter });
-            }
-        }
         Topology {
             sites: site_names.iter().map(|s| s.to_string()).collect(),
-            links,
+            links: (0..n * n).map(|i| if i / n == i % n { intra } else { inter }).collect(),
             server_sites: vec![0; config.num_servers as usize],
             client_sites: vec![0; config.num_clients() as usize],
         }
     }
 
+    /// One site whose one link is `link`, placing no process: with one
+    /// site, [`Topology::link`] returns the only link without asking where
+    /// a process lives, so the topology serves any configuration.
+    pub fn one_site(link: LinkDist) -> Self {
+        Topology {
+            sites: vec!["site".to_string()],
+            links: vec![link],
+            server_sites: Vec::new(),
+            client_sites: Vec::new(),
+        }
+    }
+
     /// Single-DC preset: one site, every link `Uniform[1, 3]` site-ticks.
     pub fn single_dc(config: &SystemConfig) -> Self {
-        Topology::for_config(config, &["dc"], LinkDist::Uniform { min: 1, max: 3 }, LinkDist::Uniform { min: 1, max: 3 })
+        Topology::for_config(config, &["dc"], LAN, LAN)
     }
 
     /// Three-site WAN preset: servers and clients round-robined across
     /// `us-east` / `eu-west` / `ap-south`, LAN links inside a site, and
     /// heavy-tailed WAN links between them (farther pairs slower).
     pub fn wan3(config: &SystemConfig) -> Self {
-        let mut t = Topology::for_config(
-            config,
-            &["us-east", "eu-west", "ap-south"],
-            LinkDist::Uniform { min: 1, max: 3 },
-            LinkDist::HeavyTail { base: 18, jitter: 6, step: 8, cap: 5 },
-        );
-        t.set_link(0, 2, LinkDist::HeavyTail { base: 40, jitter: 10, step: 12, cap: 5 });
-        t.set_link(1, 2, LinkDist::HeavyTail { base: 28, jitter: 8, step: 10, cap: 5 });
-        for s in 0..t.server_sites.len() {
-            t.server_sites[s] = s % 3;
-        }
-        for c in 0..t.client_sites.len() {
-            t.client_sites[c] = c % 3;
-        }
+        let sites = ["us-east", "eu-west", "ap-south"];
+        let mut t = Topology::for_config(config, &sites, LAN, wan(18, 6, 8));
+        t.set_link(0, 2, wan(40, 10, 12));
+        t.set_link(1, 2, wan(28, 8, 10));
+        t.server_sites = (0..t.server_sites.len()).map(|s| s % 3).collect();
+        t.client_sites = (0..t.client_sites.len()).map(|c| c % 3).collect();
         t
     }
 
@@ -182,15 +179,8 @@ impl Topology {
     /// geo-replicated reading-client setting of the paper's latency
     /// tables.
     pub fn client_remote(config: &SystemConfig) -> Self {
-        let mut t = Topology::for_config(
-            config,
-            &["dc", "edge"],
-            LinkDist::Uniform { min: 1, max: 3 },
-            LinkDist::HeavyTail { base: 24, jitter: 8, step: 10, cap: 5 },
-        );
-        for c in 0..t.client_sites.len() {
-            t.client_sites[c] = 1;
-        }
+        let mut t = Topology::for_config(config, &["dc", "edge"], LAN, wan(24, 8, 10));
+        t.client_sites.fill(1);
         t
     }
 
@@ -210,8 +200,8 @@ impl Topology {
     }
 
     /// Sets the link distribution between sites `a` and `b`, **both
-    /// directions** (use the returned `&mut self` pattern for asymmetric
-    /// links by calling twice via [`Topology::set_link_directed`]).
+    /// directions** (for an asymmetric link, call
+    /// [`Topology::set_link_directed`] once per direction).
     pub fn set_link(&mut self, a: usize, b: usize, dist: LinkDist) {
         self.set_link_directed(a, b, dist);
         self.set_link_directed(b, a, dist);
@@ -248,10 +238,18 @@ impl Topology {
         }
     }
 
-    /// The latency distribution of the `src → dst` link.
+    /// The latency distribution of the `src → dst` link: the only link of
+    /// a one-site topology, whatever its placement.
     pub fn link(&self, src: ProcessId, dst: ProcessId) -> LinkDist {
-        let n = self.sites.len();
-        self.links[self.site_of(src) * n + self.site_of(dst)]
+        match self.links[..] {
+            [only] => only,
+            _ => self.links[self.site_of(src) * self.sites.len() + self.site_of(dst)],
+        }
+    }
+
+    /// Every link distribution, one per ordered site pair.
+    pub fn links(&self) -> impl Iterator<Item = LinkDist> + '_ {
+        self.links.iter().copied()
     }
 
     /// Every process placed at `site`, servers first — the membership a
@@ -282,11 +280,6 @@ impl Topology {
         self.client_sites.len()
     }
 
-    /// Total number of placed processes (servers + clients).
-    pub fn num_processes(&self) -> usize {
-        self.server_sites.len() + self.client_sites.len()
-    }
-
     /// Bitmasks of `(servers, clients)` placed at `site` — the compact
     /// membership an [`EndpointSel::Site`](crate::fault::EndpointSel)
     /// selector carries.
@@ -310,82 +303,14 @@ impl Topology {
     }
 }
 
-/// A [`Scheduler`] delivering messages in delivery-time order with
-/// latencies drawn from a [`Topology`]'s link distributions — stamped in
-/// µticks, hashed statelessly per message so the schedule is independent
-/// of decision order (see the module docs).
-#[derive(Debug, Clone)]
-pub struct TopologyScheduler {
-    topology: Arc<Topology>,
-    seed: u64,
-    /// Sub-tick jitter span per destination class: `TICK /
-    /// num_processes`.  Each destination's delivery keys live in a
-    /// disjoint residue band of the site-tick slot, so **two messages to
-    /// different destinations can never share a delivery key**
-    /// (same-destination collisions go to the smaller id, which is send
-    /// order).
-    class_width: u64,
-}
-
-impl TopologyScheduler {
-    /// Creates a scheduler over `topology` with the given latency seed.
-    ///
-    /// # Panics
-    /// Panics if the topology places more than [`TICK`] processes (each
-    /// destination needs its own sub-tick jitter band).
-    pub fn new(topology: Arc<Topology>, seed: u64) -> Self {
-        let processes = topology.num_processes() as u64;
-        assert!(
-            (1..=TICK).contains(&processes),
-            "TopologyScheduler supports 1..={TICK} processes, got {processes}"
-        );
-        let class_width = TICK / processes;
-        TopologyScheduler { topology, seed, class_width }
-    }
-
-    /// The topology this scheduler draws from.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The destination's jitter-band index: servers first, then clients.
-    fn class_of(&self, dst: ProcessId) -> u64 {
-        match dst {
-            ProcessId::Server(s) => s.0 as u64,
-            ProcessId::Client(c) => self.topology.num_servers() as u64 + c.0 as u64,
-        }
-    }
-
-    /// The pure per-message latency, in µticks.
-    ///
-    /// The link's site-tick draw (clamped to ≥ 1) sets the nominal
-    /// arrival; the delivery key is the **next site-tick slot boundary**
-    /// after it, plus a sub-tick offset inside the destination's jitter
-    /// band.  Slot alignment is what makes the bands meaningful: the key
-    /// modulo [`TICK`] is exactly `class·width + h % width`, so keys for
-    /// different destinations differ in their residue and can never
-    /// collide.  Every latency strictly clears one full site-tick — far
-    /// above any invocation-kickoff window.
-    fn latency_microticks(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
-        let h = send_hash(self.seed, src, dst, sent_at, ordinal);
-        let ticks = self.topology.link(src, dst).draw(h).max(1);
-        let slot = (sent_at / TICK + ticks + 1) * TICK;
-        let offset = self.class_of(dst) * self.class_width + splitmix64(h) % self.class_width;
-        slot + offset - sent_at
-    }
-}
-
-impl<M> Scheduler<M> for TopologyScheduler {
-    fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> Option<u64> {
-        Some(sent_at + self.latency_microticks(src, dst, sent_at, ordinal))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{Causal, MsgId, PendingMessage};
     use crate::pool::MessagePool;
+    use crate::{LatencyScheduler, Scheduler};
+    use snow_core::hash::splitmix64;
+    use std::sync::Arc;
 
     #[derive(Debug, Clone)]
     struct M;
@@ -448,6 +373,10 @@ mod tests {
         let (servers, clients) = t.site_masks(1);
         assert_eq!(servers, 0b10);
         assert_eq!(clients, 0b1);
+        // One site needs no placement: every pair gets the only link.
+        let one = Topology::one_site(LinkDist::Uniform { min: 2, max: 4 });
+        assert_eq!((one.num_sites(), one.num_servers(), one.num_clients()), (1, 0, 0));
+        assert_eq!(one.link(C0, S1), LinkDist::Uniform { min: 2, max: 4 });
     }
 
     #[test]
@@ -486,67 +415,75 @@ mod tests {
             assert_ne!(x0, x1);
         }
         let topo = Arc::new(Topology::client_remote(&config()));
-        check(TopologyScheduler::new(topo.clone(), 9), TopologyScheduler::new(topo, 9));
-        check(crate::LatencyScheduler::new(9, 1, 1000), crate::LatencyScheduler::new(9, 1, 1000));
+        check(LatencyScheduler::over(topo.clone(), 9), LatencyScheduler::over(topo, 9));
+        check(LatencyScheduler::new(9, 1, 1000), LatencyScheduler::new(9, 1, 1000));
     }
 
     #[test]
     fn latencies_scale_with_the_link_and_clear_the_minimum() {
         let topo = Arc::new(Topology::client_remote(&config()));
-        let s = TopologyScheduler::new(topo, 4);
-        // Client → server crosses the WAN link: > base (24) site-ticks
-        // nominal, at most base + jitter (8) + tail (10·2^4) + 2 slots.
-        let wan = Scheduler::<M>::on_send(&s, C0, S0, 0, 0).unwrap();
-        assert!(wan > 24 * TICK, "wan latency {wan}");
-        assert!(wan < (24 + 8 + 160 + 2) * TICK, "wan latency {wan}");
-        // Server → server stays inside the DC: 1..=3 site-ticks nominal,
-        // plus the slot round-up and sub-tick band offset.
-        let lan = Scheduler::<M>::on_send(&s, S0, S1, 0, 1).unwrap();
-        assert!((TICK..5 * TICK).contains(&lan), "lan latency {lan}");
-        // Every latency strictly clears one full site-tick — above any
+        let s = LatencyScheduler::over(topo, 4);
+        // Client → server crosses the WAN link: at least base (24)
+        // site-ticks, at most base + jitter (8) + tail (10·2^4).
+        let wan = Scheduler::<M>::on_send(&s, C0, S0, 0, 0);
+        assert!((24 * TICK..=(24 + 8 + 160) * TICK).contains(&wan), "wan latency {wan}");
+        // Server → server stays inside the DC: 1..=3 site-ticks.
+        let lan = Scheduler::<M>::on_send(&s, S0, S1, 0, 1);
+        assert!((TICK..=3 * TICK).contains(&lan), "lan latency {lan}");
+        // Every latency clears one full site-tick — above any
         // invocation-kickoff window.
-        assert!(lan > TICK && wan > TICK);
+        assert!(lan >= TICK && wan >= TICK);
     }
 
+    /// A link delivers in the range it names: on every preset, over a grid
+    /// of send coordinates, `on_send − sent_at` lies in the support of the
+    /// link's distribution, and the LAN draws reach near both ends of theirs.
     #[test]
-    fn delivery_keys_never_collide_across_destinations() {
-        let config = SystemConfig::mwmr(4, 2, 4);
-        let topo = Arc::new(Topology::wan3(&config));
-        let s = TopologyScheduler::new(topo, 0xC0FFEE);
-        // Many senders, many send times, every destination: keys for
-        // different destinations must differ even when slots coincide,
-        // because each destination's sub-tick offset lives in its own
-        // band.
-        let mut seen: std::collections::BTreeMap<u64, ProcessId> = std::collections::BTreeMap::new();
-        for sent_at in [0u64, 7, 1024, 4096, 4100] {
-            for src in 0..6u32 {
-                let src = ProcessId::Client(ClientId(src));
-                // One fan-out per handler: its n-th send goes to server n.
-                for n in 0..4u32 {
-                    let dst = ProcessId::Server(ServerId(n));
-                    let key = Scheduler::<M>::on_send(&s, src, dst, sent_at, n as u64).unwrap();
-                    if let Some(prev) = seen.insert(key, dst) {
-                        assert_eq!(prev, dst, "cross-destination key collision at {key}");
+    fn every_draw_lies_in_its_links_support() {
+        let support = |link: LinkDist| match link {
+            LinkDist::Uniform { min, max } => min..=max,
+            LinkDist::HeavyTail { base, jitter, step, cap } => {
+                base..=base + jitter + (step << (cap - 1))
+            }
+        };
+        let config = SystemConfig::mwmr(4, 3, 3);
+        let servers = (0..config.num_servers).map(|s| ProcessId::Server(ServerId(s)));
+        let clients = (0..config.num_clients()).map(|c| ProcessId::Client(ClientId(c)));
+        let processes: Vec<ProcessId> = servers.chain(clients).collect();
+        for topology in [
+            Topology::single_dc(&config),
+            Topology::wan3(&config),
+            Topology::client_remote(&config),
+        ] {
+            let s = LatencyScheduler::over(Arc::new(topology.clone()), 0x5EED);
+            let mut lan = (u64::MAX, 0);
+            for &src in &processes {
+                for &dst in &processes {
+                    for sent_at in [0, 1, 7, TICK - 1, TICK, 5 * TICK + 3, 123_457] {
+                        for ordinal in 0..8 {
+                            let link = topology.link(src, dst);
+                            let latency = Scheduler::<M>::on_send(&s, src, dst, sent_at, ordinal)
+                                - sent_at;
+                            assert!(
+                                support(link).contains(&latency),
+                                "{src} → {dst} at {sent_at}: {latency} outside {link:?}"
+                            );
+                            if link == LAN {
+                                lan = (lan.0.min(latency), lan.1.max(latency));
+                            }
+                        }
                     }
                 }
             }
-        }
-        // Band arithmetic: the key's sub-tick residue identifies the
-        // destination class.
-        let width = TICK / 10; // 4 servers + 6 clients
-        for (key, dst) in seen {
-            let class = (key % TICK) / width;
-            assert_eq!(class, match dst {
-                ProcessId::Server(s) => s.0 as u64,
-                ProcessId::Client(c) => 4 + c.0 as u64,
-            });
+            let (lo, hi) = lan;
+            assert!(lo < TICK + TICK / 8 && hi > 3 * TICK - TICK / 8, "LAN draws span {lan:?}");
         }
     }
 
     #[test]
     fn scheduler_delivers_in_key_order() {
         let topo = Arc::new(Topology::single_dc(&config()));
-        let mut s = TopologyScheduler::new(topo, 1);
+        let mut s = LatencyScheduler::over(topo, 1);
         let mut pool = MessagePool::new();
         for (id, key) in [(0u64, 3000u64), (1, 1200), (2, 2100)] {
             pool.insert(PendingMessage {
@@ -556,7 +493,7 @@ mod tests {
                 msg: M,
                 sent_at: 0,
                 causal: Causal::ROOT,
-                deliver_at: Some(key),
+                deliver_at: key,
             });
         }
         let mut order = Vec::new();

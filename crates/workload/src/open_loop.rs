@@ -537,7 +537,7 @@ mod tests {
         assert!(stream.is_serializable(), "{stream:?}");
 
         // `scenario_partition_during_write`'s cut, in site-ticks: its own
-        // window (µticks 20–90) heals before the first WAN delivery.  Only
+        // window (ticks 20–90) heals before the first WAN delivery.  Only
         // the accounting is asserted here (verdict agreement under faults is
         // `tests/fault_checker.rs`'s job): every issued transaction retires,
         // committed or aborted.

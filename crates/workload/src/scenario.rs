@@ -16,16 +16,16 @@
 //! A scenario history is a **pure function of `(scenario, seed)`**.  Two
 //! ingredients:
 //!
-//! * the cluster uses a topology scheduler (via [`ClusterSpec::topology`]),
-//!   whose per-message latency draws are stateless hashes with
-//!   collision-free delivery keys and strict ascending-key dispatch — see
-//!   `snow_sim::topology` for the contract;
-//! * the runner invokes each round's transactions at **consecutive µticks
-//!   right at quiescence** (`t0+1, t0+2, …`).  Every link latency exceeds
-//!   one site-tick ([`TICK`] µticks), so the whole kickoff wave is keyed
-//!   before the earliest possible delivery; under strict key order the
-//!   engine therefore dispatches the wave first and stamps each invocation
-//!   at exactly `planned + 1`.
+//! * the cluster delivers over a topology (via [`ClusterSpec::topology`]),
+//!   whose per-message latency draws are stateless hashes of each send's
+//!   coordinates, delivered in `(key, id)` order — see `snow_sim::topology`
+//!   for the contract;
+//! * the runner invokes each round's transactions at **consecutive ticks
+//!   right at quiescence** (`t0+1, t0+2, …`).  Every preset link's latency
+//!   is at least one site-tick ([`TICK`] ticks), more than any round's
+//!   kickoff wave spans, so the whole wave is keyed before the earliest
+//!   possible delivery; the engine therefore dispatches the wave first and
+//!   stamps each invocation at exactly `planned + 1`.
 //!
 //! `tests/topology_scenarios.rs` pins both properties (replay proptest over
 //! cells and seeds + GraphChecker certification of every cell).

@@ -41,6 +41,12 @@
 //! issues, discarding a draw whose client already has one this round); per
 //! WRITE, the writer's set of outstanding acks; per READ, the outcome's
 //! second `Vec`; per round, the round driver's set of seen clients.
+//!
+//! When a link's draw became the delivery time (no slot round-up, no
+//! per-destination sub-tick band), the wide AlgB run in one DC became a
+//! new schedule and its pin moved 7 780 → 7 786: six allocations in 1 000
+//! transactions, the growth of buffers sized by what is in flight at once,
+//! not a per-transaction cost.  The other two pins held.
 
 use snow::core::{SystemConfig, TxRecord};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
@@ -142,7 +148,7 @@ fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
         counted(|| WorkloadDriver::new(128).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 7_780, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_eq!(allocs, 7_786, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
 
 #[test]

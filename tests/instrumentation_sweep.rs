@@ -41,8 +41,12 @@ const TXNS: usize = 60;
 /// `dup_storm` or `lossy`.  Re-taken last (from `0xbe84_b7ac_21a0_621a`)
 /// when the sharded engine was deleted and its 192 2- and 4-shard cells
 /// with it; the 192 cells left kept their fingerprints bit for bit (their
-/// labels lost the `/serial` column).
-const SWEEP_DIGEST: u64 = 0x843f_4d66_487c_8508;
+/// labels lost the `/serial` column).  Re-taken (from
+/// `0x843f_4d66_487c_8508`) when a link's draw became the delivery time,
+/// with no slot round-up or per-destination sub-tick band: the 48 `wan3`
+/// cells moved, and the 144 `fifo`, `random` and `latency` cells kept their
+/// fingerprints bit for bit.
+const SWEEP_DIGEST: u64 = 0x803b_0fe1_0644_9ecf;
 
 fn config(protocol: ProtocolKind) -> SystemConfig {
     if protocol.needs_c2c() {
