@@ -130,8 +130,13 @@ pub trait Cluster {
     fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId>;
     /// True if `tx` has completed.
     fn is_complete(&self, tx: TxId) -> bool;
-    /// The history of the run so far.
+    /// A copy of the history of the run so far — a mid-run snapshot; the
+    /// cluster keeps its records.
     fn history(&self) -> History;
+    /// Moves the history of the run out, without copying it, and leaves
+    /// the cluster with no records and no commits to drain (see
+    /// [`Simulation::take_history`]) — how a driver ends its run.
+    fn take_history(&mut self) -> History;
     /// Current simulation time.
     fn now(&self) -> u64;
     /// Drains the transactions committed since the previous drain, in
@@ -171,6 +176,9 @@ where
     }
     fn history(&self) -> History {
         Simulation::history(self)
+    }
+    fn take_history(&mut self) -> History {
+        Simulation::take_history(self)
     }
     fn now(&self) -> u64 {
         Simulation::now(self)

@@ -39,7 +39,11 @@
 //! install, and every response until the next install is a pointer to it.
 //! A snapshot taken before an install never shows it — the paper's "returns
 //! `Vals` as of the request" — and its length is what the instrumentation
-//! counts, so sharing changes no observable quantity.
+//! counts, so sharing changes no observable quantity.  The reader files
+//! each snapshot by its object's position in the READ, in one buffer it
+//! reuses for every READ (a reader has one READ outstanding), and counts
+//! the filled slots: a duplicated response replaces its slot and is not
+//! counted twice, and the slots are released when the READ responds.
 //!
 //! ## A liveness edge case the paper glosses over
 //!
@@ -68,7 +72,6 @@ use snow_core::{
     SystemConfig, Tag, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
 use snow_core::{Effects, MsgInfo, ProtocolMessage};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which READ procedure a deployment's readers run (module docs) — the only
@@ -244,9 +247,10 @@ struct Read {
     collect: PendingRead,
     /// Algorithm C: the tag array's keys, held until every `Vals` set is in.
     keys: Vec<(ObjectId, Key)>,
-    /// Algorithm C: the `Vals` snapshots received so far.
-    vals: BTreeMap<ObjectId, Arc<[(Key, Value)]>>,
 }
+
+/// A `Vals` snapshot, as a `read-vals` response carries it.
+type Snapshot = Arc<[(Key, Value)]>;
 
 /// A reader client.
 #[derive(Debug)]
@@ -258,6 +262,11 @@ pub struct Reader {
     /// `Some` iff this reader holds `List` (Algorithm A).
     log: Option<WriteLog>,
     pending: Option<Read>,
+    /// Algorithm C: the pending READ's `Vals` snapshots, by position in its
+    /// objects — one buffer for every READ, emptied when a READ ends.
+    vals: Vec<Option<Snapshot>>,
+    /// How many slots of `vals` are filled.
+    vals_in: usize,
     fallback_rounds: u64,
 }
 
@@ -278,6 +287,8 @@ impl Reader {
             log: holds_list.then(|| WriteLog::new(config.objects().collect())),
             config,
             pending: None,
+            vals: Vec::new(),
+            vals_in: 0,
             fallback_rounds: 0,
         }
     }
@@ -295,37 +306,55 @@ impl Reader {
     }
 
     fn start_read(&mut self, tx: TxId, objects: Vec<ObjectId>, effects: &mut Effects<AnyMsg>) {
-        let mut collect = PendingRead::new(tx, objects.clone());
+        let mut collect = PendingRead::new(tx, objects);
+        let objects = &collect.objects;
         match self.algorithm {
             Algorithm::A => {
                 let log = self.log.as_ref().expect("Algorithm A's reader holds List");
-                let (tag, keys) = log.tag_array(&objects);
+                let (tag, keys) = log.tag_array(objects);
                 collect.tag = Some(tag);
                 for (object, key) in keys {
                     read_val(&self.config, tx, object, key, effects);
                 }
             }
-            Algorithm::B => effects.send(self.list_at, ListMsg::GetTagArr { tx, objects }),
+            Algorithm::B => {
+                let objects = objects.clone();
+                effects.send(self.list_at, ListMsg::GetTagArr { tx, objects });
+            }
             Algorithm::C => {
                 // One round: tag array and version sets requested in parallel.
-                effects.send(
-                    self.list_at,
-                    ListMsg::GetTagArr {
-                        tx,
-                        objects: objects.clone(),
-                    },
-                );
-                for object in objects {
+                let get_tag_arr = ListMsg::GetTagArr {
+                    tx,
+                    objects: objects.clone(),
+                };
+                effects.send(self.list_at, get_tag_arr);
+                for &object in objects {
                     let server = ProcessId::Server(self.config.server_for(object));
                     effects.send(server, ListMsg::ReadVals { tx, object });
                 }
+                debug_assert!(self.vals.is_empty(), "one READ at a time");
+                self.vals.resize(objects.len(), None);
             }
         }
         self.pending = Some(Read {
             collect,
             keys: Vec::new(),
-            vals: BTreeMap::new(),
         });
+    }
+
+    /// Algorithm C: files `object`'s `Vals` snapshot in its slot if `tx` is
+    /// the pending READ, and says whether it was.  A duplicate response
+    /// replaces the snapshot and is not counted again.
+    fn file_vals(&mut self, tx: TxId, object: ObjectId, versions: Snapshot) -> bool {
+        let Some(read) = self.pending.as_ref().filter(|p| p.collect.tx == tx) else {
+            return false;
+        };
+        let slot = read.collect.objects.iter().position(|&o| o == object);
+        let slot = slot.expect("a `Vals` set answers an object the READ asked for");
+        if self.vals[slot].replace(versions).is_none() {
+            self.vals_in += 1;
+        }
+        true
     }
 
     /// Algorithm C: once the tag array and every `Vals` set are in, picks
@@ -335,20 +364,16 @@ impl Reader {
         let Some(read) = self.pending.as_mut() else {
             return;
         };
-        let all_in = read.collect.tag.is_some()
-            && read
-                .collect
-                .objects
-                .iter()
-                .all(|o| read.vals.contains_key(o));
-        if !all_in {
+        if read.collect.tag.is_none() || self.vals_in < read.collect.objects.len() {
             return;
         }
         let mut fell_back = false;
         // Taken, so a late duplicate of a `Vals` response looks up nothing.
         for (object, key) in std::mem::take(&mut read.keys) {
             // Snapshots are in key order.
-            let versions = &read.vals[&object];
+            let slot = read.collect.objects.iter().position(|&o| o == object);
+            let slot = slot.expect("the tag array names the READ's objects");
+            let versions = self.vals[slot].as_deref().expect("every `Vals` set is in");
             match versions.binary_search_by_key(&key, |&(k, _)| k) {
                 Ok(i) => read.collect.record(ObjectRead {
                     object,
@@ -368,8 +393,16 @@ impl Reader {
     /// RESPs once a value is in for every requested object.
     fn respond_if_complete(&mut self, effects: &mut Effects<AnyMsg>) {
         if let Some(read) = self.pending.take_if(|p| p.collect.is_complete()) {
+            self.end_read();
             effects.respond(read.collect.tx, read.collect.into_outcome());
         }
+    }
+
+    /// Releases the `Vals` snapshots of the READ that just ended, keeping
+    /// the buffer for the next one.
+    fn end_read(&mut self) {
+        self.vals.clear();
+        self.vals_in = 0;
     }
 }
 
@@ -613,8 +646,7 @@ impl ListNode {
                     versions,
                 },
             ) => {
-                if let Some(read) = reader.current(tx) {
-                    read.vals.insert(object, versions);
+                if reader.file_vals(tx, object, versions) {
                     reader.resolve_from_vals(effects);
                 }
             }
@@ -639,7 +671,11 @@ impl ListNode {
     /// Drops a client's in-flight state for the aborted `tx`.
     pub(crate) fn abort(&mut self, tx: TxId) {
         match self {
-            ListNode::Reader(r) => drop(r.pending.take_if(|p| p.collect.tx == tx)),
+            ListNode::Reader(r) => {
+                if r.pending.take_if(|p| p.collect.tx == tx).is_some() {
+                    r.end_read();
+                }
+            }
             ListNode::Writer(w) => drop(w.pending.take_if(|p| p.tx == tx)),
             ListNode::Server(_) => {}
         }
@@ -1020,5 +1056,53 @@ pub(crate) mod tests {
         let returned = (outcome.tag, keys);
         let cuts = [(Some(Tag(1)), vec![old; 2]), (Some(Tag(2)), vec![new; 2])];
         assert!(cuts.contains(&returned), "RESP {returned:?} mixes two cuts");
+    }
+
+    /// Drives one Algorithm C reader by hand: object 0's `Vals` set arrives
+    /// twice before object 1's, so counting responses instead of objects
+    /// would resolve with object 1 missing.  The READ waits for both and
+    /// returns the versions the tag array names; a duplicate delivered
+    /// after its RESP is ignored, and the snapshots are released at RESP.
+    #[test]
+    fn c_waits_for_every_vals_set_when_one_arrives_twice() {
+        let config = SystemConfig::mwmr(2, 1, 1);
+        let (reader, coordinator) = (ClientId(0), ProcessId::Server(COORDINATOR));
+        let (tx, objects) = (TxId(1), vec![ObjectId(0), ObjectId(1)]);
+        let new = Key::new(1, ClientId(1));
+        let server = |object| ProcessId::Server(config.server_for(object));
+        let vals = |object, value| {
+            let versions = [(Key::initial(), Value::INITIAL), (new, Value(value))];
+            let versions = versions.as_slice().into();
+            AnyMsg::List(ListMsg::ReadValsResp { tx, object, versions })
+        };
+
+        let reader = Reader::new(reader, Algorithm::C, coordinator, config.clone());
+        let mut node = AnyNode::List(ListNode::Reader(reader));
+        let mut effects = Effects::new(0);
+        node.on_invoke(tx, TxSpec::read(objects.clone()), &mut effects);
+        let keys = objects.iter().map(|&o| (o, new)).collect();
+        let tag_arr = AnyMsg::List(ListMsg::TagArr { tx, tag: Tag(2), keys });
+        node.on_message(coordinator, tag_arr, &mut effects);
+        node.on_message(server(ObjectId(0)), vals(ObjectId(0), 10), &mut effects);
+        node.on_message(server(ObjectId(0)), vals(ObjectId(0), 10), &mut effects);
+        assert_eq!(effects.drain_responses().count(), 0, "object 1's `Vals` set is still out");
+        node.on_message(server(ObjectId(1)), vals(ObjectId(1), 20), &mut effects);
+        let responses: Vec<_> = effects.drain_responses().collect();
+        let [(_, TxOutcome::Read(outcome))] = responses.as_slice() else {
+            panic!("the READ responds once, found {responses:?}");
+        };
+        let reads: Vec<_> = outcome.reads.iter().map(|r| (r.object, r.key, r.value)).collect();
+        assert_eq!(outcome.tag, Some(Tag(2)));
+        assert_eq!(reads, [(ObjectId(0), new, Value(10)), (ObjectId(1), new, Value(20))]);
+
+        node.on_message(server(ObjectId(0)), vals(ObjectId(0), 10), &mut effects);
+        let AnyNode::List(ListNode::Reader(reader)) = &node else { unreachable!() };
+        assert!(reader.pending.is_none() && reader.vals.is_empty(), "{reader:?}");
+        let (sends, responses) = effects.into_parts();
+        assert!(responses.is_empty(), "a duplicate after RESP answers nothing");
+        // `get-tag-arr`, then `read-vals` in object order; no fallback.
+        let sent: Vec<_> = sends.iter().map(|(to, msg)| (*to, msg.info().object)).collect();
+        let read_vals = objects.iter().map(|&o| (server(o), Some(o)));
+        assert_eq!(sent, [(coordinator, None)].into_iter().chain(read_vals).collect::<Vec<_>>());
     }
 }

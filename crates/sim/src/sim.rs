@@ -27,7 +27,8 @@
 //!   `TxId → slot` vector.  Every message carries its causal stamp
 //!   ([`Causal`]), and `Simulation::stamp` folds it into the record it
 //!   indexes to as the actions happen (rounds, C2C counts, read
-//!   instrumentation), so [`Simulation::history`] is one copy of the log,
+//!   instrumentation), so [`Simulation::take_history`] moves the log out
+//!   as the run's history, and [`Simulation::history`] is one copy of it,
 //!   in order, into a vector of exactly its length.  The earliest
 //!   transaction still in flight — what bounds [`CommitDrain::inv_floor`] —
 //!   is a cursor into the log that only moves forward;
@@ -453,15 +454,29 @@ where
         watch.iter().copied().find(|&tx| self.is_complete(tx))
     }
 
-    /// Assembles the [`History`] of the run so far.  Rounds, C2C counts,
+    /// A copy of the [`History`] of the run so far, for a snapshot taken
+    /// mid-run; the log keeps its records.  Rounds, C2C counts,
     /// versions-per-read and non-blocking flags are already in the
     /// transaction records, logged in INV order — the history's
     /// `(invoked_at, tx_id)` order — so this is one copy into a vector of
-    /// exactly their number.
+    /// exactly their number.  A run that is over hands its records on with
+    /// [`Simulation::take_history`] instead.
     pub fn history(&self) -> History {
         let history = History { records: self.records.as_slice().to_vec() };
         debug_assert!(history.records.is_sorted_by_key(|r| (r.invoked_at, r.tx_id)));
         history
+    }
+
+    /// Moves the [`History`] of the run out — what [`Simulation::history`]
+    /// would copy, in O(1) — and leaves the simulator with no records.
+    /// The commit log is emptied with them: a commit whose record has left
+    /// cannot be drained.  Afterwards `history()` and `drain_commits()` are
+    /// empty, and a transaction still in flight keeps running but is no
+    /// longer recorded (nor committed), so take the history once the run is
+    /// over.
+    pub fn take_history(&mut self) -> History {
+        self.commits.drain().for_each(drop);
+        History { records: self.records.take() }
     }
 
     /// Drains the transactions committed since the previous drain, in RESP
@@ -469,7 +484,16 @@ where
     /// certification.  The batch's `inv_floor` is the record log's
     /// `RecordLog::inv_floor`.
     pub fn drain_commits(&mut self) -> CommitDrain {
-        let records = self.commits.drain().filter_map(|tx| self.records.get(tx)).cloned().collect();
+        let records = self
+            .commits
+            .drain()
+            .filter_map(|tx| {
+                let rec = self.records.get(tx);
+                debug_assert!(rec.is_some(), "{tx} committed without a record");
+                rec
+            })
+            .cloned()
+            .collect();
         CommitDrain { records, inv_floor: self.records.inv_floor(self.now) }
     }
 
@@ -820,18 +844,19 @@ where
                 }
             }
         }
+        // A RESP with no record — its transaction was in flight when the
+        // history was taken — is not a commit of this log.
         for (tx, outcome) in effects.drain_responses() {
-            self.log_commit(tx);
-            if let Some(rec) = self.records.respond(tx, self.now, outcome) {
-                if O::ENABLED {
-                    self.sink.emit(ObsEvent::TxCommitted {
-                        at: self.now,
-                        tx,
-                        client: rec.client,
-                        invoked_at: rec.invoked_at,
-                    });
-                }
+            let Some(rec) = self.records.respond(tx, self.now, outcome) else { continue };
+            if O::ENABLED {
+                self.sink.emit(ObsEvent::TxCommitted {
+                    at: self.now,
+                    tx,
+                    client: rec.client,
+                    invoked_at: rec.invoked_at,
+                });
             }
+            self.log_commit(tx);
         }
         self.effects = effects;
     }
@@ -1411,6 +1436,24 @@ mod tests {
         expected.sort_by_key(|r| (r.responded_at, r.tx_id));
         assert!(expected.len() >= 30, "most transactions should complete");
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
+    }
+
+    /// The take hands over exactly the history a copy would have made, and
+    /// leaves nothing behind: no records to copy, no commits to drain.
+    #[test]
+    fn take_history_moves_out_what_history_copies() {
+        let mut sim = two_client_sim(LatencyScheduler::new(3, 1, 20));
+        for i in 0..10u64 {
+            let spec = TxSpec::read(vec![ObjectId(0), ObjectId(1)]);
+            sim.invoke_at(i * 40, ClientId(i as u32 % 2), spec);
+        }
+        sim.run_until_quiescent();
+        let copied = sim.history();
+        assert_eq!(copied.len(), 10);
+        let taken = sim.take_history();
+        assert_eq!(format!("{taken:?}"), format!("{copied:?}"));
+        assert!(sim.history().records.is_empty(), "the log was moved, not copied");
+        assert!(sim.drain_commits().records.is_empty(), "the commit log went with it");
     }
 
     /// The action log (the obs stream) of an adversarially driven run has

@@ -111,6 +111,14 @@ impl RecordLog {
     pub(crate) fn as_slice(&self) -> &[TxRecord] {
         &self.log
     }
+
+    /// Moves every record out, in INV order, and leaves the log empty: no
+    /// id has a slot, and nothing is in flight.
+    pub(crate) fn take(&mut self) -> Vec<TxRecord> {
+        self.slot_of.clear();
+        self.first_open = 0;
+        std::mem::take(&mut self.log)
+    }
 }
 
 /// The processes: one slot vector per role, indexed by the role's id.

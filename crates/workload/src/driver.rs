@@ -58,19 +58,21 @@ pub(crate) fn drain_into(checker: &mut StreamChecker, cluster: &mut dyn Cluster)
     checker.advance_watermark(drain.inv_floor);
 }
 
-/// Finishes a streaming run: any incomplete transaction in the final
-/// history is reported to the checker (incomplete writes may still have
-/// installed versions), then the stream's verdict is taken.
-pub(crate) fn finish_stream(
-    mut checker: StreamChecker,
-    cluster: &mut dyn Cluster,
-    history: &History,
-) -> Verdict {
-    drain_into(&mut checker, cluster);
+/// Finishes a streaming run.  The driver tapped after its last wait, so
+/// the checker has ingested every commit before the history was taken;
+/// any incomplete transaction in that history is reported to the checker
+/// (incomplete writes may still have installed versions), then the
+/// stream's verdict is taken.
+pub(crate) fn finish_stream(mut checker: StreamChecker, history: &History) -> Verdict {
     for rec in history.records.iter().filter(|r| !r.is_complete()) {
         checker.ingest_incomplete(rec.clone());
     }
     checker.finish()
+}
+
+/// The transactions of a taken history that completed.
+fn completed(history: &History) -> usize {
+    history.records.iter().filter(|rec| rec.is_complete()).count()
 }
 
 /// Drives workloads against a cluster.
@@ -92,7 +94,10 @@ impl WorkloadDriver {
     }
 
     /// Runs `total` transactions from `generator` against `cluster` and
-    /// returns the history plus a summary.  On a cluster built with
+    /// returns the history plus a summary.  The history is taken from the
+    /// cluster ([`Cluster::take_history`]): every record it logged since the
+    /// previous take, which on a freshly built cluster is exactly this
+    /// run's.  On a cluster built with
     /// `ClusterSpec::observed`, drain the recorded events afterwards with
     /// [`Cluster::drain_obs_events`].
     pub fn run(
@@ -106,7 +111,9 @@ impl WorkloadDriver {
 
     /// [`WorkloadDriver::run`] with an observation tap invoked after each
     /// round settles — the hook the streaming check mode uses to drain
-    /// commits as they happen.  The no-op tap reproduces `run` exactly.
+    /// commits as they happen.  The no-op tap reproduces `run` exactly.  The
+    /// last round's tap is the last call before the take, so a draining
+    /// tap has seen every commit the taken history holds.
     fn run_tapped(
         &self,
         cluster: &mut dyn Cluster,
@@ -117,7 +124,6 @@ impl WorkloadDriver {
         let mut issued = 0usize;
         let mut rounds = 0usize;
         let start = cluster.now();
-        let mut all_tx: Vec<TxId> = Vec::with_capacity(total);
         // This round's clients, sorted; cleared per round, reused across.
         let mut seen_clients: Vec<ClientId> = Vec::with_capacity(self.per_round);
         while issued < total {
@@ -140,15 +146,14 @@ impl WorkloadDriver {
                 batch.push((tx.client, tx.spec));
             }
             issued += batch.len();
-            all_tx.extend(cluster.invoke_batch(now, batch));
+            cluster.invoke_batch(now, batch);
             cluster.run_until_quiescent();
             tap(cluster);
         }
-        let history = cluster.history();
-        let completed = all_tx.iter().filter(|tx| cluster.is_complete(**tx)).count();
+        let history = cluster.take_history();
         let report = DriverReport {
             issued,
-            completed,
+            completed: completed(&history),
             rounds,
             duration: cluster.now().saturating_sub(start),
         };
@@ -185,7 +190,6 @@ impl WorkloadDriver {
         let mut active: Vec<TxId> = Vec::new();
         let mut owner: Vec<ClientId> = Vec::new();
         let mut rest: Vec<TxId> = Vec::new();
-        let mut all_tx: Vec<TxId> = Vec::with_capacity(total);
         let mut issued = 0usize;
         let mut waves = 0usize;
         loop {
@@ -199,7 +203,6 @@ impl WorkloadDriver {
                 issued += 1;
                 active.push(tx);
                 owner.push(client);
-                all_tx.push(tx);
             }
             // The open-loop driver's handshake: the cluster names the
             // transaction that completed (the first complete one in
@@ -235,11 +238,10 @@ impl WorkloadDriver {
                 }
             }
         }
-        let history = cluster.history();
-        let completed = all_tx.iter().filter(|tx| cluster.is_complete(**tx)).count();
+        let history = cluster.take_history();
         let report = DriverReport {
             issued,
-            completed,
+            completed: completed(&history),
             rounds: waves,
             duration: cluster.now().saturating_sub(start),
         };
@@ -301,7 +303,7 @@ impl WorkloadDriver {
                     self.run_tapped(cluster, generator, total, &mut |cluster| {
                         drain_into(&mut checker, cluster);
                     });
-                let verdict = finish_stream(checker, cluster, &history);
+                let verdict = finish_stream(checker, &history);
                 (history, report, verdict)
             }
         }
@@ -319,7 +321,6 @@ impl WorkloadDriver {
     ) -> (History, DriverReport) {
         let start = cluster.now();
         let mut issued = 0usize;
-        let mut all_tx = Vec::new();
         for _ in 0..rounds {
             let now = cluster.now();
             let mut seen_writers = std::collections::BTreeSet::new();
@@ -336,14 +337,13 @@ impl WorkloadDriver {
             let r = generator.next_read();
             batch.push((r.client, r.spec));
             issued += batch.len();
-            all_tx.extend(cluster.invoke_batch(now, batch));
+            cluster.invoke_batch(now, batch);
             cluster.run_until_quiescent();
         }
-        let history = cluster.history();
-        let completed = all_tx.iter().filter(|tx| cluster.is_complete(**tx)).count();
+        let history = cluster.take_history();
         let report = DriverReport {
             issued,
-            completed,
+            completed: completed(&history),
             rounds,
             duration: cluster.now().saturating_sub(start),
         };
@@ -521,7 +521,7 @@ mod tests {
                 }
             }
         }
-        (cluster.history(), waves)
+        (cluster.take_history(), waves)
     }
 
     /// Where one wait retires several watched transactions — a fault

@@ -143,7 +143,8 @@ pub struct OpenLoopReport {
 }
 
 /// Drives one open-loop run against an already-built cluster.  Returns the
-/// history (checker-ready) and the report.
+/// history (checker-ready), taken from the cluster without a copy
+/// ([`Cluster::take_history`]), and the report.
 ///
 /// The cluster must be freshly built (no prior transactions) and deployed
 /// over the same `config` the schedule was generated for.  Saturation runs
@@ -159,7 +160,8 @@ pub fn drive_open_loop(
     drive_open_loop_tapped(cluster, config, spec, &mut |_| {})
 }
 
-/// [`drive_open_loop`] with a hook called after every completion — the
+/// [`drive_open_loop`] with a hook called after every completion, and once
+/// more after the last wait, just before the history is taken — the
 /// streaming check mode drains freshly committed transactions into a
 /// [`snow_checker::StreamChecker`] here, while the run is still going.
 fn drive_open_loop_tapped(
@@ -226,9 +228,12 @@ fn drive_open_loop_tapped(
             }
         }
     }
+    // The last wait may have committed (or, under faults, retired) what
+    // no tap has seen yet; the take empties the commit log.
+    tap(cluster);
     // One pass over the history, one O(1) `meta` probe per record
     // (`LatencyStats::from_samples` sorts, so sample order is free).
-    let history = cluster.history();
+    let history = cluster.take_history();
     let mut latencies = Vec::with_capacity(issued);
     let mut read_latencies = Vec::new();
     for rec in &history.records {
@@ -289,7 +294,7 @@ pub fn drive_open_loop_checked(
                 drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
                     drain_into(&mut checker, cluster);
                 });
-            let verdict = finish_stream(checker, cluster, &history);
+            let verdict = finish_stream(checker, &history);
             (history, report, verdict)
         }
     }
@@ -599,6 +604,9 @@ mod tests {
         fn history(&self) -> History {
             self.inner.history()
         }
+        fn take_history(&mut self) -> History {
+            self.inner.take_history()
+        }
         fn now(&self) -> u64 {
             self.inner.now()
         }
@@ -645,9 +653,10 @@ mod tests {
     }
 
     /// Instrumentation is final at RESP: the record `drain_commits` streams
-    /// when a transaction completes is the record `history()` returns once
-    /// the run has quiesced — also when duplicated requests keep answering
-    /// READs that already responded.
+    /// when a transaction completes is the record of the history the driver
+    /// takes at the end of the run — also when duplicated requests keep
+    /// answering READs that already responded.  Nothing commits after the
+    /// take.
     #[test]
     fn drained_records_equal_the_final_history() {
         let spec = OpenLoopSpec { arrivals: 200, ..OpenLoopSpec::tao_like(100) };
@@ -665,12 +674,12 @@ mod tests {
             for (name, cluster) in cases {
                 let mut cluster = cluster.build().unwrap();
                 let mut drained = Vec::new();
-                drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
-                    drained.extend(cluster.drain_commits().records);
-                });
+                let (history, _) =
+                    drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
+                        drained.extend(cluster.drain_commits().records);
+                    });
                 cluster.run_until_quiescent();
                 drained.extend(cluster.drain_commits().records);
-                let history = cluster.history();
                 let differing = drained.iter().filter(|&r| history.get(r.tx_id) != Some(r)).count();
                 assert_eq!((drained.len(), differing), (200, 0), "{protocol:?}/{name}");
             }

@@ -254,7 +254,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
         cluster.run_until_quiescent();
     }
     Ok(ScenarioRun {
-        history: cluster.history(),
+        history: cluster.take_history(),
         duration_ticks: cluster.now() / TICK,
     })
 }

@@ -48,8 +48,14 @@
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
 #      completion wait per transaction, zero `is_complete` probes) and
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
-#      record `drain_commits` streamed equals `history()`'s, dup storm
-#      included);
+#      record `drain_commits` streamed equals the one in the history the
+#      driver takes at the end of the run, dup storm included), the
+#      hand-over of that history (crates/sim,
+#      `take_history_moves_out_what_history_copies`: the take returns what
+#      `history()` copies and leaves no record and no commit behind) and
+#      Algorithm C's `Vals` bookkeeping (crates/protocols,
+#      `c_waits_for_every_vals_set_when_one_arrives_twice`: a duplicated
+#      `read-vals` response is not counted twice);
 #   5. repo-benchmark smoke and digests: `examples/e2e_bench -- --smoke`
 #      runs every BENCHMARK.json workload through both passes (plain +
 #      traced) in about a second and exits non-zero if any fails its
@@ -132,6 +138,8 @@ cargo test -q --release --test checker_differential --test stream_differential \
     --test instrumentation_sweep --test dispatch_hot_path
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
+cargo test -q --release -p snow-sim -p snow-protocols -- \
+    take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
 bench --smoke > /dev/null
