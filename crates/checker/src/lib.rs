@@ -3,7 +3,7 @@
 //! Execution-history checkers for the SNOW properties (§2.1) and for strict
 //! serializability of the transaction data type `OT` (§7).
 //!
-//! Four strict-serializability engines are provided:
+//! Five strict-serializability engines are provided:
 //!
 //! * [`strict::TagOrderChecker`] — implements the sufficient condition of
 //!   **Lemma 20** (properties P1–P4 over the tag order).  Its P2/P4
@@ -18,8 +18,11 @@
 //!   anti-dependency edges), detects cycles with iterative Kahn/Tarjan
 //!   passes and replay-validates the topological witness.  Ambiguous
 //!   version orders fall back to a budgeted polygraph-style
-//!   constraint-splitting search.  This is the engine that checks full
-//!   workload histories (100k+ transactions) end to end.
+//!   constraint-splitting search.  It checks full workload histories
+//!   (100k+ transactions) end to end when tags settle the version orders;
+//!   on large untagged histories (the baselines' runs) the splitting
+//!   budget can run out, and it returns `Unknown` where the stream engine
+//!   below decides (ROADMAP item 13).
 //! * [`strict::SearchChecker`] — a backtracking search for *any* total order
 //!   consistent with real time and the sequential semantics of `OT`.  It is
 //!   exponential in the worst case but complete, and remains the oracle the
@@ -31,6 +34,12 @@
 //!   O(live window + in-flight).  Violations are reported at the offending
 //!   transaction; ambiguous windows re-use [`graph::GraphChecker`]'s
 //!   constraint-splitting solver over the live window only.
+//! * [`tag_stream::TagOrderStream`] — Lemma 20 checked incrementally over
+//!   the same commit stream: P2 on each commit's arrival, P3/P4 as the
+//!   watermark certifies the rank-prefix of held commits, O(log held) per
+//!   commit and no precedence graph.  When tags cannot decide (an untagged
+//!   commit, or a P2–P4 failure) it hands over to [`stream::StreamChecker`].
+//!   It is the checker behind the drivers' streaming check mode.
 //!
 //! [`strict::check_auto`] picks an engine by history shape: all-tagged
 //! histories go to the tag-order checker (at any size), everything else to
@@ -55,6 +64,7 @@ pub mod report;
 pub mod snow;
 pub mod stream;
 pub mod strict;
+pub mod tag_stream;
 
 pub use graph::GraphChecker;
 pub use metrics::{HistoryMetrics, LatencyStats};
@@ -63,3 +73,4 @@ pub use report::SnowReport;
 pub use snow::SnowChecker;
 pub use stream::{StreamChecker, StreamReport};
 pub use strict::{check_auto, SearchChecker, TagOrderChecker, Verdict};
+pub use tag_stream::{StreamLane, TagOrderStream};

@@ -15,7 +15,7 @@
 //! configured rate.
 
 use crate::generator::WorkloadGenerator;
-use snow_checker::{check_auto, StreamChecker, Verdict};
+use snow_checker::{check_auto, TagOrderStream, Verdict};
 use snow_core::{ClientId, History, TxId, TxSpec};
 use snow_protocols::Cluster;
 use std::collections::{BTreeMap, VecDeque};
@@ -40,34 +40,25 @@ pub enum CheckMode {
     /// [`snow_checker::check_auto`] — needs the whole history in memory.
     #[default]
     PostHoc,
-    /// Feed a [`StreamChecker`] from the cluster's commit drain as
-    /// transactions complete: memory stays O(live window + in-flight) and
-    /// violations are attributed to the offending commit, not discovered
-    /// at the end of the run.
+    /// Feed a [`TagOrderStream`] from the cluster's commit drain as
+    /// transactions complete.  A tagged run (Algorithms A, B and C) is
+    /// certified by Lemma 20's tag order as it commits, with the verdict
+    /// `check_auto` gives, witness included; when tags cannot decide (an
+    /// untagged protocol, or tags a fault broke) the semantic
+    /// [`snow_checker::StreamChecker`] decides, with memory O(live window +
+    /// in-flight) and violations attributed to the offending commit.
     Streaming,
 }
 
 /// Ingests one commit drain into a streaming checker: the drained records
 /// in RESP order, then the drain's invocation floor as the new frontier
 /// watermark.  Shared by the closed-loop and open-loop streaming modes.
-pub(crate) fn drain_into(checker: &mut StreamChecker, cluster: &mut dyn Cluster) {
+pub(crate) fn drain_into(checker: &mut TagOrderStream, cluster: &mut dyn Cluster) {
     let drain = cluster.drain_commits();
     for rec in drain.records {
         checker.ingest(rec);
     }
     checker.advance_watermark(drain.inv_floor);
-}
-
-/// Finishes a streaming run.  The driver tapped after its last wait, so
-/// the checker has ingested every commit before the history was taken;
-/// any incomplete transaction in that history is reported to the checker
-/// (incomplete writes may still have installed versions), then the
-/// stream's verdict is taken.
-pub(crate) fn finish_stream(mut checker: StreamChecker, history: &History) -> Verdict {
-    for rec in history.records.iter().filter(|r| !r.is_complete()) {
-        checker.ingest_incomplete(rec.clone());
-    }
-    checker.finish()
 }
 
 /// The transactions of a taken history that completed.
@@ -254,13 +245,19 @@ impl WorkloadDriver {
     ///
     /// [`CheckMode::PostHoc`] hands the assembled history to
     /// [`snow_checker::check_auto`], which picks the engine by history
-    /// shape (tag order for tagged protocols, the graph engine otherwise)
-    /// and scales to 100k+ transaction runs.  [`CheckMode::Streaming`]
-    /// certifies incrementally instead: after every round the cluster's
-    /// commit drain is fed to a [`StreamChecker`], whose sliding frontier
-    /// retires certified prefixes as the run progresses — bounded checker
-    /// memory, and violations attributed to the offending commit.  Both
-    /// modes produce the same verdict category on the same run.
+    /// shape (tag order for tagged protocols, the graph engine otherwise).
+    /// [`CheckMode::Streaming`] certifies incrementally instead: after
+    /// every round the cluster's commit drain is fed to a
+    /// [`TagOrderStream`], which certifies a tagged run by tag order as it
+    /// commits and hands an untagged or tag-breaking one to the semantic
+    /// stream engine.
+    ///
+    /// On a run that Lemma 20's tag order certifies (Algorithms A, B and C
+    /// without faults) both modes return the same verdict, witness
+    /// included.  Elsewhere they can differ even in category: on a large
+    /// untagged history the post-hoc graph engine may exhaust its
+    /// splitting budget and return `Unknown` where the stream engine
+    /// decides (ROADMAP item 13).
     ///
     /// ```
     /// use snow_core::SystemConfig;
@@ -298,12 +295,12 @@ impl WorkloadDriver {
                 (history, report, verdict)
             }
             CheckMode::Streaming => {
-                let mut checker = StreamChecker::new();
+                let mut checker = TagOrderStream::new();
                 let (history, report) =
                     self.run_tapped(cluster, generator, total, &mut |cluster| {
                         drain_into(&mut checker, cluster);
                     });
-                let verdict = finish_stream(checker, &history);
+                let verdict = checker.finish(&history);
                 (history, report, verdict)
             }
         }
@@ -355,8 +352,11 @@ impl WorkloadDriver {
 mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
+    use snow_checker::{StreamChecker, StreamLane};
     use snow_core::SystemConfig;
     use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
+    use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
+    use std::sync::Arc;
 
     #[test]
     fn driver_completes_everything_it_issues() {
@@ -531,8 +531,6 @@ mod tests {
     /// refilling in between reorders `active` and moves `TxId`s.)
     #[test]
     fn paced_handshake_equals_the_sweep_when_completions_coincide() {
-        use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
-
         let config = SystemConfig::mwmr(4, 2, 2);
         let (any, forever) = (EndpointSel::Any, u64::MAX);
         let lossy = FaultSchedule::new(0xABCC).with_region(FaultRegion {
@@ -553,14 +551,25 @@ mod tests {
         assert_eq!(format!("{history:?}"), format!("{expected:?}"));
     }
 
-    /// The streaming check mode certifies the same runs the post-hoc mode
-    /// does — same verdict category from the incremental frontier as from
-    /// `check_auto` over the assembled history.
+    /// The streaming check mode and the post-hoc mode drive the same run.
+    /// On the tagged family the tag order certifies it, so both return
+    /// `check_auto`'s verdict, witness included; on Blocking, an untagged
+    /// protocol, the semantic stream engine certifies it too.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
-        let config = SystemConfig::mwmr(4, 2, 2);
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
-        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
+        for protocol in [
+            ProtocolKind::AlgA,
+            ProtocolKind::AlgB,
+            ProtocolKind::AlgC,
+            ProtocolKind::Blocking,
+        ] {
+            // Algorithm A runs MWSR, with client-to-client messages.
+            let config = if protocol.needs_c2c() {
+                SystemConfig::mwsr(3, 3, true)
+            } else {
+                SystemConfig::mwmr(4, 2, 2)
+            };
             let run = |mode: CheckMode| {
                 let mut cluster =
                     ClusterSpec::new(protocol, &config).scheduler(sched).build().unwrap();
@@ -575,11 +584,114 @@ mod tests {
                 "{protocol:?}: the check mode changed the run"
             );
             assert_eq!(report.completed, 40);
-            assert!(
-                posthoc.is_serializable() && stream.is_serializable(),
-                "{protocol:?}: post-hoc {posthoc:?} vs stream {stream:?}"
-            );
+            assert!(posthoc.is_serializable(), "{protocol:?}: post-hoc {posthoc:?}");
+            if protocol == ProtocolKind::Blocking {
+                assert!(stream.is_serializable(), "{protocol:?}: stream {stream:?}");
+            } else {
+                assert_eq!(stream, posthoc, "{protocol:?}");
+            }
         }
+    }
+
+    /// `run_checked_mode(.., Streaming)`'s steps on a cluster built from
+    /// `spec`, with the stream handed back unfinished so a test can see the
+    /// lane it ran on.
+    fn streamed(
+        spec: &ClusterSpec,
+        config: &SystemConfig,
+        per_round: usize,
+        total: usize,
+    ) -> (History, TagOrderStream) {
+        let mut cluster = spec.build().unwrap();
+        let mut generator = WorkloadGenerator::new(config, WorkloadSpec::write_heavy());
+        let mut stream = TagOrderStream::new();
+        let (history, _) = WorkloadDriver::new(per_round).run_tapped(
+            cluster.as_mut(),
+            &mut generator,
+            total,
+            &mut |cluster| drain_into(&mut stream, cluster),
+        );
+        (history, stream)
+    }
+
+    /// An untagged protocol gives up the tag order at its first commit,
+    /// before anything is certified, so its streaming run is checked
+    /// exactly as a `StreamChecker` fed the same drains checks it —
+    /// conviction message and all.
+    #[test]
+    fn untagged_runs_are_checked_by_the_semantic_stream_engine_alone() {
+        let config = SystemConfig::mwmr(4, 2, 2);
+        let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
+        for protocol in [ProtocolKind::Blocking, ProtocolKind::Eiger] {
+            let spec = ClusterSpec::new(protocol, &config).scheduler(sched);
+            let (history, stream) = streamed(&spec, &config, 4, 120);
+            assert_eq!(stream.lane(), StreamLane::Semantic, "{protocol:?}");
+            let verdict = stream.finish(&history);
+
+            let mut cluster = spec.build().unwrap();
+            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+            let mut checker = StreamChecker::new();
+            let (alone, _) =
+                WorkloadDriver::new(4).run_tapped(cluster.as_mut(), &mut generator, 120, &mut |c| {
+                    let drain = c.drain_commits();
+                    for rec in drain.records {
+                        checker.ingest(rec);
+                    }
+                    checker.advance_watermark(drain.inv_floor);
+                });
+            assert_eq!(format!("{history:?}"), format!("{alone:?}"), "{protocol:?}");
+            for rec in alone.records.iter().filter(|r| !r.is_complete()) {
+                checker.ingest_incomplete(rec.clone());
+            }
+            assert_eq!(verdict, checker.finish(), "{protocol:?}");
+        }
+    }
+
+    /// AlgB on the three-site WAN with `faults`, in rounds of 8.
+    fn algb_on_the_wan(faults: FaultSchedule, total: usize) -> (History, TagOrderStream) {
+        let config = SystemConfig::mwmr(8, 4, 4);
+        let spec = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .topology(Arc::new(Topology::wan3(&config)), 7)
+            .max_steps(u64::MAX)
+            .faults(faults);
+        streamed(&spec, &config, 8, total)
+    }
+
+    /// `chance_pct` % of the messages of every link, for the whole run.
+    fn everywhere(action: FaultAction, chance_pct: u8) -> FaultSchedule {
+        FaultSchedule::new(7).with_region(FaultRegion {
+            chance_pct,
+            ..FaultRegion::always(action, EndpointSel::Any, EndpointSel::Any, 0, u64::MAX)
+        })
+    }
+
+    /// Duplicated messages no longer break AlgB's tags (a duplicated
+    /// `get-tag-arr` once handed a reader a second tag array): at 5 %
+    /// duplication on every link the tag order certifies the whole run as
+    /// it commits, with `check_auto`'s verdict, witness included.
+    #[test]
+    fn duplication_leaves_algb_certified_by_tag_order() {
+        let (history, stream) = algb_on_the_wan(everywhere(FaultAction::Duplicate, 5), 2_000);
+        assert_eq!((stream.lane(), stream.certified() > 1_900), (StreamLane::TagOrder, true));
+        let verdict = stream.finish(&history);
+        assert!(verdict.is_serializable(), "{verdict:?}");
+        assert_eq!(verdict, check_auto(&history));
+    }
+
+    /// Drops break AlgB's tags after the stream has certified a prefix (a
+    /// READ of a WRITE retired `Aborted`, ROADMAP item 1): the stream
+    /// defers, and its verdict takes the category the semantic stream
+    /// engine gives the whole history — a conviction, today.
+    #[test]
+    fn under_drops_streaming_defers_to_the_semantic_engines_category() {
+        let (history, stream) = algb_on_the_wan(everywhere(FaultAction::Drop, 1), 2_000);
+        assert_eq!(stream.lane(), StreamLane::Deferred);
+        let verdict = stream.finish(&history);
+        assert_eq!(
+            std::mem::discriminant(&verdict),
+            std::mem::discriminant(&StreamChecker::check(&history)),
+            "{verdict:?}"
+        );
     }
 
     #[test]

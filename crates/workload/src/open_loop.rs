@@ -39,7 +39,7 @@
 //! scheduler seed — so open-loop histories are bit-identical across runs
 //! (pinned by `tests/open_loop.rs`).
 
-use crate::driver::{drain_into, finish_stream, CheckMode};
+use crate::driver::{drain_into, CheckMode};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,7 +163,7 @@ pub fn drive_open_loop(
 /// [`drive_open_loop`] with a hook called after every completion, and once
 /// more after the last wait, just before the history is taken — the
 /// streaming check mode drains freshly committed transactions into a
-/// [`snow_checker::StreamChecker`] here, while the run is still going.
+/// [`snow_checker::TagOrderStream`] here, while the run is still going.
 fn drive_open_loop_tapped(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
@@ -269,13 +269,14 @@ fn drive_open_loop_tapped(
 ///
 /// [`CheckMode::PostHoc`] hands the finished history to
 /// [`snow_checker::check_auto`].  In [`CheckMode::Streaming`] a
-/// [`snow_checker::StreamChecker`] rides along with the run: after every
+/// [`snow_checker::TagOrderStream`] rides along with the run: after every
 /// completion wave the cluster's commit log is drained into the checker
 /// ([`Cluster::drain_commits`]) and the certification frontier advances
 /// past everything the simulator can no longer invoke before — so the
-/// verdict is produced incrementally, in RESP order, with memory bounded
-/// by the live window instead of the full history.  The verdicts of the
-/// two modes always agree.
+/// verdict is produced incrementally, in RESP order: by tag order on a
+/// tagged run, by the semantic stream engine when tags cannot decide.
+/// The two modes agree exactly, witness included, on runs the tag order
+/// certifies; elsewhere see [`crate::driver::WorkloadDriver::run_checked_mode`].
 pub fn drive_open_loop_checked(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
@@ -289,12 +290,12 @@ pub fn drive_open_loop_checked(
             (history, report, verdict)
         }
         CheckMode::Streaming => {
-            let mut checker = snow_checker::StreamChecker::new();
+            let mut checker = snow_checker::TagOrderStream::new();
             let (history, report) =
                 drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
                     drain_into(&mut checker, cluster);
                 });
-            let verdict = finish_stream(checker, &history);
+            let verdict = checker.finish(&history);
             (history, report, verdict)
         }
     }
@@ -493,28 +494,30 @@ mod tests {
         assert!(matches!(swept, Err(SnowError::InvalidConfig(why)) if why.contains("rate 0")));
     }
 
+    /// Open-loop AlgB and AlgC runs are certified by tag order as they
+    /// commit, with `check_auto`'s verdict, witness included.
     #[test]
     fn streaming_open_loop_agrees_with_post_hoc() {
         let config = SystemConfig::mwmr(4, 4, 4);
         let base = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(0) };
-        let cluster = cluster_spec(ProtocolKind::AlgB, &config);
-        for rate in [30, 300] {
-            let spec = OpenLoopSpec { rate, ..base.clone() };
-            let run = |mode| {
-                drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
-            };
-            let (history, _, posthoc) = run(CheckMode::PostHoc);
-            let (stream_history, report, stream) = run(CheckMode::Streaming);
-            assert_eq!(
-                format!("{history:?}"),
-                format!("{stream_history:?}"),
-                "rate {rate}: the check mode changed the run"
-            );
-            assert_eq!(report.issued, 150);
-            assert!(
-                posthoc.is_serializable() && stream.is_serializable(),
-                "rate {rate}: post-hoc {posthoc:?} vs stream {stream:?}"
-            );
+        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {
+            let cluster = cluster_spec(protocol, &config);
+            for rate in [30, 300] {
+                let spec = OpenLoopSpec { rate, ..base.clone() };
+                let run = |mode| {
+                    drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
+                };
+                let (history, _, posthoc) = run(CheckMode::PostHoc);
+                let (stream_history, report, stream) = run(CheckMode::Streaming);
+                assert_eq!(
+                    format!("{history:?}"),
+                    format!("{stream_history:?}"),
+                    "{protocol:?} rate {rate}: the check mode changed the run"
+                );
+                assert_eq!(report.issued, 150);
+                assert!(posthoc.is_serializable(), "{protocol:?} rate {rate}: {posthoc:?}");
+                assert_eq!(stream, posthoc, "{protocol:?} rate {rate}");
+            }
         }
     }
 

@@ -55,7 +55,16 @@
 #      `history()` copies and leaves no record and no commit behind) and
 #      Algorithm C's `Vals` bookkeeping (crates/protocols,
 #      `c_waits_for_every_vals_set_when_one_arrives_twice`: a duplicated
-#      `read-vals` response is not counted twice);
+#      `read-vals` response is not counted twice).  The drivers'
+#      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
+#      its soundness differential against `TagOrderChecker` and the stream
+#      engine (tests/stream_differential.rs), its unit tests (crates/checker
+#      `tag_stream`), the streaming-checked AlgB allocation pins
+#      (tests/dispatch_hot_path.rs) and the driver tests (crates/workload:
+#      Streaming equals PostHoc, witness included, on A/B/C; an untagged run
+#      is checked exactly as by the stream engine fed the same drains; AlgB
+#      under duplication stays certified by tag order; under drops the
+#      verdict takes the stream engine's category);
 #   5. repo-benchmark smoke and digests: `examples/e2e_bench -- --smoke`
 #      runs every BENCHMARK.json workload through both passes (plain +
 #      traced) in about a second and exits non-zero if any fails its
@@ -137,9 +146,14 @@ cargo test -q --release --test checker_differential --test stream_differential \
     --test fault_determinism --test fault_checker --test stream_hot_path \
     --test instrumentation_sweep --test dispatch_hot_path
 cargo test -q --release -p snow-workload -- \
-    the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history
-cargo test -q --release -p snow-sim -p snow-protocols -- \
-    take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice
+    the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history \
+    streaming_check_mode_agrees_with_post_hoc streaming_open_loop_agrees_with_post_hoc \
+    untagged_runs_are_checked_by_the_semantic_stream_engine_alone \
+    duplication_leaves_algb_certified_by_tag_order \
+    under_drops_streaming_defers_to_the_semantic_engines_category
+cargo test -q --release -p snow-sim -p snow-protocols -p snow-checker -- \
+    take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice \
+    tag_stream::
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
 bench --smoke > /dev/null

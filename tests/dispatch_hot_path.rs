@@ -12,10 +12,14 @@
 //!   wide rounds;
 //! * 1 000 AlgC arrivals, open loop under the latency scheduler
 //!   (`open-c-read`'s shape): the commit-gated wait, one-round reads with
-//!   multi-version responses.
+//!   multi-version responses;
+//! * the two AlgB runs again through `run_checked_mode(.., Streaming)`,
+//!   the call the benchmark times for them: the commit drain's copies and
+//!   the in-run check on top.
 //!
 //! The counted region is the driver call: generator, engine, protocol
-//! handlers, the driver's take of the record log.  A change that adds a clone of a `TxSpec`, an
+//! handlers, the driver's take of the record log (and the check, for the
+//! streaming runs).  A change that adds a clone of a `TxSpec`, an
 //! effects buffer built per handler call, or a record container that
 //! regrows moves a pin here, whatever the host's speed that day.
 //!
@@ -59,12 +63,21 @@
 //! buffer the reader reuses, instead of a map per READ, and clones its
 //! object list once (for `get-tag-arr`) instead of twice: two fewer per
 //! READ.
+//!
+//! The streaming-checked runs were pinned when the streaming check began
+//! certifying by tag order (`TagOrderStream`) instead of through the
+//! precedence graph: they would have read 8 887 (WAN) and 8 758 (one DC)
+//! with the graph engine in the run, and read 8 475 and 7 860.  Left on top
+//! of the unchecked runs: the commit drain's copy of each record (its
+//! spec, and a READ's instrumented reads and outcome), the witness, and the
+//! held-commit heap's and running maximum's growth.
 
+use snow::checker::check_auto;
 use snow::core::{SystemConfig, TxRecord};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::sim::Topology;
 use snow::workload::{
-    drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
+    drive_open_loop, CheckMode, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,6 +174,42 @@ fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
     assert_eq!(allocs, 5_778, "{:.3} per committed transaction", allocs as f64 / 1e3);
+}
+
+/// The two AlgB shapes again, through `run_checked_mode(.., Streaming)`:
+/// the driver call the benchmark times, the in-run check included.
+fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: usize) -> u64 {
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .topology(Arc::new(topology), 7)
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgB runs on MWMR configurations");
+    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+    let ((history, report, verdict), allocs) = counted(|| {
+        WorkloadDriver::new(per_round).run_checked_mode(
+            cluster.as_mut(),
+            &mut generator,
+            TRANSACTIONS,
+            CheckMode::Streaming,
+        )
+    });
+    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert_eq!(verdict, check_auto(&history), "certified by tag order");
+    allocs
+}
+
+#[test]
+fn streaming_checked_algb_on_the_wan_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(8, 4, 4);
+    let allocs = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8);
+    assert_eq!(allocs, 8_475, "{:.3} per committed transaction", allocs as f64 / 1e3);
+}
+
+#[test]
+fn streaming_checked_wide_algb_in_one_dc_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(16, 64, 64);
+    let allocs = streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128);
+    assert_eq!(allocs, 7_860, "{:.3} per committed transaction", allocs as f64 / 1e3);
 }
 
 #[test]

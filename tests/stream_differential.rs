@@ -3,11 +3,15 @@
 //! tagged/untagged writes, overlapping invocations, incomplete writes),
 //! every golden protocol × scheduler combo, and the paper's counterexample
 //! histories — where the stream must convict *at the offending transaction
-//! index*, not at shutdown.
+//! index*, not at shutdown.  Then the tag-order stream (`TagOrderStream`,
+//! the drivers' streaming check) against `TagOrderChecker` where the tag
+//! order decides, and against the semantic stream engine everywhere else.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
-use snow::checker::{check_auto, SequentialOt, StreamChecker, Verdict};
+use snow::checker::{
+    check_auto, SequentialOt, StreamChecker, StreamLane, TagOrderChecker, TagOrderStream, Verdict,
+};
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
     TxSpec, Value, WriteOutcome,
@@ -105,6 +109,9 @@ fn assert_witness_replays(history: &History, order: &[TxId]) {
             .unwrap_or_else(|o| panic!("stream witness fails replay at {tx} on {o}"));
     }
     for rec in history.completed() {
+        if rec.outcome.as_ref().is_some_and(|o| o.is_aborted()) {
+            continue; // constraint-free: placed anywhere, or nowhere
+        }
         assert!(
             order.contains(&rec.tx_id),
             "completed {} missing from stream witness",
@@ -285,4 +292,139 @@ fn last_key(i: u64, width: u64) -> Option<Key> {
         .rev()
         .find(|&j| j % width == object && j % 3 != 0)
         .map(|j| Key::new(j + 1, ClientId((j % 4) as u32)))
+}
+
+/// Histories where every transaction carries a tag that is *mostly*
+/// consistent with real time and reads, so the tag order decides a good
+/// share of them, with every way of breaking it mixed in: untagged writes
+/// (one in ten), aborted commits (one in fifteen), incomplete writes,
+/// colliding write tags, tags off real time, and reads that return a
+/// version other than the latest one by tag (one in six).
+fn tagged_history(seed: u64) -> History {
+    let mut rng = Rng(seed ^ 0x7A65_D0C5);
+    let n = 2 + rng.below(11);
+    let n_objects = 1 + rng.below(3) as u32;
+    // (id, objects, key, tag) of every WRITE that responded.
+    let mut writes: Vec<(u64, Vec<ObjectId>, Key, Option<Tag>)> = Vec::new();
+    let mut reads: Vec<(TxRecord, Tag)> = Vec::new();
+    let mut h = History::new();
+    for id in 1..=n {
+        let inv = rng.below(120);
+        let resp = inv + 1 + rng.below(20);
+        let object_count = 1 + rng.below(2u64.min(n_objects as u64)) as usize;
+        let mut objects: Vec<ObjectId> = Vec::new();
+        while objects.len() < object_count {
+            let o = ObjectId(rng.below(n_objects as u64) as u32);
+            if !objects.contains(&o) {
+                objects.push(o);
+            }
+        }
+        objects.sort();
+        // A tag near the one real time suggests: 1 + INV / 12, give or take.
+        let tag = Tag(1 + inv / 12 + rng.below(3));
+        let client = ClientId(rng.below(3) as u32);
+        if rng.below(2) == 0 {
+            let key = Key::new(id, client);
+            let spec = TxSpec::write(objects.iter().map(|&o| (o, Value(id))).collect());
+            let mut rec = TxRecord::invoked(TxId(id), client, spec, inv);
+            let tag = (rng.below(10) != 0).then_some(tag);
+            rec.outcome = Some(TxOutcome::Write(WriteOutcome { key, tag }));
+            match rng.below(15) {
+                0 => {
+                    rec.responded_at = Some(resp);
+                    rec.outcome = Some(TxOutcome::Aborted);
+                }
+                1 => {} // never responded
+                _ => {
+                    rec.responded_at = Some(resp);
+                    writes.push((id, objects, key, tag));
+                }
+            }
+            h.push(rec);
+        } else {
+            let mut rec = TxRecord::invoked(TxId(id), client, TxSpec::read(objects), inv);
+            rec.responded_at = Some(resp);
+            reads.push((rec, tag));
+        }
+    }
+    // Each READ returns, per object, the latest WRITE by tag at or below
+    // its own — or, one time in six, any version.
+    for (mut rec, tag) in reads {
+        let reads = rec
+            .spec
+            .objects_iter()
+            .map(|o| {
+                let on_o = writes.iter().filter(|w| w.1.contains(&o));
+                let key = if rng.below(6) == 0 {
+                    let keys: Vec<Key> = on_o.map(|w| w.2).collect();
+                    let pick = rng.below(keys.len() as u64 + 1) as usize;
+                    keys.get(pick).copied().unwrap_or_else(Key::initial)
+                } else {
+                    on_o.filter(|w| w.3.is_some_and(|t| t <= tag))
+                        .max_by_key(|w| (w.3, w.0))
+                        .map_or_else(Key::initial, |w| w.2)
+                };
+                ObjectRead { object: o, key, value: Value(0) }
+            })
+            .collect();
+        rec.outcome = Some(TxOutcome::Read(ReadOutcome { reads, tag: Some(tag) }));
+        h.push(rec);
+    }
+    h.records.sort_by_key(|r| r.tx_id);
+    h
+}
+
+/// `history` through a `TagOrderStream`, fed as `StreamChecker::feed_history`
+/// feeds a `StreamChecker`: commits in RESP order, each followed by the
+/// hindsight watermark (the earliest INV among the commits still to come).
+/// Returns the lane it finished on with the verdict.
+fn tag_stream_verdict(history: &History) -> (StreamLane, Verdict) {
+    let mut committed: Vec<&TxRecord> = history.completed().collect();
+    committed.sort_by_key(|r| (r.responded_at, r.tx_id));
+    let mut stream = TagOrderStream::new();
+    for (i, rec) in committed.iter().enumerate() {
+        stream.ingest((*rec).clone());
+        let watermark = committed[i + 1..].iter().map(|r| r.invoked_at).min();
+        stream.advance_watermark(watermark.unwrap_or(u64::MAX));
+    }
+    (stream.lane(), stream.finish(history))
+}
+
+/// The soundness differential of the drivers' streaming check.  Where
+/// `TagOrderChecker` accepts, the stream's verdict equals it, witness
+/// included; everywhere else its category is the semantic stream
+/// engine's.  Both generators, so the stream sees histories the tags
+/// decide, histories they break before anything is certified and
+/// histories they break after.
+#[test]
+fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
+    let mut lanes = [0usize; 3];
+    let mut accepted = 0usize;
+    for seed in 0..3_000u64 {
+        for history in [random_history(seed), tagged_history(seed)] {
+            let (lane, verdict) = tag_stream_verdict(&history);
+            lanes[lane as usize] += 1;
+            let tags = TagOrderChecker::new().check(&history);
+            assert_eq!(lane == StreamLane::TagOrder, tags.is_serializable(), "seed {seed}");
+            if tags.is_serializable() {
+                accepted += 1;
+                assert_eq!(verdict, tags, "seed {seed}: {history:#?}");
+                continue;
+            }
+            let stream = StreamChecker::check(&history);
+            assert_eq!(
+                std::mem::discriminant(&verdict),
+                std::mem::discriminant(&stream),
+                "seed {seed}: tag stream {verdict:?} vs stream {stream:?}\n{history:#?}"
+            );
+            if let Verdict::Serializable(order) = &verdict {
+                assert_witness_replays(&history, order);
+            }
+        }
+    }
+    // Every path is taken, many times.
+    assert!(
+        accepted > 600 && lanes.iter().all(|&n| n > 600),
+        "{accepted} accepted by tag order; lanes (tag order, semantic, deferred) {lanes:?}"
+    );
 }

@@ -93,7 +93,7 @@ fn counted(f: impl FnOnce()) -> u64 {
 
 // ---- the two pipeline runs -------------------------------------------------
 
-/// What one pipeline run of the in-run checker produced.
+/// What one pipeline run of the semantic stream engine produced.
 struct Run {
     witness_digest: u64,
     report: StreamReport,
@@ -115,8 +115,11 @@ fn fnv(witness: &[TxId]) -> u64 {
 }
 
 /// AlgB, the benchmark's write-heavy mix, closed loop in rounds of
-/// `per_round` distinct clients — `WorkloadDriver::run_checked_mode(..,
-/// Streaming)`'s steps, spelled out so the checker calls can be counted.
+/// `per_round` distinct clients, every round's commit drain fed to a
+/// `StreamChecker` so its calls can be counted.  This drives the semantic
+/// engine alone: `run_checked_mode(.., Streaming)` certifies AlgB by tag
+/// order (`TagOrderStream`) and reaches this engine only when tags cannot
+/// decide.
 fn pipeline(
     config: SystemConfig,
     topology: Topology,
