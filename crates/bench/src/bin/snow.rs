@@ -136,23 +136,31 @@ fn fig1b() {
         let config = comparison_config(protocol, 4, 3, 2);
         let (_h, metrics, report) =
             run_protocol_workload(protocol, &config, WorkloadSpec::write_heavy(), 300, 11);
+        let versions = metrics.max_versions();
+        let one_version = if versions <= 1 {
+            "✓".to_string()
+        } else {
+            let bound = config.writers().count() + 1;
+            format!("relaxed: {versions} measured, paper ≤ |W|+1 = {bound}")
+        };
         println!(
             "{}",
             row(&[
                 protocol.name().into(),
                 metrics.max_rounds().to_string(),
-                metrics.max_versions().to_string(),
+                versions.to_string(),
                 if report.observed.s { "✓" } else { "✗" }.into(),
                 if report.observed.n { "✓" } else { "✗" }.into(),
                 if report.observed.w { "✓" } else { "✗" }.into(),
                 if metrics.max_rounds() <= 1 { "✓" } else { "relaxed" }.into(),
-                if metrics.max_versions() <= 1 { "✓" } else { "relaxed (≤ |W|+1)" }.into(),
+                one_version,
             ])
         );
     }
     println!();
     println!("Paper's Fig. 1(b): (1 round, 1 version) ×; (2 rounds, 1 version) ✓ [Alg. B]; (1 round, |W| versions) ✓ [Alg. C]. ");
     println!("Algorithm A occupies the (1,1) cell only because it is MWSR with C2C — the cell the theorem carves out.");
+    println!("Algorithm C's measured versions exceed the paper's |W|+1 bound: servers here never collect a version, so a READ's versions grow with the write history.");
 }
 
 fn fig3() {

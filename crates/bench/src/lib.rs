@@ -56,8 +56,10 @@ use snow_workload::{
     WorkloadGenerator, WorkloadSpec,
 };
 
-/// Renders a markdown-style table row.
+/// Renders a markdown-style table row.  A `|` inside a cell (AlgC's name,
+/// `|W|`) is escaped as `\|`, so it stays in its cell.
 pub fn row(cells: &[String]) -> String {
+    let cells: Vec<String> = cells.iter().map(|cell| cell.replace('|', "\\|")).collect();
     format!("| {} |", cells.join(" | "))
 }
 
@@ -226,6 +228,19 @@ mod tests {
     fn table_helpers_render() {
         assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
         assert!(header(&["x", "y"]).contains("---"));
+    }
+
+    /// A cell's `|` is escaped, so every row of a table has as many
+    /// columns as its header.
+    #[test]
+    fn a_pipe_inside_a_cell_does_not_split_it() {
+        let name = ProtocolKind::AlgC.name().to_string();
+        assert!(name.contains("|W|"), "{name}");
+        let line = row(&[name, "≤ |W|+1".into(), "3".into()]);
+        assert_eq!(line, "| Algorithm C (SNW, 1 round, \\|W\\| versions) | ≤ \\|W\\|+1 | 3 |");
+        let separators = |line: &str| line.replace("\\|", "").matches('|').count();
+        let head = header(&["a", "b", "c"]);
+        assert_eq!(separators(&line), separators(head.lines().next().unwrap()));
     }
 
     #[test]

@@ -37,9 +37,12 @@
 //! * [`tag_stream::TagOrderStream`] — Lemma 20 checked incrementally over
 //!   the same commit stream: P2 on each commit's arrival, P3/P4 as the
 //!   watermark certifies the rank-prefix of held commits, O(log held) per
-//!   commit and no precedence graph.  When tags cannot decide (an untagged
-//!   commit, or a P2–P4 failure) it hands over to [`stream::StreamChecker`].
-//!   It is the checker behind the drivers' streaming check mode.
+//!   commit and no precedence graph.  It borrows each commit and holds
+//!   only its rank, reading the record back from a record source (the
+//!   cluster mid-run, the taken history at the end) when it certifies it.
+//!   When tags cannot decide (an untagged commit, or a P2–P4 failure) it
+//!   hands over to [`stream::StreamChecker`].  It is the checker behind
+//!   the drivers' streaming check mode.
 //!
 //! [`strict::check_auto`] picks an engine by history shape: all-tagged
 //! histories go to the tag-order checker (at any size), everything else to
@@ -68,7 +71,7 @@ pub mod tag_stream;
 
 pub use graph::GraphChecker;
 pub use metrics::{HistoryMetrics, LatencyStats};
-pub use ot::{ObjectState, SequentialOt};
+pub use ot::SequentialOt;
 pub use report::SnowReport;
 pub use snow::SnowChecker;
 pub use stream::{StreamChecker, StreamReport};

@@ -7,25 +7,13 @@
 //! the key of the last WRITE to that object applied so far (or `κ₀` if none).
 
 use snow_core::{Key, ObjectId, TxKind, TxOutcome, TxRecord, TxSpec};
-use std::collections::BTreeMap;
 
-/// The version currently installed for one object in a sequential replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjectState {
-    /// The key of the last applied WRITE touching the object (or `κ₀`).
-    pub key: Key,
-}
-
-impl Default for ObjectState {
-    fn default() -> Self {
-        ObjectState { key: Key::initial() }
-    }
-}
-
-/// A sequential `OT` state: object → installed version key.
+/// A sequential `OT` state: the version key installed on each object,
+/// indexed by [`ObjectId`] (object ids are dense); an object past the end
+/// is at `κ₀`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SequentialOt {
-    state: BTreeMap<ObjectId, ObjectState>,
+    keys: Vec<Key>,
 }
 
 impl SequentialOt {
@@ -36,7 +24,7 @@ impl SequentialOt {
 
     /// The current version key of `object`.
     pub fn key_of(&self, object: ObjectId) -> Key {
-        self.state.get(&object).copied().unwrap_or_default().key
+        self.keys.get(object.0 as usize).copied().unwrap_or_else(Key::initial)
     }
 
     /// Applies a WRITE transaction's effects.
@@ -49,7 +37,11 @@ impl SequentialOt {
         };
         if let TxSpec::Write(spec) = &record.spec {
             for (object, _) in &spec.writes {
-                self.state.insert(*object, ObjectState { key });
+                let at = object.0 as usize;
+                if self.keys.len() <= at {
+                    self.keys.resize(at + 1, Key::initial());
+                }
+                self.keys[at] = key;
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   incomplete transactions; incomplete READs are ignored.
 
 use crate::ot::SequentialOt;
-use snow_core::{History, Key, ObjectId, Tag, TxId, TxKind, TxOutcome, TxRecord};
+use snow_core::{History, Tag, TxId, TxKind, TxOutcome, TxRecord};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The outcome of a strict-serializability check.
@@ -139,36 +139,25 @@ impl TagOrderChecker {
 
         // P4: a READ returns, per object, the version of the latest WRITE
         // (by tag) that precedes it and touches the object, or κ₀.  One
-        // forward sweep in `≺` order maintains exactly that "latest
-        // preceding write" per object.
-        let mut installed: BTreeMap<ObjectId, Key> = BTreeMap::new();
+        // forward sweep in `≺` order — a sequential replay — maintains
+        // exactly that "latest preceding write" per object.
+        let mut installed = SequentialOt::new();
         for rec in &order {
-            match rec.kind() {
-                TxKind::Write => {
-                    if let Some(TxOutcome::Write(wo)) = rec.outcome.as_ref() {
-                        for object in rec.spec.objects() {
-                            installed.insert(object, wo.key);
-                        }
-                    }
+            if let Err(object) = installed.apply(rec) {
+                let returned = match &rec.outcome {
+                    Some(TxOutcome::Read(r)) => r.reads.iter().find(|or| or.object == object),
+                    _ => None,
                 }
-                TxKind::Read => {
-                    let outcome = match rec.outcome.as_ref() {
-                        Some(TxOutcome::Read(r)) => r,
-                        _ => continue,
-                    };
-                    let read_tag = tag_of(rec);
-                    for or in &outcome.reads {
-                        let expected =
-                            installed.get(&or.object).copied().unwrap_or_else(Key::initial);
-                        if or.key != expected {
-                            return Verdict::NotSerializable(format!(
-                                "P4 violated: READ {} (tag {read_tag}) returned version {} for \
-                                 {} but the latest preceding write installed {}",
-                                rec.tx_id, or.key, or.object, expected
-                            ));
-                        }
-                    }
-                }
+                .expect("a replay fails only on a key a READ returned");
+                return Verdict::NotSerializable(format!(
+                    "P4 violated: READ {} (tag {}) returned version {} for {} but the latest \
+                     preceding write installed {}",
+                    rec.tx_id,
+                    tag_of(rec),
+                    returned.key,
+                    object,
+                    installed.key_of(object)
+                ));
             }
         }
 
@@ -403,7 +392,7 @@ pub fn check_auto(history: &History) -> Verdict {
 mod tests {
     use super::*;
     use snow_core::{
-        ClientId, ObjectRead, ReadOutcome, TxOutcome, TxSpec, Value, WriteOutcome,
+        ClientId, Key, ObjectId, ObjectRead, ReadOutcome, TxOutcome, TxSpec, Value, WriteOutcome,
     };
 
     fn write(id: u64, client: u32, seq: u64, objects: &[u32], inv: u64, resp: u64, tag: Option<u64>) -> TxRecord {

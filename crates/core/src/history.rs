@@ -155,9 +155,22 @@ impl History {
         self.records.iter().filter(|r| !r.is_complete()).count()
     }
 
-    /// Looks up a record by id.
+    /// Looks up a record by id — a linear scan; [`History::find`] is the
+    /// O(log n) lookup for a caller that knows the invocation time.
     pub fn get(&self, tx_id: TxId) -> Option<&TxRecord> {
         self.records.iter().find(|r| r.tx_id == tx_id)
+    }
+
+    /// Looks up the record of `tx_id`, invoked at `invoked_at`: a binary
+    /// search by `(invoked_at, tx_id)`, the order a simulator's history is
+    /// in, so O(log n) there.  Records pushed out of that order are still
+    /// found, by [`History::get`]'s scan.
+    pub fn find(&self, invoked_at: u64, tx_id: TxId) -> Option<&TxRecord> {
+        let at = self.records.partition_point(|r| (r.invoked_at, r.tx_id) < (invoked_at, tx_id));
+        match self.records.get(at) {
+            Some(rec) if (rec.invoked_at, rec.tx_id) == (invoked_at, tx_id) => Some(rec),
+            _ => self.get(tx_id).filter(|rec| rec.invoked_at == invoked_at),
+        }
     }
 
     /// Mutable lookup by id.
@@ -275,5 +288,22 @@ mod tests {
         assert!(h.get(TxId(99)).is_none());
         h.get_mut(TxId(3)).unwrap().responded_at = Some(20);
         assert_eq!(h.get(TxId(3)).unwrap().responded_at, Some(20));
+    }
+
+    /// `find` binary-searches a history in invocation order, and still
+    /// finds a record pushed out of it; a wrong invocation time misses.
+    #[test]
+    fn find_looks_records_up_by_invocation_time_and_id() {
+        let mut h = History::new();
+        for id in 0..50u64 {
+            h.push(read_record(id, id / 2, Some(id + 100)));
+        }
+        for id in 0..50u64 {
+            assert_eq!(h.find(id / 2, TxId(id)).map(|r| r.tx_id), Some(TxId(id)));
+        }
+        assert!(h.find(7, TxId(3)).is_none(), "TxId(3) was invoked at 1");
+        assert!(h.find(0, TxId(99)).is_none());
+        h.records.reverse();
+        assert_eq!(h.find(10, TxId(21)).map(|r| r.tx_id), Some(TxId(21)));
     }
 }

@@ -9,7 +9,9 @@
 //! schedule differ from the defaults.
 
 use crate::any::{deploy_any, AnyNode};
-use snow_core::{ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxSpec};
+use snow_core::{
+    ClientId, History, Process, Result, ServerId, SystemConfig, TxId, TxRecord, TxSpec,
+};
 use snow_sim::{
     Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, LatencyScheduler,
     LinkDist, NullSink, Partition, PartitionPolicy, RandomScheduler, RecordingSink, RestartFn,
@@ -139,11 +141,21 @@ pub trait Cluster {
     fn take_history(&mut self) -> History;
     /// Current simulation time.
     fn now(&self) -> u64;
-    /// Drains the transactions committed since the previous drain, in
-    /// global RESP order, retiring the consumed commit-log prefix — the
-    /// incremental feed for streaming certification (see
-    /// [`snow_sim::CommitDrain`]).  The batch's `inv_floor` is the
-    /// watermark a streaming checker may advance to after ingesting it.
+    /// The record of `tx`, read where the cluster keeps it (see
+    /// [`Simulation::record`]); `None` if it was not invoked or has left
+    /// with [`Cluster::take_history`].
+    fn record(&self, tx: TxId) -> Option<&TxRecord>;
+    /// Drains the transactions committed since the previous drain,
+    /// retiring the consumed commit-log prefix — the incremental feed for
+    /// streaming certification.  `ids` is replaced by their ids in global
+    /// RESP order, each readable through [`Cluster::record`]; the result is
+    /// the watermark a streaming checker may advance to after ingesting
+    /// them (see [`Simulation::drain_commit_ids`]).
+    fn drain_commit_ids(&mut self, ids: &mut Vec<TxId>) -> u64;
+    /// [`Cluster::drain_commit_ids`] with a copy of each record, as a
+    /// [`snow_sim::CommitDrain`].  The drivers' checks read records in
+    /// place; this copy stays only for the repo benchmark's traced pass,
+    /// which still calls it (ROADMAP item 11).
     fn drain_commits(&mut self) -> CommitDrain;
     /// Yields and clears the observability events collected so far.
     /// Clusters built without [`ClusterSpec::observed`] record nothing and
@@ -182,6 +194,12 @@ where
     }
     fn now(&self) -> u64 {
         Simulation::now(self)
+    }
+    fn record(&self, tx: TxId) -> Option<&TxRecord> {
+        Simulation::record(self, tx)
+    }
+    fn drain_commit_ids(&mut self, ids: &mut Vec<TxId>) -> u64 {
+        Simulation::drain_commit_ids(self, ids)
     }
     fn drain_commits(&mut self) -> CommitDrain {
         Simulation::drain_commits(self)

@@ -30,10 +30,12 @@
 //!   instrumentation), so [`Simulation::take_history`] moves the log out
 //!   as the run's history, and [`Simulation::history`] is one copy of it,
 //!   in order, into a vector of exactly its length.  The earliest
-//!   transaction still in flight — what bounds [`CommitDrain::inv_floor`] —
-//!   is a cursor into the log that only moves forward;
-//! * commits live in a **commit log** in RESP order, which
-//!   [`Simulation::drain_commits`] empties;
+//!   transaction still in flight — what bounds a drain's invocation floor
+//!   — is a cursor into the log that only moves forward;
+//! * commits live in a **commit log** of ids in RESP order, which
+//!   [`Simulation::drain_commit_ids`] empties into the caller's buffer;
+//!   the records stay in the record log, read in place through
+//!   [`Simulation::record`];
 //! * processes live in a **process table**: one slot vector per role,
 //!   indexed by `ClientId` / `ServerId`.
 //!
@@ -94,8 +96,9 @@ pub enum StepOutcome {
     Quiescent,
 }
 
-/// One batch of newly committed transactions drained from the simulator for
-/// streaming certification (see [`Simulation::drain_commits`]).
+/// One batch of newly committed transactions drained from the simulator,
+/// by value (see [`Simulation::drain_commits`]; streaming certification
+/// reads them in place through [`Simulation::drain_commit_ids`]).
 ///
 /// `records` are the completed transactions committed since the previous
 /// drain, in RESP order (`(responded_at, tx_id)`), each already
@@ -349,6 +352,31 @@ where
         self.records.is_complete(tx)
     }
 
+    /// The record of `tx`, where the simulator keeps it: `None` if `tx` was
+    /// not invoked or its record has left with [`Simulation::take_history`].
+    /// A record is final at RESP — nothing is folded into it afterwards —
+    /// so a committed one read here later equals the one the run's history
+    /// ends with.
+    pub fn record(&self, tx: TxId) -> Option<&TxRecord> {
+        self.records.get(tx)
+    }
+
+    /// Drains the transactions committed since the previous drain, emptying
+    /// the commit log — the incremental feed for streaming certification.
+    /// `ids` is replaced by their ids in RESP order (`(responded_at,
+    /// tx_id)`), each with a record [`Simulation::record`] returns; the
+    /// result is a lower bound on the `invoked_at` of every transaction a
+    /// later drain can return (the record log's `RecordLog::inv_floor`).
+    pub fn drain_commit_ids(&mut self, ids: &mut Vec<TxId>) -> u64 {
+        ids.clear();
+        ids.extend(self.commits.drain());
+        debug_assert!(
+            ids.iter().all(|&tx| self.records.get(tx).is_some()),
+            "a commit without a record"
+        );
+        self.records.inv_floor(self.now)
+    }
+
     /// True if there is nothing left to do (nothing pending, nothing
     /// planned).
     pub fn is_quiescent(&self) -> bool {
@@ -479,22 +507,15 @@ where
         History { records: self.records.take() }
     }
 
-    /// Drains the transactions committed since the previous drain, in RESP
-    /// order, emptying the commit log — the incremental feed for streaming
-    /// certification.  The batch's `inv_floor` is the record log's
-    /// `RecordLog::inv_floor`.
+    /// [`Simulation::drain_commit_ids`] with a copy of each drained record:
+    /// a [`CommitDrain`].  The drivers' checks read records in place; this
+    /// copy stays only for the repo benchmark's traced pass, which still
+    /// calls it (ROADMAP item 11).
     pub fn drain_commits(&mut self) -> CommitDrain {
-        let records = self
-            .commits
-            .drain()
-            .filter_map(|tx| {
-                let rec = self.records.get(tx);
-                debug_assert!(rec.is_some(), "{tx} committed without a record");
-                rec
-            })
-            .cloned()
-            .collect();
-        CommitDrain { records, inv_floor: self.records.inv_floor(self.now) }
+        let mut ids = Vec::new();
+        let inv_floor = self.drain_commit_ids(&mut ids);
+        let records = ids.iter().filter_map(|&tx| self.records.get(tx)).cloned().collect();
+        CommitDrain { records, inv_floor }
     }
 
     /// **The one dispatch rule**: the earliest planned invocation is the
@@ -1394,10 +1415,10 @@ mod tests {
         assert!(sim.is_complete(tx));
     }
 
-    /// Draining commits incrementally yields exactly the completed records
-    /// of the final history, in RESP order, with identical enrichment —
-    /// and the drain's `inv_floor` never runs ahead of a record a later
-    /// drain returns.
+    /// Draining commits incrementally and reading each record in place
+    /// yields exactly the completed records of the final history, in RESP
+    /// order, with identical enrichment — and the drain's `inv_floor` never
+    /// runs ahead of a record a later drain returns.
     #[test]
     fn drain_commits_streams_the_history_in_resp_order() {
         // The toy client supports one outstanding transaction, so space the
@@ -1406,21 +1427,22 @@ mod tests {
         for i in 0..40u64 {
             sim.invoke_at(i * 40, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         }
-        let mut drained = Vec::new();
+        let (mut drained, mut ids) = (Vec::new(), Vec::new());
         let mut floor = 0u64;
         while !sim.is_quiescent() {
             sim.step();
-            let drain = sim.drain_commits();
-            for rec in &drain.records {
+            let inv_floor = sim.drain_commit_ids(&mut ids);
+            for &tx in &ids {
+                let rec = sim.record(tx).expect("a drained commit is read in place");
                 assert!(
                     rec.invoked_at >= floor,
                     "record invoked at {} below the promised floor {floor}",
                     rec.invoked_at
                 );
+                drained.push(rec.clone());
             }
-            assert!(drain.inv_floor >= floor, "inv_floor regressed");
-            floor = drain.inv_floor;
-            drained.extend(drain.records);
+            assert!(inv_floor >= floor, "inv_floor regressed");
+            floor = inv_floor;
         }
         assert!(sim.drain_commits().records.is_empty(), "nothing left after quiescence");
         // RESP order, exhaustive, and enriched identically to history().

@@ -41,24 +41,39 @@ pub enum CheckMode {
     #[default]
     PostHoc,
     /// Feed a [`TagOrderStream`] from the cluster's commit drain as
-    /// transactions complete.  A tagged run (Algorithms A, B and C) is
-    /// certified by Lemma 20's tag order as it commits, with the verdict
-    /// `check_auto` gives, witness included; when tags cannot decide (an
-    /// untagged protocol, or tags a fault broke) the semantic
-    /// [`snow_checker::StreamChecker`] decides, with memory O(live window +
-    /// in-flight) and violations attributed to the offending commit.
+    /// transactions complete, each record by reference where the cluster
+    /// keeps it.  A tagged run (Algorithms A, B and C) is certified by
+    /// Lemma 20's tag order as it commits, with the verdict `check_auto`
+    /// gives, witness included, and no record copied: the stream holds a
+    /// rank per uncertified commit and reads the record back from the
+    /// cluster at certification.  When tags cannot decide (an untagged
+    /// protocol, or tags a fault broke) the semantic
+    /// [`snow_checker::StreamChecker`] decides, on its own copies, with
+    /// memory O(live window + in-flight) and violations attributed to the
+    /// offending commit.
     Streaming,
 }
 
-/// Ingests one commit drain into a streaming checker: the drained records
-/// in RESP order, then the drain's invocation floor as the new frontier
-/// watermark.  Shared by the closed-loop and open-loop streaming modes.
-pub(crate) fn drain_into(checker: &mut TagOrderStream, cluster: &mut dyn Cluster) {
-    let drain = cluster.drain_commits();
-    for rec in drain.records {
-        checker.ingest(rec);
+/// Ingests one commit drain into a streaming checker, by reference: the
+/// drained commits in RESP order, each read where the cluster keeps it,
+/// then the drain's invocation floor as the new frontier watermark, with
+/// the cluster as the record source certification reads back from.  A
+/// record is final at its RESP (`open_loop`'s
+/// `drained_records_equal_the_final_history` pins it), so what the checker
+/// reads mid-run is what the taken history ends with.  `ids` is the
+/// drain's reused buffer.  Shared by the closed-loop and open-loop
+/// streaming modes.
+pub(crate) fn drain_into(
+    checker: &mut TagOrderStream,
+    ids: &mut Vec<TxId>,
+    cluster: &mut dyn Cluster,
+) {
+    let inv_floor = cluster.drain_commit_ids(ids);
+    let cluster: &dyn Cluster = cluster;
+    for &tx in ids.iter() {
+        checker.ingest(cluster.record(tx).expect("a drained commit has a record"));
     }
-    checker.advance_watermark(drain.inv_floor);
+    checker.advance_watermark(inv_floor, |_, tx| cluster.record(tx));
 }
 
 /// The transactions of a taken history that completed.
@@ -247,7 +262,7 @@ impl WorkloadDriver {
     /// [`snow_checker::check_auto`], which picks the engine by history
     /// shape (tag order for tagged protocols, the graph engine otherwise).
     /// [`CheckMode::Streaming`] certifies incrementally instead: after
-    /// every round the cluster's commit drain is fed to a
+    /// every round the cluster's commit drain is fed, by reference, to a
     /// [`TagOrderStream`], which certifies a tagged run by tag order as it
     /// commits and hands an untagged or tag-breaking one to the semantic
     /// stream engine.
@@ -295,10 +310,10 @@ impl WorkloadDriver {
                 (history, report, verdict)
             }
             CheckMode::Streaming => {
-                let mut checker = TagOrderStream::new();
+                let (mut checker, mut ids) = (TagOrderStream::new(), Vec::new());
                 let (history, report) =
                     self.run_tapped(cluster, generator, total, &mut |cluster| {
-                        drain_into(&mut checker, cluster);
+                        drain_into(&mut checker, &mut ids, cluster);
                     });
                 let verdict = checker.finish(&history);
                 (history, report, verdict)
@@ -604,12 +619,12 @@ mod tests {
     ) -> (History, TagOrderStream) {
         let mut cluster = spec.build().unwrap();
         let mut generator = WorkloadGenerator::new(config, WorkloadSpec::write_heavy());
-        let mut stream = TagOrderStream::new();
+        let (mut stream, mut ids) = (TagOrderStream::new(), Vec::new());
         let (history, _) = WorkloadDriver::new(per_round).run_tapped(
             cluster.as_mut(),
             &mut generator,
             total,
-            &mut |cluster| drain_into(&mut stream, cluster),
+            &mut |cluster| drain_into(&mut stream, &mut ids, cluster),
         );
         (history, stream)
     }

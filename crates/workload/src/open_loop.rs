@@ -270,8 +270,9 @@ fn drive_open_loop_tapped(
 /// [`CheckMode::PostHoc`] hands the finished history to
 /// [`snow_checker::check_auto`].  In [`CheckMode::Streaming`] a
 /// [`snow_checker::TagOrderStream`] rides along with the run: after every
-/// completion wave the cluster's commit log is drained into the checker
-/// ([`Cluster::drain_commits`]) and the certification frontier advances
+/// completion wave the cluster's commit log is drained into the checker,
+/// each record read in place ([`Cluster::drain_commit_ids`],
+/// [`Cluster::record`]), and the certification frontier advances
 /// past everything the simulator can no longer invoke before — so the
 /// verdict is produced incrementally, in RESP order: by tag order on a
 /// tagged run, by the semantic stream engine when tags cannot decide.
@@ -290,10 +291,10 @@ pub fn drive_open_loop_checked(
             (history, report, verdict)
         }
         CheckMode::Streaming => {
-            let mut checker = snow_checker::TagOrderStream::new();
+            let (mut checker, mut ids) = (snow_checker::TagOrderStream::new(), Vec::new());
             let (history, report) =
                 drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
-                    drain_into(&mut checker, cluster);
+                    drain_into(&mut checker, &mut ids, cluster);
                 });
             let verdict = checker.finish(&history);
             (history, report, verdict)
@@ -380,7 +381,7 @@ pub fn zipf_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::ServerId;
+    use snow_core::{ServerId, TxRecord};
     use snow_protocols::{ProtocolKind, SchedulerKind};
     use snow_sim::topology::TICK;
     use snow_sim::{
@@ -613,6 +614,12 @@ mod tests {
         fn now(&self) -> u64 {
             self.inner.now()
         }
+        fn record(&self, tx: TxId) -> Option<&TxRecord> {
+            self.inner.record(tx)
+        }
+        fn drain_commit_ids(&mut self, ids: &mut Vec<TxId>) -> u64 {
+            self.inner.drain_commit_ids(ids)
+        }
         fn drain_commits(&mut self) -> snow_sim::CommitDrain {
             self.inner.drain_commits()
         }
@@ -655,11 +662,13 @@ mod tests {
         assert_eq!(cluster.waits, 2_000 + 1);
     }
 
-    /// Instrumentation is final at RESP: the record `drain_commits` streams
-    /// when a transaction completes is the record of the history the driver
-    /// takes at the end of the run — also when duplicated requests keep
-    /// answering READs that already responded.  Nothing commits after the
-    /// take.
+    /// Instrumentation is final at RESP: the record a commit drain names,
+    /// read in place (`Cluster::record`) when the transaction completes,
+    /// is the record of the history the driver takes at the end of the run
+    /// — also when duplicated requests keep answering READs that already
+    /// responded.  Nothing commits after the take.  This is what lets the
+    /// streaming check hold a rank instead of a copy and read the record
+    /// back later, from the cluster or from the taken history.
     #[test]
     fn drained_records_equal_the_final_history() {
         let spec = OpenLoopSpec { arrivals: 200, ..OpenLoopSpec::tao_like(100) };
@@ -676,13 +685,15 @@ mod tests {
             }
             for (name, cluster) in cases {
                 let mut cluster = cluster.build().unwrap();
-                let mut drained = Vec::new();
+                let (mut drained, mut ids) = (Vec::new(), Vec::new());
+                let mut drain = |cluster: &mut dyn Cluster| {
+                    cluster.drain_commit_ids(&mut ids);
+                    drained.extend(ids.iter().map(|&tx| cluster.record(tx).unwrap().clone()));
+                };
                 let (history, _) =
-                    drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut |cluster| {
-                        drained.extend(cluster.drain_commits().records);
-                    });
+                    drive_open_loop_tapped(cluster.as_mut(), &config, &spec, &mut drain);
                 cluster.run_until_quiescent();
-                drained.extend(cluster.drain_commits().records);
+                drain(cluster.as_mut());
                 let differing = drained.iter().filter(|&r| history.get(r.tx_id) != Some(r)).count();
                 assert_eq!((drained.len(), differing), (200, 0), "{protocol:?}/{name}");
             }

@@ -142,6 +142,12 @@ fresh tests/golden_fault_histories.txt --faults
 echo "fixtures fresh"
 
 echo "== 4. release suites: differentials, faults, hot paths, probe count =="
+# The drivers' streaming check reads each committed record in place: the
+# drain hands over ids, the tag-order stream holds a rank and reads the
+# record back from the cluster (or, at finish, from the taken history).
+# drained_records_equal_the_final_history is what licenses that: a record
+# is final at its RESP, so the record read mid-run is the one the history
+# ends with.  The in-place lane's tests run by name below.
 cargo test -q --release --test checker_differential --test stream_differential \
     --test fault_determinism --test fault_checker --test stream_hot_path \
     --test instrumentation_sweep --test dispatch_hot_path
@@ -151,8 +157,9 @@ cargo test -q --release -p snow-workload -- \
     untagged_runs_are_checked_by_the_semantic_stream_engine_alone \
     duplication_leaves_algb_certified_by_tag_order \
     under_drops_streaming_defers_to_the_semantic_engines_category
-cargo test -q --release -p snow-sim -p snow-protocols -p snow-checker -- \
+cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
     take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice \
+    drain_commits_streams_the_history_in_resp_order find_looks_records_up_by_invocation_time_and_id \
     tag_stream::
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="

@@ -377,15 +377,17 @@ fn tagged_history(seed: u64) -> History {
 /// `history` through a `TagOrderStream`, fed as `StreamChecker::feed_history`
 /// feeds a `StreamChecker`: commits in RESP order, each followed by the
 /// hindsight watermark (the earliest INV among the commits still to come).
-/// Returns the lane it finished on with the verdict.
+/// Fed as the drivers feed it: by reference, with a by-id lookup into the
+/// history standing in for the cluster's record log as the watermark's
+/// record source.  Returns the lane it finished on with the verdict.
 fn tag_stream_verdict(history: &History) -> (StreamLane, Verdict) {
     let mut committed: Vec<&TxRecord> = history.completed().collect();
     committed.sort_by_key(|r| (r.responded_at, r.tx_id));
     let mut stream = TagOrderStream::new();
     for (i, rec) in committed.iter().enumerate() {
-        stream.ingest((*rec).clone());
+        stream.ingest(rec);
         let watermark = committed[i + 1..].iter().map(|r| r.invoked_at).min();
-        stream.advance_watermark(watermark.unwrap_or(u64::MAX));
+        stream.advance_watermark(watermark.unwrap_or(u64::MAX), |_, tx| history.get(tx));
     }
     (stream.lane(), stream.finish(history))
 }
@@ -422,9 +424,8 @@ fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
             }
         }
     }
-    // Every path is taken, many times.
-    assert!(
-        accepted > 600 && lanes.iter().all(|&n| n > 600),
-        "{accepted} accepted by tag order; lanes (tag order, semantic, deferred) {lanes:?}"
-    );
+    // Every path is taken, many times; the split is seed-pure, so it is
+    // pinned (tag order, semantic, deferred).
+    assert!(accepted > 600, "{accepted} accepted by tag order");
+    assert_eq!(lanes, [983, 2_994, 2_023], "lanes (tag order, semantic, deferred)");
 }
