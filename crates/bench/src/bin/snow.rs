@@ -367,11 +367,11 @@ fn golden(faults: bool, write: bool) {
     print!("{contents}");
 }
 
-/// `check_auto` picks the engine by history shape: Algorithm C tags every
-/// transaction, so small runs go through the Lemma 20 tag-order checker and
-/// large runs through the graph engine, which builds a precedence DAG (real
-/// time + write/read dependencies + inferred anti-dependencies) and
-/// replay-validates a topological serialization witness.
+/// `check_auto` tries the Lemma 20 tag order first: Algorithm C tags every
+/// transaction, so the whole history is certified by the tag-order checker.
+/// An untagged or tag-contradicting history would go to the stream engine,
+/// which maintains a precedence DAG (real time + write/read dependencies +
+/// inferred anti-dependencies) online and replay-validates its witness.
 fn run_workload_check() {
     let config = SystemConfig::mwmr(8, 4, 4);
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)

@@ -150,7 +150,7 @@ pub fn parity_plan(protocol: ProtocolKind) -> (SystemConfig, Vec<(ClientId, TxSp
 /// transactions within a round genuinely overlap.  Unlike [`parity_plan`],
 /// per-transaction outcomes are schedule-dependent here — the comparison
 /// across schedulers is *serializability-equivalence* (every
-/// history satisfies strict serializability, checked by the graph engine),
+/// history satisfies strict serializability, checked by the stream engine),
 /// not digest equality.
 pub fn concurrent_parity_plan(
     protocol: ProtocolKind,

@@ -1,974 +1,43 @@
-//! Graph-based strict-serializability checker: the engine that scales to
-//! full workload histories.
+//! [`GraphChecker`]: the name of the former whole-history precedence-graph
+//! engine, kept as a forward to [`StreamChecker::check`] for callers that
+//! still use it.  Its tests are that engine's unit tests on small
+//! hand-built histories, run on [`StreamChecker::check`] with the stream
+//! module's fixtures.
 //!
-//! [`GraphChecker`] decides strict serializability of a [`History`] in three
-//! stages:
-//!
-//! 1. **Version orders.**  For every object, the order in which its WRITE
-//!    transactions installed versions is extracted — from tags when every
-//!    write on the object carries one (Algorithms A/B/C expose their `List`
-//!    position), and otherwise from real time plus two *forced* inferences
-//!    over read observations: if a read `r` returns write `w`'s version and
-//!    another write `w'` on the same object completed before `r` was
-//!    invoked, then `w' ≺ w` in any valid version order; symmetrically, if
-//!    `r` completed before `w'` was invoked, then `w ≺ w'`.  (Both are
-//!    necessary conditions: the opposite orientation always closes a
-//!    write→read→write precedence cycle.)
-//! 2. **Precedence DAG.**  One node per transaction plus an `O(n)` chain of
-//!    time nodes encoding the real-time order `RESP(a) < INV(b)` without
-//!    materialising the quadratic edge set; write→read edges for each
-//!    observation, write→write edges between *consecutive* versions, and
-//!    anti-dependency (read→write) edges from each read to the observed
-//!    version's immediate successor.  Cycle detection is an iterative
-//!    Kahn pass (`O(V + E)` plus a deterministic priority queue); on the
-//!    acyclic path the topological order restricted to transactions is the
-//!    serialization witness, which is replay-validated against
-//!    [`SequentialOt`] before being returned.
-//! 3. **Constraint splitting.**  When concurrent writes leave a version
-//!    order genuinely ambiguous and the first candidate is cyclic, the
-//!    checker branches on the orientation of one ambiguous pair touching a
-//!    strongly connected component (found with an iterative Tarjan pass)
-//!    and recurses, polygraph-style, under a configurable budget.  Only
-//!    when the budget is exhausted does it return [`Verdict::Unknown`].
-//!
-//! Incomplete transactions follow Definition 7.1 exactly as
-//! [`crate::strict::SearchChecker`] does: incomplete WRITEs whose version
-//! was observed by a completed READ must have taken effect and are
-//! included; unobserved ones can always be dropped from a witness without
-//! invalidating it, so they are excluded; incomplete READs are ignored.
+//! The precedence-graph construction and the constraint-splitting search
+//! live in the crate-private `solve` module; the stream engine runs them
+//! over its live window and its sealed segments, never over a whole
+//! history.
 
-use crate::ot::SequentialOt;
+use crate::stream::StreamChecker;
 use crate::strict::Verdict;
-use snow_core::{History, Key, ObjectId, Tag, TxId, TxKind, TxOutcome, TxRecord};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use snow_core::History;
 
-/// Scalable strict-serializability checker over a precedence DAG.
-#[derive(Debug, Clone)]
-pub struct GraphChecker {
-    /// Maximum number of branch states the constraint-splitting fallback
-    /// may explore before giving up with [`Verdict::Unknown`].
-    pub split_budget: usize,
-    /// Maximum number of writes on one object whose version order may be
-    /// analysed pairwise (overlap groups above this size yield
-    /// [`Verdict::Unknown`] instead of quadratic work).  Values above 64
-    /// are clamped: the pairwise analysis is bitmask-based.
-    pub max_ambiguous_group: usize,
-}
-
-impl Default for GraphChecker {
-    fn default() -> Self {
-        GraphChecker {
-            split_budget: 4096,
-            max_ambiguous_group: 24,
-        }
-    }
-}
-
-/// One read observation: completed read `reader` returned `write`'s version
-/// (`None` = the initial version `κ₀`) for `object`.
-///
-/// `pub(crate)` so the streaming checker can derive edges over its live
-/// window with the same machinery.
-pub(crate) struct Obs {
-    pub(crate) reader: usize,
-    pub(crate) object: ObjectId,
-    pub(crate) write: Option<usize>,
-}
-
-/// The per-object version-order state.
-pub(crate) struct ObjectOrder {
-    /// Candidate total order (node ids of the object's included writes).
-    pub(crate) candidate: Vec<usize>,
-    /// Pairwise analysis, computed eagerly for ambiguous untagged objects
-    /// and on demand (only for objects whose writes are caught in a cycle)
-    /// for tagged ones.
-    pub(crate) analysis: Option<Analysis>,
-}
-
-/// Pairwise constraint analysis of one object's writes.
-pub(crate) struct Analysis {
-    /// Necessary orientation constraints `(a, b)` = `a ≺ b` (node ids):
-    /// real-time precedence plus the forced read-observation inferences.
-    pub(crate) forced: Vec<(usize, usize)>,
-    /// Pairs whose orientation is genuinely free.
-    pub(crate) free: Vec<(usize, usize)>,
-}
-
-/// Everything the graph construction needs about the history.
-///
-/// The streaming checker builds one of these over its **live window** (its
-/// records borrowed rather than a whole [`History`]'s) and reuses
-/// [`GraphChecker::solve_ctx`] verbatim, so the post-hoc and incremental
-/// engines cannot drift apart on the hard (ambiguous) cases.
-pub(crate) struct Ctx<'a> {
-    /// Included transactions; index = node id.
-    pub(crate) txs: Vec<&'a TxRecord>,
-    /// Included writes per object, unordered.
-    pub(crate) writes_of: BTreeMap<ObjectId, Vec<usize>>,
-    /// All read observations of completed reads.
-    pub(crate) obs: Vec<Obs>,
-    /// Indices into `obs` per object.
-    pub(crate) obs_of: BTreeMap<ObjectId, Vec<usize>>,
-}
-
-impl<'a> Ctx<'a> {
-    pub(crate) fn inv(&self, node: usize) -> u64 {
-        self.txs[node].invoked_at
-    }
-
-    /// RESP instant, with incomplete (included optional) writes never
-    /// preceding anything.
-    pub(crate) fn resp(&self, node: usize) -> u64 {
-        self.txs[node].responded_at.unwrap_or(u64::MAX)
-    }
-
-    fn tag_of(&self, node: usize) -> Option<Tag> {
-        self.txs[node].outcome.as_ref().and_then(|o| o.tag())
-    }
-
-    /// Deterministic tie-break key for version-order extension.
-    pub(crate) fn tie(&self, node: usize) -> (u64, u64, u64) {
-        let tag = self.tag_of(node).map(|t| t.0).unwrap_or(0);
-        (tag, self.inv(node), self.txs[node].tx_id.0)
-    }
-}
-
-/// Outcome of one Kahn pass over the full precedence graph.
-enum Pass {
-    /// Topological witness (transaction node ids, in order).
-    Acyclic(Vec<usize>),
-    /// Transaction node ids involved in non-trivial SCCs.
-    Cyclic(Vec<usize>),
-}
-
-/// Outcome of one constraint-splitting branch.  A witness carries the
-/// version orders of the successful branch so callers that maintain
-/// derived per-object state (the streaming checker) can adopt them.
-enum Split {
-    Witness(Vec<usize>, BTreeMap<ObjectId, ObjectOrder>),
-    Fail,
-    /// The search had to give up (budget, or an object too large to
-    /// analyse pairwise); the string explains why.
-    Undecided(String),
-}
+/// A forward to [`StreamChecker::check`], with no settings of its own.
+/// It holds the name the whole-history graph engine had, so that code
+/// written against that engine still builds; new code calls
+/// [`crate::check_auto`] or [`StreamChecker`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GraphChecker;
 
 impl GraphChecker {
-    /// Creates a checker with the default budgets.
+    /// The forward.
     pub fn new() -> Self {
-        GraphChecker::default()
+        GraphChecker
     }
 
-    /// Creates a checker with an explicit constraint-splitting budget.
-    pub fn with_split_budget(split_budget: usize) -> Self {
-        GraphChecker {
-            split_budget,
-            ..GraphChecker::default()
-        }
-    }
-
-    /// Checks `history` for strict serializability.
+    /// [`StreamChecker::check`] on `history`.
     pub fn check(&self, history: &History) -> Verdict {
-        let ctx = match build_ctx(history) {
-            Ok(ctx) => ctx,
-            Err(verdict) => return verdict,
-        };
-        if ctx.txs.is_empty() {
-            return Verdict::Serializable(Vec::new());
-        }
-        match self.solve_ctx(&ctx) {
-            Ok((witness, _)) => self.validated(&ctx, witness),
-            Err(verdict) => verdict,
-        }
+        StreamChecker::check(history)
     }
-
-    /// The engine proper, detached from [`History`] so the streaming
-    /// checker can run it over a live-window [`Ctx`]: resolves version
-    /// orders, runs the Kahn pass and falls back to constraint splitting.
-    /// On success returns the topological witness (node ids) **and** the
-    /// per-object version orders of the successful branch.
-    pub(crate) fn solve_ctx(
-        &self,
-        ctx: &Ctx,
-    ) -> Result<(Vec<usize>, BTreeMap<ObjectId, ObjectOrder>), Verdict> {
-        let mut orders = self.resolve_orders(ctx)?;
-        match kahn_pass(ctx, &orders) {
-            Pass::Acyclic(witness) => Ok((witness, orders)),
-            Pass::Cyclic(scc_nodes) => {
-                // The candidate orders are cyclic; only free orientation
-                // choices among writes *touching the cycle* can rescue the
-                // history, so analysis stays restricted to those objects
-                // (split() analyses further objects if later branches drag
-                // them into a cycle).  Analysing an object also re-extends
-                // its candidate under the necessary constraints — a
-                // tag-sorted candidate may contradict real time outright,
-                // in which case the corrected extension alone can already
-                // break the cycle.
-                let mut scc_nodes = scc_nodes;
-                loop {
-                    match self.ensure_analyzed(ctx, &mut orders, &scc_nodes) {
-                        Err(verdict) => return Err(verdict),
-                        Ok(false) => break,
-                        Ok(true) => match kahn_pass(ctx, &orders) {
-                            Pass::Acyclic(witness) => return Ok((witness, orders)),
-                            Pass::Cyclic(scc) => scc_nodes = scc,
-                        },
-                    }
-                }
-                let mut budget = self.split_budget;
-                match self.split(ctx, &mut orders, &mut Vec::new(), scc_nodes, &mut budget) {
-                    Split::Witness(witness, winning) => Ok((witness, winning)),
-                    Split::Fail => Err(Verdict::NotSerializable(format!(
-                        "precedence cycle cannot be broken by any version order \
-                         (explored {} of {} split states); cycle sample: [{}]",
-                        self.split_budget - budget,
-                        self.split_budget,
-                        cycle_sample(ctx, &orders)
-                    ))),
-                    Split::Undecided(why) => Err(Verdict::Unknown(why)),
-                }
-            }
-        }
-    }
-
-    /// Pairwise-analyses every object whose candidate order contains one of
-    /// `nodes` (transactions caught in a cycle) and that is not yet
-    /// analysed, re-extending its candidate under the necessary
-    /// constraints (a tag-sorted candidate may contradict them).  Objects
-    /// away from the cycle are skipped: their orientation freedom cannot
-    /// break it.  Returns whether anything new was analysed.
-    fn ensure_analyzed(
-        &self,
-        ctx: &Ctx,
-        orders: &mut BTreeMap<ObjectId, ObjectOrder>,
-        nodes: &[usize],
-    ) -> Result<bool, Verdict> {
-        let in_cycle: HashSet<usize> = nodes.iter().copied().collect();
-        let mut changed = false;
-        for (&object, order) in orders.iter_mut() {
-            if order.analysis.is_some()
-                || !order.candidate.iter().any(|w| in_cycle.contains(w))
-            {
-                continue;
-            }
-            if order.candidate.len() > self.max_ambiguous_group.min(64) {
-                return Err(Verdict::Unknown(format!(
-                    "cyclic candidate with {} writes on {object} is too large for \
-                     pairwise version-order analysis",
-                    order.candidate.len()
-                )));
-            }
-            let analysis = self.analyze_slice(ctx, object, &order.candidate)?;
-            order.candidate = extend(ctx, &order.candidate, &analysis.forced, &[])
-                .ok_or_else(|| {
-                    Verdict::NotSerializable(format!(
-                        "the observations of object {object} force a cyclic version \
-                         order among writes [{}]",
-                        sample_txids(ctx, &order.candidate)
-                    ))
-                })?;
-            order.analysis = Some(analysis);
-            changed = true;
-        }
-        Ok(changed)
-    }
-
-    /// Replay-validates a topological witness and renders the verdict.
-    fn validated(&self, ctx: &Ctx, witness: Vec<usize>) -> Verdict {
-        let mut ot = SequentialOt::new();
-        for &node in &witness {
-            if let Err(object) = ot.apply(ctx.txs[node]) {
-                // By construction an acyclic graph always replays (the
-                // WR/WW/RW edges pin every read between the observed
-                // version and its successor); reaching this arm means the
-                // edge construction itself is wrong.
-                debug_assert!(false, "acyclic witness failed replay on {object}");
-                return Verdict::NotSerializable(format!(
-                    "internal witness replay failed on object {object} at {}",
-                    ctx.txs[node].tx_id
-                ));
-            }
-        }
-        Verdict::Serializable(witness.into_iter().map(|n| ctx.txs[n].tx_id).collect())
-    }
-
-    /// Extracts the candidate version order (and, for ambiguous untagged
-    /// objects, the pairwise analysis) for every object.
-    fn resolve_orders(&self, ctx: &Ctx) -> Result<BTreeMap<ObjectId, ObjectOrder>, Verdict> {
-        let mut orders = BTreeMap::new();
-        for (&object, writes) in &ctx.writes_of {
-            let mut candidate = writes.clone();
-            if candidate.len() <= 1 {
-                orders.insert(
-                    object,
-                    ObjectOrder {
-                        candidate,
-                        analysis: Some(Analysis { forced: Vec::new(), free: Vec::new() }),
-                    },
-                );
-                continue;
-            }
-            // Tagged fast path: every write on the object carries a tag and
-            // the tags are distinct — the protocol's own serialization
-            // order is the candidate, with the pairwise analysis deferred
-            // until (if ever) the graph turns out cyclic.
-            let mut tags: Vec<Option<Tag>> = candidate.iter().map(|&w| ctx.tag_of(w)).collect();
-            tags.sort();
-            let all_tagged = tags.iter().all(|t| t.is_some());
-            let distinct = tags.windows(2).all(|w| w[0] != w[1]);
-            if all_tagged && distinct {
-                candidate.sort_by_key(|&w| ctx.tie(w));
-                orders.insert(object, ObjectOrder { candidate, analysis: None });
-                continue;
-            }
-            // General path: real-time overlap groups, analysed pairwise.
-            candidate.sort_by_key(|&w| (ctx.inv(w), ctx.txs[w].tx_id.0));
-            let mut resolved = Vec::with_capacity(candidate.len());
-            let mut forced = Vec::new();
-            let mut free = Vec::new();
-            let mut group_start = 0usize;
-            let mut max_resp = 0u64;
-            let mut prev_group: Vec<usize> = Vec::new();
-            for i in 0..=candidate.len() {
-                let boundary = i == candidate.len() || (i > group_start && ctx.inv(candidate[i]) > max_resp);
-                if boundary {
-                    let group = &candidate[group_start..i];
-                    if group.len() > self.max_ambiguous_group.min(64) {
-                        return Err(Verdict::Unknown(format!(
-                            "{} concurrent untagged writes on {object} exceed the \
-                             ambiguity cap of {}",
-                            group.len(),
-                            self.max_ambiguous_group
-                        )));
-                    }
-                    let analysis = self.analyze_slice(ctx, object, group)?;
-                    let extension = extend(ctx, group, &analysis.forced, &[])
-                        .ok_or_else(|| {
-                            Verdict::NotSerializable(format!(
-                                "the observations of object {object} force a cyclic \
-                                 version order among writes [{}]",
-                                sample_txids(ctx, group)
-                            ))
-                        })?;
-                    // Cross-group real-time precedence must be explicit in
-                    // `forced`: the splitting fallback re-extends the whole
-                    // candidate from these edges, and its (tag, inv, tx)
-                    // tie-break alone would let an untagged later write sort
-                    // before an earlier tagged one.
-                    for &prev in &prev_group {
-                        for &next in group {
-                            forced.push((prev, next));
-                        }
-                    }
-                    prev_group = extension.clone();
-                    resolved.extend(extension);
-                    forced.extend(analysis.forced);
-                    free.extend(analysis.free);
-                    group_start = i;
-                }
-                if i < candidate.len() {
-                    max_resp = max_resp.max(ctx.resp(candidate[i]));
-                }
-            }
-            orders.insert(
-                object,
-                ObjectOrder {
-                    candidate: resolved,
-                    analysis: Some(Analysis { forced, free }),
-                },
-            );
-        }
-        Ok(orders)
-    }
-
-    /// Computes the necessary constraints and the free pairs among `writes`
-    /// (all on `object`).  `writes.len()` must be ≤ 64 (bitmask closure).
-    fn analyze_slice(
-        &self,
-        ctx: &Ctx,
-        object: ObjectId,
-        writes: &[usize],
-    ) -> Result<Analysis, Verdict> {
-        let g = writes.len();
-        debug_assert!(g <= 64);
-        let pos: HashMap<usize, usize> = writes.iter().enumerate().map(|(i, &w)| (w, i)).collect();
-        let mut adj = vec![0u64; g];
-        // Real-time precedence.
-        for i in 0..g {
-            for j in 0..g {
-                if i != j && ctx.resp(writes[i]) < ctx.inv(writes[j]) {
-                    adj[i] |= 1 << j;
-                }
-            }
-        }
-        // Forced read-observation inferences.
-        if let Some(obs_idxs) = ctx.obs_of.get(&object) {
-            for &oi in obs_idxs {
-                let obs = &ctx.obs[oi];
-                let Some(w) = obs.write else { continue };
-                let Some(&wi) = pos.get(&w) else { continue };
-                let reader = obs.reader;
-                for j in 0..g {
-                    if j == wi {
-                        continue;
-                    }
-                    // w' completed before the read was invoked: w' ≺ w.
-                    if ctx.resp(writes[j]) < ctx.inv(reader) {
-                        adj[j] |= 1 << wi;
-                    }
-                    // The read completed before w' was invoked: w ≺ w'.
-                    if ctx.resp(reader) < ctx.inv(writes[j]) {
-                        adj[wi] |= 1 << j;
-                    }
-                }
-            }
-        }
-        // Transitive closure (fixpoint over ≤64-bit masks) to classify
-        // pairs; `adj` itself stays the edge set used for extensions.
-        let mut reach = adj.clone();
-        loop {
-            let mut changed = false;
-            for i in 0..g {
-                let mut acc = reach[i];
-                let mut m = reach[i];
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    acc |= reach[j];
-                }
-                if acc != reach[i] {
-                    reach[i] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Real-time precedence and the observation inferences are necessary
-        // conditions on any valid version order; if they are cyclic, no
-        // serialization exists at all.
-        if (0..g).any(|i| reach[i] & (1 << i) != 0) {
-            return Err(Verdict::NotSerializable(format!(
-                "the observations of object {object} force a cyclic version \
-                 order among writes [{}]",
-                sample_txids(ctx, writes)
-            )));
-        }
-        let mut forced = Vec::new();
-        let mut free = Vec::new();
-        for i in 0..g {
-            for j in (i + 1)..g {
-                let ij = reach[i] & (1 << j) != 0;
-                let ji = reach[j] & (1 << i) != 0;
-                match (ij, ji) {
-                    (true, _) => forced.push((writes[i], writes[j])),
-                    (_, true) => forced.push((writes[j], writes[i])),
-                    (false, false) => free.push((writes[i], writes[j])),
-                }
-            }
-        }
-        Ok(Analysis { forced, free })
-    }
-
-    /// The polygraph-style splitting search: branch on the orientation of a
-    /// free pair touching a strongly connected component until the graph
-    /// turns acyclic (witness), every branch is refuted (conviction) or the
-    /// budget runs out.
-    fn split(
-        &self,
-        ctx: &Ctx,
-        orders: &mut BTreeMap<ObjectId, ObjectOrder>,
-        constraints: &mut Vec<(ObjectId, usize, usize)>,
-        scc_nodes: Vec<usize>,
-        budget: &mut usize,
-    ) -> Split {
-        // A deeper branch's cycle may involve objects the initial analysis
-        // skipped; analyse them on demand.  A necessary-constraint cycle
-        // found here refutes every branch, so Fail is sound.  If analysis
-        // re-extended a candidate, the cycle that brought us here may be
-        // gone — re-check before picking a pair to branch on.
-        let mut scc_nodes = scc_nodes;
-        loop {
-            match self.ensure_analyzed(ctx, orders, &scc_nodes) {
-                Ok(false) => break,
-                Ok(true) => match self.reorder(ctx, orders, constraints) {
-                    None => return Split::Fail,
-                    Some(reordered) => match kahn_pass(ctx, &reordered) {
-                        Pass::Acyclic(witness) => return Split::Witness(witness, reordered),
-                        Pass::Cyclic(scc) => scc_nodes = scc,
-                    },
-                },
-                Err(Verdict::Unknown(why)) => return Split::Undecided(why),
-                Err(_) => return Split::Fail,
-            }
-        }
-        // Pick an unconstrained free pair with an endpoint in the cycle.
-        let in_cycle: HashSet<usize> = scc_nodes.iter().copied().collect();
-        let mut pick = None;
-        'outer: for (&object, order) in orders.iter() {
-            let Some(analysis) = order.analysis.as_ref() else { continue };
-            for &(a, b) in &analysis.free {
-                if in_cycle.contains(&a) || in_cycle.contains(&b) {
-                    let constrained = constraints
-                        .iter()
-                        .any(|&(o, x, y)| o == object && ((x == a && y == b) || (x == b && y == a)));
-                    if !constrained {
-                        pick = Some((object, a, b));
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        let Some((object, a, b)) = pick else {
-            // Every edge of the cycle is forced: no version order avoids it.
-            return Split::Fail;
-        };
-        for &(x, y) in &[(a, b), (b, a)] {
-            if *budget == 0 {
-                return Split::Undecided(format!(
-                    "constraint-splitting budget of {} states exhausted before a \
-                     verdict was reached",
-                    self.split_budget
-                ));
-            }
-            *budget -= 1;
-            constraints.push((object, x, y));
-            let outcome = match self.reorder(ctx, orders, constraints) {
-                // The chosen orientation contradicts necessary constraints.
-                None => Split::Fail,
-                Some(reordered) => match kahn_pass(ctx, &reordered) {
-                    Pass::Acyclic(witness) => Split::Witness(witness, reordered),
-                    Pass::Cyclic(scc) => self.split(ctx, orders, constraints, scc, budget),
-                },
-            };
-            constraints.pop();
-            match outcome {
-                Split::Fail => continue,
-                done => return done,
-            }
-        }
-        Split::Fail
-    }
-
-    /// Recomputes every candidate order under the branch's orientation
-    /// constraints.  `None` if some object's constraints became cyclic.
-    fn reorder(
-        &self,
-        ctx: &Ctx,
-        orders: &BTreeMap<ObjectId, ObjectOrder>,
-        constraints: &[(ObjectId, usize, usize)],
-    ) -> Option<BTreeMap<ObjectId, ObjectOrder>> {
-        let mut out = BTreeMap::new();
-        for (&object, order) in orders {
-            let chosen: Vec<(usize, usize)> = constraints
-                .iter()
-                .filter(|&&(o, _, _)| o == object)
-                .map(|&(_, x, y)| (x, y))
-                .collect();
-            if chosen.is_empty() {
-                out.insert(
-                    object,
-                    ObjectOrder { candidate: order.candidate.clone(), analysis: None },
-                );
-                continue;
-            }
-            let analysis = order.analysis.as_ref().expect("analysed before splitting");
-            let candidate = extend(ctx, &order.candidate, &analysis.forced, &chosen)?;
-            out.insert(object, ObjectOrder { candidate, analysis: None });
-        }
-        Some(out)
-    }
-}
-
-/// Builds the transaction/observation context, deciding which incomplete
-/// writes are included (observed) and convicting reads of unknown versions.
-fn build_ctx(history: &History) -> Result<Ctx<'_>, Verdict> {
-    let mandatory: Vec<&TxRecord> = history.completed().collect();
-    let optional: Vec<&TxRecord> = history
-        .records
-        .iter()
-        .filter(|r| !r.is_complete() && r.kind() == TxKind::Write && r.outcome.is_some())
-        .collect();
-
-    // (object, key) → write, over mandatory and optional writes alike.
-    let mut key_map: BTreeMap<(ObjectId, Key), (bool, usize)> = BTreeMap::new();
-    for (set, optional_set) in [(&mandatory, false), (&optional, true)] {
-        for (i, rec) in set.iter().enumerate() {
-            if rec.kind() != TxKind::Write {
-                continue;
-            }
-            let key = match rec.outcome.as_ref() {
-                Some(TxOutcome::Write(w)) => w.key,
-                _ => continue,
-            };
-            for object in rec.spec.objects() {
-                if key_map.insert((object, key), (optional_set, i)).is_some() {
-                    return Err(Verdict::Unknown(format!(
-                        "two writes install version {key} on {object}; the version \
-                         order cannot be keyed"
-                    )));
-                }
-            }
-        }
-    }
-
-    // Observations of completed reads decide optional-write inclusion.
-    let mut optional_included = vec![false; optional.len()];
-    // One read observation: (reader index, object, observed writer —
-    // `(is_optional, index)` — if the read saw a non-initial key).
-    type RawObservation = (usize, ObjectId, Option<(bool, usize)>);
-    let mut raw_obs: Vec<RawObservation> = Vec::new();
-    for (ri, rec) in mandatory.iter().enumerate() {
-        let Some(TxOutcome::Read(read)) = rec.outcome.as_ref() else { continue };
-        for or in &read.reads {
-            if or.key.is_initial() {
-                raw_obs.push((ri, or.object, None));
-                continue;
-            }
-            match key_map.get(&(or.object, or.key)) {
-                None => {
-                    return Err(Verdict::NotSerializable(format!(
-                        "READ {} returned version {} for {} but no write installs it",
-                        rec.tx_id, or.key, or.object
-                    )))
-                }
-                Some(&(true, oi)) => {
-                    optional_included[oi] = true;
-                    raw_obs.push((ri, or.object, Some((true, oi))));
-                }
-                Some(&(false, wi)) => raw_obs.push((ri, or.object, Some((false, wi)))),
-            }
-        }
-    }
-
-    // Node ids: mandatory first, then the included optional writes.
-    let mut txs = mandatory.clone();
-    let mut optional_node = vec![usize::MAX; optional.len()];
-    for (i, rec) in optional.iter().enumerate() {
-        if optional_included[i] {
-            optional_node[i] = txs.len();
-            txs.push(rec);
-        }
-    }
-
-    let mut writes_of: BTreeMap<ObjectId, Vec<usize>> = BTreeMap::new();
-    for (node, rec) in txs.iter().enumerate() {
-        // Membership is decided by the *outcome*, not the spec: an aborted
-        // write installed nothing, so it takes no place in any version
-        // order (it stays a node, but only real-time edges touch it).
-        if matches!(rec.outcome, Some(TxOutcome::Write(_))) {
-            for object in rec.spec.objects() {
-                writes_of.entry(object).or_default().push(node);
-            }
-        }
-    }
-
-    let mut obs = Vec::with_capacity(raw_obs.len());
-    let mut obs_of: BTreeMap<ObjectId, Vec<usize>> = BTreeMap::new();
-    for (reader, object, target) in raw_obs {
-        let write = target.map(|(opt, i)| if opt { optional_node[i] } else { i });
-        obs_of.entry(object).or_default().push(obs.len());
-        obs.push(Obs { reader, object, write });
-    }
-
-    Ok(Ctx { txs, writes_of, obs, obs_of })
-}
-
-/// Linear extension of `members` under `forced ∪ chosen` edges, tie-broken
-/// by [`Ctx::tie`].  `None` if the constraints are cyclic.
-fn extend(
-    ctx: &Ctx,
-    members: &[usize],
-    forced: &[(usize, usize)],
-    chosen: &[(usize, usize)],
-) -> Option<Vec<usize>> {
-    let pos: HashMap<usize, usize> = members.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-    let mut indeg = vec![0usize; members.len()];
-    for &(a, b) in forced.iter().chain(chosen.iter()) {
-        if let (Some(&i), Some(&j)) = (pos.get(&a), pos.get(&b)) {
-            adj[i].push(j);
-            indeg[j] += 1;
-        }
-    }
-    type TieKeyed = Reverse<((u64, u64, u64), usize)>;
-    let mut heap: BinaryHeap<TieKeyed> = members
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| indeg[i] == 0)
-        .map(|(i, &m)| Reverse((ctx.tie(m), i)))
-        .collect();
-    let mut out = Vec::with_capacity(members.len());
-    while let Some(Reverse((_, i))) = heap.pop() {
-        out.push(members[i]);
-        for &j in &adj[i] {
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                heap.push(Reverse((ctx.tie(members[j]), j)));
-            }
-        }
-    }
-    (out.len() == members.len()).then_some(out)
-}
-
-/// Builds the precedence graph for the given version orders and runs one
-/// deterministic Kahn pass; on a cycle, runs an iterative Tarjan pass and
-/// reports the transactions caught in non-trivial SCCs.
-fn kahn_pass(ctx: &Ctx, orders: &BTreeMap<ObjectId, ObjectOrder>) -> Pass {
-    let n = ctx.txs.len();
-    // Time chain: one node per distinct INV/RESP instant.
-    let mut instants: Vec<u64> = Vec::with_capacity(2 * n);
-    for rec in &ctx.txs {
-        instants.push(rec.invoked_at);
-        if let Some(resp) = rec.responded_at {
-            instants.push(resp);
-        }
-    }
-    instants.sort_unstable();
-    instants.dedup();
-    let time_node = |instant_idx: usize| n + instant_idx;
-    let total = n + instants.len();
-
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); total];
-    let mut indeg = vec![0u32; total];
-    let push = |adj: &mut Vec<Vec<u32>>, indeg: &mut Vec<u32>, a: usize, b: usize| {
-        adj[a].push(b as u32);
-        indeg[b] += 1;
-    };
-    // Chain between consecutive instants.
-    for i in 1..instants.len() {
-        push(&mut adj, &mut indeg, time_node(i - 1), time_node(i));
-    }
-    // INV anchors and RESP anchors (real-time edges via the chain).
-    for (node, rec) in ctx.txs.iter().enumerate() {
-        let inv_idx = instants.binary_search(&rec.invoked_at).expect("inv instant present");
-        push(&mut adj, &mut indeg, time_node(inv_idx), node);
-        if let Some(resp) = rec.responded_at {
-            // First instant strictly after RESP.
-            let after = instants.partition_point(|&t| t <= resp);
-            if after < instants.len() {
-                push(&mut adj, &mut indeg, node, time_node(after));
-            }
-        }
-    }
-    // Version-order edges, plus an O(1) successor lookup per (object,
-    // write) so the anti-dependency edges below cost O(observations).
-    let mut succ: HashMap<(ObjectId, usize), Option<usize>> = HashMap::new();
-    for (&object, order) in orders {
-        for (p, &w) in order.candidate.iter().enumerate() {
-            succ.insert((object, w), order.candidate.get(p + 1).copied());
-        }
-        for w in order.candidate.windows(2) {
-            push(&mut adj, &mut indeg, w[0], w[1]);
-        }
-    }
-    // Observation edges (write→read and read→successor-write).
-    for obs in &ctx.obs {
-        match obs.write {
-            Some(w) => {
-                push(&mut adj, &mut indeg, w, obs.reader);
-                let next = succ
-                    .get(&(obs.object, w))
-                    .expect("observed write is in the version order");
-                if let Some(next) = *next {
-                    push(&mut adj, &mut indeg, obs.reader, next);
-                }
-            }
-            None => {
-                // Objects only ever read at κ₀ have no version order entry.
-                if let Some(&first) =
-                    orders.get(&obs.object).and_then(|o| o.candidate.first())
-                {
-                    push(&mut adj, &mut indeg, obs.reader, first);
-                }
-            }
-        }
-    }
-
-    // Deterministic Kahn: ready nodes keyed by (time, kind, tx id) so the
-    // witness order is stable across runs.
-    let key = |node: usize| -> (u64, u8, u64) {
-        if node < n {
-            (ctx.txs[node].invoked_at, 1, ctx.txs[node].tx_id.0)
-        } else {
-            (instants[node - n], 0, 0)
-        }
-    };
-    type TimeKeyed = Reverse<((u64, u8, u64), usize)>;
-    let mut heap: BinaryHeap<TimeKeyed> = (0..total)
-        .filter(|&v| indeg[v] == 0)
-        .map(|v| Reverse((key(v), v)))
-        .collect();
-    let mut witness = Vec::with_capacity(n);
-    let mut processed = 0usize;
-    while let Some(Reverse((_, v))) = heap.pop() {
-        processed += 1;
-        if v < n {
-            witness.push(v);
-        }
-        for &w in &adj[v] {
-            let w = w as usize;
-            indeg[w] -= 1;
-            if indeg[w] == 0 {
-                heap.push(Reverse((key(w), w)));
-            }
-        }
-    }
-    if processed == total {
-        return Pass::Acyclic(witness);
-    }
-    Pass::Cyclic(
-        tarjan_scc(&adj, total)
-            .into_iter()
-            .filter(|scc| scc.len() > 1)
-            .flatten()
-            .filter(|&v| v < n)
-            .collect(),
-    )
-}
-
-/// Iterative Tarjan strongly-connected components (no recursion).
-fn tarjan_scc(adj: &[Vec<u32>], n: usize) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct Frame {
-        node: usize,
-        edge: usize,
-    }
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs = Vec::new();
-    let mut counter = 0usize;
-    let mut call: Vec<Frame> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call.push(Frame { node: root, edge: 0 });
-        index[root] = counter;
-        low[root] = counter;
-        counter += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(frame) = call.last_mut() {
-            let v = frame.node;
-            if frame.edge < adj[v].len() {
-                let w = adj[v][frame.edge] as usize;
-                frame.edge += 1;
-                if index[w] == usize::MAX {
-                    index[w] = counter;
-                    low[w] = counter;
-                    counter += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push(Frame { node: w, edge: 0 });
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(parent) = call.last() {
-                    let p = parent.node;
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// Renders up to eight transaction ids of a cyclic candidate for messages.
-fn cycle_sample(ctx: &Ctx, orders: &BTreeMap<ObjectId, ObjectOrder>) -> String {
-    match kahn_pass(ctx, orders) {
-        Pass::Cyclic(nodes) => sample_txids(ctx, &nodes),
-        Pass::Acyclic(_) => String::from("<none>"),
-    }
-}
-
-fn sample_txids(ctx: &Ctx, nodes: &[usize]) -> String {
-    let mut ids: Vec<TxId> = nodes.iter().map(|&n| ctx.txs[n].tx_id).collect();
-    ids.sort();
-    ids.dedup();
-    ids.truncate(8);
-    ids.iter()
-        .map(|id| id.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use snow_core::{
-        ClientId, ObjectRead, ReadOutcome, TxOutcome, TxSpec, Value, WriteOutcome,
-    };
-
-    fn write(
-        id: u64,
-        client: u32,
-        seq: u64,
-        objects: &[u32],
-        inv: u64,
-        resp: u64,
-        tag: Option<u64>,
-    ) -> TxRecord {
-        let spec = TxSpec::write(objects.iter().map(|o| (ObjectId(*o), Value(seq))).collect());
-        let mut rec = TxRecord::invoked(TxId(id), ClientId(client), spec, inv);
-        rec.responded_at = Some(resp);
-        rec.outcome = Some(TxOutcome::Write(WriteOutcome {
-            key: Key::new(seq, ClientId(client)),
-            tag: tag.map(Tag),
-        }));
-        rec
-    }
-
-    fn read(id: u64, reads: Vec<(u32, Key)>, inv: u64, resp: u64) -> TxRecord {
-        let spec = TxSpec::read(reads.iter().map(|(o, _)| ObjectId(*o)).collect());
-        let mut rec = TxRecord::invoked(TxId(id), ClientId(0), spec, inv);
-        rec.responded_at = Some(resp);
-        rec.outcome = Some(TxOutcome::Read(ReadOutcome {
-            reads: reads
-                .into_iter()
-                .map(|(o, k)| ObjectRead { object: ObjectId(o), key: k, value: Value(0) })
-                .collect(),
-            tag: None,
-        }));
-        rec
-    }
-
-    fn k(seq: u64, client: u32) -> Key {
-        Key::new(seq, ClientId(client))
-    }
-
-    /// Replays a witness against the sequential semantics, requiring every
-    /// completed transaction to be present exactly once.
-    fn assert_valid_witness(h: &History, verdict: &Verdict) {
-        let Verdict::Serializable(order) = verdict else {
-            panic!("expected a witness, got {verdict:?}");
-        };
-        let mut ot = SequentialOt::new();
-        for tx in order {
-            ot.apply(h.get(*tx).expect("witness tx exists")).expect("witness replays");
-        }
-        let completed: Vec<TxId> = h.completed().map(|r| r.tx_id).collect();
-        for tx in &completed {
-            assert!(order.contains(tx), "{tx} missing from witness");
-        }
-    }
+    use crate::stream::tests::{assert_valid_witness, k, read, tagged, write};
+    use crate::stream::StreamChecker;
+    use crate::strict::Verdict;
+    use snow_core::{History, Key, TxId, TxOutcome};
 
     #[test]
     fn aborted_write_takes_no_place_in_the_version_order() {
@@ -977,99 +46,99 @@ mod tests {
         // forced before it.  With spec-based write classification the
         // aborted write joined `writes_of`, giving read→abort (version
         // order) plus abort→read (real time) — a spurious cycle.
-        let mut aborted = write(1, 1, 1, &[0], 0, 5, None);
+        let mut aborted = write(1, &[0], (1, 1), 0, 5);
         aborted.outcome = Some(TxOutcome::Aborted);
-        let stale = read(2, vec![(0, Key::initial())], 10, 15);
+        let stale = read(2, &[(0, Key::initial())], 10, 15);
         let mut h = History::new();
         h.push(aborted);
         h.push(stale);
-        let verdict = GraphChecker::new().check(&h);
+        let verdict = StreamChecker::check(&h);
         assert_valid_witness(&h, &verdict);
     }
 
     #[test]
     fn empty_history_is_serializable() {
-        assert_eq!(GraphChecker::new().check(&History::new()), Verdict::Serializable(vec![]));
+        assert_eq!(StreamChecker::check(&History::new()), Verdict::Serializable(vec![]));
     }
 
     #[test]
     fn accepts_a_clean_history_with_witness() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 0, 10, None));
-        h.push(read(2, vec![(0, k(1, 1)), (1, k(1, 1))], 20, 30));
-        let v = GraphChecker::new().check(&h);
+        h.push(write(1, &[0, 1], (1, 1), 0, 10));
+        h.push(read(2, &[(0, k(1, 1)), (1, k(1, 1))], 20, 30));
+        let v = StreamChecker::check(&h);
         assert_valid_witness(&h, &v);
     }
 
     #[test]
     fn accepts_reads_of_kappa_zero_without_writes() {
         let mut h = History::new();
-        h.push(read(1, vec![(7, Key::initial())], 0, 10));
-        assert!(GraphChecker::new().check(&h).is_serializable());
+        h.push(read(1, &[(7, Key::initial())], 0, 10));
+        assert!(StreamChecker::check(&h).is_serializable());
     }
 
     #[test]
     fn rejects_torn_reads_of_a_completed_write() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 0, 10, None));
-        h.push(read(2, vec![(0, k(1, 1)), (1, Key::initial())], 20, 30));
-        assert!(GraphChecker::new().check(&h).is_violation());
+        h.push(write(1, &[0, 1], (1, 1), 0, 10));
+        h.push(read(2, &[(0, k(1, 1)), (1, Key::initial())], 20, 30));
+        assert!(StreamChecker::check(&h).is_violation());
     }
 
     #[test]
     fn rejects_reads_of_versions_nobody_wrote() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0], 0, 10, None));
-        h.push(read(2, vec![(0, k(9, 9))], 20, 30));
-        assert!(GraphChecker::new().check(&h).is_violation());
+        h.push(write(1, &[0], (1, 1), 0, 10));
+        h.push(read(2, &[(0, k(9, 9))], 20, 30));
+        assert!(StreamChecker::check(&h).is_violation());
     }
 
     #[test]
     fn rejects_the_fig5_shape() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[1], 0, 10, None)); // w1
-        h.push(write(2, 1, 2, &[1], 20, 30, None)); // w2
-        h.push(write(3, 2, 1, &[0], 40, 50, None)); // w3 (after w2)
-        h.push(read(4, vec![(0, k(1, 2)), (1, k(1, 1))], 5, 60));
-        assert!(GraphChecker::new().check(&h).is_violation());
+        h.push(write(1, &[1], (1, 1), 0, 10)); // w1
+        h.push(write(2, &[1], (2, 1), 20, 30)); // w2
+        h.push(write(3, &[0], (1, 2), 40, 50)); // w3 (after w2)
+        h.push(read(4, &[(0, k(1, 2)), (1, k(1, 1))], 5, 60));
+        assert!(StreamChecker::check(&h).is_violation());
     }
 
     #[test]
     fn rejects_inverted_consecutive_reads() {
         let mut h = History::new();
-        h.push(write(1, 2, 1, &[0, 1], 0, 10, None));
-        h.push(read(2, vec![(0, k(1, 2)), (1, k(1, 2))], 20, 30));
-        h.push(read(3, vec![(0, Key::initial()), (1, Key::initial())], 40, 50));
-        assert!(GraphChecker::new().check(&h).is_violation());
+        h.push(write(1, &[0, 1], (1, 2), 0, 10));
+        h.push(read(2, &[(0, k(1, 2)), (1, k(1, 2))], 20, 30));
+        h.push(read(3, &[(0, Key::initial()), (1, Key::initial())], 40, 50));
+        assert!(StreamChecker::check(&h).is_violation());
     }
 
     #[test]
     fn concurrent_reads_may_choose_either_side() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 0, 100, None));
-        h.push(read(2, vec![(0, Key::initial()), (1, Key::initial())], 10, 20));
-        assert!(GraphChecker::new().check(&h).is_serializable());
+        h.push(write(1, &[0, 1], (1, 1), 0, 100));
+        h.push(read(2, &[(0, Key::initial()), (1, Key::initial())], 10, 20));
+        assert!(StreamChecker::check(&h).is_serializable());
         let mut h2 = History::new();
-        h2.push(write(1, 1, 1, &[0, 1], 0, 100, None));
-        h2.push(read(2, vec![(0, k(1, 1)), (1, k(1, 1))], 10, 20));
-        assert!(GraphChecker::new().check(&h2).is_serializable());
+        h2.push(write(1, &[0, 1], (1, 1), 0, 100));
+        h2.push(read(2, &[(0, k(1, 1)), (1, k(1, 1))], 10, 20));
+        assert!(StreamChecker::check(&h2).is_serializable());
     }
 
     #[test]
     fn incomplete_writes_are_included_iff_observed() {
-        let mut pending = write(1, 1, 1, &[0], 0, 0, None);
+        let mut pending = write(1, &[0], (1, 1), 0, 0);
         pending.responded_at = None;
         let mut h = History::new();
         h.push(pending.clone());
-        h.push(read(2, vec![(0, k(1, 1))], 10, 20));
-        let v = GraphChecker::new().check(&h);
+        h.push(read(2, &[(0, k(1, 1))], 10, 20));
+        let v = StreamChecker::check(&h);
         let Verdict::Serializable(order) = &v else { panic!("{v:?}") };
         assert!(order.contains(&TxId(1)), "observed pending write is placed");
 
         let mut h2 = History::new();
         h2.push(pending);
-        h2.push(read(2, vec![(0, Key::initial())], 10, 20));
-        let v2 = GraphChecker::new().check(&h2);
+        h2.push(read(2, &[(0, Key::initial())], 10, 20));
+        let v2 = StreamChecker::check(&h2);
         let Verdict::Serializable(order2) = &v2 else { panic!("{v2:?}") };
         assert!(!order2.contains(&TxId(1)), "unobserved pending write is dropped");
     }
@@ -1080,11 +149,11 @@ mod tests {
         // B, r (later) reads A.  The (inv, tx)-ordered candidate A≺B is
         // cyclic (q before r in real time), the flipped order B≺A is not.
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0], 0, 100, None)); // A
-        h.push(write(2, 2, 1, &[0], 5, 100, None)); // B
-        h.push(read(3, vec![(0, k(1, 2))], 10, 20)); // q reads B
-        h.push(read(4, vec![(0, k(1, 1))], 30, 40)); // r reads A
-        let v = GraphChecker::new().check(&h);
+        h.push(write(1, &[0], (1, 1), 0, 100)); // A
+        h.push(write(2, &[0], (1, 2), 5, 100)); // B
+        h.push(read(3, &[(0, k(1, 2))], 10, 20)); // q reads B
+        h.push(read(4, &[(0, k(1, 1))], 30, 40)); // r reads A
+        let v = StreamChecker::check(&h);
         assert_valid_witness(&h, &v);
     }
 
@@ -1093,19 +162,19 @@ mod tests {
         // A and B both write {0, 1}; one read returns A's version for one
         // object and B's for the other — torn under every version order.
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 0, 100, None)); // A
-        h.push(write(2, 2, 1, &[0, 1], 0, 100, None)); // B
-        h.push(read(3, vec![(0, k(1, 2)), (1, k(1, 1))], 10, 200));
-        assert!(GraphChecker::new().check(&h).is_violation());
+        h.push(write(1, &[0, 1], (1, 1), 0, 100)); // A
+        h.push(write(2, &[0, 1], (1, 2), 0, 100)); // B
+        h.push(read(3, &[(0, k(1, 2)), (1, k(1, 1))], 10, 200));
+        assert!(StreamChecker::check(&h).is_violation());
     }
 
     #[test]
     fn tagged_candidates_skip_the_pairwise_analysis() {
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0], 0, 100, Some(2)));
-        h.push(write(2, 2, 1, &[0], 0, 100, Some(3)));
-        h.push(read(3, vec![(0, k(1, 2))], 150, 160));
-        let v = GraphChecker::new().check(&h);
+        h.push(tagged(write(1, &[0], (1, 1), 0, 100), 2));
+        h.push(tagged(write(2, &[0], (1, 2), 0, 100), 3));
+        h.push(read(3, &[(0, k(1, 2))], 150, 160));
+        let v = StreamChecker::check(&h);
         assert_valid_witness(&h, &v);
     }
 
@@ -1115,11 +184,11 @@ mod tests {
         let mut id = 0u64;
         for i in 0..2_000u64 {
             id += 1;
-            h.push(write(id, 1, i + 1, &[(i % 8) as u32], i * 10, i * 10 + 5, None));
+            h.push(write(id, &[(i % 8) as u32], (i + 1, 1), i * 10, i * 10 + 5));
             id += 1;
-            h.push(read(id, vec![((i % 8) as u32, k(i + 1, 1))], i * 10 + 6, i * 10 + 9));
+            h.push(read(id, &[((i % 8) as u32, k(i + 1, 1))], i * 10 + 6, i * 10 + 9));
         }
-        let v = GraphChecker::new().check(&h);
+        let v = StreamChecker::check(&h);
         assert!(v.is_serializable(), "{v:?}");
     }
 
@@ -1132,10 +201,10 @@ mod tests {
         // (keeping the history serializable) rather than convict because
         // no free pair can be flipped.
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 27, 33, Some(3))); // W2
-        h.push(write(2, 2, 1, &[1], 43, 51, Some(1))); // W3
-        h.push(read(3, vec![(0, k(1, 1))], 60, 70));
-        let v = GraphChecker::new().check(&h);
+        h.push(tagged(write(1, &[0, 1], (1, 1), 27, 33), 3)); // W2
+        h.push(tagged(write(2, &[1], (1, 2), 43, 51), 1)); // W3
+        h.push(read(3, &[(0, k(1, 1))], 60, 70));
+        let v = StreamChecker::check(&h);
         assert_valid_witness(&h, &v);
     }
 
@@ -1147,25 +216,34 @@ mod tests {
         // W1 first (its tag-0-sorts-last tie key must not matter), or a
         // serializable history gets falsely convicted.
         let mut h = History::new();
-        h.push(write(1, 3, 1, &[0], 0, 10, Some(5))); // W1, tagged
-        h.push(write(2, 1, 1, &[0], 20, 100, None)); // W2
-        h.push(write(3, 2, 1, &[0], 25, 100, None)); // W3
-        h.push(read(4, vec![(0, k(1, 2))], 30, 40)); // q reads W3
-        h.push(read(5, vec![(0, k(1, 1))], 50, 60)); // r reads W2
-        let v = GraphChecker::new().check(&h);
+        h.push(tagged(write(1, &[0], (1, 3), 0, 10), 5)); // W1, tagged
+        h.push(write(2, &[0], (1, 1), 20, 100)); // W2
+        h.push(write(3, &[0], (1, 2), 25, 100)); // W3
+        h.push(read(4, &[(0, k(1, 2))], 30, 40)); // q reads W3
+        h.push(read(5, &[(0, k(1, 1))], 50, 60)); // r reads W2
+        let v = StreamChecker::check(&h);
         assert_valid_witness(&h, &v);
     }
 
     #[test]
     fn budget_exhaustion_reports_unknown() {
-        // Many mutually concurrent writes on one object and a read whose
-        // observations conflict across objects force heavy splitting; a
+        // Two fully concurrent writes on {0, 1} and a read returning one's
+        // version of 0 and the other's of 1: only splitting can refute it.
+        // Behind 24 unrelated writes the history is above the search cap,
+        // so the stream cannot fall back to the complete search, and a
         // budget of zero must surface Unknown instead of a wrong verdict.
         let mut h = History::new();
-        h.push(write(1, 1, 1, &[0, 1], 0, 100, None));
-        h.push(write(2, 2, 1, &[0, 1], 0, 100, None));
-        h.push(read(3, vec![(0, k(1, 2)), (1, k(1, 1))], 10, 200));
-        let v = GraphChecker::with_split_budget(0).check(&h);
+        for i in 0..24u64 {
+            h.push(write(10 + i, &[2], (i + 1, 3), i * 10, i * 10 + 5));
+        }
+        h.push(write(1, &[0, 1], (1, 1), 300, 400));
+        h.push(write(2, &[0, 1], (1, 2), 300, 400));
+        h.push(read(3, &[(0, k(1, 2)), (1, k(1, 1))], 310, 500));
+        let mut checker = StreamChecker::with_split_budget(0);
+        checker.feed_history(&h);
+        let v = checker.finish();
         assert!(matches!(v, Verdict::Unknown(_)), "{v:?}");
+        // With a budget the same history is convicted.
+        assert!(StreamChecker::check(&h).is_violation());
     }
 }

@@ -1,9 +1,11 @@
-//! Streaming strict-serializability: an incremental [`GraphChecker`] with a
-//! sliding certification frontier.
+//! Streaming strict-serializability: the crate's one semantic engine, an
+//! online precedence graph with a sliding certification frontier.
 //!
 //! [`StreamChecker`] ingests **committed** transactions one at a time (in
-//! commit — RESP — order) and maintains the same precedence structure the
-//! post-hoc graph engine builds, online:
+//! commit — RESP — order) and maintains a precedence structure over them
+//! online (a whole history goes through [`StreamChecker::check`], which is
+//! what [`crate::strict::check_auto`] calls when the tag order does not
+//! accept):
 //!
 //! * **Per-object version orders**, extended incrementally: a tagged write
 //!   whose tie key sorts after the current tail is appended in O(1); a write
@@ -30,12 +32,17 @@
 //!   O(live window + in-flight), not O(history).
 //!
 //! When the incremental order breaks (a Pearce–Kelly cycle or a dirty
-//! version order), the checker re-solves **only the live window** through
-//! `GraphChecker::solve_ctx` — the same constraint-splitting fallback the
-//! post-hoc engine uses, so ambiguous overlap groups inside the window are
-//! branched on without rebuilding a whole-history DAG.  Violations are
-//! reported at the offending transaction (see
-//! [`StreamChecker::offending_index`]), not at shutdown.
+//! version order), the checker re-solves **only the live window** with the
+//! crate's window solver (`solve.rs`: version orders, a precedence DAG with
+//! a time chain, Kahn/Tarjan passes and a budgeted constraint-splitting
+//! search), so ambiguous overlap groups inside the window are branched on
+//! without rebuilding a whole-history DAG.  Violations are reported at the
+//! offending transaction (see [`StreamChecker::offending_index`]), not at
+//! shutdown.  A re-solve that runs out of splitting budget does not end the
+//! check: nothing retires from then on, the window keeps collecting
+//! commits (up to 65 536 live transactions), and `finish` re-solves it
+//! once more, so a contradiction that needs no splitting, arriving later,
+//! still convicts.
 //!
 //! Closed but still-ambiguous overlap groups (concurrent writes whose
 //! relative order a *future* stale read could still force) are retired into
@@ -89,16 +96,23 @@
 //! assert!(checker.finish().is_serializable());
 //! ```
 
-use crate::graph::{Ctx, GraphChecker, Obs, ObjectOrder};
 use crate::ot::SequentialOt;
+use crate::solve::{solve_ctx, Ctx, ObjectOrder, Obs};
 use crate::strict::{SearchChecker, Verdict};
-use snow_core::{FxHashMap, History, Key, ObjectId, TxKind, TxOutcome, TxRecord};
+use snow_core::{FxHashMap, FxHashSet, History, Key, ObjectId, TxKind, TxOutcome, TxRecord};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many of the earliest records are kept around so an `Unknown` verdict
-/// on a small history can fall back to the complete search, mirroring
-/// [`crate::strict::check_auto`].
+/// on a small history can fall back to the complete search.
 const SEARCH_FALLBACK_KEEP: usize = 25;
+
+/// After a window re-solve runs out of splitting budget, the window keeps
+/// collecting commits, unretired, for one more re-solve at `finish`, up to
+/// this many live transactions; past it the `Unknown` is final at once.
+const UNDECIDED_KEEP: usize = 1 << 16;
+
+/// The default of [`StreamChecker::split_budget`].
+const SPLIT_BUDGET: usize = 4096;
 
 /// One observation recorded on a live reader.
 #[derive(Debug, Clone, Copy)]
@@ -377,12 +391,12 @@ pub struct StreamReport {
 /// See the [module docs](self) for the algorithm and a usage example.
 #[derive(Debug)]
 pub struct StreamChecker {
-    /// Constraint-splitting budget for window re-solves (see
-    /// [`GraphChecker::split_budget`]).
+    /// Maximum number of branch states one window re-solve's
+    /// constraint-splitting search may explore before it gives up (4096 by
+    /// default).  The window then stops retiring and is re-solved once
+    /// more at `finish`; if that runs out too, the verdict is
+    /// [`Verdict::Unknown`].
     pub split_budget: usize,
-    /// Pairwise-analysis cap for ambiguous overlap groups (see
-    /// [`GraphChecker::max_ambiguous_group`]).
-    pub max_ambiguous_group: usize,
 
     slots: Vec<Option<LiveTx>>,
     free: Vec<u32>,
@@ -417,11 +431,17 @@ pub struct StreamChecker {
     optional_included: usize,
     live_count: usize,
     peak_live: usize,
-    retired_any: bool,
     finishing: bool,
     fatal: Option<Verdict>,
     offending: Option<usize>,
+    /// The `Unknown` of a window re-solve that ran out of budget, while
+    /// the window keeps collecting commits for one more re-solve at
+    /// `finish` (up to `UNDECIDED_KEEP` live transactions).
+    undecided: Option<(usize, Verdict)>,
+    /// Copies of the first records fed, for the small-history search
+    /// fallback; `early_lost` notes a record fed when there was no room.
     early: Vec<TxRecord>,
+    early_lost: bool,
 
     edges_added: u64,
     window_resolves: u64,
@@ -439,10 +459,8 @@ pub struct StreamChecker {
 
 impl Default for StreamChecker {
     fn default() -> Self {
-        let g = GraphChecker::default();
         StreamChecker {
-            split_budget: g.split_budget,
-            max_ambiguous_group: g.max_ambiguous_group,
+            split_budget: SPLIT_BUDGET,
             slots: Vec::new(),
             free: Vec::new(),
             spare: Vec::new(),
@@ -467,11 +485,12 @@ impl Default for StreamChecker {
             optional_included: 0,
             live_count: 0,
             peak_live: 0,
-            retired_any: false,
             finishing: false,
             fatal: None,
             offending: None,
+            undecided: None,
             early: Vec::new(),
+            early_lost: false,
             edges_added: 0,
             window_resolves: 0,
             max_retirement_lag: 0,
@@ -511,10 +530,10 @@ impl StreamChecker {
         self.obs.as_mut().map(|s| s.drain()).unwrap_or_default()
     }
 
-    /// The verdict so far, if it is already final (a violation or a sticky
-    /// `Unknown`).  `None` means "serializable so far".
+    /// The verdict so far, if it is not "serializable so far": a violation,
+    /// or an `Unknown` (sticky, or pending the re-solve at `finish`).
     pub fn violation(&self) -> Option<&Verdict> {
-        self.fatal.as_ref()
+        self.fatal.as_ref().or(self.undecided.as_ref().map(|(_, v)| v))
     }
 
     /// The commit index (0-based position in the ingest stream) at which
@@ -568,6 +587,25 @@ impl StreamChecker {
         if self.fatal.is_none() {
             self.fatal = Some(Verdict::Unknown(why));
             self.offending = Some(index);
+        }
+    }
+
+    /// Makes a pending `Unknown` final, where the re-solve first ran out.
+    fn give_up(&mut self) {
+        if let Some((index, unknown)) = self.undecided.take() {
+            if self.fatal.is_none() {
+                self.fatal = Some(unknown);
+                self.offending = Some(index);
+            }
+        }
+    }
+
+    /// Keeps a copy of `rec` for the search fallback while there is room.
+    fn keep_early(&mut self, rec: &TxRecord) {
+        if self.early.len() < SEARCH_FALLBACK_KEEP {
+            self.early.push(rec.clone());
+        } else {
+            self.early_lost = true;
         }
     }
 
@@ -783,6 +821,7 @@ impl StreamChecker {
     pub fn ingest(&mut self, rec: TxRecord) {
         let index = self.ingested;
         self.ingested += 1;
+        self.keep_early(&rec);
         if self.fatal.is_some() {
             return;
         }
@@ -792,19 +831,19 @@ impl StreamChecker {
             "commits must be fed in RESP order"
         );
         self.last_resp = rec.responded_at.unwrap_or(self.last_resp);
-        if self.early.len() < SEARCH_FALLBACK_KEEP {
-            self.early.push(rec.clone());
-        }
         let slot = self.alloc(rec, index);
         let mut clean = self.add_real_time_edges(slot);
         clean &= match self.tx(slot).rec.kind() {
             TxKind::Write => self.ingest_write(slot),
             TxKind::Read => self.ingest_read(slot),
         };
-        if self.fatal.is_none() && !clean {
+        if self.fatal.is_none() && !clean && self.undecided.is_none() {
             self.resolve_window(slot);
         }
         self.peak_live = self.peak_live.max(self.live_window());
+        if self.live_count > UNDECIDED_KEEP {
+            self.give_up();
+        }
     }
 
     /// Returns `false` when the window needs a re-solve.
@@ -812,8 +851,8 @@ impl StreamChecker {
         // A write without a known outcome is a node only.
         let Some(key) = self.written_key(slot) else { return true };
         let index = self.tx(slot).index;
-        // Duplicate version keys break the (object, key) → write map, same
-        // as the post-hoc builder.
+        // Duplicate version keys break the (object, key) → write map: the
+        // version order cannot be keyed.
         let spec = &self.tx(slot).rec.spec;
         let duplicate = spec.objects_iter().find(|&o| self.keys.contains_key(&(o, key)));
         if let Some(object) = duplicate {
@@ -1069,10 +1108,10 @@ impl StreamChecker {
 
     // ---- window re-solve ---------------------------------------------------
 
-    /// Re-solves the live window through [`GraphChecker::solve_ctx`] — the
-    /// post-hoc engine over a borrowed [`Ctx`], so ambiguous overlap groups
-    /// are branched on with the same constraint-splitting search the batch
-    /// checker uses, without ever rebuilding a whole-history DAG.  On
+    /// Re-solves the live window with the window solver over a borrowed
+    /// [`Ctx`], so ambiguous overlap groups are branched on by the
+    /// constraint-splitting search without ever rebuilding a
+    /// whole-history DAG.  On
     /// success the incremental structures (Pearce–Kelly order, candidate
     /// version orders, edges) are rebuilt from the winning branch; on
     /// failure the verdict is final, attributed to the transaction whose
@@ -1114,12 +1153,7 @@ impl StreamChecker {
                     obs.push(Obs { reader: n, object: ro.object, write });
                 }
             }
-            let ctx = Ctx { txs, writes_of, obs, obs_of };
-            let solver = GraphChecker {
-                split_budget: self.split_budget,
-                max_ambiguous_group: self.max_ambiguous_group,
-            };
-            solver.solve_ctx(&ctx)
+            solve_ctx(&Ctx { txs, writes_of, obs, obs_of }, self.split_budget)
         };
         match solved {
             Ok((witness, orders)) => self.rebuild(&nodes, &witness, &orders),
@@ -1129,6 +1163,13 @@ impl StreamChecker {
                     "at {at_tx} (commit #{at_index}): {why}"
                 )),
             ),
+            // Out of budget: keep collecting commits, unretired, for one
+            // more re-solve at `finish`.  A later forced contradiction
+            // (an observation-forced cyclic version order needs no
+            // splitting) still convicts there.
+            Err(unknown @ Verdict::Unknown(_)) if !self.finishing => {
+                self.undecided = Some((at_index, unknown));
+            }
             Err(Verdict::Unknown(why)) => self.sticky_unknown(at_index, why),
             Err(v) => self.convict(at_index, v),
         }
@@ -1210,7 +1251,7 @@ impl StreamChecker {
             return;
         }
         self.watermark = watermark;
-        if self.fatal.is_some() {
+        if self.fatal.is_some() || self.undecided.is_some() {
             return;
         }
         // Cheap necessary condition: a retire pass only ever closes
@@ -1228,7 +1269,8 @@ impl StreamChecker {
     }
 
     /// Appends the overlap components of `writes` (time-overlapping runs,
-    /// the unit of version-order ambiguity — matches the post-hoc grouping)
+    /// the unit of version-order ambiguity — matches the window solver's
+    /// grouping)
     /// to `sc.comps` as ranges of `sc.comp_slots`.
     ///
     /// With `closed_prefix`, stops after the first component that contains
@@ -1274,7 +1316,7 @@ impl StreamChecker {
     /// into sealed segments that stay revisable until a later version of
     /// the object closes.
     fn retire_pass(&mut self) {
-        if self.fatal.is_some() {
+        if self.fatal.is_some() || self.undecided.is_some() {
             return;
         }
         let mut sc = std::mem::take(&mut self.retire);
@@ -1380,7 +1422,6 @@ impl StreamChecker {
             sc.emission.windows(2).all(|e| e[0].0 < e[1].0),
             "two retiring transactions share an `ord` label"
         );
-        self.retired_any = true;
         sc.pos_of.resize(n, 0);
         for (p, &(_, s)) in sc.emission.iter().enumerate() {
             sc.pos_of[s as usize] = p;
@@ -1461,6 +1502,13 @@ impl StreamChecker {
                     let seal = sc.seal_of_pos[sc.pos_of[comp[0] as usize]];
                     state.latest_retired = None;
                     state.open_seal = Some(seal);
+                    // An earlier component of this pass may have expired
+                    // the object in this very seal; this one is still
+                    // revisable.
+                    let open = &mut self.seals[seal].open_objects;
+                    if !open.contains(&object) {
+                        open.push(object);
+                    }
                     for &w in comp {
                         let Some(key) = self.written_key(w) else { continue };
                         self.keys.insert((object, key), KeyState::Sealed { seal });
@@ -1592,8 +1640,7 @@ impl StreamChecker {
     }
 
     /// Appends one certified transaction to the witness, validating it
-    /// against the sequential object-type semantics (same final validation
-    /// as the post-hoc engine).
+    /// against the sequential object-type semantics.
     fn replay_one(&mut self, rec: &TxRecord) {
         if let Err(object) = self.replay.apply(rec) {
             debug_assert!(false, "streaming witness replay failed on {object} at {}", rec.tx_id);
@@ -1613,8 +1660,8 @@ impl StreamChecker {
 
     /// A live read observed a sealed version.  The segment's internal
     /// order is still revisable: record the observation as a ghost read and
-    /// re-linearise the segment under all accumulated ghosts with the same
-    /// solver the post-hoc engine uses.  Returns `false` when the read
+    /// re-linearise the segment under all accumulated ghosts with the
+    /// window solver.  Returns `false` when the read
     /// convicts the history (the verdict is already recorded).
     fn flip_seal(
         &mut self,
@@ -1641,7 +1688,7 @@ impl StreamChecker {
         }
         // Ghost read: this reader's observation of `object`, projected out
         // of its full record so the segment solver sees exactly the
-        // constraints the post-hoc graph would.
+        // constraints a whole-history precedence graph would.
         let t = self.tx(slot);
         let read = match t.rec.outcome.as_ref() {
             Some(TxOutcome::Read(r)) => r.reads.iter().find(|or| or.object == object),
@@ -1697,12 +1744,7 @@ impl StreamChecker {
                     }
                 }
             }
-            let ctx = Ctx { txs, writes_of, obs, obs_of };
-            let solver = GraphChecker {
-                split_budget: self.split_budget,
-                max_ambiguous_group: self.max_ambiguous_group,
-            };
-            solver.solve_ctx(&ctx)
+            solve_ctx(&Ctx { txs, writes_of, obs, obs_of }, self.split_budget)
         };
         match solved {
             Ok((witness, _)) => {
@@ -1740,27 +1782,27 @@ impl StreamChecker {
 
     /// Includes an incomplete (never-responded) WRITE whose effects were
     /// observed by a committed read.  Call for each incomplete write with
-    /// an outcome before [`Self::finish`]; unobserved ones are ignored,
-    /// matching the post-hoc builder.
+    /// an outcome before [`Self::finish`]; unobserved ones are ignored:
+    /// they can always be dropped from a witness without invalidating it
+    /// (Definition 7.1's incomplete transactions).
     pub fn ingest_incomplete(&mut self, rec: TxRecord) {
-        if self.fatal.is_some() || rec.kind() != TxKind::Write {
+        let Some(TxOutcome::Write(w)) = rec.outcome.as_ref() else { return };
+        let key = w.key;
+        if self.fatal.is_some() {
+            // Whether a READ observed it is no longer tracked; the search
+            // fallback may place it or leave it out.
+            self.keep_early(&rec);
             return;
         }
-        let key = match rec.outcome.as_ref() {
-            Some(TxOutcome::Write(w)) => w.key,
-            _ => return,
-        };
         if !rec.spec.objects_iter().any(|o| self.pending.contains_key(&(o, key))) {
             return;
         }
-        if self.early.len() < SEARCH_FALLBACK_KEEP {
-            self.early.push(rec.clone());
-        }
+        self.keep_early(&rec);
         self.optional_included += 1;
         let slot = self.alloc(rec, self.ingested);
         let mut clean = self.add_real_time_edges(slot);
         clean &= self.ingest_write(slot);
-        if self.fatal.is_none() && !clean {
+        if self.fatal.is_none() && !clean && self.undecided.is_none() {
             self.resolve_window(slot);
         }
         self.peak_live = self.peak_live.max(self.live_window());
@@ -1772,8 +1814,8 @@ impl StreamChecker {
     /// writes via [`Self::ingest_incomplete`] first.
     pub fn finish(&mut self) -> Verdict {
         if self.fatal.is_none() {
-            // A read returned a version no write installs: same conviction
-            // as the post-hoc builder, attributed to the earliest reader.
+            // A read returned a version no write installs: a conviction,
+            // attributed to the earliest reader.
             let mut worst: Option<(usize, snow_core::TxId, ObjectId, Key)> = None;
             for (&(object, key), readers) in &self.pending {
                 for &r in readers {
@@ -1793,22 +1835,34 @@ impl StreamChecker {
                 );
             }
         }
+        if self.fatal.is_none() {
+            if let Some(&last) = self.by_resp.last() {
+                if let Some((index, unknown)) = self.undecided.take() {
+                    // One re-solve over every commit collected since the
+                    // window ran out of budget; if it runs out again, the
+                    // `Unknown` stays where it first arose.
+                    self.finishing = true;
+                    self.resolve_window(last);
+                    if matches!(self.fatal, Some(Verdict::Unknown(_))) {
+                        self.fatal = Some(unknown);
+                        self.offending = Some(index);
+                    }
+                }
+            }
+            self.give_up();
+        }
         match &self.fatal {
             Some(v) if v.is_violation() => return v.clone(),
             Some(v) => {
-                // Mirror `check_auto`: an undecided small history goes to
-                // the exhaustive search, provided the stream still holds
-                // every record.
-                let total = self.ingested + self.optional_included;
-                if !self.retired_any && self.early.len() == total {
-                    let search = SearchChecker::default();
-                    if total <= search.max_transactions {
-                        let mut h = History::new();
-                        for rec in &self.early {
-                            h.push(rec.clone());
-                        }
-                        return search.check(&h);
+                // An undecided small history goes to the exhaustive
+                // search, provided `early` kept every record fed.
+                let search = SearchChecker::default();
+                if !self.early_lost && self.early.len() <= search.max_transactions {
+                    let mut h = History::new();
+                    for rec in &self.early {
+                        h.push(rec.clone());
                     }
+                    return search.check(&h);
                 }
                 return v.clone();
             }
@@ -1831,12 +1885,35 @@ impl StreamChecker {
 
     /// Feeds a complete history in commit order, advancing the watermark
     /// as tightly as hindsight allows (before each step, to the earliest
-    /// invocation among the not-yet-ingested commits).  Incomplete
-    /// observed writes are fed at the end.
+    /// invocation among the transactions still to be ingested).
+    /// Incomplete writes are fed at the end, so the watermark never passes
+    /// the earliest invocation among those a completed READ observed; an
+    /// unobserved one is dropped at the end and holds nothing back.
     pub fn feed_history(&mut self, history: &History) {
         let mut committed: Vec<&TxRecord> = history.completed().collect();
         committed.sort_by_key(|r| (r.responded_at.unwrap_or(u64::MAX), r.tx_id.0));
-        let mut suffix_min = vec![u64::MAX; committed.len() + 1];
+        let observed: FxHashSet<(ObjectId, Key)> = committed
+            .iter()
+            .filter_map(|r| match &r.outcome {
+                Some(TxOutcome::Read(o)) => Some(o.reads.iter().map(|x| (x.object, x.key))),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        let floor = history
+            .records
+            .iter()
+            .filter(|r| !r.is_complete())
+            .filter(|r| match &r.outcome {
+                Some(TxOutcome::Write(w)) => {
+                    r.spec.objects_iter().any(|o| observed.contains(&(o, w.key)))
+                }
+                _ => false,
+            })
+            .map(|r| r.invoked_at)
+            .min()
+            .unwrap_or(u64::MAX);
+        let mut suffix_min = vec![floor; committed.len() + 1];
         for i in (0..committed.len()).rev() {
             suffix_min[i] = suffix_min[i + 1].min(committed[i].invoked_at);
         }
@@ -1861,9 +1938,9 @@ impl StreamChecker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use snow_core::{ClientId, TxId, TxSpec};
+    use snow_core::{ClientId, ObjectRead, ReadOutcome, Tag, TxId, TxSpec, Value, WriteOutcome};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1882,6 +1959,196 @@ mod tests {
             assert_eq!(checker.alloc(rec, i as usize), i);
         }
         checker
+    }
+
+    /// An untagged WRITE of `objects` by client `writer`, installing
+    /// `Key::new(seq, writer)`.
+    pub(crate) fn write(
+        id: u64,
+        objects: &[u32],
+        (seq, writer): (u64, u32),
+        inv: u64,
+        resp: u64,
+    ) -> TxRecord {
+        let spec = TxSpec::write(objects.iter().map(|&o| (ObjectId(o), Value(id))).collect());
+        let mut rec = TxRecord::invoked(TxId(id), ClientId(writer), spec, inv);
+        rec.responded_at = Some(resp);
+        let key = Key::new(seq, ClientId(writer));
+        rec.outcome = Some(TxOutcome::Write(WriteOutcome { key, tag: None }));
+        rec
+    }
+
+    /// `rec`, a WRITE, carrying `tag`.
+    pub(crate) fn tagged(mut rec: TxRecord, tag: u64) -> TxRecord {
+        if let Some(TxOutcome::Write(w)) = rec.outcome.as_mut() {
+            w.tag = Some(Tag(tag));
+        }
+        rec
+    }
+
+    /// A READ returning the listed key for each listed object.
+    pub(crate) fn read(id: u64, observed: &[(u32, Key)], inv: u64, resp: u64) -> TxRecord {
+        let spec = TxSpec::read(observed.iter().map(|&(o, _)| ObjectId(o)).collect());
+        let mut rec = TxRecord::invoked(TxId(id), ClientId(99), spec, inv);
+        rec.responded_at = Some(resp);
+        let reads = observed.iter().map(|&(o, key)| ObjectRead {
+            object: ObjectId(o),
+            key,
+            value: Value(0),
+        });
+        rec.outcome = Some(TxOutcome::Read(ReadOutcome { reads: reads.collect(), tag: None }));
+        rec
+    }
+
+    pub(crate) fn k(seq: u64, writer: u32) -> Key {
+        Key::new(seq, ClientId(writer))
+    }
+
+    /// The witness in `verdict`, after replaying it against the sequential
+    /// semantics and requiring every completed transaction of `h` in it.
+    pub(crate) fn assert_valid_witness<'a>(h: &History, verdict: &'a Verdict) -> &'a [TxId] {
+        let Verdict::Serializable(order) = verdict else {
+            panic!("expected a witness, got {verdict:?}");
+        };
+        let mut ot = SequentialOt::new();
+        for tx in order {
+            ot.apply(h.get(*tx).expect("witness transaction")).expect("witness replays");
+        }
+        for rec in h.completed() {
+            assert!(order.contains(&rec.tx_id), "{} missing from witness", rec.tx_id);
+        }
+        order
+    }
+
+    /// `StreamChecker::check` certifies `records` with a witness that
+    /// places all of them and replays.
+    fn assert_certified(records: Vec<TxRecord>) {
+        let mut h = History::new();
+        let n = records.len();
+        records.into_iter().for_each(|r| h.push(r));
+        let verdict = StreamChecker::check(&h);
+        assert_eq!(assert_valid_witness(&h, &verdict).len(), n);
+    }
+
+    /// A WRITE that never responded, invoked at 48 and observed by a READ:
+    /// a serialization places it before `w3`, which completed at 53.  It
+    /// is fed after every commit, so a hindsight watermark over the
+    /// commits alone (75 once `w3` is in) retired `w3` first and then
+    /// convicted a serializable history.  The watermark now stays at the
+    /// incomplete write's invocation.
+    #[test]
+    fn feed_history_keeps_the_watermark_below_an_observed_incomplete_write() {
+        let mut pending = write(1, &[0, 1], (1, 100), 48, 0);
+        pending.responded_at = None;
+        assert_certified(vec![
+            pending,
+            write(2, &[0], (2, 100), 75, 83),
+            write(3, &[1], (3, 100), 34, 53),
+            read(4, &[(0, k(1, 100)), (1, k(3, 100))], 80, 83),
+        ]);
+    }
+
+    /// A WRITE that never responded and that no READ observed, invoked
+    /// before everything else: it is dropped at the end, so it must not
+    /// hold the watermark back, and the window retires as the commits go.
+    #[test]
+    fn an_unobserved_incomplete_write_does_not_hold_the_window_back() {
+        let mut pending = write(1, &[0], (1, 7), 0, 0);
+        pending.responded_at = None;
+        let mut h = History::new();
+        h.push(pending);
+        for i in 0..8u64 {
+            h.push(write(2 + 2 * i, &[1], (i + 1, 1), 10 + 10 * i, 15 + 10 * i));
+            h.push(read(3 + 2 * i, &[(1, k(i + 1, 1))], 16 + 10 * i, 19 + 10 * i));
+        }
+        let mut checker = StreamChecker::new();
+        checker.feed_history(&h);
+        assert_eq!(checker.certified(), 16, "every commit retires before finish");
+        let verdict = checker.finish();
+        assert_eq!(assert_valid_witness(&h, &verdict).len(), 16);
+    }
+
+    /// Two histories shrunk from random 200-transaction ones: one retire
+    /// pass routes two multi-write components of object 3 (first) and of
+    /// object 1 (second, with a single write between them) into the same
+    /// seal.  Expiring the earlier component used to drop the object from
+    /// the seal's revisable objects while the later component was still
+    /// revisable, so the seal was replayed before the last READ pinned
+    /// the later component's order, and its witness failed replay (a
+    /// conviction in release builds).
+    #[test]
+    fn a_later_component_in_the_same_seal_keeps_its_object_revisable() {
+        assert_certified(vec![
+            write(85, &[3], (11, 0), 499, 540),
+            write(88, &[2, 3], (12, 2), 519, 555),
+            write(92, &[0, 2], (12, 0), 542, 577),
+            write(105, &[1, 3], (14, 2), 580, 611),
+            write(113, &[0, 2], (15, 0), 695, 737),
+            write(120, &[0, 3], (15, 1), 569, 611),
+            read(138, &[(0, k(15, 0)), (3, k(15, 1))], 741, 749),
+        ]);
+        assert_certified(vec![
+            write(43, &[0, 1], (8, 3), 254, 265),
+            write(44, &[0], (6, 0), 265, 290),
+            write(60, &[1], (7, 0), 298, 301),
+            write(64, &[0, 1], (6, 2), 270, 278),
+            write(66, &[0, 1], (7, 2), 281, 293),
+            read(69, &[(0, k(8, 4)), (1, k(9, 1))], 322, 325),
+            write(82, &[0], (8, 4), 315, 316),
+            write(88, &[0, 1], (8, 1), 221, 260),
+            write(90, &[1], (9, 1), 293, 307),
+        ]);
+    }
+
+    /// Shrunk from a random 200-transaction history: nine untagged writes
+    /// and a READ whose window re-solve exhausts the default splitting
+    /// budget before the last commit, and again at `finish`.  The stream
+    /// keeps a copy of every record, the last one included, so `finish`
+    /// settles the history with the complete search.
+    #[test]
+    fn finish_searches_a_small_history_that_went_undecided_mid_stream() {
+        let records = vec![
+            write(12, &[0, 1], (3, 3), 141, 167),
+            write(14, &[2], (4, 3), 169, 215),
+            write(15, &[0, 2], (5, 0), 128, 158),
+            write(29, &[0, 1], (4, 4), 110, 145),
+            write(30, &[0, 2], (4, 1), 128, 145),
+            write(31, &[1, 2], (5, 4), 161, 197),
+            write(32, &[1, 2], (5, 1), 164, 177),
+            read(40, &[(0, k(4, 2)), (1, k(4, 4))], 125, 162),
+            write(72, &[0], (4, 2), 99, 141),
+            write(184, &[1], (22, 3), 972, 992),
+        ];
+        let mut h = History::new();
+        records.iter().cloned().for_each(|r| h.push(r));
+        let mut checker = StreamChecker::new();
+        checker.feed_history(&h);
+        assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
+        assert_eq!(assert_valid_witness(&h, &checker.finish()).len(), records.len());
+        // The re-solve at `finish` ran out too: the search decided.
+        assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
+    }
+
+    /// With no splitting budget the window re-solve gives up before the
+    /// observed incomplete write `c` is fed.  The search fallback must
+    /// still see `c`, or the READ of its version reads as a read of a
+    /// version nobody wrote, and a serializable history is convicted.
+    #[test]
+    fn the_search_fallback_sees_incomplete_writes_fed_after_the_verdict() {
+        let mut c = write(5, &[1], (1, 3), 50, 0);
+        c.responded_at = None;
+        let mut h = History::new();
+        h.push(write(1, &[0], (1, 1), 0, 100));
+        h.push(write(2, &[0], (1, 2), 5, 100));
+        h.push(read(3, &[(0, k(1, 2))], 10, 20));
+        h.push(read(4, &[(0, k(1, 1))], 30, 40));
+        h.push(c);
+        h.push(read(6, &[(1, k(1, 3))], 60, 70));
+        let mut checker = StreamChecker::with_split_budget(0);
+        checker.feed_history(&h);
+        assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
+        let verdict = checker.finish();
+        assert!(verdict.is_serializable(), "{verdict:?}");
     }
 
     /// Pearce–Kelly and the gap placement against a from-scratch

@@ -13,6 +13,7 @@
 //!   incomplete transactions; incomplete READs are ignored.
 
 use crate::ot::SequentialOt;
+use crate::stream::StreamChecker;
 use snow_core::{History, Tag, TxId, TxKind, TxOutcome, TxRecord};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -297,22 +298,20 @@ impl SearchChecker {
     }
 }
 
-/// Picks the right strict-serializability engine for the shape of
-/// `history`:
+/// Checks `history` for strict serializability with the cheapest engine
+/// that can decide it:
 ///
 /// 1. [`TagOrderChecker`] when every completed transaction carries a tag —
 ///    at any history size, since its P2/P4 conditions are single sweeps
-///    over the tag-sorted history (the historical 10k cap existed because
-///    they were O(n²) pair scans).  Lemma 20 is a *sufficient*
-///    condition, so only its acceptance is authoritative: a tag-order
-///    violation is confirmed semantically by the graph engine (a history
-///    may be serializable in an order its tags contradict), with the
-///    tag checker's more specific P2/P3/P4 message kept when both agree.
-/// 2. [`crate::graph::GraphChecker`] otherwise — near-linear on real
-///    workload histories of any size (tags, when present, seed its version
-///    orders), complete up to its splitting budget;
-/// 3. [`SearchChecker`] as the last resort for small histories on which the
-///    graph engine gave up (ambiguity beyond its budget).
+///    over the tag-sorted history.  Lemma 20 is a *sufficient* condition,
+///    so only its acceptance is authoritative.
+/// 2. [`StreamChecker::check`] otherwise, and to confirm a tag-order
+///    conviction (a history may be serializable in an order its tags
+///    contradict); the tag checker's more specific P2/P3/P4 message is
+///    kept when both convict.  The stream is the crate's one semantic
+///    engine: it takes version orders from tags where they settle them,
+///    re-solves only its live window where they do not, and falls back to
+///    [`SearchChecker`] itself on a small history it cannot decide.
 ///
 /// ```
 /// use snow_checker::strict::check_auto;
@@ -342,47 +341,34 @@ impl SearchChecker {
 /// }));
 /// history.push(r);
 ///
-/// let verdict = check_auto(&history);
-/// assert!(verdict.is_serializable());
+/// // Accepted by tag order.
+/// assert!(check_auto(&history).is_serializable());
+///
+/// // Without tags, the stream engine decides the same history.
+/// for rec in &mut history.records {
+///     match rec.outcome.as_mut() {
+///         Some(TxOutcome::Write(w)) => w.tag = None,
+///         Some(TxOutcome::Read(r)) => r.tag = None,
+///         _ => {}
+///     }
+/// }
+/// assert!(check_auto(&history).is_serializable());
 /// ```
 pub fn check_auto(history: &History) -> Verdict {
-    let completed = history.completed().count();
     // Aborted transactions are tag-free by construction but impose no
     // constraints, so they must not disqualify the tag-order engine.
     let all_tagged = history
         .completed()
         .all(|r| r.outcome.as_ref().is_some_and(|o| o.is_aborted() || o.tag().is_some()));
     let mut tag_conviction = None;
-    if all_tagged && completed > 0 {
+    if all_tagged && history.completed().next().is_some() {
         match TagOrderChecker::new().check(history) {
             verdict @ Verdict::Serializable(_) => return verdict,
             Verdict::NotSerializable(why) => tag_conviction = Some(why),
             Verdict::Unknown(_) => {}
         }
     }
-    let semantic = match crate::graph::GraphChecker::new().check(history) {
-        Verdict::Unknown(why) => {
-            // Count what the search would actually place: completed
-            // transactions plus incomplete writes with a known outcome
-            // (incomplete reads and outcome-less writes are ignored by it).
-            let search = SearchChecker::new();
-            let considered = completed
-                + history
-                    .records
-                    .iter()
-                    .filter(|r| {
-                        !r.is_complete() && r.kind() == TxKind::Write && r.outcome.is_some()
-                    })
-                    .count();
-            if considered <= search.max_transactions {
-                search.check(history)
-            } else {
-                Verdict::Unknown(why)
-            }
-        }
-        verdict => verdict,
-    };
-    match (semantic, tag_conviction) {
+    match (StreamChecker::check(history), tag_conviction) {
         (Verdict::NotSerializable(_), Some(why)) => Verdict::NotSerializable(why),
         (verdict, _) => verdict,
     }
@@ -643,7 +629,7 @@ mod tests {
     #[test]
     fn tag_checker_convicts_large_histories_with_the_p4_diagnostic() {
         // A stale read in a history past the old 10k cap still gets the
-        // precise Lemma 20 diagnostic (confirmed semantically by the graph
+        // precise Lemma 20 diagnostic (confirmed semantically by the stream
         // engine: the read observes κ₀ for an object whose only write
         // completed strictly before it started).
         let mut h = big_tagged_history(20_000);

@@ -48,9 +48,10 @@ pub enum CheckMode {
     /// rank per uncertified commit and reads the record back from the
     /// cluster at certification.  When tags cannot decide (an untagged
     /// protocol, or tags a fault broke) the semantic
-    /// [`snow_checker::StreamChecker`] decides, on its own copies, with
-    /// memory O(live window + in-flight) and violations attributed to the
-    /// offending commit.
+    /// [`snow_checker::StreamChecker`] decides — the engine `check_auto`
+    /// runs on the finished history, fed live here — on its own copies,
+    /// with memory O(live window + in-flight) and violations attributed to
+    /// the offending commit.
     Streaming,
 }
 
@@ -259,20 +260,23 @@ impl WorkloadDriver {
     /// verifiable end to end.
     ///
     /// [`CheckMode::PostHoc`] hands the assembled history to
-    /// [`snow_checker::check_auto`], which picks the engine by history
-    /// shape (tag order for tagged protocols, the graph engine otherwise).
-    /// [`CheckMode::Streaming`] certifies incrementally instead: after
-    /// every round the cluster's commit drain is fed, by reference, to a
-    /// [`TagOrderStream`], which certifies a tagged run by tag order as it
-    /// commits and hands an untagged or tag-breaking one to the semantic
-    /// stream engine.
+    /// [`snow_checker::check_auto`]: the tag order when every transaction
+    /// is tagged and it accepts, the semantic stream engine over the whole
+    /// history otherwise.  [`CheckMode::Streaming`] certifies
+    /// incrementally instead: after every round the cluster's commit drain
+    /// is fed, by reference, to a [`TagOrderStream`], which certifies a
+    /// tagged run by tag order as it commits and hands an untagged or
+    /// tag-breaking one to the same semantic stream engine, fed live.
     ///
     /// On a run that Lemma 20's tag order certifies (Algorithms A, B and C
     /// without faults) both modes return the same verdict, witness
-    /// included.  Elsewhere they can differ even in category: on a large
-    /// untagged history the post-hoc graph engine may exhaust its
-    /// splitting budget and return `Unknown` where the stream engine
-    /// decides (ROADMAP item 13).
+    /// included.  On the untagged protocols (Blocking, Eiger, Simple) both
+    /// run the stream engine, one over the drains with their invocation
+    /// floors as watermarks, the other over the finished history with
+    /// hindsight watermarks, so their witnesses may differ.
+    /// `streaming_check_mode_agrees_with_post_hoc` runs all six protocols
+    /// once each (40 transactions): equal verdicts on A, B and C, both
+    /// modes certify Blocking, and both convict Eiger and Simple.
     ///
     /// ```
     /// use snow_core::SystemConfig;
@@ -568,8 +572,9 @@ mod tests {
 
     /// The streaming check mode and the post-hoc mode drive the same run.
     /// On the tagged family the tag order certifies it, so both return
-    /// `check_auto`'s verdict, witness included; on Blocking, an untagged
-    /// protocol, the semantic stream engine certifies it too.
+    /// `check_auto`'s verdict, witness included.  On the untagged protocols
+    /// both modes run the semantic stream engine: both certify Blocking,
+    /// and both convict Eiger and Simple.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
@@ -578,6 +583,8 @@ mod tests {
             ProtocolKind::AlgB,
             ProtocolKind::AlgC,
             ProtocolKind::Blocking,
+            ProtocolKind::Eiger,
+            ProtocolKind::Simple,
         ] {
             // Algorithm A runs MWSR, with client-to-client messages.
             let config = if protocol.needs_c2c() {
@@ -599,10 +606,16 @@ mod tests {
                 "{protocol:?}: the check mode changed the run"
             );
             assert_eq!(report.completed, 40);
-            assert!(posthoc.is_serializable(), "{protocol:?}: post-hoc {posthoc:?}");
-            if protocol == ProtocolKind::Blocking {
-                assert!(stream.is_serializable(), "{protocol:?}: stream {stream:?}");
+            // Eiger and Simple are convicted in both modes on this run;
+            // the other four are certified in both.
+            if matches!(protocol, ProtocolKind::Eiger | ProtocolKind::Simple) {
+                assert!(posthoc.is_violation(), "{protocol:?}: post-hoc {posthoc:?}");
+                assert!(stream.is_violation(), "{protocol:?}: stream {stream:?}");
             } else {
+                assert!(posthoc.is_serializable(), "{protocol:?}: post-hoc {posthoc:?}");
+                assert!(stream.is_serializable(), "{protocol:?}: stream {stream:?}");
+            }
+            if matches!(protocol, ProtocolKind::AlgA | ProtocolKind::AlgB | ProtocolKind::AlgC) {
                 assert_eq!(stream, posthoc, "{protocol:?}");
             }
         }

@@ -28,7 +28,7 @@
 //!   stamps each invocation at exactly `planned + 1`.
 //!
 //! `tests/topology_scenarios.rs` pins both properties (replay proptest over
-//! cells and seeds + GraphChecker certification of every cell).
+//! cells and seeds + stream-engine certification of every cell).
 
 use snow_checker::SnowReport;
 use snow_core::{History, Result, SystemConfig};
@@ -180,10 +180,10 @@ fn protocol_slug(protocol: ProtocolKind) -> &'static str {
 }
 
 /// The full matrix: {Algorithm B, Algorithm C} × 3 topologies × 3 shapes =
-/// 18 cells.  Both protocols are MWMR and fully checkable (every committed
-/// transaction tagged), so every cell can be GraphChecker-certified;
-/// Algorithm A's MWSR restriction and Eiger's untagged reads would leave
-/// holes in the table.
+/// 18 cells.  Both protocols are MWMR and tag every committed
+/// transaction, so every cell can be certified by tag order; Algorithm A's
+/// MWSR restriction would leave holes in the table, and Eiger's untagged
+/// reads would send every cell to the semantic stream engine.
 pub fn scenario_matrix() -> Vec<Scenario> {
     let mut cells = Vec::new();
     for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {

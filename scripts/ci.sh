@@ -19,17 +19,20 @@
 #      the crash / partition / dup-storm matrix) must match what
 #      `snow golden [--faults]` prints from the current engine — catching accidental schedule changes *and* fixture
 #      files regenerated without justification;
-#   4. the release-build suites, one command: the checker and stream
-#      differential suites (graph vs complete search, stream vs
-#      `check_auto`, conviction at the right commit, bounded live window),
+#   4. the release-build suites, one command: the differential suite
+#      (stream vs complete search, stream vs `check_auto`, conviction at
+#      the right commit, bounded live window, one generator), the
+#      `GraphChecker` forward's convictions (tests/checker_differential.rs)
+#      and `check_auto`'s pinned verdicts on 2 000- and 5 000-transaction
+#      untagged histories (tests/check_auto_verdicts.rs),
 #      the fault suites (determinism, an empty schedule is inert,
 #      checker agreement on scarred histories, orphan retirement, the
 #      N verdict surviving the dup storm — no READ of AlgB / AlgC / Simple
 #      is flagged blocking because a duplicate answered it late — and the
 #      expected verdicts under duplication: Algorithms A / B / C certified
 #      `Serializable`, never `Unknown`, on the tiny-history sweep, under the
-#      dup storm and at 1 % duplication on the WAN, plus the twin of the
-#      benchmark's `sim.fault.checkers_agree`) and the
+#      dup storm and at 1 % duplication on the WAN, plus the benchmark's
+#      drop + duplication fault phase pinned as a conviction) and the
 #      stream checker's hot path (tests/stream_hot_path.rs: an exact
 #      allocation budget inside `ingest` + `advance_watermark`, pinned
 #      witness digests and work counters, the live window on a 1 000- and a
@@ -148,9 +151,15 @@ echo "== 4. release suites: differentials, faults, hot paths, probe count =="
 # drained_records_equal_the_final_history is what licenses that: a record
 # is final at its RESP, so the record read mid-run is the one the history
 # ends with.  The in-place lane's tests run by name below.
-cargo test -q --release --test checker_differential --test stream_differential \
+# check_auto's semantic engine is the stream engine (StreamChecker::check).
+cargo test -q --release --test stream_differential --test checker_differential \
     --test fault_determinism --test fault_checker --test stream_hot_path \
     --test instrumentation_sweep --test dispatch_hot_path
+cargo test -q --release --test check_auto_verdicts -- \
+    check_auto_certifies_algb_with_its_tags_stripped_at_2000 \
+    check_auto_certifies_algb_with_its_tags_stripped_at_5000 check_auto_convicts_eiger_at_2000 \
+    check_auto_certifies_blocking_at_2000 check_auto_convicts_simple_at_2000 \
+    check_auto_certifies_the_algc_open_loop_with_its_tags_stripped
 cargo test -q --release -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history \
     streaming_check_mode_agrees_with_post_hoc streaming_open_loop_agrees_with_post_hoc \

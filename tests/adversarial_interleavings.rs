@@ -13,12 +13,12 @@
 //!   *order*, never *time*;
 //! * **(b) replay and certification** — on identical seeds, a
 //!   scheduler-driven plan produces byte-identical histories on two fresh
-//!   `Simulation`s, certified strictly serializable by `GraphChecker`; the
+//!   `Simulation`s, certified strictly serializable by `StreamChecker`; the
 //!   adversarially perturbed history must itself be certified too.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
-use snow::checker::{GraphChecker, Verdict};
+use snow::checker::{StreamChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
 use snow::sim::{LatencyScheduler, ObsEvent, RecordingSink, Simulation, StepOutcome};
@@ -190,7 +190,7 @@ proptest! {
             // The adversarially perturbed history is still strictly
             // serializable — the protocol's correctness contract under an
             // asynchronous network.
-            let verdict = GraphChecker::new().check(&history);
+            let verdict = StreamChecker::check(&history);
             assert!(
                 matches!(verdict, Verdict::Serializable(_)),
                 "{label}: adversarial history not certified: {verdict:?}"
@@ -237,7 +237,7 @@ proptest! {
             let history = run();
             let label = format!("{protocol:?}/seed{seed}");
             assert_eq!(format!("{history:?}"), format!("{:?}", run()), "{label}: replay diverged");
-            let verdict = GraphChecker::new().check(&history);
+            let verdict = StreamChecker::check(&history);
             assert!(
                 matches!(verdict, Verdict::Serializable(_)),
                 "{label}: scheduler-driven history not certified: {verdict:?}"

@@ -1,143 +1,13 @@
-//! Differential validation of the graph-based strict-serializability
-//! engine against the complete backtracking search, plus direct conviction
-//! tests on the paper's counterexample histories.
+//! Conviction tests through [`snow::checker::GraphChecker`], the name the
+//! whole-history graph engine had and that is now a forward to
+//! [`snow::checker::StreamChecker::check`].
 //!
-//! The [`snow::checker::GraphChecker`] is the engine that scales to full
-//! workload histories; [`snow::checker::SearchChecker`] is slow but
-//! complete.  On every generated history small enough for the search to
-//! decide, the two must return the same Serializable/NotSerializable
-//! verdict, and every graph witness must replay against the sequential
-//! `OT` semantics.
+//! They pin the forward itself: code written against the old engine must
+//! still convict the paper's counterexample histories and pass the benign
+//! one.  The random differential against the backtracking search lives in
+//! `tests/stream_differential.rs`, with the one history generator.
 
-use proptest::proptest;
-use proptest::ProptestConfig;
-use snow::checker::{GraphChecker, SearchChecker, SequentialOt, Verdict};
-use snow::core::{
-    ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
-    TxSpec, Value, WriteOutcome,
-};
-
-/// SplitMix64: deterministic per-seed stream for history generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-/// Generates a random history of at most 10 transactions with moderate
-/// real-time overlap: reads observe either `κ₀` or the key of any
-/// generated write on the object, so both serializable and violating
-/// histories occur.  Half the writes carry random (possibly duplicated,
-/// possibly real-time-contradicting) tags, exercising the graph engine's
-/// tagged fast path and its forced-constraint re-extension alongside the
-/// untagged overlap-group machinery.
-fn random_history(seed: u64) -> History {
-    let mut rng = Rng(seed);
-    let n = 2 + rng.below(9); // 2..=10 transactions
-    let n_objects = 1 + rng.below(3) as u32;
-    let n_writers = 1 + rng.below(3) as u32;
-    let mut write_seq = vec![0u64; n_writers as usize];
-    // Keys written so far, per object.
-    let mut written: Vec<Vec<Key>> = vec![Vec::new(); n_objects as usize];
-    let mut h = History::new();
-    for id in 1..=n {
-        let inv = rng.below(120);
-        let resp = inv + 1 + rng.below(20);
-        let object_count = 1 + rng.below(2u64.min(n_objects as u64)) as usize;
-        let mut objects: Vec<ObjectId> = Vec::new();
-        while objects.len() < object_count {
-            let o = ObjectId(rng.below(n_objects as u64) as u32);
-            if !objects.contains(&o) {
-                objects.push(o);
-            }
-        }
-        objects.sort();
-        let is_write = rng.below(2) == 0;
-        if is_write {
-            let writer = rng.below(n_writers as u64) as usize;
-            write_seq[writer] += 1;
-            let key = Key::new(write_seq[writer], ClientId(100 + writer as u32));
-            let spec = TxSpec::write(
-                objects.iter().map(|&o| (o, Value(rng.below(1_000)))).collect(),
-            );
-            let tag = (rng.below(2) == 0).then(|| Tag(1 + rng.below(6)));
-            let mut rec = TxRecord::invoked(TxId(id), ClientId(100 + writer as u32), spec, inv);
-            rec.outcome = Some(TxOutcome::Write(WriteOutcome { key, tag }));
-            // One write in twenty never responds (incomplete, effects
-            // possibly visible — Definition 7.1's optional transactions).
-            if rng.below(20) != 0 {
-                rec.responded_at = Some(resp);
-            }
-            for &o in &objects {
-                written[o.0 as usize].push(key);
-            }
-            h.push(rec);
-        } else {
-            let spec = TxSpec::read(objects.clone());
-            let mut rec = TxRecord::invoked(TxId(id), ClientId(rng.below(2) as u32), spec, inv);
-            rec.responded_at = Some(resp);
-            let reads = objects
-                .iter()
-                .map(|&o| {
-                    let pool = &written[o.0 as usize];
-                    let key = if pool.is_empty() || rng.below(4) == 0 {
-                        Key::initial()
-                    } else {
-                        pool[rng.below(pool.len() as u64) as usize]
-                    };
-                    ObjectRead { object: o, key, value: Value(0) }
-                })
-                .collect();
-            rec.outcome = Some(TxOutcome::Read(ReadOutcome { reads, tag: None }));
-            h.push(rec);
-        }
-    }
-    h
-}
-
-fn assert_witness_replays(history: &History, order: &[TxId]) {
-    let mut ot = SequentialOt::new();
-    for tx in order {
-        ot.apply(history.get(*tx).expect("witness transaction exists"))
-            .unwrap_or_else(|o| panic!("graph witness fails replay at {tx} on {o}"));
-    }
-    for rec in history.completed() {
-        assert!(
-            order.contains(&rec.tx_id),
-            "completed {} missing from graph witness",
-            rec.tx_id
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-    #[test]
-    fn graph_and_search_agree_on_small_histories(seed in 0u64..1_000_000_000) {
-        let history = random_history(seed);
-        let search = SearchChecker::with_max_transactions(16).check(&history);
-        let graph = GraphChecker::with_split_budget(1_000_000).check(&history);
-        match (&search, &graph) {
-            (Verdict::Serializable(_), Verdict::Serializable(order)) => {
-                assert_witness_replays(&history, order);
-            }
-            (Verdict::NotSerializable(_), Verdict::NotSerializable(_)) => {}
-            (s, g) => panic!(
-                "engines disagree on seed {seed}:\n search: {s:?}\n graph:  {g:?}\n history: {history:#?}"
-            ),
-        }
-    }
-}
+use snow::checker::GraphChecker;
 
 #[test]
 fn graph_convicts_the_eiger_fig5_history() {

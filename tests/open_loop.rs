@@ -12,7 +12,7 @@
 //!   two fresh runs of the same spec must agree byte for byte.
 //! * **Strict serializability under saturation.**  Every generated
 //!   history, including past-knee runs where client-side queueing delays
-//!   pile up, must be certified by the graph checker.  Saturation stresses
+//!   pile up, must be certified by the stream checker.  Saturation stresses
 //!   the protocols (deep message backlogs, long reorder windows); the
 //!   checker must still find a serialization.
 //! * **Wide fan-out through the one reused effects buffer.**  The
@@ -25,7 +25,7 @@
 
 use proptest::proptest;
 use proptest::ProptestConfig;
-use snow::checker::GraphChecker;
+use snow::checker::StreamChecker;
 use snow::core::{History, SystemConfig};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{drive_open_loop, OpenLoopSpec, WorkloadSpec};
@@ -60,7 +60,7 @@ fn run(protocol: ProtocolKind, config: &SystemConfig, spec: &OpenLoopSpec, seed:
 }
 
 fn certify(history: &History, label: &str) {
-    let verdict = GraphChecker::new().check(history);
+    let verdict = StreamChecker::check(history);
     assert!(verdict.is_serializable(), "{label}: {verdict:?}");
 }
 
@@ -117,7 +117,7 @@ proptest! {
     /// Randomized sweep of the pure-function claim: body seed, arrival
     /// seed, scheduler seed and offered rate (straddling the knee) all
     /// vary; every run must reproduce itself bit-for-bit and be
-    /// graph-certified.
+    /// certified by the stream checker.
     #[test]
     fn open_loop_histories_are_pure_functions_of_seeds_and_rate(
         body_seed in 0u64..1_000,

@@ -6,7 +6,7 @@
 //! semantics, and pin Eiger's round counts under two deterministic schedules.
 
 use proptest::prelude::*;
-use snow::checker::{GraphChecker, HistoryMetrics, SnowChecker, SnowReport, Verdict};
+use snow::checker::{HistoryMetrics, SnowChecker, SnowReport, StreamChecker, Verdict};
 use snow::core::{History, SystemConfig};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
@@ -127,7 +127,7 @@ fn simple_reads_are_fast_but_not_transactional_under_adversity() {
 /// round is schedule-dependent — pinned separately below); and for the
 /// strictly serializable MWMR protocols the *concurrent* plan, whose
 /// outcomes legitimately differ per schedule, is certified strictly
-/// serializable by the graph checker under each.
+/// serializable by the stream checker under each.
 #[test]
 fn semantics_do_not_depend_on_the_schedule() {
     let mut combos_checked = 0;
@@ -165,7 +165,7 @@ fn semantics_do_not_depend_on_the_schedule() {
                 golden::run_concurrent_plan(protocol, &config, combo.scheduler, &batches);
             assert_eq!(history.incomplete_count(), 0, "{}", combo.label);
             assert_eq!(history.len(), issued, "{}", combo.label);
-            let verdict = GraphChecker::new().check(&history);
+            let verdict = StreamChecker::check(&history);
             assert!(
                 matches!(verdict, Verdict::Serializable(_)),
                 "{}: history is not strictly serializable: {verdict:?}",

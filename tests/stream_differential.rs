@@ -1,16 +1,21 @@
-//! Differential validation of the streaming strict-serializability engine
-//! against the post-hoc `check_auto` dispatch: random histories (mixed
-//! tagged/untagged writes, overlapping invocations, incomplete writes),
-//! every golden protocol × scheduler combo, and the paper's counterexample
-//! histories — where the stream must convict *at the offending transaction
-//! index*, not at shutdown.  Then the tag-order stream (`TagOrderStream`,
-//! the drivers' streaming check) against `TagOrderChecker` where the tag
-//! order decides, and against the semantic stream engine everywhere else.
+//! Differential validation of the streaming strict-serializability engine,
+//! the crate's one semantic engine: against the complete backtracking
+//! search (`SearchChecker`) on every generated history small enough for it
+//! to decide, and against `check_auto` (the tag order where it accepts, the
+//! stream otherwise) on random histories (mixed tagged/untagged writes,
+//! overlapping invocations, incomplete writes) and every golden protocol ×
+//! scheduler combo.  The paper's counterexample histories must be convicted
+//! *at the offending transaction index*, not at shutdown.  Then the
+//! tag-order stream (`TagOrderStream`, the drivers' streaming check)
+//! against `TagOrderChecker` where the tag order decides, and against the
+//! semantic stream engine everywhere else.  One generator feeds every
+//! random differential.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow::checker::{
-    check_auto, SequentialOt, StreamChecker, StreamLane, TagOrderChecker, TagOrderStream, Verdict,
+    check_auto, SearchChecker, SequentialOt, StreamChecker, StreamLane, TagOrderChecker,
+    TagOrderStream, Verdict,
 };
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
@@ -37,10 +42,14 @@ impl Rng {
     }
 }
 
-/// Same generator shape as `checker_differential.rs`: at most 10
-/// transactions with moderate overlap, reads observing κ₀ or any generated
-/// key (including keys of writes that never respond), half the writes
-/// tagged with possibly-colliding, possibly-contradicting tags.
+/// Generates a random history of at most 10 transactions with moderate
+/// real-time overlap: reads observe either `κ₀` or the key of any
+/// generated write on the object (including keys of writes that never
+/// respond), so both serializable and violating histories occur.  Half the
+/// writes carry random (possibly colliding, possibly real-time-
+/// contradicting) tags, exercising the tagged fast path of the version
+/// orders and their forced-constraint re-extension alongside the untagged
+/// overlap-group machinery.
 fn random_history(seed: u64) -> History {
     let mut rng = Rng(seed);
     let n = 2 + rng.below(9);
@@ -72,6 +81,8 @@ fn random_history(seed: u64) -> History {
             let tag = (rng.below(2) == 0).then(|| Tag(1 + rng.below(6)));
             let mut rec = TxRecord::invoked(TxId(id), ClientId(100 + writer as u32), spec, inv);
             rec.outcome = Some(TxOutcome::Write(WriteOutcome { key, tag }));
+            // One write in twenty never responds (incomplete, effects
+            // possibly visible — Definition 7.1's optional transactions).
             if rng.below(20) != 0 {
                 rec.responded_at = Some(resp);
             }
@@ -129,6 +140,27 @@ fn commit_index(history: &History, tx: TxId) -> usize {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn stream_and_search_agree_on_small_histories(seed in 0u64..1_000_000_000) {
+        let history = random_history(seed);
+        let search = SearchChecker::with_max_transactions(16).check(&history);
+        let mut checker = StreamChecker::with_split_budget(1_000_000);
+        checker.feed_history(&history);
+        let stream = checker.finish();
+        match (&search, &stream) {
+            (Verdict::Serializable(_), Verdict::Serializable(order)) => {
+                assert_witness_replays(&history, order);
+            }
+            (Verdict::NotSerializable(_), Verdict::NotSerializable(_)) => {}
+            (s, t) => panic!(
+                "engines disagree on seed {seed}:\n search: {s:?}\n stream: {t:?}\n history: {history:#?}"
+            ),
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
     #[test]
     fn stream_and_check_auto_agree_on_small_histories(seed in 0u64..1_000_000_000) {
@@ -167,6 +199,16 @@ fn stream_agrees_with_check_auto_on_every_golden_combo() {
         let (history, _) =
             WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
         let posthoc = check_auto(&history);
+        // On an untagged combo `check_auto` runs this same engine; the
+        // complete search, which decides 20 transactions, is the
+        // independent side there.
+        let search = SearchChecker::with_max_transactions(COMBO_TXNS).check(&history);
+        assert_eq!(
+            (search.is_serializable(), search.is_violation()),
+            (posthoc.is_serializable(), posthoc.is_violation()),
+            "{}: search {search:?} vs post-hoc {posthoc:?}",
+            combo.label
+        );
         let mut checker = StreamChecker::new();
         checker.feed_history(&history);
         let stream = checker.finish();

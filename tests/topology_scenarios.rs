@@ -9,7 +9,7 @@
 //!    in send order) combined with the runner's consecutive-tick
 //!    invocation rule.
 //! 2. **Certification** — every cell of the matrix produces a strictly
-//!    serializable history under `GraphChecker`, on every topology.  A WAN
+//!    serializable history under `StreamChecker`, on every topology.  A WAN
 //!    doesn't just stretch latencies; reorderings across heavy-tailed links
 //!    are exactly where serializability bugs would surface.
 //! 3. **Report sanity** — the SLO reports are internally consistent
@@ -28,7 +28,7 @@
 //!    committed transactions per cell) are virtual site-ticks and checker
 //!    verdicts, pure functions of `(cell, seed)`, compared for equality.
 
-use snow_checker::{GraphChecker, Verdict};
+use snow_checker::{StreamChecker, Verdict};
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use snow_protocols::{deploy_any, scenario_dup_storm, AnyMsg, AnyNode, ProtocolKind};
 use snow_sim::{
@@ -58,7 +58,7 @@ fn every_matrix_cell_is_certified_serializable() {
             "{}: transaction left in flight",
             cell.name()
         );
-        let verdict = GraphChecker::new().check(&run.history);
+        let verdict = StreamChecker::check(&run.history);
         assert!(
             matches!(verdict, Verdict::Serializable(_)),
             "{}: not certified: {verdict:?}",
