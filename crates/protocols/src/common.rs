@@ -7,25 +7,38 @@ use snow_core::{ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxO
 /// variable, kept by the reader in Algorithm A and by the coordinator `s*`
 /// in Algorithms B and C.
 ///
-/// Entry `j` (0-based) records the key of the `j`-th registered WRITE and the
-/// set of objects it updated; the entry's *tag* is `j + 1`, so the initial
-/// entry `(κ₀, all objects)` carries `Tag(1) = Tag::INITIAL`.
+/// Entry `j` (0-based) is kept as the key of the `j`-th registered WRITE;
+/// the entry's *tag* is `j + 1`, so the initial entry `κ₀` carries
+/// `Tag(1) = Tag::INITIAL`.  The entry's object bits `(b₁,…,b_k)` are not
+/// kept: all a READ asks of them is `j* = max{ j : List[j].b_i = 1 }`, and
+/// a dense per-object index holds exactly that — `List[j*].κ` with its tag
+/// — updated as each entry is appended.  `List[0]` covers every object,
+/// so an object no entry wrote (inside the initial set or not) reads `κ₀`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteLog {
-    entries: Vec<(Key, Vec<ObjectId>)>,
+    /// `List[j].κ`, in registration order.
+    keys: Vec<Key>,
+    /// `(List[j*].κ, Tag(j* + 1))`, indexed by object id.
+    latest: Vec<(Key, Tag)>,
 }
+
+/// The index entry of an object only the initial entry covers.
+const INITIAL_ENTRY: (Key, Tag) = (Key::initial(), Tag::INITIAL);
 
 impl WriteLog {
     /// Creates the initial log: a single entry `(κ₀, objects)` covering every
     /// object in the system.
-    pub fn new(all_objects: Vec<ObjectId>) -> Self {
+    pub fn new(all_objects: impl IntoIterator<Item = ObjectId>) -> Self {
+        let objects = all_objects.into_iter().map(|o| o.0 as usize + 1).max().unwrap_or(0);
         WriteLog {
-            entries: vec![(Key::initial(), all_objects)],
+            keys: vec![Key::initial()],
+            latest: vec![INITIAL_ENTRY; objects],
         }
     }
 
     /// Appends a completed WRITE `(key, objects)` and returns its tag
-    /// (`|List|` after the append, as in the paper).
+    /// (`|List|` after the append, as in the paper).  Only the key is kept;
+    /// `objects` moves each object's index entry to the new one.
     ///
     /// Idempotent: a key already in `List` keeps the tag it was given.
     /// Under at-least-once delivery a late duplicate of an old WRITE's
@@ -36,36 +49,38 @@ impl WriteLog {
     /// and the search stops at its newest entry no newer than `key`: the
     /// cost is the registrations since that writer's previous one, not
     /// `|List|`.
-    pub fn append(&mut self, key: Key, objects: Vec<ObjectId>) -> Tag {
-        let same_writer_no_newer = |(k, _): &(Key, _)| k.writer == key.writer && k.seq <= key.seq;
-        let index = match self.entries.iter().rposition(same_writer_no_newer) {
-            Some(registered) if self.entries[registered].0 == key => registered,
+    pub fn append(&mut self, key: Key, objects: &[ObjectId]) -> Tag {
+        let same_writer_no_newer = |k: &Key| k.writer == key.writer && k.seq <= key.seq;
+        match self.keys.iter().rposition(same_writer_no_newer) {
+            Some(registered) if self.keys[registered] == key => Tag(registered as u64 + 1),
             _ => {
-                self.entries.push((key, objects));
-                self.entries.len() - 1
+                self.keys.push(key);
+                let tag = Tag(self.keys.len() as u64);
+                for object in objects {
+                    let index = object.0 as usize;
+                    if self.latest.len() <= index {
+                        self.latest.resize(index + 1, INITIAL_ENTRY);
+                    }
+                    self.latest[index] = (key, tag);
+                }
+                tag
             }
-        };
-        Tag(index as u64 + 1)
+        }
     }
 
     /// Number of entries (`|List|`); never 0, the initial entry stays.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// The key of the latest entry that updated `object`
     /// (`κ_i = List[j*].κ` with `j* = max{ j : List[j].b_i = 1 }`), together
-    /// with that entry's tag.  Falls back to the initial entry when the
-    /// object was never written (or never registered), matching the paper's
+    /// with that entry's tag: one index.  The initial entry when the object
+    /// was never written (or never registered), matching the paper's
     /// convention that `List[0]` covers all objects.
     pub fn latest_for(&self, object: ObjectId) -> (Key, Tag) {
-        for (idx, (key, objects)) in self.entries.iter().enumerate().rev() {
-            if objects.contains(&object) {
-                return (*key, Tag(idx as u64 + 1));
-            }
-        }
-        (Key::initial(), Tag::INITIAL)
+        self.latest.get(object.0 as usize).copied().unwrap_or(INITIAL_ENTRY)
     }
 
     /// The per-object latest keys for a set of objects plus the read tag
@@ -79,7 +94,7 @@ impl WriteLog {
     /// latest write with tag ≤ `t_r` touching that object (P4).
     pub fn tag_array(&self, objects: &[ObjectId]) -> (Tag, Vec<(ObjectId, Key)>) {
         let keys = objects.iter().map(|&o| (o, self.latest_for(o).0)).collect();
-        (Tag(self.entries.len() as u64), keys)
+        (Tag(self.keys.len() as u64), keys)
     }
 }
 
@@ -205,6 +220,8 @@ impl KeyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use snow_core::hash::splitmix64;
     use snow_core::Value;
 
     fn objs(ids: &[u32]) -> Vec<ObjectId> {
@@ -226,14 +243,14 @@ mod tests {
     fn write_log_append_and_latest() {
         let mut log = WriteLog::new(objs(&[0, 1]));
         let k1 = Key::new(1, ClientId(5));
-        let t1 = log.append(k1, objs(&[0]));
+        let t1 = log.append(k1, &objs(&[0]));
         assert_eq!(t1, Tag(2));
         let k2 = Key::new(1, ClientId(6));
-        let t2 = log.append(k2, objs(&[0, 1]));
+        let t2 = log.append(k2, &objs(&[0, 1]));
         assert_eq!(t2, Tag(3));
         assert_eq!(log.latest_for(ObjectId(0)), (k2, Tag(3)));
         // A duplicate of the first registration changes nothing.
-        assert_eq!(log.append(k1, objs(&[0])), Tag(2));
+        assert_eq!(log.append(k1, &objs(&[0])), Tag(2));
         assert_eq!(log.latest_for(ObjectId(0)), (k2, Tag(3)));
         assert_eq!(log.latest_for(ObjectId(1)), (k2, Tag(3)));
         // Object never written keeps κ0.
@@ -245,14 +262,115 @@ mod tests {
     fn tag_array_takes_per_object_latest_and_max_tag() {
         let mut log = WriteLog::new(objs(&[0, 1, 2]));
         let ka = Key::new(1, ClientId(5));
-        log.append(ka, objs(&[0]));
+        log.append(ka, &objs(&[0]));
         let kb = Key::new(2, ClientId(5));
-        log.append(kb, objs(&[1]));
+        log.append(kb, &objs(&[1]));
         let (tag, keys) = log.tag_array(&objs(&[0, 1, 2]));
         assert_eq!(tag, Tag(3));
         assert_eq!(keys[0], (ObjectId(0), ka));
         assert_eq!(keys[1], (ObjectId(1), kb));
         assert_eq!(keys[2], (ObjectId(2), Key::initial()));
+    }
+
+    /// `List` as it was kept before the per-object index: every entry with
+    /// its object list, `j*` found by scanning back from the newest entry.
+    struct ScanLog {
+        entries: Vec<(Key, Vec<ObjectId>)>,
+    }
+
+    impl ScanLog {
+        fn new(all_objects: Vec<ObjectId>) -> Self {
+            ScanLog { entries: vec![(Key::initial(), all_objects)] }
+        }
+
+        fn append(&mut self, key: Key, objects: &[ObjectId]) -> Tag {
+            let same_writer_no_newer =
+                |(k, _): &(Key, _)| k.writer == key.writer && k.seq <= key.seq;
+            let index = match self.entries.iter().rposition(same_writer_no_newer) {
+                Some(registered) if self.entries[registered].0 == key => registered,
+                _ => {
+                    self.entries.push((key, objects.to_vec()));
+                    self.entries.len() - 1
+                }
+            };
+            Tag(index as u64 + 1)
+        }
+
+        fn latest_for(&self, object: ObjectId) -> (Key, Tag) {
+            for (idx, (key, objects)) in self.entries.iter().enumerate().rev() {
+                if objects.contains(&object) {
+                    return (*key, Tag(idx as u64 + 1));
+                }
+            }
+            (Key::initial(), Tag::INITIAL)
+        }
+
+        fn tag_array(&self, objects: &[ObjectId]) -> (Tag, Vec<(ObjectId, Key)>) {
+            let keys = objects.iter().map(|&o| (o, self.latest_for(o).0)).collect();
+            (Tag(self.entries.len() as u64), keys)
+        }
+    }
+
+    /// Object ids drawn by the reference test; those at or past the initial
+    /// set's size are outside it.
+    const DRAWN_OBJECTS: u64 = 9;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random registration sequences — four writers interleaved,
+        /// duplicates of earlier registrations, WRITEs whose registration was
+        /// lost, objects outside the initial set — give the reverse scan's
+        /// tags, `latest_for`, `tag_array` and `len` after every append.
+        #[test]
+        fn write_log_agrees_with_the_reverse_scan_reference(
+            seed in 0u64..u64::MAX,
+            initial in 1u32..6,
+        ) {
+            let mut state = seed;
+            let mut draw = |below: u64| {
+                state = splitmix64(state);
+                state % below
+            };
+            let all: Vec<ObjectId> = (0..initial).map(ObjectId).collect();
+            let (mut log, mut reference) = (WriteLog::new(all.clone()), ScanLog::new(all));
+            let mut seqs = [0u64; 4];
+            let mut registered: Vec<(Key, Vec<ObjectId>)> = Vec::new();
+            for step in 0..80 {
+                let (key, objects) = match draw(8) {
+                    0 | 1 if !registered.is_empty() => {
+                        registered[draw(registered.len() as u64) as usize].clone()
+                    }
+                    _ => {
+                        let writer = draw(4) as usize;
+                        // One in six skips a sequence number: a WRITE whose
+                        // registration never arrived.
+                        seqs[writer] += 1 + u64::from(draw(6) == 0);
+                        let key = Key::new(seqs[writer], ClientId(writer as u32));
+                        let mut objects = Vec::new();
+                        for _ in 0..1 + draw(3) {
+                            let object = ObjectId(draw(DRAWN_OBJECTS) as u32);
+                            if !objects.contains(&object) {
+                                objects.push(object);
+                            }
+                        }
+                        registered.push((key, objects.clone()));
+                        (key, objects)
+                    }
+                };
+                let at = format!("seed {seed}, step {step}, {key:?}");
+                prop_assert_eq!(log.append(key, &objects), reference.append(key, &objects), "{}", at);
+                prop_assert_eq!(log.len(), reference.entries.len(), "{}", at);
+                for object in (0..DRAWN_OBJECTS as u32 + 2).map(ObjectId) {
+                    prop_assert_eq!(log.latest_for(object), reference.latest_for(object), "{}", at);
+                }
+                let asked: Vec<ObjectId> = (0..DRAWN_OBJECTS as u32)
+                    .filter(|_| draw(2) == 0)
+                    .map(ObjectId)
+                    .collect();
+                prop_assert_eq!(log.tag_array(&asked), reference.tag_array(&asked), "{}", at);
+            }
+        }
     }
 
     #[test]

@@ -120,6 +120,12 @@ pub trait Cluster {
             .map(|(client, spec)| self.invoke_at(at, client, spec))
             .collect()
     }
+    /// Sizes the record log for `transactions` more invocations, at exactly
+    /// that capacity (see [`Simulation::reserve`]).  Every driver calls it
+    /// once, before its first invocation, with the count its plan will
+    /// issue, so a run's records are allocated once instead of doubling
+    /// as it goes.
+    fn reserve(&mut self, transactions: usize);
     /// Runs until nothing remains to do.  Returns the number of steps taken.
     fn run_until_quiescent(&mut self) -> u64;
     /// Runs until `tx` completes; returns whether it did.
@@ -173,6 +179,9 @@ where
 {
     fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
         Simulation::invoke_at(self, at, client, spec)
+    }
+    fn reserve(&mut self, transactions: usize) {
+        Simulation::reserve(self, transactions)
     }
     fn run_until_quiescent(&mut self) -> u64 {
         Simulation::run_until_quiescent(self)

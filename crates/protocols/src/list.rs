@@ -284,7 +284,7 @@ impl Reader {
             id,
             algorithm,
             list_at,
-            log: holds_list.then(|| WriteLog::new(config.objects().collect())),
+            log: holds_list.then(|| WriteLog::new(config.objects())),
             config,
             pending: None,
             vals: Vec::new(),
@@ -446,7 +446,7 @@ impl Server {
         Server {
             id,
             store: ShardStore::new(config.objects_on(id)),
-            log: coordinator.then(|| WriteLog::new(config.objects().collect())),
+            log: coordinator.then(|| WriteLog::new(config.objects())),
         }
     }
 }
@@ -561,14 +561,14 @@ impl ListNode {
                 ListNode::Reader(Reader { log: Some(log), .. }),
                 ListMsg::InfoReader { tx, key, objects },
             ) => {
-                let tag = log.append(key, objects.into_vec());
+                let tag = log.append(key, &objects);
                 effects.send(from, ListMsg::InfoAck { tx, tag });
             }
             (
                 ListNode::Server(Server { log: Some(log), .. }),
                 ListMsg::UpdateCoor { tx, key, objects },
             ) => {
-                let tag = log.append(key, objects.into_vec());
+                let tag = log.append(key, &objects);
                 effects.send(from, ListMsg::CoorAck { tx, tag });
             }
             (

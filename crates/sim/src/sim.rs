@@ -73,7 +73,7 @@ use crate::pool::MessagePool;
 use crate::scheduler::Scheduler;
 use crate::tables::{ProcessTable, RecordLog};
 use snow_core::{
-    ClientId, Effects, History, Process, ProcessId, ReadResult, TxId, TxKind, TxRecord, TxSpec,
+    ClientId, Effects, History, Process, ProcessId, ReadResult, TxId, TxRecord, TxSpec,
 };
 use snow_obs::{NullSink, ObsEvent, ShardEvent, TraceSink};
 use std::cmp::Ordering;
@@ -325,6 +325,18 @@ where
         self.next_tx += 1;
         self.invocations.push(QueuedInvocation { at, tx, client, spec });
         tx
+    }
+
+    /// Sizes the record log, once, for `transactions` invocations beyond
+    /// those already planned: the log and its dense `TxId → slot` table are
+    /// allocated at exactly that size, so a run that issues at most that
+    /// many never regrows them (no doubling, no copy).  A driver calls it
+    /// with the count its plan will issue.  It only reserves capacity: a
+    /// run that issues more still works, and grows the log as an unplanned
+    /// caller's does.
+    pub fn reserve(&mut self, transactions: usize) {
+        let planned = self.invocations.len() + transactions;
+        self.records.reserve_exact(planned, self.next_tx as usize + transactions);
     }
 
     /// Schedules `spec` to be invoked immediately (at the current time).
@@ -641,8 +653,10 @@ where
     fn dispatch_invocation(&mut self, tx: TxId, client: ClientId, spec: TxSpec) {
         let pid = ProcessId::Client(client);
         self.audit_clock();
-        // Everything planned so far will be logged: one growth, not a
-        // doubling per batch.
+        // Everything planned so far will be logged.  `Vec::reserve` grows
+        // to at least double, so a log grown here doubles its way up; a
+        // driver sizes it once, from its plan (`Simulation::reserve`), and
+        // this is then a no-op.
         self.records.reserve(1 + self.invocations.len());
         self.records.invoke(TxRecord::invoked(tx, client, spec.clone(), self.now));
         if O::ENABLED {
@@ -703,7 +717,13 @@ where
             return; // e.g. a metadata response (get-tag-arr) names no object
         };
         let Some(rec) = self.records.get_mut(tx) else { return };
-        if rec.client == client && rec.responded_at.is_none() && rec.kind() == TxKind::Read {
+        let TxSpec::Read(read) = &rec.spec else { return };
+        if rec.client == client && rec.responded_at.is_none() {
+            // One allocation, at the first response: room for one read per
+            // object, all that a READ reading each object once folds in.
+            if rec.reads.capacity() == 0 {
+                rec.reads.reserve_exact(read.len());
+            }
             rec.reads.push(ReadResult {
                 object,
                 server,

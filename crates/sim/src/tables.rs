@@ -27,9 +27,18 @@ pub(crate) struct RecordLog {
 const ABSENT: u32 = u32::MAX;
 
 impl RecordLog {
-    /// Makes room for `additional` more invocations in one allocation.
+    /// Makes room for `additional` more invocations.  `Vec::reserve`: a
+    /// log that must grow at least doubles.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.log.reserve(additional);
+    }
+
+    /// Sizes the log for `additional` more records and the slot table for
+    /// ids below `id_end`, each at exactly that capacity: a planned run's
+    /// one allocation of each, which then never regrows.
+    pub(crate) fn reserve_exact(&mut self, additional: usize, id_end: usize) {
+        self.log.reserve_exact(additional);
+        self.slot_of.reserve_exact(id_end.saturating_sub(self.slot_of.len()));
     }
 
     /// INV: appends `rec`, which must be invoked after every record logged
@@ -266,6 +275,23 @@ mod tests {
         for seed in 0..24 {
             model_run(seed);
         }
+    }
+
+    #[test]
+    fn a_reserved_log_is_allocated_once() {
+        let rec = |id| TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), id);
+        let mut log = RecordLog::default();
+        log.invoke(rec(1));
+        // Room for ids 2..=100 after the one logged: exactly that.
+        log.reserve_exact(99, 101);
+        let buffers = |log: &RecordLog| (log.log.as_ptr(), log.slot_of.as_ptr());
+        let (before, capacity) = (buffers(&log), (log.log.capacity(), log.slot_of.capacity()));
+        assert_eq!(capacity, (100, 101));
+        for id in 2..=100 {
+            log.invoke(rec(id));
+        }
+        assert_eq!(buffers(&log), before, "neither table moved");
+        assert_eq!((log.log.capacity(), log.slot_of.capacity()), capacity);
     }
 
     #[test]

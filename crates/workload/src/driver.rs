@@ -131,6 +131,7 @@ impl WorkloadDriver {
         let mut issued = 0usize;
         let mut rounds = 0usize;
         let start = cluster.now();
+        cluster.reserve(total);
         // This round's clients, sorted; cleared per round, reused across.
         let mut seen_clients: Vec<ClientId> = Vec::with_capacity(self.per_round);
         while issued < total {
@@ -186,6 +187,7 @@ impl WorkloadDriver {
         total: usize,
     ) -> (History, DriverReport) {
         let start = cluster.now();
+        cluster.reserve(total);
         let window = self.per_round.max(1);
         let mut queues: BTreeMap<ClientId, VecDeque<TxSpec>> = BTreeMap::new();
         for _ in 0..total {
@@ -336,6 +338,7 @@ impl WorkloadDriver {
         writes_per_round: usize,
     ) -> (History, DriverReport) {
         let start = cluster.now();
+        cluster.reserve(rounds * (writes_per_round + 1));
         let mut issued = 0usize;
         for _ in 0..rounds {
             let now = cluster.now();

@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use snow_checker::{check_auto, LatencyStats, Verdict};
 use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxId, TxKind, TxSpec};
 use snow_protocols::{Cluster, ClusterSpec};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Parameters of one open-loop run.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,25 +182,22 @@ fn drive_open_loop_tapped(
             .or_default()
             .push_back((arrival.at, arrival.spec));
     }
-    struct Meta {
-        client: ClientId,
-        scheduled_at: u64,
-        is_read: bool,
-    }
-    let mut meta: HashMap<TxId, Meta> = HashMap::with_capacity(issued);
+    let clients: Vec<ClientId> = queues.keys().copied().collect();
+    // Each arrival's scheduled time, by its id's offset from the run's
+    // first id: the cluster numbers invocations densely, in order.  Client
+    // and kind are read from the record.
+    let mut scheduled: Vec<u64> = Vec::with_capacity(issued);
+    let mut first_id: Option<u64> = None;
     let start = cluster.now();
-    fn inject(
-        cluster: &mut dyn Cluster,
-        client: ClientId,
-        queues: &mut BTreeMap<ClientId, VecDeque<(u64, TxSpec)>>,
-        meta: &mut HashMap<TxId, Meta>,
-    ) -> Option<TxId> {
+    cluster.reserve(issued);
+    let mut inject = |cluster: &mut dyn Cluster, client: ClientId| -> Option<TxId> {
         let (at, spec) = queues.get_mut(&client)?.pop_front()?;
-        let is_read = spec.kind() == TxKind::Read;
         let tx = cluster.invoke_at(at, client, spec);
-        meta.insert(tx, Meta { client, scheduled_at: at, is_read });
+        let first = *first_id.get_or_insert(tx.0);
+        assert_eq!(tx.0 - first, scheduled.len() as u64, "ids are dense, in invocation order");
+        scheduled.push(at);
         Some(tx)
-    }
+    };
     // One outstanding transaction per client: inject each client's first
     // arrival, then refill a client's slot whenever it frees.  The cluster
     // names the transaction that freed (first complete in `active` order),
@@ -208,11 +205,7 @@ fn drive_open_loop_tapped(
     // a quiescence retired several at once the next call hands
     // the rest back, in the same order, before the clock moves — injection
     // order, and with it `TxId` assignment, is that of a full sweep.
-    let clients: Vec<ClientId> = queues.keys().copied().collect();
-    let mut active: Vec<TxId> = clients
-        .iter()
-        .filter_map(|&c| inject(cluster, c, &mut queues, &mut meta))
-        .collect();
+    let mut active: Vec<TxId> = clients.iter().filter_map(|&c| inject(cluster, c)).collect();
     // `None`: nothing outstanding, or quiescent with watched work that can
     // never finish.
     while let Some(done) = cluster.run_until_any_complete(&active) {
@@ -221,7 +214,8 @@ fn drive_open_loop_tapped(
             .iter()
             .position(|&tx| tx == done)
             .expect("the cluster returns a member of the watch list");
-        match inject(cluster, meta[&done].client, &mut queues, &mut meta) {
+        let client = cluster.record(done).expect("a completed transaction has a record").client;
+        match inject(cluster, client) {
             Some(next) => active[slot] = next,
             None => {
                 active.remove(slot);
@@ -231,18 +225,21 @@ fn drive_open_loop_tapped(
     // The last wait may have committed (or, under faults, retired) what
     // no tap has seen yet; the take empties the commit log.
     tap(cluster);
-    // One pass over the history, one O(1) `meta` probe per record
+    // One pass over the history, one index per record
     // (`LatencyStats::from_samples` sorts, so sample order is free).
     let history = cluster.take_history();
+    let first_id = first_id.unwrap_or(0);
     let mut latencies = Vec::with_capacity(issued);
     let mut read_latencies = Vec::new();
     for rec in &history.records {
-        let (Some(m), Some(responded_at)) = (meta.get(&rec.tx_id), rec.responded_at) else {
+        let scheduled_at =
+            rec.tx_id.0.checked_sub(first_id).and_then(|offset| scheduled.get(offset as usize));
+        let (Some(&scheduled_at), Some(responded_at)) = (scheduled_at, rec.responded_at) else {
             continue;
         };
-        let latency = responded_at.saturating_sub(m.scheduled_at);
+        let latency = responded_at.saturating_sub(scheduled_at);
         latencies.push(latency);
-        if m.is_read {
+        if rec.kind() == TxKind::Read {
             read_latencies.push(latency);
         }
     }
@@ -576,11 +573,19 @@ mod tests {
         waits: usize,
         /// `(tx, scheduled arrival, is a READ)` per `invoke_at`.
         injected: Vec<(TxId, u64, bool)>,
+        /// `(transactions, invocations before it)` per `reserve`.
+        reserved: Vec<(usize, usize)>,
     }
 
     impl Watched {
         fn new(inner: Box<dyn Cluster>) -> Self {
-            Watched { inner, probes: Default::default(), waits: 0, injected: Vec::new() }
+            Watched {
+                inner,
+                probes: Default::default(),
+                waits: 0,
+                injected: Vec::new(),
+                reserved: Vec::new(),
+            }
         }
     }
 
@@ -590,6 +595,10 @@ mod tests {
             let tx = self.inner.invoke_at(at, client, spec);
             self.injected.push((tx, at, is_read));
             tx
+        }
+        fn reserve(&mut self, transactions: usize) {
+            self.reserved.push((transactions, self.injected.len()));
+            self.inner.reserve(transactions)
         }
         fn run_until_quiescent(&mut self) -> u64 {
             self.inner.run_until_quiescent()
@@ -660,6 +669,39 @@ mod tests {
         assert_eq!(cluster.probes.get(), 0, "driver-side is_complete probes");
         // One wait per completion, plus the one that finds nothing left.
         assert_eq!(cluster.waits, 2_000 + 1);
+    }
+
+    /// Every driver sizes the record log once, before its first
+    /// invocation, with exactly the count it then issues.
+    #[test]
+    fn every_driver_reserves_what_it_issues_once_before_invoking() {
+        use crate::driver::WorkloadDriver;
+        let config = SystemConfig::mwmr(4, 2, 2);
+        let build = || Watched::new(cluster_spec(ProtocolKind::AlgB, &config).build().unwrap());
+        let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+        let (driver, spec) = (WorkloadDriver::new(4), OpenLoopSpec::tao_like(100));
+        let planned = |name: &str, cluster: Watched, issued: usize| {
+            assert_eq!(cluster.reserved, [(issued, 0)], "{name}");
+            assert_eq!(cluster.injected.len(), issued, "{name}");
+        };
+        let mut cluster = build();
+        driver.run(&mut cluster, &mut generator(), 40);
+        planned("run", cluster, 40);
+        let mut cluster = build();
+        driver.run_checked_mode(&mut cluster, &mut generator(), 40, CheckMode::Streaming);
+        planned("run_checked_mode", cluster, 40);
+        let mut cluster = build();
+        driver.run_paced(&mut cluster, &mut generator(), 40);
+        planned("run_paced", cluster, 40);
+        let mut cluster = build();
+        driver.run_read_probe(&mut cluster, &mut generator(), 10, 2);
+        planned("run_read_probe", cluster, 30);
+        let mut cluster = build();
+        drive_open_loop(&mut cluster, &config, &spec);
+        planned("drive_open_loop", cluster, spec.arrivals);
+        let mut cluster = build();
+        drive_open_loop_checked(&mut cluster, &config, &spec, CheckMode::Streaming);
+        planned("drive_open_loop_checked", cluster, spec.arrivals);
     }
 
     /// Instrumentation is final at RESP: the record a commit drain names,

@@ -239,6 +239,8 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
         ClusterSpec::new(scenario.protocol, &config).topology(topology, seed).build()?;
     let mut generator = WorkloadGenerator::new(&config, scenario.shape.spec(seed));
     let per_round = config.num_clients() as usize;
+    // At most one transaction per client and round.
+    cluster.reserve(rounds * per_round);
     for _ in 0..rounds {
         // One outstanding transaction per client: keep the first draw per
         // client, deterministically in generation order.

@@ -42,9 +42,11 @@
 #      panicked with "live slot") and the instrumentation sweep
 #      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
 #      and read results under faults × schedules × contention) and the
-#      dispatch path's cost counter (tests/dispatch_hot_path.rs: the exact
-#      allocations per committed transaction of a 1 000-transaction AlgB
-#      closed loop on the WAN, of one in a single DC with 128-client rounds
+#      dispatch path's cost counters (tests/dispatch_hot_path.rs: the exact
+#      allocations per committed transaction and the exact peak-live-heap
+#      pins — requested bytes, peak and the gap to the live bytes at
+#      return — of a 1 000-transaction AlgB closed loop on the WAN, of one
+#      in a single DC with 128-client rounds
 #      — `wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much` —
 #      and of a 1 000-arrival AlgC open loop).  Then the
 #      open-loop driver's linear cost as a pure count (crates/workload,
@@ -58,7 +60,13 @@
 #      `history()` copies and leaves no record and no commit behind) and
 #      Algorithm C's `Vals` bookkeeping (crates/protocols,
 #      `c_waits_for_every_vals_set_when_one_arrives_twice`: a duplicated
-#      `read-vals` response is not counted twice).  The drivers'
+#      `read-vals` response is not counted twice), `List` as keys plus a
+#      per-object index (crates/protocols,
+#      `write_log_agrees_with_the_reverse_scan_reference`: tags,
+#      `latest_for`, `tag_array` and `len` against the reverse scan it
+#      replaced) and the record log sized from the plan (crates/sim
+#      `a_reserved_log_is_allocated_once`, crates/workload
+#      `every_driver_reserves_what_it_issues_once_before_invoking`).  The drivers'
 #      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
 #      its soundness differential against `TagOrderChecker` and the stream
 #      engine (tests/stream_differential.rs), its unit tests (crates/checker
@@ -165,10 +173,12 @@ cargo test -q --release -p snow-workload -- \
     streaming_check_mode_agrees_with_post_hoc streaming_open_loop_agrees_with_post_hoc \
     untagged_runs_are_checked_by_the_semantic_stream_engine_alone \
     duplication_leaves_algb_certified_by_tag_order \
-    under_drops_streaming_defers_to_the_semantic_engines_category
+    under_drops_streaming_defers_to_the_semantic_engines_category \
+    every_driver_reserves_what_it_issues_once_before_invoking
 cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
     take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice \
     drain_commits_streams_the_history_in_resp_order find_looks_records_up_by_invocation_time_and_id \
+    write_log_agrees_with_the_reverse_scan_reference a_reserved_log_is_allocated_once \
     tag_stream::
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="

@@ -1,8 +1,10 @@
-//! The dispatch path's deterministic cost counter (ROADMAP aim 1): heap
-//! allocations per committed transaction of one driver call, counted by a
-//! `#[global_allocator]` local to this test binary and pinned **exactly** —
-//! the count is a pure function of the seeds, the same in debug and release
-//! builds.  Three runs shaped like the repo benchmark's workloads:
+//! The dispatch path's deterministic cost counters (ROADMAP aim 1): heap
+//! allocations per committed transaction of one driver call, and the peak
+//! of its live heap bytes, counted by a `#[global_allocator]` local to this
+//! test binary and pinned **exactly** — both are pure functions of the
+//! seeds, the same in debug and release builds (requested bytes, not what
+//! the system allocator rounds them to).  Three runs shaped like the repo
+//! benchmark's workloads:
 //!
 //! * 1 000 AlgB transactions on the three-site WAN, closed loop in rounds
 //!   of 8 (`closed-b-wan3`'s shape): the round driver, the topology
@@ -20,7 +22,9 @@
 //! handlers, the driver's take of the record log (and the check, for the
 //! streaming runs).  A change that adds a clone of a `TxSpec`, an
 //! effects buffer built per handler call, or a record container that
-//! regrows moves a pin here, whatever the host's speed that day.
+//! regrows moves a pin here, whatever the host's speed that day; one that
+//! keeps more bytes per transaction, or frees a larger block later, moves
+//! a peak.
 //!
 //! History of the pins.  The slab message pool moved both by a per-run
 //! constant — 13 638 → 13 635 and 16 971 → 16 969, the same −3 / −2 at
@@ -82,6 +86,25 @@
 //! of the unchecked runs (6 215 and 5 778): the witness, the id buffer and
 //! the replay's keys, and the held-commit heap's and running maximum's
 //! growth.  The other three pins held.
+//!
+//! Then every driver began sizing the record log from its plan
+//! (`Cluster::reserve`, once per driver call, with the count it will
+//! issue), and the pins moved 6 215 → 6 200 (AlgB, WAN), 5 778 → 5 767
+//! (AlgB, one DC), 6 182 → 6 167 (AlgC), 6 227 → 6 212 and 5 807 → 5 796
+//! (the streaming runs): the record log and its `TxId → slot` table are one
+//! allocation each, where they used to double their way up.  From then on
+//! the counter also tracks live bytes, and each run pins its peak.  Before
+//! that change the five peaks would have read 333 480, 370 088, 544 680,
+//! 334 248 and 380 648 bytes; they read 289 712, 326 704, 496 072,
+//! 290 480 and 337 264.  Gone per transaction: the log's unused capacity,
+//! half of a two-object READ's instrumentation (allocated at its object
+//! count, 48 bytes, instead of growing to a capacity of 4, 96 bytes), and
+//! at the coordinator a WRITE's `List` entry shrank from its key plus its
+//! object list to its key (the per-object index holds the rest); the open
+//! loop also dropped its per-arrival map.  At 1 000 transactions the old
+//! log's last doubling (at the 513th) was covered by the growth after it,
+//! so the old peaks were only 56, 560, 760 and 10 096 bytes above the
+//! closed-loop runs' live bytes at return; the gap is pinned too.
 
 use snow::checker::check_auto;
 use snow::core::{SystemConfig, TxRecord};
@@ -96,20 +119,40 @@ use std::sync::Arc;
 
 // ---- counting allocator (the pattern of tests/stream_hot_path.rs) ----------
 
+/// What the counting allocator saw one thread do inside [`counted`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// Heap allocations, reallocations included.
+    allocs: u64,
+    /// Requested bytes allocated minus bytes freed (negative after freeing
+    /// more than was allocated inside: memory from before).
+    live: i64,
+    /// The most `live` ever was.  A reallocation counts its new block
+    /// before it frees the old one, as a moving reallocation holds both:
+    /// a vector that doubles shows as the transient it is.
+    peak: i64,
+}
+
 thread_local! {
-    /// `Some(n)` while the current thread is counting.  Per thread, so the
+    /// `Some` while the current thread is counting.  Per thread, so the
     /// tests of this binary can run in parallel without seeing each other.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    static COUNTS: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
 struct Counting;
 
-fn note() {
+/// Notes one event: `grown` bytes allocated (and counted as an allocation
+/// if `allocates`), then `freed` bytes freed.
+fn note(allocates: bool, grown: usize, freed: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down.  The cell has no destructor and its access never allocates.
-    let _ = ALLOCS.try_with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + 1));
+    let _ = COUNTS.try_with(|c| {
+        if let Some(mut n) = c.get() {
+            n.allocs += u64::from(allocates);
+            n.live += grown as i64;
+            n.peak = n.peak.max(n.live);
+            n.live -= freed as i64;
+            c.set(Some(n));
         }
     });
 }
@@ -119,24 +162,25 @@ fn note() {
 // `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size(), 0);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size(), 0);
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(true, new_size, layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, 0, layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -145,58 +189,79 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f`, returning its result and how many heap allocations
-/// (reallocations included) this thread made inside it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|c| c.set(Some(0)));
+/// Runs `f`, returning its result and what this thread allocated inside
+/// it; `live` is read after `f` returns, with the result still held.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    COUNTS.with(|c| c.set(Some(Counts::default())));
     let result = f();
-    (result, ALLOCS.with(|c| c.replace(None)).expect("counting was on"))
+    (result, COUNTS.with(|c| c.replace(None)).expect("counting was on"))
 }
 
 const TRANSACTIONS: usize = 1_000;
 
-#[test]
-fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
-    let config = SystemConfig::mwmr(8, 4, 4);
-    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
-        .topology(Arc::new(Topology::wan3(&config)), 7)
-        .max_steps(u64::MAX)
-        .build()
-        .expect("AlgB runs on MWMR configurations");
-    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-    let ((history, report), allocs) =
-        counted(|| WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
-    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
-    assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 6_215, "{:.3} per committed transaction", allocs as f64 / 1e3);
+/// Pins a run's allocations and its peak live bytes, both exactly.
+fn assert_counts(counts: Counts, allocs: u64, peak: i64) {
+    let per_tx = TRANSACTIONS as f64;
+    assert_eq!(
+        (counts.allocs, counts.peak),
+        (allocs, peak),
+        "{:.3} allocations and a peak of {:.1} live bytes per committed transaction",
+        counts.allocs as f64 / per_tx,
+        counts.peak as f64 / per_tx,
+    );
 }
 
-#[test]
-fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
-    let config = SystemConfig::mwmr(16, 64, 64);
-    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
-        .topology(Arc::new(Topology::single_dc(&config)), 7)
-        .max_steps(u64::MAX)
-        .build()
-        .expect("AlgB runs on MWMR configurations");
-    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-    let ((history, report), allocs) =
-        counted(|| WorkloadDriver::new(128).run(cluster.as_mut(), &mut generator, TRANSACTIONS));
-    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
-    assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 5_778, "{:.3} per committed transaction", allocs as f64 / 1e3);
+/// A closed-loop run's peak is what it returns holding, plus exactly
+/// `freed` bytes: what the call frees before it returns — the last round's
+/// messages and transaction state, the round buffers and, for a streaming
+/// run, the checker.  That is bounded by a round's width, not by the
+/// run's length.
+fn assert_peak_is_what_it_keeps(counts: Counts, freed: i64) {
+    let (peak, live) = (counts.peak, counts.live);
+    assert_eq!(peak - live, freed, "peak {peak} over {live} live bytes at return");
 }
 
-/// The two AlgB shapes again, through `run_checked_mode(.., Streaming)`:
-/// the driver call the benchmark times, the in-run check included.
-fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: usize) -> u64 {
+fn closed_loop_algb(config: SystemConfig, topology: Topology, per_round: usize) -> Counts {
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
         .topology(Arc::new(topology), 7)
         .max_steps(u64::MAX)
         .build()
         .expect("AlgB runs on MWMR configurations");
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-    let ((history, report, verdict), allocs) = counted(|| {
+    let ((history, report), counts) = counted(|| {
+        WorkloadDriver::new(per_round).run(cluster.as_mut(), &mut generator, TRANSACTIONS)
+    });
+    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert!(history.records.iter().all(TxRecord::is_complete));
+    counts
+}
+
+#[test]
+fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(8, 4, 4);
+    let counts = closed_loop_algb(config.clone(), Topology::wan3(&config), 8);
+    assert_counts(counts, 6_200, 289_712);
+    assert_peak_is_what_it_keeps(counts, 104);
+}
+
+#[test]
+fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
+    let config = SystemConfig::mwmr(16, 64, 64);
+    let counts = closed_loop_algb(config.clone(), Topology::single_dc(&config), 128);
+    assert_counts(counts, 5_767, 326_704);
+    assert_peak_is_what_it_keeps(counts, 1_112);
+}
+
+/// The two AlgB shapes again, through `run_checked_mode(.., Streaming)`:
+/// the driver call the benchmark times, the in-run check included.
+fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: usize) -> Counts {
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .topology(Arc::new(topology), 7)
+        .max_steps(u64::MAX)
+        .build()
+        .expect("AlgB runs on MWMR configurations");
+    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+    let ((history, report, verdict), counts) = counted(|| {
         WorkloadDriver::new(per_round).run_checked_mode(
             cluster.as_mut(),
             &mut generator,
@@ -206,21 +271,23 @@ fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: u
     });
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert_eq!(verdict, check_auto(&history), "certified by tag order");
-    allocs
+    counts
 }
 
 #[test]
 fn streaming_checked_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
-    let allocs = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8);
-    assert_eq!(allocs, 6_227, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8);
+    assert_counts(counts, 6_212, 290_480);
+    assert_peak_is_what_it_keeps(counts, 808);
 }
 
 #[test]
 fn streaming_checked_wide_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
-    let allocs = streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128);
-    assert_eq!(allocs, 5_807, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    let counts = streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128);
+    assert_counts(counts, 5_796, 337_264);
+    assert_peak_is_what_it_keeps(counts, 10_648);
 }
 
 #[test]
@@ -237,9 +304,9 @@ fn open_loop_algc_allocates_exactly_this_much() {
         arrivals: TRANSACTIONS,
         arrival_seed: 7,
     };
-    let ((history, report), allocs) =
+    let ((history, report), counts) =
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_eq!(allocs, 6_182, "{:.3} per committed transaction", allocs as f64 / 1e3);
+    assert_counts(counts, 6_167, 496_072);
 }
