@@ -13,8 +13,9 @@ use std::fmt;
 /// Identifier of a stored object `o ∈ O`.
 ///
 /// Every object is maintained by exactly one server (its shard); the mapping
-/// is part of [`crate::config::SystemConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// is part of [`crate::config::SystemConfig`].  `Default` (object 0) only
+/// fills the unused slots of an [`crate::InlineList`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u32);
 
 /// Identifier of a server process (a shard of the storage tier).

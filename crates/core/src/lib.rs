@@ -11,7 +11,8 @@
 //!   (shards), matching the two-tier architecture of §2 of the paper;
 //! * the transaction data type `OT` of §7.1 ([`txn`], [`value`]): READ
 //!   transactions that read a subset of objects and WRITE transactions that
-//!   update a subset of objects, each object living on exactly one shard;
+//!   update a subset of objects, each object living on exactly one shard,
+//!   their object lists kept in place ([`inline_list`]);
 //! * versioning vocabulary ([`key`]): keys `κ = (z, w)` identifying WRITE
 //!   transactions and tags `t ∈ ℕ` giving them a total order;
 //! * the versioned object store kept by servers ([`store`]);
@@ -38,6 +39,7 @@ pub mod error;
 pub mod hash;
 pub mod history;
 pub mod ids;
+pub mod inline_list;
 pub mod key;
 pub mod msg;
 pub mod process;
@@ -52,9 +54,13 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use history::{History, ReadResult, TxRecord};
 pub use msg::{MsgId, MsgInfo, MsgKind, ProtocolMessage};
 pub use process::{Effects, Process};
+pub use inline_list::InlineList;
 pub use ids::{ClientId, ClientRole, ObjectId, ProcessId, ServerId, TxId};
 pub use key::{Key, Tag};
 pub use properties::{PropertyReport, SnowProperty, SnowPropertySet};
 pub use store::{ObjectVersions, ShardStore};
-pub use txn::{ObjectRead, ReadOutcome, ReadSpec, TxKind, TxOutcome, TxSpec, WriteOutcome, WriteSpec};
+pub use txn::{
+    ObjectRead, ReadObjects, ReadOutcome, ReadSpec, TxKind, TxOutcome, TxSpec, WriteObjects, WriteOutcome,
+    WritePairs, WriteSpec,
+};
 pub use value::Value;

@@ -12,6 +12,7 @@
 //! constraint-free (no read observations, no installed write) record.
 
 use crate::ids::ObjectId;
+use crate::inline_list::InlineList;
 use crate::key::{Key, Tag};
 use crate::value::Value;
 
@@ -34,20 +35,32 @@ fn all_distinct<T>(items: &[T], object: impl Fn(&T) -> ObjectId) -> bool {
         .all(|(i, a)| items[..i].iter().all(|b| object(a) != object(b)))
 }
 
+/// A READ's object list: up to four objects in place.
+pub type ReadObjects = InlineList<ObjectId, 4>;
+
+/// A WRITE's `(object, value)` pairs: up to two in place.
+pub type WritePairs = InlineList<(ObjectId, Value), 2>;
+
+/// A WRITE's object list, as the writer tracks its acks and `update-coor` /
+/// `info-reader` carry it: up to three objects in place, in 16 bytes.
+pub type WriteObjects = InlineList<ObjectId, 3>;
+
 /// Specification of a READ transaction: the distinct objects to read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSpec {
     /// Objects to read, in the order the caller wants them reported.
-    pub objects: Vec<ObjectId>,
+    pub objects: ReadObjects,
 }
 
 impl ReadSpec {
-    /// Creates a READ spec over the given objects.
+    /// Creates a READ spec over the given objects (a `Vec`, a slice or a
+    /// [`ReadObjects`]).
     ///
     /// # Panics
     /// Panics if `objects` is empty or contains duplicates — both are
     /// malformed under the `OT` data type.
-    pub fn new(objects: Vec<ObjectId>) -> Self {
+    pub fn new(objects: impl Into<ReadObjects>) -> Self {
+        let objects = objects.into();
         assert!(!objects.is_empty(), "READ transaction must name at least one object");
         assert!(all_distinct(&objects, |&o| o), "READ transaction must name distinct objects");
         ReadSpec { objects }
@@ -69,15 +82,16 @@ impl ReadSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteSpec {
     /// `(object, value)` pairs, one per distinct object.
-    pub writes: Vec<(ObjectId, Value)>,
+    pub writes: WritePairs,
 }
 
 impl WriteSpec {
-    /// Creates a WRITE spec.
+    /// Creates a WRITE spec (from a `Vec`, a slice or a [`WritePairs`]).
     ///
     /// # Panics
     /// Panics if `writes` is empty or targets the same object twice.
-    pub fn new(writes: Vec<(ObjectId, Value)>) -> Self {
+    pub fn new(writes: impl Into<WritePairs>) -> Self {
+        let writes = writes.into();
         assert!(!writes.is_empty(), "WRITE transaction must name at least one object");
         assert!(
             all_distinct(&writes, |&(o, _)| o),
@@ -87,7 +101,7 @@ impl WriteSpec {
     }
 
     /// The objects this WRITE updates.
-    pub fn objects(&self) -> Vec<ObjectId> {
+    pub fn objects(&self) -> WriteObjects {
         self.writes.iter().map(|(o, _)| *o).collect()
     }
 
@@ -127,10 +141,7 @@ impl TxSpec {
 
     /// The objects this transaction touches.
     pub fn objects(&self) -> Vec<ObjectId> {
-        match self {
-            TxSpec::Read(r) => r.objects.clone(),
-            TxSpec::Write(w) => w.objects(),
-        }
+        self.objects_iter().collect()
     }
 
     /// The objects this transaction touches, without allocating — for
@@ -263,7 +274,7 @@ mod tests {
     #[test]
     fn write_spec_rejects_duplicates_and_exposes_values() {
         let w = WriteSpec::new(vec![(ObjectId(0), Value(1)), (ObjectId(1), Value(2))]);
-        assert_eq!(w.objects(), vec![ObjectId(0), ObjectId(1)]);
+        assert_eq!(w.objects()[..], [ObjectId(0), ObjectId(1)]);
         assert_eq!(w.value_for(ObjectId(1)), Some(Value(2)));
         assert_eq!(w.value_for(ObjectId(9)), None);
         assert_eq!(w.len(), 2);

@@ -211,10 +211,15 @@ pub(crate) mod tests {
     /// `sim.flood_100k_ns_per_step` walks; the `None` fits the payload's
     /// niche.  It may shrink (ROADMAP item 9 wants it to); it must not
     /// silently widen.  The heap entry beside it is pinned ≤ 24 B in
-    /// `snow_sim::pool` (`a_heap_entry_cannot_silently_widen`).
+    /// `snow_sim::pool` (`a_heap_entry_cannot_silently_widen`).  A payload
+    /// that carries an object list in place keeps it to 16 B (`update-coor`,
+    /// `info-reader`) or 24 B (`get-tag-arr`): one that widened every
+    /// message by 56 B cost 12 % of `closed-b-wan3`'s throughput.
     #[test]
     fn the_pools_working_set_cannot_silently_widen() {
-        assert!(std::mem::size_of::<Option<snow_sim::PendingMessage<AnyMsg>>>() <= 112);
+        assert!(std::mem::size_of::<Option<snow_sim::PendingMessage<AnyMsg>>>() <= 104);
+        assert!(std::mem::size_of::<snow_core::WriteObjects>() <= 16);
+        assert!(std::mem::size_of::<snow_core::ReadObjects>() <= 24);
     }
 
     #[test]

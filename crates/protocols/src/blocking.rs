@@ -12,7 +12,7 @@ use crate::common::{KeyAllocator, PendingWrite};
 use crate::AnyMsg;
 use snow_core::{
     ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadOutcome, Result, ServerId, ShardStore,
-    SnowError, SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
+    SnowError, SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome, WritePairs,
 };
 use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::collections::{BTreeMap, VecDeque};
@@ -125,7 +125,7 @@ struct PendingBlocking {
     /// For reads: the values piggy-backed on the grants.
     reads: Vec<ObjectRead>,
     /// For writes: the values to install once all locks are held.
-    writes: Vec<(ObjectId, Value)>,
+    writes: WritePairs,
     /// For writes: the version key and the install acks still outstanding.
     write: Option<PendingWrite>,
 }
@@ -295,17 +295,17 @@ impl BlockingNode {
             panic!("servers do not accept invocations");
         };
         assert!(client.pending.is_none(), "client invoked while a transaction is outstanding");
-        let (mut objects, writes, write) = match spec {
-            TxSpec::Read(r) => (r.objects, Vec::new(), None),
+        let (mut to_lock, writes, write): (VecDeque<ObjectId>, _, _) = match spec {
+            TxSpec::Read(r) => (r.objects.iter().copied().collect(), WritePairs::new(), None),
             TxSpec::Write(w) => {
                 let acks = PendingWrite::new(tx_id, client.keys.allocate(), w.objects());
-                (w.objects(), w.writes, Some(acks))
+                (w.objects().iter().copied().collect(), w.writes, Some(acks))
             }
         };
-        objects.sort();
+        to_lock.make_contiguous().sort();
         client.pending = Some(PendingBlocking {
             tx: tx_id,
-            to_lock: objects.into_iter().collect(),
+            to_lock,
             locked: Vec::new(),
             reads: Vec::new(),
             writes,

@@ -1,7 +1,9 @@
 //! State shared by several protocols: the ordered WRITE log (`List`), and
 //! the client-side bookkeeping for in-flight READ and WRITE transactions.
 
-use snow_core::{ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome};
+use snow_core::{
+    ClientId, Key, ObjectId, ObjectRead, ReadObjects, ReadOutcome, Tag, TxId, TxOutcome, WriteObjects,
+};
 
 /// The ordered list of completed WRITE transactions — the paper's `List`
 /// variable, kept by the reader in Algorithm A and by the coordinator `s*`
@@ -103,8 +105,9 @@ impl WriteLog {
 pub struct PendingRead {
     /// The transaction id.
     pub tx: TxId,
-    /// The objects the READ must return, in caller order.
-    pub objects: Vec<ObjectId>,
+    /// The objects the READ must return, in caller order (the spec's list,
+    /// moved in: in place, like the spec's).
+    pub objects: ReadObjects,
     /// Values collected so far.
     pub collected: Vec<ObjectRead>,
     /// The tag this READ serializes at (filled in when known).
@@ -115,7 +118,7 @@ impl PendingRead {
     /// Starts tracking a READ over `objects`.  `collected` is sized for one
     /// read per object: it becomes the outcome's reads, which the record
     /// keeps for the rest of the run.
-    pub fn new(tx: TxId, objects: Vec<ObjectId>) -> Self {
+    pub fn new(tx: TxId, objects: ReadObjects) -> Self {
         PendingRead {
             tx,
             collected: Vec::with_capacity(objects.len()),
@@ -164,8 +167,9 @@ pub struct PendingWrite {
     /// The key generated for this WRITE.
     pub key: Key,
     /// The objects being written, the acked ones first (in ack order):
-    /// `objects[acked..]` still await their `write-val` ack.
-    pub objects: Vec<ObjectId>,
+    /// `objects[acked..]` still await their `write-val` ack.  In place:
+    /// `update-coor` / `info-reader` carry a copy of it.
+    pub objects: WriteObjects,
     /// How many objects have acked.
     pub acked: usize,
     /// Whether the second phase (`info-reader` / `update-coor`) has started.
@@ -174,7 +178,7 @@ pub struct PendingWrite {
 
 impl PendingWrite {
     /// Starts tracking a WRITE of `objects` under `key`.
-    pub fn new(tx: TxId, key: Key, objects: Vec<ObjectId>) -> Self {
+    pub fn new(tx: TxId, key: Key, objects: WriteObjects) -> Self {
         PendingWrite {
             tx,
             key,
@@ -375,7 +379,7 @@ mod tests {
 
     #[test]
     fn pending_read_collects_and_orders() {
-        let mut pr = PendingRead::new(TxId(1), objs(&[1, 0]));
+        let mut pr = PendingRead::new(TxId(1), objs(&[1, 0]).into());
         assert!(!pr.is_complete());
         pr.record(ObjectRead {
             object: ObjectId(0),
@@ -407,7 +411,7 @@ mod tests {
 
     #[test]
     fn pending_write_tracks_acks() {
-        let mut pw = PendingWrite::new(TxId(2), Key::new(1, ClientId(3)), objs(&[0, 1]));
+        let mut pw = PendingWrite::new(TxId(2), Key::new(1, ClientId(3)), objs(&[0, 1]).into());
         assert!(!pw.ack(ObjectId(0)));
         assert!(!pw.ack(ObjectId(0))); // duplicate ack changes nothing
         assert!(pw.ack(ObjectId(1)));

@@ -18,8 +18,8 @@
 use crate::common::{KeyAllocator, PendingWrite};
 use crate::AnyMsg;
 use snow_core::{
-    ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadOutcome, Result, ServerId, SnowError,
-    SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
+    ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadObjects, ReadOutcome, Result, ServerId,
+    SnowError, SystemConfig, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
 };
 use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::collections::BTreeMap;
@@ -128,7 +128,7 @@ struct EigerVersion {
 #[derive(Debug)]
 struct PendingEigerRead {
     tx: TxId,
-    objects: Vec<ObjectId>,
+    objects: ReadObjects,
     first: BTreeMap<ObjectId, (Key, Value, LogicalTime, LogicalTime)>,
     second: BTreeMap<ObjectId, (Key, Value)>,
     awaiting_second: Vec<ObjectId>,
@@ -364,7 +364,7 @@ impl EigerNode {
                     awaiting_second: Vec::new(),
                     second_round_started: false,
                 });
-                for object in read.objects {
+                for &object in &read.objects {
                     let server = r.config.server_for(object);
                     effects.send(
                         ProcessId::Server(server),
@@ -381,7 +381,7 @@ impl EigerNode {
                 w.clock += 1;
                 let key = w.keys.allocate();
                 w.pending = Some(PendingWrite::new(tx_id, key, write.objects()));
-                for (object, value) in write.writes {
+                for &(object, value) in &write.writes {
                     let server = w.config.server_for(object);
                     effects.send(
                         ProcessId::Server(server),

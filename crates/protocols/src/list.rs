@@ -68,8 +68,8 @@
 use crate::common::{KeyAllocator, PendingRead, PendingWrite, WriteLog};
 use crate::AnyMsg;
 use snow_core::{
-    ClientId, Key, ObjectId, ObjectRead, ProcessId, Result, ServerId, ShardStore, SnowError,
-    SystemConfig, Tag, TxId, TxOutcome, TxSpec, Value, WriteOutcome,
+    ClientId, Key, ObjectId, ObjectRead, ProcessId, ReadObjects, Result, ServerId, ShardStore,
+    SnowError, SystemConfig, Tag, TxId, TxOutcome, TxSpec, Value, WriteObjects, WriteOutcome,
 };
 use snow_core::{Effects, MsgInfo, ProtocolMessage};
 use std::sync::Arc;
@@ -114,11 +114,11 @@ pub enum ListMsg {
         tx: TxId,
         /// Version key `κ`.
         key: Key,
-        /// Objects the WRITE updated (the `(b₁,…,b_k)` bitmap, as a list).
-        /// A boxed slice here and in `update-coor`: two 48-byte variants
-        /// would widen every message of the family by a word
-        /// (`the_pools_working_set_cannot_silently_widen`).
-        objects: Box<[ObjectId]>,
+        /// Objects the WRITE updated (the `(b₁,…,b_k)` bitmap, as a list):
+        /// the writer's list, copied in place.  16 bytes here and in
+        /// `update-coor`: two 48-byte variants would widen every message of
+        /// the family by a word (`the_pools_working_set_cannot_silently_widen`).
+        objects: WriteObjects,
     },
     /// `(ack, t_w)`: reader → writer (client-to-client), carrying the tag.
     InfoAck {
@@ -135,7 +135,7 @@ pub enum ListMsg {
         /// Version key `κ`.
         key: Key,
         /// Objects updated by the WRITE.
-        objects: Box<[ObjectId]>,
+        objects: WriteObjects,
     },
     /// `(ack, t_w)`: coordinator → writer.
     CoorAck {
@@ -149,8 +149,9 @@ pub enum ListMsg {
     GetTagArr {
         /// READ transaction id.
         tx: TxId,
-        /// Objects the READ will fetch (used to compute `t_r`).
-        objects: Vec<ObjectId>,
+        /// Objects the READ will fetch (used to compute `t_r`): the READ's
+        /// list, copied in place.
+        objects: ReadObjects,
     },
     /// `(t_r, (κ₁,…,κ_k))`: coordinator → reader.
     TagArr {
@@ -305,7 +306,7 @@ impl Reader {
         self.pending.as_mut().filter(|p| p.collect.tx == tx)
     }
 
-    fn start_read(&mut self, tx: TxId, objects: Vec<ObjectId>, effects: &mut Effects<AnyMsg>) {
+    fn start_read(&mut self, tx: TxId, objects: ReadObjects, effects: &mut Effects<AnyMsg>) {
         let mut collect = PendingRead::new(tx, objects);
         let objects = &collect.objects;
         match self.algorithm {
@@ -497,9 +498,8 @@ impl ListNode {
                     "writer invoked while a WRITE is outstanding"
                 );
                 let key = w.keys.allocate();
-                let objects = write.writes.iter().map(|(o, _)| *o).collect();
-                w.pending = Some(PendingWrite::new(tx, key, objects));
-                for (object, value) in write.writes {
+                w.pending = Some(PendingWrite::new(tx, key, write.objects()));
+                for &(object, value) in &write.writes {
                     let server = ProcessId::Server(w.config.server_for(object));
                     effects.send(
                         server,
@@ -549,7 +549,7 @@ impl ListNode {
                 };
                 if !pending.registering && pending.ack(object) {
                     pending.registering = true;
-                    let (key, objects) = (pending.key, pending.objects.as_slice().into());
+                    let (key, objects) = (pending.key, pending.objects.clone());
                     let register = match writer.list_at {
                         ProcessId::Client(_) => ListMsg::InfoReader { tx, key, objects },
                         ProcessId::Server(_) => ListMsg::UpdateCoor { tx, key, objects },

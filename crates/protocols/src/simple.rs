@@ -141,7 +141,7 @@ impl SimpleNode {
             TxSpec::Read(read) => {
                 assert!(client.pending_read.is_none(), "client read invoked while one is outstanding");
                 client.pending_read = Some(PendingRead::new(tx_id, read.objects.clone()));
-                for object in read.objects {
+                for &object in &read.objects {
                     let server = client.config.server_for(object);
                     effects.send(ProcessId::Server(server), SimpleMsg::ReadReq { tx: tx_id, object });
                 }
@@ -150,7 +150,7 @@ impl SimpleNode {
                 assert!(client.pending_write.is_none(), "client write invoked while one is outstanding");
                 let key = client.keys.allocate();
                 client.pending_write = Some(PendingWrite::new(tx_id, key, write.objects()));
-                for (object, value) in write.writes {
+                for &(object, value) in &write.writes {
                     let server = client.config.server_for(object);
                     effects.send(
                         ProcessId::Server(server),

@@ -132,8 +132,10 @@ impl WorkloadDriver {
         let mut rounds = 0usize;
         let start = cluster.now();
         cluster.reserve(total);
-        // This round's clients, sorted; cleared per round, reused across.
+        // This round's clients, sorted, and its transactions: cleared per
+        // round, reused across.
         let mut seen_clients: Vec<ClientId> = Vec::with_capacity(self.per_round);
+        let mut batch: Vec<(ClientId, TxSpec)> = Vec::with_capacity(self.per_round);
         while issued < total {
             let this_round = self.per_round.min(total - issued);
             rounds += 1;
@@ -141,9 +143,8 @@ impl WorkloadDriver {
             let now = cluster.now();
             // Draw until we have `this_round` transactions from distinct
             // clients (a client gets at most one per round to stay
-            // well-formed), then schedule the round as one batch.
+            // well-formed), then schedule the round, all at `now`.
             let mut guard = 0usize;
-            let mut batch = Vec::with_capacity(this_round);
             while batch.len() < this_round && guard < this_round * 50 {
                 guard += 1;
                 let tx = generator.next_tx();
@@ -154,7 +155,9 @@ impl WorkloadDriver {
                 batch.push((tx.client, tx.spec));
             }
             issued += batch.len();
-            cluster.invoke_batch(now, batch);
+            for (client, spec) in batch.drain(..) {
+                cluster.invoke_at(now, client, spec);
+            }
             cluster.run_until_quiescent();
             tap(cluster);
         }
@@ -340,23 +343,29 @@ impl WorkloadDriver {
         let start = cluster.now();
         cluster.reserve(rounds * (writes_per_round + 1));
         let mut issued = 0usize;
+        // This round's writers, sorted, and its transactions: cleared per
+        // round, reused across.
+        let mut seen_writers: Vec<ClientId> = Vec::with_capacity(writes_per_round);
+        let mut batch: Vec<(ClientId, TxSpec)> = Vec::with_capacity(writes_per_round + 1);
         for _ in 0..rounds {
             let now = cluster.now();
-            let mut seen_writers = std::collections::BTreeSet::new();
+            seen_writers.clear();
             let mut guard = 0usize;
-            let mut batch = Vec::with_capacity(writes_per_round + 1);
             while batch.len() < writes_per_round && guard < writes_per_round * 50 {
                 guard += 1;
                 let w = generator.next_write();
-                if !seen_writers.insert(w.client) {
+                let Err(at) = seen_writers.binary_search(&w.client) else {
                     continue;
-                }
+                };
+                seen_writers.insert(at, w.client);
                 batch.push((w.client, w.spec));
             }
             let r = generator.next_read();
             batch.push((r.client, r.spec));
             issued += batch.len();
-            cluster.invoke_batch(now, batch);
+            for (client, spec) in batch.drain(..) {
+                cluster.invoke_at(now, client, spec);
+            }
             cluster.run_until_quiescent();
         }
         let history = cluster.take_history();

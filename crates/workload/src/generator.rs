@@ -3,7 +3,10 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snow_core::{ClientId, ClientRole, ObjectId, SystemConfig, TxKind, TxSpec, Value};
+use snow_core::{
+    ClientId, ClientRole, ObjectId, ReadSpec, SystemConfig, TxKind, TxSpec, Value, WritePairs,
+    WriteSpec,
+};
 
 /// Parameters of a workload mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +84,9 @@ pub struct WorkloadGenerator {
     write_seq: u64,
     generated_reads: u64,
     generated_writes: u64,
+    /// The objects of the transaction being drawn, sorted: one buffer for
+    /// every draw, copied into the spec's in-place list.
+    picked: Vec<ObjectId>,
 }
 
 impl WorkloadGenerator {
@@ -109,52 +115,32 @@ impl WorkloadGenerator {
             write_seq: 0,
             generated_reads: 0,
             generated_writes: 0,
+            picked: Vec::with_capacity(spec.objects_per_read.max(spec.objects_per_write)),
             spec,
             config: config.clone(),
         }
     }
 
-    /// Draws `count` distinct objects, Zipf-weighted, in ascending order:
-    /// a repeat draw is discarded and drawn again.
-    fn draw_objects(&mut self, count: usize) -> Vec<ObjectId> {
-        let mut picked = Vec::with_capacity(count);
-        while picked.len() < count {
+    /// Draws `count` distinct objects into `picked`, Zipf-weighted, in
+    /// ascending order: a repeat draw is discarded and drawn again.
+    fn draw_objects(&mut self, count: usize) -> &[ObjectId] {
+        self.picked.clear();
+        while self.picked.len() < count {
             let object = ObjectId(self.zipf.sample(&mut self.rng) as u32);
-            if let Err(at) = picked.binary_search(&object) {
-                picked.insert(at, object);
+            if let Err(at) = self.picked.binary_search(&object) {
+                self.picked.insert(at, object);
             }
         }
-        picked
+        &self.picked
     }
 
     /// Generates the next transaction.
     pub fn next_tx(&mut self) -> GeneratedTx {
         let is_read = self.rng.random_bool(self.spec.read_fraction.clamp(0.0, 1.0));
         if is_read {
-            self.generated_reads += 1;
-            let objects = self.draw_objects(self.spec.objects_per_read);
-            let client = self.readers[self.next_reader % self.readers.len()];
-            self.next_reader += 1;
-            GeneratedTx {
-                client,
-                spec: TxSpec::read(objects),
-            }
+            self.next_read()
         } else {
-            self.generated_writes += 1;
-            self.write_seq += 1;
-            let objects = self.draw_objects(self.spec.objects_per_write);
-            let client = self.writers[self.next_writer % self.writers.len()];
-            self.next_writer += 1;
-            let seq = self.write_seq;
-            GeneratedTx {
-                client,
-                spec: TxSpec::write(
-                    objects
-                        .into_iter()
-                        .map(|o| (o, Value::derived(client.0, seq, o.0)))
-                        .collect(),
-                ),
-            }
+            self.next_write()
         }
     }
 
@@ -168,30 +154,26 @@ impl WorkloadGenerator {
     pub fn next_write(&mut self) -> GeneratedTx {
         self.generated_writes += 1;
         self.write_seq += 1;
-        let objects = self.draw_objects(self.spec.objects_per_write);
         let client = self.writers[self.next_writer % self.writers.len()];
         self.next_writer += 1;
         let seq = self.write_seq;
+        let objects = self.draw_objects(self.spec.objects_per_write);
+        let writes = objects.iter().map(|&o| (o, Value::derived(client.0, seq, o.0)));
         GeneratedTx {
             client,
-            spec: TxSpec::write(
-                objects
-                    .into_iter()
-                    .map(|o| (o, Value::derived(client.0, seq, o.0)))
-                    .collect(),
-            ),
+            spec: TxSpec::Write(WriteSpec::new(writes.collect::<WritePairs>())),
         }
     }
 
     /// Generates exactly one READ transaction.
     pub fn next_read(&mut self) -> GeneratedTx {
         self.generated_reads += 1;
-        let objects = self.draw_objects(self.spec.objects_per_read);
         let client = self.readers[self.next_reader % self.readers.len()];
         self.next_reader += 1;
+        let objects = self.draw_objects(self.spec.objects_per_read);
         GeneratedTx {
             client,
-            spec: TxSpec::read(objects),
+            spec: TxSpec::Read(ReadSpec::new(objects)),
         }
     }
 

@@ -180,6 +180,11 @@ cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-check
     drain_commits_streams_the_history_in_resp_order find_looks_records_up_by_invocation_time_and_id \
     write_log_agrees_with_the_reverse_scan_reference a_reserved_log_is_allocated_once \
     tag_stream::
+# Transaction bodies keep their object lists in place (snow_core::InlineList):
+# the list against Vec, and the sizes the lists buy (a pool slot <= 104 B,
+# a record <= 152 B).
+cargo test -q --release -p snow-core -p snow-protocols -- \
+    inline_list:: a_record_cannot_silently_widen the_pools_working_set_cannot_silently_widen
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
 bench --smoke > /dev/null

@@ -105,6 +105,31 @@
 //! log's last doubling (at the 513th) was covered by the growth after it,
 //! so the old peaks were only 56, 560, 760 and 10 096 bytes above the
 //! closed-loop runs' live bytes at return; the gap is pinned too.
+//!
+//! Then transaction bodies began keeping their object lists in place
+//! (`snow_core::InlineList`: up to four objects of a READ, two
+//! `(object, value)` pairs of a WRITE, three objects of a WRITE's ack
+//! list and of its `update-coor`), and the round drivers began reusing
+//! one batch buffer across rounds, invoking per entry.  The pins moved
+//! 6 200 → 1 691 (AlgB, WAN), 5 767 → 1 703 (AlgB, one DC), 6 167 → 3 086
+//! (AlgC), 6 212 → 1 703 and 5 796 → 1 732 (the streaming runs).  Gone
+//! per transaction: the generator's object list and a WRITE's pair list,
+//! the record's copy of the spec at INV, the client's pending list, and
+//! the `get-tag-arr` / `update-coor` payloads' copies — about four per
+//! transaction, all copies of a two- to four-object list.  Gone per
+//! round: the batch's vector and the ids `invoke_batch` returned, 2 × 125
+//! on the WAN.  The peaks moved 289 712 → 278 088, 326 704 → 321 344,
+//! 290 480 → 278 856 and 337 264 → 331 904, and on the AlgC run
+//! 496 072 → 500 280: a spec's heap block is gone, but a `TxSpec` is 8
+//! bytes wider (40 B: a WRITE's two pairs in place), and so is a record
+//! (152 B), and the open loop holds every planned spec and a reserved
+//! record for each arrival.  With one pair in place (a 32 B spec) that
+//! peak reads 481 712, at 164 more allocations for the spilled WRITEs.
+//! The closed-loop gaps between peak and live bytes at return moved
+//! 104 → 416, 1 112 → 6 656, 808 → 1 120 and 10 648 → 16 192: the round's
+//! reused buffers (its clients, 4 B each, and its transactions, 48 B
+//! each: 8 × 52 = 416, 128 × 52 = 6 656) are freed at return instead of
+//! mid-round, so the gap is still a round's width.
 
 use snow::checker::check_auto;
 use snow::core::{SystemConfig, TxRecord};
@@ -240,16 +265,16 @@ fn closed_loop_algb(config: SystemConfig, topology: Topology, per_round: usize) 
 fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
     let counts = closed_loop_algb(config.clone(), Topology::wan3(&config), 8);
-    assert_counts(counts, 6_200, 289_712);
-    assert_peak_is_what_it_keeps(counts, 104);
+    assert_counts(counts, 1_691, 278_088);
+    assert_peak_is_what_it_keeps(counts, 416);
 }
 
 #[test]
 fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
     let counts = closed_loop_algb(config.clone(), Topology::single_dc(&config), 128);
-    assert_counts(counts, 5_767, 326_704);
-    assert_peak_is_what_it_keeps(counts, 1_112);
+    assert_counts(counts, 1_703, 321_344);
+    assert_peak_is_what_it_keeps(counts, 6_656);
 }
 
 /// The two AlgB shapes again, through `run_checked_mode(.., Streaming)`:
@@ -278,16 +303,16 @@ fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: u
 fn streaming_checked_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
     let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8);
-    assert_counts(counts, 6_212, 290_480);
-    assert_peak_is_what_it_keeps(counts, 808);
+    assert_counts(counts, 1_703, 278_856);
+    assert_peak_is_what_it_keeps(counts, 1_120);
 }
 
 #[test]
 fn streaming_checked_wide_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
     let counts = streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128);
-    assert_counts(counts, 5_796, 337_264);
-    assert_peak_is_what_it_keeps(counts, 10_648);
+    assert_counts(counts, 1_732, 331_904);
+    assert_peak_is_what_it_keeps(counts, 16_192);
 }
 
 #[test]
@@ -308,5 +333,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_counts(counts, 6_167, 496_072);
+    assert_counts(counts, 3_086, 500_280);
 }
