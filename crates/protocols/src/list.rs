@@ -34,9 +34,12 @@
 //!   needs version garbage collection, an open question in ROADMAP.md.
 //!
 //! The `Vals` set travels as a copy-on-write snapshot
-//! ([`snow_core::ObjectVersions::snapshot`]): the server keeps one shared,
-//! key-ordered slice per object, rebuilt by the first `read-vals` after an
-//! install, and every response until the next install is a pointer to it.
+//! ([`snow_core::ObjectVersions::snapshot`]): the server keeps one shared
+//! slice per object, in install order, rebuilt by the first `read-vals`
+//! after an install, and every response until the next install is a
+//! pointer to it.  The reader searches it from the newest version, where
+//! the key the tag array names nearly always is: a WRITE registers only
+//! after every server installed it.
 //! A snapshot taken before an install never shows it — the paper's "returns
 //! `Vals` as of the request" — and its length is what the instrumentation
 //! counts, so sharing changes no observable quantity.  The reader files
@@ -197,7 +200,7 @@ pub enum ListMsg {
         /// Object.
         object: ObjectId,
         /// Every `(key, value)` pair the server stored for it when the
-        /// request arrived, in key order: a shared
+        /// request arrived, in install order: a shared
         /// [`snow_core::ObjectVersions::snapshot`], so the response (and a
         /// fault-engine duplicate of it) carries a pointer, not a copy.
         versions: Arc<[(Key, Value)]>,
@@ -371,17 +374,14 @@ impl Reader {
         let mut fell_back = false;
         // Taken, so a late duplicate of a `Vals` response looks up nothing.
         for (object, key) in std::mem::take(&mut read.keys) {
-            // Snapshots are in key order.
             let slot = read.collect.objects.iter().position(|&o| o == object);
             let slot = slot.expect("the tag array names the READ's objects");
             let versions = self.vals[slot].as_deref().expect("every `Vals` set is in");
-            match versions.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(i) => read.collect.record(ObjectRead {
-                    object,
-                    key,
-                    value: versions[i].1,
-                }),
-                Err(_) => {
+            // Snapshots are in install order, and the tag array names a
+            // recently registered WRITE: search from the newest version.
+            match versions.iter().rev().find(|&&(k, _)| k == key) {
+                Some(&(_, value)) => read.collect.record(ObjectRead { object, key, value }),
+                None => {
                     fell_back = true;
                     read_val(&self.config, read.collect.tx, object, key, effects);
                 }

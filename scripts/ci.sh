@@ -48,7 +48,8 @@
 #      return — of a 1 000-transaction AlgB closed loop on the WAN, of one
 #      in a single DC with 128-client rounds
 #      — `wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much` —
-#      and of a 1 000-arrival AlgC open loop).  Then the
+#      and of a 1 000-arrival AlgC open loop, and the streaming WAN run's
+#      gap again at 10 000 transactions).  Then the
 #      open-loop driver's linear cost as a pure count (crates/workload,
 #      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
 #      completion wait per transaction, zero `is_complete` probes) and
@@ -64,7 +65,9 @@
 #      per-object index (crates/protocols,
 #      `write_log_agrees_with_the_reverse_scan_reference`: tags,
 #      `latest_for`, `tag_array` and `len` against the reverse scan it
-#      replaced) and the record log sized from the plan (crates/sim
+#      replaced), `Vals` as a log in install order (crates/core,
+#      `object_versions_agree_with_an_ordered_map`: lookups, counts, the
+#      latest version and snapshots against an ordered map) and the record log sized from the plan (crates/sim
 #      `a_reserved_log_is_allocated_once`, crates/workload
 #      `every_driver_reserves_what_it_issues_once_before_invoking`).  The drivers'
 #      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
@@ -185,6 +188,12 @@ cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-check
 # a record <= 152 B).
 cargo test -q --release -p snow-core -p snow-protocols -- \
     inline_list:: a_record_cannot_silently_widen the_pools_working_set_cannot_silently_widen
+# Each object's `Vals` is a log in install order, searched newest-first: the
+# log against the ordered map it replaced, and the streaming WAN run's peak
+# over what it keeps, the same at 10 000 transactions as at 1 000.
+cargo test -q --release -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map
+cargo test -q --release --test dispatch_hot_path -- \
+    streaming_checked_algb_on_the_wan_keeps_its_gap_at_ten_thousand
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
 bench --smoke > /dev/null

@@ -16,7 +16,9 @@
 //!   (`open-c-read`'s shape): the commit-gated wait, one-round reads with
 //!   multi-version responses;
 //! * the two AlgB runs again through `run_checked_mode(.., Streaming)`,
-//!   the call the benchmark times for them: the in-run check on top.
+//!   the call the benchmark times for them: the in-run check on top;
+//! * the streaming WAN run at 10 000 transactions, which pins only its gap
+//!   between peak and live bytes at return: the same as at 1 000.
 //!
 //! The counted region is the driver call: generator, engine, protocol
 //! handlers, the driver's take of the record log (and the check, for the
@@ -130,6 +132,26 @@
 //! reused buffers (its clients, 4 B each, and its transactions, 48 B
 //! each: 8 × 52 = 416, 128 × 52 = 6 656) are freed at return instead of
 //! mid-round, so the gap is still a round's width.
+//!
+//! Then each object's `Vals` became a log in install order (blocks of
+//! 4·2ᵏ versions that never move, a per-writer high-water mark, a block
+//! table sized for 8 blocks when the object is created) instead of an
+//! ordered map, and the pins moved 1 691 → 1 577 (AlgB, WAN), 1 703 →
+//! 1 688 (AlgB, one DC), 3 086 → 3 096 (AlgC), 1 703 → 1 589 and
+//! 1 732 → 1 717 (the streaming runs).  An object allocates a block when
+//! its versions double, not a node every few versions, plus its mark
+//! table's growth; the AlgC run's objects hold a few versions each, which
+//! fit in the map's first node but not in the log's first block, so it
+//! allocates 10 more at 1 000 arrivals (at the benchmark's 10 000 it
+//! allocates fewer).  Its snapshot is still one allocation.  The peaks
+//! moved 278 088 → 264 688 and 278 856 → 265 456 on the WAN, 321 344 →
+//! 324 640 and 331 904 → 335 200 in one DC, where each of the 16 objects
+//! holds a mark for each of 64 writers (16 B each), more at 1 000
+//! transactions than the map's nodes took (at 10 000 the streaming DC
+//! run's peak per transaction falls 290.5 → 280.1 bytes), and 500 280 →
+//! 500 760 on the AlgC run.  The four gaps held, and hold at 10 000
+//! transactions: no structure that grows with the run holds two copies
+//! of itself at the peak.
 
 use snow::checker::check_auto;
 use snow::core::{SystemConfig, TxRecord};
@@ -265,7 +287,7 @@ fn closed_loop_algb(config: SystemConfig, topology: Topology, per_round: usize) 
 fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
     let counts = closed_loop_algb(config.clone(), Topology::wan3(&config), 8);
-    assert_counts(counts, 1_691, 278_088);
+    assert_counts(counts, 1_577, 264_688);
     assert_peak_is_what_it_keeps(counts, 416);
 }
 
@@ -273,13 +295,19 @@ fn closed_loop_algb_on_the_wan_allocates_exactly_this_much() {
 fn wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
     let counts = closed_loop_algb(config.clone(), Topology::single_dc(&config), 128);
-    assert_counts(counts, 1_703, 321_344);
+    assert_counts(counts, 1_688, 324_640);
     assert_peak_is_what_it_keeps(counts, 6_656);
 }
 
 /// The two AlgB shapes again, through `run_checked_mode(.., Streaming)`:
-/// the driver call the benchmark times, the in-run check included.
-fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: usize) -> Counts {
+/// the driver call the benchmark times, the in-run check included, for
+/// `transactions` transactions.
+fn streaming_checked_algb(
+    config: SystemConfig,
+    topology: Topology,
+    per_round: usize,
+    transactions: usize,
+) -> Counts {
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
         .topology(Arc::new(topology), 7)
         .max_steps(u64::MAX)
@@ -290,11 +318,11 @@ fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: u
         WorkloadDriver::new(per_round).run_checked_mode(
             cluster.as_mut(),
             &mut generator,
-            TRANSACTIONS,
+            transactions,
             CheckMode::Streaming,
         )
     });
-    assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
+    assert_eq!((report.issued, report.completed), (transactions, transactions));
     assert_eq!(verdict, check_auto(&history), "certified by tag order");
     counts
 }
@@ -302,16 +330,28 @@ fn streaming_checked_algb(config: SystemConfig, topology: Topology, per_round: u
 #[test]
 fn streaming_checked_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
-    let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8);
-    assert_counts(counts, 1_703, 278_856);
+    let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8, TRANSACTIONS);
+    assert_counts(counts, 1_589, 265_456);
+    assert_peak_is_what_it_keeps(counts, 1_120);
+}
+
+/// The streaming WAN run ten times longer: its peak over what it keeps is
+/// the same 1 120 bytes, so nothing the run frees before it returns grows
+/// with its length — no buffer that doubles holds two copies of a
+/// run-length structure at the peak.
+#[test]
+fn streaming_checked_algb_on_the_wan_keeps_its_gap_at_ten_thousand() {
+    let config = SystemConfig::mwmr(8, 4, 4);
+    let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8, 10_000);
     assert_peak_is_what_it_keeps(counts, 1_120);
 }
 
 #[test]
 fn streaming_checked_wide_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
-    let counts = streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128);
-    assert_counts(counts, 1_732, 331_904);
+    let counts =
+        streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128, TRANSACTIONS);
+    assert_counts(counts, 1_717, 335_200);
     assert_peak_is_what_it_keeps(counts, 16_192);
 }
 
@@ -333,5 +373,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_counts(counts, 3_086, 500_280);
+    assert_counts(counts, 3_096, 500_760);
 }
