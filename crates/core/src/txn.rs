@@ -25,14 +25,24 @@ pub enum TxKind {
     Write,
 }
 
-/// True if no two of `items` name the same object — a pairwise scan that
-/// allocates nothing (a transaction names a handful of objects, and the
-/// check runs once per transaction built).
+/// The longest list [`all_distinct`] scans pairwise.
+const PAIRWISE: usize = 32;
+
+/// True if no two of `items` name the same object.  The check runs once per
+/// transaction built, and a transaction names a handful of objects: up to
+/// [`PAIRWISE`] of them, a pairwise scan that allocates nothing.  A longer
+/// list (a flood READ of 10⁵ objects, say) is checked as a sorted copy of
+/// its objects, O(n log n) instead of O(n²).
 fn all_distinct<T>(items: &[T], object: impl Fn(&T) -> ObjectId) -> bool {
-    items
-        .iter()
-        .enumerate()
-        .all(|(i, a)| items[..i].iter().all(|b| object(a) != object(b)))
+    if items.len() <= PAIRWISE {
+        return items
+            .iter()
+            .enumerate()
+            .all(|(i, a)| items[..i].iter().all(|b| object(a) != object(b)));
+    }
+    let mut sorted: Vec<ObjectId> = items.iter().map(object).collect();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|pair| pair[0] != pair[1])
 }
 
 /// A READ's object list: up to four objects in place.
@@ -282,6 +292,50 @@ mod tests {
             WriteSpec::new(vec![(ObjectId(0), Value(1)), (ObjectId(0), Value(2))])
         });
         assert!(dup.is_err());
+    }
+
+    /// The panic message of `build`, which must panic.
+    fn panic_message(build: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(build).expect_err("built a malformed spec");
+        match payload.downcast::<&str>() {
+            Ok(message) => message.to_string(),
+            Err(payload) => *payload.downcast::<String>().expect("a string panic"),
+        }
+    }
+
+    /// Specs far past the pairwise scan's length build (a quadratic check
+    /// took seconds at 10⁵ objects), and a duplicate is still caught, with
+    /// the same message, at the front, at the back, and across the ends.
+    #[test]
+    fn wide_specs_build_and_still_reject_a_duplicate_anywhere() {
+        const N: u32 = 100_000;
+        let objects: Vec<ObjectId> = (0..N).map(ObjectId).collect();
+        assert_eq!(TxSpec::read(objects.clone()).objects().len(), N as usize);
+        let pairs: Vec<(ObjectId, Value)> =
+            objects.iter().map(|&o| (o, Value(u64::from(o.0)))).collect();
+        assert_eq!(TxSpec::write(pairs.clone()).objects().len(), N as usize);
+        let last = N as usize - 1;
+        for (at, from) in [(1, 0), (last, last - 1), (last, 0)] {
+            let mut objects = objects.clone();
+            objects[at] = objects[from];
+            assert_eq!(
+                panic_message(move || drop(ReadSpec::new(objects))),
+                "READ transaction must name distinct objects"
+            );
+            let mut pairs = pairs.clone();
+            pairs[at].0 = pairs[from].0;
+            assert_eq!(
+                panic_message(move || drop(WriteSpec::new(pairs))),
+                "WRITE transaction must name distinct objects"
+            );
+        }
+        // Either side of the pairwise scan's length.
+        for n in [PAIRWISE as u32, PAIRWISE as u32 + 1] {
+            let mut objects: Vec<ObjectId> = (0..n).map(ObjectId).collect();
+            assert_eq!(ReadSpec::new(objects.clone()).len(), n as usize);
+            objects[n as usize - 1] = ObjectId(0);
+            assert!(std::panic::catch_unwind(move || ReadSpec::new(objects)).is_err());
+        }
     }
 
     #[test]

@@ -5,29 +5,39 @@
 //! `Vec<Option<PendingMessage>>`; the next insert reuses the slot freed
 //! last, so the slab never holds more slots than were ever in flight at
 //! once), and the delivery heap holds one `(deliver_at, MsgId, slot)`
-//! entry per insert.  An entry is **live iff its slot still holds that id
-//! under that key**; anything else is discarded on its way to the top.
-//! That one rule covers both ways an entry goes stale: its message was
-//! taken another way ([`MessagePool::take_first`],
-//! [`MessagePool::take_nth_live`]), or a crash window's `QueueInFlight`
-//! re-queued it under the same id and a later key — possibly into the very
-//! slot it just left — and the old entry must not resurface it early.
+//! entry per insert or re-queue.  An entry is **live iff its slot still
+//! holds that id under that key**; anything else is discarded on its way
+//! to the top.  That one rule covers both ways an entry goes stale: its
+//! message was picked another way ([`MessagePool::find_first`],
+//! [`MessagePool::nth_live`]) and taken, or a crash window's
+//! `QueueInFlight` re-queued it under the same id and a later key, in the
+//! very slot the old entry names, and the old entry must not resurface it
+//! early.
 //!
-//! The picks, each of which moves its message out of its slot once:
+//! The picks each name the slot of the message they chose and leave the
+//! message there; the engine reads its header in place
+//! ([`MessagePool::get`]) and then moves it out once
+//! ([`MessagePool::take`]) or re-queues it where it lies
+//! ([`MessagePool::requeue`]):
 //!
-//! * [`MessagePool::pop_earliest`] — the smallest `(deliver_at, id)`,
-//!   amortized O(log n): [`crate::LatencyScheduler`]'s pick.  This is
-//!   the classic discrete-event core, a `BinaryHeap` popped by `(time,
-//!   id)`; equal times go to the smaller id, which is send order.
-//! * [`MessagePool::take_first`] — the first message in send (id) order
+//! * [`MessagePool::pop`] — the smallest `(deliver_at, id)`, the entry
+//!   [`MessagePool::peek_earliest`] found, amortized O(log n):
+//!   [`crate::LatencyScheduler`]'s pick.  This is the classic
+//!   discrete-event core, a `BinaryHeap` popped by `(time, id)`; equal
+//!   times go to the smaller id, which is send order.  The engine peeks
+//!   once per dispatch — the peek decides whether an invocation is due —
+//!   and the pop takes that same entry without looking again.
+//! * [`MessagePool::find_first`] — the first message in send (id) order
 //!   matching a predicate, one pass over the slab: adversarial driving
 //!   ([`crate::Simulation::deliver_where`]).
-//! * [`MessagePool::take_nth_live`] — the k-th live message in send order,
-//!   an O(live) selection over a reused scratch buffer: `RandomScheduler`'s
+//! * [`MessagePool::nth_live`] — the k-th live message in send order, an
+//!   O(live) selection over a reused scratch buffer: `RandomScheduler`'s
 //!   pick.  It is the message the first engine's send-ordered `Vec` held at
 //!   index k, so every seeded Random schedule is choice-for-choice
 //!   unchanged.
 //!
+//! A message is written once, into its slot ([`MessagePool::insert`]), and
+//! read out of it once; only the 24-byte heap entries move while it waits.
 //! The heap keeps an entry until it is popped or found stale at the top,
 //! so under a scheduler that never pops (the random adversary) it keeps
 //! one stale entry per send until the pool is dropped.
@@ -39,6 +49,25 @@ use std::collections::BinaryHeap;
 /// A delivery-heap entry, `(deliver_at, id, slot)`, smallest on top.
 type Entry = Reverse<(u64, u64, usize)>;
 
+/// Where a message lies in the pool's slab.  A pick returns the slot of the
+/// message it chose; the message stays there, readable through
+/// [`MessagePool::get`], until [`MessagePool::take`] moves it out or
+/// [`MessagePool::requeue`] keys it again.  A popped message has no heap
+/// entry left, so one of the two must follow before anything else picks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
+/// The earliest live message, as [`MessagePool::peek_earliest`] found it at
+/// the top of the heap.  Valid until the pool next changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Earliest {
+    /// Its delivery time, the heap key.
+    pub deliver_at: u64,
+    /// Its id, which breaks ties between equal keys.
+    pub id: MsgId,
+    slot: Slot,
+}
+
 /// The set of in-flight messages: a slab and one delivery heap.
 #[derive(Debug, Clone)]
 pub struct MessagePool<M> {
@@ -48,7 +77,7 @@ pub struct MessagePool<M> {
     free: Vec<usize>,
     /// The delivery heap (see the module docs for which entries are live).
     queue: BinaryHeap<Entry>,
-    /// [`MessagePool::take_nth_live`]'s scratch: the live `(id, slot)`s it
+    /// [`MessagePool::nth_live`]'s scratch: the live `(id, slot)`s it
     /// selects from.  Empty between calls; a field so a Random pick
     /// allocates nothing per step.
     ranked: Vec<(u64, usize)>,
@@ -81,67 +110,97 @@ impl<M> MessagePool<M> {
         self.len() == 0
     }
 
-    /// Inserts a sent message into the slot freed last (else a new one) and
-    /// pushes its heap entry, keyed by its `deliver_at`.  Its id must not be
-    /// live: the engine assigns each send a fresh one, and a crash window
-    /// re-queues a message only after taking it out.
-    pub fn insert(&mut self, msg: PendingMessage<M>) {
+    /// Writes a sent message into the slot freed last (else a new one) —
+    /// the one copy of it into the pool — pushes its heap entry, keyed by
+    /// its `deliver_at`, and returns the slot.  Its id must not be live:
+    /// the engine assigns each send a fresh one.
+    pub fn insert(&mut self, msg: PendingMessage<M>) -> Slot {
         let (key, id) = (msg.deliver_at, msg.id.0);
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(msg);
-                slot
-            }
-            None => {
-                self.slots.push(Some(msg));
-                self.slots.len() - 1
-            }
-        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(msg);
         self.queue.push(Reverse((key, id, slot)));
+        Slot(slot)
     }
 
-    /// Moves the message out of `slot` and frees the slot.
-    fn take(&mut self, slot: usize) -> PendingMessage<M> {
-        self.free.push(slot);
-        self.slots[slot]
+    /// The message in `slot`, in place.
+    ///
+    /// # Panics
+    /// Panics if the slot is free: a [`Slot`] names a message only until it
+    /// is taken.
+    pub fn get(&self, slot: Slot) -> &PendingMessage<M> {
+        self.slots[slot.0]
+            .as_ref()
+            .expect("a picked slot is occupied")
+    }
+
+    /// Moves the message out of `slot` — the one copy of it out of the
+    /// pool — and frees the slot.  A heap entry still naming it goes stale.
+    ///
+    /// # Panics
+    /// Panics if the slot is free.
+    pub fn take(&mut self, slot: Slot) -> PendingMessage<M> {
+        let msg = self.slots[slot.0]
             .take()
-            .expect("a live entry's slot is occupied")
+            .expect("a picked slot is occupied");
+        self.free.push(slot.0);
+        msg
     }
 
-    /// The heap's top live entry, discarding stale ones on the way.
-    fn peek_live(&mut self) -> Option<(u64, u64, usize)> {
+    /// Keys the message in `slot` again, at `deliver_at`, where it lies: a
+    /// crash window's `QueueInFlight` holding a picked message for the
+    /// restarted process.  Any older entry naming it goes stale (a later
+    /// key), or stays a second live entry under the same key, which is
+    /// harmless: the message is still taken once.
+    pub fn requeue(&mut self, slot: Slot, deliver_at: u64) {
+        let msg = self.slots[slot.0]
+            .as_mut()
+            .expect("a picked slot is occupied");
+        msg.deliver_at = deliver_at;
+        self.queue.push(Reverse((deliver_at, msg.id.0, slot.0)));
+    }
+
+    /// The heap's top live entry — the smallest `(deliver_at, id)` — without
+    /// taking it, discarding stale entries on the way: amortized O(log n).
+    /// The dispatch core compares its key with the earliest planned
+    /// invocation (the one dispatch rule) and hands it to the scheduler.
+    pub fn peek_earliest(&mut self) -> Option<Earliest> {
         while let Some(&Reverse((key, id, slot))) = self.queue.peek() {
             let msg = self.slots[slot].as_ref();
             if msg.is_some_and(|msg| msg.id.0 == id && msg.deliver_at == key) {
-                return Some((key, id, slot));
+                return Some(Earliest {
+                    deliver_at: key,
+                    id: MsgId(id),
+                    slot: Slot(slot),
+                });
             }
             self.queue.pop();
         }
         None
     }
 
-    /// The `(deliver_at, id)` of the message [`MessagePool::pop_earliest`]
-    /// would take, without taking it — amortized O(log n).  The dispatch
-    /// core compares the key with the earliest planned invocation (the one
-    /// dispatch rule).
-    pub fn peek_earliest(&mut self) -> Option<(u64, MsgId)> {
-        self.peek_live().map(|(key, id, _)| (key, MsgId(id)))
+    /// Picks `earliest`, which must be what [`MessagePool::peek_earliest`]
+    /// returned with nothing changed since: pops its heap entry and returns
+    /// its slot — O(log n), no second look at the top.
+    pub fn pop(&mut self, earliest: Earliest) -> Slot {
+        let top = self.queue.pop();
+        debug_assert_eq!(
+            top,
+            Some(Reverse((
+                earliest.deliver_at,
+                earliest.id.0,
+                earliest.slot.0
+            ))),
+            "popped an entry other than the one peeked"
+        );
+        earliest.slot
     }
 
-    /// Takes the message with the smallest `(deliver_at, id)` — amortized
-    /// O(log n).
-    pub fn pop_earliest(&mut self) -> Option<PendingMessage<M>> {
-        let (_, _, slot) = self.peek_live()?;
-        self.queue.pop();
-        Some(self.take(slot))
-    }
-
-    /// Takes the first message in send (id) order matching `pred` — one
-    /// pass over the slab.  Its heap entry is left behind, stale.
-    pub fn take_first(
-        &mut self,
-        pred: impl Fn(&PendingMessage<M>) -> bool,
-    ) -> Option<PendingMessage<M>> {
+    /// Picks the first message in send (id) order matching `pred` — one
+    /// pass over the slab.  Its heap entry goes stale once it is taken.
+    pub fn find_first(&self, pred: impl Fn(&PendingMessage<M>) -> bool) -> Option<Slot> {
         let (_, slot) = self
             .slots
             .iter()
@@ -152,14 +211,14 @@ impl<M> MessagePool<M> {
                     .map(|msg| (msg.id, slot))
             })
             .min()?;
-        Some(self.take(slot))
+        Some(Slot(slot))
     }
 
-    /// Takes the `k`-th live message in ascending id (send) order, or
+    /// Picks the `k`-th live message in ascending id (send) order, or
     /// `None` if fewer than `k + 1` are live — O(live): the live ids are
     /// gathered into a reused scratch buffer and selected in linear time.
-    /// Its heap entry is left behind, stale.
-    pub fn take_nth_live(&mut self, k: usize) -> Option<PendingMessage<M>> {
+    /// Its heap entry goes stale once it is taken.
+    pub fn nth_live(&mut self, k: usize) -> Option<Slot> {
         if k >= self.len() {
             return None;
         }
@@ -168,7 +227,7 @@ impl<M> MessagePool<M> {
             .extend(live.filter_map(|(slot, msg)| Some((msg.as_ref()?.id.0, slot))));
         let (_, &mut (_, slot), _) = self.ranked.select_nth_unstable(k);
         self.ranked.clear();
-        Some(self.take(slot))
+        Some(Slot(slot))
     }
 
     /// The in-flight messages in ascending id (send) order.  An inspection
@@ -207,6 +266,30 @@ mod tests {
         pool.iter().map(|m| m.id.0).collect()
     }
 
+    /// The heap pick and the take after it, as the engine makes them.
+    fn pop_earliest(pool: &mut MessagePool<M>) -> Option<PendingMessage<M>> {
+        let earliest = pool.peek_earliest()?;
+        let slot = pool.pop(earliest);
+        Some(pool.take(slot))
+    }
+
+    fn take_first(
+        pool: &mut MessagePool<M>,
+        pred: impl Fn(&PendingMessage<M>) -> bool,
+    ) -> Option<PendingMessage<M>> {
+        let slot = pool.find_first(pred)?;
+        Some(pool.take(slot))
+    }
+
+    fn take_nth_live(pool: &mut MessagePool<M>, k: usize) -> Option<PendingMessage<M>> {
+        let slot = pool.nth_live(k)?;
+        Some(pool.take(slot))
+    }
+
+    fn peek(pool: &mut MessagePool<M>) -> Option<(u64, MsgId)> {
+        pool.peek_earliest().map(|e| (e.deliver_at, e.id))
+    }
+
     /// What the pool stores per heap entry; the slab's payload is pinned in
     /// `snow_protocols::any` (`the_pools_working_set_cannot_silently_widen`).
     #[test]
@@ -221,20 +304,20 @@ mod tests {
             pool.insert(pending(id, id, id));
         }
         assert_eq!(pool.len(), 5);
-        let taken = pool.take_first(|m| m.id == MsgId(1)).unwrap();
+        let taken = take_first(&mut pool, |m| m.id == MsgId(1)).unwrap();
         assert_eq!(taken.id, MsgId(1));
-        assert!(pool.take_first(|m| m.id == MsgId(1)).is_none());
+        assert!(take_first(&mut pool, |m| m.id == MsgId(1)).is_none());
         assert_eq!(ids(&pool), vec![0, 2, 3, 4]);
-        assert!(pool.take_nth_live(4).is_none());
+        assert!(take_nth_live(&mut pool, 4).is_none());
         // Rank order is id order: live [0, 2, 3, 4], rank 1 is id 2.
-        assert_eq!(pool.take_nth_live(1).unwrap().id, MsgId(2));
+        assert_eq!(take_nth_live(&mut pool, 1).unwrap().id, MsgId(2));
         // Id 5 reuses the slot id 2 left (last freed), ahead of id 3's:
         // slot order is no longer send order, and nothing looks at it.
         pool.insert(pending(5, 5, 5));
         assert_eq!(pool.slots.len(), 5);
         assert_eq!(ids(&pool), vec![0, 3, 4, 5]);
-        assert_eq!(pool.take_first(|m| m.id.0 >= 3).unwrap().id, MsgId(3));
-        assert_eq!(pool.take_nth_live(2).unwrap().id, MsgId(5));
+        assert_eq!(take_first(&mut pool, |m| m.id.0 >= 3).unwrap().id, MsgId(3));
+        assert_eq!(take_nth_live(&mut pool, 2).unwrap().id, MsgId(5));
         assert_eq!(ids(&pool), vec![0, 4]);
     }
 
@@ -245,7 +328,9 @@ mod tests {
         pool.insert(pending(1, 0, 10));
         pool.insert(pending(2, 0, 10));
         pool.insert(pending(3, 0, 20));
-        let order: Vec<u64> = (0..3).map(|_| pool.pop_earliest().unwrap().id.0).collect();
+        let order: Vec<u64> = (0..3)
+            .map(|_| pop_earliest(&mut pool).unwrap().id.0)
+            .collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -254,42 +339,63 @@ mod tests {
         let mut pool: MessagePool<M> = MessagePool::new();
         pool.insert(pending(0, 0, 5));
         pool.insert(pending(1, 0, 6));
-        pool.take_first(|m| m.id == MsgId(0)).unwrap(); // delivered via deliver_where
-        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(1)));
-        assert!(pool.pop_earliest().is_none());
+        take_first(&mut pool, |m| m.id == MsgId(0)).unwrap(); // delivered via deliver_where
+        assert_eq!(pop_earliest(&mut pool).map(|m| m.id), Some(MsgId(1)));
+        assert!(pop_earliest(&mut pool).is_none());
         assert!(pool.is_empty());
     }
 
     #[test]
     fn requeued_id_is_not_resurfaced_by_its_stale_entry() {
-        // A crash window's `QueueInFlight` re-inserts the *same* id under a
-        // later key.  If the old entry was never consumed (a
-        // `deliver_where` delivery), it must not resurface the message
-        // ahead of everything keyed in between — even though the message
-        // lands back in the very slot its old entry names.
+        // A crash window's `QueueInFlight` re-keys the *same* id, in its
+        // slot, under a later key.  If the old entry was never consumed (a
+        // `deliver_where` pick), it must not resurface the message ahead of
+        // everything keyed in between — even though it names the very slot
+        // the message still lies in.
         let mut pool: MessagePool<M> = MessagePool::new();
         pool.insert(pending(0, 0, 5));
         pool.insert(pending(1, 0, 8));
-        let held = pool.take_first(|m| m.id == MsgId(0)).unwrap();
-        pool.insert(PendingMessage {
-            deliver_at: 20,
-            ..held
-        });
+        let held = pool.find_first(|m| m.id == MsgId(0)).unwrap();
+        pool.requeue(held, 20);
+        assert_eq!(held, Slot(0));
         assert_eq!(
-            pool.slots[0].as_ref().map(|m| (m.id, m.deliver_at)),
-            Some((MsgId(0), 20))
+            (pool.get(held).id, pool.get(held).deliver_at),
+            (MsgId(0), 20)
         );
-        assert_eq!(pool.peek_earliest(), Some((8, MsgId(1))));
-        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(1)));
-        assert_eq!(pool.peek_earliest(), Some((20, MsgId(0))));
-        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(0)));
+        assert_eq!(peek(&mut pool), Some((8, MsgId(1))));
+        assert_eq!(pop_earliest(&mut pool).map(|m| m.id), Some(MsgId(1)));
+        assert_eq!(peek(&mut pool), Some((20, MsgId(0))));
+        assert_eq!(pop_earliest(&mut pool).map(|m| m.id), Some(MsgId(0)));
         // Re-queued under its *own* key, a message has two live entries;
         // it is still taken once.
         pool.insert(pending(2, 0, 30));
-        let held = pool.take_first(|_| true).unwrap();
-        pool.insert(held);
-        assert_eq!(pool.pop_earliest().map(|m| m.id), Some(MsgId(2)));
-        assert!(pool.pop_earliest().is_none());
+        let held = pool.find_first(|_| true).unwrap();
+        pool.requeue(held, 30);
+        assert_eq!(pool.queue.len(), 2);
+        assert_eq!(pop_earliest(&mut pool).map(|m| m.id), Some(MsgId(2)));
+        assert!(pop_earliest(&mut pool).is_none());
+        assert!(pool.is_empty() && pool.queue.is_empty());
+    }
+
+    /// A popped message stays in its slot, read in place, until it is
+    /// taken; the slot is then the next insert's.
+    #[test]
+    fn a_pick_leaves_the_message_in_place_until_it_is_taken() {
+        let mut pool: MessagePool<M> = MessagePool::new();
+        pool.insert(pending(0, 0, 9));
+        let first = pool.insert(pending(1, 0, 4));
+        let earliest = pool.peek_earliest().unwrap();
+        assert_eq!((earliest.deliver_at, earliest.id), (4, MsgId(1)));
+        let slot = pool.pop(earliest);
+        assert_eq!(slot, first);
+        assert_eq!((pool.len(), pool.get(slot).id), (2, MsgId(1)));
+        assert_eq!(pool.take(slot).id, MsgId(1));
+        assert_eq!(
+            pool.insert(pending(2, 0, 1)),
+            first,
+            "the freed slot is reused"
+        );
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]
@@ -306,7 +412,7 @@ mod tests {
             pool.insert(pending(id, 0, 1_000 + key));
         }
         let mut drained = 0;
-        while let Some(m) = pool.pop_earliest() {
+        while let Some(m) = pop_earliest(&mut pool) {
             assert_eq!(m.id, MsgId(drained), "(key, id) order");
             drained += 1;
             assert_eq!(pool.queue.len(), pool.len(), "a pop re-pushed an entry");
@@ -315,7 +421,7 @@ mod tests {
         // Only rank selection gathers the live ids; a heap drain never does.
         assert_eq!(pool.ranked.capacity(), 0, "a heap drain ranked the pool");
         pool.insert(pending(N, 0, 0));
-        assert_eq!(pool.take_nth_live(0).map(|m| m.id), Some(MsgId(N)));
+        assert_eq!(take_nth_live(&mut pool, 0).map(|m| m.id), Some(MsgId(N)));
         assert!(
             pool.ranked.is_empty() && pool.ranked.capacity() > 0,
             "rank selection reuses its scratch"
@@ -334,7 +440,7 @@ mod tests {
             pool.insert(pending(id, id, id + 5));
             if id >= IN_FLIGHT {
                 assert_eq!(
-                    pool.pop_earliest().map(|m| m.id),
+                    pop_earliest(&mut pool).map(|m| m.id),
                     Some(MsgId(id - IN_FLIGHT))
                 );
             }

@@ -20,32 +20,31 @@
 //! # Event-queue architecture and complexity contract
 //!
 //! Schedulers pick directly from the engine's [`MessagePool`] (a slab and
-//! one delivery heap) and hand back the message they took:
+//! one delivery heap) and hand back the slot of the message they chose:
 //!
 //! * [`Scheduler::on_send`] stamps a delivery time when a message is sent
 //!   — a pure function of the send's coordinates (`send_hash`), so a
 //!   message's latency does not depend on which other sends the engine
 //!   decided first.  The pool keys its delivery heap by
 //!   `(deliver_at, MsgId)`.
-//! * [`Scheduler::next`] takes the message to deliver out of the pool.
-//!   Its provided body — what [`LatencyScheduler`] uses — is one O(log n)
-//!   heap pop of the smallest `(deliver_at, id)`
-//!   ([`MessagePool::pop_earliest`]).  Because the engine issues ids in
-//!   send order, one handler per tick, the id that breaks an equal-key tie
-//!   is also the send's `(sent_at, source, emission order)`.  The random
-//!   adversary overrides it: it draws a uniform rank and takes the k-th
-//!   live message in send order ([`MessagePool::take_nth_live`]) — the
+//! * [`Scheduler::next`] picks the message to deliver.  Its provided body
+//!   — what [`LatencyScheduler`] uses — is one O(log n) heap pop of the
+//!   smallest `(deliver_at, id)`, the entry the engine's one peek of the
+//!   dispatch already found ([`MessagePool::pop`]).  Because the engine
+//!   issues ids in send order, one handler per tick, the id that breaks an
+//!   equal-key tie is also the send's `(sent_at, source, emission order)`.
+//!   The random adversary overrides it: it draws a uniform rank and takes
+//!   the k-th live message in send order ([`MessagePool::nth_live`]) — the
 //!   same distribution *and the same per-seed choices* as indexing the
 //!   first engine's send-ordered `Vec`.
 //!
 //! The heap scheduler is therefore O(log n) per step; the random
 //! adversary is **O(live) per pick** — a linear selection over the live
 //! ids, in a scratch buffer the pool reuses, so it allocates nothing per
-//! step.  Either way the chosen message moves out of its slot once,
-//! straight to the engine.
+//! step.  Either way the chosen message stays in its slot: the engine
+//! reads its header there and moves it out once, into the handler.
 
-use crate::message::PendingMessage;
-use crate::pool::MessagePool;
+use crate::pool::{Earliest, MessagePool, Slot};
 use crate::topology::{LinkDist, Topology};
 use snow_core::hash::splitmix64;
 use snow_core::ProcessId;
@@ -53,16 +52,23 @@ use std::sync::Arc;
 
 /// A policy choosing which pending message to deliver next.
 pub trait Scheduler<M> {
-    /// Takes the next message to deliver out of the pool: returns the
-    /// message it took, `None` iff the pool is empty (reliable channels
-    /// require eventual delivery, which the simulation enforces by only
-    /// stopping when nothing is pending).  The engine delivers it.
+    /// Picks the next message to deliver: returns its slot, `None` iff the
+    /// pool is empty (reliable channels require eventual delivery, which
+    /// the simulation enforces by only stopping when nothing is pending).
+    /// The engine takes the message out of the slot and delivers it.
+    /// `earliest` is what [`MessagePool::peek_earliest`] returned just
+    /// before the call — `None` iff the pool is empty.
     ///
     /// The provided body takes the smallest `(deliver_at, id)` — one heap
-    /// pop ([`MessagePool::pop_earliest`]).
-    fn next(&mut self, pool: &mut MessagePool<M>, now: u64) -> Option<PendingMessage<M>> {
+    /// pop of `earliest` ([`MessagePool::pop`]).
+    fn next(
+        &mut self,
+        pool: &mut MessagePool<M>,
+        earliest: Option<Earliest>,
+        now: u64,
+    ) -> Option<Slot> {
         let _ = now;
-        pool.pop_earliest()
+        Some(pool.pop(earliest?))
     }
 
     /// Hook called when a message is sent: returns its delivery time, a
@@ -113,7 +119,7 @@ pub(crate) fn pid_bits(id: ProcessId) -> u64 {
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
 /// The draw selects a uniform *rank* in send order
-/// ([`MessagePool::take_nth_live`], O(live)).  The n-th draw is
+/// ([`MessagePool::nth_live`], O(live)).  The n-th draw is
 /// `splitmix64(seed + n·γ)` — the SplitMix64 stream, which is what the
 /// vendored `rand` shim's generator produced when this scheduler drew from
 /// it, so no seeded Random schedule moved when the dependency went.
@@ -130,13 +136,13 @@ impl RandomScheduler {
 }
 
 impl<M> Scheduler<M> for RandomScheduler {
-    fn next(&mut self, pool: &mut MessagePool<M>, _now: u64) -> Option<PendingMessage<M>> {
+    fn next(&mut self, pool: &mut MessagePool<M>, _: Option<Earliest>, _: u64) -> Option<Slot> {
         if pool.is_empty() {
             return None;
         }
         let rank = splitmix64(self.state) % pool.len() as u64;
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15); // SplitMix64's γ
-        pool.take_nth_live(rank as usize)
+        pool.nth_live(rank as usize)
     }
 }
 
@@ -188,7 +194,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Causal, MsgId};
+    use crate::message::{Causal, MsgId, PendingMessage};
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -215,10 +221,18 @@ mod tests {
         pool
     }
 
+    /// One pick through a scheduler and the take after it, as the engine
+    /// makes them.
+    fn pick<S: Scheduler<M>>(s: &mut S, pool: &mut MessagePool<M>) -> Option<PendingMessage<M>> {
+        let earliest = pool.peek_earliest();
+        let slot = s.next(pool, earliest, 0)?;
+        Some(pool.take(slot))
+    }
+
     /// Drains the pool through a scheduler, returning delivery order.
     fn drain<S: Scheduler<M>>(s: &mut S, pool: &mut MessagePool<M>) -> Vec<u64> {
         let mut order = Vec::new();
-        while let Some(m) = s.next(pool, 0) {
+        while let Some(m) = pick(s, pool) {
             order.push(m.id.0);
         }
         order
@@ -231,7 +245,7 @@ mod tests {
         assert_eq!(Scheduler::<M>::on_send(&s, src, dst, 10, 3), 10);
         let mut pool = pool_of(vec![pending(0, 0, 0), pending(1, 1, 1), pending(2, 2, 2)]);
         assert_eq!(drain(&mut s, &mut pool), vec![0, 1, 2]);
-        assert!(Scheduler::<M>::next(&mut s, &mut pool, 5).is_none());
+        assert!(pick(&mut s, &mut pool).is_none());
     }
 
     #[test]
@@ -258,7 +272,7 @@ mod tests {
             drain(&mut RandomScheduler::new(8), &mut big_pool()),
         );
         let mut empty: MessagePool<M> = MessagePool::new();
-        assert!(RandomScheduler::new(1).next(&mut empty, 0).is_none());
+        assert!(pick(&mut RandomScheduler::new(1), &mut empty).is_none());
     }
 
     #[test]

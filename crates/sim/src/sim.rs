@@ -17,7 +17,9 @@
 //!   slots are reused, and a `(delivery_time, MsgId, slot)` binary heap for
 //!   O(log n) earliest-delivery pops; the random adversary's rank selection
 //!   in send order is an O(live) pass over the slab instead (see
-//!   [`crate::pool`]);
+//!   [`crate::pool`]).  A dispatch peeks at the heap once: the peek decides
+//!   whether an invocation is due, and the heap scheduler's pick pops the
+//!   entry it found;
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total and the next due
 //!   invocation is an O(1) peek;
@@ -25,7 +27,7 @@
 //!   the clock clamp stamps every INV after the previous one, so the log is
 //!   sorted by `(invoked_at, tx_id)` as it is written — beside a dense
 //!   `TxId → slot` vector.  Every message carries its causal stamp
-//!   ([`Causal`]), and `Simulation::stamp` folds it into the record it
+//!   ([`Causal`]), and the send path's `stamp` folds it into the record it
 //!   indexes to as the actions happen (rounds, C2C counts, read
 //!   instrumentation), so [`Simulation::take_history`] moves the log out
 //!   as the run's history, and [`Simulation::history`] is one copy of it,
@@ -44,9 +46,26 @@
 //! (the random adversary's pick is O(live)).  A handler
 //! writes its output into the simulator's one [`Effects`] buffer, which is
 //! drained in place and keeps its capacity for the next handler, each
-//! message moving once into the pool and once out of it.  Adversarial
-//! driving trades this for expressiveness: it takes the first match in
-//! send order, one pass over the slab.
+//! message moving once into the pool and once out of it:
+//!
+//! * **in** — `Simulation::apply_effects` drains the buffer where it lies,
+//!   borrowing it beside the pool, the scheduler and the record log (each
+//!   a field of its own, so nothing is taken out of `self` and put back).
+//!   For each send it first settles everything the envelope needs — the
+//!   causal stamp, the id, and the delivery time (the scheduler's draw,
+//!   then the fault verdict's say) — and then writes the
+//!   [`PendingMessage`] once, as the value of its pool slot
+//!   ([`MessagePool::insert`]).  A fault-engine duplicate is the one
+//!   `Clone` of a payload, made from the original's slot;
+//! * **out** — a pick ([`crate::Scheduler::next`],
+//!   [`Simulation::deliver_where`]) names the slot of the message it chose
+//!   and leaves the message there.  The engine reads the header (times,
+//!   endpoints, stamp, classification) in place, runs the crash gate only
+//!   under a fault schedule, and moves the payload out of the slot once,
+//!   into the receiving handler ([`MessagePool::take`]).
+//!
+//! Adversarial driving trades the heap for expressiveness: it takes the
+//! first match in send order, one pass over the slab.
 //!
 //! # The clock invariant
 //!
@@ -69,7 +88,7 @@
 
 use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict};
 use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
-use crate::pool::MessagePool;
+use crate::pool::{MessagePool, Slot};
 use crate::scheduler::Scheduler;
 use crate::tables::{ProcessTable, RecordLog};
 use snow_core::{
@@ -173,6 +192,37 @@ impl CommitLog {
     }
 }
 
+/// The message ids: issued densely, in send order.
+#[derive(Debug, Default)]
+struct MsgIds {
+    next: u64,
+    /// `(sent_at, src)` of the last id issued, kept in debug builds for
+    /// [`MsgIds::issue`]'s send-order assertion.
+    last_send: Option<(u64, ProcessId)>,
+}
+
+impl MsgIds {
+    /// The id of the next send, by `src` at `now`.  Ids are issued in send
+    /// order and every tick runs one handler, so id order is `(sent_at,
+    /// src, emission order)` order — which is why the pool's `(key, id)`
+    /// pop breaks equal-key ties by the sends' coordinates.
+    fn issue(&mut self, src: ProcessId, now: u64) -> MsgId {
+        if cfg!(debug_assertions) {
+            assert!(
+                self.last_send
+                    .is_none_or(|(at, by)| at < now || (at, by) == (now, src)),
+                "id {} issued to {src} at {now} after an id issued at {:?}",
+                self.next,
+                self.last_send
+            );
+            self.last_send = Some((now, src));
+        }
+        let id = MsgId(self.next);
+        self.next += 1;
+        id
+    }
+}
+
 /// A deterministic simulation of a set of processes exchanging messages over
 /// reliable asynchronous channels.  See the module docs.
 ///
@@ -195,15 +245,13 @@ pub struct Simulation<P: Process, S, O: TraceSink = NullSink> {
     /// Time of the last external action (`Simulation::audit_clock`).
     last_action_at: u64,
     now: u64,
-    next_msg: u64,
+    ids: MsgIds,
     next_tx: u64,
-    /// `(sent_at, src)` of the last id issued, kept in debug builds for
-    /// `Simulation::next_msg_id`'s send-order assertion.
-    last_send: Option<(u64, ProcessId)>,
     steps: u64,
     max_steps: u64,
     /// The one output buffer every handler writes into;
-    /// `Simulation::apply_effects` drains it and keeps its capacity.
+    /// `Simulation::apply_effects` drains it where it lies, and it keeps
+    /// its capacity.
     effects: Effects<P::Msg>,
     /// Observability sink (virtual-time events only; `NullSink` by
     /// default, which compiles the emission sites away).
@@ -232,9 +280,8 @@ where
             commits: CommitLog::default(),
             last_action_at: 0,
             now: 0,
-            next_msg: 0,
+            ids: MsgIds::default(),
             next_tx: 0,
-            last_send: None,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
             effects: Effects::new(0),
@@ -264,9 +311,8 @@ where
             commits: self.commits,
             last_action_at: self.last_action_at,
             now: self.now,
-            next_msg: self.next_msg,
+            ids: self.ids,
             next_tx: self.next_tx,
-            last_send: self.last_send,
             steps: self.steps,
             max_steps: self.max_steps,
             effects: self.effects,
@@ -423,8 +469,8 @@ where
     where
         F: Fn(&PendingMessage<P::Msg>) -> bool,
     {
-        let msg = self.pool.take_first(pred)?;
-        Some(self.dispatch_delivery(msg))
+        let slot = self.pool.find_first(pred)?;
+        Some(self.dispatch_delivery(slot))
     }
 
     /// Manual driving: dispatches the next scheduled invocation for
@@ -583,27 +629,30 @@ where
     /// chosen by the scheduler, which may pick *any* live message.
     /// Returns `None` without counting a step if nothing is dispatchable.
     fn try_dispatch(&mut self) -> Option<StepOutcome> {
-        // The one heap peek of this dispatch: it decides the due rule.
-        let earliest_key = self.pool.peek_earliest().map(|(key, _)| key);
-        if self.due_invocation(earliest_key).is_some() {
+        // The one heap peek of this dispatch: it decides the due rule, and
+        // the heap scheduler's pick pops the entry it found.
+        let earliest = self.pool.peek_earliest();
+        if self.due_invocation(earliest.map(|e| e.deliver_at)).is_some() {
             let inv = self.invocations.pop().expect("peeked invocation");
             self.count_step();
             self.advance_past(inv.at);
             self.dispatch_invocation(inv.tx, inv.client, inv.spec);
             return Some(StepOutcome::Invoked(inv.tx));
         }
-        let msg = self.scheduler.next(&mut self.pool, self.now)?;
+        let slot = self.scheduler.next(&mut self.pool, earliest, self.now)?;
         self.count_step();
-        Some(StepOutcome::Delivered(self.dispatch_delivery(msg)))
+        Some(StepOutcome::Delivered(self.dispatch_delivery(slot)))
     }
 
-    /// Dispatches a message taken out of the pool: the clock clamp, the
-    /// crash-window gate, the handler.  Returns its id.
-    fn dispatch_delivery(&mut self, msg: PendingMessage<P::Msg>) -> MsgId {
-        let id = msg.id;
-        self.advance_past(msg.deliver_at);
-        if let Some(msg) = self.crash_intercept(msg) {
-            self.deliver(msg);
+    /// Dispatches the message a pick left in `slot`: the clock clamp, the
+    /// crash-window gate (only under a fault schedule), the handler.
+    /// Returns its id.
+    fn dispatch_delivery(&mut self, slot: Slot) -> MsgId {
+        let msg = self.pool.get(slot);
+        let (id, deliver_at) = (msg.id, msg.deliver_at);
+        self.advance_past(deliver_at);
+        if self.faults.is_none() || self.crash_gate(slot) {
+            self.deliver(slot);
         }
         id
     }
@@ -670,7 +719,10 @@ where
         self.apply_effects(pid, None);
     }
 
-    fn deliver(&mut self, msg: PendingMessage<P::Msg>) {
+    /// Delivers the message in `slot`: its header is read where it lies,
+    /// and the payload moves out of the pool once, into the handler.
+    fn deliver(&mut self, slot: Slot) {
+        let msg = self.pool.get(slot);
         // Delivery must happen strictly after the message's own timestamp.
         debug_assert!(
             msg.deliver_at < self.now && msg.sent_at < self.now,
@@ -680,39 +732,47 @@ where
             msg.deliver_at,
             self.now
         );
-        let (info, causal) = (msg.msg.info(), msg.causal);
+        let (id, src, dst, causal, info) = (msg.id, msg.src, msg.dst, msg.causal, msg.msg.info());
         self.audit_clock();
-        self.note_read_response(&msg, &info);
+        self.note_read_response(src, dst, causal, &info);
+        let payload = self.pool.take(slot).msg;
         if O::ENABLED {
             self.sink.emit(ObsEvent::MessageDelivered {
                 at: self.now,
-                msg: msg.id.0,
+                msg: id.0,
                 kind: info.kind,
                 tx: info.tx,
-                src: msg.src,
-                dst: msg.dst,
+                src,
+                dst,
                 queue_depth: self.pool.len() as u32,
             });
         }
         let process = self
             .processes
-            .get_mut(msg.dst)
-            .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
-        process.on_message(msg.src, msg.msg, &mut self.effects);
-        self.apply_effects(msg.dst, Some((info, causal)));
+            .get_mut(dst)
+            .unwrap_or_else(|| panic!("message to unknown process {dst}"));
+        process.on_message(src, payload, &mut self.effects);
+        self.apply_effects(dst, Some((info, causal)));
     }
 
-    /// Folds a read response into the instrumentation of its READ, before
-    /// the handler runs: one [`ReadResult`] per response carrying an object
-    /// that a server sent the **invoking client** — and only until the RESP,
-    /// at which the record is final (a duplicate or a slow replica's answer
-    /// delivered later is a straggler, not instrumentation).
-    fn note_read_response(&mut self, msg: &PendingMessage<P::Msg>, info: &MsgInfo) {
+    /// Folds a read response, sent by `src` to `dst` and stamped `causal`,
+    /// into the instrumentation of its READ, before the handler runs: one
+    /// [`ReadResult`] per response carrying an object that a server sent
+    /// the **invoking client** — and only until the RESP, at which the
+    /// record is final (a duplicate or a slow replica's answer delivered
+    /// later is a straggler, not instrumentation).
+    fn note_read_response(
+        &mut self,
+        src: ProcessId,
+        dst: ProcessId,
+        causal: Causal,
+        info: &MsgInfo,
+    ) {
         if info.kind != MsgKind::ReadResponse {
             return;
         }
         let (Some(tx), Some(object), Some(server), ProcessId::Client(client)) =
-            (info.tx, info.object, msg.src.as_server(), msg.dst)
+            (info.tx, info.object, src.as_server(), dst)
         else {
             return; // e.g. a metadata response (get-tag-arr) names no object
         };
@@ -728,202 +788,128 @@ where
                 object,
                 server,
                 versions_in_response: info.versions.max(1),
-                nonblocking: msg.causal.direct,
+                nonblocking: causal.direct,
             });
         }
-    }
-
-    /// **The one definition of the causal stamp** (see [`Causal`]) of a send
-    /// by `at`, classified `info`, made while handling `handled` (`None` in
-    /// an INV handler) — folded, at the same site, into the record it
-    /// describes: a C2C send into its transaction's C2C count, whoever
-    /// sends it; any other send by the invoker into its round count.
-    fn stamp(
-        &mut self,
-        at: ProcessId,
-        info: &MsgInfo,
-        handled: Option<(MsgInfo, Causal)>,
-    ) -> Causal {
-        let Some(tx) = info.tx else { return Causal::ROOT };
-        let rec = self.records.get_mut(tx);
-        // A server never invokes.
-        let by_invoker = matches!((at, &rec), (ProcessId::Client(c), Some(rec)) if rec.client == c);
-        let causal = match handled {
-            Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
-                round: stamp.round + u32::from(by_invoker),
-                direct: parent.kind == MsgKind::ReadRequest,
-            },
-            _ => Causal::ROOT,
-        };
-        if let Some(rec) = rec {
-            if info.kind == MsgKind::ClientToClient {
-                rec.c2c_messages += 1;
-            } else if by_invoker {
-                rec.rounds = rec.rounds.max(causal.round);
-            }
-        }
-        causal
-    }
-
-    /// The one enqueue path of a send and of its fault-engine duplicate:
-    /// the scheduler's draw, the pool, the `MessageSent` event.  `ordinal`
-    /// counts the `enqueue` calls of the current `apply_effects` before
-    /// this one — with `(src, dst, now)`, the send's coordinates.
-    /// `verdict` has the last word on whether and when the message travels.
-    fn enqueue(
-        &mut self,
-        mut msg: PendingMessage<P::Msg>,
-        info: &MsgInfo,
-        verdict: &SendVerdict,
-        ordinal: u64,
-    ) {
-        self.audit_clock();
-        msg.deliver_at = self.scheduler.on_send(msg.src, msg.dst, self.now, ordinal);
-        if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
-            let base = msg.deliver_at.saturating_add(verdict.extra_delay);
-            msg.deliver_at = base.max(verdict.hold_until.unwrap_or(0));
-        }
-        let (id, src, dst) = (msg.id, msg.src, msg.dst);
-        // A dropped send is never inserted: the drop is an event of the run.
-        if !verdict.dropped {
-            self.pool.insert(msg);
-        }
-        if O::ENABLED {
-            self.sink.emit(ObsEvent::MessageSent {
-                at: self.now,
-                msg: id.0,
-                kind: info.kind,
-                tx: info.tx,
-                src,
-                dst,
-                queue_depth: self.pool.len() as u32,
-            });
-        }
-    }
-
-    /// The id of the next send, by `src` at `now`.  Ids are issued in send
-    /// order and every tick runs one handler, so id order is `(sent_at,
-    /// src, emission order)` order — which is why the pool's `(key, id)`
-    /// pop breaks equal-key ties by the sends' coordinates.
-    fn next_msg_id(&mut self, src: ProcessId) -> MsgId {
-        if cfg!(debug_assertions) {
-            assert!(
-                self.last_send
-                    .is_none_or(|(at, by)| at < self.now || (at, by) == (self.now, src)),
-                "id {} issued to {src} at {} after an id issued at {:?}",
-                self.next_msg,
-                self.now,
-                self.last_send
-            );
-            self.last_send = Some((self.now, src));
-        }
-        let id = MsgId(self.next_msg);
-        self.next_msg += 1;
-        id
     }
 
     /// Applies what the handler just run at `at` left in the simulator's
-    /// [`Effects`] buffer: its sends in emission order, then its RESPs.  The
-    /// buffer is taken out for the drain and put back emptied, its
-    /// capacity kept for the next handler call.
+    /// [`Effects`] buffer: its sends in emission order, then its RESPs.
+    /// The buffer is drained where it lies — the loop borrows it beside the
+    /// pool, the scheduler and the records, each a field of its own — and
+    /// keeps its capacity for the next handler call.  Each send is written
+    /// once, into its pool slot, with everything known first: its stamp,
+    /// its id and its delivery time (the scheduler's draw, then the fault
+    /// verdict's say).  The clock does not move here, so the input action
+    /// the handler ran for has audited every action below.
     fn apply_effects(&mut self, at: ProcessId, handled: Option<(MsgInfo, Causal)>) {
-        let mut effects = std::mem::replace(&mut self.effects, Effects::new(0));
-        let mut ordinal = 0; // of the next `enqueue` within this handler execution
-        for (to, m) in effects.drain_sends() {
-            let info = m.info();
-            let causal = self.stamp(at, &info, handled);
-            let id = self.next_msg_id(at);
-            let msg = PendingMessage {
-                id,
-                src: at,
-                dst: to,
-                msg: m,
-                sent_at: self.now,
-                causal,
-                deliver_at: 0, // the scheduler's, stamped by `enqueue`
-            };
+        let now = self.now;
+        let Simulation { effects, pool, scheduler, records, commits, ids, sink, faults, .. } = self;
+        // `ordinal` numbers the sends of this handler execution, the
+        // fault-engine duplicates and the dropped sends included: with
+        // `(at, to, now)`, a send's coordinates.
+        let mut ordinal = 0;
+        for (to, payload) in effects.drain_sends() {
+            let info = payload.info();
             // `send_verdict` is a pure function of `(schedule, src, dst,
             // sent_at, ordinal)`, so verdicts are independent of decision
             // order.
-            let verdict = match self.faults.as_ref() {
-                Some(f) => f.schedule.send_verdict(at, to, self.now, ordinal),
+            let verdict = match faults {
+                Some(faults) => {
+                    note_partitions(faults, sink, now);
+                    faults.schedule.send_verdict(at, to, now, ordinal)
+                }
                 None => SendVerdict::default(),
             };
-            if self.faults.is_some() {
-                self.note_partitions();
-            }
-            let dup = (verdict.duplicate && !verdict.dropped).then(|| msg.clone());
-            self.enqueue(msg, &info, &verdict, ordinal);
+            let id = ids.issue(at, now);
+            let causal = stamp(records, at, &info, handled);
+            let deliver_at = verdict.delay(scheduler.on_send(at, to, now, ordinal));
             ordinal += 1;
-            if verdict.dropped && O::ENABLED {
-                self.sink.emit(ObsEvent::MessageDropped {
-                    at: self.now,
-                    msg: id.0,
+            // A dropped send is never inserted: the drop is an event of the
+            // run.
+            let slot = (!verdict.dropped).then(|| {
+                pool.insert(PendingMessage {
+                    id,
+                    src: at,
+                    dst: to,
+                    msg: payload,
+                    sent_at: now,
+                    causal,
+                    deliver_at,
+                })
+            });
+            if O::ENABLED {
+                sink.emit(sent(now, id, &info, at, to, pool.len()));
+                if verdict.dropped {
+                    sink.emit(ObsEvent::MessageDropped { at: now, msg: id.0, src: at, dst: to });
+                }
+            }
+            let Some(slot) = slot.filter(|_| verdict.duplicate) else { continue };
+            // The duplicate is a first-class send: its own id, its own
+            // scheduler draw, its own stamp from the same inputs (so a
+            // duplicated C2C send counts twice), and the one clone of the
+            // payload, taken from the original's slot.  It is not
+            // re-evaluated against the fault schedule (no duplicate storms
+            // of duplicates).
+            let copy = pool.get(slot).msg.clone();
+            let dup = ids.issue(at, now);
+            let causal = stamp(records, at, &info, handled);
+            let deliver_at = scheduler.on_send(at, to, now, ordinal);
+            ordinal += 1;
+            pool.insert(PendingMessage {
+                id: dup,
+                src: at,
+                dst: to,
+                msg: copy,
+                sent_at: now,
+                causal,
+                deliver_at,
+            });
+            if O::ENABLED {
+                sink.emit(sent(now, dup, &info, at, to, pool.len()));
+                sink.emit(ObsEvent::MessageDuplicated {
+                    at: now,
+                    original: id.0,
+                    duplicate: dup.0,
                     src: at,
                     dst: to,
                 });
-            }
-            if let Some(copy) = dup {
-                // The duplicate is a first-class send: its own id, its own
-                // scheduler draw, its own stamp from the same inputs (so a
-                // duplicated C2C send counts twice).  It is not re-evaluated
-                // against the fault schedule (no duplicate storms of
-                // duplicates).
-                let causal = self.stamp(at, &info, handled);
-                let dup_id = self.next_msg_id(at);
-                let copy = PendingMessage { id: dup_id, causal, ..copy };
-                self.enqueue(copy, &info, &SendVerdict::default(), ordinal);
-                ordinal += 1;
-                if O::ENABLED {
-                    self.sink.emit(ObsEvent::MessageDuplicated {
-                        at: self.now,
-                        original: id.0,
-                        duplicate: dup_id.0,
-                        src: at,
-                        dst: to,
-                    });
-                }
             }
         }
         // A RESP with no record — its transaction was in flight when the
         // history was taken — is not a commit of this log.
         for (tx, outcome) in effects.drain_responses() {
-            let Some(rec) = self.records.respond(tx, self.now, outcome) else { continue };
+            let Some(rec) = records.respond(tx, now, outcome) else { continue };
             if O::ENABLED {
-                self.sink.emit(ObsEvent::TxCommitted {
-                    at: self.now,
+                sink.emit(ObsEvent::TxCommitted {
+                    at: now,
                     tx,
                     client: rec.client,
                     invoked_at: rec.invoked_at,
                 });
             }
-            self.log_commit(tx);
+            commits.live.push_back(tx);
         }
-        self.effects = effects;
     }
 
-    /// RESP(`tx`): appends it to the commit log.
-    fn log_commit(&mut self, tx: TxId) {
-        self.audit_clock();
-        self.commits.live.push_back(tx);
-    }
-
-    /// Delivery-side fault gate, called after the clock clamp and before
-    /// the handler runs.  Applies any crash recoveries for the destination
-    /// that have elapsed by `now` (the process is rebuilt **from fresh
-    /// state** by the restart factory), then intercepts the delivery if the
-    /// attempt lands inside an active crash window: `DropInFlight` loses
-    /// the message, `QueueInFlight` re-queues it to deliver no earlier than
-    /// the recovery tick.  Returns the message iff delivery proceeds.
-    /// A no-op (`Some(msg)`) without a fault schedule.
-    fn crash_intercept(&mut self, msg: PendingMessage<P::Msg>) -> Option<PendingMessage<P::Msg>> {
-        let Some(mut faults) = self.faults.take() else { return Some(msg) };
-        let dst = msg.dst;
+    /// Delivery-side fault gate for the message in `slot`, called after
+    /// the clock clamp and before the handler runs, only under a fault
+    /// schedule.  Applies any crash recoveries for the destination that
+    /// have elapsed by `now` (the process is rebuilt **from fresh state**
+    /// by the restart factory), then intercepts the delivery if the attempt
+    /// lands inside an active crash window: `DropInFlight` takes the
+    /// message out and loses it, `QueueInFlight` re-queues it where it lies
+    /// to deliver no earlier than the recovery tick.  Returns whether the
+    /// delivery proceeds.
+    fn crash_gate(&mut self, slot: Slot) -> bool {
+        let Simulation { faults, processes, pool, sink, now, .. } = self;
+        let (Some(faults), now) = (faults.as_mut(), *now) else { return true };
+        let dst = pool.get(slot).dst;
         // Recoveries first: every window of `dst` that fully elapsed must
         // have restarted the process before this delivery observes it —
         // even if no delivery was attempted inside the window itself (the
         // state loss happened regardless).
-        for i in faults.schedule.elapsed_crashes(dst, self.now) {
+        for i in faults.schedule.elapsed_crashes(dst, now) {
             if faults.crash_recovered[i] {
                 continue;
             }
@@ -931,7 +917,7 @@ where
             if !faults.crash_announced[i] {
                 faults.crash_announced[i] = true;
                 if O::ENABLED {
-                    self.sink.emit(ObsEvent::ServerCrashed { at: self.now, server: crash.server });
+                    sink.emit(ObsEvent::ServerCrashed { at: now, server: crash.server });
                 }
             }
             faults.crash_recovered[i] = true;
@@ -941,67 +927,37 @@ where
                 .expect("crash schedules carry a restart factory (FaultState::new)");
             let fresh = restart(dst);
             assert_eq!(fresh.id(), dst, "restart factory rebuilt the wrong process");
-            self.processes.insert(dst, fresh);
+            processes.insert(dst, fresh);
             if O::ENABLED {
-                self.sink.emit(ObsEvent::ServerRecovered { at: self.now, server: crash.server });
+                sink.emit(ObsEvent::ServerRecovered { at: now, server: crash.server });
             }
         }
-        let mut verdict = Some(msg);
-        if let Some((i, crash)) = faults.schedule.crash_window(dst, self.now) {
-            if !faults.crash_announced[i] {
-                faults.crash_announced[i] = true;
-                if O::ENABLED {
-                    self.sink.emit(ObsEvent::ServerCrashed { at: self.now, server: crash.server });
-                }
-            }
-            let msg = verdict.take().expect("set above");
-            match crash.policy {
-                CrashPolicy::DropInFlight => {
-                    if O::ENABLED {
-                        self.sink.emit(ObsEvent::MessageDropped {
-                            at: self.now,
-                            msg: msg.id.0,
-                            src: msg.src,
-                            dst: msg.dst,
-                        });
-                    }
-                }
-                CrashPolicy::QueueInFlight => {
-                    // Held for the restarted process: re-queued with its
-                    // delivery pushed to the recovery tick (the clock
-                    // already advanced past the attempt, so the next pick
-                    // lands at or past `recover_at` and takes the recovery
-                    // path above).
-                    let mut held = msg;
-                    held.deliver_at = crash.recover_at;
-                    self.pool.insert(held);
-                }
+        let Some((i, crash)) = faults.schedule.crash_window(dst, now) else { return true };
+        if !faults.crash_announced[i] {
+            faults.crash_announced[i] = true;
+            if O::ENABLED {
+                sink.emit(ObsEvent::ServerCrashed { at: now, server: crash.server });
             }
         }
-        self.faults = Some(faults);
-        verdict
-    }
-
-    /// Lazily announces partition starts and heals: each transition is
-    /// emitted once, on the first send decision whose clock observes it.
-    /// Pure bookkeeping — the actual cut is decided per message by
-    /// [`FaultSchedule::send_verdict`].
-    fn note_partitions(&mut self) {
-        let Some(faults) = self.faults.as_mut() else { return };
-        for (i, p) in faults.schedule.partitions.iter().enumerate() {
-            if !faults.partition_started[i] && self.now >= p.from && self.now < p.until {
-                faults.partition_started[i] = true;
+        match crash.policy {
+            CrashPolicy::DropInFlight => {
+                let lost = pool.take(slot);
                 if O::ENABLED {
-                    self.sink.emit(ObsEvent::PartitionStarted { at: self.now, partition: i as u32 });
+                    sink.emit(ObsEvent::MessageDropped {
+                        at: now,
+                        msg: lost.id.0,
+                        src: lost.src,
+                        dst: lost.dst,
+                    });
                 }
             }
-            if faults.partition_started[i] && !faults.partition_healed[i] && self.now >= p.until {
-                faults.partition_healed[i] = true;
-                if O::ENABLED {
-                    self.sink.emit(ObsEvent::PartitionHealed { at: self.now, partition: i as u32 });
-                }
-            }
+            // Held for the restarted process: re-queued with its delivery
+            // pushed to the recovery tick (the clock already advanced past
+            // the attempt, so the next pick lands at or past `recover_at`
+            // and takes the recovery path above).
+            CrashPolicy::QueueInFlight => pool.requeue(slot, crash.recover_at),
         }
+        false
     }
 
     /// Fault-engine retirement rule: once the simulation is quiescent, any
@@ -1018,11 +974,86 @@ where
             return;
         }
         for (tx, client) in self.records.abort_open(self.now) {
-            self.log_commit(tx);
+            self.audit_clock();
+            self.commits.live.push_back(tx);
             // Let the client automaton drop its in-flight state for the
             // orphan, so the next invocation finds it idle.
             if let Some(p) = self.processes.get_mut(ProcessId::Client(client)) {
                 p.on_abort(tx);
+            }
+        }
+    }
+}
+
+/// **The one definition of the causal stamp** (see [`Causal`]) of a send by
+/// `at`, classified `info`, made while handling `handled` (`None` in an INV
+/// handler) — folded, at the same site, into the record it describes: a
+/// C2C send into its transaction's C2C count, whoever sends it; any other
+/// send by the invoker into its round count.
+fn stamp(
+    records: &mut RecordLog,
+    at: ProcessId,
+    info: &MsgInfo,
+    handled: Option<(MsgInfo, Causal)>,
+) -> Causal {
+    let Some(tx) = info.tx else { return Causal::ROOT };
+    let rec = records.get_mut(tx);
+    // A server never invokes.
+    let by_invoker = matches!((at, &rec), (ProcessId::Client(c), Some(rec)) if rec.client == c);
+    let causal = match handled {
+        Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
+            round: stamp.round + u32::from(by_invoker),
+            direct: parent.kind == MsgKind::ReadRequest,
+        },
+        _ => Causal::ROOT,
+    };
+    if let Some(rec) = rec {
+        if info.kind == MsgKind::ClientToClient {
+            rec.c2c_messages += 1;
+        } else if by_invoker {
+            rec.rounds = rec.rounds.max(causal.round);
+        }
+    }
+    causal
+}
+
+/// The `MessageSent` event of send `id`, classified `info`, by `src` to
+/// `dst` at `at`, with `queue_depth` messages in flight after it.
+fn sent(
+    at: u64,
+    id: MsgId,
+    info: &MsgInfo,
+    src: ProcessId,
+    dst: ProcessId,
+    queue_depth: usize,
+) -> ObsEvent {
+    ObsEvent::MessageSent {
+        at,
+        msg: id.0,
+        kind: info.kind,
+        tx: info.tx,
+        src,
+        dst,
+        queue_depth: queue_depth as u32,
+    }
+}
+
+/// Lazily announces partition starts and heals: each transition is emitted
+/// once, on the first send decision whose clock observes it.  Pure
+/// bookkeeping — the actual cut is decided per message by
+/// [`FaultSchedule::send_verdict`].
+fn note_partitions<P, O: TraceSink>(faults: &mut FaultState<P>, sink: &mut O, now: u64) {
+    for (i, p) in faults.schedule.partitions.iter().enumerate() {
+        if !faults.partition_started[i] && now >= p.from && now < p.until {
+            faults.partition_started[i] = true;
+            if O::ENABLED {
+                sink.emit(ObsEvent::PartitionStarted { at: now, partition: i as u32 });
+            }
+        }
+        if faults.partition_started[i] && !faults.partition_healed[i] && now >= p.until {
+            faults.partition_healed[i] = true;
+            if O::ENABLED {
+                sink.emit(ObsEvent::PartitionHealed { at: now, partition: i as u32 });
             }
         }
     }
@@ -1343,6 +1374,125 @@ mod tests {
         let servers: Vec<ServerId> = history.get(tx).unwrap().reads.iter().map(|r| r.server).collect();
         assert_eq!(servers, [ServerId(0), ServerId(0)]);
         assert_eq!(sim.drain_commits().records[0].reads.len(), 2, "drained ≡ final");
+    }
+
+    /// The clone guard's payload: one leg of a READ's round trip to the
+    /// server of `object`.  Its `Clone` counts into [`PING_CLONES`]; no
+    /// other test sends one, so nothing else moves the count.
+    #[derive(Debug)]
+    struct Ping {
+        tx: TxId,
+        object: ObjectId,
+        back: bool,
+    }
+
+    static PING_CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    impl Clone for Ping {
+        fn clone(&self) -> Self {
+            PING_CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ping { ..*self }
+        }
+    }
+
+    impl SimMessage for Ping {
+        fn info(&self) -> MsgInfo {
+            match self.back {
+                false => MsgInfo::read_request(self.tx, Some(self.object)),
+                true => MsgInfo::read_response(self.tx, Some(self.object), 1),
+            }
+        }
+    }
+
+    /// A READ as one round trip per object: a server answers every `Ping`
+    /// it is sent, and the client responds once each object has answered
+    /// (a duplicate answer, or one for an earlier READ, is ignored).
+    struct Pinger {
+        id: ProcessId,
+        /// The READ in flight and the answers it still waits for.
+        waiting: Option<(TxId, usize)>,
+    }
+
+    impl Process for Pinger {
+        type Msg = Ping;
+
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn on_invoke(&mut self, tx: TxId, spec: TxSpec, effects: &mut Effects<Ping>) {
+            self.waiting = Some((tx, spec.objects().len()));
+            for object in spec.objects() {
+                let ping = Ping { tx, object, back: false };
+                effects.send(ProcessId::Server(ServerId(object.0)), ping);
+            }
+        }
+
+        fn on_message(&mut self, from: ProcessId, ping: Ping, effects: &mut Effects<Ping>) {
+            if !ping.back {
+                return effects.send(from, Ping { back: true, ..ping });
+            }
+            let Some((tx, left)) = &mut self.waiting else { return };
+            if *tx == ping.tx {
+                *left -= 1;
+                if *left == 0 {
+                    let outcome = ReadOutcome { reads: Vec::new(), tag: None };
+                    effects.respond(ping.tx, TxOutcome::Read(outcome));
+                    self.waiting = None;
+                }
+            }
+        }
+    }
+
+    /// The clone guard of the message path: a send is moved from the
+    /// handler's buffer into its pool slot and from there into the handler
+    /// that receives it, never cloned — the one clone is the fault engine's
+    /// duplicate, made once per `MessageDuplicated` event.
+    #[test]
+    fn the_message_path_clones_only_what_the_fault_engine_duplicates() {
+        use crate::fault::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
+
+        /// 40 two-object READs by two clients: the clones counted and the
+        /// run's events.
+        fn run(faults: Option<FaultSchedule>) -> (u64, Vec<ShardEvent>) {
+            let mut sim = Simulation::new(LatencyScheduler::new(7, 1, 30));
+            if let Some(schedule) = faults {
+                sim = sim.with_faults(schedule, None);
+            }
+            let mut sim = sim.with_sink(RecordingSink::new());
+            for id in [c(0), c(1), s(0), s(1)] {
+                sim.add_process(Pinger { id, waiting: None });
+            }
+            for i in 0..40u64 {
+                let spec = TxSpec::read(vec![ObjectId(0), ObjectId(1)]);
+                sim.invoke_at(i * 50, ClientId(i as u32 % 2), spec);
+            }
+            let before = PING_CLONES.load(std::sync::atomic::Ordering::Relaxed);
+            sim.run_until_quiescent();
+            let clones = PING_CLONES.load(std::sync::atomic::Ordering::Relaxed) - before;
+            assert!(sim.take_history().records.iter().all(|r| r.is_complete()));
+            (clones, sim.drain_obs_events())
+        }
+        let count = |events: &[ShardEvent], kind: fn(&ObsEvent) -> bool| {
+            events.iter().filter(|e| kind(&e.event)).count() as u64
+        };
+
+        let (clones, events) = run(None);
+        let delivered = count(&events, |e| matches!(e, ObsEvent::MessageDelivered { .. }));
+        assert_eq!(delivered, 160, "two requests and two answers per READ");
+        assert_eq!(clones, 0, "a fault-free run cloned a message");
+
+        let duplicate_everything = FaultSchedule::new(3).with_region(FaultRegion::always(
+            FaultAction::Duplicate,
+            EndpointSel::Any,
+            EndpointSel::Any,
+            0,
+            u64::MAX,
+        ));
+        let (clones, events) = run(Some(duplicate_everything));
+        let duplicated = count(&events, |e| matches!(e, ObsEvent::MessageDuplicated { .. }));
+        assert!(duplicated >= 160, "every send is duplicated ({duplicated})");
+        assert_eq!(clones, duplicated, "one clone per duplicate, and no other");
     }
 
     #[test]

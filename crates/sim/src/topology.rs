@@ -34,7 +34,7 @@
 //!    does not depend on dispatch order.
 //! 2. **Send-order tie-breaks.**  Equal keys go to the smaller `MsgId` —
 //!    one pop of the `(key, id)` delivery heap
-//!    ([`MessagePool::pop_earliest`](crate::MessagePool::pop_earliest)),
+//!    ([`MessagePool::pop`](crate::MessagePool::pop)),
 //!    O(log n) per delivery.  The engine issues ids in send order and runs
 //!    one handler per tick, so id order *is* the send's `(sent_at, source,
 //!    emission order)`: the tie-break is a pure function of coordinates
@@ -497,8 +497,10 @@ mod tests {
             });
         }
         let mut order = Vec::new();
-        while let Some(m) = Scheduler::<M>::next(&mut s, &mut pool, 0) {
-            order.push(m.id.0);
+        loop {
+            let earliest = pool.peek_earliest();
+            let Some(slot) = Scheduler::<M>::next(&mut s, &mut pool, earliest, 0) else { break };
+            order.push(pool.take(slot).id.0);
         }
         assert_eq!(order, vec![1, 2, 0]);
     }

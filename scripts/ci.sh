@@ -66,8 +66,15 @@
 #      `write_log_agrees_with_the_reverse_scan_reference`: tags,
 #      `latest_for`, `tag_array` and `len` against the reverse scan it
 #      replaced), `Vals` as a log in install order (crates/core,
-#      `object_versions_agree_with_an_ordered_map`: lookups, counts, the
-#      latest version and snapshots against an ordered map) and the record log sized from the plan (crates/sim
+#      `object_versions_agree_with_an_ordered_map`: lookups — through the
+#      writer's mark or newest-first — counts, the marks, the latest version
+#      and snapshots against an ordered map; `a_mark_cannot_silently_widen`),
+#      the message path's clone guard (crates/sim,
+#      `the_message_path_clones_only_what_the_fault_engine_duplicates`: a
+#      fault-free run clones no payload, a duplicating one exactly one per
+#      `MessageDuplicated` event), wide transaction specs (crates/core,
+#      `wide_specs_build_and_still_reject_a_duplicate_anywhere`: a 10⁵-object
+#      READ and WRITE build, a duplicate anywhere still panics) and the record log sized from the plan (crates/sim
 #      `a_reserved_log_is_allocated_once`, crates/workload
 #      `every_driver_reserves_what_it_issues_once_before_invoking`).  The drivers'
 #      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
@@ -188,10 +195,17 @@ cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-check
 # a record <= 152 B).
 cargo test -q --release -p snow-core -p snow-protocols -- \
     inline_list:: a_record_cannot_silently_widen the_pools_working_set_cannot_silently_widen
-# Each object's `Vals` is a log in install order, searched newest-first: the
-# log against the ordered map it replaced, and the streaming WAN run's peak
-# over what it keeps, the same at 10 000 transactions as at 1 000.
-cargo test -q --release -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map
+# Each object's `Vals` is a log in install order, looked up through the
+# writer's mark, else newest-first: the log against the ordered map it
+# replaced, the mark's size, and the streaming WAN run's peak over what it
+# keeps, the same at 10 000 transactions as at 1 000.
+cargo test -q --release -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map \
+    store::tests::a_mark_cannot_silently_widen \
+    txn::tests::wide_specs_build_and_still_reject_a_duplicate_anywhere
+# Each message is written once into its pool slot and moved once out of it:
+# a fault-free run clones no payload, a duplicating one one per duplicate.
+cargo test -q --release -p snow-sim -- \
+    sim::tests::the_message_path_clones_only_what_the_fault_engine_duplicates
 cargo test -q --release --test dispatch_hot_path -- \
     streaming_checked_algb_on_the_wan_keeps_its_gap_at_ten_thousand
 

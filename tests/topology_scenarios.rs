@@ -185,8 +185,8 @@ fn source_rank(src: ProcessId) -> u64 {
 /// `reference` — the pick computed from a plain `Vec` of the live messages.
 /// The pools are hard on a pick that only looks at the heap top: a handful
 /// of distinct keys (long tie runs), ids assigned in an order unrelated to
-/// the rank, takes that leave stale entries behind, and re-queues that land
-/// in the slot they just left, their old entry unconsumed.
+/// the rank, takes that leave stale entries behind, and re-queues in the
+/// slot the message lies in, its old entry unconsumed.
 fn walk(
     draw: &mut Draw,
     size: u64,
@@ -225,17 +225,16 @@ fn walk(
             0 => {
                 let src = live[draw.below(live.len() as u64) as usize].src;
                 let first = live.iter().filter(|m| m.src == src).map(|m| m.id).min();
-                let taken = pool.take_first(|m| m.src == src).map(|m| m.id);
-                assert_eq!(taken, first, "take_first is the first match in send order");
+                let taken = pool.find_first(|m| m.src == src).map(|slot| pool.take(slot).id);
+                assert_eq!(taken, first, "find_first is the first match in send order");
                 live.retain(|m| Some(m.id) != taken);
             }
             1 => {
                 let at = draw.below(live.len() as u64) as usize;
                 let id = live[at].id;
-                let mut held = pool.take_first(|m| m.id == id).unwrap();
-                held.deliver_at += draw.below(3);
-                live[at] = held.clone();
-                pool.insert(held);
+                let held = pool.find_first(|m| m.id == id).unwrap();
+                pool.requeue(held, live[at].deliver_at + draw.below(3));
+                live[at] = pool.get(held).clone();
             }
             2 => {
                 let msg = fresh(draw);
@@ -244,14 +243,16 @@ fn walk(
             }
             _ => {
                 let expected = reference(&live);
-                let picked = scheduler.next(&mut pool, 0).expect("pool is not empty").id;
+                let earliest = pool.peek_earliest();
+                let slot = scheduler.next(&mut pool, earliest, 0).expect("pool is not empty");
+                let picked = pool.take(slot).id;
                 assert_eq!(picked, expected, "pick differs from the reference");
                 live.retain(|m| m.id != picked);
             }
         }
         assert_eq!(pool.len(), live.len());
     }
-    assert!(scheduler.next(&mut pool, 0).is_none());
+    assert!(scheduler.next(&mut pool, None, 0).is_none());
 }
 
 proptest! {
