@@ -368,7 +368,7 @@ fn golden(faults: bool, write: bool) {
 }
 
 /// `check_auto` tries the Lemma 20 tag order first: Algorithm C tags every
-/// transaction, so the whole history is certified by the tag-order checker.
+/// transaction, so the whole history is certified by the tag-order stream.
 /// An untagged or tag-contradicting history would go to the stream engine,
 /// which maintains a precedence DAG (real time + write/read dependencies +
 /// inferred anti-dependencies) online and replay-validates its witness.

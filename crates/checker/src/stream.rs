@@ -3,9 +3,9 @@
 //!
 //! [`StreamChecker`] ingests **committed** transactions one at a time (in
 //! commit — RESP — order) and maintains a precedence structure over them
-//! online (a whole history goes through [`StreamChecker::check`], which is
-//! what [`crate::strict::check_auto`] calls when the tag order does not
-//! accept):
+//! online (a whole history goes through [`StreamChecker::check`]; what
+//! [`crate::strict::check_auto`] hands over to when the tag order does not
+//! accept is this engine, fed the same way):
 //!
 //! * **Per-object version orders**, extended incrementally: a tagged write
 //!   whose tie key sorts after the current tail is appended in O(1); a write
@@ -1884,42 +1884,15 @@ impl StreamChecker {
     // ---- whole-history conveniences ----------------------------------------
 
     /// Feeds a complete history in commit order, advancing the watermark
-    /// as tightly as hindsight allows (before each step, to the earliest
-    /// invocation among the transactions still to be ingested).
-    /// Incomplete writes are fed at the end, so the watermark never passes
-    /// the earliest invocation among those a completed READ observed; an
-    /// unobserved one is dropped at the end and holds nothing back.
+    /// after each commit as tightly as hindsight allows: to the earliest
+    /// invocation among the commits still to come and the incomplete
+    /// WRITEs a completed READ observed.  Incomplete writes are fed at the
+    /// end; an unobserved one is dropped there and holds nothing back.
+    /// [`crate::TagOrderStream::feed_history`] feeds by the same rule.
     pub fn feed_history(&mut self, history: &History) {
-        let mut committed: Vec<&TxRecord> = history.completed().collect();
-        committed.sort_by_key(|r| (r.responded_at.unwrap_or(u64::MAX), r.tx_id.0));
-        let observed: FxHashSet<(ObjectId, Key)> = committed
-            .iter()
-            .filter_map(|r| match &r.outcome {
-                Some(TxOutcome::Read(o)) => Some(o.reads.iter().map(|x| (x.object, x.key))),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        let floor = history
-            .records
-            .iter()
-            .filter(|r| !r.is_complete())
-            .filter(|r| match &r.outcome {
-                Some(TxOutcome::Write(w)) => {
-                    r.spec.objects_iter().any(|o| observed.contains(&(o, w.key)))
-                }
-                _ => false,
-            })
-            .map(|r| r.invoked_at)
-            .min()
-            .unwrap_or(u64::MAX);
-        let mut suffix_min = vec![floor; committed.len() + 1];
-        for i in (0..committed.len()).rev() {
-            suffix_min[i] = suffix_min[i + 1].min(committed[i].invoked_at);
-        }
-        for (i, rec) in committed.iter().enumerate() {
-            self.ingest((*rec).clone());
-            self.advance_watermark(suffix_min[i + 1]);
+        for (rec, watermark) in hindsight_commits(history) {
+            self.ingest(rec.clone());
+            self.advance_watermark(watermark);
         }
         for rec in &history.records {
             if !rec.is_complete() {
@@ -1935,6 +1908,51 @@ impl StreamChecker {
         checker.feed_history(history);
         checker.finish()
     }
+}
+
+/// `history`'s completed records in commit (RESP) order, each with the
+/// hindsight watermark to advance to once it is ingested: the earliest
+/// invocation among the commits still to come and the incomplete WRITEs a
+/// completed READ observed.  Those writes are fed after every commit, so a
+/// watermark past one's invocation could retire a commit it must precede.
+/// The one watermark rule of both `feed_history`s.
+pub(crate) fn hindsight_commits(history: &History) -> Vec<(&TxRecord, u64)> {
+    let mut commits: Vec<(&TxRecord, u64)> = history.completed().map(|r| (r, 0)).collect();
+    commits.sort_by_key(|(r, _)| (r.responded_at, r.tx_id));
+    let mut watermark = observed_incomplete_floor(history);
+    for (rec, w) in commits.iter_mut().rev() {
+        *w = watermark;
+        watermark = watermark.min(rec.invoked_at);
+    }
+    commits
+}
+
+/// The earliest invocation among `history`'s incomplete WRITEs that a
+/// completed READ observed, `u64::MAX` for none.  Most histories hold no
+/// incomplete WRITE, and then the READs' keys are not collected.
+fn observed_incomplete_floor(history: &History) -> u64 {
+    let incomplete_writes = || {
+        history.records.iter().filter(|r| !r.is_complete()).filter_map(|r| match &r.outcome {
+            Some(TxOutcome::Write(w)) => Some((r, w.key)),
+            _ => None,
+        })
+    };
+    if incomplete_writes().next().is_none() {
+        return u64::MAX;
+    }
+    let observed: FxHashSet<(ObjectId, Key)> = history
+        .completed()
+        .filter_map(|r| match &r.outcome {
+            Some(TxOutcome::Read(o)) => Some(o.reads.iter().map(|x| (x.object, x.key))),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    incomplete_writes()
+        .filter(|(r, key)| r.spec.objects_iter().any(|o| observed.contains(&(o, *key))))
+        .map(|(r, _)| r.invoked_at)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -1,21 +1,19 @@
-//! Strict-serializability checkers.
+//! Strict serializability: the verdict type, the complete search, and
+//! [`check_auto`], which decides a finished history.
 //!
-//! * [`TagOrderChecker`] — the executable version of **Lemma 20**: if every
-//!   transaction carries a tag, writes have distinct tags, the tag order is
-//!   consistent with real time, and every READ returns exactly the versions
-//!   written by the latest preceding (by tag) WRITE per object, then the
-//!   history is strictly serializable.
 //! * [`SearchChecker`] — a complete backtracking search for a serialization
 //!   order: a total order of the completed transactions that (i) respects
 //!   real-time precedence and (ii) replays correctly against the sequential
 //!   `OT` semantics.  Incomplete WRITEs may be included or omitted (they may
 //!   or may not have taken effect), mirroring Definition 7.1's treatment of
 //!   incomplete transactions; incomplete READs are ignored.
+//! * [`check_auto`] — **Lemma 20**'s tag order ([`TagOrderStream`]) fed the
+//!   finished history, with the semantic stream engine behind it.
 
 use crate::ot::SequentialOt;
-use crate::stream::StreamChecker;
-use snow_core::{History, Tag, TxId, TxKind, TxOutcome, TxRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tag_stream::TagOrderStream;
+use snow_core::{History, TxId, TxKind, TxRecord};
+use std::collections::BTreeSet;
 
 /// The outcome of a strict-serializability check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,8 +24,9 @@ pub enum Verdict {
     /// The history is **not** strictly serializable; the string explains the
     /// violation found.
     NotSerializable(String),
-    /// The checker could not decide (history too large for the search
-    /// checker, or missing tags for the tag-order checker).
+    /// The checker could not decide: the history is above the search
+    /// checker's cap, or the stream engine's window re-solve ran out of
+    /// splitting budget on a history too large for the search to take over.
     Unknown(String),
 }
 
@@ -40,131 +39,6 @@ impl Verdict {
     /// True if the verdict is [`Verdict::NotSerializable`].
     pub fn is_violation(&self) -> bool {
         matches!(self, Verdict::NotSerializable(_))
-    }
-}
-
-/// Lemma 20-based checker for histories whose transactions carry tags.
-#[derive(Debug, Clone, Default)]
-pub struct TagOrderChecker;
-
-impl TagOrderChecker {
-    /// Creates the checker.
-    pub fn new() -> Self {
-        TagOrderChecker
-    }
-
-    /// Checks `history` against the P1–P4 conditions of Lemma 20.
-    pub fn check(&self, history: &History) -> Verdict {
-        // Aborted transactions (fault-engine retirements) observed nothing
-        // and installed nothing: they are constraint-free, need no place in
-        // the serial order, and carry no tag — exclude them rather than
-        // fall back to the search checker over them.
-        let completed: Vec<&TxRecord> = history
-            .completed()
-            .filter(|r| !r.outcome.as_ref().is_some_and(|o| o.is_aborted()))
-            .collect();
-        // Every completed transaction must carry a tag.
-        for rec in &completed {
-            if rec.outcome.as_ref().and_then(|o| o.tag()).is_none() {
-                return Verdict::Unknown(format!(
-                    "transaction {} carries no tag; use the search checker",
-                    rec.tx_id
-                ));
-            }
-        }
-        let tag_of = |rec: &TxRecord| rec.outcome.as_ref().unwrap().tag().unwrap();
-
-        // P3: distinct writes have distinct tags.
-        let mut write_tags: BTreeMap<Tag, TxId> = BTreeMap::new();
-        for rec in completed.iter().filter(|r| r.kind() == TxKind::Write) {
-            let tag = tag_of(rec);
-            if let Some(prev) = write_tags.insert(tag, rec.tx_id) {
-                return Verdict::NotSerializable(format!(
-                    "P3 violated: writes {prev} and {} share tag {tag}",
-                    rec.tx_id
-                ));
-            }
-        }
-
-        // The tag order `≺`: φ ≺ π iff tag(φ) < tag(π), or tags are equal
-        // and φ is a WRITE while π is a READ.  Sorting by `(tag, WRITE <
-        // READ)` lays the history out so that every ≺-successor of a
-        // transaction sits in a strictly later group, which is what lets
-        // P2 and P4 run as single sweeps (historically both were O(n²)
-        // pair/rescan loops, which is why `check_auto` used to cap this
-        // engine at 10k transactions).
-        let rank = |r: &TxRecord| -> (Tag, u8) {
-            (tag_of(r), match r.kind() {
-                TxKind::Write => 0,
-                TxKind::Read => 1,
-            })
-        };
-        let mut order: Vec<&TxRecord> = completed.clone();
-        order.sort_by_key(|r| (rank(r), r.invoked_at, r.tx_id));
-
-        // P2: real-time order must not contradict `≺`.  A violation is a
-        // pair `b ≺ a` (a in a strictly later `(tag, kind)` group) with
-        // RESP(a) < INV(b).  Sweeping the groups from the back while
-        // carrying the earliest RESP seen in later groups finds the pair —
-        // if any exists — in one O(n) pass.
-        let mut later_min_resp: Option<&TxRecord> = None;
-        let mut group_end = order.len();
-        while group_end > 0 {
-            let group_rank = rank(order[group_end - 1]);
-            let group_start = order[..group_end]
-                .iter()
-                .rposition(|r| rank(r) != group_rank)
-                .map(|p| p + 1)
-                .unwrap_or(0);
-            for b in &order[group_start..group_end] {
-                if let Some(a) = later_min_resp {
-                    if a.precedes(b) {
-                        return Verdict::NotSerializable(format!(
-                            "P2 violated: {} completes before {} starts, yet {} ≺ {} in the \
-                             tag order",
-                            a.tx_id, b.tx_id, b.tx_id, a.tx_id
-                        ));
-                    }
-                }
-            }
-            for a in &order[group_start..group_end] {
-                if later_min_resp
-                    .map(|cur| a.responded_at < cur.responded_at)
-                    .unwrap_or(true)
-                {
-                    later_min_resp = Some(a);
-                }
-            }
-            group_end = group_start;
-        }
-
-        // P4: a READ returns, per object, the version of the latest WRITE
-        // (by tag) that precedes it and touches the object, or κ₀.  One
-        // forward sweep in `≺` order — a sequential replay — maintains
-        // exactly that "latest preceding write" per object.
-        let mut installed = SequentialOt::new();
-        for rec in &order {
-            if let Err(object) = installed.apply(rec) {
-                let returned = match &rec.outcome {
-                    Some(TxOutcome::Read(r)) => r.reads.iter().find(|or| or.object == object),
-                    _ => None,
-                }
-                .expect("a replay fails only on a key a READ returned");
-                return Verdict::NotSerializable(format!(
-                    "P4 violated: READ {} (tag {}) returned version {} for {} but the latest \
-                     preceding write installed {}",
-                    rec.tx_id,
-                    tag_of(rec),
-                    returned.key,
-                    object,
-                    installed.key_of(object)
-                ));
-            }
-        }
-
-        // The sweep order (tag, writes before reads, invocation) is itself
-        // a witness serialization.
-        Verdict::Serializable(order.into_iter().map(|r| r.tx_id).collect())
     }
 }
 
@@ -298,20 +172,19 @@ impl SearchChecker {
     }
 }
 
-/// Checks `history` for strict serializability with the cheapest engine
-/// that can decide it:
+/// Checks `history` for strict serializability: a [`TagOrderStream`] fed
+/// the finished history ([`TagOrderStream::feed_history`]), then its
+/// verdict ([`TagOrderStream::finish`]).
 ///
-/// 1. [`TagOrderChecker`] when every completed transaction carries a tag —
-///    at any history size, since its P2/P4 conditions are single sweeps
-///    over the tag-sorted history.  Lemma 20 is a *sufficient* condition,
-///    so only its acceptance is authoritative.
-/// 2. [`StreamChecker::check`] otherwise, and to confirm a tag-order
-///    conviction (a history may be serializable in an order its tags
-///    contradict); the tag checker's more specific P2/P3/P4 message is
-///    kept when both convict.  The stream is the crate's one semantic
-///    engine: it takes version orders from tags where they settle them,
-///    re-solves only its live window where they do not, and falls back to
-///    [`SearchChecker`] itself on a small history it cannot decide.
+/// A history whose tags certify it (Algorithms A, B and C without faults)
+/// is accepted by Lemma 20, its witness the tag order.  Lemma 20 is a
+/// *sufficient* condition, so where the tags cannot decide — an untagged
+/// transaction, or a P2, P3 or P4 failure — the verdict is the semantic
+/// stream engine's ([`crate::StreamChecker`]), fed the same commits under
+/// the same watermarks: it takes version orders from tags where they
+/// settle them, re-solves only its live window where they do not, and
+/// falls back to [`SearchChecker`] itself on a small history it cannot
+/// decide.  The result does not depend on the order of `history.records`.
 ///
 /// ```
 /// use snow_checker::strict::check_auto;
@@ -355,30 +228,18 @@ impl SearchChecker {
 /// assert!(check_auto(&history).is_serializable());
 /// ```
 pub fn check_auto(history: &History) -> Verdict {
-    // Aborted transactions are tag-free by construction but impose no
-    // constraints, so they must not disqualify the tag-order engine.
-    let all_tagged = history
-        .completed()
-        .all(|r| r.outcome.as_ref().is_some_and(|o| o.is_aborted() || o.tag().is_some()));
-    let mut tag_conviction = None;
-    if all_tagged && history.completed().next().is_some() {
-        match TagOrderChecker::new().check(history) {
-            verdict @ Verdict::Serializable(_) => return verdict,
-            Verdict::NotSerializable(why) => tag_conviction = Some(why),
-            Verdict::Unknown(_) => {}
-        }
-    }
-    match (StreamChecker::check(history), tag_conviction) {
-        (Verdict::NotSerializable(_), Some(why)) => Verdict::NotSerializable(why),
-        (verdict, _) => verdict,
-    }
+    let mut stream = TagOrderStream::new();
+    stream.feed_history(history);
+    stream.finish(history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tag_stream::StreamLane;
     use snow_core::{
-        ClientId, Key, ObjectId, ObjectRead, ReadOutcome, TxOutcome, TxSpec, Value, WriteOutcome,
+        ClientId, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxOutcome, TxSpec, Value,
+        WriteOutcome,
     };
 
     fn write(id: u64, client: u32, seq: u64, objects: &[u32], inv: u64, resp: u64, tag: Option<u64>) -> TxRecord {
@@ -414,13 +275,25 @@ mod tests {
         Key::new(seq, ClientId(client))
     }
 
+    /// `h` through a [`TagOrderStream`] as `check_auto` feeds it: the lane
+    /// it ends on, and its verdict, which is `check_auto`'s.
+    fn fed(h: &History) -> (StreamLane, Verdict) {
+        let mut stream = TagOrderStream::new();
+        stream.feed_history(h);
+        let lane = stream.lane();
+        let verdict = stream.finish(h);
+        assert_eq!(verdict, check_auto(h));
+        (lane, verdict)
+    }
+
     #[test]
     fn tag_checker_accepts_a_clean_history() {
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0, 1], 0, 10, Some(2)));
         h.push(read(2, vec![(0, k(1, 1)), (1, k(1, 1))], 20, 30, Some(2)));
-        let v = TagOrderChecker::new().check(&h);
-        assert!(v.is_serializable(), "{v:?}");
+        let (lane, v) = fed(&h);
+        assert_eq!(lane, StreamLane::TagOrder);
+        assert_eq!(v, Verdict::Serializable(vec![TxId(1), TxId(2)]));
     }
 
     #[test]
@@ -429,40 +302,47 @@ mod tests {
         h.push(write(1, 1, 1, &[0, 1], 0, 10, Some(2)));
         // A read at tag 2 returning κ0 for object 1 is stale (P4).
         h.push(read(2, vec![(0, k(1, 1)), (1, Key::initial())], 20, 30, Some(2)));
-        let v = TagOrderChecker::new().check(&h);
+        let (lane, v) = fed(&h);
+        assert_ne!(lane, StreamLane::TagOrder);
         assert!(v.is_violation(), "{v:?}");
     }
 
     #[test]
     fn tag_checker_rejects_real_time_inversions() {
         let mut h = History::new();
-        // Read at tag 1 completes strictly after a write that carries tag 2
-        // completed... fine.  But a read that *precedes* the write in real
-        // time while carrying a larger tag is fine too.  The violation is a
-        // read that completes before a write begins yet the write's tag is
-        // smaller (write ≺ read impossible?  No: read.tag > write.tag means
-        // write ≺ read, which combined with read-before-write real time is a
-        // P2 violation).
+        // The READ carries the WRITE's tag, so WRITE ≺ READ, yet the READ
+        // completes before the WRITE is invoked: a P2 violation.  It also
+        // returns the WRITE's version before the WRITE began, which no
+        // order explains.
         h.push(read(1, vec![(0, k(1, 1))], 0, 5, Some(2)));
         h.push(write(2, 1, 1, &[0], 10, 20, Some(2)));
-        let v = TagOrderChecker::new().check(&h);
+        let (lane, v) = fed(&h);
+        assert_ne!(lane, StreamLane::TagOrder);
         assert!(v.is_violation(), "{v:?}");
     }
 
     #[test]
     fn tag_checker_rejects_duplicate_write_tags() {
+        // Two writes share tag 2 (P3): the tag order cannot certify them.
+        // They touch disjoint objects and nothing reads them, so the
+        // semantic engine serializes them.
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0], 0, 10, Some(2)));
         h.push(write(2, 2, 1, &[1], 0, 10, Some(2)));
-        let v = TagOrderChecker::new().check(&h);
-        assert!(v.is_violation(), "{v:?}");
+        let (lane, v) = fed(&h);
+        assert_eq!(lane, StreamLane::Deferred, "P3 fails after the first write certifies");
+        assert!(v.is_serializable(), "{v:?}");
     }
 
     #[test]
     fn tag_checker_returns_unknown_without_tags() {
+        // An untagged commit leaves the tag order before anything is
+        // certified; the semantic engine takes every call.
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0], 0, 10, None));
-        assert!(matches!(TagOrderChecker::new().check(&h), Verdict::Unknown(_)));
+        let (lane, v) = fed(&h);
+        assert_eq!(lane, StreamLane::Semantic);
+        assert!(v.is_serializable(), "{v:?}");
     }
 
     #[test]
@@ -554,10 +434,10 @@ mod tests {
     fn dispatcher_picks_the_right_engine() {
         let mut tagged = History::new();
         tagged.push(write(1, 1, 1, &[0], 0, 10, Some(2)));
-        assert!(check_auto(&tagged).is_serializable());
+        assert_eq!(fed(&tagged), (StreamLane::TagOrder, Verdict::Serializable(vec![TxId(1)])));
         let mut untagged = History::new();
         untagged.push(write(1, 1, 1, &[0], 0, 10, None));
-        assert!(check_auto(&untagged).is_serializable());
+        assert_eq!(fed(&untagged), (StreamLane::Semantic, Verdict::Serializable(vec![TxId(1)])));
     }
 
     #[test]
@@ -565,26 +445,25 @@ mod tests {
         // W1 wholly precedes W2 in real time but carries the larger tag —
         // a P2 violation under Lemma 20, yet the history (two writes on
         // disjoint objects, no reads) is trivially serializable.  The
-        // semantic engines must win, and the verdict must not depend on
-        // whether the history is above or below the tag-order size cap.
+        // semantic engine must win.
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0], 0, 10, Some(2)));
         h.push(write(2, 2, 1, &[1], 20, 30, Some(1)));
-        assert!(TagOrderChecker::new().check(&h).is_violation());
-        let v = check_auto(&h);
+        let (lane, v) = fed(&h);
+        assert_ne!(lane, StreamLane::TagOrder);
         assert!(v.is_serializable(), "{v:?}");
     }
 
     #[test]
-    fn check_auto_keeps_the_tag_diagnostic_when_both_engines_convict() {
+    fn check_auto_convicts_a_stale_tagged_read_at_its_commit() {
         // A stale read: tag order and semantics agree it is a violation,
-        // and the more specific P4 message is the one reported.
+        // and the conviction names the READ's commit.
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0, 1], 0, 10, Some(2)));
         h.push(read(2, vec![(0, k(1, 1)), (1, Key::initial())], 20, 30, Some(2)));
         match check_auto(&h) {
             Verdict::NotSerializable(why) => {
-                assert!(why.starts_with("P4"), "expected the Lemma 20 diagnostic: {why}")
+                assert!(why.contains("(commit #1)"), "expected the READ's commit: {why}")
             }
             v => panic!("expected a conviction, got {v:?}"),
         }
@@ -614,24 +493,35 @@ mod tests {
 
     #[test]
     fn tag_checker_handles_100k_transactions() {
-        // ROADMAP follow-up (b): with the P2/P4 sweeps linearized, the
-        // Lemma 20 engine — and therefore `check_auto`'s tagged path — now
-        // decides histories far beyond the historical 10k cap.
+        // Lemma 20 decides histories far beyond the historical 10k cap:
+        // O(log held) per commit, certified as the watermark passes.
         let h = big_tagged_history(100_000);
-        let v = TagOrderChecker::new().check(&h);
+        let (lane, v) = fed(&h);
+        assert_eq!(lane, StreamLane::TagOrder);
         match &v {
             Verdict::Serializable(witness) => assert_eq!(witness.len(), 100_000),
             other => panic!("expected a witness over 100k transactions: {other:?}"),
         }
-        assert!(check_auto(&h).is_serializable(), "check_auto must accept via tag order");
+    }
+
+    /// The verdict does not depend on the order of the records: the stream
+    /// reads certified commits back through a lookup that is O(log n)
+    /// whatever the order (`History::find` alone scans an unordered
+    /// history per lookup).
+    #[test]
+    fn check_auto_does_not_depend_on_record_order() {
+        let mut h = big_tagged_history(100_000);
+        let in_order = check_auto(&h);
+        assert!(in_order.is_serializable(), "{in_order:?}");
+        h.records.reverse();
+        assert_eq!(check_auto(&h), in_order);
     }
 
     #[test]
-    fn tag_checker_convicts_large_histories_with_the_p4_diagnostic() {
-        // A stale read in a history past the old 10k cap still gets the
-        // precise Lemma 20 diagnostic (confirmed semantically by the stream
-        // engine: the read observes κ₀ for an object whose only write
-        // completed strictly before it started).
+    fn tag_checker_convicts_large_histories_at_the_stale_read() {
+        // A stale read in a history past the old 10k cap is convicted at
+        // its commit: the read observes κ₀ for an object whose only write
+        // completed strictly before it started.
         let mut h = big_tagged_history(20_000);
         h.push(write(20_000, 1, 99, &[50], 200_000, 200_005, Some(20_001)));
         h.push(read(
@@ -641,10 +531,11 @@ mod tests {
             200_015,
             Some(20_002),
         ));
-        assert!(TagOrderChecker::new().check(&h).is_violation());
-        match check_auto(&h) {
+        let (lane, v) = fed(&h);
+        assert_eq!(lane, StreamLane::Deferred, "the prefix before it is certified");
+        match v {
             Verdict::NotSerializable(why) => {
-                assert!(why.starts_with("P4"), "expected the Lemma 20 diagnostic: {why}")
+                assert!(why.contains("(commit #20001)"), "expected the READ's commit: {why}")
             }
             v => panic!("expected a conviction, got {v:?}"),
         }
@@ -652,9 +543,10 @@ mod tests {
 
     #[test]
     fn linearized_p2_sweep_matches_the_pairwise_rule() {
-        // Exhaustive cross-check on small histories: the group sweep must
-        // agree with the direct O(n²) definition of P2 for every pattern of
-        // (tag, kind, interval) collisions.
+        // Exhaustive cross-check on small histories: the stream's P2 check
+        // on arrival must agree with the direct O(n²) definition of P2 for
+        // every pattern of (tag, kind, interval) collisions — the stream
+        // stays on the tag order iff no pair violates it.
         let patterns: Vec<Vec<(u64, bool, u64, u64)>> = vec![
             // (tag, is_write, inv, resp)
             vec![(1, true, 0, 10), (2, false, 20, 30)],          // clean
@@ -694,11 +586,11 @@ mod tests {
                     .iter()
                     .any(|b| a.tx_id != b.tx_id && a.precedes(b) && tag_precedes(b, a))
             });
-            let verdict = TagOrderChecker::new().check(&h);
+            let (lane, verdict) = fed(&h);
             assert_eq!(
-                verdict.is_violation(),
+                lane != StreamLane::TagOrder,
                 pairwise_violation,
-                "case {case}: sweep and pairwise P2 disagree: {verdict:?}"
+                "case {case}: the stream's P2 and the pairwise rule disagree: {verdict:?}"
             );
         }
     }

@@ -1,11 +1,18 @@
 //! Lemma 20 over a commit stream: [`TagOrderStream`] certifies a tagged
 //! history while it commits, and hands over to the semantic
-//! [`StreamChecker`] when tags cannot decide.
+//! [`StreamChecker`] when tags cannot decide.  It is the crate's one
+//! implementation of Lemma 20: the drivers feed it live, and
+//! [`crate::check_auto`] feeds it a finished history
+//! ([`TagOrderStream::feed_history`]).
 //!
-//! [`crate::strict::TagOrderChecker`] sorts a finished history by rank
-//! `(tag, WRITE before READ, invocation, id)` and checks Lemma 20's P2–P4
-//! over that order.  The stream checks the same conditions on the same
-//! order, incrementally:
+//! **Lemma 20.**  If every transaction carries a tag (P1), the tag order is
+//! consistent with real time (P2), distinct writes carry distinct tags (P3)
+//! and every READ returns, per object, the version of the latest WRITE
+//! that precedes it in the tag order, or κ₀ (P4), then the history is
+//! strictly serializable.  The tag order `≺` puts a smaller tag first and,
+//! at one tag, WRITEs before READs; ranking each commit by `(tag, WRITE
+//! before READ, invocation, id)` makes it total, and the rank order is the
+//! witness.  The stream checks the conditions on that order, incrementally:
 //!
 //! * **On arrival** (commits come in RESP order), P2: the highest `(tag,
 //!   kind)` group among the commits that responded before the newcomer's
@@ -25,8 +32,8 @@
 //!   rank.
 //!
 //! Per commit that is O(log held), with no precedence graph.  When the
-//! whole stream passes, [`TagOrderStream::finish`] returns exactly
-//! `TagOrderChecker`'s verdict, witness included.
+//! whole stream passes, [`TagOrderStream::finish`] returns the rank order
+//! of every commit as the witness.
 //!
 //! **Records are read in place.**  A record is final at its RESP, so the
 //! stream never copies one on the tag-order lane: [`TagOrderStream::ingest`]
@@ -34,9 +41,9 @@
 //! reads the record back from a **record source** — a lookup by
 //! `(invoked_at, tx_id)`, which the rank carries.  Mid-run the source is
 //! the cluster that still holds the records ([`TagOrderStream::advance_watermark`]
-//! takes it); at the end it is the run's taken [`History`]
-//! ([`TagOrderStream::finish`], which binary-searches it with
-//! [`History::find`]).
+//! takes it); for a finished [`History`] it is the history, searched in
+//! O(log n) whatever order its records are in
+//! ([`TagOrderStream::feed_history`], [`TagOrderStream::finish`]).
 //!
 //! **Giving up.**  An untagged commit, or a P2, P3 or P4 failure, means
 //! the tags cannot decide; the verdict then comes from [`StreamChecker`],
@@ -87,9 +94,10 @@
 //! ```
 
 use crate::ot::SequentialOt;
-use crate::stream::StreamChecker;
+use crate::stream::{hindsight_commits, StreamChecker};
 use crate::strict::Verdict;
 use snow_core::{History, Tag, TxId, TxKind, TxRecord};
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
@@ -98,7 +106,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// READs (1).
 type Group = (Tag, u8);
 
-/// `TagOrderChecker`'s sort key: group, then invocation time, then id.
+/// A commit's place in the witness: group, then invocation time, then id.
 type Rank = (Group, u64, TxId);
 
 /// A commit waiting for the watermark to pass its response.  Its rank
@@ -240,12 +248,26 @@ impl TagOrderStream {
         self.hand_over(&records);
     }
 
+    /// Feeds a finished history: its completed records in commit (RESP)
+    /// order, the watermark advanced after each as tightly as hindsight
+    /// allows — by the rule [`StreamChecker::feed_history`] feeds a
+    /// [`StreamChecker`] by, so a hand-over replays exactly what that
+    /// would have fed.  [`TagOrderStream::finish`] on the same history
+    /// then gives the verdict; [`crate::check_auto`] is the two calls.
+    pub fn feed_history(&mut self, history: &History) {
+        let records = record_source(history);
+        for (rec, watermark) in hindsight_commits(history) {
+            self.ingest(rec);
+            self.advance_watermark(watermark, &records);
+        }
+    }
+
     /// Certifies the rest and returns the verdict.  `history` is the run's
     /// whole history, and the record source from here on: held commits are
     /// read back from it, the semantic engine reads its incomplete
     /// transactions, and the deferred lane all of it.
     pub fn finish(mut self, history: &History) -> Verdict {
-        let records = |invoked_at, tx| history.find(invoked_at, tx);
+        let records = record_source(history);
         if let Engine::Tags(tags) = &mut self.engine {
             if tags.certify(None, &records).is_ok() {
                 return Verdict::Serializable(std::mem::take(&mut tags.witness));
@@ -294,6 +316,32 @@ impl TagOrderStream {
     }
 }
 
+/// `history` as a record source, O(log n) per lookup whatever order its
+/// records are in: [`History::find`] when they are in `(invoked_at, tx_id)`
+/// order, as a simulator's history is, else a search of an index sorted
+/// into that order (`find` alone would scan the history per lookup).  The
+/// order is checked, and the index built, at the first lookup.
+fn record_source<'h>(history: &'h History) -> impl Fn(u64, TxId) -> Option<&'h TxRecord> {
+    let at = |r: &TxRecord| (r.invoked_at, r.tx_id);
+    let index = OnceCell::new();
+    move |invoked_at, tx| {
+        let index = index.get_or_init(|| {
+            (!history.records.is_sorted_by_key(at)).then(|| {
+                let mut index: Vec<&TxRecord> = history.records.iter().collect();
+                index.sort_by_key(|r| at(r));
+                index
+            })
+        });
+        match index {
+            None => history.find(invoked_at, tx),
+            Some(index) => index
+                .binary_search_by_key(&(invoked_at, tx), |r| at(r))
+                .ok()
+                .map(|i| index[i]),
+        }
+    }
+}
+
 /// The ingested commit `(invoked_at, tx)`, read back from a record source.
 fn read_back<'s>(
     records: &impl Fn(u64, TxId) -> Option<&'s TxRecord>,
@@ -312,7 +360,7 @@ impl Tags {
             calls.push(Call::Ingest(rec.invoked_at, rec.tx_id));
         }
         let tag = match &rec.outcome {
-            // Constraint-free and untagged, as `TagOrderChecker` treats it.
+            // Constraint-free and untagged: it takes no place in the order.
             Some(outcome) if outcome.is_aborted() => return Ok(()),
             outcome => outcome.as_ref().and_then(|o| o.tag()),
         };
@@ -391,7 +439,6 @@ impl Tags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strict::TagOrderChecker;
     use snow_core::{
         ClientId, Key, ObjectId, ObjectRead, ReadOutcome, TxOutcome, TxSpec, Value, WriteOutcome,
     };
@@ -516,9 +563,7 @@ mod tests {
         // The READ at tag 1 precedes the WRITE at tag 2; the aborted
         // commit takes no place.
         assert_eq!((stream.lane(), stream.certified()), (StreamLane::TagOrder, 2));
-        let verdict = stream.finish(&history);
-        assert_eq!(verdict, TagOrderChecker::new().check(&history));
-        assert_eq!(verdict, ids(&[2, 1, 6, 4, 5]));
+        assert_eq!(stream.finish(&history), ids(&[2, 1, 6, 4, 5]));
     }
 
     /// Ingest borrows: the tag-order lane reads nothing back until the

@@ -15,7 +15,7 @@
 //! configured rate.
 
 use crate::generator::WorkloadGenerator;
-use snow_checker::{check_auto, TagOrderStream, Verdict};
+use snow_checker::{TagOrderStream, Verdict};
 use snow_core::{ClientId, History, TxId, TxSpec};
 use snow_protocols::Cluster;
 use std::collections::{BTreeMap, VecDeque};
@@ -33,13 +33,10 @@ pub struct DriverReport {
     pub duration: u64,
 }
 
-/// How a checked driver run certifies strict serializability.
+/// How a checked driver run certifies strict serializability.  Every
+/// checked run streams; the enum stays for the callers that name the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
-    /// Assemble the full history at the end and hand it to
-    /// [`snow_checker::check_auto`] — needs the whole history in memory.
-    #[default]
-    PostHoc,
     /// Feed a [`TagOrderStream`] from the cluster's commit drain as
     /// transactions complete, each record by reference where the cluster
     /// keeps it.  A tagged run (Algorithms A, B and C) is certified by
@@ -49,9 +46,10 @@ pub enum CheckMode {
     /// cluster at certification.  When tags cannot decide (an untagged
     /// protocol, or tags a fault broke) the semantic
     /// [`snow_checker::StreamChecker`] decides — the engine `check_auto`
-    /// runs on the finished history, fed live here — on its own copies,
-    /// with memory O(live window + in-flight) and violations attributed to
-    /// the offending commit.
+    /// hands over to on the finished history, fed live here — on its own
+    /// copies, with memory O(live window + in-flight) and violations
+    /// attributed to the offending commit.
+    #[default]
     Streaming,
 }
 
@@ -264,24 +262,21 @@ impl WorkloadDriver {
     /// the whole driven history — not a sample — so every workload run is
     /// verifiable end to end.
     ///
-    /// [`CheckMode::PostHoc`] hands the assembled history to
-    /// [`snow_checker::check_auto`]: the tag order when every transaction
-    /// is tagged and it accepts, the semantic stream engine over the whole
-    /// history otherwise.  [`CheckMode::Streaming`] certifies
-    /// incrementally instead: after every round the cluster's commit drain
-    /// is fed, by reference, to a [`TagOrderStream`], which certifies a
-    /// tagged run by tag order as it commits and hands an untagged or
-    /// tag-breaking one to the same semantic stream engine, fed live.
+    /// The check streams ([`CheckMode::Streaming`], the only mode): after
+    /// every round the cluster's commit drain is fed, by reference, to a
+    /// [`TagOrderStream`], which certifies a tagged run by tag order as it
+    /// commits and hands an untagged or tag-breaking one to the semantic
+    /// stream engine, fed live.
     ///
     /// On a run that Lemma 20's tag order certifies (Algorithms A, B and C
-    /// without faults) both modes return the same verdict, witness
-    /// included.  On the untagged protocols (Blocking, Eiger, Simple) both
-    /// run the stream engine, one over the drains with their invocation
-    /// floors as watermarks, the other over the finished history with
-    /// hindsight watermarks, so their witnesses may differ.
-    /// `streaming_check_mode_agrees_with_post_hoc` runs all six protocols
-    /// once each (40 transactions): equal verdicts on A, B and C, both
-    /// modes certify Blocking, and both convict Eiger and Simple.
+    /// without faults) the verdict is [`snow_checker::check_auto`]'s on the
+    /// finished history, witness included.  On the untagged protocols
+    /// (Blocking, Eiger, Simple) both run the stream engine, one over the
+    /// drains with their invocation floors as watermarks, the other over
+    /// the finished history with hindsight watermarks, so their witnesses
+    /// may differ.  `streaming_check_mode_agrees_with_post_hoc` runs all
+    /// six protocols once each (40 transactions): equal verdicts on A, B
+    /// and C, both certify Blocking, and both convict Eiger and Simple.
     ///
     /// ```
     /// use snow_core::SystemConfig;
@@ -299,7 +294,7 @@ impl WorkloadDriver {
     ///     cluster.as_mut(),
     ///     &mut generator,
     ///     40,
-    ///     CheckMode::PostHoc,
+    ///     CheckMode::Streaming,
     /// );
     /// assert_eq!(report.completed, 40);
     /// assert_eq!(history.len(), 40);
@@ -312,22 +307,13 @@ impl WorkloadDriver {
         total: usize,
         mode: CheckMode,
     ) -> (History, DriverReport, Verdict) {
-        match mode {
-            CheckMode::PostHoc => {
-                let (history, report) = self.run(cluster, generator, total);
-                let verdict = check_auto(&history);
-                (history, report, verdict)
-            }
-            CheckMode::Streaming => {
-                let (mut checker, mut ids) = (TagOrderStream::new(), Vec::new());
-                let (history, report) =
-                    self.run_tapped(cluster, generator, total, &mut |cluster| {
-                        drain_into(&mut checker, &mut ids, cluster);
-                    });
-                let verdict = checker.finish(&history);
-                (history, report, verdict)
-            }
-        }
+        let CheckMode::Streaming = mode;
+        let (mut checker, mut ids) = (TagOrderStream::new(), Vec::new());
+        let (history, report) = self.run_tapped(cluster, generator, total, &mut |cluster| {
+            drain_into(&mut checker, &mut ids, cluster);
+        });
+        let verdict = checker.finish(&history);
+        (history, report, verdict)
     }
 
     /// Runs a read-latency probe: `writes_per_round` WRITEs and one READ are
@@ -383,7 +369,7 @@ impl WorkloadDriver {
 mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
-    use snow_checker::{StreamChecker, StreamLane};
+    use snow_checker::{check_auto, StreamChecker, StreamLane};
     use snow_core::SystemConfig;
     use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
     use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
@@ -436,7 +422,7 @@ mod tests {
                 cluster.as_mut(),
                 &mut generator,
                 40,
-                CheckMode::PostHoc,
+                CheckMode::Streaming,
             );
             assert_eq!(report.completed, 40, "{protocol:?}");
             assert!(
@@ -582,11 +568,12 @@ mod tests {
         assert_eq!(format!("{history:?}"), format!("{expected:?}"));
     }
 
-    /// The streaming check mode and the post-hoc mode drive the same run.
-    /// On the tagged family the tag order certifies it, so both return
+    /// The streaming check drives the same run as the unchecked driver, and
+    /// agrees with `check_auto` on the finished history.  On the tagged
+    /// family the tag order certifies it, so the stream returns
     /// `check_auto`'s verdict, witness included.  On the untagged protocols
-    /// both modes run the semantic stream engine: both certify Blocking,
-    /// and both convict Eiger and Simple.
+    /// both run the semantic stream engine: both certify Blocking, and
+    /// both convict Eiger and Simple.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
@@ -604,22 +591,25 @@ mod tests {
             } else {
                 SystemConfig::mwmr(4, 2, 2)
             };
-            let run = |mode: CheckMode| {
-                let mut cluster =
-                    ClusterSpec::new(protocol, &config).scheduler(sched).build().unwrap();
-                let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-                WorkloadDriver::new(4).run_checked_mode(cluster.as_mut(), &mut generator, 40, mode)
-            };
-            let (history, _, posthoc) = run(CheckMode::PostHoc);
-            let (stream_history, report, stream) = run(CheckMode::Streaming);
+            let spec = ClusterSpec::new(protocol, &config).scheduler(sched);
+            let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+            let (history, _) =
+                WorkloadDriver::new(4).run(spec.build().unwrap().as_mut(), &mut generator(), 40);
+            let posthoc = check_auto(&history);
+            let (stream_history, report, stream) = WorkloadDriver::new(4).run_checked_mode(
+                spec.build().unwrap().as_mut(),
+                &mut generator(),
+                40,
+                CheckMode::Streaming,
+            );
             assert_eq!(
                 format!("{history:?}"),
                 format!("{stream_history:?}"),
-                "{protocol:?}: the check mode changed the run"
+                "{protocol:?}: the check changed the run"
             );
             assert_eq!(report.completed, 40);
-            // Eiger and Simple are convicted in both modes on this run;
-            // the other four are certified in both.
+            // Eiger and Simple are convicted by both on this run; the
+            // other four are certified by both.
             if matches!(protocol, ProtocolKind::Eiger | ProtocolKind::Simple) {
                 assert!(posthoc.is_violation(), "{protocol:?}: post-hoc {posthoc:?}");
                 assert!(stream.is_violation(), "{protocol:?}: stream {stream:?}");

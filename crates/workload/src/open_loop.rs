@@ -39,11 +39,11 @@
 //! scheduler seed — so open-loop histories are bit-identical across runs
 //! (pinned by `tests/open_loop.rs`).
 
-use crate::driver::{drain_into, CheckMode};
+use crate::driver::drain_into;
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snow_checker::{check_auto, LatencyStats, Verdict};
+use snow_checker::{LatencyStats, Verdict};
 use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxId, TxKind, TxSpec};
 use snow_protocols::{Cluster, ClusterSpec};
 use std::collections::{BTreeMap, VecDeque};
@@ -262,41 +262,28 @@ fn drive_open_loop_tapped(
 }
 
 /// [`drive_open_loop`] plus a strict-serializability verdict, mirroring
-/// [`crate::driver::WorkloadDriver::run_checked_mode`].
-///
-/// [`CheckMode::PostHoc`] hands the finished history to
-/// [`snow_checker::check_auto`].  In [`CheckMode::Streaming`] a
-/// [`snow_checker::TagOrderStream`] rides along with the run: after every
+/// [`crate::driver::WorkloadDriver::run_checked_mode`]: a
+/// [`snow_checker::TagOrderStream`] rides along with the run.  After every
 /// completion wave the cluster's commit log is drained into the checker,
 /// each record read in place ([`Cluster::drain_commit_ids`],
-/// [`Cluster::record`]), and the certification frontier advances
-/// past everything the simulator can no longer invoke before — so the
-/// verdict is produced incrementally, in RESP order: by tag order on a
-/// tagged run, by the semantic stream engine when tags cannot decide.
-/// The two modes agree exactly, witness included, on runs the tag order
-/// certifies; elsewhere see [`crate::driver::WorkloadDriver::run_checked_mode`].
+/// [`Cluster::record`]), and the certification frontier advances past
+/// everything the simulator can no longer invoke before — so the verdict
+/// is produced incrementally, in RESP order: by tag order on a tagged
+/// run, by the semantic stream engine when tags cannot decide.  On runs
+/// the tag order certifies it is [`snow_checker::check_auto`]'s verdict on
+/// the finished history, witness included; elsewhere see
+/// [`crate::driver::WorkloadDriver::run_checked_mode`].
 pub fn drive_open_loop_checked(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
     spec: &OpenLoopSpec,
-    mode: CheckMode,
 ) -> (History, OpenLoopReport, Verdict) {
-    match mode {
-        CheckMode::PostHoc => {
-            let (history, report) = drive_open_loop(cluster, config, spec);
-            let verdict = check_auto(&history);
-            (history, report, verdict)
-        }
-        CheckMode::Streaming => {
-            let (mut checker, mut ids) = (snow_checker::TagOrderStream::new(), Vec::new());
-            let (history, report) =
-                drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
-                    drain_into(&mut checker, &mut ids, cluster);
-                });
-            let verdict = checker.finish(&history);
-            (history, report, verdict)
-        }
-    }
+    let (mut checker, mut ids) = (snow_checker::TagOrderStream::new(), Vec::new());
+    let (history, report) = drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
+        drain_into(&mut checker, &mut ids, cluster);
+    });
+    let verdict = checker.finish(&history);
+    (history, report, verdict)
 }
 
 /// One latency-vs-throughput curve: the per-rate reports of one cluster
@@ -378,6 +365,8 @@ pub fn zipf_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::CheckMode;
+    use snow_checker::check_auto;
     use snow_core::{ServerId, TxRecord};
     use snow_protocols::{ProtocolKind, SchedulerKind};
     use snow_sim::topology::TICK;
@@ -458,7 +447,6 @@ mod tests {
             cluster.build().unwrap().as_mut(),
             &config,
             &OpenLoopSpec { rate: 100, ..base },
-            CheckMode::PostHoc,
         );
         assert_eq!(report.completed, 200);
         assert!(verdict.is_serializable(), "{verdict:?}");
@@ -493,7 +481,9 @@ mod tests {
     }
 
     /// Open-loop AlgB and AlgC runs are certified by tag order as they
-    /// commit, with `check_auto`'s verdict, witness included.
+    /// commit, with `check_auto`'s verdict on the finished history, witness
+    /// included, and the check leaves the run as the unchecked driver
+    /// drives it.
     #[test]
     fn streaming_open_loop_agrees_with_post_hoc() {
         let config = SystemConfig::mwmr(4, 4, 4);
@@ -502,15 +492,15 @@ mod tests {
             let cluster = cluster_spec(protocol, &config);
             for rate in [30, 300] {
                 let spec = OpenLoopSpec { rate, ..base.clone() };
-                let run = |mode| {
-                    drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec, mode)
-                };
-                let (history, _, posthoc) = run(CheckMode::PostHoc);
-                let (stream_history, report, stream) = run(CheckMode::Streaming);
+                let (history, _) =
+                    drive_open_loop(cluster.build().unwrap().as_mut(), &config, &spec);
+                let posthoc = check_auto(&history);
+                let (stream_history, report, stream) =
+                    drive_open_loop_checked(cluster.build().unwrap().as_mut(), &config, &spec);
                 assert_eq!(
                     format!("{history:?}"),
                     format!("{stream_history:?}"),
-                    "{protocol:?} rate {rate}: the check mode changed the run"
+                    "{protocol:?} rate {rate}: the check changed the run"
                 );
                 assert_eq!(report.issued, 150);
                 assert!(posthoc.is_serializable(), "{protocol:?} rate {rate}: {posthoc:?}");
@@ -530,7 +520,7 @@ mod tests {
             .max_steps(u64::MAX);
         let run = |cluster: &ClusterSpec| {
             let mut cluster = cluster.build().unwrap();
-            drive_open_loop_checked(cluster.as_mut(), &config, &spec, CheckMode::Streaming)
+            drive_open_loop_checked(cluster.as_mut(), &config, &spec)
         };
 
         let (history, report, stream) = run(&wan3);
@@ -700,7 +690,7 @@ mod tests {
         drive_open_loop(&mut cluster, &config, &spec);
         planned("drive_open_loop", cluster, spec.arrivals);
         let mut cluster = build();
-        drive_open_loop_checked(&mut cluster, &config, &spec, CheckMode::Streaming);
+        drive_open_loop_checked(&mut cluster, &config, &spec);
         planned("drive_open_loop_checked", cluster, spec.arrivals);
     }
 

@@ -39,7 +39,9 @@
 #      10 000-transaction driver history, and
 #      `stream_agrees_with_check_auto_on_an_open_loop_algc_history`: a
 #      5 000-arrival AlgC open loop on which the stream checker once
-#      panicked with "live slot") and the instrumentation sweep
+#      panicked with "live slot", and at 10 000 arrivals, `open-c-read`'s
+#      shape, `check_auto` against the batch Lemma 20 reference, witness
+#      included) and the instrumentation sweep
 #      (tests/instrumentation_sweep.rs: one digest over rounds, C2C counts
 #      and read results under faults × schedules × contention) and the
 #      dispatch path's cost counters (tests/dispatch_hot_path.rs: the exact
@@ -78,14 +80,18 @@
 #      `a_reserved_log_is_allocated_once`, crates/workload
 #      `every_driver_reserves_what_it_issues_once_before_invoking`).  The drivers'
 #      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
-#      its soundness differential against `TagOrderChecker` and the stream
-#      engine (tests/stream_differential.rs), its unit tests (crates/checker
-#      `tag_stream`), the streaming-checked AlgB allocation pins
-#      (tests/dispatch_hot_path.rs) and the driver tests (crates/workload:
-#      Streaming equals PostHoc, witness included, on A/B/C; an untagged run
-#      is checked exactly as by the stream engine fed the same drains; AlgB
-#      under duplication stays certified by tag order; under drops the
-#      verdict takes the stream engine's category);
+#      its soundness differential against the batch Lemma 20 reference
+#      (tests/support/lemma20.rs) and the stream engine
+#      (tests/stream_differential.rs), its unit tests (crates/checker
+#      `tag_stream`, and `strict` for `check_auto`, which is the same stream
+#      fed a finished history — in any record order), the
+#      streaming-checked AlgB allocation pins (tests/dispatch_hot_path.rs)
+#      and the driver tests (crates/workload: a checked run equals
+#      `check_auto` on the finished history, witness included, on A/B/C; an
+#      untagged run is checked exactly as by the stream engine fed the same
+#      drains; AlgB under duplication stays certified by tag order; under
+#      drops the verdict takes the stream engine's category).  Every
+#      by-name run fails on a listed name that matches no test;
 #   5. repo-benchmark smoke and digests: `examples/e2e_bench -- --smoke`
 #      runs every BENCHMARK.json workload through both passes (plain +
 #      traced) in about a second and exits non-zero if any fails its
@@ -140,6 +146,25 @@ bench() { # <e2e_bench args...>: run the repo benchmark (its own package and tar
     cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- "$@"
 }
 
+by_name() { # <cargo test args...> -- <names...>: run, in release, the tests
+    # whose names contain one of <names> (libtest's filter), after failing
+    # on a name that matches no test — a stale name runs nothing and passes
+    local args=() listed name
+    while [ "$1" != "--" ]; do
+        args+=("$1")
+        shift
+    done
+    shift
+    listed="$(cargo test -q --release "${args[@]}" -- --list | sed -n 's/: test$//p')"
+    for name in "$@"; do
+        if ! grep -qF -- "$name" <<< "$listed"; then
+            echo "cargo test ${args[*]}: no test matches '$name'; update the list" >&2
+            exit 1
+        fi
+    done
+    cargo test -q --release "${args[@]}" -- "$@"
+}
+
 run_ok() { # <run> <closing line>: `snow run <run>` must print <closing line>
     if ! snow run "$1" | grep -qx "$2"; then
         echo "snow run $1 did not complete" >&2
@@ -169,44 +194,45 @@ echo "== 4. release suites: differentials, faults, hot paths, probe count =="
 # drained_records_equal_the_final_history is what licenses that: a record
 # is final at its RESP, so the record read mid-run is the one the history
 # ends with.  The in-place lane's tests run by name below.
-# check_auto's semantic engine is the stream engine (StreamChecker::check).
+# check_auto is the tag-order stream fed the finished history; where tags
+# cannot decide, its verdict is the stream engine's (StreamChecker::check).
 cargo test -q --release --test stream_differential --test checker_differential \
     --test fault_determinism --test fault_checker --test stream_hot_path \
     --test instrumentation_sweep --test dispatch_hot_path
-cargo test -q --release --test check_auto_verdicts -- \
+by_name --test check_auto_verdicts -- \
     check_auto_certifies_algb_with_its_tags_stripped_at_2000 \
     check_auto_certifies_algb_with_its_tags_stripped_at_5000 check_auto_convicts_eiger_at_2000 \
     check_auto_certifies_blocking_at_2000 check_auto_convicts_simple_at_2000 \
     check_auto_certifies_the_algc_open_loop_with_its_tags_stripped
-cargo test -q --release -p snow-workload -- \
+by_name -p snow-workload -- \
     the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history \
     streaming_check_mode_agrees_with_post_hoc streaming_open_loop_agrees_with_post_hoc \
     untagged_runs_are_checked_by_the_semantic_stream_engine_alone \
     duplication_leaves_algb_certified_by_tag_order \
     under_drops_streaming_defers_to_the_semantic_engines_category \
     every_driver_reserves_what_it_issues_once_before_invoking
-cargo test -q --release -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
+by_name -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
     take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice \
     drain_commits_streams_the_history_in_resp_order find_looks_records_up_by_invocation_time_and_id \
     write_log_agrees_with_the_reverse_scan_reference a_reserved_log_is_allocated_once \
-    tag_stream::
+    tag_stream:: strict::tests::
 # Transaction bodies keep their object lists in place (snow_core::InlineList):
 # the list against Vec, and the sizes the lists buy (a pool slot <= 104 B,
 # a record <= 152 B).
-cargo test -q --release -p snow-core -p snow-protocols -- \
+by_name -p snow-core -p snow-protocols -- \
     inline_list:: a_record_cannot_silently_widen the_pools_working_set_cannot_silently_widen
 # Each object's `Vals` is a log in install order, looked up through the
 # writer's mark, else newest-first: the log against the ordered map it
 # replaced, the mark's size, and the streaming WAN run's peak over what it
 # keeps, the same at 10 000 transactions as at 1 000.
-cargo test -q --release -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map \
+by_name -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map \
     store::tests::a_mark_cannot_silently_widen \
     txn::tests::wide_specs_build_and_still_reject_a_duplicate_anywhere
 # Each message is written once into its pool slot and moved once out of it:
 # a fault-free run clones no payload, a duplicating one one per duplicate.
-cargo test -q --release -p snow-sim -- \
+by_name -p snow-sim -- \
     sim::tests::the_message_path_clones_only_what_the_fault_engine_duplicates
-cargo test -q --release --test dispatch_hot_path -- \
+by_name --test dispatch_hot_path -- \
     streaming_checked_algb_on_the_wan_keeps_its_gap_at_ten_thousand
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="

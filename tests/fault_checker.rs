@@ -14,9 +14,9 @@
 //! `run_until_complete` reporting failure forever and the paced driver
 //! stalling mid-workload.
 
-use snow::checker::{
-    check_auto, SearchChecker, SequentialOt, SnowChecker, StreamChecker, TagOrderChecker, Verdict,
-};
+mod support;
+
+use snow::checker::{check_auto, SearchChecker, SequentialOt, SnowChecker, StreamChecker, Verdict};
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, SystemConfig, TxId, TxOutcome,
     TxRecord, TxSpec, Value, WriteOutcome,
@@ -28,6 +28,7 @@ use snow_protocols::{
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::sync::Arc;
+use support::lemma20::TagOrderChecker;
 
 fn fault_workload_spec() -> WorkloadSpec {
     WorkloadSpec {

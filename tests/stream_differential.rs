@@ -6,16 +6,18 @@
 //! overlapping invocations, incomplete writes) and every golden protocol ×
 //! scheduler combo.  The paper's counterexample histories must be convicted
 //! *at the offending transaction index*, not at shutdown.  Then the
-//! tag-order stream (`TagOrderStream`, the drivers' streaming check)
-//! against `TagOrderChecker` where the tag order decides, and against the
-//! semantic stream engine everywhere else.  One generator feeds every
-//! random differential.
+//! tag-order stream (`TagOrderStream`, the drivers' streaming check and
+//! `check_auto`'s front) against the batch Lemma 20 reference
+//! (`support::lemma20::TagOrderChecker`) where the tag order decides, and
+//! against the semantic stream engine everywhere else.  One generator feeds
+//! every random differential.
 
 use proptest::proptest;
 use proptest::ProptestConfig;
+mod support;
+
 use snow::checker::{
-    check_auto, SearchChecker, SequentialOt, StreamChecker, StreamLane, TagOrderChecker,
-    TagOrderStream, Verdict,
+    check_auto, SearchChecker, SequentialOt, StreamChecker, StreamLane, TagOrderStream, Verdict,
 };
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
@@ -24,6 +26,7 @@ use snow::core::{
 use snow_bench::golden::{combo_config, combos, COMBO_TXNS};
 use snow_protocols::ClusterSpec;
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
+use support::lemma20::TagOrderChecker;
 
 /// SplitMix64: deterministic per-seed stream for history generation.
 struct Rng(u64);
@@ -416,22 +419,17 @@ fn tagged_history(seed: u64) -> History {
     h
 }
 
-/// `history` through a `TagOrderStream`, fed as `StreamChecker::feed_history`
-/// feeds a `StreamChecker`: commits in RESP order, each followed by the
-/// hindsight watermark (the earliest INV among the commits still to come).
-/// Fed as the drivers feed it: by reference, with a by-id lookup into the
-/// history standing in for the cluster's record log as the watermark's
-/// record source.  Returns the lane it finished on with the verdict.
+/// `history` through a `TagOrderStream`, fed as `check_auto` feeds it
+/// (`TagOrderStream::feed_history`: commits in RESP order, each followed by
+/// the hindsight watermark `StreamChecker::feed_history` uses).  Returns
+/// the lane it finished on with the verdict, which must be `check_auto`'s.
 fn tag_stream_verdict(history: &History) -> (StreamLane, Verdict) {
-    let mut committed: Vec<&TxRecord> = history.completed().collect();
-    committed.sort_by_key(|r| (r.responded_at, r.tx_id));
     let mut stream = TagOrderStream::new();
-    for (i, rec) in committed.iter().enumerate() {
-        stream.ingest(rec);
-        let watermark = committed[i + 1..].iter().map(|r| r.invoked_at).min();
-        stream.advance_watermark(watermark.unwrap_or(u64::MAX), |_, tx| history.get(tx));
-    }
-    (stream.lane(), stream.finish(history))
+    stream.feed_history(history);
+    let lane = stream.lane();
+    let verdict = stream.finish(history);
+    assert_eq!(verdict, check_auto(history));
+    (lane, verdict)
 }
 
 /// The soundness differential of the drivers' streaming check.  Where
@@ -455,19 +453,22 @@ fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
                 assert_eq!(verdict, tags, "seed {seed}: {history:#?}");
                 continue;
             }
+            // Fed the same commits under the same watermarks, or the whole
+            // history: the semantic engine's verdict, witness included.
             let stream = StreamChecker::check(&history);
-            assert_eq!(
-                std::mem::discriminant(&verdict),
-                std::mem::discriminant(&stream),
-                "seed {seed}: tag stream {verdict:?} vs stream {stream:?}\n{history:#?}"
-            );
+            assert_eq!(verdict, stream, "seed {seed}: tag stream vs stream\n{history:#?}");
             if let Verdict::Serializable(order) = &verdict {
                 assert_witness_replays(&history, order);
             }
         }
     }
     // Every path is taken, many times; the split is seed-pure, so it is
-    // pinned (tag order, semantic, deferred).
+    // pinned (tag order, semantic, deferred).  It moved once, from 983 /
+    // 2 994 / 2 023, when the stream took `StreamChecker::feed_history`'s
+    // watermark, which stays below the invocation of an incomplete WRITE a
+    // READ observed: on four histories the tags now break before anything
+    // is certified, so the semantic engine is replayed the calls instead
+    // of deferring.  Every verdict category held.
     assert!(accepted > 600, "{accepted} accepted by tag order");
-    assert_eq!(lanes, [983, 2_994, 2_023], "lanes (tag order, semantic, deferred)");
+    assert_eq!(lanes, [983, 2_998, 2_019], "lanes (tag order, semantic, deferred)");
 }

@@ -12,13 +12,14 @@
 //!   `check_auto` and from the stream, and every `StreamReport` counter
 //!   (peak live window 61 and 84);
 //! * **an open-loop AlgC history** on which the checker once panicked, now
-//!   certified, as `check_auto` certifies it by tag order;
+//!   certified, as `check_auto` certifies it by tag order (at 5 000 and
+//!   10 000 arrivals, with the batch Lemma 20 reference's witness);
 //! * **seal-summary invalidation** — a stale read that re-linearises a
 //!   sealed segment, followed by further reads of the same segment.
 
-use snow::checker::{
-    check_auto, SearchChecker, SequentialOt, StreamChecker, StreamReport, TagOrderChecker, Verdict,
-};
+mod support;
+
+use snow::checker::{check_auto, SearchChecker, SequentialOt, StreamChecker, StreamReport, Verdict};
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, SystemConfig, TxId, TxOutcome,
     TxRecord, TxSpec, Value, WriteOutcome,
@@ -32,6 +33,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use support::lemma20::TagOrderChecker;
 
 // ---- counting allocator ----------------------------------------------------
 
@@ -306,16 +308,14 @@ fn live_window_on_the_round_driver_history_is_pinned() {
 
 #[test]
 fn stream_agrees_with_check_auto_on_an_open_loop_algc_history() {
-    // AlgC, `open-c-read`'s shape at 5 000 arrivals.  A retired slot's id
-    // used to linger in its successors' `preds`; once the slot was reused,
-    // the backward Pearce–Kelly search met a free slot and panicked with
-    // "live slot" where `check_auto` says `Serializable`.
+    // AlgC, `open-c-read`'s shape at 5 000 arrivals and at the benchmark's
+    // 10 000.  A retired slot's id used to linger in its successors'
+    // `preds`; once the slot was reused, the backward Pearce–Kelly search
+    // met a free slot and panicked with "live slot" at 5 000 where
+    // `check_auto` says `Serializable`.  `check_auto` certifies by tag
+    // order here, with the batch Lemma 20 reference's verdict, witness
+    // included.
     let config = SystemConfig::mwmr(8, 2, 6);
-    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
-        .scheduler(SchedulerKind::Latency { seed: 32, min: 1, max: 16 })
-        .max_steps(u64::MAX)
-        .build()
-        .expect("AlgC runs on MWMR configurations");
     let workload = WorkloadSpec {
         read_fraction: 0.96,
         objects_per_read: 4,
@@ -323,13 +323,22 @@ fn stream_agrees_with_check_auto_on_an_open_loop_algc_history() {
         zipf_exponent: 0.99,
         seed: 224,
     };
-    let spec = OpenLoopSpec { workload, rate: 50, arrivals: 5_000, arrival_seed: 416 };
-    let (history, report) = drive_open_loop(cluster.as_mut(), &config, &spec);
-    assert_eq!(report.completed, 5_000);
-    let stream = StreamChecker::check(&history);
-    let auto = check_auto(&history);
-    assert!(auto.is_serializable(), "{auto:?}");
-    assert!(stream.is_serializable(), "{stream:?}");
+    for arrivals in [5_000, 10_000] {
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+            .scheduler(SchedulerKind::Latency { seed: 32, min: 1, max: 16 })
+            .max_steps(u64::MAX)
+            .build()
+            .expect("AlgC runs on MWMR configurations");
+        let spec =
+            OpenLoopSpec { workload: workload.clone(), rate: 50, arrivals, arrival_seed: 416 };
+        let (history, report) = drive_open_loop(cluster.as_mut(), &config, &spec);
+        assert_eq!(report.completed, arrivals);
+        let stream = StreamChecker::check(&history);
+        let auto = check_auto(&history);
+        assert!(auto.is_serializable(), "{arrivals}: {auto:?}");
+        assert!(stream.is_serializable(), "{arrivals}: {stream:?}");
+        assert_eq!(auto, TagOrderChecker::new().check(&history), "{arrivals}");
+    }
 }
 
 // ---- same computation off the happy path -----------------------------------
