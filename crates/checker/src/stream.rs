@@ -1918,7 +1918,9 @@ impl StreamChecker {
 /// The one watermark rule of both `feed_history`s.
 pub(crate) fn hindsight_commits(history: &History) -> Vec<(&TxRecord, u64)> {
     let mut commits: Vec<(&TxRecord, u64)> = history.completed().map(|r| (r, 0)).collect();
-    commits.sort_by_key(|(r, _)| (r.responded_at, r.tx_id));
+    // The keys are unique (one record per id), so the unstable sort's
+    // order is the stable one's.
+    commits.sort_unstable_by_key(|(r, _)| (r.responded_at, r.tx_id));
     let mut watermark = observed_incomplete_floor(history);
     for (rec, w) in commits.iter_mut().rev() {
         *w = watermark;

@@ -211,6 +211,7 @@ impl TagOrderStream {
     /// stay readable, unchanged, through the record sources the stream is
     /// handed later.  The tag-order lane keeps no copy of `rec`; the
     /// semantic lane clones it.
+    #[inline]
     pub fn ingest(&mut self, rec: &TxRecord) {
         match &mut self.engine {
             Engine::Tags(tags) => {

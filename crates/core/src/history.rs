@@ -72,11 +72,13 @@ impl TxRecord {
     }
 
     /// The kind of the transaction.
+    #[inline]
     pub fn kind(&self) -> TxKind {
         self.spec.kind()
     }
 
     /// True if the transaction completed (has a RESP event).
+    #[inline]
     pub fn is_complete(&self) -> bool {
         self.responded_at.is_some() && self.outcome.is_some()
     }
@@ -165,6 +167,7 @@ impl History {
     /// search by `(invoked_at, tx_id)`, the order a simulator's history is
     /// in, so O(log n) there.  Records pushed out of that order are still
     /// found, by [`History::get`]'s scan.
+    #[inline]
     pub fn find(&self, invoked_at: u64, tx_id: TxId) -> Option<&TxRecord> {
         let at = self.records.partition_point(|r| (r.invoked_at, r.tx_id) < (invoked_at, tx_id));
         match self.records.get(at) {

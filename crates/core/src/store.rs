@@ -61,6 +61,7 @@ struct Mark {
 
 /// Where the `i`-th version installed lies: `(block, index in it)`.  Block
 /// `k` starts at `FIRST_BLOCK · (2ᵏ − 1)`.
+#[inline]
 fn locate(i: usize) -> (usize, usize) {
     let k = (i / FIRST_BLOCK + 1).ilog2() as usize;
     (k, i - FIRST_BLOCK * ((1 << k) - 1))
@@ -123,6 +124,7 @@ impl ObjectVersions {
     /// `write-val` message.  Returns `true` if the key was not present
     /// before; a key that was keeps its place in the log and takes the new
     /// value.
+    #[inline]
     pub fn install(&mut self, key: Key, value: Value) -> bool {
         self.latest = (key, value);
         // Snapshots already handed out keep the `Vals` of their request.
@@ -162,6 +164,7 @@ impl ObjectVersions {
     /// The slot of `key`'s version, if installed: through its writer's
     /// mark if `key` is the one marked, O(log writers), else by searching
     /// the log newest version first.
+    #[inline]
     fn position(&self, key: &Key) -> Option<usize> {
         if let Ok(i) = self.marks.binary_search_by_key(&key.writer, |mark| mark.writer) {
             let mark = self.marks[i];
@@ -174,6 +177,7 @@ impl ObjectVersions {
     }
 
     /// The log with each version's slot, newest version first.
+    #[inline]
     fn newest_first(&self) -> impl Iterator<Item = (usize, &(Key, Value))> + '_ {
         self.blocks.iter().enumerate().rev().flat_map(|(k, block)| {
             let start = FIRST_BLOCK * ((1 << k) - 1);
@@ -182,6 +186,7 @@ impl ObjectVersions {
     }
 
     /// The `i`-th version installed (0 is `κ₀`).
+    #[inline]
     fn at(&self, i: usize) -> (Key, Value) {
         let (k, j) = locate(i);
         self.blocks[k][j]
@@ -189,16 +194,19 @@ impl ObjectVersions {
 
     /// Looks up the value stored under `key` (the `read-val` handler):
     /// through its writer's mark, else newest version first.
+    #[inline]
     pub fn get(&self, key: &Key) -> Option<Value> {
         self.position(key).map(|i| self.at(i).1)
     }
 
     /// The key installed most recently at this server (arrival order).
+    #[inline]
     pub fn latest_key(&self) -> Key {
         self.latest.0
     }
 
     /// The value installed most recently at this server.
+    #[inline]
     pub fn latest_value(&self) -> Value {
         self.latest.1
     }
@@ -216,6 +224,7 @@ impl ObjectVersions {
     /// snapshot taken between two installs is the same allocation, and a
     /// later [`ObjectVersions::install`] never shows through one taken
     /// before it.  Built in one allocation.
+    #[inline]
     pub fn snapshot(&mut self) -> Arc<[(Key, Value)]> {
         match &self.snapshot {
             Some(shared) => Arc::clone(shared),
@@ -232,12 +241,14 @@ impl ObjectVersions {
 
     /// Number of versions currently stored (≥ 1: the initial version never
     /// leaves the set).
+    #[inline]
     pub fn version_count(&self) -> usize {
         let last = self.blocks.len() - 1;
         FIRST_BLOCK * ((1 << last) - 1) + self.blocks[last].len()
     }
 
     /// True if a version with `key` has been installed.
+    #[inline]
     pub fn contains(&self, key: &Key) -> bool {
         self.get(key).is_some()
     }
@@ -268,27 +279,32 @@ impl ShardStore {
     }
 
     /// The versioned state of `object`, if hosted here.
+    #[inline]
     pub fn object(&self, object: ObjectId) -> Option<&ObjectVersions> {
         self.objects.get(&object)
     }
 
     /// Mutable access to the versioned state of `object`, if hosted here.
+    #[inline]
     pub fn object_mut(&mut self, object: ObjectId) -> Option<&mut ObjectVersions> {
         self.objects.get_mut(&object)
     }
 
     /// Installs `(key, value)` for `object`, creating the object lazily if it
     /// was not declared up front (useful for dynamically sized workloads).
+    #[inline]
     pub fn install(&mut self, object: ObjectId, key: Key, value: Value) {
         self.objects.entry(object).or_default().install(key, value);
     }
 
     /// Reads `object` at `key`.
+    #[inline]
     pub fn get(&self, object: ObjectId, key: &Key) -> Option<Value> {
         self.objects.get(&object).and_then(|o| o.get(key))
     }
 
     /// True if `object` is hosted by this shard.
+    #[inline]
     pub fn hosts(&self, object: ObjectId) -> bool {
         self.objects.contains_key(&object)
     }

@@ -142,6 +142,7 @@ pub enum TxSpec {
 
 impl TxSpec {
     /// The kind of this transaction.
+    #[inline]
     pub fn kind(&self) -> TxKind {
         match self {
             TxSpec::Read(_) => TxKind::Read,

@@ -59,6 +59,7 @@ impl From<simple::SimpleMsg> for AnyMsg {
 }
 
 impl ProtocolMessage for AnyMsg {
+    #[inline]
     fn info(&self) -> MsgInfo {
         match self {
             AnyMsg::List(m) => m.info(),
@@ -210,7 +211,7 @@ pub(crate) mod tests {
     /// pool's working set — what the benchmark's
     /// `sim.flood_100k_ns_per_step` walks; the `None` fits the payload's
     /// niche.  It may shrink (ROADMAP item 9 wants it to); it must not
-    /// silently widen.  The heap entry beside it is pinned ≤ 24 B in
+    /// silently widen.  The heap entry beside it is pinned ≤ 16 B in
     /// `snow_sim::pool` (`a_heap_entry_cannot_silently_widen`).  A payload
     /// that carries an object list in place keeps it to 16 B (`update-coor`,
     /// `info-reader`) or 24 B (`get-tag-arr`): one that widened every

@@ -71,6 +71,7 @@ pub enum BlockingMsg {
 }
 
 impl ProtocolMessage for BlockingMsg {
+    #[inline]
     fn info(&self) -> MsgInfo {
         match self {
             BlockingMsg::LockReq { tx, object, write } => {

@@ -102,6 +102,7 @@ pub enum EigerMsg {
 }
 
 impl ProtocolMessage for EigerMsg {
+    #[inline]
     fn info(&self) -> MsgInfo {
         match self {
             EigerMsg::WriteReq { tx, object, .. } => MsgInfo::write_request(*tx, Some(*object)),

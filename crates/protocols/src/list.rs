@@ -208,6 +208,7 @@ pub enum ListMsg {
 }
 
 impl ProtocolMessage for ListMsg {
+    #[inline]
     fn info(&self) -> MsgInfo {
         match self {
             ListMsg::WriteVal { tx, object, .. } => MsgInfo::write_request(*tx, Some(*object)),

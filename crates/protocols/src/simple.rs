@@ -59,6 +59,7 @@ pub enum SimpleMsg {
 }
 
 impl ProtocolMessage for SimpleMsg {
+    #[inline]
     fn info(&self) -> MsgInfo {
         match self {
             SimpleMsg::ReadReq { tx, object } => MsgInfo::read_request(*tx, Some(*object)),

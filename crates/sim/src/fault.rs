@@ -275,6 +275,7 @@ impl SendVerdict {
     /// The delivery time of a send the scheduler stamped `drawn`: pushed
     /// back by the matched delay regions, and no earlier than a
     /// `Queue`-policy partition's heal.  `drawn` itself for a clean send.
+    #[inline]
     pub(crate) fn delay(&self, drawn: u64) -> u64 {
         drawn.saturating_add(self.extra_delay).max(self.hold_until.unwrap_or(0))
     }

@@ -5,14 +5,15 @@
 //! `Vec<Option<PendingMessage>>`; the next insert reuses the slot freed
 //! last, so the slab never holds more slots than were ever in flight at
 //! once), and the delivery heap holds one `(deliver_at, MsgId, slot)`
-//! entry per insert or re-queue.  An entry is **live iff its slot still
-//! holds that id under that key**; anything else is discarded on its way
-//! to the top.  That one rule covers both ways an entry goes stale: its
-//! message was picked another way ([`MessagePool::find_first`],
-//! [`MessagePool::nth_live`]) and taken, or a crash window's
-//! `QueueInFlight` re-queued it under the same id and a later key, in the
-//! very slot the old entry names, and the old entry must not resurface it
-//! early.
+//! entry per insert or re-queue, in 16 bytes: the id and the slot share
+//! one word, `id << 24 | slot`, which orders as `(id, slot)` does.  An
+//! entry is **live iff its slot still holds that id under that key**;
+//! anything else is discarded on its way to the top.  That one rule
+//! covers both ways an entry goes stale: its message was picked another
+//! way ([`MessagePool::find_first`], [`MessagePool::nth_live`]) and taken,
+//! or a crash window's `QueueInFlight` re-queued it under the same id and
+//! a later key, in the very slot the old entry names, and the old entry
+//! must not resurface it early.
 //!
 //! The picks each name the slot of the message they chose and leave the
 //! message there; the engine reads its header in place
@@ -37,7 +38,7 @@
 //!   unchanged.
 //!
 //! A message is written once, into its slot ([`MessagePool::insert`]), and
-//! read out of it once; only the 24-byte heap entries move while it waits.
+//! read out of it once; only the 16-byte heap entries move while it waits.
 //! The heap keeps an entry until it is popped or found stale at the top,
 //! so under a scheduler that never pops (the random adversary) it keeps
 //! one stale entry per send until the pool is dropped.
@@ -46,8 +47,32 @@ use crate::message::{MsgId, PendingMessage};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A delivery-heap entry, `(deliver_at, id, slot)`, smallest on top.
-type Entry = Reverse<(u64, u64, usize)>;
+/// A delivery-heap entry, `(deliver_at, pack(id, slot))`, smallest on top:
+/// the order of `(deliver_at, id, slot)`.
+type Entry = Reverse<(u64, u64)>;
+
+/// Bits of a packed entry word that hold the slot.
+const SLOT_BITS: u32 = 24;
+
+/// Packs a message id and its slot into one word, `id << 24 | slot`, whose
+/// order is `(id, slot)`'s.
+///
+/// # Panics
+/// Panics if `id ≥ 2⁴⁰` or `slot ≥ 2²⁴` — a run of over 10¹² sends, or
+/// over 16 777 216 messages in flight at once — rather than wrap into
+/// another entry's order.
+#[inline]
+fn pack(id: u64, slot: usize) -> u64 {
+    assert!(id < 1 << (64 - SLOT_BITS), "message id {id} reaches the pool's 2⁴⁰ limit");
+    assert!(slot < 1 << SLOT_BITS, "pool slot {slot} reaches the 2²⁴ in-flight limit");
+    id << SLOT_BITS | slot as u64
+}
+
+/// The `(id, slot)` a [`pack`]ed word holds.
+#[inline]
+fn unpack(word: u64) -> (u64, usize) {
+    (word >> SLOT_BITS, (word & ((1 << SLOT_BITS) - 1)) as usize)
+}
 
 /// Where a message lies in the pool's slab.  A pick returns the slot of the
 /// message it chose; the message stays there, readable through
@@ -121,7 +146,7 @@ impl<M> MessagePool<M> {
             self.slots.len() - 1
         });
         self.slots[slot] = Some(msg);
-        self.queue.push(Reverse((key, id, slot)));
+        self.queue.push(Reverse((key, pack(id, slot))));
         Slot(slot)
     }
 
@@ -159,7 +184,7 @@ impl<M> MessagePool<M> {
             .as_mut()
             .expect("a picked slot is occupied");
         msg.deliver_at = deliver_at;
-        self.queue.push(Reverse((deliver_at, msg.id.0, slot.0)));
+        self.queue.push(Reverse((deliver_at, pack(msg.id.0, slot.0))));
     }
 
     /// The heap's top live entry — the smallest `(deliver_at, id)` — without
@@ -167,7 +192,8 @@ impl<M> MessagePool<M> {
     /// The dispatch core compares its key with the earliest planned
     /// invocation (the one dispatch rule) and hands it to the scheduler.
     pub fn peek_earliest(&mut self) -> Option<Earliest> {
-        while let Some(&Reverse((key, id, slot))) = self.queue.peek() {
+        while let Some(&Reverse((key, word))) = self.queue.peek() {
+            let (id, slot) = unpack(word);
             let msg = self.slots[slot].as_ref();
             if msg.is_some_and(|msg| msg.id.0 == id && msg.deliver_at == key) {
                 return Some(Earliest {
@@ -188,11 +214,7 @@ impl<M> MessagePool<M> {
         let top = self.queue.pop();
         debug_assert_eq!(
             top,
-            Some(Reverse((
-                earliest.deliver_at,
-                earliest.id.0,
-                earliest.slot.0
-            ))),
+            Some(Reverse((earliest.deliver_at, pack(earliest.id.0, earliest.slot.0)))),
             "popped an entry other than the one peeked"
         );
         earliest.slot
@@ -244,7 +266,10 @@ impl<M> MessagePool<M> {
 mod tests {
     use super::*;
     use crate::message::Causal;
+    use proptest::prelude::*;
+    use snow_core::hash::splitmix64;
     use snow_core::{ClientId, ProcessId, ServerId};
+    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone)]
     struct M;
@@ -294,7 +319,116 @@ mod tests {
     /// `snow_protocols::any` (`the_pools_working_set_cannot_silently_widen`).
     #[test]
     fn a_heap_entry_cannot_silently_widen() {
-        assert!(std::mem::size_of::<Entry>() <= 24);
+        assert!(std::mem::size_of::<Entry>() <= 16);
+    }
+
+    /// The packed word holds both ends of each range and orders as
+    /// `(id, slot)` does across them.
+    #[test]
+    fn a_packed_entry_round_trips_at_both_limits() {
+        const ID_MAX: u64 = (1 << 40) - 1;
+        const SLOT_MAX: usize = (1 << 24) - 1;
+        let corners = [(0, 0), (0, SLOT_MAX), (1, 0), (ID_MAX, 0), (ID_MAX, SLOT_MAX)];
+        for (id, slot) in corners {
+            assert_eq!(unpack(pack(id, slot)), (id, slot));
+        }
+        for pair in corners.windows(2) {
+            assert!(pack(pair[0].0, pair[0].1) < pack(pair[1].0, pair[1].1), "{pair:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2⁴⁰ limit")]
+    fn an_id_one_past_the_limit_is_refused() {
+        pack(1 << 40, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "2²⁴ in-flight limit")]
+    fn a_slot_one_past_the_limit_is_refused() {
+        pack(0, 1 << 24);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pool is the ordered map of its live messages, `(deliver_at,
+        /// id) → slot`, under random inserts (keys drawn from a narrow
+        /// range, so ties are common), heap pops, `find_first` and
+        /// `nth_live` picks, each picked message either taken or re-queued
+        /// at its own key or a later one.  After every step the heap's top
+        /// live entry is the map's first: pops come out in `(deliver_at,
+        /// id)` order, and no stale entry — a taken message's, or a
+        /// re-queued one's old key — ever resurfaces.
+        #[test]
+        fn the_pool_agrees_with_an_ordered_map(
+            seed in 0u64..u64::MAX,
+            steps in 1usize..400,
+            keys in 1u64..20,
+        ) {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = splitmix64(state);
+                state % n
+            };
+            let mut pool: MessagePool<M> = MessagePool::new();
+            let mut model: BTreeMap<(u64, u64), Slot> = BTreeMap::new();
+            let mut next_id = 0;
+            for _ in 0..steps {
+                let picked = match draw(8) {
+                    0..=2 => {
+                        let key = draw(keys);
+                        let slot = pool.insert(pending(next_id, 0, key));
+                        prop_assert!(model.values().all(|&s| s != slot), "a live slot reused");
+                        model.insert((key, next_id), slot);
+                        next_id += 1;
+                        None
+                    }
+                    3 | 4 => pool.peek_earliest().map(|earliest| {
+                        let first = model.first_key_value().map(|(&k, &s)| (k, s));
+                        let top = ((earliest.deliver_at, earliest.id.0), earliest.slot);
+                        prop_assert_eq!(first, Some(top));
+                        pool.pop(earliest)
+                    }),
+                    5 => {
+                        let modulus = draw(3) + 1;
+                        let slot = pool.find_first(|m| m.id.0 % modulus == 0);
+                        let matching = model.iter().filter(|((_, id), _)| id % modulus == 0);
+                        let want = matching.min_by_key(|((_, id), _)| *id).map(|(_, &s)| s);
+                        prop_assert_eq!(slot, want);
+                        slot
+                    }
+                    _ => {
+                        let k = draw(model.len() as u64 + 2) as usize;
+                        let slot = pool.nth_live(k);
+                        let mut live: Vec<_> = model.iter().map(|(&(_, id), &s)| (id, s)).collect();
+                        live.sort_unstable_by_key(|&(id, _)| id);
+                        prop_assert_eq!(slot, live.get(k).map(|&(_, s)| s));
+                        slot
+                    }
+                };
+                if let Some(slot) = picked {
+                    let (key, id) = (pool.get(slot).deliver_at, pool.get(slot).id.0);
+                    prop_assert_eq!(model.remove(&(key, id)), Some(slot));
+                    if draw(3) == 0 {
+                        let later = key + draw(3);
+                        pool.requeue(slot, later);
+                        model.insert((later, id), slot);
+                    } else {
+                        prop_assert_eq!(pool.take(slot).id.0, id);
+                    }
+                }
+                prop_assert_eq!(pool.len(), model.len());
+                let top = pool.peek_earliest().map(|e| ((e.deliver_at, e.id.0), e.slot));
+                prop_assert_eq!(top, model.first_key_value().map(|(&k, &s)| (k, s)));
+            }
+            // Drained by pops, the pool yields the map in order.
+            let mut drained = Vec::new();
+            while let Some(m) = pop_earliest(&mut pool) {
+                drained.push((m.deliver_at, m.id.0));
+            }
+            prop_assert!(drained.into_iter().eq(model.into_keys()));
+        }
     }
 
     #[test]

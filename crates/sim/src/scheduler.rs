@@ -93,6 +93,7 @@ pub trait Scheduler<M> {
 /// `MsgId`: the coordinates name a send by what happened, which is what a
 /// recorded schedule replays by (ROADMAP item 2), and a draw keyed by them
 /// does not depend on how many ids were handed out before it.
+#[inline]
 pub(crate) fn send_hash(
     seed: u64,
     src: ProcessId,
@@ -109,6 +110,7 @@ pub(crate) fn send_hash(
 }
 
 /// Encodes a process id into disjoint 64-bit ranges for hashing.
+#[inline]
 pub(crate) fn pid_bits(id: ProcessId) -> u64 {
     match id {
         ProcessId::Server(s) => (1 << 32) | s.0 as u64,
@@ -185,6 +187,7 @@ impl LatencyScheduler {
 }
 
 impl<M> Scheduler<M> for LatencyScheduler {
+    #[inline]
     fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
         let h = send_hash(self.seed, src, dst, sent_at, ordinal);
         sent_at + self.topology.link(src, dst).draw(h)

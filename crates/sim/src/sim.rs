@@ -172,6 +172,7 @@ struct CommitLog {
 impl CommitLog {
     /// Total number of commits (RESP actions) ever logged, drained entries
     /// included.
+    #[inline]
     fn count(&self) -> u64 {
         self.retired + self.live.len() as u64
     }
@@ -180,6 +181,7 @@ impl CommitLog {
     /// on, in RESP order.  O(entries yielded): the wait loop's commit gate
     /// asks for the last one or two entries of an arbitrarily long log
     /// after every step.
+    #[inline]
     fn since(&self, cursor: u64) -> impl Iterator<Item = TxId> + '_ {
         self.live.range((cursor - self.retired) as usize..).copied()
     }
@@ -206,6 +208,7 @@ impl MsgIds {
     /// order and every tick runs one handler, so id order is `(sent_at,
     /// src, emission order)` order — which is why the pool's `(key, id)`
     /// pop breaks equal-key ties by the sends' coordinates.
+    #[inline]
     fn issue(&mut self, src: ProcessId, now: u64) -> MsgId {
         if cfg!(debug_assertions) {
             assert!(
@@ -990,6 +993,7 @@ where
 /// handler) — folded, at the same site, into the record it describes: a
 /// C2C send into its transaction's C2C count, whoever sends it; any other
 /// send by the invoker into its round count.
+#[inline]
 fn stamp(
     records: &mut RecordLog,
     at: ProcessId,

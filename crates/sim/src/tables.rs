@@ -60,26 +60,31 @@ impl RecordLog {
         self.log.push(rec);
     }
 
+    #[inline]
     fn slot(&self, tx: TxId) -> Option<usize> {
         let slot = *self.slot_of.get(tx.0 as usize)?;
         (slot != ABSENT).then_some(slot as usize)
     }
 
+    #[inline]
     pub(crate) fn get(&self, tx: TxId) -> Option<&TxRecord> {
         self.slot(tx).map(|slot| &self.log[slot])
     }
 
     /// For folding instrumentation into a record; RESP goes through
     /// [`RecordLog::respond`], which also moves the cursor.
+    #[inline]
     pub(crate) fn get_mut(&mut self, tx: TxId) -> Option<&mut TxRecord> {
         self.slot(tx).map(|slot| &mut self.log[slot])
     }
 
+    #[inline]
     pub(crate) fn is_complete(&self, tx: TxId) -> bool {
         self.get(tx).is_some_and(TxRecord::is_complete)
     }
 
     /// RESP: completes `tx`'s record, if it was invoked, and returns it.
+    #[inline]
     pub(crate) fn respond(&mut self, tx: TxId, at: u64, outcome: TxOutcome) -> Option<&TxRecord> {
         let slot = self.slot(tx)?;
         let rec = &mut self.log[slot];
@@ -96,6 +101,7 @@ impl RecordLog {
     /// transactions keep their invocation time, and any not-yet-dispatched
     /// invocation will be stamped `max(now, at) + 1 > now` by the clock
     /// clamp.  Never regresses as the run proceeds.
+    #[inline]
     pub(crate) fn inv_floor(&self, now: u64) -> u64 {
         let earliest_open = self.log.get(self.first_open).map_or(u64::MAX, |rec| rec.invoked_at);
         earliest_open.min(now + 1)

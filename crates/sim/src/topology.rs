@@ -79,6 +79,7 @@ pub enum LinkDist {
 
 impl LinkDist {
     /// Draws a latency from hash `h`.  Pure.
+    #[inline]
     pub fn draw(self, h: u64) -> u64 {
         match self {
             LinkDist::Uniform { min, max } => {
@@ -231,6 +232,7 @@ impl Topology {
     /// # Panics
     /// Panics if the process is outside the configuration the topology was
     /// built for.
+    #[inline]
     pub fn site_of(&self, id: ProcessId) -> usize {
         match id {
             ProcessId::Server(s) => self.server_sites[s.0 as usize],
@@ -240,6 +242,7 @@ impl Topology {
 
     /// The latency distribution of the `src → dst` link: the only link of
     /// a one-site topology, whatever its placement.
+    #[inline]
     pub fn link(&self, src: ProcessId, dst: ProcessId) -> LinkDist {
         match self.links[..] {
             [only] => only,

@@ -123,6 +123,7 @@ impl WorkloadGenerator {
 
     /// Draws `count` distinct objects into `picked`, Zipf-weighted, in
     /// ascending order: a repeat draw is discarded and drawn again.
+    #[inline]
     fn draw_objects(&mut self, count: usize) -> &[ObjectId] {
         self.picked.clear();
         while self.picked.len() < count {

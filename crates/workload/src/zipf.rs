@@ -47,6 +47,7 @@ impl Zipf {
     }
 
     /// Samples an index in `0..n`, most popular first.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
         match self

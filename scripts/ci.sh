@@ -74,7 +74,10 @@
 #      the message path's clone guard (crates/sim,
 #      `the_message_path_clones_only_what_the_fault_engine_duplicates`: a
 #      fault-free run clones no payload, a duplicating one exactly one per
-#      `MessageDuplicated` event), wide transaction specs (crates/core,
+#      `MessageDuplicated` event), the message pool against an ordered
+#      map under random inserts, pops, picks and re-queues, and its
+#      16-byte heap entry (crates/sim `pool::tests`), wide transaction
+#      specs (crates/core,
 #      `wide_specs_build_and_still_reject_a_duplicate_anywhere`: a 10⁵-object
 #      READ and WRITE build, a duplicate anywhere still panics) and the record log sized from the plan (crates/sim
 #      `a_reserved_log_is_allocated_once`, crates/workload
@@ -96,9 +99,14 @@
 #      runs every BENCHMARK.json workload through both passes (plain +
 #      traced) in about a second and exits non-zero if any fails its
 #      correctness gate (verdict, protocol claims, history digest stable
-#      across reps); then each workload runs once at `--seed 1 --seconds
-#      0.01 --trace 0` (about 2.5 s for the three) and its printed history
-#      `digest` must equal the pinned one.  Neither writes a file;
+#      across reps); the per-message helpers the generic dispatch loop
+#      calls (latency draw, link lookup, fault delay, causal stamp, record
+#      log, `Vals` store, history lookup, tag-order ingest) must not
+#      survive as symbols of the benchmark binary it built (`nm`): each is
+#      inlined across the crate boundary by its `#[inline]`; then each
+#      workload runs once at `--seed 1 --seconds 0.01 --trace 0` (about
+#      2.5 s for the three) and its printed history `digest` must equal
+#      the pinned one.  Neither writes a file;
 #   6. end-to-end runs through the `snow` binary: `run observe` (observed
 #      open loop → metrics fold → Perfetto export → checker frontier) and
 #      `run partition-drill` (isolate a topology site mid-workload under the
@@ -230,14 +238,42 @@ by_name -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map 
     txn::tests::wide_specs_build_and_still_reject_a_duplicate_anywhere
 # Each message is written once into its pool slot and moved once out of it:
 # a fault-free run clones no payload, a duplicating one one per duplicate.
+# The pool against the ordered map of its live messages (pops in
+# (deliver_at, id) order, no stale entry resurfacing), its 16-byte heap
+# entry and the packed word's limits.
 by_name -p snow-sim -- \
-    sim::tests::the_message_path_clones_only_what_the_fault_engine_duplicates
+    sim::tests::the_message_path_clones_only_what_the_fault_engine_duplicates \
+    pool::tests::the_pool_agrees_with_an_ordered_map pool::tests::a_heap_entry_cannot_silently_widen \
+    pool::tests::a_packed_entry_round_trips_at_both_limits \
+    pool::tests::an_id_one_past_the_limit_is_refused pool::tests::a_slot_one_past_the_limit_is_refused
 by_name --test dispatch_hot_path -- \
     streaming_checked_algb_on_the_wan_keeps_its_gap_at_ten_thousand
 
 echo "== 5. repo benchmark smoke + seed-1 digests (BENCHMARK.json workloads) =="
 bench --smoke > /dev/null
 echo "e2e_bench smoke ok"
+# The generic simulator is instantiated downstream of the crates that define
+# its per-message helpers, and the benchmark's release profile has no LTO:
+# each helper below is compiled into its callers only because it carries
+# #[inline].  One left out of line in the binary the smoke run just built
+# lost its attribute, or grew past what the inliner takes.
+inlined=(
+    snow_sim::topology::LinkDist::draw snow_sim::topology::Topology::link
+    snow_sim::fault::SendVerdict::delay snow_sim::sim::stamp snow_sim::sim::CommitLog::since
+    snow_sim::tables::RecordLog::get snow_sim::tables::RecordLog::get_mut
+    snow_sim::tables::RecordLog::is_complete snow_sim::tables::RecordLog::inv_floor
+    snow_core::store::ObjectVersions::position snow_core::store::ObjectVersions::install
+    snow_core::store::ObjectVersions::snapshot snow_core::store::ShardStore::get
+    snow_core::store::ShardStore::object snow_core::store::ShardStore::object_mut
+    snow_core::store::ShardStore::install snow_core::history::History::find
+    snow_checker::tag_stream::TagOrderStream::ingest
+)
+outlined="$(nm -C examples/e2e_bench/target/release/e2e_bench |
+    grep -E " ($(IFS='|'; echo "${inlined[*]}"))\$" || true)"
+forbid "$outlined" \
+    "per-message helpers compiled out of line in the benchmark binary" \
+    "Mark each #[inline] (ARCHITECTURE.md, hot-path design notes): a call the generic dispatch loop cannot inline costs on every message."
+echo "per-message helpers inlined"
 # closed-b-wan3 and wide-b-dc were re-pinned (from 0xa2263afafa1b7071 and
 # 0x0bcfe60a4357a19d) when a topology link's draw became the delivery time.
 for pin in closed-b-wan3:0x022468f037466180 wide-b-dc:0xc7222c2fa2305951 open-c-read:0x677e494036bdc32b; do
