@@ -26,17 +26,23 @@
 //! overwrites in place; correctness never depends on the order, only the
 //! fast path does.
 //!
-//! A lookup goes through the writer's mark first: each writer's entry in
-//! the marks table also holds the slot of its newest version here, so the
-//! key a writer installed last is found by one binary search over the
-//! writers, O(log writers), however many other writers installed after it.
-//! That is the key a READ asks for whenever the writer has not moved on:
-//! in one DC with 64 writers interleaving at each object, the newest-first
-//! search from the log's end reached it only after 13.4 versions on
-//! average, and 83 % of the lookups there are now answered by the mark.
-//! Any other key falls back to that search.
+//! A lookup goes through the writer's mark first: the marks table is
+//! indexed by writer id, and each writer's entry also holds the slots of
+//! its newest version here and of the one it marked before, so the two
+//! keys a writer installed last are found in O(1), however many other
+//! writers installed after them, and `κ₀` is always slot 0.  Those are the
+//! keys a READ asks for whenever the writer has not moved on, or moved on
+//! by one WRITE: in one DC with 64 writers interleaving at each object,
+//! the newest-first search from the log's end reached the newest one only
+//! after 13.4 versions on average.  In the repo benchmark at seed 1, the
+//! mark answers 82.5 % of the `read-val` lookups there, the previous mark
+//! 13.9 % and `κ₀`'s slot 3.4 %; none falls back to that search, nor any
+//! on the three-site WAN.  A deployed server sizes each object's table
+//! once, for the deployment's client ids, so an install never allocates
+//! for it; a store built without that size grows the table on a new
+//! writer's first install.
 
-use crate::ids::{ClientId, ObjectId};
+use crate::ids::ObjectId;
 use crate::key::Key;
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -49,14 +55,20 @@ const FIRST_BLOCK: usize = 4;
 /// The block table's first capacity: 8 blocks hold 1 020 versions.
 const TABLE: usize = 8;
 
+/// The writer ids a marks table can index: `0 .. 2²⁰` (16 MiB of marks
+/// per object at the limit).
+const MAX_WRITERS: usize = 1 << 20;
+
 /// One writer's high-water mark at an object: the highest `seq` it
-/// installed there, and the slot (install index) of that version.  16
-/// bytes, as the `(writer, seq)` pair it replaced was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// installed there, the slot (install index) of that version, and the slot
+/// of the version it marked before (0, `κ₀`'s slot, if none).  `seq` 0 is
+/// no mark: no real WRITE's key has it.  16 bytes, as the `(writer, seq)`
+/// pair it replaced was.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Mark {
-    writer: ClientId,
-    slot: u32,
     seq: u64,
+    slot: u32,
+    prev: u32,
 }
 
 /// Where the `i`-th version installed lies: `(block, index in it)`.  Block
@@ -75,12 +87,12 @@ pub struct ObjectVersions {
     /// `k` is allocated at `FIRST_BLOCK << k` versions when the one before
     /// it is full, and only its last one is ever short.
     blocks: Vec<Vec<(Key, Value)>>,
-    /// Per writer that installed a version here, the highest `seq` it
-    /// installed and that version's slot, sorted by writer: no key of that
-    /// writer above it is in the log, so installing one is an append with
-    /// no search, and looking the marked key up is a binary search.  A
-    /// writer with no entry has the mark 0, which no real WRITE's key
-    /// reaches.
+    /// Indexed by writer id: the highest `seq` the writer installed here,
+    /// that version's slot and its previous mark's.  No key of that writer
+    /// above the mark is in the log, so installing one is an append with
+    /// no search, and looking either marked key up is one index.  A writer
+    /// past the table's end, or with `seq` 0 in it, has the mark 0, which
+    /// no real WRITE's key reaches.
     marks: Vec<Mark>,
     /// The version installed most recently at this server, in arrival
     /// order.  Only used by baselines (Eiger-style / simple reads);
@@ -105,8 +117,20 @@ impl PartialEq for ObjectVersions {
 impl Eq for ObjectVersions {}
 
 impl ObjectVersions {
-    /// Creates the initial state `{(κ₀, v⁰)}`.
+    /// Creates the initial state `{(κ₀, v⁰)}`, with an empty marks table
+    /// that grows on each new writer's first install.
     pub fn new() -> Self {
+        Self::with_writers(0)
+    }
+
+    /// Creates the initial state `{(κ₀, v⁰)}`, with a marks table for the
+    /// writer ids `0 .. writers` allocated once, here: installs by those
+    /// writers never allocate for it.
+    ///
+    /// # Panics
+    /// Panics if `writers` is past the table's limit of 2²⁰.
+    pub fn with_writers(writers: usize) -> Self {
+        assert!(writers <= MAX_WRITERS, "{writers} writers exceed the marks table's 2²⁰ limit");
         let initial = (Key::initial(), Value::INITIAL);
         let mut first = Vec::with_capacity(FIRST_BLOCK);
         first.push(initial);
@@ -114,7 +138,7 @@ impl ObjectVersions {
         blocks.push(first);
         ObjectVersions {
             blocks,
-            marks: Vec::new(),
+            marks: vec![Mark::default(); writers],
             latest: initial,
             snapshot: None,
         }
@@ -124,20 +148,23 @@ impl ObjectVersions {
     /// `write-val` message.  Returns `true` if the key was not present
     /// before; a key that was keeps its place in the log and takes the new
     /// value.
+    ///
+    /// # Panics
+    /// Panics if `key` is above its writer's mark and the writer's id is
+    /// 2²⁰ or more (`κ₀`'s writer never has a mark: its `seq` is 0).
     #[inline]
     pub fn install(&mut self, key: Key, value: Value) -> bool {
         self.latest = (key, value);
         // Snapshots already handed out keep the `Vals` of their request.
         self.snapshot = None;
-        let writer = self.marks.binary_search_by_key(&key.writer, |mark| mark.writer);
-        let mark = writer.map_or(0, |i| self.marks[i].seq);
-        if key.seq > mark {
+        let writer = key.writer.0 as usize;
+        let mark = self.marks.get(writer).copied().unwrap_or_default();
+        if key.seq > mark.seq {
             let slot = u32::try_from(self.version_count()).expect("under 2³² versions");
-            let mark = Mark { writer: key.writer, slot, seq: key.seq };
-            match writer {
-                Ok(i) => self.marks[i] = mark,
-                Err(i) => self.marks.insert(i, mark),
+            if writer >= self.marks.len() {
+                self.widen(writer);
             }
+            self.marks[writer] = Mark { seq: key.seq, slot, prev: mark.slot };
         } else if let Some(i) = self.position(&key) {
             let (k, j) = locate(i);
             self.blocks[k][j].1 = value;
@@ -145,6 +172,14 @@ impl ObjectVersions {
         }
         self.append((key, value));
         true
+    }
+
+    /// Grows the marks table to index `writer`: a store built without a
+    /// size, at a writer's first install.
+    #[cold]
+    fn widen(&mut self, writer: usize) {
+        assert!(writer < MAX_WRITERS, "writer id {writer} reaches the marks table's 2²⁰ limit");
+        self.marks.resize(writer + 1, Mark::default());
     }
 
     /// Appends `version` to the log, opening the next block when the last
@@ -161,18 +196,30 @@ impl ObjectVersions {
         }
     }
 
-    /// The slot of `key`'s version, if installed: through its writer's
-    /// mark if `key` is the one marked, O(log writers), else by searching
-    /// the log newest version first.
+    /// The slot of `key`'s version, if installed: `κ₀`'s is 0, one of the
+    /// two keys its writer marked last is found through the mark, O(1), and
+    /// any other by searching the log newest version first.
     #[inline]
     fn position(&self, key: &Key) -> Option<usize> {
-        if let Ok(i) = self.marks.binary_search_by_key(&key.writer, |mark| mark.writer) {
-            let mark = self.marks[i];
+        if key.is_initial() {
+            return Some(0);
+        }
+        if let Some(mark) = self.marks.get(key.writer.0 as usize).filter(|m| m.seq != 0) {
             if mark.seq == key.seq {
                 debug_assert_eq!(self.at(mark.slot as usize).0, *key, "a mark names its version");
                 return Some(mark.slot as usize);
             }
+            if self.at(mark.prev as usize).0 == *key {
+                return Some(mark.prev as usize);
+            }
         }
+        self.search(key)
+    }
+
+    /// The slot of `key`'s version, if installed, searching the log newest
+    /// version first: the lookups the marks do not answer, kept out of
+    /// line so that [`ObjectVersions::position`] inlines.
+    fn search(&self, key: &Key) -> Option<usize> {
         self.newest_first().find(|&(_, (k, _))| k == key).map(|(i, _)| i)
     }
 
@@ -193,7 +240,7 @@ impl ObjectVersions {
     }
 
     /// Looks up the value stored under `key` (the `read-val` handler):
-    /// through its writer's mark, else newest version first.
+    /// through its writer's marks, else newest version first.
     #[inline]
     pub fn get(&self, key: &Key) -> Option<Value> {
         self.position(key).map(|i| self.at(i).1)
@@ -268,12 +315,15 @@ pub struct ShardStore {
 }
 
 impl ShardStore {
-    /// Creates a store hosting the given objects, each at its initial version.
-    pub fn new(objects: impl IntoIterator<Item = ObjectId>) -> Self {
+    /// Creates a store hosting the given objects, each at its initial
+    /// version, with a marks table for the writer ids `0 .. writers`
+    /// ([`ObjectVersions::with_writers`]): a deployment's servers pass its
+    /// client count.
+    pub fn new(objects: impl IntoIterator<Item = ObjectId>, writers: u32) -> Self {
         ShardStore {
             objects: objects
                 .into_iter()
-                .map(|o| (o, ObjectVersions::new()))
+                .map(|o| (o, ObjectVersions::with_writers(writers as usize)))
                 .collect(),
         }
     }
@@ -314,6 +364,7 @@ impl ShardStore {
 mod tests {
     use super::*;
     use crate::hash::splitmix64;
+    use crate::ids::ClientId;
     use proptest::prelude::*;
 
     #[test]
@@ -418,56 +469,88 @@ mod tests {
     }
 
     /// Checks `ov` against the ordered map it stands for, through every
-    /// view; `latest` is the last install.  Each writer's mark names the
-    /// version of that writer's highest `seq`, and a lookup of it through
-    /// the mark finds what the newest-first search finds.
+    /// view; `latest` is the last install.  Each writer's entry in the
+    /// marks table names the version of its highest `seq` and the one it
+    /// marked before — its highest among the versions installed before
+    /// the marked one, or `κ₀`'s slot 0 — and a lookup of either through
+    /// the table finds what the newest-first search finds; a writer with
+    /// no version here has no mark.
     fn agrees(ov: &mut ObjectVersions, model: &BTreeMap<Key, Value>, latest: (Key, Value)) {
         assert_eq!(ov.version_count(), model.len());
-        let writers = model.keys().filter(|k| !k.is_initial()).map(|k| k.writer);
-        let writers: std::collections::BTreeSet<ClientId> = writers.collect();
-        assert!(ov.marks.iter().map(|m| m.writer).eq(writers));
-        for mark in &ov.marks {
-            let key = Key::new(mark.seq, mark.writer);
-            let highest = model.keys().filter(|k| k.writer == mark.writer).max();
-            assert_eq!(highest, Some(&key), "the mark is the writer's highest");
-            assert_eq!(ov.at(mark.slot as usize), (key, model[&key]));
-            let scanned = ov.newest_first().find(|&(_, (k, _))| *k == key).map(|(i, _)| i);
-            assert_eq!(scanned, Some(mark.slot as usize));
-            assert_eq!(ov.get(&key), Some(model[&key]));
+        let log: Vec<(Key, Value)> = ov.all_versions().collect();
+        let highest = |writer: ClientId, before: usize| {
+            let mine = log[..before].iter().enumerate().filter(|(_, (k, _))| {
+                k.writer == writer && !k.is_initial()
+            });
+            mine.max_by_key(|(_, (k, _))| k.seq).map(|(i, (k, _))| (i, *k))
+        };
+        let writers: std::collections::BTreeSet<ClientId> =
+            log.iter().filter(|(k, _)| !k.is_initial()).map(|(k, _)| k.writer).collect();
+        let marked = ov.marks.iter().filter(|&&mark| mark != Mark::default()).count();
+        assert_eq!(marked, writers.len(), "a mark for each writer that installed here");
+        for &writer in &writers {
+            let mark = ov.marks[writer.0 as usize];
+            let (slot, key) = highest(writer, log.len()).expect("a version of the writer's");
+            assert_eq!((mark.seq, mark.slot as usize), (key.seq, slot), "the mark is the highest");
+            let prev = highest(writer, slot).map_or(0, |(i, _)| i);
+            assert_eq!(mark.prev as usize, prev, "the previous mark of {writer}");
+            for i in [slot, prev] {
+                let key = log[i].0;
+                let scanned = ov.search(&key);
+                assert_eq!((ov.position(&key), scanned), (Some(i), Some(i)));
+                assert_eq!(ov.get(&key), Some(model[&key]));
+            }
         }
         assert_eq!((ov.latest_key(), ov.latest_value()), latest);
         let mut set: Vec<_> = ov.snapshot().to_vec();
-        assert_eq!(set, ov.all_versions().collect::<Vec<_>>(), "install order");
+        assert_eq!(set, log, "install order");
         set.sort();
         assert_eq!(set, model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
     }
+
+    /// The writer ids the model test draws from: sparse, low and high, and
+    /// past a sized table's end (`a_writer_at_the_limit_installs` takes
+    /// the highest the table indexes).
+    const WRITER_IDS: [u32; 7] = [0, 1, 5, 63, 64, 4_000, 70_000];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The log is the map it replaced: fresh installs from several
-        /// writers, re-installs of present keys (in place, with a new
-        /// value), keys installed below their writer's mark (a skipped
-        /// `seq` filled in late), lookups of present and absent keys and of
-        /// `κ₀`, past the third block.  A snapshot is the set as of its
-        /// call and never shows a later install; a copy grows on its own.
+        /// writers with sparse ids, low and high, into a table sized at
+        /// construction or grown on the way, re-installs of present keys
+        /// (in place, with a new value; `κ₀` among them), keys installed
+        /// below their writer's mark (a skipped `seq` filled in late),
+        /// lookups of present and absent keys and of `κ₀`, past the third
+        /// block.  A snapshot is the set as of its call and never shows a
+        /// later install; a copy grows on its own.
         #[test]
         fn object_versions_agree_with_an_ordered_map(
             seed in 0u64..u64::MAX,
             versions in 1usize..200,
-            writers in 1u32..6,
+            writers in 1usize..6,
+            sized in 0usize..80,
         ) {
             let mut state = seed;
-            let mut ov = ObjectVersions::new();
+            // A store sized for the ids below `sized`; each writer is a
+            // draw from `WRITER_IDS`, the largest rarely (its table is
+            // 1.1 MB).
+            let mut ov = ObjectVersions::with_writers(sized);
+            let pick = |state: &mut u64| match draw(state) % 16 {
+                0 => WRITER_IDS[WRITER_IDS.len() - 1],
+                d => WRITER_IDS[d as usize % (WRITER_IDS.len() - 1)],
+            };
+            let ids: Vec<ClientId> = (0..writers).map(|_| ClientId(pick(&mut state))).collect();
             let mut model = BTreeMap::from([(Key::initial(), Value::INITIAL)]);
             let mut latest = (Key::initial(), Value::INITIAL);
-            // Per writer, the last `seq` drawn, and the ones it skipped.
-            let mut next = vec![0u64; writers as usize];
+            // Per writer, the last `seq` drawn, and the ones it skipped
+            // (a writer drawn twice shares one counter).
+            let mut next: BTreeMap<ClientId, u64> = ids.iter().map(|&w| (w, 0)).collect();
             let mut skipped: Vec<Key> = Vec::new();
             // Snapshots taken along the way, each with the map as of its call.
             let mut taken = Vec::new();
             while model.len() < versions {
-                let writer = (draw(&mut state) % u64::from(writers)) as usize;
+                let writer = ids[draw(&mut state) as usize % writers];
                 let value = Value(draw(&mut state) % 1_000);
                 let key = match draw(&mut state) % 8 {
                     // A present key again (`κ₀` included).
@@ -478,13 +561,13 @@ mod tests {
                     }
                     // The writer's next WRITE, now and then skipping a `seq`.
                     _ => {
-                        let gap = draw(&mut state).is_multiple_of(3);
-                        if gap {
-                            next[writer] += 1;
-                            skipped.push(Key::new(next[writer], ClientId(writer as u32 + 10)));
+                        let seq = next.get_mut(&writer).unwrap();
+                        if draw(&mut state).is_multiple_of(3) {
+                            *seq += 1;
+                            skipped.push(Key::new(*seq, writer));
                         }
-                        next[writer] += 1;
-                        Key::new(next[writer], ClientId(writer as u32 + 10))
+                        *seq += 1;
+                        Key::new(*seq, writer)
                     }
                 };
                 let fresh = model.insert(key, value).is_none();
@@ -504,19 +587,21 @@ mod tests {
                 prop_assert_eq!(set, then.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
             }
             // Every key a writer might name: present, skipped, above its
-            // mark, of a writer never seen, and `κ₀`.
-            for w in 0..=writers {
-                for seq in 0..=next.get(w as usize).map_or(2, |&n| n + 2) {
-                    let key = Key::new(seq, ClientId(w + 10));
+            // mark, of a writer never seen (inside the table and past its
+            // end), and `κ₀`.
+            let unseen = WRITER_IDS.iter().map(|&w| ClientId(w)).filter(|w| !next.contains_key(w));
+            for (writer, last) in next.iter().map(|(&w, &n)| (w, n)).chain(unseen.map(|w| (w, 0))) {
+                for seq in 0..=last + 2 {
+                    let key = Key::new(seq, writer);
                     prop_assert_eq!(ov.get(&key), model.get(&key).copied());
                     prop_assert_eq!(ov.contains(&key), model.contains_key(&key));
                 }
             }
-            prop_assert_eq!(ov.get(&Key::initial()), model.get(&Key::initial()).copied());
+            prop_assert_eq!(ov.get(&Key::initial()), Some(model[&Key::initial()]));
 
             let mut copy = ov.clone();
             prop_assert!(copy == ov);
-            let key = Key::new(next[0] + 1, ClientId(10));
+            let key = Key::new(next[&ids[0]] + 1, ids[0]);
             prop_assert!(copy.install(key, Value(7)));
             prop_assert!(copy != ov && !ov.contains(&key));
             model.insert(key, Value(7));
@@ -524,9 +609,47 @@ mod tests {
         }
     }
 
-    /// A mark carries the slot beside the `(writer, seq)` it always held,
-    /// in the same 16 bytes: the marks table is part of every object's
-    /// peak.
+    /// A store sized for its writers never reallocates its marks table,
+    /// and one built without a size grows it to the highest writer id.
+    #[test]
+    fn a_sized_marks_table_never_grows() {
+        let mut sized = ObjectVersions::with_writers(64);
+        let table = sized.marks.as_ptr();
+        let mut grown = ObjectVersions::new();
+        for seq in 1..=4 {
+            for writer in [63, 0, 17] {
+                let key = Key::new(seq, ClientId(writer));
+                assert!(sized.install(key, Value(seq)) && grown.install(key, Value(seq)));
+            }
+        }
+        assert_eq!((sized.marks.as_ptr(), sized.marks.len()), (table, 64));
+        assert_eq!(grown.marks.len(), 64);
+        assert_eq!(sized, grown);
+        // `κ₀` is slot 0, and re-installing it takes no mark.
+        assert!(!sized.install(Key::initial(), Value(9)));
+        assert_eq!(sized.get(&Key::initial()), Some(Value(9)));
+        assert_eq!(sized.marks.len(), 64);
+    }
+
+    /// The highest writer id the table indexes installs; one past it is
+    /// refused with the limit named, not allocated.
+    #[test]
+    fn a_writer_at_the_limit_installs() {
+        let mut ov = ObjectVersions::new();
+        let key = Key::new(1, ClientId((MAX_WRITERS - 1) as u32));
+        assert!(ov.install(key, Value(1)));
+        assert_eq!((ov.get(&key), ov.marks.len()), (Some(Value(1)), MAX_WRITERS));
+    }
+
+    #[test]
+    #[should_panic(expected = "writer id 1048576 reaches the marks table's 2²⁰ limit")]
+    fn a_writer_past_the_limit_is_refused() {
+        ObjectVersions::new().install(Key::new(1, ClientId(MAX_WRITERS as u32)), Value(1));
+    }
+
+    /// A mark carries its `seq`, its slot and its previous mark's slot in
+    /// the 16 bytes the `(writer, seq)` pair it replaced took: the marks
+    /// table is part of every object's footprint, one entry per client id.
     #[test]
     fn a_mark_cannot_silently_widen() {
         assert_eq!(std::mem::size_of::<Mark>(), 16);
@@ -534,7 +657,7 @@ mod tests {
 
     #[test]
     fn shard_store_hosts_and_installs() {
-        let mut s = ShardStore::new(vec![ObjectId(0), ObjectId(1)]);
+        let mut s = ShardStore::new(vec![ObjectId(0), ObjectId(1)], 8);
         assert!(s.hosts(ObjectId(0)));
         assert!(!s.hosts(ObjectId(9)));
 

@@ -197,7 +197,7 @@ impl BlockingServer {
         let objects = config.objects_on(id);
         BlockingServer {
             id,
-            store: ShardStore::new(objects.clone()),
+            store: ShardStore::new(objects.clone(), config.num_clients()),
             locks: objects.into_iter().map(|o| (o, LockState::default())).collect(),
         }
     }

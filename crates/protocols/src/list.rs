@@ -447,7 +447,7 @@ impl Server {
     pub fn new(id: ServerId, config: &SystemConfig, coordinator: bool) -> Self {
         Server {
             id,
-            store: ShardStore::new(config.objects_on(id)),
+            store: ShardStore::new(config.objects_on(id), config.num_clients()),
             log: coordinator.then(|| WriteLog::new(config.objects())),
         }
     }

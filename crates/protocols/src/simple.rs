@@ -105,7 +105,7 @@ impl SimpleServer {
     pub fn new(id: ServerId, config: &SystemConfig) -> Self {
         SimpleServer {
             id,
-            store: ShardStore::new(config.objects_on(id)),
+            store: ShardStore::new(config.objects_on(id), config.num_clients()),
         }
     }
 }

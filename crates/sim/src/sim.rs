@@ -10,8 +10,9 @@
 //!
 //! # Event queue and complexity contract
 //!
-//! The simulator orders events with two heaps and looks everything else up
-//! by index, so the step loop neither scans nor walks a tree:
+//! The simulator orders messages with a heap, invocations with a sorted
+//! queue, and looks everything else up by index, so the step loop neither
+//! scans nor walks a tree:
 //!
 //! * in-flight messages live in a [`MessagePool`] — a slab whose freed
 //!   slots are reused, and a `(delivery_time, MsgId, slot)` binary heap for
@@ -20,9 +21,12 @@
 //!   [`crate::pool`]).  A dispatch peeks at the heap once: the peek decides
 //!   whether an invocation is due, and the heap scheduler's pick pops the
 //!   entry it found;
-//! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
-//!   scheduling n invocations is O(n log n) total and the next due
-//!   invocation is an O(1) peek;
+//! * planned invocations live in a `VecDeque` sorted by `(at, TxId)`.  Ids
+//!   are issued in plan order, so a plan at or after the last planned `at`
+//!   — every driver's rounds, paced runs, probes and batches — is an O(1)
+//!   append, and an earlier one (an open loop's refill) is placed by a
+//!   binary search over `at`.  The next due invocation is the front: an
+//!   O(1) peek and an O(1) pop;
 //! * transaction records live in a **record log**: a `Vec` in INV order —
 //!   the clock clamp stamps every INV after the previous one, so the log is
 //!   sorted by `(invoked_at, tx_id)` as it is written — beside a dense
@@ -95,8 +99,7 @@ use snow_core::{
     ClientId, Effects, History, Process, ProcessId, ReadResult, TxId, TxRecord, TxSpec,
 };
 use snow_obs::{NullSink, ObsEvent, ShardEvent, TraceSink};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// The step cap every [`Simulation`] applies unless
 /// [`Simulation::with_max_steps`] overrides it.  The golden/parity
@@ -133,32 +136,14 @@ pub struct CommitDrain {
     pub inv_floor: u64,
 }
 
-/// A scheduled invocation, ordered by `(at, tx)` for the invocation queue.
+/// A scheduled invocation; the invocation plan keeps them in `(at, tx)`
+/// order.
 #[derive(Debug, Clone)]
 struct QueuedInvocation {
     at: u64,
     tx: TxId,
     client: ClientId,
     spec: TxSpec,
-}
-
-impl PartialEq for QueuedInvocation {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.tx) == (other.at, other.tx)
-    }
-}
-impl Eq for QueuedInvocation {}
-impl PartialOrd for QueuedInvocation {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedInvocation {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (at, tx) on top.
-        (other.at, other.tx).cmp(&(self.at, self.tx))
-    }
 }
 
 /// The commit log: transactions in RESP order, minus the prefix already
@@ -239,7 +224,9 @@ impl MsgIds {
 pub struct Simulation<P: Process, S, O: TraceSink = NullSink> {
     processes: ProcessTable<P>,
     pool: MessagePool<P::Msg>,
-    invocations: BinaryHeap<QueuedInvocation>,
+    /// The invocation plan, sorted by `(at, tx)`: the front is the next
+    /// due invocation.
+    invocations: VecDeque<QueuedInvocation>,
     scheduler: S,
     /// One record per invoked transaction, in INV order, instrumentation
     /// (rounds, C2C counts, read results) folded in as the actions happen.
@@ -277,7 +264,7 @@ where
         Simulation {
             processes: ProcessTable::new(),
             pool: MessagePool::new(),
-            invocations: BinaryHeap::new(),
+            invocations: VecDeque::new(),
             scheduler,
             records: RecordLog::default(),
             commits: CommitLog::default(),
@@ -365,14 +352,23 @@ where
         assert!(prev.is_none(), "duplicate process id {id}");
     }
 
-    /// Schedules `spec` to be invoked by `client` at simulation time `at` —
-    /// an O(log n) heap push.  Returns the transaction id the invocation
-    /// will carry.  Dispatch order is deterministic: earliest `(at, tx)`
-    /// first.
+    /// Schedules `spec` to be invoked by `client` at simulation time `at`.
+    /// Returns the transaction id the invocation will carry.  Dispatch
+    /// order is deterministic: earliest `(at, tx)` first.  The id is the
+    /// largest planned, so the plan goes after every plan at or before
+    /// `at`: an O(1) append when `at` is at or past the last one's — every
+    /// round, paced run, probe and batch — else a binary search and an
+    /// insert (an open loop's refill).
     pub fn invoke_at(&mut self, at: u64, client: ClientId, spec: TxSpec) -> TxId {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
-        self.invocations.push(QueuedInvocation { at, tx, client, spec });
+        let inv = QueuedInvocation { at, tx, client, spec };
+        if self.invocations.back().is_none_or(|last| last.at <= at) {
+            self.invocations.push_back(inv);
+        } else {
+            let i = self.invocations.partition_point(|queued| queued.at <= at);
+            self.invocations.insert(i, inv);
+        }
         tx
     }
 
@@ -486,16 +482,10 @@ where
     /// planned time (forcing controls *order* relative to other queued
     /// work, it does not rewind time).
     pub fn force_invoke(&mut self, client: ClientId) -> Option<TxId> {
-        // "Next" = smallest (at, tx) among that client's plans, matching the
-        // dispatch order.  Heap iteration is unordered, so take the minimum
-        // explicitly; this adversarial path may be O(n).
-        let target = self
-            .invocations
-            .iter()
-            .filter(|inv| inv.client == client)
-            .max() // QueuedInvocation's Ord is reversed: max = earliest
-            .cloned()?;
-        self.invocations.retain(|inv| inv.tx != target.tx);
+        // The plan is in dispatch order: the client's first entry is its
+        // next invocation.
+        let i = self.invocations.iter().position(|inv| inv.client == client)?;
+        let target = self.invocations.remove(i).expect("a found position");
         self.advance_past(target.at);
         self.dispatch_invocation(target.tx, target.client, target.spec);
         Some(target.tx)
@@ -589,7 +579,7 @@ where
     /// event; `earliest_key` is the pool's [`MessagePool::peek_earliest`]
     /// key.
     fn due_invocation(&self, earliest_key: Option<u64>) -> Option<u64> {
-        let at = self.invocations.peek()?.at;
+        let at = self.invocations.front()?.at;
         (at <= self.now || earliest_key.is_none_or(|key| at < key)).then_some(at)
     }
 
@@ -636,7 +626,7 @@ where
         // the heap scheduler's pick pops the entry it found.
         let earliest = self.pool.peek_earliest();
         if self.due_invocation(earliest.map(|e| e.deliver_at)).is_some() {
-            let inv = self.invocations.pop().expect("peeked invocation");
+            let inv = self.invocations.pop_front().expect("peeked invocation");
             self.count_step();
             self.advance_past(inv.at);
             self.dispatch_invocation(inv.tx, inv.client, inv.spec);
@@ -1068,6 +1058,7 @@ mod tests {
     use super::*;
     use crate::message::SimMessage;
     use crate::scheduler::{LatencyScheduler, RandomScheduler};
+    use proptest::prelude::*;
     use snow_obs::RecordingSink;
     use snow_core::{Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, Value};
 
@@ -1242,6 +1233,78 @@ mod tests {
         let early = sim.invoke_at(100, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
         assert_eq!(sim.force_invoke(ClientId(0)), Some(early));
         assert_eq!(sim.force_invoke(ClientId(0)), Some(late));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The invocation plan is the ordered map `(at, tx) → client` of its
+        /// entries under random `invoke_at` calls — `at`s equal to one
+        /// planned before, in the past, ahead of the plan's end and behind
+        /// it — interleaved with steps and `force_invoke` calls for one of
+        /// three clients (a client with no plan included).  After every
+        /// call the plan lists the map's entries in order; a dispatched
+        /// invocation is the map's first entry, a forced one the client's
+        /// first, each stamped after its planned `at`; and the run drains
+        /// every entry.
+        #[test]
+        fn the_invocation_plan_agrees_with_an_ordered_map(
+            seed in 0u64..u64::MAX,
+            calls in 1usize..300,
+        ) {
+            use std::collections::BTreeMap;
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = snow_core::hash::splitmix64(state);
+                state % n
+            };
+            let mut sim = two_client_sim(LatencyScheduler::new(seed, 1, 8));
+            sim.add_process(ToyNode::Client { id: ClientId(2), outstanding: None });
+            let mut model: BTreeMap<(u64, TxId), ClientId> = BTreeMap::new();
+            let mut ats = vec![0];
+            for _ in 0..calls {
+                let client = ClientId(draw(3) as u32);
+                let before = sim.now();
+                match draw(8) {
+                    0..=3 => {
+                        let at = match draw(4) {
+                            0 => ats[draw(ats.len() as u64) as usize],
+                            1 => before.saturating_sub(draw(20)),
+                            _ => before + draw(60),
+                        };
+                        ats.push(at);
+                        let tx = sim.invoke_at(at, client, TxSpec::read(vec![ObjectId(0)]));
+                        prop_assert!(model.insert((at, tx), client).is_none());
+                    }
+                    4 => {
+                        let first = model.iter().find(|&(_, &c)| c == client).map(|(&k, _)| k);
+                        prop_assert_eq!(sim.force_invoke(client), first.map(|(_, tx)| tx));
+                        if let Some((at, tx)) = first {
+                            model.remove(&(at, tx));
+                            let invoked_at = sim.record(tx).unwrap().invoked_at;
+                            prop_assert_eq!(invoked_at, before.max(at) + 1);
+                        }
+                    }
+                    _ => match sim.step() {
+                        StepOutcome::Invoked(tx) => {
+                            let ((at, first), _) = model.pop_first().expect("a planned entry");
+                            prop_assert_eq!(tx, first);
+                            prop_assert_eq!(sim.now(), before.max(at) + 1);
+                        }
+                        StepOutcome::Delivered(_) => {}
+                        StepOutcome::Quiescent => prop_assert!(model.is_empty()),
+                    },
+                }
+                let plan = sim.invocations.iter().map(|inv| ((inv.at, inv.tx), inv.client));
+                prop_assert!(plan.eq(model.iter().map(|(&k, &c)| (k, c))));
+            }
+            while let Some(outcome) = sim.try_dispatch() {
+                if let StepOutcome::Invoked(tx) = outcome {
+                    prop_assert_eq!(Some(tx), model.pop_first().map(|((_, tx), _)| tx));
+                }
+            }
+            prop_assert!(model.is_empty() && sim.invocations.is_empty());
+        }
     }
 
     #[test]

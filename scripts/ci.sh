@@ -68,9 +68,16 @@
 #      `write_log_agrees_with_the_reverse_scan_reference`: tags,
 #      `latest_for`, `tag_array` and `len` against the reverse scan it
 #      replaced), `Vals` as a log in install order (crates/core,
-#      `object_versions_agree_with_an_ordered_map`: lookups — through the
-#      writer's mark or newest-first — counts, the marks, the latest version
-#      and snapshots against an ordered map; `a_mark_cannot_silently_widen`),
+#      `object_versions_agree_with_an_ordered_map`: lookups — `κ₀` at slot
+#      0, through the writer's two marks or newest-first — counts, the
+#      marks table indexed by writer id (sparse, high and unsized writer
+#      ids), the latest version and snapshots against an ordered map;
+#      `a_mark_cannot_silently_widen`, `a_sized_marks_table_never_grows`,
+#      the writer-id limit: `a_writer_at_the_limit_installs`,
+#      `a_writer_past_the_limit_is_refused`), the invocation plan as a
+#      sorted queue (crates/sim,
+#      `the_invocation_plan_agrees_with_an_ordered_map`: random plans,
+#      steps and forced invocations against a `BTreeMap<(at, tx), _>`),
 #      the message path's clone guard (crates/sim,
 #      `the_message_path_clones_only_what_the_fault_engine_duplicates`: a
 #      fault-free run clones no payload, a duplicating one exactly one per
@@ -230,19 +237,23 @@ by_name -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
 by_name -p snow-core -p snow-protocols -- \
     inline_list:: a_record_cannot_silently_widen the_pools_working_set_cannot_silently_widen
 # Each object's `Vals` is a log in install order, looked up through the
-# writer's mark, else newest-first: the log against the ordered map it
-# replaced, the mark's size, and the streaming WAN run's peak over what it
-# keeps, the same at 10 000 transactions as at 1 000.
+# writer's entry in a marks table indexed by writer id, else newest-first:
+# the log against the ordered map it replaced, the mark's size, a sized
+# table that never grows, the writer-id limit, and the streaming WAN run's
+# peak over what it keeps, the same at 10 000 transactions as at 1 000.
 by_name -p snow-core -- store::tests::object_versions_agree_with_an_ordered_map \
-    store::tests::a_mark_cannot_silently_widen \
+    store::tests::a_mark_cannot_silently_widen store::tests::a_sized_marks_table_never_grows \
+    store::tests::a_writer_at_the_limit_installs store::tests::a_writer_past_the_limit_is_refused \
     txn::tests::wide_specs_build_and_still_reject_a_duplicate_anywhere
 # Each message is written once into its pool slot and moved once out of it:
 # a fault-free run clones no payload, a duplicating one one per duplicate.
 # The pool against the ordered map of its live messages (pops in
 # (deliver_at, id) order, no stale entry resurfacing), its 16-byte heap
-# entry and the packed word's limits.
+# entry and the packed word's limits.  The invocation plan against the
+# ordered map of its entries: every dispatch takes the map's first.
 by_name -p snow-sim -- \
     sim::tests::the_message_path_clones_only_what_the_fault_engine_duplicates \
+    sim::tests::the_invocation_plan_agrees_with_an_ordered_map \
     pool::tests::the_pool_agrees_with_an_ordered_map pool::tests::a_heap_entry_cannot_silently_widen \
     pool::tests::a_packed_entry_round_trips_at_both_limits \
     pool::tests::an_id_one_past_the_limit_is_refused pool::tests::a_slot_one_past_the_limit_is_refused
