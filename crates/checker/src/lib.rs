@@ -12,12 +12,12 @@
 //!   per commit and no precedence graph.  It is the engine of choice for
 //!   Algorithms A, B and C, which expose the tag each transaction
 //!   serializes at.  It borrows each commit and holds only its rank,
-//!   reading the record back from a record source (the cluster mid-run,
-//!   the history at the end) when it certifies it.  When tags cannot
-//!   decide (an untagged commit, or a P2–P4 failure) it hands over to
-//!   [`stream::StreamChecker`].  It is the checker behind the drivers'
-//!   checked runs, fed live, and behind [`strict::check_auto`], fed a
-//!   finished history.
+//!   reading the record back by id from a record source (the cluster's
+//!   `record` mid-run, [`snow_core::History::get`] at the end) when it
+//!   certifies it.  When tags cannot decide (an untagged commit, or a
+//!   P2–P4 failure) it hands over to [`stream::StreamChecker`].  It is
+//!   the checker behind the drivers' checked runs, fed live, and behind
+//!   [`strict::check_auto`], fed a finished history.
 //! * [`stream::StreamChecker`] — the one semantic engine: ingests committed
 //!   transactions one at a time, maintains the precedence DAG online with
 //!   Pearce–Kelly topological ordering, and advances a sliding

@@ -36,13 +36,11 @@
 //! of every commit as the witness.
 //!
 //! **Records are read in place.**  A record is final at its RESP, so the
-//! stream never copies one on the tag-order lane: [`TagOrderStream::ingest`]
-//! borrows the record and keeps only its rank and RESP, and certification
-//! reads the record back from a **record source** — a lookup by
-//! `(invoked_at, tx_id)`, which the rank carries.  Mid-run the source is
-//! the cluster that still holds the records ([`TagOrderStream::advance_watermark`]
-//! takes it); for a finished [`History`] it is the history, searched in
-//! O(log n) whatever order its records are in
+//! tag-order lane never copies one: [`TagOrderStream::ingest`] borrows it
+//! and keeps its rank and RESP, and certification reads it back by id from
+//! a **record source**, `Fn(TxId) -> Option<&TxRecord>`: mid-run the
+//! cluster's `record` ([`TagOrderStream::advance_watermark`] takes it), for
+//! a finished [`History`] its O(1) [`History::get`]
 //! ([`TagOrderStream::feed_history`], [`TagOrderStream::finish`]).
 //!
 //! **Giving up.**  An untagged commit, or a P2, P3 or P4 failure, means
@@ -87,7 +85,7 @@
 //! let mut stream = TagOrderStream::new();
 //! stream.ingest(&history.records[0]);
 //! // The READ was invoked at 20; certification reads the WRITE back.
-//! stream.advance_watermark(20, |invoked_at, tx| history.find(invoked_at, tx));
+//! stream.advance_watermark(20, |tx| history.get(tx));
 //! assert_eq!(stream.certified(), 1);
 //! stream.ingest(&history.records[1]);
 //! assert_eq!(stream.finish(&history), Verdict::Serializable(vec![TxId(0), TxId(1)]));
@@ -97,7 +95,6 @@ use crate::ot::SequentialOt;
 use crate::stream::{hindsight_commits, StreamChecker};
 use crate::strict::Verdict;
 use snow_core::{History, Tag, TxId, TxKind, TxRecord};
-use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
@@ -109,8 +106,8 @@ type Group = (Tag, u8);
 /// A commit's place in the witness: group, then invocation time, then id.
 type Rank = (Group, u64, TxId);
 
-/// A commit waiting for the watermark to pass its response.  Its rank
-/// names its record in the record source, by `(invoked_at, tx_id)`.
+/// A commit waiting for the watermark to pass its response; its rank ends
+/// with its id, the record source's key.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Held {
     rank: Rank,
@@ -121,8 +118,7 @@ struct Held {
 /// replay it to a [`StreamChecker`].
 #[derive(Debug, Clone, Copy)]
 enum Call {
-    /// A commit, named by `(invoked_at, tx_id)`.
-    Ingest(u64, TxId),
+    Ingest(TxId),
     Advance(u64),
 }
 
@@ -219,7 +215,7 @@ impl TagOrderStream {
                     self.give_up();
                 }
             }
-            Engine::Refused(calls) => calls.push(Call::Ingest(rec.invoked_at, rec.tx_id)),
+            Engine::Refused(calls) => calls.push(Call::Ingest(rec.tx_id)),
             Engine::Semantic(checker) => checker.ingest(rec.clone()),
             Engine::Deferred => {}
         }
@@ -228,13 +224,11 @@ impl TagOrderStream {
     /// Advances the certification frontier: the caller promises that every
     /// transaction ingested from now on was invoked at or after
     /// `watermark`, as for [`StreamChecker::advance_watermark`].  `records`
-    /// is the record source: it returns the record of the transaction
-    /// invoked at the given time under the given id — every commit
-    /// ingested so far must be found.
+    /// is the record source: every commit ingested so far must be found.
     pub fn advance_watermark<'s>(
         &mut self,
         watermark: u64,
-        records: impl Fn(u64, TxId) -> Option<&'s TxRecord>,
+        records: impl Fn(TxId) -> Option<&'s TxRecord>,
     ) {
         match &mut self.engine {
             Engine::Tags(tags) => {
@@ -256,10 +250,9 @@ impl TagOrderStream {
     /// would have fed.  [`TagOrderStream::finish`] on the same history
     /// then gives the verdict; [`crate::check_auto`] is the two calls.
     pub fn feed_history(&mut self, history: &History) {
-        let records = record_source(history);
         for (rec, watermark) in hindsight_commits(history) {
             self.ingest(rec);
-            self.advance_watermark(watermark, &records);
+            self.advance_watermark(watermark, |tx| history.get(tx));
         }
     }
 
@@ -268,7 +261,7 @@ impl TagOrderStream {
     /// read back from it, the semantic engine reads its incomplete
     /// transactions, and the deferred lane all of it.
     pub fn finish(mut self, history: &History) -> Verdict {
-        let records = record_source(history);
+        let records = |tx| history.get(tx);
         if let Engine::Tags(tags) = &mut self.engine {
             if tags.certify(None, &records).is_ok() {
                 return Verdict::Serializable(std::mem::take(&mut tags.witness));
@@ -300,16 +293,14 @@ impl TagOrderStream {
 
     /// Replays refused calls to a [`StreamChecker`], cloning each record
     /// from `records`; any other engine is left as it is.
-    fn hand_over<'s>(&mut self, records: &impl Fn(u64, TxId) -> Option<&'s TxRecord>) {
+    fn hand_over<'s>(&mut self, records: &impl Fn(TxId) -> Option<&'s TxRecord>) {
         let Engine::Refused(calls) = &self.engine else {
             return;
         };
         let mut checker = StreamChecker::new();
         for &call in calls {
             match call {
-                Call::Ingest(invoked_at, tx) => {
-                    checker.ingest(read_back(records, invoked_at, tx).clone())
-                }
+                Call::Ingest(tx) => checker.ingest(read_back(records, tx).clone()),
                 Call::Advance(watermark) => checker.advance_watermark(watermark),
             }
         }
@@ -317,40 +308,9 @@ impl TagOrderStream {
     }
 }
 
-/// `history` as a record source, O(log n) per lookup whatever order its
-/// records are in: [`History::find`] when they are in `(invoked_at, tx_id)`
-/// order, as a simulator's history is, else a search of an index sorted
-/// into that order (`find` alone would scan the history per lookup).  The
-/// order is checked, and the index built, at the first lookup.
-fn record_source<'h>(history: &'h History) -> impl Fn(u64, TxId) -> Option<&'h TxRecord> {
-    let at = |r: &TxRecord| (r.invoked_at, r.tx_id);
-    let index = OnceCell::new();
-    move |invoked_at, tx| {
-        let index = index.get_or_init(|| {
-            (!history.records.is_sorted_by_key(at)).then(|| {
-                let mut index: Vec<&TxRecord> = history.records.iter().collect();
-                index.sort_by_key(|r| at(r));
-                index
-            })
-        });
-        match index {
-            None => history.find(invoked_at, tx),
-            Some(index) => index
-                .binary_search_by_key(&(invoked_at, tx), |r| at(r))
-                .ok()
-                .map(|i| index[i]),
-        }
-    }
-}
-
-/// The ingested commit `(invoked_at, tx)`, read back from a record source.
-fn read_back<'s>(
-    records: &impl Fn(u64, TxId) -> Option<&'s TxRecord>,
-    invoked_at: u64,
-    tx: TxId,
-) -> &'s TxRecord {
-    records(invoked_at, tx)
-        .unwrap_or_else(|| panic!("the record source lost ingested commit {tx}"))
+/// The ingested commit `tx`, read back from a record source.
+fn read_back<'s>(records: &impl Fn(TxId) -> Option<&'s TxRecord>, tx: TxId) -> &'s TxRecord {
+    records(tx).unwrap_or_else(|| panic!("the record source lost ingested commit {tx}"))
 }
 
 impl Tags {
@@ -358,7 +318,7 @@ impl Tags {
     /// untagged, or ranked below a commit that precedes it.
     fn ingest(&mut self, rec: &TxRecord) -> Result<(), ()> {
         if let Some(calls) = &mut self.calls {
-            calls.push(Call::Ingest(rec.invoked_at, rec.tx_id));
+            calls.push(Call::Ingest(rec.tx_id));
         }
         let tag = match &rec.outcome {
             // Constraint-free and untagged: it takes no place in the order.
@@ -391,7 +351,7 @@ impl Tags {
     fn advance<'s>(
         &mut self,
         watermark: u64,
-        records: &impl Fn(u64, TxId) -> Option<&'s TxRecord>,
+        records: &impl Fn(TxId) -> Option<&'s TxRecord>,
     ) -> Result<(), ()> {
         if watermark <= self.watermark {
             return Ok(());
@@ -414,16 +374,16 @@ impl Tags {
     fn certify<'s>(
         &mut self,
         until: Option<u64>,
-        records: &impl Fn(u64, TxId) -> Option<&'s TxRecord>,
+        records: &impl Fn(TxId) -> Option<&'s TxRecord>,
     ) -> Result<(), ()> {
         loop {
-            let Held { rank: ((tag, kind), invoked_at, tx), .. } = match self.held.peek_mut() {
+            let Held { rank: ((tag, kind), _, tx), .. } = match self.held.peek_mut() {
                 Some(top) if until.is_none_or(|w| top.0.resp < w) => PeekMut::pop(top).0,
                 _ => break,
             };
             let is_write = kind == 0;
             if (is_write && self.last_write == Some(tag))
-                || self.replay.apply(read_back(records, invoked_at, tx)).is_err()
+                || self.replay.apply(read_back(records, tx)).is_err()
             {
                 return Err(());
             }
@@ -499,8 +459,8 @@ mod tests {
         }
 
         /// The record source the watermark takes mid-run.
-        fn source<'a>(&'a self) -> impl Fn(u64, TxId) -> Option<&'a TxRecord> + 'a {
-            |_, tx| {
+        fn source<'a>(&'a self) -> impl Fn(TxId) -> Option<&'a TxRecord> + 'a {
+            |tx| {
                 self.reads.set(self.reads.get() + 1);
                 self.records.get(&tx)
             }
@@ -511,7 +471,7 @@ mod tests {
         fn take_history(&self) -> History {
             let mut records: Vec<TxRecord> = self.records.values().cloned().collect();
             records.sort_by_key(|r| (r.invoked_at, r.tx_id));
-            History { records }
+            History::from(records)
         }
     }
 
@@ -600,10 +560,11 @@ mod tests {
         for in_order in [true, false] {
             let (mut stream, cluster) = (TagOrderStream::new(), Cluster::of(&steps));
             feed(&mut stream, &cluster, &steps);
-            let mut history = cluster.take_history();
+            let mut records = cluster.take_history().records;
             if !in_order {
-                history.records.reverse();
+                records.reverse();
             }
+            let history = History::from(records);
             drop(cluster);
             assert_eq!(stream.certified(), 0);
             assert_eq!(stream.finish(&history), ids(&[2, 1, 4, 5]), "in order: {in_order}");

@@ -7,8 +7,8 @@
 //! number of versions returned per read, and whether any server had to block
 //! — that the SNOW properties of §2.1 are stated in terms of.
 //!
-//! Histories are produced by the simulator of `snow-sim` and consumed by
-//! `snow-checker`.
+//! Histories are produced by the simulator of `snow-sim`, which hands over
+//! the id table it looked records up by, and consumed by `snow-checker`.
 
 use crate::ids::{ClientId, ObjectId, ServerId, TxId};
 use crate::txn::{TxKind, TxOutcome, TxSpec};
@@ -110,11 +110,29 @@ impl TxRecord {
 }
 
 /// A complete execution history.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A dense `TxId → slot` table beside the records finds a record in O(1)
+/// ([`History::get`]); [`History::push`] keeps it.  `records` stays public: a
+/// lookup checks the record it lands on, and scans when that is not `tx`'s or
+/// the table misses a record, so a history reordered or extended through the
+/// field answers slower, not wrong (rebuild it with `History::from` after
+/// removing or rewriting records there).  Sparse ids are scanned for; a repeated
+/// id finds one of its records.  `==` and `Debug` see the records only.
+#[derive(Clone, Default)]
 pub struct History {
     /// All transaction records, in invocation order.
     pub records: Vec<TxRecord>,
+    /// `TxId → index into records`, or [`ABSENT`].
+    slot_of: Vec<u32>,
+    /// How many records `slot_of` indexes.
+    indexed: usize,
 }
+
+/// `slot_of` entry of an id with no record.
+const ABSENT: u32 = u32::MAX;
+
+/// The table's room beyond what was reserved, in 4 B entries per record.
+const SLOTS_PER_RECORD: usize = 16;
 
 impl History {
     /// Creates an empty history.
@@ -122,8 +140,27 @@ impl History {
         History::default()
     }
 
-    /// Adds a record.
+    /// Reserves exactly `additional` more records and table room for ids
+    /// below `id_end`: a planned run's one allocation of each.
+    pub fn reserve_exact(&mut self, additional: usize, id_end: usize) {
+        self.records.reserve_exact(additional);
+        self.slot_of.reserve_exact(id_end.saturating_sub(self.slot_of.len()));
+    }
+
+    /// Adds a record, and enters its id in the table unless the id has an
+    /// entry or lies past the table's room.
+    #[inline]
     pub fn push(&mut self, record: TxRecord) {
+        let (id, slot) = (record.tx_id.0 as usize, self.records.len());
+        if id < self.slot_of.capacity().max(SLOTS_PER_RECORD * (slot + 1)) {
+            if self.slot_of.len() <= id {
+                self.slot_of.resize(id + 1, ABSENT);
+            }
+            if self.slot_of[id] == ABSENT {
+                self.slot_of[id] = slot as u32;
+                self.indexed += 1;
+            }
+        }
         self.records.push(record);
     }
 
@@ -157,30 +194,57 @@ impl History {
         self.records.iter().filter(|r| !r.is_complete()).count()
     }
 
-    /// Looks up a record by id — a linear scan; [`History::find`] is the
-    /// O(log n) lookup for a caller that knows the invocation time.
-    pub fn get(&self, tx_id: TxId) -> Option<&TxRecord> {
-        self.records.iter().find(|r| r.tx_id == tx_id)
-    }
-
-    /// Looks up the record of `tx_id`, invoked at `invoked_at`: a binary
-    /// search by `(invoked_at, tx_id)`, the order a simulator's history is
-    /// in, so O(log n) there.  Records pushed out of that order are still
-    /// found, by [`History::get`]'s scan.
+    /// The slot of `tx`'s record: the table's entry if the record there is
+    /// `tx`'s, a miss if the table covers every record, else a scan.
     #[inline]
-    pub fn find(&self, invoked_at: u64, tx_id: TxId) -> Option<&TxRecord> {
-        let at = self.records.partition_point(|r| (r.invoked_at, r.tx_id) < (invoked_at, tx_id));
-        match self.records.get(at) {
-            Some(rec) if (rec.invoked_at, rec.tx_id) == (invoked_at, tx_id) => Some(rec),
-            _ => self.get(tx_id).filter(|rec| rec.invoked_at == invoked_at),
+    fn slot(&self, tx: TxId) -> Option<usize> {
+        let slot = self.slot_of.get(tx.0 as usize).copied().unwrap_or(ABSENT) as usize;
+        match self.records.get(slot) {
+            Some(rec) if rec.tx_id == tx => Some(slot),
+            None if self.indexed == self.records.len() => None,
+            _ => self.records.iter().position(|r| r.tx_id == tx),
         }
     }
 
-    /// Mutable lookup by id.
+    /// Looks up a record by id: O(1) through the id table.
+    #[inline]
+    pub fn get(&self, tx_id: TxId) -> Option<&TxRecord> {
+        self.slot(tx_id).map(|slot| &self.records[slot])
+    }
+
+    /// Mutable lookup by id, O(1) like [`History::get`].
+    #[inline]
     pub fn get_mut(&mut self, tx_id: TxId) -> Option<&mut TxRecord> {
-        self.records.iter_mut().find(|r| r.tx_id == tx_id)
+        self.slot(tx_id).map(|slot| &mut self.records[slot])
     }
 }
+
+/// `records`, in the order given, pushed into a history sized for them.
+impl From<Vec<TxRecord>> for History {
+    fn from(records: Vec<TxRecord>) -> Self {
+        let room = (SLOTS_PER_RECORD * records.len()) as u64;
+        let id_end = records.iter().map(|r| r.tx_id.0).filter(|&id| id < room).max();
+        let mut history = History::new();
+        history.reserve_exact(records.len(), id_end.map_or(0, |id| id as usize + 1));
+        records.into_iter().for_each(|rec| history.push(rec));
+        history
+    }
+}
+
+/// Prints the records only, as a derive over them would.
+impl std::fmt::Debug for History {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("History").field("records", &self.records).finish()
+    }
+}
+
+impl PartialEq for History {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+impl Eq for History {}
 
 #[cfg(test)]
 mod tests {
@@ -302,20 +366,45 @@ mod tests {
         assert_eq!(h.get(TxId(3)).unwrap().responded_at, Some(20));
     }
 
-    /// `find` binary-searches a history in invocation order, and still
-    /// finds a record pushed out of it; a wrong invocation time misses.
+    /// A planned history sizes its records and its id table once; pushes
+    /// under the planned ids then move neither.
     #[test]
-    fn find_looks_records_up_by_invocation_time_and_id() {
+    fn a_reserved_history_is_allocated_once() {
         let mut h = History::new();
-        for id in 0..50u64 {
-            h.push(read_record(id, id / 2, Some(id + 100)));
+        h.push(read_record(1, 1, None));
+        // Room for ids 2..=100 after the one pushed: exactly that.
+        h.reserve_exact(99, 101);
+        let buffers = |h: &History| (h.records.as_ptr(), h.slot_of.as_ptr());
+        let (before, capacity) = (buffers(&h), (h.records.capacity(), h.slot_of.capacity()));
+        assert_eq!(capacity, (100, 101));
+        for id in 2..=100 {
+            h.push(read_record(id, id, None));
         }
-        for id in 0..50u64 {
-            assert_eq!(h.find(id / 2, TxId(id)).map(|r| r.tx_id), Some(TxId(id)));
+        assert_eq!(buffers(&h), before, "neither table moved");
+        assert_eq!((h.records.capacity(), h.slot_of.capacity()), capacity);
+        assert_eq!(h.indexed, 100);
+        // `History::from` sizes both the same way, whatever the id order.
+        let mut records = h.records;
+        records.reverse();
+        let h = History::from(records);
+        assert_eq!((h.records.capacity(), h.slot_of.capacity(), h.indexed), (100, 101, 100));
+    }
+
+    /// An id far past the records is scanned for, not given a table entry
+    /// per id below it; it and its neighbours are still found, and a
+    /// repeated id finds one of its records.
+    #[test]
+    fn a_sparse_id_is_found_without_a_table_to_match() {
+        let mut h = History::new();
+        h.push(read_record(0, 0, None));
+        h.push(read_record(u64::MAX, 1, None));
+        h.push(read_record(2, 2, None));
+        assert!(h.slot_of.len() <= 3 * SLOTS_PER_RECORD);
+        for id in [0, u64::MAX, 2] {
+            assert_eq!(h.get(TxId(id)).map(|r| r.tx_id), Some(TxId(id)));
         }
-        assert!(h.find(7, TxId(3)).is_none(), "TxId(3) was invoked at 1");
-        assert!(h.find(0, TxId(99)).is_none());
-        h.records.reverse();
-        assert_eq!(h.find(10, TxId(21)).map(|r| r.tx_id), Some(TxId(21)));
+        assert!(h.get(TxId(1)).is_none());
+        h.push(read_record(2, 3, None));
+        assert_eq!(h.get(TxId(2)).map(|r| r.tx_id), Some(TxId(2)));
     }
 }

@@ -27,15 +27,15 @@
 //!   append, and an earlier one (an open loop's refill) is placed by a
 //!   binary search over `at`.  The next due invocation is the front: an
 //!   O(1) peek and an O(1) pop;
-//! * transaction records live in a **record log**: a `Vec` in INV order —
-//!   the clock clamp stamps every INV after the previous one, so the log is
-//!   sorted by `(invoked_at, tx_id)` as it is written — beside a dense
-//!   `TxId → slot` vector.  Every message carries its causal stamp
-//!   ([`Causal`]), and the send path's `stamp` folds it into the record it
-//!   indexes to as the actions happen (rounds, C2C counts, read
-//!   instrumentation), so [`Simulation::take_history`] moves the log out
-//!   as the run's history, and [`Simulation::history`] is one copy of it,
-//!   in order, into a vector of exactly its length.  The earliest
+//! * transaction records live in a **record log**: a [`History`] in INV
+//!   order — the clock clamp stamps every INV after the previous one, so
+//!   the log is sorted by `(invoked_at, tx_id)` as it is written — whose
+//!   dense `TxId → slot` table is the one record lookup.  Every message
+//!   carries its causal stamp ([`Causal`]), and the send path's `stamp`
+//!   folds it into the record it indexes to as the actions happen (rounds,
+//!   C2C counts, read instrumentation), so [`Simulation::take_history`]
+//!   moves the log out, id table and all, as the run's history, and
+//!   [`Simulation::history`] is one copy of it.  The earliest
 //!   transaction still in flight — what bounds a drain's invocation floor
 //!   — is a cursor into the log that only moves forward;
 //! * commits live in a **commit log** of ids in RESP order, which
@@ -537,17 +537,18 @@ where
     /// mid-run; the log keeps its records.  Rounds, C2C counts,
     /// versions-per-read and non-blocking flags are already in the
     /// transaction records, logged in INV order — the history's
-    /// `(invoked_at, tx_id)` order — so this is one copy into a vector of
-    /// exactly their number.  A run that is over hands its records on with
+    /// `(invoked_at, tx_id)` order — so this is one copy of the records and
+    /// their id table.  A run that is over hands its records on with
     /// [`Simulation::take_history`] instead.
     pub fn history(&self) -> History {
-        let history = History { records: self.records.as_slice().to_vec() };
+        let history = self.records.history().clone();
         debug_assert!(history.records.is_sorted_by_key(|r| (r.invoked_at, r.tx_id)));
         history
     }
 
-    /// Moves the [`History`] of the run out — what [`Simulation::history`]
-    /// would copy, in O(1) — and leaves the simulator with no records.
+    /// Moves the [`History`] of the run out, with the id table its lookups
+    /// went through — what [`Simulation::history`] would copy, in O(1) —
+    /// and leaves the simulator with no records.
     /// The commit log is emptied with them: a commit whose record has left
     /// cannot be drained.  Afterwards `history()` and `drain_commits()` are
     /// empty, and a transaction still in flight keeps running but is no
@@ -555,7 +556,7 @@ where
     /// over.
     pub fn take_history(&mut self) -> History {
         self.commits.drain().for_each(drop);
-        History { records: self.records.take() }
+        self.records.take()
     }
 
     /// [`Simulation::drain_commit_ids`] with a copy of each drained record:

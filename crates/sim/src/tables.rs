@@ -3,79 +3,56 @@
 //! per-step lookup [`crate::Simulation`] makes — the record a send is stamped into, the
 //! process a message is delivered to — is a `Vec` index, not a tree walk.
 
-use snow_core::{ClientId, ProcessId, TxId, TxOutcome, TxRecord};
+use snow_core::{ClientId, History, ProcessId, TxId, TxOutcome, TxRecord};
 
-/// The transaction records, in INV order.
-///
-/// The clock clamp (`Simulation::advance_past`) stamps every INV
-/// strictly after the previous one, so the order of appending *is* the
-/// `(invoked_at, tx_id)` order of a [`snow_core::History`], and "the
-/// earliest transaction still in flight" is a cursor that only moves
-/// forward.  Invariants: `log` is strictly increasing in `invoked_at`;
-/// `slot_of[tx]` is the index of `tx`'s record or [`ABSENT`]; every record
-/// before `first_open` has responded.
+/// The transaction records, in INV order: a [`History`], whose id table is the
+/// lookup, and a cursor.  The clock clamp (`Simulation::advance_past`) stamps
+/// every INV after the previous one, so the log is written in `(invoked_at,
+/// tx_id)` order, and "the earliest transaction still in flight" is a cursor
+/// that only moves forward.  Invariants: `invoked_at` strictly increases, ids
+/// are unique, and every record before `first_open` has responded.
 #[derive(Debug, Default)]
 pub(crate) struct RecordLog {
-    log: Vec<TxRecord>,
-    /// `TxId → index into log`, indexed by the id itself; an id not (yet)
-    /// invoked is [`ABSENT`].
-    slot_of: Vec<u32>,
+    history: History,
     first_open: usize,
 }
 
-/// `slot_of` entry of a transaction that was not invoked.
-const ABSENT: u32 = u32::MAX;
-
 impl RecordLog {
-    /// Makes room for `additional` more invocations.  `Vec::reserve`: a
-    /// log that must grow at least doubles.
+    /// Makes room for `additional` more invocations; a log that must grow
+    /// at least doubles.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.log.reserve(additional);
+        self.history.records.reserve(additional);
     }
 
-    /// Sizes the log for `additional` more records and the slot table for
-    /// ids below `id_end`, each at exactly that capacity: a planned run's
-    /// one allocation of each, which then never regrows.
+    /// [`History::reserve_exact`]: a planned run's one allocation of the
+    /// log and of its id table, which then never regrow.
     pub(crate) fn reserve_exact(&mut self, additional: usize, id_end: usize) {
-        self.log.reserve_exact(additional);
-        self.slot_of.reserve_exact(id_end.saturating_sub(self.slot_of.len()));
+        self.history.reserve_exact(additional, id_end);
     }
 
     /// INV: appends `rec`, which must be invoked after every record logged
     /// so far and under an id not yet seen.
     pub(crate) fn invoke(&mut self, rec: TxRecord) {
         debug_assert!(
-            self.log.last().is_none_or(|last| last.invoked_at < rec.invoked_at),
+            self.history.records.last().is_none_or(|last| last.invoked_at < rec.invoked_at),
             "{} invoked at {}, not after the previous INV",
             rec.tx_id,
             rec.invoked_at
         );
-        let tx = rec.tx_id.0 as usize;
-        if self.slot_of.len() <= tx {
-            self.slot_of.resize(tx + 1, ABSENT);
-        }
-        assert_eq!(self.slot_of[tx], ABSENT, "{} invoked twice", rec.tx_id);
-        assert!(self.log.len() < ABSENT as usize, "record log full");
-        self.slot_of[tx] = self.log.len() as u32;
-        self.log.push(rec);
-    }
-
-    #[inline]
-    fn slot(&self, tx: TxId) -> Option<usize> {
-        let slot = *self.slot_of.get(tx.0 as usize)?;
-        (slot != ABSENT).then_some(slot as usize)
+        assert!(self.history.get(rec.tx_id).is_none(), "{} invoked twice", rec.tx_id);
+        self.history.push(rec);
     }
 
     #[inline]
     pub(crate) fn get(&self, tx: TxId) -> Option<&TxRecord> {
-        self.slot(tx).map(|slot| &self.log[slot])
+        self.history.get(tx)
     }
 
     /// For folding instrumentation into a record; RESP goes through
     /// [`RecordLog::respond`], which also moves the cursor.
     #[inline]
     pub(crate) fn get_mut(&mut self, tx: TxId) -> Option<&mut TxRecord> {
-        self.slot(tx).map(|slot| &mut self.log[slot])
+        self.history.get_mut(tx)
     }
 
     #[inline]
@@ -86,14 +63,13 @@ impl RecordLog {
     /// RESP: completes `tx`'s record, if it was invoked, and returns it.
     #[inline]
     pub(crate) fn respond(&mut self, tx: TxId, at: u64, outcome: TxOutcome) -> Option<&TxRecord> {
-        let slot = self.slot(tx)?;
-        let rec = &mut self.log[slot];
+        let rec = self.history.get_mut(tx)?;
         rec.responded_at = Some(at);
         rec.outcome = Some(outcome);
-        while self.log.get(self.first_open).is_some_and(TxRecord::is_complete) {
+        while self.history.records.get(self.first_open).is_some_and(TxRecord::is_complete) {
             self.first_open += 1;
         }
-        Some(&self.log[slot])
+        self.history.get(tx)
     }
 
     /// A lower bound on the `invoked_at` of every record that completes
@@ -103,15 +79,16 @@ impl RecordLog {
     /// clamp.  Never regresses as the run proceeds.
     #[inline]
     pub(crate) fn inv_floor(&self, now: u64) -> u64 {
-        let earliest_open = self.log.get(self.first_open).map_or(u64::MAX, |rec| rec.invoked_at);
+        let earliest_open =
+            self.history.records.get(self.first_open).map_or(u64::MAX, |rec| rec.invoked_at);
         earliest_open.min(now + 1)
     }
 
     /// Retires every transaction still in flight as [`TxOutcome::Aborted`]
     /// at `at`, returning them in INV order.
     pub(crate) fn abort_open(&mut self, at: u64) -> Vec<(TxId, ClientId)> {
-        let open = std::mem::replace(&mut self.first_open, self.log.len());
-        self.log[open..]
+        let open = std::mem::replace(&mut self.first_open, self.history.len());
+        self.history.records[open..]
             .iter_mut()
             .filter(|rec| !rec.is_complete())
             .map(|rec| {
@@ -122,17 +99,15 @@ impl RecordLog {
             .collect()
     }
 
-    /// The records in INV order — sorted by `(invoked_at, tx_id)`.
-    pub(crate) fn as_slice(&self) -> &[TxRecord] {
-        &self.log
+    /// The records so far, in INV order — sorted by `(invoked_at, tx_id)`.
+    pub(crate) fn history(&self) -> &History {
+        &self.history
     }
 
-    /// Moves every record out, in INV order, and leaves the log empty: no
-    /// id has a slot, and nothing is in flight.
-    pub(crate) fn take(&mut self) -> Vec<TxRecord> {
-        self.slot_of.clear();
+    /// Moves the history out, id table and all, and leaves the log empty.
+    pub(crate) fn take(&mut self) -> History {
         self.first_open = 0;
-        std::mem::take(&mut self.log)
+        std::mem::take(&mut self.history)
     }
 }
 
@@ -273,7 +248,7 @@ mod tests {
         // History order: what `BTreeMap::values` + the stable sort gave.
         let mut sorted: Vec<&TxRecord> = reference.records.values().collect();
         sorted.sort_by_key(|rec| (rec.invoked_at, rec.tx_id));
-        assert_eq!(log.as_slice().iter().collect::<Vec<_>>(), sorted);
+        assert_eq!(log.history().records.iter().collect::<Vec<_>>(), sorted);
     }
 
     #[test]
@@ -283,6 +258,8 @@ mod tests {
         }
     }
 
+    /// The id table's one allocation is `History::reserve_exact`'s
+    /// (`a_reserved_history_is_allocated_once` in `snow_core`).
     #[test]
     fn a_reserved_log_is_allocated_once() {
         let rec = |id| TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), id);
@@ -290,14 +267,16 @@ mod tests {
         log.invoke(rec(1));
         // Room for ids 2..=100 after the one logged: exactly that.
         log.reserve_exact(99, 101);
-        let buffers = |log: &RecordLog| (log.log.as_ptr(), log.slot_of.as_ptr());
-        let (before, capacity) = (buffers(&log), (log.log.capacity(), log.slot_of.capacity()));
-        assert_eq!(capacity, (100, 101));
+        let records = |log: &RecordLog| {
+            let records = &log.history().records;
+            (records.as_ptr(), records.capacity())
+        };
+        let before = records(&log);
+        assert_eq!(before.1, 100);
         for id in 2..=100 {
             log.invoke(rec(id));
         }
-        assert_eq!(buffers(&log), before, "neither table moved");
-        assert_eq!((log.log.capacity(), log.slot_of.capacity()), capacity);
+        assert_eq!(records(&log), before, "the log neither moved nor grew");
     }
 
     #[test]

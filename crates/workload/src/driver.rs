@@ -72,7 +72,7 @@ pub(crate) fn drain_into(
     for &tx in ids.iter() {
         checker.ingest(cluster.record(tx).expect("a drained commit has a record"));
     }
-    checker.advance_watermark(inv_floor, |_, tx| cluster.record(tx));
+    checker.advance_watermark(inv_floor, |tx| cluster.record(tx));
 }
 
 /// The transactions of a taken history that completed.

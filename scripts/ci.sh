@@ -86,15 +86,23 @@
 #      16-byte heap entry (crates/sim `pool::tests`), wide transaction
 #      specs (crates/core,
 #      `wide_specs_build_and_still_reject_a_duplicate_anywhere`: a 10⁵-object
-#      READ and WRITE build, a duplicate anywhere still panics) and the record log sized from the plan (crates/sim
-#      `a_reserved_log_is_allocated_once`, crates/workload
-#      `every_driver_reserves_what_it_issues_once_before_invoking`).  The drivers'
+#      READ and WRITE build, a duplicate anywhere still panics), the record
+#      log sized from the plan (crates/sim
+#      `a_reserved_log_is_allocated_once`, crates/core
+#      `a_reserved_history_is_allocated_once`, crates/workload
+#      `every_driver_reserves_what_it_issues_once_before_invoking`) and the
+#      one record lookup, `History::get` through the id table a simulator
+#      hands over with its records (tests/history_lookup.rs: random pushes,
+#      shuffled ids, histories taken from AlgB and AlgC runs, and histories
+#      reordered, grown and shrunk through the public `records` field,
+#      every hit and miss against a `BTreeMap<TxId, TxRecord>`; a taken
+#      history equals and prints as its records rebuilt).  The drivers'
 #      streaming check (`TagOrderStream`, Lemma 20 over the commit stream):
 #      its soundness differential against the batch Lemma 20 reference
 #      (tests/support/lemma20.rs) and the stream engine
 #      (tests/stream_differential.rs), its unit tests (crates/checker
 #      `tag_stream`, and `strict` for `check_auto`, which is the same stream
-#      fed a finished history — in any record order), the
+#      fed a finished history, its records read back by id in any order), the
 #      streaming-checked AlgB allocation pins (tests/dispatch_hot_path.rs)
 #      and the driver tests (crates/workload: a checked run equals
 #      `check_auto` on the finished history, witness included, on A/B/C; an
@@ -108,7 +116,8 @@
 #      correctness gate (verdict, protocol claims, history digest stable
 #      across reps); the per-message helpers the generic dispatch loop
 #      calls (latency draw, link lookup, fault delay, causal stamp, record
-#      log, `Vals` store, history lookup, tag-order ingest) must not
+#      log and the `History::get` / `get_mut` it forwards to, `Vals` store,
+#      tag-order ingest) must not
 #      survive as symbols of the benchmark binary it built (`nm`): each is
 #      inlined across the crate boundary by its `#[inline]`; then each
 #      workload runs once at `--seed 1 --seconds 0.01 --trace 0` (about
@@ -213,7 +222,7 @@ echo "== 4. release suites: differentials, faults, hot paths, probe count =="
 # cannot decide, its verdict is the stream engine's (StreamChecker::check).
 cargo test -q --release --test stream_differential --test checker_differential \
     --test fault_determinism --test fault_checker --test stream_hot_path \
-    --test instrumentation_sweep --test dispatch_hot_path
+    --test instrumentation_sweep --test dispatch_hot_path --test history_lookup
 by_name --test check_auto_verdicts -- \
     check_auto_certifies_algb_with_its_tags_stripped_at_2000 \
     check_auto_certifies_algb_with_its_tags_stripped_at_5000 check_auto_convicts_eiger_at_2000 \
@@ -228,7 +237,7 @@ by_name -p snow-workload -- \
     every_driver_reserves_what_it_issues_once_before_invoking
 by_name -p snow-core -p snow-sim -p snow-protocols -p snow-checker -- \
     take_history_moves_out_what_history_copies c_waits_for_every_vals_set_when_one_arrives_twice \
-    drain_commits_streams_the_history_in_resp_order find_looks_records_up_by_invocation_time_and_id \
+    drain_commits_streams_the_history_in_resp_order a_reserved_history_is_allocated_once \
     write_log_agrees_with_the_reverse_scan_reference a_reserved_log_is_allocated_once \
     tag_stream:: strict::tests::
 # Transaction bodies keep their object lists in place (snow_core::InlineList):
@@ -276,7 +285,8 @@ inlined=(
     snow_core::store::ObjectVersions::position snow_core::store::ObjectVersions::install
     snow_core::store::ObjectVersions::snapshot snow_core::store::ShardStore::get
     snow_core::store::ShardStore::object snow_core::store::ShardStore::object_mut
-    snow_core::store::ShardStore::install snow_core::history::History::find
+    snow_core::store::ShardStore::install snow_core::history::History::get
+    snow_core::history::History::get_mut
     snow_checker::tag_stream::TagOrderStream::ingest
 )
 outlined="$(nm -C examples/e2e_bench/target/release/e2e_bench |

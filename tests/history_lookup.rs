@@ -1,0 +1,143 @@
+//! `History::get` against an ordered map.  A history finds a record by its
+//! `TxId` through one dense id table, which `push` and `History::from`
+//! keep and a simulator hands over with the records it takes; `records`
+//! stays public, so a history reordered or appended to through the field
+//! must still answer right.  Every lookup below — each id the history holds,
+//! every id between them, and ids far past them — is checked against a
+//! `BTreeMap<TxId, TxRecord>` of the same records.
+
+use snow::core::hash::splitmix64;
+use snow::core::{ClientId, History, ObjectId, SystemConfig, TxId, TxRecord, TxSpec};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
+use snow::workload::{
+    drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
+};
+use std::collections::BTreeMap;
+
+/// A splitmix64 stream.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = splitmix64(self.0);
+        self.0 % n
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
+fn record(id: u64, invoked_at: u64) -> TxRecord {
+    TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), invoked_at)
+}
+
+/// The records by id; ids are unique.
+fn reference(records: &[TxRecord]) -> BTreeMap<TxId, TxRecord> {
+    let map: BTreeMap<TxId, TxRecord> = records.iter().map(|r| (r.tx_id, r.clone())).collect();
+    assert_eq!(map.len(), records.len(), "a repeated id");
+    map
+}
+
+/// Every id up to past the largest dense one, and a few far beyond, looked
+/// up in `history` and in the map of its records.
+fn assert_lookups_agree(history: &History, label: &str) {
+    let map = reference(&history.records);
+    let dense_end = map.keys().map(|tx| tx.0).filter(|&id| id < 1 << 20).max().map_or(0, |m| m + 1);
+    let far = [u64::MAX, u64::MAX - 1, 1 << 40, dense_end + 1_000];
+    for id in (0..dense_end + 3).chain(far).chain(map.keys().map(|tx| tx.0)) {
+        let tx = TxId(id);
+        assert_eq!(history.get(tx), map.get(&tx), "{label}: {tx}");
+    }
+}
+
+/// Reorders `history` through the public field, checks it, then appends to
+/// it there, checking after each.
+fn assert_field_edits_keep_lookups_right(mut history: History, rng: &mut Rng, label: &str) {
+    history.records.reverse();
+    assert_lookups_agree(&history, &format!("{label}, reversed through the field"));
+    rng.shuffle(&mut history.records);
+    assert_lookups_agree(&history, &format!("{label}, shuffled through the field"));
+    let next = history.records.iter().map(|r| r.tx_id.0).filter(|&id| id < 1 << 20).max();
+    let next = next.map_or(0, |m| m + 1);
+    for (id, at) in [(next, 7), (next + 1, 0)] {
+        history.records.push(record(id, at));
+        assert_lookups_agree(&history, &format!("{label}, appended to through the field"));
+    }
+}
+
+/// A taken history equals, and prints as, the same records indexed anew.
+fn assert_equal_to_rebuilt(history: &History, label: &str) {
+    let rebuilt = History::from(history.records.clone());
+    assert_eq!(&rebuilt, history, "{label}");
+    assert_eq!(format!("{rebuilt:?}"), format!("{history:?}"), "{label}");
+    assert!(format!("{history:?}").starts_with("History { records: ["), "{label}");
+}
+
+#[test]
+fn history_lookups_agree_with_an_ordered_map() {
+    for seed in 0..24u64 {
+        let mut rng = Rng(seed);
+        let n = 1 + rng.below(300);
+
+        // Random pushes: dense ids in a shuffled order, one in ten swapped
+        // for an id far past every record.
+        let mut pushed = History::new();
+        let mut ids: Vec<u64> = (0..n).collect();
+        rng.shuffle(&mut ids);
+        for (at, &id) in ids.iter().enumerate() {
+            let id = if rng.below(10) == 0 { n + rng.below(1 << 50) } else { id };
+            pushed.push(record(id, at as u64));
+            if rng.below(40) == 0 {
+                assert_lookups_agree(&pushed, &format!("seed {seed}, pushing"));
+            }
+        }
+        assert_lookups_agree(&pushed, &format!("seed {seed}, pushed"));
+        let records = pushed.records.clone();
+        assert_eq!(History::from(records.clone()), pushed, "seed {seed}");
+
+        // Constructed from records under shuffled, distinct ids.
+        let mut records: Vec<TxRecord> =
+            ids.iter().enumerate().map(|(at, &id)| record(id, at as u64)).collect();
+        rng.shuffle(&mut records);
+        let constructed = History::from(records);
+        assert_lookups_agree(&constructed, &format!("seed {seed}, constructed"));
+        assert_field_edits_keep_lookups_right(constructed, &mut rng, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn taken_histories_hand_their_id_table_over_and_answer_like_an_ordered_map() {
+    let config = SystemConfig::mwmr(8, 4, 4);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+        .build()
+        .expect("MWMR configuration");
+    let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+    let (closed, _) = WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, 600);
+
+    let config = SystemConfig::mwmr(8, 2, 6);
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+        .scheduler(SchedulerKind::Latency { seed: 32, min: 1, max: 16 })
+        .build()
+        .expect("AlgC runs on MWMR configurations");
+    let workload = WorkloadSpec {
+        read_fraction: 0.96,
+        objects_per_read: 4,
+        objects_per_write: 2,
+        zipf_exponent: 0.99,
+        seed: 224,
+    };
+    let spec = OpenLoopSpec { workload, rate: 50, arrivals: 600, arrival_seed: 416 };
+    let (open, _) = drive_open_loop(cluster.as_mut(), &config, &spec);
+
+    let mut rng = Rng(7);
+    for (history, label) in [(closed, "AlgB closed loop"), (open, "AlgC open loop")] {
+        assert_eq!(history.len(), 600, "{label}");
+        assert_lookups_agree(&history, label);
+        assert_equal_to_rebuilt(&history, label);
+        assert_field_edits_keep_lookups_right(history, &mut rng, label);
+    }
+}

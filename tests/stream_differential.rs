@@ -415,8 +415,9 @@ fn tagged_history(seed: u64) -> History {
         rec.outcome = Some(TxOutcome::Read(ReadOutcome { reads, tag: Some(tag) }));
         h.push(rec);
     }
-    h.records.sort_by_key(|r| r.tx_id);
-    h
+    let mut records = h.records;
+    records.sort_by_key(|r| r.tx_id);
+    History::from(records)
 }
 
 /// `history` through a `TagOrderStream`, fed as `check_auto` feeds it
