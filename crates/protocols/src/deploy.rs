@@ -132,9 +132,10 @@ pub trait Cluster {
     fn run_until_complete(&mut self, tx: TxId) -> bool;
     /// Runs until **any** transaction in `watch` completes (or the system
     /// goes quiescent), returning the first completed one in `watch` order.
-    /// An empty `watch` returns `None` without running.  This is what an
-    /// open-loop driver needs: with one outstanding transaction per client
-    /// it waits for *any* client to free, not for one specific target.
+    /// An empty `watch` returns `None` without running.  This is what the
+    /// workload crate's completion loop (the open-loop and paced drivers)
+    /// needs: with one outstanding transaction per client it waits for
+    /// *any* client to free, not for one specific target.
     fn run_until_any_complete(&mut self, watch: &[TxId]) -> Option<TxId>;
     /// True if `tx` has completed.
     fn is_complete(&self, tx: TxId) -> bool;

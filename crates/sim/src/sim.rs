@@ -509,8 +509,9 @@ where
     /// goes quiescent).  Returns the first completed transaction in `watch`
     /// order — a deterministic tie-break when one step completes several.
     ///
-    /// This is the open-loop driver's primitive: with one outstanding
-    /// transaction per client it needs "wake me when any client frees", not
+    /// This is the primitive of the workload crate's completion loop (the
+    /// open-loop and paced drivers): with one outstanding transaction per
+    /// client it needs "wake me when any client frees", not
     /// [`Simulation::run_until_complete`]'s single-target wait (which would
     /// stall every other client's next arrival behind one slow
     /// transaction).  An empty `watch` returns `None` without stepping, and

@@ -1,20 +1,30 @@
-//! Drives a generated workload against any [`Cluster`].
+//! Drives a generated workload against any [`Cluster`], and the two loops
+//! every driver in the crate runs on.
 //!
-//! The driver issues transactions in *rounds*: each round, every client that
-//! has work gets exactly one transaction, all invoked at the same simulation
-//! time, and the cluster then runs until quiescent.  Within a round the
-//! transactions are concurrent (the scheduler interleaves their messages
-//! arbitrarily); across rounds the per-client well-formedness requirement of
-//! the model (one outstanding transaction per client) is preserved by
-//! construction.
+//! * The **round loop** ([`WorkloadDriver::run`], `run_checked_mode`,
+//!   `run_read_probe`, and `crate::scenario::run_scenario`): each round a
+//!   shape draws at most one transaction per client, the batch is invoked
+//!   at the settled clock, and the cluster runs until quiescent.
+//!   Within a round the transactions are concurrent (the scheduler
+//!   interleaves their messages arbitrarily); across rounds the per-client
+//!   well-formedness requirement of the model (one outstanding transaction
+//!   per client) is preserved by construction.  Each round waits for the
+//!   previous one, so the offered load adapts to completions and latency
+//!   can never reveal saturation.
+//! * The **completion loop** ([`WorkloadDriver::run_paced`] and
+//!   `crate::open_loop::drive_open_loop`): a plan of
+//!   [`Arrival`]s in per-client FIFO queues, at most `window` clients
+//!   outstanding, and the next transaction due the moment a client frees.
+//!   The open loop's arrivals carry their Poisson times and its window is
+//!   every client; a paced run is the plan with every arrival at time 0 and
+//!   `per_round` as the window, so each client's next transaction is due
+//!   when its previous one returns.
 //!
-//! This is a **closed-loop** driver: each round waits for the previous one,
-//! so the offered load adapts to completions and latency can never reveal
-//! saturation.  For latency-under-offered-load curves use the open-loop
-//! driver in [`crate::open_loop`], which schedules arrivals up front at a
-//! configured rate.
+//! Both loops call one tap after each wait, the hook the one check path
+//! (`checked`) drains commits into a [`TagOrderStream`] with.
 
-use crate::generator::WorkloadGenerator;
+use crate::generator::{GeneratedTx, WorkloadGenerator};
+use crate::open_loop::Arrival;
 use snow_checker::{TagOrderStream, Verdict};
 use snow_core::{ClientId, History, TxId, TxSpec};
 use snow_protocols::Cluster;
@@ -27,7 +37,10 @@ pub struct DriverReport {
     pub issued: usize,
     /// Number of transactions that completed.
     pub completed: usize,
-    /// Number of rounds driven.
+    /// Number of rounds driven.  For a paced run ([`WorkloadDriver::run_paced`]),
+    /// the number of waves: virtual instants at which at least one
+    /// transaction retired — one per transaction on a fault-free run, fewer
+    /// where a fault quiescence retires several at once.
     pub rounds: usize,
     /// Total simulated duration (ticks).
     pub duration: u64,
@@ -53,6 +66,13 @@ pub enum CheckMode {
     Streaming,
 }
 
+/// The hook both loops call after each wait settles, before the history is
+/// taken: the check path drains commits here.
+pub(crate) type Tap<'a> = dyn FnMut(&mut dyn Cluster) + 'a;
+
+/// One round's transactions, in invocation order.
+pub(crate) type Batch = Vec<(ClientId, TxSpec)>;
+
 /// Ingests one commit drain into a streaming checker, by reference: the
 /// drained commits in RESP order, each read where the cluster keeps it,
 /// then the drain's invocation floor as the new frontier watermark, with
@@ -60,8 +80,7 @@ pub enum CheckMode {
 /// record is final at its RESP (`open_loop`'s
 /// `drained_records_equal_the_final_history` pins it), so what the checker
 /// reads mid-run is what the taken history ends with.  `ids` is the
-/// drain's reused buffer.  Shared by the closed-loop and open-loop
-/// streaming modes.
+/// drain's reused buffer.
 pub(crate) fn drain_into(
     checker: &mut TagOrderStream,
     ids: &mut Vec<TxId>,
@@ -75,9 +94,174 @@ pub(crate) fn drain_into(
     checker.advance_watermark(inv_floor, |tx| cluster.record(tx));
 }
 
-/// The transactions of a taken history that completed.
-fn completed(history: &History) -> usize {
-    history.records.iter().filter(|rec| rec.is_complete()).count()
+/// The one check path: runs `drive` with a tap that drains every commit
+/// into a [`TagOrderStream`], then finishes the stream over the taken
+/// history.
+pub(crate) fn checked<R>(drive: impl FnOnce(&mut Tap) -> (History, R)) -> (History, R, Verdict) {
+    let (mut checker, mut ids) = (TagOrderStream::new(), Vec::new());
+    let (history, report) = drive(&mut |cluster| drain_into(&mut checker, &mut ids, cluster));
+    let verdict = checker.finish(&history);
+    (history, report, verdict)
+}
+
+/// Draws from `next` until `batch` holds `want` transactions of distinct
+/// clients or `draws` draws are spent, discarding a draw whose client is
+/// already in `seen` (the batch's clients, sorted).
+pub(crate) fn draw_distinct(
+    seen: &mut Vec<ClientId>,
+    batch: &mut Batch,
+    want: usize,
+    draws: usize,
+    mut next: impl FnMut() -> GeneratedTx,
+) {
+    for _ in 0..draws {
+        if batch.len() >= want {
+            break;
+        }
+        let tx = next();
+        if let Err(at) = seen.binary_search(&tx.client) {
+            seen.insert(at, tx.client);
+            batch.push((tx.client, tx.spec));
+        }
+    }
+}
+
+/// The round loop.  Sizes the record log for `planned` transactions, then,
+/// for at most `rounds` rounds: `draw` fills the batch (its clients,
+/// sorted, in `seen`; both buffers hold `width` and are reused across
+/// rounds), the batch is invoked at the settled clock — `spacing` ticks
+/// apart after it, so 0 invokes the whole round at `now` — the cluster runs
+/// until quiescent, and `tap` sees it.  A draw that leaves the batch empty
+/// ends the run.  The last round's tap is the last call before the take,
+/// so a draining tap has seen every commit the taken history holds.
+pub(crate) fn round_loop(
+    cluster: &mut dyn Cluster,
+    planned: usize,
+    rounds: usize,
+    width: usize,
+    spacing: u64,
+    draw: &mut dyn FnMut(&mut Vec<ClientId>, &mut Batch),
+    tap: &mut Tap,
+) -> (History, DriverReport) {
+    let start = cluster.now();
+    cluster.reserve(planned);
+    let mut seen: Vec<ClientId> = Vec::with_capacity(width);
+    let mut batch: Batch = Vec::with_capacity(width);
+    let (mut issued, mut driven) = (0, 0);
+    while driven < rounds {
+        seen.clear();
+        draw(&mut seen, &mut batch);
+        if batch.is_empty() {
+            break;
+        }
+        driven += 1;
+        issued += batch.len();
+        let mut at = cluster.now();
+        for (client, spec) in batch.drain(..) {
+            at += spacing;
+            cluster.invoke_at(at, client, spec);
+        }
+        cluster.run_until_quiescent();
+        tap(cluster);
+    }
+    let history = cluster.take_history();
+    let completed = history.records.iter().filter(|rec| rec.is_complete()).count();
+    let duration = cluster.now().saturating_sub(start);
+    (history, DriverReport { issued, completed, rounds: driven, duration })
+}
+
+/// The planned time of each invocation a completion loop made, by its id's
+/// offset from the first: the cluster numbers invocations densely, in order.
+pub(crate) struct PlannedTimes {
+    first: Option<u64>,
+    at: Vec<u64>,
+}
+
+impl PlannedTimes {
+    fn push(&mut self, tx: TxId, at: u64) {
+        let first = *self.first.get_or_insert(tx.0);
+        assert_eq!(tx.0 - first, self.at.len() as u64, "ids are dense, in invocation order");
+        self.at.push(at);
+    }
+
+    /// The planned time of `tx`, if the loop invoked it.
+    pub(crate) fn of(&self, tx: TxId) -> Option<u64> {
+        let offset = tx.0.checked_sub(self.first?)?;
+        self.at.get(usize::try_from(offset).ok()?).copied()
+    }
+}
+
+/// The completion loop.  Queues `plan` per client, FIFO, and sizes the
+/// record log for it; starts the first `window` clients (in client order)
+/// on their first transaction and keeps the rest in a rotation.  Then, one
+/// [`Cluster::run_until_any_complete`] per transaction: the cluster names
+/// the watched transaction that completed (the first complete one in
+/// `active` order), `tap` sees it, its client rejoins the back of the
+/// rotation, and the front of the rotation refills the freed slot in place
+/// — a client with no work left drops out when it reaches the front, and
+/// the slot is removed when none is left.  When a fault quiescence retires
+/// several at once the next calls hand the rest back, in `active` order,
+/// before the clock moves.  Ends when nothing is outstanding or the cluster
+/// stalls with watched work that can never finish, with one more tap.
+pub(crate) fn completion_loop(
+    cluster: &mut dyn Cluster,
+    plan: impl IntoIterator<Item = Arrival>,
+    window: usize,
+    tap: &mut Tap,
+) -> (History, DriverReport, PlannedTimes) {
+    let mut queues: BTreeMap<ClientId, VecDeque<(u64, TxSpec)>> = BTreeMap::new();
+    for Arrival { at, client, spec } in plan {
+        queues.entry(client).or_default().push_back((at, spec));
+    }
+    let issued = queues.values().map(VecDeque::len).sum();
+    let start = cluster.now();
+    cluster.reserve(issued);
+    let mut rotation: VecDeque<ClientId> = queues.keys().copied().collect();
+    let mut planned = PlannedTimes { first: None, at: Vec::with_capacity(issued) };
+    // Invokes the next transaction of the first client in the rotation
+    // that has one.
+    let mut next = |cluster: &mut dyn Cluster, rotation: &mut VecDeque<ClientId>| {
+        let (client, (at, spec)) = std::iter::from_fn(|| rotation.pop_front())
+            .find_map(|client| Some((client, queues.get_mut(&client)?.pop_front()?)))?;
+        let tx = cluster.invoke_at(at, client, spec);
+        planned.push(tx, at);
+        Some(tx)
+    };
+    let mut active: Vec<TxId> = Vec::with_capacity(window.min(rotation.len()));
+    while active.len() < window {
+        let Some(tx) = next(cluster, &mut rotation) else { break };
+        active.push(tx);
+    }
+    let (mut waves, mut last_wave) = (0, None);
+    while let Some(done) = cluster.run_until_any_complete(&active) {
+        tap(cluster);
+        if last_wave != Some(cluster.now()) {
+            (waves, last_wave) = (waves + 1, Some(cluster.now()));
+        }
+        let slot = active
+            .iter()
+            .position(|&tx| tx == done)
+            .expect("the cluster returns a member of the watch list");
+        let client = cluster.record(done).expect("a completed transaction has a record").client;
+        rotation.push_back(client);
+        match next(cluster, &mut rotation) {
+            Some(tx) => active[slot] = tx,
+            None => {
+                active.remove(slot);
+            }
+        }
+    }
+    // The last wait may have committed (or, under faults, retired) what no
+    // tap has seen yet; the take empties the commit log.
+    tap(cluster);
+    let history = cluster.take_history();
+    let report = DriverReport {
+        issued,
+        completed: issued - active.len(),
+        rounds: waves,
+        duration: cluster.now().saturating_sub(start),
+    };
+    (history, report, planned)
 }
 
 /// Drives workloads against a cluster.
@@ -114,68 +298,34 @@ impl WorkloadDriver {
         self.run_tapped(cluster, generator, total, &mut |_| {})
     }
 
-    /// [`WorkloadDriver::run`] with an observation tap invoked after each
-    /// round settles — the hook the streaming check mode uses to drain
-    /// commits as they happen.  The no-op tap reproduces `run` exactly.  The
-    /// last round's tap is the last call before the take, so a draining
-    /// tap has seen every commit the taken history holds.
+    /// [`WorkloadDriver::run`]'s plan on the round loop, with `tap` after
+    /// each round: each round draws until it holds `per_round` transactions
+    /// (fewer in the last) of distinct clients, a client getting at most
+    /// one per round to stay well-formed, giving up after 50 draws per
+    /// transaction; all of a round is invoked at `now`.
     fn run_tapped(
         &self,
         cluster: &mut dyn Cluster,
         generator: &mut WorkloadGenerator,
         total: usize,
-        tap: &mut dyn FnMut(&mut dyn Cluster),
+        tap: &mut Tap,
     ) -> (History, DriverReport) {
-        let mut issued = 0usize;
-        let mut rounds = 0usize;
-        let start = cluster.now();
-        cluster.reserve(total);
-        // This round's clients, sorted, and its transactions: cleared per
-        // round, reused across.
-        let mut seen_clients: Vec<ClientId> = Vec::with_capacity(self.per_round);
-        let mut batch: Vec<(ClientId, TxSpec)> = Vec::with_capacity(self.per_round);
-        while issued < total {
-            let this_round = self.per_round.min(total - issued);
-            rounds += 1;
-            seen_clients.clear();
-            let now = cluster.now();
-            // Draw until we have `this_round` transactions from distinct
-            // clients (a client gets at most one per round to stay
-            // well-formed), then schedule the round, all at `now`.
-            let mut guard = 0usize;
-            while batch.len() < this_round && guard < this_round * 50 {
-                guard += 1;
-                let tx = generator.next_tx();
-                let Err(at) = seen_clients.binary_search(&tx.client) else {
-                    continue;
-                };
-                seen_clients.insert(at, tx.client);
-                batch.push((tx.client, tx.spec));
-            }
-            issued += batch.len();
-            for (client, spec) in batch.drain(..) {
-                cluster.invoke_at(now, client, spec);
-            }
-            cluster.run_until_quiescent();
-            tap(cluster);
-        }
-        let history = cluster.take_history();
-        let report = DriverReport {
-            issued,
-            completed: completed(&history),
-            rounds,
-            duration: cluster.now().saturating_sub(start),
+        let mut left = total;
+        let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+            let want = self.per_round.min(left);
+            draw_distinct(seen, batch, want, want * 50, || generator.next_tx());
+            left -= batch.len();
         };
-        (history, report)
+        round_loop(cluster, total, usize::MAX, self.per_round, 0, &mut draw, tap)
     }
 
     /// Runs `total` transactions with **per-client pacing**: up to
     /// `per_round` clients each keep exactly one transaction outstanding,
     /// and a client's next transaction is injected the moment its previous
     /// one completes — instead of the whole round waiting for its slowest
-    /// member.  The plan is drawn from the generator up front into
-    /// per-client FIFO queues (the open-loop driver's machinery), so each
-    /// client runs its own transactions in draw order and the one-
+    /// member.  The plan is drawn from the generator up front, every
+    /// arrival at time 0, and run on the completion loop (the open loop's),
+    /// so each client runs its own transactions in draw order and the one-
     /// outstanding-per-client well-formedness holds by construction.
     ///
     /// Fully deterministic: injection times come from the cluster clock and
@@ -187,74 +337,12 @@ impl WorkloadDriver {
         generator: &mut WorkloadGenerator,
         total: usize,
     ) -> (History, DriverReport) {
-        let start = cluster.now();
-        cluster.reserve(total);
-        let window = self.per_round.max(1);
-        let mut queues: BTreeMap<ClientId, VecDeque<TxSpec>> = BTreeMap::new();
-        for _ in 0..total {
+        let plan = (0..total).map(|_| {
             let tx = generator.next_tx();
-            queues.entry(tx.client).or_default().push_back(tx.spec);
-        }
-        let mut rotation: VecDeque<ClientId> = queues.keys().copied().collect();
-        // `owner[i]` is the client whose transaction is `active[i]`.
-        let mut active: Vec<TxId> = Vec::new();
-        let mut owner: Vec<ClientId> = Vec::new();
-        let mut rest: Vec<TxId> = Vec::new();
-        let mut issued = 0usize;
-        let mut waves = 0usize;
-        loop {
-            // Keep up to `window` clients busy, one transaction each.
-            while active.len() < window {
-                let Some(client) = rotation.pop_front() else { break };
-                let Some(spec) = queues.get_mut(&client).and_then(|q| q.pop_front()) else {
-                    continue;
-                };
-                let tx = cluster.invoke_at(cluster.now(), client, spec);
-                issued += 1;
-                active.push(tx);
-                owner.push(client);
-            }
-            // The open-loop driver's handshake: the cluster names the
-            // transaction that completed (the first complete one in
-            // `active` order) and the driver frees that client.
-            let Some(mut done) = cluster.run_until_any_complete(&active) else {
-                break; // nothing outstanding, or the cluster stalled
-            };
-            waves += 1;
-            loop {
-                let slot = active
-                    .iter()
-                    .position(|&tx| tx == done)
-                    .expect("the cluster returns a member of the watch list");
-                active.swap_remove(slot);
-                let client = owner.swap_remove(slot);
-                // A client with remaining work rejoins the rotation
-                // immediately.
-                if queues.get(&client).is_some_and(|q| !q.is_empty()) {
-                    rotation.push_back(client);
-                }
-                // A fault quiescence retires several at once, and all of
-                // them are freed before anything is
-                // refilled.  Everything ahead of `slot` was passed over as
-                // incomplete; ask about the rest with `done` — complete — as
-                // the last entry, so the cluster answers from its entry scan
-                // and cannot step.
-                rest.clear();
-                rest.extend_from_slice(&active[slot..]);
-                rest.push(done);
-                match cluster.run_until_any_complete(&rest) {
-                    Some(next) if next != done => done = next,
-                    _ => break,
-                }
-            }
-        }
-        let history = cluster.take_history();
-        let report = DriverReport {
-            issued,
-            completed: completed(&history),
-            rounds: waves,
-            duration: cluster.now().saturating_sub(start),
-        };
+            Arrival { at: 0, client: tx.client, spec: tx.spec }
+        });
+        let (history, report, _) =
+            completion_loop(cluster, plan, self.per_round.max(1), &mut |_| {});
         (history, report)
     }
 
@@ -308,17 +396,14 @@ impl WorkloadDriver {
         mode: CheckMode,
     ) -> (History, DriverReport, Verdict) {
         let CheckMode::Streaming = mode;
-        let (mut checker, mut ids) = (TagOrderStream::new(), Vec::new());
-        let (history, report) = self.run_tapped(cluster, generator, total, &mut |cluster| {
-            drain_into(&mut checker, &mut ids, cluster);
-        });
-        let verdict = checker.finish(&history);
-        (history, report, verdict)
+        checked(|tap| self.run_tapped(cluster, generator, total, tap))
     }
 
     /// Runs a read-latency probe: `writes_per_round` WRITEs and one READ are
     /// issued concurrently each round, `rounds` times.  This is the shape
-    /// used by the latency tables (reads under conflicting writes).
+    /// used by the latency tables (reads under conflicting writes).  Each
+    /// round draws WRITEs of distinct writers (50 draws per WRITE at most),
+    /// then one READ.
     pub fn run_read_probe(
         &self,
         cluster: &mut dyn Cluster,
@@ -326,42 +411,13 @@ impl WorkloadDriver {
         rounds: usize,
         writes_per_round: usize,
     ) -> (History, DriverReport) {
-        let start = cluster.now();
-        cluster.reserve(rounds * (writes_per_round + 1));
-        let mut issued = 0usize;
-        // This round's writers, sorted, and its transactions: cleared per
-        // round, reused across.
-        let mut seen_writers: Vec<ClientId> = Vec::with_capacity(writes_per_round);
-        let mut batch: Vec<(ClientId, TxSpec)> = Vec::with_capacity(writes_per_round + 1);
-        for _ in 0..rounds {
-            let now = cluster.now();
-            seen_writers.clear();
-            let mut guard = 0usize;
-            while batch.len() < writes_per_round && guard < writes_per_round * 50 {
-                guard += 1;
-                let w = generator.next_write();
-                let Err(at) = seen_writers.binary_search(&w.client) else {
-                    continue;
-                };
-                seen_writers.insert(at, w.client);
-                batch.push((w.client, w.spec));
-            }
-            let r = generator.next_read();
-            batch.push((r.client, r.spec));
-            issued += batch.len();
-            for (client, spec) in batch.drain(..) {
-                cluster.invoke_at(now, client, spec);
-            }
-            cluster.run_until_quiescent();
-        }
-        let history = cluster.take_history();
-        let report = DriverReport {
-            issued,
-            completed: completed(&history),
-            rounds,
-            duration: cluster.now().saturating_sub(start),
+        let w = writes_per_round;
+        let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+            draw_distinct(seen, batch, w, w * 50, || generator.next_write());
+            let read = generator.next_read();
+            batch.push((read.client, read.spec));
         };
-        (history, report)
+        round_loop(cluster, rounds * (w + 1), rounds, w + 1, 0, &mut draw, &mut |_| {})
     }
 }
 
@@ -369,6 +425,7 @@ impl WorkloadDriver {
 mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
+    use crate::open_loop::{arrival_schedule, drive_open_loop, OpenLoopSpec};
     use snow_checker::{check_auto, StreamChecker, StreamLane};
     use snow_core::SystemConfig;
     use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
@@ -496,76 +553,118 @@ mod tests {
         assert!(waves > 13, "only {waves} waves — still running in lockstep rounds?");
     }
 
-    /// `run_paced` as it was before the completion handshake: after every
-    /// wait, sweep `active` with `is_complete` and free every client whose
-    /// transaction finished.  Kept as the reference the handshake must equal.
-    fn paced_by_sweep(
-        window: usize,
-        cluster: &mut dyn Cluster,
-        generator: &mut WorkloadGenerator,
-        total: usize,
-    ) -> (History, usize) {
-        let mut queues: BTreeMap<ClientId, VecDeque<TxSpec>> = BTreeMap::new();
-        for _ in 0..total {
-            let tx = generator.next_tx();
-            queues.entry(tx.client).or_default().push_back(tx.spec);
+    /// The completion loop's refill rule written as a sweep, the reference
+    /// the handshake must equal: after each wait, visit `active` in order,
+    /// and free each complete member — its client rejoins the back of the
+    /// rotation if it has work — and refill that slot in place from the
+    /// front of the rotation (or remove it) before looking at the next
+    /// member.  Returns the history and the waves: the distinct instants at
+    /// which a wait returned.
+    fn by_sweep(cluster: &mut dyn Cluster, plan: Vec<Arrival>, window: usize) -> (History, usize) {
+        type Queues = BTreeMap<ClientId, VecDeque<(u64, TxSpec)>>;
+        fn invoke_next(
+            cluster: &mut dyn Cluster,
+            queues: &mut Queues,
+            rotation: &mut VecDeque<ClientId>,
+        ) -> Option<(TxId, ClientId)> {
+            let client = rotation.pop_front()?;
+            let (at, spec) = queues.get_mut(&client)?.pop_front()?;
+            Some((cluster.invoke_at(at, client, spec), client))
+        }
+        let mut queues = Queues::new();
+        for Arrival { at, client, spec } in plan {
+            queues.entry(client).or_default().push_back((at, spec));
         }
         let mut rotation: VecDeque<ClientId> = queues.keys().copied().collect();
         let mut active: Vec<(TxId, ClientId)> = Vec::new();
-        let mut waves = 0usize;
+        while active.len() < window {
+            let Some(entry) = invoke_next(cluster, &mut queues, &mut rotation) else { break };
+            active.push(entry);
+        }
+        let mut instants = Vec::new();
         loop {
-            while active.len() < window {
-                let Some(client) = rotation.pop_front() else { break };
-                let Some(spec) = queues.get_mut(&client).and_then(|q| q.pop_front()) else {
-                    continue;
-                };
-                active.push((cluster.invoke_at(cluster.now(), client, spec), client));
-            }
             let watch: Vec<TxId> = active.iter().map(|&(tx, _)| tx).collect();
             if cluster.run_until_any_complete(&watch).is_none() {
                 break;
             }
-            waves += 1;
+            instants.push(cluster.now());
             let mut i = 0;
             while i < active.len() {
-                if cluster.is_complete(active[i].0) {
-                    let (_, client) = active.swap_remove(i);
-                    if queues.get(&client).is_some_and(|q| !q.is_empty()) {
-                        rotation.push_back(client);
-                    }
-                } else {
+                if !cluster.is_complete(active[i].0) {
                     i += 1;
+                    continue;
+                }
+                let client = active[i].1;
+                if queues.get(&client).is_some_and(|q| !q.is_empty()) {
+                    rotation.push_back(client);
+                }
+                match invoke_next(cluster, &mut queues, &mut rotation) {
+                    Some(entry) => {
+                        active[i] = entry;
+                        i += 1;
+                    }
+                    None => {
+                        active.remove(i);
+                    }
                 }
             }
         }
-        (cluster.take_history(), waves)
+        instants.dedup();
+        (cluster.take_history(), instants.len())
+    }
+
+    /// A paced run's plan: `total` draws, every arrival at time 0.
+    fn paced_plan(generator: &mut WorkloadGenerator, total: usize) -> Vec<Arrival> {
+        let arrival = |tx: GeneratedTx| Arrival { at: 0, client: tx.client, spec: tx.spec };
+        (0..total).map(|_| arrival(generator.next_tx())).collect()
     }
 
     /// Where one wait retires several watched transactions — a fault
-    /// quiescence aborting every orphan — the handshake
-    /// frees them in sweep order before refilling anything, so histories
-    /// and the wave count equal the sweep's.  (Freeing one per wait and
-    /// refilling in between reorders `active` and moves `TxId`s.)
+    /// quiescence aborting every orphan — the handshake hands them back
+    /// one per wait, and each freed slot is refilled in place before the
+    /// next is freed, so histories and the wave count equal the sweep's:
+    /// with a window of every client, with a window smaller than the
+    /// client count, and on the open loop under 1 % drop.
     #[test]
     fn paced_handshake_equals_the_sweep_when_completions_coincide() {
-        let config = SystemConfig::mwmr(4, 2, 2);
         let (any, forever) = (EndpointSel::Any, u64::MAX);
-        let lossy = FaultSchedule::new(0xABCC).with_region(FaultRegion {
-            chance_pct: 5,
-            ..FaultRegion::always(FaultAction::Drop, any, any, 0, forever)
-        });
-        let base = ClusterSpec::new(ProtocolKind::AlgB, &config)
-            .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 16 });
-        let spec = base.faults(lossy);
-        let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-        let (expected, expected_waves) =
-            paced_by_sweep(4, spec.build().unwrap().as_mut(), &mut generator(), 300);
-        let (history, report) =
-            WorkloadDriver::new(4).run_paced(spec.build().unwrap().as_mut(), &mut generator(), 300);
-        assert_eq!(report.issued, 300);
-        assert!(report.rounds < 300, "no wait retired two transactions");
-        assert_eq!(report.rounds, expected_waves);
-        assert_eq!(format!("{history:?}"), format!("{expected:?}"));
+        let drops = |seed, chance_pct| {
+            FaultSchedule::new(seed).with_region(FaultRegion {
+                chance_pct,
+                ..FaultRegion::always(FaultAction::Drop, any, any, 0, forever)
+            })
+        };
+        for config in [SystemConfig::mwmr(4, 2, 2), SystemConfig::mwmr(4, 3, 3)] {
+            let spec = ClusterSpec::new(ProtocolKind::AlgB, &config)
+                .scheduler(SchedulerKind::Latency { seed: 1, min: 1, max: 16 })
+                .faults(drops(0xABCC, 5));
+            let generator = || WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+            let plan = paced_plan(&mut generator(), 300);
+            let (expected, expected_waves) = by_sweep(spec.build().unwrap().as_mut(), plan, 4);
+            let (history, report) = WorkloadDriver::new(4).run_paced(
+                spec.build().unwrap().as_mut(),
+                &mut generator(),
+                300,
+            );
+            let clients = config.num_clients();
+            assert_eq!(report.issued, 300, "{clients} clients");
+            assert!(report.rounds < 300, "{clients} clients: no wait retired two transactions");
+            assert_eq!(report.rounds, expected_waves, "{clients} clients");
+            assert_eq!(format!("{history:?}"), format!("{expected:?}"), "{clients} clients");
+        }
+
+        let config = SystemConfig::mwmr(4, 4, 4);
+        let spec = OpenLoopSpec { arrivals: 1_000, ..OpenLoopSpec::tao_like(100) };
+        let cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
+            .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+            .max_steps(u64::MAX)
+            .faults(drops(9, 1));
+        let plan = arrival_schedule(&config, &spec);
+        let (expected, waves) = by_sweep(cluster.build().unwrap().as_mut(), plan, usize::MAX);
+        let (history, report) = drive_open_loop(cluster.build().unwrap().as_mut(), &config, &spec);
+        assert_eq!((report.issued, report.completed), (1_000, 1_000));
+        assert!(waves < 1_000, "open loop: no wait retired two transactions");
+        assert_eq!(format!("{history:?}"), format!("{expected:?}"), "open loop");
     }
 
     /// The streaming check drives the same run as the unchecked driver, and

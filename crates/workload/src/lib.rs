@@ -8,14 +8,22 @@
 //!   ratio Facebook reports for TAO), with configurable objects-per-READ and
 //!   objects-per-WRITE;
 //! * [`driver`] — drives a generated workload against any
-//!   [`snow_protocols::Cluster`] in rounds of concurrent transactions,
-//!   returning the history for the checker and the metrics tables;
+//!   [`snow_protocols::Cluster`] in rounds of concurrent transactions, or
+//!   paced per client, returning the history for the checker and the
+//!   metrics tables;
 //! * [`open_loop`] — drives any cluster at a fixed offered rate instead:
 //!   latency-vs-load curves and saturation knees;
 //! * [`scenario`] — the scenario matrix: protocols × geo-topologies ×
 //!   workload shapes, each cell running on a topology-scheduled cluster and
 //!   condensed into an [`SloReport`] (SNOW verdict, p50/p99 read latency,
 //!   rounds, C2C counts) — one row of `snow table scenarios` (in `snow-bench`).
+//!
+//! Every driver is a plan run on one of two loops in [`driver`]: the round
+//! loop, which waits for quiescence after each round (`run`,
+//! `run_checked_mode`, `run_read_probe`, `run_scenario`), and the
+//! completion loop, which waits for any transaction to complete and refills
+//! that client's slot (`run_paced`, `drive_open_loop`).  The checked
+//! entry points share one check path over either loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,7 +23,10 @@
 //! per client — by queueing each client's arrivals FIFO and *injecting*
 //! the next one only when the client frees; its scheduled time is
 //! preserved, so a busy client's next transaction starts late and the
-//! delay shows up as latency.
+//! delay shows up as latency.  The schedule runs on the crate's completion
+//! loop (the [`crate::driver`] module docs), with every client in the
+//! window — the loop `WorkloadDriver::run_paced` runs too, on a plan with
+//! every arrival at time 0.
 //!
 //! # Saturation physics (serial engine)
 //!
@@ -39,14 +42,13 @@
 //! scheduler seed — so open-loop histories are bit-identical across runs
 //! (pinned by `tests/open_loop.rs`).
 
-use crate::driver::drain_into;
+use crate::driver::{checked, completion_loop, Tap};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snow_checker::{LatencyStats, Verdict};
-use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxId, TxKind, TxSpec};
+use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxKind, TxSpec};
 use snow_protocols::{Cluster, ClusterSpec};
-use std::collections::{BTreeMap, VecDeque};
 
 /// Parameters of one open-loop run.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,81 +162,27 @@ pub fn drive_open_loop(
     drive_open_loop_tapped(cluster, config, spec, &mut |_| {})
 }
 
-/// [`drive_open_loop`] with a hook called after every completion, and once
-/// more after the last wait, just before the history is taken — the
-/// streaming check mode drains freshly committed transactions into a
+/// [`drive_open_loop`]'s plan on the completion loop
+/// (`crate::driver::completion_loop`), every client in the window, with
+/// `tap` after every completion and once more after the last wait — the
+/// streaming check drains freshly committed transactions into a
 /// [`snow_checker::TagOrderStream`] here, while the run is still going.
 fn drive_open_loop_tapped(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
     spec: &OpenLoopSpec,
-    tap: &mut dyn FnMut(&mut dyn Cluster),
+    tap: &mut Tap,
 ) -> (History, OpenLoopReport) {
     let schedule = arrival_schedule(config, spec);
-    let issued = schedule.len();
     let span = schedule.last().map_or(1, |a| a.at).max(1);
-    // Per-client FIFO arrival queues (BTreeMap: deterministic iteration for
-    // the initial injections).
-    let mut queues: BTreeMap<ClientId, VecDeque<(u64, TxSpec)>> = BTreeMap::new();
-    for arrival in schedule {
-        queues
-            .entry(arrival.client)
-            .or_default()
-            .push_back((arrival.at, arrival.spec));
-    }
-    let clients: Vec<ClientId> = queues.keys().copied().collect();
-    // Each arrival's scheduled time, by its id's offset from the run's
-    // first id: the cluster numbers invocations densely, in order.  Client
-    // and kind are read from the record.
-    let mut scheduled: Vec<u64> = Vec::with_capacity(issued);
-    let mut first_id: Option<u64> = None;
-    let start = cluster.now();
-    cluster.reserve(issued);
-    let mut inject = |cluster: &mut dyn Cluster, client: ClientId| -> Option<TxId> {
-        let (at, spec) = queues.get_mut(&client)?.pop_front()?;
-        let tx = cluster.invoke_at(at, client, spec);
-        let first = *first_id.get_or_insert(tx.0);
-        assert_eq!(tx.0 - first, scheduled.len() as u64, "ids are dense, in invocation order");
-        scheduled.push(at);
-        Some(tx)
-    };
-    // One outstanding transaction per client: inject each client's first
-    // arrival, then refill a client's slot whenever it frees.  The cluster
-    // names the transaction that freed (first complete in `active` order),
-    // so the driver probes nothing: it refills that slot in place, and when
-    // a quiescence retired several at once the next call hands
-    // the rest back, in the same order, before the clock moves — injection
-    // order, and with it `TxId` assignment, is that of a full sweep.
-    let mut active: Vec<TxId> = clients.iter().filter_map(|&c| inject(cluster, c)).collect();
-    // `None`: nothing outstanding, or quiescent with watched work that can
-    // never finish.
-    while let Some(done) = cluster.run_until_any_complete(&active) {
-        tap(cluster);
-        let slot = active
-            .iter()
-            .position(|&tx| tx == done)
-            .expect("the cluster returns a member of the watch list");
-        let client = cluster.record(done).expect("a completed transaction has a record").client;
-        match inject(cluster, client) {
-            Some(next) => active[slot] = next,
-            None => {
-                active.remove(slot);
-            }
-        }
-    }
-    // The last wait may have committed (or, under faults, retired) what
-    // no tap has seen yet; the take empties the commit log.
-    tap(cluster);
+    let (history, run, planned) = completion_loop(cluster, schedule, usize::MAX, tap);
     // One pass over the history, one index per record
     // (`LatencyStats::from_samples` sorts, so sample order is free).
-    let history = cluster.take_history();
-    let first_id = first_id.unwrap_or(0);
-    let mut latencies = Vec::with_capacity(issued);
+    let mut latencies = Vec::with_capacity(run.issued);
     let mut read_latencies = Vec::new();
     for rec in &history.records {
-        let scheduled_at =
-            rec.tx_id.0.checked_sub(first_id).and_then(|offset| scheduled.get(offset as usize));
-        let (Some(&scheduled_at), Some(responded_at)) = (scheduled_at, rec.responded_at) else {
+        let (Some(scheduled_at), Some(responded_at)) = (planned.of(rec.tx_id), rec.responded_at)
+        else {
             continue;
         };
         let latency = responded_at.saturating_sub(scheduled_at);
@@ -244,14 +192,14 @@ fn drive_open_loop_tapped(
         }
     }
     let completed = latencies.len();
-    let duration = cluster.now().saturating_sub(start).max(1);
+    let duration = run.duration.max(1);
     let achieved_rate = completed as f64 * 1000.0 / duration as f64;
-    let realized_offered_rate = issued as f64 * 1000.0 / span as f64;
+    let realized_offered_rate = run.issued as f64 * 1000.0 / span as f64;
     let report = OpenLoopReport {
         offered_rate: spec.rate,
         realized_offered_rate,
         achieved_rate,
-        issued,
+        issued: run.issued,
         completed,
         duration,
         latency: LatencyStats::from_samples(&latencies),
@@ -262,10 +210,10 @@ fn drive_open_loop_tapped(
 }
 
 /// [`drive_open_loop`] plus a strict-serializability verdict, mirroring
-/// [`crate::driver::WorkloadDriver::run_checked_mode`]: a
-/// [`snow_checker::TagOrderStream`] rides along with the run.  After every
-/// completion wave the cluster's commit log is drained into the checker,
-/// each record read in place ([`Cluster::drain_commit_ids`],
+/// [`crate::driver::WorkloadDriver::run_checked_mode`] and sharing its
+/// check path: a [`snow_checker::TagOrderStream`] rides along with the
+/// run.  After every completion the cluster's commit log is drained into
+/// the checker, each record read in place ([`Cluster::drain_commit_ids`],
 /// [`Cluster::record`]), and the certification frontier advances past
 /// everything the simulator can no longer invoke before — so the verdict
 /// is produced incrementally, in RESP order: by tag order on a tagged
@@ -278,12 +226,7 @@ pub fn drive_open_loop_checked(
     config: &SystemConfig,
     spec: &OpenLoopSpec,
 ) -> (History, OpenLoopReport, Verdict) {
-    let (mut checker, mut ids) = (snow_checker::TagOrderStream::new(), Vec::new());
-    let (history, report) = drive_open_loop_tapped(cluster, config, spec, &mut |cluster| {
-        drain_into(&mut checker, &mut ids, cluster);
-    });
-    let verdict = checker.finish(&history);
-    (history, report, verdict)
+    checked(|tap| drive_open_loop_tapped(cluster, config, spec, tap))
 }
 
 /// One latency-vs-throughput curve: the per-rate reports of one cluster
@@ -367,7 +310,7 @@ mod tests {
     use super::*;
     use crate::driver::CheckMode;
     use snow_checker::check_auto;
-    use snow_core::{ServerId, TxRecord};
+    use snow_core::{ServerId, TxId, TxRecord};
     use snow_protocols::{ProtocolKind, SchedulerKind};
     use snow_sim::topology::TICK;
     use snow_sim::{
@@ -659,6 +602,24 @@ mod tests {
         assert_eq!(cluster.probes.get(), 0, "driver-side is_complete probes");
         // One wait per completion, plus the one that finds nothing left.
         assert_eq!(cluster.waits, 2_000 + 1);
+    }
+
+    /// The paced driver runs on the same completion loop, with a window of
+    /// 4 of the 6 clients: one wait per transaction, no probe.  (It used to
+    /// wait twice per transaction — a second call to ask whether the wait
+    /// had retired others — 2 001 waits here.)
+    #[test]
+    fn the_paced_driver_waits_once_per_transaction_and_probes_nothing() {
+        use crate::driver::WorkloadDriver;
+        let config = SystemConfig::mwmr(4, 3, 3);
+        let mut cluster = Watched::new(cluster_spec(ProtocolKind::AlgB, &config).build().unwrap());
+        let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+        let (history, report) =
+            WorkloadDriver::new(4).run_paced(&mut cluster, &mut generator, 1_000);
+        assert_eq!((report.issued, report.completed, history.len()), (1_000, 1_000, 1_000));
+        assert_eq!(report.rounds, 1_000, "one wave per transaction without faults");
+        assert_eq!(cluster.probes.get(), 0, "driver-side is_complete probes");
+        assert_eq!(cluster.waits, 1_000 + 1);
     }
 
     /// Every driver sizes the record log once, before its first

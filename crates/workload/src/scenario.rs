@@ -31,13 +31,13 @@
 //! cells and seeds + stream-engine certification of every cell).
 
 use snow_checker::SnowReport;
-use snow_core::{History, Result, SystemConfig};
+use snow_core::{ClientId, History, Result, SystemConfig};
 use snow_protocols::{ClusterSpec, ProtocolKind};
 use snow_sim::topology::TICK;
 use snow_sim::Topology;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::driver::{draw_distinct, round_loop, Batch};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 
 /// The geo-topologies the matrix crosses (presets from
@@ -238,27 +238,16 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
     let mut cluster =
         ClusterSpec::new(scenario.protocol, &config).topology(topology, seed).build()?;
     let mut generator = WorkloadGenerator::new(&config, scenario.shape.spec(seed));
+    // One outstanding transaction per client: of `per_round` draws, keep
+    // the first per client, in generation order.
     let per_round = config.num_clients() as usize;
-    // At most one transaction per client and round.
-    cluster.reserve(rounds * per_round);
-    for _ in 0..rounds {
-        // One outstanding transaction per client: keep the first draw per
-        // client, deterministically in generation order.
-        let mut used = BTreeSet::new();
-        let mut at = cluster.now();
-        for tx in generator.batch(per_round) {
-            if !used.insert(tx.client) {
-                continue;
-            }
-            at += 1;
-            cluster.invoke_at(at, tx.client, tx.spec);
-        }
-        cluster.run_until_quiescent();
-    }
-    Ok(ScenarioRun {
-        history: cluster.take_history(),
-        duration_ticks: cluster.now() / TICK,
-    })
+    let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+        draw_distinct(seen, batch, per_round, per_round, || generator.next_tx());
+    };
+    let cluster = cluster.as_mut();
+    let (history, _) =
+        round_loop(cluster, rounds * per_round, rounds, per_round, 1, &mut draw, &mut |_| {});
+    Ok(ScenarioRun { history, duration_ticks: cluster.now() / TICK })
 }
 
 /// Runs a cell and condenses it into its [`SloReport`] — one row of
@@ -294,6 +283,7 @@ pub fn slo_report(scenario: &Scenario, seed: u64, rounds: usize) -> Result<SloRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn matrix_has_eighteen_uniquely_named_cells() {

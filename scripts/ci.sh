@@ -52,9 +52,12 @@
 #      — `wide_closed_loop_algb_in_one_dc_allocates_exactly_this_much` —
 #      and of a 1 000-arrival AlgC open loop, and the streaming WAN run's
 #      gap again at 10 000 transactions).  Then the
-#      open-loop driver's linear cost as a pure count (crates/workload,
-#      `the_driver_waits_once_per_transaction_and_probes_nothing`: one
-#      completion wait per transaction, zero `is_complete` probes) and
+#      completion loop's linear cost as a pure count, for both of its
+#      shapes (crates/workload: the open loop,
+#      `the_driver_waits_once_per_transaction_and_probes_nothing`, and the
+#      paced driver with a window smaller than its clients,
+#      `the_paced_driver_waits_once_per_transaction_and_probes_nothing`:
+#      one completion wait per transaction, zero `is_complete` probes) and
 #      "final at RESP" (`drained_records_equal_the_final_history`: every
 #      record `drain_commits` streamed equals the one in the history the
 #      driver takes at the end of the run, dup storm included), the
@@ -229,7 +232,9 @@ by_name --test check_auto_verdicts -- \
     check_auto_certifies_blocking_at_2000 check_auto_convicts_simple_at_2000 \
     check_auto_certifies_the_algc_open_loop_with_its_tags_stripped
 by_name -p snow-workload -- \
-    the_driver_waits_once_per_transaction_and_probes_nothing drained_records_equal_the_final_history \
+    the_driver_waits_once_per_transaction_and_probes_nothing \
+    the_paced_driver_waits_once_per_transaction_and_probes_nothing \
+    drained_records_equal_the_final_history \
     streaming_check_mode_agrees_with_post_hoc streaming_open_loop_agrees_with_post_hoc \
     untagged_runs_are_checked_by_the_semantic_stream_engine_alone \
     duplication_leaves_algb_certified_by_tag_order \

@@ -178,6 +178,19 @@
 //! 333 152 → 318 816.  The deployment now holds its tables from the build
 //! on, 16 B per client id per object: 8 × 8 × 16 = 1 KiB on the WAN and
 //! AlgC runs, 16 × 128 × 16 = 32 KiB in one DC.  The gaps held.
+//!
+//! Then the paced and open-loop drivers became one completion loop, which
+//! frees its per-client arrival queues when it returns, and only the AlgC
+//! open loop moved: 3 088 → 3 087 allocations and a peak of 499 992 →
+//! 475 992 bytes.  The peak was the report pass: 475 800 live bytes at the
+//! take, plus the latency samples (8 000 + 8 192) and the sorted copy
+//! `LatencyStats` takes (8 000), with the arrival queues (77 208 B), the
+//! client list and the watch list (96 B) still held.  Without them that
+//! pass peaks at 422 688, and the peak is the run's own, 475 992 before the
+//! take, which it was already reaching.  The watch list is now allocated at
+//! its width (8 clients) instead of collected from a filter (4, then
+//! grown to 8): one allocation fewer.  The five other pins and the four
+//! gaps held: a round's buffers are still 52 B per client.
 
 use snow::checker::check_auto;
 use snow::core::{SystemConfig, TxRecord};
@@ -399,5 +412,5 @@ fn open_loop_algc_allocates_exactly_this_much() {
         counted(|| drive_open_loop(cluster.as_mut(), &config, &spec));
     assert_eq!((report.issued, report.completed), (TRANSACTIONS, TRANSACTIONS));
     assert!(history.records.iter().all(TxRecord::is_complete));
-    assert_counts(counts, 3_088, 499_992);
+    assert_counts(counts, 3_087, 475_992);
 }

@@ -45,8 +45,14 @@ const TXNS: usize = 60;
 /// `0x843f_4d66_487c_8508`) when a link's draw became the delivery time,
 /// with no slot round-up or per-destination sub-tick band: the 48 `wan3`
 /// cells moved, and the 144 `fifo`, `random` and `latency` cells kept their
-/// fingerprints bit for bit.
-const SWEEP_DIGEST: u64 = 0x803b_0fe1_0644_9ecf;
+/// fingerprints bit for bit.  Re-taken (from `0x803b_0fe1_0644_9ecf`) when
+/// the paced driver moved onto the open loop's completion loop, which
+/// refills each freed slot in place before it frees the next: 46 cells
+/// moved, all of them paced under a fault column (24 `lossy`, 18
+/// `crash_mid_read`, 4 `dup_storm`) — where one quiescence retires several
+/// transactions and the old rule freed them all before refilling any.
+/// Every `rounds` cell and every clean paced cell kept its fingerprint.
+const SWEEP_DIGEST: u64 = 0x74c1_d85a_c8aa_21d8;
 
 fn config(protocol: ProtocolKind) -> SystemConfig {
     if protocol.needs_c2c() {
