@@ -10,10 +10,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use snow_bench::{
-    comparison_config, golden, header, open_loop_rows, row, run_protocol_workload, scenario_rows,
+    golden, header, open_loop_rows, row, run_protocol_workload, scenario_rows,
     verify_alg_a_snow, zipf_rows, OPEN_LOOP_RATES,
 };
-use snow_checker::{check_auto, HistoryMetrics, SnowReport, StreamChecker, Verdict};
+use snow_checker::{
+    check_auto, HistoryMetrics, LatencyStats, SnowReport, StreamChecker, Verdict,
+};
 use snow_core::SystemConfig;
 use snow_impossibility::{eiger_fig5, run_fig5, run_three_client_chain, run_two_client_chain};
 use snow_obs::{fold_events, perfetto_json};
@@ -133,7 +135,7 @@ fn fig1b() {
         ])
     );
     for protocol in [ProtocolKind::AlgA, ProtocolKind::AlgB, ProtocolKind::AlgC] {
-        let config = comparison_config(protocol, 4, 3, 2);
+        let config = protocol.config(4, 3, 2);
         let (_h, metrics, report) =
             run_protocol_workload(protocol, &config, WorkloadSpec::write_heavy(), 300, 11);
         let versions = metrics.max_versions();
@@ -233,7 +235,7 @@ fn table_latency() {
     println!("# E8 — READ transaction latency by protocol\n");
     println!("{}", header(&["Protocol", "p50 (ticks)", "p99 (ticks)", "mean rounds", "S?"]));
     for protocol in ProtocolKind::all() {
-        let config = comparison_config(protocol, 4, 2, 2);
+        let config = protocol.config(4, 2, 2);
         let (_h, metrics, report) =
             run_protocol_workload(protocol, &config, WorkloadSpec::tao_like(), 400, 3);
         println!(
@@ -354,11 +356,8 @@ fn table_scenarios() {
 }
 
 fn golden(faults: bool, write: bool) {
-    let (contents, file) = if faults {
-        (golden::fault_fixture_file(), "golden_fault_histories.txt")
-    } else {
-        (golden::fixture_file(), "golden_histories.txt")
-    };
+    let contents = golden::fixture_file(faults);
+    let file = if faults { "golden_fault_histories.txt" } else { "golden_histories.txt" };
     if write {
         let path = format!("{}/../../tests/{file}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(&path, &contents).expect("write fixture file");
@@ -427,9 +426,11 @@ fn run_observe() {
     // Perfetto export: the simulator's track → a thread, transactions →
     // async spans, sends/deliveries → instants.
     let trace = perfetto_json(&events, "snow observed open-loop (AlgB)", 1);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/observe_run.trace.json");
-    std::fs::write(path, &trace).expect("write trace");
-    let path = std::fs::canonicalize(path).expect("trace path");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+    std::fs::create_dir_all(dir).expect("create the trace directory");
+    let path = format!("{dir}/observe_run.trace.json");
+    std::fs::write(&path, &trace).expect("write trace");
+    let path = std::fs::canonicalize(&path).expect("trace path");
     println!("perfetto trace ({} bytes) -> {}", trace.len(), path.display());
 
     // The streaming checker exposes its own frontier: how many precedence
@@ -529,10 +530,8 @@ fn run_partition_drill() {
             phases[phase].1.push((resp - rec.invoked_at) / TICK);
         }
     }
-    for (name, latencies, aborted) in &mut phases {
-        latencies.sort_unstable();
-        let p99 =
-            if latencies.is_empty() { 0 } else { latencies[(latencies.len() - 1) * 99 / 100] };
+    for (name, latencies, aborted) in &phases {
+        let p99 = LatencyStats::from_samples(latencies).p99;
         println!(
             "phase {name:>6}: {} committed, {} aborted, p99 latency {p99} site-ticks",
             latencies.len(),

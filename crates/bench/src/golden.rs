@@ -1,42 +1,52 @@
 //! Golden-history fixtures: seeded determinism across engine refactors.
 //!
 //! The simulator promises that a run is a pure function of
-//! `(protocol, scheduler, seeds)`.  This module pins that promise down: it
-//! runs a fixed workload for every (protocol × scheduler) combination and
-//! renders the resulting [`snow_core::History`] into a canonical text whose
-//! FNV-1a fingerprint is stored in `tests/golden_histories.txt` at the
-//! workspace root.  The `determinism` integration test re-runs every combo
-//! and compares fingerprints, so any engine change that silently perturbs
-//! schedules (and therefore histories) fails loudly.
+//! `(protocol, scheduler, seeds, fault schedule)`.  This module pins that
+//! promise down.  A [`Combo`] is one protocol under one schedule, with or
+//! without a fault schedule, and [`Combo::run`] is the one runner: it
+//! builds the combo's cluster, drives the pinned workload through
+//! `WorkloadDriver` and returns the [`Run`] — history, driver report,
+//! final clock and drained events.  Everything else is a view of it:
+//!
+//! * [`Combo::render`] / [`Combo::canonical`]: the canonical text, the full
+//!   `Debug` form of every record plus the final clock (and, under faults,
+//!   the aborted count), whose FNV-1a [`fingerprint`] the fixtures pin;
+//! * [`fixture_file`]: `tests/golden_histories.txt` over the 30 clean
+//!   [`combos`], or `tests/golden_fault_histories.txt` over the 15
+//!   [`fault_combos`] — which `tests/determinism.rs` and
+//!   `tests/fault_determinism.rs` compare line for line, so an engine
+//!   change that silently perturbs schedules fails loudly;
+//! * the parity runs: the same combo driven one transaction at a time
+//!   (`clients: 1`) or in full rounds of every client, compared across
+//!   schedulers through the timing-free [`semantic_digest`] /
+//!   [`instrumented_digest`] (`tests/protocol_properties.rs`).
 //!
 //! The fixtures were captured from the pre-event-queue (linear-scan) engine;
 //! the indexed engine reproduces them bit-for-bit, which is the refactor's
 //! equivalence proof.  Regenerate with
-//! `cargo run -p snow-bench --release -- golden --write`
+//! `cargo run -p snow-bench --release -- golden [--faults] --write`
 //! (only legitimate when the schedule semantics intentionally change, or
 //! the workload bodies do — e.g. a different `rand` backend, see
 //! `vendor/README.md`).
 
-//! Beyond the fingerprints, this module also defines the **parity
-//! fixtures**: a deterministic serial transaction plan per protocol
-//! ([`parity_plan`]), its runner ([`run_plan`]) and a timing-free
-//! canonical rendering of a history's semantics ([`semantic_digest`]) that
-//! the `protocol_properties` integration test uses to hold every scheduler
-//! to one set of semantics.
-
-use snow_core::{ClientId, History, SystemConfig, TxSpec};
+use snow_core::History;
 use snow_protocols::{fault_scenarios, ClusterSpec, ProtocolKind, SchedulerKind, ShardEvent};
 use snow_sim::FaultSchedule;
-use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
+use snow_workload::{DriverReport, WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::fmt::Write as _;
 
-/// One pinned (protocol, scheduler) execution.
+/// One pinned execution: a protocol under a schedule, with or without
+/// faults.
 #[derive(Debug, Clone)]
 pub struct Combo {
     /// The protocol under test.
     pub protocol: ProtocolKind,
     /// The delivery schedule.
     pub scheduler: SchedulerKind,
+    /// The fault schedule, if any.  Under one, transactions orphaned by a
+    /// crash or a partition retire as `TxOutcome::Aborted`, and the
+    /// canonical text counts them.
+    pub faults: Option<FaultSchedule>,
     /// Stable identifier used as the fixture key.
     pub label: String,
 }
@@ -44,7 +54,45 @@ pub struct Combo {
 /// Transactions driven per combo.
 pub const COMBO_TXNS: usize = 20;
 
-/// Every pinned combination: six protocols × five schedules.
+/// The workload distribution every combo draws from.
+pub const COMBO_WORKLOAD: WorkloadSpec = WorkloadSpec {
+    read_fraction: 0.5,
+    objects_per_read: 2,
+    objects_per_write: 2,
+    zipf_exponent: 0.9,
+    seed: 13,
+};
+
+/// How a combo is driven: [`WorkloadDriver::run`] in rounds of `clients`
+/// for `transactions`, on a cluster that records events if `observed`.
+#[derive(Debug, Clone, Copy)]
+pub struct Shape {
+    /// Transactions per round, each from a distinct client.
+    pub clients: usize,
+    /// Transactions driven in all.
+    pub transactions: usize,
+    /// Whether the cluster records its virtual-time event stream.
+    pub observed: bool,
+}
+
+/// The fixtures' shape: [`COMBO_TXNS`] transactions in rounds of 4,
+/// unobserved.
+pub const FIXTURE: Shape = Shape { clients: 4, transactions: COMBO_TXNS, observed: false };
+
+/// What one combo run leaves behind.
+#[derive(Debug)]
+pub struct Run {
+    /// The run's records.
+    pub history: History,
+    /// The driver's summary.
+    pub report: DriverReport,
+    /// The simulation clock at the end of the run.
+    pub now: u64,
+    /// The drained event stream (empty unless the shape was observed).
+    pub events: Vec<ShardEvent>,
+}
+
+/// Every pinned clean combination: six protocols × five schedules.
 pub fn combos() -> Vec<Combo> {
     let schedulers = [
         ("fifo", SchedulerKind::Fifo),
@@ -55,171 +103,90 @@ pub fn combos() -> Vec<Combo> {
     ];
     let mut out = Vec::new();
     for protocol in ProtocolKind::all() {
-        for (sched_name, scheduler) in &schedulers {
+        for (name, scheduler) in schedulers {
+            let label = format!("{protocol:?}/{name}");
+            out.push(Combo { protocol, scheduler, faults: None, label });
+        }
+    }
+    out
+}
+
+/// The pinned fault matrix: every protocol under FIFO with the crash and
+/// the partition scenarios, and the quorum protocols whose handlers are
+/// idempotent per tag under the dup storm — on a latency schedule, so
+/// duplicates genuinely race their originals.
+pub fn fault_combos() -> Vec<Combo> {
+    let mut out = Vec::new();
+    for (scenario, schedule) in fault_scenarios() {
+        let (protocols, name, scheduler) = if scenario == "dup_storm" {
+            let quorum = vec![ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple];
+            (quorum, "latency7", SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
+        } else {
+            (ProtocolKind::all().to_vec(), "fifo", SchedulerKind::Fifo)
+        };
+        for protocol in protocols {
             out.push(Combo {
                 protocol,
-                scheduler: *scheduler,
-                label: format!("{protocol:?}/{sched_name}"),
+                scheduler,
+                faults: Some(schedule.clone()),
+                label: format!("{protocol:?}/{name}/{scenario}"),
             });
         }
     }
     out
 }
 
-/// The system configuration every combo and parity fixture of `protocol`
-/// runs on: MWSR + C2C for Algorithm A, MWMR otherwise.
-pub fn combo_config(protocol: ProtocolKind) -> SystemConfig {
-    if protocol.needs_c2c() {
-        SystemConfig::mwsr(3, 2, true)
-    } else {
-        SystemConfig::mwmr(3, 2, 2)
-    }
-}
-
-/// The workload distribution every combo and parity fixture draws from.
-fn combo_workload_spec() -> WorkloadSpec {
-    WorkloadSpec {
-        read_fraction: 0.5,
-        objects_per_read: 2,
-        objects_per_write: 2,
-        zipf_exponent: 0.9,
-        seed: 13,
-    }
-}
-
-/// Runs one combo and renders its history canonically: the full `Debug` form
-/// of every record (spec, outcome, timings, rounds, C2C, read
-/// instrumentation) plus the final simulation clock.
-pub fn run_combo(combo: &Combo) -> String {
-    drive_combo(combo, false).0
-}
-
-/// [`run_combo`] with observability enabled: the identical workload on an
-/// event-recording cluster, returning the canonical history text *plus*
-/// the drained virtual-time event stream.  The text must equal
-/// [`run_combo`]'s byte for byte — observation must never perturb the
-/// schedule — which is exactly what `tests/observability.rs` pins against
-/// the golden fixtures for all 30 combos.
-pub fn run_combo_observed(combo: &Combo) -> (String, Vec<ShardEvent>) {
-    drive_combo(combo, true)
-}
-
-fn drive_combo(combo: &Combo, observed: bool) -> (String, Vec<ShardEvent>) {
-    let config = combo_config(combo.protocol);
-    let mut cluster = ClusterSpec::new(combo.protocol, &config)
-        .scheduler(combo.scheduler)
-        .observed(observed)
-        .build()
-        .expect("valid combo config");
-    let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
-    let (history, report) =
-        WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
-    assert_eq!(
-        report.completed, report.issued,
-        "{}: combo workload must fully complete",
-        combo.label
-    );
-    let mut canon = String::new();
-    for record in &history.records {
-        writeln!(canon, "{record:?}").expect("string write");
-    }
-    writeln!(canon, "now={}", cluster.now()).expect("string write");
-    (canon, cluster.drain_obs_events())
-}
-
-/// The deterministic serial transaction plan the parity harness drives
-/// under every scheduler: the same generator draw (distribution, seed) as
-/// the golden combos, executed one transaction at a time so that
-/// per-transaction semantics (values read, keys, tags, rounds, versions,
-/// non-blocking verdicts) are schedule-independent and therefore
-/// comparable across schedulers.
-pub fn parity_plan(protocol: ProtocolKind) -> (SystemConfig, Vec<(ClientId, TxSpec)>) {
-    let config = combo_config(protocol);
-    let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
-    let plan = (0..COMBO_TXNS)
-        .map(|_| {
-            let tx = generator.next_tx();
-            (tx.client, tx.spec)
-        })
-        .collect();
-    (config, plan)
-}
-
-/// A deterministic *concurrent* plan: rounds of transactions from distinct
-/// clients that are dispatched together and drained together, so the
-/// transactions within a round genuinely overlap.  Unlike [`parity_plan`],
-/// per-transaction outcomes are schedule-dependent here — the comparison
-/// across schedulers is *serializability-equivalence* (every
-/// history satisfies strict serializability, checked by the stream engine),
-/// not digest equality.
-pub fn concurrent_parity_plan(
-    protocol: ProtocolKind,
-) -> (SystemConfig, Vec<Vec<(ClientId, TxSpec)>>) {
-    let config = combo_config(protocol);
-    let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
-    let clients = config.num_readers + config.num_writers;
-    let mut batches = Vec::new();
-    for _ in 0..8 {
-        let mut batch: Vec<(ClientId, TxSpec)> = Vec::new();
-        let mut guard = 0;
-        while batch.len() < clients as usize && guard < 200 {
-            guard += 1;
-            let tx = generator.next_tx();
-            if batch.iter().all(|(c, _)| *c != tx.client) {
-                batch.push((tx.client, tx.spec));
-            }
-        }
-        batches.push(batch);
-    }
-    (config, batches)
-}
-
-/// Runs a concurrent plan: each round is dispatched as one batch at the
-/// same instant, then the network drains to quiescence.
-pub fn run_concurrent_plan(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    batches: &[Vec<(ClientId, TxSpec)>],
-) -> History {
-    let mut cluster = ClusterSpec::new(protocol, config)
-        .scheduler(scheduler)
-        .build()
-        .expect("valid parity config");
-    for batch in batches {
-        let now = cluster.now();
-        let txs = cluster.invoke_batch(now, batch.clone());
-        cluster.run_until_quiescent();
-        for tx in txs {
-            assert!(cluster.is_complete(tx), "{protocol:?}: concurrent {tx} incomplete");
+impl Combo {
+    /// The combo's cluster: its protocol on `protocol.config(3, 2, 2)`
+    /// under its scheduler and fault schedule.
+    pub fn cluster(&self) -> ClusterSpec {
+        let spec = ClusterSpec::new(self.protocol, &self.protocol.config(3, 2, 2))
+            .scheduler(self.scheduler);
+        match &self.faults {
+            Some(faults) => spec.faults(faults.clone()),
+            None => spec,
         }
     }
-    cluster.history()
-}
 
-/// Runs `plan` serially under `scheduler`: each transaction is invoked
-/// alone and the network drains to quiescence before the next, so only the
-/// *semantics* of the protocol — not the schedule — determine the history.
-/// Panics if any transaction fails to complete.
-pub fn run_plan(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    scheduler: SchedulerKind,
-    plan: &[(ClientId, TxSpec)],
-) -> History {
-    let mut cluster = ClusterSpec::new(protocol, config)
-        .scheduler(scheduler)
-        .build()
-        .expect("valid parity config");
-    for (client, spec) in plan {
-        let tx = cluster.invoke_at(cluster.now(), *client, spec.clone());
-        cluster.run_until_quiescent();
-        assert!(
-            cluster.is_complete(tx),
-            "{protocol:?}: serial transaction {tx} did not complete"
+    /// Drives [`COMBO_WORKLOAD`] against a fresh [`Combo::cluster`] in
+    /// `shape`.  Panics unless every transaction retires (committed, or
+    /// aborted under faults).
+    pub fn run(&self, shape: Shape) -> Run {
+        let spec = self.cluster().observed(shape.observed);
+        let mut generator = WorkloadGenerator::new(spec.config(), COMBO_WORKLOAD);
+        let mut cluster = spec.build().expect("valid combo");
+        let (history, report) = WorkloadDriver::new(shape.clients).run(
+            cluster.as_mut(),
+            &mut generator,
+            shape.transactions,
         );
+        let label = &self.label;
+        assert_eq!(report.completed, report.issued, "{label}: every transaction must retire");
+        Run { history, report, now: cluster.now(), events: cluster.drain_obs_events() }
     }
-    cluster.history()
+
+    /// `run`'s canonical text: the full `Debug` form of every record (spec,
+    /// outcome, timings, rounds, C2C, read instrumentation), then
+    /// `now=<clock>`, with ` aborted=<count>` appended under faults.
+    pub fn render(&self, run: &Run) -> String {
+        let mut canon = String::new();
+        for record in &run.history.records {
+            writeln!(canon, "{record:?}").expect("string write");
+        }
+        write!(canon, "now={}", run.now).expect("string write");
+        if self.faults.is_some() {
+            let records = run.history.records.iter();
+            let aborted = records.filter(|r| r.outcome.as_ref().is_some_and(|o| o.is_aborted()));
+            write!(canon, " aborted={}", aborted.count()).expect("string write");
+        }
+        canon.push('\n');
+        canon
+    }
+
+    /// The canonical text of the combo's [`FIXTURE`] run.
+    pub fn canonical(&self) -> String {
+        self.render(&self.run(FIXTURE))
+    }
 }
 
 fn digest(history: &History, rounds: bool) -> String {
@@ -271,7 +238,7 @@ fn digest(history: &History, rounds: bool) -> String {
 /// keys, tags and measurements — regardless of scheduler or clock.  Round
 /// counts are deliberately omitted: for logical-clock protocols (Eiger) the
 /// *number* of rounds a READ needs depends on clock
-/// values and therefore on delivery order, even for a serial plan.
+/// values and therefore on delivery order, even for a serial run.
 pub fn semantic_digest(history: &History) -> String {
     digest(history, false)
 }
@@ -293,153 +260,29 @@ pub fn fingerprint(canonical: &str) -> u64 {
     hash
 }
 
-/// Renders the full fixture file: one `label ntx=<n> hash=<hex>` line per
-/// combo, sorted by label.
-pub fn fixture_file() -> String {
-    let mut lines: Vec<String> = combos()
-        .iter()
-        .map(|combo| {
-            let canon = run_combo(combo);
-            format!(
-                "{} ntx={} hash={:016x}",
-                combo.label,
-                COMBO_TXNS,
-                fingerprint(&canon)
-            )
-        })
-        .collect();
+/// Renders a fixture file: a two-line header, then one
+/// `label ntx=<n> hash=<hex>` line per combo, sorted by label — the clean
+/// [`combos`], or with `faults` the [`fault_combos`].
+pub fn fixture_file(faults: bool) -> String {
+    let (combos, header) = if faults {
+        (
+            fault_combos(),
+            "# Golden fault-schedule history fingerprints per (protocol, scheduler, scenario).\n\
+             # Regenerate: cargo run -p snow-bench --release -- golden --faults --write\n",
+        )
+    } else {
+        (
+            combos(),
+            "# Golden history fingerprints per (protocol, scheduler, seed).\n\
+             # Regenerate: cargo run -p snow-bench --release -- golden --write\n",
+        )
+    };
+    let line = |c: &Combo| {
+        format!("{} ntx={COMBO_TXNS} hash={:016x}\n", c.label, fingerprint(&c.canonical()))
+    };
+    let mut lines: Vec<String> = combos.iter().map(line).collect();
     lines.sort();
-    let mut out = String::from(
-        "# Golden history fingerprints per (protocol, scheduler, seed).\n\
-         # Regenerate: cargo run -p snow-bench --release -- golden --write\n",
-    );
-    for line in lines {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-/// One pinned (protocol, scheduler, fault scenario) execution.
-#[derive(Debug, Clone)]
-pub struct FaultCombo {
-    /// The protocol under test.
-    pub protocol: ProtocolKind,
-    /// The delivery schedule.
-    pub scheduler: SchedulerKind,
-    /// The named fault scenario (see `snow_protocols::fault_scenarios`).
-    pub scenario: &'static str,
-    /// Stable identifier used as the fixture key.
-    pub label: String,
-}
-
-/// The pinned fault matrix: every protocol under the crash and partition
-/// scenarios, plus the duplicate-tolerant protocols under the dup storm.
-/// Unlike [`combos`], the workload is *not* required to fully complete —
-/// transactions orphaned by a crash or a partition retire as
-/// `TxOutcome::Aborted`, and the fixture pins that abort pattern too.
-pub fn fault_combos() -> Vec<FaultCombo> {
-    let mut out = Vec::new();
-    for protocol in ProtocolKind::all() {
-        for scenario in ["crash_mid_read", "partition_during_write"] {
-            out.push(FaultCombo {
-                protocol,
-                scheduler: SchedulerKind::Fifo,
-                scenario,
-                label: format!("{protocol:?}/fifo/{scenario}"),
-            });
-        }
-    }
-    // Dup storm: at-least-once delivery.  Pin it on the quorum protocols
-    // whose handlers are idempotent per tag; a latency schedule besides
-    // FIFO so duplicates genuinely race their originals.
-    for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple] {
-        out.push(FaultCombo {
-            protocol,
-            scheduler: SchedulerKind::Latency { seed: 7, min: 1, max: 20 },
-            scenario: "dup_storm",
-            label: format!("{protocol:?}/latency7/dup_storm"),
-        });
-    }
-    out
-}
-
-/// Resolves a scenario name from [`fault_scenarios`] to its schedule.
-pub fn scenario_by_name(name: &str) -> FaultSchedule {
-    fault_scenarios()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| s)
-        .unwrap_or_else(|| panic!("unknown fault scenario {name:?}"))
-}
-
-/// Runs the pinned 20-transaction workload under an arbitrary fault
-/// schedule and renders the history canonically, exactly like
-/// [`run_combo`] — full `Debug` of every record plus the final clock —
-/// with one extra trailer line counting aborted transactions.  No
-/// completion assert beyond retirement: aborts are the point.
-pub fn run_fault_schedule(
-    protocol: ProtocolKind,
-    scheduler: SchedulerKind,
-    schedule: FaultSchedule,
-) -> String {
-    let config = combo_config(protocol);
-    let mut cluster = ClusterSpec::new(protocol, &config)
-        .scheduler(scheduler)
-        .faults(schedule)
-        .build()
-        .expect("valid fault combo config");
-    let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
-    let (history, report) =
-        WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
-    assert_eq!(
-        report.completed, report.issued,
-        "{protocol:?}: every transaction must retire (committed or aborted)"
-    );
-    let aborted = history
-        .records
-        .iter()
-        .filter(|r| r.outcome.as_ref().is_some_and(|o| o.is_aborted()))
-        .count();
-    let mut canon = String::new();
-    for record in &history.records {
-        writeln!(canon, "{record:?}").expect("string write");
-    }
-    writeln!(canon, "now={} aborted={aborted}", cluster.now()).expect("string write");
-    canon
-}
-
-/// [`run_fault_schedule`] for one pinned fault combo.
-pub fn run_fault_combo(combo: &FaultCombo) -> String {
-    run_fault_schedule(combo.protocol, combo.scheduler, scenario_by_name(combo.scenario))
-}
-
-/// Renders the fault fixture file: one `label ntx=<n> hash=<hex>` line per
-/// fault combo, sorted by label — the fault-engine analogue of
-/// [`fixture_file`], pinned in `tests/golden_fault_histories.txt`.
-pub fn fault_fixture_file() -> String {
-    let mut lines: Vec<String> = fault_combos()
-        .iter()
-        .map(|combo| {
-            let canon = run_fault_combo(combo);
-            format!(
-                "{} ntx={} hash={:016x}",
-                combo.label,
-                COMBO_TXNS,
-                fingerprint(&canon)
-            )
-        })
-        .collect();
-    lines.sort();
-    let mut out = String::from(
-        "# Golden fault-schedule history fingerprints per (protocol, scheduler, scenario).\n\
-         # Regenerate: cargo run -p snow-bench --release -- golden --faults --write\n",
-    );
-    for line in lines {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+    header.to_string() + &lines.concat()
 }
 
 #[cfg(test)]
@@ -454,9 +297,9 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 15, "fault combo labels must be unique");
-        for (name, _) in fault_scenarios() {
+        for (name, schedule) in fault_scenarios() {
             assert!(
-                combos.iter().any(|c| c.scenario == name),
+                combos.iter().any(|c| c.faults.as_ref() == Some(&schedule)),
                 "scenario {name} must be pinned by at least one combo"
             );
         }
@@ -481,6 +324,6 @@ mod tests {
     #[test]
     fn one_combo_is_reproducible_within_a_process() {
         let combo = &combos()[6]; // AlgB/fifo
-        assert_eq!(run_combo(combo), run_combo(combo));
+        assert_eq!(combo.canonical(), combo.canonical());
     }
 }

@@ -28,9 +28,10 @@
 //! * `table scenarios` — the 18-cell protocol × topology × workload SLO
 //!   matrix ([`scenario_rows`]; pinned by `tests/topology_scenarios.rs`).
 //! * `golden [--faults] [--write]` — print the golden fingerprint fixture
-//!   ([`golden`]; `--faults`: the fault-schedule one); `--write` also
-//!   overwrites it under `tests/`, which is only right when schedule
-//!   semantics change on purpose.
+//!   ([`golden::fixture_file`]; `--faults`: the fault-schedule one);
+//!   `--write` also overwrites it under `tests/`, which is only right when
+//!   schedule semantics change on purpose.  Every golden, fault-golden and
+//!   parity run goes through one runner, [`golden::Combo::run`].
 //! * `run workload-check` — 5 000 transactions against Algorithm C under a
 //!   random-latency schedule, the *entire* history handed to `check_auto`.
 //! * `run observe` — an observed open loop: event stream → `sim.*` metrics
@@ -89,16 +90,6 @@ pub fn run_protocol_workload(
     let metrics = HistoryMetrics::from_history(&history);
     let report = SnowReport::evaluate(protocol.name(), &history);
     (history, metrics, report)
-}
-
-/// The configuration a protocol needs for an apples-to-apples comparison:
-/// MWSR + C2C for Algorithm A, MWMR without C2C for everything else.
-pub fn comparison_config(protocol: ProtocolKind, servers: u32, writers: u32, readers: u32) -> SystemConfig {
-    if protocol.needs_c2c() {
-        SystemConfig::mwsr(servers, writers, true)
-    } else {
-        SystemConfig::mwmr(servers, writers, readers)
-    }
 }
 
 /// Fig. 1(a)'s ✓-cell sampler: for every seed in `seeds`, runs Algorithm A
@@ -256,12 +247,5 @@ mod tests {
         assert_eq!(history.incomplete_count(), 0);
         assert!(metrics.reads + metrics.writes == 30);
         assert!(report.observed.n);
-    }
-
-    #[test]
-    fn comparison_config_matches_protocol_needs() {
-        assert!(comparison_config(ProtocolKind::AlgA, 2, 2, 2).c2c_allowed);
-        assert!(comparison_config(ProtocolKind::AlgA, 2, 2, 2).is_mwsr());
-        assert!(!comparison_config(ProtocolKind::AlgC, 2, 2, 2).c2c_allowed);
     }
 }

@@ -190,11 +190,7 @@ pub(crate) mod tests {
     #[test]
     fn deployments_are_homogeneous_and_cover_every_process() {
         for protocol in ProtocolKind::all() {
-            let config = if protocol.needs_c2c() {
-                SystemConfig::mwsr(2, 2, true)
-            } else {
-                SystemConfig::mwmr(2, 2, 2)
-            };
+            let config = protocol.config(2, 2, 2);
             let nodes = deploy_any(protocol, &config).unwrap();
             assert_eq!(
                 nodes.len() as u32,
@@ -289,11 +285,7 @@ pub(crate) mod tests {
     #[test]
     fn a_duplicated_write_ack_cannot_complete_a_write() {
         for protocol in ProtocolKind::all() {
-            let config = if protocol.needs_c2c() {
-                SystemConfig::mwsr(2, 1, true)
-            } else {
-                SystemConfig::mwmr(2, 1, 1)
-            };
+            let config = protocol.config(2, 1, 1);
             let writer = ProcessId::Client(config.writers().next().unwrap());
             let mut nodes = deploy_any(protocol, &config).unwrap();
             let (mut effects, mut held) = (Effects::new(0), Vec::new());

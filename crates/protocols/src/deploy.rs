@@ -68,6 +68,17 @@ impl ProtocolKind {
     pub fn needs_c2c(&self) -> bool {
         matches!(self, ProtocolKind::AlgA)
     }
+
+    /// The configuration `self` runs on when protocols are compared:
+    /// Algorithm A runs MWSR with client-to-client messages and its one
+    /// reader (`readers` is ignored), every other protocol MWMR.
+    pub fn config(&self, servers: u32, writers: u32, readers: u32) -> SystemConfig {
+        if self.needs_c2c() {
+            SystemConfig::mwsr(servers, writers, true)
+        } else {
+            SystemConfig::mwmr(servers, writers, readers)
+        }
+    }
 }
 
 /// How message delivery is scheduled.
@@ -535,13 +546,16 @@ mod tests {
     }
 
     #[test]
+    fn config_matches_protocol_needs() {
+        assert!(ProtocolKind::AlgA.config(2, 2, 2).c2c_allowed);
+        assert!(ProtocolKind::AlgA.config(2, 2, 2).is_mwsr());
+        assert!(!ProtocolKind::AlgC.config(2, 2, 2).c2c_allowed);
+    }
+
+    #[test]
     fn every_protocol_runs_the_same_tiny_workload() {
         for protocol in ProtocolKind::all() {
-            let config = if protocol.needs_c2c() {
-                SystemConfig::mwsr(2, 1, true)
-            } else {
-                SystemConfig::mwmr(2, 1, 1)
-            };
+            let config = protocol.config(2, 1, 1);
             let mut cluster = ClusterSpec::new(protocol, &config)
                 .scheduler(SchedulerKind::Random(9))
                 .build()
@@ -702,11 +716,7 @@ mod tests {
     #[test]
     fn multi_shard_cluster_completes_every_protocol() {
         for protocol in ProtocolKind::all() {
-            let config = if protocol.needs_c2c() {
-                SystemConfig::mwsr(4, 2, true)
-            } else {
-                SystemConfig::mwmr(4, 2, 2)
-            };
+            let config = protocol.config(4, 2, 2);
             let mut cluster = ClusterSpec::new(protocol, &config)
                 .scheduler(SchedulerKind::Latency { seed: 3, min: 1, max: 12 })
                 .executor(ExecutorKind::ParallelSim { shards: 4 })

@@ -666,11 +666,7 @@ mod tests {
     fn drained_records_equal_the_final_history() {
         let spec = OpenLoopSpec { arrivals: 200, ..OpenLoopSpec::tao_like(100) };
         for protocol in ProtocolKind::all() {
-            let config = if protocol.needs_c2c() {
-                SystemConfig::mwsr(4, 2, true)
-            } else {
-                SystemConfig::mwmr(4, 2, 2)
-            };
+            let config = protocol.config(4, 2, 2);
             let clean = cluster_spec(protocol, &config);
             let mut cases = vec![("clean", clean.clone())];
             if [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Simple].contains(&protocol) {

@@ -22,7 +22,6 @@ use snow::checker::{StreamChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
 use snow::sim::{LatencyScheduler, ObsEvent, RecordingSink, Simulation, StepOutcome};
-use snow_bench::golden;
 
 /// SplitMix64: deterministic per-seed stream driving plan and adversary.
 struct Rng(u64);
@@ -154,7 +153,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         for protocol in [ProtocolKind::AlgB, ProtocolKind::Blocking] {
-            let config = golden::combo_config(protocol);
+            let config = protocol.config(3, 2, 2);
             let writers: Vec<ClientId> = config.writers().collect();
             let readers: Vec<ClientId> = config.readers().collect();
             let clients: Vec<ClientId> = writers.iter().chain(readers.iter()).copied().collect();
@@ -205,7 +204,7 @@ proptest! {
         // (b) identical seeds, no adversarial moves: two fresh simulations
         // must produce byte-identical, certified histories.
         for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {
-            let config = golden::combo_config(protocol);
+            let config = protocol.config(3, 2, 2);
             let writers: Vec<ClientId> = config.writers().collect();
             let readers: Vec<ClientId> = config.readers().collect();
             let mut plan_rng = Rng(seed);

@@ -30,27 +30,10 @@ use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::sync::Arc;
 use support::lemma20::TagOrderChecker;
 
-fn fault_workload_spec() -> WorkloadSpec {
-    WorkloadSpec {
-        read_fraction: 0.5,
-        objects_per_read: 2,
-        objects_per_write: 2,
-        zipf_exponent: 0.9,
-        seed: 13,
-    }
-}
-
-fn run_fault_combo_history(combo: &golden::FaultCombo) -> History {
-    let config = golden::combo_config(combo.protocol);
-    let mut cluster = ClusterSpec::new(combo.protocol, &config)
-        .scheduler(combo.scheduler)
-        .faults(golden::scenario_by_name(combo.scenario))
-        .build()
-        .expect("valid fault combo");
-    let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
-    let (history, _) =
-        WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, golden::COMBO_TXNS);
-    history
+/// The pinned fault combos under `crash_mid_read`: every protocol, FIFO.
+fn crash_combos() -> impl Iterator<Item = golden::Combo> {
+    let crash = Some(scenario_crash_mid_read());
+    golden::fault_combos().into_iter().filter(move |c| c.faults == crash)
 }
 
 /// Replays a stream witness through the sequential object machine and
@@ -121,7 +104,7 @@ fn graph_and_stream_agree_on_every_fault_combo() {
         ["Eiger/fifo/crash_mid_read", "Simple/fifo/crash_mid_read", "Simple/latency7/dup_storm"];
     let mut total_aborted = 0usize;
     for combo in golden::fault_combos() {
-        let history = run_fault_combo_history(&combo);
+        let history = combo.run(golden::FIXTURE).history;
         total_aborted += aborted_count(&history);
         let search = SearchChecker::with_max_transactions(golden::COMBO_TXNS).check(&history);
         let label = &combo.label;
@@ -194,19 +177,9 @@ fn duplicated_requests_never_cost_a_read_its_n_verdict() {
 
 #[test]
 fn crash_mid_read_never_wedges_the_frontier_or_fakes_serializable() {
-    for protocol in ProtocolKind::all() {
-        let config = golden::combo_config(protocol);
-        let mut cluster = ClusterSpec::new(protocol, &config)
-            .faults(scenario_crash_mid_read())
-            .build()
-            .expect("valid crash scenario");
-        let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
-        let (history, report) =
-            WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, golden::COMBO_TXNS);
-        assert_eq!(
-            report.completed, report.issued,
-            "{protocol:?}: crash-mid-read left unretired transactions"
-        );
+    for combo in crash_combos() {
+        // The runner asserts that every transaction retired.
+        let (protocol, history) = (combo.protocol, combo.run(golden::FIXTURE).history);
         // The complete search decides these 20 transactions: Eiger and
         // Simple are convicted, the other four certified.
         let search = SearchChecker::with_max_transactions(golden::COMBO_TXNS).check(&history);
@@ -302,7 +275,7 @@ fn orphaned_transaction_retires_as_aborted() {
     // `run_until_complete` returned `false` here forever (the record stayed
     // incomplete at quiescence) and callers looped or asserted.
     let protocol = ProtocolKind::AlgB;
-    let config = golden::combo_config(protocol);
+    let config = protocol.config(3, 2, 2);
     let black_hole = FaultSchedule::new(1).with_region(FaultRegion::always(
         FaultAction::Drop,
         EndpointSel::AnyClient,
@@ -337,13 +310,12 @@ fn paced_driver_survives_a_crash_without_stalling() {
     // transaction stalled the wave loop and the run ended with
     // `issued < total`.  With aborts retiring at quiescence the full
     // workload must always be issued and retired.
-    for protocol in [ProtocolKind::AlgB, ProtocolKind::Simple] {
-        let config = golden::combo_config(protocol);
-        let mut cluster = ClusterSpec::new(protocol, &config)
-            .faults(scenario_crash_mid_read())
-            .build()
-            .expect("valid crash scenario");
-        let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
+    let paced = [ProtocolKind::AlgB, ProtocolKind::Simple];
+    for combo in crash_combos().filter(|c| paced.contains(&c.protocol)) {
+        let protocol = combo.protocol;
+        let spec = combo.cluster();
+        let mut generator = WorkloadGenerator::new(spec.config(), golden::COMBO_WORKLOAD);
+        let mut cluster = spec.build().expect("valid crash scenario");
         let total = golden::COMBO_TXNS;
         let (_, report) =
             WorkloadDriver::new(4).run_paced(cluster.as_mut(), &mut generator, total);
@@ -369,16 +341,6 @@ fn everywhere(action: FaultAction, chance_pct: u8) -> FaultRegion {
     FaultRegion {
         chance_pct,
         ..FaultRegion::always(action, EndpointSel::Any, EndpointSel::Any, 0, u64::MAX)
-    }
-}
-
-/// `protocol`'s configuration with `writers` writers and as many readers
-/// (one, for Algorithm A).
-fn family_config(protocol: ProtocolKind, servers: u32, writers: u32) -> SystemConfig {
-    if protocol.needs_c2c() {
-        SystemConfig::mwsr(servers, writers, true)
-    } else {
-        SystemConfig::mwmr(servers, writers, writers)
     }
 }
 
@@ -431,7 +393,7 @@ fn assert_convicted(history: &History, label: &str) {
 #[test]
 fn tiny_histories_under_heavy_duplication_are_strictly_serializable() {
     for protocol in FAMILY {
-        let config = family_config(protocol, 2, 3);
+        let config = protocol.config(2, 3, 3);
         for seed in 0..120 {
             let mut cluster = ClusterSpec::new(protocol, &config)
                 .scheduler(SchedulerKind::Latency { seed, min: 1, max: 60 })
@@ -457,7 +419,7 @@ fn tiny_histories_under_heavy_duplication_are_strictly_serializable() {
 #[test]
 fn the_dup_storm_leaves_a_b_and_c_certified_serializable() {
     for protocol in FAMILY {
-        let config = family_config(protocol, 8, 2);
+        let config = protocol.config(8, 2, 2);
         for seed in 0..4 {
             let mut cluster = ClusterSpec::new(protocol, &config)
                 .scheduler(SchedulerKind::Latency { seed, min: 1, max: 20 })

@@ -6,7 +6,7 @@
 //! Two angles:
 //!
 //! * the pinned fault matrix reproduces `tests/golden_fault_histories.txt`
-//!   fingerprint-for-fingerprint (regenerate with
+//!   fingerprint for fingerprint and line for line (regenerate with
 //!   `cargo run -p snow-bench --release -- golden --faults --write` only on an intentional semantics change);
 //! * an *empty* `FaultSchedule` is structurally inert: a faulty cluster
 //!   with nothing scheduled reproduces the clean cluster's history
@@ -16,70 +16,19 @@
 //! queueing crash) through reruns to catch fault-path nondeterminism the
 //! pinned matrix misses.
 
+#[path = "support/fixtures.rs"]
+mod fixtures;
+
 use proptest::proptest;
 use proptest::ProptestConfig;
-use snow_bench::golden;
-use snow_protocols::{ProtocolKind, SchedulerKind};
+use snow_bench::golden::{self, Combo};
 use snow_core::ServerId;
+use snow_protocols::{ProtocolKind, SchedulerKind};
 use snow_sim::{Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule};
-use std::collections::BTreeMap;
-
-const FIXTURE: &str = include_str!("golden_fault_histories.txt");
-
-fn parse_fixture() -> BTreeMap<String, (usize, u64)> {
-    let mut out = BTreeMap::new();
-    for line in FIXTURE.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let label = parts.next().expect("fixture label").to_string();
-        let ntx = parts
-            .next()
-            .and_then(|p| p.strip_prefix("ntx="))
-            .expect("fixture ntx")
-            .parse::<usize>()
-            .expect("fixture ntx value");
-        let hash = parts
-            .next()
-            .and_then(|p| p.strip_prefix("hash="))
-            .expect("fixture hash");
-        let hash = u64::from_str_radix(hash, 16).expect("fixture hash value");
-        out.insert(label, (ntx, hash));
-    }
-    out
-}
 
 #[test]
 fn fault_histories_match_golden_fixtures() {
-    let fixtures = parse_fixture();
-    let combos = golden::fault_combos();
-    assert_eq!(
-        fixtures.len(),
-        combos.len(),
-        "fault fixture file and combo list out of sync; regenerate the fixtures"
-    );
-    let mut mismatches = Vec::new();
-    for combo in &combos {
-        let (ntx, want) = fixtures
-            .get(&combo.label)
-            .unwrap_or_else(|| panic!("no fixture for {}", combo.label));
-        assert_eq!(*ntx, golden::COMBO_TXNS, "{}", combo.label);
-        let canon = golden::run_fault_combo(combo);
-        let got = golden::fingerprint(&canon);
-        if got != *want {
-            eprintln!(
-                "=== {} mismatch: want {want:016x}, got {got:016x} ===\n{canon}",
-                combo.label
-            );
-            mismatches.push(combo.label.clone());
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "fault histories diverged from golden fixtures: {mismatches:?}"
-    );
+    fixtures::assert_matches(include_str!("golden_fault_histories.txt"), true);
 }
 
 #[test]
@@ -91,12 +40,11 @@ fn empty_fault_schedule_is_inert() {
     // `tests/determinism.rs` this keeps all 30 committed golden fixtures
     // valid under an empty schedule.
     for combo in golden::combos() {
-        let clean = golden::run_combo(&combo);
-        let faulty =
-            golden::run_fault_schedule(combo.protocol, combo.scheduler, FaultSchedule::new(0));
-        let want = format!("{} aborted=0\n", clean.trim_end_matches('\n'));
+        let faulty = Combo { faults: Some(FaultSchedule::new(0)), ..combo.clone() };
+        let want = format!("{} aborted=0\n", combo.canonical().trim_end_matches('\n'));
         assert_eq!(
-            faulty, want,
+            faulty.canonical(),
+            want,
             "{}: an empty fault schedule perturbed the history",
             combo.label
         );
@@ -153,14 +101,9 @@ proptest! {
         let crash = crash_raw == 1;
         let scheduler = SchedulerKind::Latency { seed: seed ^ 0xA5A5, min: 1, max: 15 };
         for protocol in ProtocolKind::all() {
-            let run = || {
-                golden::run_fault_schedule(
-                    protocol,
-                    scheduler,
-                    random_schedule(seed, pct, delay, crash),
-                )
-            };
-            assert_eq!(run(), run(), "{protocol:?}: fault rerun diverged");
+            let faults = Some(random_schedule(seed, pct, delay, crash));
+            let combo = Combo { protocol, scheduler, faults, label: format!("{protocol:?}") };
+            assert_eq!(combo.canonical(), combo.canonical(), "{protocol:?}: fault rerun diverged");
         }
     }
 }

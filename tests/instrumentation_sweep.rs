@@ -14,7 +14,7 @@
 //! If it moves on purpose, re-pin it from the failure message and say why.
 
 use snow_bench::golden::fingerprint;
-use snow_core::{History, SystemConfig};
+use snow_core::History;
 use snow_protocols::{
     scenario_crash_mid_read, scenario_dup_storm, ClusterSpec, ProtocolKind, SchedulerKind,
 };
@@ -53,14 +53,6 @@ const TXNS: usize = 60;
 /// transactions and the old rule freed them all before refilling any.
 /// Every `rounds` cell and every clean paced cell kept its fingerprint.
 const SWEEP_DIGEST: u64 = 0x74c1_d85a_c8aa_21d8;
-
-fn config(protocol: ProtocolKind) -> SystemConfig {
-    if protocol.needs_c2c() {
-        SystemConfig::mwsr(4, 3, true)
-    } else {
-        SystemConfig::mwmr(4, 3, 3)
-    }
-}
 
 /// 3 % of all traffic dropped and 3 % duplicated, in both directions.
 fn lossy() -> FaultSchedule {
@@ -130,7 +122,7 @@ fn instrumentation_sweep_digest_is_pinned() {
     // blocked read, a second round, an aborted transaction.
     let mut met = [false; 4];
     for protocol in ProtocolKind::all() {
-        let config = config(protocol);
+        let config = protocol.config(4, 3, 3);
         for schedule in SCHEDULES {
             for (fault, faults) in fault_columns() {
                 let mut spec = scheduled(ClusterSpec::new(protocol, &config), schedule);

@@ -21,7 +21,7 @@ use snow::obs::json::Json;
 use snow::obs::{fold_events, perfetto_json, ObsEvent, ShardEvent};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{drive_open_loop, OpenLoopReport, OpenLoopSpec, WorkloadSpec};
-use snow_bench::golden::{combos, run_combo, run_combo_observed};
+use snow_bench::golden::{combos, Shape, FIXTURE};
 
 const SCHED: SchedulerKind = SchedulerKind::Latency { seed: 11, min: 1, max: 16 };
 
@@ -49,9 +49,14 @@ fn open_loop_run(
 #[test]
 fn observed_combos_reproduce_all_golden_histories_serially() {
     for combo in combos() {
-        let plain = run_combo(&combo);
-        let (observed, events) = run_combo_observed(&combo);
-        assert_eq!(plain, observed, "{}: observation perturbed the schedule", combo.label);
+        let observed = combo.run(Shape { observed: true, ..FIXTURE });
+        let events = &observed.events;
+        assert_eq!(
+            combo.canonical(),
+            combo.render(&observed),
+            "{}: observation perturbed the schedule",
+            combo.label
+        );
         assert!(!events.is_empty(), "{}: observed run recorded no events", combo.label);
         assert!(
             events.iter().all(|e| e.shard == 0),

@@ -1,23 +1,20 @@
 //! Cross-crate property tests: for every protocol that claims strict
 //! serializability, random schedules and random workloads never produce a
 //! history the checker rejects; and the per-protocol latency signatures
-//! (rounds / versions / blocking) match Fig. 1(b).  The parity plans of
-//! `snow_bench::golden` add the schedule-independence of each protocol's
-//! semantics, and pin Eiger's round counts under two deterministic schedules.
+//! (rounds / versions / blocking) match Fig. 1(b).  The golden combos of
+//! `snow_bench::golden`, run serially and in full concurrent rounds, add the
+//! schedule-independence of each protocol's semantics, and pin Eiger's round
+//! counts under two deterministic schedules.
 
 use proptest::prelude::*;
 use snow::checker::{HistoryMetrics, SnowChecker, SnowReport, StreamChecker, Verdict};
 use snow::core::{History, SystemConfig};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
-use snow_bench::golden;
+use snow_bench::golden::{self, Combo, Shape};
 
 fn run_random(protocol: ProtocolKind, seed: u64, total: usize, read_fraction: f64) -> SnowReport {
-    let config = if protocol.needs_c2c() {
-        SystemConfig::mwsr(3, 2, true)
-    } else {
-        SystemConfig::mwmr(3, 2, 2)
-    };
+    let config = protocol.config(3, 2, 2);
     let mut cluster = ClusterSpec::new(protocol, &config)
         .scheduler(SchedulerKind::Random(seed))
         .build()
@@ -77,11 +74,7 @@ fn latency_signatures_match_fig1b() {
         (ProtocolKind::AlgB, 2, true),
         (ProtocolKind::AlgC, 2, false),
     ] {
-        let config = if protocol.needs_c2c() {
-            SystemConfig::mwsr(4, 3, true)
-        } else {
-            SystemConfig::mwmr(4, 3, 2)
-        };
+        let config = protocol.config(4, 3, 2);
         let mut cluster = ClusterSpec::new(protocol, &config)
             .scheduler(SchedulerKind::Latency { seed: 3, min: 1, max: 15 })
             .build()
@@ -121,19 +114,18 @@ fn simple_reads_are_fast_but_not_transactional_under_adversity() {
 }
 
 /// A protocol's semantics do not depend on the schedule, with the simulator
-/// as its own witness.  For every protocol the *serial* parity plan yields
-/// the same digest under all of its golden schedulers (round counts and raw
-/// read measurements included, except for Eiger, whose logical-clock second
-/// round is schedule-dependent — pinned separately below); and for the
-/// strictly serializable MWMR protocols the *concurrent* plan, whose
-/// outcomes legitimately differ per schedule, is certified strictly
-/// serializable by the stream checker under each.
+/// as its own witness.  For every protocol the golden workload run
+/// *serially* yields the same digest under all of its golden schedulers
+/// (round counts and raw read measurements included, except for Eiger,
+/// whose logical-clock second round is schedule-dependent — pinned
+/// separately below); and for the strictly serializable MWMR protocols the
+/// same workload in 8 full *concurrent* rounds, whose outcomes legitimately
+/// differ per schedule, is certified strictly serializable by the stream
+/// checker under each.
 #[test]
 fn semantics_do_not_depend_on_the_schedule() {
     let mut combos_checked = 0;
     for protocol in ProtocolKind::all() {
-        let (config, plan) = golden::parity_plan(protocol);
-        assert_eq!(plan.len(), golden::COMBO_TXNS);
         let digest_of: fn(&History) -> String = if protocol == ProtocolKind::Eiger {
             golden::semantic_digest
         } else {
@@ -141,7 +133,8 @@ fn semantics_do_not_depend_on_the_schedule() {
         };
         let mut reference: Option<(String, String)> = None;
         for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
-            let history = golden::run_plan(protocol, &config, combo.scheduler, &plan);
+            let history = serial(combo);
+            assert_eq!(history.len(), golden::COMBO_TXNS, "{}", combo.label);
             assert_eq!(history.incomplete_count(), 0, "{}", combo.label);
             let digest = digest_of(&history);
             let (first_label, first_digest) =
@@ -156,15 +149,16 @@ fn semantics_do_not_depend_on_the_schedule() {
     }
     assert_eq!(combos_checked, 30, "every golden combo must be exercised");
 
+    // Concurrent: 8 rounds in which every client invokes at once, so the
+    // transactions of a round genuinely overlap.
     for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
-        let (config, batches) = golden::concurrent_parity_plan(protocol);
-        let issued: usize = batches.iter().map(|b| b.len()).sum();
-        assert!(issued >= 24, "{protocol:?}: plan too small to overlap");
         for combo in golden::combos().iter().filter(|c| c.protocol == protocol) {
-            let history =
-                golden::run_concurrent_plan(protocol, &config, combo.scheduler, &batches);
+            let clients = combo.cluster().config().num_clients() as usize;
+            let run = combo.run(Shape { clients, transactions: 8 * clients, ..golden::FIXTURE });
+            let (history, report) = (run.history, run.report);
+            assert_eq!((report.rounds, report.issued), (8, 8 * clients), "{}", combo.label);
             assert_eq!(history.incomplete_count(), 0, "{}", combo.label);
-            assert_eq!(history.len(), issued, "{}", combo.label);
+            assert_eq!(history.len(), report.issued, "{}", combo.label);
             let verdict = StreamChecker::check(&history);
             assert!(
                 matches!(verdict, Verdict::Serializable(_)),
@@ -175,11 +169,18 @@ fn semantics_do_not_depend_on_the_schedule() {
     }
 }
 
+/// `combo`'s workload run serially: each transaction invoked alone and
+/// drained to quiescence before the next, so only the *semantics* of the
+/// protocol — not the schedule — determine the history.
+fn serial(combo: &Combo) -> History {
+    combo.run(Shape { clients: 1, ..golden::FIXTURE }).history
+}
+
 /// Eiger's round count is exempted from the parity digest
 /// ([`golden::semantic_digest`]) because its logical-clock second round is
 /// schedule-dependent — which would leave Eiger's round logic with no
 /// guard at all.  Pin it under deterministic schedules instead:
-/// the serial parity plan, run on the simulator under FIFO and under one
+/// the serial parity run, on the simulator under FIFO and under one
 /// seeded-random schedule, must produce exactly these per-transaction
 /// round counts.  A regression in Eiger's second-round trigger (the
 /// validity-interval overlap check on clock-valued versions) changes this
@@ -191,22 +192,23 @@ fn semantics_do_not_depend_on_the_schedule() {
 /// schedule-dependence itself visible.
 #[test]
 fn eiger_round_counts_are_pinned_under_deterministic_schedules() {
-    let (config, plan) = golden::parity_plan(ProtocolKind::Eiger);
-    let rounds_under = |sched: SchedulerKind| -> Vec<u32> {
-        let history = golden::run_plan(ProtocolKind::Eiger, &config, sched, &plan);
+    let rounds_under = |label: &str| -> Vec<u32> {
+        let combos = golden::combos();
+        let combo = combos.iter().find(|c| c.label == label).expect("a golden combo");
+        let history = serial(combo);
         let mut records: Vec<_> = history.records.iter().collect();
         records.sort_by_key(|r| r.tx_id);
         records.iter().map(|r| r.rounds).collect()
     };
 
-    let fifo = rounds_under(SchedulerKind::Fifo);
+    let fifo = rounds_under("Eiger/fifo");
     assert_eq!(
         fifo,
         vec![1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1],
         "Eiger round counts changed under the FIFO schedule"
     );
 
-    let random = rounds_under(SchedulerKind::Random(7));
+    let random = rounds_under("Eiger/random7");
     assert_eq!(
         random,
         vec![1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],

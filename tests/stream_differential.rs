@@ -23,9 +23,7 @@ use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
     TxSpec, Value, WriteOutcome,
 };
-use snow_bench::golden::{combo_config, combos, COMBO_TXNS};
-use snow_protocols::ClusterSpec;
-use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
+use snow_bench::golden::{combos, COMBO_TXNS, FIXTURE};
 use support::lemma20::TagOrderChecker;
 
 /// SplitMix64: deterministic per-seed stream for history generation.
@@ -186,21 +184,7 @@ proptest! {
 #[test]
 fn stream_agrees_with_check_auto_on_every_golden_combo() {
     for combo in combos() {
-        let config = combo_config(combo.protocol);
-        let mut cluster = ClusterSpec::new(combo.protocol, &config)
-            .scheduler(combo.scheduler)
-            .build()
-            .expect("valid combo config");
-        let spec = WorkloadSpec {
-            read_fraction: 0.5,
-            objects_per_read: 2,
-            objects_per_write: 2,
-            zipf_exponent: 0.9,
-            seed: 13,
-        };
-        let mut generator = WorkloadGenerator::new(&config, spec);
-        let (history, _) =
-            WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
+        let history = combo.run(FIXTURE).history;
         let posthoc = check_auto(&history);
         // On an untagged combo `check_auto` runs this same engine; the
         // complete search, which decides 20 transactions, is the
