@@ -340,7 +340,6 @@ fn table_scenarios() {
             "Scenario",
             "SNOW",
             "committed",
-            "aborted",
             "READ p50 (site-ticks)",
             "READ p99 (site-ticks)",
             "mean rounds",

@@ -189,8 +189,8 @@ pub fn zipf_rows() -> Vec<Vec<String>> {
 /// `snow table scenarios`' rows: every cell of [`scenario_matrix`] at seed 42 for
 /// 256 closed-loop rounds (over 1 000 committed transactions per cell, so the
 /// p99 is a percentile).  Cells: scenario, observed SNOW letters, committed,
-/// aborted, READ p50 and p99 (site-ticks), mean rounds per READ,
-/// client-to-client messages, duration (site-ticks).
+/// READ p50 and p99 (site-ticks), mean rounds per READ, client-to-client
+/// messages, duration (site-ticks).
 pub fn scenario_rows() -> Vec<Vec<String>> {
     scenario_matrix()
         .iter()
@@ -200,7 +200,6 @@ pub fn scenario_rows() -> Vec<Vec<String>> {
                 r.scenario,
                 r.snow,
                 r.committed.to_string(),
-                r.aborted.to_string(),
                 r.read_p50.to_string(),
                 r.read_p99.to_string(),
                 format!("{:.2}", r.mean_rounds),

@@ -1,6 +1,7 @@
 //! The `snow` binary's front door: the impossibility figures print their
-//! verdicts, and a command it does not know is refused with status 2, the
-//! usage on stderr and nothing on stdout.
+//! verdicts, the partition drill prints its pinned lines, and a command it
+//! does not know is refused with status 2, the usage on stderr and nothing
+//! on stdout.
 
 use std::process::{Command, Output};
 
@@ -37,4 +38,22 @@ fn misuse_exits_2_with_usage_on_stderr_only() {
         assert!(out.stdout.is_empty(), "snow {args:?} wrote to stdout");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: snow"), "snow {args:?}");
     }
+}
+
+/// The partition drill — the one run through a `Queue` partition — pinned
+/// line for line: the cut's size, the retired count and the virtual
+/// duration, each phase's committed count and p99, and the SNOW line.
+#[test]
+fn the_partition_drill_is_pinned() {
+    let out = stdout_of(&["run", "partition-drill"]);
+    let pinned = [
+        "partition drill: AlgB on wan3, isolating us-east = 5 processes over site-ticks 2000..9000 (Queue policy)",
+        "400 transactions retired in 24382 virtual site-ticks",
+        "phase before: 62 committed, 0 aborted, p99 latency 7313 site-ticks",
+        "phase during: 2 committed, 0 aborted, p99 latency 7017 site-ticks",
+        "phase  after: 336 committed, 0 aborted, p99 latency 413 site-ticks",
+        "partition_drill / Algorithm B                 SN-W  rounds(mean=2.00,max=2)  versions(mean=1.00,max=1)  nonblocking=100%",
+        "partition_drill ok",
+    ];
+    assert_eq!(out.lines().collect::<Vec<_>>(), pinned);
 }

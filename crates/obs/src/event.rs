@@ -95,8 +95,8 @@ pub enum ObsEvent {
         /// Destination process.
         dst: ProcessId,
     },
-    /// A scheduled server crash took effect (announced on the first
-    /// dispatch decision that observes the crash window).
+    /// A scheduled server crash took effect (emitted once, at the first
+    /// send or delivery decision at or past the crash tick).
     ServerCrashed {
         /// Clock at the announcement.
         at: u64,
@@ -104,23 +104,24 @@ pub enum ObsEvent {
         server: ServerId,
     },
     /// A crashed server recovered: its process was rebuilt from fresh
-    /// state (announced on the first delivery past the crash window).
+    /// state (emitted once, at the first send or delivery decision at or
+    /// past the recovery tick).
     ServerRecovered {
         /// Clock at the recovery.
         at: u64,
         /// The recovered server.
         server: ServerId,
     },
-    /// A scheduled network partition took effect (announced on the first
-    /// send decision inside its window).
+    /// A scheduled network partition took effect (emitted once, at the
+    /// first send or delivery decision at or past its start tick).
     PartitionStarted {
         /// Clock at the announcement.
         at: u64,
         /// Index of the partition in the run's fault schedule.
         partition: u32,
     },
-    /// A partition healed (announced on the first send decision past its
-    /// window).
+    /// A partition healed (emitted once, at the first send or delivery
+    /// decision at or past its heal tick).
     PartitionHealed {
         /// Clock at the announcement.
         at: u64,

@@ -358,6 +358,9 @@ impl ClusterSpec {
     /// also carries the fault vocabulary — `MessageDropped`,
     /// `MessageDuplicated`, `ServerCrashed`, `ServerRecovered`,
     /// `PartitionStarted`, `PartitionHealed` — stamped with virtual ticks.
+    /// [`ClusterSpec::build`] panics on a schedule with a window that does
+    /// not close after it opens, or with overlapping crash windows of one
+    /// server.
     ///
     /// The crash-recovery walkthrough the README points at:
     ///
@@ -402,10 +405,16 @@ impl ClusterSpec {
 
     /// Deploys the protocol and assembles the cluster.  Errors if the
     /// protocol rejects the configuration (e.g. Algorithm A without C2C),
-    /// a latency range is empty, or a topology of several sites does not
-    /// place every process of the configuration.
+    /// a latency range is empty, a topology of several sites does not
+    /// place every process of the configuration, or a crash window names a
+    /// server the configuration does not have (its recovery would have no
+    /// process to restart).
     pub fn build(&self) -> Result<Box<dyn Cluster>> {
         let invalid = |msg: String| Err(snow_core::SnowError::InvalidConfig(msg));
+        let mut crashes = self.faults.iter().flat_map(|f| &f.crashes);
+        if let Some(c) = crashes.find(|c| c.server.0 >= self.config.num_servers) {
+            return invalid(format!("a crash window names {}, which is not deployed", c.server));
+        }
         if let SchedChoice::Links { topology, .. } = &self.sched {
             for link in topology.links() {
                 if let LinkDist::Uniform { min, max } = link {
@@ -645,7 +654,11 @@ mod tests {
         // A topology built for a smaller deployment than the spec's.
         let small = Arc::new(Topology::wan3(&SystemConfig::mwmr(2, 1, 1)));
         let too_small = ClusterSpec::new(ProtocolKind::AlgB, &config).topology(small, 3);
-        for spec in [empty_range, too_small] {
+        // A crash of a server the configuration does not have.
+        let ghost = ClusterSpec::new(ProtocolKind::AlgB, &config).faults(FaultSchedule::new(0).with_crash(
+            Crash { server: ServerId(4), at: 1, recover_at: 5, policy: CrashPolicy::DropInFlight },
+        ));
+        for spec in [empty_range, too_small, ghost] {
             assert!(matches!(spec.build(), Err(SnowError::InvalidConfig(_))), "{spec:?}");
         }
     }

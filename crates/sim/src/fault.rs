@@ -7,7 +7,7 @@
 //! times, and server [`Crash`]es with recovery and state loss — as plain
 //! data, evaluated by pure functions of the message being decided.  The
 //! determinism contract matches the schedulers': a faulty history is a pure
-//! function of `(configuration, seeds, fault schedule)`.  Two properties
+//! function of `(configuration, seeds, fault schedule)`.  Three properties
 //! make that hold:
 //!
 //! * **per-message decisions** — a region's probabilistic gate hashes the
@@ -20,7 +20,12 @@
 //! * **single decision sites** — send-side faults (regions, partitions) are
 //!   decided inside `apply_effects`, delivery-side faults (crash windows)
 //!   inside the dispatch step; both are private methods of
-//!   [`crate::Simulation`], whose fault state no other module can reach.
+//!   [`crate::Simulation`], whose fault state no other module can reach;
+//! * **one timeline** — the plan's timed transitions (a crash, a recovery,
+//!   a cut, a heal) are compiled when the simulation is built into one
+//!   list sorted by `(tick, transition)`, and both decision sites read it
+//!   through one cursor: each transition is applied once, at the first
+//!   decision at or past its tick, before that decision is made.
 //!
 //! An **empty schedule is structurally inert**: the simulator guards every
 //! fault check with `faults.is_some()`, message-id assignment is never
@@ -30,6 +35,7 @@
 use crate::scheduler::send_hash;
 use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId};
+use std::collections::VecDeque;
 
 /// What a matched [`FaultRegion`] does to a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,8 +230,8 @@ pub enum CrashPolicy {
 }
 
 /// A server crash with recovery and state loss: deliveries attempted in
-/// `[at, recover_at)` hit a dead process (per `policy`); the first delivery
-/// at or past `recover_at` finds the server restarted **from fresh state**
+/// `[at, recover_at)` hit a dead process (per `policy`); every delivery at
+/// or past `recover_at` finds the server restarted **from fresh state**
 /// (the engine's restart factory rebuilds the process).  Messages already
 /// sent *by* the server before the crash still deliver — the classic
 /// crash-stop-with-restart model.
@@ -235,8 +241,9 @@ pub struct Crash {
     pub server: ServerId,
     /// First tick of the crash window (inclusive).
     pub at: u64,
-    /// Recovery tick (exclusive end of the window).  Windows of one server
-    /// must not overlap.
+    /// Recovery tick (exclusive end of the window, after `at`).  Windows of
+    /// one server must not overlap; the simulation checks both when it is
+    /// built.
     pub recover_at: u64,
     /// What happens to deliveries attempted inside the window.
     pub policy: CrashPolicy,
@@ -357,30 +364,6 @@ impl FaultSchedule {
         }
         verdict
     }
-
-    /// The crash window covering a delivery to `dst` attempted at `now`
-    /// (`at ≤ now < recover_at`), with its schedule index.
-    pub(crate) fn crash_window(&self, dst: ProcessId, now: u64) -> Option<(usize, Crash)> {
-        let ProcessId::Server(server) = dst else { return None };
-        self.crashes
-            .iter()
-            .enumerate()
-            .find(|(_, c)| c.server == server && now >= c.at && now < c.recover_at)
-            .map(|(i, c)| (i, *c))
-    }
-
-    /// Crash windows of `dst` that have fully elapsed by `now`
-    /// (`recover_at ≤ now`), in schedule order — the deliveries that must
-    /// observe a restarted process.
-    pub(crate) fn elapsed_crashes(&self, dst: ProcessId, now: u64) -> Vec<usize> {
-        let ProcessId::Server(server) = dst else { return Vec::new() };
-        self.crashes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.server == server && now >= c.recover_at)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// The deterministic per-message probabilistic gate of region `region`:
@@ -399,39 +382,62 @@ fn gate(key: impl Fn() -> u64, region: u64, chance_pct: u8) -> bool {
 /// from fresh state at recovery.
 pub type RestartFn<P> = Box<dyn FnMut(ProcessId) -> P>;
 
+/// One timed transition of a fault plan, naming its window by its index in
+/// the schedule (`crashes` for a crash or a recovery, `partitions` for a
+/// cut or a heal).  The variant order breaks ties at one tick: a recovery
+/// comes before a crash, so back-to-back windows of one server hand over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Transition {
+    Recover(usize),
+    Heal(usize),
+    Crash(usize),
+    Cut(usize),
+}
+
 /// Runtime fault state attached to one simulation: the schedule, the
-/// restart factory, and the lazy-emission bookkeeping for the
-/// crash/partition observability events (each is announced once, on the
-/// first dispatch decision that observes it).
+/// restart factory, the plan's transitions not yet applied and the crash
+/// window each server is in.
 pub(crate) struct FaultState<P> {
     pub(crate) schedule: FaultSchedule,
     pub(crate) restart: Option<RestartFn<P>>,
-    /// `PartitionStarted` emitted (indexed like `schedule.partitions`).
-    pub(crate) partition_started: Vec<bool>,
-    /// `PartitionHealed` emitted.
-    pub(crate) partition_healed: Vec<bool>,
-    /// `ServerCrashed` emitted (indexed like `schedule.crashes`).
-    pub(crate) crash_announced: Vec<bool>,
-    /// Restart applied (and `ServerRecovered` emitted).
-    pub(crate) crash_recovered: Vec<bool>,
+    /// The transitions still to apply, sorted by `(tick, transition)`: the
+    /// front is the cursor.
+    pub(crate) timeline: VecDeque<(u64, Transition)>,
+    /// Per server id: the index of the crash window it is in, if any.
+    pub(crate) down: Vec<Option<usize>>,
 }
 
 impl<P> FaultState<P> {
+    /// Compiles `schedule` into its timeline.
+    ///
+    /// # Panics
+    /// Panics if the schedule has crash windows but no restart factory, if
+    /// a window does not close after it opens, or if two crash windows of
+    /// one server overlap.
     pub(crate) fn new(schedule: FaultSchedule, restart: Option<RestartFn<P>>) -> Self {
         assert!(
             schedule.crashes.is_empty() || restart.is_some(),
             "a fault schedule with crash windows needs a restart factory"
         );
-        let partitions = schedule.partitions.len();
-        let crashes = schedule.crashes.len();
-        FaultState {
-            schedule,
-            restart,
-            partition_started: vec![false; partitions],
-            partition_healed: vec![false; partitions],
-            crash_announced: vec![false; crashes],
-            crash_recovered: vec![false; crashes],
+        let crashes = &schedule.crashes;
+        for (i, c) in crashes.iter().enumerate() {
+            assert!(c.at < c.recover_at, "crash window {i} recovers at {} ≤ its crash at {}", c.recover_at, c.at);
+            let overlap = |o: &Crash| o.server == c.server && o.at < c.recover_at && c.at < o.recover_at;
+            assert!(!crashes[..i].iter().any(overlap), "crash window {i} overlaps another of {}", c.server);
         }
+        for (i, p) in schedule.partitions.iter().enumerate() {
+            assert!(p.from < p.until, "partition {i} heals at {} ≤ its start at {}", p.until, p.from);
+        }
+        let windows = crashes.iter().enumerate().flat_map(|(i, c)| {
+            [(c.at, Transition::Crash(i)), (c.recover_at, Transition::Recover(i))]
+        });
+        let cuts = schedule.partitions.iter().enumerate().flat_map(|(i, p)| {
+            [(p.from, Transition::Cut(i)), (p.until, Transition::Heal(i))]
+        });
+        let mut timeline: Vec<_> = windows.chain(cuts).collect();
+        timeline.sort_unstable();
+        let servers = crashes.iter().map(|c| c.server.0 as usize + 1).max().unwrap_or(0);
+        FaultState { schedule, restart, timeline: timeline.into(), down: vec![None; servers] }
     }
 }
 
@@ -574,22 +580,47 @@ mod tests {
         assert!(!v.dropped);
     }
 
+    fn window(server: u32, at: u64, recover_at: u64) -> Crash {
+        Crash { server: ServerId(server), at, recover_at, policy: CrashPolicy::DropInFlight }
+    }
+
+    /// The plan compiles into one list sorted by tick; at one tick a
+    /// recovery comes before a crash and a heal before a cut.
     #[test]
-    fn crash_windows_cover_and_elapse() {
-        let s = FaultSchedule::new(0).with_crash(Crash {
-            server: ServerId(1),
-            at: 100,
-            recover_at: 200,
-            policy: CrashPolicy::DropInFlight,
-        });
-        assert!(s.crash_window(S1, 99).is_none());
-        assert_eq!(s.crash_window(S1, 100).map(|(i, _)| i), Some(0));
-        assert_eq!(s.crash_window(S1, 199).map(|(i, _)| i), Some(0));
-        assert!(s.crash_window(S1, 200).is_none());
-        assert!(s.crash_window(S0, 150).is_none(), "other servers unaffected");
-        assert!(s.crash_window(C0, 150).is_none(), "clients never crash");
-        assert!(s.elapsed_crashes(S1, 199).is_empty());
-        assert_eq!(s.elapsed_crashes(S1, 200), vec![0]);
+    fn the_timeline_sorts_transitions_by_tick_recoveries_first() {
+        let schedule = FaultSchedule::new(0)
+            .with_crash(window(1, 50, 90))
+            .with_crash(window(1, 10, 50))
+            .with_partition(Partition::isolate_server(ServerId(0), 50, 60, PartitionPolicy::Drop))
+            .with_partition(Partition::isolate_server(ServerId(0), 5, 50, PartitionPolicy::Drop));
+        let state = FaultState::<()>::new(schedule, Some(Box::new(|_| ())));
+        use Transition::*;
+        let timeline: Vec<_> = state.timeline.into_iter().collect();
+        assert_eq!(
+            timeline,
+            [(5, Cut(1)), (10, Crash(1)), (50, Recover(1)), (50, Heal(1)), (50, Crash(0)), (50, Cut(0)), (60, Heal(0)), (90, Recover(0))]
+        );
+        assert_eq!(state.down, [None, None], "one slot per server up to the last that crashes");
+    }
+
+    #[test]
+    #[should_panic(expected = "crash window 0 recovers at 10 ≤ its crash at 10")]
+    fn a_crash_window_must_recover_after_it_crashes() {
+        let _ = FaultState::<()>::new(FaultSchedule::new(0).with_crash(window(0, 10, 10)), Some(Box::new(|_| ())));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash window 1 overlaps another of s0")]
+    fn crash_windows_of_one_server_must_not_overlap() {
+        let schedule = FaultSchedule::new(0).with_crash(window(0, 10, 50)).with_crash(window(0, 49, 90));
+        let _ = FaultState::<()>::new(schedule, Some(Box::new(|_| ())));
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 0 heals at 20 ≤ its start at 30")]
+    fn a_partition_must_heal_after_it_starts() {
+        let cut = Partition::isolate_server(ServerId(0), 30, 20, PartitionPolicy::Queue);
+        let _ = FaultState::<()>::new(FaultSchedule::new(0).with_partition(cut), None);
     }
 
     #[test]

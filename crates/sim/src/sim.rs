@@ -90,7 +90,7 @@
 //! seed, invocation plan)` — verified by the `determinism` integration test
 //! against committed golden histories.
 
-use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict};
+use crate::fault::{CrashPolicy, FaultSchedule, FaultState, RestartFn, SendVerdict, Transition};
 use crate::message::{Causal, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage as _};
 use crate::pool::{MessagePool, Slot};
 use crate::scheduler::Scheduler;
@@ -340,6 +340,11 @@ where
     /// no longer complete (their messages dropped, their server's state
     /// lost) as [`snow_core::TxOutcome::Aborted`] once the system goes
     /// quiescent, so histories stay complete under faults.
+    ///
+    /// # Panics
+    /// Panics if crash windows come without `restart`, if a window does
+    /// not close after it opens, or if two crash windows of one server
+    /// overlap.
     pub fn with_faults(mut self, schedule: FaultSchedule, restart: Option<RestartFn<P>>) -> Self {
         self.faults = Some(FaultState::new(schedule, restart));
         self
@@ -799,7 +804,8 @@ where
     /// the handler ran for has audited every action below.
     fn apply_effects(&mut self, at: ProcessId, handled: Option<(MsgInfo, Causal)>) {
         let now = self.now;
-        let Simulation { effects, pool, scheduler, records, commits, ids, sink, faults, .. } = self;
+        let Simulation { effects, pool, scheduler, records, commits, ids, sink, faults, processes, .. } =
+            self;
         // `ordinal` numbers the sends of this handler execution, the
         // fault-engine duplicates and the dropped sends included: with
         // `(at, to, now)`, a send's coordinates.
@@ -811,7 +817,7 @@ where
             // order.
             let verdict = match faults {
                 Some(faults) => {
-                    note_partitions(faults, sink, now);
+                    apply_transitions(faults, processes, sink, now);
                     faults.schedule.send_verdict(at, to, now, ordinal)
                 }
                 None => SendVerdict::default(),
@@ -889,51 +895,19 @@ where
 
     /// Delivery-side fault gate for the message in `slot`, called after
     /// the clock clamp and before the handler runs, only under a fault
-    /// schedule.  Applies any crash recoveries for the destination that
-    /// have elapsed by `now` (the process is rebuilt **from fresh state**
-    /// by the restart factory), then intercepts the delivery if the attempt
-    /// lands inside an active crash window: `DropInFlight` takes the
-    /// message out and loses it, `QueueInFlight` re-queues it where it lies
-    /// to deliver no earlier than the recovery tick.  Returns whether the
-    /// delivery proceeds.
+    /// schedule.  Applies the plan's transitions due by `now` (a recovery
+    /// rebuilds its server **from fresh state** with the restart factory),
+    /// then intercepts the delivery if its destination is inside a crash
+    /// window: `DropInFlight` takes the message out and loses it,
+    /// `QueueInFlight` re-queues it where it lies to deliver no earlier
+    /// than the recovery tick.  Returns whether the delivery proceeds.
     fn crash_gate(&mut self, slot: Slot) -> bool {
         let Simulation { faults, processes, pool, sink, now, .. } = self;
         let (Some(faults), now) = (faults.as_mut(), *now) else { return true };
-        let dst = pool.get(slot).dst;
-        // Recoveries first: every window of `dst` that fully elapsed must
-        // have restarted the process before this delivery observes it —
-        // even if no delivery was attempted inside the window itself (the
-        // state loss happened regardless).
-        for i in faults.schedule.elapsed_crashes(dst, now) {
-            if faults.crash_recovered[i] {
-                continue;
-            }
-            let crash = faults.schedule.crashes[i];
-            if !faults.crash_announced[i] {
-                faults.crash_announced[i] = true;
-                if O::ENABLED {
-                    sink.emit(ObsEvent::ServerCrashed { at: now, server: crash.server });
-                }
-            }
-            faults.crash_recovered[i] = true;
-            let restart = faults
-                .restart
-                .as_mut()
-                .expect("crash schedules carry a restart factory (FaultState::new)");
-            let fresh = restart(dst);
-            assert_eq!(fresh.id(), dst, "restart factory rebuilt the wrong process");
-            processes.insert(dst, fresh);
-            if O::ENABLED {
-                sink.emit(ObsEvent::ServerRecovered { at: now, server: crash.server });
-            }
-        }
-        let Some((i, crash)) = faults.schedule.crash_window(dst, now) else { return true };
-        if !faults.crash_announced[i] {
-            faults.crash_announced[i] = true;
-            if O::ENABLED {
-                sink.emit(ObsEvent::ServerCrashed { at: now, server: crash.server });
-            }
-        }
+        apply_transitions(faults, processes, sink, now);
+        let ProcessId::Server(server) = pool.get(slot).dst else { return true };
+        let Some(&Some(i)) = faults.down.get(server.0 as usize) else { return true };
+        let crash = faults.schedule.crashes[i];
         match crash.policy {
             CrashPolicy::DropInFlight => {
                 let lost = pool.take(slot);
@@ -948,8 +922,8 @@ where
             }
             // Held for the restarted process: re-queued with its delivery
             // pushed to the recovery tick (the clock already advanced past
-            // the attempt, so the next pick lands at or past `recover_at`
-            // and takes the recovery path above).
+            // the attempt, so the next pick lands at or past `recover_at`,
+            // where the recovery is due).
             CrashPolicy::QueueInFlight => pool.requeue(slot, crash.recover_at),
         }
         false
@@ -1034,23 +1008,41 @@ fn sent(
     }
 }
 
-/// Lazily announces partition starts and heals: each transition is emitted
-/// once, on the first send decision whose clock observes it.  Pure
-/// bookkeeping — the actual cut is decided per message by
-/// [`FaultSchedule::send_verdict`].
-fn note_partitions<P, O: TraceSink>(faults: &mut FaultState<P>, sink: &mut O, now: u64) {
-    for (i, p) in faults.schedule.partitions.iter().enumerate() {
-        if !faults.partition_started[i] && now >= p.from && now < p.until {
-            faults.partition_started[i] = true;
-            if O::ENABLED {
-                sink.emit(ObsEvent::PartitionStarted { at: now, partition: i as u32 });
+/// Applies every transition of the fault plan due by `now`, in timeline
+/// order, each once — a crash marks its server down, a recovery marks it
+/// up and restarts it from fresh state, a cut or a heal is announced (the
+/// cut itself is decided per message by [`FaultSchedule::send_verdict`]).
+/// Each emits its event stamped `now`: the first send or delivery decision
+/// at or past its tick.
+fn apply_transitions<P: Process, O: TraceSink>(
+    faults: &mut FaultState<P>,
+    processes: &mut ProcessTable<P>,
+    sink: &mut O,
+    now: u64,
+) {
+    while let Some(&(_, transition)) = faults.timeline.front().filter(|(tick, _)| *tick <= now) {
+        faults.timeline.pop_front();
+        let event = match transition {
+            Transition::Crash(i) => {
+                let server = faults.schedule.crashes[i].server;
+                faults.down[server.0 as usize] = Some(i);
+                ObsEvent::ServerCrashed { at: now, server }
             }
-        }
-        if faults.partition_started[i] && !faults.partition_healed[i] && now >= p.until {
-            faults.partition_healed[i] = true;
-            if O::ENABLED {
-                sink.emit(ObsEvent::PartitionHealed { at: now, partition: i as u32 });
+            Transition::Recover(i) => {
+                let server = faults.schedule.crashes[i].server;
+                faults.down[server.0 as usize] = None;
+                let pid = ProcessId::Server(server);
+                let restart = faults.restart.as_mut().expect("crash schedules carry a restart factory");
+                let fresh = restart(pid);
+                assert_eq!(fresh.id(), pid, "restart factory rebuilt the wrong process");
+                processes.insert(pid, fresh);
+                ObsEvent::ServerRecovered { at: now, server }
             }
+            Transition::Cut(i) => ObsEvent::PartitionStarted { at: now, partition: i as u32 },
+            Transition::Heal(i) => ObsEvent::PartitionHealed { at: now, partition: i as u32 },
+        };
+        if O::ENABLED {
+            sink.emit(event);
         }
     }
 }
@@ -1820,6 +1812,172 @@ mod tests {
         }
         assert_eq!(held, CLIENTS, "every first request to the crashed server is held");
         assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
+    }
+
+    type FaultySim = Simulation<ToyNode, LatencyScheduler, RecordingSink>;
+
+    /// The toy cluster (client 0, servers 0 and 1), observed, under
+    /// `schedule`, its restart factory counting into `restarts`.
+    fn faulty_toy_sim(
+        schedule: crate::fault::FaultSchedule,
+        restarts: &std::rc::Rc<std::cell::Cell<u32>>,
+    ) -> FaultySim {
+        let restarts = restarts.clone();
+        let restart = move |pid| match pid {
+            ProcessId::Server(id) => {
+                restarts.set(restarts.get() + 1);
+                ToyNode::Server { id }
+            }
+            ProcessId::Client(_) => unreachable!("clients never crash"),
+        };
+        toy_sim(LatencyScheduler::fifo())
+            .with_sink(RecordingSink::new())
+            .with_faults(schedule, Some(Box::new(restart)))
+    }
+
+    /// Whether the crash gate lets a request to `dst`, attempted at `now`,
+    /// through (a request it lets through is taken out again).
+    fn gate_at(sim: &mut FaultySim, now: u64, dst: ProcessId) -> bool {
+        let src = ProcessId::Client(ClientId(0));
+        sim.now = now;
+        let slot = sim.pool.insert(PendingMessage {
+            id: sim.ids.issue(src, now),
+            src,
+            dst,
+            msg: ToyMsg::Req { tx: TxId(0), object: ObjectId(0) },
+            sent_at: 0,
+            causal: Causal::ROOT,
+            deliver_at: 0,
+        });
+        let delivered = sim.crash_gate(slot);
+        if delivered {
+            sim.pool.take(slot);
+        }
+        delivered
+    }
+
+    /// The crash and partition transitions the sink has seen, in order.
+    fn transitions(sim: &FaultySim) -> Vec<ObsEvent> {
+        let transition = |e: &&ObsEvent| {
+            matches!(
+                e,
+                ObsEvent::ServerCrashed { .. }
+                    | ObsEvent::ServerRecovered { .. }
+                    | ObsEvent::PartitionStarted { .. }
+                    | ObsEvent::PartitionHealed { .. }
+            )
+        };
+        sim.sink.events().iter().filter(transition).copied().collect()
+    }
+
+    /// A crash window `[100, 200)` holds its server down from its first
+    /// tick to its last, and the first decision at 200 finds it restarted;
+    /// the other server and the client are never gated.
+    #[test]
+    fn a_crash_window_is_down_from_its_crash_tick_to_its_recovery_tick() {
+        use crate::fault::{Crash, CrashPolicy, FaultSchedule};
+        let (s0, s1, c0) = (ProcessId::Server(ServerId(0)), ProcessId::Server(ServerId(1)), ProcessId::Client(ClientId(0)));
+        let restarts = std::rc::Rc::default();
+        let schedule = FaultSchedule::new(0).with_crash(Crash {
+            server: ServerId(1),
+            at: 100,
+            recover_at: 200,
+            policy: CrashPolicy::DropInFlight,
+        });
+        let mut sim = faulty_toy_sim(schedule, &restarts);
+        assert!(gate_at(&mut sim, 99, s1));
+        assert!(!gate_at(&mut sim, 100, s1));
+        assert!(gate_at(&mut sim, 150, s0), "other servers unaffected");
+        assert!(gate_at(&mut sim, 150, c0), "clients never crash");
+        assert!(!gate_at(&mut sim, 199, s1));
+        assert_eq!(restarts.get(), 0);
+        assert!(gate_at(&mut sim, 200, s1));
+        assert_eq!(restarts.get(), 1);
+        let server = ServerId(1);
+        assert_eq!(
+            transitions(&sim),
+            [ObsEvent::ServerCrashed { at: 100, server }, ObsEvent::ServerRecovered { at: 200, server }]
+        );
+    }
+
+    /// A crash window that no delivery reaches is still applied, once: the
+    /// INV at 50 crosses all of `[10, 20)`, and server 1 is restarted
+    /// before the first delivery to it.
+    #[test]
+    fn a_crash_window_no_delivery_reaches_is_applied_once() {
+        use crate::fault::{Crash, CrashPolicy, FaultSchedule};
+        let restarts = std::rc::Rc::default();
+        let schedule = FaultSchedule::new(0).with_crash(Crash {
+            server: ServerId(1),
+            at: 10,
+            recover_at: 20,
+            policy: CrashPolicy::DropInFlight,
+        });
+        let mut sim = faulty_toy_sim(schedule, &restarts);
+        let txs = [(0, 0), (50, 0), (100, 1)]
+            .map(|(at, object)| sim.invoke_at(at, ClientId(0), TxSpec::read(vec![ObjectId(object)])));
+        sim.run_until_quiescent();
+        assert!(txs.iter().all(|&tx| sim.is_complete(tx)));
+        assert_eq!(restarts.get(), 1);
+        let server = ServerId(1);
+        assert_eq!(
+            transitions(&sim),
+            [ObsEvent::ServerCrashed { at: 51, server }, ObsEvent::ServerRecovered { at: 51, server }]
+        );
+        let events = sim.sink.events();
+        let position = |hit: &dyn Fn(&ObsEvent) -> bool| events.iter().position(hit).unwrap();
+        assert!(
+            position(&|e| matches!(e, ObsEvent::ServerRecovered { .. }))
+                < position(&|e| matches!(e, ObsEvent::MessageDelivered { dst, .. } if *dst == ProcessId::Server(server)))
+        );
+    }
+
+    /// A partition with no send inside its window `[10, 20)` is still
+    /// announced, once: started, then healed, at the INV that crosses it.
+    #[test]
+    fn a_partition_no_send_crosses_is_announced_once() {
+        use crate::fault::{FaultSchedule, Partition, PartitionPolicy};
+        let cut = Partition::isolate_server(ServerId(1), 10, 20, PartitionPolicy::Drop);
+        let mut sim = faulty_toy_sim(FaultSchedule::new(0).with_partition(cut), &std::rc::Rc::default());
+        for at in [0, 50] {
+            sim.invoke_at(at, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
+        }
+        sim.run_until_quiescent();
+        assert_eq!(
+            transitions(&sim),
+            [ObsEvent::PartitionStarted { at: 51, partition: 0 }, ObsEvent::PartitionHealed { at: 51, partition: 0 }]
+        );
+    }
+
+    /// Back-to-back windows `[10, 50)` and `[50, 90)` of one server: at 50
+    /// the recovery is applied before the new crash, so the server is
+    /// restarted and down again, and a held request waits for the second
+    /// window's recovery.
+    #[test]
+    fn back_to_back_crash_windows_recover_before_they_crash_again() {
+        use crate::fault::{Crash, CrashPolicy, FaultSchedule};
+        let s1 = ProcessId::Server(ServerId(1));
+        let restarts = std::rc::Rc::default();
+        let window = |at, recover_at| Crash { server: ServerId(1), at, recover_at, policy: CrashPolicy::QueueInFlight };
+        let schedule = FaultSchedule::new(0).with_crash(window(10, 50)).with_crash(window(50, 90));
+        let mut sim = faulty_toy_sim(schedule, &restarts);
+        assert!(!gate_at(&mut sim, 10, s1));
+        assert!(!gate_at(&mut sim, 50, s1));
+        assert_eq!(restarts.get(), 1);
+        let held: Vec<u64> = sim.pending().map(|m| m.deliver_at).collect();
+        assert_eq!(held, [50, 90], "each request is held to its own window's recovery");
+        assert!(gate_at(&mut sim, 90, s1));
+        assert_eq!(restarts.get(), 2);
+        let server = ServerId(1);
+        assert_eq!(
+            transitions(&sim),
+            [
+                ObsEvent::ServerCrashed { at: 10, server },
+                ObsEvent::ServerRecovered { at: 50, server },
+                ObsEvent::ServerCrashed { at: 50, server },
+                ObsEvent::ServerRecovered { at: 90, server },
+            ]
+        );
     }
 
     /// One hop of a scripted route: the next process, and how the message

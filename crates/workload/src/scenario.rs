@@ -215,8 +215,6 @@ pub struct SloReport {
     pub snow: String,
     /// Committed transactions.
     pub committed: u64,
-    /// Aborted transactions.
-    pub aborted: u64,
     /// Median READ latency, in site-ticks.
     pub read_p50: u64,
     /// 99th-percentile READ latency, in site-ticks.
@@ -255,23 +253,12 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
 pub fn slo_report(scenario: &Scenario, seed: u64, rounds: usize) -> Result<SloReport> {
     let run = run_scenario(scenario, seed, rounds)?;
     let report = SnowReport::evaluate(scenario.name(), &run.history);
-    let committed = run
-        .history
-        .records
-        .iter()
-        .filter(|r| r.outcome.as_ref().is_some_and(|o| !o.is_aborted()))
-        .count() as u64;
-    let aborted = run
-        .history
-        .records
-        .iter()
-        .filter(|r| r.outcome.as_ref().is_some_and(|o| o.is_aborted()))
-        .count() as u64;
     Ok(SloReport {
         scenario: scenario.name(),
         snow: report.observed.to_string(),
-        committed,
-        aborted,
+        // No fault schedule, so nothing aborts: every completed
+        // transaction committed.
+        committed: run.history.completed().count() as u64,
         read_p50: report.metrics.read_latency.p50 / TICK,
         read_p99: report.metrics.read_latency.p99 / TICK,
         mean_rounds: report.metrics.mean_rounds,

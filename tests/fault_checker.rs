@@ -448,9 +448,14 @@ fn one_percent_duplication_on_the_wan_leaves_algb_certified_serializable() {
 /// link — pinned by category: the tag order and the stream engine both
 /// convict.  Every conviction contains a READ of a WRITE that registered
 /// and was then retired `Aborted` because its ack was dropped — ROADMAP
-/// item 1's open half; when item 1 lands, this pin moves.  (The
-/// benchmark's `sim.fault.checkers_agree` now compares the stream engine
-/// with itself: its graph side forwards to the stream.)
+/// item 1's open half.  Item 1's re-encoding alone (each orphaned WRITE
+/// an incomplete write with its key) moves this pin to `Unknown`, not to
+/// `Serializable`: its 293 orphaned WRITEs leave thousands of concurrent
+/// untagged writes on one object, past the window solver's cap of 24.  It
+/// moves to `Serializable` only with a version order for the orphans
+/// (item 22's hints, or item 18).  (The benchmark's
+/// `sim.fault.checkers_agree` now compares the stream engine with itself:
+/// its graph side forwards to the stream.)
 #[test]
 fn the_benchmarks_fault_phase_gets_one_verdict_from_both_engines() {
     let faults = FaultSchedule::new(7)

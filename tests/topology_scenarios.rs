@@ -73,36 +73,38 @@ fn every_matrix_cell_is_certified_serializable() {
     }
 }
 
-/// `| scenario | SNOW | committed | aborted | READ p50 | READ p99 | mean
-/// rounds | C2C messages | duration |`, latencies and duration in site-ticks.
+/// `| scenario | SNOW | committed | READ p50 | READ p99 | mean rounds | C2C
+/// messages | duration |`, latencies and duration in site-ticks.
 /// Algorithm C's 1.01 is its counted targeted-fallback round, visible once a
 /// cell commits enough READs.  Re-pinned once when a link's draw became the
 /// delivery time (no slot round-up, no per-destination sub-tick band):
 /// every row keeps its SNOW letters and committed count; the single-DC
 /// latencies fall (AlgB social_graph p50 13 → 8 site-ticks) because a
-/// `Uniform[1, 3]` link now delivers in 1–3 site-ticks, not 2–4.
+/// `Uniform[1, 3]` link now delivers in 1–3 site-ticks, not 2–4.  The
+/// `aborted` column, 0 in every row (a scenario run schedules no faults),
+/// was dropped; every other cell is unchanged.
 #[test]
 fn scenario_slo_table_is_pinned() {
     let rows: Vec<String> = snow_bench::scenario_rows().iter().map(|c| snow_bench::row(c)).collect();
     let pinned = [
-        "| algb/single_dc/social_graph | SN-W | 1096 | 0 | 8 | 10 | 2.00 | 0 | 2533 |",
-        "| algb/single_dc/flash_sale | SN-W | 1307 | 0 | 7 | 10 | 2.00 | 0 | 2395 |",
-        "| algb/single_dc/snapshot | SN-W | 1164 | 0 | 9 | 11 | 2.00 | 0 | 2582 |",
-        "| algb/wan3/social_graph | SN-W | 1096 | 0 | 148 | 463 | 2.00 | 0 | 77199 |",
-        "| algb/wan3/flash_sale | SN-W | 1307 | 0 | 95 | 392 | 2.00 | 0 | 64936 |",
-        "| algb/wan3/snapshot | SN-W | 1164 | 0 | 173 | 481 | 2.00 | 0 | 78603 |",
-        "| algb/client_remote/social_graph | SN-W | 1096 | 0 | 200 | 458 | 2.00 | 0 | 78348 |",
-        "| algb/client_remote/flash_sale | SN-W | 1307 | 0 | 147 | 353 | 2.00 | 0 | 63030 |",
-        "| algb/client_remote/snapshot | SN-W | 1164 | 0 | 220 | 443 | 2.00 | 0 | 82782 |",
-        "| algc/single_dc/social_graph | SN-W | 1096 | 0 | 4 | 5 | 1.00 | 0 | 1610 |",
-        "| algc/single_dc/flash_sale | SN-W | 1307 | 0 | 4 | 5 | 1.00 | 0 | 2049 |",
-        "| algc/single_dc/snapshot | SN-W | 1164 | 0 | 5 | 5 | 1.00 | 0 | 1767 |",
-        "| algc/wan3/social_graph | SN-W | 1096 | 0 | 115 | 321 | 1.00 | 0 | 54840 |",
-        "| algc/wan3/flash_sale | SN-W | 1307 | 0 | 60 | 294 | 1.01 | 0 | 57428 |",
-        "| algc/wan3/snapshot | SN-W | 1164 | 0 | 131 | 335 | 1.00 | 0 | 61898 |",
-        "| algc/client_remote/social_graph | SN-W | 1096 | 0 | 116 | 302 | 1.01 | 0 | 56767 |",
-        "| algc/client_remote/flash_sale | SN-W | 1307 | 0 | 83 | 293 | 1.01 | 0 | 53175 |",
-        "| algc/client_remote/snapshot | SN-W | 1164 | 0 | 138 | 329 | 1.01 | 0 | 60301 |",
+        "| algb/single_dc/social_graph | SN-W | 1096 | 8 | 10 | 2.00 | 0 | 2533 |",
+        "| algb/single_dc/flash_sale | SN-W | 1307 | 7 | 10 | 2.00 | 0 | 2395 |",
+        "| algb/single_dc/snapshot | SN-W | 1164 | 9 | 11 | 2.00 | 0 | 2582 |",
+        "| algb/wan3/social_graph | SN-W | 1096 | 148 | 463 | 2.00 | 0 | 77199 |",
+        "| algb/wan3/flash_sale | SN-W | 1307 | 95 | 392 | 2.00 | 0 | 64936 |",
+        "| algb/wan3/snapshot | SN-W | 1164 | 173 | 481 | 2.00 | 0 | 78603 |",
+        "| algb/client_remote/social_graph | SN-W | 1096 | 200 | 458 | 2.00 | 0 | 78348 |",
+        "| algb/client_remote/flash_sale | SN-W | 1307 | 147 | 353 | 2.00 | 0 | 63030 |",
+        "| algb/client_remote/snapshot | SN-W | 1164 | 220 | 443 | 2.00 | 0 | 82782 |",
+        "| algc/single_dc/social_graph | SN-W | 1096 | 4 | 5 | 1.00 | 0 | 1610 |",
+        "| algc/single_dc/flash_sale | SN-W | 1307 | 4 | 5 | 1.00 | 0 | 2049 |",
+        "| algc/single_dc/snapshot | SN-W | 1164 | 5 | 5 | 1.00 | 0 | 1767 |",
+        "| algc/wan3/social_graph | SN-W | 1096 | 115 | 321 | 1.00 | 0 | 54840 |",
+        "| algc/wan3/flash_sale | SN-W | 1307 | 60 | 294 | 1.01 | 0 | 57428 |",
+        "| algc/wan3/snapshot | SN-W | 1164 | 131 | 335 | 1.00 | 0 | 61898 |",
+        "| algc/client_remote/social_graph | SN-W | 1096 | 116 | 302 | 1.01 | 0 | 56767 |",
+        "| algc/client_remote/flash_sale | SN-W | 1307 | 83 | 293 | 1.01 | 0 | 53175 |",
+        "| algc/client_remote/snapshot | SN-W | 1164 | 138 | 329 | 1.01 | 0 | 60301 |",
     ];
     assert_eq!(rows, pinned);
 }
