@@ -26,8 +26,7 @@
 //! equivalence proof.  Regenerate with
 //! `cargo run -p snow-bench --release -- golden [--faults] --write`
 //! (only legitimate when the schedule semantics intentionally change, or
-//! the workload bodies do — e.g. a different `rand` backend, see
-//! `vendor/README.md`).
+//! the workload bodies do — they are `snow_core::hash::SplitMix` draws).
 
 use snow_core::History;
 use snow_protocols::{fault_scenarios, ClusterSpec, ProtocolKind, SchedulerKind, ShardEvent};

@@ -1960,15 +1960,8 @@ fn observed_incomplete_floor(history: &History) -> u64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use snow_core::hash::SplitMix;
     use snow_core::{ClientId, ObjectRead, ReadOutcome, Tag, TxId, TxSpec, Value, WriteOutcome};
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     /// A checker holding `n` fresh nodes, slots `0..n` in label order.
     fn nodes(n: u32) -> StreamChecker {
@@ -2176,17 +2169,17 @@ pub(crate) mod tests {
     /// cycle-closing edges included.
     #[test]
     fn add_edge_agrees_with_reachability_and_keeps_a_topological_order() {
-        let (mut rng, mut reorders, mut refused, mut placed) = (1u64, 0, 0, 0);
+        let (mut rng, mut reorders, mut refused, mut placed) = (SplitMix::new(1), 0, 0, 0);
         for case in 0..256u32 {
-            let n = 2 + (splitmix(&mut rng) % 39) as u32;
+            let n = 2 + rng.below(39) as u32;
             let mut checker = nodes(n);
             // Every case crosses the visit-stamp wrap-around within its
             // first few reorders.
             checker.pk.epoch = u32::MAX - 2 - 2 * (case % 3);
             let mut edges: Vec<(u32, u32)> = Vec::new();
             for _ in 0..3 * n {
-                let a = (splitmix(&mut rng) % n as u64) as u32;
-                let b = (splitmix(&mut rng) % n as u64) as u32;
+                let a = rng.below(n as u64) as u32;
+                let b = rng.below(n as u64) as u32;
                 // `a` reachable from `b` over the accepted edges?
                 let mut seen = vec![false; n as usize];
                 let mut stack = vec![b];

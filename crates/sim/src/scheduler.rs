@@ -46,7 +46,7 @@
 
 use crate::pool::{Earliest, MessagePool, Slot};
 use crate::topology::{LinkDist, Topology};
-use snow_core::hash::splitmix64;
+use snow_core::hash::{splitmix64, SplitMix};
 use snow_core::ProcessId;
 use std::sync::Arc;
 
@@ -121,19 +121,17 @@ pub(crate) fn pid_bits(id: ProcessId) -> u64 {
 /// Delivers a uniformly random pending message; deterministic per seed.
 ///
 /// The draw selects a uniform *rank* in send order
-/// ([`MessagePool::nth_live`], O(live)).  The n-th draw is
-/// `splitmix64(seed + n·γ)` — the SplitMix64 stream, which is what the
-/// vendored `rand` shim's generator produced when this scheduler drew from
-/// it, so no seeded Random schedule moved when the dependency went.
+/// ([`MessagePool::nth_live`], O(live)).  The n-th pick is draw n of
+/// [`SplitMix::new(seed)`](SplitMix), reduced by the pool's length.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    state: u64,
+    stream: SplitMix,
 }
 
 impl RandomScheduler {
     /// Creates a random scheduler from a seed.
     pub fn new(seed: u64) -> Self {
-        RandomScheduler { state: seed }
+        RandomScheduler { stream: SplitMix::new(seed) }
     }
 }
 
@@ -142,9 +140,7 @@ impl<M> Scheduler<M> for RandomScheduler {
         if pool.is_empty() {
             return None;
         }
-        let rank = splitmix64(self.state) % pool.len() as u64;
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15); // SplitMix64's γ
-        pool.nth_live(rank as usize)
+        pool.nth_live(self.stream.below(pool.len() as u64) as usize)
     }
 }
 

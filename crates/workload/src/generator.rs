@@ -1,12 +1,8 @@
 //! Transaction-mix generation.
 
 use crate::zipf::Zipf;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use snow_core::{
-    ClientId, ClientRole, ObjectId, ReadSpec, SystemConfig, TxKind, TxSpec, Value, WritePairs,
-    WriteSpec,
-};
+use snow_core::hash::SplitMix;
+use snow_core::{ClientId, ObjectId, ReadSpec, SystemConfig, TxSpec, Value, WritePairs, WriteSpec};
 
 /// Parameters of a workload mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +72,7 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     config: SystemConfig,
     zipf: Zipf,
-    rng: StdRng,
+    rng: SplitMix,
     readers: Vec<ClientId>,
     writers: Vec<ClientId>,
     next_reader: usize,
@@ -107,7 +103,7 @@ impl WorkloadGenerator {
         );
         WorkloadGenerator {
             zipf: Zipf::new(config.num_objects as usize, spec.zipf_exponent),
-            rng: StdRng::seed_from_u64(spec.seed),
+            rng: SplitMix::new(spec.seed),
             readers,
             writers,
             next_reader: 0,
@@ -137,17 +133,12 @@ impl WorkloadGenerator {
 
     /// Generates the next transaction.
     pub fn next_tx(&mut self) -> GeneratedTx {
-        let is_read = self.rng.random_bool(self.spec.read_fraction.clamp(0.0, 1.0));
+        let is_read = self.rng.chance(self.spec.read_fraction);
         if is_read {
             self.next_read()
         } else {
             self.next_write()
         }
-    }
-
-    /// Generates a batch of transactions.
-    pub fn batch(&mut self, count: usize) -> Vec<GeneratedTx> {
-        (0..count).map(|_| self.next_tx()).collect()
     }
 
     /// Generates exactly one WRITE transaction (used by sweeps that control
@@ -189,27 +180,21 @@ impl WorkloadGenerator {
     }
 }
 
-/// Sanity helper used by tests: checks that a generated transaction respects
-/// the role split of the configuration.
-pub fn respects_roles(config: &SystemConfig, tx: &GeneratedTx) -> bool {
-    matches!(
-        (config.role_of(tx.client), tx.spec.kind()),
-        (Some(ClientRole::Reader), TxKind::Read) | (Some(ClientRole::Writer), TxKind::Write)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snow_core::{ClientRole, TxKind};
 
     #[test]
     fn generator_respects_roles_and_mix() {
         let config = SystemConfig::mwmr(4, 2, 2);
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-        let batch = generator.batch(500);
-        assert_eq!(batch.len(), 500);
-        for tx in &batch {
-            assert!(respects_roles(&config, tx), "{tx:?}");
+        for tx in (0..500).map(|_| generator.next_tx()) {
+            let role = match tx.spec.kind() {
+                TxKind::Read => ClientRole::Reader,
+                TxKind::Write => ClientRole::Writer,
+            };
+            assert_eq!(config.role_of(tx.client), Some(role), "{tx:?}");
             match &tx.spec {
                 TxSpec::Read(r) => assert_eq!(r.objects.len(), 2),
                 TxSpec::Write(w) => assert_eq!(w.writes.len(), 2),
@@ -225,7 +210,9 @@ mod tests {
     fn tao_like_mix_is_read_dominated() {
         let config = SystemConfig::mwmr(8, 2, 2);
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
-        generator.batch(2_000);
+        for _ in 0..2_000 {
+            generator.next_tx();
+        }
         let (reads, writes) = generator.counts();
         assert!(reads > writes * 50, "reads={reads} writes={writes}");
     }
@@ -245,9 +232,11 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let config = SystemConfig::mwmr(6, 2, 2);
-        let a = WorkloadGenerator::new(&config, WorkloadSpec::tao_like()).batch(50);
-        let b = WorkloadGenerator::new(&config, WorkloadSpec::tao_like()).batch(50);
-        assert_eq!(a, b);
+        let run = || {
+            let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
+            (0..50).map(|_| generator.next_tx()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

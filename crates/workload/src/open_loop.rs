@@ -44,9 +44,8 @@
 
 use crate::driver::{checked, completion_loop, Tap};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use snow_checker::{LatencyStats, Verdict};
+use snow_core::hash::SplitMix;
 use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxKind, TxSpec};
 use snow_protocols::{Cluster, ClusterSpec};
 
@@ -98,12 +97,12 @@ pub struct Arrival {
 pub fn arrival_schedule(config: &SystemConfig, spec: &OpenLoopSpec) -> Vec<Arrival> {
     assert!(spec.rate > 0, "open-loop rate must be at least 1 per kilotick");
     let mut generator = WorkloadGenerator::new(config, spec.workload.clone());
-    let mut rng = StdRng::seed_from_u64(spec.arrival_seed);
+    let mut rng = SplitMix::new(spec.arrival_seed);
     let mean_gap = 1000.0 / spec.rate as f64;
     let mut at = 0u64;
     (0..spec.arrivals)
         .map(|_| {
-            let u: f64 = rng.random_range(0.0..1.0);
+            let u = rng.unit();
             // Inverse-CDF exponential draw, floored at one tick so arrivals
             // stay strictly ordered per client.
             let gap = (-mean_gap * (1.0 - u).ln()).round().max(1.0) as u64;
@@ -572,9 +571,8 @@ mod tests {
     /// kilotick, and the body / arrival / network seeds it derives (three
     /// successive SplitMix64 outputs).  Returns the network seed last.
     fn open_c_read(arrivals: usize, seed: u64) -> (SystemConfig, OpenLoopSpec, u64) {
-        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-        let nth = |i: u64| snow_core::hash::splitmix64(seed.wrapping_add(GAMMA.wrapping_mul(i)));
-        let (body, arrival_seed, net) = (nth(0), nth(1), nth(2));
+        let mut seeds = SplitMix::new(seed);
+        let (body, arrival_seed, net) = (seeds.next_u64(), seeds.next_u64(), seeds.next_u64());
         let workload = WorkloadSpec {
             read_fraction: 0.96,
             objects_per_read: 4,

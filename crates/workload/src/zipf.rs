@@ -4,7 +4,7 @@
 //! `w_i = 1 / (i+1)^s`, which is exact and fast enough for workload
 //! generation (the table is built once per generator).
 
-use rand::Rng;
+use snow_core::hash::SplitMix;
 
 /// A Zipfian distribution over `n` items with skew exponent `s`.
 ///
@@ -48,8 +48,8 @@ impl Zipf {
 
     /// Samples an index in `0..n`, most popular first.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random_range(0.0..1.0);
+    pub fn sample(&self, rng: &mut SplitMix) -> usize {
+        let u = rng.unit();
         match self
             .cumulative
             .binary_search_by(|c| c.partial_cmp(&u).expect("finite weights"))
@@ -75,8 +75,6 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn masses_sum_to_one_and_decrease() {
@@ -101,7 +99,7 @@ mod tests {
     #[test]
     fn samples_are_in_range_and_skewed() {
         let z = Zipf::new(50, 1.2);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix::new(7);
         let mut counts = vec![0usize; 50];
         for _ in 0..20_000 {
             let i = z.sample(&mut rng);
@@ -116,11 +114,11 @@ mod tests {
     fn sampling_is_deterministic_per_seed() {
         let z = Zipf::new(20, 0.8);
         let a: Vec<usize> = {
-            let mut rng = StdRng::seed_from_u64(1);
+            let mut rng = SplitMix::new(1);
             (0..100).map(|_| z.sample(&mut rng)).collect()
         };
         let b: Vec<usize> = {
-            let mut rng = StdRng::seed_from_u64(1);
+            let mut rng = SplitMix::new(1);
             (0..100).map(|_| z.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);

@@ -44,11 +44,17 @@
 #      function of (config, seeds), which is what makes every pin above
 #      meaningful — nor start or synchronize threads (`std::thread`,
 #      `Barrier`, `Mutex`): the simulator is single-threaded;
-#   7. one mixer: the `splitmix64` behind every per-message draw (latencies,
-#      fault gates, the random scheduler's stream) has one definition,
-#      `snow_core::hash::splitmix64`; a second one lets its users drift
-#      apart.  (Stateful RNG draws need no grep: crates/sim does not depend
-#      on `rand`.)
+#   7. one mixer: the `splitmix64` behind every seeded draw (latencies,
+#      fault gates, and through `SplitMix` the workload bodies, arrival
+#      gaps, the random scheduler and the tests' random plans) has one
+#      definition, `snow_core::hash`; a second one lets its users drift
+#      apart.  The grep looks for the mixer's multiplier over crates/,
+#      src/ and tests/, so a hand-rolled copy under any name is caught.
+#      Two copies lie outside those paths on purpose: the benchmark's
+#      adapter (examples/e2e_bench/sut.rs derives its seeds with one; the
+#      benchmark's files are frozen so that parent and change run the same
+#      harness) and the vendored proptest shim (vendor/proptest is
+#      std-only and cannot depend on snow-core).
 #
 # Usage: scripts/ci.sh
 
@@ -140,9 +146,9 @@ forbid "$(grep -rn --include='*.rs' -E 'std::time|\bInstant\b|std::thread|\bBarr
 echo "sim is wall-clock and thread free"
 
 echo "== 7. one mixer (a single splitmix64 definition) =="
-forbid "$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim || true)" \
-    "splitmix64 defined under crates/sim" \
-    "The mixer has one definition, snow_core::hash::splitmix64; a private copy lets latency draws and fault gates drift apart."
+forbid "$(grep -rniE --include='*.rs' '0xbf58_?476d_?1ce4_?e5b9' crates src tests | grep -v '^crates/core/src/hash.rs:' || true)" \
+    "a second SplitMix64 mixer" \
+    "The mixer has one definition, snow_core::hash::splitmix64, and one stream over it, snow_core::hash::SplitMix; a private copy lets seeded draws drift apart."
 echo "one splitmix64"
 
 echo "CI green"

@@ -19,32 +19,16 @@
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow::checker::{StreamChecker, Verdict};
+use snow::core::hash::SplitMix;
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
 use snow::sim::{LatencyScheduler, ObsEvent, RecordingSink, Simulation, StepOutcome};
-
-/// SplitMix64: deterministic per-seed stream driving plan and adversary.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
 
 /// A random plan: `rounds` rounds, each scheduling at most one transaction
 /// per client (one-outstanding well-formedness is preserved because every
 /// round is drained to quiescence before the next is scheduled).
 fn random_round(
-    rng: &mut Rng,
+    rng: &mut SplitMix,
     protocol: ProtocolKind,
     num_objects: u32,
     writers: &[ClientId],
@@ -56,11 +40,11 @@ fn random_round(
         if rng.below(4) == 0 {
             continue; // some clients sit a round out
         }
-        let mut writes = vec![(ObjectId(rng.below(num_objects as u64) as u32), Value(rng.next() % 1_000))];
+        let mut writes = vec![(ObjectId(rng.below(num_objects as u64) as u32), Value(rng.next_u64() % 1_000))];
         if rng.below(2) == 0 {
             let o = ObjectId(rng.below(num_objects as u64) as u32);
             if writes.iter().all(|(w, _)| *w != o) {
-                writes.push((o, Value(rng.next() % 1_000)));
+                writes.push((o, Value(rng.next_u64() % 1_000)));
             }
         }
         round.push((*w, TxSpec::write(writes)));
@@ -84,7 +68,7 @@ fn random_round(
 /// invocations.
 fn drain_adversarially(
     sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
-    rng: &mut Rng,
+    rng: &mut SplitMix,
     clients: &[ClientId],
 ) {
     while !sim.is_quiescent() {
@@ -93,7 +77,7 @@ fn drain_adversarially(
                 // Deliver a uniformly random in-flight message, bypassing
                 // the scheduler.
                 let ids: Vec<_> = sim.pending().map(|p| p.id).collect();
-                if let Some(&target) = ids.get(rng.below(ids.len() as u64) as usize) {
+                if let Some(&target) = ids.get(rng.below(ids.len().max(1) as u64) as usize) {
                     sim.deliver_where(|p| p.id == target);
                 } else if sim.step() == StepOutcome::Quiescent {
                     break;
@@ -157,7 +141,7 @@ proptest! {
             let writers: Vec<ClientId> = config.writers().collect();
             let readers: Vec<ClientId> = config.readers().collect();
             let clients: Vec<ClientId> = writers.iter().chain(readers.iter()).copied().collect();
-            let mut rng = Rng(seed ^ (protocol as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+            let mut rng = SplitMix::new(seed ^ (protocol as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
 
             let mut sim: Simulation<AnyNode, _, _> =
                 Simulation::new(LatencyScheduler::new(seed, 1, 25)).with_sink(RecordingSink::new());
@@ -207,7 +191,7 @@ proptest! {
             let config = protocol.config(3, 2, 2);
             let writers: Vec<ClientId> = config.writers().collect();
             let readers: Vec<ClientId> = config.readers().collect();
-            let mut plan_rng = Rng(seed);
+            let mut plan_rng = SplitMix::new(seed);
             let rounds: Vec<Vec<(ClientId, TxSpec)>> = (0..3)
                 .map(|_| {
                     random_round(&mut plan_rng, protocol, config.num_objects, &writers, &readers)

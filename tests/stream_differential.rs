@@ -19,29 +19,13 @@ mod support;
 use snow::checker::{
     check_auto, SearchChecker, SequentialOt, StreamChecker, StreamLane, TagOrderStream, Verdict,
 };
+use snow::core::hash::SplitMix;
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, Tag, TxId, TxOutcome, TxRecord,
     TxSpec, Value, WriteOutcome,
 };
 use snow_bench::golden::{combos, COMBO_TXNS, FIXTURE};
 use support::lemma20::TagOrderChecker;
-
-/// SplitMix64: deterministic per-seed stream for history generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
 
 /// Generates a random history of at most 10 transactions with moderate
 /// real-time overlap: reads observe either `κ₀` or the key of any
@@ -52,7 +36,7 @@ impl Rng {
 /// orders and their forced-constraint re-extension alongside the untagged
 /// overlap-group machinery.
 fn random_history(seed: u64) -> History {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix::new(seed);
     let n = 2 + rng.below(9);
     let n_objects = 1 + rng.below(3) as u32;
     let n_writers = 1 + rng.below(3) as u32;
@@ -330,7 +314,7 @@ fn last_key(i: u64, width: u64) -> Option<Key> {
 /// colliding write tags, tags off real time, and reads that return a
 /// version other than the latest one by tag (one in six).
 fn tagged_history(seed: u64) -> History {
-    let mut rng = Rng(seed ^ 0x7A65_D0C5);
+    let mut rng = SplitMix::new(seed ^ 0x7A65_D0C5);
     let n = 2 + rng.below(11);
     let n_objects = 1 + rng.below(3) as u32;
     // (id, objects, key, tag) of every WRITE that responded.

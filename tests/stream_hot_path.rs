@@ -17,9 +17,13 @@
 //! * **seal-summary invalidation** — a stale read that re-linearises a
 //!   sealed segment, followed by further reads of the same segment.
 
+#[path = "support/alloc.rs"]
+mod alloc;
 mod support;
 
+use alloc::counted;
 use snow::checker::{check_auto, SearchChecker, SequentialOt, StreamChecker, StreamReport, Verdict};
+use snow::core::hash::SplitMix;
 use snow::core::{
     ClientId, History, Key, ObjectId, ObjectRead, ReadOutcome, SystemConfig, TxId, TxOutcome,
     TxRecord, TxSpec, Value, WriteOutcome,
@@ -29,70 +33,12 @@ use snow::sim::Topology;
 use snow::workload::{
     drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use support::lemma20::TagOrderChecker;
 
-// ---- counting allocator ----------------------------------------------------
-
-thread_local! {
-    /// `Some(n)` while the current thread is counting.  Per thread, so the
-    /// tests of this binary can run in parallel without seeing each other.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct Counting;
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down.  The cell has no destructor and its access never allocates.
-    let _ = ALLOCS.try_with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + 1));
-        }
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches one thread-local
-// `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: as in `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as in `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Runs `f`, returning how many heap allocations (reallocations included)
-/// this thread made inside it.
-fn counted(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|c| c.set(Some(0)));
-    f();
-    ALLOCS.with(|c| c.replace(None)).expect("counting was on")
-}
+static GLOBAL: alloc::Counting = alloc::Counting;
 
 // ---- the two pipeline runs -------------------------------------------------
 
@@ -155,14 +101,14 @@ fn pipeline(
         cluster.run_until_quiescent();
         let drain = cluster.drain_commits();
         let n = drain.records.len() as u64;
-        let made = counted(|| {
+        let ((), made) = counted(|| {
             for rec in drain.records {
                 checker.ingest(rec);
             }
             checker.advance_watermark(drain.inv_floor);
         });
         if counted_rounds.contains(&round) {
-            allocs += made;
+            allocs += made.allocs;
             counted_txs += n;
         }
     }
@@ -343,19 +289,6 @@ fn stream_agrees_with_check_auto_on_an_open_loop_algc_history() {
 
 // ---- same computation off the happy path -----------------------------------
 
-/// SplitMix64.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, bound: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % bound
-    }
-}
-
 /// 200 transactions over a few objects, each taking effect atomically at a
 /// point inside its interval (so the history is strictly serializable), with
 /// heavily overlapping writes — tagged in a third of the histories — and a
@@ -364,7 +297,7 @@ impl Rng {
 /// re-linearised by stale reads, reads of expired versions that stay
 /// pending, slots retired and reused.
 fn scarred_history(seed: u64) -> History {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix::new(seed);
     let (n_objects, n_writers) = (1 + rng.below(4), 1 + rng.below(6));
     let (span, dur, stale_pct) = (10 + rng.below(40), 20 + rng.below(40), rng.below(5));
     let tagged = rng.below(3) == 0;

@@ -29,6 +29,7 @@
 //!    verdicts, pure functions of `(cell, seed)`, compared for equality.
 
 use snow_checker::{StreamChecker, Verdict};
+use snow_core::hash::SplitMix;
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use snow_protocols::{deploy_any, scenario_dup_storm, AnyMsg, AnyNode, ProtocolKind};
 use snow_sim::{
@@ -159,19 +160,6 @@ proptest! {
     }
 }
 
-/// Deterministic draws for the pool proptest (SplitMix64).
-struct Draw(u64);
-
-impl Draw {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % n
-    }
-}
-
 /// The source component of the coordinate rank `(key, sent_at, source,
 /// id)` (the simulator's `pid_bits`).
 fn source_rank(src: ProcessId) -> u64 {
@@ -190,7 +178,7 @@ fn source_rank(src: ProcessId) -> u64 {
 /// the rank, takes that leave stale entries behind, and re-queues in the
 /// slot the message lies in, its old entry unconsumed.
 fn walk(
-    draw: &mut Draw,
+    draw: &mut SplitMix,
     size: u64,
     distinct_keys: u64,
     sources: u64,
@@ -200,7 +188,7 @@ fn walk(
     let mut pool: MessagePool<()> = MessagePool::new();
     let mut live: Vec<PendingMessage<()>> = Vec::new();
     let mut next_id = 0u64;
-    let mut fresh = |draw: &mut Draw| {
+    let mut fresh = |draw: &mut SplitMix| {
         // Ids grow by random steps and say nothing about the rank.
         next_id += 1 + draw.below(4);
         let src = match draw.below(sources) {
@@ -262,8 +250,8 @@ proptest! {
     /// Every pick discipline on the same kind of walk, against its `Vec`
     /// reference: the latency scheduler, over a topology and at zero
     /// latency, takes the minimum `(key, id)`; Random the k-th live message by id,
-    /// k drawn from the scheduler's own SplitMix64 stream (`Draw(seed)`
-    /// yields exactly `RandomScheduler::new(seed)`'s draws).
+    /// k drawn from `SplitMix::new(seed)`, the stream
+    /// `RandomScheduler::new(seed)` itself holds.
     #[test]
     fn topology_pick_is_the_whole_pool_minimum(
         seed in 0u64..u64::MAX,
@@ -276,17 +264,19 @@ proptest! {
         };
         let config = SystemConfig::mwmr(4, 2, 2);
         let mut topology = LatencyScheduler::over(Arc::new(Topology::single_dc(&config)), seed);
-        walk(&mut Draw(seed), size, distinct_keys, sources, &mut topology, by_key);
-        walk(&mut Draw(!seed), size, distinct_keys, sources, &mut LatencyScheduler::fifo(), by_key);
+        walk(&mut SplitMix::new(seed), size, distinct_keys, sources, &mut topology, by_key);
+        let fifo = &mut LatencyScheduler::fifo();
+        walk(&mut SplitMix::new(!seed), size, distinct_keys, sources, fifo, by_key);
 
-        let mut stream = Draw(seed);
+        let mut stream = SplitMix::new(seed);
         let kth_by_id = move |live: &[PendingMessage<()>]| {
             let mut ids: Vec<MsgId> = live.iter().map(|m| m.id).collect();
             ids.sort_unstable();
             ids[stream.below(ids.len() as u64) as usize]
         };
         let mut random = RandomScheduler::new(seed);
-        walk(&mut Draw(seed.rotate_left(32)), size, distinct_keys, sources, &mut random, kth_by_id);
+        let mut walk_draws = SplitMix::new(seed.rotate_left(32));
+        walk(&mut walk_draws, size, distinct_keys, sources, &mut random, kth_by_id);
     }
 }
 
