@@ -158,7 +158,7 @@ impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineList<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::splitmix64;
+    use crate::hash::SplitMix;
     use crate::ids::ObjectId;
     use crate::value::Value;
     use proptest::prelude::*;
@@ -178,12 +178,6 @@ mod tests {
         assert_eq!(walked, reference);
     }
 
-    /// The next draw of a splitmix64 stream.
-    fn draw(state: &mut u64) -> u64 {
-        *state = splitmix64(*state);
-        *state
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -197,8 +191,8 @@ mod tests {
             len in 0usize..9,
             swaps in 0usize..6,
         ) {
-            let mut state = seed;
-            let reference: Vec<u32> = (0..len).map(|_| (draw(&mut state) % 5) as u32).collect();
+            let mut rng = SplitMix::new(seed);
+            let reference: Vec<u32> = (0..len).map(|_| rng.below(5) as u32).collect();
             let collected: InlineList<u32, 4> = reference.iter().copied().collect();
             let converted = InlineList::<u32, 4>::from(reference.clone());
             let sliced = InlineList::<u32, 4>::from(&reference[..]);
@@ -219,7 +213,7 @@ mod tests {
 
             let (mut list, mut model) = (collected.clone(), reference.clone());
             for _ in 0..swaps.min(len) {
-                let (a, b) = (draw(&mut state) as usize % len, draw(&mut state) as usize % len);
+                let (a, b) = (rng.below(len as u64) as usize, rng.below(len as u64) as usize);
                 list.swap(a, b);
                 model.swap(a, b);
                 prop_assert_eq!(list.as_mut_slice().len(), len);

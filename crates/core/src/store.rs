@@ -363,7 +363,7 @@ impl ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::splitmix64;
+    use crate::hash::SplitMix;
     use crate::ids::ClientId;
     use proptest::prelude::*;
 
@@ -462,12 +462,6 @@ mod tests {
         assert_eq!(ov, twin);
     }
 
-    /// The next draw of a splitmix64 stream.
-    fn draw(state: &mut u64) -> u64 {
-        *state = splitmix64(*state);
-        *state
-    }
-
     /// Checks `ov` against the ordered map it stands for, through every
     /// view; `latest` is the last install.  Each writer's entry in the
     /// marks table names the version of its highest `seq` and the one it
@@ -531,16 +525,16 @@ mod tests {
             writers in 1usize..6,
             sized in 0usize..80,
         ) {
-            let mut state = seed;
+            let mut rng = SplitMix::new(seed);
             // A store sized for the ids below `sized`; each writer is a
             // draw from `WRITER_IDS`, the largest rarely (its table is
             // 1.1 MB).
             let mut ov = ObjectVersions::with_writers(sized);
-            let pick = |state: &mut u64| match draw(state) % 16 {
+            let pick = |rng: &mut SplitMix| match rng.below(16) {
                 0 => WRITER_IDS[WRITER_IDS.len() - 1],
                 d => WRITER_IDS[d as usize % (WRITER_IDS.len() - 1)],
             };
-            let ids: Vec<ClientId> = (0..writers).map(|_| ClientId(pick(&mut state))).collect();
+            let ids: Vec<ClientId> = (0..writers).map(|_| ClientId(pick(&mut rng))).collect();
             let mut model = BTreeMap::from([(Key::initial(), Value::INITIAL)]);
             let mut latest = (Key::initial(), Value::INITIAL);
             // Per writer, the last `seq` drawn, and the ones it skipped
@@ -550,19 +544,19 @@ mod tests {
             // Snapshots taken along the way, each with the map as of its call.
             let mut taken = Vec::new();
             while model.len() < versions {
-                let writer = ids[draw(&mut state) as usize % writers];
-                let value = Value(draw(&mut state) % 1_000);
-                let key = match draw(&mut state) % 8 {
+                let writer = ids[rng.below(writers as u64) as usize];
+                let value = Value(rng.below(1_000));
+                let key = match rng.below(8) {
                     // A present key again (`κ₀` included).
-                    0 | 1 => *model.keys().nth(draw(&mut state) as usize % model.len()).unwrap(),
+                    0 | 1 => *model.keys().nth(rng.below(model.len() as u64) as usize).unwrap(),
                     // A skipped `seq`, below its writer's mark.
                     2 if !skipped.is_empty() => {
-                        skipped.swap_remove(draw(&mut state) as usize % skipped.len())
+                        skipped.swap_remove(rng.below(skipped.len() as u64) as usize)
                     }
                     // The writer's next WRITE, now and then skipping a `seq`.
                     _ => {
                         let seq = next.get_mut(&writer).unwrap();
-                        if draw(&mut state).is_multiple_of(3) {
+                        if rng.below(3) == 0 {
                             *seq += 1;
                             skipped.push(Key::new(*seq, writer));
                         }
@@ -575,7 +569,7 @@ mod tests {
                 latest = (key, value);
                 prop_assert!(ov.contains(&key));
                 prop_assert_eq!(ov.get(&key), Some(value));
-                if draw(&mut state).is_multiple_of(4) {
+                if rng.below(4) == 0 {
                     taken.push((ov.snapshot(), model.clone()));
                 }
             }

@@ -16,12 +16,26 @@ use snow_core::{
 /// a dense per-object index holds exactly that — `List[j*].κ` with its tag
 /// — updated as each entry is appended.  `List[0]` covers every object,
 /// so an object no entry wrote (inside the initial set or not) reads `κ₀`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A registration looks its key up through a per-writer table of the
+/// highest `seq` registered, sized once for the deployment's client ids:
+/// a key above its writer's is new, and is appended without a search.  In
+/// a fault-free run no registration searches, since each writer registers
+/// its WRITEs once each and in `seq` order; a duplicate, a late
+/// registration or a writer outside the table does.
+#[derive(Debug, Clone)]
 pub struct WriteLog {
     /// `List[j].κ`, in registration order.
     keys: Vec<Key>,
     /// `(List[j*].κ, Tag(j* + 1))`, indexed by object id.
     latest: Vec<(Key, Tag)>,
+    /// Indexed by writer id: the highest `seq` registered by that writer,
+    /// 0 if none (no real WRITE's key has `seq` 0).  No key of the writer
+    /// above it is in `List`.
+    newest: Vec<u64>,
+    /// How many keys of `List` the registrations searched, over the log's
+    /// life: the cost the table saves, and a cost counter for the tests.
+    scanned: u64,
 }
 
 /// The index entry of an object only the initial entry covers.
@@ -29,12 +43,16 @@ const INITIAL_ENTRY: (Key, Tag) = (Key::initial(), Tag::INITIAL);
 
 impl WriteLog {
     /// Creates the initial log: a single entry `(κ₀, objects)` covering every
-    /// object in the system.
-    pub fn new(all_objects: impl IntoIterator<Item = ObjectId>) -> Self {
+    /// object in the system, with a writer table for the writer ids
+    /// `0 .. writers`, allocated once, here.  A writer past it registers
+    /// by searching `List`.
+    pub fn new(all_objects: impl IntoIterator<Item = ObjectId>, writers: u32) -> Self {
         let objects = all_objects.into_iter().map(|o| o.0 as usize + 1).max().unwrap_or(0);
         WriteLog {
             keys: vec![Key::initial()],
             latest: vec![INITIAL_ENTRY; objects],
+            newest: vec![0; writers as usize],
+            scanned: 0,
         }
     }
 
@@ -47,33 +65,46 @@ impl WriteLog {
     /// registration would otherwise become the latest entry of its objects
     /// again — a WRITE with two tags, and READs ordered after it twice.
     ///
-    /// A writer runs one WRITE at a time, so its entries are in key order
-    /// and the search stops at its newest entry no newer than `key`: the
-    /// cost is the registrations since that writer's previous one, not
-    /// `|List|`.
+    /// A key above its writer's entry in the table is not in `List`: one
+    /// index, no search.  Any other key (a duplicate, a late registration,
+    /// a writer the table does not cover) is searched for from the newest
+    /// entry back.  A writer runs one WRITE at a time, so its entries are
+    /// in key order and the search stops at its newest entry no newer than
+    /// `key`: the cost is the registrations since that entry, not `|List|`.
     pub fn append(&mut self, key: Key, objects: &[ObjectId]) -> Tag {
-        let same_writer_no_newer = |k: &Key| k.writer == key.writer && k.seq <= key.seq;
-        match self.keys.iter().rposition(same_writer_no_newer) {
-            Some(registered) if self.keys[registered] == key => Tag(registered as u64 + 1),
+        match self.newest.get_mut(key.writer.0 as usize) {
+            Some(newest) if key.seq > *newest => *newest = key.seq,
             _ => {
-                self.keys.push(key);
-                let tag = Tag(self.keys.len() as u64);
-                for object in objects {
-                    let index = object.0 as usize;
-                    if self.latest.len() <= index {
-                        self.latest.resize(index + 1, INITIAL_ENTRY);
-                    }
-                    self.latest[index] = (key, tag);
+                let same_writer_no_newer = |k: &Key| k.writer == key.writer && k.seq <= key.seq;
+                let found = self.keys.iter().rposition(same_writer_no_newer);
+                self.scanned += (self.keys.len() - found.unwrap_or(0)) as u64;
+                if let Some(registered) = found.filter(|&j| self.keys[j] == key) {
+                    return Tag(registered as u64 + 1);
                 }
-                tag
             }
         }
+        self.keys.push(key);
+        let tag = Tag(self.keys.len() as u64);
+        for object in objects {
+            let index = object.0 as usize;
+            if self.latest.len() <= index {
+                self.latest.resize(index + 1, INITIAL_ENTRY);
+            }
+            self.latest[index] = (key, tag);
+        }
+        tag
     }
 
     /// Number of entries (`|List|`); never 0, the initial entry stays.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    /// How many keys of `List` the registrations so far searched: 0 while
+    /// every key registered was above its writer's newest.
+    pub fn scanned_keys(&self) -> u64 {
+        self.scanned
     }
 
     /// The key of the latest entry that updated `object`
@@ -225,7 +256,7 @@ impl KeyAllocator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use snow_core::hash::splitmix64;
+    use snow_core::hash::SplitMix;
     use snow_core::Value;
 
     fn objs(ids: &[u32]) -> Vec<ObjectId> {
@@ -234,7 +265,7 @@ mod tests {
 
     #[test]
     fn write_log_initial_covers_all_objects() {
-        let log = WriteLog::new(objs(&[0, 1, 2]));
+        let log = WriteLog::new(objs(&[0, 1, 2]), 8);
         assert_eq!(log.len(), 1);
         for o in objs(&[0, 1, 2]) {
             let (k, t) = log.latest_for(o);
@@ -245,7 +276,7 @@ mod tests {
 
     #[test]
     fn write_log_append_and_latest() {
-        let mut log = WriteLog::new(objs(&[0, 1]));
+        let mut log = WriteLog::new(objs(&[0, 1]), 8);
         let k1 = Key::new(1, ClientId(5));
         let t1 = log.append(k1, &objs(&[0]));
         assert_eq!(t1, Tag(2));
@@ -264,7 +295,7 @@ mod tests {
 
     #[test]
     fn tag_array_takes_per_object_latest_and_max_tag() {
-        let mut log = WriteLog::new(objs(&[0, 1, 2]));
+        let mut log = WriteLog::new(objs(&[0, 1, 2]), 8);
         let ka = Key::new(1, ClientId(5));
         log.append(ka, &objs(&[0]));
         let kb = Key::new(2, ClientId(5));
@@ -319,61 +350,85 @@ mod tests {
     /// set's size are outside it.
     const DRAWN_OBJECTS: u64 = 9;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Writers in the reference test, with ids spread over `0 .. 3·WRITERS`;
+    /// the writer table covers the first `WRITERS` ids or more, so some
+    /// writers are always in it and, unless it covers all, some past it.
+    const WRITERS: u64 = 64;
 
-        /// Random registration sequences — four writers interleaved,
-        /// duplicates of earlier registrations, WRITEs whose registration was
-        /// lost, objects outside the initial set — give the reverse scan's
-        /// tags, `latest_for`, `tag_array` and `len` after every append.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random registration sequences — 64 writers with sparse ids
+        /// interleaved, duplicates of earlier registrations, WRITEs whose
+        /// registration was lost or arrives after a newer one of the same
+        /// writer, objects outside the initial set, writer ids past the
+        /// writer table — give the reverse scan's tags, `latest_for`,
+        /// `tag_array` and `len` after every append: the table's appends
+        /// and the search behind it both agree with `ScanLog`.
         #[test]
         fn write_log_agrees_with_the_reverse_scan_reference(
             seed in 0u64..u64::MAX,
             initial in 1u32..6,
+            table in WRITERS as u32..3 * WRITERS as u32 + 1,
         ) {
-            let mut state = seed;
-            let mut draw = |below: u64| {
-                state = splitmix64(state);
-                state % below
-            };
+            let mut rng = SplitMix::new(seed);
+            let ids: Vec<ClientId> =
+                (0..WRITERS).map(|w| ClientId((3 * w + rng.below(3)) as u32)).collect();
             let all: Vec<ObjectId> = (0..initial).map(ObjectId).collect();
-            let (mut log, mut reference) = (WriteLog::new(all.clone()), ScanLog::new(all));
-            let mut seqs = [0u64; 4];
+            let (mut log, mut reference) = (WriteLog::new(all.clone(), table), ScanLog::new(all));
+            let mut seqs = [0u64; WRITERS as usize];
             let mut registered: Vec<(Key, Vec<ObjectId>)> = Vec::new();
-            for step in 0..80 {
-                let (key, objects) = match draw(8) {
+            // Keys skipped on registration: each is older than its writer's
+            // newest from the moment it is skipped.
+            let mut lost: Vec<(Key, Vec<ObjectId>)> = Vec::new();
+            let (mut fast, mut searched) = (0, 0);
+            for step in 0..240 {
+                let (key, objects) = match rng.below(10) {
                     0 | 1 if !registered.is_empty() => {
-                        registered[draw(registered.len() as u64) as usize].clone()
+                        registered[rng.below(registered.len() as u64) as usize].clone()
+                    }
+                    2 if !lost.is_empty() => {
+                        let late = lost.swap_remove(rng.below(lost.len() as u64) as usize);
+                        registered.push(late.clone());
+                        late
                     }
                     _ => {
-                        let writer = draw(4) as usize;
-                        // One in six skips a sequence number: a WRITE whose
-                        // registration never arrived.
-                        seqs[writer] += 1 + u64::from(draw(6) == 0);
-                        let key = Key::new(seqs[writer], ClientId(writer as u32));
+                        let writer = rng.below(WRITERS) as usize;
                         let mut objects = Vec::new();
-                        for _ in 0..1 + draw(3) {
-                            let object = ObjectId(draw(DRAWN_OBJECTS) as u32);
+                        for _ in 0..1 + rng.below(3) {
+                            let object = ObjectId(rng.below(DRAWN_OBJECTS) as u32);
                             if !objects.contains(&object) {
                                 objects.push(object);
                             }
+                        }
+                        // One in six is a WRITE whose registration has not
+                        // arrived (yet): the writer moves on past it.
+                        seqs[writer] += 1;
+                        let key = Key::new(seqs[writer], ids[writer]);
+                        if rng.below(6) == 0 {
+                            lost.push((key, objects));
+                            continue;
                         }
                         registered.push((key, objects.clone()));
                         (key, objects)
                     }
                 };
                 let at = format!("seed {seed}, step {step}, {key:?}");
+                let before = log.scanned_keys();
                 prop_assert_eq!(log.append(key, &objects), reference.append(key, &objects), "{}", at);
+                if log.scanned_keys() == before { fast += 1 } else { searched += 1 }
                 prop_assert_eq!(log.len(), reference.entries.len(), "{}", at);
                 for object in (0..DRAWN_OBJECTS as u32 + 2).map(ObjectId) {
                     prop_assert_eq!(log.latest_for(object), reference.latest_for(object), "{}", at);
                 }
                 let asked: Vec<ObjectId> = (0..DRAWN_OBJECTS as u32)
-                    .filter(|_| draw(2) == 0)
+                    .filter(|_| rng.below(2) == 0)
                     .map(ObjectId)
                     .collect();
                 prop_assert_eq!(log.tag_array(&asked), reference.tag_array(&asked), "{}", at);
             }
+            // Both paths ran: the table's appends, and the search behind it.
+            prop_assert!(fast > 0 && searched > 0, "seed {}: {} fast, {} searched", seed, fast, searched);
         }
     }
 

@@ -289,7 +289,7 @@ impl Reader {
             id,
             algorithm,
             list_at,
-            log: holds_list.then(|| WriteLog::new(config.objects())),
+            log: holds_list.then(|| WriteLog::new(config.objects(), config.num_clients())),
             config,
             pending: None,
             vals: Vec::new(),
@@ -448,7 +448,7 @@ impl Server {
         Server {
             id,
             store: ShardStore::new(config.objects_on(id), config.num_clients()),
-            log: coordinator.then(|| WriteLog::new(config.objects())),
+            log: coordinator.then(|| WriteLog::new(config.objects(), config.num_clients())),
         }
     }
 }
@@ -465,11 +465,11 @@ pub enum ListNode {
 }
 
 impl ListNode {
-    /// `|List|` if this process holds it (1 = only the initial entry).
-    pub fn list_len(&self) -> Option<usize> {
+    /// `List`, if this process holds it.
+    pub fn list(&self) -> Option<&WriteLog> {
         match self {
-            ListNode::Reader(r) => r.log.as_ref().map(WriteLog::len),
-            ListNode::Server(s) => s.log.as_ref().map(WriteLog::len),
+            ListNode::Reader(r) => r.log.as_ref(),
+            ListNode::Server(s) => s.log.as_ref(),
             ListNode::Writer(_) => None,
         }
     }
@@ -921,7 +921,7 @@ pub(crate) mod tests {
         let Some(AnyNode::List(holder)) = sim.process(list_holder(algorithm, &config)) else {
             panic!("{algorithm:?}: no List holder");
         };
-        assert_eq!(holder.list_len(), Some(4));
+        assert_eq!(holder.list().map(WriteLog::len), Some(4));
     }
 
     pub(crate) fn c_returns_every_version_ever_written() {

@@ -5,8 +5,9 @@
 //! `Vec<Option<PendingMessage>>`; the next insert reuses the slot freed
 //! last, so the slab never holds more slots than were ever in flight at
 //! once), and the delivery heap holds one `(deliver_at, MsgId, slot)`
-//! entry per insert or re-queue, in 16 bytes: the id and the slot share
-//! one word, `id << 24 | slot`, which orders as `(id, slot)` does.  An
+//! entry per insert or re-queue, in one `u128`: `deliver_at << 64 | id <<
+//! 24 | slot`, which orders as the triple does, so the heap compares
+//! entries in one integer comparison.  An
 //! entry is **live iff its slot still holds that id under that key**;
 //! anything else is discarded on its way to the top.  That one rule
 //! covers both ways an entry goes stale: its message was picked another
@@ -24,7 +25,7 @@
 //! * [`MessagePool::pop`] — the smallest `(deliver_at, id)`, the entry
 //!   [`MessagePool::peek_earliest`] found, amortized O(log n):
 //!   [`crate::LatencyScheduler`]'s pick.  This is the classic
-//!   discrete-event core, a `BinaryHeap` popped by `(time, id)`; equal
+//!   discrete-event core, a binary min-heap popped by `(time, id)`; equal
 //!   times go to the smaller id, which is send order.  The engine peeks
 //!   once per dispatch — the peek decides whether an invocation is due —
 //!   and the pop takes that same entry without looking again.
@@ -44,12 +45,10 @@
 //! one stale entry per send until the pool is dropped.
 
 use crate::message::{MsgId, PendingMessage};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// A delivery-heap entry, `(deliver_at, pack(id, slot))`, smallest on top:
-/// the order of `(deliver_at, id, slot)`.
-type Entry = Reverse<(u64, u64)>;
+/// A delivery-heap entry, `deliver_at << 64 | pack(id, slot)`: its order
+/// is `(deliver_at, id, slot)`'s.
+type Entry = u128;
 
 /// Bits of a packed entry word that hold the slot.
 const SLOT_BITS: u32 = 24;
@@ -72,6 +71,94 @@ fn pack(id: u64, slot: usize) -> u64 {
 #[inline]
 fn unpack(word: u64) -> (u64, usize) {
     (word >> SLOT_BITS, (word & ((1 << SLOT_BITS) - 1)) as usize)
+}
+
+/// The heap entry of message `id`, in `slot`, keyed `deliver_at`.
+#[inline]
+fn entry(deliver_at: u64, id: u64, slot: usize) -> Entry {
+    u128::from(deliver_at) << 64 | u128::from(pack(id, slot))
+}
+
+/// The `(deliver_at, id, slot)` an [`entry`] holds.
+#[inline]
+fn unentry(entry: Entry) -> (u64, u64, usize) {
+    let (id, slot) = unpack(entry as u64);
+    ((entry >> 64) as u64, id, slot)
+}
+
+/// The delivery heap: a binary min-heap of [`Entry`]s in one vector,
+/// `v[i] ≤ v[2i + 1], v[2i + 2]`.
+///
+/// A pop takes the root and walks the hole it leaves down to a leaf,
+/// moving the smaller child up at each level — chosen without a branch,
+/// by adding the comparison's outcome to the left child's index — and
+/// then sifts the last entry up from that leaf (Floyd's bottom-up
+/// deletion).  The last entry came from the bottom level, so it seldom
+/// rises far, and the walk down makes one comparison per level where a
+/// top-down sift makes two.  Every entry is distinct but for a message
+/// re-queued under its own key, so the pop order is the entries' order,
+/// whatever the heap's shape.
+#[derive(Debug, Clone, Default)]
+struct DeliveryHeap(Vec<Entry>);
+
+impl DeliveryHeap {
+    /// The smallest entry.
+    #[inline]
+    fn peek(&self) -> Option<Entry> {
+        self.0.first().copied()
+    }
+
+    /// Adds `entry`, sifting it up from the new leaf.
+    #[inline]
+    fn push(&mut self, entry: Entry) {
+        let v = &mut self.0;
+        v.push(entry);
+        let hole = v.len() - 1;
+        Self::sift_up(v, hole, entry);
+    }
+
+    /// Removes and returns the smallest entry.
+    #[inline]
+    fn pop(&mut self) -> Option<Entry> {
+        let v = &mut self.0;
+        let last = v.pop()?;
+        let Some(&top) = v.first() else { return Some(last) };
+        let end = v.len();
+        let (mut hole, mut child) = (0, 1);
+        while child + 1 < end {
+            child += usize::from(v[child + 1] < v[child]);
+            v[hole] = v[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child < end {
+            v[hole] = v[child];
+            hole = child;
+        }
+        Self::sift_up(v, hole, last);
+        Some(top)
+    }
+
+    /// Removes the smallest entry, which is stale: out of line, because
+    /// only a pick other than the heap's, or a re-queue, leaves one.
+    #[cold]
+    fn discard(&mut self) {
+        self.pop();
+    }
+
+    /// Fills `hole` with `entry`, moving it up past every larger parent.
+    #[inline]
+    fn sift_up(v: &mut [Entry], mut hole: usize, entry: Entry) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if v[parent] <= entry {
+                break;
+            }
+            v[hole] = v[parent];
+            hole = parent;
+        }
+        v[hole] = entry;
+    }
 }
 
 /// Where a message lies in the pool's slab.  A pick returns the slot of the
@@ -101,7 +188,7 @@ pub struct MessagePool<M> {
     /// Free slots, reused last-freed first.
     free: Vec<usize>,
     /// The delivery heap (see the module docs for which entries are live).
-    queue: BinaryHeap<Entry>,
+    queue: DeliveryHeap,
     /// [`MessagePool::nth_live`]'s scratch: the live `(id, slot)`s it
     /// selects from.  Empty between calls; a field so a Random pick
     /// allocates nothing per step.
@@ -113,7 +200,7 @@ impl<M> Default for MessagePool<M> {
         MessagePool {
             slots: Vec::new(),
             free: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: DeliveryHeap::default(),
             ranked: Vec::new(),
         }
     }
@@ -146,7 +233,7 @@ impl<M> MessagePool<M> {
             self.slots.len() - 1
         });
         self.slots[slot] = Some(msg);
-        self.queue.push(Reverse((key, pack(id, slot))));
+        self.queue.push(entry(key, id, slot));
         Slot(slot)
     }
 
@@ -184,7 +271,7 @@ impl<M> MessagePool<M> {
             .as_mut()
             .expect("a picked slot is occupied");
         msg.deliver_at = deliver_at;
-        self.queue.push(Reverse((deliver_at, pack(msg.id.0, slot.0))));
+        self.queue.push(entry(deliver_at, msg.id.0, slot.0));
     }
 
     /// The heap's top live entry — the smallest `(deliver_at, id)` — without
@@ -192,8 +279,8 @@ impl<M> MessagePool<M> {
     /// The dispatch core compares its key with the earliest planned
     /// invocation (the one dispatch rule) and hands it to the scheduler.
     pub fn peek_earliest(&mut self) -> Option<Earliest> {
-        while let Some(&Reverse((key, word))) = self.queue.peek() {
-            let (id, slot) = unpack(word);
+        while let Some(top) = self.queue.peek() {
+            let (key, id, slot) = unentry(top);
             let msg = self.slots[slot].as_ref();
             if msg.is_some_and(|msg| msg.id.0 == id && msg.deliver_at == key) {
                 return Some(Earliest {
@@ -202,7 +289,7 @@ impl<M> MessagePool<M> {
                     slot: Slot(slot),
                 });
             }
-            self.queue.pop();
+            self.queue.discard();
         }
         None
     }
@@ -214,7 +301,7 @@ impl<M> MessagePool<M> {
         let top = self.queue.pop();
         debug_assert_eq!(
             top,
-            Some(Reverse((earliest.deliver_at, pack(earliest.id.0, earliest.slot.0)))),
+            Some(entry(earliest.deliver_at, earliest.id.0, earliest.slot.0)),
             "popped an entry other than the one peeked"
         );
         earliest.slot
@@ -267,9 +354,10 @@ mod tests {
     use super::*;
     use crate::message::Causal;
     use proptest::prelude::*;
-    use snow_core::hash::splitmix64;
+    use snow_core::hash::SplitMix;
     use snow_core::{ClientId, ProcessId, ServerId};
-    use std::collections::BTreeMap;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeMap, BinaryHeap};
 
     #[derive(Debug, Clone)]
     struct M;
@@ -322,6 +410,30 @@ mod tests {
         assert!(std::mem::size_of::<Entry>() <= 16);
     }
 
+    /// The heap against `std`'s `BinaryHeap` (of `Reverse` entries), over
+    /// every sequence of up to 7 operations drawn from "push 0", "push 1",
+    /// "push 2" and "pop": every heap of 0 to 7 entries, ties in every
+    /// position, pops of an empty heap, and the walk's leaf edge (a last
+    /// parent with one child, or none) at each size.
+    #[test]
+    fn the_heap_agrees_with_std_on_every_short_sequence() {
+        for len in 0..=7u32 {
+            for code in 0..4u32.pow(len) {
+                let (mut heap, mut model) = (DeliveryHeap::default(), BinaryHeap::new());
+                for op in (0..len).map(|i| code / 4u32.pow(i) % 4) {
+                    if op == 3 {
+                        let want = model.pop().map(|Reverse(e)| e);
+                        assert_eq!(heap.pop(), want, "sequence {code} of {len}");
+                    } else {
+                        heap.push(Entry::from(op));
+                        model.push(Reverse(Entry::from(op)));
+                    }
+                    assert_eq!(heap.peek(), model.peek().map(|&Reverse(e)| e));
+                }
+            }
+        }
+    }
+
     /// The packed word holds both ends of each range and orders as
     /// `(id, slot)` does across them.
     #[test]
@@ -356,7 +468,9 @@ mod tests {
         /// id) → slot`, under random inserts (keys drawn from a narrow
         /// range, so ties are common), heap pops, `find_first` and
         /// `nth_live` picks, each picked message either taken or re-queued
-        /// at its own key or a later one.  After every step the heap's top
+        /// at its own key or a later one.  An insert drawn while `live`
+        /// messages are in flight pops instead, so a low cap keeps the
+        /// heap at a few entries, where its pop's walk meets the leaves.  After every step the heap's top
         /// live entry is the map's first: pops come out in `(deliver_at,
         /// id)` order, and no stale entry — a taken message's, or a
         /// re-queued one's old key — ever resurfaces.
@@ -365,18 +479,16 @@ mod tests {
             seed in 0u64..u64::MAX,
             steps in 1usize..400,
             keys in 1u64..20,
+            live in 1usize..40,
         ) {
-            let mut state = seed;
-            let mut draw = |n: u64| {
-                state = splitmix64(state);
-                state % n
-            };
+            let mut rng = SplitMix::new(seed);
+            let mut draw = |n: u64| rng.below(n);
             let mut pool: MessagePool<M> = MessagePool::new();
             let mut model: BTreeMap<(u64, u64), Slot> = BTreeMap::new();
             let mut next_id = 0;
             for _ in 0..steps {
                 let picked = match draw(8) {
-                    0..=2 => {
+                    0..=2 if model.len() < live => {
                         let key = draw(keys);
                         let slot = pool.insert(pending(next_id, 0, key));
                         prop_assert!(model.values().all(|&s| s != slot), "a live slot reused");
@@ -384,7 +496,7 @@ mod tests {
                         next_id += 1;
                         None
                     }
-                    3 | 4 => pool.peek_earliest().map(|earliest| {
+                    0..=4 => pool.peek_earliest().map(|earliest| {
                         let first = model.first_key_value().map(|(&k, &s)| (k, s));
                         let top = ((earliest.deliver_at, earliest.id.0), earliest.slot);
                         prop_assert_eq!(first, Some(top));
@@ -505,10 +617,10 @@ mod tests {
         pool.insert(pending(2, 0, 30));
         let held = pool.find_first(|_| true).unwrap();
         pool.requeue(held, 30);
-        assert_eq!(pool.queue.len(), 2);
+        assert_eq!(pool.queue.0.len(), 2);
         assert_eq!(pop_earliest(&mut pool).map(|m| m.id), Some(MsgId(2)));
         assert!(pop_earliest(&mut pool).is_none());
-        assert!(pool.is_empty() && pool.queue.is_empty());
+        assert!(pool.is_empty() && pool.queue.0.is_empty());
     }
 
     /// A popped message stays in its slot, read in place, until it is
@@ -549,7 +661,7 @@ mod tests {
         while let Some(m) = pop_earliest(&mut pool) {
             assert_eq!(m.id, MsgId(drained), "(key, id) order");
             drained += 1;
-            assert_eq!(pool.queue.len(), pool.len(), "a pop re-pushed an entry");
+            assert_eq!(pool.queue.0.len(), pool.len(), "a pop re-pushed an entry");
         }
         assert_eq!(drained, N);
         // Only rank selection gathers the live ids; a heap drain never does.

@@ -958,7 +958,9 @@ where
 /// `at`, classified `info`, made while handling `handled` (`None` in an INV
 /// handler) — folded, at the same site, into the record it describes: a
 /// C2C send into its transaction's C2C count, whoever sends it; any other
-/// send by the invoker into its round count.
+/// send by the invoker into its round count.  Only those two can change the
+/// record, so a server's send that is not C2C (every response) does not
+/// look it up: a server never invokes.
 #[inline]
 fn stamp(
     records: &mut RecordLog,
@@ -967,22 +969,25 @@ fn stamp(
     handled: Option<(MsgInfo, Causal)>,
 ) -> Causal {
     let Some(tx) = info.tx else { return Causal::ROOT };
-    let rec = records.get_mut(tx);
-    // A server never invokes.
-    let by_invoker = matches!((at, &rec), (ProcessId::Client(c), Some(rec)) if rec.client == c);
-    let causal = match handled {
-        Some((parent, stamp)) if parent.tx == Some(tx) => Causal {
+    let c2c = info.kind == MsgKind::ClientToClient;
+    let chained = handled.filter(|(parent, _)| parent.tx == Some(tx));
+    let causal = |by_invoker: bool| match chained {
+        Some((parent, stamp)) => Causal {
             round: stamp.round + u32::from(by_invoker),
             direct: parent.kind == MsgKind::ReadRequest,
         },
-        _ => Causal::ROOT,
+        None => Causal::ROOT,
     };
-    if let Some(rec) = rec {
-        if info.kind == MsgKind::ClientToClient {
-            rec.c2c_messages += 1;
-        } else if by_invoker {
-            rec.rounds = rec.rounds.max(causal.round);
-        }
+    if matches!(at, ProcessId::Server(_)) && !c2c {
+        return causal(false);
+    }
+    let Some(rec) = records.get_mut(tx) else { return causal(false) };
+    let by_invoker = at == ProcessId::Client(rec.client);
+    let causal = causal(by_invoker);
+    if c2c {
+        rec.c2c_messages += 1;
+    } else if by_invoker {
+        rec.rounds = rec.rounds.max(causal.round);
     }
     causal
 }
@@ -1247,11 +1252,8 @@ mod tests {
             calls in 1usize..300,
         ) {
             use std::collections::BTreeMap;
-            let mut state = seed;
-            let mut draw = |n: u64| {
-                state = snow_core::hash::splitmix64(state);
-                state % n
-            };
+            let mut rng = snow_core::hash::SplitMix::new(seed);
+            let mut draw = |n: u64| rng.below(n);
             let mut sim = two_client_sim(LatencyScheduler::new(seed, 1, 8));
             sim.add_process(ToyNode::Client { id: ClientId(2), outstanding: None });
             let mut model: BTreeMap<(u64, TxId), ClientId> = BTreeMap::new();

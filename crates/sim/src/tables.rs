@@ -153,7 +153,7 @@ impl<P> ProcessTable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::hash::splitmix64;
+    use snow_core::hash::SplitMix;
     use snow_core::{ObjectId, ReadOutcome, ServerId, TxSpec};
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -199,11 +199,8 @@ mod tests {
     /// Random invoke / respond / abort interleavings over dense ids,
     /// checking the log against the reference after every step.
     fn model_run(seed: u64) {
-        let mut state = seed;
-        let mut draw = |below: u64| {
-            state = splitmix64(state);
-            state % below
-        };
+        let mut rng = SplitMix::new(seed);
+        let mut draw = |below: u64| rng.below(below);
         let read = || TxOutcome::Read(ReadOutcome { reads: Vec::new(), tag: None });
         let (mut log, mut reference) = (RecordLog::default(), Reference::default());
         let (mut now, mut floor, mut next_id) = (0u64, 0u64, 0u64);

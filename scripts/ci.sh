@@ -107,6 +107,7 @@ echo "e2e_bench smoke ok"
 inlined=(
     snow_sim::topology::LinkDist::draw snow_sim::topology::Topology::link
     snow_sim::fault::SendVerdict::delay snow_sim::sim::stamp snow_sim::sim::CommitLog::since
+    snow_sim::pool::DeliveryHeap::push snow_sim::pool::DeliveryHeap::pop
     snow_sim::tables::RecordLog::get snow_sim::tables::RecordLog::get_mut
     snow_sim::tables::RecordLog::is_complete snow_sim::tables::RecordLog::inv_floor
     snow_core::store::ObjectVersions::position snow_core::store::ObjectVersions::install

@@ -6,7 +6,7 @@
 //! every id between them, and ids far past them — is checked against a
 //! `BTreeMap<TxId, TxRecord>` of the same records.
 
-use snow::core::hash::splitmix64;
+use snow::core::hash::SplitMix;
 use snow::core::{ClientId, History, ObjectId, SystemConfig, TxId, TxRecord, TxSpec};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{
@@ -14,19 +14,10 @@ use snow::workload::{
 };
 use std::collections::BTreeMap;
 
-/// A splitmix64 stream.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = splitmix64(self.0);
-        self.0 % n
-    }
-
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i as u64 + 1) as usize);
-        }
+/// A Fisher–Yates shuffle of `items`, drawn from `rng`.
+fn shuffle<T>(rng: &mut SplitMix, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
     }
 }
 
@@ -55,10 +46,10 @@ fn assert_lookups_agree(history: &History, label: &str) {
 
 /// Reorders `history` through the public field, checks it, then appends to
 /// it there, checking after each.
-fn assert_field_edits_keep_lookups_right(mut history: History, rng: &mut Rng, label: &str) {
+fn assert_field_edits_keep_lookups_right(mut history: History, rng: &mut SplitMix, label: &str) {
     history.records.reverse();
     assert_lookups_agree(&history, &format!("{label}, reversed through the field"));
-    rng.shuffle(&mut history.records);
+    shuffle(rng, &mut history.records);
     assert_lookups_agree(&history, &format!("{label}, shuffled through the field"));
     let next = history.records.iter().map(|r| r.tx_id.0).filter(|&id| id < 1 << 20).max();
     let next = next.map_or(0, |m| m + 1);
@@ -79,14 +70,14 @@ fn assert_equal_to_rebuilt(history: &History, label: &str) {
 #[test]
 fn history_lookups_agree_with_an_ordered_map() {
     for seed in 0..24u64 {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix::new(seed);
         let n = 1 + rng.below(300);
 
         // Random pushes: dense ids in a shuffled order, one in ten swapped
         // for an id far past every record.
         let mut pushed = History::new();
         let mut ids: Vec<u64> = (0..n).collect();
-        rng.shuffle(&mut ids);
+        shuffle(&mut rng, &mut ids);
         for (at, &id) in ids.iter().enumerate() {
             let id = if rng.below(10) == 0 { n + rng.below(1 << 50) } else { id };
             pushed.push(record(id, at as u64));
@@ -101,7 +92,7 @@ fn history_lookups_agree_with_an_ordered_map() {
         // Constructed from records under shuffled, distinct ids.
         let mut records: Vec<TxRecord> =
             ids.iter().enumerate().map(|(at, &id)| record(id, at as u64)).collect();
-        rng.shuffle(&mut records);
+        shuffle(&mut rng, &mut records);
         let constructed = History::from(records);
         assert_lookups_agree(&constructed, &format!("seed {seed}, constructed"));
         assert_field_edits_keep_lookups_right(constructed, &mut rng, &format!("seed {seed}"));
@@ -133,7 +124,7 @@ fn taken_histories_hand_their_id_table_over_and_answer_like_an_ordered_map() {
     let spec = OpenLoopSpec { workload, rate: 50, arrivals: 600, arrival_seed: 416 };
     let (open, _) = drive_open_loop(cluster.as_mut(), &config, &spec);
 
-    let mut rng = Rng(7);
+    let mut rng = SplitMix::new(7);
     for (history, label) in [(closed, "AlgB closed loop"), (open, "AlgC open loop")] {
         assert_eq!(history.len(), 600, "{label}");
         assert_lookups_agree(&history, label);
