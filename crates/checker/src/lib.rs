@@ -14,10 +14,12 @@
 //!   serializes at.  It borrows each commit and holds only its rank,
 //!   reading the record back by id from a record source (the cluster's
 //!   `record` mid-run, [`snow_core::History::get`] at the end) when it
-//!   certifies it.  When tags cannot decide (an untagged commit, or a
-//!   P2–P4 failure) it hands over to [`stream::StreamChecker`].  It is
-//!   the checker behind the drivers' checked runs, fed live, and behind
-//!   [`strict::check_auto`], fed a finished history.
+//!   certifies it; it never copies a record.  When tags cannot decide (an
+//!   untagged commit, or a P2–P4 failure) it stops, and its verdict is
+//!   [`stream::StreamChecker::check`] on the whole history.  It is the
+//!   checker behind the drivers' checked runs, fed live, and behind
+//!   [`strict::check_auto`], fed a finished history, so a checked run's
+//!   verdict is `check_auto`'s on the history it took.
 //! * [`stream::StreamChecker`] — the one semantic engine: ingests committed
 //!   transactions one at a time, maintains the precedence DAG online with
 //!   Pearce–Kelly topological ordering, and advances a sliding
@@ -41,7 +43,7 @@
 //! [`tag_stream::TagOrderStream`] fed the history's commits in RESP order
 //! under hindsight watermarks.  Its acceptance is authoritative, since
 //! Lemma 20 is sufficient; where the tags cannot decide, the verdict is
-//! the stream engine's.  [`GraphChecker`] is a settings-free forward to
+//! [`stream::StreamChecker::check`]'s.  [`GraphChecker`] is a settings-free forward to
 //! [`stream::StreamChecker::check`] under the name of the whole-history
 //! graph engine it replaced.
 //!

@@ -3,9 +3,9 @@
 //!
 //! [`StreamChecker`] ingests **committed** transactions one at a time (in
 //! commit — RESP — order) and maintains a precedence structure over them
-//! online (a whole history goes through [`StreamChecker::check`]; what
-//! [`crate::strict::check_auto`] hands over to when the tag order does not
-//! accept is this engine, fed the same way):
+//! online (a whole history goes through [`StreamChecker::check`], which is
+//! [`crate::strict::check_auto`]'s verdict, and every checked driver run's,
+//! when the tag order does not accept):
 //!
 //! * **Per-object version orders**, extended incrementally: a tagged write
 //!   whose tie key sorts after the current tail is appended in O(1); a write

@@ -179,12 +179,11 @@ impl SearchChecker {
 /// A history whose tags certify it (Algorithms A, B and C without faults)
 /// is accepted by Lemma 20, its witness the tag order.  Lemma 20 is a
 /// *sufficient* condition, so where the tags cannot decide — an untagged
-/// transaction, or a P2, P3 or P4 failure — the verdict is the semantic
-/// stream engine's ([`crate::StreamChecker`]), fed the same commits under
-/// the same watermarks: it takes version orders from tags where they
-/// settle them, re-solves only its live window where they do not, and
-/// falls back to [`SearchChecker`] itself on a small history it cannot
-/// decide.  The result does not depend on the order of `history.records`.
+/// transaction, or a P2, P3 or P4 failure — the verdict is
+/// [`crate::StreamChecker::check`]`(history)`, the semantic stream
+/// engine's: it takes version orders from tags where they settle them,
+/// re-solves only its live window where they do not, and falls back to
+/// [`SearchChecker`] itself on a small history it cannot decide.  The result does not depend on the order of `history.records`.
 ///
 /// ```
 /// use snow_checker::strict::check_auto;
@@ -337,11 +336,11 @@ mod tests {
     #[test]
     fn tag_checker_returns_unknown_without_tags() {
         // An untagged commit leaves the tag order before anything is
-        // certified; the semantic engine takes every call.
+        // certified; the semantic engine decides the whole history.
         let mut h = History::new();
         h.push(write(1, 1, 1, &[0], 0, 10, None));
         let (lane, v) = fed(&h);
-        assert_eq!(lane, StreamLane::Semantic);
+        assert_eq!(lane, StreamLane::Deferred);
         assert!(v.is_serializable(), "{v:?}");
     }
 
@@ -437,7 +436,7 @@ mod tests {
         assert_eq!(fed(&tagged), (StreamLane::TagOrder, Verdict::Serializable(vec![TxId(1)])));
         let mut untagged = History::new();
         untagged.push(write(1, 1, 1, &[0], 0, 10, None));
-        assert_eq!(fed(&untagged), (StreamLane::Semantic, Verdict::Serializable(vec![TxId(1)])));
+        assert_eq!(fed(&untagged), (StreamLane::Deferred, Verdict::Serializable(vec![TxId(1)])));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lemma 20 over a commit stream: [`TagOrderStream`] certifies a tagged
-//! history while it commits, and hands over to the semantic
+//! history while it commits, and leaves the verdict to the semantic
 //! [`StreamChecker`] when tags cannot decide.  It is the crate's one
 //! implementation of Lemma 20: the drivers feed it live, and
 //! [`crate::check_auto`] feeds it a finished history
@@ -36,29 +36,20 @@
 //! of every commit as the witness.
 //!
 //! **Records are read in place.**  A record is final at its RESP, so the
-//! tag-order lane never copies one: [`TagOrderStream::ingest`] borrows it
-//! and keeps its rank and RESP, and certification reads it back by id from
-//! a **record source**, `Fn(TxId) -> Option<&TxRecord>`: mid-run the
+//! stream never copies one: [`TagOrderStream::ingest`] borrows it and
+//! keeps its rank and RESP, and certification reads it back by id from a
+//! **record source**, `Fn(TxId) -> Option<&TxRecord>`: mid-run the
 //! cluster's `record` ([`TagOrderStream::advance_watermark`] takes it), for
 //! a finished [`History`] its O(1) [`History::get`]
 //! ([`TagOrderStream::feed_history`], [`TagOrderStream::finish`]).
 //!
 //! **Giving up.**  An untagged commit, or a P2, P3 or P4 failure, means
-//! the tags cannot decide; the verdict then comes from [`StreamChecker`],
-//! so no category changes:
-//!
-//! * before any commit is certified, the checker is replayed exactly the
-//!   calls received so far and takes every later one
-//!   ([`StreamLane::Semantic`]) — an untagged protocol gives up at its
-//!   first commit and is checked exactly as by a [`StreamChecker`] alone.
-//!   The replay clones each record from the next record source the stream
-//!   is handed (the watermark's, or `finish`'s); this is the one place
-//!   the stream copies records, and the semantic engine owns its copies;
-//! * after a certification the stream stops working, and `finish` checks
-//!   the whole history with [`StreamChecker::check`]
-//!   ([`StreamLane::Deferred`]): the certified prefix is a prefix of the
-//!   tag order, not necessarily of every valid order, so the semantic
-//!   engine must see all of it.
+//! the tags cannot decide.  The stream drops the tag-order lane and reads
+//! nothing more ([`StreamLane::Deferred`]), and
+//! [`TagOrderStream::finish`] returns [`StreamChecker::check`] on the whole
+//! history: Lemma 20 is only sufficient, so no category changes, and a
+//! certified prefix is a prefix of the tag order, not necessarily of every
+//! valid order, so the semantic engine sees all of it.
 //!
 //! ```
 //! use snow_checker::{TagOrderStream, Verdict};
@@ -114,24 +105,13 @@ struct Held {
     resp: u64,
 }
 
-/// A call received before the first certification, kept so a hand-over can
-/// replay it to a [`StreamChecker`].
-#[derive(Debug, Clone, Copy)]
-enum Call {
-    Ingest(TxId),
-    Advance(u64),
-}
-
-/// Which engine a [`TagOrderStream`] is running on.
+/// Which lane a [`TagOrderStream`] is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamLane {
     /// Certifying by tag order (Lemma 20).
     TagOrder,
-    /// Tags could not decide before anything was certified: a
-    /// [`StreamChecker`] takes every call, past and future.
-    Semantic,
-    /// Tags broke after a certification: [`TagOrderStream::finish`] checks
-    /// the whole history with [`StreamChecker::check`].
+    /// Tags could not decide: [`TagOrderStream::finish`] checks the whole
+    /// history with [`StreamChecker::check`].
     Deferred,
 }
 
@@ -139,17 +119,8 @@ pub enum StreamLane {
 /// stream engine behind it.  See the [module docs](self).
 #[derive(Debug)]
 pub struct TagOrderStream {
-    engine: Engine,
-}
-
-#[derive(Debug)]
-enum Engine {
-    Tags(Tags),
-    /// Tags gave up before a certification; the calls so far wait for a
-    /// record source to replay them from.
-    Refused(Vec<Call>),
-    Semantic(Box<StreamChecker>),
-    Deferred,
+    /// The tag-order lane; `None` once the tags could not decide.
+    tags: Option<Tags>,
 }
 
 /// The tag-order lane's state.
@@ -167,15 +138,11 @@ struct Tags {
     /// The tag of the last certified WRITE (P3).
     last_write: Option<Tag>,
     witness: Vec<TxId>,
-    /// The calls received so far, until the first certification.
-    calls: Option<Vec<Call>>,
 }
 
 impl Default for TagOrderStream {
     fn default() -> Self {
-        TagOrderStream {
-            engine: Engine::Tags(Tags { calls: Some(Vec::new()), ..Tags::default() }),
-        }
+        TagOrderStream { tags: Some(Tags::default()) }
     }
 }
 
@@ -185,39 +152,27 @@ impl TagOrderStream {
         TagOrderStream::default()
     }
 
-    /// The engine the stream is running on.
+    /// The lane the stream is on.
     pub fn lane(&self) -> StreamLane {
-        match self.engine {
-            Engine::Tags(_) => StreamLane::TagOrder,
-            Engine::Refused(_) | Engine::Semantic(_) => StreamLane::Semantic,
-            Engine::Deferred => StreamLane::Deferred,
+        match self.tags {
+            Some(_) => StreamLane::TagOrder,
+            None => StreamLane::Deferred,
         }
     }
 
     /// Commits certified by tag order so far (0 off the tag-order lane).
     pub fn certified(&self) -> usize {
-        match &self.engine {
-            Engine::Tags(tags) => tags.witness.len(),
-            _ => 0,
-        }
+        self.tags.as_ref().map_or(0, |tags| tags.witness.len())
     }
 
     /// Ingests the next committed transaction.  Transactions must arrive in
     /// commit (RESP) order, as for [`StreamChecker::ingest`], and each must
     /// stay readable, unchanged, through the record sources the stream is
-    /// handed later.  The tag-order lane keeps no copy of `rec`; the
-    /// semantic lane clones it.
+    /// handed later.  The stream keeps no copy of `rec`.
     #[inline]
     pub fn ingest(&mut self, rec: &TxRecord) {
-        match &mut self.engine {
-            Engine::Tags(tags) => {
-                if tags.ingest(rec).is_err() {
-                    self.give_up();
-                }
-            }
-            Engine::Refused(calls) => calls.push(Call::Ingest(rec.tx_id)),
-            Engine::Semantic(checker) => checker.ingest(rec.clone()),
-            Engine::Deferred => {}
+        if self.tags.as_mut().is_some_and(|tags| tags.ingest(rec).is_err()) {
+            self.tags = None;
         }
     }
 
@@ -230,25 +185,17 @@ impl TagOrderStream {
         watermark: u64,
         records: impl Fn(TxId) -> Option<&'s TxRecord>,
     ) {
-        match &mut self.engine {
-            Engine::Tags(tags) => {
-                if tags.advance(watermark, &records).is_err() {
-                    self.give_up();
-                }
-            }
-            Engine::Refused(calls) => calls.push(Call::Advance(watermark)),
-            Engine::Semantic(checker) => checker.advance_watermark(watermark),
-            Engine::Deferred => {}
+        if self.tags.as_mut().is_some_and(|tags| tags.advance(watermark, &records).is_err()) {
+            self.tags = None;
         }
-        self.hand_over(&records);
     }
 
     /// Feeds a finished history: its completed records in commit (RESP)
     /// order, the watermark advanced after each as tightly as hindsight
-    /// allows — by the rule [`StreamChecker::feed_history`] feeds a
-    /// [`StreamChecker`] by, so a hand-over replays exactly what that
-    /// would have fed.  [`TagOrderStream::finish`] on the same history
-    /// then gives the verdict; [`crate::check_auto`] is the two calls.
+    /// allows, by the rule [`StreamChecker::feed_history`] feeds a
+    /// [`StreamChecker`] by.  [`TagOrderStream::finish`] on the same
+    /// history then gives the verdict; [`crate::check_auto`] is the two
+    /// calls.
     pub fn feed_history(&mut self, history: &History) {
         for (rec, watermark) in hindsight_commits(history) {
             self.ingest(rec);
@@ -256,55 +203,17 @@ impl TagOrderStream {
         }
     }
 
-    /// Certifies the rest and returns the verdict.  `history` is the run's
-    /// whole history, and the record source from here on: held commits are
-    /// read back from it, the semantic engine reads its incomplete
-    /// transactions, and the deferred lane all of it.
-    pub fn finish(mut self, history: &History) -> Verdict {
-        let records = |tx| history.get(tx);
-        if let Engine::Tags(tags) = &mut self.engine {
-            if tags.certify(None, &records).is_ok() {
-                return Verdict::Serializable(std::mem::take(&mut tags.witness));
-            }
-            self.give_up();
-        }
-        self.hand_over(&records);
-        match self.engine {
-            Engine::Tags(_) | Engine::Refused(_) => unreachable!("left above"),
-            Engine::Semantic(mut checker) => {
-                for rec in history.records.iter().filter(|r| !r.is_complete()) {
-                    checker.ingest_incomplete(rec.clone());
-                }
-                checker.finish()
-            }
-            Engine::Deferred => StreamChecker::check(history),
-        }
-    }
-
-    /// Leaves the tag-order lane: to [`Engine::Refused`] while nothing is
-    /// certified, to [`Engine::Deferred`] after.
-    fn give_up(&mut self) {
-        if let Engine::Tags(tags) = std::mem::replace(&mut self.engine, Engine::Deferred) {
-            if let Some(calls) = tags.calls {
-                self.engine = Engine::Refused(calls);
+    /// Certifies the rest and returns the verdict: the tag order's witness,
+    /// or, when tags cannot decide, [`StreamChecker::check`]`(history)`.
+    /// `history` is the run's whole history, and the record source held
+    /// commits are read back from.
+    pub fn finish(self, history: &History) -> Verdict {
+        if let Some(mut tags) = self.tags {
+            if tags.certify(None, &|tx| history.get(tx)).is_ok() {
+                return Verdict::Serializable(tags.witness);
             }
         }
-    }
-
-    /// Replays refused calls to a [`StreamChecker`], cloning each record
-    /// from `records`; any other engine is left as it is.
-    fn hand_over<'s>(&mut self, records: &impl Fn(TxId) -> Option<&'s TxRecord>) {
-        let Engine::Refused(calls) = &self.engine else {
-            return;
-        };
-        let mut checker = StreamChecker::new();
-        for &call in calls {
-            match call {
-                Call::Ingest(tx) => checker.ingest(read_back(records, tx).clone()),
-                Call::Advance(watermark) => checker.advance_watermark(watermark),
-            }
-        }
-        self.engine = Engine::Semantic(Box::new(checker));
+        StreamChecker::check(history)
     }
 }
 
@@ -317,9 +226,6 @@ impl Tags {
     /// P2 on arrival, then hold.  `Err` is a commit the tags cannot place:
     /// untagged, or ranked below a commit that precedes it.
     fn ingest(&mut self, rec: &TxRecord) -> Result<(), ()> {
-        if let Some(calls) = &mut self.calls {
-            calls.push(Call::Ingest(rec.tx_id));
-        }
         let tag = match &rec.outcome {
             // Constraint-free and untagged: it takes no place in the order.
             Some(outcome) if outcome.is_aborted() => return Ok(()),
@@ -357,9 +263,6 @@ impl Tags {
             return Ok(());
         }
         self.watermark = watermark;
-        if let Some(calls) = &mut self.calls {
-            calls.push(Call::Advance(watermark));
-        }
         // Every later commit was invoked after these responded: they are
         // below every later INV, so only their maximum is still needed.
         while self.maxima.front().is_some_and(|&(resp, _)| resp < watermark) {
@@ -391,7 +294,6 @@ impl Tags {
                 self.last_write = Some(tag);
             }
             self.witness.push(tx);
-            self.calls = None;
         }
         Ok(())
     }
@@ -571,9 +473,10 @@ mod tests {
         }
     }
 
-    /// An untagged commit before any certification: the stream is on the
-    /// semantic lane at once, and the next watermark replays every call so
-    /// far to a `StreamChecker`, cloning each record from its source.
+    /// An untagged commit before any certification: the stream drops the
+    /// tag-order lane at once and reads nothing back, the watermark after
+    /// the give-up included, and `finish` hands every call so far — the
+    /// whole taken history — to the semantic engine, whose verdict it gives.
     #[test]
     fn an_untagged_commit_hands_every_call_so_far_to_the_semantic_engine() {
         let steps = [
@@ -586,16 +489,17 @@ mod tests {
         ];
         let (mut stream, cluster) = (TagOrderStream::new(), Cluster::of(&steps));
         feed(&mut stream, &cluster, &steps[..4]);
-        assert_eq!((stream.lane(), cluster.reads.get()), (StreamLane::Semantic, 0));
+        assert_eq!((stream.lane(), cluster.reads.get()), (StreamLane::Deferred, 0));
         feed(&mut stream, &cluster, &steps[4..]);
-        assert_eq!(cluster.reads.get(), 3, "the three commits before the watermark");
+        assert_eq!(cluster.reads.get(), 0, "nothing is read back after the give-up");
         let verdict = stream.finish(&cluster.take_history());
         assert!(verdict.is_serializable(), "{verdict:?}");
         assert_eq!(verdict, semantic(&steps));
     }
 
-    /// Refused with no watermark after it: `finish` replays the calls,
-    /// cloning from the taken history.
+    /// A give-up with no watermark after it: nothing is read back before
+    /// `finish`, which gives the semantic engine's verdict on the taken
+    /// history.
     #[test]
     fn a_hand_over_at_finish_reads_the_taken_history() {
         let steps = [
@@ -604,16 +508,20 @@ mod tests {
             Step::Ingest(write(3, 1, 4, None)),
             Step::Ingest(read(4, 3, 6, 9, 3)),
         ];
-        let (stream, history) = run(&steps);
-        assert_eq!(stream.lane(), StreamLane::Semantic);
-        assert_eq!(stream.finish(&history), semantic(&steps));
+        let (mut stream, cluster) = (TagOrderStream::new(), Cluster::of(&steps));
+        feed(&mut stream, &cluster, &steps);
+        assert_eq!((stream.lane(), cluster.reads.get()), (StreamLane::Deferred, 0));
+        let verdict = stream.finish(&cluster.take_history());
+        assert!(verdict.is_serializable(), "{verdict:?}");
+        assert_eq!(verdict, semantic(&steps));
     }
 
     /// The READ (tag 1) ranks before the WRITE it observed (tag 2): P4
-    /// fails on the very first certification, so the semantic engine is
-    /// replayed both commits, read back from the cluster.
+    /// fails on the very first certification, which read the READ back.
+    /// Nothing is read back after it, and `finish` gives the semantic
+    /// engine's verdict on the whole history.
     #[test]
-    fn a_failure_at_the_first_certification_hands_over_before_it() {
+    fn a_failure_during_the_first_certification_leaves_the_verdict_to_the_semantic_engine() {
         let steps = [
             Step::Ingest(read(1, 0, 5, 1, 2)),
             Step::Ingest(write(2, 0, 10, Some(2))),
@@ -621,9 +529,10 @@ mod tests {
         ];
         let (mut stream, cluster) = (TagOrderStream::new(), Cluster::of(&steps));
         feed(&mut stream, &cluster, &steps);
-        assert_eq!(stream.lane(), StreamLane::Semantic);
-        // The failed certification read the READ once; the hand-over both.
-        assert_eq!(cluster.reads.get(), 1 + 2);
+        assert_eq!((stream.lane(), stream.certified()), (StreamLane::Deferred, 0));
+        assert_eq!(cluster.reads.get(), 1, "the failed certification's one read");
+        stream.advance_watermark(20, cluster.source());
+        assert_eq!(cluster.reads.get(), 1, "nothing is read back after the give-up");
         let verdict = stream.finish(&cluster.take_history());
         assert_eq!(verdict, semantic(&steps));
         assert_eq!(verdict, ids(&[2, 1]));

@@ -17,12 +17,13 @@ use snow_core::{
 /// — updated as each entry is appended.  `List[0]` covers every object,
 /// so an object no entry wrote (inside the initial set or not) reads `κ₀`.
 ///
-/// A registration looks its key up through a per-writer table of the
-/// highest `seq` registered, sized once for the deployment's client ids:
-/// a key above its writer's is new, and is appended without a search.  In
-/// a fault-free run no registration searches, since each writer registers
-/// its WRITEs once each and in `seq` order; a duplicate, a late
-/// registration or a writer outside the table does.
+/// `List` holds each key once.  A registration looks its key up through a
+/// per-writer table of the highest `seq` registered, sized once for the
+/// deployment's client ids: a key above its writer's is new, and is
+/// appended without a search.  In a fault-free run no registration
+/// searches, since each writer registers its WRITEs once each and in `seq`
+/// order; a duplicate, a late registration or a writer outside the table
+/// does.
 #[derive(Debug, Clone)]
 pub struct WriteLog {
     /// `List[j].κ`, in registration order.
@@ -67,18 +68,18 @@ impl WriteLog {
     ///
     /// A key above its writer's entry in the table is not in `List`: one
     /// index, no search.  Any other key (a duplicate, a late registration,
-    /// a writer the table does not cover) is searched for from the newest
-    /// entry back.  A writer runs one WRITE at a time, so its entries are
-    /// in key order and the search stops at its newest entry no newer than
-    /// `key`: the cost is the registrations since that entry, not `|List|`.
+    /// a writer the table does not cover) is searched for, exactly, from
+    /// the newest entry back.  A writer's entries are not in key order once
+    /// a registration arrives late, so the search cannot stop at the
+    /// writer's newest entry below `key`: a key not in `List` costs a scan
+    /// of all of it.
     pub fn append(&mut self, key: Key, objects: &[ObjectId]) -> Tag {
         match self.newest.get_mut(key.writer.0 as usize) {
             Some(newest) if key.seq > *newest => *newest = key.seq,
             _ => {
-                let same_writer_no_newer = |k: &Key| k.writer == key.writer && k.seq <= key.seq;
-                let found = self.keys.iter().rposition(same_writer_no_newer);
+                let found = self.keys.iter().rposition(|k| *k == key);
                 self.scanned += (self.keys.len() - found.unwrap_or(0)) as u64;
-                if let Some(registered) = found.filter(|&j| self.keys[j] == key) {
+                if let Some(registered) = found {
                     return Tag(registered as u64 + 1);
                 }
             }
@@ -293,6 +294,21 @@ mod tests {
         assert_eq!(log.len(), 3);
     }
 
+    /// A late registration puts a writer's entries out of key order; a
+    /// duplicate of its newer WRITE's registration must still find that
+    /// WRITE's entry, not append a second one.
+    #[test]
+    fn a_duplicate_after_a_late_registration_keeps_its_tag() {
+        let mut log = WriteLog::new(objs(&[0]), 8);
+        let w = ClientId(5);
+        assert_eq!(log.append(Key::new(1, w), &objs(&[0])), Tag(2));
+        assert_eq!(log.append(Key::new(3, w), &objs(&[0])), Tag(3));
+        assert_eq!(log.append(Key::new(2, w), &objs(&[0])), Tag(4), "late");
+        assert_eq!(log.append(Key::new(3, w), &objs(&[0])), Tag(3), "duplicate");
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.latest_for(ObjectId(0)), (Key::new(2, w), Tag(4)));
+    }
+
     #[test]
     fn tag_array_takes_per_object_latest_and_max_tag() {
         let mut log = WriteLog::new(objs(&[0, 1, 2]), 8);
@@ -318,12 +334,12 @@ mod tests {
             ScanLog { entries: vec![(Key::initial(), all_objects)] }
         }
 
+        /// The paper's rule: a key's tag is its position, and `List` holds
+        /// each key once.
         fn append(&mut self, key: Key, objects: &[ObjectId]) -> Tag {
-            let same_writer_no_newer =
-                |(k, _): &(Key, _)| k.writer == key.writer && k.seq <= key.seq;
-            let index = match self.entries.iter().rposition(same_writer_no_newer) {
-                Some(registered) if self.entries[registered].0 == key => registered,
-                _ => {
+            let index = match self.entries.iter().position(|(k, _)| *k == key) {
+                Some(registered) => registered,
+                None => {
                     self.entries.push((key, objects.to_vec()));
                     self.entries.len() - 1
                 }
@@ -361,10 +377,12 @@ mod tests {
         /// Random registration sequences — 64 writers with sparse ids
         /// interleaved, duplicates of earlier registrations, WRITEs whose
         /// registration was lost or arrives after a newer one of the same
-        /// writer, objects outside the initial set, writer ids past the
-        /// writer table — give the reverse scan's tags, `latest_for`,
-        /// `tag_array` and `len` after every append: the table's appends
-        /// and the search behind it both agree with `ScanLog`.
+        /// writer, a duplicate of that newer one after such a late
+        /// registration, objects outside the initial set, writer ids past
+        /// the writer table — give the reference's tags, `latest_for`,
+        /// `tag_array` and `len` after every append, and `List` never holds
+        /// a key twice: the table's appends and the search behind it both
+        /// agree with `ScanLog`.
         #[test]
         fn write_log_agrees_with_the_reverse_scan_reference(
             seed in 0u64..u64::MAX,
@@ -381,16 +399,34 @@ mod tests {
             // Keys skipped on registration: each is older than its writer's
             // newest from the moment it is skipped.
             let mut lost: Vec<(Key, Vec<ObjectId>)> = Vec::new();
-            let (mut fast, mut searched) = (0, 0);
-            for step in 0..240 {
-                let (key, objects) = match rng.below(10) {
+            // After a late registration, its writer's newest registered
+            // key, to be registered again.
+            let mut after_late: Vec<(Key, Vec<ObjectId>)> = Vec::new();
+            let (mut fast, mut searched, mut duplicated_after_late) = (0, 0, 0);
+            // 240 draws, then every duplicate still queued.
+            for step in 0.. {
+                let draw = match step {
+                    0..240 => rng.below(10),
+                    _ if !after_late.is_empty() => 3,
+                    _ => break,
+                };
+                let (key, objects) = match draw {
                     0 | 1 if !registered.is_empty() => {
                         registered[rng.below(registered.len() as u64) as usize].clone()
                     }
                     2 if !lost.is_empty() => {
                         let late = lost.swap_remove(rng.below(lost.len() as u64) as usize);
+                        let newer = registered
+                            .iter()
+                            .filter(|(k, _)| k.writer == late.0.writer && k.seq > late.0.seq)
+                            .max_by_key(|(k, _)| k.seq);
+                        after_late.extend(newer.cloned());
                         registered.push(late.clone());
                         late
+                    }
+                    3 if !after_late.is_empty() => {
+                        duplicated_after_late += 1;
+                        after_late.swap_remove(rng.below(after_late.len() as u64) as usize)
                     }
                     _ => {
                         let writer = rng.below(WRITERS) as usize;
@@ -418,6 +454,8 @@ mod tests {
                 prop_assert_eq!(log.append(key, &objects), reference.append(key, &objects), "{}", at);
                 if log.scanned_keys() == before { fast += 1 } else { searched += 1 }
                 prop_assert_eq!(log.len(), reference.entries.len(), "{}", at);
+                // Every key registered once or more, each once, and κ₀.
+                prop_assert_eq!(log.len(), registered.len() + 1, "{}: a key twice", at);
                 for object in (0..DRAWN_OBJECTS as u32 + 2).map(ObjectId) {
                     prop_assert_eq!(log.latest_for(object), reference.latest_for(object), "{}", at);
                 }
@@ -427,8 +465,10 @@ mod tests {
                     .collect();
                 prop_assert_eq!(log.tag_array(&asked), reference.tag_array(&asked), "{}", at);
             }
-            // Both paths ran: the table's appends, and the search behind it.
+            // Both paths ran: the table's appends, and the search behind it;
+            // and the duplicate after a late registration was drawn.
             prop_assert!(fast > 0 && searched > 0, "seed {}: {} fast, {} searched", seed, fast, searched);
+            prop_assert!(duplicated_after_late > 0, "seed {}: no duplicate after a late registration", seed);
         }
     }
 

@@ -52,16 +52,14 @@ pub struct DriverReport {
 pub enum CheckMode {
     /// Feed a [`TagOrderStream`] from the cluster's commit drain as
     /// transactions complete, each record by reference where the cluster
-    /// keeps it.  A tagged run (Algorithms A, B and C) is certified by
-    /// Lemma 20's tag order as it commits, with the verdict `check_auto`
-    /// gives, witness included, and no record copied: the stream holds a
-    /// rank per uncertified commit and reads the record back from the
-    /// cluster at certification.  When tags cannot decide (an untagged
-    /// protocol, or tags a fault broke) the semantic
-    /// [`snow_checker::StreamChecker`] decides — the engine `check_auto`
-    /// hands over to on the finished history, fed live here — on its own
-    /// copies, with memory O(live window + in-flight) and violations
-    /// attributed to the offending commit.
+    /// keeps it; no record is copied.  A tagged run (Algorithms A, B and
+    /// C) is certified by Lemma 20's tag order as it commits: the stream
+    /// holds a rank per uncertified commit and reads the record back from
+    /// the cluster at certification.  When tags cannot decide (an untagged
+    /// protocol, or tags a fault broke) the stream stops, and the verdict
+    /// is [`snow_checker::StreamChecker::check`] on the taken history.
+    /// Either way it is `check_auto`'s verdict on that history, witness
+    /// included.
     #[default]
     Streaming,
 }
@@ -353,18 +351,14 @@ impl WorkloadDriver {
     /// The check streams ([`CheckMode::Streaming`], the only mode): after
     /// every round the cluster's commit drain is fed, by reference, to a
     /// [`TagOrderStream`], which certifies a tagged run by tag order as it
-    /// commits and hands an untagged or tag-breaking one to the semantic
-    /// stream engine, fed live.
+    /// commits.  On an untagged or tag-breaking run it stops, and the
+    /// semantic stream engine checks the finished history.
     ///
-    /// On a run that Lemma 20's tag order certifies (Algorithms A, B and C
-    /// without faults) the verdict is [`snow_checker::check_auto`]'s on the
-    /// finished history, witness included.  On the untagged protocols
-    /// (Blocking, Eiger, Simple) both run the stream engine, one over the
-    /// drains with their invocation floors as watermarks, the other over
-    /// the finished history with hindsight watermarks, so their witnesses
-    /// may differ.  `streaming_check_mode_agrees_with_post_hoc` runs all
-    /// six protocols once each (40 transactions): equal verdicts on A, B
-    /// and C, both certify Blocking, and both convict Eiger and Simple.
+    /// The verdict is [`snow_checker::check_auto`]'s on the finished
+    /// history, witness included, for every protocol.
+    /// `streaming_check_mode_agrees_with_post_hoc` runs all six protocols
+    /// once each (40 transactions): equal verdicts, which certify A, B, C
+    /// and Blocking and convict Eiger and Simple.
     ///
     /// ```
     /// use snow_core::SystemConfig;
@@ -430,6 +424,7 @@ mod tests {
     use snow_core::SystemConfig;
     use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
     use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
+    use std::cell::Cell;
     use std::sync::Arc;
 
     #[test]
@@ -668,11 +663,10 @@ mod tests {
     }
 
     /// The streaming check drives the same run as the unchecked driver, and
-    /// agrees with `check_auto` on the finished history.  On the tagged
-    /// family the tag order certifies it, so the stream returns
-    /// `check_auto`'s verdict, witness included.  On the untagged protocols
-    /// both run the semantic stream engine: both certify Blocking, and
-    /// both convict Eiger and Simple.
+    /// returns `check_auto`'s verdict on the finished history, witness
+    /// included: by tag order on the tagged family, by the semantic stream
+    /// engine on the untagged protocols.  Both certify Blocking, and both
+    /// convict Eiger and Simple.
     #[test]
     fn streaming_check_mode_agrees_with_post_hoc() {
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
@@ -716,9 +710,7 @@ mod tests {
                 assert!(posthoc.is_serializable(), "{protocol:?}: post-hoc {posthoc:?}");
                 assert!(stream.is_serializable(), "{protocol:?}: stream {stream:?}");
             }
-            if matches!(protocol, ProtocolKind::AlgA | ProtocolKind::AlgB | ProtocolKind::AlgC) {
-                assert_eq!(stream, posthoc, "{protocol:?}");
-            }
+            assert_eq!(stream, posthoc, "{protocol:?}");
         }
     }
 
@@ -743,36 +735,34 @@ mod tests {
         (history, stream)
     }
 
-    /// An untagged protocol gives up the tag order at its first commit,
-    /// before anything is certified, so its streaming run is checked
-    /// exactly as a `StreamChecker` fed the same drains checks it —
-    /// conviction message and all.
+    /// An untagged protocol gives up the tag order at its first commit:
+    /// the stream reads no record back from the cluster, and its verdict is
+    /// `StreamChecker::check` on the taken history, conviction message and
+    /// all.
     #[test]
-    fn untagged_runs_are_checked_by_the_semantic_stream_engine_alone() {
+    fn untagged_runs_read_nothing_back_and_take_the_semantic_engines_verdict() {
         let config = SystemConfig::mwmr(4, 2, 2);
         let sched = SchedulerKind::Latency { seed: 5, min: 1, max: 15 };
         for protocol in [ProtocolKind::Blocking, ProtocolKind::Eiger] {
-            let spec = ClusterSpec::new(protocol, &config).scheduler(sched);
-            let (history, stream) = streamed(&spec, &config, 4, 120);
-            assert_eq!(stream.lane(), StreamLane::Semantic, "{protocol:?}");
-            let verdict = stream.finish(&history);
-
-            let mut cluster = spec.build().unwrap();
+            let mut cluster = ClusterSpec::new(protocol, &config).scheduler(sched).build().unwrap();
             let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-            let mut checker = StreamChecker::new();
-            let (alone, _) =
-                WorkloadDriver::new(4).run_tapped(cluster.as_mut(), &mut generator, 120, &mut |c| {
-                    let drain = c.drain_commits();
-                    for rec in drain.records {
-                        checker.ingest(rec);
-                    }
-                    checker.advance_watermark(drain.inv_floor);
+            let (mut stream, mut ids, reads) = (TagOrderStream::new(), Vec::new(), Cell::new(0));
+            // `drain_into`, with the watermark's record source counted.
+            let mut tap = |cluster: &mut dyn Cluster| {
+                let inv_floor = cluster.drain_commit_ids(&mut ids);
+                let cluster: &dyn Cluster = cluster;
+                for &tx in &ids {
+                    stream.ingest(cluster.record(tx).unwrap());
+                }
+                stream.advance_watermark(inv_floor, |tx| {
+                    reads.set(reads.get() + 1);
+                    cluster.record(tx)
                 });
-            assert_eq!(format!("{history:?}"), format!("{alone:?}"), "{protocol:?}");
-            for rec in alone.records.iter().filter(|r| !r.is_complete()) {
-                checker.ingest_incomplete(rec.clone());
-            }
-            assert_eq!(verdict, checker.finish(), "{protocol:?}");
+            };
+            let (history, _) =
+                WorkloadDriver::new(4).run_tapped(cluster.as_mut(), &mut generator, 120, &mut tap);
+            assert_eq!((stream.lane(), reads.get()), (StreamLane::Deferred, 0), "{protocol:?}");
+            assert_eq!(stream.finish(&history), StreamChecker::check(&history), "{protocol:?}");
         }
     }
 
@@ -809,18 +799,14 @@ mod tests {
 
     /// Drops break AlgB's tags after the stream has certified a prefix (a
     /// READ of a WRITE retired `Aborted`, ROADMAP item 1): the stream
-    /// defers, and its verdict takes the category the semantic stream
-    /// engine gives the whole history — a conviction, today.
+    /// defers, and its verdict is the semantic stream engine's on the whole
+    /// history — a conviction, today.
     #[test]
     fn under_drops_streaming_defers_to_the_semantic_engines_category() {
         let (history, stream) = algb_on_the_wan(everywhere(FaultAction::Drop, 1), 2_000);
         assert_eq!(stream.lane(), StreamLane::Deferred);
         let verdict = stream.finish(&history);
-        assert_eq!(
-            std::mem::discriminant(&verdict),
-            std::mem::discriminant(&StreamChecker::check(&history)),
-            "{verdict:?}"
-        );
+        assert_eq!(verdict, StreamChecker::check(&history));
     }
 
     #[test]

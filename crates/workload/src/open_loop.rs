@@ -214,12 +214,11 @@ fn drive_open_loop_tapped(
 /// run.  After every completion the cluster's commit log is drained into
 /// the checker, each record read in place ([`Cluster::drain_commit_ids`],
 /// [`Cluster::record`]), and the certification frontier advances past
-/// everything the simulator can no longer invoke before — so the verdict
-/// is produced incrementally, in RESP order: by tag order on a tagged
-/// run, by the semantic stream engine when tags cannot decide.  On runs
-/// the tag order certifies it is [`snow_checker::check_auto`]'s verdict on
-/// the finished history, witness included; elsewhere see
-/// [`crate::driver::WorkloadDriver::run_checked_mode`].
+/// everything the simulator can no longer invoke before — so a tagged run
+/// is certified incrementally, in RESP order, by tag order.  When tags
+/// cannot decide, the semantic stream engine checks the finished history.
+/// Either way the verdict is [`snow_checker::check_auto`]'s on the
+/// finished history, witness included.
 pub fn drive_open_loop_checked(
     cluster: &mut dyn Cluster,
     config: &SystemConfig,
@@ -422,15 +421,15 @@ mod tests {
         assert!(matches!(swept, Err(SnowError::InvalidConfig(why)) if why.contains("rate 0")));
     }
 
-    /// Open-loop AlgB and AlgC runs are certified by tag order as they
-    /// commit, with `check_auto`'s verdict on the finished history, witness
-    /// included, and the check leaves the run as the unchecked driver
-    /// drives it.
+    /// Open-loop runs get `check_auto`'s verdict on the finished history,
+    /// witness included — AlgB and AlgC certified by tag order as they
+    /// commit, the untagged Blocking by the semantic stream engine — and
+    /// the check leaves the run as the unchecked driver drives it.
     #[test]
     fn streaming_open_loop_agrees_with_post_hoc() {
         let config = SystemConfig::mwmr(4, 4, 4);
         let base = OpenLoopSpec { arrivals: 150, ..OpenLoopSpec::tao_like(0) };
-        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC] {
+        for protocol in [ProtocolKind::AlgB, ProtocolKind::AlgC, ProtocolKind::Blocking] {
             let cluster = cluster_spec(protocol, &config);
             for rate in [30, 300] {
                 let spec = OpenLoopSpec { rate, ..base.clone() };

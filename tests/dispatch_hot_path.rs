@@ -191,6 +191,16 @@
 //! its width (8 clients) instead of collected from a filter (4, then
 //! grown to 8): one allocation fewer.  The five other pins and the four
 //! gaps held: a round's buffers are still 52 B per client.
+//!
+//! Then the tag-order stream stopped logging its calls until the first
+//! certification (a log kept to replay them to the semantic engine, should
+//! the tags give up first; the engine now checks the finished history
+//! instead), and only the two streaming pins moved: 1 581 → 1 578 (WAN)
+//! and 1 641 → 1 634 (one DC).  The first round's drain, 8 or 128 commits
+//! and one watermark, was 9 or 129 calls of 16 B, logged in a vector that
+//! grew through capacities 4, 8, 16 (3 allocations) or 4, 8, …, 256 (7)
+//! and was freed at the first certification, long before the peak.  The
+//! peaks and the gaps held.
 
 #[path = "support/alloc.rs"]
 mod alloc;
@@ -295,7 +305,7 @@ fn streaming_checked_algb(
 fn streaming_checked_algb_on_the_wan_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(8, 4, 4);
     let counts = streaming_checked_algb(config.clone(), Topology::wan3(&config), 8, TRANSACTIONS);
-    assert_counts(counts, 1_581, 264_816);
+    assert_counts(counts, 1_578, 264_816);
     assert_peak_is_what_it_keeps(counts, 1_120);
 }
 
@@ -315,7 +325,7 @@ fn streaming_checked_wide_algb_in_one_dc_allocates_exactly_this_much() {
     let config = SystemConfig::mwmr(16, 64, 64);
     let counts =
         streaming_checked_algb(config.clone(), Topology::single_dc(&config), 128, TRANSACTIONS);
-    assert_counts(counts, 1_641, 318_816);
+    assert_counts(counts, 1_634, 318_816);
     assert_peak_is_what_it_keeps(counts, 16_192);
 }
 

@@ -409,7 +409,7 @@ fn tag_stream_verdict(history: &History) -> (StreamLane, Verdict) {
 /// histories they break after.
 #[test]
 fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
-    let mut lanes = [0usize; 3];
+    let mut lanes = [0usize; 2];
     let mut accepted = 0usize;
     for seed in 0..3_000u64 {
         for history in [random_history(seed), tagged_history(seed)] {
@@ -422,8 +422,8 @@ fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
                 assert_eq!(verdict, tags, "seed {seed}: {history:#?}");
                 continue;
             }
-            // Fed the same commits under the same watermarks, or the whole
-            // history: the semantic engine's verdict, witness included.
+            // The semantic engine's verdict on the whole history, witness
+            // included.
             let stream = StreamChecker::check(&history);
             assert_eq!(verdict, stream, "seed {seed}: tag stream vs stream\n{history:#?}");
             if let Verdict::Serializable(order) = &verdict {
@@ -431,13 +431,15 @@ fn tag_stream_agrees_with_tag_order_and_with_the_stream_engine() {
             }
         }
     }
-    // Every path is taken, many times; the split is seed-pure, so it is
-    // pinned (tag order, semantic, deferred).  It moved once, from 983 /
-    // 2 994 / 2 023, when the stream took `StreamChecker::feed_history`'s
-    // watermark, which stays below the invocation of an incomplete WRITE a
-    // READ observed: on four histories the tags now break before anything
-    // is certified, so the semantic engine is replayed the calls instead
-    // of deferring.  Every verdict category held.
+    // Both lanes are taken, many times; the split is seed-pure, so it is
+    // pinned (tag order, deferred).  It moved once, from 983 / 2 994 /
+    // 2 023 (tag order, semantic, deferred), when the stream took
+    // `StreamChecker::feed_history`'s watermark, which stays below the
+    // invocation of an incomplete WRITE a READ observed: on four histories
+    // the tags then broke before anything was certified.  Every verdict
+    // category held.  Then the semantic lane (a `StreamChecker` replayed
+    // the calls made before the give-up) was folded into the deferred one,
+    // which gives the same verdict: 983 / 2 998 / 2 019 → 983 / 5 017.
     assert!(accepted > 600, "{accepted} accepted by tag order");
-    assert_eq!(lanes, [983, 2_998, 2_019], "lanes (tag order, semantic, deferred)");
+    assert_eq!(lanes, [983, 5_017], "lanes (tag order, deferred)");
 }
