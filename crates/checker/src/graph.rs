@@ -229,9 +229,10 @@ mod tests {
     fn budget_exhaustion_reports_unknown() {
         // Two fully concurrent writes on {0, 1} and a read returning one's
         // version of 0 and the other's of 1: only splitting can refute it.
-        // Behind 24 unrelated writes the history is above the search cap,
-        // so the stream cannot fall back to the complete search, and a
-        // budget of zero must surface Unknown instead of a wrong verdict.
+        // A live `finish` does not search, so a budget of zero must
+        // surface Unknown instead of a wrong verdict; behind 24 unrelated
+        // writes the history is above the search cap too, so `check`
+        // could not settle it by search either.
         let mut h = History::new();
         for i in 0..24u64 {
             h.push(write(10 + i, &[2], (i + 1, 3), i * 10, i * 10 + 5));

@@ -42,7 +42,11 @@
 //! check: nothing retires from then on, the window keeps collecting
 //! commits (up to 65 536 live transactions), and `finish` re-solves it
 //! once more, so a contradiction that needs no splitting, arriving later,
-//! still convicts.
+//! still convicts.  If that runs out too, `finish` returns the stream's
+//! `Unknown`: a live stream does not search.
+//! [`StreamChecker::check`], which holds the whole history, hands such a
+//! history to the complete [`SearchChecker`] when it is within the
+//! search's 24-transaction cap.
 //!
 //! Closed but still-ambiguous overlap groups (concurrent writes whose
 //! relative order a *future* stale read could still force) are retired into
@@ -101,10 +105,6 @@ use crate::solve::{solve_ctx, Ctx, ObjectOrder, Obs};
 use crate::strict::{SearchChecker, Verdict};
 use snow_core::{FxHashMap, FxHashSet, History, Key, ObjectId, TxKind, TxOutcome, TxRecord};
 use std::collections::{BTreeMap, VecDeque};
-
-/// How many of the earliest records are kept around so an `Unknown` verdict
-/// on a small history can fall back to the complete search.
-const SEARCH_FALLBACK_KEEP: usize = 25;
 
 /// After a window re-solve runs out of splitting budget, the window keeps
 /// collecting commits, unretired, for one more re-solve at `finish`, up to
@@ -427,10 +427,8 @@ pub struct StreamChecker {
     next_major: u64,
     /// The `seq` of the next label handed out.
     next_seq: u64,
-    ingested: usize,
     optional_included: usize,
     live_count: usize,
-    peak_live: usize,
     finishing: bool,
     fatal: Option<Verdict>,
     offending: Option<usize>,
@@ -438,18 +436,9 @@ pub struct StreamChecker {
     /// the window keeps collecting commits for one more re-solve at
     /// `finish` (up to `UNDECIDED_KEEP` live transactions).
     undecided: Option<(usize, Verdict)>,
-    /// Copies of the first records fed, for the small-history search
-    /// fallback; `early_lost` notes a record fed when there was no room.
-    early: Vec<TxRecord>,
-    early_lost: bool,
-
-    edges_added: u64,
-    window_resolves: u64,
-    max_retirement_lag: u64,
-    pk_reorders: u64,
-    pk_region_nodes: u64,
-    sealed_observations: u64,
-    seal_relinearizations: u64,
+    /// The work counters; `certified` and `live_window` are derived, and
+    /// filled in only by [`Self::report`].
+    work: StreamReport,
     /// When observed (see [`Self::with_obs`]), a [`CheckerRetired`]
     /// event is recorded at every retirement pass that frees slots.
     ///
@@ -481,23 +470,13 @@ impl Default for StreamChecker {
             last_resp: 0,
             next_major: 0,
             next_seq: 0,
-            ingested: 0,
             optional_included: 0,
             live_count: 0,
-            peak_live: 0,
             finishing: false,
             fatal: None,
             offending: None,
             undecided: None,
-            early: Vec::new(),
-            early_lost: false,
-            edges_added: 0,
-            window_resolves: 0,
-            max_retirement_lag: 0,
-            pk_reorders: 0,
-            pk_region_nodes: 0,
-            sealed_observations: 0,
-            seal_relinearizations: 0,
+            work: StreamReport::default(),
             obs: None,
         }
     }
@@ -545,7 +524,7 @@ impl StreamChecker {
     /// Transactions whose verdict contribution has been finalised (retired
     /// past the certification frontier, sealed or replayed).
     pub fn certified(&self) -> usize {
-        (self.ingested + self.optional_included) - self.live_count
+        (self.work.ingested + self.optional_included) - self.live_count
     }
 
     /// Records currently held: the live window plus sealed segments still
@@ -556,24 +535,12 @@ impl StreamChecker {
 
     /// High-water mark of [`Self::live_window`].
     pub fn peak_live_window(&self) -> usize {
-        self.peak_live
+        self.work.peak_live_window
     }
 
     /// Aggregate counters for benchmarks and memory assertions.
     pub fn report(&self) -> StreamReport {
-        StreamReport {
-            ingested: self.ingested,
-            certified: self.certified(),
-            peak_live_window: self.peak_live,
-            live_window: self.live_window(),
-            edges_added: self.edges_added,
-            window_resolves: self.window_resolves,
-            max_retirement_lag: self.max_retirement_lag,
-            pk_reorders: self.pk_reorders,
-            pk_region_nodes: self.pk_region_nodes,
-            sealed_observations: self.sealed_observations,
-            seal_relinearizations: self.seal_relinearizations,
-        }
+        StreamReport { certified: self.certified(), live_window: self.live_window(), ..self.work }
     }
 
     fn convict(&mut self, index: usize, verdict: Verdict) {
@@ -597,15 +564,6 @@ impl StreamChecker {
                 self.fatal = Some(unknown);
                 self.offending = Some(index);
             }
-        }
-    }
-
-    /// Keeps a copy of `rec` for the search fallback while there is room.
-    fn keep_early(&mut self, rec: &TxRecord) {
-        if self.early.len() < SEARCH_FALLBACK_KEEP {
-            self.early.push(rec.clone());
-        } else {
-            self.early_lost = true;
         }
     }
 
@@ -699,7 +657,7 @@ impl StreamChecker {
         }
         self.tx_mut(a).out.push(b);
         self.tx_mut(b).preds.push(a);
-        self.edges_added += 1;
+        self.work.edges_added += 1;
         true
     }
 
@@ -773,8 +731,8 @@ impl StreamChecker {
         for (&(_, v), &o) in pk.bwd.iter().chain(pk.fwd.iter()).zip(pk.pool.iter()) {
             self.tx_mut(v).ord = o;
         }
-        self.pk_reorders += 1;
-        self.pk_region_nodes += pk.pool.len() as u64;
+        self.work.pk_reorders += 1;
+        self.work.pk_region_nodes += pk.pool.len() as u64;
         true
     }
 
@@ -819,9 +777,8 @@ impl StreamChecker {
     /// Ingests the next committed transaction.  Transactions must arrive in
     /// commit (RESP) order; ties may arrive in any deterministic order.
     pub fn ingest(&mut self, rec: TxRecord) {
-        let index = self.ingested;
-        self.ingested += 1;
-        self.keep_early(&rec);
+        let index = self.work.ingested;
+        self.work.ingested += 1;
         if self.fatal.is_some() {
             return;
         }
@@ -840,7 +797,7 @@ impl StreamChecker {
         if self.fatal.is_none() && !clean && self.undecided.is_none() {
             self.resolve_window(slot);
         }
-        self.peak_live = self.peak_live.max(self.live_window());
+        self.work.peak_live_window = self.work.peak_live_window.max(self.live_window());
         if self.live_count > UNDECIDED_KEEP {
             self.give_up();
         }
@@ -1117,7 +1074,7 @@ impl StreamChecker {
     /// failure the verdict is final, attributed to the transaction whose
     /// ingestion broke the window.
     fn resolve_window(&mut self, at_slot: u32) {
-        self.window_resolves += 1;
+        self.work.window_resolves += 1;
         let at_index = self.tx(at_slot).index;
         let at_tx = self.tx(at_slot).rec.tx_id;
         let mut nodes: Vec<u32> = Vec::new();
@@ -1265,7 +1222,7 @@ impl StreamChecker {
             }
         }
         self.retire_pass();
-        self.peak_live = self.peak_live.max(self.live_window());
+        self.work.peak_live_window = self.work.peak_live_window.max(self.live_window());
     }
 
     /// Appends the overlap components of `writes` (time-overlapping runs,
@@ -1526,7 +1483,7 @@ impl StreamChecker {
             sc.emission.iter().map(|e| self.tx(e.1).resp()).min().expect("emission is non-empty");
         let retire_mark = self.watermark.min(self.last_resp);
         let lag = retire_mark.saturating_sub(oldest_resp);
-        self.max_retirement_lag = self.max_retirement_lag.max(lag);
+        self.work.max_retirement_lag = self.work.max_retirement_lag.max(lag);
         // Emit: free the slots, route records into seals / the replay queue.
         for (p, &(_, slot)) in sc.emission.iter().enumerate() {
             let t = self.slots[slot as usize].take().expect("retiring slot is live");
@@ -1566,8 +1523,8 @@ impl StreamChecker {
                 certified: self.certified() as u64,
                 live_window: self.live_window() as u32,
                 frontier: self.by_resp.len() as u32,
-                edges_added: self.edges_added,
-                window_resolves: self.window_resolves,
+                edges_added: self.work.edges_added,
+                window_resolves: self.work.window_resolves,
                 retirement_lag: lag,
             };
             if let Some(sink) = self.obs.as_mut() {
@@ -1645,7 +1602,7 @@ impl StreamChecker {
         if let Err(object) = self.replay.apply(rec) {
             debug_assert!(false, "streaming witness replay failed on {object} at {}", rec.tx_id);
             self.convict(
-                self.ingested.saturating_sub(1),
+                self.work.ingested.saturating_sub(1),
                 Verdict::NotSerializable(format!(
                     "internal witness replay failed on object {object} at {}",
                     rec.tx_id
@@ -1671,7 +1628,7 @@ impl StreamChecker {
         key: Key,
         seal: usize,
     ) -> bool {
-        self.sealed_observations += 1;
+        self.work.sealed_observations += 1;
         let tx_id = self.tx(slot).rec.tx_id;
         let inv = self.tx(slot).inv();
         // A newer live version completed before this read was invoked: the
@@ -1714,7 +1671,7 @@ impl StreamChecker {
     /// Re-solves a sealed segment under its accumulated ghost reads and
     /// adopts the new internal order.  Returns `false` on conviction.
     fn relinearize_seal(&mut self, seal: usize, index: usize, at_tx: snow_core::TxId) -> bool {
-        self.seal_relinearizations += 1;
+        self.work.seal_relinearizations += 1;
         let ghosts: Vec<TxRecord> = self.seals[seal].ghosts.iter().map(Ghost::record).collect();
         let solved = {
             let s = &self.seals[seal];
@@ -1788,30 +1745,28 @@ impl StreamChecker {
     pub fn ingest_incomplete(&mut self, rec: TxRecord) {
         let Some(TxOutcome::Write(w)) = rec.outcome.as_ref() else { return };
         let key = w.key;
-        if self.fatal.is_some() {
-            // Whether a READ observed it is no longer tracked; the search
-            // fallback may place it or leave it out.
-            self.keep_early(&rec);
+        if self.fatal.is_some()
+            || !rec.spec.objects_iter().any(|o| self.pending.contains_key(&(o, key)))
+        {
             return;
         }
-        if !rec.spec.objects_iter().any(|o| self.pending.contains_key(&(o, key))) {
-            return;
-        }
-        self.keep_early(&rec);
         self.optional_included += 1;
-        let slot = self.alloc(rec, self.ingested);
+        let slot = self.alloc(rec, self.work.ingested);
         let mut clean = self.add_real_time_edges(slot);
         clean &= self.ingest_write(slot);
         if self.fatal.is_none() && !clean && self.undecided.is_none() {
             self.resolve_window(slot);
         }
-        self.peak_live = self.peak_live.max(self.live_window());
+        self.work.peak_live_window = self.work.peak_live_window.max(self.live_window());
     }
 
     /// Finalises the stream: convicts unresolved observations, retires the
     /// remaining window and returns the overall verdict with a full
     /// replay-validated witness on success.  Feed incomplete observed
-    /// writes via [`Self::ingest_incomplete`] first.
+    /// writes via [`Self::ingest_incomplete`] first.  A live stream does
+    /// not search: an `Unknown` here is the stream's own, and
+    /// [`Self::check`], which holds the whole history, is where a small
+    /// one goes to [`SearchChecker`].
     pub fn finish(&mut self) -> Verdict {
         if self.fatal.is_none() {
             // A read returned a version no write installs: a conviction,
@@ -1851,22 +1806,8 @@ impl StreamChecker {
             }
             self.give_up();
         }
-        match &self.fatal {
-            Some(v) if v.is_violation() => return v.clone(),
-            Some(v) => {
-                // An undecided small history goes to the exhaustive
-                // search, provided `early` kept every record fed.
-                let search = SearchChecker::default();
-                if !self.early_lost && self.early.len() <= search.max_transactions {
-                    let mut h = History::new();
-                    for rec in &self.early {
-                        h.push(rec.clone());
-                    }
-                    return search.check(&h);
-                }
-                return v.clone();
-            }
-            None => {}
+        if let Some(v) = &self.fatal {
+            return v.clone();
         }
         self.finishing = true;
         self.retire_pass();
@@ -1901,12 +1842,22 @@ impl StreamChecker {
         }
     }
 
-    /// One-shot: checks a complete history through the streaming engine.
-    /// Equivalent in verdict to feeding the commit stream live.
+    /// One-shot: checks a complete history through the streaming engine,
+    /// and is the one place the complete search runs: where the stream
+    /// leaves the history [`Verdict::Unknown`], [`SearchChecker`] decides it
+    /// if it is small enough, and above the search's cap the stream's own
+    /// `Unknown` stands.  Otherwise equivalent in verdict to feeding the
+    /// commit stream live.
     pub fn check(history: &History) -> Verdict {
         let mut checker = StreamChecker::new();
         checker.feed_history(history);
-        checker.finish()
+        match checker.finish() {
+            Verdict::Unknown(why) => match SearchChecker::default().check(history) {
+                Verdict::Unknown(_) => Verdict::Unknown(why),
+                decided => decided,
+            },
+            verdict => verdict,
+        }
     }
 }
 
@@ -2115,9 +2066,10 @@ pub(crate) mod tests {
 
     /// Shrunk from a random 200-transaction history: nine untagged writes
     /// and a READ whose window re-solve exhausts the default splitting
-    /// budget before the last commit, and again at `finish`.  The stream
-    /// keeps a copy of every record, the last one included, so `finish`
-    /// settles the history with the complete search.
+    /// budget before the last commit, and again at `finish`.  A live
+    /// `finish` does not search, so its verdict stays `Unknown`;
+    /// [`StreamChecker::check`] holds the whole history and settles it
+    /// with the complete search.
     #[test]
     fn finish_searches_a_small_history_that_went_undecided_mid_stream() {
         let records = vec![
@@ -2137,15 +2089,18 @@ pub(crate) mod tests {
         let mut checker = StreamChecker::new();
         checker.feed_history(&h);
         assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
-        assert_eq!(assert_valid_witness(&h, &checker.finish()).len(), records.len());
-        // The re-solve at `finish` ran out too: the search decided.
-        assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
+        // The re-solve at `finish` ran out too.
+        let live = checker.finish();
+        assert!(matches!(live, Verdict::Unknown(_)), "{live:?}");
+        let checked = StreamChecker::check(&h);
+        assert_eq!(assert_valid_witness(&h, &checked).len(), records.len());
     }
 
     /// With no splitting budget the window re-solve gives up before the
-    /// observed incomplete write `c` is fed.  The search fallback must
-    /// still see `c`, or the READ of its version reads as a read of a
-    /// version nobody wrote, and a serializable history is convicted.
+    /// observed incomplete write `c` is fed, and the live `finish` stays
+    /// `Unknown`.  The search reads `c` from the history: without it the
+    /// READ of its version reads as a read of a version nobody wrote, and
+    /// a serializable history is convicted.
     #[test]
     fn the_search_fallback_sees_incomplete_writes_fed_after_the_verdict() {
         let mut c = write(5, &[1], (1, 3), 50, 0);
@@ -2160,7 +2115,9 @@ pub(crate) mod tests {
         let mut checker = StreamChecker::with_split_budget(0);
         checker.feed_history(&h);
         assert!(matches!(checker.violation(), Some(Verdict::Unknown(_))));
-        let verdict = checker.finish();
+        let live = checker.finish();
+        assert!(matches!(live, Verdict::Unknown(_)), "{live:?}");
+        let verdict = SearchChecker::default().check(&h);
         assert!(verdict.is_serializable(), "{verdict:?}");
     }
 
@@ -2189,14 +2146,14 @@ pub(crate) mod tests {
                     }
                 }
                 let violates = a != b && checker.tx(a).ord > checker.tx(b).ord;
-                let before = checker.pk_reorders;
+                let before = checker.work.pk_reorders;
                 let accepted = checker.add_edge(a, b);
                 assert_eq!(accepted, !seen[a as usize], "case {case}: edge {a} -> {b}");
                 if accepted {
                     edges.push((a, b));
                     // An order-violating edge taken without a reorder was
                     // placed in a gap.
-                    placed += u32::from(violates && checker.pk_reorders == before);
+                    placed += u32::from(violates && checker.work.pk_reorders == before);
                 } else {
                     refused += 1;
                 }
@@ -2207,9 +2164,9 @@ pub(crate) mod tests {
                 ords.sort_unstable();
                 assert!(ords.windows(2).all(|w| w[0] != w[1]), "case {case}: duplicate ord");
             }
-            assert_eq!(checker.edges_added, edges.len() as u64);
-            assert!(checker.pk.epoch < u32::MAX / 2 || checker.pk_reorders < 3);
-            reorders += checker.pk_reorders;
+            assert_eq!(checker.work.edges_added, edges.len() as u64);
+            assert!(checker.pk.epoch < u32::MAX / 2 || checker.work.pk_reorders < 3);
+            reorders += checker.work.pk_reorders;
         }
         assert!(
             reorders > 1_000 && refused > 1_000 && placed > 1_000,
@@ -2226,7 +2183,7 @@ pub(crate) mod tests {
         let epoch = checker.pk.epoch;
         assert!(!checker.add_edge(a, b), "a -> b closes b -> p -> a");
         assert_ne!(checker.pk.epoch, epoch, "the cycle went through the reorder");
-        assert_eq!((checker.edges_added, checker.pk_reorders), (2, 0));
+        assert_eq!((checker.work.edges_added, checker.work.pk_reorders), (2, 0));
         assert!(checker.tx(a).out.is_empty() && checker.tx(b).preds.is_empty());
     }
 }

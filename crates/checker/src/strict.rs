@@ -71,8 +71,11 @@ impl SearchChecker {
     pub fn check(&self, history: &History) -> Verdict {
         // Completed transactions must all be placed; incomplete WRITEs are
         // optional (they may or may not have taken effect); incomplete READs
-        // are ignored.
-        let mandatory: Vec<&TxRecord> = history.completed().collect();
+        // are ignored.  The completed ones are tried in commit order, the
+        // order the stream engine is fed, so the witness does not depend on
+        // the order of `history.records`.
+        let mut mandatory: Vec<&TxRecord> = history.completed().collect();
+        mandatory.sort_unstable_by_key(|r| (r.responded_at, r.tx_id));
         let optional: Vec<&TxRecord> = history
             .records
             .iter()
@@ -182,8 +185,9 @@ impl SearchChecker {
 /// transaction, or a P2, P3 or P4 failure — the verdict is
 /// [`crate::StreamChecker::check`]`(history)`, the semantic stream
 /// engine's: it takes version orders from tags where they settle them,
-/// re-solves only its live window where they do not, and falls back to
-/// [`SearchChecker`] itself on a small history it cannot decide.  The result does not depend on the order of `history.records`.
+/// re-solves only its live window where they do not, and hands a history
+/// of at most 24 transactions that it cannot decide to [`SearchChecker`].
+/// The result does not depend on the order of `history.records`.
 ///
 /// ```
 /// use snow_checker::strict::check_auto;

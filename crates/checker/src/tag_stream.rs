@@ -195,11 +195,15 @@ impl TagOrderStream {
     /// allows, by the rule [`StreamChecker::feed_history`] feeds a
     /// [`StreamChecker`] by.  [`TagOrderStream::finish`] on the same
     /// history then gives the verdict; [`crate::check_auto`] is the two
-    /// calls.
+    /// calls.  Once the tags cannot decide, the rest is not walked: an
+    /// untagged history stops at its first commit.
     pub fn feed_history(&mut self, history: &History) {
         for (rec, watermark) in hindsight_commits(history) {
             self.ingest(rec);
             self.advance_watermark(watermark, |tx| history.get(tx));
+            if self.tags.is_none() {
+                return;
+            }
         }
     }
 

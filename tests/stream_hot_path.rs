@@ -499,6 +499,26 @@ fn a_window_out_of_budget_still_decides_the_whole_history() {
     assert_eq!(witness.len(), history.len());
 }
 
+/// A 200-transaction scarred history the stream leaves `Unknown` (25
+/// concurrent untagged writes on one object, past the window solver's
+/// ambiguity cap).  `StreamChecker::check` is where the complete search
+/// runs, and the history is above the search's cap, so the verdict is the
+/// stream's own `Unknown`, not the search's "above the search cap" — here
+/// and through `check_auto`.
+#[test]
+fn above_the_search_cap_check_returns_the_streams_own_unknown() {
+    let history = scarred_history(6);
+    let mut checker = StreamChecker::new();
+    checker.feed_history(&history);
+    let live = checker.finish();
+    let Verdict::Unknown(why) = &live else { panic!("{live:?}") };
+    assert!(why.contains("exceed the ambiguity cap"), "{why}");
+    let search = SearchChecker::default().check(&history);
+    assert!(matches!(&search, Verdict::Unknown(why) if why.contains("above the search cap")));
+    assert_eq!(StreamChecker::check(&history), live);
+    assert_eq!(check_auto(&history), live);
+}
+
 // ---- seal-summary invalidation ---------------------------------------------
 
 const X: ObjectId = ObjectId(0);
