@@ -111,7 +111,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// this many live transactions; past it the `Unknown` is final at once.
 const UNDECIDED_KEEP: usize = 1 << 16;
 
-/// The default of [`StreamChecker::split_budget`].
+/// The default of [`StreamChecker::with_split_budget`]'s budget.
 const SPLIT_BUDGET: usize = 4096;
 
 /// One observation recorded on a live reader.
@@ -391,12 +391,8 @@ pub struct StreamReport {
 /// See the [module docs](self) for the algorithm and a usage example.
 #[derive(Debug)]
 pub struct StreamChecker {
-    /// Maximum number of branch states one window re-solve's
-    /// constraint-splitting search may explore before it gives up (4096 by
-    /// default).  The window then stops retiring and is re-solved once
-    /// more at `finish`; if that runs out too, the verdict is
-    /// [`Verdict::Unknown`].
-    pub split_budget: usize,
+    /// See [`StreamChecker::with_split_budget`].
+    split_budget: usize,
 
     slots: Vec<Option<LiveTx>>,
     free: Vec<u32>,
@@ -488,7 +484,11 @@ impl StreamChecker {
         StreamChecker::default()
     }
 
-    /// Creates a checker with an explicit constraint-splitting budget.
+    /// Creates a checker with an explicit constraint-splitting budget: the
+    /// most branch states one window re-solve's constraint-splitting search
+    /// may explore before it gives up (4096 by default).  The window then
+    /// stops retiring and is re-solved once more at `finish`; if that runs
+    /// out too, the verdict is [`Verdict::Unknown`].
     pub fn with_split_budget(split_budget: usize) -> Self {
         StreamChecker { split_budget, ..StreamChecker::default() }
     }

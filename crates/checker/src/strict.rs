@@ -45,9 +45,8 @@ impl Verdict {
 /// Complete backtracking checker (no tags needed).
 #[derive(Debug, Clone)]
 pub struct SearchChecker {
-    /// Maximum number of transactions the search will attempt (the search is
-    /// exponential in the worst case).
-    pub max_transactions: usize,
+    /// See [`SearchChecker::with_max_transactions`].
+    max_transactions: usize,
 }
 
 impl Default for SearchChecker {
@@ -62,7 +61,9 @@ impl SearchChecker {
         SearchChecker::default()
     }
 
-    /// Creates a checker with an explicit transaction cap.
+    /// Creates a checker with an explicit transaction cap: the most
+    /// transactions the search will attempt (24 by default; the search is
+    /// exponential in the worst case).
     pub fn with_max_transactions(max_transactions: usize) -> Self {
         SearchChecker { max_transactions }
     }
@@ -221,14 +222,15 @@ impl SearchChecker {
 /// assert!(check_auto(&history).is_serializable());
 ///
 /// // Without tags, the stream engine decides the same history.
-/// for rec in &mut history.records {
+/// let mut records = Vec::from(history);
+/// for rec in &mut records {
 ///     match rec.outcome.as_mut() {
 ///         Some(TxOutcome::Write(w)) => w.tag = None,
 ///         Some(TxOutcome::Read(r)) => r.tag = None,
 ///         _ => {}
 ///     }
 /// }
-/// assert!(check_auto(&history).is_serializable());
+/// assert!(check_auto(&History::from(records)).is_serializable());
 /// ```
 pub fn check_auto(history: &History) -> Verdict {
     let mut stream = TagOrderStream::new();
@@ -509,15 +511,14 @@ mod tests {
 
     /// The verdict does not depend on the order of the records: the stream
     /// reads certified commits back by id, through the history's id table,
-    /// whatever the order.  The reversed history is built through
-    /// `History::from`, which indexes it; one reversed through the field
-    /// would send every lookup to the scan.
+    /// whatever the order.  The records are taken out, reversed and
+    /// indexed anew by `History::from`.
     #[test]
     fn check_auto_does_not_depend_on_record_order() {
         let h = big_tagged_history(100_000);
         let in_order = check_auto(&h);
         assert!(in_order.is_serializable(), "{in_order:?}");
-        let mut records = h.records;
+        let mut records = Vec::from(h);
         records.reverse();
         assert_eq!(check_auto(&History::from(records)), in_order);
     }

@@ -466,7 +466,7 @@ mod tests {
         for in_order in [true, false] {
             let (mut stream, cluster) = (TagOrderStream::new(), Cluster::of(&steps));
             feed(&mut stream, &cluster, &steps);
-            let mut records = cluster.take_history().records;
+            let mut records = Vec::from(cluster.take_history());
             if !in_order {
                 records.reverse();
             }

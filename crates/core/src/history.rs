@@ -9,6 +9,9 @@
 //!
 //! Histories are produced by the simulator of `snow-sim`, which hands over
 //! the id table it looked records up by, and consumed by `snow-checker`.
+//! A history's ids are unique and below [`History::ID_LIMIT`], and its id
+//! table names every record's slot: nothing outside this module can edit
+//! the records behind the table's back.
 
 use crate::ids::{ClientId, ObjectId, ServerId, TxId};
 use crate::txn::{TxKind, TxOutcome, TxSpec};
@@ -111,57 +114,129 @@ impl TxRecord {
 
 /// A complete execution history.
 ///
-/// A dense `TxId → slot` table beside the records finds a record in O(1)
-/// ([`History::get`]); [`History::push`] keeps it.  `records` stays public: a
-/// lookup checks the record it lands on, and scans when that is not `tx`'s or
-/// the table misses a record, so a history reordered or extended through the
-/// field answers slower, not wrong (rebuild it with `History::from` after
-/// removing or rewriting records there).  Sparse ids are scanned for; a repeated
-/// id finds one of its records.  `==` and `Debug` see the records only.
+/// One rule: every record sits at the slot a dense `TxId → slot` table names
+/// for its id, so [`History::get`] is one table read, O(1), hit or miss.  The
+/// rule holds by construction.  Records go in only through
+/// [`History::push`] or `History::from(Vec<TxRecord>)`, which refuse an id
+/// that already has a record or that reaches [`History::ID_LIMIT`];
+/// `records` is a read-only view ([`Records`]), and they come back out, to be
+/// edited, through `Vec::from(history)`.  `==` and `Debug` see the records
+/// only.
+///
+/// The view cannot be grown, shrunk or reordered:
+///
+/// ```compile_fail
+/// # use snow_core::{ClientId, History, ObjectId, TxId, TxRecord, TxSpec};
+/// let rec = |id| TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), id);
+/// let mut history = History::from(vec![rec(0), rec(1)]);
+/// history.records.push(rec(2));
+/// ```
+///
+/// ```compile_fail
+/// # use snow_core::{ClientId, History, ObjectId, TxId, TxRecord, TxSpec};
+/// let rec = |id| TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), id);
+/// let mut history = History::from(vec![rec(0), rec(1)]);
+/// history.records.reverse();
+/// ```
+///
+/// An edit takes the records out and indexes the result anew:
+///
+/// ```
+/// # use snow_core::{ClientId, History, ObjectId, TxId, TxRecord, TxSpec};
+/// let rec = |id| TxRecord::invoked(TxId(id), ClientId(0), TxSpec::read(vec![ObjectId(0)]), id);
+/// let mut records = Vec::from(History::from(vec![rec(0), rec(1), rec(2)]));
+/// records.truncate(1);
+/// records.extend([rec(3), rec(4)]);
+/// let history = History::from(records);
+/// assert_eq!(history.get(TxId(4)).map(|r| r.invoked_at), Some(4));
+/// assert!(history.get(TxId(2)).is_none());
+/// ```
 #[derive(Clone, Default)]
 pub struct History {
     /// All transaction records, in invocation order.
-    pub records: Vec<TxRecord>,
+    pub records: Records,
     /// `TxId → index into records`, or [`ABSENT`].
     slot_of: Vec<u32>,
-    /// How many records `slot_of` indexes.
-    indexed: usize,
+}
+
+/// A history's records, read-only: a slice to read, with no way to edit it
+/// from outside this module.  Prints as the `Vec` it wraps.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Records(Vec<TxRecord>);
+
+impl std::ops::Deref for Records {
+    type Target = [TxRecord];
+
+    #[inline]
+    fn deref(&self) -> &[TxRecord] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Records {
+    type Item = &'a TxRecord;
+    type IntoIter = std::slice::Iter<'a, TxRecord>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl std::fmt::Debug for Records {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 /// `slot_of` entry of an id with no record.
 const ABSENT: u32 = u32::MAX;
 
-/// The table's room beyond what was reserved, in 4 B entries per record.
-const SLOTS_PER_RECORD: usize = 16;
-
 impl History {
+    /// The ids a history can hold: `0 .. 2²⁴`.  The table takes 4 B per id
+    /// up to the largest one held, so it is at most 64 MiB beside the
+    /// records.  Every run issues ids densely from 0, and the longest one
+    /// planned (10⁷ transactions, ROADMAP item 14) stays below the limit; a
+    /// longer one raises it.  Slots fit the table's `u32` entries for the
+    /// same reason.
+    pub const ID_LIMIT: u64 = 1 << 24;
+
     /// Creates an empty history.
     pub fn new() -> Self {
         History::default()
     }
 
+    /// Makes room for `additional` more records; the id table grows as ids
+    /// arrive.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.records.0.reserve(additional);
+    }
+
     /// Reserves exactly `additional` more records and table room for ids
-    /// below `id_end`: a planned run's one allocation of each.
+    /// below `id_end` (at most [`History::ID_LIMIT`]): a planned run's one
+    /// allocation of each.
     pub fn reserve_exact(&mut self, additional: usize, id_end: usize) {
-        self.records.reserve_exact(additional);
+        self.records.0.reserve_exact(additional);
+        let id_end = id_end.min(Self::ID_LIMIT as usize);
         self.slot_of.reserve_exact(id_end.saturating_sub(self.slot_of.len()));
     }
 
-    /// Adds a record, and enters its id in the table unless the id has an
-    /// entry or lies past the table's room.
+    /// Adds a record and enters its id in the table.
+    ///
+    /// Panics if the id already has a record or reaches
+    /// [`History::ID_LIMIT`].
     #[inline]
     pub fn push(&mut self, record: TxRecord) {
-        let (id, slot) = (record.tx_id.0 as usize, self.records.len());
-        if id < self.slot_of.capacity().max(SLOTS_PER_RECORD * (slot + 1)) {
-            if self.slot_of.len() <= id {
-                self.slot_of.resize(id + 1, ABSENT);
-            }
-            if self.slot_of[id] == ABSENT {
-                self.slot_of[id] = slot as u32;
-                self.indexed += 1;
-            }
+        let tx = record.tx_id;
+        assert!(tx.0 < Self::ID_LIMIT, "{tx} reaches the id table's 2²⁴ limit");
+        let id = tx.0 as usize;
+        if self.slot_of.len() <= id {
+            self.slot_of.resize(id + 1, ABSENT);
         }
-        self.records.push(record);
+        assert!(self.slot_of[id] == ABSENT, "{tx} has a record already");
+        self.slot_of[id] = self.records.0.len() as u32;
+        self.records.0.push(record);
     }
 
     /// Number of transactions (complete or not).
@@ -194,40 +269,48 @@ impl History {
         self.records.iter().filter(|r| !r.is_complete()).count()
     }
 
-    /// The slot of `tx`'s record: the table's entry if the record there is
-    /// `tx`'s, a miss if the table covers every record, else a scan.
+    /// The slot of `tx`'s record: the table's entry, or `None`.
     #[inline]
     fn slot(&self, tx: TxId) -> Option<usize> {
-        let slot = self.slot_of.get(tx.0 as usize).copied().unwrap_or(ABSENT) as usize;
-        match self.records.get(slot) {
-            Some(rec) if rec.tx_id == tx => Some(slot),
-            None if self.indexed == self.records.len() => None,
-            _ => self.records.iter().position(|r| r.tx_id == tx),
+        let slot = *self.slot_of.get(usize::try_from(tx.0).ok()?)?;
+        if slot == ABSENT {
+            return None;
         }
+        debug_assert_eq!(self.records[slot as usize].tx_id, tx, "a record's id was rewritten");
+        Some(slot as usize)
     }
 
     /// Looks up a record by id: O(1) through the id table.
     #[inline]
     pub fn get(&self, tx_id: TxId) -> Option<&TxRecord> {
-        self.slot(tx_id).map(|slot| &self.records[slot])
+        self.slot(tx_id).map(|slot| &self.records.0[slot])
     }
 
-    /// Mutable lookup by id, O(1) like [`History::get`].
+    /// Mutable lookup by id, O(1) like [`History::get`].  The record's
+    /// `tx_id` is its key in the table: leave it as it is.
     #[inline]
     pub fn get_mut(&mut self, tx_id: TxId) -> Option<&mut TxRecord> {
-        self.slot(tx_id).map(|slot| &mut self.records[slot])
+        self.slot(tx_id).map(|slot| &mut self.records.0[slot])
     }
 }
 
 /// `records`, in the order given, pushed into a history sized for them.
+///
+/// Panics like [`History::push`] on a repeated id or one at the limit.
 impl From<Vec<TxRecord>> for History {
     fn from(records: Vec<TxRecord>) -> Self {
-        let room = (SLOTS_PER_RECORD * records.len()) as u64;
-        let id_end = records.iter().map(|r| r.tx_id.0).filter(|&id| id < room).max();
+        let id_end = records.iter().map(|r| r.tx_id.0.min(Self::ID_LIMIT) as usize + 1).max();
         let mut history = History::new();
-        history.reserve_exact(records.len(), id_end.map_or(0, |id| id as usize + 1));
+        history.reserve_exact(records.len(), id_end.unwrap_or(0));
         records.into_iter().for_each(|rec| history.push(rec));
         history
+    }
+}
+
+/// The records, in the history's order, to edit and index anew.
+impl From<History> for Vec<TxRecord> {
+    fn from(history: History) -> Self {
+        history.records.0
     }
 }
 
@@ -375,36 +458,46 @@ mod tests {
         // Room for ids 2..=100 after the one pushed: exactly that.
         h.reserve_exact(99, 101);
         let buffers = |h: &History| (h.records.as_ptr(), h.slot_of.as_ptr());
-        let (before, capacity) = (buffers(&h), (h.records.capacity(), h.slot_of.capacity()));
+        let capacities = |h: &History| (h.records.0.capacity(), h.slot_of.capacity());
+        let (before, capacity) = (buffers(&h), capacities(&h));
         assert_eq!(capacity, (100, 101));
         for id in 2..=100 {
             h.push(read_record(id, id, None));
         }
         assert_eq!(buffers(&h), before, "neither table moved");
-        assert_eq!((h.records.capacity(), h.slot_of.capacity()), capacity);
-        assert_eq!(h.indexed, 100);
+        assert_eq!(capacities(&h), capacity);
         // `History::from` sizes both the same way, whatever the id order.
-        let mut records = h.records;
+        let mut records = Vec::from(h);
         records.reverse();
         let h = History::from(records);
-        assert_eq!((h.records.capacity(), h.slot_of.capacity(), h.indexed), (100, 101, 100));
+        assert_eq!(capacities(&h), (100, 101));
+        assert!((1..=100).all(|id| h.get(TxId(id)).is_some_and(|r| r.tx_id == TxId(id))));
+        assert!(h.get(TxId(0)).is_none() && h.get(TxId(101)).is_none());
     }
 
-    /// An id far past the records is scanned for, not given a table entry
-    /// per id below it; it and its neighbours are still found, and a
-    /// repeated id finds one of its records.
     #[test]
-    fn a_sparse_id_is_found_without_a_table_to_match() {
-        let mut h = History::new();
-        h.push(read_record(0, 0, None));
-        h.push(read_record(u64::MAX, 1, None));
+    #[should_panic(expected = "tx2 has a record already")]
+    fn a_repeated_id_is_refused() {
+        let mut h = History::from(vec![read_record(1, 0, None), read_record(2, 1, None)]);
         h.push(read_record(2, 2, None));
-        assert!(h.slot_of.len() <= 3 * SLOTS_PER_RECORD);
-        for id in [0, u64::MAX, 2] {
-            assert_eq!(h.get(TxId(id)).map(|r| r.tx_id), Some(TxId(id)));
+    }
+
+    #[test]
+    #[should_panic(expected = "tx16777216 reaches the id table's 2²⁴ limit")]
+    fn an_id_at_the_limit_is_refused() {
+        History::new().push(read_record(History::ID_LIMIT, 0, None));
+    }
+
+    /// The largest id below the limit is held, with a table entry per id
+    /// below it; the ids around it miss.
+    #[test]
+    fn the_largest_id_below_the_limit_is_held() {
+        let last = History::ID_LIMIT - 1;
+        let h = History::from(vec![read_record(last, 0, None)]);
+        assert_eq!(h.slot_of.len(), History::ID_LIMIT as usize);
+        assert_eq!(h.get(TxId(last)).map(|r| r.tx_id), Some(TxId(last)));
+        for id in [0, last - 1, last + 1, u64::MAX] {
+            assert!(h.get(TxId(id)).is_none(), "tx{id}");
         }
-        assert!(h.get(TxId(1)).is_none());
-        h.push(read_record(2, 3, None));
-        assert_eq!(h.get(TxId(2)).map(|r| r.tx_id), Some(TxId(2)));
     }
 }

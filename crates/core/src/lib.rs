@@ -51,7 +51,7 @@ pub mod value;
 pub use config::SystemConfig;
 pub use error::{Result, SnowError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use history::{History, ReadResult, TxRecord};
+pub use history::{History, ReadResult, Records, TxRecord};
 pub use msg::{MsgId, MsgInfo, MsgKind, ProtocolMessage};
 pub use process::{Effects, Process};
 pub use inline_list::InlineList;

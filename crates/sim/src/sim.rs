@@ -409,7 +409,9 @@ where
         self.processes.get(id)
     }
 
-    /// True if transaction `tx` has completed.
+    /// True if transaction `tx` has completed.  One read of the record
+    /// log's id table, hit or miss: a planned id that has not been
+    /// dispatched yet has no record and answers `false` in O(1).
     pub fn is_complete(&self, tx: TxId) -> bool {
         self.records.is_complete(tx)
     }
@@ -1682,12 +1684,8 @@ mod tests {
         assert!(drained
             .windows(2)
             .all(|w| (w[0].responded_at, w[0].tx_id) <= (w[1].responded_at, w[1].tx_id)));
-        let mut expected: Vec<_> = sim
-            .history()
-            .records
-            .into_iter()
-            .filter(|r| r.is_complete())
-            .collect();
+        let mut expected: Vec<_> =
+            Vec::from(sim.history()).into_iter().filter(|r| r.is_complete()).collect();
         expected.sort_by_key(|r| (r.responded_at, r.tx_id));
         assert!(expected.len() >= 30, "most transactions should complete");
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
@@ -2083,7 +2081,7 @@ mod tests {
             sim.invoke_at(i * 1_000, ClientId(0), read_spec());
         }
         sim.run_until_quiescent();
-        sim.history().records
+        Vec::from(sim.history())
     }
 
     fn read(object: u32, server: u32, versions: usize, nonblocking: bool) -> ReadResult {
@@ -2210,7 +2208,7 @@ mod tests {
         }
         assert!(sim.is_quiescent());
         assert!(sim.drain_commits().records.is_empty(), "every commit was drained once");
-        let mut expected = sim.history().records;
+        let mut expected = Vec::from(sim.history());
         expected.sort_by_key(|r| (r.responded_at, r.tx_id));
         assert_eq!(expected.len(), txs.len());
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));

@@ -36,15 +36,16 @@ fn round_driver_history(protocol: ProtocolKind, transactions: usize) -> History 
 
 /// `history` with every tag removed, so no tag order can decide it and no
 /// version order is read off tags.
-fn strip_tags(mut history: History) -> History {
-    for rec in &mut history.records {
+fn strip_tags(history: History) -> History {
+    let mut records = Vec::from(history);
+    for rec in &mut records {
         match rec.outcome.as_mut() {
             Some(TxOutcome::Write(w)) => w.tag = None,
             Some(TxOutcome::Read(r)) => r.tag = None,
             _ => {}
         }
     }
-    history
+    History::from(records)
 }
 
 /// `check_auto` certifies `history`, and its witness places every

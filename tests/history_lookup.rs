@@ -1,10 +1,11 @@
 //! `History::get` against an ordered map.  A history finds a record by its
 //! `TxId` through one dense id table, which `push` and `History::from`
-//! keep and a simulator hands over with the records it takes; `records`
-//! stays public, so a history reordered or appended to through the field
-//! must still answer right.  Every lookup below — each id the history holds,
-//! every id between them, and ids far past them — is checked against a
-//! `BTreeMap<TxId, TxRecord>` of the same records.
+//! keep and a simulator hands over with the records it takes; `records` is
+//! read-only, so an edit takes the records out (`Vec::from`) and indexes
+//! the result anew.  Every lookup below — each id the history holds, every
+//! absent id in its table and past it, and ids far beyond, up to
+//! `u64::MAX` — is checked against a `BTreeMap<TxId, TxRecord>` of the same
+//! records.
 
 use snow::core::hash::SplitMix;
 use snow::core::{ClientId, History, ObjectId, SystemConfig, TxId, TxRecord, TxSpec};
@@ -12,7 +13,7 @@ use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{
     drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A Fisher–Yates shuffle of `items`, drawn from `rng`.
 fn shuffle<T>(rng: &mut SplitMix, items: &mut [T]) {
@@ -32,36 +33,42 @@ fn reference(records: &[TxRecord]) -> BTreeMap<TxId, TxRecord> {
     map
 }
 
-/// Every id up to past the largest dense one, and a few far beyond, looked
-/// up in `history` and in the map of its records.
+/// Every id in the table and a few past it, and ids far beyond, looked up
+/// in `history` and in the map of its records.
 fn assert_lookups_agree(history: &History, label: &str) {
     let map = reference(&history.records);
-    let dense_end = map.keys().map(|tx| tx.0).filter(|&id| id < 1 << 20).max().map_or(0, |m| m + 1);
-    let far = [u64::MAX, u64::MAX - 1, 1 << 40, dense_end + 1_000];
-    for id in (0..dense_end + 3).chain(far).chain(map.keys().map(|tx| tx.0)) {
+    let table_end = map.keys().last().map_or(0, |tx| tx.0 + 1);
+    let limit = History::ID_LIMIT;
+    let far = [limit - 1, limit, 1 << 40, u64::MAX - 1, u64::MAX];
+    for id in (0..table_end + 3).chain(far) {
         let tx = TxId(id);
         assert_eq!(history.get(tx), map.get(&tx), "{label}: {tx}");
     }
 }
 
-/// Reorders `history` through the public field, checks it, then appends to
-/// it there, checking after each.
-fn assert_field_edits_keep_lookups_right(mut history: History, rng: &mut SplitMix, label: &str) {
-    history.records.reverse();
-    assert_lookups_agree(&history, &format!("{label}, reversed through the field"));
-    shuffle(rng, &mut history.records);
-    assert_lookups_agree(&history, &format!("{label}, shuffled through the field"));
-    let next = history.records.iter().map(|r| r.tx_id.0).filter(|&id| id < 1 << 20).max();
-    let next = next.map_or(0, |m| m + 1);
-    for (id, at) in [(next, 7), (next + 1, 0)] {
-        history.records.push(record(id, at));
-        assert_lookups_agree(&history, &format!("{label}, appended to through the field"));
-    }
+/// The records taken out, reordered, cut and appended to — two pops and
+/// two appends, the edits that once left a record the table missed when
+/// they went through the field — and indexed anew, checking after each.
+fn assert_edits_keep_lookups_right(history: History, rng: &mut SplitMix, label: &str) {
+    let mut records = Vec::from(history);
+    records.reverse();
+    let reversed = History::from(records);
+    assert_lookups_agree(&reversed, &format!("{label}, reversed"));
+    let mut records = Vec::from(reversed);
+    shuffle(rng, &mut records);
+    records.pop();
+    records.pop();
+    let cut = History::from(records);
+    assert_lookups_agree(&cut, &format!("{label}, shuffled and cut"));
+    let next = cut.records.iter().map(|r| r.tx_id.0 + 1).max().unwrap_or(0);
+    let mut records = Vec::from(cut);
+    records.extend([record(next, 7), record(next + 1, 0)]);
+    assert_lookups_agree(&History::from(records), &format!("{label}, appended to"));
 }
 
 /// A taken history equals, and prints as, the same records indexed anew.
 fn assert_equal_to_rebuilt(history: &History, label: &str) {
-    let rebuilt = History::from(history.records.clone());
+    let rebuilt = History::from(history.records.to_vec());
     assert_eq!(&rebuilt, history, "{label}");
     assert_eq!(format!("{rebuilt:?}"), format!("{history:?}"), "{label}");
     assert!(format!("{history:?}").starts_with("History { records: ["), "{label}");
@@ -74,20 +81,25 @@ fn history_lookups_agree_with_an_ordered_map() {
         let n = 1 + rng.below(300);
 
         // Random pushes: dense ids in a shuffled order, one in ten swapped
-        // for an id far past every record.
+        // for an unused id in a gap past them, below the limit.
         let mut pushed = History::new();
         let mut ids: Vec<u64> = (0..n).collect();
         shuffle(&mut rng, &mut ids);
+        let mut gapped = BTreeSet::new();
         for (at, &id) in ids.iter().enumerate() {
-            let id = if rng.below(10) == 0 { n + rng.below(1 << 50) } else { id };
+            let id = match rng.below(10) {
+                0 => std::iter::repeat_with(|| n + rng.below(1 << 12))
+                    .find(|&id| gapped.insert(id))
+                    .expect("an unused id"),
+                _ => id,
+            };
             pushed.push(record(id, at as u64));
             if rng.below(40) == 0 {
                 assert_lookups_agree(&pushed, &format!("seed {seed}, pushing"));
             }
         }
         assert_lookups_agree(&pushed, &format!("seed {seed}, pushed"));
-        let records = pushed.records.clone();
-        assert_eq!(History::from(records.clone()), pushed, "seed {seed}");
+        assert_eq!(History::from(pushed.records.to_vec()), pushed, "seed {seed}");
 
         // Constructed from records under shuffled, distinct ids.
         let mut records: Vec<TxRecord> =
@@ -95,7 +107,7 @@ fn history_lookups_agree_with_an_ordered_map() {
         shuffle(&mut rng, &mut records);
         let constructed = History::from(records);
         assert_lookups_agree(&constructed, &format!("seed {seed}, constructed"));
-        assert_field_edits_keep_lookups_right(constructed, &mut rng, &format!("seed {seed}"));
+        assert_edits_keep_lookups_right(constructed, &mut rng, &format!("seed {seed}"));
     }
 }
 
@@ -129,6 +141,6 @@ fn taken_histories_hand_their_id_table_over_and_answer_like_an_ordered_map() {
         assert_eq!(history.len(), 600, "{label}");
         assert_lookups_agree(&history, label);
         assert_equal_to_rebuilt(&history, label);
-        assert_field_edits_keep_lookups_right(history, &mut rng, label);
+        assert_edits_keep_lookups_right(history, &mut rng, label);
     }
 }

@@ -383,7 +383,7 @@ fn tagged_history(seed: u64) -> History {
         rec.outcome = Some(TxOutcome::Read(ReadOutcome { reads, tag: Some(tag) }));
         h.push(rec);
     }
-    let mut records = h.records;
+    let mut records = Vec::from(h);
     records.sort_by_key(|r| r.tx_id);
     History::from(records)
 }
