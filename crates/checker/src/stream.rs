@@ -1831,7 +1831,13 @@ impl StreamChecker {
     /// end; an unobserved one is dropped there and holds nothing back.
     /// [`crate::TagOrderStream::feed_history`] feeds by the same rule.
     pub fn feed_history(&mut self, history: &History) {
-        for (rec, watermark) in hindsight_commits(history) {
+        self.feed_commits(history, &hindsight_commits(history));
+    }
+
+    /// [`StreamChecker::feed_history`] with `history`'s commit list already
+    /// built (`hindsight_commits`).
+    fn feed_commits(&mut self, history: &History, commits: &[(&TxRecord, u64)]) {
+        for &(rec, watermark) in commits {
             self.ingest(rec.clone());
             self.advance_watermark(watermark);
         }
@@ -1849,8 +1855,15 @@ impl StreamChecker {
     /// `Unknown` stands.  Otherwise equivalent in verdict to feeding the
     /// commit stream live.
     pub fn check(history: &History) -> Verdict {
+        StreamChecker::check_commits(history, &hindsight_commits(history))
+    }
+
+    /// [`StreamChecker::check`] with `history`'s commit list already built
+    /// (`hindsight_commits`), for a caller that built it to feed a
+    /// [`crate::TagOrderStream`] first.
+    pub(crate) fn check_commits(history: &History, commits: &[(&TxRecord, u64)]) -> Verdict {
         let mut checker = StreamChecker::new();
-        checker.feed_history(history);
+        checker.feed_commits(history, commits);
         match checker.finish() {
             Verdict::Unknown(why) => match SearchChecker::default().check(history) {
                 Verdict::Unknown(_) => Verdict::Unknown(why),

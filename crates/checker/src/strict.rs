@@ -11,6 +11,7 @@
 //!   finished history, with the semantic stream engine behind it.
 
 use crate::ot::SequentialOt;
+use crate::stream::{hindsight_commits, StreamChecker};
 use crate::tag_stream::TagOrderStream;
 use snow_core::{History, TxId, TxKind, TxRecord};
 use std::collections::BTreeSet;
@@ -178,7 +179,9 @@ impl SearchChecker {
 
 /// Checks `history` for strict serializability: a [`TagOrderStream`] fed
 /// the finished history ([`TagOrderStream::feed_history`]), then its
-/// verdict ([`TagOrderStream::finish`]).
+/// verdict ([`TagOrderStream::finish`]).  The commit list in RESP order is
+/// built once, and where the tags cannot decide the semantic engine is fed
+/// from the same list.
 ///
 /// A history whose tags certify it (Algorithms A, B and C without faults)
 /// is accepted by Lemma 20, its witness the tag order.  Lemma 20 is a
@@ -233,9 +236,12 @@ impl SearchChecker {
 /// assert!(check_auto(&History::from(records)).is_serializable());
 /// ```
 pub fn check_auto(history: &History) -> Verdict {
+    // One commit list for both engines: the stream's feed and, when tags
+    // cannot decide, the semantic engine's.
+    let commits = hindsight_commits(history);
     let mut stream = TagOrderStream::new();
-    stream.feed_history(history);
-    stream.finish(history)
+    stream.feed_commits(history, &commits);
+    stream.finish_tags(history).unwrap_or_else(|| StreamChecker::check_commits(history, &commits))
 }
 
 #[cfg(test)]

@@ -198,7 +198,13 @@ impl TagOrderStream {
     /// calls.  Once the tags cannot decide, the rest is not walked: an
     /// untagged history stops at its first commit.
     pub fn feed_history(&mut self, history: &History) {
-        for (rec, watermark) in hindsight_commits(history) {
+        self.feed_commits(history, &hindsight_commits(history));
+    }
+
+    /// [`TagOrderStream::feed_history`] with `history`'s commit list
+    /// already built (`hindsight_commits`).
+    pub(crate) fn feed_commits(&mut self, history: &History, commits: &[(&TxRecord, u64)]) {
+        for &(rec, watermark) in commits {
             self.ingest(rec);
             self.advance_watermark(watermark, |tx| history.get(tx));
             if self.tags.is_none() {
@@ -212,12 +218,14 @@ impl TagOrderStream {
     /// `history` is the run's whole history, and the record source held
     /// commits are read back from.
     pub fn finish(self, history: &History) -> Verdict {
-        if let Some(mut tags) = self.tags {
-            if tags.certify(None, &|tx| history.get(tx)).is_ok() {
-                return Verdict::Serializable(tags.witness);
-            }
-        }
-        StreamChecker::check(history)
+        self.finish_tags(history).unwrap_or_else(|| StreamChecker::check(history))
+    }
+
+    /// The tag order's verdict on the rest, `None` when tags cannot decide.
+    pub(crate) fn finish_tags(self, history: &History) -> Option<Verdict> {
+        let mut tags = self.tags?;
+        tags.certify(None, &|tx| history.get(tx)).ok()?;
+        Some(Verdict::Serializable(tags.witness))
     }
 }
 

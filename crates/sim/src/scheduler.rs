@@ -144,7 +144,7 @@ impl<M> Scheduler<M> for RandomScheduler {
     }
 }
 
-/// Stamps each send at `sent_at + topology.link(src, dst).draw(h)`, `h`
+/// Stamps each send at `sent_at + topology.link_draw(src, dst).draw(h)`, `h`
 /// the `send_hash` of its coordinates, and delivers the earliest stamp
 /// first — one O(log n) pop of the `(deliver_at, id)`-keyed queue per step.
 ///
@@ -186,7 +186,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
     #[inline]
     fn on_send(&self, src: ProcessId, dst: ProcessId, sent_at: u64, ordinal: u64) -> u64 {
         let h = send_hash(self.seed, src, dst, sent_at, ordinal);
-        sent_at + self.topology.link(src, dst).draw(h)
+        sent_at + self.topology.link_draw(src, dst).draw(h)
     }
 }
 

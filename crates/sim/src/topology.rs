@@ -43,6 +43,15 @@
 //! Every preset link's minimum is one site-tick, far above any
 //! invocation-kickoff window.  The result — topology-scheduled histories
 //! that replay bit for bit — is pinned by `tests/topology_scenarios.rs`.
+//!
+//! # Prepared draws
+//!
+//! A draw reduces the hash modulo the link's spread plus one.  A topology
+//! keeps each link prepared (`LinkDraw`): the divisor's `Remainder`, which
+//! computes `h % d` exactly with three multiplications instead of a 64-bit
+//! division, and the heavy tail's parameters, with a uniform link as the
+//! tail-free case, so one branch-free formula draws on every link.
+//! [`LinkDist::draw`] prepares, then draws: the two return the same value.
 
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 
@@ -78,22 +87,88 @@ pub enum LinkDist {
 }
 
 impl LinkDist {
+    /// Draws a latency from hash `h`: the link prepared (see the module
+    /// docs), then drawn.  Pure.  A topology keeps its links prepared, so
+    /// a scheduler pays for the preparation once per link, not per draw.
+    ///
+    /// # Panics
+    /// Panics if the body's spread (`max − min`, or `jitter`) is
+    /// `u64::MAX`: its divisor would not fit in 64 bits.
+    pub fn draw(self, h: u64) -> u64 {
+        LinkDraw::new(self).draw(h)
+    }
+}
+
+/// `h % d` for one fixed divisor `d`, by Lemire, Kaser and Kurz's direct
+/// remainder (*Faster Remainder by Direct Computation*, Software: Practice
+/// and Experience, 2019): with `M = ⌈2¹²⁸ / d⌉` (and `M = 0` for `d = 1`),
+/// `h % d` is the high 64 bits of `(M·h mod 2¹²⁸)·d`.  Exact for every
+/// 64-bit `h` and `d`, because the 128-bit fraction has at least
+/// `64 + log₂ d` bits; three multiplications and no division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Remainder {
+    divisor: u64,
+    /// `⌈2¹²⁸ / divisor⌉`, wrapped to 0 for a divisor of 1.
+    m: u128,
+}
+
+impl Remainder {
+    /// Prepares the remainder by `divisor`.
+    ///
+    /// # Panics
+    /// Panics if `divisor` is 0.
+    pub fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "a remainder needs a nonzero divisor");
+        // ⌊(2¹²⁸ − 1) / d⌋ + 1 = ⌈2¹²⁸ / d⌉, whether or not d divides 2¹²⁸.
+        Remainder { divisor, m: (u128::MAX / u128::from(divisor)).wrapping_add(1) }
+    }
+
+    /// `h % divisor`.
+    #[inline]
+    pub fn of(self, h: u64) -> u64 {
+        let fraction = self.m.wrapping_mul(u128::from(h));
+        let d = u128::from(self.divisor);
+        // The high 64 of the 192-bit `fraction · d`, summed in halves.
+        let low = (u128::from(fraction as u64) * d) >> 64;
+        let high = (fraction >> 64) * d;
+        ((high + low) >> 64) as u64
+    }
+}
+
+/// A [`LinkDist`] prepared for drawing: `floor + h % (spread + 1)` plus a
+/// tail of `step·2^(k−1)` for `k` the trailing ones of `h >> 32`, capped
+/// at `cap`.  A uniform link is `floor = min`, `spread = max − min` (0
+/// when `max ≤ min`) and no tail (`cap = 0`); a heavy tail is `base`,
+/// `jitter` and its own tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkDraw {
+    floor: u64,
+    body: Remainder,
+    step: u64,
+    cap: u32,
+}
+
+impl LinkDraw {
+    /// Prepares `dist`.
+    ///
+    /// # Panics
+    /// Panics if the body's spread is `u64::MAX`, as [`LinkDist::draw`].
+    pub fn new(dist: LinkDist) -> Self {
+        let (floor, spread, step, cap) = match dist {
+            LinkDist::Uniform { min, max } => (min, max.saturating_sub(min), 0, 0),
+            LinkDist::HeavyTail { base, jitter, step, cap } => (base, jitter, step, cap),
+        };
+        let divisor = spread.checked_add(1).expect("a link's spread must be below u64::MAX");
+        LinkDraw { floor, body: Remainder::new(divisor), step, cap }
+    }
+
     /// Draws a latency from hash `h`.  Pure.
     #[inline]
-    pub fn draw(self, h: u64) -> u64 {
-        match self {
-            LinkDist::Uniform { min, max } => {
-                let span = max.saturating_sub(min);
-                min + if span > 0 { h % (span + 1) } else { 0 }
-            }
-            LinkDist::HeavyTail { base, jitter, step, cap } => {
-                let body = base + h % (jitter + 1);
-                // P(k trailing ones) = 2^-k: doubling the extra halves its
-                // probability — the power-law signature.
-                let k = (h >> 32).trailing_ones().min(cap);
-                body + if k > 0 { step << (k - 1) } else { 0 }
-            }
-        }
+    pub fn draw(&self, h: u64) -> u64 {
+        // P(k trailing ones) = 2^-k: doubling the extra halves its
+        // probability — the power-law signature.
+        let k = (h >> 32).trailing_ones().min(self.cap);
+        self.floor + self.body.of(h) + if k > 0 { self.step << (k - 1) } else { 0 }
     }
 }
 
@@ -118,6 +193,8 @@ pub struct Topology {
     sites: Vec<String>,
     /// Flattened `[from][to]` link matrix, including intra-site `[i][i]`.
     links: Vec<LinkDist>,
+    /// `links`, each prepared for drawing: written wherever `links` is.
+    draws: Vec<LinkDraw>,
     server_sites: Vec<usize>,
     client_sites: Vec<usize>,
 }
@@ -137,9 +214,12 @@ impl Topology {
     ) -> Self {
         assert!(!site_names.is_empty(), "a topology needs at least one site");
         let n = site_names.len();
+        let links: Vec<LinkDist> =
+            (0..n * n).map(|i| if i / n == i % n { intra } else { inter }).collect();
         Topology {
             sites: site_names.iter().map(|s| s.to_string()).collect(),
-            links: (0..n * n).map(|i| if i / n == i % n { intra } else { inter }).collect(),
+            draws: links.iter().map(|&link| LinkDraw::new(link)).collect(),
+            links,
             server_sites: vec![0; config.num_servers as usize],
             client_sites: vec![0; config.num_clients() as usize],
         }
@@ -152,6 +232,7 @@ impl Topology {
         Topology {
             sites: vec!["site".to_string()],
             links: vec![link],
+            draws: vec![LinkDraw::new(link)],
             server_sites: Vec::new(),
             client_sites: Vec::new(),
         }
@@ -213,6 +294,7 @@ impl Topology {
         let n = self.sites.len();
         assert!(from < n && to < n, "site index out of range");
         self.links[from * n + to] = dist;
+        self.draws[from * n + to] = LinkDraw::new(dist);
     }
 
     /// Places a server at a site.
@@ -244,9 +326,22 @@ impl Topology {
     /// a one-site topology, whatever its placement.
     #[inline]
     pub fn link(&self, src: ProcessId, dst: ProcessId) -> LinkDist {
-        match self.links[..] {
-            [only] => only,
-            _ => self.links[self.site_of(src) * self.sites.len() + self.site_of(dst)],
+        self.links[self.link_index(src, dst)]
+    }
+
+    /// The `src → dst` link prepared for drawing: what a scheduler draws
+    /// each send's latency from.
+    #[inline]
+    pub(crate) fn link_draw(&self, src: ProcessId, dst: ProcessId) -> &LinkDraw {
+        &self.draws[self.link_index(src, dst)]
+    }
+
+    /// The `src → dst` link's index in the matrix: 0 on one site.
+    #[inline]
+    fn link_index(&self, src: ProcessId, dst: ProcessId) -> usize {
+        match self.sites.len() {
+            1 => 0,
+            n => self.site_of(src) * n + self.site_of(dst),
         }
     }
 
@@ -335,6 +430,67 @@ mod tests {
             assert!((3..=9).contains(&v), "{v}");
         }
         assert_eq!(LinkDist::Uniform { min: 5, max: 5 }.draw(77), 5);
+    }
+
+    /// The direct remainder equals `%` at the divisors where it is easiest
+    /// to get wrong (1, powers of two and their neighbours, the 32-bit
+    /// boundary, 2⁶³, `u64::MAX`) and at random ones, for dividends at the
+    /// edges (0, `d − 1`, `d`, `d + 1`, `u64::MAX`) and random ones.
+    #[test]
+    fn the_direct_remainder_equals_the_division() {
+        let fixed =
+            [1, 2, 3, 16, 17, 2049, 6145, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 63, u64::MAX];
+        let random = (0..2_000u64).map(|i| splitmix64(i) >> (i % 64));
+        for d in fixed.into_iter().chain(random.filter(|&d| d > 0)) {
+            let r = Remainder::new(d);
+            let edges = [0, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            let hashes = (0..64u64).map(|i| splitmix64(d ^ i));
+            for h in edges.into_iter().chain(hashes) {
+                assert_eq!(r.of(h), h % d, "{h} % {d}");
+            }
+        }
+    }
+
+    /// A prepared draw returns what the division-based draw it replaced
+    /// returned (the model below): on every link of the three presets, on
+    /// the one-site links the tests and the golden combos use, and on
+    /// uniform links with no spread or an inverted range.
+    #[test]
+    fn a_prepared_draw_equals_the_divided_draw() {
+        fn divided(link: LinkDist, h: u64) -> u64 {
+            match link {
+                LinkDist::Uniform { min, max } => {
+                    let span = max.saturating_sub(min);
+                    min + if span > 0 { h % (span + 1) } else { 0 }
+                }
+                LinkDist::HeavyTail { base, jitter, step, cap } => {
+                    let body = base + h % (jitter + 1);
+                    let k = (h >> 32).trailing_ones().min(cap);
+                    body + if k > 0 { step << (k - 1) } else { 0 }
+                }
+            }
+        }
+        let config = SystemConfig::mwmr(4, 3, 3);
+        let presets = [
+            Topology::single_dc(&config),
+            Topology::wan3(&config),
+            Topology::client_remote(&config),
+        ];
+        let one_site = [(1, 16), (1, 15), (1, 20), (0, 0), (5, 5), (9, 3), (1, 1000)]
+            .map(|(min, max)| LinkDist::Uniform { min, max });
+        let links = presets.iter().flat_map(|t| t.links().collect::<Vec<_>>()).chain(one_site);
+        for link in links {
+            let prepared = LinkDraw::new(link);
+            for h in (0..20_000u64).map(splitmix64).chain([0, u64::MAX, u64::MAX << 32]) {
+                assert_eq!(prepared.draw(h), divided(link, h), "{link:?} at {h:#x}");
+                assert_eq!(link.draw(h), divided(link, h), "{link:?} at {h:#x}");
+            }
+        }
+        for t in &presets {
+            for (i, &link) in t.links.iter().enumerate() {
+                assert_eq!(t.draws[i], LinkDraw::new(link), "a topology keeps each link prepared");
+            }
+        }
     }
 
     #[test]

@@ -102,11 +102,38 @@ pub(crate) fn checked<R>(drive: impl FnOnce(&mut Tap) -> (History, R)) -> (Histo
     (history, report, verdict)
 }
 
+/// The clients of one round, as a bitset: bit `c % 64` of word `c / 64`
+/// for client `c`.  It grows to cover the largest id it has held and keeps
+/// its words across rounds.
+#[derive(Debug, Default)]
+pub(crate) struct ClientSet {
+    words: Vec<u64>,
+}
+
+impl ClientSet {
+    /// Empties the set, keeping its words.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Adds `client`; `true` if it was not in the set.
+    #[inline]
+    pub(crate) fn insert(&mut self, client: ClientId) -> bool {
+        let (word, bit) = (client.0 as usize / 64, 1u64 << (client.0 % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+}
+
 /// Draws from `next` until `batch` holds `want` transactions of distinct
 /// clients or `draws` draws are spent, discarding a draw whose client is
-/// already in `seen` (the batch's clients, sorted).
+/// already in `seen` (the batch's clients).
 pub(crate) fn draw_distinct(
-    seen: &mut Vec<ClientId>,
+    seen: &mut ClientSet,
     batch: &mut Batch,
     want: usize,
     draws: usize,
@@ -117,17 +144,16 @@ pub(crate) fn draw_distinct(
             break;
         }
         let tx = next();
-        if let Err(at) = seen.binary_search(&tx.client) {
-            seen.insert(at, tx.client);
+        if seen.insert(tx.client) {
             batch.push((tx.client, tx.spec));
         }
     }
 }
 
 /// The round loop.  Sizes the record log for `planned` transactions, then,
-/// for at most `rounds` rounds: `draw` fills the batch (its clients,
-/// sorted, in `seen`; both buffers hold `width` and are reused across
-/// rounds), the batch is invoked at the settled clock — `spacing` ticks
+/// for at most `rounds` rounds: `draw` fills the batch (its clients in
+/// `seen`; the batch holds `width`, and both are reused across rounds),
+/// the batch is invoked at the settled clock — `spacing` ticks
 /// apart after it, so 0 invokes the whole round at `now` — the cluster runs
 /// until quiescent, and `tap` sees it.  A draw that leaves the batch empty
 /// ends the run.  The last round's tap is the last call before the take,
@@ -138,12 +164,12 @@ pub(crate) fn round_loop(
     rounds: usize,
     width: usize,
     spacing: u64,
-    draw: &mut dyn FnMut(&mut Vec<ClientId>, &mut Batch),
+    draw: &mut dyn FnMut(&mut ClientSet, &mut Batch),
     tap: &mut Tap,
 ) -> (History, DriverReport) {
     let start = cluster.now();
     cluster.reserve(planned);
-    let mut seen: Vec<ClientId> = Vec::with_capacity(width);
+    let mut seen = ClientSet::default();
     let mut batch: Batch = Vec::with_capacity(width);
     let (mut issued, mut driven) = (0, 0);
     while driven < rounds {
@@ -309,7 +335,7 @@ impl WorkloadDriver {
         tap: &mut Tap,
     ) -> (History, DriverReport) {
         let mut left = total;
-        let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+        let mut draw = |seen: &mut ClientSet, batch: &mut Batch| {
             let want = self.per_round.min(left);
             draw_distinct(seen, batch, want, want * 50, || generator.next_tx());
             left -= batch.len();
@@ -406,7 +432,7 @@ impl WorkloadDriver {
         writes_per_round: usize,
     ) -> (History, DriverReport) {
         let w = writes_per_round;
-        let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+        let mut draw = |seen: &mut ClientSet, batch: &mut Batch| {
             draw_distinct(seen, batch, w, w * 50, || generator.next_write());
             let read = generator.next_read();
             batch.push((read.client, read.spec));
@@ -421,11 +447,47 @@ mod tests {
     use crate::generator::WorkloadSpec;
     use crate::open_loop::{arrival_schedule, drive_open_loop, OpenLoopSpec};
     use snow_checker::{check_auto, StreamChecker, StreamLane};
-    use snow_core::SystemConfig;
+    use snow_core::hash::SplitMix;
+    use snow_core::{ObjectId, ReadSpec, SystemConfig};
     use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
     use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule, Topology};
     use std::cell::Cell;
     use std::sync::Arc;
+
+    /// Over 130 clients (three words of the set), in two rounds on one
+    /// reused set, `draw_distinct` keeps each client's first draw of the
+    /// round, in draw order, as the sorted client list it replaced did
+    /// (the model below).
+    #[test]
+    fn draw_distinct_keeps_each_clients_first_draw() {
+        let mut rng = SplitMix::new(130);
+        let (mut seen, mut batch) = (ClientSet::default(), Batch::new());
+        for want in [130, 64] {
+            let draws: Vec<ClientId> =
+                (0..1_000).map(|_| ClientId(rng.below(130) as u32)).collect();
+            let (mut sorted, mut model) = (Vec::new(), Vec::new());
+            for (i, &client) in draws.iter().enumerate() {
+                if model.len() >= want {
+                    break;
+                }
+                if let Err(at) = sorted.binary_search(&client) {
+                    sorted.insert(at, client);
+                    model.push((client, ObjectId(i as u32)));
+                }
+            }
+            let mut next = draws.iter().enumerate().map(|(i, &client)| GeneratedTx {
+                client,
+                spec: TxSpec::Read(ReadSpec::new(&[ObjectId(i as u32)][..])),
+            });
+            seen.clear();
+            draw_distinct(&mut seen, &mut batch, want, draws.len(), || next.next().unwrap());
+            let kept: Vec<(ClientId, ObjectId)> = batch
+                .drain(..)
+                .map(|(client, spec)| (client, spec.objects_iter().next().unwrap()))
+                .collect();
+            assert_eq!(kept, model, "want {want}");
+        }
+    }
 
     #[test]
     fn driver_completes_everything_it_issues() {

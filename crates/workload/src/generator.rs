@@ -1,4 +1,12 @@
 //! Transaction-mix generation.
+//!
+//! A transaction's objects are distinct Zipf draws, listed in ascending
+//! order: a repeat draw is discarded and drawn again.  Membership is a
+//! bitset over object ids, so a draw is one bit test and a branch-free
+//! count, and the list is the set's bits read out in order (clearing them
+//! as it goes, over the words the draw touched), with no search and no
+//! insertion into a sorted list.  The stream is the one the sorted-insert
+//! draw made, bit for bit.
 
 use crate::zipf::Zipf;
 use snow_core::hash::SplitMix;
@@ -83,14 +91,20 @@ pub struct WorkloadGenerator {
     /// The objects of the transaction being drawn, sorted: one buffer for
     /// every draw, copied into the spec's in-place list.
     picked: Vec<ObjectId>,
+    /// The objects drawn so far, bit `o % 64` of word `o / 64` for object
+    /// `o`: all clear between draws.
+    members: Vec<u64>,
 }
 
 impl WorkloadGenerator {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics if the configuration has no readers or no writers, or if the
-    /// per-transaction object counts exceed the number of objects.
+    /// Panics if the configuration has no readers or no writers, if the
+    /// per-transaction object counts exceed the number of objects, or if
+    /// they exceed the objects the Zipf exponent leaves nonzero mass
+    /// ([`Zipf::items_with_mass`]): no draw could complete such a
+    /// transaction.
     pub fn new(config: &SystemConfig, spec: WorkloadSpec) -> Self {
         let readers: Vec<ClientId> = config.readers().collect();
         let writers: Vec<ClientId> = config.writers().collect();
@@ -101,8 +115,14 @@ impl WorkloadGenerator {
                 && spec.objects_per_write <= config.num_objects as usize,
             "transactions cannot touch more objects than exist"
         );
+        let objects = config.num_objects as usize;
+        let zipf = Zipf::new(objects, spec.zipf_exponent);
+        assert!(
+            spec.objects_per_read.max(spec.objects_per_write) <= zipf.items_with_mass(),
+            "the Zipf exponent leaves fewer objects with nonzero mass than a transaction touches"
+        );
         WorkloadGenerator {
-            zipf: Zipf::new(config.num_objects as usize, spec.zipf_exponent),
+            zipf,
             rng: SplitMix::new(spec.seed),
             readers,
             writers,
@@ -112,20 +132,32 @@ impl WorkloadGenerator {
             generated_reads: 0,
             generated_writes: 0,
             picked: Vec::with_capacity(spec.objects_per_read.max(spec.objects_per_write)),
+            members: vec![0; objects.div_ceil(64)],
             spec,
             config: config.clone(),
         }
     }
 
     /// Draws `count` distinct objects into `picked`, Zipf-weighted, in
-    /// ascending order: a repeat draw is discarded and drawn again.
+    /// ascending order: a repeat draw is discarded and drawn again.  The
+    /// draws set bits in `members`; the list is read out of the words they
+    /// touched, which are left clear.
     #[inline]
     fn draw_objects(&mut self, count: usize) -> &[ObjectId] {
+        let (mut held, mut first, mut last) = (0, usize::MAX, 0);
+        while held < count {
+            let object = self.zipf.sample(&mut self.rng);
+            let (word, bit) = (object / 64, 1u64 << (object % 64));
+            held += usize::from(self.members[word] & bit == 0);
+            self.members[word] |= bit;
+            (first, last) = (first.min(word), last.max(word));
+        }
         self.picked.clear();
-        while self.picked.len() < count {
-            let object = ObjectId(self.zipf.sample(&mut self.rng) as u32);
-            if let Err(at) = self.picked.binary_search(&object) {
-                self.picked.insert(at, object);
+        for word in first..=last {
+            let mut bits = std::mem::take(&mut self.members[word]);
+            while bits != 0 {
+                self.picked.push(ObjectId((word * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
             }
         }
         &self.picked
@@ -237,6 +269,62 @@ mod tests {
             (0..50).map(|_| generator.next_tx()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The draw returns what the sorted-insert draw it replaced returned
+    /// (the model below, on its own copy of the stream): 10 000 draws of
+    /// one to seven objects, on tables of one to three bitset words.
+    #[test]
+    fn object_draws_equal_the_sorted_insert_model() {
+        for objects in [8u32, 16, 65, 130] {
+            let config = SystemConfig { num_objects: objects, ..SystemConfig::mwmr(4, 2, 2) };
+            let spec = WorkloadSpec { seed: u64::from(objects), ..WorkloadSpec::tao_like() };
+            let zipf = Zipf::new(objects as usize, spec.zipf_exponent);
+            let mut rng = SplitMix::new(spec.seed);
+            let mut generator = WorkloadGenerator::new(&config, spec);
+            for draw in 0..10_000 {
+                let count = [1, 2, 3, 4, 7][draw % 5];
+                let mut model: Vec<ObjectId> = Vec::new();
+                while model.len() < count {
+                    let object = ObjectId(zipf.sample(&mut rng) as u32);
+                    if let Err(at) = model.binary_search(&object) {
+                        model.insert(at, object);
+                    }
+                }
+                assert_eq!(generator.draw_objects(count), model, "{objects} objects, draw {draw}");
+            }
+            assert!(generator.members.iter().all(|&w| w == 0), "a draw leaves its bits set");
+        }
+    }
+
+    /// At exponent 60 every object but the first has a weight below the
+    /// table's precision: no two-object transaction can be drawn, so the
+    /// generator refuses the spec instead of drawing forever.
+    #[test]
+    #[should_panic(expected = "nonzero mass")]
+    fn an_exponent_that_leaves_objects_without_mass_is_rejected() {
+        let spec = WorkloadSpec {
+            objects_per_read: 2,
+            objects_per_write: 2,
+            zipf_exponent: 60.0,
+            ..WorkloadSpec::tao_like()
+        };
+        let _ = WorkloadGenerator::new(&SystemConfig::mwmr(8, 2, 2), spec);
+    }
+
+    #[test]
+    fn a_steep_exponent_that_leaves_every_object_mass_draws() {
+        let spec = WorkloadSpec {
+            objects_per_read: 2,
+            objects_per_write: 2,
+            zipf_exponent: 10.0,
+            ..WorkloadSpec::tao_like()
+        };
+        let mut generator = WorkloadGenerator::new(&SystemConfig::mwmr(8, 2, 2), spec);
+        for _ in 0..100 {
+            let tx = generator.next_tx();
+            assert_eq!(tx.spec.objects_iter().count(), 2, "{tx:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 
 use crate::driver::{checked, completion_loop, Tap};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
+use crate::zipf::Zipf;
 use snow_checker::{LatencyStats, Verdict};
 use snow_core::hash::SplitMix;
 use snow_core::{ClientId, History, Result, SnowError, SystemConfig, TxKind, TxSpec};
@@ -275,6 +276,22 @@ fn positive_rate(rate: u64) -> Result<()> {
     Ok(())
 }
 
+/// The sweeps' rule for a Zipf exponent over `objects` objects: an `Err`
+/// where [`WorkloadGenerator::new`] panics — an exponent so steep that
+/// fewer objects keep nonzero mass than `workload`'s transactions touch,
+/// so no draw could complete one.
+fn drawable(objects: usize, workload: &WorkloadSpec, exponent: f64) -> Result<()> {
+    let touched = workload.objects_per_read.max(workload.objects_per_write);
+    let with_mass = Zipf::new(objects, exponent).items_with_mass();
+    if with_mass < touched {
+        return Err(SnowError::InvalidConfig(format!(
+            "Zipf exponent {exponent}: {with_mass} of {objects} objects keep nonzero mass, \
+             fewer than the {touched} a transaction touches"
+        )));
+    }
+    Ok(())
+}
+
 /// Sweeps Zipf skew at a fixed offered rate: hot-key contention points.
 /// Returns `(exponent, report)` pairs in sweep order.  Contention-free
 /// reads barely move: on the pinned table (`tests/open_loop.rs`: rate 30,
@@ -284,13 +301,17 @@ fn positive_rate(rate: u64) -> Result<()> {
 /// its p99 — 3 234 / 1 812 / 2 247 — measures a growing backlog and is not
 /// monotone in skew; sweep a rate below its knee to isolate the hot key.
 ///
-/// Returns `InvalidConfig`, before building anything, if `base.rate` is 0.
+/// Returns `InvalidConfig`, before building anything, if `base.rate` is 0
+/// or an exponent leaves fewer objects with nonzero mass than a
+/// transaction touches.
 pub fn zipf_sweep(
     cluster: &ClusterSpec,
     base: &OpenLoopSpec,
     exponents: &[f64],
 ) -> Result<Vec<(f64, OpenLoopReport)>> {
     positive_rate(base.rate)?;
+    let objects = cluster.config().num_objects as usize;
+    exponents.iter().try_for_each(|&exponent| drawable(objects, &base.workload, exponent))?;
     let mut points = Vec::with_capacity(exponents.len());
     for &exponent in exponents {
         let spec = OpenLoopSpec {
@@ -419,6 +440,24 @@ mod tests {
         assert!(matches!(swept, Err(SnowError::InvalidConfig(why)) if why.contains("rate 0")));
         let swept = zipf_sweep(&cluster, &OpenLoopSpec::tao_like(0), &[0.0]);
         assert!(matches!(swept, Err(SnowError::InvalidConfig(why)) if why.contains("rate 0")));
+    }
+
+    /// At exponent 60 only the first of 8 objects keeps nonzero mass, and
+    /// a generator would refuse the two-object transactions; the sweep
+    /// refuses it before running even the valid exponent listed first.
+    #[test]
+    fn zipf_sweep_rejects_an_exponent_without_enough_objects_with_mass() {
+        let config = SystemConfig::mwmr(8, 2, 2);
+        let cluster = cluster_spec(ProtocolKind::AlgB, &config);
+        let base =
+            OpenLoopSpec { workload: WorkloadSpec::write_heavy(), ..OpenLoopSpec::tao_like(30) };
+        let swept = zipf_sweep(&cluster, &base, &[10.0, 60.0]);
+        assert!(
+            matches!(&swept, Err(SnowError::InvalidConfig(why)) if why.contains("1 of 8 objects")),
+            "{swept:?}"
+        );
+        let steep = OpenLoopSpec { arrivals: 20, ..base };
+        assert_eq!(zipf_sweep(&cluster, &steep, &[10.0]).unwrap().len(), 1);
     }
 
     /// Open-loop runs get `check_auto`'s verdict on the finished history,

@@ -31,13 +31,13 @@
 //! cells and seeds + stream-engine certification of every cell).
 
 use snow_checker::SnowReport;
-use snow_core::{ClientId, History, Result, SystemConfig};
+use snow_core::{History, Result, SystemConfig};
 use snow_protocols::{ClusterSpec, ProtocolKind};
 use snow_sim::topology::TICK;
 use snow_sim::Topology;
 use std::sync::Arc;
 
-use crate::driver::{draw_distinct, round_loop, Batch};
+use crate::driver::{draw_distinct, round_loop, Batch, ClientSet};
 use crate::generator::{WorkloadGenerator, WorkloadSpec};
 
 /// The geo-topologies the matrix crosses (presets from
@@ -239,7 +239,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, rounds: usize) -> Result<Sce
     // One outstanding transaction per client: of `per_round` draws, keep
     // the first per client, in generation order.
     let per_round = config.num_clients() as usize;
-    let mut draw = |seen: &mut Vec<ClientId>, batch: &mut Batch| {
+    let mut draw = |seen: &mut ClientSet, batch: &mut Batch| {
         draw_distinct(seen, batch, per_round, per_round, || generator.next_tx());
     };
     let cluster = cluster.as_mut();

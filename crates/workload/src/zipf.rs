@@ -1,10 +1,20 @@
 //! A Zipfian sampler over `{0, …, n-1}` with exponent `s`.
 //!
 //! Implemented by inverse-CDF lookup over the precomputed cumulative weights
-//! `w_i = 1 / (i+1)^s`, which is exact and fast enough for workload
-//! generation (the table is built once per generator).
+//! `w_i = 1 / (i+1)^s` (the table is built once per generator).  A draw
+//! `u` in `[0, 1)` picks the first item whose cumulative weight is not
+//! below it: the count of table entries below `u`, clamped to `n − 1`.
+//!
+//! The lookup is a fixed-trip lower bound: `⌈log₂ n⌉` halvings of the
+//! window, each a select the compiler must not turn back into a branch
+//! (`std::hint::select_unpredictable`).  The trip count depends only on
+//! `n`, so the loop's one branch is always predicted; a search that
+//! branches on the comparison mispredicts on about half its halvings,
+//! because `u` is uniform, and that, not the search's length, is what a
+//! draw cost.
 
 use snow_core::hash::SplitMix;
+use std::hint::select_unpredictable;
 
 /// A Zipfian distribution over `n` items with skew exponent `s`.
 ///
@@ -46,17 +56,34 @@ impl Zipf {
         self.cumulative.is_empty()
     }
 
-    /// Samples an index in `0..n`, most popular first.
+    /// Samples an index in `0..n`, most popular first: the count of table
+    /// entries below one uniform draw, clamped to `n − 1`.
     #[inline]
     pub fn sample(&self, rng: &mut SplitMix) -> usize {
-        let u = rng.unit();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite weights"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
+        self.lookup(rng.unit())
+    }
+
+    /// The count of table entries below `u`, clamped to `n − 1`.
+    #[inline]
+    fn lookup(&self, u: f64) -> usize {
+        let table = &self.cumulative[..];
+        // The count lies in `[base, base + len]`; each halving keeps the
+        // half it lies in, without a branch on the comparison.
+        let (mut base, mut len) = (0, table.len());
+        while len > 1 {
+            let half = len / 2;
+            base = select_unpredictable(table[base + half] < u, base + half, base);
+            len -= half;
         }
+        (base + usize::from(table[base] < u)).min(table.len() - 1)
+    }
+
+    /// How many items have nonzero mass: the first, and each whose
+    /// cumulative weight rises above its predecessor's.  A steep exponent
+    /// leaves the tail's weights below the total's precision, so the table
+    /// stops rising and no draw can reach those items.
+    pub fn items_with_mass(&self) -> usize {
+        1 + self.cumulative.windows(2).filter(|w| w[1] > w[0]).count()
     }
 
     /// The probability mass of item `i`.
@@ -122,6 +149,39 @@ mod tests {
             (0..100).map(|_| z.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    /// The lookup returns what a `binary_search_by` over the table returned
+    /// (the model below), on every table of up to 300 items at five
+    /// exponents: for random draws, and for draws equal to each entry and
+    /// one step either side of it.
+    #[test]
+    fn lookup_equals_the_binary_search_it_replaced() {
+        fn searched(z: &Zipf, u: f64) -> usize {
+            match z.cumulative.binary_search_by(|c| c.partial_cmp(&u).expect("finite weights")) {
+                Ok(i) => i,
+                Err(i) => i.min(z.cumulative.len() - 1),
+            }
+        }
+        let mut rng = SplitMix::new(60);
+        for s in [0.0, 0.6, 0.99, 1.2, 3.0] {
+            for n in 1..=300 {
+                let z = Zipf::new(n, s);
+                let entries = z.cumulative.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+                let random = (0..64).map(|_| rng.unit());
+                for u in entries.chain(random).chain([0.0]) {
+                    assert_eq!(z.lookup(u), searched(&z, u), "n = {n}, s = {s}, u = {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_steep_exponent_leaves_items_without_mass() {
+        assert_eq!(Zipf::new(8, 10.0).items_with_mass(), 8);
+        assert_eq!(Zipf::new(8, 60.0).items_with_mass(), 1);
+        assert_eq!(Zipf::new(1, 0.0).items_with_mass(), 1);
+        assert_eq!(Zipf::new(300, 3.0).items_with_mass(), 300);
     }
 
     #[test]

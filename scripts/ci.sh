@@ -26,11 +26,13 @@
 #      traced) in about a second and exits non-zero if any fails its
 #      correctness gate (verdict, protocol claims, history digest stable
 #      across reps); the per-message helpers the generic dispatch loop
-#      calls (latency draw, link lookup, fault delay, causal stamp, record
-#      log and the `History::get` / `get_mut` it forwards to, `Vals` store,
-#      tag-order ingest) must not
+#      calls (prepared latency draw and its direct remainder, link lookup,
+#      fault delay, causal stamp, record log and the `History::get` /
+#      `get_mut` it forwards to, `Vals` store, tag-order ingest) and the
+#      per-draw helpers of the workload (Zipf lookup, the round's client
+#      set) must not
 #      survive as symbols of the benchmark binary it built (`nm`): each is
-#      inlined across the crate boundary by its `#[inline]`; then each
+#      inlined into its callers by its `#[inline]`; then each
 #      workload runs once at `--seed 1 --seconds 0.01 --trace 0` (about
 #      2.5 s for the three) and its printed history `digest` must equal
 #      the pinned one.  Neither writes a file;
@@ -102,10 +104,13 @@ echo "e2e_bench smoke ok"
 # The generic simulator is instantiated downstream of the crates that define
 # its per-message helpers, and the benchmark's release profile has no LTO:
 # each helper below is compiled into its callers only because it carries
-# #[inline].  One left out of line in the binary the smoke run just built
+# #[inline] (the workload's per-draw helpers need it too: their own crate
+# is compiled in several codegen units).  One left out of line in the binary the smoke run just built
 # lost its attribute, or grew past what the inliner takes.
 inlined=(
-    snow_sim::topology::LinkDist::draw snow_sim::topology::Topology::link
+    snow_sim::topology::LinkDraw::draw snow_sim::topology::Remainder::of
+    snow_sim::topology::Topology::link_draw snow_sim::topology::Topology::link_index
+    snow_sim::topology::Topology::link
     snow_sim::fault::SendVerdict::delay snow_sim::sim::stamp snow_sim::sim::CommitLog::since
     snow_sim::pool::DeliveryHeap::push snow_sim::pool::DeliveryHeap::pop
     snow_sim::tables::RecordLog::get snow_sim::tables::RecordLog::get_mut
@@ -116,6 +121,8 @@ inlined=(
     snow_core::store::ShardStore::install snow_core::history::History::get
     snow_core::history::History::get_mut
     snow_checker::tag_stream::TagOrderStream::ingest
+    snow_workload::zipf::Zipf::sample snow_workload::zipf::Zipf::lookup
+    snow_workload::driver::ClientSet::insert
 )
 outlined="$(nm -C examples/e2e_bench/target/release/e2e_bench |
     grep -E " ($(IFS='|'; echo "${inlined[*]}"))\$" || true)"

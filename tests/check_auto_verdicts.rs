@@ -11,12 +11,18 @@
 //! `Latency { seed: 11, min: 1, max: 16 }`, the one
 //! `tests/stream_hot_path.rs` pins the live window on.
 
+#[path = "support/alloc.rs"]
+mod alloc;
+
 use snow::checker::{check_auto, SequentialOt, StreamChecker, Verdict};
 use snow::core::{History, SystemConfig, TxOutcome};
 use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{
     drive_open_loop, OpenLoopSpec, WorkloadDriver, WorkloadGenerator, WorkloadSpec,
 };
+
+#[global_allocator]
+static GLOBAL: alloc::Counting = alloc::Counting;
 
 /// `transactions` of the write-heavy mix through `protocol`, closed loop in
 /// rounds of 8.
@@ -129,4 +135,21 @@ fn check_auto_certifies_the_algc_open_loop_with_its_tags_stripped() {
     let (history, report) = drive_open_loop(cluster.as_mut(), &config, &spec);
     assert_eq!(report.completed, 5_000);
     assert_certified(&strip_tags(history), "AlgC open loop, tags stripped");
+}
+
+/// On an untagged history `check_auto`'s stream stops at the first commit
+/// and hands the history to the stream engine, with the commit list it
+/// built: one build and sort of that list, as `StreamChecker::check`
+/// makes, so the two allocate alike — the same count and the same peak.
+#[test]
+fn check_auto_on_an_untagged_history_allocates_what_the_stream_engine_does() {
+    let history = strip_tags(round_driver_history(ProtocolKind::AlgB, 1_000));
+    let (auto, auto_counts) = alloc::counted(|| check_auto(&history));
+    let (engine, engine_counts) = alloc::counted(|| StreamChecker::check(&history));
+    assert_eq!(auto, engine);
+    assert_eq!(
+        (auto_counts.allocs, auto_counts.peak),
+        (engine_counts.allocs, engine_counts.peak),
+        "check_auto over StreamChecker::check"
+    );
 }
